@@ -409,11 +409,11 @@ func cmdClassify(args []string) error {
 	}
 	class := qtree.Classify(q)
 	fmt.Printf("query: %s\n%s", q, class)
-	sess, err := dyncq.New(q)
+	h, err := dyncq.NewWorkspace(dyncq.WorkspaceOptions{}).RegisterQuery("q", q, dyncq.Options{})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("routing: %s\n", sess.Strategy())
+	fmt.Printf("routing: %s\n", h.Strategy())
 	return nil
 }
 

@@ -13,11 +13,12 @@
 //     local aliases, or Put/Delete on a relation shard map) must also
 //     advance d.epoch in the same function body.
 //
-//   - In the engine packages sharing the store (pkg/dyncq, internal/eval,
-//     internal/ivm), calls to the per-tuple mutators Insert, Delete,
-//     Apply, and ApplyAll on a *dyndb.Database are flagged; batches go
-//     through ApplyNetDelta, lifecycle through Clear/CopyFrom, which
-//     the workspace pairs with index maintenance.
+//   - In the packages that see the shared store (pkg/dyncq, which owns
+//     it, and the engine packages internal/core, internal/eval and
+//     internal/ivm, which only read it), calls to the per-tuple mutators
+//     Insert, Delete, Apply, and ApplyAll on a *dyndb.Database are
+//     flagged; batches go through ApplyNetDelta, lifecycle through
+//     Clear/CopyFrom, which the workspace pairs with index maintenance.
 package epochstep
 
 import (
@@ -57,11 +58,14 @@ var mutatorMethods = map[string]bool{
 	"ApplyAll": true,
 }
 
-// sharedStorePackages are the packages that hold the workspace's shared
-// store and therefore must keep store and indexes in lockstep. Oracles,
-// benches, and cmd/ build private databases and stay out of scope.
+// sharedStorePackages are the packages that see the workspace's shared
+// store: the workspace, which must keep store and indexes in lockstep,
+// and the engine packages, which only ever read it — a store write from
+// an engine is a second owner. Oracles, benches, and cmd/ build private
+// databases and stay out of scope.
 var sharedStorePackages = map[string]bool{
 	"dyncq/pkg/dyncq":     true,
+	"dyncq/internal/core": true,
 	"dyncq/internal/eval": true,
 	"dyncq/internal/ivm":  true,
 }

@@ -15,6 +15,10 @@ func TestSharedStoreCallers(t *testing.T) {
 	atest.Run(t, "testdata", epochstep.Analyzer, "dyncq/pkg/dyncq")
 }
 
+func TestEnginePackageNeverWritesStore(t *testing.T) {
+	atest.Run(t, "testdata", epochstep.Analyzer, "dyncq/internal/core")
+}
+
 func TestOutOfScopePackageIsClean(t *testing.T) {
 	// The oracle fixture calls Insert directly on a private database;
 	// its package is not in the shared-store scope, so nothing fires.

@@ -35,7 +35,7 @@ type Config struct {
 	// measurement (0 = enumerate everything).
 	MaxEnumerate int
 	// BatchSizes lists the chunk sizes of the batch phase: for every size
-	// a fresh session bulk-loads Initial and applies Stream through
+	// a fresh workspace bulk-loads Initial and applies Stream through
 	// ApplyBatch in chunks of that size, so the report shows how batching
 	// amortises maintenance against the per-update loop. Empty = skip.
 	BatchSizes []int
@@ -45,8 +45,8 @@ type Config struct {
 	// needs). 0 or 1 means a single run.
 	Repeat int
 	// Workers lists the worker counts of the parallel phase: for every
-	// count a fresh ConcurrentSession bulk-loads Initial and applies
-	// Stream through ApplyBatched with that many shard workers, so the
+	// count a fresh workspace built with that many Workers bulk-loads
+	// Initial and applies Stream through ApplyBatched, so the
 	// report shows how sharded parallel application scales. Include 1 to
 	// record the locked-but-sequential baseline the speedups are computed
 	// against. Empty = skip.
@@ -82,8 +82,8 @@ func percentiles(sample []int64) Percentiles {
 }
 
 // BatchResult measures one batch size of the batch phase: the stream is
-// applied through Session.ApplyBatch in chunks of BatchSize on a fresh,
-// bulk-loaded session.
+// applied through Workspace.ApplyBatch in chunks of BatchSize on a
+// fresh, bulk-loaded workspace.
 type BatchResult struct {
 	BatchSize int `json:"batch_size"`
 	// Batches is how many chunks the stream split into; NetApplied is the
@@ -104,8 +104,8 @@ type BatchResult struct {
 }
 
 // ParallelResult measures one worker count of the parallel phase: the
-// stream applied through ConcurrentSession.ApplyBatched on a fresh,
-// bulk-loaded session with Workers shard workers per batch.
+// stream applied through Workspace.ApplyBatched on a fresh, bulk-loaded
+// workspace with Workers shard workers per batch.
 type ParallelResult struct {
 	Workers   int `json:"workers"`
 	BatchSize int `json:"batch_size"`
@@ -129,8 +129,8 @@ type ParallelResult struct {
 type StrategyResult struct {
 	Strategy string `json:"strategy"`
 	// PreprocessNS is the wall time of replaying Initial one update at a
-	// time; BulkLoadNS is the wall time of Session.Load with the same
-	// initial database on a fresh session (0 if Initial is empty).
+	// time; BulkLoadNS is the wall time of Workspace.Load with the same
+	// initial database on a fresh workspace (0 if Initial is empty).
 	PreprocessNS int64 `json:"preprocess_ns"`
 	BulkLoadNS   int64 `json:"bulk_load_ns,omitempty"`
 	// PreprocessAlloc is the allocator traffic of the preprocessing
@@ -308,27 +308,38 @@ func mergeBest(a, b StrategyResult) StrategyResult {
 	return a
 }
 
+// soloQueryName is the registration name of a one-query workspace.
+const soloQueryName = "q"
+
+// soloWorkspace returns a fresh workspace with q as its only registered
+// query — the unit every single-query phase measures.
+func soloWorkspace(q *cq.Query, st dyncq.Strategy, workers int) (*dyncq.Workspace, *dyncq.Handle, error) {
+	ws := dyncq.NewWorkspace(dyncq.WorkspaceOptions{Workers: workers})
+	h, err := ws.RegisterQuery(soloQueryName, q, dyncq.Options{Force: st})
+	return ws, h, err
+}
+
 func runStrategy(cfg Config, st dyncq.Strategy, initDB *dyndb.Database) (StrategyResult, error) {
-	sess, err := dyncq.NewWithOptions(cfg.Query, dyncq.Options{Force: st})
+	ws, h, err := soloWorkspace(cfg.Query, st, 0)
 	if err != nil {
 		return StrategyResult{}, err
 	}
 	// Label with the resolved backend, not the request: StrategyAuto must
 	// report which engine actually ran.
-	sr := StrategyResult{Strategy: sess.Strategy().String(), Updates: len(cfg.Stream)}
+	sr := StrategyResult{Strategy: h.Strategy().String(), Updates: len(cfg.Stream)}
 
 	am := startAllocMeter()
 	start := time.Now()
-	if err := sess.ApplyAll(cfg.Initial); err != nil {
+	if err := ws.ApplyAll(cfg.Initial); err != nil {
 		return sr, fmt.Errorf("preprocessing: %w", err)
 	}
 	sr.PreprocessNS = time.Since(start).Nanoseconds()
 	sr.PreprocessAlloc = am.perOp(len(cfg.Initial))
 
 	// Bulk-load comparison: the same initial database through the batch
-	// pipeline on a fresh session.
+	// pipeline on a fresh workspace.
 	if len(cfg.Initial) > 0 {
-		bulk, err := dyncq.NewWithOptions(cfg.Query, dyncq.Options{Force: st})
+		bulk, _, err := soloWorkspace(cfg.Query, st, 0)
 		if err != nil {
 			return sr, err
 		}
@@ -343,7 +354,7 @@ func runStrategy(cfg Config, st dyncq.Strategy, initDB *dyndb.Database) (Strateg
 	am = startAllocMeter()
 	for _, u := range cfg.Stream {
 		t0 := time.Now()
-		if _, err := sess.Apply(u); err != nil {
+		if _, err := ws.Apply(u); err != nil {
 			return sr, fmt.Errorf("update %s: %w", u, err)
 		}
 		lat = append(lat, time.Since(t0).Nanoseconds())
@@ -358,13 +369,13 @@ func runStrategy(cfg Config, st dyncq.Strategy, initDB *dyndb.Database) (Strateg
 	sr.UpdateNS = percentiles(lat)
 
 	t0 := time.Now()
-	sr.Count = sess.Count()
+	sr.Count = h.Count()
 	sr.CountNS = time.Since(t0).Nanoseconds()
 
 	delays := make([]int64, 0, 1024)
 	am = startAllocMeter()
 	last := time.Now()
-	sess.Enumerate(func(_ []dyncq.Value) bool {
+	h.Enumerate(func(_ []dyncq.Value) bool {
 		now := time.Now()
 		delays = append(delays, now.Sub(last).Nanoseconds())
 		last = now
@@ -374,7 +385,7 @@ func runStrategy(cfg Config, st dyncq.Strategy, initDB *dyndb.Database) (Strateg
 	sr.EnumeratedTuples = len(delays)
 	sr.DelayNS = percentiles(delays)
 
-	// Batch phase: fresh session per size, bulk-loaded, stream applied in
+	// Batch phase: fresh workspace per size, bulk-loaded, stream applied in
 	// chunks through ApplyBatch.
 	for _, size := range cfg.BatchSizes {
 		if size < 1 {
@@ -387,7 +398,7 @@ func runStrategy(cfg Config, st dyncq.Strategy, initDB *dyndb.Database) (Strateg
 		sr.Batches = append(sr.Batches, br)
 	}
 
-	// Parallel phase: fresh concurrent session per worker count.
+	// Parallel phase: fresh workspace per worker count.
 	for _, workers := range cfg.Workers {
 		if workers < 1 {
 			continue
@@ -402,25 +413,26 @@ func runStrategy(cfg Config, st dyncq.Strategy, initDB *dyndb.Database) (Strateg
 	return sr, nil
 }
 
-// runParallel measures the stream through a ConcurrentSession with the
-// given worker count (sharded parallel batches on the core backend,
-// locked sequential pipeline elsewhere).
+// runParallel measures the stream through a workspace with the given
+// worker count (sharded parallel batches on the core backend, the
+// sequential pipeline elsewhere).
 func runParallel(cfg Config, st dyncq.Strategy, initDB *dyndb.Database, workers int) (ParallelResult, error) {
-	sess, err := dyncq.NewConcurrent(cfg.Query, dyncq.ConcurrentOptions{Force: st, Workers: workers})
+	ws, _, err := soloWorkspace(cfg.Query, st, workers)
 	if err != nil {
 		return ParallelResult{}, err
 	}
-	if err := sess.Load(initDB); err != nil {
+	if err := ws.Load(initDB); err != nil {
 		return ParallelResult{}, err
 	}
 	size := cfg.ParallelBatch
 	if size <= 0 {
 		size = 512
 	}
-	pr := ParallelResult{Workers: workers, BatchSize: size, Sharded: sess.Parallel()}
+	sharded := workers > 1 && ws.Parallelism().QueryShards[soloQueryName] > 1
+	pr := ParallelResult{Workers: workers, BatchSize: size, Sharded: sharded}
 	am := startAllocMeter()
 	t0 := time.Now()
-	n, err := sess.ApplyBatched(cfg.Stream, size)
+	n, err := ws.ApplyBatched(cfg.Stream, size)
 	pr.TotalNS = time.Since(t0).Nanoseconds()
 	pr.Alloc = am.perOp(len(cfg.Stream))
 	pr.NetApplied = n
@@ -452,11 +464,11 @@ func fillSpeedups(parallel []ParallelResult) {
 }
 
 func runBatched(cfg Config, st dyncq.Strategy, initDB *dyndb.Database, size int) (BatchResult, error) {
-	sess, err := dyncq.NewWithOptions(cfg.Query, dyncq.Options{Force: st})
+	ws, _, err := soloWorkspace(cfg.Query, st, 0)
 	if err != nil {
 		return BatchResult{}, err
 	}
-	if err := sess.Load(initDB); err != nil {
+	if err := ws.Load(initDB); err != nil {
 		return BatchResult{}, err
 	}
 	br := BatchResult{BatchSize: size}
@@ -468,7 +480,7 @@ func runBatched(cfg Config, st dyncq.Strategy, initDB *dyndb.Database, size int)
 			to = len(cfg.Stream)
 		}
 		t0 := time.Now()
-		n, err := sess.ApplyBatch(cfg.Stream[from:to])
+		n, err := ws.ApplyBatch(cfg.Stream[from:to])
 		lat = append(lat, time.Since(t0).Nanoseconds())
 		br.NetApplied += n
 		if err != nil {

@@ -16,9 +16,10 @@ import (
 // update stream in batches. It measures what the workspace front door
 // claims: the shared store is mutated once per batch (its mutation
 // count is independent of K, recorded against the sum over K
-// independent sessions), every query's result stays identical to an
-// independent session replaying the same stream, and the per-query
-// maintenance cost splits out via the handles' pipeline timers.
+// independent one-query workspaces), every query's result stays
+// identical to an independent one-query workspace replaying the same
+// stream, and the per-query maintenance cost splits out via the handles'
+// pipeline timers.
 
 // NamedQuery is one registered query of a multi-query case.
 type NamedQuery struct {
@@ -96,10 +97,10 @@ type MultiQueryResult struct {
 	MaintainTotalNS int64 `json:"maintain_total_ns"`
 	// Count is |ϕ(D)| after the stream; MatchesSolo reports whether the
 	// result (and for core backends the exact enumeration order) equals
-	// an independent session's replay of the same stream.
+	// an independent one-query workspace's replay of the same stream.
 	Count       uint64 `json:"count"`
 	MatchesSolo bool   `json:"matches_solo"`
-	// SoloUpdateNS is the per-batch latency of the independent session
+	// SoloUpdateNS is the per-batch latency of the solo workspace
 	// replaying the same chunks — the cost of serving this query alone.
 	SoloUpdateNS Percentiles `json:"solo_update_ns"`
 	SoloTotalNS  int64       `json:"solo_total_ns"`
@@ -116,12 +117,12 @@ type MultiResult struct {
 	NetApplied int    `json:"net_applied"`
 	// SharedStoreMutations is the shared store's mutation count over the
 	// measured stream; SoloStoreMutations is the sum over the K
-	// independent sessions (≈ K × shared — the duplication the
+	// independent one-query workspaces (≈ K × shared — the duplication the
 	// workspace removes).
 	SharedStoreMutations uint64 `json:"shared_store_mutations"`
 	SoloStoreMutations   uint64 `json:"solo_store_mutations"`
 	// SharedTotalNS is the wall time of the whole batched stream through
-	// the workspace; SoloTotalNS sums the independent sessions' replays.
+	// the workspace; SoloTotalNS sums the solo workspaces' replays.
 	SharedTotalNS int64   `json:"shared_total_ns"`
 	SoloTotalNS   int64   `json:"solo_total_ns"`
 	UpdatesPerSec float64 `json:"updates_per_sec"`
@@ -130,7 +131,7 @@ type MultiResult struct {
 	BatchNS Percentiles `json:"batch_ns"`
 	// Alloc is the allocator traffic of the shared batched stream, per
 	// stream update — all K queries' maintenance included, so it compares
-	// against the sum of the solo sessions' traffic.
+	// against the sum of the solo workspaces' traffic.
 	Alloc   AllocStats         `json:"alloc"`
 	Queries []MultiQueryResult `json:"queries"`
 	// Scaling holds the worker-scaling phase, one entry per
@@ -139,7 +140,7 @@ type MultiResult struct {
 }
 
 // RunMulti measures one multi-query case: the shared workspace replay
-// (Repeat times, best kept) and one independent-session replay per
+// (Repeat times, best kept) and one solo-workspace replay per
 // query for the correctness check, the solo latencies, and the
 // mutation-count comparison.
 func RunMulti(cfg MultiConfig) (MultiResult, error) {
@@ -193,17 +194,17 @@ func RunMulti(cfg MultiConfig) (MultiResult, error) {
 		}
 	}
 
-	// Solo comparison: one independent session per query over the same
-	// stream, same chunks.
+	// Solo comparison: one independent one-query workspace per query over
+	// the same stream, same chunks.
 	for i, nq := range cfg.Queries {
-		solo, err := dyncq.NewWithOptions(nq.Query, dyncq.Options{Force: nq.Force})
+		solo, soloH, err := soloWorkspace(nq.Query, nq.Force, 0)
 		if err != nil {
 			return res, fmt.Errorf("multi case %s, query %s: %w", cfg.Name, nq.Name, err)
 		}
 		if err := solo.Load(initDB); err != nil {
 			return res, fmt.Errorf("multi case %s, query %s: %w", cfg.Name, nq.Name, err)
 		}
-		base := solo.Workspace().StoreMutations()
+		base := solo.StoreMutations()
 		lat := make([]int64, 0, len(cfg.Stream)/size+1)
 		for from := 0; from < len(cfg.Stream); from += size {
 			to := from + size
@@ -216,13 +217,13 @@ func RunMulti(cfg MultiConfig) (MultiResult, error) {
 			}
 			lat = append(lat, time.Since(t0).Nanoseconds())
 		}
-		res.SoloStoreMutations += solo.Workspace().StoreMutations() - base
+		res.SoloStoreMutations += solo.StoreMutations() - base
 		for _, ns := range lat {
 			res.Queries[i].SoloTotalNS += ns
 		}
 		res.SoloTotalNS += res.Queries[i].SoloTotalNS
 		res.Queries[i].SoloUpdateNS = percentiles(lat)
-		res.Queries[i].MatchesSolo = sameResult(res.Queries[i].Strategy, sharedTuples[i], solo.Tuples())
+		res.Queries[i].MatchesSolo = sameResult(res.Queries[i].Strategy, sharedTuples[i], soloH.Tuples())
 	}
 	if res.SharedTotalNS > 0 {
 		res.UpdatesPerSec = float64(len(cfg.Stream)) / (float64(res.SharedTotalNS) / 1e9)
@@ -307,7 +308,7 @@ func RunMulti(cfg MultiConfig) (MultiResult, error) {
 // with the given worker count and (for workers > 0) pinned engine/store
 // shard counts; workers = 0 is the sequential default layout. It
 // returns the per-query final tuples so the caller can check them
-// against the independent sessions (or across worker counts).
+// against the independent one-query workspaces (or across worker counts).
 func runMultiShared(cfg MultiConfig, initDB *dyndb.Database, size, workers, shards int) (MultiResult, [][][]dyncq.Value, error) {
 	var zero MultiResult
 	ws := dyncq.NewWorkspace(dyncq.WorkspaceOptions{Workers: workers, StoreShards: shards})
@@ -372,7 +373,7 @@ func runMultiShared(cfg MultiConfig, initDB *dyndb.Database, size, workers, shar
 }
 
 // sameResult compares a shared query's final tuples against its solo
-// session's: core backends must agree in exact enumeration order; the
+// workspace's: core backends must agree in exact enumeration order; the
 // other backends enumerate in unspecified order, so their results are
 // canonicalised by sorting first.
 func sameResult(strategy string, shared, solo [][]dyncq.Value) bool {

@@ -1,125 +1,10 @@
 package core
 
-import (
-	"fmt"
-	"slices"
+import "slices"
 
-	"dyncq/internal/dyndb"
-)
-
-// This file implements the batch update pipeline of the engine: a true
-// bulk Load that performs the preprocessing phase of Section 6.4 in one
-// linear counting pass plus one bottom-up weight pass (instead of |D0|
-// full single-tuple update procedures), and ApplyBatch, which coalesces a
-// batch of commands to its net effect before running the O(1) per-update
-// procedure on the survivors.
-
-// ApplyBatch executes a batch of update commands as one block. The batch
-// is reduced to its net delta against the current database
-// (dyndb.NetDelta: coalesced, arity-validated against the query schema
-// AND the stored relations, no-ops dropped); each surviving command runs
-// the constant-time update procedure of Section 6.4. It returns the
-// number of net commands that changed the database. Validation is
-// atomic: any arity error — against the query schema, a stored foreign
-// relation, or an inconsistency within the batch itself — rejects the
-// whole batch with nothing applied (matching ivm.Maintainer.ApplyBatch
-// and the workspace front door). The engine version advances exactly
-// once per batch that changed anything, so outstanding iterators are
-// invalidated iff the structure moved.
-//
-//dyncq:hot
-func (e *Engine) ApplyBatch(updates []dyndb.Update) (applied int, err error) {
-	if e.extStore {
-		return 0, errSharedStore
-	}
-	survivors, err := e.netDelta(updates)
-	if err != nil || len(survivors) == 0 {
-		return 0, err
-	}
-	e.version++
-	for _, u := range survivors {
-		if changed, err := e.db.Apply(u); err != nil || !changed {
-			panic(fmt.Sprintf("core: validated delta failed to apply at %s (changed=%v err=%v)", u, changed, err))
-		}
-		insert := u.Op == dyndb.OpInsert
-		for _, ref := range e.rels[u.Rel] {
-			e.updateAtom(ref, u.Tuple, insert)
-		}
-	}
-	return len(survivors), nil
-}
-
-// netDelta validates a batch against the query schema and reduces it to
-// the net delta against the engine's database — the shared validation
-// front of ApplyBatch and ApplyBatchParallel. A nil slice with a nil
-// error means the batch is a no-op.
-func (e *Engine) netDelta(updates []dyndb.Update) ([]dyndb.Update, error) {
-	for _, u := range updates {
-		if want, ok := e.schema[u.Rel]; ok && want != len(u.Tuple) {
-			return nil, arityErr(u.Rel, want, len(u.Tuple))
-		}
-	}
-	survivors, err := e.db.NetDelta(updates)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return survivors, nil
-}
-
-// loadBulk builds the data structure for an initial database in two
-// passes over the data instead of |D0| single-tuple update procedures:
-//
-//  1. a counting pass copies every tuple into the engine's database and
-//     walks each matching atom's root path top-down, creating items and
-//     incrementing their C^i_ψ counters (the top-down half of the update
-//     procedure) while skipping the bottom-up weight propagation entirely;
-//  2. one bottom-up pass per component visits the q-tree nodes children
-//     before parents and computes every item's C^i and C̃^i once, by
-//     Lemmas 6.3/6.4, linking fit items into their lists and summing into
-//     the parent's child sums (or C_start/C̃_start at the root).
-//
-// Items are linked per list in lexicographic key order, which on the
-// paper's Example 6.1 database reproduces the Figure 3 list layout and
-// the Table 1 enumeration order, same as a sorted single-tuple replay.
-// That canonical order costs a sort over the items — the price of a
-// deterministic enumeration order independent of how the initial
-// database was assembled; replay's order, by contrast, depends on its
-// exact update sequence. The engine must represent the empty database.
-func (e *Engine) loadBulk(db *dyndb.Database) error {
-	for _, rel := range db.Relations() {
-		r := db.Relation(rel)
-		if want, ok := e.schema[rel]; ok && want != r.Arity() {
-			return fmt.Errorf("core: %s has arity %d in query, %d in the loaded database", rel, want, r.Arity())
-		}
-		if err := e.db.EnsureRelation(rel, r.Arity()); err != nil {
-			return err
-		}
-		refs := e.rels[rel]
-		var insErr error
-		r.Each(func(t []Value) bool {
-			if _, err := e.db.Insert(rel, t...); err != nil {
-				insErr = err
-				return false
-			}
-			for _, ref := range refs {
-				e.countAtom(ref, t)
-			}
-			return true
-		})
-		if insErr != nil {
-			return insErr
-		}
-	}
-	var scratch []listEntry
-	for _, c := range e.comps {
-		for si := range c.shards {
-			e.buildWeights(c, &c.shards[si])
-			scratch = sortLists(c, &c.shards[si], scratch)
-		}
-	}
-	e.version++
-	return nil
-}
+// This file holds the two passes of Rebuild, the bulk preprocessing
+// phase: countAtom (the counting pass) and buildWeights + sortLists (the
+// bottom-up weight pass and the canonical list order).
 
 // countAtom is the top-down half of the update procedure for one atom and
 // one inserted tuple: match the repeated-variable pattern, fetch or create
@@ -155,7 +40,7 @@ func (e *Engine) countAtom(ref atomRef, tuple []Value) {
 	}
 }
 
-// buildWeights runs the deferred bottom-up pass of loadBulk for one
+// buildWeights runs the deferred bottom-up pass of Rebuild for one
 // shard of one component. Nodes are stored in document order (pre-order),
 // so reverse index order visits every child before its parent and each
 // item's child sums are complete when its own weight is computed (parents

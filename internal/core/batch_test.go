@@ -23,11 +23,11 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		q := workload.RandomQHierarchical(rng, workload.DefaultQHOptions())
-		seq, err := New(q)
+		seq, err := newHarness(q, 1)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		bat, err := New(q)
+		bat, err := newHarness(q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,8 +96,8 @@ func TestApplyBatchCoalesces(t *testing.T) {
 	if e.version != v0 {
 		t.Error("cancelled batch advanced the engine version")
 	}
-	if e.Cardinality() != 0 {
-		t.Errorf("|D| = %d after cancelled batch, want 0", e.Cardinality())
+	if e.db.Cardinality() != 0 {
+		t.Errorf("|D| = %d after cancelled batch, want 0", e.db.Cardinality())
 	}
 	// The last op per tuple wins: insert-delete-insert nets to one insert.
 	n, err = e.ApplyBatch([]dyndb.Update{
@@ -125,8 +125,8 @@ func TestApplyBatchArityError(t *testing.T) {
 	if err == nil {
 		t.Fatal("arity mismatch in batch accepted")
 	}
-	if n != 0 || e.Cardinality() != 0 {
-		t.Errorf("batch partially applied: net=%d |D|=%d, want 0 0", n, e.Cardinality())
+	if n != 0 || e.db.Cardinality() != 0 {
+		t.Errorf("batch partially applied: net=%d |D|=%d, want 0 0", n, e.db.Cardinality())
 	}
 }
 
@@ -189,7 +189,7 @@ func TestBulkLoadMatchesReplayAndOracle(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		q := workload.RandomQHierarchical(rng, workload.DefaultQHOptions())
 		db := workload.RandomDatabase(rng, q.Schema(), 5, 25)
-		bulk, err := New(q)
+		bulk, err := newHarness(q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,12 +199,14 @@ func TestBulkLoadMatchesReplayAndOracle(t *testing.T) {
 		if err := bulk.checkInvariants(); err != nil {
 			t.Fatalf("trial %d query %s: bulk load invariants: %v", trial, q, err)
 		}
-		replay, err := New(q)
+		replay, err := newHarness(q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := replay.ApplyAll(db.Updates()); err != nil {
-			t.Fatal(err)
+		for _, u := range db.Updates() {
+			if _, err := replay.Apply(u); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if bulk.Count() != replay.Count() {
 			t.Fatalf("trial %d query %s: bulk count %d, replay count %d", trial, q, bulk.Count(), replay.Count())
@@ -215,7 +217,7 @@ func TestBulkLoadMatchesReplayAndOracle(t *testing.T) {
 		compareEnumeration(t, bulk, q, db, trial, -1)
 
 		// Determinism: a second bulk load enumerates the same sequence.
-		again, err := New(q)
+		again, err := newHarness(q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +252,7 @@ func TestBulkLoadThenUpdates(t *testing.T) {
 	q := cq.MustParse("Q(x,y,z,yp,zp) :- R(x,y,z), R(x,y,zp), E(x,y), E(x,yp), S(x,y,z)")
 	rng := rand.New(rand.NewSource(17))
 	db := workload.RandomDatabase(rng, q.Schema(), 5, 30)
-	e, err := New(q)
+	e, err := newHarness(q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,11 +318,11 @@ func TestLoadResetsNonEmptyEngine(t *testing.T) {
 	if e.Count() != 1 {
 		t.Errorf("count = %d after Load, want 1 (only the loaded E(7,8),T(8))", e.Count())
 	}
-	if e.Has("E", 1, 2) {
+	if e.db.Has("E", 1, 2) {
 		t.Error("pre-Load tuple E(1,2) survived a Load (want reset-then-load)")
 	}
-	if e.Cardinality() != 2 {
-		t.Errorf("|D| = %d after Load, want 2", e.Cardinality())
+	if e.db.Cardinality() != 2 {
+		t.Errorf("|D| = %d after Load, want 2", e.db.Cardinality())
 	}
 	if err := e.checkInvariants(); err != nil {
 		t.Error(err)

@@ -29,6 +29,11 @@
 // Disconnected queries are handled as in the start of Section 6: one
 // structure per connected component, with counts multiplied and
 // enumeration as a product (nested loops) over the components.
+//
+// The package is the structure and nothing else: an Engine holds no
+// database. Its owner (pkg/dyncq.Workspace) applies each update to the
+// store once and hands the engine the same command (Update, ApplyDelta);
+// the preprocessing phase scans a store the owner passes in (Rebuild).
 package core
 
 import (
@@ -125,7 +130,7 @@ type comp struct {
 	// pointer and every fit list stays inside one shard. With a single
 	// shard (the default) this is exactly the paper's layout; with more,
 	// updates whose root values hash to different shards touch disjoint
-	// state and can be applied by parallel workers (ApplyBatchParallel).
+	// state and can be applied by parallel workers (ApplyDelta).
 	shards []compShard
 }
 
@@ -166,11 +171,14 @@ type headLoc struct {
 }
 
 // Engine maintains ϕ(D) for one q-hierarchical query ϕ under updates.
-// An Engine is not safe for concurrent use; wrap it in a
-// pkg/dyncq.ConcurrentSession for a locked front door.
+// It is a pure maintenance structure: it holds no database and never
+// writes one. Its owner (pkg/dyncq.Workspace) applies every update to
+// the store exactly once and feeds the same commands to Update /
+// ApplyDelta; Rebuild scans a store the owner hands it. An Engine is not
+// safe for concurrent use — the workspace serialises writers and readers
+// around it.
 type Engine struct {
 	query   *cq.Query
-	db      *dyndb.Database
 	comps   []*comp
 	rels    map[string][]atomRef // relation → atoms over it
 	schema  map[string]int
@@ -182,14 +190,6 @@ type Engine struct {
 	// two); shardMask is shardCount-1, zero for the unsharded default.
 	shardCount int
 	shardMask  uint64
-	// extStore marks an engine bound to an externally owned shared store
-	// (NewOnStore): the engine never mutates e.db itself — the owning
-	// workspace applies updates to the store once and feeds the net delta
-	// in through ApplySharedUpdate/ApplySharedDelta. The self-driving
-	// entry points (Apply, ApplyBatch, ApplyBatchParallel, Load) refuse
-	// to run in this mode, since they would mutate the shared store a
-	// second time.
-	extStore bool
 	// maxDepth is the longest atom root path, the scratch buffer size.
 	maxDepth int
 
@@ -198,23 +198,20 @@ type Engine struct {
 	scratchItems []*item
 }
 
-// New compiles the query and returns an unsharded engine representing
-// the empty database — the paper's exact layout, with the canonical
-// enumeration order. It fails with an error wrapping ErrNotQHierarchical
-// if the query is not q-hierarchical, and with a validation error for
-// malformed queries. Compilation is poly(ϕ): it never touches data.
-func New(q *cq.Query) (*Engine, error) { return NewSharded(q, 1) }
-
-// NewSharded compiles the query into an engine whose per-component
-// dynamic state is split into the given number of shards (rounded up to
-// a power of two) by root-value hash. Sharding is what makes
-// ApplyBatchParallel able to run shard-disjoint update procedures on
-// worker goroutines; its price is that the enumeration order interleaves
-// per shard instead of following the single canonical list (still
-// deterministic for a fixed shard count). shards < 1 is an error.
-func NewSharded(q *cq.Query, shards int) (*Engine, error) {
+// New compiles the query into an engine representing the empty database,
+// its per-component dynamic state split into the given number of shards
+// (rounded up to a power of two) by root-value hash. One shard is the
+// paper's exact layout, with the canonical enumeration order. More shards
+// let ApplyDelta run shard-disjoint update procedures on worker
+// goroutines; the price is that the enumeration order interleaves per
+// shard instead of following the single canonical list (still
+// deterministic for a fixed shard count). New fails with an error wrapping
+// ErrNotQHierarchical if the query is not q-hierarchical, with a
+// validation error for malformed queries, and for shards < 1. Compilation
+// is poly(ϕ): it never touches data.
+func New(q *cq.Query, shards int) (*Engine, error) {
 	if shards < 1 {
-		return nil, fmt.Errorf("core.NewSharded: shards %d < 1", shards)
+		return nil, fmt.Errorf("core.New: shards %d < 1", shards)
 	}
 	pow := 1
 	for pow < shards {
@@ -224,11 +221,7 @@ func NewSharded(q *cq.Query, shards int) (*Engine, error) {
 		return nil, fmt.Errorf("core.New: %w", err)
 	}
 	e := &Engine{
-		query: q,
-		// The private database shares the engine's shard count, so the
-		// parallel batch path can apply the store phase shard-disjoint
-		// (dyndb.ApplyNetDelta) concurrently with the structure phase.
-		db:         dyndb.NewSharded(pow),
+		query:      q,
 		rels:       make(map[string][]atomRef),
 		schema:     q.Schema(),
 		shardCount: pow,
@@ -277,7 +270,7 @@ func NewSharded(q *cq.Query, shards int) (*Engine, error) {
 	return e, nil
 }
 
-// Shards returns the number of shards per component (1 for New).
+// Shards returns the number of shards per component.
 func (e *Engine) Shards() int { return e.shardCount }
 
 // shardOf maps a component-root value to its shard index. The value is
@@ -397,114 +390,99 @@ func compileComp(sub *cq.Query, tree *qtree.Tree, shards int) (*comp, error) {
 	return c, nil
 }
 
-// arityErr is the uniform update-vs-query arity mismatch error.
-func arityErr(rel string, want, got int) error {
-	return fmt.Errorf("core: %s has arity %d in query, got tuple of length %d", rel, want, got)
-}
-
 // Query returns the compiled query.
 func (e *Engine) Query() *cq.Query { return e.query }
 
-// Cardinality returns |D| for the currently represented database.
-func (e *Engine) Cardinality() int { return e.db.Cardinality() }
-
-// ActiveDomainSize returns n = |adom(D)|.
-func (e *Engine) ActiveDomainSize() int { return e.db.ActiveDomainSize() }
-
-// DatabaseSize returns ||D||.
-func (e *Engine) DatabaseSize() int { return e.db.Size() }
-
-// Has reports whether the tuple is currently in the named relation.
-func (e *Engine) Has(rel string, tuple ...Value) bool { return e.db.Has(rel, tuple...) }
-
-// Insert applies "insert R(a1,…,ar)", reporting whether the database
-// changed (false if the tuple was already present — set semantics).
-func (e *Engine) Insert(rel string, tuple ...Value) (bool, error) {
-	return e.Apply(dyndb.Insert(rel, tuple...))
-}
-
-// Delete applies "delete R(a1,…,ar)", reporting whether the database
-// changed.
-func (e *Engine) Delete(rel string, tuple ...Value) (bool, error) {
-	return e.Apply(dyndb.Delete(rel, tuple...))
-}
-
-// Apply executes one update command in poly(ϕ) time (Section 6.4's update
-// procedure). Updates to relations not mentioned in the query only change
-// the stored database. Outstanding iterators are invalidated.
-func (e *Engine) Apply(u dyndb.Update) (bool, error) {
-	if e.extStore {
-		return false, errSharedStore
-	}
-	if want, ok := e.schema[u.Rel]; ok && want != len(u.Tuple) {
-		return false, arityErr(u.Rel, want, len(u.Tuple))
-	}
-	changed, err := e.db.Apply(u)
-	if err != nil || !changed {
-		return changed, err
-	}
+// Update runs the Section 6.4 update procedure, in poly(ϕ) time, for one
+// command that the owner has already validated against the query schema
+// and applied to its store (so it is known to have changed the
+// database). Commands on relations the query does not mention only
+// invalidate outstanding iterators. No batch bookkeeping, no allocation.
+func (e *Engine) Update(u dyndb.Update) {
 	e.version++
 	insert := u.Op == dyndb.OpInsert
 	for _, ref := range e.rels[u.Rel] {
 		e.updateAtom(ref, u.Tuple, insert)
 	}
-	return true, nil
 }
 
-// ApplyAll executes a sequence of updates, stopping at the first error.
-func (e *Engine) ApplyAll(updates []dyndb.Update) error {
-	for _, u := range updates {
-		if _, err := e.Apply(u); err != nil {
-			return err
+// ApplyDelta runs the update procedures for a net delta the owner
+// applied to its store: survivors must be coalesced, schema-validated
+// commands each of which changed the database. With workers > 1 on a
+// sharded engine the per-atom operations run on worker goroutines
+// (runDeltaParallel); otherwise they run sequentially in delta order,
+// which on an unsharded engine reproduces the canonical enumeration
+// order of a single-update replay. Either way the resulting structure —
+// counters, lists, enumeration order — is the same for a fixed shard
+// count. The version advances at most once per delta, so outstanding
+// iterators are invalidated iff the structure may have moved.
+func (e *Engine) ApplyDelta(survivors []dyndb.Update, workers int) {
+	if len(survivors) == 0 {
+		return
+	}
+	e.version++
+	if workers > 1 && e.shardCount > 1 && len(e.comps) > 0 {
+		e.runDeltaParallel(survivors, workers)
+		return
+	}
+	for _, u := range survivors {
+		insert := u.Op == dyndb.OpInsert
+		for _, ref := range e.rels[u.Rel] {
+			e.updateAtom(ref, u.Tuple, insert)
+		}
+	}
+}
+
+// Rebuild discards the structure and runs the preprocessing phase of
+// Section 6.4 over the store's current contents in two passes instead of
+// |D| single-tuple update procedures: a counting pass walks each matching
+// atom's root path top-down, creating items and incrementing their C^i_ψ
+// (countAtom), then one bottom-up pass per component computes every
+// item's C^i and C̃^i once and links the fit items in lexicographic key
+// order (buildWeights, sortLists) — which on the paper's Example 6.1
+// database reproduces the Figure 3 layout and the Table 1 enumeration
+// order, same as a sorted single-tuple replay. Both are linear in |D|;
+// the bulk path pays the bottom-up propagation once per item instead of
+// once per tuple. The owner calls it after replacing the store's
+// contents and when a query registers against a populated store. A
+// schema clash (a store relation whose arity contradicts the query)
+// fails with the structure cleared — the engine then represents the
+// empty result. Either way the version advances.
+func (e *Engine) Rebuild(store *dyndb.Database) error {
+	e.Clear()
+	for _, rel := range store.Relations() {
+		r := store.Relation(rel)
+		if want, ok := e.schema[rel]; ok && want != r.Arity() {
+			e.Clear()
+			return fmt.Errorf("core: %s has arity %d in query, %d in the store", rel, want, r.Arity())
+		}
+		refs := e.rels[rel]
+		if len(refs) == 0 {
+			continue
+		}
+		r.Each(func(t []Value) bool {
+			for _, ref := range refs {
+				e.countAtom(ref, t)
+			}
+			return true
+		})
+	}
+	var scratch []listEntry
+	for _, c := range e.comps {
+		for si := range c.shards {
+			e.buildWeights(c, &c.shards[si])
+			scratch = sortLists(c, &c.shards[si], scratch)
 		}
 	}
 	return nil
 }
 
-// Load performs the preprocessing phase for an initial database D0 with
-// reset-then-load semantics: after Load the engine represents exactly D0,
-// regardless of any updates applied before — the uniform contract across
-// all maintenance strategies (see pkg/dyncq.Session.Load). The build is
-// the bulk path of batch.go: one linear counting pass over D0 followed by
-// a single bottom-up weight pass, instead of |D0| full single-tuple
-// update procedures (both are linear in |D0| per Section 6.4; the bulk
-// path pays the bottom-up propagation once per item instead of once per
-// tuple).
-//
-// The reset is unconditional — even drained-but-declared relations from
-// before the Load are forgotten, so a relation outside the query schema
-// cannot leave a stale arity registration behind. A failed Load (arity
-// clash between D0 and the query schema) leaves the engine representing
-// the EMPTY database, not the half-built one. Either way the version
-// advances, so outstanding iterators are always invalidated.
-func (e *Engine) Load(db *dyndb.Database) error {
-	if e.extStore {
-		return errSharedStore
-	}
-	e.reset()
-	if err := e.loadBulk(db); err != nil {
-		e.reset()
-		e.version++
-		return err
-	}
-	return nil
-}
-
-// reset discards all dynamic state (database, items, lists, counters),
-// returning the engine to the empty-database representation. The version
-// counter is preserved (loadBulk bumps it), keeping iterator invalidation
-// monotonic.
-func (e *Engine) reset() {
-	e.db = dyndb.NewSharded(e.shardCount)
-	e.clearStructure()
-}
-
-// clearStructure discards the view structure (items, lists, counters)
-// without touching the database — the shared-store half of reset, where
-// the store's lifecycle belongs to the workspace that owns it. Item
+// Clear discards the structure (items, lists, counters), leaving the
+// engine representing the empty database; the version advances. Item
 // slabs are freed wholesale: the GC retires a shard's items as whole
 // chunks instead of tracing them individually.
-func (e *Engine) clearStructure() {
+func (e *Engine) Clear() {
+	e.version++
 	for _, c := range e.comps {
 		for si := range c.shards {
 			sh := &c.shards[si]
@@ -534,7 +512,7 @@ func (e *Engine) updateAtom(ref atomRef, tuple []Value, insert bool) {
 // propagate the sums, and drop items whose counters all reached zero.
 // Every touched map, item and list belongs to the shard of the root value
 // vals[0], so calls whose root values hash to different shards are
-// mutually independent — the property ApplyBatchParallel exploits. The
+// mutually independent — the property runDeltaParallel exploits. The
 // caller supplies the scratch buffers (parallel workers have their own).
 //
 //dyncq:hot

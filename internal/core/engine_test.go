@@ -12,9 +12,9 @@ import (
 	"dyncq/internal/workload"
 )
 
-func mustEngine(t *testing.T, query string) *Engine {
+func mustEngine(t *testing.T, query string) *harness {
 	t.Helper()
-	e, err := New(cq.MustParse(query))
+	e, err := newHarness(cq.MustParse(query), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestRejectsNonQHierarchical(t *testing.T) {
 		"Q(x) :- E(x,y), T(y)",         // ϕE-T
 		"Q(x,y) :- E(x,x), E(x,y), E(y,y)",
 	} {
-		_, err := New(cq.MustParse(q))
+		_, err := newHarness(cq.MustParse(q), 1)
 		if err == nil {
 			t.Errorf("New(%s) succeeded, want ErrNotQHierarchical", q)
 			continue
@@ -41,7 +41,7 @@ func TestRejectsNonQHierarchical(t *testing.T) {
 
 func TestRejectsInvalidQuery(t *testing.T) {
 	bad := &cq.Query{Name: "Q", Head: []string{"x"}, Atoms: nil}
-	if _, err := New(bad); err == nil {
+	if _, err := newHarness(bad, 1); err == nil {
 		t.Error("New accepted an atom-less query")
 	}
 }
@@ -219,7 +219,7 @@ func TestRepeatedVariablePatterns(t *testing.T) {
 		t.Error("delete of matching tuple ignored")
 	}
 	// The non-matching tuple is still stored in the database.
-	if !e.Has("R", 1, 2, 3) {
+	if !e.db.Has("R", 1, 2, 3) {
 		t.Error("non-matching tuple lost from database")
 	}
 }
@@ -264,8 +264,8 @@ func TestUnknownRelationUpdates(t *testing.T) {
 	if err != nil || !ch {
 		t.Fatalf("insert into unrelated relation: %v %v", ch, err)
 	}
-	if e.Cardinality() != 1 {
-		t.Errorf("|D| = %d, want 1", e.Cardinality())
+	if e.db.Cardinality() != 1 {
+		t.Errorf("|D| = %d, want 1", e.db.Cardinality())
 	}
 	if e.Answer() {
 		t.Error("unrelated tuple affected the query")
@@ -293,16 +293,16 @@ func TestStatsAccessors(t *testing.T) {
 	e := mustEngine(t, "Q(y) :- E(x,y), T(y)")
 	e.Insert("E", 1, 2)
 	e.Insert("T", 2)
-	if e.Cardinality() != 2 || e.ActiveDomainSize() != 2 {
-		t.Errorf("|D|=%d n=%d, want 2 2", e.Cardinality(), e.ActiveDomainSize())
+	if e.db.Cardinality() != 2 || e.db.ActiveDomainSize() != 2 {
+		t.Errorf("|D|=%d n=%d, want 2 2", e.db.Cardinality(), e.db.ActiveDomainSize())
 	}
-	if e.DatabaseSize() <= 0 {
+	if e.db.Size() <= 0 {
 		t.Error("DatabaseSize not positive")
 	}
 	if e.Query().String() == "" {
 		t.Error("Query accessor broken")
 	}
-	if !e.Has("E", 1, 2) || e.Has("E", 2, 1) {
+	if !e.db.Has("E", 1, 2) || e.db.Has("E", 2, 1) {
 		t.Error("Has broken")
 	}
 }
@@ -311,14 +311,14 @@ func TestLoadEqualsIncremental(t *testing.T) {
 	q := cq.MustParse("Q(x,y,z,yp,zp) :- R(x,y,z), R(x,y,zp), E(x,y), E(x,yp), S(x,y,z)")
 	rng := rand.New(rand.NewSource(21))
 	db := workload.RandomDatabase(rng, q.Schema(), 6, 30)
-	bulk, err := New(q)
+	bulk, err := newHarness(q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := bulk.Load(db); err != nil {
 		t.Fatal(err)
 	}
-	inc, err := New(q)
+	inc, err := newHarness(q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestRandomAgainstOracle(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		q := workload.RandomQHierarchical(rng, workload.DefaultQHOptions())
-		e, err := New(q)
+		e, err := newHarness(q, 1)
 		if err != nil {
 			t.Fatalf("trial %d: New(%s): %v", trial, q, err)
 		}
@@ -384,7 +384,7 @@ func TestRandomAgainstOracle(t *testing.T) {
 	}
 }
 
-func compareEnumeration(t *testing.T, e *Engine, q *cq.Query, db *dyndb.Database, trial, step int) {
+func compareEnumeration(t *testing.T, e *harness, q *cq.Query, db *dyndb.Database, trial, step int) {
 	t.Helper()
 	want := eval.Evaluate(q, db)
 	seen := map[string]bool{}

@@ -188,7 +188,7 @@ func (it *Iterator) compIterFor(comp int) *compIter {
 
 // Enumerate calls yield for every tuple of ϕ(D), in the fixed enumeration
 // order of Algorithm 1, until yield returns false. The slice passed to
-// yield follows the uniform contract of pkg/dyncq.Session.Enumerate: it
+// yield follows the uniform contract of pkg/dyncq.Handle.Enumerate: it
 // is owned by the callee and reused between calls (this is what keeps the
 // delay allocation-free) — copy it to retain it. For a Boolean query with
 // ϕ(D) = yes, yield is called once with an empty tuple.

@@ -63,9 +63,9 @@ func ex61DB(t *testing.T) *dyndb.Database {
 	return db
 }
 
-func ex61Engine(t *testing.T) *Engine {
+func ex61Engine(t *testing.T) *harness {
 	t.Helper()
-	e, err := New(qEx61)
+	e, err := newHarness(qEx61, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func ex61Engine(t *testing.T) *Engine {
 
 // weightOf returns C^i for the item [node(var), pathVals...] in the (only)
 // component, and whether the item exists.
-func weightOf(e *Engine, varName string, pathVals ...Value) (uint64, bool) {
+func weightOf(e *harness, varName string, pathVals ...Value) (uint64, bool) {
 	c := e.comps[0]
 	for ni := range c.nodes {
 		if c.nodes[ni].name == varName {

@@ -1,0 +1,80 @@
+package core
+
+import (
+	"fmt"
+
+	"dyncq/internal/cq"
+	"dyncq/internal/dyndb"
+)
+
+// harness is the test-side owner of an engine's store: it applies every
+// command to its own dyndb.Database exactly once and feeds the engine
+// what the workspace would — Update for single commands, ApplyDelta for
+// net deltas, Rebuild for loads — under the method names the tests use.
+type harness struct {
+	*Engine
+	db *dyndb.Database
+}
+
+func newHarness(q *cq.Query, shards int) (*harness, error) {
+	e, err := New(q, shards)
+	if err != nil {
+		return nil, err
+	}
+	return &harness{Engine: e, db: dyndb.NewSharded(e.Shards())}, nil
+}
+
+func (h *harness) checkArity(updates ...dyndb.Update) error {
+	for _, u := range updates {
+		if want, ok := h.schema[u.Rel]; ok && want != len(u.Tuple) {
+			return fmt.Errorf("%s has arity %d in query, got tuple of length %d", u.Rel, want, len(u.Tuple))
+		}
+	}
+	return nil
+}
+
+func (h *harness) Apply(u dyndb.Update) (bool, error) {
+	if err := h.checkArity(u); err != nil {
+		return false, err
+	}
+	changed, err := h.db.Apply(u)
+	if changed {
+		h.Update(u)
+	}
+	return changed, err
+}
+
+func (h *harness) Insert(rel string, tuple ...Value) (bool, error) {
+	return h.Apply(dyndb.Insert(rel, tuple...))
+}
+
+func (h *harness) Delete(rel string, tuple ...Value) (bool, error) {
+	return h.Apply(dyndb.Delete(rel, tuple...))
+}
+
+func (h *harness) ApplyBatch(updates []dyndb.Update) (int, error) {
+	return h.ApplyBatchWorkers(updates, 1)
+}
+
+// ApplyBatchWorkers validates atomically, applies the net delta to the
+// store once, and hands it to the engine with the given worker count.
+func (h *harness) ApplyBatchWorkers(updates []dyndb.Update, workers int) (int, error) {
+	if err := h.checkArity(updates...); err != nil {
+		return 0, err
+	}
+	survivors, err := h.db.NetDelta(updates)
+	if err != nil {
+		return 0, err
+	}
+	h.db.ApplyNetDelta(survivors, workers)
+	h.ApplyDelta(survivors, workers)
+	return len(survivors), nil
+}
+
+func (h *harness) Load(db *dyndb.Database) error {
+	h.db.Clear()
+	if err := h.db.CopyFrom(db); err != nil {
+		return err
+	}
+	return h.Rebuild(h.db)
+}

@@ -7,8 +7,8 @@ import (
 	"dyncq/internal/dyndb"
 )
 
-// This file implements the parallel batch pipeline over the sharded
-// engine. A coalesced batch decomposes into per-atom operations; every
+// This file implements the parallel half of ApplyDelta over the sharded
+// engine. A net delta decomposes into per-atom operations; every
 // operation touches only the items under one component root value, so
 // grouping operations into (component, shard-of-root-value) buckets makes
 // the buckets mutually independent: worker goroutines drain whole buckets
@@ -25,74 +25,12 @@ type bucketOp struct {
 	insert bool
 }
 
-// ApplyBatchParallel executes a batch like ApplyBatch but runs the
-// per-atom update procedures on up to workers goroutines, sharded by
-// component root value, while the database phase applies the same net
-// delta shard-disjoint on the store's own shards (dyndb.ApplyNetDelta)
-// CONCURRENTLY with the structure phase — the update procedures never
-// read the stored database, so the formerly sequential db phase now
-// overlaps with per-shard structure work instead of serialising in
-// front of it. The observable result (database, counters, lists,
-// enumeration order, applied count) is identical to ApplyBatch on an
-// engine with the same shard count. On an unsharded engine, with workers
-// <= 1, or when the batch yields at most one nonempty bucket, it falls
-// back to the sequential path. Validation is atomic, exactly as in
-// ApplyBatch. The engine version advances at most once per batch. Like
-// every Engine method it must not run concurrently with other engine
-// use — it parallelises the inside of one batch; callers wanting
-// concurrent batches and readers use pkg/dyncq.ConcurrentSession, which
-// serialises commits behind a lock.
-func (e *Engine) ApplyBatchParallel(updates []dyndb.Update, workers int) (applied int, err error) {
-	if e.extStore {
-		return 0, errSharedStore
-	}
-	if workers <= 1 || e.shardCount == 1 || len(e.comps) == 0 {
-		return e.ApplyBatch(updates)
-	}
-	survivors, err := e.netDelta(updates)
-	if err != nil || len(survivors) == 0 {
-		return 0, err
-	}
-	e.version++
-	// Database phase on its own goroutine, overlapping the structure
-	// phase below. The worker budget is split between the two phases so
-	// the overlap never runs ~2×workers goroutines: the db phase (cheap
-	// map writes) gets at most half, the structure phase (the per-atom
-	// procedures, the expensive side) the rest. Small deltas keep the db
-	// phase sequential anyway (dyndb.minParallelDelta), leaving the full
-	// budget to the structure phase. A contract-violation panic from
-	// ApplyNetDelta is re-raised on the caller's stack, preserving the
-	// sequential path's failure semantics (recoverable by the caller,
-	// full stack context).
-	dbWorkers := workers / 2
-	structWorkers := workers
-	if e.db.Shards() > 1 && dbWorkers > 1 && len(survivors) >= dyndb.MinParallelDelta {
-		structWorkers = workers - dbWorkers
-	} else {
-		dbWorkers = 1
-	}
-	var dbWG sync.WaitGroup
-	var dbPanic any
-	dbWG.Add(1)
-	go func() {
-		defer dbWG.Done()
-		defer func() { dbPanic = recover() }()
-		e.db.ApplyNetDelta(survivors, dbWorkers)
-	}()
-	e.runDeltaParallel(survivors, structWorkers)
-	dbWG.Wait()
-	if dbPanic != nil {
-		panic(dbPanic)
-	}
-	return len(survivors), nil
-}
-
 // runDeltaParallel runs the per-atom update procedures for a net delta
 // of survivors (commands that changed the database) on up to workers
 // goroutines: the bucket phase groups operations by (component, shard),
 // then workers claim whole buckets off a shared counter so a few
-// oversized buckets don't serialise behind an even split. The caller is
-// responsible for the database phase and the version bump.
+// oversized buckets don't serialise behind an even split. The caller
+// (ApplyDelta) owns the version bump.
 func (e *Engine) runDeltaParallel(survivors []dyndb.Update, workers int) {
 	// Bucket phase: group the per-atom operations by (component, shard).
 	buckets := make([][]bucketOp, len(e.comps)*e.shardCount)

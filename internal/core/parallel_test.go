@@ -11,21 +11,21 @@ import (
 	"dyncq/internal/workload"
 )
 
-// TestNewShardedValidation: shard counts round up to powers of two and
+// TestNewShardValidation: shard counts round up to powers of two and
 // non-positive counts are rejected.
-func TestNewShardedValidation(t *testing.T) {
+func TestNewShardValidation(t *testing.T) {
 	q := cq.MustParse("Q(y) :- E(x,y), T(y)")
 	for _, c := range []struct{ in, want int }{{1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {16, 16}} {
-		e, err := NewSharded(q, c.in)
+		e, err := newHarness(q, c.in)
 		if err != nil {
-			t.Fatalf("NewSharded(%d): %v", c.in, err)
+			t.Fatalf("New(q, %d): %v", c.in, err)
 		}
 		if e.Shards() != c.want {
-			t.Errorf("NewSharded(%d).Shards() = %d, want %d", c.in, e.Shards(), c.want)
+			t.Errorf("New(q, %d).Shards() = %d, want %d", c.in, e.Shards(), c.want)
 		}
 	}
-	if _, err := NewSharded(q, 0); err == nil {
-		t.Error("NewSharded(0): want error")
+	if _, err := newHarness(q, 0); err == nil {
+		t.Error("New(q, 0): want error")
 	}
 }
 
@@ -44,11 +44,11 @@ func TestShardedEngineAgrees(t *testing.T) {
 		queries = append(queries, workload.RandomQHierarchical(rng, workload.DefaultQHOptions()))
 	}
 	for _, q := range queries {
-		plain, err := New(q)
+		plain, err := newHarness(q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sharded, err := NewSharded(q, 8)
+		sharded, err := newHarness(q, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,11 +86,11 @@ func TestShardedEngineAgrees(t *testing.T) {
 	}
 }
 
-// TestApplyBatchParallelMatchesSequential: on engines with the same shard
+// TestParallelBatchMatchesSequential: on engines with the same shard
 // count, the parallel batch path must produce state byte-for-byte
 // equivalent to the sequential one — same counts, same enumeration ORDER
 // — regardless of the worker count, including after a bulk load.
-func TestApplyBatchParallelMatchesSequential(t *testing.T) {
+func TestParallelBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, qs := range []string{
 		"Q(y) :- E(x,y), T(y)",
@@ -100,14 +100,14 @@ func TestApplyBatchParallelMatchesSequential(t *testing.T) {
 		init := workload.RandomDatabase(rng, q.Schema(), 10, 80)
 		stream := workload.RandomStream(rng, q.Schema(), 10, 400, 0.4)
 		for _, workers := range []int{2, 3, 8} {
-			seq, err := NewSharded(q, 8)
+			seq, err := newHarness(q, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := seq.Load(init); err != nil {
 				t.Fatal(err)
 			}
-			par, err := NewSharded(q, 8)
+			par, err := newHarness(q, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +124,7 @@ func TestApplyBatchParallelMatchesSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				np, err := par.ApplyBatchParallel(stream[from:to], workers)
+				np, err := par.ApplyBatchWorkers(stream[from:to], workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -156,13 +156,13 @@ func TestApplyBatchParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestApplyBatchParallelDrain: a parallel batch that deletes everything
+// TestParallelBatchDrain: a parallel batch that deletes everything
 // returns the sharded structure to pristine state.
-func TestApplyBatchParallelDrain(t *testing.T) {
+func TestParallelBatchDrain(t *testing.T) {
 	q := cq.MustParse("Q(y) :- E(x,y), T(y)")
 	rng := rand.New(rand.NewSource(47))
 	db := workload.RandomDatabase(rng, q.Schema(), 20, 100)
-	e, err := NewSharded(q, 8)
+	e, err := newHarness(q, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +173,11 @@ func TestApplyBatchParallelDrain(t *testing.T) {
 	for i := range del {
 		del[i].Op = dyndb.OpDelete
 	}
-	if _, err := e.ApplyBatchParallel(del, 4); err != nil {
+	if _, err := e.ApplyBatchWorkers(del, 4); err != nil {
 		t.Fatal(err)
 	}
-	if e.Count() != 0 || e.Answer() || e.Cardinality() != 0 {
-		t.Errorf("count=%d answer=%v |D|=%d after parallel drain", e.Count(), e.Answer(), e.Cardinality())
+	if e.Count() != 0 || e.Answer() || e.db.Cardinality() != 0 {
+		t.Errorf("count=%d answer=%v |D|=%d after parallel drain", e.Count(), e.Answer(), e.db.Cardinality())
 	}
 	for _, c := range e.comps {
 		for si := range c.shards {
@@ -190,30 +190,30 @@ func TestApplyBatchParallelDrain(t *testing.T) {
 	}
 }
 
-// TestApplyBatchParallelErrors: arity errors — against the query schema
+// TestParallelBatchErrors: arity errors — against the query schema
 // or against a stored relation outside it — reject the whole batch
 // atomically, exactly like the sequential path.
-func TestApplyBatchParallelErrors(t *testing.T) {
+func TestParallelBatchErrors(t *testing.T) {
 	q := cq.MustParse("Q(y) :- E(x,y), T(y)")
-	e, err := NewSharded(q, 4)
+	e, err := newHarness(q, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.ApplyBatchParallel([]dyndb.Update{
+	if _, err := e.ApplyBatchWorkers([]dyndb.Update{
 		dyndb.Insert("E", 1, 2),
 		dyndb.Insert("T", 2, 3), // arity mismatch against the query
 	}, 4); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
-	if e.Cardinality() != 0 {
-		t.Fatalf("|D| = %d after rejected batch, want 0 (atomic rejection)", e.Cardinality())
+	if e.db.Cardinality() != 0 {
+		t.Fatalf("|D| = %d after rejected batch, want 0 (atomic rejection)", e.db.Cardinality())
 	}
 	// db-level error on a relation outside the query schema: NetDelta's
 	// store validation rejects the batch with nothing applied.
 	if _, err := e.Apply(dyndb.Insert("X", 1)); err != nil {
 		t.Fatal(err)
 	}
-	n, err := e.ApplyBatchParallel([]dyndb.Update{
+	n, err := e.ApplyBatchWorkers([]dyndb.Update{
 		dyndb.Insert("E", 1, 2),
 		dyndb.Insert("T", 2),
 		dyndb.Insert("X", 1, 2), // X exists with arity 1: rejected atomically
@@ -228,15 +228,15 @@ func TestApplyBatchParallelErrors(t *testing.T) {
 	if e.Count() != 0 {
 		t.Errorf("count = %d after rejected batch, want 0", e.Count())
 	}
-	if e.Cardinality() != 1 {
-		t.Errorf("|D| = %d after rejected batch, want 1 (only the X tuple)", e.Cardinality())
+	if e.db.Cardinality() != 1 {
+		t.Errorf("|D| = %d after rejected batch, want 1 (only the X tuple)", e.db.Cardinality())
 	}
 	if err := e.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func sameEnumerationOrder(a, b *Engine) bool {
+func sameEnumerationOrder(a, b *harness) bool {
 	var ta, tb [][]Value
 	a.Enumerate(func(t []Value) bool { ta = append(ta, append([]Value(nil), t...)); return true })
 	b.Enumerate(func(t []Value) bool { tb = append(tb, append([]Value(nil), t...)); return true })

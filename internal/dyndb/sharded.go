@@ -19,11 +19,9 @@ import (
 // and the per-value contributions are pre-bucketed in one cheap
 // sequential pass so the count phase is shard-disjoint too.
 
-// MinParallelDelta is the delta size below which ApplyNetDelta stays
+// minParallelDelta is the delta size below which ApplyNetDelta stays
 // sequential: goroutine startup dwarfs a handful of map operations.
-// Exported so callers overlapping the store phase with other work
-// (core.ApplyBatchParallel) can budget their workers accordingly.
-const MinParallelDelta = 32
+const minParallelDelta = 32
 
 // adomAdj is one ±1 contribution to an adom occurrence count.
 type adomAdj struct {
@@ -54,7 +52,7 @@ type relOp struct {
 //
 //dyncq:hot
 func (d *Database) ApplyNetDelta(survivors []Update, workers int) int {
-	if workers <= 1 || d.shards == 1 || len(survivors) < MinParallelDelta {
+	if workers <= 1 || d.shards == 1 || len(survivors) < minParallelDelta {
 		for _, u := range survivors {
 			changed, err := d.Apply(u)
 			if err != nil || !changed {

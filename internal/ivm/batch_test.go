@@ -13,7 +13,7 @@ import (
 
 // checkAgainstOracle compares the maintainer's materialised result (and
 // multiplicities) against full evaluation of the query over db.
-func checkAgainstOracle(t *testing.T, m *Maintainer, q *cq.Query, db *dyndb.Database, ctx string) {
+func checkAgainstOracle(t *testing.T, m *harness, q *cq.Query, db *dyndb.Database, ctx string) {
 	t.Helper()
 	want := eval.CountValuations(q, db, nil, nil)
 	if len(want) != len(m.result) {
@@ -46,7 +46,7 @@ func TestApplyBatchMatchesOracle(t *testing.T) {
 		q := cq.MustParse(qs)
 		for _, size := range []int{1, 3, 17, 1000} {
 			rng := rand.New(rand.NewSource(int64(31 + size)))
-			m, err := New(q)
+			m, err := newHarness(q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +79,7 @@ func TestApplyBatchDeltaPathMatchesOracle(t *testing.T) {
 	q := cq.MustParse("Q(x,y) :- S(x), E(x,y), T(y)")
 	rng := rand.New(rand.NewSource(5))
 	db := workload.RandomDatabase(rng, q.Schema(), 8, 60)
-	m, err := New(q)
+	m, err := newHarness(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestApplyBatchDeltaPathMatchesOracle(t *testing.T) {
 // result change.
 func TestApplyBatchCoalesces(t *testing.T) {
 	q := cq.MustParse("Q(x,y) :- S(x), E(x,y), T(y)")
-	m, err := New(q)
+	m, err := newHarness(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +123,8 @@ func TestApplyBatchCoalesces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 0 || m.Cardinality() != 0 || m.Count() != 0 {
-		t.Errorf("cancelled batch: net=%d |D|=%d count=%d, want all 0", n, m.Cardinality(), m.Count())
+	if n != 0 || m.db.Cardinality() != 0 || m.Count() != 0 {
+		t.Errorf("cancelled batch: net=%d |D|=%d count=%d, want all 0", n, m.db.Cardinality(), m.Count())
 	}
 	// Duplicate inserts coalesce to one net command.
 	n, err = m.ApplyBatch([]dyndb.Update{
@@ -141,7 +141,7 @@ func TestApplyBatchCoalesces(t *testing.T) {
 // rejects the whole batch before any change.
 func TestApplyBatchAtomicValidation(t *testing.T) {
 	q := cq.MustParse("Q(x,y) :- S(x), E(x,y), T(y)")
-	m, err := New(q)
+	m, err := newHarness(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +152,8 @@ func TestApplyBatchAtomicValidation(t *testing.T) {
 	if err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
-	if n != 0 || m.Cardinality() != 0 {
-		t.Errorf("batch partially applied: net=%d |D|=%d, want 0 0", n, m.Cardinality())
+	if n != 0 || m.db.Cardinality() != 0 {
+		t.Errorf("batch partially applied: net=%d |D|=%d, want 0 0", n, m.db.Cardinality())
 	}
 }
 
@@ -164,7 +164,7 @@ func TestLoadUsesRebuild(t *testing.T) {
 	q := cq.MustParse("Q(x,y) :- S(x), E(x,y), T(y)")
 	rng := rand.New(rand.NewSource(2))
 	db := workload.RandomDatabase(rng, q.Schema(), 10, 80)
-	bulk, err := New(q)
+	bulk, err := newHarness(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,12 +172,14 @@ func TestLoadUsesRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAgainstOracle(t, bulk, q, db, "bulk load")
-	inc, err := New(q)
+	inc, err := newHarness(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := inc.ApplyAll(db.Updates()); err != nil {
-		t.Fatal(err)
+	for _, u := range db.Updates() {
+		if _, err := inc.Apply(u); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if bulk.Count() != inc.Count() {
 		t.Errorf("bulk count %d != incremental count %d", bulk.Count(), inc.Count())
@@ -193,7 +195,7 @@ func TestApplyBatchDbErrorRejectsAtomically(t *testing.T) {
 	q := cq.MustParse("Q(x) :- E(x,y)")
 	// Rebuild path: empty maintainer, batch crosses the heuristic. The
 	// batch declares X with arity 1 and then contradicts itself.
-	m, err := New(q)
+	m, err := newHarness(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +207,8 @@ func TestApplyBatchDbErrorRejectsAtomically(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected a db-level arity error")
 	}
-	if n != 0 || m.Cardinality() != 0 || m.Count() != 0 {
-		t.Errorf("rejected batch left state behind: n=%d |D|=%d count=%d", n, m.Cardinality(), m.Count())
+	if n != 0 || m.db.Cardinality() != 0 || m.Count() != 0 {
+		t.Errorf("rejected batch left state behind: n=%d |D|=%d count=%d", n, m.db.Cardinality(), m.Count())
 	}
 	checkAgainstOracle(t, m, q, m.db, "rebuild path after rejection")
 	if _, err := m.Apply(dyndb.Insert("E", 3, 4)); err != nil {
@@ -219,7 +221,7 @@ func TestApplyBatchDbErrorRejectsAtomically(t *testing.T) {
 	// with a stored foreign relation.
 	rng := rand.New(rand.NewSource(3))
 	db := workload.RandomDatabase(rng, q.Schema(), 8, 60)
-	m2, err := New(q)
+	m2, err := newHarness(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,15 +231,15 @@ func TestApplyBatchDbErrorRejectsAtomically(t *testing.T) {
 	if _, err := m2.Apply(dyndb.Insert("X", 1)); err != nil {
 		t.Fatal(err)
 	}
-	before := m2.Cardinality()
+	before := m2.db.Cardinality()
 	if _, err := m2.ApplyBatch([]dyndb.Update{
 		dyndb.Insert("E", 100, 200),
 		dyndb.Insert("X", 1, 2), // X exists with arity 1: rejected atomically
 	}); err == nil {
 		t.Fatal("expected a db-level arity error")
 	}
-	if m2.Cardinality() != before {
-		t.Errorf("|D| = %d after rejected batch, want %d", m2.Cardinality(), before)
+	if m2.db.Cardinality() != before {
+		t.Errorf("|D| = %d after rejected batch, want %d", m2.db.Cardinality(), before)
 	}
 	checkAgainstOracle(t, m2, q, m2.db, "delta path after rejection")
 }

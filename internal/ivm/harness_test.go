@@ -1,0 +1,79 @@
+package ivm
+
+import (
+	"fmt"
+
+	"dyncq/internal/cq"
+	"dyncq/internal/dyndb"
+	"dyncq/internal/eval"
+)
+
+// harness is the test-side owner of a maintainer's store and index set:
+// it mutates both exactly once per command and drives the maintainer
+// through the workspace's hook schedule, under the names the tests use.
+type harness struct{ *Maintainer }
+
+func newHarness(q *cq.Query) (*harness, error) {
+	db := dyndb.New()
+	m, err := New(q, db, eval.NewIndexSet(db))
+	return &harness{m}, err
+}
+
+func (h *harness) Insert(r string, t ...Value) (bool, error) { return h.Apply(dyndb.Insert(r, t...)) }
+func (h *harness) Delete(r string, t ...Value) (bool, error) { return h.Apply(dyndb.Delete(r, t...)) }
+
+// Apply is the single-update schedule: the hooks without the bracket.
+func (h *harness) Apply(u dyndb.Update) (bool, error) {
+	n, err := h.apply([]dyndb.Update{u}, false)
+	return n == 1, err
+}
+
+// ApplyBatch is the batch schedule: the hooks inside the crossover bracket.
+func (h *harness) ApplyBatch(updates []dyndb.Update) (int, error) { return h.apply(updates, true) }
+
+func (h *harness) apply(updates []dyndb.Update, bracket bool) (int, error) {
+	for _, u := range updates {
+		if want, ok := h.schema[u.Rel]; ok && want != len(u.Tuple) {
+			return 0, fmt.Errorf("%s has arity %d in query, got tuple of length %d", u.Rel, want, len(u.Tuple))
+		}
+	}
+	survivors, err := h.db.NetDelta(updates)
+	if err != nil || len(survivors) == 0 {
+		return 0, err
+	}
+	if bracket {
+		h.BeginBatch(len(survivors))
+		defer h.FinishBatch()
+	}
+	// Per relation, in first-appearance order: pre-state hook, the store
+	// and index mutation, post-state hook.
+	for rest := survivors; len(rest) > 0; {
+		rel, todo := rest[0].Rel, rest
+		var cmds []dyndb.Update
+		var dels, ins [][]Value
+		rest = nil
+		for _, u := range todo {
+			switch {
+			case u.Rel != rel:
+				rest = append(rest, u)
+			case u.Op == dyndb.OpDelete:
+				cmds, dels = append(cmds, u), append(dels, u.Tuple)
+			default:
+				cmds, ins = append(cmds, u), append(ins, u.Tuple)
+			}
+		}
+		h.PreDelete(rel, dels)
+		h.db.ApplyNetDelta(cmds, 1)
+		h.idx.ApplyDelta(cmds)
+		h.PostInsert(rel, ins)
+	}
+	return len(survivors), nil
+}
+
+func (h *harness) Load(db *dyndb.Database) error {
+	h.db.Clear()
+	if err := h.db.CopyFrom(db); err != nil {
+		return err
+	}
+	return h.Rebuild(eval.NewIndexSet(h.db))
+}

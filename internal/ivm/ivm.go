@@ -20,6 +20,10 @@
 // (ϕS-E-T, ϕE-T, ϕ1), whereas the engine in internal/core achieves O(1) —
 // but only for q-hierarchical queries. Theorems 3.3–3.5 say that the gap
 // is fundamental, not an artefact of this particular baseline.
+//
+// A Maintainer reads the store and index set of its owner
+// (pkg/dyncq.Workspace) and never writes them; the owner brackets each
+// store mutation with the maintainer's delta hooks (see Maintainer).
 package ivm
 
 import (
@@ -36,8 +40,26 @@ import (
 type Value = dyndb.Value
 
 // Maintainer keeps |ϕ(D)| and the materialised ϕ(D) up to date under
-// single-tuple updates, for any conjunctive query. Not safe for
-// concurrent use.
+// updates, for any conjunctive query. It is a pure maintenance structure:
+// the store and its eval.IndexSet belong to the owner
+// (pkg/dyncq.Workspace), which mutates both exactly once per command no
+// matter how many IVM-backed queries are live; the maintainer only reads
+// them. Delta processing needs the store in a specific state relative to
+// each relation's mutation — deletion deltas are evaluated on the
+// pre-state, insertion deltas on the post-state — so the owner drives the
+// maintainer through per-relation hooks interleaved with the store
+// mutation:
+//
+//	BeginBatch(survivors)            // crossover decision
+//	for each relation of the net delta:
+//	    PreDelete(rel, dels)         // store still pre-state here
+//	    <owner deletes dels, inserts ins, updates the index>
+//	    PostInsert(rel, ins)         // store post-state here
+//	FinishBatch()                    // rebuild if the crossover chose it
+//
+// A single update is the same schedule without the bracket: PreDelete
+// before the store forgets the tuple, or PostInsert after it learnt it.
+// Not safe for concurrent use.
 type Maintainer struct {
 	query *cq.Query
 	db    *dyndb.Database
@@ -45,35 +67,30 @@ type Maintainer struct {
 	// result maps encoded head tuples to their valuation multiplicity.
 	result map[string]int64
 	// occ maps relation names to the indices of atoms over them.
-	occ     map[string][]int
-	schema  map[string]int
-	version uint64
-	// shared marks a maintainer bound to an externally owned store
-	// (NewOnStore): m.db and m.idx belong to the workspace, which applies
-	// updates to them exactly once and drives the delta propagation
-	// through the *Shared hooks. The self-driving entry points refuse to
-	// run in this mode.
-	shared bool
-	// rebuildPending is set by BeginSharedBatch when the batch is large
-	// enough that one full re-evaluation beats per-relation delta joins;
-	// the delta hooks then no-op and FinishSharedBatch rebuilds.
+	occ    map[string][]int
+	schema map[string]int
+	// rebuildPending is set by BeginBatch when the batch is large enough
+	// that one full re-evaluation beats per-relation delta joins; the
+	// delta hooks then no-op and FinishBatch rebuilds.
 	rebuildPending bool
 }
 
-// New returns a maintainer for q over the empty database. Any valid CQ is
-// accepted.
-func New(q *cq.Query) (*Maintainer, error) {
+// New returns a maintainer for q reading the given store through idx
+// (which must be over store). Any valid CQ is accepted. The maintainer
+// starts with an empty materialised result: if store is already
+// non-empty, call Rebuild to evaluate over it.
+func New(q *cq.Query, store *dyndb.Database, idx *eval.IndexSet) (*Maintainer, error) {
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("ivm.New: %w", err)
 	}
 	m := &Maintainer{
 		query:  q,
-		db:     dyndb.New(),
+		db:     store,
+		idx:    idx,
 		result: make(map[string]int64),
 		occ:    make(map[string][]int),
 		schema: q.Schema(),
 	}
-	m.idx = eval.NewIndexSet(m.db)
 	for i, a := range q.Atoms {
 		m.occ[a.Rel] = append(m.occ[a.Rel], i)
 	}
@@ -83,189 +100,82 @@ func New(q *cq.Query) (*Maintainer, error) {
 // Query returns the maintained query.
 func (m *Maintainer) Query() *cq.Query { return m.query }
 
-// Insert applies an insertion, reporting whether the database changed.
-func (m *Maintainer) Insert(rel string, tuple ...Value) (bool, error) {
-	return m.Apply(dyndb.Insert(rel, tuple...))
+// BeginBatch opens a batch of the given net-delta size (commands that
+// will change the store). Heuristic crossover: once the delta is a third
+// or more of the resulting database, |delta| residual joins cost more
+// than one full re-evaluation, so the per-relation hooks no-op and
+// FinishBatch rebuilds from the post-state store. In particular a bulk
+// load into an empty store always takes the rebuild path.
+func (m *Maintainer) BeginBatch(survivors int) {
+	m.rebuildPending = survivors*3 >= m.db.Cardinality()+survivors
 }
 
-// Delete applies a deletion, reporting whether the database changed.
-func (m *Maintainer) Delete(rel string, tuple ...Value) (bool, error) {
-	return m.Apply(dyndb.Delete(rel, tuple...))
+// BatchRebuilds reports whether the batch opened by BeginBatch chose the
+// full-rebuild crossover: the per-relation delta hooks will no-op, so the
+// owner is free to apply the store phase shard-parallel instead of
+// relation-phased. Only meaningful between BeginBatch and FinishBatch.
+func (m *Maintainer) BatchRebuilds() bool { return m.rebuildPending }
+
+// PreDelete propagates the deletion delta of one relation, evaluated on
+// the pre-state: the owner must call it BEFORE deleting the tuples from
+// the store. Every tuple must currently be present (the owner's net-delta
+// filter guarantees it). Cost: the residual joins N_S (data-dependent;
+// this is the baseline the core engine's O(1) is compared against).
+func (m *Maintainer) PreDelete(rel string, tuples [][]Value) { m.propagate(rel, tuples, -1) }
+
+// PostInsert propagates the insertion delta of one relation, evaluated
+// on the post-state: the owner must call it AFTER inserting the tuples
+// into the store (and its index).
+func (m *Maintainer) PostInsert(rel string, tuples [][]Value) { m.propagate(rel, tuples, +1) }
+
+func (m *Maintainer) propagate(rel string, tuples [][]Value, sign int64) {
+	occs := m.occ[rel]
+	if m.rebuildPending || len(tuples) == 0 || len(occs) == 0 {
+		return
+	}
+	if len(tuples) == 1 {
+		// Single-tuple deltas take the pinned-atom path: substituting the
+		// constants beats scanning a restriction set of size one.
+		m.applyDelta(occs, tuples[0], sign)
+		return
+	}
+	m.applyDeltaSet(occs, tuples, sign)
 }
 
-// Apply executes one update command and incrementally maintains the
-// materialised result. Cost: the residual joins N_S (data-dependent; this
-// is the baseline the engine's O(1) is compared against).
-func (m *Maintainer) Apply(u dyndb.Update) (bool, error) {
-	if m.shared {
-		return false, errSharedStore
+// FinishBatch closes the batch opened by BeginBatch: if the crossover
+// chose a rebuild, the materialised result is recomputed with one full
+// evaluation over the (now post-state) store.
+func (m *Maintainer) FinishBatch() {
+	if !m.rebuildPending {
+		return
 	}
-	if want, ok := m.schema[u.Rel]; ok && want != len(u.Tuple) {
-		return false, fmt.Errorf("ivm: %s has arity %d in query, got tuple of length %d", u.Rel, want, len(u.Tuple))
-	}
-	occs := m.occ[u.Rel]
-	if u.Op == dyndb.OpInsert {
-		changed, err := m.db.Apply(u) //dyncq:allow epochstep private store (shared mode rejected above); idx.ApplyUpdate follows in lockstep
-		if err != nil || !changed {
-			return changed, err
-		}
-		m.idx.ApplyUpdate(u)
-		m.version++
-		// Post-state deltas: valuations using the new tuple at least once.
-		m.applyDelta(occs, u.Tuple, +1)
-		return true, nil
-	}
-	// Deletion: compute the delta on the pre-state, then remove.
-	if !m.db.Has(u.Rel, u.Tuple...) {
-		return false, nil
-	}
-	m.version++
-	m.applyDelta(occs, u.Tuple, -1)
-	if _, err := m.db.Apply(u); err != nil { //dyncq:allow epochstep private store (shared mode rejected above); idx.ApplyUpdate follows in lockstep
-		return false, err
-	}
-	m.idx.ApplyUpdate(u)
-	return true, nil
-}
-
-// ApplyAll executes a sequence of updates, stopping at the first error.
-func (m *Maintainer) ApplyAll(updates []dyndb.Update) error {
-	for _, u := range updates {
-		if _, err := m.Apply(u); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ApplyBatch executes a batch of update commands with batched delta
-// processing. The batch is reduced to its net delta against the current
-// database (dyndb.NetDelta: coalesced, arity-validated against the
-// query schema and the stored relations, no-ops dropped); the surviving
-// deltas are grouped per relation, and each relation's deletions and
-// insertions are propagated by one inclusion–exclusion delta evaluation
-// per occurrence subset with the subset's atoms restricted to the whole
-// delta set (eval.Restricted) — the residual join against the base
-// relations runs once per batch instead of once per updated tuple. A
-// batch that rewrites a large fraction of the database instead applies
-// the whole delta through the sequential store path and rebuilds the
-// materialised result with a single full evaluation, the static
-// preprocessing path. Returns the number of net commands that changed
-// the database. Validation is atomic: any arity error rejects the whole
-// batch with nothing applied (matching core.Engine.ApplyBatch and the
-// workspace front door).
-func (m *Maintainer) ApplyBatch(updates []dyndb.Update) (int, error) {
-	if m.shared {
-		return 0, errSharedStore
-	}
-	for _, u := range updates {
-		if want, ok := m.schema[u.Rel]; ok && want != len(u.Tuple) {
-			return 0, fmt.Errorf("ivm: %s has arity %d in query, got tuple of length %d", u.Rel, want, len(u.Tuple))
-		}
-	}
-	survivors, err := m.db.NetDelta(updates)
-	if err != nil {
-		return 0, fmt.Errorf("ivm: %w", err)
-	}
-	if len(survivors) == 0 {
-		return 0, nil
-	}
-	m.version++
-	mustApply := func(u dyndb.Update) {
-		if changed, err := m.db.Apply(u); err != nil || !changed { //dyncq:allow epochstep private store (shared mode rejected above); idx.ApplyUpdate follows in lockstep
-			panic(fmt.Sprintf("ivm: validated delta failed to apply at %s (changed=%v err=%v)", u, changed, err))
-		}
-		m.idx.ApplyUpdate(u)
-	}
-	// Heuristic crossover: once the net batch is a third or more of the
-	// resulting database, |batch| residual joins cost more than rebuilding
-	// the result from scratch once. In particular a bulk load into an
-	// empty maintainer always takes the rebuild path — before the
-	// per-relation grouping below, which only the delta path reads.
-	if len(survivors)*3 >= m.db.Cardinality()+len(survivors) {
-		for _, u := range survivors {
-			mustApply(u)
-		}
-		m.result = eval.CountValuations(m.query, m.db, nil, m.idx)
-		return len(survivors), nil
-	}
-	type relDelta struct {
-		dels, ins [][]Value
-	}
-	deltas := make(map[string]*relDelta)
-	var order []string
-	for _, u := range survivors {
-		d := deltas[u.Rel]
-		if d == nil {
-			d = &relDelta{}
-			deltas[u.Rel] = d
-			order = append(order, u.Rel)
-		}
-		if u.Op == dyndb.OpInsert {
-			d.ins = append(d.ins, u.Tuple)
-		} else {
-			d.dels = append(d.dels, u.Tuple)
-		}
-	}
-	for _, rel := range order {
-		d := deltas[rel]
-		occs := m.occ[rel]
-		if len(d.dels) > 0 {
-			// Pre-state deltas: valuations losing at least one deleted tuple.
-			m.applyDeltaSet(occs, d.dels, -1)
-			for _, t := range d.dels {
-				mustApply(dyndb.Delete(rel, t...))
-			}
-		}
-		if len(d.ins) > 0 {
-			for _, t := range d.ins {
-				mustApply(dyndb.Insert(rel, t...))
-			}
-			// Post-state deltas: valuations using at least one new tuple.
-			m.applyDeltaSet(occs, d.ins, +1)
-		}
-	}
-	return len(survivors), nil
-}
-
-// SharedBatchRebuilds reports whether the batch opened by
-// BeginSharedBatch chose the full-rebuild crossover: the per-relation
-// delta hooks will no-op, so the workspace is free to apply the store
-// phase shard-parallel instead of relation-phased. Only meaningful
-// between BeginSharedBatch and FinishSharedBatch.
-func (m *Maintainer) SharedBatchRebuilds() bool { return m.rebuildPending }
-
-// Load performs the preprocessing phase for an initial database with
-// reset-then-load semantics: after Load the maintainer represents
-// exactly db, regardless of earlier updates — the uniform contract
-// across all maintenance strategies (see pkg/dyncq.Session.Load). The
-// materialised result is rebuilt with a single full evaluation
-// (linear+join-cost preprocessing) instead of |D0| residual-join
-// updates. A failed Load (a relation clashing with the query schema's
-// arity) leaves the maintainer representing the EMPTY database; either
-// way the prior state is discarded and the version advances.
-func (m *Maintainer) Load(db *dyndb.Database) error {
-	if m.shared {
-		return errSharedStore
-	}
-	for _, rel := range db.Relations() {
-		if want, ok := m.schema[rel]; ok && want != db.Relation(rel).Arity() {
-			m.Reset(dyndb.New())
-			return fmt.Errorf("ivm: %s has arity %d in query, %d in the loaded database", rel, want, db.Relation(rel).Arity())
-		}
-	}
-	m.Reset(db)
-	return nil
-}
-
-// Reset replaces the maintained database with db and rebuilds the
-// materialised result by full evaluation (linear+join-cost preprocessing,
-// the static analogue).
-func (m *Maintainer) Reset(db *dyndb.Database) {
-	m.db = db.Clone()
-	m.idx = eval.NewIndexSet(m.db)
+	m.rebuildPending = false
 	m.result = eval.CountValuations(m.query, m.db, nil, m.idx)
-	m.version++
+}
+
+// Rebuild rebinds the maintainer to idx (the owner recreates the index
+// set when it replaces the store's contents) and recomputes the
+// materialised result with one full evaluation over the store — the
+// preprocessing phase, linear+join-cost instead of |D| residual-join
+// updates. A schema clash (a store relation whose arity contradicts the
+// query) fails with the result cleared.
+func (m *Maintainer) Rebuild(idx *eval.IndexSet) error {
+	m.Clear(idx)
+	for _, rel := range m.db.Relations() {
+		if want, ok := m.schema[rel]; ok && want != m.db.Relation(rel).Arity() {
+			return fmt.Errorf("ivm: %s has arity %d in query, %d in the store", rel, want, m.db.Relation(rel).Arity())
+		}
+	}
+	m.result = eval.CountValuations(m.query, m.db, nil, m.idx)
+	return nil
+}
+
+// Clear discards the materialised result and rebinds to idx, leaving the
+// maintainer representing the empty database.
+func (m *Maintainer) Clear(idx *eval.IndexSet) {
+	m.idx = idx
+	m.result = make(map[string]int64)
+	m.rebuildPending = false
 }
 
 // applyDelta adds sign × (number of valuations using the tuple in at
@@ -352,7 +262,7 @@ func (m *Maintainer) Multiplicity(tuple []Value) int64 {
 
 // Enumerate calls yield for every tuple in the materialised result until
 // yield returns false. Order is unspecified. The slice passed to yield
-// follows the uniform contract of pkg/dyncq.Session.Enumerate: it is
+// follows the uniform contract of pkg/dyncq.Handle.Enumerate: it is
 // owned by the callee and only valid during the call — copy it to retain
 // it. (This backend happens to decode a fresh slice per tuple today, but
 // callers must not rely on that.)
@@ -381,9 +291,3 @@ func (m *Maintainer) Tuples() [][]Value {
 	})
 	return out
 }
-
-// Cardinality returns |D| of the maintained database.
-func (m *Maintainer) Cardinality() int { return m.db.Cardinality() }
-
-// ActiveDomainSize returns n = |adom(D)|.
-func (m *Maintainer) ActiveDomainSize() int { return m.db.ActiveDomainSize() }

@@ -13,7 +13,7 @@ import (
 func TestSETMaintenance(t *testing.T) {
 	// ϕS-E-T is the paper's canonical hard query; IVM maintains it
 	// correctly (just not with constant update time).
-	m, err := New(cq.MustParse("Q(x,y) :- S(x), E(x,y), T(y)"))
+	m, err := newHarness(cq.MustParse("Q(x,y) :- S(x), E(x,y), T(y)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestSelfJoinDeltas(t *testing.T) {
 	// ϕ1(x,y) = Exx ∧ Exy ∧ Eyy: three occurrences of E; one inserted
 	// tuple can serve several occurrences at once — the inclusion–
 	// exclusion deltas must not double-count.
-	m, err := New(cq.MustParse("Q(x,y) :- E(x,x), E(x,y), E(y,y)"))
+	m, err := newHarness(cq.MustParse("Q(x,y) :- E(x,x), E(x,y), E(y,y)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSelfJoinDeltas(t *testing.T) {
 func TestQuantifiedMultiplicities(t *testing.T) {
 	// Q(x) = ∃y (Exy ∧ Ty): multiplicities track witnesses; the distinct
 	// count collapses them.
-	m, err := New(cq.MustParse("Q(x) :- E(x,y), T(y)"))
+	m, err := newHarness(cq.MustParse("Q(x) :- E(x,y), T(y)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestQuantifiedMultiplicities(t *testing.T) {
 }
 
 func TestBooleanQuery(t *testing.T) {
-	m, err := New(cq.MustParse("Q() :- S(x), E(x,y), T(y)"))
+	m, err := newHarness(cq.MustParse("Q() :- S(x), E(x,y), T(y)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestBooleanQuery(t *testing.T) {
 }
 
 func TestDuplicateAndAbsentUpdates(t *testing.T) {
-	m, err := New(cq.MustParse("Q(x) :- S(x)"))
+	m, err := newHarness(cq.MustParse("Q(x) :- S(x)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestDuplicateAndAbsentUpdates(t *testing.T) {
 }
 
 func TestArityMismatch(t *testing.T) {
-	m, err := New(cq.MustParse("Q(x) :- S(x)"))
+	m, err := newHarness(cq.MustParse("Q(x) :- S(x)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,26 +154,24 @@ func TestArityMismatch(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
+func TestLoadResets(t *testing.T) {
 	q := cq.MustParse("Q(x,y) :- S(x), E(x,y), T(y)")
-	m, err := New(q)
+	m, err := newHarness(q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.Insert("S", 9)
 	db := dyndb.New()
 	db.Insert("S", 1)
 	db.Insert("E", 1, 2)
 	db.Insert("T", 2)
-	m.Reset(db)
-	if m.Count() != 1 {
-		t.Errorf("count after Reset = %d, want 1", m.Count())
+	if err := m.Load(db); err != nil {
+		t.Fatal(err)
 	}
-	// Mutating the source database must not affect the maintainer.
-	db.Delete("T", 2)
-	if m.Count() != 1 {
-		t.Error("Reset did not clone the database")
+	if m.Count() != 1 || m.db.Has("S", 9) {
+		t.Errorf("count after Load = %d (S(9) kept: %v), want 1 false", m.Count(), m.db.Has("S", 9))
 	}
-	// Incremental updates continue from the reset state.
+	// Incremental updates continue from the loaded state.
 	m.Delete("E", 1, 2)
 	if m.Count() != 0 {
 		t.Errorf("count = %d after delete, want 0", m.Count())
@@ -200,7 +198,7 @@ func TestRandomAgainstOracle(t *testing.T) {
 		steps = 30
 	}
 	for qi, q := range queries {
-		m, err := New(q)
+		m, err := newHarness(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +234,7 @@ func TestRandomQHierarchicalAgainstOracle(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		q := workload.RandomQHierarchical(rng, workload.DefaultQHOptions())
-		m, err := New(q)
+		m, err := newHarness(q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,10 +6,24 @@ import (
 
 	"dyncq/internal/cq"
 	"dyncq/internal/dyndb"
-	"dyncq/internal/ivm"
+	"dyncq/pkg/dyncq"
 )
 
-func ivmFactory(q *cq.Query) (DynamicEvaluator, error) { return ivm.New(q) }
+// wsEvaluator adapts a one-query workspace to DynamicEvaluator: updates
+// go through the workspace, reads through the query's handle.
+type wsEvaluator struct {
+	*dyncq.Handle
+	ws *dyncq.Workspace
+}
+
+func (e wsEvaluator) Apply(u dyndb.Update) (bool, error) { return e.ws.Apply(u) }
+
+// ivmFactory serves q with the IVM strategy (any CQ is accepted).
+func ivmFactory(q *cq.Query) (DynamicEvaluator, error) {
+	ws := dyncq.NewWorkspace(dyncq.WorkspaceOptions{})
+	h, err := ws.RegisterQuery("q", q, dyncq.Options{Force: dyncq.StrategyIVM})
+	return wsEvaluator{Handle: h, ws: ws}, err
+}
 
 // TestFindConditionIWitness: the paper's hard queries must yield a
 // condition-(i) violation; hierarchical queries must not.

@@ -435,3 +435,32 @@ func TestDisconnectReapsSubscriptions(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestOverlongLineAnswered: a request line over Options.MaxLine is
+// answered with an err frame before the connection drops (the scanner
+// cannot resynchronise past it), and other connections are unaffected.
+func TestOverlongLineAnswered(t *testing.T) {
+	const maxLine = 256
+	srv := newTestServer(t, Options{MaxLine: maxLine})
+	cs, ss := net.Pipe()
+	defer cs.Close()
+	go srv.ServeConn(ss)
+	// net.Pipe writes block until read: the server stops reading at the
+	// limit, so the oversized write runs beside the reply read.
+	go cs.Write([]byte("apply +E(" + strings.Repeat("1", 4*maxLine) + ",2)\n"))
+	cs.SetReadDeadline(time.Now().Add(5 * time.Second))
+	r := bufio.NewReader(cs)
+	reply, err := r.ReadString('\n')
+	if err != nil {
+		t.Fatalf("no reply to an over-long line: %v", err)
+	}
+	if want := fmt.Sprintf("err line exceeds %d bytes\n", maxLine); reply != want {
+		t.Fatalf("reply %q, want %q", reply, want)
+	}
+	if _, err := r.ReadString('\n'); err == nil {
+		t.Fatal("connection stayed open after an over-long line")
+	}
+	if err := pipeClient(t, srv).Ping(); err != nil {
+		t.Fatalf("second connection after an over-long line: %v", err)
+	}
+}

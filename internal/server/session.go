@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -32,7 +33,7 @@ type session struct {
 
 	// flushed is closed by the writer when it encounters the nil
 	// sentinel frame: every frame enqueued before it has been written
-	// to the connection. Used once, for the farewell on quit.
+	// to the connection. Used once, for the connection's farewell line.
 	flushed chan struct{}
 
 	// Batch state (reader goroutine only).
@@ -58,7 +59,9 @@ func (s *session) run() {
 	defer s.close()
 	go s.writer()
 	sc := bufio.NewScanner(s.conn)
-	sc.Buffer(make([]byte, 0, 64*1024), s.srv.opt.MaxLine)
+	// The scanner's limit is the larger of the initial capacity and the
+	// maximum, so the initial buffer must not exceed MaxLine.
+	sc.Buffer(make([]byte, 0, min(64*1024, s.srv.opt.MaxLine)), s.srv.opt.MaxLine)
 	for sc.Scan() {
 		line := strings.TrimRight(sc.Text(), "\r")
 		if line == "" {
@@ -67,6 +70,11 @@ func (s *session) run() {
 		if !s.dispatch(line) {
 			return
 		}
+	}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		// The scanner cannot resynchronise past an over-long line: answer
+		// it, then drop the connection.
+		s.farewell(fmt.Sprintf("err line exceeds %d bytes", s.srv.opt.MaxLine))
 	}
 }
 
@@ -256,7 +264,7 @@ func (s *session) dispatch(line string) bool {
 	case "ping":
 		return s.ok("pong")
 	case "quit":
-		s.farewell()
+		s.farewell("bye")
 		return false
 	default:
 		return s.errf("unknown command %q", cmd)
@@ -287,7 +295,7 @@ func (s *session) dispatchBatch(line string) bool {
 		s.batchErr = nil
 		return s.ok("aborted")
 	case "quit":
-		s.farewell()
+		s.farewell("bye")
 		return false
 	}
 	if s.batchErr != nil {
@@ -317,11 +325,11 @@ func (s *session) handleArg(rest, cmd string) (*dyncq.Handle, bool) {
 	return h, true
 }
 
-// farewell sends the bye line and waits (bounded) until the writer
-// has put it on the wire, so the deferred close doesn't race the
-// client's read of the goodbye.
-func (s *session) farewell() {
-	if !s.sendLine("bye") || !s.send(nil) {
+// farewell sends the connection's last line and waits (bounded) until
+// the writer has put it on the wire, so the deferred close doesn't race
+// the client's read of it.
+func (s *session) farewell(line string) {
+	if !s.sendLine(line) || !s.send(nil) {
 		return
 	}
 	select {

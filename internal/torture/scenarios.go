@@ -245,6 +245,69 @@ func evalScenarios() []Scenario {
 				return nil
 			},
 		},
+		{
+			Category: "eval", Name: "undo-identity",
+			Brief: "a batch followed by its exact inverse restores every backend's result set, count and invariants",
+			Run: func(seed int64) error {
+				// The pool covers core (unsharded), ivm and recompute; add
+				// the star query on a 4-shard core engine.
+				ws, o, err := buildWorkspace(dyncq.WorkspaceOptions{}, 0)
+				if err != nil {
+					return err
+				}
+				star := mustParse(queryPool[0].text)
+				if _, err := ws.RegisterQuery("star4", star, dyncq.Options{Shards: 4}); err != nil {
+					return fmt.Errorf("register star4: %w", err)
+				}
+				o.register("star4", star)
+				cfg := workload.TortureConfig{Seed: seed, Domain: 25, Updates: 1200, PDelete: 0.4, ZipfS: 1.3, ZipfV: 1}
+				stream := cfg.Stream(tortureSchema)
+				const chunk = 100
+				for from := 0; from < len(stream); from += chunk {
+					to := min(from+chunk, len(stream))
+					batch := stream[from:to]
+					where := fmt.Sprintf("batch %d..%d", from, to)
+					pre := make(map[string][][]dyncq.Value)
+					for _, h := range ws.Handles() {
+						pre[h.Name()] = h.Tuples()
+					}
+					// The exact inverse: the batch's net delta against the
+					// pre-state, reversed, every command flipped.
+					net, err := o.db.NetDelta(batch)
+					if err != nil {
+						return fmt.Errorf("%s: net delta: %v", where, err)
+					}
+					undo := make([]dyndb.Update, len(net))
+					for i, u := range net {
+						if u.Op == dyndb.OpInsert {
+							u.Op = dyndb.OpDelete
+						} else {
+							u.Op = dyndb.OpInsert
+						}
+						undo[len(net)-1-i] = u
+					}
+					if err := applyChecked(ws, o, batch, where); err != nil {
+						return err
+					}
+					if err := applyChecked(ws, o, undo, where+" undone"); err != nil {
+						return err
+					}
+					for _, h := range ws.Handles() {
+						if got, want := h.Count(), uint64(len(pre[h.Name()])); got != want {
+							return fmt.Errorf("%s undone: query %q count %d, pre-state %d", where, h.Name(), got, want)
+						}
+						if err := sameTupleSet(h.Tuples(), pre[h.Name()]); err != nil {
+							return fmt.Errorf("%s undone: query %q vs pre-state: %w", where, h.Name(), err)
+						}
+					}
+					// Redo, so the next round undoes against a new pre-state.
+					if err := applyChecked(ws, o, batch, where+" redone"); err != nil {
+						return err
+					}
+				}
+				return nil
+			},
+		},
 	}
 }
 

@@ -262,11 +262,21 @@ func concurrencyScenarios() []Scenario {
 								return
 							}
 							// The freshly registered handle must answer for
-							// some committed state without tearing.
+							// some committed state without tearing. Answer and
+							// Count are two separately locked reads, so the pair
+							// only counts when no commit landed between them.
 							h := ws.Handle(name)
-							if got, n := h.Answer(), h.Count(); got != (n > 0) {
-								errs <- fmt.Errorf("churn round %d: %s answer/count torn (%v vs %d)", round, name, got, n)
-								return
+							for {
+								v := ws.Version()
+								got, n := h.Answer(), h.Count()
+								if ws.Version() != v {
+									continue
+								}
+								if got != (n > 0) {
+									errs <- fmt.Errorf("churn round %d: %s answer/count torn (%v vs %d)", round, name, got, n)
+									return
+								}
+								break
 							}
 						}
 						for _, nq := range queryPool[2:] {

@@ -12,65 +12,58 @@ import (
 	"dyncq/internal/workload"
 )
 
-// TestConcurrentRouting: parallelism engages exactly on the core backend
-// with more than one worker.
+// TestConcurrentRouting: sharded parallel delta application engages
+// exactly on the core backend with more than one worker — Parallelism
+// reports the shard count a batch will actually use.
 func TestConcurrentRouting(t *testing.T) {
 	qh := cq.MustParse("Q(y) :- E(x,y), T(y)")
 	hard := cq.MustParse("Q(x,y) :- S(x), E(x,y), T(y)")
 	cases := []struct {
 		q        *cq.Query
-		opt      ConcurrentOptions
+		workers  int
+		opt      Options
 		strategy Strategy
-		parallel bool
+		shards   int
 	}{
-		{qh, ConcurrentOptions{Workers: 4}, StrategyCore, true},
-		{qh, ConcurrentOptions{Workers: 1}, StrategyCore, false},
+		{qh, 4, Options{}, StrategyCore, 16},
+		{qh, 1, Options{}, StrategyCore, 1},
 		// An explicit single-shard override forces the sequential path even
-		// with workers: Parallel() must not claim otherwise.
-		{qh, ConcurrentOptions{Workers: 4, Shards: 1}, StrategyCore, false},
-		{qh, ConcurrentOptions{Force: StrategyRecompute, Workers: 4}, StrategyRecompute, false},
-		{hard, ConcurrentOptions{Workers: 4}, StrategyIVM, false},
+		// with workers: Parallelism must not claim otherwise.
+		{qh, 4, Options{Shards: 1}, StrategyCore, 1},
+		{qh, 4, Options{Force: StrategyRecompute}, StrategyRecompute, 0},
+		{hard, 4, Options{}, StrategyIVM, 0},
 	}
 	for _, c := range cases {
-		cs, err := NewConcurrent(c.q, c.opt)
-		if err != nil {
-			t.Fatal(err)
+		ws, h := soloWorkers(t, c.workers, c.q, c.opt)
+		if h.Strategy() != c.strategy {
+			t.Errorf("%s workers=%d: strategy %v, want %v", c.q, c.workers, h.Strategy(), c.strategy)
 		}
-		if cs.Strategy() != c.strategy {
-			t.Errorf("%s workers=%d: strategy %v, want %v", c.q, c.opt.Workers, cs.Strategy(), c.strategy)
-		}
-		if cs.Parallel() != c.parallel {
-			t.Errorf("%s workers=%d [%v]: Parallel()=%v, want %v", c.q, c.opt.Workers, cs.Strategy(), cs.Parallel(), c.parallel)
+		if got := ws.Parallelism().QueryShards["q"]; got != c.shards {
+			t.Errorf("%s workers=%d [%v]: %d query shards, want %d", c.q, c.workers, h.Strategy(), got, c.shards)
 		}
 	}
 }
 
-// TestConcurrentMatchesSequential: the concurrent session with parallel
-// workers reaches exactly the state the plain session reaches on the
-// same stream, for every backend.
+// TestConcurrentMatchesSequential: a workspace with parallel workers
+// reaches exactly the state a sequential one reaches on the same stream,
+// for every backend.
 func TestConcurrentMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for _, st := range []Strategy{StrategyAuto, StrategyIVM, StrategyRecompute} {
 		q := cq.MustParse("Q(y) :- E(x,y), T(y)")
 		stream := workload.RandomStream(rng, q.Schema(), 12, 300, 0.4)
-		plain, err := NewWithOptions(q, Options{Force: st})
-		if err != nil {
-			t.Fatal(err)
-		}
-		conc, err := NewConcurrent(q, ConcurrentOptions{Force: st, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
+		plain, plainH := solo(t, q, Options{Force: st})
+		conc, concH := soloWorkers(t, 4, q, Options{Force: st})
 		if _, err := plain.ApplyBatched(stream, 25); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := conc.ApplyBatched(stream, 25); err != nil {
 			t.Fatal(err)
 		}
-		if plain.Count() != conc.Count() {
-			t.Fatalf("[%v] counts diverge: %d vs %d", st, plain.Count(), conc.Count())
+		if plainH.Count() != concH.Count() {
+			t.Fatalf("[%v] counts diverge: %d vs %d", st, plainH.Count(), concH.Count())
 		}
-		if !sameTuples(plain.Tuples(), conc.Tuples()) {
+		if !sameTuples(plainH.Tuples(), concH.Tuples()) {
 			t.Fatalf("[%v] tuple sets diverge", st)
 		}
 	}
@@ -78,7 +71,7 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 
 // TestConcurrentSnapshotReaders is the prefix-consistency stress test:
 // one writer commits a known sequence of batches while reader goroutines
-// continuously take View snapshots; every snapshot must equal the state
+// continuously pin snapshots; every snapshot must equal the state
 // after exactly version committed batches — never a torn mid-batch
 // state. Run with -race (the CI race job does).
 func TestConcurrentSnapshotReaders(t *testing.T) {
@@ -87,13 +80,10 @@ func TestConcurrentSnapshotReaders(t *testing.T) {
 	stream := workload.RandomStream(rng, q.Schema(), 30, 1200, 0.35)
 	const batch = 40
 	// Precompute the expected (count, cardinality) after every batch
-	// prefix with an oracle session. Entry 0 is the empty state. Batches
+	// prefix with an oracle workspace. Entry 0 is the empty state. Batches
 	// that net to zero changes do not bump the version, so record the
 	// expectation per committed version, not per submitted batch.
-	oracle, err := New(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	oracle, oracleH := solo(t, q, Options{})
 	type state struct {
 		count uint64
 		card  int
@@ -111,14 +101,11 @@ func TestConcurrentSnapshotReaders(t *testing.T) {
 			t.Fatal(err)
 		}
 		if n > 0 {
-			wantAt = append(wantAt, state{oracle.Count(), oracle.Cardinality()})
+			wantAt = append(wantAt, state{oracleH.Count(), oracle.Cardinality()})
 		}
 	}
 
-	cs, err := NewConcurrent(q, ConcurrentOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs, h := soloWorkers(t, 4, q, Options{})
 	var done atomic.Bool
 	var wg sync.WaitGroup
 	const readers = 4
@@ -127,19 +114,19 @@ func TestConcurrentSnapshotReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !done.Load() {
-				cs.View(func(s *QuerySnapshot, version uint64) {
-					if version >= uint64(len(wantAt)) {
-						t.Errorf("snapshot at version %d, but only %d commits exist", version, len(wantAt)-1)
-						return
-					}
-					want := wantAt[version]
-					if got := s.Count(); got != want.count {
-						t.Errorf("version %d: count %d, want %d (torn read)", version, got, want.count)
-					}
-					if got := s.Cardinality(); got != want.card {
-						t.Errorf("version %d: |D| %d, want %d (torn read)", version, got, want.card)
-					}
-				})
+				s := h.Snapshot()
+				version := s.Version()
+				if version >= uint64(len(wantAt)) {
+					t.Errorf("snapshot at version %d, but only %d commits exist", version, len(wantAt)-1)
+					continue
+				}
+				want := wantAt[version]
+				if got := s.Count(); got != want.count {
+					t.Errorf("version %d: count %d, want %d (torn read)", version, got, want.count)
+				}
+				if got := s.Cardinality(); got != want.card {
+					t.Errorf("version %d: |D| %d, want %d (torn read)", version, got, want.card)
+				}
 			}
 		}()
 	}
@@ -154,8 +141,8 @@ func TestConcurrentSnapshotReaders(t *testing.T) {
 		t.Fatalf("final version %d, want %d", got, want)
 	}
 	final := wantAt[len(wantAt)-1]
-	if cs.Count() != final.count {
-		t.Fatalf("final count %d, want %d", cs.Count(), final.count)
+	if h.Count() != final.count {
+		t.Fatalf("final count %d, want %d", h.Count(), final.count)
 	}
 }
 
@@ -172,10 +159,7 @@ func TestConcurrentShardedWriters(t *testing.T) {
 	net := Coalesce(workload.RandomStream(rng, q.Schema(), 40, 2000, 0.3))
 	const writers = 4
 
-	cs, err := NewConcurrent(q, ConcurrentOptions{Workers: writers})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs, h := soloWorkers(t, writers, q, Options{})
 	if err := cs.Load(init); err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +171,10 @@ func TestConcurrentShardedWriters(t *testing.T) {
 		go func() {
 			defer readerWG.Done()
 			for !done.Load() {
-				cs.View(func(s *QuerySnapshot, _ uint64) {
-					if got, want := uint64(len(s.Tuples())), s.Count(); got != want {
-						t.Errorf("reader saw %d tuples but count %d", got, want)
-					}
-				})
+				s := h.Snapshot()
+				if got, want := uint64(len(s.Tuples())), s.Count(); got != want {
+					t.Errorf("reader saw %d tuples but count %d", got, want)
+				}
 			}
 		}()
 	}
@@ -214,10 +197,10 @@ func TestConcurrentShardedWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := eval.Evaluate(q, db)
-	if got := cs.Count(); got != uint64(want.Len()) {
+	if got := h.Count(); got != uint64(want.Len()) {
 		t.Fatalf("final count %d, oracle %d", got, want.Len())
 	}
-	if !sameTuples(cs.Tuples(), want.Tuples()) {
+	if !sameTuples(h.Tuples(), want.Tuples()) {
 		t.Fatal("final tuples disagree with oracle")
 	}
 }

@@ -10,19 +10,19 @@ import (
 	"dyncq/internal/workload"
 )
 
-// This file pins the two cross-backend contracts of the session layer:
+// This file pins the two cross-backend contracts of the front door:
 //
 //   - Enumerate yields callee-owned slices (valid only during the call;
 //     retention requires a copy, which Tuples performs), and an abusive
-//     caller that mutates the yielded slice cannot corrupt the session;
-//   - Load is reset-then-load on every backend: after Load the session
+//     caller that mutates the yielded slice cannot corrupt the query;
+//   - Load is reset-then-load on every backend: after Load the workspace
 //     represents exactly the loaded database.
 
 // TestEnumerateContract drives every backend through the same data and
 // checks the aliasing rules: copied yields must equal Tuples() and the
 // oracle; Tuples() must return freshly allocated slices (mutation-proof);
 // and mutating the yielded slice inside yield must corrupt neither the
-// rest of the enumeration's copied values nor the session state.
+// rest of the enumeration's copied values nor the maintained state.
 func TestEnumerateContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	queries := []*cq.Query{
@@ -37,41 +37,38 @@ func TestEnumerateContract(t *testing.T) {
 		db := workload.RandomDatabase(rng, q.Schema(), 6, 40)
 		want := eval.Evaluate(q, db)
 		for _, st := range []Strategy{StrategyAuto, StrategyIVM, StrategyRecompute} {
-			s, err := NewWithOptions(q, Options{Force: st})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Load(db); err != nil {
+			ws, h := solo(t, q, Options{Force: st})
+			if err := ws.Load(db); err != nil {
 				t.Fatal(err)
 			}
 			// 1. Copied yields agree with Tuples() and the oracle.
 			var copied [][]Value
-			s.Enumerate(func(tu []Value) bool {
+			h.Enumerate(func(tu []Value) bool {
 				copied = append(copied, append([]Value(nil), tu...))
 				return true
 			})
-			if !sameTuples(copied, s.Tuples()) {
-				t.Fatalf("%s [%v]: copied enumeration disagrees with Tuples()", q, s.Strategy())
+			if !sameTuples(copied, h.Tuples()) {
+				t.Fatalf("%s [%v]: copied enumeration disagrees with Tuples()", q, h.Strategy())
 			}
 			if !sameTuples(copied, want.Tuples()) {
-				t.Fatalf("%s [%v]: enumeration disagrees with oracle", q, s.Strategy())
+				t.Fatalf("%s [%v]: enumeration disagrees with oracle", q, h.Strategy())
 			}
 			// 2. Tuples() hands out fresh slices: scribbling over them must
 			// not be visible to a second call.
-			got := s.Tuples()
+			got := h.Tuples()
 			for _, tu := range got {
 				for i := range tu {
 					tu[i] = -999
 				}
 			}
-			if len(got) > 0 && len(got[0]) > 0 && !sameTuples(s.Tuples(), want.Tuples()) {
-				t.Fatalf("%s [%v]: mutating Tuples() output corrupted a later Tuples()", q, s.Strategy())
+			if len(got) > 0 && len(got[0]) > 0 && !sameTuples(h.Tuples(), want.Tuples()) {
+				t.Fatalf("%s [%v]: mutating Tuples() output corrupted a later Tuples()", q, h.Strategy())
 			}
 			// 3. An abusive yield that scribbles over every slice it is
 			// handed: values copied BEFORE the scribble must stay correct,
-			// and the session must remain fully intact afterwards.
+			// and the query must remain fully intact afterwards.
 			var abused [][]Value
-			s.Enumerate(func(tu []Value) bool {
+			h.Enumerate(func(tu []Value) bool {
 				abused = append(abused, append([]Value(nil), tu...))
 				for i := range tu {
 					tu[i] = -12345
@@ -79,19 +76,19 @@ func TestEnumerateContract(t *testing.T) {
 				return true
 			})
 			if !sameTuples(abused, want.Tuples()) {
-				t.Fatalf("%s [%v]: slice reuse leaked a caller mutation into a later yield", q, s.Strategy())
+				t.Fatalf("%s [%v]: slice reuse leaked a caller mutation into a later yield", q, h.Strategy())
 			}
-			if got := s.Count(); got != uint64(want.Len()) {
-				t.Fatalf("%s [%v]: count %d after abusive enumeration, want %d", q, s.Strategy(), got, want.Len())
+			if got := h.Count(); got != uint64(want.Len()) {
+				t.Fatalf("%s [%v]: count %d after abusive enumeration, want %d", q, h.Strategy(), got, want.Len())
 			}
-			if !sameTuples(s.Tuples(), want.Tuples()) {
-				t.Fatalf("%s [%v]: session state corrupted by mutating yielded slices", q, s.Strategy())
+			if !sameTuples(h.Tuples(), want.Tuples()) {
+				t.Fatalf("%s [%v]: maintained state corrupted by mutating yielded slices", q, h.Strategy())
 			}
 		}
 	}
 }
 
-// TestLoadReplacesState: Load on a non-empty session resets to exactly
+// TestLoadReplacesState: Load on a non-empty workspace resets to exactly
 // the loaded database on every backend — the same observable behaviour
 // everywhere, then updates keep working on the fresh state.
 func TestLoadReplacesState(t *testing.T) {
@@ -101,55 +98,52 @@ func TestLoadReplacesState(t *testing.T) {
 	second := workload.RandomDatabase(rng, q.Schema(), 8, 25)
 	want := eval.Evaluate(q, second)
 	for _, st := range []Strategy{StrategyCore, StrategyIVM, StrategyRecompute} {
-		s, err := NewWithOptions(q, Options{Force: st})
-		if err != nil {
+		ws, h := solo(t, q, Options{Force: st})
+		// Dirty the workspace: a load plus some single updates.
+		if err := ws.Load(first); err != nil {
 			t.Fatal(err)
 		}
-		// Dirty the session: a load plus some single updates.
-		if err := s.Load(first); err != nil {
+		if _, err := ws.Insert("E", 900, 901); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Insert("E", 900, 901); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Insert("T", 901); err != nil {
+		if _, err := ws.Insert("T", 901); err != nil {
 			t.Fatal(err)
 		}
 		// Reload: everything above must vanish.
-		if err := s.Load(second); err != nil {
-			t.Fatalf("[%v]: Load on non-empty session: %v", st, err)
+		if err := ws.Load(second); err != nil {
+			t.Fatalf("[%v]: Load on non-empty workspace: %v", st, err)
 		}
-		if got := s.Count(); got != uint64(want.Len()) {
+		if got := h.Count(); got != uint64(want.Len()) {
 			t.Fatalf("[%v]: count %d after reload, oracle %d", st, got, want.Len())
 		}
-		if s.Cardinality() != second.Cardinality() {
-			t.Fatalf("[%v]: |D| = %d after reload, want %d", st, s.Cardinality(), second.Cardinality())
+		if ws.Cardinality() != second.Cardinality() {
+			t.Fatalf("[%v]: |D| = %d after reload, want %d", st, ws.Cardinality(), second.Cardinality())
 		}
-		if !sameTuples(s.Tuples(), want.Tuples()) {
+		if !sameTuples(h.Tuples(), want.Tuples()) {
 			t.Fatalf("[%v]: tuples after reload disagree with oracle", st)
 		}
-		// The session stays live: updates against the new state agree with
+		// The workspace stays live: updates against the new state agree with
 		// the oracle.
 		oracle := second.Clone()
 		stream := workload.RandomStream(rng, q.Schema(), 8, 60, 0.4)
 		for _, u := range stream {
-			if _, err := s.Apply(u); err != nil {
+			if _, err := ws.Apply(u); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := oracle.Apply(u); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if got, w := s.Count(), eval.Count(q, oracle); got != uint64(w) {
+		if got, w := h.Count(), eval.Count(q, oracle); got != uint64(w) {
 			t.Fatalf("[%v]: count %d after post-reload stream, oracle %d", st, got, w)
 		}
 	}
 }
 
 // TestLoadFailureLeavesEmpty: a Load that fails (arity clash against the
-// query schema) leaves the session representing the EMPTY database on
-// every backend — prior state is discarded either way — and the session
-// stays fully usable.
+// query schema) leaves the workspace representing the EMPTY database on
+// every backend — prior state is discarded either way — and the
+// workspace stays fully usable.
 func TestLoadFailureLeavesEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	q := cq.MustParse("Q(y) :- E(x,y), T(y)")
@@ -159,29 +153,26 @@ func TestLoadFailureLeavesEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, st := range []Strategy{StrategyCore, StrategyIVM, StrategyRecompute} {
-		s, err := NewWithOptions(q, Options{Force: st})
-		if err != nil {
+		ws, h := solo(t, q, Options{Force: st})
+		if err := ws.Load(good); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Load(good); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Load(bad); err == nil {
+		if err := ws.Load(bad); err == nil {
 			t.Fatalf("[%v]: mismatched-arity Load accepted", st)
 		}
-		if s.Count() != 0 || s.Answer() || s.Cardinality() != 0 {
+		if h.Count() != 0 || h.Answer() || ws.Cardinality() != 0 {
 			t.Fatalf("[%v]: count=%d answer=%v |D|=%d after failed Load, want empty",
-				st, s.Count(), s.Answer(), s.Cardinality())
+				st, h.Count(), h.Answer(), ws.Cardinality())
 		}
 		// Still alive: fresh updates behave normally.
-		if _, err := s.Insert("E", 1, 2); err != nil {
+		if _, err := ws.Insert("E", 1, 2); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Insert("T", 2); err != nil {
+		if _, err := ws.Insert("T", 2); err != nil {
 			t.Fatal(err)
 		}
-		if s.Count() != 1 {
-			t.Fatalf("[%v]: count %d after recovery inserts, want 1", st, s.Count())
+		if h.Count() != 1 {
+			t.Fatalf("[%v]: count %d after recovery inserts, want 1", st, h.Count())
 		}
 	}
 }
@@ -193,14 +184,11 @@ func TestLoadFailureLeavesEmpty(t *testing.T) {
 func TestLoadForgetsDrainedForeignRelations(t *testing.T) {
 	q := cq.MustParse("Q(y) :- E(x,y), T(y)")
 	for _, st := range []Strategy{StrategyCore, StrategyIVM, StrategyRecompute} {
-		s, err := NewWithOptions(q, Options{Force: st})
-		if err != nil {
+		ws, h := solo(t, q, Options{Force: st})
+		if _, err := ws.Insert("X", 1); err != nil { // X is not in the query
 			t.Fatal(err)
 		}
-		if _, err := s.Insert("X", 1); err != nil { // X is not in the query
-			t.Fatal(err)
-		}
-		if _, err := s.Delete("X", 1); err != nil {
+		if _, err := ws.Delete("X", 1); err != nil {
 			t.Fatal(err)
 		}
 		db := dyndb.New()
@@ -213,11 +201,11 @@ func TestLoadForgetsDrainedForeignRelations(t *testing.T) {
 		if _, err := db.Insert("T", 2); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Load(db); err != nil {
+		if err := ws.Load(db); err != nil {
 			t.Fatalf("[%v]: Load after draining foreign relation X: %v", st, err)
 		}
-		if s.Count() != 1 || s.Cardinality() != 3 {
-			t.Fatalf("[%v]: count=%d |D|=%d after Load, want 1 and 3", st, s.Count(), s.Cardinality())
+		if h.Count() != 1 || ws.Cardinality() != 3 {
+			t.Fatalf("[%v]: count=%d |D|=%d after Load, want 1 and 3", st, h.Count(), ws.Cardinality())
 		}
 	}
 }

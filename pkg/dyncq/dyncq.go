@@ -19,17 +19,15 @@
 // structure — the store mutation count is independent of how many
 // queries are live. All strategies expose one uniform read API: Count,
 // Answer, Enumerate, Tuples; Strategy() and Classification() let
-// callers introspect the routing decision. Session (one query, single
-// goroutine) and ConcurrentSession (one query, locked) are thin
-// compatibility wrappers over a single-query Workspace.
+// callers introspect the routing decision. A Workspace is safe for
+// concurrent use; it is the only front door — a single query is a
+// workspace with one registration.
 package dyncq
 
 import (
 	"fmt"
 
-	"dyncq/internal/cq"
 	"dyncq/internal/dyndb"
-	"dyncq/internal/qtree"
 )
 
 // Value is a database constant.
@@ -48,7 +46,7 @@ const (
 )
 
 // Database is a dynamic set-semantics database, the argument of
-// Session.Load. Build one with NewDatabase; internal/dyndb is not
+// Workspace.Load. Build one with NewDatabase; internal/dyndb is not
 // importable from outside the module.
 type Database = dyndb.Database
 
@@ -66,12 +64,13 @@ func Delete(rel string, tuple ...Value) Update { return dyndb.Delete(rel, tuple.
 // exported for callers that want to inspect or persist net batches.
 func Coalesce(updates []Update) []Update { return dyndb.Coalesce(updates) }
 
-// Strategy identifies the maintenance backend serving a session.
+// Strategy identifies the maintenance backend serving a query.
 type Strategy int
 
 const (
-	// StrategyAuto (the zero value) lets New pick the best backend from
-	// the query classification. Session.Strategy never returns it.
+	// StrategyAuto (the zero value) lets RegisterQuery pick the best
+	// backend from the query classification. Handle.Strategy never
+	// returns it.
 	StrategyAuto Strategy = iota
 	// StrategyCore is the paper's dynamic structure (internal/core):
 	// O(1) updates, O(1) count, constant-delay enumeration. Requires a
@@ -118,8 +117,7 @@ func ParseStrategy(name string) (Strategy, error) {
 	}
 }
 
-// Options configures per-query construction (Workspace.RegisterQuery
-// and the Session compatibility wrapper).
+// Options configures per-query construction (Workspace.RegisterQuery).
 type Options struct {
 	// Force pins the backend instead of routing by classification.
 	// StrategyAuto (the zero value) means: classify and choose. Forcing
@@ -130,186 +128,7 @@ type Options struct {
 	// hash (rounded up to a power of two; 0 or 1 means unsharded, the
 	// paper's exact layout with the canonical enumeration order). Sharding
 	// is the prerequisite for parallel batch application — see
-	// NewConcurrent — and only affects StrategyCore; the other backends
-	// ignore it.
+	// WorkspaceOptions.Workers — and only affects StrategyCore; the other
+	// backends ignore it.
 	Shards int
 }
-
-// Session maintains the result of one conjunctive query under updates
-// behind whichever strategy the classification (or Options.Force)
-// selected. It is a thin compatibility wrapper over a private Workspace
-// with exactly one registered query — new code serving several queries
-// over one update stream should use Workspace directly, which shares
-// the store instead of duplicating it per query. A Session is not safe
-// for concurrent use; wrap it in a ConcurrentSession (NewConcurrent),
-// or use a Workspace, to share maintained queries across goroutines.
-type Session struct {
-	ws *Workspace
-	h  *Handle
-}
-
-// sessionQueryName is the registration name of a Session's single query
-// inside its private workspace.
-const sessionQueryName = "q"
-
-// New builds a session for q over the empty database, routing by
-// classification: core for q-hierarchical queries, IVM otherwise.
-func New(q *cq.Query) (*Session, error) {
-	return NewWithOptions(q, Options{})
-}
-
-// NewWithOptions builds a session with explicit options.
-func NewWithOptions(q *cq.Query, opt Options) (*Session, error) {
-	ws := NewWorkspace(WorkspaceOptions{})
-	h, err := ws.RegisterQuery(sessionQueryName, q, opt)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{ws: ws, h: h}, nil
-}
-
-// Workspace returns the workspace backing this session — the migration
-// path for callers outgrowing the single-query API: register more
-// queries on it and they share the session's store and update stream.
-// The session's own methods bypass the workspace lock (a Session is
-// single-goroutine by contract), so once the returned workspace is
-// shared across goroutines, all concurrent access must go through the
-// workspace and its handles, not through this Session.
-func (s *Session) Workspace() *Workspace { return s.ws }
-
-// Handle returns the session's query handle inside its workspace.
-func (s *Session) Handle() *Handle { return s.h }
-
-// Open parses the query text (see cq.Parse for the syntax) and builds an
-// auto-routed session — the one-call entry point used by the CLI.
-func Open(text string) (*Session, error) {
-	q, err := cq.Parse(text)
-	if err != nil {
-		return nil, err
-	}
-	return New(q)
-}
-
-// Query returns the maintained query.
-func (s *Session) Query() *cq.Query { return s.h.query }
-
-// Strategy returns the backend actually serving this session (never
-// StrategyAuto).
-func (s *Session) Strategy() Strategy { return s.h.strategy }
-
-// Classification returns the full taxonomy verdict computed at
-// construction time.
-func (s *Session) Classification() qtree.Classification { return s.h.class }
-
-// Insert applies "insert R(a1,…,ar)", reporting whether the database
-// changed (set semantics).
-func (s *Session) Insert(rel string, tuple ...Value) (bool, error) {
-	return s.ws.applyExclusive(dyndb.Insert(rel, tuple...))
-}
-
-// Delete applies "delete R(a1,…,ar)", reporting whether the database
-// changed.
-func (s *Session) Delete(rel string, tuple ...Value) (bool, error) {
-	return s.ws.applyExclusive(dyndb.Delete(rel, tuple...))
-}
-
-// Apply executes one update command.
-func (s *Session) Apply(u Update) (bool, error) { return s.ws.applyExclusive(u) }
-
-// ApplyAll executes a sequence of updates one at a time, stopping at the
-// first error. For bulk work prefer ApplyBatch, which lets the backend
-// coalesce the batch and amortise its maintenance cost.
-func (s *Session) ApplyAll(updates []Update) error {
-	for _, u := range updates {
-		if _, err := s.ws.applyExclusive(u); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ApplyBatch executes a batch of updates through the backend's batch
-// pipeline: the batch is coalesced so insert/delete pairs on the same
-// tuple cancel, and the backend propagates the net delta with per-batch
-// instead of per-update bookkeeping (core touches each affected view node
-// once per net command and bumps its version once; ivm joins each
-// relation's delta set against the base relations once per batch; the
-// recompute strategy only updates the stored database, deferring its one
-// recompute to the next read). Returns the number of net commands that
-// changed the database.
-func (s *Session) ApplyBatch(updates []Update) (int, error) {
-	return s.ws.applyBatchExclusive(updates)
-}
-
-// ApplyBatched splits the updates into chunks of batchSize and applies
-// each through ApplyBatch, returning the total number of net commands
-// that changed the database and stopping at the first error. batchSize
-// <= 0 applies everything as a single batch.
-func (s *Session) ApplyBatched(updates []Update, batchSize int) (int, error) {
-	return applyInChunks(updates, batchSize, s.ApplyBatch)
-}
-
-// applyInChunks is the shared chunking loop behind every ApplyBatched
-// (Session, ConcurrentSession, Workspace): split into batchSize chunks,
-// apply each, accumulate net changes, stop at the first error.
-// batchSize <= 0 applies everything as a single batch.
-func applyInChunks(updates []Update, batchSize int, apply func([]Update) (int, error)) (int, error) {
-	if batchSize <= 0 {
-		return apply(updates)
-	}
-	applied := 0
-	for from := 0; from < len(updates); from += batchSize {
-		to := from + batchSize
-		if to > len(updates) {
-			to = len(updates)
-		}
-		n, err := apply(updates[from:to])
-		applied += n
-		if err != nil {
-			return applied, err
-		}
-	}
-	return applied, nil
-}
-
-// Load performs the preprocessing phase for an initial database through
-// the backend's bulk path: core builds its counters and fit lists in one
-// linear pass, ivm rebuilds its materialised result with a single full
-// evaluation, recompute adopts the tuples.
-//
-// Load has reset-then-load semantics on every backend: after Load the
-// session represents exactly db, discarding any state from earlier
-// updates or Loads; a failed Load (an arity clash between db and the
-// query schema) leaves the session representing the EMPTY database.
-// Either way the prior state is discarded. To add a database's tuples
-// on top of the current state, feed db.Updates() through ApplyBatch
-// instead.
-func (s *Session) Load(db *dyndb.Database) error { return s.ws.loadExclusive(db) }
-
-// Count returns |ϕ(D)|, the number of distinct result tuples.
-func (s *Session) Count() uint64 { return s.h.back.Count() }
-
-// Answer reports whether ϕ(D) is nonempty.
-func (s *Session) Answer() bool { return s.h.back.Answer() }
-
-// Enumerate calls yield for every result tuple until yield returns
-// false. For a Boolean query that holds, yield is called once with an
-// empty tuple.
-//
-// The enumeration contract is uniform across all backends: the slice
-// passed to yield is owned by the callee and only valid for the duration
-// of the call — it may be reused for the next tuple, so callers that
-// retain tuples must copy them (Tuples does). Mutating the yielded slice
-// inside yield is harmless to the session's state but the mutation is
-// not preserved either.
-func (s *Session) Enumerate(yield func(tuple []Value) bool) { s.h.back.Enumerate(yield) }
-
-// Tuples returns the full result as freshly allocated tuples, in the
-// backend's enumeration order.
-func (s *Session) Tuples() [][]Value { return collectTuples(s.h.back) }
-
-// Cardinality returns |D| of the maintained database.
-func (s *Session) Cardinality() int { return s.ws.store.Cardinality() }
-
-// ActiveDomainSize returns n = |adom(D)|.
-func (s *Session) ActiveDomainSize() int { return s.ws.store.ActiveDomainSize() }

@@ -12,6 +12,37 @@ import (
 	"dyncq/internal/workload"
 )
 
+// soloWorkers registers q as the only query ("q") of a fresh workspace
+// with the given worker count: writes go through the workspace, reads
+// through the handle.
+func soloWorkers(t testing.TB, workers int, q *cq.Query, opt Options) (*Workspace, *Handle) {
+	t.Helper()
+	ws := NewWorkspace(WorkspaceOptions{Workers: workers})
+	h, err := ws.RegisterQuery("q", q, opt)
+	if err != nil {
+		t.Fatalf("register %s (force %v): %v", q, opt.Force, err)
+	}
+	return ws, h
+}
+
+// solo is soloWorkers on a sequential workspace.
+func solo(t testing.TB, q *cq.Query, opt Options) (*Workspace, *Handle) {
+	t.Helper()
+	return soloWorkers(t, 0, q, opt)
+}
+
+// soloPerStrategy builds one solo workspace per strategy for q.
+func soloPerStrategy(t testing.TB, q *cq.Query, strategies ...Strategy) ([]*Workspace, []*Handle) {
+	t.Helper()
+	var wss []*Workspace
+	var hs []*Handle
+	for _, st := range strategies {
+		ws, h := solo(t, q, Options{Force: st})
+		wss, hs = append(wss, ws), append(hs, h)
+	}
+	return wss, hs
+}
+
 // TestRoutingQHierarchical: q-hierarchical queries must be served by the
 // core engine (the constant-delay path).
 func TestRoutingQHierarchical(t *testing.T) {
@@ -22,14 +53,14 @@ func TestRoutingQHierarchical(t *testing.T) {
 		"Q() :- E(x,y), T(y)",
 		"Q(x) :- R(x), S(x), E(x,y)",
 	} {
-		s, err := Open(text)
+		h, err := NewWorkspace(WorkspaceOptions{}).Register("q", text)
 		if err != nil {
-			t.Fatalf("Open(%q): %v", text, err)
+			t.Fatalf("Register(%q): %v", text, err)
 		}
-		if got := s.Strategy(); got != StrategyCore {
+		if got := h.Strategy(); got != StrategyCore {
 			t.Errorf("%s: strategy %v, want core", text, got)
 		}
-		if !s.Classification().QHierarchical {
+		if !h.Classification().QHierarchical {
 			t.Errorf("%s: classification says not q-hierarchical", text)
 		}
 	}
@@ -51,14 +82,14 @@ func TestRoutingFallback(t *testing.T) {
 		"Q(x,y) :- R(x,u), S(u,y), T(y)",      // free vars split by quantified
 		"Q() :- R(a,b), S(b,c), T(c,d), U(d)", // long Boolean chain
 	} {
-		s, err := Open(text)
+		h, err := NewWorkspace(WorkspaceOptions{}).Register("q", text)
 		if err != nil {
-			t.Fatalf("Open(%q): %v", text, err)
+			t.Fatalf("Register(%q): %v", text, err)
 		}
-		if got := s.Strategy(); got != StrategyIVM {
+		if got := h.Strategy(); got != StrategyIVM {
 			t.Errorf("%s: strategy %v, want ivm", text, got)
 		}
-		if s.Classification().QHierarchical {
+		if h.Classification().QHierarchical {
 			t.Errorf("%s: classification says q-hierarchical", text)
 		}
 	}
@@ -67,17 +98,14 @@ func TestRoutingFallback(t *testing.T) {
 func TestForceStrategy(t *testing.T) {
 	q := cq.MustParse("Q(y) :- E(x,y), T(y)")
 	for _, st := range []Strategy{StrategyCore, StrategyIVM, StrategyRecompute} {
-		s, err := NewWithOptions(q, Options{Force: st})
-		if err != nil {
-			t.Fatalf("force %v: %v", st, err)
-		}
-		if s.Strategy() != st {
-			t.Errorf("forced %v, got %v", st, s.Strategy())
+		_, h := solo(t, q, Options{Force: st})
+		if h.Strategy() != st {
+			t.Errorf("forced %v, got %v", st, h.Strategy())
 		}
 	}
 	// Forcing core on a non-q-hierarchical query must fail.
 	hard := cq.MustParse("Q(x) :- E(x,y), T(y)")
-	if _, err := NewWithOptions(hard, Options{Force: StrategyCore}); err == nil {
+	if _, err := NewWorkspace(WorkspaceOptions{}).RegisterQuery("q", hard, Options{Force: StrategyCore}); err == nil {
 		t.Errorf("forcing core on %s: want error, got nil", hard)
 	}
 }
@@ -99,36 +127,29 @@ func TestStrategiesAgree(t *testing.T) {
 	for _, q := range queries {
 		stream := workload.RandomStream(rng, q.Schema(), 8, 120, 0.35)
 		db := dyndb.New()
-		var sessions []*Session
-		for _, st := range []Strategy{StrategyAuto, StrategyIVM, StrategyRecompute} {
-			s, err := NewWithOptions(q, Options{Force: st})
-			if err != nil {
-				t.Fatalf("%s force %v: %v", q, st, err)
-			}
-			sessions = append(sessions, s)
-		}
+		wss, hs := soloPerStrategy(t, q, StrategyAuto, StrategyIVM, StrategyRecompute)
 		for ui, u := range stream {
 			if _, err := db.Apply(u); err != nil {
 				t.Fatalf("%s: db apply: %v", q, err)
 			}
-			for _, s := range sessions {
-				if _, err := s.Apply(u); err != nil {
-					t.Fatalf("%s [%v]: apply %s: %v", q, s.Strategy(), u, err)
+			for i, ws := range wss {
+				if _, err := ws.Apply(u); err != nil {
+					t.Fatalf("%s [%v]: apply %s: %v", q, hs[i].Strategy(), u, err)
 				}
 			}
 			if ui%40 != 39 && ui != len(stream)-1 {
 				continue
 			}
 			want := eval.Evaluate(q, db)
-			for _, s := range sessions {
-				if got := s.Count(); got != uint64(want.Len()) {
-					t.Fatalf("%s [%v] after %d updates: count %d, want %d", q, s.Strategy(), ui+1, got, want.Len())
+			for _, h := range hs {
+				if got := h.Count(); got != uint64(want.Len()) {
+					t.Fatalf("%s [%v] after %d updates: count %d, want %d", q, h.Strategy(), ui+1, got, want.Len())
 				}
-				if got := s.Answer(); got != (want.Len() > 0) {
-					t.Fatalf("%s [%v]: answer %v, want %v", q, s.Strategy(), got, want.Len() > 0)
+				if got := h.Answer(); got != (want.Len() > 0) {
+					t.Fatalf("%s [%v]: answer %v, want %v", q, h.Strategy(), got, want.Len() > 0)
 				}
-				if !sameTuples(s.Tuples(), want.Tuples()) {
-					t.Fatalf("%s [%v]: enumerated tuples disagree with eval", q, s.Strategy())
+				if !sameTuples(h.Tuples(), want.Tuples()) {
+					t.Fatalf("%s [%v]: enumerated tuples disagree with eval", q, h.Strategy())
 				}
 			}
 		}
@@ -159,11 +180,8 @@ func sortTuples(ts [][]int64) {
 	})
 }
 
-func TestSessionBasics(t *testing.T) {
-	s, err := Open("Q(y) :- E(x,y), T(y)")
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestSoloBasics(t *testing.T) {
+	ws, h := solo(t, cq.MustParse("Q(y) :- E(x,y), T(y)"), Options{})
 	mustApply := func(changed bool, err error) {
 		t.Helper()
 		if err != nil {
@@ -173,26 +191,26 @@ func TestSessionBasics(t *testing.T) {
 			t.Fatal("expected a change")
 		}
 	}
-	mustApply(s.Insert("E", 1, 2))
-	mustApply(s.Insert("T", 2))
-	if got := s.Count(); got != 1 {
+	mustApply(ws.Insert("E", 1, 2))
+	mustApply(ws.Insert("T", 2))
+	if got := h.Count(); got != 1 {
 		t.Fatalf("count = %d, want 1", got)
 	}
-	if !s.Answer() {
+	if !h.Answer() {
 		t.Fatal("answer = false, want true")
 	}
-	if got := s.Tuples(); len(got) != 1 || got[0][0] != 2 {
+	if got := h.Tuples(); len(got) != 1 || got[0][0] != 2 {
 		t.Fatalf("tuples = %v, want [[2]]", got)
 	}
-	mustApply(s.Delete("T", 2))
-	if s.Answer() {
+	mustApply(ws.Delete("T", 2))
+	if h.Answer() {
 		t.Fatal("answer = true after delete, want false")
 	}
-	if got := s.Cardinality(); got != 1 {
+	if got := ws.Cardinality(); got != 1 {
 		t.Fatalf("cardinality = %d, want 1", got)
 	}
 	// Arity mismatch must surface as an error on every backend.
-	if _, err := s.Insert("E", 1); err == nil {
+	if _, err := ws.Insert("E", 1); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
 }
@@ -206,14 +224,11 @@ func TestLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, err := Open("Q(x) :- E(x,y), T(y)")
-	if err != nil {
+	ws, h := solo(t, cq.MustParse("Q(x) :- E(x,y), T(y)"), Options{})
+	if err := ws.Load(db); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Load(db); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Count(); got != 2 {
+	if got := h.Count(); got != 2 {
 		t.Fatalf("count = %d, want 2", got)
 	}
 }
@@ -232,8 +247,8 @@ func TestParseStrategy(t *testing.T) {
 
 // TestApplyBatchAgreesAcrossStrategies drives every backend through the
 // same stream in batches and checks counts and result sets against the
-// static oracle at every batch boundary — the session-level contract of
-// the batch pipeline.
+// static oracle at every batch boundary — the front-door contract of the
+// batch pipeline.
 func TestApplyBatchAgreesAcrossStrategies(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	queries := []*cq.Query{
@@ -246,14 +261,7 @@ func TestApplyBatchAgreesAcrossStrategies(t *testing.T) {
 	for _, q := range queries {
 		stream := workload.RandomStream(rng, q.Schema(), 6, 120, 0.4)
 		db := dyndb.New()
-		var sessions []*Session
-		for _, st := range []Strategy{StrategyAuto, StrategyIVM, StrategyRecompute} {
-			s, err := NewWithOptions(q, Options{Force: st})
-			if err != nil {
-				t.Fatalf("%s force %v: %v", q, st, err)
-			}
-			sessions = append(sessions, s)
-		}
+		wss, hs := soloPerStrategy(t, q, StrategyAuto, StrategyIVM, StrategyRecompute)
 		size := 13
 		for from := 0; from < len(stream); from += size {
 			to := from + size
@@ -266,25 +274,25 @@ func TestApplyBatchAgreesAcrossStrategies(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for _, s := range sessions {
-				if _, err := s.ApplyBatch(chunk); err != nil {
-					t.Fatalf("%s [%v]: ApplyBatch: %v", q, s.Strategy(), err)
+			for i, ws := range wss {
+				if _, err := ws.ApplyBatch(chunk); err != nil {
+					t.Fatalf("%s [%v]: ApplyBatch: %v", q, hs[i].Strategy(), err)
 				}
 			}
 			want := eval.Evaluate(q, db)
-			for _, s := range sessions {
-				if got := s.Count(); got != uint64(want.Len()) {
-					t.Fatalf("%s [%v]: count %d, oracle %d", q, s.Strategy(), got, want.Len())
+			for _, h := range hs {
+				if got := h.Count(); got != uint64(want.Len()) {
+					t.Fatalf("%s [%v]: count %d, oracle %d", q, h.Strategy(), got, want.Len())
 				}
-				if !sameTuples(s.Tuples(), want.Tuples()) {
-					t.Fatalf("%s [%v]: batched tuples disagree with eval", q, s.Strategy())
+				if !sameTuples(h.Tuples(), want.Tuples()) {
+					t.Fatalf("%s [%v]: batched tuples disagree with eval", q, h.Strategy())
 				}
 			}
 		}
 	}
 }
 
-// TestLoadBulkAgreesAcrossStrategies: Session.Load must produce the same
+// TestLoadBulkAgreesAcrossStrategies: Workspace.Load must produce the same
 // state as single-update replay on every backend.
 func TestLoadBulkAgreesAcrossStrategies(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -296,18 +304,15 @@ func TestLoadBulkAgreesAcrossStrategies(t *testing.T) {
 		db := workload.RandomDatabase(rng, q.Schema(), 8, 50)
 		want := eval.Evaluate(q, db)
 		for _, st := range []Strategy{StrategyAuto, StrategyIVM, StrategyRecompute} {
-			s, err := NewWithOptions(q, Options{Force: st})
-			if err != nil {
-				t.Fatal(err)
+			ws, h := solo(t, q, Options{Force: st})
+			if err := ws.Load(db); err != nil {
+				t.Fatalf("%s [%v]: Load: %v", q, h.Strategy(), err)
 			}
-			if err := s.Load(db); err != nil {
-				t.Fatalf("%s [%v]: Load: %v", q, s.Strategy(), err)
+			if got := h.Count(); got != uint64(want.Len()) {
+				t.Fatalf("%s [%v]: count %d after Load, oracle %d", q, h.Strategy(), got, want.Len())
 			}
-			if got := s.Count(); got != uint64(want.Len()) {
-				t.Fatalf("%s [%v]: count %d after Load, oracle %d", q, s.Strategy(), got, want.Len())
-			}
-			if s.Cardinality() != db.Cardinality() {
-				t.Fatalf("%s [%v]: |D| = %d, want %d", q, s.Strategy(), s.Cardinality(), db.Cardinality())
+			if ws.Cardinality() != db.Cardinality() {
+				t.Fatalf("%s [%v]: |D| = %d, want %d", q, h.Strategy(), ws.Cardinality(), db.Cardinality())
 			}
 		}
 	}
@@ -317,19 +322,16 @@ func TestLoadBulkAgreesAcrossStrategies(t *testing.T) {
 // backend.
 func TestApplyBatchCancellation(t *testing.T) {
 	for _, st := range []Strategy{StrategyCore, StrategyIVM, StrategyRecompute} {
-		s, err := NewWithOptions(cq.MustParse("Q(y) :- E(x,y), T(y)"), Options{Force: st})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := s.ApplyBatch([]Update{
+		ws, _ := solo(t, cq.MustParse("Q(y) :- E(x,y), T(y)"), Options{Force: st})
+		n, err := ws.ApplyBatch([]Update{
 			dyndb.Insert("E", 1, 2),
 			dyndb.Delete("E", 1, 2),
 		})
 		if err != nil {
 			t.Fatalf("[%v]: %v", st, err)
 		}
-		if n != 0 || s.Cardinality() != 0 {
-			t.Errorf("[%v]: net=%d |D|=%d after cancelled batch, want 0 0", st, n, s.Cardinality())
+		if n != 0 || ws.Cardinality() != 0 {
+			t.Errorf("[%v]: net=%d |D|=%d after cancelled batch, want 0 0", st, n, ws.Cardinality())
 		}
 	}
 }
@@ -340,25 +342,19 @@ func TestApplyBatched(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	q := cq.MustParse("Q(y) :- E(x,y), T(y)")
 	stream := workload.RandomStream(rng, q.Schema(), 6, 100, 0.4)
-	whole, err := New(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	whole, wholeH := solo(t, q, Options{})
 	if _, err := whole.ApplyBatched(stream, 0); err != nil {
 		t.Fatal(err)
 	}
-	chunked, err := New(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chunked, chunkedH := solo(t, q, Options{})
 	if _, err := chunked.ApplyBatched(stream, 7); err != nil {
 		t.Fatal(err)
 	}
-	if whole.Count() != chunked.Count() || whole.Cardinality() != chunked.Cardinality() {
+	if wholeH.Count() != chunkedH.Count() || whole.Cardinality() != chunked.Cardinality() {
 		t.Errorf("whole: count=%d |D|=%d; chunked: count=%d |D|=%d",
-			whole.Count(), whole.Cardinality(), chunked.Count(), chunked.Cardinality())
+			wholeH.Count(), whole.Cardinality(), chunkedH.Count(), chunked.Cardinality())
 	}
-	if !sameTuples(whole.Tuples(), chunked.Tuples()) {
+	if !sameTuples(wholeH.Tuples(), chunkedH.Tuples()) {
 		t.Error("chunked result disagrees with single-batch result")
 	}
 }
@@ -372,18 +368,11 @@ func TestLoadRejectsMismatchedArity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, st := range []Strategy{StrategyCore, StrategyIVM, StrategyRecompute} {
-		s, err := NewWithOptions(cq.MustParse("Q(x) :- E(x,y)"), Options{Force: st})
-		if st == StrategyCore {
-			// ϕE-T-like projections are fine; Q(x) :- E(x,y) is q-hierarchical.
-			if err != nil {
-				t.Fatalf("[%v]: %v", st, err)
-			}
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Load(db); err == nil {
-			t.Errorf("[%v]: mismatched-arity Load accepted", s.Strategy())
-			s.Count() // must not be reached; would panic on recompute
+		// Q(x) :- E(x,y) is q-hierarchical, so forcing core is fine too.
+		ws, h := solo(t, cq.MustParse("Q(x) :- E(x,y)"), Options{Force: st})
+		if err := ws.Load(db); err == nil {
+			t.Errorf("[%v]: mismatched-arity Load accepted", h.Strategy())
+			h.Count() // must not be reached; would panic on recompute
 		}
 	}
 }

@@ -95,18 +95,6 @@ func TestWorkspaceParallelismIntrospection(t *testing.T) {
 	if p.QueryShards["scan"] != 0 { // recompute
 		t.Fatalf("scan shards = %d, want 0", p.QueryShards["scan"])
 	}
-
-	cs, err := OpenConcurrent("Q(y) :- E(x,y), T(y)", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := cs.Parallelism()
-	if cp.Workers != 4 || cp.QueryShards["q"] != 16 {
-		t.Fatalf("concurrent parallelism = %+v, want workers 4, q shards 16", cp)
-	}
-	if !cs.Parallel() {
-		t.Fatal("Parallel() = false with 4 workers on a sharded core engine")
-	}
 }
 
 // TestWorkspaceLoadKeepsWarmIndexes: a Load of an overlapping database

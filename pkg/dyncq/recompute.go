@@ -41,7 +41,7 @@ func (r *recompute) Count() uint64 { return uint64(eval.Count(r.q, r.store)) }
 func (r *recompute) Answer() bool { return eval.Answer(r.q, r.store) }
 
 // Enumerate re-evaluates the query and streams the result. The yielded
-// slice follows the uniform contract of Session.Enumerate (callee-owned,
+// slice follows the uniform contract of Handle.Enumerate (callee-owned,
 // valid only during the call) even though this backend yields slices of
 // a throwaway result set today — callers must not rely on backend
 // accidents that are stronger than the contract.

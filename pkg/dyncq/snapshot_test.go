@@ -288,16 +288,13 @@ func TestWorkspaceViewIsPinned(t *testing.T) {
 	})
 }
 
-// TestConcurrentSnapshotReaders: many snapshot readers against a
+// TestSnapshotReadersUnderWriterLoad: many snapshot readers against a
 // committing writer, each read observing a fully consistent pinned
 // state. Run with -race.
 func TestSnapshotReadersUnderWriterLoad(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	cs, err := OpenConcurrent("Q(y) :- E(x,y), T(y)", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := cs.Query()
+	q := cq.MustParse("Q(y) :- E(x,y), T(y)")
+	cs, h := soloWorkers(t, 2, q, Options{})
 	stream := workload.RandomStream(rng, q.Schema(), 25, 2000, 0.35)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -311,7 +308,7 @@ func TestSnapshotReadersUnderWriterLoad(t *testing.T) {
 					return
 				default:
 				}
-				snap := cs.Snapshot()
+				snap := h.Snapshot()
 				if got := uint64(len(snap.Tuples())); got != snap.Count() {
 					t.Errorf("snapshot: %d tuples but count %d", got, snap.Count())
 					return

@@ -187,52 +187,37 @@ func ParseStream(r io.Reader) ([]Update, error) {
 	}
 }
 
-// streamApplier is the slice of the session API ApplyStream needs;
-// *Session, *ConcurrentSession and *Workspace all satisfy it (the
-// workspace's Schema is the union over its registered queries).
-type streamApplier interface {
-	Schema() map[string]int
-	ApplyBatch(updates []Update) (int, error)
-}
-
-// Schema returns the query's relation→arity map (see cq.Query.Schema).
-func (s *Session) Schema() map[string]int { return s.h.query.Schema() }
-
-// Schema returns the query's relation→arity map. Immutable after
-// construction.
-func (c *ConcurrentSession) Schema() map[string]int { return c.s.Schema() }
-
 // ApplyStream reads the update stream from r and applies it to the
-// session in batches of batchSize commands (batchSize <= 0 applies one
+// workspace in batches of batchSize commands (batchSize <= 0 applies one
 // batch at the end). Every command's arity is checked against the
-// session's query schema at apply time, so a mismatch is reported with
+// workspace's union schema at apply time, so a mismatch is reported with
 // the offending line number — something the backends' own arity errors
 // cannot do once the text positions are gone. Returns the number of net
 // commands that changed the database, stopping at the first error.
-func ApplyStream(sess streamApplier, r io.Reader, batchSize int) (int, error) {
-	return ApplyStreamFunc(sess, r, batchSize, nil)
+func ApplyStream(ws *Workspace, r io.Reader, batchSize int) (int, error) {
+	return ApplyStreamFunc(ws, r, batchSize, nil)
 }
 
 // ApplyStreamFunc is ApplyStream with an observer: observe (if non-nil)
 // is called for every parsed command with its line number, before the
 // command is batched — the hook the CLI uses to count commands and warn
 // about relations outside the query on the same single parse pass.
-func ApplyStreamFunc(sess streamApplier, r io.Reader, batchSize int, observe func(u Update, line int)) (int, error) {
-	return ApplyStreamReader(sess, NewStreamReader(r), batchSize, observe)
+func ApplyStreamFunc(ws *Workspace, r io.Reader, batchSize int, observe func(u Update, line int)) (int, error) {
+	return ApplyStreamReader(ws, NewStreamReader(r), batchSize, observe)
 }
 
 // ApplyStreamReader is ApplyStreamFunc over an already-constructed
 // StreamReader — the entry point for callers that configured the reader
 // first (UseDict for the CLI's -strings mode).
-func ApplyStreamReader(sess streamApplier, sr *StreamReader, batchSize int, observe func(u Update, line int)) (int, error) {
-	schema := sess.Schema()
+func ApplyStreamReader(ws *Workspace, sr *StreamReader, batchSize int, observe func(u Update, line int)) (int, error) {
+	schema := ws.Schema()
 	applied := 0
 	var pending []Update
 	flush := func() error {
 		if len(pending) == 0 {
 			return nil
 		}
-		n, err := sess.ApplyBatch(pending)
+		n, err := ws.ApplyBatch(pending)
 		applied += n
 		pending = pending[:0]
 		return err

@@ -74,11 +74,12 @@ func TestParseUpdateRejectsExplicitly(t *testing.T) {
 	}
 }
 
-// TestApplyStream: streams apply in batches through the session, and an
-// arity mismatch against the session's query is reported with the
+// TestApplyStream: streams apply in batches through the workspace, and
+// an arity mismatch against the registered query is reported with the
 // offending line number at apply time.
 func TestApplyStream(t *testing.T) {
-	s, err := Open("Q(y) :- E(x,y), T(y)")
+	s := NewWorkspace(WorkspaceOptions{})
+	h, err := s.Register("q", "Q(y) :- E(x,y), T(y)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,24 +96,13 @@ func TestApplyStream(t *testing.T) {
 	if n != 4 {
 		t.Errorf("net applied = %d, want 4 (E(3,2) is inserted and deleted in different batches, so both count)", n)
 	}
-	if got := s.Count(); got != 1 {
+	if got := h.Count(); got != 1 {
 		t.Errorf("count = %d, want 1", got)
 	}
 	// Arity mismatch against the query: line-attributed error.
 	_, err = ApplyStream(s, strings.NewReader("+E(1,2)\n+T(2,9)\n"), 0)
 	if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "arity") {
 		t.Fatalf("want line-2 arity error, got %v", err)
-	}
-	// The concurrent session satisfies the same interface.
-	cs, err := OpenConcurrent("Q(y) :- E(x,y), T(y)", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ApplyStream(cs, strings.NewReader("+E(5,6)\n+T(6)\n"), 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := cs.Count(); got != 1 {
-		t.Errorf("concurrent count = %d, want 1", got)
 	}
 	// Parse errors also carry the line.
 	_, err = ApplyStream(s, strings.NewReader("+E(1,2)\n\n+-E(3,4)\n"), 0)

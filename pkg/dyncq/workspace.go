@@ -30,27 +30,27 @@ import (
 // store once (dyndb.NetDelta), apply it to the store once — the store
 // mutation count is independent of how many queries are registered —
 // and fan the same delta out to every query's maintenance structure
-// (core / ivm / recompute, routed per query exactly as for a single
-// Session). IVM backends need the store in a specific state relative to
-// each relation's mutation (deletion deltas evaluate on the pre-state,
+// (core / ivm / recompute, routed per query by classification). IVM
+// backends need the store in a specific state relative to each
+// relation's mutation (deletion deltas evaluate on the pre-state,
 // insertion deltas on the post-state), so the fan-out interleaves
 // per-relation hooks with the store mutation; core backends receive the
 // whole delta after the store is current, in delta order, reusing the
 // sharded parallel path when the workspace was built with workers.
 //
-// Concurrency: a Workspace is safe for concurrent use with the same
-// model as the former ConcurrentSession — writers serialise behind a
-// write lock and commit atomically, readers (every Handle method and
-// View) share a read lock and always observe the state after some whole
-// prefix of the committed batch sequence. Version() counts committed
-// state changes across ALL queries: after any commit, every registered
-// query observes the same version.
+// Concurrency: a Workspace is safe for concurrent use — writers
+// serialise behind a write lock and commit atomically, readers (every
+// Handle method and View) share a read lock and always observe the state
+// after some whole prefix of the committed batch sequence, never a torn
+// mid-batch state. Version() counts committed state changes across ALL
+// queries: after any commit, every registered query observes the same
+// version.
 
 // queryBackend is the per-query maintenance interface the workspace
 // drives. The workspace owns the shared store and the update pipeline;
 // backends only maintain their per-query view structures.
 type queryBackend interface {
-	// Reads, in the uniform Session contract.
+	// Reads, in the uniform Handle contract.
 	Count() uint64
 	Answer() bool
 	Enumerate(yield func(tuple []Value) bool)
@@ -95,7 +95,8 @@ type WorkspaceOptions struct {
 	// the per-handle fan-out of independent queries' maintenance, and
 	// the shard-disjoint delta application inside each core engine. Core
 	// engines registered without an explicit Options.Shards are built
-	// with 4×Workers shards, exactly as NewConcurrent derives them.
+	// with 4×Workers shards, so the dynamic bucket claim keeps all workers
+	// busy even when root values hash unevenly.
 	Workers int
 	// StoreShards is the number of hash shards the shared store's
 	// relation maps and adom counts are split into. 0 derives it from
@@ -225,10 +226,20 @@ func (h *Handle) Answer() bool {
 	return h.back.Answer()
 }
 
-// Enumerate streams the result of the latest committed state under the
-// workspace read lock, with the uniform Session.Enumerate slice
-// contract (callee-owned; copy to retain). The lock is not reentrant:
-// yield must not call workspace or handle methods.
+// Enumerate calls yield for every result tuple of the latest committed
+// state until yield returns false, holding the workspace read lock for
+// the whole enumeration. For a Boolean query that holds, yield is called
+// once with an empty tuple.
+//
+// The enumeration contract is uniform across all backends: the slice
+// passed to yield is owned by the callee and only valid for the duration
+// of the call — it may be reused for the next tuple, so callers that
+// retain tuples must copy them (Tuples does). Mutating the yielded slice
+// inside yield is harmless to the workspace's state but the mutation is
+// not preserved either. The lock is not reentrant: yield must not call
+// workspace or handle methods — a writer called from inside the
+// enumeration self-deadlocks. Collect the tuples and react after
+// Enumerate returns, or read from a Snapshot, which holds no lock.
 func (h *Handle) Enumerate(yield func(tuple []Value) bool) {
 	h.ws.mu.RLock()
 	defer h.ws.mu.RUnlock()
@@ -290,14 +301,14 @@ func (w *Workspace) Register(name, text string) (*Handle, error) {
 }
 
 // RegisterQuery registers a query under a unique name with explicit
-// options, routing by classification exactly as NewWithOptions does for
-// a Session: core for q-hierarchical queries, IVM otherwise, unless
-// opt.Force pins a strategy. The new query's schema must be consistent
-// with every already-registered query and with the relations already
-// declared in the shared store. Registration against a populated store
-// runs the strategy's preprocessing phase over the current contents, so
-// late-registered queries are immediately up to date. Registration does
-// not advance the version (the data did not change).
+// options, routing by classification: core for q-hierarchical queries,
+// IVM otherwise, unless opt.Force pins a strategy. The new query's schema
+// must be consistent with every already-registered query and with the
+// relations already declared in the shared store. Registration against a
+// populated store runs the strategy's preprocessing phase over the
+// current contents, so late-registered queries are immediately up to
+// date. Registration does not advance the version (the data did not
+// change).
 func (w *Workspace) RegisterQuery(name string, q *cq.Query, opt Options) (*Handle, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -337,16 +348,16 @@ func (w *Workspace) RegisterQuery(name string, q *cq.Query, opt Options) (*Handl
 		if shards < 1 {
 			shards = 1
 		}
-		e, err := core.NewOnStore(q, shards, w.store)
+		e, err := core.New(q, shards)
 		if err != nil {
 			return nil, fmt.Errorf("dyncq: %w", err)
 		}
-		h.back = &coreBackend{e: e}
+		h.back = &coreBackend{e: e, store: w.store}
 	case StrategyIVM:
 		if w.idx == nil {
 			w.idx = eval.NewIndexSet(w.store)
 		}
-		m, err := ivm.NewOnStore(q, w.store, w.idx)
+		m, err := ivm.New(q, w.store, w.idx)
 		if err != nil {
 			return nil, fmt.Errorf("dyncq: %w", err)
 		}
@@ -545,7 +556,7 @@ func (w *Workspace) InsertS(rel string, names ...string) (bool, error) {
 	for i, n := range names {
 		tuple[i] = d.Encode(n)
 	}
-	return w.applyExclusive(dyndb.Insert(rel, tuple...))
+	return w.applyLocked(dyndb.Insert(rel, tuple...))
 }
 
 // DeleteS deletes a tuple of external string constants. A name the
@@ -567,7 +578,7 @@ func (w *Workspace) DeleteS(rel string, names ...string) (bool, error) {
 		}
 		tuple[i] = c
 	}
-	return w.applyExclusive(dyndb.Delete(rel, tuple...))
+	return w.applyLocked(dyndb.Delete(rel, tuple...))
 }
 
 // Insert applies "insert R(a1,…,ar)" to the shared store and every
@@ -587,7 +598,7 @@ func (w *Workspace) Delete(rel string, tuple ...Value) (bool, error) {
 func (w *Workspace) Apply(u Update) (bool, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.applyExclusive(u)
+	return w.applyLocked(u)
 }
 
 // ApplyAll executes a sequence of updates one at a time, stopping at
@@ -596,7 +607,7 @@ func (w *Workspace) ApplyAll(updates []Update) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for _, u := range updates {
-		if _, err := w.applyExclusive(u); err != nil {
+		if _, err := w.applyLocked(u); err != nil {
 			return err
 		}
 	}
@@ -619,16 +630,10 @@ func (w *Workspace) checkArity(rel string, arity int) error {
 	return nil
 }
 
-// applyExclusive is the single-update fast path: one arity check, one
-// store mutation, one fan-out loop — no batch bookkeeping.
-//
-// The *Exclusive methods (applyExclusive, applyBatchExclusive,
-// loadExclusive) require exclusive access to the workspace: either the
-// caller holds w.mu.Lock (the exported write methods) or the workspace
-// is privately owned by a single-goroutine caller (a Session over the
-// workspace it created — which is why a Session keeps the lock-free
-// cost and reentrancy behaviour of the pre-workspace session layer).
-func (w *Workspace) applyExclusive(u Update) (bool, error) {
+// applyLocked is the single-update fast path: one arity check, one
+// store mutation, one fan-out loop — no batch bookkeeping. The caller
+// holds w.mu.Lock.
+func (w *Workspace) applyLocked(u Update) (bool, error) {
 	if err := w.checkArity(u.Rel, len(u.Tuple)); err != nil {
 		return false, err
 	}
@@ -668,21 +673,11 @@ func (w *Workspace) applyExclusive(u Update) (bool, error) {
 // ONCE, and fanned out to every query's maintenance structure. Readers
 // observe either the state before the whole batch or after it. Returns
 // the number of net commands that changed the database.
+//
+//dyncq:hot
 func (w *Workspace) ApplyBatch(updates []Update) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.applyBatchExclusive(updates)
-}
-
-// ApplyBatched splits the updates into chunks of batchSize and commits
-// each chunk atomically (readers may observe the state between chunks —
-// each chunk is one version). batchSize <= 0 applies one batch.
-func (w *Workspace) ApplyBatched(updates []Update, batchSize int) (int, error) {
-	return applyInChunks(updates, batchSize, w.ApplyBatch)
-}
-
-//dyncq:hot
-func (w *Workspace) applyBatchExclusive(updates []Update) (int, error) {
 	// Union-schema validation first: errors name the owning query.
 	// Store-level arity validation (relations outside every query, and
 	// intra-batch consistency of newly declared relations) happens
@@ -753,12 +748,36 @@ func (w *Workspace) applyBatchExclusive(updates []Update) (int, error) {
 	return len(survivors), nil
 }
 
+// ApplyBatched splits the updates into chunks of batchSize and commits
+// each chunk atomically (readers may observe the state between chunks —
+// each chunk is one version), returning the total number of net commands
+// that changed the database and stopping at the first error. batchSize
+// <= 0 applies one batch.
+func (w *Workspace) ApplyBatched(updates []Update, batchSize int) (int, error) {
+	if batchSize <= 0 {
+		return w.ApplyBatch(updates)
+	}
+	applied := 0
+	for from := 0; from < len(updates); from += batchSize {
+		to := from + batchSize
+		if to > len(updates) {
+			to = len(updates)
+		}
+		n, err := w.ApplyBatch(updates[from:to])
+		applied += n
+		if err != nil {
+			return applied, err
+		}
+	}
+	return applied, nil
+}
+
 // runHookedStorePhase is the relation-phased store schedule: the delta
 // grouped per relation in first-appearance order, each relation's
 // deletions and insertions bracketed by the pre/post hooks — the exact
-// schedule of the single-query IVM batch pipeline, so every IVM
-// backend's maintained multiplicities are identical to a private-store
-// maintainer replaying the same stream.
+// schedule ivm.Maintainer documents, so every IVM backend's maintained
+// multiplicities are identical to a single-update replay of the same
+// stream.
 //
 // Two axes of the schedule are parallel while its ordering contract is
 // preserved: the hook phases fan each relation's pre/post hooks out
@@ -884,8 +903,8 @@ func runPool(items []int, workers int, fn func(i int)) {
 // finishBatchFanOut runs every backend's finishBatch — core, recompute
 // and ivm alike — over up to w.workers goroutines; there is no
 // sequential IVM tail. The worker budget is divided across the
-// concurrently running handles (each core backend's ApplySharedDelta
-// spawns its own shard workers), so a batch never oversubscribes
+// concurrently running handles (each core backend's ApplyDelta spawns
+// its own shard workers), so a batch never oversubscribes
 // Workers² goroutines. Per-handle timings land in perNS.
 func (w *Workspace) finishBatchFanOut(survivors []Update, perNS []int64) {
 	all := w.allHandles()
@@ -908,20 +927,24 @@ func (w *Workspace) finishBatchFanOut(survivors []Update, perNS []int64) {
 }
 
 // Load performs the preprocessing phase for an initial database across
-// the whole workspace, with the uniform reset-then-load contract of the
-// session layer: after Load the shared store holds exactly db and every
-// registered query represents exactly its result over db, discarding
-// all prior state. A failed Load (an arity clash between db and any
-// registered query) leaves the workspace representing the EMPTY
-// database. Either way the version advances once, and all queries
-// observe it.
+// the whole workspace through each backend's bulk path (core builds its
+// counters and fit lists in one linear pass, ivm rebuilds its
+// materialised result with a single full evaluation, recompute stores
+// nothing), with reset-then-load semantics on every backend: after Load
+// the shared store holds exactly db and every registered query
+// represents exactly its result over db, discarding all prior state. A
+// failed Load (an arity clash between db and any registered query)
+// leaves the workspace representing the EMPTY database. Either way the
+// version advances once, and all queries observe it. To add a
+// database's tuples on top of the current state, feed db.Updates()
+// through ApplyBatch instead.
 func (w *Workspace) Load(db *Database) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.loadExclusive(db)
+	return w.loadLocked(db)
 }
 
-func (w *Workspace) loadExclusive(db *dyndb.Database) error {
+func (w *Workspace) loadLocked(db *dyndb.Database) error {
 	w.version.Add(1)
 	fail := func(err error) error {
 		w.store.Clear()
@@ -1109,30 +1132,32 @@ func (v *WorkspaceView) Tuples(name string) [][]Value { return v.query(name).Tup
 
 // ---- strategy adapters ----
 
-// coreBackend adapts a shared-store core engine: the per-atom update
-// procedures are order-independent of the store mutation, so everything
-// runs in finishBatch (parallel over shards when workers allow).
+// coreBackend adapts a core engine: the per-atom update procedures are
+// order-independent of the store mutation, so everything runs in
+// finishBatch (parallel over shards when workers allow). The engine
+// holds no store; rebuild hands it the shared one to scan.
 type coreBackend struct {
-	e *core.Engine
+	e     *core.Engine
+	store *dyndb.Database
 }
 
 func (b *coreBackend) Count() uint64                      { return b.e.Count() }
 func (b *coreBackend) Answer() bool                       { return b.e.Answer() }
 func (b *coreBackend) Enumerate(yield func([]Value) bool) { b.e.Enumerate(yield) }
 func (b *coreBackend) preDeleteOne(string, []Value)       {}
-func (b *coreBackend) postApplyOne(u Update)              { b.e.ApplySharedUpdate(u) }
+func (b *coreBackend) postApplyOne(u Update)              { b.e.Update(u) }
 func (b *coreBackend) beginBatch(int)                     {}
 func (b *coreBackend) wantsRelationHooks() bool           { return false }
 func (b *coreBackend) preDelete(string, [][]Value)        {}
 func (b *coreBackend) postInsert(string, [][]Value)       {}
 func (b *coreBackend) finishBatch(survivors []Update, workers int) {
-	b.e.ApplySharedDelta(survivors, workers)
+	b.e.ApplyDelta(survivors, workers)
 }
-func (b *coreBackend) rebuild(*eval.IndexSet) error { return b.e.RebuildFromStore() }
-func (b *coreBackend) clear(*eval.IndexSet)         { b.e.ClearStructure() }
+func (b *coreBackend) rebuild(*eval.IndexSet) error { return b.e.Rebuild(b.store) }
+func (b *coreBackend) clear(*eval.IndexSet)         { b.e.Clear() }
 func (b *coreBackend) shards() int                  { return b.e.Shards() }
 
-// ivmBackend adapts a shared-store IVM maintainer: deltas are
+// ivmBackend adapts an IVM maintainer: deltas are
 // propagated through the per-relation pre/post hooks; one is a reusable
 // singleton slice for the single-update fast path (safe: callers hold
 // the workspace write lock, and the hooks do not retain it).
@@ -1146,21 +1171,21 @@ func (b *ivmBackend) Answer() bool                       { return b.m.Answer() }
 func (b *ivmBackend) Enumerate(yield func([]Value) bool) { b.m.Enumerate(yield) }
 func (b *ivmBackend) preDeleteOne(rel string, tuple []Value) {
 	b.one[0] = tuple
-	b.m.PreDeleteShared(rel, b.one[:])
+	b.m.PreDelete(rel, b.one[:])
 }
 func (b *ivmBackend) postApplyOne(u Update) {
 	if u.Op == dyndb.OpInsert {
 		b.one[0] = u.Tuple
-		b.m.PostInsertShared(u.Rel, b.one[:])
+		b.m.PostInsert(u.Rel, b.one[:])
 	}
 }
-func (b *ivmBackend) beginBatch(survivors int)                { b.m.BeginSharedBatch(survivors) }
-func (b *ivmBackend) wantsRelationHooks() bool                { return !b.m.SharedBatchRebuilds() }
-func (b *ivmBackend) preDelete(rel string, tuples [][]Value)  { b.m.PreDeleteShared(rel, tuples) }
-func (b *ivmBackend) postInsert(rel string, tuples [][]Value) { b.m.PostInsertShared(rel, tuples) }
-func (b *ivmBackend) finishBatch([]Update, int)               { b.m.FinishSharedBatch() }
-func (b *ivmBackend) rebuild(idx *eval.IndexSet) error        { return b.m.RebuildShared(idx) }
-func (b *ivmBackend) clear(idx *eval.IndexSet)                { b.m.ClearShared(idx) }
+func (b *ivmBackend) beginBatch(survivors int)                { b.m.BeginBatch(survivors) }
+func (b *ivmBackend) wantsRelationHooks() bool                { return !b.m.BatchRebuilds() }
+func (b *ivmBackend) preDelete(rel string, tuples [][]Value)  { b.m.PreDelete(rel, tuples) }
+func (b *ivmBackend) postInsert(rel string, tuples [][]Value) { b.m.PostInsert(rel, tuples) }
+func (b *ivmBackend) finishBatch([]Update, int)               { b.m.FinishBatch() }
+func (b *ivmBackend) rebuild(idx *eval.IndexSet) error        { return b.m.Rebuild(idx) }
+func (b *ivmBackend) clear(idx *eval.IndexSet)                { b.m.Clear(idx) }
 func (b *ivmBackend) shards() int                             { return 0 }
 
 // recomputeBackend adapts the stateless recompute strategy: it stores

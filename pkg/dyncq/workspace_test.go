@@ -53,13 +53,13 @@ func exactTuples(t *testing.T, strategy Strategy, label string, got, want [][]Va
 	}
 }
 
-// TestWorkspaceMatchesIndependentSessions is the headline contract of
-// the front door: a workspace with K ≥ 3 registered queries (mixed
+// TestWorkspaceMatchesSoloWorkspaces is the headline contract of the
+// front door: a workspace with K ≥ 3 registered queries (mixed
 // core/ivm/recompute) replaying one update stream produces, for every
-// query, results identical to K independent Sessions replaying the same
+// query, results identical to K one-query workspaces replaying the same
 // stream — while the shared store is applied once per batch, so its
-// mutation count is that of ONE session, independent of K.
-func TestWorkspaceMatchesIndependentSessions(t *testing.T) {
+// mutation count is that of ONE one-query workspace, independent of K.
+func TestWorkspaceMatchesSoloWorkspaces(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	suite := multiSuite()
 	init := workload.RandomDatabase(rng, multiSchema(), 10, 60)
@@ -67,7 +67,8 @@ func TestWorkspaceMatchesIndependentSessions(t *testing.T) {
 
 	ws := NewWorkspace(WorkspaceOptions{})
 	var handles []*Handle
-	var solos []*Session
+	var solos []*Workspace
+	var soloHs []*Handle
 	for _, c := range suite {
 		q := cq.MustParse(c.text)
 		h, err := ws.RegisterQuery(c.name, q, c.opt)
@@ -75,11 +76,8 @@ func TestWorkspaceMatchesIndependentSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 		handles = append(handles, h)
-		s, err := NewWithOptions(q, c.opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		solos = append(solos, s)
+		s, sh := solo(t, q, c.opt)
+		solos, soloHs = append(solos, s), append(soloHs, sh)
 	}
 	if err := ws.Load(init); err != nil {
 		t.Fatal(err)
@@ -92,7 +90,7 @@ func TestWorkspaceMatchesIndependentSessions(t *testing.T) {
 	wsBase := ws.StoreMutations()
 	soloBase := make([]uint64, len(solos))
 	for i, s := range solos {
-		soloBase[i] = s.Workspace().StoreMutations()
+		soloBase[i] = s.StoreMutations()
 	}
 
 	const batch = 37
@@ -114,22 +112,23 @@ func TestWorkspaceMatchesIndependentSessions(t *testing.T) {
 				t.Fatalf("batch @%d: workspace applied %d net commands, solo %s applied %d", from, n, suite[i].name, sn)
 			}
 		}
-		// Every query agrees with its independent session at every batch
+		// Every query agrees with its one-query workspace at every batch
 		// boundary.
 		for i, h := range handles {
-			if h.Count() != solos[i].Count() {
-				t.Fatalf("batch @%d, query %s: shared count %d, solo %d", from, h.Name(), h.Count(), solos[i].Count())
+			if h.Count() != soloHs[i].Count() {
+				t.Fatalf("batch @%d, query %s: shared count %d, solo %d", from, h.Name(), h.Count(), soloHs[i].Count())
 			}
 			exactTuples(t, h.Strategy(), fmt.Sprintf("batch @%d, query %s", from, h.Name()),
-				h.Tuples(), solos[i].Tuples())
+				h.Tuples(), soloHs[i].Tuples())
 		}
 	}
 
 	// The shared store was applied once per batch: its mutation count is
-	// exactly one session's worth, no matter how many queries are live.
+	// exactly one solo workspace's worth, no matter how many queries are
+	// live.
 	wsMuts := ws.StoreMutations() - wsBase
 	for i, s := range solos {
-		soloMuts := s.Workspace().StoreMutations() - soloBase[i]
+		soloMuts := s.StoreMutations() - soloBase[i]
 		if wsMuts != soloMuts {
 			t.Fatalf("store mutations: workspace (K=%d queries) %d, solo %s %d — must be equal",
 				len(handles), wsMuts, suite[i].name, soloMuts)
@@ -357,7 +356,7 @@ func TestWorkspaceRegisterRejects(t *testing.T) {
 	if _, err := ws.Register("q3", "Q(x) :- X(x)"); err == nil {
 		t.Fatal("conflicting arity against the store accepted")
 	}
-	// Forcing core onto a non-q-hierarchical query fails as for Session.
+	// Forcing core onto a non-q-hierarchical query fails.
 	if _, err := ws.RegisterQuery("q4", cq.MustParse("Q(x,y) :- S(x), E(x,y), T(y)"), Options{Force: StrategyCore}); err == nil {
 		t.Fatal("forced core on non-q-hierarchical query accepted")
 	}
