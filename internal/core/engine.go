@@ -30,10 +30,20 @@
 // structure per connected component, with counts multiplied and
 // enumeration as a product (nested loops) over the components.
 //
+// Besides update, count and enumeration the engine answers the theorem's
+// constant-time test (Contains: one index lookup per free node, no
+// enumeration) and, on request, reports what a batch changed (ApplyDelta
+// with emit set). The emission rule, in two sentences: a step on an atom
+// whose root path holds the free items i₀…i_{f−1} changes the result iff
+// i_{f−1} flips fitness while i₀…i_{f−2} are fit, and the changed tuples
+// are exactly Algorithm 1 run with those states pinned, times the other
+// components' results. Steps are netted per batch, so the cost is
+// proportional to the delta, never to ϕ(D) (delta.go).
+//
 // The package is the structure and nothing else: an Engine holds no
 // database. Its owner (pkg/dyncq.Workspace) applies each update to the
-// store once and hands the engine the same command (Update, ApplyDelta);
-// the preprocessing phase scans a store the owner passes in (Rebuild).
+// store once and hands the engine the same net delta (ApplyDelta); the
+// preprocessing phase scans a store the owner passes in (Rebuild).
 package core
 
 import (
@@ -105,6 +115,7 @@ type catom struct {
 	rel         string
 	arity       int
 	pathNodes   []int32    // node index per depth, root..rep(ψ)
+	free        int32      // how many leading path nodes are free (they form a prefix)
 	extract     []int32    // tuple position holding the value of path var j
 	eqChecks    [][2]int32 // tuple positions that must agree (repeated vars)
 	slotAtDepth []int32    // counts slot of this atom at pathNodes[j]
@@ -173,10 +184,11 @@ type headLoc struct {
 // Engine maintains ϕ(D) for one q-hierarchical query ϕ under updates.
 // It is a pure maintenance structure: it holds no database and never
 // writes one. Its owner (pkg/dyncq.Workspace) applies every update to
-// the store exactly once and feeds the same commands to Update /
-// ApplyDelta; Rebuild scans a store the owner hands it. An Engine is not
-// safe for concurrent use — the workspace serialises writers and readers
-// around it.
+// the store exactly once and feeds the same net delta to ApplyDelta;
+// Rebuild scans a store the owner hands it. An Engine is not safe for
+// concurrent use — the workspace serialises writers around it; the read
+// methods (Count, Answer, Contains, Enumerate) may share it among
+// themselves.
 type Engine struct {
 	query   *cq.Query
 	comps   []*comp
@@ -185,6 +197,10 @@ type Engine struct {
 	heads   []headLoc
 	freeIdx []int // component → index among free components, -1 if Boolean
 	version uint64
+
+	// probes drive Contains: one index lookup per free node, keyed by
+	// head positions.
+	probes []probe
 
 	// shardCount is the number of compShards per component (a power of
 	// two); shardMask is shardCount-1, zero for the unsharded default.
@@ -196,6 +212,9 @@ type Engine struct {
 	// scratch buffers for the update path (avoid per-update allocation).
 	scratchVals  []Value
 	scratchItems []*item
+	// acc is the sequential path's delta accumulator, built by the first
+	// ApplyDelta that emits and reused afterwards.
+	acc *deltaAcc
 }
 
 // New compiles the query into an engine representing the empty database,
@@ -254,6 +273,7 @@ func New(q *cq.Query, shards int) (*Engine, error) {
 		}
 		e.heads = append(e.heads, loc)
 	}
+	e.compileProbes()
 	e.freeIdx = make([]int, len(e.comps))
 	nf := 0
 	for ci, c := range e.comps {
@@ -377,6 +397,11 @@ func compileComp(sub *cq.Query, tree *qtree.Tree, shards int) (*comp, error) {
 			ca.slotAtDepth = append(ca.slotAtDepth, nextSlot[nodeIdx])
 			nextSlot[nodeIdx]++
 		}
+		for _, nodeIdx := range ca.pathNodes {
+			if c.nodes[nodeIdx].free {
+				ca.free++
+			}
+		}
 		repSlot := ca.slotAtDepth[len(ca.slotAtDepth)-1]
 		c.nodes[rep].repSlots = append(c.nodes[rep].repSlots, repSlot)
 		c.atoms = append(c.atoms, ca)
@@ -393,44 +418,54 @@ func compileComp(sub *cq.Query, tree *qtree.Tree, shards int) (*comp, error) {
 // Query returns the compiled query.
 func (e *Engine) Query() *cq.Query { return e.query }
 
-// Update runs the Section 6.4 update procedure, in poly(ϕ) time, for one
-// command that the owner has already validated against the query schema
-// and applied to its store (so it is known to have changed the
-// database). Commands on relations the query does not mention only
-// invalidate outstanding iterators. No batch bookkeeping, no allocation.
-func (e *Engine) Update(u dyndb.Update) {
-	e.version++
-	insert := u.Op == dyndb.OpInsert
-	for _, ref := range e.rels[u.Rel] {
-		e.updateAtom(ref, u.Tuple, insert)
-	}
-}
-
-// ApplyDelta runs the update procedures for a net delta the owner
-// applied to its store: survivors must be coalesced, schema-validated
-// commands each of which changed the database. With workers > 1 on a
-// sharded engine the per-atom operations run on worker goroutines
-// (runDeltaParallel); otherwise they run sequentially in delta order,
-// which on an unsharded engine reproduces the canonical enumeration
-// order of a single-update replay. Either way the resulting structure —
-// counters, lists, enumeration order — is the same for a fixed shard
-// count. The version advances at most once per delta, so outstanding
-// iterators are invalidated iff the structure may have moved.
-func (e *Engine) ApplyDelta(survivors []dyndb.Update, workers int) {
+// ApplyDelta runs the Section 6.4 update procedures, poly(ϕ) time each,
+// for a net delta the owner applied to its store: survivors must be
+// coalesced, schema-validated commands each of which changed the
+// database (a single update is a delta of one; commands on relations the
+// query does not mention only invalidate outstanding iterators). With
+// workers > 1 on a sharded engine the per-atom operations run on worker
+// goroutines (runDeltaParallel); otherwise they run sequentially in delta
+// order, which on an unsharded engine reproduces the canonical
+// enumeration order of a single-update replay. Either way the resulting
+// structure — counters, lists, enumeration order — is the same for a
+// fixed shard count. The version advances at most once per delta, so
+// outstanding iterators are invalidated iff the structure may have moved.
+//
+// With emit set, ApplyDelta also returns what the delta did to ϕ(D): the
+// tuples the result gained and lost, disjoint, each side in lexicographic
+// order, freshly allocated. Their cost is proportional to their number
+// (delta.go); without emit the call does no extra work and returns nil.
+// A step's delta reads the sibling components' lists, so an emitting
+// delta on an engine with several components stays sequential.
+//
+//dyncq:hot
+func (e *Engine) ApplyDelta(survivors []dyndb.Update, workers int, emit bool) (added, removed [][]Value) {
 	if len(survivors) == 0 {
-		return
+		return nil, nil
 	}
 	e.version++
-	if workers > 1 && e.shardCount > 1 && len(e.comps) > 0 {
-		e.runDeltaParallel(survivors, workers)
-		return
+	var acc *deltaAcc
+	if emit {
+		if e.acc == nil {
+			e.acc = e.newDeltaAcc()
+		}
+		acc = e.acc
 	}
-	for _, u := range survivors {
-		insert := u.Op == dyndb.OpInsert
-		for _, ref := range e.rels[u.Rel] {
-			e.updateAtom(ref, u.Tuple, insert)
+	if workers > 1 && e.shardCount > 1 && len(e.comps) > 0 && (!emit || len(e.comps) == 1 && e.comps[0].hasFree) {
+		e.runDeltaParallel(survivors, workers, acc)
+	} else {
+		for _, u := range survivors {
+			insert := u.Op == dyndb.OpInsert
+			for _, ref := range e.rels[u.Rel] {
+				c := e.comps[ref.comp]
+				e.updateAtomScratch(c, &c.atoms[ref.atom], u.Tuple, insert, e.scratchVals, e.scratchItems, acc)
+			}
 		}
 	}
+	if !emit {
+		return nil, nil
+	}
+	return e.netDelta(acc)
 }
 
 // Rebuild discards the structure and runs the preprocessing phase of
@@ -496,27 +531,21 @@ func (e *Engine) Clear() {
 	}
 }
 
-// updateAtom is the per-atom part of the Section 6.4 update procedure,
-// run with the engine's own scratch buffers (the sequential path).
-//
-//dyncq:hot
-func (e *Engine) updateAtom(ref atomRef, tuple []Value, insert bool) {
-	c := e.comps[ref.comp]
-	e.updateAtomScratch(c, &c.atoms[ref.atom], tuple, insert, e.scratchVals, e.scratchItems)
-}
-
-// updateAtomScratch is the per-atom update procedure proper: if the tuple
-// matches the atom's repeated-variable pattern, walk the atom's root path
-// top-down adjusting C^i_ψ (creating items on insert), then bottom-up
-// recompute C^i and C̃^i by Lemmas 6.3/6.4, fix fit-list membership,
-// propagate the sums, and drop items whose counters all reached zero.
+// updateAtomScratch is the per-atom part of the Section 6.4 update
+// procedure: if the tuple matches the atom's repeated-variable pattern,
+// walk the atom's root path top-down adjusting C^i_ψ (creating items on
+// insert), then bottom-up recompute C^i and C̃^i by Lemmas 6.3/6.4, fix
+// fit-list membership, propagate the sums, and drop items whose counters
+// all reached zero.
 // Every touched map, item and list belongs to the shard of the root value
 // vals[0], so calls whose root values hash to different shards are
 // mutually independent — the property runDeltaParallel exploits. The
-// caller supplies the scratch buffers (parallel workers have their own).
+// caller supplies the scratch buffers (parallel workers have their own)
+// and, when the step's result delta is wanted, the accumulator it is
+// emitted into (nil otherwise; the rule is in delta.go).
 //
 //dyncq:hot
-func (e *Engine) updateAtomScratch(c *comp, a *catom, tuple []Value, insert bool, scratchVals []Value, scratchItems []*item) {
+func (e *Engine) updateAtomScratch(c *comp, a *catom, tuple []Value, insert bool, scratchVals []Value, scratchItems []*item, acc *deltaAcc) {
 	for _, eq := range a.eqChecks {
 		if tuple[eq[0]] != tuple[eq[1]] {
 			return // tuple does not match the atom's variable pattern
@@ -529,6 +558,15 @@ func (e *Engine) updateAtomScratch(c *comp, a *catom, tuple []Value, insert bool
 		vals[j] = tuple[a.extract[j]]
 	}
 	sh := &c.shards[e.shardOf(vals[0])]
+	// last is the depth of the deepest free path item, the one whose
+	// fitness flip changes the result; a Boolean component has none and
+	// changes the result through its gate C_start > 0 instead.
+	last := int(a.free) - 1
+	grew, gateWas := false, false
+	if acc != nil && last < 0 {
+		cStart, _ := c.totals()
+		gateWas = cStart > 0
+	}
 
 	// Top-down: fetch or create the items on the path, adjust C^i_ψ.
 	for j := 0; j < d; j++ {
@@ -608,7 +646,13 @@ func (e *Engine) updateAtomScratch(c *comp, a *catom, tuple []Value, insert bool
 		// Fit-list membership: L lists contain exactly the fit items.
 		if w > 0 && !it.inList {
 			link(sh, nd, it)
+			if j == last {
+				grew = true
+			}
 		} else if w == 0 && it.inList {
+			if acc != nil && j == last && allFit(items[:j]) {
+				e.emitStep(acc, c, a, items, -1)
+			}
 			unlink(sh, nd, it)
 		}
 
@@ -626,6 +670,22 @@ func (e *Engine) updateAtomScratch(c *comp, a *catom, tuple []Value, insert bool
 				sh.slab.recycle(nodeIdx, it)
 			}
 		}
+	}
+
+	if acc == nil {
+		return
+	}
+	if last < 0 {
+		cStart, _ := c.totals()
+		if gate := cStart > 0; gate != gateWas {
+			sign := int8(-1)
+			if gate {
+				sign = 1
+			}
+			e.emitStep(acc, c, a, items, sign)
+		}
+	} else if grew && allFit(items[:a.free]) {
+		e.emitStep(acc, c, a, items, 1)
 	}
 }
 
@@ -703,6 +763,62 @@ func (e *Engine) Count() uint64 {
 func (e *Engine) Answer() bool {
 	for _, c := range e.comps {
 		if cStart, _ := c.totals(); cStart == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// probe locates one free node's item for Contains: src[j] is the head
+// position holding the value of the node's j-th path variable (every
+// ancestor of a free node is free, so each has one).
+type probe struct {
+	comp int
+	node int32
+	src  []int32
+}
+
+// compileProbes derives the Contains plan from the head (its variables
+// are distinct: Validate rejects a repeated one).
+func (e *Engine) compileProbes() {
+	pos := make(map[string]int32, len(e.query.Head))
+	for i, h := range e.query.Head {
+		pos[h] = int32(i)
+	}
+	for ci, c := range e.comps {
+		for _, ni := range c.freeNodes {
+			p := probe{comp: ci, node: ni, src: make([]int32, c.nodes[ni].depth+1)}
+			for at := ni; at >= 0; at = c.nodes[at].parent {
+				p.src[c.nodes[at].depth] = pos[c.nodes[at].name]
+			}
+			e.probes = append(e.probes, p)
+		}
+	}
+}
+
+// Contains reports whether the tuple is in ϕ(D) — the constant-time test
+// of Theorem 3.2, without enumerating anything: the tuple names one item
+// per free node (its path values, read off the head positions), and it is
+// a result tuple iff every one of them is fit and every Boolean
+// component's gate is open. One index lookup per free node, O(k·depth)
+// in all. A tuple of the wrong arity is not in the result.
+func (e *Engine) Contains(tuple []Value) bool {
+	if len(tuple) != len(e.heads) {
+		return false
+	}
+	for _, c := range e.comps {
+		if cStart, _ := c.totals(); !c.hasFree && cStart == 0 {
+			return false
+		}
+	}
+	var buf [8]Value // readers share the engine, so no engine scratch here
+	for _, p := range e.probes {
+		key := buf[:0]
+		for _, s := range p.src {
+			key = append(key, tuple[s])
+		}
+		it, ok := e.comps[p.comp].shards[e.shardOf(key[0])].index[p.node].Get(key)
+		if !ok || !it.inList {
 			return false
 		}
 	}

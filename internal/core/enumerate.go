@@ -17,20 +17,52 @@ import "fmt"
 // walks the shards' start lists in shard order (one list, the canonical
 // order, on an unsharded engine); all deeper states follow child lists,
 // which never cross shards.
+//
+// A compIter can also run Algorithm 1 with some states pinned (pin): the
+// pinned states keep the items they were given, every other free node
+// iterates as usual. That is the bound-prefix access a step's result
+// delta needs (delta.go). The pinned positions are a set, not a
+// document-order prefix — an atom's root path may skip over the subtree
+// of an earlier sibling — so next skips them and fill never overwrites
+// them. A full enumeration pins nothing.
 type compIter struct {
 	c         *comp
 	cur       []*item // per free node (document order)
+	pinned    []bool  // per free node: state fixed by pin
 	rootShard int     // shard whose start list cur[0] currently walks
 	done      bool
 }
 
 func newCompIter(c *comp) *compIter {
-	return &compIter{c: c, cur: make([]*item, len(c.freeNodes))}
+	return &compIter{c: c, cur: make([]*item, len(c.freeNodes)), pinned: make([]bool, len(c.freeNodes))}
+}
+
+// pin fixes the states of the given free nodes (a root path prefix: node
+// j holds items[j]) and releases every other state; pin(nil, nil)
+// releases all of them. The caller positions the iterator with reset.
+//
+//dyncq:hot
+func (ci *compIter) pin(nodes []int32, items []*item) {
+	clear(ci.pinned)
+	for j, n := range nodes {
+		ord := ci.c.nodes[n].freeOrd
+		ci.pinned[ord] = true
+		ci.cur[ord] = items[j]
+	}
 }
 
 // reset positions the iterator on the first result tuple (Algorithm 1,
-// lines 4–9). It reports false if the component's result is empty.
+// lines 4–9). It reports false if the component's result is empty. With
+// pinned states the caller guarantees the pinned items are fit, so a
+// first tuple exists.
+//
+//dyncq:hot
 func (ci *compIter) reset() bool {
+	if ci.pinned[0] {
+		ci.done = false
+		ci.fill(1)
+		return true
+	}
 	for si := range ci.c.shards {
 		if head := ci.c.shards[si].startHead; head != nil {
 			ci.done = false
@@ -44,13 +76,18 @@ func (ci *compIter) reset() bool {
 	return false
 }
 
-// fill sets states from (inclusive) onward to the first elements of
-// their lists (the Set function of Algorithm 1). Free parents precede
-// their free children in document order, so cur[parent] is valid when
-// cur[child] is filled; the parent being fit guarantees every child list
-// is nonempty.
+// fill sets the unpinned states from (inclusive) onward to the first
+// elements of their lists (the Set function of Algorithm 1). Free parents
+// precede their free children in document order, so cur[parent] is valid
+// when cur[child] is filled; the parent being fit guarantees every child
+// list is nonempty.
+//
+//dyncq:hot
 func (ci *compIter) fill(from int) {
 	for mu := from; mu < len(ci.c.freeNodes); mu++ {
+		if ci.pinned[mu] {
+			continue
+		}
 		nd := &ci.c.nodes[ci.c.freeNodes[mu]]
 		parent := ci.cur[ci.c.nodes[nd.parent].freeOrd]
 		head := parent.childHead[nd.slotInParent]
@@ -63,16 +100,22 @@ func (ci *compIter) fill(from int) {
 
 // next advances to the next result tuple (the visit procedure), reporting
 // false at end of enumeration.
+//
+//dyncq:hot
 func (ci *compIter) next() bool {
 	if ci.done {
 		return false
 	}
 	for mu := len(ci.c.freeNodes) - 1; mu >= 1; mu-- {
-		if ci.cur[mu].next != nil {
+		if !ci.pinned[mu] && ci.cur[mu].next != nil {
 			ci.cur[mu] = ci.cur[mu].next
 			ci.fill(mu + 1)
 			return true
 		}
+	}
+	if ci.pinned[0] {
+		ci.done = true
+		return false
 	}
 	// Advance the root state: within its shard's start list first, then on
 	// to the next shard with a nonempty list.
@@ -156,34 +199,46 @@ func (it *Iterator) Next() (tuple []Value, ok bool) {
 		}
 		return it.assemble(), true
 	default:
-		// Odometer over component iterators: advance the last, carrying
-		// leftward; each carry resets the component to its first tuple.
-		for i := len(it.iters) - 1; i >= 0; i-- {
-			if it.iters[i].next() {
-				return it.assemble(), true
-			}
-			it.iters[i].reset()
+		if advance(it.iters) {
+			return it.assemble(), true
 		}
 		it.state = iterDone
 		return nil, false
 	}
 }
 
-// assemble builds the output tuple from the per-component states: head
-// variable i lives at component heads[i].comp, free-node position
-// heads[i].freeOrd, and its value is that item's own constant (position
-// depth in the key).
-func (it *Iterator) assemble() []Value {
-	for i, loc := range it.e.heads {
-		ci := it.compIterFor(loc.comp)
-		item := ci.cur[loc.freeOrd]
-		it.out[i] = item.key[loc.depth]
+// advance steps the odometer over the component iterators: the last one
+// advances, an exhausted one resets to its first tuple and carries
+// leftward. It reports false once every combination has been visited.
+//
+//dyncq:hot
+func advance(iters []*compIter) bool {
+	for i := len(iters) - 1; i >= 0; i-- {
+		if iters[i].next() {
+			return true
+		}
+		iters[i].reset()
 	}
+	return false
+}
+
+// assemble builds the output tuple from the per-component states.
+func (it *Iterator) assemble() []Value {
+	it.e.fillTuple(it.out, it.iters)
 	return it.out
 }
 
-func (it *Iterator) compIterFor(comp int) *compIter {
-	return it.iters[it.e.freeIdx[comp]]
+// fillTuple writes the result tuple the per-component states stand on
+// into dst (len(e.heads) long): head variable i lives at component
+// heads[i].comp, free-node position heads[i].freeOrd, and its value is
+// that item's own constant (position depth in the key). iters holds one
+// iterator per free component.
+//
+//dyncq:hot
+func (e *Engine) fillTuple(dst []Value, iters []*compIter) {
+	for i, loc := range e.heads {
+		dst[i] = iters[e.freeIdx[loc.comp]].cur[loc.freeOrd].key[loc.depth]
+	}
 }
 
 // Enumerate calls yield for every tuple of ϕ(D), in the fixed enumeration

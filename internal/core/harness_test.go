@@ -9,11 +9,15 @@ import (
 
 // harness is the test-side owner of an engine's store: it applies every
 // command to its own dyndb.Database exactly once and feeds the engine
-// what the workspace would — Update for single commands, ApplyDelta for
-// net deltas, Rebuild for loads — under the method names the tests use.
+// what the workspace would — ApplyDelta for net deltas (of one, for a
+// single command), Rebuild for loads — under the method names the tests
+// use. With emit set it asks for each commit's result delta and keeps the
+// last one in added/removed.
 type harness struct {
 	*Engine
-	db *dyndb.Database
+	db             *dyndb.Database
+	emit           bool
+	added, removed [][]Value
 }
 
 func newHarness(q *cq.Query, shards int) (*harness, error) {
@@ -39,7 +43,7 @@ func (h *harness) Apply(u dyndb.Update) (bool, error) {
 	}
 	changed, err := h.db.Apply(u)
 	if changed {
-		h.Update(u)
+		h.added, h.removed = h.ApplyDelta([]dyndb.Update{u}, 1, h.emit)
 	}
 	return changed, err
 }
@@ -67,7 +71,7 @@ func (h *harness) ApplyBatchWorkers(updates []dyndb.Update, workers int) (int, e
 		return 0, err
 	}
 	h.db.ApplyNetDelta(survivors, workers)
-	h.ApplyDelta(survivors, workers)
+	h.added, h.removed = h.ApplyDelta(survivors, workers, h.emit)
 	return len(survivors), nil
 }
 

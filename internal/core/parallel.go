@@ -30,8 +30,11 @@ type bucketOp struct {
 // goroutines: the bucket phase groups operations by (component, shard),
 // then workers claim whole buckets off a shared counter so a few
 // oversized buckets don't serialise behind an even split. The caller
-// (ApplyDelta) owns the version bump.
-func (e *Engine) runDeltaParallel(survivors []dyndb.Update, workers int) {
+// (ApplyDelta) owns the version bump. With acc set every step emits its
+// result delta: each worker nets into an accumulator of its own, and
+// since buckets are disjoint by root value the workers' rows, appended to
+// acc once all have finished, are exactly the sequential path's.
+func (e *Engine) runDeltaParallel(survivors []dyndb.Update, workers int, acc *deltaAcc) {
 	// Bucket phase: group the per-atom operations by (component, shard).
 	buckets := make([][]bucketOp, len(e.comps)*e.shardCount)
 	for _, u := range survivors {
@@ -58,7 +61,7 @@ func (e *Engine) runDeltaParallel(survivors []dyndb.Update, workers int) {
 	if workers == 1 {
 		for _, b := range nonempty {
 			for _, op := range b {
-				e.updateAtomScratch(op.c, op.a, op.tuple, op.insert, e.scratchVals, e.scratchItems)
+				e.updateAtomScratch(op.c, op.a, op.tuple, op.insert, e.scratchVals, e.scratchItems, acc)
 			}
 		}
 		return
@@ -68,9 +71,13 @@ func (e *Engine) runDeltaParallel(survivors []dyndb.Update, workers int) {
 	// oversized buckets don't serialise behind an even split.
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	accs := make([]*deltaAcc, workers)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func() {
+		if acc != nil {
+			accs[w] = e.newDeltaAcc()
+		}
+		go func(acc *deltaAcc) {
 			defer wg.Done()
 			vals := make([]Value, e.maxDepth)
 			items := make([]*item, e.maxDepth)
@@ -80,10 +87,16 @@ func (e *Engine) runDeltaParallel(survivors []dyndb.Update, workers int) {
 					return
 				}
 				for _, op := range nonempty[i] {
-					e.updateAtomScratch(op.c, op.a, op.tuple, op.insert, vals, items)
+					e.updateAtomScratch(op.c, op.a, op.tuple, op.insert, vals, items, acc)
 				}
 			}
-		}()
+		}(accs[w])
 	}
 	wg.Wait()
+	if acc != nil {
+		for _, w := range accs {
+			acc.flat = append(acc.flat, w.flat...)
+			acc.sign = append(acc.sign, w.sign...)
+		}
+	}
 }

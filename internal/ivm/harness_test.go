@@ -11,27 +11,32 @@ import (
 // harness is the test-side owner of a maintainer's store and index set:
 // it mutates both exactly once per command and drives the maintainer
 // through the workspace's hook schedule, under the names the tests use.
-type harness struct{ *Maintainer }
+// With emit set it asks for each commit's result delta and keeps the last
+// one in added/removed.
+type harness struct {
+	*Maintainer
+	emit           bool
+	added, removed [][]Value
+}
 
 func newHarness(q *cq.Query) (*harness, error) {
 	db := dyndb.New()
 	m, err := New(q, db, eval.NewIndexSet(db))
-	return &harness{m}, err
+	return &harness{Maintainer: m}, err
 }
 
 func (h *harness) Insert(r string, t ...Value) (bool, error) { return h.Apply(dyndb.Insert(r, t...)) }
 func (h *harness) Delete(r string, t ...Value) (bool, error) { return h.Apply(dyndb.Delete(r, t...)) }
 
-// Apply is the single-update schedule: the hooks without the bracket.
+// Apply is a batch of one.
 func (h *harness) Apply(u dyndb.Update) (bool, error) {
-	n, err := h.apply([]dyndb.Update{u}, false)
+	n, err := h.ApplyBatch([]dyndb.Update{u})
 	return n == 1, err
 }
 
-// ApplyBatch is the batch schedule: the hooks inside the crossover bracket.
-func (h *harness) ApplyBatch(updates []dyndb.Update) (int, error) { return h.apply(updates, true) }
-
-func (h *harness) apply(updates []dyndb.Update, bracket bool) (int, error) {
+// ApplyBatch is the workspace's schedule: the hooks inside the crossover
+// bracket.
+func (h *harness) ApplyBatch(updates []dyndb.Update) (int, error) {
 	for _, u := range updates {
 		if want, ok := h.schema[u.Rel]; ok && want != len(u.Tuple) {
 			return 0, fmt.Errorf("%s has arity %d in query, got tuple of length %d", u.Rel, want, len(u.Tuple))
@@ -41,10 +46,8 @@ func (h *harness) apply(updates []dyndb.Update, bracket bool) (int, error) {
 	if err != nil || len(survivors) == 0 {
 		return 0, err
 	}
-	if bracket {
-		h.BeginBatch(len(survivors))
-		defer h.FinishBatch()
-	}
+	h.BeginBatch(len(survivors), h.emit)
+	defer func() { h.added, h.removed = h.FinishBatch() }()
 	// Per relation, in first-appearance order: pre-state hook, the store
 	// and index mutation, post-state hook.
 	for rest := survivors; len(rest) > 0; {

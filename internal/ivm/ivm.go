@@ -28,7 +28,7 @@ package ivm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dyncq/internal/cq"
 	"dyncq/internal/dyndb"
@@ -50,16 +50,18 @@ type Value = dyndb.Value
 // maintainer through per-relation hooks interleaved with the store
 // mutation:
 //
-//	BeginBatch(survivors)            // crossover decision
+//	BeginBatch(survivors, emit)      // crossover decision
 //	for each relation of the net delta:
 //	    PreDelete(rel, dels)         // store still pre-state here
 //	    <owner deletes dels, inserts ins, updates the index>
 //	    PostInsert(rel, ins)         // store post-state here
 //	FinishBatch()                    // rebuild if the crossover chose it
 //
-// A single update is the same schedule without the bracket: PreDelete
-// before the store forgets the tuple, or PostInsert after it learnt it.
-// Not safe for concurrent use.
+// A single update is a batch of one. When BeginBatch is asked to emit,
+// FinishBatch returns what the batch did to ϕ(D), found among the head
+// tuples the delta joins touched — no walk over the result. Not safe for
+// concurrent writers; the read methods may run concurrently with each
+// other.
 type Maintainer struct {
 	query *cq.Query
 	db    *dyndb.Database
@@ -73,6 +75,12 @@ type Maintainer struct {
 	// that one full re-evaluation beats per-relation delta joins; the
 	// delta hooks then no-op and FinishBatch rebuilds.
 	rebuildPending bool
+	// touched is non-nil while the open batch emits its result delta: for
+	// every head tuple a delta join reached, whether it was in the result
+	// when the batch first touched it. FinishBatch compares that with the
+	// final state. A running zero-crossing test would be wrong:
+	// inclusion–exclusion takes a multiplicity through transient zeros.
+	touched map[string]bool
 }
 
 // New returns a maintainer for q reading the given store through idx
@@ -101,20 +109,21 @@ func New(q *cq.Query, store *dyndb.Database, idx *eval.IndexSet) (*Maintainer, e
 func (m *Maintainer) Query() *cq.Query { return m.query }
 
 // BeginBatch opens a batch of the given net-delta size (commands that
-// will change the store). Heuristic crossover: once the delta is a third
-// or more of the resulting database, |delta| residual joins cost more
-// than one full re-evaluation, so the per-relation hooks no-op and
-// FinishBatch rebuilds from the post-state store. In particular a bulk
-// load into an empty store always takes the rebuild path.
-func (m *Maintainer) BeginBatch(survivors int) {
+// will change the store) and reports whether the owner must run the
+// relation-phased schedule for it. Heuristic crossover: once the delta is
+// a third or more of the resulting database, |delta| residual joins cost
+// more than one full re-evaluation, so the per-relation hooks no-op,
+// FinishBatch rebuilds from the post-state store, and the owner is free
+// to apply the store phase in any order. In particular a bulk load into
+// an empty store always takes the rebuild path. With emit set,
+// FinishBatch returns the batch's result delta.
+func (m *Maintainer) BeginBatch(survivors int, emit bool) (phased bool) {
 	m.rebuildPending = survivors*3 >= m.db.Cardinality()+survivors
+	if emit {
+		m.touched = make(map[string]bool)
+	}
+	return !m.rebuildPending
 }
-
-// BatchRebuilds reports whether the batch opened by BeginBatch chose the
-// full-rebuild crossover: the per-relation delta hooks will no-op, so the
-// owner is free to apply the store phase shard-parallel instead of
-// relation-phased. Only meaningful between BeginBatch and FinishBatch.
-func (m *Maintainer) BatchRebuilds() bool { return m.rebuildPending }
 
 // PreDelete propagates the deletion delta of one relation, evaluated on
 // the pre-state: the owner must call it BEFORE deleting the tuples from
@@ -144,13 +153,55 @@ func (m *Maintainer) propagate(rel string, tuples [][]Value, sign int64) {
 
 // FinishBatch closes the batch opened by BeginBatch: if the crossover
 // chose a rebuild, the materialised result is recomputed with one full
-// evaluation over the (now post-state) store.
-func (m *Maintainer) FinishBatch() {
-	if !m.rebuildPending {
-		return
+// evaluation over the (now post-state) store. If the batch emits, it
+// returns the tuples ϕ(D) gained and lost, disjoint, each side in
+// lexicographic order: the touched keys whose presence changed, or — on
+// the rebuild path, which only a batch of a third of the store takes —
+// the difference of the old and new materialisations.
+func (m *Maintainer) FinishBatch() (added, removed [][]Value) {
+	touched := m.touched
+	m.touched = nil
+	var gained, lost []string
+	if m.rebuildPending {
+		m.rebuildPending = false
+		old := m.result
+		m.result = eval.CountValuations(m.query, m.db, nil, m.idx)
+		if touched == nil {
+			return nil, nil
+		}
+		for k := range old {
+			if _, now := m.result[k]; !now {
+				lost = append(lost, k)
+			}
+		}
+		for k := range m.result {
+			if _, was := old[k]; !was {
+				gained = append(gained, k)
+			}
+		}
+	} else {
+		for k, was := range touched {
+			if _, now := m.result[k]; now && !was {
+				gained = append(gained, k)
+			} else if was && !now {
+				lost = append(lost, k)
+			}
+		}
 	}
-	m.rebuildPending = false
-	m.result = eval.CountValuations(m.query, m.db, nil, m.idx)
+	return decodeSorted(gained), decodeSorted(lost)
+}
+
+// decodeSorted turns head-tuple keys into tuples in lexicographic order.
+func decodeSorted(keys []string) [][]Value {
+	if len(keys) == 0 {
+		return nil
+	}
+	out := make([][]Value, len(keys))
+	for i, k := range keys {
+		out[i] = tuplekey.Decode(k) //dyncq:allow decodeboundary the delta is handed to the caller, one decode per delivered tuple — the same boundary as Enumerate
+	}
+	sortTuples(out)
+	return out
 }
 
 // Rebuild rebinds the maintainer to idx (the owner recreates the index
@@ -176,6 +227,7 @@ func (m *Maintainer) Clear(idx *eval.IndexSet) {
 	m.idx = idx
 	m.result = make(map[string]int64)
 	m.rebuildPending = false
+	m.touched = nil
 }
 
 // applyDelta adds sign × (number of valuations using the tuple in at
@@ -197,13 +249,24 @@ func (m *Maintainer) applyDelta(occs []int, tuple []Value, sign int64) {
 			coef = -sign
 		}
 		for k, c := range eval.CountValuations(m.query, m.db, pinned, m.idx) {
-			nv := m.result[k] + coef*c
-			if nv == 0 {
-				delete(m.result, k)
-			} else {
-				m.result[k] = nv
-			}
+			m.add(k, coef*c)
 		}
+	}
+}
+
+// add moves one head tuple's multiplicity by d, dropping it at zero, and
+// records its first-touch presence while the batch emits.
+func (m *Maintainer) add(k string, d int64) {
+	old := m.result[k]
+	if m.touched != nil {
+		if _, seen := m.touched[k]; !seen {
+			m.touched[k] = old != 0
+		}
+	}
+	if nv := old + d; nv == 0 {
+		delete(m.result, k)
+	} else {
+		m.result[k] = nv
 	}
 }
 
@@ -232,12 +295,7 @@ func (m *Maintainer) applyDeltaSet(occs []int, tuples [][]Value, sign int64) {
 			coef = -sign
 		}
 		for k, c := range eval.CountValuationsRestricted(m.query, m.db, nil, restricted, m.idx) {
-			nv := m.result[k] + coef*c
-			if nv == 0 {
-				delete(m.result, k)
-			} else {
-				m.result[k] = nv
-			}
+			m.add(k, coef*c)
 		}
 	}
 }
@@ -280,14 +338,11 @@ func (m *Maintainer) Tuples() [][]Value {
 	for k := range m.result {
 		out = append(out, tuplekey.Decode(k))
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		for x := range a {
-			if a[x] != b[x] {
-				return a[x] < b[x]
-			}
-		}
-		return false
-	})
+	sortTuples(out)
 	return out
+}
+
+// sortTuples orders equal-arity tuples lexicographically.
+func sortTuples(ts [][]Value) {
+	slices.SortFunc(ts, func(a, b []Value) int { return slices.Compare(a, b) })
 }

@@ -216,7 +216,14 @@ func (s *Server) subscribe(sess *session, name string) (uint64, error) {
 	version := s.ws.Version()
 	sub := &subscriber{sess: sess}
 	if first := s.broker.add(name, sub); first {
-		if err := s.ws.CaptureDeltas(name, func(ev dyncq.DeltaEvent) { s.broker.publish(ev) }); err != nil {
+		hook := func(ev dyncq.DeltaEvent) {
+			s.broker.publish(ev)
+			// The version moved, so the query's cached enumerate frame (a
+			// subscriber's sync enumerate leaves one behind) can never be
+			// served again: let it go now, not at the next enumerate.
+			s.frames.purge(ev.Query)
+		}
+		if err := s.ws.CaptureDeltas(name, hook); err != nil {
 			s.broker.remove(name, sess)
 			return 0, err
 		}

@@ -464,3 +464,63 @@ func TestOverlongLineAnswered(t *testing.T) {
 		t.Fatalf("second connection after an over-long line: %v", err)
 	}
 }
+
+// TestCommitReplyVersionIsOwn: the version in an `ok committed` reply is
+// the one that commit produced, not whatever the workspace stands at once
+// the reply is formatted. Two sessions commit disjoint non-empty batches
+// concurrently; every commit advances the version by one, so the replies
+// must name each version after the start exactly once. Run with -race.
+func TestCommitReplyVersionIsOwn(t *testing.T) {
+	srv := newTestServer(t, Options{})
+	setup := pipeClient(t, srv)
+	if err := setup.Register("q", "Q(x,y) :- E(x,y)"); err != nil {
+		t.Fatal(err)
+	}
+	v0, err := setup.Version()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, rounds = 2, 400
+	replies := make([][]uint64, writers)
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		c := pipeClient(t, srv)
+		go func(w int) {
+			for r := 0; r < rounds; r++ {
+				// Writer w owns the x values ≡ w (mod writers): no batch
+				// nets to nothing, whatever the interleaving.
+				x := dyncq.Value(r*writers + w)
+				n, v, err := c.ApplyBatch([]dyncq.Update{dyndb.Insert("E", x, 1), dyndb.Insert("E", x, 2)})
+				if err == nil && n != 2 {
+					err = fmt.Errorf("writer %d round %d: batch netted %d of 2 updates", w, r, n)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				replies[w] = append(replies[w], v)
+			}
+			errs <- nil
+		}(w)
+	}
+	for w := 0; w < writers; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := make(map[uint64]int)
+	for w, vs := range replies {
+		for r, v := range vs {
+			if prev, dup := seen[v]; dup {
+				t.Fatalf("writer %d round %d: reply names version %d, which writer %d's reply named too", w, r, v, prev)
+			}
+			seen[v] = w
+			if v <= v0 || v > v0+writers*rounds {
+				t.Fatalf("writer %d round %d: reply names version %d, outside (%d, %d]", w, r, v, v0, v0+writers*rounds)
+			}
+		}
+	}
+	if len(seen) != writers*rounds {
+		t.Fatalf("%d distinct reply versions over %d commits", len(seen), writers*rounds)
+	}
+}

@@ -186,15 +186,13 @@ func (s *session) dispatch(line string) bool {
 		if err != nil {
 			return s.err(err)
 		}
-		changed, err := s.srv.ws.Apply(u)
+		// The reply names the version this commit produced, taken inside
+		// the commit: another session may have committed since.
+		n, version, err := s.srv.ws.Commit([]dyncq.Update{u})
 		if err != nil {
 			return s.err(err)
 		}
-		n := 0
-		if changed {
-			n = 1
-		}
-		return s.ok("applied %d %d", n, s.srv.ws.Version())
+		return s.ok("applied %d %d", n, version)
 	case "begin":
 		s.inBatch = true
 		s.pending = s.pending[:0]
@@ -283,12 +281,12 @@ func (s *session) dispatchBatch(line string) bool {
 			s.pending = s.pending[:0]
 			return s.errf("batch aborted: %v", s.batchErr)
 		}
-		n, err := s.srv.ws.ApplyBatch(s.pending)
+		n, version, err := s.srv.ws.Commit(s.pending)
 		s.pending = s.pending[:0]
 		if err != nil {
 			return s.err(err)
 		}
-		return s.ok("committed %d %d", n, s.srv.ws.Version())
+		return s.ok("committed %d %d", n, version)
 	case "abort":
 		s.inBatch = false
 		s.pending = s.pending[:0]

@@ -29,6 +29,12 @@
 //	ping                              -> ok pong
 //	quit                              -> bye
 //
+// The version in `ok applied` and `ok committed` is the one that commit
+// produced (or left in place, when it changed nothing) — the key a
+// writer joins its commit to the delta frame of the same version on —
+// whatever other sessions have committed by the time the reply is
+// written.
+//
 // A subscription asynchronously pushes one delta frame per committed
 // version (even when that query's result did not change — subscribers
 // track versions in lockstep):

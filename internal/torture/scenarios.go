@@ -308,6 +308,20 @@ func evalScenarios() []Scenario {
 				return nil
 			},
 		},
+		{
+			Category: "eval", Name: "native-delta",
+			Brief: "every backend's own per-commit result delta equals the oracle's per-version diff, and Contains the oracle's membership",
+			Run: func(seed int64) error {
+				// Core at 1 and 4 shards, ivm and recompute, at 1 and 4
+				// workers, through ApplyBatch, Apply, Load and a failed Load.
+				for _, workers := range []int{1, 4} {
+					if err := nativeDelta(seed, workers); err != nil {
+						return err
+					}
+				}
+				return nil
+			},
+		},
 	}
 }
 

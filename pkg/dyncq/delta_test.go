@@ -1,0 +1,241 @@
+package dyncq
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"dyncq/internal/cq"
+	"dyncq/internal/dyndb"
+	"dyncq/internal/workload"
+)
+
+// countingBackend counts the result walks the workspace asks a backend
+// for.
+type countingBackend struct {
+	queryBackend
+	walks *int
+}
+
+func (c countingBackend) Enumerate(yield func([]Value) bool) {
+	*c.walks++
+	c.queryBackend.Enumerate(yield)
+}
+
+// TestCaptureWalksNoResult: the diff is gone, not moved. Starting a
+// capture on a core or ivm handle enumerates nothing, and neither does
+// producing the DeltaEvent of an Apply or ApplyBatch commit — the
+// backends emit it. Only a Load, which resets every structure, walks the
+// result (once before, once after), and the replayed events still
+// reconstruct it.
+func TestCaptureWalksNoResult(t *testing.T) {
+	for _, force := range []Strategy{StrategyCore, StrategyIVM} {
+		t.Run(force.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			ws := NewWorkspace(WorkspaceOptions{})
+			q := cq.MustParse("Q(x,y) :- E(x,y), T(y)")
+			h, err := ws.RegisterQuery("q", q, Options{Force: force})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ws.ApplyBatch(workload.RandomStream(rng, q.Schema(), 15, 200, 0.2)); err != nil {
+				t.Fatal(err)
+			}
+			walks := 0
+			h.back = countingBackend{h.back, &walks}
+			replica := newReplayOracle()
+			for _, tup := range h.Tuples() {
+				replica.tuples[fmt.Sprint(tup)] = true
+			}
+			walks = 0
+			if err := ws.CaptureDeltas("q", func(ev DeltaEvent) { replica.apply(t, ev) }); err != nil {
+				t.Fatal(err)
+			}
+			stream := workload.RandomStream(rng, q.Schema(), 15, 300, 0.4)
+			for _, u := range stream[:100] {
+				if _, err := ws.Apply(u); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 100; i < len(stream); i += 25 {
+				if _, err := ws.ApplyBatch(stream[i:min(i+25, len(stream))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if walks != 0 {
+				t.Fatalf("capturing %d commits enumerated the result %d times", ws.Version(), walks)
+			}
+			replica.matches(t, h.Tuples(), "after stream")
+			walks = 0
+			if err := ws.Load(workload.RandomDatabase(rng, q.Schema(), 15, 60)); err != nil {
+				t.Fatal(err)
+			}
+			if walks != 2 {
+				t.Fatalf("Load walked the result %d times, want one image before and one diff after", walks)
+			}
+			replica.matches(t, h.Tuples(), "after load")
+		})
+	}
+}
+
+// TestApplyAllocationFree: the single-update path drives the backends'
+// commit sequence over a workspace-owned net delta of one, so it
+// allocates nothing of its own — the one allocation of an insert/delete
+// pair is the store's copy of the inserted tuple.
+func TestApplyAllocationFree(t *testing.T) {
+	ws := NewWorkspace(WorkspaceOptions{})
+	for name, text := range map[string]string{"feed": "Q(x,y) :- E(x,y), T(y)", "star": "Q(y) :- E(x,y), T(y)"} {
+		if _, err := ws.Register(name, text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		if _, err := ws.ApplyBatch([]Update{dyndb.Insert("E", Value(i), Value(i%50)), dyndb.Insert("T", Value(i%50))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ins, del := dyndb.Insert("E", 5000, 7), dyndb.Delete("E", 5000, 7)
+	pair := func() {
+		if changed, err := ws.Apply(ins); err != nil || !changed {
+			t.Fatalf("insert: changed=%v err=%v", changed, err)
+		}
+		if changed, err := ws.Apply(del); err != nil || !changed {
+			t.Fatalf("delete: changed=%v err=%v", changed, err)
+		}
+	}
+	pair() // warm the slab free lists and the map slots
+	if allocs := testing.AllocsPerRun(1000, pair); allocs > 1 {
+		t.Fatalf("an Apply insert/delete pair allocates %v times, want at most the store's one tuple copy", allocs)
+	}
+}
+
+// TestContains: the constant-time test agrees with the enumerated result
+// on every strategy — members, near misses, the wrong arity, and the
+// empty tuple of a Boolean query.
+func TestContains(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	q := cq.MustParse("Q(x,y) :- E(x,y), T(y)")
+	_, handles := soloPerStrategy(t, q, StrategyCore, StrategyIVM, StrategyRecompute)
+	stream := workload.RandomStream(rng, q.Schema(), 8, 150, 0.3)
+	for _, h := range handles {
+		if _, err := h.ws.ApplyBatch(stream); err != nil {
+			t.Fatal(err)
+		}
+		in := make(map[string]bool)
+		for _, tup := range h.Tuples() {
+			in[fmt.Sprint(tup)] = true
+		}
+		if len(in) == 0 {
+			t.Fatal("empty result; workload too sparse for the test")
+		}
+		for x := Value(0); x < 9; x++ {
+			for y := Value(0); y < 9; y++ {
+				if got := h.Contains([]Value{x, y}); got != in[fmt.Sprint([]Value{x, y})] {
+					t.Fatalf("%s: Contains(%d,%d) = %v, enumerated membership %v", h.Strategy(), x, y, got, !got)
+				}
+			}
+		}
+		if h.Contains([]Value{1}) || h.Contains([]Value{1, 2, 3}) || h.Contains(nil) {
+			t.Fatalf("%s: Contains accepted a tuple of the wrong arity", h.Strategy())
+		}
+	}
+	_, booleans := soloPerStrategy(t, cq.MustParse("Q() :- E(x,y), T(y)"), StrategyCore, StrategyIVM, StrategyRecompute)
+	for _, h := range booleans {
+		if h.Contains(nil) {
+			t.Fatalf("%s: empty database contains the empty tuple", h.Strategy())
+		}
+		if _, err := h.ws.ApplyBatch([]Update{dyndb.Insert("E", 1, 2), dyndb.Insert("T", 2)}); err != nil {
+			t.Fatal(err)
+		}
+		if !h.Contains(nil) || h.Contains([]Value{1}) {
+			t.Fatalf("%s: Boolean Contains disagrees with Answer %v", h.Strategy(), h.Answer())
+		}
+	}
+}
+
+// TestCommitReturnsItsVersion: Commit reports the version it produced —
+// one update through the fast path, a batch through the pipeline — and a
+// commit that changes nothing reports the version it left in place.
+func TestCommitReturnsItsVersion(t *testing.T) {
+	ws := NewWorkspace(WorkspaceOptions{})
+	if _, err := ws.Register("q", "Q(x,y) :- E(x,y)"); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range []struct {
+		updates     []Update
+		applied     int
+		wantVersion uint64
+	}{
+		{[]Update{dyndb.Insert("E", 1, 2)}, 1, 1},
+		{[]Update{dyndb.Insert("E", 1, 2)}, 0, 1},
+		{[]Update{dyndb.Insert("E", 1, 2), dyndb.Insert("E", 3, 4), dyndb.Insert("E", 5, 6)}, 2, 2},
+		{[]Update{dyndb.Insert("E", 3, 4), dyndb.Insert("E", 5, 6)}, 0, 2},
+		{nil, 0, 2},
+		{[]Update{dyndb.Delete("E", 1, 2)}, 1, 3},
+	} {
+		applied, version, err := ws.Commit(c.updates)
+		if err != nil || applied != c.applied || version != c.wantVersion || version != ws.Version() {
+			t.Fatalf("commit %d: applied %d at version %d (err %v), want %d at %d", i, applied, version, err, c.applied, c.wantVersion)
+		}
+	}
+	if _, _, err := ws.Commit([]Update{dyndb.Insert("E", 1)}); err == nil {
+		t.Fatal("Commit accepted a tuple of the wrong arity")
+	}
+}
+
+// BenchmarkCapturedCommit commits 8-update batches on the feed query with
+// a delta capture active, at two result sizes over the same store. The
+// commit's cost must not depend on |ϕ(D)|: the two sizes should read
+// alike (the in-process twin of the subscribe-small / subscribe-large
+// ratio of `go run ./benchmark`).
+func BenchmarkCapturedCommit(b *testing.B) {
+	const edges, ys = 30000, 6000 // every y carries 5 edges
+	for _, result := range []int{300, 30000} {
+		b.Run(fmt.Sprintf("result=%d", result), func(b *testing.B) {
+			ws := NewWorkspace(WorkspaceOptions{})
+			h, err := ws.Register("feed", "Q(x,y) :- E(x,y), T(y)")
+			if err != nil {
+				b.Fatal(err)
+			}
+			db := dyndb.New()
+			for i := 0; i < edges; i++ {
+				if _, err := db.Insert("E", Value(i), Value(i%ys)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for y := 0; y < result*ys/edges; y++ {
+				if _, err := db.Insert("T", Value(y)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := ws.Load(db); err != nil {
+				b.Fatal(err)
+			}
+			if got := h.Count(); got != uint64(result) {
+				b.Fatalf("result holds %d tuples, want %d", got, result)
+			}
+			delivered := 0
+			if err := ws.CaptureDeltas("feed", func(ev DeltaEvent) { delivered += len(ev.Added) + len(ev.Removed) }); err != nil {
+				b.Fatal(err)
+			}
+			// Eight fresh edges spread over the y range, then their
+			// deletion, and again: the store stays at its loaded size.
+			var ins, del []Update
+			for j := 0; j < 8; j++ {
+				x, y := Value(edges+j), Value(j*751%ys)
+				ins, del = append(ins, dyndb.Insert("E", x, y)), append(del, dyndb.Delete("E", x, y))
+			}
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				batch := ins
+				if i%2 == 1 {
+					batch = del
+				}
+				if n, err := ws.ApplyBatch(batch); err != nil || n != 8 {
+					b.Fatalf("batch netted %d of 8 (err %v)", n, err)
+				}
+			}
+			b.ReportMetric(float64(delivered)/float64(b.N), "delta-tuples/op")
+		})
+	}
+}

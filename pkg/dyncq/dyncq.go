@@ -18,8 +18,8 @@
 // the net delta fanned out to every registered query's maintenance
 // structure — the store mutation count is independent of how many
 // queries are live. All strategies expose one uniform read API: Count,
-// Answer, Enumerate, Tuples; Strategy() and Classification() let
-// callers introspect the routing decision. A Workspace is safe for
+// Answer, Contains, Enumerate, Tuples; Strategy() and Classification()
+// let callers introspect the routing decision. A Workspace is safe for
 // concurrent use; it is the only front door — a single query is a
 // workspace with one registration.
 package dyncq

@@ -2,7 +2,7 @@ package dyncq
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dyncq/internal/tuplekey"
 )
@@ -25,12 +25,16 @@ import (
 //
 // Delta capture is the push half: a registered hook observes, per
 // committed version, exactly which tuples each query's result gained
-// and lost. The workspace computes the delta generically (a shadow
-// result diffed against the backend's enumeration after each commit),
-// so every strategy — core, IVM, recompute — exports deltas without
-// per-backend plumbing. The cache advance reuses the same diff: when a
-// capture is active, the committed DeltaEvent patches the previous flat
-// buffer in O(|result| + |delta|) with no backend enumeration at all.
+// and lost. The backends produce that delta themselves, as part of the
+// commit (queryBackend.finish): core enumerates only the tuples a step
+// changed (internal/core/delta.go), IVM reads it off the head tuples its
+// delta joins touched, recompute — the baseline and the oracle for the
+// other two — evaluates before and after. The workspace keeps no copy of
+// any result and walks none per commit; only a Load, which resets every
+// structure, is bridged by a one-shot before/after diff (resultImage).
+// The cache advance reuses the event: for the canonically ordered
+// strategies it patches the previous flat buffer in O(|result| + |delta|)
+// with no backend enumeration at all.
 
 // QuerySnapshot is one query's result pinned at one committed version.
 // It is immutable and safe for concurrent use by any number of
@@ -277,24 +281,39 @@ type DeltaEvent struct {
 	Removed [][]Value
 }
 
-// deltaCapture is the per-handle shadow state behind CaptureDeltas: the
-// previous result keyed by tuple, diffed against the backend's
-// enumeration after every commit. gen stamps the current diff pass so
-// one enumeration classifies kept/added and one range sweep finds the
-// removed.
+// deltaCapture is a handle's active delta export: the hook, the previous
+// answer bit of a Boolean query (whose whole delta is that bit flipping,
+// read in O(1) after the commit), and the open commit's result delta,
+// parked by the backend's finish until afterCommit builds the event.
 type deltaCapture struct {
-	hook    func(DeltaEvent)
-	shadow  *tuplekey.Map[uint64]
-	gen     uint64
-	boolean bool
-	prev    bool // boolean queries: previous answer bit
+	hook           func(DeltaEvent)
+	boolean        bool
+	prev           bool
+	added, removed [][]Value
+}
+
+// emits reports whether the handle's backend should produce the open
+// commit's result delta: only while a capture wants it, so an uncaptured
+// commit does no extra work.
+func (h *Handle) emits() bool { return h.capture != nil && !h.capture.boolean }
+
+// park hands the open commit's result delta to the capture, if any.
+func (h *Handle) park(added, removed [][]Value) {
+	if c := h.capture; c != nil {
+		c.added, c.removed = added, removed
+	}
 }
 
 // CaptureDeltas starts per-commit delta capture for the named query:
 // after every committed version change (Apply, ApplyBatch, Load — any
 // write path), hook receives exactly one DeltaEvent describing how the
-// query's result changed. The hook runs inside the commit, with the
-// workspace write lock held: it MUST NOT block and MUST NOT call any
+// query's result changed. Starting a capture costs O(1) — nothing is
+// enumerated or copied (a recompute-backed Boolean query evaluates its
+// answer once). While it is active each commit pays for producing the
+// delta: O(|Δ|) on core, the head tuples the delta joins touched on IVM,
+// two full evaluations on recompute; a Load pays one result walk before
+// and one after on every strategy. The hook runs inside the commit, with
+// the workspace write lock held: it MUST NOT block and MUST NOT call any
 // workspace, handle, or session method (the serving layer's broker
 // satisfies this by handing pre-encoded frames to per-connection
 // buffers with a non-blocking send). Hooks of different queries may run
@@ -318,12 +337,6 @@ func (w *Workspace) CaptureDeltas(name string, hook func(DeltaEvent)) error {
 	c := &deltaCapture{hook: hook, boolean: h.query.Arity() == 0}
 	if c.boolean {
 		c.prev = h.back.Answer()
-	} else {
-		c.shadow = tuplekey.NewMap[uint64](int(h.back.Count()))
-		h.back.Enumerate(func(t []Value) bool {
-			c.shadow.Put(append([]Value(nil), t...), 0)
-			return true
-		})
 	}
 	h.capture = c
 	return nil
@@ -344,14 +357,14 @@ func (w *Workspace) StopDeltaCapture(name string) bool {
 }
 
 // afterCommitLocked fans the post-commit read-side maintenance out over
-// every handle that needs any: the delta-capture diff (CaptureDeltas)
-// and the cached-snapshot advance (snapshot_cache.go), on the workspace
-// worker pool (per-handle shadows and caches are private; backend reads
-// over the now-quiescent store are safe concurrently). Called at the
-// end of every committed state change, with exclusive access, after
-// w.version moved. Handles with neither a capture nor a cached snapshot
-// cost nothing here — the paper's per-update bound is untouched for
-// write-only workloads.
+// every handle that needs any: delivering the captured delta
+// (CaptureDeltas) and the cached-snapshot advance (snapshot_cache.go), on
+// the workspace worker pool (per-handle captures and caches are private;
+// backend reads over the now-quiescent store are safe concurrently).
+// Called at the end of every committed state change, with exclusive
+// access, after w.version moved. Handles with neither a capture nor a
+// cached snapshot cost nothing here — the paper's per-update bound is
+// untouched for write-only workloads.
 func (w *Workspace) afterCommitLocked() {
 	var active []int
 	for i, h := range w.order {
@@ -367,28 +380,21 @@ func (w *Workspace) afterCommitLocked() {
 	})
 }
 
-// afterCommit runs one handle's post-commit read-side maintenance. The
-// snapshot advance reads the DeltaEvent BEFORE the hook is delivered —
-// the event's slices are owned by the hook once delivered, and the
-// advance only copies values out, never retains them.
+// afterCommit runs one handle's post-commit read-side maintenance: build
+// the version's event from the delta the backend parked, advance the
+// cached snapshot, deliver. The snapshot advance reads the DeltaEvent
+// BEFORE the hook is delivered — the event's slices are owned by the hook
+// once delivered, and the advance only copies values out, never retains
+// them.
 func (h *Handle) afterCommit() {
-	if c := h.capture; c != nil {
-		ev := h.captureDelta()
-		h.advanceSnapshot(&ev)
-		c.hook(ev)
+	c := h.capture
+	if c == nil {
+		h.advanceSnapshot(nil)
 		return
 	}
-	h.advanceSnapshot(nil)
-}
-
-// captureDelta diffs the handle's current result against its shadow and
-// returns the event (the caller delivers it). One enumeration pass
-// stamps kept tuples with the new generation and collects the added
-// ones; one sweep over the shadow collects everything the result no
-// longer contains.
-func (h *Handle) captureDelta() DeltaEvent {
-	c := h.capture
-	ev := DeltaEvent{Query: h.name, Version: h.ws.version.Load(), Epoch: h.ws.store.Epoch()}
+	ev := DeltaEvent{Query: h.name, Version: h.ws.version.Load(), Epoch: h.ws.store.Epoch(),
+		Added: c.added, Removed: c.removed}
+	c.added, c.removed = nil, nil
 	if c.boolean {
 		now := h.back.Answer()
 		if now && !c.prev {
@@ -397,47 +403,48 @@ func (h *Handle) captureDelta() DeltaEvent {
 			ev.Removed = [][]Value{nil}
 		}
 		c.prev = now
-		return ev
 	}
-	c.gen++
-	n := 0
-	h.back.Enumerate(func(t []Value) bool {
-		n++
-		if _, known := c.shadow.Get(t); known {
-			c.shadow.Put(t, c.gen) // existing key is kept; t is not retained
+	h.advanceSnapshot(&ev)
+	c.hook(ev)
+}
+
+// resultImage copies the backend's current result into a set: the
+// "before" half of a one-shot diff across a state change no backend
+// tracks incrementally (a Load; every captured commit of the recompute
+// strategy). Linear in the result, and dropped with the diff.
+func resultImage(back queryBackend) *tuplekey.Map[bool] {
+	before := tuplekey.NewMap[bool](0)
+	back.Enumerate(func(t []Value) bool {
+		before.Put(append([]Value(nil), t...), false)
+		return true
+	})
+	return before
+}
+
+// diffImage compares the backend's current result with an image taken
+// earlier (which it consumes): one enumeration marks the kept tuples and
+// collects the added ones, one sweep over the image collects what the
+// result no longer contains. Both sides come back in DeltaEvent order.
+func diffImage(before *tuplekey.Map[bool], back queryBackend) (added, removed [][]Value) {
+	back.Enumerate(func(t []Value) bool {
+		if _, known := before.Get(t); known {
+			before.Put(t, true) // the existing key is kept; t is not retained
 		} else {
-			tt := append([]Value(nil), t...)
-			c.shadow.Put(tt, c.gen)
-			ev.Added = append(ev.Added, tt)
+			added = append(added, append([]Value(nil), t...))
 		}
 		return true
 	})
-	if c.shadow.Len() > n {
-		c.shadow.Range(func(t []Value, gen uint64) bool {
-			if gen != c.gen {
-				ev.Removed = append(ev.Removed, t)
-			}
-			return true
-		})
-		for _, t := range ev.Removed {
-			c.shadow.Delete(t)
+	before.Range(func(t []Value, kept bool) bool {
+		if !kept {
+			removed = append(removed, t)
 		}
-	}
-	sortTuplesLex(ev.Added)
-	sortTuplesLex(ev.Removed)
-	return ev
+		return true
+	})
+	sortTuplesLex(added)
+	sortTuplesLex(removed)
+	return added, removed
 }
 
 // sortTuplesLex orders tuples lexicographically — the deterministic
 // order every DeltaEvent is delivered in.
-func sortTuplesLex(ts [][]Value) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
-}
+func sortTuplesLex(ts [][]Value) { slices.SortFunc(ts, slices.Compare[[]Value]) }

@@ -13,6 +13,7 @@ import (
 	"dyncq/internal/eval"
 	"dyncq/internal/ivm"
 	"dyncq/internal/qtree"
+	"dyncq/internal/tuplekey"
 )
 
 // This file implements the workspace front door: ONE shared
@@ -54,25 +55,24 @@ type queryBackend interface {
 	Count() uint64
 	Answer() bool
 	Enumerate(yield func(tuple []Value) bool)
+	Contains(tuple []Value) bool
 
-	// Single-update fast path: preDeleteOne runs before the store
-	// deletes (IVM's pre-state delta), postApplyOne after the store
-	// applied the command.
-	preDeleteOne(rel string, tuple []Value)
-	postApplyOne(u Update)
-
-	// Batch pipeline: beginBatch opens a nonempty net delta; preDelete /
-	// postInsert bracket each relation's store mutation; finishBatch
-	// closes the batch with the full delta once the store is current.
-	// wantsRelationHooks (valid between beginBatch and finishBatch)
-	// reports whether this backend needs the relation-phased store
-	// schedule this batch: when no registered backend does, the workspace
-	// applies the whole net delta to the store shard-parallel instead.
-	beginBatch(survivors int)
-	wantsRelationHooks() bool
+	// The write side is one sequence per commit; a single update is a net
+	// delta of one. begin opens a nonempty net delta of n commands, says
+	// whether the commit's result delta is wanted, and reports whether the
+	// backend needs the relation-phased store schedule for it: preDelete
+	// and postInsert then bracket each relation's store mutation (IVM's
+	// deletion deltas evaluate on the pre-state, its insertion deltas on
+	// the post-state). When no registered backend asks, the workspace
+	// applies the whole net delta to the store shard-parallel and skips
+	// both hooks. finish closes the commit with the full delta once the
+	// store is current and returns what it did to the query's result —
+	// disjoint, each side in lexicographic order, owned by the caller —
+	// or nil, nil if begin did not ask.
+	begin(n int, emit bool) (phased bool)
 	preDelete(rel string, tuples [][]Value)
 	postInsert(rel string, tuples [][]Value)
-	finishBatch(survivors []Update, workers int)
+	finish(survivors []Update, workers int) (added, removed [][]Value)
 
 	// rebuild brings the structure up to date with the shared store's
 	// current contents (Load, late registration); clear leaves it
@@ -80,10 +80,6 @@ type queryBackend interface {
 	// index set (nil when no IVM query is registered).
 	rebuild(idx *eval.IndexSet) error
 	clear(idx *eval.IndexSet)
-
-	// shards reports the backend's shard count (0 when sharding does not
-	// apply) — the introspection behind Parallel().
-	shards() int
 }
 
 // WorkspaceOptions configures NewWorkspace.
@@ -119,6 +115,12 @@ type Workspace struct {
 	handles  map[string]*Handle
 	order    []*Handle // registration order
 	workers  int
+
+	// one and oneTuple are the single-update path's net delta of one, so
+	// Apply drives the same backend sequence as a batch without
+	// allocating. Guarded by the write lock; backends do not retain them.
+	one      [1]Update
+	oneTuple [1][]Value
 
 	// version counts committed state changes. It is atomic so the
 	// cached-snapshot fast path (Handle.CachedSnapshot) can validate a
@@ -163,9 +165,12 @@ type Handle struct {
 	class    qtree.Classification
 	strategy Strategy
 	back     queryBackend
+	// shards is the core engine's shard count, 0 for the other strategies
+	// (the introspection behind Parallelism).
+	shards int
 
 	// maintainNS accumulates the time the batch pipeline spent
-	// maintaining this query (delta hooks + finishBatch), and batches
+	// maintaining this query (delta hooks + finish), and batches
 	// the number of nonempty batches it participated in — the per-query
 	// split of the shared pipeline's cost, reported by the bench
 	// harness. The single-update fast path is deliberately untimed.
@@ -224,6 +229,22 @@ func (h *Handle) Answer() bool {
 	h.ws.mu.RLock()
 	defer h.ws.mu.RUnlock()
 	return h.back.Answer()
+}
+
+// Contains reports whether the tuple is in ϕ(D) at the latest committed
+// state — the constant-time test of the paper's main theorem, next to
+// update, count and enumerate. On core it costs one index lookup per free
+// variable and enumerates nothing; on IVM one lookup in the materialised
+// result; on recompute, which stores nothing, a full evaluation. A tuple
+// whose length is not the query's arity is not in the result; for a
+// Boolean query Contains of the empty tuple is Answer.
+func (h *Handle) Contains(tuple []Value) bool {
+	if len(tuple) != h.query.Arity() {
+		return false
+	}
+	h.ws.mu.RLock()
+	defer h.ws.mu.RUnlock()
+	return h.back.Contains(tuple)
 }
 
 // Enumerate calls yield for every result tuple of the latest committed
@@ -353,6 +374,7 @@ func (w *Workspace) RegisterQuery(name string, q *cq.Query, opt Options) (*Handl
 			return nil, fmt.Errorf("dyncq: %w", err)
 		}
 		h.back = &coreBackend{e: e, store: w.store}
+		h.shards = e.Shards()
 	case StrategyIVM:
 		if w.idx == nil {
 			w.idx = eval.NewIndexSet(w.store)
@@ -363,7 +385,7 @@ func (w *Workspace) RegisterQuery(name string, q *cq.Query, opt Options) (*Handl
 		}
 		h.back = &ivmBackend{m: m}
 	case StrategyRecompute:
-		h.back = &recomputeBackend{r: newRecomputeOn(q, w.store)}
+		h.back = newRecompute(q, w.store)
 	default:
 		return nil, fmt.Errorf("dyncq: invalid strategy %v", strategy)
 	}
@@ -479,7 +501,7 @@ func (w *Workspace) Parallelism() Parallelism {
 		p.IndexRebuilds = w.idx.Rebuilds()
 	}
 	for _, h := range w.order {
-		p.QueryShards[h.name] = h.back.shards()
+		p.QueryShards[h.name] = h.shards
 	}
 	return p
 }
@@ -631,39 +653,68 @@ func (w *Workspace) checkArity(rel string, arity int) error {
 }
 
 // applyLocked is the single-update fast path: one arity check, one
-// store mutation, one fan-out loop — no batch bookkeeping. The caller
+// store mutation, and the backends' commit sequence over a net delta of
+// one — no coalescing, no batch bookkeeping, no allocation. The caller
 // holds w.mu.Lock.
 func (w *Workspace) applyLocked(u Update) (bool, error) {
 	if err := w.checkArity(u.Rel, len(u.Tuple)); err != nil {
 		return false, err
 	}
-	if u.Op == dyndb.OpDelete {
-		if !w.store.Has(u.Rel, u.Tuple...) {
-			return false, nil
+	insert := u.Op == dyndb.OpInsert
+	if insert == w.store.Has(u.Rel, u.Tuple...) {
+		return false, nil
+	}
+	w.one[0], w.oneTuple[0] = u, u.Tuple
+	phased := false
+	for _, h := range w.order {
+		if h.back.begin(1, h.emits()) {
+			phased = true
 		}
-		// IVM deletion deltas evaluate on the pre-state: hooks run before
-		// the store (and the shared index) forget the tuple.
+	}
+	if phased && !insert {
 		for _, h := range w.order {
-			h.back.preDeleteOne(u.Rel, u.Tuple)
+			h.back.preDelete(u.Rel, w.oneTuple[:])
 		}
-		if _, err := w.store.Delete(u.Rel, u.Tuple...); err != nil { //dyncq:allow epochstep single-update fast path; idx.ApplyUpdate follows below in lockstep
-			panic("dyncq: validated delete failed to apply: " + err.Error())
-		}
-	} else {
-		changed, err := w.store.Insert(u.Rel, u.Tuple...) //dyncq:allow epochstep single-update fast path; idx.ApplyUpdate follows below in lockstep
-		if err != nil || !changed {
-			return changed, err
-		}
+	}
+	if _, err := w.store.Apply(u); err != nil { //dyncq:allow epochstep single-update fast path; idx.ApplyUpdate follows below in lockstep
+		panic("dyncq: validated update failed to apply: " + err.Error())
 	}
 	if w.idx != nil {
 		w.idx.ApplyUpdate(u)
 	}
+	if phased && insert {
+		for _, h := range w.order {
+			h.back.postInsert(u.Rel, w.oneTuple[:])
+		}
+	}
 	for _, h := range w.order {
-		h.back.postApplyOne(u)
+		h.park(h.back.finish(w.one[:], 1))
 	}
 	w.version.Add(1)
 	w.afterCommitLocked()
 	return true, nil
+}
+
+// Commit executes the updates as one atomic commit, exactly as ApplyBatch
+// does, and also returns the workspace version the commit produced, read
+// before the write lock is released — with several writers, Version()
+// asked afterwards may already name somebody else's commit. A commit that
+// changes nothing leaves the version where it was and returns it. One
+// update takes the single-update fast path.
+//
+//dyncq:hot
+func (w *Workspace) Commit(updates []Update) (applied int, version uint64, err error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(updates) == 1 {
+		changed, err := w.applyLocked(updates[0])
+		if changed {
+			applied = 1
+		}
+		return applied, w.version.Load(), err
+	}
+	applied, err = w.applyBatchLocked(updates)
+	return applied, w.version.Load(), err
 }
 
 // ApplyBatch executes a batch atomically across the shared store and
@@ -673,11 +724,16 @@ func (w *Workspace) applyLocked(u Update) (bool, error) {
 // ONCE, and fanned out to every query's maintenance structure. Readers
 // observe either the state before the whole batch or after it. Returns
 // the number of net commands that changed the database.
+func (w *Workspace) ApplyBatch(updates []Update) (int, error) {
+	applied, _, err := w.Commit(updates)
+	return applied, err
+}
+
+// applyBatchLocked is the batch pipeline behind Commit. The caller holds
+// w.mu.Lock.
 //
 //dyncq:hot
-func (w *Workspace) ApplyBatch(updates []Update) (int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+func (w *Workspace) applyBatchLocked(updates []Update) (int, error) {
 	// Union-schema validation first: errors name the owning query.
 	// Store-level arity validation (relations outside every query, and
 	// intra-batch consistency of newly declared relations) happens
@@ -695,11 +751,6 @@ func (w *Workspace) ApplyBatch(updates []Update) (int, error) {
 		return 0, nil
 	}
 
-	for _, h := range w.order {
-		h.back.beginBatch(len(survivors))
-	}
-	perNS := make([]int64, len(w.order))
-
 	// Store phase. Two schedules, chosen per batch:
 	//
 	//   - If any backend needs the relation-phased schedule (an IVM query
@@ -713,14 +764,14 @@ func (w *Workspace) ApplyBatch(updates []Update) (int, error) {
 	//
 	// Either way the store (and the shared index) is written exactly once
 	// per net command, independent of the number of queries.
-	hooked := false
+	phased := false
 	for _, h := range w.order {
-		if h.back.wantsRelationHooks() {
-			hooked = true
-			break
+		if h.back.begin(len(survivors), h.emits()) {
+			phased = true
 		}
 	}
-	if hooked {
+	perNS := make([]int64, len(w.order))
+	if phased {
 		w.runHookedStorePhase(survivors, perNS)
 	} else {
 		w.store.ApplyNetDelta(survivors, w.workers)
@@ -738,7 +789,7 @@ func (w *Workspace) ApplyBatch(updates []Update) (int, error) {
 	// safe for concurrent evaluators over a quiescent store. Each
 	// handle's work is self-contained, so the result is byte-identical
 	// at any worker count.
-	w.finishBatchFanOut(survivors, perNS)
+	w.finishFanOut(survivors, perNS)
 	for i, h := range w.order {
 		h.maintainNS += perNS[i]
 		h.batches++
@@ -900,13 +951,13 @@ func runPool(items []int, workers int, fn func(i int)) {
 	}
 }
 
-// finishBatchFanOut runs every backend's finishBatch — core, recompute
-// and ivm alike — over up to w.workers goroutines; there is no
-// sequential IVM tail. The worker budget is divided across the
-// concurrently running handles (each core backend's ApplyDelta spawns
-// its own shard workers), so a batch never oversubscribes
-// Workers² goroutines. Per-handle timings land in perNS.
-func (w *Workspace) finishBatchFanOut(survivors []Update, perNS []int64) {
+// finishFanOut runs every backend's finish — core, recompute and ivm
+// alike — over up to w.workers goroutines; there is no sequential IVM
+// tail. The worker budget is divided across the concurrently running
+// handles (each core backend's ApplyDelta spawns its own shard workers),
+// so a batch never oversubscribes Workers² goroutines. Per-handle
+// timings land in perNS, the result deltas with their captures.
+func (w *Workspace) finishFanOut(survivors []Update, perNS []int64) {
 	all := w.allHandles()
 	concurrency := w.workers
 	if concurrency > len(all) {
@@ -920,8 +971,9 @@ func (w *Workspace) finishBatchFanOut(survivors []Update, perNS []int64) {
 		}
 	}
 	runPool(all, w.workers, func(i int) {
+		h := w.order[i]
 		t0 := time.Now()
-		w.order[i].back.finishBatch(survivors, inner)
+		h.park(h.back.finish(survivors, inner))
 		perNS[i] += time.Since(t0).Nanoseconds()
 	})
 }
@@ -946,6 +998,23 @@ func (w *Workspace) Load(db *Database) error {
 
 func (w *Workspace) loadLocked(db *dyndb.Database) error {
 	w.version.Add(1)
+	// No backend tracks a reset incrementally: a captured query's delta
+	// across the load is a one-shot diff of its result before and after,
+	// linear like the load itself and gone once the event is built.
+	before := make([]*tuplekey.Map[bool], len(w.order))
+	for i, h := range w.order {
+		if h.emits() {
+			before[i] = resultImage(h.back)
+		}
+	}
+	commit := func() {
+		for i, img := range before {
+			if img != nil {
+				w.order[i].park(diffImage(img, w.order[i].back))
+			}
+		}
+		w.afterCommitLocked()
+	}
 	fail := func(err error) error {
 		w.store.Clear()
 		w.resetIdxLocked()
@@ -954,7 +1023,7 @@ func (w *Workspace) loadLocked(db *dyndb.Database) error {
 		}
 		// The version advanced and the state changed (to empty):
 		// subscribers get their per-version event either way.
-		w.afterCommitLocked()
+		commit()
 		return err
 	}
 	for _, rel := range db.Relations() {
@@ -994,7 +1063,7 @@ func (w *Workspace) loadLocked(db *dyndb.Database) error {
 	if err := w.rebuildFanOut(fail); err != nil {
 		return err // fail() already delivered the capture events
 	}
-	w.afterCommitLocked()
+	commit()
 	return nil
 }
 
@@ -1133,77 +1202,45 @@ func (v *WorkspaceView) Tuples(name string) [][]Value { return v.query(name).Tup
 // ---- strategy adapters ----
 
 // coreBackend adapts a core engine: the per-atom update procedures are
-// order-independent of the store mutation, so everything runs in
-// finishBatch (parallel over shards when workers allow). The engine
-// holds no store; rebuild hands it the shared one to scan.
+// order-independent of the store mutation, so everything runs in finish
+// (parallel over shards when workers allow), which is also where the
+// engine emits the commit's result delta. The engine holds no store;
+// rebuild hands it the shared one to scan.
 type coreBackend struct {
 	e     *core.Engine
 	store *dyndb.Database
+	emit  bool // the open commit's result delta is wanted
 }
 
 func (b *coreBackend) Count() uint64                      { return b.e.Count() }
 func (b *coreBackend) Answer() bool                       { return b.e.Answer() }
 func (b *coreBackend) Enumerate(yield func([]Value) bool) { b.e.Enumerate(yield) }
-func (b *coreBackend) preDeleteOne(string, []Value)       {}
-func (b *coreBackend) postApplyOne(u Update)              { b.e.Update(u) }
-func (b *coreBackend) beginBatch(int)                     {}
-func (b *coreBackend) wantsRelationHooks() bool           { return false }
+func (b *coreBackend) Contains(tuple []Value) bool        { return b.e.Contains(tuple) }
+func (b *coreBackend) begin(_ int, emit bool) bool        { b.emit = emit; return false }
 func (b *coreBackend) preDelete(string, [][]Value)        {}
 func (b *coreBackend) postInsert(string, [][]Value)       {}
-func (b *coreBackend) finishBatch(survivors []Update, workers int) {
-	b.e.ApplyDelta(survivors, workers)
+func (b *coreBackend) finish(survivors []Update, workers int) (added, removed [][]Value) {
+	return b.e.ApplyDelta(survivors, workers, b.emit)
 }
 func (b *coreBackend) rebuild(*eval.IndexSet) error { return b.e.Rebuild(b.store) }
 func (b *coreBackend) clear(*eval.IndexSet)         { b.e.Clear() }
-func (b *coreBackend) shards() int                  { return b.e.Shards() }
 
-// ivmBackend adapts an IVM maintainer: deltas are
-// propagated through the per-relation pre/post hooks; one is a reusable
-// singleton slice for the single-update fast path (safe: callers hold
-// the workspace write lock, and the hooks do not retain it).
+// ivmBackend adapts an IVM maintainer: deltas are propagated through the
+// per-relation pre/post hooks, and the maintainer reports the commit's
+// result delta from the head tuples those delta joins touched.
 type ivmBackend struct {
-	m   *ivm.Maintainer
-	one [1][]Value
+	m *ivm.Maintainer
 }
 
-func (b *ivmBackend) Count() uint64                      { return b.m.Count() }
-func (b *ivmBackend) Answer() bool                       { return b.m.Answer() }
-func (b *ivmBackend) Enumerate(yield func([]Value) bool) { b.m.Enumerate(yield) }
-func (b *ivmBackend) preDeleteOne(rel string, tuple []Value) {
-	b.one[0] = tuple
-	b.m.PreDelete(rel, b.one[:])
-}
-func (b *ivmBackend) postApplyOne(u Update) {
-	if u.Op == dyndb.OpInsert {
-		b.one[0] = u.Tuple
-		b.m.PostInsert(u.Rel, b.one[:])
-	}
-}
-func (b *ivmBackend) beginBatch(survivors int)                { b.m.BeginBatch(survivors) }
-func (b *ivmBackend) wantsRelationHooks() bool                { return !b.m.BatchRebuilds() }
+func (b *ivmBackend) Count() uint64                           { return b.m.Count() }
+func (b *ivmBackend) Answer() bool                            { return b.m.Answer() }
+func (b *ivmBackend) Enumerate(yield func([]Value) bool)      { b.m.Enumerate(yield) }
+func (b *ivmBackend) Contains(tuple []Value) bool             { return b.m.Has(tuple) }
+func (b *ivmBackend) begin(n int, emit bool) bool             { return b.m.BeginBatch(n, emit) }
 func (b *ivmBackend) preDelete(rel string, tuples [][]Value)  { b.m.PreDelete(rel, tuples) }
 func (b *ivmBackend) postInsert(rel string, tuples [][]Value) { b.m.PostInsert(rel, tuples) }
-func (b *ivmBackend) finishBatch([]Update, int)               { b.m.FinishBatch() }
-func (b *ivmBackend) rebuild(idx *eval.IndexSet) error        { return b.m.Rebuild(idx) }
-func (b *ivmBackend) clear(idx *eval.IndexSet)                { b.m.Clear(idx) }
-func (b *ivmBackend) shards() int                             { return 0 }
-
-// recomputeBackend adapts the stateless recompute strategy: it stores
-// nothing, so maintenance is free and reads evaluate the shared store.
-type recomputeBackend struct {
-	r *recompute
+func (b *ivmBackend) finish([]Update, int) (added, removed [][]Value) {
+	return b.m.FinishBatch()
 }
-
-func (b *recomputeBackend) Count() uint64                      { return b.r.Count() }
-func (b *recomputeBackend) Answer() bool                       { return b.r.Answer() }
-func (b *recomputeBackend) Enumerate(yield func([]Value) bool) { b.r.Enumerate(yield) }
-func (b *recomputeBackend) preDeleteOne(string, []Value)       {}
-func (b *recomputeBackend) postApplyOne(Update)                {}
-func (b *recomputeBackend) beginBatch(int)                     {}
-func (b *recomputeBackend) wantsRelationHooks() bool           { return false }
-func (b *recomputeBackend) preDelete(string, [][]Value)        {}
-func (b *recomputeBackend) postInsert(string, [][]Value)       {}
-func (b *recomputeBackend) finishBatch([]Update, int)          {}
-func (b *recomputeBackend) rebuild(*eval.IndexSet) error       { return b.r.validate() }
-func (b *recomputeBackend) clear(*eval.IndexSet)               {}
-func (b *recomputeBackend) shards() int                        { return 0 }
+func (b *ivmBackend) rebuild(idx *eval.IndexSet) error { return b.m.Rebuild(idx) }
+func (b *ivmBackend) clear(idx *eval.IndexSet)         { b.m.Clear(idx) }
