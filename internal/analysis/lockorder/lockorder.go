@@ -55,11 +55,6 @@ var lockRank = map[string]int{
 	// strictly above both engine locks and nothing blocking may run
 	// under it — sends to subscriber outboxes must stay select-default.
 	"dyncq/internal/server.broker.mu": 2,
-	// The enumerate frame cache is innermost of all: its mutex guards
-	// only the map probe/store (frames are encoded OUTSIDE it), so no
-	// other ranked lock — and no function call that could take one —
-	// is permitted under it.
-	"dyncq/internal/server.frameCache.mu": 3,
 }
 
 // heldLock is one lock the current function has acquired and not yet

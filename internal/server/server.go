@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dyncq/pkg/dyncq"
@@ -58,7 +59,9 @@ type Server struct {
 	ws     *dyncq.Workspace
 	opt    Options
 	broker *broker
-	frames *frameCache
+
+	// Encode-once counters of the `enumerate` frames (FrameCacheStats).
+	frameHits, frameMisses atomic.Uint64
 
 	// subMu serializes all subscription topology changes: broker
 	// add/remove, capture start/stop, and each session's subs map. It
@@ -79,7 +82,6 @@ func New(opt Options) *Server {
 		ws:        dyncq.NewWorkspace(dyncq.WorkspaceOptions{Workers: opt.Workers}),
 		opt:       opt.withDefaults(),
 		broker:    newBroker(),
-		frames:    newFrameCache(),
 		sessions:  make(map[*session]struct{}),
 		listeners: make(map[net.Listener]struct{}),
 	}
@@ -192,6 +194,39 @@ func (s *Server) DroppedFrames(name string) uint64 {
 	return s.broker.droppedFrames(name)
 }
 
+// enumerateFrame returns the encoded `enumerate` frame of a pinned
+// snapshot. The frame is encoded once and kept on the snapshot itself
+// (dyncq.QuerySnapshot.Frame), fanned out byte-identical to every client
+// — the same discipline broker.publish applies to delta frames. Every pin
+// at an unchanged version returns the same shared *QuerySnapshot, and any
+// commit, eviction, or unregister/re-register produces a fresh one, so a
+// stale frame can never be served and a frame is collected with the
+// snapshot it renders: there is no cache to purge.
+//
+//dyncq:hot
+func (s *Server) enumerateFrame(snap *dyncq.QuerySnapshot) []byte {
+	frame, cached := snap.Frame(encodeSnapshot)
+	if cached {
+		s.frameHits.Add(1)
+	} else {
+		s.frameMisses.Add(1)
+	}
+	return frame
+}
+
+// FrameCacheStats is the server's encode-once counters: Hits served an
+// already-encoded frame with no enumeration or encoding; Misses paid
+// one encode (first enumerate at a version).
+type FrameCacheStats struct {
+	Hits   uint64
+	Misses uint64
+}
+
+// FrameCacheStats returns the monotonic encode-once counters.
+func (s *Server) FrameCacheStats() FrameCacheStats {
+	return FrameCacheStats{Hits: s.frameHits.Load(), Misses: s.frameMisses.Load()}
+}
+
 // SessionCount returns the number of live sessions (observability).
 func (s *Server) SessionCount() int {
 	s.mu.Lock()
@@ -216,14 +251,7 @@ func (s *Server) subscribe(sess *session, name string) (uint64, error) {
 	version := s.ws.Version()
 	sub := &subscriber{sess: sess}
 	if first := s.broker.add(name, sub); first {
-		hook := func(ev dyncq.DeltaEvent) {
-			s.broker.publish(ev)
-			// The version moved, so the query's cached enumerate frame (a
-			// subscriber's sync enumerate leaves one behind) can never be
-			// served again: let it go now, not at the next enumerate.
-			s.frames.purge(ev.Query)
-		}
-		if err := s.ws.CaptureDeltas(name, hook); err != nil {
+		if err := s.ws.CaptureDeltas(name, s.broker.publish); err != nil {
 			s.broker.remove(name, sess)
 			return 0, err
 		}
@@ -267,7 +295,6 @@ func (s *Server) unregister(name string) bool {
 	for _, sub := range s.broker.take(name) {
 		delete(sub.sess.subs, name)
 	}
-	s.frames.purge(name)
 	return true
 }
 

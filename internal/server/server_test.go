@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -522,5 +523,120 @@ func TestCommitReplyVersionIsOwn(t *testing.T) {
 	}
 	if len(seen) != writers*rounds {
 		t.Fatalf("%d distinct reply versions over %d commits", len(seen), writers*rounds)
+	}
+}
+
+// TestCountReplyIsConsistent: the count and the version of an `ok count`
+// reply belong to one committed state. A writer adds exactly one result
+// tuple per commit, so count − version never moves; a poller that only
+// ever counts (it never enumerates, so no snapshot exists and every
+// reply takes the cold path) must see that difference stay put. Reading
+// the count and then the version under two separate locks lets a commit
+// land in between and breaks it. Run with -race.
+func TestCountReplyIsConsistent(t *testing.T) {
+	srv := newTestServer(t, Options{})
+	poller := pipeClient(t, srv)
+	if err := poller.Register("q", "Q(x,y) :- E(x,y)"); err != nil {
+		t.Fatal(err)
+	}
+	stop, written := make(chan struct{}), make(chan error, 1)
+	go func() {
+		ws := srv.Workspace()
+		for x := dyncq.Value(0); ; x++ {
+			select {
+			case <-stop:
+				written <- nil
+				return
+			default:
+			}
+			if changed, err := ws.Apply(dyndb.Insert("E", x, 1)); err != nil || !changed {
+				written <- fmt.Errorf("insert %d: changed=%v err=%v", x, changed, err)
+				return
+			}
+			runtime.Gosched() // on one processor the poller's goroutines need the turn
+		}
+	}()
+	const replies = 2500
+	n0, v0, err := poller.Count("q")
+	for i := 0; i < replies && err == nil; i++ {
+		var n, v uint64
+		if n, v, err = poller.Count("q"); err == nil && n-v != n0-v0 {
+			err = fmt.Errorf("reply %d: count %d at version %d, but count − version was %d at the first reply (count %d, version %d)",
+				i, n, v, int64(n0-v0), n0, v0)
+		}
+	}
+	close(stop)
+	if werr := <-written; werr != nil {
+		t.Fatal(werr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _, _ := poller.Count("q"); n < 100 {
+		t.Fatalf("the writer committed only %d times beside %d polls: the race was not exercised", n, replies)
+	}
+}
+
+// TestEnumerateFrameIsStrategyIndependent: a snapshot lists its rows in
+// lexicographic order whatever maintains the query, so for one query and
+// one stream the pinned rows and the bytes of the `enumerate` frame are
+// the same on core at any shard and worker count, on ivm and on
+// recompute, version for version. The frame is encoded once per version:
+// asking twice is one miss and one hit.
+func TestEnumerateFrameIsStrategyIndependent(t *testing.T) {
+	q := cq.MustParse("Q(x,y) :- E(x,y), T(y)")
+	stream := workload.RandomStream(rand.New(rand.NewSource(41)), q.Schema(), 9, 600, 0.35)
+	type config struct {
+		force           dyncq.Strategy
+		shards, workers int
+	}
+	configs := []config{
+		{dyncq.StrategyCore, 1, 1}, {dyncq.StrategyCore, 4, 1}, {dyncq.StrategyCore, 1, 4}, {dyncq.StrategyCore, 4, 4},
+		{dyncq.StrategyIVM, 0, 1}, {dyncq.StrategyRecompute, 0, 1},
+	}
+	var reference [][]byte // the first configuration's frame after every batch
+	for _, cfg := range configs {
+		name := fmt.Sprintf("%s/shards=%d/workers=%d", cfg.force, cfg.shards, cfg.workers)
+		srv := newTestServer(t, Options{Workers: cfg.workers})
+		ws := srv.Workspace()
+		h, err := ws.RegisterQuery("q", q, dyncq.Options{Force: cfg.force, Shards: cfg.shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var frames [][]byte
+		for from := 0; from < len(stream); from += 15 {
+			if _, err := ws.ApplyBatch(stream[from:min(from+15, len(stream))]); err != nil {
+				t.Fatal(err)
+			}
+			before := srv.FrameCacheStats()
+			frame := srv.enumerateFrame(h.Snapshot())
+			if again := srv.enumerateFrame(h.Snapshot()); &again[0] != &frame[0] {
+				t.Fatalf("%s: the second enumerate at version %d was encoded anew", name, ws.Version())
+			}
+			if after := srv.FrameCacheStats(); after.Misses != before.Misses+1 || after.Hits != before.Hits+1 {
+				t.Fatalf("%s: two enumerates at one version moved the counters %+v -> %+v, want one miss and one hit", name, before, after)
+			}
+			frames = append(frames, frame)
+			// The frame is the pinned rows, rendered: parse it back.
+			rows := h.Snapshot().Tuples()
+			lines := strings.Split(strings.TrimSuffix(string(frame), "\n"+frameEnd), "\n")[1:]
+			if len(lines) != len(rows) {
+				t.Fatalf("%s: frame carries %d tuple lines for %d pinned rows", name, len(lines), len(rows))
+			}
+			for i, line := range lines {
+				if _, _, tuple, err := parseTupleLine(line); err != nil || fmt.Sprint(tuple) != fmt.Sprint(rows[i]) {
+					t.Fatalf("%s: frame line %d is %q (err %v), pinned row %v", name, i, line, err, rows[i])
+				}
+			}
+		}
+		if reference == nil {
+			reference = frames
+			continue
+		}
+		for i := range frames {
+			if string(frames[i]) != string(reference[i]) {
+				t.Fatalf("%s: enumerate frame after batch %d differs from core's:\n%s\nvs\n%s", name, i, frames[i], reference[i])
+			}
+		}
 	}
 }

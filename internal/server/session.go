@@ -207,11 +207,15 @@ func (s *session) dispatch(line string) bool {
 		}
 		// Served from the cached snapshot header when one is current —
 		// no workspace lock at all on a warm query. The cold fallback
-		// reads the live backend under the read lock as before.
+		// reads the live backend and the version under ONE read lock: a
+		// count-only poller never creates a snapshot, so this is the path
+		// it always takes, and its reply must not pair a count with the
+		// version a concurrent commit produced right after it.
 		if snap := h.CachedSnapshot(); snap != nil {
 			return s.ok("count %s %d %d", h.Name(), snap.Count(), snap.Version())
 		}
-		return s.ok("count %s %d %d", h.Name(), h.Count(), s.srv.ws.Version())
+		n, version := h.CountAt()
+		return s.ok("count %s %d %d", h.Name(), n, version)
 	case "answer":
 		h, bad := s.handleArg(rest, "answer")
 		if h == nil {
@@ -220,18 +224,19 @@ func (s *session) dispatch(line string) bool {
 		if snap := h.CachedSnapshot(); snap != nil {
 			return s.ok("answer %s %t %d", h.Name(), snap.Answer(), snap.Version())
 		}
-		return s.ok("answer %s %t %d", h.Name(), h.Answer(), s.srv.ws.Version())
+		n, version := h.CountAt()
+		return s.ok("answer %s %t %d", h.Name(), n > 0, version)
 	case "enumerate":
 		h, bad := s.handleArg(rest, "enumerate")
 		if h == nil {
 			return bad
 		}
-		// Pin an MVCC snapshot (O(1) on a warm version) and serve the
-		// frame from the encode-once cache: the same bytes fan out to
-		// every client until the next commit moves the snapshot. No
-		// lock is held while encoding, so a slow client draining a
-		// huge result never blocks ApplyBatch.
-		return s.send(s.srv.frames.frameFor(h.Snapshot()))
+		// Pin an MVCC snapshot (O(1) on a warm version) and serve its
+		// encode-once frame: the same bytes fan out to every client
+		// until the next commit moves the snapshot. No lock is held
+		// while encoding, so a slow client draining a huge result never
+		// blocks ApplyBatch.
+		return s.send(s.srv.enumerateFrame(h.Snapshot()))
 	case "subscribe":
 		name := strings.TrimSpace(rest)
 		if name == "" {

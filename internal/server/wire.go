@@ -49,7 +49,11 @@
 // byte-identical delta streams. `enumerate` frames follow the same
 // encode-once discipline: each is encoded once per (query, version)
 // and the identical bytes are fanned out to every client asking while
-// that version is current. A subscriber that cannot keep up
+// that version is current. Their tuples are in lexicographic order too,
+// whatever strategy maintains the query — the frame is a function of the
+// result set, byte-identical across strategies, shard counts and worker
+// counts — so a client keeping a mirror applies each later delta frame
+// to the snapshot by one sorted merge. A subscriber that cannot keep up
 // (bounded per-connection outbox) has frames dropped; on recovery it
 // receives a single
 //
@@ -145,7 +149,7 @@ func encodeResync(name string, version, dropped uint64) []byte {
 
 // encodeSnapshot renders an `enumerate` response frame from a pinned
 // MVCC snapshot. Runs without any workspace lock held. Callers go
-// through frameCache.frameFor, so each shared snapshot is encoded at
+// through Server.enumerateFrame, so each shared snapshot is encoded at
 // most once (modulo benign racing misses) and every client receives
 // the same bytes.
 //

@@ -74,8 +74,50 @@ func TestCaptureWalksNoResult(t *testing.T) {
 				t.Fatalf("Load walked the result %d times, want one image before and one diff after", walks)
 			}
 			replica.matches(t, h.Tuples(), "after load")
+
+			// The same without a capture but with a reader pinning every
+			// version: the cached snapshot arms the emission, so keeping it
+			// current walks nothing either; a Load, which no backend emits
+			// a delta for and nobody here captures, re-materialises it by
+			// exactly one walk.
+			ws.StopDeltaCapture("q")
+			h.Snapshot()
+			walks = 0
+			stream = workload.RandomStream(rng, q.Schema(), 15, 200, 0.4)
+			for _, u := range stream[:100] {
+				if _, err := ws.Apply(u); err != nil {
+					t.Fatal(err)
+				}
+				h.Snapshot()
+			}
+			for i := 100; i < len(stream); i += 25 {
+				if _, err := ws.ApplyBatch(stream[i:min(i+25, len(stream))]); err != nil {
+					t.Fatal(err)
+				}
+				h.Snapshot()
+			}
+			if walks != 0 {
+				t.Fatalf("advancing a pinned snapshot over %d commits enumerated the result %d times", len(stream[:100])+4, walks)
+			}
+			rowsIdentical(t, h.Snapshot().Tuples(), sortedTuples(h), "pinned after stream")
+			walks = 0
+			if err := ws.Load(workload.RandomDatabase(rng, q.Schema(), 15, 60)); err != nil {
+				t.Fatal(err)
+			}
+			if walks != 1 {
+				t.Fatalf("Load walked the result %d times for a pinned, uncaptured query, want the one rebuild", walks)
+			}
+			rowsIdentical(t, h.Snapshot().Tuples(), sortedTuples(h), "pinned after load")
 		})
 	}
+}
+
+// sortedTuples returns the handle's live result in lexicographic order —
+// what a snapshot of it must list.
+func sortedTuples(h *Handle) [][]Value {
+	rows := h.Tuples()
+	sortTuplesLex(rows)
+	return rows
 }
 
 // TestApplyAllocationFree: the single-update path drives the backends'
@@ -236,6 +278,67 @@ func BenchmarkCapturedCommit(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(delivered)/float64(b.N), "delta-tuples/op")
+		})
+	}
+}
+
+// BenchmarkSnapshotAdvance commits 8-update batches on the feed query
+// with a reader pinning a snapshot after every commit, at three result
+// sizes over the same store. Keeping the pinned snapshot current must
+// not cost O(|ϕ(D)|): the delta rebuilds the leaves it touches and the
+// rest are shared, so what grows with the result is the one index level
+// alone — a slice header per leaf, n/snapLeafRows of them, copied per
+// advance — which B/op shows beside the touched leaves.
+func BenchmarkSnapshotAdvance(b *testing.B) {
+	const edges, ys = 100000, 20000 // every y carries 5 edges
+	for _, result := range []int{1000, 10000, 100000} {
+		b.Run(fmt.Sprintf("result=%dk", result/1000), func(b *testing.B) {
+			ws := NewWorkspace(WorkspaceOptions{})
+			h, err := ws.Register("feed", "Q(x,y) :- E(x,y), T(y)")
+			if err != nil {
+				b.Fatal(err)
+			}
+			db := dyndb.New()
+			for i := 0; i < edges; i++ {
+				if _, err := db.Insert("E", Value(2*i), Value(i%ys)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for y := 0; y < result*ys/edges; y++ {
+				if _, err := db.Insert("T", Value(y)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := ws.Load(db); err != nil {
+				b.Fatal(err)
+			}
+			// Eight fresh edges into the result, spread over the x range
+			// and so over the snapshot's leaves, then their deletion, and
+			// again: store and result stay at their loaded size.
+			var ins, del []Update
+			for j := 0; j < 8; j++ {
+				x, y := Value(2*(j*edges/8+j)+1), Value(j*751%(result*ys/edges))
+				ins, del = append(ins, dyndb.Insert("E", x, y)), append(del, dyndb.Delete("E", x, y))
+			}
+			if got := h.Snapshot().Len(); got != result {
+				b.Fatalf("result holds %d tuples, want %d", got, result)
+			}
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				batch := ins
+				if i%2 == 1 {
+					batch = del
+				}
+				if n, err := ws.ApplyBatch(batch); err != nil || n != 8 {
+					b.Fatalf("batch netted %d of 8 (err %v)", n, err)
+				}
+				if got := h.Snapshot().Len(); got != result+8*((i+1)%2) {
+					b.Fatalf("pinned %d tuples after commit %d", got, i)
+				}
+			}
+			if st := h.SnapshotCacheStats(); st.Rebuilt != 0 || st.Patched != uint64(b.N) {
+				b.Fatalf("%d commits: %+v, want every advance patched", b.N, st)
+			}
 		})
 	}
 }

@@ -3,6 +3,8 @@ package dyncq
 import (
 	"fmt"
 	"slices"
+	"sort"
+	"sync/atomic"
 
 	"dyncq/internal/tuplekey"
 )
@@ -13,15 +15,23 @@ import (
 // Snapshots are copy-on-pin with a version-keyed shared cache
 // (snapshot_cache.go): the FIRST pin at a committed version
 // materialises the query's result (and the store's summary statistics)
-// into an immutable buffer under a brief read lock; every further pin
+// into immutable leaves under a brief read lock; every further pin
 // at the same version is one atomic pointer load returning the SAME
-// QuerySnapshot — N concurrent readers share one buffer, and re-pinning
+// QuerySnapshot — N concurrent readers share one copy, and re-pinning
 // an unchanged version enumerates nothing and allocates nothing. A
 // reader iterating a snapshot NEVER blocks ApplyBatch — the paper's
 // update procedure keeps running while an arbitrarily slow enumeration
-// walks a consistent past state. Commits advance a demanded cache in
-// place (delta patch or sized re-enumeration) and drop an undemanded
-// one, so a write-only stream pays nothing — updates stay the hot path.
+// walks a consistent past state. Commits advance a demanded cache by
+// rebuilding the leaves the commit's result delta touches and sharing the
+// rest, and drop an undemanded one, so a write-only stream pays nothing —
+// updates stay the hot path.
+//
+// One order contract: a snapshot lists its rows in lexicographic order
+// on every strategy, so it is a function of the result SET — identical
+// across strategies, shard counts and worker counts — and the deltas of
+// the commits after it merge into it in one sorted pass, here and on a
+// subscriber's side of the wire alike. Only the live Handle.Enumerate
+// walks the engine's own constant-delay order.
 //
 // Delta capture is the push half: a registered hook observes, per
 // committed version, exactly which tuples each query's result gained
@@ -32,9 +42,9 @@ import (
 // other two — evaluates before and after. The workspace keeps no copy of
 // any result and walks none per commit; only a Load, which resets every
 // structure, is bridged by a one-shot before/after diff (resultImage).
-// The cache advance reuses the event: for the canonically ordered
-// strategies it patches the previous flat buffer in O(|result| + |delta|)
-// with no backend enumeration at all.
+// The same delta, parked on the handle between the backend's finish and
+// afterCommit, feeds the hook and the cache advance; a cached snapshot
+// asks for it even when no hook does (Handle.emits).
 
 // QuerySnapshot is one query's result pinned at one committed version.
 // It is immutable and safe for concurrent use by any number of
@@ -47,7 +57,15 @@ type QuerySnapshot struct {
 	adom    int
 	arity   int
 	n       int
-	flat    []Value // n×arity values, row-major
+	// leaves holds the n rows in lexicographic order, cut into immutable
+	// runs the snapshots of neighbouring versions share (snapshot_cache.go);
+	// empty for a Boolean query.
+	leaves []*snapLeaf
+	// starts[k] is the number of rows before leaves[k]. Only Tuple needs
+	// it, so the first Tuple call builds it and no commit ever does.
+	starts atomic.Pointer[[]int]
+	// frame is the snapshot's encoded form, filled at most once (Frame).
+	frame atomic.Pointer[[]byte]
 }
 
 // Name returns the query's registration name.
@@ -77,21 +95,36 @@ func (s *QuerySnapshot) Len() int { return s.n }
 // Answer reports whether ϕ(D) was nonempty at the pinned version.
 func (s *QuerySnapshot) Answer() bool { return s.n > 0 }
 
-// Tuple returns the i-th result tuple as a window into the snapshot's
-// buffer. The window is immutable; do not modify it.
+// Tuple returns the i-th result tuple, in lexicographic order, as a
+// window into the snapshot's storage: one binary search over the leaves,
+// O(log(n/leaf)), after the first call on a snapshot has numbered them,
+// O(n/leaf). Enumerate is the way to walk them all. The window is
+// immutable; do not modify it.
 func (s *QuerySnapshot) Tuple(i int) []Value {
 	if s.arity == 0 {
 		return nil
 	}
-	return s.flat[i*s.arity : (i+1)*s.arity]
+	starts := s.starts.Load()
+	if starts == nil {
+		numbered := make([]int, len(s.leaves))
+		for k := 1; k < len(numbered); k++ {
+			numbered[k] = numbered[k-1] + len(s.leaves[k-1].rows)/s.arity
+		}
+		starts = &numbered
+		s.starts.Store(starts) // racing first calls number alike; either wins
+	}
+	k := sort.SearchInts(*starts, i+1) - 1 // the last leaf starting at or before row i
+	off := (i - (*starts)[k]) * s.arity
+	return s.leaves[k].rows[off : off+s.arity : off+s.arity]
 }
 
-// Enumerate streams the pinned result in the order the backend
-// enumerated it at pin time. Unlike Handle.Enumerate it holds no lock:
-// yield may take arbitrarily long, apply updates, or call any workspace
-// method — concurrent writers proceed regardless. The yielded slice is
-// a window into the snapshot's buffer, valid (and immutable) for the
-// snapshot's whole lifetime.
+// Enumerate streams the pinned result in lexicographic tuple order —
+// the same on every strategy, shard count and worker count, and the
+// order DeltaEvent lists its tuples in. Unlike Handle.Enumerate it
+// holds no lock: yield may take arbitrarily long, apply updates, or call
+// any workspace method — concurrent writers proceed regardless. The
+// yielded slice is a window into the snapshot's storage, valid (and
+// immutable) for the snapshot's whole lifetime.
 func (s *QuerySnapshot) Enumerate(yield func(tuple []Value) bool) {
 	if s.arity == 0 {
 		for i := 0; i < s.n; i++ {
@@ -101,41 +134,56 @@ func (s *QuerySnapshot) Enumerate(yield func(tuple []Value) bool) {
 		}
 		return
 	}
-	for i := 0; i < s.n; i++ {
-		if !yield(s.flat[i*s.arity : (i+1)*s.arity]) {
-			return
+	for _, l := range s.leaves {
+		rows := l.rows
+		for off := 0; off < len(rows); off += s.arity {
+			if !yield(rows[off : off+s.arity : off+s.arity]) {
+				return
+			}
 		}
 	}
 }
 
-// Tuples returns the pinned result as a sized slice of row windows into
-// the snapshot's buffer — one allocation regardless of result size. The
-// windows are capacity-capped and immutable, exactly like Tuple's: do
-// not modify them (the buffer may be shared by any number of pinners).
+// Tuples returns the pinned result, in lexicographic order, as a sized
+// slice of row windows into the snapshot's storage — one allocation
+// regardless of result size. The windows are capacity-capped and
+// immutable, exactly like Tuple's: do not modify them (the storage may
+// be shared by any number of pinners, and by the snapshots of other
+// versions).
 func (s *QuerySnapshot) Tuples() [][]Value {
-	out := make([][]Value, s.n)
-	if s.arity == 0 {
-		return out // n empty tuples, same shape Enumerate yields
-	}
-	for i := range out {
-		out[i] = s.flat[i*s.arity : (i+1)*s.arity : (i+1)*s.arity]
-	}
+	out := make([][]Value, 0, s.n)
+	s.Enumerate(func(t []Value) bool {
+		out = append(out, t)
+		return true
+	})
 	return out
 }
 
-// snapshotLocked materialises the handle's current result — the
-// copy-on-pin slow path behind the version-keyed cache. Callers hold at
-// least the workspace read lock (or exclusive access).
-//
-// Order contract: a core backend's snapshot preserves the engine's live
-// enumeration order byte for byte; every other strategy's snapshot is
-// canonicalised to lexicographic tuple order. IVM enumerates a Go map
-// (nondeterministic between identical pins), so without the sort two
-// pins of one unchanged version could disagree — and the delta-patched
-// advance needs a deterministic order to merge DeltaEvents into.
-func (h *Handle) snapshotLocked() *QuerySnapshot {
+// Frame returns the snapshot's encoded form and whether it was already
+// there: the first call runs encode over the snapshot and keeps the
+// result, every later call returns those same bytes. The slot belongs to
+// the snapshot, so an encoded frame lives exactly as long as the version
+// it renders is pinned or cached — there is nothing to purge. Callers
+// racing on an empty slot may each encode; a snapshot encodes to the same
+// bytes every time and the first to finish wins. The serving layer keeps
+// its encode-once `enumerate` frames here.
+func (s *QuerySnapshot) Frame(encode func(*QuerySnapshot) []byte) (frame []byte, cached bool) {
+	if f := s.frame.Load(); f != nil {
+		return *f, true
+	}
+	f := encode(s)
+	if !s.frame.CompareAndSwap(nil, &f) {
+		return *s.frame.Load(), false
+	}
+	return f, false
+}
+
+// newSnapshot returns an empty snapshot of the handle's query stamped
+// with the workspace's current version and store statistics. Callers
+// hold at least the workspace read lock (or exclusive access).
+func (h *Handle) newSnapshot() *QuerySnapshot {
 	w := h.ws
-	s := &QuerySnapshot{
+	return &QuerySnapshot{
 		name:    h.name,
 		version: w.version.Load(),
 		epoch:   w.store.Epoch(),
@@ -143,43 +191,18 @@ func (h *Handle) snapshotLocked() *QuerySnapshot {
 		adom:    w.store.ActiveDomainSize(),
 		arity:   h.query.Arity(),
 	}
-	h.fillSnapshot(s)
-	return s
-}
-
-// fillSnapshot populates n and the flat buffer from the backend's
-// current result, enforcing the order contract above. Callers hold the
-// read lock or exclusive access.
-func (h *Handle) fillSnapshot(s *QuerySnapshot) {
-	if s.arity == 0 {
-		// Boolean query: the result is {()} or ∅; do not rely on the
-		// backend enumerating empty tuples.
-		s.n = int(h.back.Count())
-		return
-	}
-	// Count is O(1) for the maintained strategies, so the flat buffer is
-	// one exactly-sized allocation; recompute's Count is itself a full
-	// evaluation, so it keeps the growing append instead of paying twice.
-	if h.strategy != StrategyRecompute {
-		s.flat = make([]Value, 0, int(h.back.Count())*s.arity)
-	}
-	h.back.Enumerate(func(t []Value) bool {
-		s.flat = append(s.flat, t...)
-		return true
-	})
-	s.n = len(s.flat) / s.arity
-	if h.strategy != StrategyCore {
-		sortFlatRows(s.flat, s.arity)
-	}
 }
 
 // Snapshot pins this query's result at the latest committed version.
 // Pinning an already-materialised version is O(1) — one atomic pointer
 // load returning the SAME immutable snapshot every concurrent pinner
-// shares, with zero enumeration and zero result-buffer allocation. Only
-// the first pin of a version copies the result out under a brief read
-// lock. Either way the returned snapshot is read without any lock at
-// all: use it whenever the consumer of an enumeration is slow (a
+// shares, with zero enumeration and zero allocation. Only the first pin
+// after a spell without readers copies the result out (and sorts it)
+// under a brief read lock; from then on, while pins keep coming, each
+// commit brings the cached snapshot forward in O(|Δ|) and the next pin is
+// O(1) again. Either way the returned snapshot lists its rows in
+// lexicographic order whatever the strategy, and is read without any lock
+// at all: use it whenever the consumer of an enumeration is slow (a
 // network peer, a report writer) — Handle.Enumerate holds the read lock
 // for its whole run and therefore stalls writers, a pinned snapshot
 // never does.
@@ -281,27 +304,39 @@ type DeltaEvent struct {
 	Removed [][]Value
 }
 
-// deltaCapture is a handle's active delta export: the hook, the previous
-// answer bit of a Boolean query (whose whole delta is that bit flipping,
-// read in O(1) after the commit), and the open commit's result delta,
-// parked by the backend's finish until afterCommit builds the event.
+// deltaCapture is a handle's active delta export: the hook, and the
+// previous answer bit of a Boolean query (whose whole delta is that bit
+// flipping, read in O(1) after the commit).
 type deltaCapture struct {
-	hook           func(DeltaEvent)
-	boolean        bool
-	prev           bool
-	added, removed [][]Value
+	hook    func(DeltaEvent)
+	boolean bool
+	prev    bool
 }
 
-// emits reports whether the handle's backend should produce the open
-// commit's result delta: only while a capture wants it, so an uncaptured
-// commit does no extra work.
-func (h *Handle) emits() bool { return h.capture != nil && !h.capture.boolean }
-
-// park hands the open commit's result delta to the capture, if any.
-func (h *Handle) park(added, removed [][]Value) {
-	if c := h.capture; c != nil {
-		c.added, c.removed = added, removed
+// emits reports whether the handle's backend should produce the next
+// commit's result delta: when a capture wants it delivered, or a cached
+// snapshot wants it to advance by — except on recompute, which maintains
+// no result to read a delta off (for a capture it evaluates twice and
+// diffs; a snapshot it rebuilds by its one evaluation instead). A handle
+// with neither makes the backend do no extra work. A Boolean query's
+// delta is its answer bit, which needs no emission. Decided once per
+// commit, with the write lock held (begin): a snapshot cannot appear in
+// the cache while a commit is open, only be evicted from it.
+func (h *Handle) emits() bool {
+	if h.query.Arity() == 0 {
+		return false
 	}
+	return h.capture != nil || (h.strategy != StrategyRecompute && h.snap.Load() != nil)
+}
+
+// begin opens a commit of n net commands on the handle's backend and
+// settles whether the backend is to emit the commit's result delta; it
+// reports whether the backend needs the relation-phased store schedule.
+// A delta an earlier commit parked and nobody consumed (the snapshot that
+// asked for it was evicted before afterCommit) is dropped here.
+func (h *Handle) begin(n int) (phased bool) {
+	h.emitting, h.added, h.removed = h.emits(), nil, nil
+	return h.back.begin(n, h.emitting)
 }
 
 // CaptureDeltas starts per-commit delta capture for the named query:
@@ -312,7 +347,10 @@ func (h *Handle) park(added, removed [][]Value) {
 // answer once). While it is active each commit pays for producing the
 // delta: O(|Δ|) on core, the head tuples the delta joins touched on IVM,
 // two full evaluations on recompute; a Load pays one result walk before
-// and one after on every strategy. The hook runs inside the commit, with
+// and one after on every strategy. On core and IVM a cached snapshot
+// (Handle.Snapshot) arms the same emission for as long as readers keep it
+// demanded, so a capture on a polled query adds only the hook's own work,
+// and one delta serves both. The hook runs inside the commit, with
 // the workspace write lock held: it MUST NOT block and MUST NOT call any
 // workspace, handle, or session method (the serving layer's broker
 // satisfies this by handing pre-encoded frames to per-connection
@@ -380,22 +418,21 @@ func (w *Workspace) afterCommitLocked() {
 	})
 }
 
-// afterCommit runs one handle's post-commit read-side maintenance: build
-// the version's event from the delta the backend parked, advance the
-// cached snapshot, deliver. The snapshot advance reads the DeltaEvent
-// BEFORE the hook is delivered — the event's slices are owned by the hook
-// once delivered, and the advance only copies values out, never retains
-// them.
+// afterCommit runs one handle's post-commit read-side maintenance: take
+// the delta the backend parked (it serves this version and no other),
+// advance the cached snapshot by it, deliver it. The snapshot advance
+// reads the DeltaEvent BEFORE the hook is delivered — the event's slices
+// are owned by the hook once delivered, and the advance only copies
+// values out, never retains them.
 func (h *Handle) afterCommit() {
 	c := h.capture
-	if c == nil {
-		h.advanceSnapshot(nil)
-		return
+	var ev *DeltaEvent // nil: the backend was not asked for this commit's delta
+	if h.emitting || c != nil {
+		ev = &DeltaEvent{Query: h.name, Version: h.ws.version.Load(), Epoch: h.ws.store.Epoch(),
+			Added: h.added, Removed: h.removed}
 	}
-	ev := DeltaEvent{Query: h.name, Version: h.ws.version.Load(), Epoch: h.ws.store.Epoch(),
-		Added: c.added, Removed: c.removed}
-	c.added, c.removed = nil, nil
-	if c.boolean {
+	h.emitting, h.added, h.removed = false, nil, nil
+	if c != nil && c.boolean {
 		now := h.back.Answer()
 		if now && !c.prev {
 			ev.Added = [][]Value{nil}
@@ -404,8 +441,10 @@ func (h *Handle) afterCommit() {
 		}
 		c.prev = now
 	}
-	h.advanceSnapshot(&ev)
-	c.hook(ev)
+	h.advanceSnapshot(ev)
+	if c != nil {
+		c.hook(*ev)
+	}
 }
 
 // resultImage copies the backend's current result into a set: the

@@ -181,6 +181,14 @@ type Handle struct {
 	// subscriber wants this query's per-commit deltas.
 	capture *deltaCapture
 
+	// The open commit's result delta, between the backend's finish and
+	// afterCommit, which hands it to the capture hook and the snapshot
+	// advance and clears it. emitting says whether the backend was asked
+	// for one at all (begin decides, or Load): an empty delta and no delta
+	// both come as nil slices. Guarded by the write lock.
+	emitting       bool
+	added, removed [][]Value
+
 	// snap is the version-keyed cached snapshot (snapshot_cache.go): the
 	// latest materialised QuerySnapshot, shared by every pinner at its
 	// version. nil until a reader pins, and again after the demand-decay
@@ -193,8 +201,9 @@ type Handle struct {
 	// demand is the cache keep-alive countdown: every pin rearms it to
 	// snapDemandGrace, every commit decrements it, and when it runs out
 	// the commit invalidates the cache instead of advancing it — a
-	// write-only stream stops paying the O(|result|) advance after a
-	// bounded number of commits per past pin.
+	// write-only stream stops paying for the emission and the advance,
+	// and stops holding the copy, a bounded number of commits after the
+	// last pin.
 	demand atomic.Int32
 
 	// Cache observability (SnapshotCacheStats).
@@ -222,6 +231,16 @@ func (h *Handle) Count() uint64 {
 	h.ws.mu.RLock()
 	defer h.ws.mu.RUnlock()
 	return h.back.Count()
+}
+
+// CountAt returns |ϕ(D)| together with the committed version it holds
+// at, both read under one read lock: Count followed by Version lets a
+// commit land between the two, and a reply built from them pairs one
+// version's count with the next one's number.
+func (h *Handle) CountAt() (count, version uint64) {
+	h.ws.mu.RLock()
+	defer h.ws.mu.RUnlock()
+	return h.back.Count(), h.ws.version.Load()
 }
 
 // Answer reports whether ϕ(D) is nonempty.
@@ -667,7 +686,7 @@ func (w *Workspace) applyLocked(u Update) (bool, error) {
 	w.one[0], w.oneTuple[0] = u, u.Tuple
 	phased := false
 	for _, h := range w.order {
-		if h.back.begin(1, h.emits()) {
+		if h.begin(1) {
 			phased = true
 		}
 	}
@@ -688,7 +707,7 @@ func (w *Workspace) applyLocked(u Update) (bool, error) {
 		}
 	}
 	for _, h := range w.order {
-		h.park(h.back.finish(w.one[:], 1))
+		h.added, h.removed = h.back.finish(w.one[:], 1)
 	}
 	w.version.Add(1)
 	w.afterCommitLocked()
@@ -766,7 +785,7 @@ func (w *Workspace) applyBatchLocked(updates []Update) (int, error) {
 	// per net command, independent of the number of queries.
 	phased := false
 	for _, h := range w.order {
-		if h.back.begin(len(survivors), h.emits()) {
+		if h.begin(len(survivors)) {
 			phased = true
 		}
 	}
@@ -973,7 +992,7 @@ func (w *Workspace) finishFanOut(survivors []Update, perNS []int64) {
 	runPool(all, w.workers, func(i int) {
 		h := w.order[i]
 		t0 := time.Now()
-		h.park(h.back.finish(survivors, inner))
+		h.added, h.removed = h.back.finish(survivors, inner)
 		perNS[i] += time.Since(t0).Nanoseconds()
 	})
 }
@@ -1000,17 +1019,20 @@ func (w *Workspace) loadLocked(db *dyndb.Database) error {
 	w.version.Add(1)
 	// No backend tracks a reset incrementally: a captured query's delta
 	// across the load is a one-shot diff of its result before and after,
-	// linear like the load itself and gone once the event is built.
+	// linear like the load itself and gone once the event is built. A
+	// handle with only a cached snapshot takes no image: its snapshot is
+	// re-materialised after the load, linear just the same.
 	before := make([]*tuplekey.Map[bool], len(w.order))
 	for i, h := range w.order {
-		if h.emits() {
+		h.emitting, h.added, h.removed = h.capture != nil && h.query.Arity() > 0, nil, nil
+		if h.emitting {
 			before[i] = resultImage(h.back)
 		}
 	}
 	commit := func() {
 		for i, img := range before {
 			if img != nil {
-				w.order[i].park(diffImage(img, w.order[i].back))
+				w.order[i].added, w.order[i].removed = diffImage(img, w.order[i].back)
 			}
 		}
 		w.afterCommitLocked()
@@ -1188,15 +1210,17 @@ func (v *WorkspaceView) Count(name string) uint64 { return v.query(name).Count()
 // Answer reports whether the named query's result is nonempty.
 func (v *WorkspaceView) Answer(name string) bool { return v.query(name).Answer() }
 
-// Enumerate streams the named query's result at the pinned state. The
-// yielded slice is a window into the snapshot's immutable buffer (the
-// uniform contract — copy to retain — stays safe, merely conservative).
+// Enumerate streams the named query's result at the pinned state, in
+// lexicographic order (QuerySnapshot.Enumerate). The yielded slice is a
+// window into the snapshot's immutable storage (the uniform contract —
+// copy to retain — stays safe, merely conservative).
 func (v *WorkspaceView) Enumerate(name string, yield func(tuple []Value) bool) {
 	v.query(name).Enumerate(yield)
 }
 
-// Tuples returns the named query's full result as freshly allocated
-// tuples.
+// Tuples returns the named query's full result, in lexicographic order,
+// as row windows into the snapshot's immutable storage
+// (QuerySnapshot.Tuples): read-only.
 func (v *WorkspaceView) Tuples(name string) [][]Value { return v.query(name).Tuples() }
 
 // ---- strategy adapters ----
