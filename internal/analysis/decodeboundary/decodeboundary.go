@@ -23,7 +23,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name:     "decodeboundary",
-	Doc:      "forbid dict/tuplekey decode calls inside engine hot paths; decoding belongs to the enumeration/display boundary",
+	Doc:      "forbid dict decode calls inside engine hot paths; decoding belongs to the enumeration/display boundary",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }
@@ -80,7 +80,9 @@ func run(pass *analysis.Pass) (any, error) {
 }
 
 // decodeCall reports whether the call decodes an interned handle:
-// dict.(*Dict).Decode / TryDecode / DecodeAll, or tuplekey.Decode.
+// dict.(*Dict).Decode / TryDecode / DecodeAll. (Tuples themselves are
+// never encoded: every tuple-keyed structure is a tuplekey.Table of int64
+// tuples, so there is no tuple codec to guard.)
 func decodeCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -90,16 +92,10 @@ func decodeCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	if !ok || fn.Pkg() == nil {
 		return "", false
 	}
-	pkg := fn.Pkg().Path()
-	switch {
-	case strings.HasSuffix(pkg, "internal/dict"):
+	if strings.HasSuffix(fn.Pkg().Path(), "internal/dict") {
 		switch fn.Name() {
 		case "Decode", "TryDecode", "DecodeAll":
 			return "dict." + fn.Name(), true
-		}
-	case strings.HasSuffix(pkg, "internal/tuplekey"):
-		if fn.Name() == "Decode" {
-			return "tuplekey.Decode", true
 		}
 	}
 	return "", false

@@ -3,18 +3,11 @@
 // under an explicit allow.
 package ivm
 
-import (
-	"dyncq/internal/dict"
-	"dyncq/internal/tuplekey"
-)
+import "dyncq/internal/dict"
 
 type store struct {
-	d    *dict.Dict
-	keys []string
-}
-
-func (s *store) hotLookup(k string) []int64 {
-	return tuplekey.Decode(k) // want `interned handles must stay interned`
+	d     *dict.Dict
+	codes []int64
 }
 
 func (s *store) display(code int64) string {
@@ -25,23 +18,19 @@ func (s *store) displayAll(codes []int64) []string {
 	return s.d.DecodeAll(codes) // want `interned handles must stay interned`
 }
 
-// Enumerate is the enumeration boundary: it hands each decoded tuple
+// Enumerate is the enumeration boundary: it hands each decoded value
 // to the caller exactly once per delivered result.
-func (s *store) Enumerate(yield func([]int64) bool) {
-	for _, k := range s.keys {
-		if !yield(tuplekey.Decode(k)) {
+func (s *store) Enumerate(yield func(string) bool) {
+	for _, c := range s.codes {
+		if !yield(s.d.Decode(c)) {
 			return
 		}
 	}
 }
 
 // Tuples is the other boundary entry point.
-func (s *store) Tuples() [][]int64 {
-	out := make([][]int64, 0, len(s.keys))
-	for _, k := range s.keys {
-		out = append(out, tuplekey.Decode(k))
-	}
-	return out
+func (s *store) Tuples() []string {
+	return s.d.DecodeAll(s.codes)
 }
 
 func (s *store) errPath(code int64) (string, bool) {

@@ -10,8 +10,8 @@
 //
 //   - Inside internal/dyndb, any function that mutates relation or
 //     adom state (writes to the rels/adom/adomSize/card fields, their
-//     local aliases, or Put/Delete on a relation shard map) must also
-//     advance d.epoch in the same function body.
+//     local aliases, or Put/Ref/Delete on a relation shard table) must
+//     also advance d.epoch in the same function body.
 //
 //   - In the packages that see the shared store (pkg/dyncq, which owns
 //     it, and the engine packages internal/core, internal/eval and
@@ -178,9 +178,10 @@ func checkDyndbFunc(pass *analysis.Pass, allows *directive.Index, fd *ast.FuncDe
 					recordLHS(n.Args[0])
 				}
 			case *ast.SelectorExpr:
-				// Put/Delete on a relation shard map mutates stored
-				// tuples no matter how the map reference was obtained.
-				if (fun.Sel.Name == "Put" || fun.Sel.Name == "Delete") && isShardMap(pass, fun.X) {
+				// Put/Ref/Delete on a relation shard table mutates stored
+				// tuples no matter how the table reference was obtained
+				// (Ref inserts the key it does not find).
+				if shardMutators[fun.Sel.Name] && isShardTable(pass, fun.X) {
 					writes = append(writes, n)
 				}
 			}
@@ -269,9 +270,13 @@ func fieldRootWith(pass *analysis.Pass, e ast.Expr, aliases map[types.Object]boo
 	}
 }
 
-// isShardMap reports whether the expression is a *tuplekey.Map[struct{}]
-// — the concrete type of every relation shard map.
-func isShardMap(pass *analysis.Pass, e ast.Expr) bool {
+// shardMutators are the tuplekey.Table methods that change a shard's
+// tuple set.
+var shardMutators = map[string]bool{"Put": true, "Ref": true, "Delete": true}
+
+// isShardTable reports whether the expression is a
+// *tuplekey.Table[struct{}] — the concrete type of every relation shard.
+func isShardTable(pass *analysis.Pass, e ast.Expr) bool {
 	tv, ok := pass.TypesInfo.Types[e]
 	if !ok {
 		return false
@@ -281,7 +286,7 @@ func isShardMap(pass *analysis.Pass, e ast.Expr) bool {
 		t = p.Elem()
 	}
 	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != "Map" || named.Obj().Pkg() == nil ||
+	if !ok || named.Obj().Name() != "Table" || named.Obj().Pkg() == nil ||
 		!strings.HasSuffix(named.Obj().Pkg().Path(), "internal/tuplekey") {
 		return false
 	}

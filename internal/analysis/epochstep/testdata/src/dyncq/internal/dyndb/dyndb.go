@@ -13,7 +13,7 @@ type Update struct {
 }
 
 type Database struct {
-	rels     map[string]*tuplekey.Map[struct{}]
+	rels     map[string]*tuplekey.Table[struct{}]
 	adom     []map[Value]int
 	adomSize int
 	card     int
@@ -23,11 +23,13 @@ type Database struct {
 
 func (d *Database) Epoch() uint64 { return d.epoch }
 
-// Insert mirrors the real single-tuple mutator: shard-map write plus
-// counter writes, with the epoch advanced in the same body.
+// Insert mirrors the real single-tuple mutator: one get-or-insert probe
+// on the shard table plus counter writes, with the epoch advanced in the
+// same body.
 func (d *Database) Insert(rel string, tuple ...Value) (bool, error) {
-	m := d.rels[rel]
-	m.Put(tuple, struct{}{})
+	if _, present := d.rels[rel].Ref(tuple); present {
+		return false, nil
+	}
 	d.card++
 	d.muts++
 	d.epoch++
@@ -48,7 +50,7 @@ func (d *Database) ApplyNetDelta(updates []Update, workers int) error {
 }
 
 func (d *Database) Clear() {
-	d.rels = make(map[string]*tuplekey.Map[struct{}])
+	d.rels = make(map[string]*tuplekey.Table[struct{}])
 	d.adomSize = 0
 	d.card = 0
 	d.epoch++
@@ -67,6 +69,11 @@ func (d *Database) insertForgotten(rel string, tuple ...Value) {
 	m := d.rels[rel]
 	m.Put(tuple, struct{}{}) // want `insertForgotten mutates store state but never advances d\.epoch`
 	d.card++                 // want `insertForgotten mutates store state but never advances d\.epoch`
+}
+
+func (d *Database) refForgotten(rel string, tuple ...Value) bool {
+	_, present := d.rels[rel].Ref(tuple) // want `refForgotten mutates store state but never advances d\.epoch`
+	return present
 }
 
 func (d *Database) adomThroughAlias(v Value) {
@@ -91,12 +98,12 @@ func (d *Database) deleteForgotten(v Value) {
 // declare writes the relation table without content changes; the allow
 // documents why no epoch advance is needed.
 func (d *Database) declare(name string) {
-	d.rels[name] = tuplekey.NewMap[struct{}](0) //dyncq:allow epochstep declaring an empty relation adds no tuple or adom content
+	d.rels[name] = tuplekey.NewTable[struct{}](2) //dyncq:allow epochstep declaring an empty relation adds no tuple or adom content
 }
 
 // parallelStepped mutates shards from worker closures; the closures
 // count toward this body, which does advance the epoch.
-func (d *Database) parallelStepped(shards []*tuplekey.Map[struct{}], tuple []Value) {
+func (d *Database) parallelStepped(shards []*tuplekey.Table[struct{}], tuple []Value) {
 	done := make(chan struct{})
 	for _, m := range shards {
 		m := m
@@ -111,7 +118,7 @@ func (d *Database) parallelStepped(shards []*tuplekey.Map[struct{}], tuple []Val
 	d.epoch += uint64(len(shards))
 }
 
-// reader performs no writes: Get on a shard map and field reads.
+// reader performs no writes: Get on a shard table and field reads.
 func (d *Database) reader(rel string, tuple []Value) bool {
 	m := d.rels[rel]
 	if m == nil {

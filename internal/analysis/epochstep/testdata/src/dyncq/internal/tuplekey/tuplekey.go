@@ -1,18 +1,35 @@
-// Dependency fixture mirroring the real tuplekey.Map shape: the
-// analyzer identifies relation shard maps by this type.
+// Dependency fixture mirroring the real tuplekey.Table shape: the
+// analyzer identifies relation shard tables by this type.
 package tuplekey
 
-type Map[V any] struct {
-	m map[string]V
+type Table[V any] struct {
+	m map[string]*V
 }
 
-func NewMap[V any](size int) *Map[V] {
-	return &Map[V]{m: make(map[string]V, size)}
+func NewTable[V any](arity int) *Table[V] {
+	return &Table[V]{m: make(map[string]*V)}
 }
 
-func (m *Map[V]) Put(k []int64, v V)      { m.m[key(k)] = v }
-func (m *Map[V]) Delete(k []int64) bool   { _, ok := m.m[key(k)]; delete(m.m, key(k)); return ok }
-func (m *Map[V]) Get(k []int64) (V, bool) { v, ok := m.m[key(k)]; return v, ok }
+func (t *Table[V]) Put(k []int64, v V)    { t.m[key(k)] = &v }
+func (t *Table[V]) Delete(k []int64) bool { _, ok := t.m[key(k)]; delete(t.m, key(k)); return ok }
+
+func (t *Table[V]) Get(k []int64) (V, bool) {
+	if p, ok := t.m[key(k)]; ok {
+		return *p, true
+	}
+	var zero V
+	return zero, false
+}
+
+// Ref is get-or-insert: it adds the key when it is absent.
+func (t *Table[V]) Ref(k []int64) (*V, bool) {
+	p, ok := t.m[key(k)]
+	if !ok {
+		p = new(V)
+		t.m[key(k)] = p
+	}
+	return p, ok
+}
 
 func key(k []int64) string {
 	b := make([]byte, 0, len(k)*8)

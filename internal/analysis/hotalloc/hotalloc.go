@@ -3,8 +3,9 @@
 // ApplyBatch → fan-out → slab path carry a //dyncq:hot annotation;
 // inside them the pass flags the allocation patterns that silently
 // destroy a constant-delay budget: fmt calls, string concatenation,
-// string↔[]byte conversions, unsized maps, appends to slices without a
-// pre-sized backing array, and implicit interface boxing. Expressions
+// string↔[]byte conversions, maps and New* constructors built per call,
+// appends to slices without a pre-sized backing array, and implicit
+// interface boxing. Expressions
 // inside a panic(...) argument are exempt — a panic is the cold path
 // by definition, and the engine's hot functions format their
 // invariant-violation messages there.
@@ -14,6 +15,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"dyncq/internal/analysis/directive"
 
@@ -24,7 +26,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name:     "hotalloc",
-	Doc:      "flag allocation patterns (fmt, string concat, unsized append/make, interface boxing) in //dyncq:hot functions",
+	Doc:      "flag allocation patterns (fmt, string concat, unsized append, make(map), New* constructors, interface boxing) in //dyncq:hot functions",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }
@@ -86,9 +88,15 @@ func checkCall(pass *analysis.Pass, allows *directive.Index, sized map[types.Obj
 				if mt == nil {
 					return
 				}
-				if _, isMap := mt.Underlying().(*types.Map); isMap && len(call.Args) == 1 {
+				if _, isMap := mt.Underlying().(*types.Map); !isMap {
+					return
+				}
+				if len(call.Args) == 1 {
 					allows.Report(pass, call.Pos(),
 						"unsized make(map) in hot function %s grows by rehashing; pass a size hint", fd.Name.Name)
+				} else {
+					allows.Report(pass, call.Pos(),
+						"make(map) in hot function %s allocates on every call; keep the map across calls and clear it", fd.Name.Name)
 				}
 			case "append":
 				if len(call.Args) > 0 && !sizedDest(pass, sized, call.Args[0]) {
@@ -98,11 +106,20 @@ func checkCall(pass *analysis.Pass, allows *directive.Index, sized map[types.Obj
 			}
 			return
 		}
+		reportConstructor(pass, allows, fd, call, fun)
 	case *ast.SelectorExpr:
 		if fn, ok := pass.TypesInfo.Uses[fun.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
 			allows.Report(pass, call.Pos(),
 				"fmt.%s in hot function %s allocates (formatting + interface boxing)", fn.Name(), fd.Name.Name)
 			return
+		}
+		reportConstructor(pass, allows, fd, call, fun.Sel)
+	case *ast.IndexExpr: // explicit instantiation: pkg.NewT[V](…)
+		switch x := ast.Unparen(fun.X).(type) {
+		case *ast.Ident:
+			reportConstructor(pass, allows, fd, call, x)
+		case *ast.SelectorExpr:
+			reportConstructor(pass, allows, fd, call, x.Sel)
 		}
 	}
 
@@ -135,6 +152,18 @@ func checkCall(pass *analysis.Pass, allows *directive.Index, sized map[types.Obj
 			types.TypeString(at, types.RelativeTo(pass.Pkg)),
 			types.TypeString(pt, types.RelativeTo(pass.Pkg)), fd.Name.Name)
 	}
+}
+
+// reportConstructor flags a call to a function or method named New…: by
+// the repository's naming convention it builds a fresh value, which a
+// function on the per-tuple path must hold across calls instead.
+func reportConstructor(pass *analysis.Pass, allows *directive.Index, fd *ast.FuncDecl, call *ast.CallExpr, name *ast.Ident) {
+	fn, ok := pass.TypesInfo.Uses[name].(*types.Func)
+	if !ok || !strings.HasPrefix(fn.Name(), "New") {
+		return
+	}
+	allows.Report(pass, call.Pos(),
+		"constructor %s in hot function %s allocates on every call; build the value once and reuse it", fn.Name(), fd.Name.Name)
 }
 
 // sizedSlices collects local slice variables whose defining assignment

@@ -74,7 +74,42 @@ func hotReslice(buf []int, v int) []int {
 
 //dyncq:hot
 func hotSizedMap(n int) map[int]int {
-	return make(map[int]int, n)
+	return make(map[int]int, n) // want `make\(map\) in hot function hotSizedMap allocates on every call`
+}
+
+type table[V any] struct{ vals []V }
+
+func newTable[V any](n int) *table[V] { return &table[V]{vals: make([]V, n)} }
+
+func NewTable[V any](n int) *table[V] { return newTable[V](n) }
+
+type pool struct{}
+
+func (pool) NewBuffer() []byte { return nil }
+
+//dyncq:hot
+func hotConstructor(p pool) int {
+	t := NewTable[int](8)  // want `constructor NewTable in hot function hotConstructor`
+	u := NewTable[string]  // a function value, not a call
+	b := p.NewBuffer()     // want `constructor NewBuffer in hot function hotConstructor`
+	k := newTable[int8](8) // lower-case helpers are not matched by name
+	return len(t.vals) + len(u(1).vals) + len(b) + len(k.vals)
+}
+
+// hotReusedScratch is the shape the rule asks for: the map and the table
+// live on the receiver, the hot function only empties and refills them.
+type scratch struct {
+	seen map[int]int
+	tab  *table[int]
+}
+
+//dyncq:hot
+func (s *scratch) hotReusedScratch(keys []int) {
+	clear(s.seen)
+	for _, k := range keys {
+		s.seen[k]++
+	}
+	s.tab.vals = s.tab.vals[:0]
 }
 
 //dyncq:hot

@@ -29,14 +29,12 @@ func (e *Engine) countAtom(ref atomRef, tuple []Value) {
 	var parent *item
 	for j := 0; j < d; j++ {
 		nodeIdx := a.pathNodes[j]
-		m := sh.index[nodeIdx]
-		it, ok := m.Get(vals[: j+1 : j+1])
-		if !ok {
-			it = sh.slab.alloc(&c.nodes[nodeIdx], nodeIdx, vals[:j+1], parent)
-			m.Put(it.key, it)
+		slot, existed := sh.index[nodeIdx].Ref(vals[:j+1])
+		if !existed {
+			*slot = sh.slab.alloc(&c.nodes[nodeIdx], nodeIdx, vals[:j+1], parent)
 		}
-		parent = it
-		it.counts[a.slotAtDepth[j]]++
+		parent = *slot
+		parent.counts[a.slotAtDepth[j]]++
 	}
 }
 

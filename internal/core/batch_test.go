@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -57,12 +58,12 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 		}
 		want := map[string]bool{}
 		seq.Enumerate(func(tup []Value) bool {
-			want[tuplekey.String(tup)] = true
+			want[fmt.Sprint(tup)] = true
 			return true
 		})
 		got := 0
 		bat.Enumerate(func(tup []Value) bool {
-			if !want[tuplekey.String(tup)] {
+			if !want[fmt.Sprint(tup)] {
 				t.Fatalf("trial %d query %s: spurious tuple %v in batched engine", trial, q, tup)
 			}
 			got++

@@ -151,7 +151,7 @@ type comp struct {
 // C_start/C̃_start (summed across shards by Count/Answer), and the slab
 // its items are allocated from (see slab.go).
 type compShard struct {
-	index     []*tuplekey.Map[*item] // per node: the "array A_v"
+	index     []*tuplekey.Table[*item] // per node: the "array A_v", keyed at stride depth+1
 	startHead *item
 	startTail *item
 	cStart    uint64 // Σ C^i over fit root items of this shard
@@ -343,9 +343,9 @@ func compileComp(sub *cq.Query, tree *qtree.Tree, shards int) (*comp, error) {
 		}
 	}
 	for si := range c.shards {
-		c.shards[si].index = make([]*tuplekey.Map[*item], n)
-		for i := 0; i < n; i++ {
-			c.shards[si].index[i] = tuplekey.NewMap[*item](0)
+		c.shards[si].index = make([]*tuplekey.Table[*item], n)
+		for i := range c.nodes {
+			c.shards[si].index[i] = tuplekey.NewTable[*item](int(c.nodes[i].depth) + 1)
 		}
 		c.shards[si].slab.initFree(n)
 	}
@@ -522,7 +522,7 @@ func (e *Engine) Clear() {
 		for si := range c.shards {
 			sh := &c.shards[si]
 			for ni := range sh.index {
-				sh.index[ni] = tuplekey.NewMap[*item](0)
+				sh.index[ni] = tuplekey.NewTable[*item](int(c.nodes[ni].depth) + 1)
 			}
 			sh.startHead, sh.startTail = nil, nil
 			sh.cStart, sh.cfStart = 0, 0
@@ -571,26 +571,28 @@ func (e *Engine) updateAtomScratch(c *comp, a *catom, tuple []Value, insert bool
 	// Top-down: fetch or create the items on the path, adjust C^i_ψ.
 	for j := 0; j < d; j++ {
 		nodeIdx := a.pathNodes[j]
-		m := sh.index[nodeIdx]
-		it, ok := m.Get(vals[: j+1 : j+1])
-		if !ok {
-			if !insert {
+		var it *item
+		if insert {
+			// One probe finds the item or claims its slot.
+			slot, existed := sh.index[nodeIdx].Ref(vals[:j+1])
+			if !existed {
+				var parent *item
+				if j > 0 {
+					parent = items[j-1]
+				}
+				*slot = sh.slab.alloc(&c.nodes[nodeIdx], nodeIdx, vals[:j+1], parent)
+			}
+			it = *slot
+			it.counts[a.slotAtDepth[j]]++
+		} else {
+			var ok bool
+			if it, ok = sh.index[nodeIdx].Get(vals[:j+1]); !ok {
 				panic(fmt.Sprintf("core: missing item for %s at node %s during delete (corrupted structure)",
 					a.rel, c.nodes[nodeIdx].name))
 			}
-			var parent *item
-			if j > 0 {
-				parent = items[j-1]
-			}
-			it = sh.slab.alloc(&c.nodes[nodeIdx], nodeIdx, vals[:j+1], parent)
-			m.Put(it.key, it)
-		}
-		items[j] = it
-		if insert {
-			it.counts[a.slotAtDepth[j]]++
-		} else {
 			it.counts[a.slotAtDepth[j]]--
 		}
+		items[j] = it
 	}
 
 	// Bottom-up: recompute weights, maintain lists and sums.

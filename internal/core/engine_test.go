@@ -2,13 +2,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"dyncq/internal/cq"
 	"dyncq/internal/dyndb"
 	"dyncq/internal/eval"
-	"dyncq/internal/tuplekey"
 	"dyncq/internal/workload"
 )
 
@@ -389,7 +389,7 @@ func compareEnumeration(t *testing.T, e *harness, q *cq.Query, db *dyndb.Databas
 	want := eval.Evaluate(q, db)
 	seen := map[string]bool{}
 	e.Enumerate(func(tup []Value) bool {
-		k := tuplekey.String(tup)
+		k := fmt.Sprint(tup)
 		if seen[k] {
 			t.Fatalf("trial %d step %d query %s: duplicate tuple %v", trial, step, q, tup)
 		}

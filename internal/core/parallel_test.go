@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -257,10 +258,10 @@ func sameTupleSet(a, b [][]Value) bool {
 	}
 	seen := make(map[string]int, len(a))
 	for _, t := range a {
-		seen[tuplekey.String(t)]++
+		seen[fmt.Sprint(t)]++
 	}
 	for _, t := range b {
-		k := tuplekey.String(t)
+		k := fmt.Sprint(t)
 		if seen[k] == 0 {
 			return false
 		}

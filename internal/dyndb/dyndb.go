@@ -60,12 +60,14 @@ func Delete(rel string, tuple ...Value) Update {
 // is split into the owning database's fixed number of hash shards (one
 // for the default New database): a tuple lives in the shard selected by
 // updateHash, the same hash Partition buckets commands by, so a net
-// batch partitioned by that hash touches pairwise disjoint shard maps —
-// the property ApplyNetDelta's parallel workers rely on.
+// batch partitioned by that hash touches pairwise disjoint shard tables —
+// the property ApplyNetDelta's parallel workers rely on. A shard keeps
+// its tuples inline in one flat array at stride arity (tuplekey.Table):
+// a stored tuple is 8·arity bytes, not a heap object.
 type Relation struct {
 	name   string
 	arity  int
-	shards []*tuplekey.Map[struct{}]
+	shards []*tuplekey.Table[struct{}]
 }
 
 // Arity returns the relation's arity.
@@ -80,8 +82,8 @@ func (r *Relation) Len() int {
 	return n
 }
 
-// shard returns the shard map storing the tuple.
-func (r *Relation) shard(tuple []Value) *tuplekey.Map[struct{}] {
+// shard returns the shard table storing the tuple.
+func (r *Relation) shard(tuple []Value) *tuplekey.Table[struct{}] {
 	if len(r.shards) == 1 {
 		return r.shards[0]
 	}
@@ -89,36 +91,33 @@ func (r *Relation) shard(tuple []Value) *tuplekey.Map[struct{}] {
 }
 
 // Has reports whether the tuple is present.
-func (r *Relation) Has(tuple []Value) bool {
-	_, ok := r.shard(tuple).Get(tuple)
-	return ok
-}
+func (r *Relation) Has(tuple []Value) bool { return r.shard(tuple).Has(tuple) }
 
 // Each calls fn for every tuple until fn returns false. The tuple slice
-// passed to fn is owned by the relation and must not be mutated. The
-// relation must not be modified during iteration. Shards are visited in
-// index order (with one shard this is exactly the pre-shard iteration).
+// passed to fn aliases the relation's storage: it must not be mutated, and
+// it is dead after the relation's next mutation — copy it to retain it.
+// The relation must not be modified during iteration. Shards are visited
+// in index order (with one shard this is exactly the pre-shard iteration).
 func (r *Relation) Each(fn func(tuple []Value) bool) {
 	for _, m := range r.shards {
-		stop := false
-		m.Range(func(k []int64, _ struct{}) bool {
-			if !fn(k) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if stop {
+		if !m.Keys(fn) {
 			return
 		}
 	}
 }
 
-// Tuples returns all tuples, sorted lexicographically (deterministic for
-// tests and display). The inner slices are owned by the relation.
+// Tuples returns a copy of all tuples, sorted lexicographically
+// (deterministic for tests and display). The result is the caller's: it
+// shares nothing with the relation and survives later mutations.
 func (r *Relation) Tuples() [][]Value {
-	out := make([][]Value, 0, r.Len())
-	r.Each(func(t []Value) bool { out = append(out, t); return true })
+	n := r.Len()
+	flat := make([]Value, 0, n*r.arity)
+	out := make([][]Value, 0, n)
+	r.Each(func(t []Value) bool {
+		flat = append(flat, t...)
+		out = append(out, flat[len(flat)-r.arity:len(flat):len(flat)])
+		return true
+	})
 	sort.Slice(out, func(i, j int) bool { return lessTuple(out[i], out[j]) })
 	return out
 }
@@ -159,6 +158,8 @@ type Database struct {
 	// eval.IndexSet) record the epoch they are synchronised to and fall
 	// back to a rebuild when the store moved without notifying them.
 	epoch uint64
+	// coal is NetDelta's coalescing scratch, reused across batches.
+	coal coalescer
 }
 
 // New returns an empty unsharded database with no declared relations.
@@ -229,9 +230,9 @@ func (d *Database) EnsureRelation(name string, arity int) error {
 		}
 		return nil
 	}
-	shards := make([]*tuplekey.Map[struct{}], d.shards)
+	shards := make([]*tuplekey.Table[struct{}], d.shards)
 	for i := range shards {
-		shards[i] = tuplekey.NewMap[struct{}](0)
+		shards[i] = tuplekey.NewTable[struct{}](arity)
 	}
 	d.rels[name] = &Relation{name: name, arity: arity, shards: shards} //dyncq:allow epochstep declaring an empty relation adds no tuple or adom content, so indexes stay consistent without an epoch step
 	return nil
@@ -264,16 +265,15 @@ func (d *Database) Insert(rel string, tuple ...Value) (bool, error) {
 	if r.arity != len(tuple) {
 		return false, fmt.Errorf("insert %s: tuple arity %d, relation arity %d", rel, len(tuple), r.arity) //dyncq:allow hotalloc cold error path, never taken by validated batches
 	}
-	m := r.shard(tuple)
-	if _, ok := m.Get(tuple); ok {
+	// One probe decides presence and, if absent, copies the tuple into the
+	// shard's flat storage (callers may reuse their slice).
+	if _, present := r.shard(tuple).Ref(tuple); present {
 		return false, nil
 	}
-	stored := append([]Value(nil), tuple...) //dyncq:allow hotalloc audited per-tuple copy: the store must own its tuples (callers may reuse the slice)
-	m.Put(stored, struct{}{})
 	d.card++
 	d.muts++
 	d.epoch++
-	for _, v := range stored {
+	for _, v := range tuple {
 		a := d.adom[d.adomShard(v)]
 		a[v]++
 		if a[v] == 1 {
@@ -332,6 +332,7 @@ func (d *Database) Clear() {
 	d.adomSize = 0
 	d.card = 0
 	d.epoch++
+	d.coal = coalescer{}
 }
 
 // CopyFrom inserts every tuple of src into d, declaring src's relations
@@ -371,12 +372,13 @@ func (d *Database) CopyFrom(src *Database) error {
 // Arities are validated against d's declared relations and against the
 // other commands of the batch (a batch that first declares a new
 // relation must use it consistently), so a returned delta applies to d
-// without errors. d is not modified.
+// without errors. d's content is not modified, but the coalescing scratch
+// it owns is: NetDelta belongs to the writer, like the mutators.
 //
 //dyncq:hot
 func (d *Database) NetDelta(updates []Update) ([]Update, error) {
-	net := Coalesce(updates)
-	fresh := make(map[string]int, 4) // relations the batch itself would declare
+	net := d.coal.run(updates)
+	var fresh map[string]int // relations the batch itself would declare
 	out := net[:0]
 	for _, u := range net {
 		if r := d.rels[u.Rel]; r != nil {
@@ -393,6 +395,9 @@ func (d *Database) NetDelta(updates []Update) ([]Update, error) {
 		}
 		if u.Op == OpDelete {
 			continue // deleting from an undeclared relation is a no-op
+		}
+		if fresh == nil {
+			fresh = make(map[string]int, 4) //dyncq:allow hotalloc only a batch that declares a relation gets here, once per relation's lifetime
 		}
 		fresh[u.Rel] = len(u.Tuple)
 		out = append(out, u)
@@ -416,32 +421,61 @@ func (d *Database) Apply(u Update) (bool, error) {
 // Surviving commands keep the order in which their tuple first appeared
 // in the batch, so coalescing is deterministic. The input is not modified.
 //
-// The slot table is a per-relation tuplekey.Map keyed by the tuples
-// themselves, so coalescing performs no per-command string encoding — the
-// front-door batch path moves interned values end to end.
-//
-//dyncq:hot
+// Coalesce builds its slot tables afresh; the commit path goes through
+// Database.NetDelta, which keeps them between batches.
 func Coalesce(updates []Update) []Update {
-	if len(updates) <= 1 {
-		out := make([]Update, len(updates))
-		copy(out, updates)
-		return out
-	}
-	slot := make(map[string]*tuplekey.Map[int], 4)
+	var c coalescer
+	return c.run(updates)
+}
+
+// coalescer is the scratch behind Coalesce: per (relation, arity) a slot
+// table from a tuple to the index of its command in the output. The
+// tables are keyed by the tuples themselves — no per-command encoding —
+// and by arity as well as name, because coalescing runs before arity
+// validation and a fixed-stride table holds one key length. They are
+// emptied, not dropped, after every run, so a steady stream of batches
+// coalesces without allocating tables or growing them by rehash.
+type coalescer struct {
+	slots map[slotKey]*tuplekey.Table[int]
+	used  []*tuplekey.Table[int] // tables the running call has filled
+}
+
+type slotKey struct {
+	rel   string
+	arity int
+}
+
+//dyncq:hot
+func (c *coalescer) run(updates []Update) []Update {
 	out := make([]Update, 0, len(updates))
+	if len(updates) <= 1 {
+		return append(out, updates...)
+	}
+	if c.slots == nil {
+		c.slots = make(map[slotKey]*tuplekey.Table[int], 4) //dyncq:allow hotalloc first batch only
+	}
 	for _, u := range updates {
-		m := slot[u.Rel]
-		if m == nil {
-			m = tuplekey.NewMap[int](0)
-			slot[u.Rel] = m
+		k := slotKey{u.Rel, len(u.Tuple)}
+		t := c.slots[k]
+		if t == nil {
+			t = tuplekey.NewTable[int](k.arity) //dyncq:allow hotalloc first batch touching the relation only
+			c.slots[k] = t
 		}
-		if i, ok := m.Get(u.Tuple); ok {
-			out[i] = u
+		if t.Len() == 0 {
+			c.used = append(c.used, t) //dyncq:allow hotalloc bounded by the number of relations, kept across batches
+		}
+		at, seen := t.Ref(u.Tuple)
+		if seen {
+			out[*at] = u
 			continue
 		}
-		m.Put(u.Tuple, len(out))
+		*at = len(out)
 		out = append(out, u)
 	}
+	for _, t := range c.used {
+		t.Reset()
+	}
+	c.used = c.used[:0]
 	return out
 }
 
@@ -537,7 +571,7 @@ func (d *Database) Updates() []Update {
 	var out []Update
 	for _, name := range d.Relations() {
 		for _, t := range d.rels[name].Tuples() {
-			out = append(out, Insert(name, append([]Value(nil), t...)...))
+			out = append(out, Insert(name, t...))
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package dyndb
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -161,6 +162,36 @@ func TestRelationAccessors(t *testing.T) {
 	}
 	if got := d.Relations(); len(got) != 1 || got[0] != "E" {
 		t.Errorf("Relations = %v", got)
+	}
+}
+
+// TestTuplesSurviveMutation: Tuples hands out copies. The relation keeps
+// its tuples inline in a table that moves them when it grows and reuses
+// their slots after deletes, so a result that aliased it would change
+// under the caller.
+func TestTuplesSurviveMutation(t *testing.T) {
+	d := New()
+	for i := 0; i < 6; i++ {
+		d.Insert("E", Value(i), Value(10*i))
+	}
+	got := d.Relation("E").Tuples()
+	for i := 0; i < 6; i++ {
+		d.Delete("E", Value(i), Value(10*i))
+	}
+	for i := 100; i < 400; i++ { // reuse the freed slots, then grow through several rehashes
+		d.Insert("E", Value(i), Value(i))
+	}
+	if len(got) != 6 {
+		t.Fatalf("Tuples returned %d tuples, want 6", len(got))
+	}
+	for i, tup := range got {
+		if len(tup) != 2 || tup[0] != Value(i) || tup[1] != Value(10*i) {
+			t.Fatalf("tuple %d reads %v after later store mutations, want [%d %d]", i, tup, i, 10*i)
+		}
+	}
+	got[0] = append(got[0], 99) // a caller's append must not reach a neighbour
+	if got[1][0] != 1 {
+		t.Fatalf("appending to one returned tuple overwrote the next: %v", got[1])
 	}
 }
 
@@ -386,8 +417,16 @@ func TestNetDelta(t *testing.T) {
 		t.Fatal("delete arity clash against a declared relation accepted")
 	}
 	// …and within the batch for relations the batch itself declares.
-	if _, err := db.NetDelta([]Update{Insert("G", 1), Insert("G", 1, 2)}); err == nil {
-		t.Fatal("intra-batch arity clash accepted")
+	// Coalescing runs first and files the two arities in separate slot
+	// tables, so the clash reaches validation instead of a panic.
+	if _, err := db.NetDelta([]Update{Insert("G", 1), Insert("G", 1, 2)}); err == nil || !strings.Contains(err.Error(), "earlier in the batch") {
+		t.Fatalf("intra-batch arity clash: err = %v, want the earlier-in-the-batch error", err)
+	}
+	// The coalescing scratch is emptied after every call, rejected ones
+	// included: the next batch nets on its own.
+	net, err = db.NetDelta([]Update{Insert("G", 1), Delete("T", 2), Insert("E", 3, 4)})
+	if err != nil || len(net) != 3 {
+		t.Fatalf("batch after a rejected one nets to %v (err %v), want all three commands", net, err)
 	}
 }
 

@@ -119,11 +119,9 @@ func (d *Database) ApplyNetDelta(survivors []Update, workers int) int {
 					for _, op := range tupleOps[i] {
 						m := op.r.shards[i]
 						if op.insert {
-							if _, ok := m.Get(op.tuple); ok {
+							if _, present := m.Ref(op.tuple); present {
 								bad.Store(true)
-								continue
 							}
-							m.Put(append([]Value(nil), op.tuple...), struct{}{}) //dyncq:allow hotalloc audited per-tuple copy: the store must own its tuples
 						} else if !m.Delete(op.tuple) {
 							bad.Store(true)
 						}

@@ -16,7 +16,8 @@ package eval
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"dyncq/internal/cq"
@@ -45,54 +46,37 @@ type Restricted map[int][][]Value
 
 // Result is a set of distinct head tuples.
 type Result struct {
-	arity int
-	set   map[string][]Value
+	set *tuplekey.Table[struct{}]
 }
 
 // Len returns the number of distinct tuples — the paper's |ϕ(D)|.
-func (r *Result) Len() int { return len(r.set) }
+func (r *Result) Len() int { return r.set.Len() }
 
 // Has reports whether the tuple is in the result.
-func (r *Result) Has(tuple []Value) bool {
-	_, ok := r.set[tuplekey.String(tuple)]
-	return ok
-}
+func (r *Result) Has(tuple []Value) bool { return r.set.Has(tuple) }
 
-// Tuples returns the result tuples sorted lexicographically.
+// Tuples returns a copy of the result tuples, sorted lexicographically.
 func (r *Result) Tuples() [][]Value {
-	out := make([][]Value, 0, len(r.set))
-	for _, t := range r.set { //dyncq:allow determinism tuples are sorted below, iteration order cannot leak
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		for k := range out[i] {
-			if out[i][k] != out[j][k] {
-				return out[i][k] < out[j][k]
-			}
-		}
-		return false
+	out := make([][]Value, 0, r.set.Len())
+	r.set.Keys(func(t []Value) bool {
+		out = append(out, append([]Value(nil), t...))
+		return true
 	})
+	slices.SortFunc(out, slices.Compare[[]Value])
 	return out
 }
 
-// Each calls fn for every tuple until fn returns false.
-func (r *Result) Each(fn func(tuple []Value) bool) {
-	for _, t := range r.set { //dyncq:allow determinism Each documents no yield order; order-sensitive consumers use Tuples
-		if !fn(t) {
-			return
-		}
-	}
-}
+// Each calls fn for every tuple until fn returns false, in no specified
+// order. The slice passed to fn aliases the result's storage: read it
+// during the call, copy it to retain it.
+func (r *Result) Each(fn func(tuple []Value) bool) { r.set.Keys(fn) }
 
 // Evaluate computes ϕ(D): the set of distinct head projections of all
 // valuations satisfying the body.
 func Evaluate(q *cq.Query, db *dyndb.Database) *Result {
-	res := &Result{arity: len(q.Head), set: make(map[string][]Value)}
-	run(q, db, nil, nil, func(head []Value) bool {
-		k := tuplekey.String(head)
-		if _, ok := res.set[k]; !ok {
-			res.set[k] = append([]Value(nil), head...)
-		}
+	res := &Result{set: tuplekey.NewTable[struct{}](len(q.Head))}
+	NewEvaluator(q).Run(db, nil, nil, nil, func(head []Value) bool {
+		res.set.Ref(head)
 		return true
 	})
 	return res
@@ -107,7 +91,7 @@ func Count(q *cq.Query, db *dyndb.Database) int {
 // satisfying valuation.
 func Answer(q *cq.Query, db *dyndb.Database) bool {
 	found := false
-	run(q, db, nil, nil, func([]Value) bool {
+	NewEvaluator(q).Run(db, nil, nil, nil, func([]Value) bool {
 		found = true
 		return false
 	})
@@ -116,10 +100,10 @@ func Answer(q *cq.Query, db *dyndb.Database) bool {
 
 // CountValuations returns, for every head tuple, the number of valuations
 // (homomorphisms ϕ → D over all variables) projecting to it, honouring
-// pinned atoms. Keys are tuplekey.String encodings of head tuples. If idx
-// is non-nil its indexes are used and extended; otherwise a transient
-// index set over db is built.
-func CountValuations(q *cq.Query, db *dyndb.Database, pinned Pinned, idx *IndexSet) map[string]int64 {
+// pinned atoms, as a fresh table keyed by head tuple. If idx is non-nil
+// its indexes are used and extended; otherwise a transient index set over
+// db is built.
+func CountValuations(q *cq.Query, db *dyndb.Database, pinned Pinned, idx *IndexSet) *tuplekey.Table[int64] {
 	return CountValuationsRestricted(q, db, pinned, nil, idx)
 }
 
@@ -127,215 +111,274 @@ func CountValuations(q *cq.Query, db *dyndb.Database, pinned Pinned, idx *IndexS
 // atoms: atoms in restricted range only over their listed tuple sets (see
 // Restricted). Pinning and restricting the same atom is a programming
 // error; the pin wins.
-func CountValuationsRestricted(q *cq.Query, db *dyndb.Database, pinned Pinned, restricted Restricted, idx *IndexSet) map[string]int64 {
-	out := make(map[string]int64)
-	runRestricted(q, db, pinned, restricted, idx, func(head []Value) bool {
-		out[tuplekey.String(head)]++
-		return true
-	})
+func CountValuationsRestricted(q *cq.Query, db *dyndb.Database, pinned Pinned, restricted Restricted, idx *IndexSet) *tuplekey.Table[int64] {
+	out := tuplekey.NewTable[int64](len(q.Head))
+	NewEvaluator(q).CountInto(out, db, pinned, restricted, idx)
 	return out
 }
 
-// run enumerates all satisfying valuations of q over db (with pinned atom
-// overrides), calling emit with the head projection of each until emit
-// returns false. The head slice passed to emit is reused between calls.
-func run(q *cq.Query, db *dyndb.Database, pinned Pinned, idx *IndexSet, emit func(head []Value) bool) {
-	runRestricted(q, db, pinned, nil, idx, emit)
+// Evaluator is a query compiled for repeated evaluation: variables are
+// resolved to indices once, and everything the backtracking join needs
+// while it runs — the assignment, and per join depth the list of variables
+// a tuple bound, the probe tuple and the visitor the scans call — is
+// allocated up front, so enumerating a valuation allocates nothing. One
+// evaluator serves one goroutine at a time.
+type Evaluator struct {
+	atoms   []catom
+	headIdx []int // variable index per head position
+
+	// State of the running call.
+	idx     *IndexSet
+	emit    func(head []Value) bool
+	stopped bool
+	order   []int // atom joined at each depth
+	assign  []Value
+	bound   []bool
+	head    []Value
+	frames  []frame // per join depth
+
+	planUsed []bool // per atom, planning scratch
+
+	counts    *tuplekey.Table[int64] // CountInto's target while it runs
+	countEmit func(head []Value) bool
 }
 
-func runRestricted(q *cq.Query, db *dyndb.Database, pinned Pinned, restricted Restricted, idx *IndexSet, emit func(head []Value) bool) {
-	if idx == nil {
-		idx = NewIndexSet(db)
-	} else if idx.db != db {
-		panic("eval: IndexSet belongs to a different database")
-	}
-	vars := q.Vars()
-	varIdx := make(map[string]int, len(vars))
-	for i, v := range vars {
-		varIdx[v] = i
-	}
-	atoms := make([]catom, len(q.Atoms))
-	for i, a := range q.Atoms {
-		ca := catom{orig: i, rel: a.Rel, args: make([]int, len(a.Args))}
-		for j, v := range a.Args {
-			ca.args[j] = varIdx[v]
-		}
-		if t, ok := pinned[i]; ok {
-			ca.pinTo, ca.pinSet = t, true
-		} else if ts, ok := restricted[i]; ok {
-			ca.restrict, ca.restrictSet = ts, true
-		}
-		atoms[i] = ca
-	}
-
-	// Greedy join order: pinned atoms first, then repeatedly the atom with
-	// the most already-bound variables, tie-broken by smaller relation.
-	order := planOrder(atoms, db)
-
-	assign := make([]Value, len(vars))
-	bound := make([]bool, len(vars))
-	head := make([]Value, len(q.Head))
-	headIdx := make([]int, len(q.Head))
-	for i, h := range q.Head {
-		headIdx[i] = varIdx[h]
-	}
-
-	stopped := false
-	var step func(d int)
-	step = func(d int) {
-		if stopped {
-			return
-		}
-		if d == len(order) {
-			for i, vi := range headIdx {
-				head[i] = assign[vi]
-			}
-			if !emit(head) {
-				stopped = true
-			}
-			return
-		}
-		a := atoms[order[d]]
-		// tryTuple binds the atom's unbound variables to the tuple and
-		// recurses, then unbinds.
-		tryTuple := func(t []Value) {
-			var newlyBound []int
-			ok := true
-			for j, vi := range a.args {
-				if bound[vi] {
-					if assign[vi] != t[j] {
-						ok = false
-						break
-					}
-				} else {
-					assign[vi] = t[j]
-					bound[vi] = true
-					newlyBound = append(newlyBound, vi)
-				}
-			}
-			if ok {
-				step(d + 1)
-			}
-			for _, vi := range newlyBound {
-				bound[vi] = false
-			}
-		}
-		if a.pinSet {
-			if len(a.pinTo) == len(a.args) {
-				tryTuple(a.pinTo)
-			}
-			return
-		}
-		if a.restrictSet {
-			for _, t := range a.restrict {
-				if len(t) == len(a.args) {
-					tryTuple(t)
-				}
-				if stopped {
-					return
-				}
-			}
-			return
-		}
-		rel := db.Relation(a.rel)
-		if rel == nil {
-			return // empty relation: no matches
-		}
-		// Determine bound positions.
-		var mask uint32
-		var boundVals []Value
-		allBound := true
-		for j, vi := range a.args {
-			if bound[vi] {
-				mask |= 1 << uint(j)
-				boundVals = append(boundVals, assign[vi])
-			} else {
-				allBound = false
-			}
-		}
-		switch {
-		case allBound:
-			t := make([]Value, len(a.args))
-			for j, vi := range a.args {
-				t[j] = assign[vi]
-			}
-			if rel.Has(t) {
-				step(d + 1)
-			}
-		case mask == 0:
-			rel.Each(func(t []Value) bool {
-				tryTuple(t)
-				return !stopped
-			})
-		default:
-			ix := idx.Get(a.rel, mask)
-			for _, t := range ix.bucket(boundVals) {
-				tryTuple(t)
-				if stopped {
-					return
-				}
-			}
-		}
-	}
-	step(0)
+// frame is the scratch of one join depth.
+type frame struct {
+	a          *catom
+	newlyBound []int   // variables the tuple under trial bound
+	probe      []Value // bound values of a's positions, in position order
+	// visit tries one tuple at this depth and reports whether the scan
+	// should go on; built once, so a scan creates no closure.
+	visit func(t []Value) bool
 }
 
 // catom is an atom compiled for evaluation: argument variables resolved
-// to indices, with an optional pinned tuple.
+// to indices, with the running call's relation (nil if undeclared) and
+// pinned tuple or restriction set.
 type catom struct {
-	orig        int
 	rel         string
 	args        []int // variable indices per position
+	stored      *dyndb.Relation
 	pinTo       []Value
 	pinSet      bool
 	restrict    [][]Value
 	restrictSet bool
 }
 
-func planOrder(atoms []catom, db *dyndb.Database) []int {
-	n := len(atoms)
-	used := make([]bool, n)
-	boundVars := map[int]bool{}
-	var order []int
-	relSize := func(rel string) int {
-		r := db.Relation(rel)
-		if r == nil {
-			return 0
-		}
-		return r.Len()
+// NewEvaluator compiles q.
+func NewEvaluator(q *cq.Query) *Evaluator {
+	vars := q.Vars()
+	varIdx := make(map[string]int, len(vars))
+	for i, v := range vars {
+		varIdx[v] = i
 	}
-	for len(order) < n {
+	ev := &Evaluator{
+		atoms:    make([]catom, len(q.Atoms)),
+		headIdx:  make([]int, len(q.Head)),
+		order:    make([]int, 0, len(q.Atoms)),
+		assign:   make([]Value, len(vars)),
+		bound:    make([]bool, len(vars)),
+		head:     make([]Value, len(q.Head)),
+		frames:   make([]frame, len(q.Atoms)),
+		planUsed: make([]bool, len(q.Atoms)),
+	}
+	maxArity := 0
+	for i, a := range q.Atoms {
+		args := make([]int, len(a.Args))
+		for j, v := range a.Args {
+			args[j] = varIdx[v]
+		}
+		ev.atoms[i] = catom{rel: a.Rel, args: args}
+		maxArity = max(maxArity, len(args))
+	}
+	for i, h := range q.Head {
+		ev.headIdx[i] = varIdx[h]
+	}
+	for d := range ev.frames {
+		ev.frames[d] = frame{
+			newlyBound: make([]int, 0, maxArity),
+			probe:      make([]Value, 0, maxArity),
+			visit: func(t []Value) bool {
+				ev.try(d, t)
+				return !ev.stopped
+			},
+		}
+	}
+	ev.countEmit = func(head []Value) bool {
+		n, _ := ev.counts.Ref(head)
+		*n++
+		return true
+	}
+	return ev
+}
+
+// CountInto adds to out, for every head tuple, the number of valuations
+// projecting to it (see CountValuationsRestricted). out must be keyed at
+// the head's arity.
+func (ev *Evaluator) CountInto(out *tuplekey.Table[int64], db *dyndb.Database, pinned Pinned, restricted Restricted, idx *IndexSet) {
+	ev.counts = out
+	ev.Run(db, pinned, restricted, idx, ev.countEmit)
+	ev.counts = nil
+}
+
+// Run enumerates all satisfying valuations of the query over db, with
+// pinned and restricted atom overrides, calling emit with the head
+// projection of each until emit returns false. The head slice passed to
+// emit is reused between calls. A nil idx means a transient index set.
+func (ev *Evaluator) Run(db *dyndb.Database, pinned Pinned, restricted Restricted, idx *IndexSet, emit func(head []Value) bool) {
+	if idx == nil {
+		idx = NewIndexSet(db)
+	} else if idx.db != db {
+		panic("eval: IndexSet belongs to a different database")
+	}
+	ev.idx, ev.emit, ev.stopped = idx, emit, false
+	for i := range ev.atoms {
+		a := &ev.atoms[i]
+		a.stored = db.Relation(a.rel)
+		a.pinTo, a.pinSet = pinned[i]
+		a.restrict, a.restrictSet = nil, false
+		if !a.pinSet {
+			a.restrict, a.restrictSet = restricted[i]
+		}
+	}
+	ev.plan()
+	clear(ev.bound)
+	ev.step(0)
+	ev.idx, ev.emit = nil, nil
+}
+
+// plan fixes the running call's join order, greedily: pinned atoms first,
+// then restricted ones, then repeatedly the atom with the most
+// already-bound variables, tie-broken by smaller relation. ev.bound
+// doubles as the set of variables bound so far.
+func (ev *Evaluator) plan() {
+	clear(ev.planUsed)
+	clear(ev.bound)
+	ev.order = ev.order[:0]
+	for range ev.atoms {
 		best, bestScore, bestSize := -1, -1, 0
-		for i, a := range atoms {
-			if used[i] {
+		for i := range ev.atoms {
+			if ev.planUsed[i] {
 				continue
 			}
-			score := 0
-			if a.pinSet {
+			a := &ev.atoms[i]
+			score, size := 0, 0
+			switch {
+			case a.pinSet:
 				score = 1 << 20 // pinned: essentially free, schedule first
-			} else if a.restrictSet {
+			case a.restrictSet:
 				score = 1 << 19 // restricted: a small delta set, schedule early
+				size = len(a.restrict)
+			}
+			if !a.restrictSet && a.stored != nil {
+				size = a.stored.Len()
 			}
 			for _, vi := range a.args {
-				if boundVars[vi] {
+				if ev.bound[vi] {
 					score++
 				}
-			}
-			size := relSize(a.rel)
-			if a.restrictSet {
-				size = len(a.restrict)
 			}
 			if best == -1 || score > bestScore || (score == bestScore && size < bestSize) {
 				best, bestScore, bestSize = i, score, size
 			}
 		}
-		used[best] = true
-		order = append(order, best)
-		for _, vi := range atoms[best].args {
-			boundVars[vi] = true
+		ev.planUsed[best] = true
+		ev.frames[len(ev.order)].a = &ev.atoms[best]
+		ev.order = append(ev.order, best)
+		for _, vi := range ev.atoms[best].args {
+			ev.bound[vi] = true
 		}
 	}
-	return order
+}
+
+// step extends the partial valuation by the atom at depth d.
+//
+//dyncq:hot
+func (ev *Evaluator) step(d int) {
+	if ev.stopped {
+		return
+	}
+	if d == len(ev.order) {
+		for i, vi := range ev.headIdx {
+			ev.head[i] = ev.assign[vi]
+		}
+		if !ev.emit(ev.head) {
+			ev.stopped = true
+		}
+		return
+	}
+	f := &ev.frames[d]
+	a := f.a
+	if a.pinSet {
+		if len(a.pinTo) == len(a.args) {
+			ev.try(d, a.pinTo)
+		}
+		return
+	}
+	if a.restrictSet {
+		for _, t := range a.restrict {
+			if len(t) == len(a.args) {
+				ev.try(d, t)
+			}
+			if ev.stopped {
+				return
+			}
+		}
+		return
+	}
+	rel := a.stored
+	if rel == nil {
+		return // undeclared relation: no matches
+	}
+	var mask uint32
+	probe := f.probe[:0]
+	for j, vi := range a.args {
+		if ev.bound[vi] {
+			mask |= 1 << uint(j)
+			probe = append(probe, ev.assign[vi])
+		}
+	}
+	switch {
+	case len(probe) == len(a.args): // every position bound: probe is the tuple
+		if rel.Has(probe) {
+			ev.step(d + 1)
+		}
+	case mask == 0:
+		rel.Each(f.visit)
+	default:
+		if b := ev.idx.Get(a.rel, mask).bucket(probe); b != nil {
+			b.Keys(f.visit)
+		}
+	}
+}
+
+// try binds the unbound variables of the atom at depth d to the tuple,
+// recurses if the bound ones agree with it, then unbinds.
+//
+//dyncq:hot
+func (ev *Evaluator) try(d int, t []Value) {
+	f := &ev.frames[d]
+	newlyBound := f.newlyBound[:0]
+	ok := true
+	for j, vi := range f.a.args {
+		if ev.bound[vi] {
+			if ev.assign[vi] != t[j] {
+				ok = false
+				break
+			}
+		} else {
+			ev.assign[vi] = t[j]
+			ev.bound[vi] = true
+			newlyBound = append(newlyBound, vi)
+		}
+	}
+	if ok {
+		ev.step(d + 1)
+	}
+	for _, vi := range newlyBound {
+		ev.bound[vi] = false
+	}
 }
 
 // IndexSet is a collection of hash indexes over a database's relations,
@@ -388,25 +431,19 @@ type indexKey struct {
 }
 
 // Index maps the projection of tuples onto the mask's positions to the
-// set of matching tuples. Buckets are keyed directly by the projected
-// tuple in a tuplekey.Map, so the probe path (bucket) performs no string
-// encoding and no per-call allocation.
+// set of matching tuples. Both levels are tuplekey.Tables keyed by the
+// int64 tuples themselves: the outer one by the projection, each bucket by
+// the whole tuple, stored once, inline — membership, O(1) removal and
+// iteration all come from that one table. The probe path (bucket) performs
+// no encoding and no allocation.
 type Index struct {
 	mask    uint32
-	arity   int
-	buckets *tuplekey.Map[*ixBucket] // projected tuple → bucket
-	scratch []Value                  // projection scratch, mutators only
+	buckets *tuplekey.Table[*tuplekey.Table[struct{}]] // projected tuple → its tuples
+	scratch []Value                                    // projection scratch, mutators only
 }
 
-// ixBucket holds the tuples sharing one projection: a dense slice for
-// allocation-free iteration plus a position map for O(1) removal.
-type ixBucket struct {
-	pos    *tuplekey.Map[int] // stored tuple → index into tuples
-	tuples [][]Value
-}
-
-func newIndex(mask uint32, arity int) *Index {
-	return &Index{mask: mask, arity: arity, buckets: tuplekey.NewMap[*ixBucket](0)}
+func newIndex(mask uint32) *Index {
+	return &Index{mask: mask, buckets: tuplekey.NewTable[*tuplekey.Table[struct{}]](bits.OnesCount32(mask))}
 }
 
 // NewIndexSet returns an empty index set over db, synchronised to its
@@ -501,13 +538,8 @@ func (s *IndexSet) Get(rel string, mask uint32) *Index {
 	if ix, ok := s.idx[k]; ok {
 		return ix
 	}
-	r := s.db.Relation(rel)
-	arity := 0
-	if r != nil {
-		arity = r.Arity()
-	}
-	ix := newIndex(mask, arity)
-	if r != nil {
+	ix := newIndex(mask)
+	if r := s.db.Relation(rel); r != nil {
 		r.Each(func(t []Value) bool {
 			ix.add(t)
 			return true
@@ -593,87 +625,57 @@ func (ix *Index) proj(t []Value) []Value {
 
 //dyncq:hot
 func (ix *Index) add(t []Value) {
-	p := ix.proj(t)
-	b, ok := ix.buckets.Get(p)
-	if !ok {
-		b = &ixBucket{pos: tuplekey.NewMap[int](0)}
-		ix.buckets.Put(append([]Value(nil), p...), b) //dyncq:allow hotalloc first insert into a fresh bucket only; the bucket key must outlive the scratch projection
+	b, existed := ix.buckets.Ref(ix.proj(t))
+	if !existed {
+		*b = tuplekey.NewTable[struct{}](len(t)) //dyncq:allow hotalloc first tuple of a projection only
 	}
-	if _, ok := b.pos.Get(t); ok {
-		return
-	}
-	stored := append([]Value(nil), t...) //dyncq:allow hotalloc audited per-tuple copy: the index must own its tuples
-	b.pos.Put(stored, len(b.tuples))
-	b.tuples = append(b.tuples, stored) //dyncq:allow hotalloc bucket growth is amortised; remove() backfills so capacity is reused
+	(*b).Ref(t)
 }
 
 //dyncq:hot
 func (ix *Index) remove(t []Value) {
 	p := ix.proj(t)
-	b, ok := ix.buckets.Get(p)
-	if !ok {
-		return
-	}
-	i, ok := b.pos.Get(t)
-	if !ok {
-		return
-	}
-	// Swap-delete from the dense slice, keeping the position map exact.
-	last := len(b.tuples) - 1
-	if i != last {
-		moved := b.tuples[last]
-		b.tuples[i] = moved
-		b.pos.Put(moved, i)
-	}
-	b.tuples[last] = nil
-	b.tuples = b.tuples[:last]
-	b.pos.Delete(t)
-	if len(b.tuples) == 0 {
+	if b, ok := ix.buckets.Get(p); ok && b.Delete(t) && b.Len() == 0 {
 		ix.buckets.Delete(p)
 	}
 }
 
-// bucket returns the tuples whose masked positions equal boundVals (in
-// mask position order). The returned slice is owned by the index and
-// valid until its next mutation; callers must not modify it. No
-// allocation and no key encoding happen on this path.
+// bucket returns the set of tuples whose masked positions equal boundVals
+// (in mask position order), nil if there are none. The table is owned by
+// the index and valid until its next mutation; callers only read it (Keys
+// yields slices aliasing it). No allocation and no key encoding happen on
+// this path.
 //
 //dyncq:hot
-func (ix *Index) bucket(boundVals []Value) [][]Value {
-	b, ok := ix.buckets.Get(boundVals)
-	if !ok {
-		return nil
-	}
-	return b.tuples
+func (ix *Index) bucket(boundVals []Value) *tuplekey.Table[struct{}] {
+	b, _ := ix.buckets.Get(boundVals)
+	return b
 }
 
 // SanityCheck verifies that the index set is consistent with its database
-// (every indexed tuple present, every relation tuple indexed, every
-// bucket's position map exact). Intended for tests; cost is linear in the
-// database and indexes.
+// (every indexed tuple present and filed under its own projection, every
+// relation tuple indexed, no empty bucket kept). Intended for tests; cost
+// is linear in the database and indexes.
 func (s *IndexSet) SanityCheck() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for k, ix := range s.idx { //dyncq:allow determinism test-only diagnostic; which violation is reported first may vary, presence does not
 		count := 0
 		var err error
-		ix.buckets.Range(func(_ []Value, b *ixBucket) bool {
-			if b.pos.Len() != len(b.tuples) {
-				err = fmt.Errorf("index (%s,%b) bucket has %d tuples but %d positions", k.rel, k.mask, len(b.tuples), b.pos.Len())
+		ix.buckets.Range(func(p []Value, b *tuplekey.Table[struct{}]) bool {
+			if b.Len() == 0 {
+				err = fmt.Errorf("index (%s,%b) keeps an empty bucket for %v", k.rel, k.mask, p)
 				return false
 			}
-			for i, t := range b.tuples {
+			return b.Keys(func(t []Value) bool {
 				count++
 				if !s.db.Has(k.rel, t...) {
 					err = fmt.Errorf("index (%s,%b) holds stale tuple %v", k.rel, k.mask, t)
-					return false
+				} else if !projectsTo(t, ix.mask, p) {
+					err = fmt.Errorf("index (%s,%b) files %v under %v", k.rel, k.mask, t, p)
 				}
-				if at, ok := b.pos.Get(t); !ok || at != i {
-					err = fmt.Errorf("index (%s,%b) position map wrong for %v", k.rel, k.mask, t)
-					return false
-				}
-			}
-			return true
+				return err == nil
+			})
 		})
 		if err != nil {
 			return err
@@ -688,4 +690,19 @@ func (s *IndexSet) SanityCheck() error {
 		}
 	}
 	return nil
+}
+
+// projectsTo reports whether t's masked positions spell p.
+func projectsTo(t []Value, mask uint32, p []Value) bool {
+	i := 0
+	for j, v := range t {
+		if mask&(1<<uint(j)) == 0 {
+			continue
+		}
+		if i == len(p) || p[i] != v {
+			return false
+		}
+		i++
+	}
+	return i == len(p)
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -129,11 +130,11 @@ func TestCountValuationsVsDistinct(t *testing.T) {
 		dyndb.Insert("E", 1, 10), dyndb.Insert("E", 1, 11),
 		dyndb.Insert("T", 10), dyndb.Insert("T", 11),
 	)
-	counts := CountValuations(q, db, nil, nil)
+	counts := countMap(CountValuations(q, db, nil, nil))
 	if len(counts) != 1 {
 		t.Fatalf("distinct heads = %d, want 1", len(counts))
 	}
-	if c := counts[tuplekey.String([]Value{1})]; c != 2 {
+	if c := counts[key(1)]; c != 2 {
 		t.Errorf("multiplicity of (1) = %d, want 2", c)
 	}
 }
@@ -145,14 +146,14 @@ func TestCountValuationsPinned(t *testing.T) {
 		dyndb.Insert("E", 1, 10), dyndb.Insert("E", 1, 11), dyndb.Insert("E", 2, 10),
 		dyndb.Insert("T", 10), dyndb.Insert("T", 11),
 	)
-	counts := CountValuations(q, db, Pinned{0: []Value{1, 10}}, nil)
-	if len(counts) != 1 || counts[tuplekey.String([]Value{1})] != 1 {
+	counts := countMap(CountValuations(q, db, Pinned{0: []Value{1, 10}}, nil))
+	if len(counts) != 1 || counts[key(1)] != 1 {
 		t.Errorf("pinned counts = %v", counts)
 	}
 	// Pin to a tuple violating a repeated-variable pattern.
 	q2 := cq.MustParse("Q(x) :- R(x,x)")
 	db2 := mkdb(t, dyndb.Insert("R", 3, 3))
-	counts = CountValuations(q2, db2, Pinned{0: []Value{1, 2}}, nil)
+	counts = countMap(CountValuations(q2, db2, Pinned{0: []Value{1, 2}}, nil))
 	if len(counts) != 0 {
 		t.Errorf("inconsistent pin matched: %v", counts)
 	}
@@ -163,8 +164,8 @@ func TestPinnedTupleNeedNotBeInRelation(t *testing.T) {
 	// deleted, which may already be gone from the relation.
 	q := cq.MustParse("Q(x) :- E(x,y), T(y)")
 	db := mkdb(t, dyndb.Insert("T", 10))
-	counts := CountValuations(q, db, Pinned{0: []Value{5, 10}}, nil)
-	if len(counts) != 1 || counts[tuplekey.String([]Value{5})] != 1 {
+	counts := countMap(CountValuations(q, db, Pinned{0: []Value{5, 10}}, nil))
+	if len(counts) != 1 || counts[key(5)] != 1 {
 		t.Errorf("counts = %v", counts)
 	}
 }
@@ -175,14 +176,14 @@ func TestIndexSetMaintenance(t *testing.T) {
 	db.Insert("E", 1, 3)
 	idx := NewIndexSet(db)
 	ix := idx.Get("E", 0b01) // index on first position
-	if got := len(ix.bucket([]Value{1})); got != 2 {
+	if got := ix.bucket([]Value{1}).Len(); got != 2 {
 		t.Fatalf("bucket(1) has %d tuples, want 2", got)
 	}
 	db.Insert("E", 1, 4)
 	idx.ApplyUpdate(dyndb.Insert("E", 1, 4))
 	db.Delete("E", 1, 2)
 	idx.ApplyUpdate(dyndb.Delete("E", 1, 2))
-	if got := len(ix.bucket([]Value{1})); got != 2 {
+	if got := ix.bucket([]Value{1}).Len(); got != 2 {
 		t.Fatalf("bucket(1) after updates has %d tuples, want 2", got)
 	}
 	if err := idx.SanityCheck(); err != nil {
@@ -197,7 +198,7 @@ func TestIndexSetSecondPosition(t *testing.T) {
 	db.Insert("E", 3, 8)
 	idx := NewIndexSet(db)
 	ix := idx.Get("E", 0b10)
-	if got := len(ix.bucket([]Value{9})); got != 2 {
+	if got := ix.bucket([]Value{9}).Len(); got != 2 {
 		t.Errorf("bucket(·,9) = %d, want 2", got)
 	}
 }
@@ -237,9 +238,9 @@ func TestAgainstBruteForce(t *testing.T) {
 			if got.Len() != len(want) {
 				t.Fatalf("trial %d, %s: |got| = %d, |want| = %d", trial, q, got.Len(), len(want))
 			}
-			for k := range want {
-				if !got.Has(tuplekey.Decode(k)) {
-					t.Fatalf("trial %d, %s: missing %v", trial, q, tuplekey.Decode(k))
+			for _, tup := range want {
+				if !got.Has(tup) {
+					t.Fatalf("trial %d, %s: missing %v", trial, q, tup)
 				}
 			}
 		}
@@ -248,10 +249,10 @@ func TestAgainstBruteForce(t *testing.T) {
 
 // bruteForce evaluates by enumerating all assignments over the active
 // domain — exponential, only for tiny test databases.
-func bruteForce(q *cq.Query, db *dyndb.Database) map[string]bool {
+func bruteForce(q *cq.Query, db *dyndb.Database) map[string][]Value {
 	vars := q.Vars()
 	adom := db.ActiveDomain()
-	out := map[string]bool{}
+	out := map[string][]Value{}
 	assign := map[string]Value{}
 	var rec func(i int)
 	rec = func(i int) {
@@ -269,7 +270,7 @@ func bruteForce(q *cq.Query, db *dyndb.Database) map[string]bool {
 			for j, h := range q.Head {
 				head[j] = assign[h]
 			}
-			out[tuplekey.String(head)] = true
+			out[fmt.Sprint(head)] = head
 			return
 		}
 		for _, v := range adom {
@@ -293,10 +294,10 @@ func TestCountValuationsRestricted(t *testing.T) {
 	// Each valuation matches the restricted atom to exactly one tuple, so
 	// restricting to a set must equal the sum of pinning to each element.
 	set := [][]Value{{1, 10}, {2, 10}, {3, 12}}
-	got := CountValuationsRestricted(q, db, nil, Restricted{0: set}, nil)
+	got := countMap(CountValuationsRestricted(q, db, nil, Restricted{0: set}, nil))
 	want := map[string]int64{}
 	for _, tup := range set {
-		for k, c := range CountValuations(q, db, Pinned{0: tup}, nil) {
+		for k, c := range countMap(CountValuations(q, db, Pinned{0: tup}, nil)) {
 			want[k] += c
 		}
 	}
@@ -305,19 +306,19 @@ func TestCountValuationsRestricted(t *testing.T) {
 	}
 	for k, c := range want {
 		if got[k] != c {
-			t.Errorf("head %v: restricted %d, pinned sum %d", tuplekey.Decode(k), got[k], c)
+			t.Errorf("head %v: restricted %d, pinned sum %d", k, got[k], c)
 		}
 	}
 	// Restricting to the full relation is the unrestricted count.
 	full := db.Relation("E").Tuples()
-	gotFull := CountValuationsRestricted(q, db, nil, Restricted{0: full}, nil)
-	wantFull := CountValuations(q, db, nil, nil)
+	gotFull := countMap(CountValuationsRestricted(q, db, nil, Restricted{0: full}, nil))
+	wantFull := countMap(CountValuations(q, db, nil, nil))
 	if len(gotFull) != len(wantFull) {
 		t.Fatalf("full restriction gave %d head tuples, unrestricted %d", len(gotFull), len(wantFull))
 	}
 	for k, c := range wantFull {
 		if gotFull[k] != c {
-			t.Errorf("head %v: full restriction %d, unrestricted %d", tuplekey.Decode(k), gotFull[k], c)
+			t.Errorf("head %v: full restriction %d, unrestricted %d", k, gotFull[k], c)
 		}
 	}
 }
@@ -325,8 +326,8 @@ func TestCountValuationsRestricted(t *testing.T) {
 func TestRestrictedSkipsWrongArity(t *testing.T) {
 	q := cq.MustParse("Q(x) :- E(x,y)")
 	db := mkdb(t, dyndb.Insert("E", 1, 2))
-	got := CountValuationsRestricted(q, db, nil, Restricted{0: {{1}, {1, 2}, {1, 2, 3}}}, nil)
-	if len(got) != 1 || got[tuplekey.String([]Value{1})] != 1 {
+	got := countMap(CountValuationsRestricted(q, db, nil, Restricted{0: {{1}, {1, 2}, {1, 2, 3}}}, nil))
+	if len(got) != 1 || got[key(1)] != 1 {
 		t.Errorf("restricted with mixed arities = %v, want exactly E(1,2)", got)
 	}
 }
@@ -339,8 +340,22 @@ func TestRestrictedSelfJoin(t *testing.T) {
 		dyndb.Insert("E", 1, 2), dyndb.Insert("E", 2, 3), dyndb.Insert("E", 3, 4),
 	)
 	delta := [][]Value{{1, 2}, {2, 3}}
-	got := CountValuationsRestricted(q, db, nil, Restricted{0: delta, 1: delta}, nil)
-	if len(got) != 1 || got[tuplekey.String([]Value{1, 3})] != 1 {
+	got := countMap(CountValuationsRestricted(q, db, nil, Restricted{0: delta, 1: delta}, nil))
+	if len(got) != 1 || got[key(1, 3)] != 1 {
 		t.Errorf("double restriction = %v, want exactly (1,3)", got)
 	}
+}
+
+// key is the map key the count tests file a head tuple under.
+func key(vals ...Value) string { return fmt.Sprint(vals) }
+
+// countMap copies a count table into a Go map keyed by key, so the tests
+// can compare, range and print it.
+func countMap(counts *tuplekey.Table[int64]) map[string]int64 {
+	out := make(map[string]int64, counts.Len())
+	counts.Range(func(head []Value, c int64) bool {
+		out[key(head...)] = c
+		return true
+	})
+	return out
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -15,11 +16,11 @@ import (
 // order-insensitive comparison.
 func dumpIndex(ix *Index) []string {
 	var out []string
-	ix.buckets.Range(func(pk []int64, b *ixBucket) bool {
-		for _, t := range b.tuples {
-			out = append(out, tuplekey.String(pk)+"\x00"+tuplekey.String(t))
-		}
-		return true
+	ix.buckets.Range(func(pk []int64, b *tuplekey.Table[struct{}]) bool {
+		return b.Keys(func(t []int64) bool {
+			out = append(out, fmt.Sprint(pk, t))
+			return true
+		})
 	})
 	sort.Strings(out)
 	return out
@@ -141,7 +142,7 @@ func TestIndexSetEpochFallback(t *testing.T) {
 	}
 	s := NewIndexSet(db)
 	ix := s.Get("E", 1)
-	if got := len(ix.bucket([]int64{3})); got != 1 {
+	if got := ix.bucket([]int64{3}).Len(); got != 1 {
 		t.Fatalf("bucket(3) has %d tuples, want 1", got)
 	}
 	// Mutate the store without telling the set: stale until the next Get.
@@ -159,8 +160,8 @@ func TestIndexSetEpochFallback(t *testing.T) {
 		t.Fatal("Get did not resynchronise")
 	}
 	got := ix.bucket([]int64{3})
-	if len(got) != 1 || got[0][1] != 9 {
-		t.Fatalf("rebuilt bucket(3) = %v, want [[3 9]]", got)
+	if got.Len() != 1 || !got.Has([]int64{3, 9}) {
+		t.Fatalf("rebuilt bucket(3) has %d tuples, want exactly (3,9)", got.Len())
 	}
 	checkAgainstFresh(t, s, db)
 

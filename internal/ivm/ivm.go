@@ -28,6 +28,7 @@ package ivm
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"dyncq/internal/cq"
@@ -66,21 +67,33 @@ type Maintainer struct {
 	query *cq.Query
 	db    *dyndb.Database
 	idx   *eval.IndexSet
-	// result maps encoded head tuples to their valuation multiplicity.
-	result map[string]int64
+	// result maps head tuples to their valuation multiplicity.
+	result *tuplekey.Table[int64]
 	// occ maps relation names to the indices of atoms over them.
 	occ    map[string][]int
 	schema map[string]int
+	// ev runs the delta joins; delta holds one join's counts per head tuple
+	// before they are folded into result with the join's coefficient coef.
+	// pinned and restricted are the join's atom overrides. All of it is
+	// scratch reused from join to join, so a delta join allocates nothing
+	// per valuation and nothing per call.
+	ev         *eval.Evaluator
+	delta      *tuplekey.Table[int64]
+	coef       int64
+	fold       func(head []Value, c int64) bool
+	pinned     eval.Pinned
+	restricted eval.Restricted
 	// rebuildPending is set by BeginBatch when the batch is large enough
 	// that one full re-evaluation beats per-relation delta joins; the
 	// delta hooks then no-op and FinishBatch rebuilds.
 	rebuildPending bool
-	// touched is non-nil while the open batch emits its result delta: for
-	// every head tuple a delta join reached, whether it was in the result
-	// when the batch first touched it. FinishBatch compares that with the
-	// final state. A running zero-crossing test would be wrong:
+	// While the open batch emits its result delta (emitting), touched
+	// holds for every head tuple a delta join reached whether it was in the
+	// result when the batch first touched it. FinishBatch compares that
+	// with the final state. A running zero-crossing test would be wrong:
 	// inclusion–exclusion takes a multiplicity through transient zeros.
-	touched map[string]bool
+	emitting bool
+	touched  *tuplekey.Table[bool]
 }
 
 // New returns a maintainer for q reading the given store through idx
@@ -91,13 +104,23 @@ func New(q *cq.Query, store *dyndb.Database, idx *eval.IndexSet) (*Maintainer, e
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("ivm.New: %w", err)
 	}
+	arity := len(q.Head)
 	m := &Maintainer{
-		query:  q,
-		db:     store,
-		idx:    idx,
-		result: make(map[string]int64),
-		occ:    make(map[string][]int),
-		schema: q.Schema(),
+		query:      q,
+		db:         store,
+		idx:        idx,
+		result:     tuplekey.NewTable[int64](arity),
+		occ:        make(map[string][]int),
+		schema:     q.Schema(),
+		ev:         eval.NewEvaluator(q),
+		delta:      tuplekey.NewTable[int64](arity),
+		pinned:     eval.Pinned{},
+		restricted: eval.Restricted{},
+		touched:    tuplekey.NewTable[bool](arity),
+	}
+	m.fold = func(head []Value, c int64) bool {
+		m.add(head, m.coef*c)
+		return true
 	}
 	for i, a := range q.Atoms {
 		m.occ[a.Rel] = append(m.occ[a.Rel], i)
@@ -119,9 +142,7 @@ func (m *Maintainer) Query() *cq.Query { return m.query }
 // FinishBatch returns the batch's result delta.
 func (m *Maintainer) BeginBatch(survivors int, emit bool) (phased bool) {
 	m.rebuildPending = survivors*3 >= m.db.Cardinality()+survivors
-	if emit {
-		m.touched = make(map[string]bool)
-	}
+	m.emitting = emit
 	return !m.rebuildPending
 }
 
@@ -137,70 +158,91 @@ func (m *Maintainer) PreDelete(rel string, tuples [][]Value) { m.propagate(rel, 
 // into the store (and its index).
 func (m *Maintainer) PostInsert(rel string, tuples [][]Value) { m.propagate(rel, tuples, +1) }
 
+// propagate adds sign × (the number of valuations using at least one of
+// the tuples in at least one occurrence of rel) to the multiplicities, by
+// inclusion–exclusion over the nonempty subsets of rel's occurrences:
+// each term is a delta join with the subset's atoms overridden, folded in
+// with sign for an odd subset and −sign for an even one. All tuples share
+// the delta's direction (all inserted, evaluated post-state, or all
+// deleted, evaluated pre-state). A single tuple is pinned rather than
+// made a restriction set of one: substituting the constants beats
+// scanning the set.
 func (m *Maintainer) propagate(rel string, tuples [][]Value, sign int64) {
 	occs := m.occ[rel]
-	if m.rebuildPending || len(tuples) == 0 || len(occs) == 0 {
+	if m.rebuildPending || len(tuples) == 0 {
 		return
 	}
-	if len(tuples) == 1 {
-		// Single-tuple deltas take the pinned-atom path: substituting the
-		// constants beats scanning a restriction set of size one.
-		m.applyDelta(occs, tuples[0], sign)
-		return
+	for mask := 1; mask < 1<<uint(len(occs)); mask++ {
+		clear(m.pinned)
+		clear(m.restricted)
+		for b, atom := range occs {
+			switch {
+			case mask&(1<<uint(b)) == 0:
+			case len(tuples) == 1:
+				m.pinned[atom] = tuples[0]
+			default:
+				m.restricted[atom] = tuples
+			}
+		}
+		m.coef = sign
+		if bits.OnesCount(uint(mask))%2 == 0 {
+			m.coef = -sign
+		}
+		m.ev.CountInto(m.delta, m.db, m.pinned, m.restricted, m.idx)
+		m.delta.Range(m.fold)
+		m.delta.Reset()
 	}
-	m.applyDeltaSet(occs, tuples, sign)
 }
 
 // FinishBatch closes the batch opened by BeginBatch: if the crossover
 // chose a rebuild, the materialised result is recomputed with one full
 // evaluation over the (now post-state) store. If the batch emits, it
 // returns the tuples ϕ(D) gained and lost, disjoint, each side in
-// lexicographic order: the touched keys whose presence changed, or — on
+// lexicographic order: the touched tuples whose presence changed, or — on
 // the rebuild path, which only a batch of a third of the store takes —
 // the difference of the old and new materialisations.
 func (m *Maintainer) FinishBatch() (added, removed [][]Value) {
-	touched := m.touched
-	m.touched = nil
-	var gained, lost []string
+	emitting := m.emitting
+	m.emitting = false
 	if m.rebuildPending {
 		m.rebuildPending = false
 		old := m.result
-		m.result = eval.CountValuations(m.query, m.db, nil, m.idx)
-		if touched == nil {
+		m.result = m.evaluate()
+		if !emitting {
 			return nil, nil
 		}
-		for k := range old {
-			if _, now := m.result[k]; !now {
-				lost = append(lost, k)
+		old.Keys(func(t []Value) bool {
+			if !m.result.Has(t) {
+				removed = append(removed, append([]Value(nil), t...))
 			}
-		}
-		for k := range m.result {
-			if _, was := old[k]; !was {
-				gained = append(gained, k)
+			return true
+		})
+		m.result.Keys(func(t []Value) bool {
+			if !old.Has(t) {
+				added = append(added, append([]Value(nil), t...))
 			}
-		}
-	} else {
-		for k, was := range touched {
-			if _, now := m.result[k]; now && !was {
-				gained = append(gained, k)
+			return true
+		})
+	} else if emitting {
+		m.touched.Range(func(t []Value, was bool) bool {
+			if now := m.result.Has(t); now && !was {
+				added = append(added, append([]Value(nil), t...))
 			} else if was && !now {
-				lost = append(lost, k)
+				removed = append(removed, append([]Value(nil), t...))
 			}
-		}
+			return true
+		})
+		m.touched.Reset()
 	}
-	return decodeSorted(gained), decodeSorted(lost)
+	sortTuples(added)
+	sortTuples(removed)
+	return added, removed
 }
 
-// decodeSorted turns head-tuple keys into tuples in lexicographic order.
-func decodeSorted(keys []string) [][]Value {
-	if len(keys) == 0 {
-		return nil
-	}
-	out := make([][]Value, len(keys))
-	for i, k := range keys {
-		out[i] = tuplekey.Decode(k) //dyncq:allow decodeboundary the delta is handed to the caller, one decode per delivered tuple — the same boundary as Enumerate
-	}
-	sortTuples(out)
+// evaluate computes the multiplicities of ϕ(D) by one full evaluation.
+func (m *Maintainer) evaluate() *tuplekey.Table[int64] {
+	out := tuplekey.NewTable[int64](len(m.query.Head))
+	m.ev.CountInto(out, m.db, nil, nil, m.idx)
 	return out
 }
 
@@ -217,7 +259,7 @@ func (m *Maintainer) Rebuild(idx *eval.IndexSet) error {
 			return fmt.Errorf("ivm: %s has arity %d in query, %d in the store", rel, want, m.db.Relation(rel).Arity())
 		}
 	}
-	m.result = eval.CountValuations(m.query, m.db, nil, m.idx)
+	m.result = m.evaluate()
 	return nil
 }
 
@@ -225,119 +267,66 @@ func (m *Maintainer) Rebuild(idx *eval.IndexSet) error {
 // maintainer representing the empty database.
 func (m *Maintainer) Clear(idx *eval.IndexSet) {
 	m.idx = idx
-	m.result = make(map[string]int64)
+	m.result = tuplekey.NewTable[int64](len(m.query.Head))
 	m.rebuildPending = false
-	m.touched = nil
-}
-
-// applyDelta adds sign × (number of valuations using the tuple in at
-// least one occurrence) to the multiplicities, via inclusion–exclusion
-// over nonempty occurrence subsets.
-func (m *Maintainer) applyDelta(occs []int, tuple []Value, sign int64) {
-	n := len(occs)
-	for mask := 1; mask < 1<<uint(n); mask++ {
-		pinned := eval.Pinned{}
-		bits := 0
-		for b := 0; b < n; b++ {
-			if mask&(1<<uint(b)) != 0 {
-				pinned[occs[b]] = tuple
-				bits++
-			}
-		}
-		coef := sign
-		if bits%2 == 0 {
-			coef = -sign
-		}
-		for k, c := range eval.CountValuations(m.query, m.db, pinned, m.idx) {
-			m.add(k, coef*c)
-		}
-	}
+	m.emitting = false
+	m.touched.Reset()
 }
 
 // add moves one head tuple's multiplicity by d, dropping it at zero, and
 // records its first-touch presence while the batch emits.
-func (m *Maintainer) add(k string, d int64) {
-	old := m.result[k]
-	if m.touched != nil {
-		if _, seen := m.touched[k]; !seen {
-			m.touched[k] = old != 0
+//
+//dyncq:hot
+func (m *Maintainer) add(head []Value, d int64) {
+	n, present := m.result.Ref(head)
+	if m.emitting {
+		if was, seen := m.touched.Ref(head); !seen {
+			*was = present
 		}
 	}
-	if nv := old + d; nv == 0 {
-		delete(m.result, k)
-	} else {
-		m.result[k] = nv
-	}
-}
-
-// applyDeltaSet is the batch analogue of applyDelta: it adds sign × (the
-// number of valuations using at least one of the given tuples in at least
-// one occurrence) to the multiplicities, via inclusion–exclusion over
-// nonempty occurrence subsets with the subset's atoms restricted to the
-// whole tuple set. All tuples must share the delta's direction (all
-// inserted, evaluated post-state, or all deleted, evaluated pre-state).
-func (m *Maintainer) applyDeltaSet(occs []int, tuples [][]Value, sign int64) {
-	if len(occs) == 0 || len(tuples) == 0 {
-		return
-	}
-	n := len(occs)
-	for mask := 1; mask < 1<<uint(n); mask++ {
-		restricted := eval.Restricted{}
-		bits := 0
-		for b := 0; b < n; b++ {
-			if mask&(1<<uint(b)) != 0 {
-				restricted[occs[b]] = tuples
-				bits++
-			}
-		}
-		coef := sign
-		if bits%2 == 0 {
-			coef = -sign
-		}
-		for k, c := range eval.CountValuationsRestricted(m.query, m.db, nil, restricted, m.idx) {
-			m.add(k, coef*c)
-		}
+	if *n += d; *n == 0 {
+		m.result.Delete(head)
 	}
 }
 
 // Count returns |ϕ(D)|: the number of distinct head tuples.
-func (m *Maintainer) Count() uint64 { return uint64(len(m.result)) }
+func (m *Maintainer) Count() uint64 { return uint64(m.result.Len()) }
 
 // Answer reports whether ϕ(D) is nonempty.
-func (m *Maintainer) Answer() bool { return len(m.result) > 0 }
+func (m *Maintainer) Answer() bool { return m.result.Len() > 0 }
 
 // Has reports whether the tuple is in ϕ(D).
-func (m *Maintainer) Has(tuple []Value) bool {
-	_, ok := m.result[tuplekey.String(tuple)]
-	return ok
-}
+func (m *Maintainer) Has(tuple []Value) bool { return m.result.Has(tuple) }
 
 // Multiplicity returns the number of valuations projecting to the tuple
 // (0 if absent).
 func (m *Maintainer) Multiplicity(tuple []Value) int64 {
-	return m.result[tuplekey.String(tuple)]
+	n, _ := m.result.Get(tuple)
+	return n
 }
 
 // Enumerate calls yield for every tuple in the materialised result until
 // yield returns false. Order is unspecified. The slice passed to yield
 // follows the uniform contract of pkg/dyncq.Handle.Enumerate: it is
 // owned by the callee and only valid during the call — copy it to retain
-// it. (This backend happens to decode a fresh slice per tuple today, but
-// callers must not rely on that.)
+// it. It is one scratch buffer refilled per tuple, never the result
+// table's own storage, so a callee that scribbles on it harms nothing.
 func (m *Maintainer) Enumerate(yield func(tuple []Value) bool) {
-	for k := range m.result {
-		if !yield(tuplekey.Decode(k)) {
-			return
-		}
-	}
+	buf := make([]Value, len(m.query.Head))
+	m.result.Keys(func(t []Value) bool {
+		copy(buf, t)
+		return yield(buf)
+	})
 }
 
-// Tuples returns the materialised result sorted lexicographically.
+// Tuples returns a copy of the materialised result sorted
+// lexicographically.
 func (m *Maintainer) Tuples() [][]Value {
-	out := make([][]Value, 0, len(m.result))
-	for k := range m.result {
-		out = append(out, tuplekey.Decode(k))
-	}
+	out := make([][]Value, 0, m.result.Len())
+	m.result.Keys(func(t []Value) bool {
+		out = append(out, append([]Value(nil), t...))
+		return true
+	})
 	sortTuples(out)
 	return out
 }

@@ -248,3 +248,50 @@ func TestRandomQHierarchicalAgainstOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestDeltaJoinAllocationsIndependentOfDegree: an S-insert on ϕS-E-T costs
+// a delta join over the key's E tuples — `degree` valuations, each landing
+// a head tuple in the result — and none of that allocates: the commit's
+// allocation count is the same at degree 5 and at degree 50. (One run is
+// an insert commit plus the delete commit that restores the state; both
+// run the same join. Nobody asks for the result delta: handing it over
+// costs a copy per delivered tuple, which is output, not join.)
+func TestDeltaJoinAllocationsIndependentOfDegree(t *testing.T) {
+	allocsAt := func(degree int) float64 {
+		const keys = 40
+		h, err := newHarness(cq.MustParse("Q(x,y) :- S(x), E(x,y), T(y)"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var load []dyndb.Update
+		for y := 0; y < degree; y++ {
+			load = append(load, dyndb.Insert("T", Value(y)))
+			for x := 0; x < keys; x++ {
+				load = append(load, dyndb.Insert("E", Value(x), Value(y)))
+			}
+		}
+		for x := 0; x < keys/2; x++ {
+			load = append(load, dyndb.Insert("S", Value(x)))
+		}
+		if _, err := h.ApplyBatch(load); err != nil {
+			t.Fatal(err)
+		}
+		base := h.Count()
+		ins, del := []dyndb.Update{dyndb.Insert("S", keys-1)}, []dyndb.Update{dyndb.Delete("S", keys-1)}
+		pair := func() {
+			if _, err := h.ApplyBatch(ins); err != nil || h.Count() != base+uint64(degree) {
+				t.Fatalf("degree %d: S-insert left %d tuples (err %v), want %d", degree, h.Count(), err, base+uint64(degree))
+			}
+			if _, err := h.ApplyBatch(del); err != nil || h.Count() != base {
+				t.Fatalf("degree %d: S-delete left %d tuples (err %v), want %d", degree, h.Count(), err, base)
+			}
+		}
+		pair() // build the E index and size the scratch tables
+		return testing.AllocsPerRun(100, pair)
+	}
+	low, high := allocsAt(5), allocsAt(50)
+	t.Logf("allocs per insert+delete pair: %v at degree 5, %v at degree 50", low, high)
+	if low != high {
+		t.Fatalf("an S-insert/S-delete pair allocates %v times at degree 5 but %v at degree 50: the delta join allocates per valuation", low, high)
+	}
+}

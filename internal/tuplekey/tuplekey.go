@@ -1,14 +1,15 @@
-// Package tuplekey provides hashing, encoding, and an open-addressing hash
-// map for tuples of int64 constants.
+// Package tuplekey provides hashing and a fixed-arity open-addressing hash
+// table for tuples of int64 constants.
 //
 // The paper's RAM model (Section 2, footnote 2) assumes d-ary arrays A_v
 // indexed by tuples of domain elements with constant-time access, and notes
 // that "for an implementation on real-world computers one would probably
-// have to resort to ... suitably designed hash functions". Map is exactly
-// that replacement: a linear-probing open-addressing table keyed by []int64
-// tuples with expected O(1) lookup, insert and delete. It is the index
-// structure behind every A_v array of the dynamic engine as well as the
-// relation storage of the dynamic database.
+// have to resort to ... suitably designed hash functions". Table is exactly
+// that replacement: a linear-probing open-addressing table keyed by int64
+// tuples of one fixed arity with expected O(1) lookup, insert and delete.
+// It is the structure behind every A_v array of the dynamic engine, the
+// relation storage of the dynamic database, the batch coalescer, the eval
+// indexes and every materialised result set.
 package tuplekey
 
 // Hash returns a 64-bit hash of the tuple. Each element is diffused with a
@@ -44,209 +45,239 @@ func Equal(a, b []int64) bool {
 	return true
 }
 
-// String encodes a tuple as a raw byte string, suitable as a Go map key.
-// Distinct tuples map to distinct strings (8 bytes per element,
-// little-endian), so it is a perfect encoding rather than a hash.
-func String(key []int64) string {
-	buf := make([]byte, 8*len(key))
-	for i, x := range key {
-		u := uint64(x)
-		off := 8 * i
-		buf[off+0] = byte(u)
-		buf[off+1] = byte(u >> 8)
-		buf[off+2] = byte(u >> 16)
-		buf[off+3] = byte(u >> 24)
-		buf[off+4] = byte(u >> 32)
-		buf[off+5] = byte(u >> 40)
-		buf[off+6] = byte(u >> 48)
-		buf[off+7] = byte(u >> 56)
-	}
-	return string(buf)
-}
-
-// Decode reverses String, returning the tuple encoded in s.
-// It panics if len(s) is not a multiple of 8.
-func Decode(s string) []int64 {
-	if len(s)%8 != 0 {
-		panic("tuplekey: Decode on string whose length is not a multiple of 8")
-	}
-	out := make([]int64, len(s)/8)
-	for i := range out {
-		off := 8 * i
-		u := uint64(s[off+0]) | uint64(s[off+1])<<8 | uint64(s[off+2])<<16 |
-			uint64(s[off+3])<<24 | uint64(s[off+4])<<32 | uint64(s[off+5])<<40 |
-			uint64(s[off+6])<<48 | uint64(s[off+7])<<56
-		out[i] = int64(u)
-	}
-	return out
-}
-
+// Control bytes: a full slot carries slotFull plus the top seven bits of
+// its key's hash (the slot index uses the low bits), so a probe rejects
+// almost every slot holding a different key without reading the key array.
 const (
-	slotEmpty uint8 = iota
-	slotFull
-	slotTombstone
+	slotEmpty     uint8 = 0
+	slotTombstone uint8 = 1
+	slotFull      uint8 = 0x80
 )
 
-// Map is a hash map from []int64 tuples to values of type V, implemented
-// with open addressing and linear probing. The zero value is ready to use.
+// Table is a hash table from int64 tuples of one fixed arity to values of
+// type V, with open addressing and linear probing. Keys are stored inline:
+// slot i owns keys[i*arity : (i+1)*arity] of one flat array, so a stored
+// tuple costs 8·arity bytes and no heap object, and when V holds no
+// pointers the whole table is invisible to the garbage collector's mark
+// phase. Arity 0 is legal (the one possible key is the empty tuple — a
+// Boolean query's head).
 //
-// Keys passed to Put are stored by reference: the caller must not mutate a
-// key slice after handing it to Put. Keys passed to Get and Delete are only
-// read during the call.
-type Map[V any] struct {
+// Put and Ref copy the key into the table; the caller keeps ownership of
+// the slice it passed. The key slices handed out by Range alias the table:
+// they are valid until the table's next mutation and must be copied to be
+// retained. Get and Delete of a key whose length is not the table's arity
+// miss; Put and Ref of one panic.
+type Table[V any] struct {
+	arity int
 	ctrl  []uint8
-	keys  [][]int64
+	keys  []int64 // len(ctrl) × arity
 	vals  []V
 	n     int // live entries
 	tombs int // tombstones
 }
 
-// NewMap returns a map pre-sized for about hint entries.
-func NewMap[V any](hint int) *Map[V] {
-	m := &Map[V]{}
-	if hint > 0 {
-		m.rehash(capacityFor(hint))
+// NewTable returns an empty table for keys of the given arity.
+func NewTable[V any](arity int) *Table[V] {
+	if arity < 0 {
+		panic("tuplekey: negative arity")
 	}
-	return m
-}
-
-func capacityFor(n int) int {
-	c := 8
-	for c*3 < n*4 { // keep load factor under 3/4
-		c *= 2
-	}
-	return c
+	return &Table[V]{arity: arity}
 }
 
 // Len returns the number of live entries.
-func (m *Map[V]) Len() int { return m.n }
+func (t *Table[V]) Len() int { return t.n }
 
-// Get returns the value stored under key.
-func (m *Map[V]) Get(key []int64) (V, bool) {
-	var zero V
-	if len(m.ctrl) == 0 {
-		return zero, false
+// find returns the slot holding key, or -1.
+//
+//dyncq:hot
+func (t *Table[V]) find(key []int64) int {
+	if t.n == 0 || len(key) != t.arity {
+		return -1
 	}
-	mask := uint64(len(m.ctrl) - 1)
-	i := Hash(key) & mask
-	for {
-		switch m.ctrl[i] {
-		case slotEmpty:
-			return zero, false
-		case slotFull:
-			if Equal(m.keys[i], key) {
-				return m.vals[i], true
+	h := Hash(key)
+	want := slotFull | uint8(h>>57)
+	mask := uint64(len(t.ctrl) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		switch c := t.ctrl[i]; {
+		case c == want:
+			if t.keyIs(i, key) {
+				return int(i)
 			}
+		case c == slotEmpty:
+			return -1
 		}
-		i = (i + 1) & mask
 	}
 }
 
-// Put stores val under key, replacing any existing entry.
-func (m *Map[V]) Put(key []int64, val V) {
-	if len(m.ctrl) == 0 || (m.n+m.tombs+1)*4 > len(m.ctrl)*3 {
-		m.grow()
-	}
-	mask := uint64(len(m.ctrl) - 1)
-	i := Hash(key) & mask
-	firstTomb := -1
-	for {
-		switch m.ctrl[i] {
-		case slotEmpty:
-			if firstTomb >= 0 {
-				i = uint64(firstTomb)
-				m.tombs--
-			}
-			m.ctrl[i] = slotFull
-			m.keys[i] = key
-			m.vals[i] = val
-			m.n++
-			return
-		case slotTombstone:
-			if firstTomb < 0 {
-				firstTomb = int(i)
-			}
-		case slotFull:
-			if Equal(m.keys[i], key) {
-				m.vals[i] = val
-				return
-			}
+// keyIs reports whether slot i holds key (of the table's arity).
+func (t *Table[V]) keyIs(i uint64, key []int64) bool {
+	stored := t.keys[int(i)*t.arity:][:len(key)]
+	for j, x := range key {
+		if stored[j] != x {
+			return false
 		}
-		i = (i + 1) & mask
 	}
+	return true
+}
+
+// Has reports whether key is present.
+func (t *Table[V]) Has(key []int64) bool { return t.find(key) >= 0 }
+
+// Get returns the value stored under key.
+func (t *Table[V]) Get(key []int64) (V, bool) {
+	if i := t.find(key); i >= 0 {
+		return t.vals[i], true
+	}
+	var zero V
+	return zero, false
+}
+
+// Ref returns a pointer to the value stored under key, first inserting
+// the zero value if key is absent (existed reports which): one probe for
+// what Get followed by Put would take two. The pointer is valid until the
+// table's next mutation.
+//
+//dyncq:hot
+func (t *Table[V]) Ref(key []int64) (val *V, existed bool) {
+	if len(key) != t.arity {
+		panic("tuplekey: key length differs from the table's arity")
+	}
+	if (t.n+t.tombs+1)*4 > len(t.ctrl)*3 {
+		t.grow()
+	}
+	h := Hash(key)
+	want := slotFull | uint8(h>>57)
+	mask := uint64(len(t.ctrl) - 1)
+	at := -1 // first tombstone on the probe path: reused if key is absent
+	for i := h & mask; ; i = (i + 1) & mask {
+		switch c := t.ctrl[i]; {
+		case c == want:
+			if t.keyIs(i, key) {
+				return &t.vals[i], true
+			}
+		case c == slotTombstone:
+			if at < 0 {
+				at = int(i)
+			}
+		case c == slotEmpty:
+			if at < 0 {
+				at = int(i)
+			} else {
+				t.tombs--
+			}
+			t.ctrl[at] = want
+			copy(t.keys[at*t.arity:], key)
+			t.n++
+			return &t.vals[at], false
+		}
+	}
+}
+
+// Put stores val under a copy of key, replacing any existing entry.
+func (t *Table[V]) Put(key []int64, val V) {
+	p, _ := t.Ref(key)
+	*p = val
 }
 
 // Delete removes the entry under key, reporting whether it was present.
-func (m *Map[V]) Delete(key []int64) bool {
-	if len(m.ctrl) == 0 {
+//
+//dyncq:hot
+func (t *Table[V]) Delete(key []int64) bool {
+	i := t.find(key)
+	if i < 0 {
 		return false
 	}
-	mask := uint64(len(m.ctrl) - 1)
-	i := Hash(key) & mask
-	for {
-		switch m.ctrl[i] {
-		case slotEmpty:
+	var zero V
+	t.vals[i] = zero
+	t.n--
+	// A slot whose successor is empty ends its probe run, so it can go
+	// straight back to empty instead of leaving a tombstone.
+	if t.ctrl[(i+1)&(len(t.ctrl)-1)] == slotEmpty {
+		t.ctrl[i] = slotEmpty
+	} else {
+		t.ctrl[i] = slotTombstone
+		t.tombs++
+	}
+	return true
+}
+
+// Range calls fn for every entry until fn returns false, in slot order
+// (unspecified, but a function of the insert/delete history alone). The
+// key slice aliases the table and is capped at its arity: copy it to keep
+// it past the table's next mutation. The table must not be modified
+// during Range.
+func (t *Table[V]) Range(fn func(key []int64, val V) bool) {
+	a := t.arity
+	for i, c := range t.ctrl {
+		if c >= slotFull && !fn(t.keys[i*a:(i+1)*a:(i+1)*a], t.vals[i]) {
+			return
+		}
+	}
+}
+
+// Keys is Range without the values: it calls fn for every key until fn
+// returns false and reports whether it ran to the end. The same aliasing
+// rule applies.
+func (t *Table[V]) Keys(fn func(key []int64) bool) bool {
+	a := t.arity
+	for i, c := range t.ctrl {
+		if c >= slotFull && !fn(t.keys[i*a:(i+1)*a:(i+1)*a]) {
 			return false
-		case slotFull:
-			if Equal(m.keys[i], key) {
-				var zero V
-				m.ctrl[i] = slotTombstone
-				m.keys[i] = nil
-				m.vals[i] = zero
-				m.n--
-				m.tombs++
-				return true
-			}
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// Range calls fn for every entry until fn returns false. The iteration
-// order is unspecified. The map must not be modified during Range.
-func (m *Map[V]) Range(fn func(key []int64, val V) bool) {
-	for i, c := range m.ctrl {
-		if c == slotFull {
-			if !fn(m.keys[i], m.vals[i]) {
-				return
-			}
 		}
 	}
+	return true
 }
 
-func (m *Map[V]) grow() {
-	newCap := 8
-	if len(m.ctrl) > 0 {
+// Reset empties the table for reuse as scratch, keeping the slot arrays —
+// unless they are large and were filled to under an eighth, so the cost of
+// a Reset follows the sizes the table is used at, not the largest it ever
+// saw (one bulk batch must not tax every small commit after it).
+func (t *Table[V]) Reset() {
+	if len(t.ctrl) > resetKeep && t.n*8 < len(t.ctrl) {
+		t.ctrl, t.keys, t.vals = nil, nil, nil
+	} else {
+		clear(t.ctrl)
+		clear(t.vals)
+	}
+	t.n, t.tombs = 0, 0
+}
+
+const (
+	minCap = 8
+	// resetKeep is the slot count up to which Reset always keeps the
+	// arrays: clearing them costs less than growing them back.
+	resetKeep = 1024
+)
+
+func (t *Table[V]) grow() {
+	newCap := minCap
+	if len(t.ctrl) > 0 {
 		// Grow only if live entries dominate; otherwise rehash at the same
 		// size to clear tombstones.
-		if m.n*2 >= len(m.ctrl) {
-			newCap = len(m.ctrl) * 2
+		if t.n*2 >= len(t.ctrl) {
+			newCap = len(t.ctrl) * 2
 		} else {
-			newCap = len(m.ctrl)
+			newCap = len(t.ctrl)
 		}
 	}
-	m.rehash(newCap)
-}
-
-func (m *Map[V]) rehash(newCap int) {
-	oldCtrl, oldKeys, oldVals := m.ctrl, m.keys, m.vals
-	m.ctrl = make([]uint8, newCap)
-	m.keys = make([][]int64, newCap)
-	m.vals = make([]V, newCap)
-	m.n = 0
-	m.tombs = 0
+	oldCtrl, oldKeys, oldVals := t.ctrl, t.keys, t.vals
+	a := t.arity
+	t.ctrl = make([]uint8, newCap)
+	t.keys = make([]int64, newCap*a)
+	t.vals = make([]V, newCap)
+	t.tombs = 0
 	mask := uint64(newCap - 1)
 	for i, c := range oldCtrl {
-		if c != slotFull {
+		if c < slotFull {
 			continue
 		}
-		j := Hash(oldKeys[i]) & mask
-		for m.ctrl[j] == slotFull {
+		key := oldKeys[i*a : (i+1)*a]
+		j := Hash(key) & mask
+		for t.ctrl[j] != slotEmpty {
 			j = (j + 1) & mask
 		}
-		m.ctrl[j] = slotFull
-		m.keys[j] = oldKeys[i]
-		m.vals[j] = oldVals[i]
-		m.n++
+		t.ctrl[j] = c // the tag is a function of the hash, not of the capacity
+		copy(t.keys[int(j)*a:], key)
+		t.vals[j] = oldVals[i]
 	}
 }

@@ -1,49 +1,10 @@
 package tuplekey
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
-
-func TestStringDecodeRoundTrip(t *testing.T) {
-	cases := [][]int64{
-		nil,
-		{},
-		{0},
-		{1, 2, 3},
-		{-1, -2, 1 << 62, -(1 << 62)},
-		{42},
-	}
-	for _, c := range cases {
-		got := Decode(String(c))
-		if !Equal(got, c) {
-			t.Errorf("Decode(String(%v)) = %v", c, got)
-		}
-	}
-}
-
-func TestStringInjective(t *testing.T) {
-	seen := map[string][]int64{}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 10000; i++ {
-		k := randTuple(rng, rng.Intn(5))
-		s := String(k)
-		if prev, ok := seen[s]; ok && !Equal(prev, k) {
-			t.Fatalf("collision: %v and %v encode to same string", prev, k)
-		}
-		seen[s] = k
-	}
-}
-
-func TestDecodeBadLengthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Decode on 3-byte string did not panic")
-		}
-	}()
-	Decode("abc")
-}
 
 func TestEqual(t *testing.T) {
 	cases := []struct {
@@ -74,14 +35,14 @@ func TestHashRespectsLength(t *testing.T) {
 	}
 }
 
-func TestMapBasic(t *testing.T) {
-	m := NewMap[int](0)
-	if _, ok := m.Get([]int64{1}); ok {
-		t.Error("Get on empty map reported ok")
+func TestTableBasic(t *testing.T) {
+	m := NewTable[int](2)
+	if _, ok := m.Get([]int64{1, 2}); ok {
+		t.Error("Get on empty table reported ok")
 	}
 	m.Put([]int64{1, 2}, 12)
 	m.Put([]int64{1, 3}, 13)
-	m.Put([]int64{1}, 1)
+	m.Put([]int64{2, 1}, 21)
 	if m.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", m.Len())
 	}
@@ -95,85 +56,147 @@ func TestMapBasic(t *testing.T) {
 	if m.Len() != 3 {
 		t.Errorf("Len after overwrite = %d, want 3", m.Len())
 	}
+	if p, existed := m.Ref([]int64{1, 3}); !existed || *p != 13 {
+		t.Errorf("Ref of a present key = %d,%v", *p, existed)
+	}
+	if p, existed := m.Ref([]int64{5, 5}); existed || *p != 0 {
+		t.Errorf("Ref of an absent key = %d,%v, want the zero value inserted", *p, existed)
+	} else if *p = 55; !m.Has([]int64{5, 5}) {
+		t.Error("Ref did not insert the absent key")
+	}
+	if v, _ := m.Get([]int64{5, 5}); v != 55 {
+		t.Errorf("write through Ref's pointer lost: Get = %d", v)
+	}
 	if !m.Delete([]int64{1, 2}) {
 		t.Error("Delete existing returned false")
 	}
 	if m.Delete([]int64{1, 2}) {
 		t.Error("Delete absent returned true")
 	}
-	if _, ok := m.Get([]int64{1, 2}); ok {
-		t.Error("Get after Delete reported ok")
+	if m.Has([]int64{1, 2}) {
+		t.Error("Has after Delete reported true")
 	}
-	if m.Len() != 2 {
-		t.Errorf("Len after delete = %d, want 2", m.Len())
-	}
-}
-
-func TestMapZeroValueUsable(t *testing.T) {
-	var m Map[string]
-	m.Put([]int64{7}, "seven")
-	if v, ok := m.Get([]int64{7}); !ok || v != "seven" {
-		t.Errorf("zero-value map Get = %q,%v", v, ok)
+	if m.Len() != 3 {
+		t.Errorf("Len after delete = %d, want 3", m.Len())
 	}
 }
 
-func TestMapEmptyKey(t *testing.T) {
-	m := NewMap[int](4)
+// A key of the wrong length is in no fixed-arity table: lookups miss,
+// writes are a programming error.
+func TestTableWrongLength(t *testing.T) {
+	m := NewTable[int](2)
+	m.Put([]int64{1, 2}, 1)
+	for _, k := range [][]int64{nil, {1}, {1, 2, 3}} {
+		if _, ok := m.Get(k); ok || m.Has(k) || m.Delete(k) {
+			t.Errorf("key %v of the wrong length was found", k)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Put of a key of the wrong length did not panic")
+		}
+	}()
+	m.Put([]int64{1}, 1)
+}
+
+// A Boolean head is the empty tuple: stride 0 holds at most that one key.
+func TestTableArityZero(t *testing.T) {
+	m := NewTable[int](0)
+	if m.Has(nil) {
+		t.Error("empty arity-0 table has the empty tuple")
+	}
 	m.Put([]int64{}, 5)
 	if v, ok := m.Get(nil); !ok || v != 5 {
 		t.Errorf("Get(nil) after Put([]) = %d,%v", v, ok)
 	}
-}
-
-func TestMapGrowAndTombstones(t *testing.T) {
-	m := NewMap[int](0)
-	const n = 5000
-	for i := 0; i < n; i++ {
-		m.Put([]int64{int64(i), int64(i * 7)}, i)
-	}
-	if m.Len() != n {
-		t.Fatalf("Len = %d, want %d", m.Len(), n)
-	}
-	// Delete evens, verify odds survive.
-	for i := 0; i < n; i += 2 {
-		if !m.Delete([]int64{int64(i), int64(i * 7)}) {
-			t.Fatalf("Delete(%d) failed", i)
+	*must(m.Ref(nil)) += 2
+	seen := 0
+	m.Range(func(k []int64, v int) bool {
+		seen++
+		if len(k) != 0 || v != 7 {
+			t.Errorf("Range yielded %v → %d", k, v)
 		}
+		return true
+	})
+	if seen != 1 || m.Len() != 1 {
+		t.Errorf("Range visited %d entries, Len %d, want 1", seen, m.Len())
 	}
-	for i := 0; i < n; i++ {
-		v, ok := m.Get([]int64{int64(i), int64(i * 7)})
-		if i%2 == 0 && ok {
-			t.Fatalf("deleted key %d still present", i)
-		}
-		if i%2 == 1 && (!ok || v != i) {
-			t.Fatalf("key %d: got %d,%v", i, v, ok)
-		}
-	}
-	// Churn on the same keys to exercise tombstone reuse and same-size rehash.
-	for round := 0; round < 10; round++ {
-		for i := 0; i < n; i += 2 {
-			m.Put([]int64{int64(i), int64(i * 7)}, i+round)
-		}
-		for i := 0; i < n; i += 2 {
-			m.Delete([]int64{int64(i), int64(i * 7)})
-		}
-	}
-	if m.Len() != n/2 {
-		t.Fatalf("Len after churn = %d, want %d", m.Len(), n/2)
+	if !m.Delete(nil) || m.Len() != 0 || m.Has(nil) {
+		t.Error("Delete of the empty tuple failed")
 	}
 }
 
-func TestMapRange(t *testing.T) {
-	m := NewMap[int](0)
+func must[V any](p *V, existed bool) *V {
+	if !existed {
+		panic("key absent")
+	}
+	return p
+}
+
+// Put copies: the caller's slice stays the caller's.
+func TestPutCopiesKey(t *testing.T) {
+	m := NewTable[int](3)
+	k := []int64{1, 2, 3}
+	m.Put(k, 1)
+	p, _ := m.Ref([]int64{4, 5, 6})
+	*p = 2
+	k[0], k[1], k[2] = 7, 8, 9
+	if v, ok := m.Get([]int64{1, 2, 3}); !ok || v != 1 {
+		t.Errorf("mutating the caller's slice after Put changed the stored key: Get = %d,%v", v, ok)
+	}
+	if m.Has(k) {
+		t.Error("the mutated slice is found: the table kept a reference")
+	}
+	// The reverse direction: Range's slices alias the table and are capped,
+	// so an append by the callee cannot run into the next slot.
+	m.Range(func(key []int64, _ int) bool {
+		if cap(key) != 3 {
+			t.Errorf("Range key has cap %d, want 3", cap(key))
+		}
+		return true
+	})
+}
+
+func TestTableReset(t *testing.T) {
+	m := NewTable[int](1)
+	for round, n := range []int{5000, 10, 10, 3000} {
+		for i := 0; i < n; i++ {
+			if p, existed := m.Ref([]int64{int64(i)}); existed || *p != 0 {
+				t.Fatalf("round %d: key %d survived Reset (value %d)", round, i, *p)
+			} else {
+				*p = i + 1
+			}
+		}
+		if m.Len() != n {
+			t.Fatalf("round %d: Len = %d, want %d", round, m.Len(), n)
+		}
+		m.Reset()
+		if m.Len() != 0 || m.Has([]int64{1}) {
+			t.Fatalf("round %d: table not empty after Reset", round)
+		}
+	}
+	// A table reused at a steady small size keeps its arrays.
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 10; i++ {
+			m.Put([]int64{int64(i)}, i)
+		}
+		m.Reset()
+	}); allocs != 0 {
+		t.Errorf("steady-state fill+Reset allocates %v times, want 0", allocs)
+	}
+}
+
+func TestTableRange(t *testing.T) {
+	m := NewTable[int](2)
 	want := map[string]int{}
 	for i := 0; i < 100; i++ {
 		k := []int64{int64(i % 10), int64(i)}
 		m.Put(k, i)
-		want[String(k)] = i
+		want[fmt.Sprint(k)] = i
 	}
 	got := map[string]int{}
 	m.Range(func(k []int64, v int) bool {
-		got[String(k)] = v
+		got[fmt.Sprint(k)] = v
 		return true
 	})
 	if len(got) != len(want) {
@@ -181,7 +204,7 @@ func TestMapRange(t *testing.T) {
 	}
 	for k, v := range want {
 		if got[k] != v {
-			t.Errorf("Range mismatch for %v: got %d want %d", Decode(k), got[k], v)
+			t.Errorf("Range mismatch for %s: got %d want %d", k, got[k], v)
 		}
 	}
 	// Early stop.
@@ -192,87 +215,151 @@ func TestMapRange(t *testing.T) {
 	}
 }
 
-func randTuple(rng *rand.Rand, n int) []int64 {
-	t := make([]int64, n)
-	for i := range t {
-		t[i] = int64(rng.Intn(20)) - 5
-	}
-	return t
-}
-
-// TestMapAgainstModel drives Map and a Go map through the same random
-// operation sequence and checks they agree at every step.
-func TestMapAgainstModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	m := NewMap[int](0)
+// runProgram drives a Table and a Go map through the operation sequence
+// encoded in prog (three bytes per operation: kind, then a 16-bit key seed)
+// and fails on the first disagreement, re-checking the whole content after
+// every rehash. It returns how many rehashes of either kind the table went
+// through.
+func runProgram(t testing.TB, arity int, prog []byte) (grown, sameSize int) {
+	tb := NewTable[int](arity)
 	model := map[string]int{}
-	for step := 0; step < 200000; step++ {
-		k := randTuple(rng, 1+rng.Intn(3))
-		ks := String(k)
-		switch rng.Intn(3) {
+	key := make([]int64, arity)
+	check := func(step int) {
+		if tb.Len() != len(model) {
+			t.Fatalf("arity %d step %d: Len = %d, model %d", arity, step, tb.Len(), len(model))
+		}
+		seen := 0
+		tb.Range(func(k []int64, v int) bool {
+			seen++
+			if mv, ok := model[fmt.Sprint(k)]; !ok || mv != v {
+				t.Fatalf("arity %d step %d: Range yields %v → %d, model %d,%v", arity, step, k, v, mv, ok)
+			}
+			return true
+		})
+		if seen != len(model) {
+			t.Fatalf("arity %d step %d: Range visited %d entries, model has %d", arity, step, seen, len(model))
+		}
+	}
+	for step := 0; step+2 < len(prog); step += 3 {
+		seed := int64(prog[step+1])<<8 | int64(prog[step+2])
+		for j := range key {
+			key[j] = (seed >> (3 * j)) - int64(j) // overlapping bits: many keys share a prefix
+		}
+		if arity > 0 {
+			key[arity-1] = seed
+		}
+		ks := fmt.Sprint(key)
+		slots, tombs := len(tb.ctrl), tb.tombs
+		switch prog[step] % 4 {
 		case 0: // put
-			v := rng.Int()
-			m.Put(k, v)
-			model[ks] = v
-		case 1: // delete
-			got := m.Delete(k)
+			tb.Put(key, step)
+			model[ks] = step
+		case 1: // get-or-insert
+			p, existed := tb.Ref(key)
+			mv, mok := model[ks]
+			if existed != mok || *p != mv {
+				t.Fatalf("arity %d step %d: Ref(%v) = %d,%v, model %d,%v", arity, step, key, *p, existed, mv, mok)
+			}
+			*p = step
+			model[ks] = step
+		case 2: // delete
 			_, want := model[ks]
-			if got != want {
-				t.Fatalf("step %d: Delete(%v) = %v, model %v", step, k, got, want)
+			if got := tb.Delete(key); got != want {
+				t.Fatalf("arity %d step %d: Delete(%v) = %v, model %v", arity, step, key, got, want)
 			}
 			delete(model, ks)
-		case 2: // get
-			v, ok := m.Get(k)
-			wv, wok := model[ks]
-			if ok != wok || (ok && v != wv) {
-				t.Fatalf("step %d: Get(%v) = %d,%v, model %d,%v", step, k, v, ok, wv, wok)
+		case 3: // get
+			v, ok := tb.Get(key)
+			if mv, mok := model[ks]; ok != mok || v != mv {
+				t.Fatalf("arity %d step %d: Get(%v) = %d,%v, model %d,%v", arity, step, key, v, ok, mv, mok)
 			}
 		}
-		if m.Len() != len(model) {
-			t.Fatalf("step %d: Len = %d, model %d", step, m.Len(), len(model))
+		switch {
+		case len(tb.ctrl) > slots:
+			grown++
+			check(step)
+		case tb.tombs < tombs-1: // one insert reuses at most one tombstone itself
+			sameSize++
+			check(step)
+		}
+	}
+	check(len(prog))
+	return grown, sameSize
+}
+
+// randomProgram alternates two phases. Random operations over a 512-key
+// domain take the table through its doublings. A sliding window (insert a
+// fresh key, delete the one inserted 100 operations earlier) keeps few
+// keys live while every insert lands somewhere new, so tombstones pile up
+// until a rehash at the same size clears them.
+func randomProgram(rng *rand.Rand, ops int) []byte {
+	prog := make([]byte, 0, 3*ops)
+	op := func(kind byte, seed int) { prog = append(prog, kind, byte(seed>>8), byte(seed)) }
+	fresh := 512
+	for len(prog) < 3*ops {
+		for i := 0; i < 2000; i++ {
+			op(byte(rng.Intn(4)), rng.Intn(512))
+		}
+		for i := 0; i < 512; i++ { // empty the random phase's keys
+			op(2, i)
+		}
+		for i := 0; i < 2000; i++ {
+			op(byte(rng.Intn(2)), fresh)
+			op(3, fresh-rng.Intn(200))
+			op(2, fresh-100)
+			fresh = 512 + (fresh-512+1)%60000
+		}
+	}
+	return prog
+}
+
+// TestTableAgainstModel is the model-based test of the fixed-arity
+// contract: arities 0–4 against a Go map, through several growth rehashes
+// and at least one tombstone-clearing rehash at the same size.
+func TestTableAgainstModel(t *testing.T) {
+	for arity := 0; arity <= 4; arity++ {
+		rng := rand.New(rand.NewSource(int64(42 + arity)))
+		grown, sameSize := runProgram(t, arity, randomProgram(rng, 60000))
+		if arity == 0 {
+			continue // one possible key: the table never leaves its first 8 slots
+		}
+		if grown < 4 {
+			t.Errorf("arity %d: only %d growth rehashes, want several", arity, grown)
+		}
+		if sameSize < 1 {
+			t.Errorf("arity %d: no tombstone-clearing same-size rehash happened", arity)
 		}
 	}
 }
 
-func TestQuickPutGet(t *testing.T) {
-	f := func(keys [][]int64) bool {
-		m := NewMap[int](0)
-		for i, k := range keys {
-			m.Put(k, i)
-		}
-		// The last write for each distinct key must win.
-		last := map[string]int{}
-		for i, k := range keys {
-			last[String(k)] = i
-		}
-		for _, k := range keys {
-			v, ok := m.Get(k)
-			if !ok || v != last[String(k)] {
-				return false
-			}
-		}
-		return m.Len() == len(last)
+// FuzzTable runs arbitrary programs against the model; the seeds are
+// prefixes of the model test's own programs.
+func FuzzTable(f *testing.F) {
+	for arity := 0; arity <= 4; arity++ {
+		rng := rand.New(rand.NewSource(int64(42 + arity)))
+		f.Add(uint8(arity), randomProgram(rng, 3000))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
+	f.Add(uint8(2), []byte{0, 0, 1, 0, 0, 2, 2, 0, 1, 1, 0, 1, 3, 0, 2})
+	f.Fuzz(func(t *testing.T, arity uint8, prog []byte) {
+		runProgram(t, int(arity%5), prog)
+	})
 }
 
-func BenchmarkMapPut(b *testing.B) {
+func BenchmarkTablePut(b *testing.B) {
 	keys := make([][]int64, 1<<14)
 	rng := rand.New(rand.NewSource(7))
 	for i := range keys {
 		keys[i] = []int64{rng.Int63(), rng.Int63()}
 	}
 	b.ResetTimer()
-	m := NewMap[int](len(keys))
+	m := NewTable[int](2)
 	for i := 0; i < b.N; i++ {
 		m.Put(keys[i%len(keys)], i)
 	}
 }
 
-func BenchmarkMapGetHit(b *testing.B) {
-	m := NewMap[int](1 << 14)
+func BenchmarkTableGetHit(b *testing.B) {
+	m := NewTable[int](2)
 	keys := make([][]int64, 1<<14)
 	rng := rand.New(rand.NewSource(7))
 	for i := range keys {
@@ -285,16 +372,16 @@ func BenchmarkMapGetHit(b *testing.B) {
 	}
 }
 
-func BenchmarkGoMapGetHit(b *testing.B) {
-	m := map[string]int{}
+func BenchmarkTableGetMiss(b *testing.B) {
+	m := NewTable[int](2)
 	keys := make([][]int64, 1<<14)
 	rng := rand.New(rand.NewSource(7))
 	for i := range keys {
 		keys[i] = []int64{rng.Int63(), rng.Int63()}
-		m[String(keys[i])] = i
+		m.Put([]int64{rng.Int63(), rng.Int63()}, i)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m[String(keys[i%len(keys)])]
+		m.Get(keys[i%len(keys)])
 	}
 }

@@ -121,9 +121,9 @@ func sortedTuples(h *Handle) [][]Value {
 }
 
 // TestApplyAllocationFree: the single-update path drives the backends'
-// commit sequence over a workspace-owned net delta of one, so it
-// allocates nothing of its own — the one allocation of an insert/delete
-// pair is the store's copy of the inserted tuple.
+// commit sequence over a workspace-owned net delta of one and the store
+// keeps its tuples inline in the shard table, so an insert/delete pair
+// allocates nothing at all.
 func TestApplyAllocationFree(t *testing.T) {
 	ws := NewWorkspace(WorkspaceOptions{})
 	for name, text := range map[string]string{"feed": "Q(x,y) :- E(x,y), T(y)", "star": "Q(y) :- E(x,y), T(y)"} {
@@ -146,8 +146,67 @@ func TestApplyAllocationFree(t *testing.T) {
 		}
 	}
 	pair() // warm the slab free lists and the map slots
-	if allocs := testing.AllocsPerRun(1000, pair); allocs > 1 {
-		t.Fatalf("an Apply insert/delete pair allocates %v times, want at most the store's one tuple copy", allocs)
+	if allocs := testing.AllocsPerRun(1000, pair); allocs != 0 {
+		t.Fatalf("an Apply insert/delete pair allocates %v times, want 0", allocs)
+	}
+}
+
+// TestCommitAllocationFree: a warmed core-routed Commit with no subscriber
+// allocates a small constant — the batch's own bookkeeping slices — that
+// does not grow with the batch: nothing on the path allocates per update.
+// (Before the store kept tuples inline and the coalescer kept its slot
+// tables, a commit paid one tuple copy per insert and up to one table,
+// grown by rehash, per relation.)
+func TestCommitAllocationFree(t *testing.T) {
+	allocsAt := func(batch int) float64 {
+		ws := NewWorkspace(WorkspaceOptions{})
+		for name, text := range map[string]string{"star": "Q(y) :- E(x,y), T(y)", "deep": "Q(x,y,z) :- R(x,y,z), E(x,y), S(x)"} {
+			h, err := ws.Register(name, text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.Strategy() != StrategyCore {
+				t.Fatalf("%s routed to %v, want core", name, h.Strategy())
+			}
+		}
+		db := dyndb.New()
+		for i := 0; i < 4000; i++ {
+			x, y := Value(i%1000), Value(i%50)
+			db.Insert("E", x, y)
+			db.Insert("R", x, y, Value(i%7))
+			db.Insert("S", x)
+			db.Insert("T", y)
+		}
+		if err := ws.Load(db); err != nil {
+			t.Fatal(err)
+		}
+		// The batch touches all four relations with fresh tuples over keys
+		// the store already holds; its inverse restores the store.
+		var ins, del []Update
+		for j := 0; len(ins) < batch; j++ {
+			x, y := Value(j%1000), Value(1000+j)
+			for _, u := range []Update{dyndb.Insert("E", x, y), dyndb.Insert("R", x, y, 1), dyndb.Insert("T", y), dyndb.Insert("S", Value(5000+j))} {
+				ins, del = append(ins, u), append(del, Update{Op: dyndb.OpDelete, Rel: u.Rel, Tuple: u.Tuple})
+			}
+		}
+		ins, del = ins[:batch], del[:batch]
+		cycle := func() {
+			for _, b := range [][]Update{ins, del} {
+				if n, _, err := ws.Commit(b); err != nil || n != batch {
+					t.Fatalf("commit netted %d of %d (err %v)", n, batch, err)
+				}
+			}
+		}
+		cycle() // warm the slab free lists, the table slots and the coalescer
+		return testing.AllocsPerRun(200, cycle) / 2
+	}
+	small, large := allocsAt(64), allocsAt(512)
+	t.Logf("allocs per commit: %v at 64 updates, %v at 512", small, large)
+	if small != large {
+		t.Fatalf("a core-routed commit allocates %v times at 64 updates but %v at 512: something allocates per update", small, large)
+	}
+	if small > 8 {
+		t.Fatalf("a core-routed commit of 64 updates allocates %v times, want a handful", small)
 	}
 }
 
@@ -279,6 +338,57 @@ func BenchmarkCapturedCommit(b *testing.B) {
 			}
 			b.ReportMetric(float64(delivered)/float64(b.N), "delta-tuples/op")
 		})
+	}
+}
+
+// BenchmarkDeltaJoin commits 8-update batches of S and T changes on the
+// paper's hard query ϕS-E-T, ivm-routed, over the ingest-ivm shape: every
+// key has 50 E tuples, so each update is a delta join of 50 valuations
+// (half of them reaching the result). With -benchmem the allocation
+// column is the point: it counts the commit's bookkeeping, not the 400
+// valuations.
+func BenchmarkDeltaJoin(b *testing.B) {
+	const keys, degree = 1200, 50
+	ws := NewWorkspace(WorkspaceOptions{})
+	h, err := ws.Register("hard", "Q(x,y) :- S(x), E(x,y), T(y)")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if h.Strategy() != StrategyIVM {
+		b.Fatalf("hard routed to %v, want ivm", h.Strategy())
+	}
+	db := dyndb.New()
+	for x := Value(0); x < keys; x++ {
+		for j := Value(0); j < degree; j++ {
+			if _, err := db.Insert("E", x, (x*31+j*977)%keys); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if x%2 == 0 {
+			db.Insert("S", x)
+			db.Insert("T", x)
+		}
+	}
+	if err := ws.Load(db); err != nil {
+		b.Fatal(err)
+	}
+	// Four absent S keys and four absent T keys, then their deletion, and
+	// again: the store stays at its loaded size.
+	var ins, del []Update
+	for j := Value(0); j < 4; j++ {
+		k := 2*(j*97) + 1
+		ins = append(ins, dyndb.Insert("S", k), dyndb.Insert("T", k))
+		del = append(del, dyndb.Delete("S", k), dyndb.Delete("T", k))
+	}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		batch := ins
+		if i%2 == 1 {
+			batch = del
+		}
+		if n, err := ws.ApplyBatch(batch); err != nil || n != 8 {
+			b.Fatalf("batch netted %d of 8 (err %v)", n, err)
+		}
 	}
 }
 

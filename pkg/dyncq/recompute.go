@@ -23,7 +23,7 @@ type recompute struct {
 	schema map[string]int
 	// before is the result ahead of the open commit, held from begin to
 	// finish and only when the commit's delta is wanted.
-	before *tuplekey.Map[bool]
+	before *tuplekey.Table[bool]
 }
 
 // newRecompute builds the strategy over the workspace's shared store.
@@ -37,9 +37,8 @@ func (r *recompute) Answer() bool { return eval.Answer(r.q, r.store) }
 
 // Enumerate re-evaluates the query and streams the result. The yielded
 // slice follows the uniform contract of Handle.Enumerate (callee-owned,
-// valid only during the call) even though this backend yields slices of
-// a throwaway result set today — callers must not rely on backend
-// accidents that are stronger than the contract.
+// valid only during the call): it aliases the throwaway result set's
+// storage.
 func (r *recompute) Enumerate(yield func(tuple []Value) bool) {
 	eval.Evaluate(r.q, r.store).Each(yield)
 }
@@ -52,7 +51,7 @@ func (r *recompute) Contains(tuple []Value) bool {
 
 func (r *recompute) begin(_ int, emit bool) bool {
 	if emit {
-		r.before = resultImage(r)
+		r.before = resultImage(r, len(r.q.Head))
 	}
 	return false
 }

@@ -451,10 +451,10 @@ func (h *Handle) afterCommit() {
 // "before" half of a one-shot diff across a state change no backend
 // tracks incrementally (a Load; every captured commit of the recompute
 // strategy). Linear in the result, and dropped with the diff.
-func resultImage(back queryBackend) *tuplekey.Map[bool] {
-	before := tuplekey.NewMap[bool](0)
+func resultImage(back queryBackend, arity int) *tuplekey.Table[bool] {
+	before := tuplekey.NewTable[bool](arity)
 	back.Enumerate(func(t []Value) bool {
-		before.Put(append([]Value(nil), t...), false)
+		before.Put(t, false)
 		return true
 	})
 	return before
@@ -464,10 +464,10 @@ func resultImage(back queryBackend) *tuplekey.Map[bool] {
 // earlier (which it consumes): one enumeration marks the kept tuples and
 // collects the added ones, one sweep over the image collects what the
 // result no longer contains. Both sides come back in DeltaEvent order.
-func diffImage(before *tuplekey.Map[bool], back queryBackend) (added, removed [][]Value) {
+func diffImage(before *tuplekey.Table[bool], back queryBackend) (added, removed [][]Value) {
 	back.Enumerate(func(t []Value) bool {
-		if _, known := before.Get(t); known {
-			before.Put(t, true) // the existing key is kept; t is not retained
+		if before.Has(t) {
+			before.Put(t, true)
 		} else {
 			added = append(added, append([]Value(nil), t...))
 		}
@@ -475,7 +475,7 @@ func diffImage(before *tuplekey.Map[bool], back queryBackend) (added, removed []
 	})
 	before.Range(func(t []Value, kept bool) bool {
 		if !kept {
-			removed = append(removed, t)
+			removed = append(removed, append([]Value(nil), t...)) // t aliases the image
 		}
 		return true
 	})

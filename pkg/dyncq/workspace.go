@@ -1022,11 +1022,11 @@ func (w *Workspace) loadLocked(db *dyndb.Database) error {
 	// linear like the load itself and gone once the event is built. A
 	// handle with only a cached snapshot takes no image: its snapshot is
 	// re-materialised after the load, linear just the same.
-	before := make([]*tuplekey.Map[bool], len(w.order))
+	before := make([]*tuplekey.Table[bool], len(w.order))
 	for i, h := range w.order {
 		h.emitting, h.added, h.removed = h.capture != nil && h.query.Arity() > 0, nil, nil
 		if h.emitting {
-			before[i] = resultImage(h.back)
+			before[i] = resultImage(h.back, h.query.Arity())
 		}
 	}
 	commit := func() {
@@ -1129,7 +1129,7 @@ func storeDiff(old, db *dyndb.Database, maxDiff int, rels map[string]bool) ([]Up
 		}
 		ro.Each(func(t []Value) bool {
 			if rn == nil || !rn.Has(t) {
-				diff = append(diff, dyndb.Delete(rel, t...))
+				diff = append(diff, dyndb.Delete(rel, append([]Value(nil), t...)...)) // t aliases the relation
 			}
 			return len(diff) <= maxDiff
 		})
@@ -1144,7 +1144,7 @@ func storeDiff(old, db *dyndb.Database, maxDiff int, rels map[string]bool) ([]Up
 		ro, rn := old.Relation(rel), db.Relation(rel)
 		rn.Each(func(t []Value) bool {
 			if ro == nil || !ro.Has(t) {
-				diff = append(diff, dyndb.Insert(rel, t...))
+				diff = append(diff, dyndb.Insert(rel, append([]Value(nil), t...)...))
 			}
 			return len(diff) <= maxDiff
 		})
