@@ -12,29 +12,30 @@ import "slices"
 // maintenance is deferred to buildWeights.
 //
 //dyncq:hot
-func (e *Engine) countAtom(ref atomRef, tuple []Value) {
-	c := e.comps[ref.comp]
-	a := &c.atoms[ref.atom]
+func (e *Engine) countAtom(ar atomRef, tuple []Value) {
+	c := e.comps[ar.comp]
+	a := &c.atoms[ar.atom]
 	for _, eq := range a.eqChecks {
 		if tuple[eq[0]] != tuple[eq[1]] {
 			return
 		}
 	}
 	d := len(a.pathNodes)
-	vals := e.scratchVals[:d]
+	vals := e.scratch.vals[:d]
 	for j := 0; j < d; j++ {
 		vals[j] = tuple[a.extract[j]]
 	}
 	sh := &c.shards[e.shardOf(vals[0])]
-	var parent *item
+	var parent ref
 	for j := 0; j < d; j++ {
 		nodeIdx := a.pathNodes[j]
+		nd := &c.nodes[nodeIdx]
 		slot, existed := sh.index[nodeIdx].Ref(vals[:j+1])
 		if !existed {
-			*slot = sh.slab.alloc(&c.nodes[nodeIdx], nodeIdx, vals[:j+1], parent)
+			*slot = sh.arenas[nodeIdx].alloc(nd, vals[j], parent)
 		}
 		parent = *slot
-		parent.counts[a.slotAtDepth[j]]++
+		sh.arenas[nodeIdx].rec(parent)[nd.offCounts+a.slotAtDepth[j]]++
 	}
 }
 
@@ -43,75 +44,52 @@ func (e *Engine) countAtom(ref atomRef, tuple []Value) {
 // so reverse index order visits every child before its parent and each
 // item's child sums are complete when its own weight is computed (parents
 // and children always share a shard). Fit items are prepended to their
-// list's head as an unordered chain; sortLists turns the chains into
-// properly ordered doubly linked lists afterwards.
+// list as an unordered chain through their next halves, the list word's
+// tail half left 0; sortLists turns the chains into properly ordered
+// doubly linked lists afterwards.
 func (e *Engine) buildWeights(c *comp, sh *compShard) {
 	for ni := len(c.nodes) - 1; ni >= 0; ni-- {
 		nd := &c.nodes[ni]
-		m := sh.index[ni]
-		if m.Len() == 0 {
-			continue
-		}
-		m.Range(func(_ []Value, it *item) bool {
-			w := uint64(1)
-			for _, s := range nd.repSlots {
-				if it.counts[s] == 0 {
-					w = 0
-					break
-				}
+		ar := &sh.arenas[ni]
+		sh.index[ni].Range(func(_ []Value, r ref) bool {
+			it := ar.rec(r)
+			w, f := nd.weights(it)
+			it[recWeight] = w
+			if nd.free {
+				it[recFWeight] = f
 			}
-			if w != 0 {
-				for ci := range nd.children {
-					w *= it.childSum[ci]
-					if w == 0 {
-						break
-					}
-				}
-			}
-			var f uint64
-			if nd.free && w != 0 {
-				f = 1
-				for ci := int32(0); ci < nd.freeChildCount; ci++ {
-					f *= it.fchildSum[ci]
-				}
-			}
-			it.weight, it.fweight = w, f
 			if w == 0 {
 				return true
 			}
+			list := &sh.start
 			if ni == 0 {
-				it.next = sh.startHead
-				sh.startHead = it
 				sh.cStart += w
-				if nd.free {
-					sh.cfStart += f
-				}
+				sh.cfStart += f
 			} else {
-				p := it.parent
-				sl := nd.slotInParent
-				it.next = p.childHead[sl]
-				p.childHead[sl] = it
-				p.childSum[sl] += w
+				p := sh.arenas[nd.parent].rec(it.parent())
+				p[nd.upSum] += w
 				if nd.free {
-					p.fchildSum[sl] += f
+					p[nd.upFSum] += f
 				}
+				list = &p[nd.upList]
 			}
+			it[recLinks] = pack(0, lo(*list))
+			*list = pack(r, 0)
 			return true
 		})
 	}
 }
 
-// listEntry decorates one chained item with its own constant (the last
-// element of its key), so sorting a sibling list compares contiguous
-// int64s instead of chasing key slices.
+// listEntry decorates one chained item with its own constant, so sorting
+// a sibling list compares contiguous int64s instead of resolving refs.
 type listEntry struct {
-	v  Value
-	it *item
+	v Value
+	r ref
 }
 
 // sortLists rebuilds every chain produced by buildWeights into a doubly
 // linked list in ascending order of the items' own constants. Siblings
-// share their key prefix, so per-list order by last element is exactly
+// share their key prefix, so per-list order by own constant is exactly
 // the lexicographic order a sorted single-tuple replay produces — but
 // sorting per list costs Σ k·log k over the (typically small) list sizes
 // instead of one comparison-heavy sort over all items of a node. (With
@@ -119,20 +97,18 @@ type listEntry struct {
 // is lexicographic within each shard; the fully canonical global order is
 // a property of the unsharded engine.)
 func sortLists(c *comp, sh *compShard, scratch []listEntry) []listEntry {
-	fix := func(head, tail **item) {
-		if *head == nil || (*head).next == nil {
-			if *head != nil {
-				(*head).inList = true
-				*tail = *head
-			}
-			return
-		}
+	// fix orders the chain of node ni's items hanging off *list and
+	// rewrites both halves of the word.
+	fix := func(list *uint64, ni int32) {
+		ar, own := &sh.arenas[ni], c.nodes[ni].offOwn
 		buf := scratch[:0]
-		for x := *head; x != nil; x = x.next {
-			buf = append(buf, listEntry{v: x.key[len(x.key)-1], it: x})
+		for r := lo(*list); r != 0; {
+			it := ar.rec(r)
+			buf = append(buf, listEntry{v: Value(it[own]), r: r})
+			r = it.next()
 		}
-		if cap(buf) > cap(scratch) {
-			scratch = buf
+		if scratch = buf; len(buf) == 0 {
+			return
 		}
 		slices.SortFunc(buf, func(a, b listEntry) int {
 			if a.v < b.v {
@@ -140,28 +116,30 @@ func sortLists(c *comp, sh *compShard, scratch []listEntry) []listEntry {
 			}
 			return 1 // keys are unique per node: equality cannot happen
 		})
-		var prev *item
-		for _, en := range buf {
-			en.it.prev = prev
-			if prev != nil {
-				prev.next = en.it
-			} else {
-				*head = en.it
+		for i, en := range buf {
+			var prev, next ref
+			if i > 0 {
+				prev = buf[i-1].r
 			}
-			en.it.inList = true
-			prev = en.it
+			if i+1 < len(buf) {
+				next = buf[i+1].r
+			}
+			it := ar.rec(en.r)
+			it[recLinks] = pack(prev, next)
+			it[recUp] |= inListBit
 		}
-		prev.next = nil
-		*tail = prev
+		*list = pack(buf[0].r, buf[len(buf)-1].r)
 	}
-	fix(&sh.startHead, &sh.startTail)
+	fix(&sh.start, 0)
 	for ni := range c.nodes {
-		if len(c.nodes[ni].children) == 0 {
+		nd := &c.nodes[ni]
+		if len(nd.children) == 0 {
 			continue
 		}
-		sh.index[ni].Range(func(_ []Value, it *item) bool {
-			for sl := range it.childHead {
-				fix(&it.childHead[sl], &it.childTail[sl])
+		sh.index[ni].Range(func(_ []Value, r ref) bool {
+			lists := sh.arenas[ni].rec(r)[nd.offLists:]
+			for sl, ch := range nd.children {
+				fix(&lists[sl], ch)
 			}
 			return true
 		})

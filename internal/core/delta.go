@@ -51,9 +51,9 @@ func (e *Engine) newDeltaAcc() *deltaAcc {
 // allFit reports whether every item is linked into its fit list.
 //
 //dyncq:hot
-func allFit(items []*item) bool {
+func allFit(items []record) bool {
 	for _, it := range items {
-		if !it.inList {
+		if !it.inList() {
 			return false
 		}
 	}
@@ -61,14 +61,14 @@ func allFit(items []*item) bool {
 }
 
 // emitStep appends, with the given sign, every result tuple whose states
-// in component c at the atom's free path nodes are items[:a.free]: the
-// pinned walk of c times the full result of every other component. For a
-// Boolean c (a.free == 0) that is the whole product of the rest — the
-// caller saw c's gate flip. The other components' gates are checked here;
+// in component c at the atom's free path nodes are items[:a.free] (items
+// of c's shard si): the pinned walk of c times the full result of every
+// other component. For a Boolean c (a.free == 0) that is the whole product
+// of the rest — the caller saw c's gate flip. The other components' gates are checked here;
 // c's own is implied by the pinned items being fit.
 //
 //dyncq:hot
-func (e *Engine) emitStep(acc *deltaAcc, c *comp, a *catom, items []*item, sign int8) {
+func (e *Engine) emitStep(acc *deltaAcc, c *comp, a *catom, si int, items []record, sign int8) {
 	for _, o := range e.comps {
 		if o == c {
 			continue
@@ -83,9 +83,9 @@ func (e *Engine) emitStep(acc *deltaAcc, c *comp, a *catom, items []*item, sign 
 		}
 		it := acc.iters[e.freeIdx[ci]]
 		if o == c {
-			it.pin(a.pathNodes[:a.free], items)
+			it.pin(si, a.pathNodes[:a.free], items)
 		} else {
-			it.pin(nil, nil)
+			it.pin(0, nil, nil)
 		}
 		it.reset()
 	}

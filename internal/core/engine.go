@@ -11,20 +11,23 @@
 //
 // The structure follows Section 6.2 faithfully. For every q-tree node v
 // and every assignment α to path[v) with constant a for v there may be an
-// item [v, α, a], stored in a per-node hash map keyed by the path values
-// (the "arrays A_v" of the paper, realised as tuplekey maps per the
-// paper's footnote 2). Each item carries
+// item [v, α, a]: a fixed-stride, pointer-free record in the node's arena
+// (slab.go has the layout), found through a per-node hash table keyed by
+// the path values (the "arrays A_v" of the paper, realised as tuplekey
+// tables per the paper's footnote 2) and named, wherever the paper holds a
+// pointer, by its 32-bit ref. Each item carries
 //
-//   - C^i_ψ for every ψ ∈ atoms(v) (field counts): the number of
-//     expansions of the item's assignment to vars(ψ) satisfied by the
-//     database — an item is present iff some C^i_ψ > 0 (invariant (a) of
-//     Section 6.4);
-//   - C^i (field weight), maintained by Lemma 6.3 as the product of the
+//   - C^i_ψ for every ψ ∈ atoms(v): the number of expansions of the
+//     item's assignment to vars(ψ) satisfied by the database — an item is
+//     present iff some C^i_ψ > 0 (invariant (a) of Section 6.4);
+//   - C^i (the weight), maintained by Lemma 6.3 as the product of the
 //     rep-atom counts and the child list sums — an item is "fit" iff
 //     C^i > 0, and the doubly linked child lists L^i_u contain exactly the
-//     fit items;
-//   - C̃^i (field fweight) for free nodes, maintained by Lemma 6.4, whose
-//     root-list sum C̃_start is |ϕ(D)| for a connected query.
+//     fit items, appended at the tail, so they run in "became fit" order;
+//     with a sorted initial load this reproduces the paper's Figure 3
+//     layout and Table 1 enumeration order exactly;
+//   - C̃^i for free nodes, maintained by Lemma 6.4, whose root-list sum
+//     C̃_start is |ϕ(D)| for a connected query.
 //
 // Disconnected queries are handled as in the start of Section 6: one
 // structure per connected component, with counts multiplied and
@@ -64,49 +67,25 @@ var ErrNotQHierarchical = qtree.ErrNotQHierarchical
 // Value is a database constant.
 type Value = dyndb.Value
 
-// item is one entry [v, α, a] of the data structure (Section 6.2). Its
-// key holds the constants assigned along path[v] (α followed by a), so
-// len(key) == depth(v)+1.
-type item struct {
-	key    []Value
-	parent *item
-
-	// prev/next link the item into the doubly linked fit list of its
-	// parent (L^{parent}_v) or the component's start list if v is the
-	// root; inList tells whether the item is currently linked. Lists are
-	// appended at the tail, so they run in "became fit" order; with a
-	// sorted initial load this reproduces the paper's Figure 3 layout and
-	// Table 1 enumeration order exactly.
-	prev, next *item
-	inList     bool
-
-	// counts[s] is C^i_ψ for the tracked atom with slot s at this node.
-	counts []uint64
-	// weight is C^i; fweight is C̃^i (free nodes only).
-	weight  uint64
-	fweight uint64
-	// childSum[c] is C^i_u = Σ_{i'∈L^i_u} C^{i'} for the c-th child u;
-	// fchildSum[c] is the C̃ analogue for the c-th free child.
-	childSum  []uint64
-	fchildSum []uint64
-	// childHead[c]/childTail[c] point to the first and last element of
-	// L^i_u.
-	childHead []*item
-	childTail []*item
-}
-
 // cnode is a compiled q-tree node.
 type cnode struct {
 	name           string
 	free           bool
 	parent         int32 // -1 for the root
 	depth          int32
-	slotInParent   int32
 	freeOrd        int32   // index among the free nodes in document order, -1 if quantified
 	children       []int32 // free children first (document order)
 	freeChildCount int32
 	repSlots       []int32 // count slots of atoms represented at this node
 	numTracked     int32   // number of atoms ψ with v ∈ vars(ψ)
+
+	// The node's record layout (slab.go): word offsets of the own constant,
+	// the C^i_ψ, the child sums C^i_u and C̃^i_u and the child list words,
+	// and the record length.
+	offOwn, offCounts, offSums, offFSums, offLists, stride int32
+	// upList, upSum and upFSum are the words of the parent's record that
+	// hold this node's list, C^i_u and C̃^i_u (non-root nodes).
+	upList, upSum, upFSum int32
 }
 
 // catom is a compiled atom: its root path in the q-tree, how to extract
@@ -138,7 +117,7 @@ type comp struct {
 	// shards partitions the dynamic state by hash of the root value: an
 	// item [v, α, a] lives in the shard of α's first (root) constant, and
 	// all its descendants share that constant, so every parent/child
-	// pointer and every fit list stays inside one shard. With a single
+	// ref and every fit list stays inside one shard. With a single
 	// shard (the default) this is exactly the paper's layout; with more,
 	// updates whose root values hash to different shards touch disjoint
 	// state and can be applied by parallel workers (ApplyDelta).
@@ -147,16 +126,25 @@ type comp struct {
 
 // compShard is one shard of a component's dynamic state: the per-node
 // item indexes (the "arrays A_v", restricted to root values hashing
-// here), this shard's slice of the start list, its contribution to
-// C_start/C̃_start (summed across shards by Count/Answer), and the slab
-// its items are allocated from (see slab.go).
+// here) and the arenas their items live in (slab.go), this shard's slice
+// of the start list, and its contribution to C_start/C̃_start (summed
+// across shards by Count/Answer).
 type compShard struct {
-	index     []*tuplekey.Table[*item] // per node: the "array A_v", keyed at stride depth+1
-	startHead *item
-	startTail *item
-	cStart    uint64 // Σ C^i over fit root items of this shard
-	cfStart   uint64 // Σ C̃^i over fit root items (root free only)
-	slab      itemSlab
+	index   []*tuplekey.Table[ref] // per node: the "array A_v", keyed at stride depth+1
+	arenas  []arena                // per node: the items the index refers to
+	start   uint64                 // the start list: head | tail<<32, refs into arenas[0]
+	cStart  uint64                 // Σ C^i over fit root items of this shard
+	cfStart uint64                 // Σ C̃^i over fit root items (root free only)
+}
+
+// reset makes the shard empty: an empty index and an empty arena per node,
+// no start list. Whatever it held — chunks, slot arrays — is dropped.
+func (sh *compShard) reset(nodes []cnode) {
+	*sh = compShard{index: make([]*tuplekey.Table[ref], len(nodes)), arenas: make([]arena, len(nodes))}
+	for i := range nodes {
+		sh.index[i] = tuplekey.NewTable[ref](int(nodes[i].depth) + 1)
+		sh.arenas[i].stride = int(nodes[i].stride)
+	}
 }
 
 // totals sums C_start and C̃_start across the component's shards.
@@ -174,11 +162,11 @@ type atomRef struct {
 
 // headLoc locates one head variable: its component, its position among
 // the component's free nodes in document order (the enumeration-state
-// index), and its depth (position in an item key).
+// index), and where its records keep their own constant.
 type headLoc struct {
 	comp    int
 	freeOrd int32
-	depth   int32
+	offOwn  int32
 }
 
 // Engine maintains ϕ(D) for one q-hierarchical query ϕ under updates.
@@ -209,9 +197,8 @@ type Engine struct {
 	// maxDepth is the longest atom root path, the scratch buffer size.
 	maxDepth int
 
-	// scratch buffers for the update path (avoid per-update allocation).
-	scratchVals  []Value
-	scratchItems []*item
+	// scratch serves the sequential update path (no per-update allocation).
+	scratch pathScratch
 	// acc is the sequential path's delta accumulator, built by the first
 	// ApplyDelta that emits and reused afterwards.
 	acc *deltaAcc
@@ -285,8 +272,7 @@ func New(q *cq.Query, shards int) (*Engine, error) {
 		}
 	}
 	e.maxDepth = maxDepth
-	e.scratchVals = make([]Value, maxDepth)
-	e.scratchItems = make([]*item, maxDepth)
+	e.scratch = newPathScratch(maxDepth)
 	return e, nil
 }
 
@@ -313,7 +299,7 @@ func (e *Engine) locate(v string) (headLoc, bool) {
 	for ci, c := range e.comps {
 		for ni := range c.nodes {
 			if c.nodes[ni].name == v && c.nodes[ni].free {
-				return headLoc{comp: ci, freeOrd: c.nodes[ni].freeOrd, depth: c.nodes[ni].depth}, true
+				return headLoc{comp: ci, freeOrd: c.nodes[ni].freeOrd, offOwn: c.nodes[ni].offOwn}, true
 			}
 		}
 	}
@@ -340,18 +326,6 @@ func compileComp(sub *cq.Query, tree *qtree.Tree, shards int) (*comp, error) {
 			if tree.Nodes[ch].Free {
 				nd.freeChildCount++
 			}
-		}
-	}
-	for si := range c.shards {
-		c.shards[si].index = make([]*tuplekey.Table[*item], n)
-		for i := range c.nodes {
-			c.shards[si].index[i] = tuplekey.NewTable[*item](int(c.nodes[i].depth) + 1)
-		}
-		c.shards[si].slab.initFree(n)
-	}
-	for i := range c.nodes {
-		for sl, ch := range c.nodes[i].children {
-			c.nodes[ch].slotInParent = int32(sl)
 		}
 	}
 	for i := range c.nodes {
@@ -411,6 +385,17 @@ func compileComp(sub *cq.Query, tree *qtree.Tree, shards int) (*comp, error) {
 		if nextSlot[i] == 0 {
 			return nil, fmt.Errorf("node %s is tracked by no atom", c.nodes[i].name)
 		}
+		c.nodes[i].layout()
+	}
+	for i := range c.nodes {
+		nd := &c.nodes[i]
+		for sl, ch := range nd.children {
+			u := &c.nodes[ch]
+			u.upList, u.upSum, u.upFSum = nd.offLists+int32(sl), nd.offSums+int32(sl), nd.offFSums+int32(sl)
+		}
+	}
+	for si := range c.shards {
+		c.shards[si].reset(c.nodes)
 	}
 	return c, nil
 }
@@ -456,9 +441,9 @@ func (e *Engine) ApplyDelta(survivors []dyndb.Update, workers int, emit bool) (a
 	} else {
 		for _, u := range survivors {
 			insert := u.Op == dyndb.OpInsert
-			for _, ref := range e.rels[u.Rel] {
-				c := e.comps[ref.comp]
-				e.updateAtomScratch(c, &c.atoms[ref.atom], u.Tuple, insert, e.scratchVals, e.scratchItems, acc)
+			for _, ar := range e.rels[u.Rel] {
+				c := e.comps[ar.comp]
+				e.updateAtomScratch(c, &c.atoms[ar.atom], u.Tuple, insert, e.scratch, acc)
 			}
 		}
 	}
@@ -491,13 +476,13 @@ func (e *Engine) Rebuild(store *dyndb.Database) error {
 			e.Clear()
 			return fmt.Errorf("core: %s has arity %d in query, %d in the store", rel, want, r.Arity())
 		}
-		refs := e.rels[rel]
-		if len(refs) == 0 {
+		atoms := e.rels[rel]
+		if len(atoms) == 0 {
 			continue
 		}
 		r.Each(func(t []Value) bool {
-			for _, ref := range refs {
-				e.countAtom(ref, t)
+			for _, ar := range atoms {
+				e.countAtom(ar, t)
 			}
 			return true
 		})
@@ -513,22 +498,28 @@ func (e *Engine) Rebuild(store *dyndb.Database) error {
 }
 
 // Clear discards the structure (items, lists, counters), leaving the
-// engine representing the empty database; the version advances. Item
-// slabs are freed wholesale: the GC retires a shard's items as whole
-// chunks instead of tracing them individually.
+// engine representing the empty database; the version advances. Every
+// arena drops its chunks and every index its slot arrays.
 func (e *Engine) Clear() {
 	e.version++
 	for _, c := range e.comps {
 		for si := range c.shards {
-			sh := &c.shards[si]
-			for ni := range sh.index {
-				sh.index[ni] = tuplekey.NewTable[*item](int(c.nodes[ni].depth) + 1)
-			}
-			sh.startHead, sh.startTail = nil, nil
-			sh.cStart, sh.cfStart = 0, 0
-			sh.slab.reset(len(c.nodes))
+			c.shards[si].reset(c.nodes)
 		}
 	}
+}
+
+// pathScratch is one writer's buffers for an atom's root path: per depth
+// the path value, the item's ref (what links name) and its resolved
+// record (what is read and written).
+type pathScratch struct {
+	vals  []Value
+	items []ref
+	recs  []record
+}
+
+func newPathScratch(depth int) pathScratch {
+	return pathScratch{make([]Value, depth), make([]ref, depth), make([]record, depth)}
 }
 
 // updateAtomScratch is the per-atom part of the Section 6.4 update
@@ -537,27 +528,27 @@ func (e *Engine) Clear() {
 // insert), then bottom-up recompute C^i and C̃^i by Lemmas 6.3/6.4, fix
 // fit-list membership, propagate the sums, and drop items whose counters
 // all reached zero.
-// Every touched map, item and list belongs to the shard of the root value
-// vals[0], so calls whose root values hash to different shards are
+// Every touched table, arena and list belongs to the shard of the root
+// value vals[0], so calls whose root values hash to different shards are
 // mutually independent — the property runDeltaParallel exploits. The
 // caller supplies the scratch buffers (parallel workers have their own)
 // and, when the step's result delta is wanted, the accumulator it is
 // emitted into (nil otherwise; the rule is in delta.go).
 //
 //dyncq:hot
-func (e *Engine) updateAtomScratch(c *comp, a *catom, tuple []Value, insert bool, scratchVals []Value, scratchItems []*item, acc *deltaAcc) {
+func (e *Engine) updateAtomScratch(c *comp, a *catom, tuple []Value, insert bool, scratch pathScratch, acc *deltaAcc) {
 	for _, eq := range a.eqChecks {
 		if tuple[eq[0]] != tuple[eq[1]] {
 			return // tuple does not match the atom's variable pattern
 		}
 	}
 	d := len(a.pathNodes)
-	vals := scratchVals[:d]
-	items := scratchItems[:d]
+	vals, items, recs := scratch.vals[:d], scratch.items[:d], scratch.recs[:d]
 	for j := 0; j < d; j++ {
 		vals[j] = tuple[a.extract[j]]
 	}
-	sh := &c.shards[e.shardOf(vals[0])]
+	si := int(e.shardOf(vals[0]))
+	sh := &c.shards[si]
 	// last is the depth of the deepest free path item, the one whose
 	// fitness flip changes the result; a Boolean component has none and
 	// changes the result through its gate C_start > 0 instead.
@@ -571,106 +562,74 @@ func (e *Engine) updateAtomScratch(c *comp, a *catom, tuple []Value, insert bool
 	// Top-down: fetch or create the items on the path, adjust C^i_ψ.
 	for j := 0; j < d; j++ {
 		nodeIdx := a.pathNodes[j]
-		var it *item
+		nd, ar := &c.nodes[nodeIdx], &sh.arenas[nodeIdx]
+		count := nd.offCounts + a.slotAtDepth[j]
 		if insert {
 			// One probe finds the item or claims its slot.
 			slot, existed := sh.index[nodeIdx].Ref(vals[:j+1])
 			if !existed {
-				var parent *item
+				var parent ref
 				if j > 0 {
 					parent = items[j-1]
 				}
-				*slot = sh.slab.alloc(&c.nodes[nodeIdx], nodeIdx, vals[:j+1], parent)
+				*slot = ar.alloc(nd, vals[j], parent)
 			}
-			it = *slot
-			it.counts[a.slotAtDepth[j]]++
+			items[j], recs[j] = *slot, ar.rec(*slot)
+			recs[j][count]++
 		} else {
-			var ok bool
-			if it, ok = sh.index[nodeIdx].Get(vals[:j+1]); !ok {
+			r, ok := sh.index[nodeIdx].Get(vals[:j+1])
+			if !ok {
 				panic(fmt.Sprintf("core: missing item for %s at node %s during delete (corrupted structure)",
-					a.rel, c.nodes[nodeIdx].name))
+					a.rel, nd.name))
 			}
-			it.counts[a.slotAtDepth[j]]--
+			items[j], recs[j] = r, ar.rec(r)
+			recs[j][count]--
 		}
-		items[j] = it
 	}
 
 	// Bottom-up: recompute weights, maintain lists and sums.
 	for j := d - 1; j >= 0; j-- {
 		nodeIdx := a.pathNodes[j]
-		nd := &c.nodes[nodeIdx]
-		it := items[j]
-		oldW, oldF := it.weight, it.fweight
-
-		// Lemma 6.3: C^i = Π_{ψ∈rep(v)} C^i_ψ · Π_{u∈N(v)} C^i_u
-		// (rep-atom counts are 0/1 under set semantics).
-		w := uint64(1)
-		for _, s := range nd.repSlots {
-			if it.counts[s] == 0 {
-				w = 0
-				break
-			}
-		}
-		if w != 0 {
-			for ci := range nd.children {
-				w *= it.childSum[ci]
-				if w == 0 {
-					break
-				}
-			}
-		}
-		// Lemma 6.4: C̃^i = 0 if C^i = 0, else Π over free children of C̃^i_u.
-		var f uint64
+		nd, ar := &c.nodes[nodeIdx], &sh.arenas[nodeIdx]
+		it := recs[j]
+		oldW := it[recWeight]
+		w, f := nd.weights(it)
+		it[recWeight] = w
+		var oldF uint64
 		if nd.free {
-			if w != 0 {
-				f = 1
-				for ci := int32(0); ci < nd.freeChildCount; ci++ {
-					f *= it.fchildSum[ci]
-				}
-			}
+			oldF, it[recFWeight] = it[recFWeight], f
 		}
-		it.weight, it.fweight = w, f
 
+		list := &sh.start
 		if j == 0 {
-			sh.cStart = sh.cStart - oldW + w
-			if nd.free {
-				sh.cfStart = sh.cfStart - oldF + f
-			}
+			sh.cStart += w - oldW
+			sh.cfStart += f - oldF
 		} else {
-			p := items[j-1]
-			sl := nd.slotInParent
-			p.childSum[sl] = p.childSum[sl] - oldW + w
+			p := recs[j-1]
+			p[nd.upSum] += w - oldW
 			if nd.free {
-				p.fchildSum[sl] = p.fchildSum[sl] - oldF + f
+				p[nd.upFSum] += f - oldF
 			}
+			list = &p[nd.upList]
 		}
 
 		// Fit-list membership: L lists contain exactly the fit items.
-		if w > 0 && !it.inList {
-			link(sh, nd, it)
+		if w > 0 && !it.inList() {
+			ar.link(list, items[j], it)
 			if j == last {
 				grew = true
 			}
-		} else if w == 0 && it.inList {
-			if acc != nil && j == last && allFit(items[:j]) {
-				e.emitStep(acc, c, a, items, -1)
+		} else if w == 0 && it.inList() {
+			if acc != nil && j == last && allFit(recs[:j]) {
+				e.emitStep(acc, c, a, si, recs, -1)
 			}
-			unlink(sh, nd, it)
+			ar.unlink(list, it)
 		}
 
 		// Invariant (a): drop the item once no atom supports it.
-		if !insert {
-			all0 := true
-			for _, cnt := range it.counts {
-				if cnt != 0 {
-					all0 = false
-					break
-				}
-			}
-			if all0 {
-				sh.index[nodeIdx].Delete(it.key)
-				sh.slab.recycle(nodeIdx, it)
-			}
+		if !insert && allZero(it[nd.offCounts:nd.offSums]) {
+			sh.index[nodeIdx].Delete(vals[:j+1])
+			ar.recycle(items[j], it)
 		}
 	}
 
@@ -684,56 +643,51 @@ func (e *Engine) updateAtomScratch(c *comp, a *catom, tuple []Value, insert bool
 			if gate {
 				sign = 1
 			}
-			e.emitStep(acc, c, a, items, sign)
+			e.emitStep(acc, c, a, si, recs, sign)
 		}
-	} else if grew && allFit(items[:a.free]) {
-		e.emitStep(acc, c, a, items, 1)
+	} else if grew && allFit(recs[:a.free]) {
+		e.emitStep(acc, c, a, si, recs, 1)
 	}
 }
 
-// listOf returns the head and tail pointers of the list it belongs to:
-// the parent's child list for nd, or the shard's start list for root
-// items.
-func listOf(sh *compShard, nd *cnode, it *item) (head, tail **item) {
-	if it.parent == nil {
-		return &sh.startHead, &sh.startTail
-	}
-	return &it.parent.childHead[nd.slotInParent], &it.parent.childTail[nd.slotInParent]
-}
-
-// link appends it to the tail of its list.
+// weights computes an item's C^i and C̃^i from its counters and child
+// sums. Lemma 6.3: C^i = Π_{ψ∈rep(v)} C^i_ψ · Π_{u∈N(v)} C^i_u (rep-atom
+// counts are 0/1 under set semantics). Lemma 6.4: C̃^i = 0 if C^i = 0, else
+// Π over the free children of C̃^i_u; it is 0 for a quantified node, which
+// has no such word.
 //
 //dyncq:hot
-func link(sh *compShard, nd *cnode, it *item) {
-	head, tail := listOf(sh, nd, it)
-	it.next = nil
-	it.prev = *tail
-	if *tail != nil {
-		(*tail).next = it
-	} else {
-		*head = it
+func (nd *cnode) weights(it record) (w, f uint64) {
+	for _, s := range nd.repSlots {
+		if it[nd.offCounts+s] == 0 {
+			return 0, 0
+		}
 	}
-	*tail = it
-	it.inList = true
+	w = 1
+	for _, sum := range it[nd.offSums:nd.offFSums] {
+		if w *= sum; w == 0 {
+			return 0, 0
+		}
+	}
+	if nd.free {
+		f = 1
+		for _, fsum := range it[nd.offFSums:nd.offLists] {
+			f *= fsum
+		}
+	}
+	return w, f
 }
 
-// unlink removes it from its list.
+// allZero reports whether every counter is zero.
 //
 //dyncq:hot
-func unlink(sh *compShard, nd *cnode, it *item) {
-	head, tail := listOf(sh, nd, it)
-	if it.prev != nil {
-		it.prev.next = it.next
-	} else {
-		*head = it.next
+func allZero(counts []uint64) bool {
+	for _, cnt := range counts {
+		if cnt != 0 {
+			return false
+		}
 	}
-	if it.next != nil {
-		it.next.prev = it.prev
-	} else {
-		*tail = it.prev
-	}
-	it.prev, it.next = nil, nil
-	it.inList = false
+	return true
 }
 
 // Count returns |ϕ(D)| in constant time: the product over components of
@@ -819,8 +773,9 @@ func (e *Engine) Contains(tuple []Value) bool {
 		for _, s := range p.src {
 			key = append(key, tuple[s])
 		}
-		it, ok := e.comps[p.comp].shards[e.shardOf(key[0])].index[p.node].Get(key)
-		if !ok || !it.inList {
+		sh := &e.comps[p.comp].shards[e.shardOf(key[0])]
+		r, ok := sh.index[p.node].Get(key)
+		if !ok || !sh.arenas[p.node].rec(r).inList() {
 			return false
 		}
 	}
@@ -828,82 +783,23 @@ func (e *Engine) Contains(tuple []Value) bool {
 }
 
 // checkInvariants verifies the data-structure invariants (a)–(d) of
-// Section 6.4 by full recomputation. It is exported to the package tests
-// through export_test.go and costs time linear in the structure.
+// Section 6.4 by local recomputation — weights match Lemmas 6.3/6.4, list
+// sums match member weights, membership matches fitness — and the arena
+// bookkeeping a record needs to be found again: own constant, parent ref,
+// mutual list links, and every record either indexed or on the free chain.
+// It costs time linear in the structure.
 func (e *Engine) checkInvariants() error {
 	for ci, c := range e.comps {
-		// Recompute weights bottom-up per item via direct definition is
-		// involved; instead check local consistency: list sums match member
-		// weights, weights match Lemma 6.3, membership matches fitness.
-		var errOut error
 		for si := range c.shards {
 			sh := &c.shards[si]
 			for ni := range c.nodes {
-				nd := &c.nodes[ni]
-				sh.index[ni].Range(func(key []Value, it *item) bool {
-					// Shard assignment: every item hashes here by root value.
-					if got := e.shardOf(key[0]); got != uint64(si) {
-						errOut = fmt.Errorf("comp %d node %s item %v: stored in shard %d, hashes to %d", ci, nd.name, key, si, got)
-						return false
-					}
-					// weight per Lemma 6.3
-					w := uint64(1)
-					for _, s := range nd.repSlots {
-						if it.counts[s] == 0 {
-							w = 0
-						}
-					}
-					if w != 0 {
-						for sl := range nd.children {
-							w *= it.childSum[sl]
-						}
-					}
-					if w != it.weight {
-						errOut = fmt.Errorf("comp %d node %s item %v: weight %d, recomputed %d", ci, nd.name, key, it.weight, w)
-						return false
-					}
-					if (it.weight > 0) != it.inList {
-						errOut = fmt.Errorf("comp %d node %s item %v: fit=%v inList=%v", ci, nd.name, key, it.weight > 0, it.inList)
-						return false
-					}
-					all0 := true
-					for _, cnt := range it.counts {
-						if cnt != 0 {
-							all0 = false
-						}
-					}
-					if all0 {
-						errOut = fmt.Errorf("comp %d node %s item %v: present with all-zero counts", ci, nd.name, key)
-						return false
-					}
-					// child list sums
-					for sl, chIdx := range nd.children {
-						var sum, fsum uint64
-						for ch := it.childHead[sl]; ch != nil; ch = ch.next {
-							sum += ch.weight
-							fsum += ch.fweight
-						}
-						if sum != it.childSum[sl] {
-							errOut = fmt.Errorf("comp %d node %s item %v child %s: childSum %d, actual %d",
-								ci, nd.name, key, c.nodes[chIdx].name, it.childSum[sl], sum)
-							return false
-						}
-						if int32(sl) < nd.freeChildCount && nd.free && fsum != it.fchildSum[sl] {
-							errOut = fmt.Errorf("comp %d node %s item %v child %s: fchildSum %d, actual %d",
-								ci, nd.name, key, c.nodes[chIdx].name, it.fchildSum[sl], fsum)
-							return false
-						}
-					}
-					return true
-				})
-				if errOut != nil {
-					return errOut
+				if err := e.checkNode(c, si, ni); err != nil {
+					return fmt.Errorf("comp %d shard %d node %s %w", ci, si, c.nodes[ni].name, err)
 				}
 			}
-			var sum, fsum uint64
-			for it := sh.startHead; it != nil; it = it.next {
-				sum += it.weight
-				fsum += it.fweight
+			sum, fsum, err := checkList(&c.nodes[0], &sh.arenas[0], sh.start, 0)
+			if err != nil {
+				return fmt.Errorf("comp %d shard %d start list: %w", ci, si, err)
 			}
 			if sum != sh.cStart {
 				return fmt.Errorf("comp %d shard %d: cStart %d, actual %d", ci, si, sh.cStart, sum)
@@ -914,4 +810,89 @@ func (e *Engine) checkInvariants() error {
 		}
 	}
 	return nil
+}
+
+// checkNode checks every item of one node in one shard, and that the
+// node's arena holds nothing else.
+func (e *Engine) checkNode(c *comp, si, ni int) (err error) {
+	sh, nd := &c.shards[si], &c.nodes[ni]
+	ar := &sh.arenas[ni]
+	live := make([]bool, uint64(ar.n)+1) // by ref: named by the index
+	sh.index[ni].Range(func(key []Value, r ref) bool {
+		if r == 0 || r > ref(ar.n) || live[r] {
+			err = fmt.Errorf("item %v: ref %d is nil, never handed out or indexed twice", key, r)
+			return false
+		}
+		live[r] = true
+		it := ar.rec(r)
+		// Shard assignment: every item hashes here by root value.
+		if got := e.shardOf(key[0]); got != uint64(si) {
+			err = fmt.Errorf("item %v: hashes to shard %d", key, got)
+		} else if own := Value(it[nd.offOwn]); own != key[nd.depth] {
+			err = fmt.Errorf("item %v: record holds own constant %d", key, own)
+		} else if w, f := nd.weights(it); w != it[recWeight] || nd.free && f != it[recFWeight] {
+			err = fmt.Errorf("item %v: weights %v, recomputed %d, %d", key, it[recWeight:nd.offOwn], w, f)
+		} else if (w > 0) != it.inList() {
+			err = fmt.Errorf("item %v: fit=%v inList=%v", key, w > 0, it.inList())
+		} else if allZero(it[nd.offCounts:nd.offSums]) {
+			err = fmt.Errorf("item %v: present with all-zero counts", key)
+		} else if nd.parent >= 0 {
+			if p, _ := sh.index[nd.parent].Get(key[:nd.depth]); p == 0 || p != it.parent() {
+				err = fmt.Errorf("item %v: parent ref %d, the index has %d", key, it.parent(), p)
+			}
+		}
+		// Child lists: members, links and sums.
+		for sl := 0; sl < len(nd.children) && err == nil; sl++ {
+			u := &c.nodes[nd.children[sl]]
+			var sum, fsum uint64
+			if sum, fsum, err = checkList(u, &sh.arenas[nd.children[sl]], it[u.upList], r); err != nil {
+				err = fmt.Errorf("item %v %s-list: %w", key, u.name, err)
+			} else if sum != it[u.upSum] || nd.free && u.free && fsum != it[u.upFSum] {
+				err = fmt.Errorf("item %v child %s: sums %d, %d do not match the record", key, u.name, sum, fsum)
+			}
+		}
+		return err == nil
+	})
+	if err != nil {
+		return err
+	}
+	// Every record handed out is either indexed or on the free chain.
+	free := 0
+	for r := ar.free; r != 0; r = ar.rec(r).next() {
+		if free++; r > ref(ar.n) || live[r] || free > int(ar.n) {
+			return fmt.Errorf("free chain: ref %d is indexed, never handed out or on a cycle", r)
+		}
+	}
+	if n := sh.index[ni].Len(); n+free != int(ar.n) {
+		return fmt.Errorf("arena: %d live + %d free records of %d handed out", n, free, ar.n)
+	}
+	return nil
+}
+
+// checkList walks the fit list of node nd packed in the word list and
+// owned by the item owner (0 for a start list): every member is marked
+// inList and names the owner as its parent, prev and next are mutual, and
+// the tail half is the last member. It returns Σ C^i and Σ C̃^i.
+func checkList(nd *cnode, ar *arena, list uint64, owner ref) (sum, fsum uint64, err error) {
+	var prev ref
+	steps := uint32(0)
+	for r := lo(list); r != 0; steps++ {
+		if r > ref(ar.n) || steps == ar.n {
+			return 0, 0, fmt.Errorf("ref %d was never handed out or the list is a cycle", r)
+		}
+		it := ar.rec(r)
+		if !it.inList() || it.parent() != owner || it.prev() != prev {
+			return 0, 0, fmt.Errorf("member %d: inList=%v parent=%d (owner %d) prev=%d (came from %d)",
+				r, it.inList(), it.parent(), owner, it.prev(), prev)
+		}
+		sum += it[recWeight]
+		if nd.free {
+			fsum += it[recFWeight]
+		}
+		prev, r = r, it.next()
+	}
+	if hi(list) != prev {
+		return 0, 0, fmt.Errorf("tail is %d, the last member %d", hi(list), prev)
+	}
+	return sum, fsum, nil
 }

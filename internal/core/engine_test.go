@@ -452,7 +452,7 @@ func TestDrainToEmpty(t *testing.T) {
 					t.Errorf("node %s still has %d items after draining", c.nodes[ni].name, m.Len())
 				}
 			}
-			if sh.startHead != nil || sh.startTail != nil {
+			if sh.start != 0 {
 				t.Error("start list not empty after draining")
 			}
 			if sh.cStart != 0 || sh.cfStart != 0 {

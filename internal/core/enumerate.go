@@ -16,7 +16,8 @@ import "fmt"
 // compIter enumerates the result tuples of one component. The root state
 // walks the shards' start lists in shard order (one list, the canonical
 // order, on an unsharded engine); all deeper states follow child lists,
-// which never cross shards.
+// which never cross shards — so every state's ref belongs to the shard the
+// root state stands in, and the states are kept resolved.
 //
 // A compIter can also run Algorithm 1 with some states pinned (pin): the
 // pinned states keep the items they were given, every other free node
@@ -26,29 +27,39 @@ import "fmt"
 // of an earlier sibling — so next skips them and fill never overwrites
 // them. A full enumeration pins nothing.
 type compIter struct {
-	c         *comp
-	cur       []*item // per free node (document order)
-	pinned    []bool  // per free node: state fixed by pin
-	rootShard int     // shard whose start list cur[0] currently walks
-	done      bool
+	c      *comp
+	cur    []record // per free node (document order)
+	pinned []bool   // per free node: state fixed by pin
+	shard  int      // shard the states live in
+	done   bool
 }
 
 func newCompIter(c *comp) *compIter {
-	return &compIter{c: c, cur: make([]*item, len(c.freeNodes)), pinned: make([]bool, len(c.freeNodes))}
+	return &compIter{c: c, cur: make([]record, len(c.freeNodes)), pinned: make([]bool, len(c.freeNodes))}
 }
 
-// pin fixes the states of the given free nodes (a root path prefix: node
-// j holds items[j]) and releases every other state; pin(nil, nil)
-// releases all of them. The caller positions the iterator with reset.
+// pin fixes the states of the given free nodes (a root path prefix of
+// shard si: node j holds items[j]) and releases every other state;
+// pin(0, nil, nil) releases all of them. A non-empty pinned set contains
+// the root, so the shard given here is the one fill resolves refs in. The
+// caller positions the iterator with reset.
 //
 //dyncq:hot
-func (ci *compIter) pin(nodes []int32, items []*item) {
+func (ci *compIter) pin(si int, nodes []int32, items []record) {
 	clear(ci.pinned)
+	ci.shard = si
 	for j, n := range nodes {
 		ord := ci.c.nodes[n].freeOrd
 		ci.pinned[ord] = true
 		ci.cur[ord] = items[j]
 	}
+}
+
+// set puts state mu on item r of the iterator's shard.
+//
+//dyncq:hot
+func (ci *compIter) set(mu int, r ref) {
+	ci.cur[mu] = ci.c.shards[ci.shard].arenas[ci.c.freeNodes[mu]].rec(r)
 }
 
 // reset positions the iterator on the first result tuple (Algorithm 1,
@@ -58,16 +69,24 @@ func (ci *compIter) pin(nodes []int32, items []*item) {
 //
 //dyncq:hot
 func (ci *compIter) reset() bool {
+	ci.done = false
 	if ci.pinned[0] {
-		ci.done = false
 		ci.fill(1)
 		return true
 	}
-	for si := range ci.c.shards {
-		if head := ci.c.shards[si].startHead; head != nil {
-			ci.done = false
-			ci.rootShard = si
-			ci.cur[0] = head
+	return ci.rootFrom(0)
+}
+
+// rootFrom puts the root state on the first item of the first nonempty
+// start list from shard si on and fills the rest; with none left the
+// enumeration is done.
+//
+//dyncq:hot
+func (ci *compIter) rootFrom(si int) bool {
+	for ; si < len(ci.c.shards); si++ {
+		if head := lo(ci.c.shards[si].start); head != 0 {
+			ci.shard = si
+			ci.set(0, head)
 			ci.fill(1)
 			return true
 		}
@@ -89,12 +108,11 @@ func (ci *compIter) fill(from int) {
 			continue
 		}
 		nd := &ci.c.nodes[ci.c.freeNodes[mu]]
-		parent := ci.cur[ci.c.nodes[nd.parent].freeOrd]
-		head := parent.childHead[nd.slotInParent]
-		if head == nil {
+		head := lo(ci.cur[ci.c.nodes[nd.parent].freeOrd][nd.upList])
+		if head == 0 {
 			panic(fmt.Sprintf("core: fit item has empty %s-list (corrupted structure)", nd.name))
 		}
-		ci.cur[mu] = head
+		ci.set(mu, head)
 	}
 }
 
@@ -106,9 +124,9 @@ func (ci *compIter) next() bool {
 	if ci.done {
 		return false
 	}
-	for mu := len(ci.c.freeNodes) - 1; mu >= 1; mu-- {
-		if !ci.pinned[mu] && ci.cur[mu].next != nil {
-			ci.cur[mu] = ci.cur[mu].next
+	for mu := len(ci.c.freeNodes) - 1; mu >= 0; mu-- {
+		if nxt := ci.cur[mu].next(); !ci.pinned[mu] && nxt != 0 {
+			ci.set(mu, nxt)
 			ci.fill(mu + 1)
 			return true
 		}
@@ -117,23 +135,9 @@ func (ci *compIter) next() bool {
 		ci.done = true
 		return false
 	}
-	// Advance the root state: within its shard's start list first, then on
-	// to the next shard with a nonempty list.
-	if nxt := ci.cur[0].next; nxt != nil {
-		ci.cur[0] = nxt
-		ci.fill(1)
-		return true
-	}
-	for si := ci.rootShard + 1; si < len(ci.c.shards); si++ {
-		if head := ci.c.shards[si].startHead; head != nil {
-			ci.rootShard = si
-			ci.cur[0] = head
-			ci.fill(1)
-			return true
-		}
-	}
-	ci.done = true
-	return false
+	// The root's start list is exhausted: on to the next shard with a
+	// nonempty one.
+	return ci.rootFrom(ci.shard + 1)
 }
 
 // Iterator enumerates ϕ(D) without repetition. It is created by
@@ -231,13 +235,12 @@ func (it *Iterator) assemble() []Value {
 // fillTuple writes the result tuple the per-component states stand on
 // into dst (len(e.heads) long): head variable i lives at component
 // heads[i].comp, free-node position heads[i].freeOrd, and its value is
-// that item's own constant (position depth in the key). iters holds one
-// iterator per free component.
+// that item's own constant. iters holds one iterator per free component.
 //
 //dyncq:hot
 func (e *Engine) fillTuple(dst []Value, iters []*compIter) {
 	for i, loc := range e.heads {
-		dst[i] = iters[e.freeIdx[loc.comp]].cur[loc.freeOrd].key[loc.depth]
+		dst[i] = Value(iters[e.freeIdx[loc.comp]].cur[loc.freeOrd][loc.offOwn])
 	}
 }
 

@@ -83,11 +83,12 @@ func weightOf(e *harness, varName string, pathVals ...Value) (uint64, bool) {
 	c := e.comps[0]
 	for ni := range c.nodes {
 		if c.nodes[ni].name == varName {
-			it, ok := c.shards[e.shardOf(pathVals[0])].index[ni].Get(pathVals)
+			sh := &c.shards[e.shardOf(pathVals[0])]
+			r, ok := sh.index[ni].Get(pathVals)
 			if !ok {
 				return 0, false
 			}
-			return it.weight, true
+			return sh.arenas[ni].rec(r)[recWeight], true
 		}
 	}
 	return 0, false

@@ -39,10 +39,10 @@ func (e *Engine) runDeltaParallel(survivors []dyndb.Update, workers int, acc *de
 	buckets := make([][]bucketOp, len(e.comps)*e.shardCount)
 	for _, u := range survivors {
 		insert := u.Op == dyndb.OpInsert
-		for _, ref := range e.rels[u.Rel] {
-			c := e.comps[ref.comp]
-			a := &c.atoms[ref.atom]
-			b := ref.comp*e.shardCount + int(e.shardOf(u.Tuple[a.extract[0]]))
+		for _, ar := range e.rels[u.Rel] {
+			c := e.comps[ar.comp]
+			a := &c.atoms[ar.atom]
+			b := ar.comp*e.shardCount + int(e.shardOf(u.Tuple[a.extract[0]]))
 			buckets[b] = append(buckets[b], bucketOp{c: c, a: a, tuple: u.Tuple, insert: insert})
 		}
 	}
@@ -61,7 +61,7 @@ func (e *Engine) runDeltaParallel(survivors []dyndb.Update, workers int, acc *de
 	if workers == 1 {
 		for _, b := range nonempty {
 			for _, op := range b {
-				e.updateAtomScratch(op.c, op.a, op.tuple, op.insert, e.scratchVals, e.scratchItems, acc)
+				e.updateAtomScratch(op.c, op.a, op.tuple, op.insert, e.scratch, acc)
 			}
 		}
 		return
@@ -79,15 +79,14 @@ func (e *Engine) runDeltaParallel(survivors []dyndb.Update, workers int, acc *de
 		}
 		go func(acc *deltaAcc) {
 			defer wg.Done()
-			vals := make([]Value, e.maxDepth)
-			items := make([]*item, e.maxDepth)
+			scratch := newPathScratch(e.maxDepth)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(nonempty) {
 					return
 				}
 				for _, op := range nonempty[i] {
-					e.updateAtomScratch(op.c, op.a, op.tuple, op.insert, vals, items, acc)
+					e.updateAtomScratch(op.c, op.a, op.tuple, op.insert, scratch, acc)
 				}
 			}
 		}(accs[w])

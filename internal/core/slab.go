@@ -1,193 +1,195 @@
 package core
 
-// This file implements slab/arena allocation for the engine's dynamic
-// state. The paper's O(1) update bound counts RAM operations; at tens of
-// millions of tuples the real-world constant is dominated by allocator
-// and GC work — the baseline newItem performed up to six heap
-// allocations per item (struct, key, counts, childSum, childHead,
-// childTail), each an independently traced GC object. The slab packs
-// them into three kinds of chunked arenas per (component, shard):
-//
-//   - item structs in exponentially growing blocks,
-//   - all of an item's uint64 state (counts, childSum, fchildSum) carved
-//     from one shared []uint64 arena,
-//   - the pointer pairs (childHead, childTail) from one []*item arena,
-//     and the key from a []Value arena.
-//
-// A per-node free list recycles dropped items: an item leaves the
-// structure only when every C^i_ψ counter is zero, at which point it is
-// provably unfit (weight 0, unlinked) and childless, so its slices can
-// be zeroed and reused for the next item of the same node — same node,
-// same slice shapes. Everything else is freed wholesale: clearStructure
-// (and with it RebuildFromStore and Load) drops the slab in one step, so
-// the GC retires a whole shard's items as a handful of chunks instead of
-// millions of individual objects.
-//
-// Lifetime caveat (the standard arena trade-off): a dropped item that is
-// not yet recycled keeps its chunk alive, so memory is returned to the
-// GC per shard at clearStructure/RebuildFromStore, not per tuple. The
-// free lists bound the growth: steady-state churn reuses items instead
-// of extending the arenas.
-//
-// Concurrency: a slab belongs to one compShard and inherits its
-// discipline — the parallel batch path claims whole (component, shard)
-// buckets per worker, so no two goroutines ever touch one slab
-// concurrently.
-
-// slabItemBlock / slabArenaChunk size the allocation granularity: item
-// blocks double from 256 up to 8192 structs; arena chunks hold at least
-// 1024 words.
-const (
-	slabItemBlockMin = 256
-	slabItemBlockMax = 8192
-	slabArenaChunk   = 1024
+import (
+	"fmt"
+	"math"
 )
 
-// itemSlab allocates the items of one compShard. The zero value is
-// ready except for the per-node free lists (initFree).
-type itemSlab struct {
-	blocks [][]item // chunked item storage
-	used   int      // structs handed out of the last block
-	u64    []uint64 // remaining region of the current uint64 arena chunk
-	ptr    []*item  // remaining region of the current pointer arena chunk
-	val    []Value  // remaining region of the current key arena chunk
-	free   [][]*item
+// This file holds the engine's dynamic state: one arena of fixed-stride,
+// pointer-free records per (component, shard, q-tree node). An item
+// [v, α, a] is one record of v's arena, addressed by a ref — the record's
+// number, with 0 for nil. The paper's RAM has O(log n)-bit words and its
+// pointers are array indices (§2); so are these. Every shape (how many
+// C^i_ψ, how many child lists) is a constant of the node, so the layout is
+// computed once per cnode (layout) and a record is, in uint64 words:
+//
+//	recLinks      prev (low 32) | next (high 32): the siblings of a fit
+//	              list live in the same arena, so the node is implied
+//	recUp         parent (low 32, a ref into the parent node's arena) |
+//	              inList (bit 32)
+//	recWeight     C^i
+//	recFWeight    C̃^i — free nodes only
+//	offOwn        the item's own constant a; α is the A_v table's inline
+//	              key and is not stored a second time
+//	offCounts…    C^i_ψ per tracked atom (numTracked words)
+//	offSums…      C^i_u per child u (len(children) words)
+//	offFSums…     C̃^i_u per free child — free nodes only
+//	offLists…     per child u: head (low 32) | tail (high 32) of L^i_u,
+//	              refs into u's arena
+//
+// A ref means something only together with its (shard, node): the A_v
+// table that yields it, the parent word or list word it was read from, or
+// the compIter state it sits in all fix both.
+//
+// An arena grows by chunks of 1<<arenaShift records and never moves a
+// record, so a record slice stays valid until Clear. An item leaves the
+// structure only when every C^i_ψ is zero — it is then unfit, unlinked and
+// childless — and its record goes on the arena's free chain (threaded
+// through the next half of recLinks) for the next item of the same node;
+// steady churn reuses records instead of growing. Clear, and with it
+// Rebuild, drops every chunk at once. Since neither the records nor the
+// Table[ref] indexes hold a Go pointer, the garbage collector never scans
+// them: what it marks per cycle is the chunk directory, not the data.
+//
+// Concurrency: an arena belongs to one compShard and inherits its
+// discipline — the parallel batch path claims whole (component, shard)
+// buckets per worker, so no two goroutines touch one arena concurrently.
+
+// ref addresses a record of one arena; 0 is nil. An arena therefore holds
+// at most 2³²−1 live items — per node, per shard.
+type ref uint32
+
+// record is one item's words, aliasing its arena.
+type record []uint64
+
+const (
+	arenaShift = 10 // records per chunk, as a power of two
+	arenaMask  = 1<<arenaShift - 1
+
+	recLinks   = 0
+	recUp      = 1
+	recWeight  = 2
+	recFWeight = 3
+	inListBit  = 1 << 32
+)
+
+// lo and hi unpack the two refs of a links or list word; pack builds one.
+func lo(w uint64) ref       { return ref(w) }
+func hi(w uint64) ref       { return ref(w >> 32) }
+func pack(l, h ref) uint64  { return uint64(l) | uint64(h)<<32 }
+func (it record) prev() ref { return lo(it[recLinks]) }
+func (it record) next() ref { return hi(it[recLinks]) }
+
+// parent is the ref of the item's parent in the parent node's arena.
+func (it record) parent() ref { return lo(it[recUp]) }
+
+// inList tells whether the item is linked into its fit list.
+func (it record) inList() bool { return it[recUp]&inListBit != 0 }
+
+// layout fixes the node's record layout from its shape.
+func (nd *cnode) layout() {
+	nd.offOwn = recFWeight
+	if nd.free {
+		nd.offOwn++
+	}
+	nd.offCounts = nd.offOwn + 1
+	nd.offSums = nd.offCounts + nd.numTracked
+	nd.offFSums = nd.offSums + int32(len(nd.children))
+	nd.offLists = nd.offFSums
+	if nd.free {
+		nd.offLists += nd.freeChildCount
+	}
+	nd.stride = nd.offLists + int32(len(nd.children))
 }
 
-// initFree sizes the per-node free lists (one per q-tree node — recycled
-// items keep their slice shapes, which are a property of the node).
-func (s *itemSlab) initFree(nodes int) {
-	s.free = make([][]*item, nodes)
+// arena stores the records of one node in one shard.
+type arena struct {
+	chunks [][]uint64 // 1<<arenaShift records each; slot 0 of chunk 0 is nil's
+	stride int
+	n      uint32 // records handed out so far: refs 1..n exist
+	free   ref    // head of the chain of dropped records
 }
 
-// reset frees everything wholesale: all blocks, arenas and free lists
-// are dropped in one step for the GC to retire as whole chunks.
-func (s *itemSlab) reset(nodes int) {
-	*s = itemSlab{}
-	s.initFree(nodes)
-}
-
-// nextStruct hands out the next item struct, growing the block list
-// exponentially up to the cap.
+// rec resolves a ref.
 //
 //dyncq:hot
-func (s *itemSlab) nextStruct() *item {
-	if len(s.blocks) == 0 || s.used == len(s.blocks[len(s.blocks)-1]) {
-		size := slabItemBlockMin
-		if n := len(s.blocks); n > 0 {
-			size = 2 * len(s.blocks[n-1])
-			if size > slabItemBlockMax {
-				size = slabItemBlockMax
-			}
-		}
-		s.blocks = append(s.blocks, make([]item, size)) //dyncq:allow hotalloc exponential block growth, amortised to ~0 allocs per alloc() call
-		s.used = 0
-	}
-	b := s.blocks[len(s.blocks)-1]
-	it := &b[s.used]
-	s.used++
-	return it
+func (a *arena) rec(r ref) record {
+	i := int(r&arenaMask) * a.stride
+	return a.chunks[r>>arenaShift][i : i+a.stride : i+a.stride]
 }
 
-// u64s carves n words off the uint64 arena. The returned slice has full
-// capacity n, so later carves can never alias it through append.
+// fresh hands out a ref no item has used, adding a chunk when the last
+// one is full. Running out of refs must not wrap onto nil.
 //
 //dyncq:hot
-func (s *itemSlab) u64s(n int) []uint64 {
-	if len(s.u64) < n {
-		size := slabArenaChunk
-		if n > size {
-			size = n
-		}
-		s.u64 = make([]uint64, size)
+func (a *arena) fresh(nd *cnode) ref {
+	if a.n == math.MaxUint32 {
+		panic(fmt.Sprintf("core: node %s holds 2^32-1 items in one shard, the most a ref can address", nd.name))
 	}
-	out := s.u64[:n:n]
-	s.u64 = s.u64[n:]
-	return out
+	a.n++
+	if int(a.n>>arenaShift) == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]uint64, a.stride<<arenaShift)) //dyncq:allow hotalloc one allocation per chunk of 1<<arenaShift items
+	}
+	return ref(a.n)
 }
 
-// ptrs carves n pointers off the pointer arena.
+// alloc returns an all-zero, unlinked item of node nd with the given own
+// constant and parent: a recycled record if the free chain has one, a
+// fresh one otherwise.
 //
 //dyncq:hot
-func (s *itemSlab) ptrs(n int) []*item {
-	if len(s.ptr) < n {
-		size := slabArenaChunk
-		if n > size {
-			size = n
-		}
-		s.ptr = make([]*item, size)
+func (a *arena) alloc(nd *cnode, own Value, parent ref) ref {
+	r := a.free
+	var it record
+	if r != 0 {
+		it = a.rec(r)
+		a.free = it.next()
+		clear(it)
+	} else {
+		r = a.fresh(nd)
+		it = a.rec(r)
 	}
-	out := s.ptr[:n:n]
-	s.ptr = s.ptr[n:]
-	return out
+	it[recUp] = uint64(parent)
+	it[nd.offOwn] = uint64(own)
+	return r
 }
 
-// vals carves n values off the key arena.
+// recycle puts a dropped item (all counts zero: unfit, unlinked,
+// childless by invariant (a)) on the free chain.
 //
 //dyncq:hot
-func (s *itemSlab) vals(n int) []Value {
-	if len(s.val) < n {
-		size := slabArenaChunk
-		if n > size {
-			size = n
-		}
-		s.val = make([]Value, size)
-	}
-	out := s.val[:n:n]
-	s.val = s.val[n:]
-	return out
+func (a *arena) recycle(r ref, it record) {
+	it[recLinks] = pack(0, a.free)
+	a.free = r
 }
 
-// alloc returns a zero-count item for node nd (index nodeIdx) with the
-// given path values (copied) and parent — the slab-backed replacement
-// for the per-item heap allocations of the baseline. Recycled items are
-// fully re-zeroed; their slices are reused as-is (same node, same
-// shapes).
+// link appends item r of arena a to the tail of the fit list whose
+// head|tail word is *list: a word of the parent's record, or the shard's
+// start word for a root item.
 //
 //dyncq:hot
-func (s *itemSlab) alloc(nd *cnode, nodeIdx int32, vals []Value, parent *item) *item {
-	if fl := s.free[nodeIdx]; len(fl) > 0 {
-		it := fl[len(fl)-1]
-		fl[len(fl)-1] = nil
-		s.free[nodeIdx] = fl[:len(fl)-1]
-		copy(it.key, vals)
-		it.parent = parent
-		it.prev, it.next = nil, nil
-		it.inList = false
-		clear(it.counts)
-		it.weight, it.fweight = 0, 0
-		clear(it.childSum)
-		clear(it.fchildSum)
-		clear(it.childHead)
-		clear(it.childTail)
-		return it
+func (a *arena) link(list *uint64, r ref, it record) {
+	tail := hi(*list)
+	it[recLinks] = pack(tail, 0)
+	if tail != 0 {
+		t := a.rec(tail)
+		t[recLinks] = pack(t.prev(), r)
+		*list = pack(lo(*list), r)
+	} else {
+		*list = pack(r, r)
 	}
-	it := s.nextStruct()
-	it.key = s.vals(len(vals))
-	copy(it.key, vals)
-	it.parent = parent
-	nt, nc := int(nd.numTracked), len(nd.children)
-	fc := 0
-	if nd.free && nd.freeChildCount > 0 {
-		fc = int(nd.freeChildCount)
-	}
-	u := s.u64s(nt + nc + fc)
-	it.counts = u[:nt:nt]
-	it.childSum = u[nt : nt+nc : nt+nc]
-	if fc > 0 {
-		it.fchildSum = u[nt+nc : nt+nc+fc : nt+nc+fc]
-	}
-	p := s.ptrs(2 * nc)
-	it.childHead = p[:nc:nc]
-	it.childTail = p[nc : 2*nc : 2*nc]
-	return it
+	it[recUp] |= inListBit
 }
 
-// recycle returns a dropped item (all counts zero: unfit, unlinked,
-// childless by invariant (a)) to its node's free list for reuse by the
-// next alloc on the same node.
+// unlink removes it from the list whose head|tail word is *list.
 //
 //dyncq:hot
-func (s *itemSlab) recycle(nodeIdx int32, it *item) {
-	s.free[nodeIdx] = append(s.free[nodeIdx], it) //dyncq:allow hotalloc free-list push reuses capacity after warm-up; growth is amortised
+func (a *arena) unlink(list *uint64, it record) {
+	prev, next := it.prev(), it.next()
+	head, tail := lo(*list), hi(*list)
+	if prev != 0 {
+		p := a.rec(prev)
+		p[recLinks] = pack(p.prev(), next)
+	} else {
+		head = next
+	}
+	if next != 0 {
+		n := a.rec(next)
+		n[recLinks] = pack(prev, n.next())
+	} else {
+		tail = prev
+	}
+	*list = pack(head, tail)
+	it[recLinks] = 0
+	it[recUp] &^= inListBit
 }

@@ -190,7 +190,7 @@ func evalScenarios() []Scenario {
 					return err
 				}
 				// Tiny domain + high delete ratio: the same hot tuples flap
-				// in and out, stressing delete paths and slab free lists.
+				// in and out, stressing delete paths and the arenas' free chains.
 				cfg := workload.TortureConfig{Seed: seed, Domain: 6, Updates: 600, PDelete: 0.5, ZipfS: 2, ZipfV: 1}
 				for i, u := range cfg.Stream(tortureSchema) {
 					if _, err := ws.Apply(u); err != nil {

@@ -145,7 +145,7 @@ func TestApplyAllocationFree(t *testing.T) {
 			t.Fatalf("delete: changed=%v err=%v", changed, err)
 		}
 	}
-	pair() // warm the slab free lists and the map slots
+	pair() // warm the arena free chains and the map slots
 	if allocs := testing.AllocsPerRun(1000, pair); allocs != 0 {
 		t.Fatalf("an Apply insert/delete pair allocates %v times, want 0", allocs)
 	}
@@ -197,7 +197,7 @@ func TestCommitAllocationFree(t *testing.T) {
 				}
 			}
 		}
-		cycle() // warm the slab free lists, the table slots and the coalescer
+		cycle() // warm the arena free chains, the table slots and the coalescer
 		return testing.AllocsPerRun(200, cycle) / 2
 	}
 	small, large := allocsAt(64), allocsAt(512)
