@@ -29,7 +29,7 @@ func cmdServe(args []string) error {
 	var queries queryFlags
 	fs.Var(&queries, "query", "pre-registered query, repeatable; 'name=Q(x) :- …' or bare query text (auto-named q1, q2, …). Clients can register more at runtime.")
 	outbox := fs.Int("outbox", 0, "per-connection outgoing frame queue bound (0 = default 256); a subscriber that falls further behind is resynced, never waited on")
-	writeTimeout := fs.Duration("write-timeout", 0, "per-frame write deadline (0 = default 10s, negative = none); a stuck peer is disconnected")
+	writeTimeout := fs.Duration("write-timeout", 0, "deadline of one write, a burst of the frames queued for a connection (0 = default 10s, negative = none); a stuck peer is disconnected")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

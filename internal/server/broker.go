@@ -108,19 +108,19 @@ func (b *broker) droppedFrames(name string) uint64 {
 //
 //dyncq:hot
 func (b *broker) publish(ev dyncq.DeltaEvent) {
-	frame := encodeDelta(ev)
+	delta := frame{head: encodeDelta(ev)}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, sub := range b.subs[ev.Query] {
 		if sub.lagged {
 			sub.dropped++
-			if sub.sess.trySend(encodeResync(ev.Query, ev.Version, sub.dropped)) {
+			if sub.sess.trySend(frame{head: encodeResync(ev.Query, ev.Version, sub.dropped)}) {
 				sub.lagged = false
 				sub.dropped = 0
 			}
 			continue
 		}
-		if !sub.sess.trySend(frame) {
+		if !sub.sess.trySend(delta) {
 			sub.lagged = true
 			sub.dropped = 1
 		}

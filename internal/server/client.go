@@ -161,6 +161,7 @@ func (c *Client) readDelta(sc *bufio.Scanner, header string) (Delta, error) {
 		Removed: make([][]dyncq.Value, 0, nRemoved),
 		Raw:     append([]byte(header), '\n'),
 	}
+	var vals []dyncq.Value // one backing array for the frame's tuples
 	for i := 0; i < nAdded+nRemoved; i++ {
 		if !sc.Scan() {
 			return Delta{}, fmt.Errorf("delta frame for %q truncated after %d lines", d.Query, i)
@@ -168,15 +169,19 @@ func (c *Client) readDelta(sc *bufio.Scanner, header string) (Delta, error) {
 		line := sc.Text()
 		d.Raw = append(d.Raw, line...)
 		d.Raw = append(d.Raw, '\n')
-		sign, _, tuple, err := parseTupleLine(line)
+		if i == 0 {
+			vals = make([]dyncq.Value, 0, (nAdded+nRemoved)*tupleArity(line))
+		}
+		sign, _, next, err := parseTupleLine(line, vals)
 		if err != nil {
 			return Delta{}, err
 		}
-		if sign == '+' {
+		if tuple := next[len(vals):len(next):len(next)]; sign == '+' {
 			d.Added = append(d.Added, tuple)
 		} else {
 			d.Removed = append(d.Removed, tuple)
 		}
+		vals = next
 	}
 	if !sc.Scan() || sc.Text() != "." {
 		return Delta{}, fmt.Errorf("delta frame for %q missing terminator", d.Query)
@@ -366,12 +371,17 @@ func (c *Client) Enumerate(name string) (*Snapshot, error) {
 		return nil, fmt.Errorf("snapshot header promises %d tuples, frame has %d", n, len(f.block))
 	}
 	snap := &Snapshot{Query: fields[1], Version: version, Arity: arity, Tuples: make([][]dyncq.Value, 0, n)}
+	var vals []dyncq.Value // one backing array for the frame's tuples
+	if n > 0 {
+		vals = make([]dyncq.Value, 0, n*tupleArity(f.block[0]))
+	}
 	for _, line := range f.block {
-		_, _, tuple, err := parseTupleLine(line)
+		_, _, next, err := parseTupleLine(line, vals)
 		if err != nil {
 			return nil, err
 		}
-		snap.Tuples = append(snap.Tuples, tuple)
+		snap.Tuples = append(snap.Tuples, next[len(vals):len(next):len(next)])
+		vals = next
 	}
 	return snap, nil
 }

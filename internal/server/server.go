@@ -22,9 +22,10 @@ type Options struct {
 	// the subscriber is resynced later — commits never wait on a slow
 	// consumer. Default 256.
 	OutboxFrames int
-	// WriteTimeout bounds each frame write to a connection; a stuck
-	// peer is disconnected rather than pinning its writer goroutine.
-	// Default 10s; negative disables.
+	// WriteTimeout bounds each write to a connection — one burst of
+	// everything queued in its outbox; a stuck peer is disconnected
+	// rather than pinning its writer goroutine. Default 10s; negative
+	// disables.
 	WriteTimeout time.Duration
 	// DrainTimeout bounds Close's wait for live sessions to finish.
 	// Default 5s.
@@ -60,8 +61,9 @@ type Server struct {
 	opt    Options
 	broker *broker
 
-	// Encode-once counters of the `enumerate` frames (FrameCacheStats).
-	frameHits, frameMisses atomic.Uint64
+	// Encode-once counters of the `enumerate` frames' leaf blocks
+	// (FrameCacheStats).
+	blocksReused, blocksEncoded atomic.Uint64
 
 	// subMu serializes all subscription topology changes: broker
 	// add/remove, capture start/stop, and each session's subs map. It
@@ -194,29 +196,30 @@ func (s *Server) DroppedFrames(name string) uint64 {
 	return s.broker.droppedFrames(name)
 }
 
-// enumerateFrame returns the encoded `enumerate` frame of a pinned
-// snapshot. The frame is encoded once and kept on the snapshot itself
-// (dyncq.QuerySnapshot.Frame), fanned out byte-identical to every client
-// — the same discipline broker.publish applies to delta frames. Every pin
-// at an unchanged version returns the same shared *QuerySnapshot, and any
-// commit, eviction, or unregister/re-register produces a fresh one, so a
-// stale frame can never be served and a frame is collected with the
-// snapshot it renders: there is no cache to purge.
+// enumerateFrame returns the `enumerate` frame of a pinned snapshot: a
+// header line of its own, the leaves' encoded blocks, the terminator. A
+// leaf is encoded once and its block kept on the leaf itself
+// (dyncq.QuerySnapshot.Blocks), so the frame of a new version encodes only
+// the leaves the commits since the last enumerate rebuilt, and the blocks
+// fan out by reference, byte-identical, to every client — the same
+// discipline broker.publish applies to delta frames. A block is collected
+// with the leaf it renders, and any eviction or unregister/re-register
+// starts from fresh leaves: there is no cache to purge and a stale block
+// can never be served.
 //
 //dyncq:hot
-func (s *Server) enumerateFrame(snap *dyncq.QuerySnapshot) []byte {
-	frame, cached := snap.Frame(encodeSnapshot)
-	if cached {
-		s.frameHits.Add(1)
-	} else {
-		s.frameMisses.Add(1)
-	}
-	return frame
+func (s *Server) enumerateFrame(snap *dyncq.QuerySnapshot) frame {
+	blocks, encoded := snap.Blocks(encodeLeaf)
+	s.blocksEncoded.Add(uint64(encoded))
+	s.blocksReused.Add(uint64(len(blocks) - encoded))
+	return frame{head: encodeSnapshotHeader(snap), blocks: blocks, tail: frameEndBlock}
 }
 
-// FrameCacheStats is the server's encode-once counters: Hits served an
-// already-encoded frame with no enumeration or encoding; Misses paid
-// one encode (first enumerate at a version).
+// FrameCacheStats is the server's encode-once counters, in leaf blocks of
+// the `enumerate` frames served: Hits were sent as some earlier enumerate
+// — at this version or one before it — had encoded them; Misses were
+// encoded for the frame at hand (the leaves rebuilt since, or all of them
+// on the first enumerate after a cold pin).
 type FrameCacheStats struct {
 	Hits   uint64
 	Misses uint64
@@ -224,7 +227,7 @@ type FrameCacheStats struct {
 
 // FrameCacheStats returns the monotonic encode-once counters.
 func (s *Server) FrameCacheStats() FrameCacheStats {
-	return FrameCacheStats{Hits: s.frameHits.Load(), Misses: s.frameMisses.Load()}
+	return FrameCacheStats{Hits: s.blocksReused.Load(), Misses: s.blocksEncoded.Load()}
 }
 
 // SessionCount returns the number of live sessions (observability).

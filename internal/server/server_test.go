@@ -2,10 +2,12 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -581,8 +583,11 @@ func TestCountReplyIsConsistent(t *testing.T) {
 // lexicographic order whatever maintains the query, so for one query and
 // one stream the pinned rows and the bytes of the `enumerate` frame are
 // the same on core at any shard and worker count, on ivm and on
-// recompute, version for version. The frame is encoded once per version:
-// asking twice is one miss and one hit.
+// recompute, version for version — and, at every version, the bytes the
+// whole-snapshot reference encoder renders. The frame is put together from
+// blocks encoded once per leaf: asking twice at a version encodes nothing
+// and sends the same blocks, and after a commit exactly the blocks the
+// previous frame did not carry are encoded.
 func TestEnumerateFrameIsStrategyIndependent(t *testing.T) {
 	q := cq.MustParse("Q(x,y) :- E(x,y), T(y)")
 	stream := workload.RandomStream(rand.New(rand.NewSource(41)), q.Schema(), 9, 600, 0.35)
@@ -604,17 +609,39 @@ func TestEnumerateFrameIsStrategyIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		var frames [][]byte
+		var prev frame // the frame enumerated one batch ago; holding it keeps its blocks' addresses taken
 		for from := 0; from < len(stream); from += 15 {
 			if _, err := ws.ApplyBatch(stream[from:min(from+15, len(stream))]); err != nil {
 				t.Fatal(err)
 			}
 			before := srv.FrameCacheStats()
-			frame := srv.enumerateFrame(h.Snapshot())
-			if again := srv.enumerateFrame(h.Snapshot()); &again[0] != &frame[0] {
-				t.Fatalf("%s: the second enumerate at version %d was encoded anew", name, ws.Version())
+			f := srv.enumerateFrame(h.Snapshot())
+			first := srv.FrameCacheStats()
+			again := srv.enumerateFrame(h.Snapshot())
+			second := srv.FrameCacheStats()
+			fresh := uint64(0) // blocks the previous frame did not carry
+			for _, b := range f.blocks {
+				if !slices.ContainsFunc(prev.blocks, func(p []byte) bool { return &p[0] == &b[0] }) {
+					fresh++
+				}
 			}
-			if after := srv.FrameCacheStats(); after.Misses != before.Misses+1 || after.Hits != before.Hits+1 {
-				t.Fatalf("%s: two enumerates at one version moved the counters %+v -> %+v, want one miss and one hit", name, before, after)
+			if first.Misses-before.Misses != fresh || first.Hits-before.Hits != uint64(len(f.blocks))-fresh {
+				t.Fatalf("%s: the enumerate at version %d moved the counters %+v -> %+v over %d blocks, %d of them new since the last frame",
+					name, ws.Version(), before, first, len(f.blocks), fresh)
+			}
+			if second.Misses != first.Misses || second.Hits != first.Hits+uint64(len(f.blocks)) {
+				t.Fatalf("%s: the second enumerate at version %d moved the counters %+v -> %+v, want %d blocks reused and none encoded",
+					name, ws.Version(), first, second, len(f.blocks))
+			}
+			for k := range f.blocks {
+				if &again.blocks[k][0] != &f.blocks[k][0] {
+					t.Fatalf("%s: block %d of the second enumerate at version %d was encoded anew", name, k, ws.Version())
+				}
+			}
+			prev = f
+			frame := frameBytes(f)
+			if want := encodeSnapshot(h.Snapshot()); !bytes.Equal(frame, want) {
+				t.Fatalf("%s: enumerate frame at version %d differs from the whole-snapshot encoder's:\n%s\nvs\n%s", name, ws.Version(), frame, want)
 			}
 			frames = append(frames, frame)
 			// The frame is the pinned rows, rendered: parse it back.
@@ -624,7 +651,7 @@ func TestEnumerateFrameIsStrategyIndependent(t *testing.T) {
 				t.Fatalf("%s: frame carries %d tuple lines for %d pinned rows", name, len(lines), len(rows))
 			}
 			for i, line := range lines {
-				if _, _, tuple, err := parseTupleLine(line); err != nil || fmt.Sprint(tuple) != fmt.Sprint(rows[i]) {
+				if _, _, tuple, err := parseTupleLine(line, nil); err != nil || fmt.Sprint(tuple) != fmt.Sprint(rows[i]) {
 					t.Fatalf("%s: frame line %d is %q (err %v), pinned row %v", name, i, line, err, rows[i])
 				}
 			}

@@ -17,12 +17,12 @@ import (
 // outbox. Command responses go through send (blocking — natural
 // backpressure on the client's own requests); broker deltas go through
 // trySend (non-blocking — a slow subscriber never stalls a commit).
-// Frames are whole []byte blocks, so responses and asynchronous deltas
+// The outbox holds whole frames, so responses and asynchronous deltas
 // interleave only at frame boundaries.
 type session struct {
 	srv  *Server
 	conn net.Conn
-	out  chan []byte
+	out  chan frame
 	done chan struct{}
 
 	closeOnce sync.Once
@@ -31,7 +31,7 @@ type session struct {
 	// Server.subMu (all subscription topology shares that one lock).
 	subs map[string]*subscriber
 
-	// flushed is closed by the writer when it encounters the nil
+	// flushed is closed by the writer when it encounters the zero
 	// sentinel frame: every frame enqueued before it has been written
 	// to the connection. Used once, for the connection's farewell line.
 	flushed chan struct{}
@@ -42,11 +42,22 @@ type session struct {
 	batchErr error
 }
 
+// frame is one outbox element, written head, blocks, tail. A reply line,
+// a delta or a resync frame is all head. An `enumerate` frame is its
+// header line, the blocks of the snapshot's leaves — shared with every
+// other session and version that covers those leaves, so only ever read —
+// and the terminator. The zero frame is the farewell sentinel.
+type frame struct {
+	head   []byte
+	blocks [][]byte
+	tail   []byte
+}
+
 func newSession(srv *Server, conn net.Conn) *session {
 	return &session{
 		srv:     srv,
 		conn:    conn,
-		out:     make(chan []byte, srv.opt.OutboxFrames),
+		out:     make(chan frame, srv.opt.OutboxFrames),
 		done:    make(chan struct{}),
 		flushed: make(chan struct{}),
 		subs:    make(map[string]*subscriber),
@@ -78,24 +89,49 @@ func (s *session) run() {
 	}
 }
 
-// writer drains the outbox onto the connection. A write error or
-// timeout tears the session down; in-flight frames are discarded.
+// writer drains the outbox onto the connection: everything already
+// queued leaves in one vectored write under one deadline, so a reply and
+// the frames queued behind it (`ok begin` and `ok committed`, a delta
+// beside a reply) cost one syscall, and an `enumerate` frame's blocks go
+// out by reference. A write error or timeout tears the session down;
+// in-flight frames are discarded.
 func (s *session) writer() {
+	// net.Buffers consumes what it writes — it slides over and clears the
+	// slice it is given — so the burst is flattened into a slice of the
+	// writer's own, never written from a frame's block vector.
+	var burst [][]byte
 	for {
 		select {
 		case <-s.done:
 			return
-		case frame := <-s.out:
-			if frame == nil {
-				close(s.flushed) // quit sentinel: everything before it is on the wire
-				continue
+		case f := <-s.out:
+			for f.head != nil {
+				burst = append(append(burst, f.head), f.blocks...)
+				if f.tail != nil {
+					burst = append(burst, f.tail)
+				}
+				select {
+				case f = <-s.out:
+					continue
+				default:
+				}
+				break
 			}
-			if s.srv.opt.WriteTimeout > 0 {
-				s.conn.SetWriteDeadline(time.Now().Add(s.srv.opt.WriteTimeout))
+			if len(burst) > 0 {
+				if s.srv.opt.WriteTimeout > 0 {
+					s.conn.SetWriteDeadline(time.Now().Add(s.srv.opt.WriteTimeout))
+				}
+				bufs := net.Buffers(burst)
+				if _, err := bufs.WriteTo(s.conn); err != nil {
+					s.close()
+					return
+				}
+				burst = burst[:0]
 			}
-			if _, err := s.conn.Write(frame); err != nil {
-				s.close()
-				return
+			if f.head == nil {
+				// Quit sentinel: everything queued before it is on the wire;
+				// what follows is a later burst.
+				close(s.flushed)
 			}
 		}
 	}
@@ -103,9 +139,9 @@ func (s *session) writer() {
 
 // send enqueues a command response, blocking until the outbox has
 // room. Returns false when the session is closed.
-func (s *session) send(frame []byte) bool {
+func (s *session) send(f frame) bool {
 	select {
-	case s.out <- frame:
+	case s.out <- f:
 		return true
 	case <-s.done:
 		return false
@@ -119,18 +155,18 @@ func (s *session) send(frame []byte) bool {
 // the frame is moot and the subscription is about to be reaped.
 //
 //dyncq:hot
-func (s *session) trySend(frame []byte) bool {
+func (s *session) trySend(f frame) bool {
 	select {
 	case <-s.done:
 		return true
-	case s.out <- frame:
+	case s.out <- f:
 		return true
 	default:
 		return false
 	}
 }
 
-func (s *session) sendLine(line string) bool { return s.send([]byte(line + "\n")) }
+func (s *session) sendLine(line string) bool { return s.send(frame{head: []byte(line + "\n")}) }
 
 func (s *session) ok(format string, args ...any) bool {
 	return s.sendLine("ok " + fmt.Sprintf(format, args...))
@@ -192,12 +228,12 @@ func (s *session) dispatch(line string) bool {
 		if err != nil {
 			return s.err(err)
 		}
-		return s.ok("applied %d %d", n, version)
+		return s.send(frame{head: encodeReply("applied", "", uint64(n), version)})
 	case "begin":
 		s.inBatch = true
 		s.pending = s.pending[:0]
 		s.batchErr = nil
-		return s.ok("begin")
+		return s.send(frame{head: okBeginLine})
 	case "commit", "abort":
 		return s.errf("%s outside begin", cmd)
 	case "count":
@@ -212,30 +248,31 @@ func (s *session) dispatch(line string) bool {
 		// it always takes, and its reply must not pair a count with the
 		// version a concurrent commit produced right after it.
 		if snap := h.CachedSnapshot(); snap != nil {
-			return s.ok("count %s %d %d", h.Name(), snap.Count(), snap.Version())
+			return s.send(frame{head: encodeReply("count", h.Name(), snap.Count(), snap.Version())})
 		}
 		n, version := h.CountAt()
-		return s.ok("count %s %d %d", h.Name(), n, version)
+		return s.send(frame{head: encodeReply("count", h.Name(), n, version)})
 	case "answer":
 		h, bad := s.handleArg(rest, "answer")
 		if h == nil {
 			return bad
 		}
 		if snap := h.CachedSnapshot(); snap != nil {
-			return s.ok("answer %s %t %d", h.Name(), snap.Answer(), snap.Version())
+			return s.send(frame{head: encodeAnswer(h.Name(), snap.Answer(), snap.Version())})
 		}
 		n, version := h.CountAt()
-		return s.ok("answer %s %t %d", h.Name(), n > 0, version)
+		return s.send(frame{head: encodeAnswer(h.Name(), n > 0, version)})
 	case "enumerate":
 		h, bad := s.handleArg(rest, "enumerate")
 		if h == nil {
 			return bad
 		}
 		// Pin an MVCC snapshot (O(1) on a warm version) and serve its
-		// encode-once frame: the same bytes fan out to every client
-		// until the next commit moves the snapshot. No lock is held
-		// while encoding, so a slow client draining a huge result never
-		// blocks ApplyBatch.
+		// frame: the leaves' encode-once blocks, the same bytes for every
+		// client and every version that shares a leaf, so only what the
+		// commits since the last enumerate rebuilt is encoded here. No
+		// lock is held while encoding or writing, so a slow client
+		// draining a huge result never blocks ApplyBatch.
 		return s.send(s.srv.enumerateFrame(h.Snapshot()))
 	case "subscribe":
 		name := strings.TrimSpace(rest)
@@ -291,7 +328,7 @@ func (s *session) dispatchBatch(line string) bool {
 		if err != nil {
 			return s.err(err)
 		}
-		return s.ok("committed %d %d", n, version)
+		return s.send(frame{head: encodeReply("committed", "", uint64(n), version)})
 	case "abort":
 		s.inBatch = false
 		s.pending = s.pending[:0]
@@ -332,7 +369,7 @@ func (s *session) handleArg(rest, cmd string) (*dyncq.Handle, bool) {
 // the writer has put it on the wire, so the deferred close doesn't race
 // the client's read of it.
 func (s *session) farewell(line string) {
-	if !s.sendLine(line) || !s.send(nil) {
+	if !s.sendLine(line) || !s.send(frame{}) {
 		return
 	}
 	select {

@@ -47,9 +47,14 @@
 // Added and removed tuples are sorted lexicographically and each frame
 // is encoded exactly once, so every subscriber of a query receives
 // byte-identical delta streams. `enumerate` frames follow the same
-// encode-once discipline: each is encoded once per (query, version)
-// and the identical bytes are fanned out to every client asking while
-// that version is current. Their tuples are in lexicographic order too,
+// encode-once discipline one level down: a snapshot's rows live in
+// copy-on-write leaves, each leaf's tuple lines are encoded once and kept
+// with the leaf, and a frame is the header line, the leaves' blocks and
+// the terminator, sent by reference in one vectored write. A commit
+// rebuilds only the leaves its delta touches, so an `enumerate` at a new
+// version encodes O(|delta|) leaves, not the result, and every client
+// asking — at that version or at any other that shares the leaf — is sent
+// the same bytes. The tuples are in lexicographic order too,
 // whatever strategy maintains the query — the frame is a function of the
 // result set, byte-identical across strategies, shard counts and worker
 // counts — so a client keeping a mirror applies each later delta frame
@@ -76,6 +81,40 @@ import (
 
 // Frame terminator for multi-line frames.
 const frameEnd = ".\n"
+
+// Blocks every session sends by reference and nothing ever writes to.
+var (
+	frameEndBlock = []byte(frameEnd)
+	okBeginLine   = []byte("ok begin\n")
+)
+
+// decimalLen returns the number of bytes strconv.AppendInt renders v in.
+//
+//dyncq:hot
+func decimalLen(v dyncq.Value) int {
+	n, u := 1, uint64(v)
+	if v < 0 {
+		n, u = 2, -u // the magnitude of math.MinInt64 is its own bit pattern
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
+}
+
+// tupleLineLen returns the number of bytes appendTupleLine renders tuple
+// in: the encoders size their buffers from the values, so a block that is
+// kept — a leaf's for as long as the leaf lives, a delta's while it sits
+// in outboxes — holds no slack.
+//
+//dyncq:hot
+func tupleLineLen(name string, tuple []dyncq.Value) int {
+	n := len(name) + 4 + max(len(tuple)-1, 0) // sign, parentheses, newline; commas
+	for _, v := range tuple {
+		n += decimalLen(v)
+	}
+	return n
+}
 
 // appendTupleLine appends `<sign><name>(v1,…,vk)\n` to buf and returns
 // the extended slice. The caller provides the backing array;
@@ -104,14 +143,14 @@ func appendTupleLine(buf []byte, sign byte, name string, tuple []dyncq.Value) []
 //
 //dyncq:hot
 func encodeDelta(ev dyncq.DeltaEvent) []byte {
-	est := len(ev.Query) + 48
+	size := len("delta ") + len(ev.Query) + 3*(1+20) + len(frameEnd) // three numbers of at most 20 digits
 	for _, t := range ev.Added {
-		est += len(ev.Query) + 4 + 21*len(t)
+		size += tupleLineLen(ev.Query, t)
 	}
 	for _, t := range ev.Removed {
-		est += len(ev.Query) + 4 + 21*len(t)
+		size += tupleLineLen(ev.Query, t)
 	}
-	buf := make([]byte, 0, est+len(frameEnd))
+	buf := make([]byte, 0, size)
 	buf = append(buf, "delta "...)
 	buf = append(buf, ev.Query...)
 	buf = append(buf, ' ')
@@ -147,17 +186,18 @@ func encodeResync(name string, version, dropped uint64) []byte {
 	return buf
 }
 
-// encodeSnapshot renders an `enumerate` response frame from a pinned
-// MVCC snapshot. Runs without any workspace lock held. Callers go
-// through Server.enumerateFrame, so each shared snapshot is encoded at
-// most once (modulo benign racing misses) and every client receives
-// the same bytes.
+// encodeSnapshotHeader renders the part of an `enumerate` frame that
+// belongs to one version: the header line — and, for a Boolean query,
+// which has no leaves, the empty tuple's line when the answer is yes.
 //
 //dyncq:hot
-func encodeSnapshot(s *dyncq.QuerySnapshot) []byte {
+func encodeSnapshotHeader(s *dyncq.QuerySnapshot) []byte {
 	name := s.Name()
-	est := len(name) + 64 + s.Len()*(len(name)+4+21*s.Arity())
-	buf := make([]byte, 0, est+len(frameEnd))
+	size := len("snapshot ") + len(name) + 3*(1+20) // three numbers of at most 20 digits
+	if s.Arity() == 0 {
+		size += s.Len() * tupleLineLen(name, nil)
+	}
+	buf := make([]byte, 0, size)
 	buf = append(buf, "snapshot "...)
 	buf = append(buf, name...)
 	buf = append(buf, ' ')
@@ -167,40 +207,120 @@ func encodeSnapshot(s *dyncq.QuerySnapshot) []byte {
 	buf = append(buf, ' ')
 	buf = strconv.AppendInt(buf, int64(s.Arity()), 10)
 	buf = append(buf, '\n')
-	s.Enumerate(func(t []dyncq.Value) bool {
-		buf = appendTupleLine(buf, '+', name, t)
-		return true
-	})
-	buf = append(buf, frameEnd...)
+	if s.Arity() == 0 {
+		for i := 0; i < s.Len(); i++ {
+			buf = appendTupleLine(buf, '+', name, nil)
+		}
+	}
 	return buf
 }
 
-// parseTupleLine decodes one `<sign><name>(v1,…,vk)` line as emitted
-// by appendTupleLine (client side; not on the server hot path).
-func parseTupleLine(line string) (sign byte, name string, tuple []dyncq.Value, err error) {
-	if len(line) < 4 || (line[0] != '+' && line[0] != '-') {
-		return 0, "", nil, fmt.Errorf("malformed tuple line %q", line)
+// encodeLeaf renders one snapshot leaf — row-major rows of a query's
+// result — as the tuple lines of an `enumerate` frame, in a block of
+// exactly their size. Runs without any workspace lock held, at most once
+// per leaf (modulo benign racing misses: dyncq.QuerySnapshot.Blocks), so
+// every client whose frame covers the leaf receives the same bytes.
+//
+//dyncq:hot
+func encodeLeaf(name string, arity int, rows []dyncq.Value) []byte {
+	size := 0
+	for off := 0; off < len(rows); off += arity {
+		size += tupleLineLen(name, rows[off:off+arity])
 	}
-	sign = line[0]
+	buf := make([]byte, 0, size)
+	for off := 0; off < len(rows); off += arity {
+		buf = appendTupleLine(buf, '+', name, rows[off:off+arity])
+	}
+	return buf
+}
+
+// encodeReply renders `ok <verb> [<name> ]<n> <version>\n`: the replies
+// a closed-loop writer or poller waits on (committed, applied, count), in
+// one allocation.
+//
+//dyncq:hot
+func encodeReply(verb, name string, n, version uint64) []byte {
+	buf := make([]byte, 0, len("ok ")+len(verb)+1+len(name)+1+2*(20+1))
+	buf = append(buf, "ok "...)
+	buf = append(buf, verb...)
+	buf = append(buf, ' ')
+	if name != "" {
+		buf = append(buf, name...)
+		buf = append(buf, ' ')
+	}
+	buf = strconv.AppendUint(buf, n, 10)
+	buf = append(buf, ' ')
+	buf = strconv.AppendUint(buf, version, 10)
+	buf = append(buf, '\n')
+	return buf
+}
+
+// encodeAnswer renders `ok answer <name> <true|false> <version>\n`.
+//
+//dyncq:hot
+func encodeAnswer(name string, yes bool, version uint64) []byte {
+	buf := make([]byte, 0, len("ok answer ")+len(name)+1+len("false ")+20+1)
+	buf = append(buf, "ok answer "...)
+	buf = append(buf, name...)
+	buf = append(buf, ' ')
+	buf = strconv.AppendBool(buf, yes)
+	buf = append(buf, ' ')
+	buf = strconv.AppendUint(buf, version, 10)
+	buf = append(buf, '\n')
+	return buf
+}
+
+// parseTupleLine decodes one `<sign><name>(v1,…,vk)` line as emitted by
+// appendTupleLine (client side), appending the values to vals and
+// returning it extended: the tuple is the appended tail, so a caller
+// decoding a frame keeps one backing array for all its tuples. The
+// integers are parsed where they stand — nothing is split or copied.
+func parseTupleLine(line string, vals []dyncq.Value) (sign byte, name string, out []dyncq.Value, err error) {
+	if len(line) < 4 || (line[0] != '+' && line[0] != '-') {
+		return 0, "", vals, fmt.Errorf("malformed tuple line %q", line)
+	}
 	open := strings.IndexByte(line, '(')
 	if open < 1 || line[len(line)-1] != ')' {
-		return 0, "", nil, fmt.Errorf("malformed tuple line %q", line)
+		return 0, "", vals, fmt.Errorf("malformed tuple line %q", line)
 	}
-	name = line[1:open]
-	body := line[open+1 : len(line)-1]
-	if body == "" {
-		return sign, name, []dyncq.Value{}, nil
-	}
-	parts := strings.Split(body, ",")
-	tuple = make([]dyncq.Value, len(parts))
-	for i, p := range parts {
-		v, perr := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
-		if perr != nil {
-			return 0, "", nil, fmt.Errorf("malformed value %q in tuple line %q", p, line)
+	out = vals
+	for at, end := open+1, len(line)-1; at < end; at++ { // at: the first byte of a value
+		neg := line[at] == '-'
+		if neg {
+			at++
 		}
-		tuple[i] = dyncq.Value(v)
+		// The magnitude, with room for the one more that math.MinInt64 has.
+		var u uint64
+		first := at
+		for ; at < end && line[at] != ','; at++ {
+			d := line[at] - '0'
+			if d > 9 || u > (1<<63)/10 {
+				return 0, "", vals, fmt.Errorf("malformed value in tuple line %q", line)
+			}
+			u = u*10 + uint64(d)
+		}
+		limit := uint64(1<<63 - 1)
+		if neg {
+			limit++
+		}
+		if at == first || u > limit || at == end-1 { // no digits; out of range; a comma with nothing after it
+			return 0, "", vals, fmt.Errorf("malformed value in tuple line %q", line)
+		}
+		if neg {
+			u = -u
+		}
+		out = append(out, dyncq.Value(u))
 	}
-	return sign, name, tuple, nil
+	return line[0], line[1:open], out, nil
+}
+
+// tupleArity returns the number of values in a well-formed tuple line, to
+// size a frame's backing array by before its lines are parsed.
+func tupleArity(line string) int {
+	if strings.HasSuffix(line, "()") {
+		return 0
+	}
+	return strings.Count(line, ",") + 1
 }
 
 // sanitizeErr collapses an error message onto one line so it cannot

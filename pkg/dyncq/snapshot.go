@@ -24,7 +24,9 @@ import (
 // walks a consistent past state. Commits advance a demanded cache by
 // rebuilding the leaves the commit's result delta touches and sharing the
 // rest, and drop an undemanded one, so a write-only stream pays nothing —
-// updates stay the hot path.
+// updates stay the hot path. What a reader renders from a leaf stays with
+// the leaf (QuerySnapshot.Blocks), so a reader one commit behind pays for
+// the rebuilt leaves only, like the commit did.
 //
 // One order contract: a snapshot lists its rows in lexicographic order
 // on every strategy, so it is a function of the result SET — identical
@@ -64,8 +66,6 @@ type QuerySnapshot struct {
 	// starts[k] is the number of rows before leaves[k]. Only Tuple needs
 	// it, so the first Tuple call builds it and no commit ever does.
 	starts atomic.Pointer[[]int]
-	// frame is the snapshot's encoded form, filled at most once (Frame).
-	frame atomic.Pointer[[]byte]
 }
 
 // Name returns the query's registration name.
@@ -159,23 +159,37 @@ func (s *QuerySnapshot) Tuples() [][]Value {
 	return out
 }
 
-// Frame returns the snapshot's encoded form and whether it was already
-// there: the first call runs encode over the snapshot and keeps the
-// result, every later call returns those same bytes. The slot belongs to
-// the snapshot, so an encoded frame lives exactly as long as the version
-// it renders is pinned or cached — there is nothing to purge. Callers
-// racing on an empty slot may each encode; a snapshot encodes to the same
-// bytes every time and the first to finish wins. The serving layer keeps
-// its encode-once `enumerate` frames here.
-func (s *QuerySnapshot) Frame(encode func(*QuerySnapshot) []byte) (frame []byte, cached bool) {
-	if f := s.frame.Load(); f != nil {
-		return *f, true
+// Blocks returns the encoded form of every leaf, in row order, and the
+// number of leaves this call had to encode. A leaf carries its encoding in
+// a slot filled at most once (snapLeaf.block): the first call to reach a
+// leaf runs encode over its row-major rows and keeps the result, every
+// later call — on this snapshot or on the snapshot of any other version
+// that shares the leaf — gets those same bytes. So after a commit only the
+// leaves that commit rebuilt are encoded again, and an encoding lives
+// exactly as long as some pinned or cached version can still see its rows:
+// there is nothing to purge. Callers racing on an empty slot may each
+// encode; a leaf encodes to the same bytes every time and the first to
+// finish wins. The returned slice is the caller's, the blocks in it are
+// shared: do not modify them. A Boolean query has no leaves. The serving
+// layer builds its `enumerate` frames from the blocks.
+//
+//dyncq:hot
+func (s *QuerySnapshot) Blocks(encode func(name string, arity int, rows []Value) []byte) (blocks [][]byte, encoded int) {
+	blocks = make([][]byte, 0, len(s.leaves))
+	for _, l := range s.leaves {
+		b := l.block.Load()
+		if b == nil {
+			fresh := encode(s.name, s.arity, l.rows)
+			encoded++
+			if l.block.CompareAndSwap(nil, &fresh) {
+				b = &fresh
+			} else {
+				b = l.block.Load()
+			}
+		}
+		blocks = append(blocks, *b)
 	}
-	f := encode(s)
-	if !s.frame.CompareAndSwap(nil, &f) {
-		return *s.frame.Load(), false
-	}
-	return f, false
+	return blocks, encoded
 }
 
 // newSnapshot returns an empty snapshot of the handle's query stamped

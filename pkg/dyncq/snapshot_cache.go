@@ -1,6 +1,9 @@
 package dyncq
 
-import "slices"
+import (
+	"slices"
+	"sync/atomic"
+)
 
 // This file implements the version-keyed shared snapshot cache behind
 // Handle.Snapshot — the O(1) pin — and the copy-on-write storage that
@@ -19,7 +22,11 @@ import "slices"
 // rebuilds only those and shares every other leaf by pointer with the
 // previous version: O(|Δ|·leaf) rows copied plus the n/leaf index
 // entries, no backend enumeration, no sort. A reader holding an old pin
-// keeps exactly the leaves it can see. Only a commit that comes without a
+// keeps exactly the leaves it can see. A leaf also carries its encoded
+// form once a reader has asked for it (snapLeaf.block, filled through
+// QuerySnapshot.Blocks): shared leaves take their bytes along from version
+// to version, so rendering a new version costs the rebuilt leaves, and the
+// bytes go when the leaf does. Only a commit that comes without a
 // delta re-materialises: a Load on a handle nobody captures, and every
 // commit of the recompute strategy, which has no maintained result to
 // read a delta off and rebuilds by its one evaluation.
@@ -183,8 +190,14 @@ func (h *Handle) advanceSnapshot(ev *DeltaEvent) {
 
 // snapLeaf is an immutable row-major run of whole result rows in
 // lexicographic order. Snapshots hold their leaves by pointer, so that
-// the index level an advance copies is one word per leaf.
-type snapLeaf struct{ rows []Value }
+// the index level an advance copies is one word per leaf — and so that
+// what a reader derives from a leaf's rows stays with the leaf: block is
+// the rows' encoded form, filled at most once (QuerySnapshot.Blocks) and
+// carried to every later version that shares the leaf.
+type snapLeaf struct {
+	rows  []Value
+	block atomic.Pointer[[]byte]
+}
 
 // patchLeaves merges one committed delta into a snapshot's leaves and
 // returns the next version's. The leaves in sequence list the result in

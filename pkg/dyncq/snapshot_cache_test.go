@@ -372,6 +372,12 @@ func TestSnapshotAdvanceSharesLeaves(t *testing.T) {
 	if len(prev.leaves) < 64 {
 		t.Fatalf("result of %d rows sits in %d leaves, want at least 64", prev.Len(), len(prev.leaves))
 	}
+	encode := func(name string, arity int, rows []Value) []byte {
+		return fmt.Appendf(nil, "%s/%d%v", name, arity, rows)
+	}
+	if blocks, encoded := prev.Blocks(encode); encoded != len(prev.leaves) || len(blocks) != encoded {
+		t.Fatalf("the first Blocks encoded %d of %d leaves into %d blocks", encoded, len(prev.leaves), len(blocks))
+	}
 	rng := rand.New(rand.NewSource(3))
 	for round := 0; round < 40; round++ {
 		// d scattered result tuples in, or the same ones out again.
@@ -402,6 +408,20 @@ func TestSnapshotAdvanceSharesLeaves(t *testing.T) {
 			t.Fatalf("round %d: a delta of %d tuples replaced %d of %d leaves, want between 1 and %d", round, d, rebuilt, len(prev.leaves), 2*d)
 		}
 		checkLeaves(t, next.leaves, next.arity, snapLeafRows, next.n, fmt.Sprintf("round %d", round))
+		blocks, encoded := next.Blocks(encode)
+		if encoded != len(next.leaves)-(len(prev.leaves)-rebuilt) {
+			t.Fatalf("round %d: Blocks encoded %d leaves, but %d of %d are new since the snapshot before", round, encoded,
+				len(next.leaves)-(len(prev.leaves)-rebuilt), len(next.leaves))
+		}
+		again, encoded := next.Blocks(encode)
+		if encoded != 0 || len(again) != len(next.leaves) {
+			t.Fatalf("round %d: the second Blocks encoded %d leaves and returned %d blocks for %d", round, encoded, len(again), len(next.leaves))
+		}
+		for k, l := range next.leaves {
+			if want := encode("feed", 2, l.rows); string(blocks[k]) != string(want) || &again[k][0] != &blocks[k][0] || &blocks[k][0] != &(*l.block.Load())[0] {
+				t.Fatalf("round %d: block %d is not leaf %d's one encoding", round, k, k)
+			}
+		}
 		prev = next
 	}
 	if st := h.SnapshotCacheStats(); st.Rebuilt != 0 || st.Patched != 40 {
