@@ -72,15 +72,14 @@ type Maintainer struct {
 	// occ maps relation names to the indices of atoms over them.
 	occ    map[string][]int
 	schema map[string]int
-	// ev runs the delta joins; delta holds one join's counts per head tuple
-	// before they are folded into result with the join's coefficient coef.
+	// ev runs the delta joins; emit adds each valuation's head tuple to
+	// result with the running join's coefficient coef, straight away.
 	// pinned and restricted are the join's atom overrides. All of it is
 	// scratch reused from join to join, so a delta join allocates nothing
 	// per valuation and nothing per call.
 	ev         *eval.Evaluator
-	delta      *tuplekey.Table[int64]
 	coef       int64
-	fold       func(head []Value, c int64) bool
+	emit       func(head []Value) bool
 	pinned     eval.Pinned
 	restricted eval.Restricted
 	// rebuildPending is set by BeginBatch when the batch is large enough
@@ -113,13 +112,12 @@ func New(q *cq.Query, store *dyndb.Database, idx *eval.IndexSet) (*Maintainer, e
 		occ:        make(map[string][]int),
 		schema:     q.Schema(),
 		ev:         eval.NewEvaluator(q),
-		delta:      tuplekey.NewTable[int64](arity),
 		pinned:     eval.Pinned{},
 		restricted: eval.Restricted{},
 		touched:    tuplekey.NewTable[bool](arity),
 	}
-	m.fold = func(head []Value, c int64) bool {
-		m.add(head, m.coef*c)
+	m.emit = func(head []Value) bool {
+		m.add(head, m.coef)
 		return true
 	}
 	for i, a := range q.Atoms {
@@ -161,8 +159,11 @@ func (m *Maintainer) PostInsert(rel string, tuples [][]Value) { m.propagate(rel,
 // propagate adds sign × (the number of valuations using at least one of
 // the tuples in at least one occurrence of rel) to the multiplicities, by
 // inclusion–exclusion over the nonempty subsets of rel's occurrences:
-// each term is a delta join with the subset's atoms overridden, folded in
-// with sign for an odd subset and −sign for an even one. All tuples share
+// each term is a delta join with the subset's atoms overridden whose
+// valuations go into the multiplicities one by one, with sign for an odd
+// subset and −sign for an even one — so a multiplicity may pass through
+// zero, or below it, inside a term as well as between terms; add keeps
+// the presence the batch found, not the crossings. All tuples share
 // the delta's direction (all inserted, evaluated post-state, or all
 // deleted, evaluated pre-state). A single tuple is pinned rather than
 // made a restriction set of one: substituting the constants beats
@@ -188,9 +189,7 @@ func (m *Maintainer) propagate(rel string, tuples [][]Value, sign int64) {
 		if bits.OnesCount(uint(mask))%2 == 0 {
 			m.coef = -sign
 		}
-		m.ev.CountInto(m.delta, m.db, m.pinned, m.restricted, m.idx)
-		m.delta.Range(m.fold)
-		m.delta.Reset()
+		m.ev.Run(m.db, m.pinned, m.restricted, m.idx, m.emit)
 	}
 }
 

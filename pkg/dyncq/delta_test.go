@@ -400,39 +400,15 @@ func BenchmarkDeltaJoin(b *testing.B) {
 // alone — a slice header per leaf, n/snapLeafRows of them, copied per
 // advance — which B/op shows beside the touched leaves.
 func BenchmarkSnapshotAdvance(b *testing.B) {
-	const edges, ys = 100000, 20000 // every y carries 5 edges
+	const edges = 100000 // every y carries 5 edges
 	for _, result := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("result=%dk", result/1000), func(b *testing.B) {
-			ws := NewWorkspace(WorkspaceOptions{})
-			h, err := ws.Register("feed", "Q(x,y) :- E(x,y), T(y)")
-			if err != nil {
-				b.Fatal(err)
-			}
-			db := dyndb.New()
-			for i := 0; i < edges; i++ {
-				if _, err := db.Insert("E", Value(2*i), Value(i%ys)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for y := 0; y < result*ys/edges; y++ {
-				if _, err := db.Insert("T", Value(y)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := ws.Load(db); err != nil {
-				b.Fatal(err)
-			}
+			ws, h := loadFeed(b, edges, result)
 			// Eight fresh edges into the result, spread over the x range
 			// and so over the snapshot's leaves, then their deletion, and
 			// again: store and result stay at their loaded size.
-			var ins, del []Update
-			for j := 0; j < 8; j++ {
-				x, y := Value(2*(j*edges/8+j)+1), Value(j*751%(result*ys/edges))
-				ins, del = append(ins, dyndb.Insert("E", x, y)), append(del, dyndb.Delete("E", x, y))
-			}
-			if got := h.Snapshot().Len(); got != result {
-				b.Fatalf("result holds %d tuples, want %d", got, result)
-			}
+			ins, del := feedToggles(edges, result, 8)
+			h.Snapshot()
 			b.ReportAllocs()
 			for i := 0; b.Loop(); i++ {
 				batch := ins

@@ -38,20 +38,21 @@ import (
 // the current committed state. Version values are unique and monotonic,
 // so a stale pointer can never match.
 //
-// Demand decay bounds what an unread cache costs: every pin rearms a
-// countdown of snapDemandGrace commits; each commit decrements it and,
-// once it runs out, drops the cache instead of advancing it. A burst of
-// reads therefore costs at most snapDemandGrace advances after the last
-// pin, and a write-only stream pays one pointer load per commit.
-
-// snapDemandGrace is how many commits a cached snapshot survives
-// without being re-pinned before the advance gives up and invalidates
-// it — the idle-cost and memory guard: while a snapshot is cached every
-// commit emits its result delta and patches leaves for nobody, and the
-// cache pins a copy of the result a departed reader no longer wants.
-// Small enough that both stop almost immediately; large enough that a
-// reader polling every few commits stays on the O(1) hit path throughout.
-const snapDemandGrace = 8
+// Demand decays by work, not by commit count — the ski-rental rule: keep
+// paying for cheap advances only until they have cost what one cold pin
+// would. Every pin re-arms a budget of the words a re-materialisation of
+// the pinned snapshot writes (snapshotWords: a header word, one index word
+// per leaf, n·arity values); every advance is charged the words it wrote
+// (a header word, the next version's index level, the rows of the leaves
+// it rebuilt, and the arity·|Δ| values of the delta it read); a commit
+// that finds the budget spent drops the cache instead of advancing it.
+// After the last pin the unread advances therefore write at most one
+// re-materialisation plus one advance, and since every advance is charged
+// at least its index words while a leaf holds at most 2×snapLeafRows
+// rows, the cache outlives the last pin by at most about
+// 2·snapLeafRows·arity + 1 commits whatever |D| and |Q(D)| are. A reader
+// polling often enough that its lag fits the budget never misses; a
+// write-only stream pays one pointer load per commit.
 
 // snapLeafRows is the row capacity of a snapshot leaf: a materialised
 // result is cut into leaves of at most this many rows, and a patched leaf
@@ -106,30 +107,39 @@ func (h *Handle) CachedSnapshot() *QuerySnapshot {
 	if s == nil || s.version != h.ws.version.Load() {
 		return nil
 	}
-	h.demand.Store(snapDemandGrace)
+	h.demand.Store(snapshotWords(s))
 	h.snapHits.Add(1)
 	return s
 }
 
 // pinLocked is the slow-path pin: re-probe the cache (another reader
 // may have materialised this version between the fast-path miss and the
-// lock), else materialise, publish, and rearm demand. Callers hold at
+// lock), else materialise, publish, and re-arm demand. Callers hold at
 // least the workspace read lock; concurrent slow-path pinners may both
 // materialise and race the Store, which is benign — a snapshot is a
 // function of the result set, so the two hold identical rows and either
 // wins.
 func (h *Handle) pinLocked() *QuerySnapshot {
 	if s := h.snap.Load(); s != nil && s.version == h.ws.version.Load() {
-		h.demand.Store(snapDemandGrace)
+		h.demand.Store(snapshotWords(s))
 		h.snapHits.Add(1)
 		return s
 	}
 	s := h.newSnapshot()
 	h.fillSnapshot(s)
 	h.snap.Store(s)
-	h.demand.Store(snapDemandGrace)
+	h.demand.Store(snapshotWords(s))
 	h.snapMisses.Add(1)
 	return s
+}
+
+// snapshotWords is what materialising s writes — a header word, one index
+// word per leaf and its n·arity values — and so the demand budget a pin of
+// s re-arms: the price of the cold pin the cache saves.
+//
+//dyncq:hot
+func snapshotWords(s *QuerySnapshot) int64 {
+	return int64(1 + len(s.leaves) + s.n*s.arity)
 }
 
 // EvictSnapshot drops the handle's cached snapshot, reporting whether
@@ -150,11 +160,12 @@ func (h *Handle) EvictSnapshot() bool {
 }
 
 // advanceSnapshot is the commit-side half of the cache: bring the
-// cached snapshot to the just-committed version, or drop it when demand
-// has decayed. ev is the version's DeltaEvent when the backend emitted
-// the commit's delta (nil otherwise); its tuples are only read, never
-// retained. Runs with exclusive workspace access, after w.version moved,
-// on the after-commit worker pool.
+// cached snapshot to the just-committed version and charge demand the
+// words that wrote, or drop it when the budget is spent. ev is the
+// version's DeltaEvent when the backend emitted the commit's delta (nil
+// otherwise); its tuples are only read, never retained. Runs with
+// exclusive workspace access, after w.version moved, on the after-commit
+// worker pool.
 //
 //dyncq:hot
 func (h *Handle) advanceSnapshot(ev *DeltaEvent) {
@@ -162,12 +173,13 @@ func (h *Handle) advanceSnapshot(ev *DeltaEvent) {
 	if prev == nil {
 		return
 	}
-	if h.demand.Add(-1) < 0 {
+	if h.demand.Load() <= 0 {
 		h.snap.Store(nil)
 		h.snapInvalidated.Add(1)
 		return
 	}
 	s := h.newSnapshot()
+	written := 0 // values written besides the header and index words
 	switch {
 	case s.arity == 0:
 		// Boolean header refresh: O(1), no rows at all.
@@ -176,13 +188,18 @@ func (h *Handle) advanceSnapshot(ev *DeltaEvent) {
 	case ev != nil:
 		// Delta in hand: rebuild the leaves its tuples fall into, share
 		// the rest — no backend enumeration, no sort.
-		s.leaves = patchLeaves(prev.leaves, s.arity, snapLeafRows, ev.Added, ev.Removed)
+		s.leaves, written = patchLeaves(prev.leaves, s.arity, snapLeafRows, ev.Added, ev.Removed)
 		s.n = prev.n + len(ev.Added) - len(ev.Removed)
+		written += s.arity * (len(ev.Added) + len(ev.Removed))
 		h.snapPatched.Add(1)
 	default:
+		// A rebuild is charged the whole budget: it wrote what a cold pin
+		// writes.
 		h.fillSnapshot(s)
+		written = s.n * s.arity
 		h.snapRebuilt.Add(1)
 	}
+	h.demand.Add(-int64(1 + len(s.leaves) + written))
 	// An eviction that landed during this commit wins: the cache stays
 	// empty rather than resurrected.
 	h.snap.CompareAndSwap(prev, s)
@@ -211,19 +228,24 @@ type snapLeaf struct {
 // is the last), cut into even pieces when it outgrows 2×capacity rows,
 // dropped when nothing is left. So every leaf of a result of more than
 // one leaf holds between capacity/2 and 2×capacity rows, and a delta of d
-// tuples rebuilds at most 2d leaves.
+// tuples rebuilds at most 2d leaves. words is what the rebuilt leaves —
+// those of next not shared with prev — hold, in values: the advance's
+// charge for them.
 //
 //dyncq:hot
-func patchLeaves(prev []*snapLeaf, arity, capacity int, added, removed [][]Value) []*snapLeaf {
-	next := make([]*snapLeaf, 0, len(prev)+len(added)/capacity+2)
-	li := 0      // the first leaf of prev not yet shared or merged
-	a, r := 0, 0 // the first delta tuples not yet merged
+func patchLeaves(prev []*snapLeaf, arity, capacity int, added, removed [][]Value) (next []*snapLeaf, words int) {
+	next = make([]*snapLeaf, 0, len(prev)+len(added)/capacity+2)
+	li := 0              // the first leaf of prev not yet shared or merged
+	a, r := 0, 0         // the first delta tuples not yet merged
+	lastRebuilt := false // whether next ends in a leaf of this call's
 	for a < len(added) || r < len(removed) {
 		// The smallest pending delta tuple names the next touched leaf;
 		// the leaves ahead of it go over as they are.
 		t, _ := firstTuple(added[a:], removed[r:])
 		hit := li + leafOf(prev[li:], arity, t)
-		next = append(next, prev[li:hit]...)
+		if hit > li {
+			next, lastRebuilt = append(next, prev[li:hit]...), false
+		}
 		li = hit
 		// One run: leaves prev[from:li] and the delta tuples ahead of the
 		// first row of prev[li] (all that are left, after the last leaf)
@@ -254,20 +276,26 @@ func patchLeaves(prev []*snapLeaf, arity, capacity int, added, removed [][]Value
 		var left []Value
 		if 2*m < capacity && len(next) > 0 {
 			// Too small to stand alone and no right neighbour left: take
-			// back the leaf before it.
+			// back the leaf before it (if a run before rebuilt that one,
+			// its rows count once, in this run).
 			left, next = next[len(next)-1].rows, next[:len(next)-1]
 			m += len(left) / arity
+			if lastRebuilt {
+				words -= len(left)
+			}
 		}
 		run := make([]Value, 0, m*arity)
 		run = append(run, left...)
 		run = mergeLeaves(run, prev[from:li], arity, added[a0:a], removed[r0:r])
+		words += len(run)
 		if m <= 2*capacity {
 			next = append(next, &snapLeaf{rows: run})
 		} else {
 			next = appendLeaves(next, m, arity, capacity, func(i int) []Value { return run[i*arity : (i+1)*arity] })
 		}
+		lastRebuilt = true
 	}
-	return append(next, prev[li:]...)
+	return append(next, prev[li:]...), words
 }
 
 // firstTuple returns the lexicographically smaller head of two sorted,

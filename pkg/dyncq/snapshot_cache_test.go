@@ -166,7 +166,7 @@ func TestSnapshotAdvanceMatchesFreshPin(t *testing.T) {
 
 					rows := want.Tuples()
 					added, removed := diffSortedRows(mirrorRows, rows)
-					mirror = patchLeaves(mirror, 2, smallLeaf, added, removed)
+					mirror, _ = patchLeaves(mirror, 2, smallLeaf, added, removed)
 					checkLeaves(t, mirror, 2, smallLeaf, len(rows), where+" (capacity 4)")
 					rowsIdentical(t, (&QuerySnapshot{arity: 2, n: len(rows), leaves: mirror}).Tuples(), rows, where+" (capacity 4)")
 					mirrorRows = rows
@@ -262,7 +262,9 @@ func TestSnapshotAdvanceMatchesFreshPin(t *testing.T) {
 
 // TestPatchLeaves: chains of random deltas through patchLeaves at small
 // capacities against a brute-force reference (apply the delta to the row
-// set, re-sort), leaf invariants checked after every patch.
+// set, re-sort), leaf invariants checked after every patch, and the words
+// it reports — the advance's charge for the leaves it rebuilt — equal to
+// the values held by the leaves not pointer-shared with the previous ones.
 func TestPatchLeaves(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for iter := 0; iter < 60; iter++ {
@@ -298,13 +300,17 @@ func TestPatchLeaves(t *testing.T) {
 			sortTuplesLex(added)
 			sortTuplesLex(removed)
 
-			leaves = patchLeaves(leaves, arity, capacity, added, removed)
+			next, words := patchLeaves(leaves, arity, capacity, added, removed)
 			var want [][]Value
 			for _, r := range rows {
 				want = append(want, r)
 			}
 			sortTuplesLex(want)
 			where := fmt.Sprintf("iter %d step %d (arity %d, capacity %d, +%d −%d)", iter, step, arity, capacity, len(added), len(removed))
+			if fresh := rebuiltWords(leaves, next); words != fresh {
+				t.Fatalf("%s: patchLeaves reported %d words, the leaves it did not share hold %d", where, words, fresh)
+			}
+			leaves = next
 			checkLeaves(t, leaves, arity, capacity, len(want), where)
 			rowsIdentical(t, (&QuerySnapshot{arity: arity, n: len(want), leaves: leaves}).Tuples(), want, where)
 		}
@@ -333,6 +339,23 @@ func TestLexOrder(t *testing.T) {
 			t.Fatalf("iter %d (arity %d, %d rows): order %v, want %v", iter, arity, n, got, want)
 		}
 	}
+}
+
+// rebuiltWords returns the values held by the leaves of next that are not
+// pointer-shared with prev: what an advance from prev to next wrote into
+// leaves.
+func rebuiltWords(prev, next []*snapLeaf) int {
+	shared := make(map[*snapLeaf]bool, len(prev))
+	for _, l := range prev {
+		shared[l] = true
+	}
+	words := 0
+	for _, l := range next {
+		if !shared[l] {
+			words += len(l.rows)
+		}
+	}
+	return words
 }
 
 func fmtRow(r []Value) string {
@@ -431,42 +454,64 @@ func TestSnapshotAdvanceSharesLeaves(t *testing.T) {
 	snapshotsIdentical(t, prev, h.Snapshot(), "advanced vs fresh pin after 40 commits")
 }
 
+// resultsByVersion replays stream on a quiet workspace of its own, one
+// commit per update, and returns the query's result at every version the
+// replay reaches — the oracle the race tests compare each pin with.
+func resultsByVersion(t *testing.T, q *cq.Query, force Strategy, stream []Update) map[uint64][][]Value {
+	t.Helper()
+	ws := NewWorkspace(WorkspaceOptions{})
+	h, err := ws.RegisterQuery("q", q, Options{Force: force})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[uint64][][]Value{0: nil}
+	for _, u := range stream {
+		if _, err := ws.Apply(u); err != nil {
+			t.Fatal(err)
+		}
+		want[ws.Version()] = h.Snapshot().Tuples()
+	}
+	return want
+}
+
+// pinMismatch describes how a pin differs from the result at its own
+// version in want, or returns "" when it does not.
+func pinMismatch(s *QuerySnapshot, want map[uint64][][]Value) string {
+	rows, ok := want[s.Version()]
+	if !ok {
+		return fmt.Sprintf("pinned version %d, which the stream never reaches", s.Version())
+	}
+	if got := s.Tuples(); !slices.EqualFunc(got, rows, slices.Equal[[]Value]) {
+		return fmt.Sprintf("pin at version %d holds %d rows %v, the result there is %d rows %v", s.Version(), len(got), got, len(rows), rows)
+	}
+	return ""
+}
+
 // TestSnapshotEvictionDuringCommit: EvictSnapshot takes no lock, so a
 // cached snapshot can vanish between a commit's begin (which asked the
 // backend for the delta on its behalf) and its afterCommit (which then
 // finds nothing to advance and leaves the delta parked). The parked
 // delta belongs to that one version: whatever is pinned afterwards must
 // be the result at its own version, never a later snapshot patched by a
-// stale delta. An evictor races a committer and a pinner; every pin is
-// compared with the result the same stream produced, version for
-// version, on a quiet workspace.
+// stale delta. An evictor races a committer, a pinner and a lock-free
+// prober whose CachedSnapshot hits re-arm the demand budget while commits
+// charge it and evictions zero it; every pin is compared with the result
+// the same stream produced, version for version, on a quiet workspace.
 func TestSnapshotEvictionDuringCommit(t *testing.T) {
 	q := cq.MustParse("Q(x,y) :- E(x,y), T(y)")
 	rng := rand.New(rand.NewSource(17))
 	stream := workload.RandomStream(rng, q.Schema(), 10, 800, 0.4)
-	build := func(force Strategy) (*Workspace, *Handle) {
-		ws := NewWorkspace(WorkspaceOptions{})
-		h, err := ws.RegisterQuery("q", q, Options{Force: force})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ws, h
-	}
 	for _, force := range []Strategy{StrategyCore, StrategyIVM} {
 		t.Run(force.String(), func(t *testing.T) {
-			quiet, qh := build(force)
-			want := map[uint64][][]Value{0: nil}
-			for _, u := range stream {
-				if _, err := quiet.Apply(u); err != nil {
-					t.Fatal(err)
-				}
-				want[quiet.Version()] = qh.Snapshot().Tuples()
+			want := resultsByVersion(t, q, force, stream)
+			ws := NewWorkspace(WorkspaceOptions{})
+			h, err := ws.RegisterQuery("q", q, Options{Force: force})
+			if err != nil {
+				t.Fatal(err)
 			}
-
-			ws, h := build(force)
 			var stop atomic.Bool
 			var wg sync.WaitGroup
-			wg.Add(2)
+			wg.Add(3)
 			go func() { // evictor: every few versions, at whatever point of a commit it lands on
 				defer wg.Done()
 				for next := uint64(0); !stop.Load(); runtime.Gosched() {
@@ -480,17 +525,22 @@ func TestSnapshotEvictionDuringCommit(t *testing.T) {
 			go func() { // pinner
 				defer wg.Done()
 				for ; !stop.Load(); runtime.Gosched() {
-					s := h.Snapshot()
-					rows, ok := want[s.Version()]
-					if !ok {
-						t.Errorf("pinned version %d, which the stream never reaches", s.Version())
-						return
-					}
-					if got := s.Tuples(); len(got) != len(rows) || !slices.EqualFunc(got, rows, func(a, b []Value) bool { return slices.Equal(a, b) }) {
-						t.Errorf("pin at version %d holds %d rows %v, the result there is %d rows %v", s.Version(), len(got), got, len(rows), rows)
+					if bad := pinMismatch(h.Snapshot(), want); bad != "" {
+						t.Error(bad)
 						return
 					}
 					pins.Add(1)
+				}
+			}()
+			go func() { // lock-free prober: each hit re-arms the budget
+				defer wg.Done()
+				for ; !stop.Load(); runtime.Gosched() {
+					if s := h.CachedSnapshot(); s != nil {
+						if bad := pinMismatch(s, want); bad != "" {
+							t.Error(bad)
+							return
+						}
+					}
 				}
 			}()
 			for i, u := range stream {
@@ -544,36 +594,193 @@ func TestSnapshotRePinZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSnapshotDemandDecay: a cache that stops being pinned is dropped
-// after snapDemandGrace commits instead of taxing every commit forever,
-// and the next pin re-materialises.
-func TestSnapshotDemandDecay(t *testing.T) {
+// loadFeed returns a workspace whose "feed" query Q(x,y) :- E(x,y), T(y)
+// holds result rows over a store of the given number of edges:
+// E(2i, i mod edges/5) for every i < edges, and T on the first result/5
+// of those y values.
+func loadFeed(tb testing.TB, edges, result int) (*Workspace, *Handle) {
+	tb.Helper()
+	ys := edges / 5
 	ws := NewWorkspace(WorkspaceOptions{})
-	h, err := ws.Register("q", "Q(x,y) :- E(x,y)")
+	h, err := ws.Register("feed", "Q(x,y) :- E(x,y), T(y)")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	db := dyndb.New()
+	for i := 0; i < edges; i++ {
+		if _, err := db.Insert("E", Value(2*i), Value(i%ys)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for y := 0; y < result/5; y++ {
+		if _, err := db.Insert("T", Value(y)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := ws.Load(db); err != nil {
+		tb.Fatal(err)
+	}
+	if got := h.Count(); got != uint64(result) {
+		tb.Fatalf("feed holds %d tuples, want %d", got, result)
+	}
+	return ws, h
+}
+
+// feedToggles returns p fresh result rows of a loadFeed workspace, spread
+// over the x range and so over the snapshot's leaves, as insertions and
+// the matching deletions.
+func feedToggles(edges, result, p int) (ins, del []Update) {
+	for j := 0; j < p; j++ {
+		x, y := Value(2*(j*edges/p+j)+1), Value(j*751%(result/5))
+		ins, del = append(ins, dyndb.Insert("E", x, y)), append(del, dyndb.Delete("E", x, y))
+	}
+	return ins, del
+}
+
+// feedCommit commits the c-th of a cycle of one-tuple commits: even c
+// inserts toggle row c/2 (mod the toggles), odd c deletes it again, so the
+// result is one row up after an even c and back at its size after an odd
+// one.
+func feedCommit(tb testing.TB, ws *Workspace, ins, del []Update, c int) {
+	u := ins[c/2%len(ins)]
+	if c%2 == 1 {
+		u = del[c/2%len(del)]
+	}
+	if ok, err := ws.Apply(u); err != nil || !ok {
+		tb.Fatalf("commit %d: %v did not apply (err %v)", c, u, err)
+	}
+}
+
+// TestSnapshotDemandDecaysByWork: once pins stop, every advance is charged
+// the words it writes against the budget the last pin armed — what a cold
+// pin writes — and the first commit to find the budget spent drops the
+// cache. Counted in words and commits at 1k, 10k and 100k rows, never
+// timed: the words are recomputed from the snapshots themselves (the
+// leaves not pointer-shared with the version before) and must equal the
+// charge; the advances before the drop write at most one budget plus one
+// advance; the cache outlives the pin by at most 2·snapLeafRows·arity + 1
+// commits; afterwards the handle no longer arms the backend's delta
+// emission, commits leave the cache alone, and the next pin
+// re-materialises. With the charge disabled the cache is never dropped and
+// this test fails at every size.
+func TestSnapshotDemandDecaysByWork(t *testing.T) {
+	const arity = 2
+	const lifetime = 2*snapLeafRows*arity + 1
+	for _, result := range []int{1000, 10000, 100000} {
+		t.Run(fmt.Sprintf("result=%dk", result/1000), func(t *testing.T) {
+			ws, h := loadFeed(t, result, result)
+			ins, del := feedToggles(result, result, 8)
+			prev := h.Snapshot()
+			budget := snapshotWords(prev)
+			if got := h.demand.Load(); got != budget || budget != int64(1+len(prev.leaves)+result*arity) {
+				t.Fatalf("the pin armed %d words, a cold pin of %d rows in %d leaves writes %d", got, result, len(prev.leaves), budget)
+			}
+			var written, last int64 // words the unread advances wrote; the last advance's
+			advances := 0
+			for c := 0; ; c++ {
+				feedCommit(t, ws, ins, del, c)
+				next := h.snap.Load()
+				if next == nil {
+					break
+				}
+				if advances++; advances > lifetime {
+					t.Fatalf("the cache outlived the last pin by %d commits, %d words written against a budget of %d", advances, written, budget)
+				}
+				last = int64(1 + len(next.leaves) + rebuiltWords(prev.leaves, next.leaves) + arity) // a one-tuple delta
+				written += last
+				if charged := budget - h.demand.Load(); charged != written {
+					t.Fatalf("advance %d: demand was charged %d words, the advances wrote %d", advances, charged, written)
+				}
+				prev = next
+			}
+			if written < budget || written > budget+last {
+				t.Fatalf("dropped after %d advances wrote %d words: want at least the budget %d and at most it plus one advance (%d)", advances, written, budget, last)
+			}
+			t.Logf("%d rows: budget %d words, dropped after %d advances writing %d", result, budget, advances, written)
+			if h.emits() {
+				t.Fatal("the dropped cache still arms the backend's delta emission")
+			}
+			st := h.SnapshotCacheStats()
+			if st.Invalidated != 1 || st.Patched != uint64(advances) || st.Misses != 1 {
+				t.Fatalf("want one miss, %d patched advances and one drop: %+v", advances, st)
+			}
+			feedCommit(t, ws, ins, del, advances+1)
+			if after := h.SnapshotCacheStats(); after != st || h.snap.Load() != nil {
+				t.Fatalf("a commit after the drop touched the cache: %+v, then %+v", st, after)
+			}
+			if s := h.Snapshot(); s.Version() != ws.Version() || h.SnapshotCacheStats().Misses != 2 || h.demand.Load() != snapshotWords(s) {
+				t.Fatal("the pin after the drop did not re-materialise a current snapshot and re-arm its budget")
+			}
+		})
+	}
+}
+
+// TestSnapshotLaggingReaderNeverMisses: a reader that pins every k = 16
+// commits of a 3k-row result lags by less than its budget — sixteen
+// one-tuple advances write 16 × (1 + 24 + 2·126 + 2) ≈ 4.5k words, a cold
+// pin writes ≈ 6k — so after its first pin every pin is a hit and the
+// cache is never dropped. A countdown of eight commits dropped it before
+// every one of them.
+func TestSnapshotLaggingReaderNeverMisses(t *testing.T) {
+	const result, k, rounds = 3000, 16, 40
+	ws, h := loadFeed(t, result, result)
+	ins, del := feedToggles(result, result, 8)
 	h.Snapshot()
-	for i := 0; i < snapDemandGrace; i++ {
-		if _, err := ws.Apply(dyndb.Insert("E", Value(i), Value(i))); err != nil {
-			t.Fatal(err)
+	for c := 0; c < k*rounds; c++ {
+		feedCommit(t, ws, ins, del, c)
+		if c%k == k-1 {
+			if s := h.Snapshot(); s.Version() != ws.Version() || s.Len() != result {
+				t.Fatalf("commit %d: pinned %d rows at version %d, want %d at %d", c, s.Len(), s.Version(), result, ws.Version())
+			}
 		}
-		if h.snap.Load() == nil {
-			t.Fatalf("cache dropped after %d commits, grace is %d", i+1, snapDemandGrace)
+	}
+	if st := h.SnapshotCacheStats(); st.Misses != 1 || st.Invalidated != 0 || st.Hits != rounds || st.Patched != k*rounds {
+		t.Fatalf("a reader %d commits behind: want 1 miss, %d hits, %d patched advances and no drop: %+v", k, rounds, k*rounds, st)
+	}
+}
+
+// BenchmarkSnapshotLaggingReader: a reader pins the feed query once every
+// lag one-tuple commits — an op is the lag commits and the pin — at 3k,
+// 30k and 100k rows over the same store. It reports the share of pins
+// that missed and the words charged to demand per commit. Where lag
+// advances fit the budget a pin arms — judged before the loop from the
+// loaded leaves: the header, the index level, the biggest leaf plus the
+// toggled row, and the delta — the rule says no pin misses, and the
+// benchmark fails if one does; elsewhere the misses are the rule's too.
+func BenchmarkSnapshotLaggingReader(b *testing.B) {
+	const edges = 100000
+	for _, result := range []int{3000, 30000, 100000} {
+		for _, lag := range []int{4, 16, 64} {
+			b.Run(fmt.Sprintf("result=%dk/lag=%d", result/1000, lag), func(b *testing.B) {
+				ws, h := loadFeed(b, edges, result)
+				ins, del := feedToggles(edges, result, 8)
+				s := h.Snapshot()
+				biggest := 0
+				for _, l := range s.leaves {
+					biggest = max(biggest, len(l.rows))
+				}
+				advance := int64(1 + len(s.leaves) + biggest + 2*s.arity)
+				fits := int64(lag)*advance <= snapshotWords(s)
+				before := h.SnapshotCacheStats()
+				var charged int64
+				c := 0
+				for b.Loop() {
+					for range lag {
+						feedCommit(b, ws, ins, del, c)
+						c++
+					}
+					charged += snapshotWords(s) - h.demand.Load()
+					s = h.Snapshot()
+				}
+				misses := h.SnapshotCacheStats().Misses - before.Misses
+				if fits && misses > 0 {
+					b.Fatalf("%d of %d pins missed, though %d advances of at most %d words fit the %d-word budget",
+						misses, b.N, lag, advance, snapshotWords(s))
+				}
+				b.ReportMetric(float64(misses)/float64(b.N), "misses/pin")
+				b.ReportMetric(float64(charged)/float64(c), "words/commit")
+			})
 		}
-	}
-	if _, err := ws.Apply(dyndb.Insert("E", 999, 999)); err != nil {
-		t.Fatal(err)
-	}
-	if h.snap.Load() != nil {
-		t.Fatal("cache survived past the demand grace with no pins")
-	}
-	if st := h.SnapshotCacheStats(); st.Invalidated == 0 {
-		t.Fatalf("decay not counted as invalidation: %+v", st)
-	}
-	s := h.Snapshot() // re-pin re-materialises and re-arms
-	if s == nil || s.Version() != ws.Version() {
-		t.Fatal("re-pin after decay did not materialise a current snapshot")
 	}
 }
 
@@ -604,23 +811,39 @@ func TestSnapshotUnregisterInvalidates(t *testing.T) {
 	}
 }
 
-// TestSnapshotPinRace: N goroutines pinning (mixing the lock-free probe
-// and the full pin) while a writer commits. Every pinned snapshot must
-// be internally consistent and at a version the workspace actually
-// reached; run under -race this also proves the fast path publishes
-// safely.
+// TestSnapshotPinRace: N goroutines pinning (mixing the lock-free probe,
+// whose hits re-arm the demand budget without a lock, and the full pin)
+// while a writer commits — each commit charging that budget and dropping
+// the cache when it is spent — and an evictor zeroes it now and then.
+// Every pinned snapshot must be internally consistent and equal to the
+// result at its own version; run under -race this also proves the fast
+// path publishes safely.
 func TestSnapshotPinRace(t *testing.T) {
-	ws := NewWorkspace(WorkspaceOptions{})
-	h, err := ws.Register("q", "Q(x,y) :- E(x,y)")
-	if err != nil {
-		t.Fatal(err)
-	}
 	const (
 		pinners = 8
 		commits = 400
 	)
+	q := cq.MustParse("Q(x,y) :- E(x,y)")
+	rng := rand.New(rand.NewSource(99))
+	stream := workload.RandomStream(rng, q.Schema(), 25, commits, 0.3)
+	want := resultsByVersion(t, q, StrategyAuto, stream)
+	ws := NewWorkspace(WorkspaceOptions{})
+	h, err := ws.RegisterQuery("q", q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var stop atomic.Bool
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // evictor: every few versions
+		defer wg.Done()
+		for next := uint64(0); !stop.Load(); runtime.Gosched() {
+			if v := ws.version.Load(); v >= next {
+				h.EvictSnapshot()
+				next = v + 5
+			}
+		}
+	}()
 	for p := 0; p < pinners; p++ {
 		wg.Add(1)
 		go func(p int) {
@@ -646,15 +869,14 @@ func TestSnapshotPinRace(t *testing.T) {
 						return
 					}
 				}
-				if v := s.Version(); v > ws.Version() {
-					t.Errorf("snapshot version %d ahead of workspace", v)
+				if bad := pinMismatch(s, want); bad != "" {
+					t.Error(bad)
 					return
 				}
 			}
 		}(p)
 	}
-	rng := rand.New(rand.NewSource(99))
-	for _, u := range workload.RandomStream(rng, map[string]int{"E": 2}, 25, commits, 0.3) {
+	for _, u := range stream {
 		if _, err := ws.Apply(u); err != nil {
 			t.Fatal(err)
 		}

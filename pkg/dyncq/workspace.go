@@ -198,13 +198,15 @@ type Handle struct {
 	// pointer-then-version load order linearizable.
 	snap atomic.Pointer[QuerySnapshot]
 
-	// demand is the cache keep-alive countdown: every pin rearms it to
-	// snapDemandGrace, every commit decrements it, and when it runs out
-	// the commit invalidates the cache instead of advancing it — a
-	// write-only stream stops paying for the emission and the advance,
-	// and stops holding the copy, a bounded number of commits after the
-	// last pin.
-	demand atomic.Int32
+	// demand is the cache's work budget, in words: every pin re-arms it
+	// to what re-materialising the pinned snapshot writes
+	// (snapshotWords), every advance is charged the words it wrote, and a
+	// commit that finds it spent invalidates the cache instead of
+	// advancing it — so after the last pin the unread advances cost at
+	// most one cold pin plus one advance, and a write-only stream stops
+	// paying for the emission and the advance, and stops holding the
+	// copy, a bounded number of commits later.
+	demand atomic.Int64
 
 	// Cache observability (SnapshotCacheStats).
 	snapHits        atomic.Uint64
