@@ -1,28 +1,23 @@
 // Command dyncq is the command-line front end of the repository: it
 // loads a conjunctive query, classifies it, routes it to the best
 // maintenance strategy (pkg/dyncq), applies update streams, and answers
-// count/enumerate requests; its bench subcommand runs the benchmark
-// harness (internal/bench) over generated workloads and writes a JSON
-// report.
+// count/enumerate requests. It also serves queries over TCP (serve,
+// client) and runs the seeded torture matrix (torture); the benchmark
+// is the separate program in benchmark/.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 
-	"dyncq/internal/bench"
 	"dyncq/internal/cq"
 	"dyncq/internal/dict"
-	"dyncq/internal/dyndb"
 	"dyncq/internal/qtree"
-	"dyncq/internal/workload"
 	"dyncq/pkg/dyncq"
 )
 
@@ -35,8 +30,6 @@ func main() {
 	switch os.Args[1] {
 	case "run":
 		err = cmdRun(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "classify":
 		err = cmdClassify(os.Args[2:])
 	case "torture":
@@ -64,7 +57,6 @@ func usage() {
 Subcommands:
   run       load a database, apply an update stream to one shared
             workspace serving one or more live queries, count/enumerate
-  bench     run the benchmark suite, write a JSON report
   classify  print the classification and routing decision for a query
   torture   run the seeded torture/soak matrix (internal/torture)
   serve     long-lived TCP query server: MVCC snapshot readers, live
@@ -131,7 +123,7 @@ func cmdRun(args []string) error {
 	fs.Var(&queries, "query", "live query, repeatable; 'name=Q(x) :- …' or bare query text (auto-named q1, q2, …). All registered queries share one database and one update stream.")
 	dataFile := fs.String("data", "", "initial database stream (loaded before the update stream)")
 	updFile := fs.String("updates", "", "update stream to apply")
-	strategyName := fs.String("strategy", "auto", "maintenance strategy for every query: auto, core, ivm or recompute")
+	strategyName := fs.String("strategy", "auto", "maintenance strategy for every query: auto, core or ivm")
 	batch := fs.Int("batch", 0, "apply streams in batches of this many updates (0 = one batch per stream)")
 	parallel := fs.Int("parallel", 1, "shard workers per batch (>1: core backends apply shard deltas in parallel)")
 	stringsMode := fs.Bool("strings", false, "parse stream tuple entries as string constants through the workspace dictionary instead of int64 literals")
@@ -415,559 +407,4 @@ func cmdClassify(args []string) error {
 	}
 	fmt.Printf("routing: %s\n", h.Strategy())
 	return nil
-}
-
-func cmdBench(args []string) error {
-	if len(args) > 0 && (args[0] == "-compare" || args[0] == "--compare") {
-		return cmdBenchCompare(args[1:])
-	}
-	if len(args) > 0 && (args[0] == "-speedup" || args[0] == "--speedup") {
-		return cmdBenchSpeedup(args[1:])
-	}
-	fs := flag.NewFlagSet("dyncq bench", flag.ExitOnError)
-	out := fs.String("out", "BENCH_PR10.json", "output JSON path")
-	seed := fs.Int64("seed", 1, "workload RNG seed")
-	n := fs.Int("n", 300, "star and hard-sqet case size (node count / domain); random-qh uses a fixed small domain")
-	streamLen := fs.Int("updates", 2000, "measured update-stream length per case")
-	maxEnum := fs.Int("max-enumerate", 10000, "cap on tuples pulled during delay measurement")
-	strategiesFlag := fs.String("strategies", "core,ivm,recompute", "comma-separated strategies to measure")
-	batchesFlag := fs.String("batches", "64,512", "comma-separated batch sizes for the batch phase (empty = skip)")
-	workersFlag := fs.String("workers", "1,2,4", "comma-separated worker counts for the parallel phase (empty = skip)")
-	sweepFlag := fs.String("sweep", "100,200,400,800", "comma-separated database sizes for the star scaling sweep (empty = skip)")
-	sweepUpdates := fs.Int("sweep-updates", 500, "measured update-stream length per sweep point")
-	repeat := fs.Int("repeat", 3, "repetitions per measurement; the report keeps the best latencies (steadies the regression gate)")
-	multi := fs.Bool("multi", true, "run the multi-query workspace phase (K queries over one shared store)")
-	multiBatch := fs.Int("multi-batch", 256, "batch size of the multi-query phase")
-	multiWorkersFlag := fs.String("multi-workers", "1,2,4", "comma-separated worker counts for the multi-query scaling phase (empty = skip)")
-	serverPhase := fs.Bool("server", false, "run the server phase (internal/server front door: notify latency, concurrent MVCC reader throughput)")
-	readPhase := fs.Bool("read", false, "run the read phase (snapshot pinning: cold vs hot pin latency, reader throughput, cache hit rate)")
-	large := fs.Bool("large", false, "run the production-scale tier (grouped schema, Zipf stream, K live queries)")
-	largeTuples := fs.Int("large-tuples", 1_000_000, "initial database size of the large tier")
-	largeUpdates := fs.Int("large-updates", 100_000, "measured stream length of the large tier")
-	largeQueries := fs.Int("large-queries", 64, "live query count of the large tier (multiple of 4; 4 per relation group)")
-	largeBatch := fs.Int("large-batch", 1024, "batch size of the large tier's update phase")
-	largeWorkersFlag := fs.String("large-workers", "1,2,4", "comma-separated worker counts for the large tier")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	var strategies []dyncq.Strategy
-	for _, name := range strings.Split(*strategiesFlag, ",") {
-		st, err := dyncq.ParseStrategy(strings.TrimSpace(name))
-		if err != nil {
-			return err
-		}
-		strategies = append(strategies, st)
-	}
-	batchSizes, err := parseIntList(*batchesFlag)
-	if err != nil {
-		return fmt.Errorf("-batches: %w", err)
-	}
-	workerCounts, err := parseIntList(*workersFlag)
-	if err != nil {
-		return fmt.Errorf("-workers: %w", err)
-	}
-	sweepSizes, err := parseIntList(*sweepFlag)
-	if err != nil {
-		return fmt.Errorf("-sweep: %w", err)
-	}
-	cases, err := DefaultSuite(*seed, *n, *streamLen, *maxEnum, batchSizes)
-	if err != nil {
-		return err
-	}
-	for i := range cases {
-		cases[i].Repeat = *repeat
-		cases[i].Workers = workerCounts
-	}
-	rep, err := bench.Run(cases, strategies)
-	if err != nil {
-		return err
-	}
-	if len(sweepSizes) > 0 {
-		sweep, err := StarSweep(*seed, sweepSizes, *sweepUpdates, *maxEnum)
-		if err != nil {
-			return err
-		}
-		sweep.Repeat = *repeat
-		sw, err := bench.RunSweep(sweep, strategies)
-		if err != nil {
-			return err
-		}
-		rep.Sweeps = append(rep.Sweeps, sw)
-	}
-	if *multi {
-		multiWorkers, err := parseIntList(*multiWorkersFlag)
-		if err != nil {
-			return fmt.Errorf("-multi-workers: %w", err)
-		}
-		multiCases, err := DefaultMultiSuite(*seed, *n, *streamLen, *multiBatch, *repeat)
-		if err != nil {
-			return err
-		}
-		for i := range multiCases {
-			multiCases[i].Workers = multiWorkers
-		}
-		rep.Multi, err = bench.RunMultiAll(multiCases)
-		if err != nil {
-			return err
-		}
-		// matches_solo and matches_workers_1 are correctness bits, not
-		// latencies: a divergence between the shared workspace and an
-		// independent session, or between worker counts, must fail the
-		// bench run itself (and with it the CI smoke step) — the
-		// percentile-diffing compare gate would never see it.
-		for _, m := range rep.Multi {
-			for _, q := range m.Queries {
-				if !q.MatchesSolo {
-					err = fmt.Errorf("multi case %s: query %s [%s] diverges from its independent session", m.Name, q.Name, q.Strategy)
-					fmt.Fprintln(os.Stderr, "dyncq bench:", err)
-				}
-			}
-			for _, sc := range m.Scaling {
-				if !sc.MatchesWorkers1 {
-					err = fmt.Errorf("multi case %s: workers=%d result diverges from workers=1", m.Name, sc.Workers)
-					fmt.Fprintln(os.Stderr, "dyncq bench:", err)
-				}
-			}
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if *large {
-		if *largeQueries < 4 || *largeQueries%4 != 0 {
-			return fmt.Errorf("-large-queries must be a positive multiple of 4 (4 queries per relation group), got %d", *largeQueries)
-		}
-		largeWorkers, err := parseIntList(*largeWorkersFlag)
-		if err != nil {
-			return fmt.Errorf("-large-workers: %w", err)
-		}
-		lcfg := bench.DefaultLargeConfig(*seed)
-		lcfg.Groups = *largeQueries / 4
-		lcfg.Tuples = *largeTuples
-		lcfg.Updates = *largeUpdates
-		lcfg.BatchSize = *largeBatch
-		lcfg.Workers = largeWorkers
-		lr, err := bench.RunLarge(lcfg)
-		if err != nil {
-			return err
-		}
-		rep.Large = append(rep.Large, lr)
-		// Like matches_solo in the multi phase: cross-worker divergence
-		// at scale is a correctness failure of the run itself, not a
-		// latency for the compare gate to diff.
-		for _, workers := range lr.Diverged() {
-			err = fmt.Errorf("large tier %s: workers=%d result diverges from workers=1", lr.Name, workers)
-			fmt.Fprintln(os.Stderr, "dyncq bench:", err)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if *serverPhase {
-		rep.Server, err = bench.RunServerSuite(bench.DefaultServerSuite())
-		if err != nil {
-			return err
-		}
-	}
-	if *readPhase {
-		rep.Read, err = bench.RunReadSuite(bench.DefaultReadSuite())
-		if err != nil {
-			return err
-		}
-		// Record the cold→hot pin improvement in the notes: the whole
-		// point of the phase, and the number the acceptance bar reads.
-		for _, rr := range rep.Read {
-			if rr.HotPinNS.P50 > 0 {
-				rep.Notes = append(rep.Notes, fmt.Sprintf(
-					"read %s: pin p50 %dns cold (copy-on-pin) -> %dns hot (cached), %.0fx; hit rate %.3f; %s",
-					rr.Name, rr.ColdPinNS.P50, rr.HotPinNS.P50,
-					float64(rr.ColdPinNS.P50)/float64(rr.HotPinNS.P50),
-					rr.CacheHitRate, rr.HotPinAlloc))
-			}
-		}
-	}
-	rep.GoVersion = runtime.Version()
-	if err := rep.WriteJSON(*out); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d cases, %d sweeps; %d CPU, GOMAXPROCS %d)\n",
-		*out, len(rep.Cases), len(rep.Sweeps), rep.NumCPU, rep.Gomaxprocs)
-	for _, c := range rep.Cases {
-		fmt.Printf("\n%s  %s  (q-hierarchical: %v)\n", c.Name, c.Query, c.QHierarchical)
-		for _, s := range c.Strategies {
-			fmt.Printf("  %-10s preprocess %8.2fms (bulk %8.2fms)  updates %8.0f/s (p99 %6dns)  count %d in %6dns  delay p99 %6dns over %d tuples\n",
-				s.Strategy, float64(s.PreprocessNS)/1e6, float64(s.BulkLoadNS)/1e6, s.UpdatesPerSec, s.UpdateNS.P99,
-				s.Count, s.CountNS, s.DelayNS.P99, s.EnumeratedTuples)
-			fmt.Printf("             update %s  enumerate %s\n", s.UpdateAlloc, s.EnumerateAlloc)
-			for _, b := range s.Batches {
-				fmt.Printf("             batch %5d: %8.0f updates/s over %d batches (%d net)\n",
-					b.BatchSize, b.UpdatesPerSec, b.Batches, b.NetApplied)
-			}
-			for _, p := range s.Parallel {
-				mode := "sequential"
-				if p.Sharded {
-					mode = "sharded"
-				}
-				fmt.Printf("             workers %2d (%s): %8.0f updates/s  speedup %.2fx\n",
-					p.Workers, mode, p.UpdatesPerSec, p.SpeedupVs1)
-			}
-		}
-	}
-	for _, sw := range rep.Sweeps {
-		fmt.Printf("\nsweep %s  %s\n", sw.Name, sw.Query)
-		for _, p := range sw.Points {
-			fmt.Printf("  n=%-6d", p.N)
-			for _, s := range p.Strategies {
-				fmt.Printf("  %s p50 %6dns p99 %6dns", s.Strategy, s.UpdateNS.P50, s.UpdateNS.P99)
-			}
-			fmt.Println()
-		}
-	}
-	for _, m := range rep.Multi {
-		fmt.Printf("\nmulti %s  %d queries over one workspace, %d updates in batches of %d\n",
-			m.Name, m.NumQueries, m.StreamSize, m.BatchSize)
-		fmt.Printf("  store mutations: shared %d vs %d across %d solo sessions (%.1fx saved)\n",
-			m.SharedStoreMutations, m.SoloStoreMutations, m.NumQueries,
-			float64(m.SoloStoreMutations)/float64(max(m.SharedStoreMutations, 1)))
-		fmt.Printf("  shared pipeline: %8.0f updates/s  batch p50 %8dns p99 %8dns  %s  (solo total %.2fms, shared %.2fms)\n",
-			m.UpdatesPerSec, m.BatchNS.P50, m.BatchNS.P99, m.Alloc,
-			float64(m.SoloTotalNS)/1e6, float64(m.SharedTotalNS)/1e6)
-		for _, q := range m.Queries {
-			ok := "identical to solo"
-			if !q.MatchesSolo {
-				ok = "DIVERGES FROM SOLO"
-			}
-			fmt.Printf("  %-10s [%s] maintain p50 %8dns p99 %8dns  solo-batch p50 %8dns  count %d  %s\n",
-				q.Name, q.Strategy, q.MaintainNS.P50, q.MaintainNS.P99, q.SoloUpdateNS.P50, q.Count, ok)
-		}
-		for _, sc := range m.Scaling {
-			fmt.Printf("  scaling workers %2d: %8.0f updates/s  speedup %.2fx\n",
-				sc.Workers, sc.UpdatesPerSec, sc.SpeedupVs1)
-		}
-	}
-	for _, sv := range rep.Server {
-		fmt.Printf("\nserver %s  %d subscribers, %d readers, %d batches of %d\n",
-			sv.Name, sv.Subscribers, sv.Readers, sv.Batches, sv.BatchSize)
-		fmt.Printf("  commit p50 %8dns p99 %8dns  notify p50 %8dns p99 %8dns  reads %8.0f/s  dropped frames %d\n",
-			sv.CommitNS.P50, sv.CommitNS.P99, sv.NotifyNS.P50, sv.NotifyNS.P99, sv.ReadsPerSec, sv.DroppedFrames)
-	}
-	for _, rr := range rep.Read {
-		fmt.Printf("\nread %s  [%s] %d tuples\n", rr.Name, rr.Strategy, rr.Tuples)
-		fmt.Printf("  pin p50 cold %8dns -> hot %6dns (%s)  reads quiet %9.0f/s busy %9.0f/s  commit p50 %8dns p99 %8dns  hit rate %.3f\n",
-			rr.ColdPinNS.P50, rr.HotPinNS.P50, rr.HotPinAlloc,
-			rr.QuietReadsPerSec, rr.BusyReadsPerSec, rr.CommitNS.P50, rr.CommitNS.P99, rr.CacheHitRate)
-	}
-	for _, lg := range rep.Large {
-		fmt.Printf("\nlarge %s  %d queries over %d groups, %d initial tuples, %d updates in batches of %d (zipf s=%.2f, p-delete %.2f)\n",
-			lg.Name, lg.NumQueries, lg.Groups, lg.InitSize, lg.StreamSize, lg.BatchSize, lg.ZipfS, lg.PDelete)
-		for _, run := range lg.Runs {
-			ok := "identical to workers=1"
-			if !run.MatchesWorkers1 {
-				ok = "DIVERGES FROM workers=1"
-			}
-			fmt.Printf("  workers %2d: %8.0f updates/s  speedup %.2fx  (%s)\n",
-				run.Workers, run.UpdatesPerSec, run.SpeedupVs1, ok)
-			for _, p := range run.Phases {
-				fmt.Printf("    %-8s %10.2fms over %8d ops  p99 %10dns  %s\n",
-					p.Name, float64(p.TotalNS)/1e6, p.Ops, p.NS.P99, p.Alloc)
-			}
-		}
-	}
-	return nil
-}
-
-// cmdBenchSpeedup implements the scaling summary:
-//
-//	dyncq bench -speedup report.json [-min-scaling 1.2] [-gate]
-//
-// It prints one line per parallel measurement and a notice for every
-// sharded workers=2 measurement scaling below the threshold on a
-// multi-core machine. Without -gate the notices are advisory (exit 0;
-// ::notice annotations under GitHub Actions). With -gate any notice
-// fails the command — the CI scaling gate, run against a report the
-// runner itself recorded. On a single-CPU machine the summary suppresses
-// notices entirely (parallel speedup is physically impossible there), so
-// the gate only ever bites where scaling is actually expected.
-func cmdBenchSpeedup(args []string) error {
-	opt := bench.SpeedupOptions{MinAtTwo: 1.2}
-	gate := false
-	var files []string
-	for i := 0; i < len(args); i++ {
-		switch args[i] {
-		case "-min-scaling", "--min-scaling":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-min-scaling needs a value")
-			}
-			v, err := strconv.ParseFloat(args[i], 64)
-			if err != nil || v <= 0 {
-				return fmt.Errorf("-min-scaling: invalid value %q", args[i])
-			}
-			opt.MinAtTwo = v
-		case "-gate", "--gate":
-			gate = true
-		case "-h", "--help":
-			fmt.Fprintln(os.Stderr, "usage: dyncq bench -speedup report.json [-min-scaling 1.2] [-gate]")
-			return nil
-		default:
-			if strings.HasPrefix(args[i], "-") {
-				return fmt.Errorf("bench -speedup: unknown flag %q", args[i])
-			}
-			files = append(files, args[i])
-		}
-	}
-	if len(files) != 1 {
-		return fmt.Errorf("bench -speedup wants exactly one report path, got %d", len(files))
-	}
-	rep, err := bench.LoadReport(files[0])
-	if err != nil {
-		return err
-	}
-	lines, notices := bench.SpeedupSummary(rep, opt)
-	for _, l := range lines {
-		fmt.Println(l)
-	}
-	onActions := os.Getenv("GITHUB_ACTIONS") != ""
-	for _, n := range notices {
-		fmt.Println("notice:", n)
-		if onActions && !gate {
-			fmt.Printf("::notice title=bench scaling::%s\n", n)
-		}
-		if onActions && gate {
-			fmt.Printf("::error title=bench scaling gate::%s\n", n)
-		}
-	}
-	if len(notices) == 0 {
-		fmt.Printf("scaling ok (threshold %.2fx at workers=2)\n", opt.MinAtTwo)
-	}
-	if gate && len(notices) > 0 {
-		return fmt.Errorf("scaling gate: %d measurement(s) under %.2fx at workers=2", len(notices), opt.MinAtTwo)
-	}
-	return nil
-}
-
-// DefaultMultiSuite builds the multi-query workspace case: K = 4 mixed
-// core/ivm/recompute queries over one shared {E/2, S/1, T/1} schema and
-// one update stream — the workload behind the "shared store applied
-// once per batch, results identical to independent sessions" claim.
-func DefaultMultiSuite(seed int64, n, streamLen, batchSize, repeat int) ([]bench.MultiConfig, error) {
-	rng := rand.New(rand.NewSource(seed + 4))
-	schema := map[string]int{"E": 2, "S": 1, "T": 1}
-	queries := []struct {
-		name, text string
-		force      dyncq.Strategy
-	}{
-		{"star", "Q(y) :- E(x,y), T(y)", dyncq.StrategyAuto},         // core
-		{"hard", "Q(x,y) :- S(x), E(x,y), T(y)", dyncq.StrategyAuto}, // ivm
-		{"src", "Q(x) :- E(x,y)", dyncq.StrategyAuto},                // core
-		{"audit", "Q(y) :- E(x,y), T(y)", dyncq.StrategyRecompute},
-	}
-	var named []bench.NamedQuery
-	for _, q := range queries {
-		parsed, err := cq.Parse(q.text)
-		if err != nil {
-			return nil, err
-		}
-		named = append(named, bench.NamedQuery{Name: q.name, Query: parsed, Force: q.force})
-	}
-	initial := workload.RandomDatabase(rng, schema, n, 3*n).Updates()
-	stream := workload.RandomStream(rng, schema, n, streamLen, 0.3)
-	return []bench.MultiConfig{{
-		Name:      "workspace-4q",
-		Queries:   named,
-		Initial:   initial,
-		Stream:    stream,
-		BatchSize: batchSize,
-		Repeat:    repeat,
-	}}, nil
-}
-
-// cmdBenchCompare implements the perf-regression gate:
-//
-//	dyncq bench -compare old.json new.json [-tolerance 0.30]
-//	            [-p99-tolerance 0.90] [-floor-ns 5000] [-include-sweeps]
-//
-// Flags may appear before or after the two report paths. Exits non-zero
-// (returns an error) when any latency percentile regressed: medians are
-// held to -tolerance, p99 tails to -p99-tolerance (default 3× the median
-// tolerance — tails jitter), and values below the floor are ignored as
-// timer noise.
-func cmdBenchCompare(args []string) error {
-	opt := bench.DefaultCompareOptions()
-	var files []string
-	for i := 0; i < len(args); i++ {
-		switch args[i] {
-		case "-tolerance", "--tolerance":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-tolerance needs a value")
-			}
-			v, err := strconv.ParseFloat(args[i], 64)
-			if err != nil || v < 0 {
-				return fmt.Errorf("-tolerance: invalid value %q", args[i])
-			}
-			opt.Tolerance = v
-		case "-p99-tolerance", "--p99-tolerance":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-p99-tolerance needs a value")
-			}
-			v, err := strconv.ParseFloat(args[i], 64)
-			if err != nil || v < 0 {
-				return fmt.Errorf("-p99-tolerance: invalid value %q", args[i])
-			}
-			opt.P99Tolerance = v
-		case "-include-sweeps", "--include-sweeps":
-			opt.IncludeSweeps = true
-		case "-floor-ns", "--floor-ns":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-floor-ns needs a value")
-			}
-			v, err := strconv.ParseInt(args[i], 10, 64)
-			if err != nil || v < 0 {
-				return fmt.Errorf("-floor-ns: invalid value %q", args[i])
-			}
-			opt.FloorNS = v
-		case "-h", "--help":
-			fmt.Fprintln(os.Stderr, "usage: dyncq bench -compare old.json new.json [-tolerance 0.30] [-p99-tolerance 0.90] [-floor-ns 5000] [-include-sweeps]")
-			if len(args) == 1 {
-				return nil
-			}
-			// A gate command must not share the success exit path with a
-			// stray -h in a mangled invocation: no comparison ran.
-			return fmt.Errorf("bench -compare: -h given, no comparison performed")
-		default:
-			if strings.HasPrefix(args[i], "-") {
-				return fmt.Errorf("bench -compare: unknown flag %q", args[i])
-			}
-			files = append(files, args[i])
-		}
-	}
-	if len(files) != 2 {
-		return fmt.Errorf("bench -compare wants exactly two report paths, got %d", len(files))
-	}
-	oldRep, err := bench.LoadReport(files[0])
-	if err != nil {
-		return err
-	}
-	newRep, err := bench.LoadReport(files[1])
-	if err != nil {
-		return err
-	}
-	regs, notices := bench.CompareWithNotices(oldRep, newRep, opt)
-	// Phases the baseline predates are skipped with a visible notice,
-	// not an error: an old baseline keeps gating everything it can.
-	for _, n := range notices {
-		fmt.Fprintln(os.Stderr, "notice:", n)
-	}
-	if len(regs) == 0 {
-		fmt.Printf("no regressions: %s vs %s (tolerance %.0f%%, floor %dns, %d phase(s) skipped)\n",
-			files[0], files[1], opt.Tolerance*100, opt.FloorNS, len(notices))
-		return nil
-	}
-	for _, r := range regs {
-		fmt.Fprintln(os.Stderr, "regression:", r)
-	}
-	return fmt.Errorf("%d latency regression(s) beyond %.0f%% tolerance", len(regs), opt.Tolerance*100)
-}
-
-func parseIntList(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, err
-		}
-		if v <= 0 {
-			return nil, fmt.Errorf("size %d is not positive", v)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// DefaultSuite builds the standard benchmark cases:
-//
-//   - star: the paper's scaling workload for the q-hierarchical query
-//     Q(y) :- E(x,y), T(y) (core vs the baselines);
-//   - hard-sqet: ϕS-E-T = Q(x,y) :- S(x), E(x,y), T(y), the canonical
-//     non-q-hierarchical query where Theorem 3.3's lower bound bites and
-//     routing must fall back to IVM;
-//   - random-qh: a seed-derived random q-hierarchical query under a mixed
-//     insert/delete stream;
-//   - deep-paths: a 5-variable q-hierarchical query with arity-3 atoms
-//     and a self-join, whose long root paths make the per-update
-//     bottom-up propagation expensive — the workload where bulk Load's
-//     deferred weight pass pays off most.
-//
-// batchSizes configures the batch phase of every case (see
-// bench.Config.BatchSizes).
-func DefaultSuite(seed int64, n, streamLen, maxEnum int, batchSizes []int) ([]bench.Config, error) {
-	rng := rand.New(rand.NewSource(seed))
-
-	starQ, err := cq.Parse("Q(y) :- E(x,y), T(y)")
-	if err != nil {
-		return nil, err
-	}
-	starInit := workload.StarSchemaStream(rng, n, 3)
-	starStream := workload.RandomStream(rng, starQ.Schema(), n, streamLen, 0.3)
-
-	hardQ, err := cq.Parse("Q(x,y) :- S(x), E(x,y), T(y)")
-	if err != nil {
-		return nil, err
-	}
-	hardInit := workload.RandomDatabase(rng, hardQ.Schema(), n, n).Updates()
-	hardStream := workload.RandomStream(rng, hardQ.Schema(), n, streamLen, 0.3)
-
-	// Small domain so the multi-way joins of the random query actually
-	// produce result tuples to enumerate.
-	randQ := workload.RandomQHierarchical(rng, workload.DefaultQHOptions())
-	randStream := workload.RandomStream(rng, randQ.Schema(), 8, streamLen, 0.4)
-
-	deepQ, err := cq.Parse("Q(x,y,z,yp,zp) :- R(x,y,z), R(x,y,zp), E(x,y), E(x,yp), S(x,y,z)")
-	if err != nil {
-		return nil, err
-	}
-	deepDomain := n / 10
-	if deepDomain < 8 {
-		deepDomain = 8
-	}
-	deepInit := workload.RandomDatabase(rng, deepQ.Schema(), deepDomain, n).Updates()
-	deepStream := workload.RandomStream(rng, deepQ.Schema(), deepDomain, streamLen, 0.35)
-
-	return []bench.Config{
-		{Name: "star", Query: starQ, Initial: starInit, Stream: starStream, MaxEnumerate: maxEnum, BatchSizes: batchSizes},
-		{Name: "hard-sqet", Query: hardQ, Initial: hardInit, Stream: hardStream, MaxEnumerate: maxEnum, BatchSizes: batchSizes},
-		{Name: "random-qh", Query: randQ, Initial: nil, Stream: randStream, MaxEnumerate: maxEnum, BatchSizes: batchSizes},
-		{Name: "deep-paths", Query: deepQ, Initial: deepInit, Stream: deepStream, MaxEnumerate: maxEnum, BatchSizes: batchSizes},
-	}, nil
-}
-
-// StarSweep builds the scaling sweep over database size n for the star
-// workload: per-update latency of the core engine must stay flat as n
-// grows (Theorem 3.2's O(1) updates) while the IVM baseline's residual
-// joins grow, which the sweep records point by point.
-func StarSweep(seed int64, sizes []int, streamLen, maxEnum int) (bench.SweepConfig, error) {
-	starQ, err := cq.Parse("Q(y) :- E(x,y), T(y)")
-	if err != nil {
-		return bench.SweepConfig{}, err
-	}
-	return bench.SweepConfig{
-		Name:  "star-scaling",
-		Query: starQ,
-		Sizes: sizes,
-		Generate: func(n int) (initial, stream []dyndb.Update) {
-			// Fresh, size-seeded RNG per point: deterministic in (seed, n).
-			rng := rand.New(rand.NewSource(seed + int64(n)))
-			initial = workload.StarSchemaStream(rng, n, 3)
-			stream = workload.RandomStream(rng, starQ.Schema(), n, streamLen, 0.3)
-			return initial, stream
-		},
-		MaxEnumerate: maxEnum,
-	}, nil
 }

@@ -29,8 +29,8 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // scopedPackages are the interior packages where a decode call is a
-// boundary violation. cmd/, internal/bench, and pkg/dyncq (the session
-// surface handing results to callers) are the boundary and stay free.
+// boundary violation. cmd/ and pkg/dyncq (the session surface handing
+// results to callers) are the boundary and stay free.
 var scopedPackages = map[string]bool{
 	"dyncq/internal/core":  true,
 	"dyncq/internal/eval":  true,

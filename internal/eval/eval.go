@@ -1,11 +1,9 @@
 // Package eval is a static (non-incremental) conjunctive query evaluator:
-// a backtracking join with lazily built hash indexes. It plays three roles
+// a backtracking join with lazily built hash indexes. It plays two roles
 // in this repository:
 //
 //   - the correctness oracle that the dynamic engine (internal/core) and
-//     the IVM baseline (internal/ivm) are tested against,
-//   - the "recompute from scratch after every update" baseline of the
-//     benchmark suite, and
+//     the IVM baseline (internal/ivm) are tested against, and
 //   - the residual-query evaluator inside the IVM baseline's delta rules,
 //     via pinned atoms.
 //

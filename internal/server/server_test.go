@@ -582,9 +582,9 @@ func TestCountReplyIsConsistent(t *testing.T) {
 // TestEnumerateFrameIsStrategyIndependent: a snapshot lists its rows in
 // lexicographic order whatever maintains the query, so for one query and
 // one stream the pinned rows and the bytes of the `enumerate` frame are
-// the same on core at any shard and worker count, on ivm and on
-// recompute, version for version — and, at every version, the bytes the
-// whole-snapshot reference encoder renders. The frame is put together from
+// the same on core at any shard and worker count and on ivm, version for
+// version — and, at every version, the bytes the whole-snapshot
+// reference encoder renders. The frame is put together from
 // blocks encoded once per leaf: asking twice at a version encodes nothing
 // and sends the same blocks, and after a commit exactly the blocks the
 // previous frame did not carry are encoded.
@@ -597,7 +597,7 @@ func TestEnumerateFrameIsStrategyIndependent(t *testing.T) {
 	}
 	configs := []config{
 		{dyncq.StrategyCore, 1, 1}, {dyncq.StrategyCore, 4, 1}, {dyncq.StrategyCore, 1, 4}, {dyncq.StrategyCore, 4, 4},
-		{dyncq.StrategyIVM, 0, 1}, {dyncq.StrategyRecompute, 0, 1},
+		{dyncq.StrategyIVM, 0, 1},
 	}
 	var reference [][]byte // the first configuration's frame after every batch
 	for _, cfg := range configs {

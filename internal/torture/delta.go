@@ -130,8 +130,8 @@ func nativeDelta(seed int64, workers int) error {
 	if err != nil {
 		return err
 	}
-	// The pool covers core, ivm and recompute at the workspace's default
-	// shard count; star and every extra shape also run at 1 and 4 shards.
+	// The pool covers core and ivm at the workspace's default shard count;
+	// star and every extra shape also run at 1 and 4 shards.
 	sharded := append([]namedQuery{queryPool[0]}, deltaShapes...)
 	for _, nq := range sharded {
 		for _, shards := range []int{1, 4} {

@@ -21,8 +21,8 @@ import (
 var tortureSchema = map[string]int{"E": 2, "S": 1, "T": 1}
 
 // queryPool is the standard query pool: two core routes, the canonical
-// non-q-hierarchical IVM route, and a forced-recompute audit twin of the
-// star query.
+// non-q-hierarchical IVM route, and the star query forced onto IVM, so
+// both strategies maintain one query side by side.
 type namedQuery struct {
 	name  string
 	text  string
@@ -33,7 +33,7 @@ var queryPool = []namedQuery{
 	{"star", "Q(y) :- E(x,y), T(y)", dyncq.StrategyAuto},         // core
 	{"src", "Q(x) :- E(x,y)", dyncq.StrategyAuto},                // core
 	{"hard", "Q(x,y) :- S(x), E(x,y), T(y)", dyncq.StrategyAuto}, // ivm
-	{"audit", "Q(y) :- E(x,y), T(y)", dyncq.StrategyRecompute},
+	{"star-ivm", "Q(y) :- E(x,y), T(y)", dyncq.StrategyIVM},
 }
 
 // buildWorkspace registers the first k pool queries (all of them when
@@ -171,7 +171,7 @@ func evalScenarios() []Scenario {
 		},
 		{
 			Category: "eval", Name: "mixed-strategies-oracle",
-			Brief: "core, IVM and recompute backends agree with the oracle on one shared stream",
+			Brief: "core and IVM backends agree with the oracle on one shared stream",
 			Run: func(seed int64) error {
 				ws, o, err := buildWorkspace(dyncq.WorkspaceOptions{}, 0)
 				if err != nil {
@@ -249,8 +249,8 @@ func evalScenarios() []Scenario {
 			Category: "eval", Name: "undo-identity",
 			Brief: "a batch followed by its exact inverse restores every backend's result set, count and invariants",
 			Run: func(seed int64) error {
-				// The pool covers core (unsharded), ivm and recompute; add
-				// the star query on a 4-shard core engine.
+				// The pool covers core (unsharded) and ivm; add the star
+				// query on a 4-shard core engine.
 				ws, o, err := buildWorkspace(dyncq.WorkspaceOptions{}, 0)
 				if err != nil {
 					return err
@@ -312,8 +312,8 @@ func evalScenarios() []Scenario {
 			Category: "eval", Name: "native-delta",
 			Brief: "every backend's own per-commit result delta equals the oracle's per-version diff, and Contains the oracle's membership",
 			Run: func(seed int64) error {
-				// Core at 1 and 4 shards, ivm and recompute, at 1 and 4
-				// workers, through ApplyBatch, Apply, Load and a failed Load.
+				// Core at 1 and 4 shards and ivm, at 1 and 4 workers,
+				// through ApplyBatch, Apply, Load and a failed Load.
 				for _, workers := range []int{1, 4} {
 					if err := nativeDelta(seed, workers); err != nil {
 						return err

@@ -51,9 +51,9 @@ func snapshotScenarios() []Scenario {
 				if err != nil {
 					return err
 				}
-				// Capture on half the pool: on core and ivm the delta is
-				// emitted for the hook and for the cache alike, recompute
-				// ("audit", uncaptured) rebuilds every advance.
+				// Capture on half the pool: the delta is emitted for the
+				// hook and for the cache alike, and an uncaptured handle's
+				// cache arms the emission on its own.
 				for _, nq := range queryPool[:2] {
 					if err := ws.CaptureDeltas(nq.name, func(dyncq.DeltaEvent) {}); err != nil {
 						return err
@@ -207,7 +207,7 @@ func snapshotScenarios() []Scenario {
 }
 
 // cowAdvance is snapshot/cow-advance. The pool queries — core at one
-// shard and again at four, ivm, recompute — are pinned at random versions
+// shard and again at four, ivm — are pinned at random versions
 // while 200 and more commits, random evictions and one mid-stream Load
 // go by, over a domain wide enough that results spread over several
 // leaves. Every pin is deep-copied the moment it is taken and handed to
@@ -235,8 +235,7 @@ func cowAdvance(seed int64) error {
 	}
 	// A first bulk commit puts several hundred rows, half a dozen leaves,
 	// into the widest result (src, one row per distinct x of E); the stream
-	// then churns them a dozen updates at a time. The store stays small:
-	// recompute re-evaluates over it on every advance.
+	// then churns them a dozen updates at a time.
 	const domain = 700
 	rng := rngFor(seed, "snapshot-cow")
 	edgeHeavy := func(edges, unary int) *dyndb.Database {

@@ -414,54 +414,63 @@ func registerWide(ws *dyncq.Workspace, pool []namedQuery, shards int) error {
 	return nil
 }
 
+// workerIdentical builds the pool over db (nil: empty) at 1, 2 and 4
+// workers, replays the stream in batches of batch, and demands identical
+// results and clean invariants; it returns the workers=1 workspace. Same
+// store shards and same core engine shards everywhere: only the worker
+// count varies, so any divergence is a scheduling bug, not a layout
+// difference.
+func workerIdentical(pool []namedQuery, db *dyndb.Database, stream []dyndb.Update, batch int) (*dyncq.Workspace, error) {
+	build := func(workers int) (*dyncq.Workspace, error) {
+		ws := dyncq.NewWorkspace(dyncq.WorkspaceOptions{Workers: workers, StoreShards: 8})
+		if err := registerWide(ws, pool, 4); err != nil {
+			return nil, err
+		}
+		if db != nil {
+			if err := ws.Load(db); err != nil {
+				return nil, err
+			}
+		}
+		_, err := ws.ApplyBatched(stream, batch)
+		return ws, err
+	}
+	solo, err := build(1)
+	if err != nil {
+		return nil, fmt.Errorf("workers=1: %v", err)
+	}
+	for _, workers := range []int{2, 4} {
+		par, err := build(workers)
+		if err != nil {
+			return nil, fmt.Errorf("workers=%d: %v", workers, err)
+		}
+		for _, nq := range pool {
+			a, b := solo.Handle(nq.name).Tuples(), par.Handle(nq.name).Tuples()
+			if solo.Handle(nq.name).Strategy() == dyncq.StrategyCore {
+				// Core order is canonical for a fixed shard count: demand
+				// byte-identical enumeration, not just set equality.
+				if err := sameTupleSeq(a, b); err != nil {
+					return nil, fmt.Errorf("workers=%d: query %s order diverged: %w", workers, nq.name, err)
+				}
+			} else if err := sameTupleSet(a, b); err != nil {
+				return nil, fmt.Errorf("workers=%d: query %s: %w", workers, nq.name, err)
+			}
+		}
+		if err := par.CheckInvariants(); err != nil {
+			return nil, fmt.Errorf("workers=%d: %v", workers, err)
+		}
+	}
+	return solo, solo.CheckInvariants()
+}
+
 func fanoutScenarios() []Scenario {
 	return []Scenario{
 		{
 			Category: "fanout", Name: "k64-worker-identical",
 			Brief: "64 live queries: results are byte-identical across worker counts",
 			Run: func(seed int64) error {
-				const k = 64
-				pool := wideQueryPool(k)
 				cfg := workload.TortureConfig{Seed: seed, Domain: 40, Updates: 1200, PDelete: 0.35, ZipfS: 1.3, ZipfV: 1}
-				stream := cfg.Stream(tortureSchema)
-				// Same store shards and same core engine shards everywhere:
-				// only the worker count varies, so any divergence is a
-				// scheduling bug, not a layout difference.
-				build := func(workers int) (*dyncq.Workspace, error) {
-					ws := dyncq.NewWorkspace(dyncq.WorkspaceOptions{Workers: workers, StoreShards: 8})
-					if err := registerWide(ws, pool, 4); err != nil {
-						return nil, err
-					}
-					_, err := ws.ApplyBatched(stream, 150)
-					return ws, err
-				}
-				solo, err := build(1)
-				if err != nil {
-					return fmt.Errorf("workers=1: %v", err)
-				}
-				for _, workers := range []int{2, 4} {
-					par, err := build(workers)
-					if err != nil {
-						return fmt.Errorf("workers=%d: %v", workers, err)
-					}
-					for _, nq := range pool {
-						a, b := solo.Handle(nq.name).Tuples(), par.Handle(nq.name).Tuples()
-						if solo.Handle(nq.name).Strategy() == dyncq.StrategyCore {
-							// Core order is canonical for a fixed shard count:
-							// demand byte-identical enumeration, not just set
-							// equality.
-							if err := sameTupleSeq(a, b); err != nil {
-								return fmt.Errorf("workers=%d: query %s order diverged: %w", workers, nq.name, err)
-							}
-						} else if err := sameTupleSet(a, b); err != nil {
-							return fmt.Errorf("workers=%d: query %s: %w", workers, nq.name, err)
-						}
-					}
-					if err := par.CheckInvariants(); err != nil {
-						return fmt.Errorf("workers=%d: %v", workers, err)
-					}
-				}
-				return solo.CheckInvariants()
+				_, err := workerIdentical(wideQueryPool(64), nil, cfg.Stream(tortureSchema), 150)
+				return err
 			},
 		},
 		{
@@ -501,6 +510,43 @@ func fanoutScenarios() []Scenario {
 			},
 		},
 		{
+			Category: "fanout", Name: "arena-chunks-worker-identical",
+			Brief: "core arenas of several chunks under delete-heavy churn: results are byte-identical across worker counts and equal the oracle",
+			Run: func(seed int64) error {
+				// Every other fan-out check stays inside one 1,024-record
+				// arena chunk; this one loads enough to span several. The
+				// database draws uniformly from 1..400 across E, S and T; S
+				// and T saturate at 400 tuples each, so ≈ 23,200 of the
+				// 24,000 tuples are E. The star query's leaf node x holds one
+				// record per E tuple, in the shard its y hashes to: 400 y
+				// values over 4 shards put ≈ 5,700 records into each leaf
+				// arena, and refs 1..n fill ⌊n/1024⌋+1 chunks — at least
+				// 4 from n = 3,072 on.
+				db := workload.TortureConfig{Seed: seed, Domain: 400}.Database(tortureSchema, 24000)
+				if n := db.Relation("E").Len(); n < 4*4*1024 {
+					return fmt.Errorf("loaded %d E tuples, want at least %d for 4 chunks in each of 4 shards", n, 4*4*1024)
+				}
+				// The Zipf stream's deletions free records well past the
+				// first chunk, and its insertions take them back off the
+				// free chains.
+				cfg := workload.TortureConfig{Seed: seed, Domain: 400, Updates: 3000, PDelete: 0.4, ZipfS: 1.3, ZipfV: 1}
+				stream := cfg.Stream(tortureSchema)
+				solo, err := workerIdentical(queryPool, db, stream, 150)
+				if err != nil {
+					return err
+				}
+				// Worker identity cannot see a corruption every worker
+				// count shares; the oracle can.
+				o := newOracle()
+				for _, nq := range queryPool {
+					o.register(nq.name, mustParse(nq.text))
+				}
+				o.load(db)
+				o.apply(stream)
+				return o.check(solo, "end of stream")
+			},
+		},
+		{
 			Category: "fanout", Name: "view-during-parallel-fanout",
 			Brief: "views pinned during parallel fan-out stay on one committed version",
 			Run: func(seed int64) error {
@@ -518,7 +564,7 @@ func fanoutScenarios() []Scenario {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						names := []string{"q000-star", "q002-hard", "q003-audit"}
+						names := []string{"q000-star", "q002-hard", "q003-star-ivm"}
 						for {
 							select {
 							case <-stop:

@@ -77,6 +77,35 @@ func TestTortureSeedIndependence(t *testing.T) {
 	}
 }
 
+// TestTortureArenaChunkSeeds replays fanout/arena-chunks-worker-identical
+// at seeds 1..20, one subtest each. It is the only row whose core arenas
+// span several chunks, so its free-chain recycling across chunk
+// boundaries gets a wider seed sweep than the two rows per category
+// TestTortureSeedIndependence covers.
+func TestTortureArenaChunkSeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-seed replay skipped in -short")
+	}
+	var sc Scenario
+	for _, s := range ByCategory("fanout") {
+		if s.Name == "arena-chunks-worker-identical" {
+			sc = s
+		}
+	}
+	if sc.Run == nil {
+		t.Fatal("fanout/arena-chunks-worker-identical is not registered")
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			if err := sc.Run(seed); err != nil {
+				t.Fatalf("%v\nrepro: %s", err, ReproLine(sc, seed))
+			}
+		})
+	}
+}
+
 // TestTortureSoak is the nightly entry point: rounds of the full matrix
 // at consecutive seeds until -torture.duration is spent. It is skipped
 // entirely at the default duration 0 so PR lanes pay nothing for it.

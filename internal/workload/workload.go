@@ -208,20 +208,3 @@ func RandomDatabase(rng *rand.Rand, schema map[string]int, domainSize, tuplesPer
 	}
 	return db
 }
-
-// StarSchemaStream generates the paper-style workload used by the scaling
-// benchmarks for the q-hierarchical query
-// Q(y) :- E(x,y), T(y): a random bipartite E ⊆ [n]×[n] with about
-// edgesPerNode edges per node and T ⊆ [n].
-func StarSchemaStream(rng *rand.Rand, n, edgesPerNode int) []dyndb.Update {
-	var out []dyndb.Update
-	for i := 1; i <= n; i++ {
-		for e := 0; e < edgesPerNode; e++ {
-			out = append(out, dyndb.Insert("E", Value(i), Value(1+rng.Intn(n))))
-		}
-		if rng.Intn(2) == 0 {
-			out = append(out, dyndb.Insert("T", Value(i)))
-		}
-	}
-	return out
-}

@@ -99,44 +99,6 @@ func TestRandomStreamDeterministic(t *testing.T) {
 	}
 }
 
-// TestStarSchemaStream: the star workload must be all-insert, well-typed
-// for Q(y) :- E(x,y), T(y), and confined to [1,n].
-func TestStarSchemaStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const n, epn = 50, 3
-	stream := StarSchemaStream(rng, n, epn)
-	if len(stream) < n*epn {
-		t.Fatalf("stream length %d, want at least %d", len(stream), n*epn)
-	}
-	eCount := 0
-	for i, u := range stream {
-		if u.Op != dyndb.OpInsert {
-			t.Fatalf("update %d: star stream contains a deletion", i)
-		}
-		switch u.Rel {
-		case "E":
-			if len(u.Tuple) != 2 {
-				t.Fatalf("update %d: E arity %d", i, len(u.Tuple))
-			}
-			eCount++
-		case "T":
-			if len(u.Tuple) != 1 {
-				t.Fatalf("update %d: T arity %d", i, len(u.Tuple))
-			}
-		default:
-			t.Fatalf("update %d: unexpected relation %s", i, u.Rel)
-		}
-		for _, v := range u.Tuple {
-			if v < 1 || v > n {
-				t.Fatalf("update %d: value %d outside [1,%d]", i, v, n)
-			}
-		}
-	}
-	if eCount != n*epn {
-		t.Fatalf("%d E-inserts, want %d", eCount, n*epn)
-	}
-}
-
 // TestRandomDatabase: generated databases must respect the schema.
 func TestRandomDatabase(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))

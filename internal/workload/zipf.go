@@ -8,16 +8,16 @@ import (
 )
 
 // This file adds the adversarial, production-shaped generators behind
-// the torture harness (internal/torture) and the large bench tier
-// (internal/bench): Zipf-skewed update streams — real traffic
+// the torture harness (internal/torture): Zipf-skewed update streams —
+// real traffic
 // concentrates on hot keys, which is exactly the access shape the
 // free-access-patterns line (Kara, Nikolic, Olteanu, Zhang) motivates —
 // and register/unregister churn plans for query-lifecycle stress. Every
 // generator is a pure function of its configuration, so any failure
 // replays bit-identically from the recorded seed.
 
-// TortureConfig is the seed-driven stream-generator configuration shared
-// by the torture harness and the large bench tier. The zero value is not
+// TortureConfig is the seed-driven stream-generator configuration of the
+// torture harness. The zero value is not
 // useful; call Normalize (idempotent) to clamp arbitrary field values —
 // including adversarial ones from the fuzzer — into the generator's
 // valid ranges. A normalized config fully determines its stream: same

@@ -30,7 +30,6 @@ func TestConcurrentRouting(t *testing.T) {
 		// An explicit single-shard override forces the sequential path even
 		// with workers: Parallelism must not claim otherwise.
 		{qh, 4, Options{Shards: 1}, StrategyCore, 1},
-		{qh, 4, Options{Force: StrategyRecompute}, StrategyRecompute, 0},
 		{hard, 4, Options{}, StrategyIVM, 0},
 	}
 	for _, c := range cases {
@@ -49,7 +48,7 @@ func TestConcurrentRouting(t *testing.T) {
 // for every backend.
 func TestConcurrentMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	for _, st := range []Strategy{StrategyAuto, StrategyIVM, StrategyRecompute} {
+	for _, st := range []Strategy{StrategyAuto, StrategyIVM} {
 		q := cq.MustParse("Q(y) :- E(x,y), T(y)")
 		stream := workload.RandomStream(rng, q.Schema(), 12, 300, 0.4)
 		plain, plainH := solo(t, q, Options{Force: st})

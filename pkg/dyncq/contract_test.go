@@ -36,7 +36,7 @@ func TestEnumerateContract(t *testing.T) {
 	for _, q := range queries {
 		db := workload.RandomDatabase(rng, q.Schema(), 6, 40)
 		want := eval.Evaluate(q, db)
-		for _, st := range []Strategy{StrategyAuto, StrategyIVM, StrategyRecompute} {
+		for _, st := range []Strategy{StrategyAuto, StrategyIVM} {
 			ws, h := solo(t, q, Options{Force: st})
 			if err := ws.Load(db); err != nil {
 				t.Fatal(err)
@@ -97,7 +97,7 @@ func TestLoadReplacesState(t *testing.T) {
 	first := workload.RandomDatabase(rng, q.Schema(), 8, 30)
 	second := workload.RandomDatabase(rng, q.Schema(), 8, 25)
 	want := eval.Evaluate(q, second)
-	for _, st := range []Strategy{StrategyCore, StrategyIVM, StrategyRecompute} {
+	for _, st := range []Strategy{StrategyCore, StrategyIVM} {
 		ws, h := solo(t, q, Options{Force: st})
 		// Dirty the workspace: a load plus some single updates.
 		if err := ws.Load(first); err != nil {
@@ -152,7 +152,7 @@ func TestLoadFailureLeavesEmpty(t *testing.T) {
 	if _, err := bad.Insert("E", 1); err != nil { // unary E, query wants binary
 		t.Fatal(err)
 	}
-	for _, st := range []Strategy{StrategyCore, StrategyIVM, StrategyRecompute} {
+	for _, st := range []Strategy{StrategyCore, StrategyIVM} {
 		ws, h := solo(t, q, Options{Force: st})
 		if err := ws.Load(good); err != nil {
 			t.Fatal(err)
@@ -183,7 +183,7 @@ func TestLoadFailureLeavesEmpty(t *testing.T) {
 // different arity (reset-then-load means ALL prior state is gone).
 func TestLoadForgetsDrainedForeignRelations(t *testing.T) {
 	q := cq.MustParse("Q(y) :- E(x,y), T(y)")
-	for _, st := range []Strategy{StrategyCore, StrategyIVM, StrategyRecompute} {
+	for _, st := range []Strategy{StrategyCore, StrategyIVM} {
 		ws, h := solo(t, q, Options{Force: st})
 		if _, err := ws.Insert("X", 1); err != nil { // X is not in the query
 			t.Fatal(err)

@@ -216,7 +216,7 @@ func TestCommitAllocationFree(t *testing.T) {
 func TestContains(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	q := cq.MustParse("Q(x,y) :- E(x,y), T(y)")
-	_, handles := soloPerStrategy(t, q, StrategyCore, StrategyIVM, StrategyRecompute)
+	_, handles := soloPerStrategy(t, q, StrategyCore, StrategyIVM)
 	stream := workload.RandomStream(rng, q.Schema(), 8, 150, 0.3)
 	for _, h := range handles {
 		if _, err := h.ws.ApplyBatch(stream); err != nil {
@@ -240,7 +240,7 @@ func TestContains(t *testing.T) {
 			t.Fatalf("%s: Contains accepted a tuple of the wrong arity", h.Strategy())
 		}
 	}
-	_, booleans := soloPerStrategy(t, cq.MustParse("Q() :- E(x,y), T(y)"), StrategyCore, StrategyIVM, StrategyRecompute)
+	_, booleans := soloPerStrategy(t, cq.MustParse("Q() :- E(x,y), T(y)"), StrategyCore, StrategyIVM)
 	for _, h := range booleans {
 		if h.Contains(nil) {
 			t.Fatalf("%s: empty database contains the empty tuple", h.Strategy())

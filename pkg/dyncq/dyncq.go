@@ -10,9 +10,10 @@
 //   - everything else falls back to internal/ivm.Maintainer, the
 //     counting-based incremental view maintenance baseline whose update
 //     cost is a residual join — by Theorems 3.3–3.5 no strategy can do
-//     fundamentally better on these queries (conditional on OMv/OV);
-//   - a recompute-from-scratch strategy over internal/eval is available
-//     for benchmarking and as a correctness oracle.
+//     fundamentally better on these queries (conditional on OMv/OV).
+//
+// internal/eval, the static evaluator, is the correctness oracle both
+// strategies are tested against.
 //
 // Every batch is coalesced once, applied to the shared store once, and
 // the net delta fanned out to every registered query's maintenance
@@ -79,9 +80,6 @@ const (
 	// StrategyIVM is counting-based incremental view maintenance
 	// (internal/ivm): any CQ, updates cost a residual join.
 	StrategyIVM
-	// StrategyRecompute stores the database only and re-evaluates the
-	// query from scratch (internal/eval) on every read.
-	StrategyRecompute
 )
 
 // String returns the strategy name used by the CLI and benchmark output.
@@ -93,15 +91,13 @@ func (s Strategy) String() string {
 		return "core"
 	case StrategyIVM:
 		return "ivm"
-	case StrategyRecompute:
-		return "recompute"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
 }
 
-// ParseStrategy converts a CLI name ("auto", "core", "ivm", "recompute")
-// to a Strategy.
+// ParseStrategy converts a CLI name ("auto", "core", "ivm") to a
+// Strategy.
 func ParseStrategy(name string) (Strategy, error) {
 	switch name {
 	case "auto":
@@ -110,10 +106,8 @@ func ParseStrategy(name string) (Strategy, error) {
 		return StrategyCore, nil
 	case "ivm":
 		return StrategyIVM, nil
-	case "recompute":
-		return StrategyRecompute, nil
 	default:
-		return StrategyAuto, fmt.Errorf("unknown strategy %q (want auto, core, ivm or recompute)", name)
+		return StrategyAuto, fmt.Errorf("unknown strategy %q (want auto, core or ivm)", name)
 	}
 }
 

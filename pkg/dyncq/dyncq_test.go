@@ -1,11 +1,15 @@
 package dyncq
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
+	"dyncq/internal/core"
 	"dyncq/internal/cq"
 	"dyncq/internal/dyndb"
 	"dyncq/internal/eval"
@@ -43,16 +47,35 @@ func soloPerStrategy(t testing.TB, q *cq.Query, strategies ...Strategy) ([]*Work
 	return wss, hs
 }
 
+// qHierarchicalQueries are routed to the core engine.
+var qHierarchicalQueries = []string{
+	"Q(y) :- E(x,y), T(y)",
+	"Q(x) :- R(x)",
+	"Q(x,y) :- E(x,y)",
+	"Q() :- E(x,y), T(y)",
+	"Q(x) :- R(x), S(x), E(x,y)",
+}
+
+// nonQHierarchicalQueries fall back to IVM.
+var nonQHierarchicalQueries = []string{
+	"Q(x) :- E(x,y), T(y)",                // ϕE-T: violates condition (ii)
+	"Q(x,y) :- S(x), E(x,y), T(y)",        // ϕS-E-T
+	"Q() :- S(x), E(x,y), T(y)",           // ϕ1: non-hierarchical Boolean
+	"Q(x,z) :- E(x,y), F(y,z)",            // path join, no common variable
+	"Q() :- E(x,y), E2(y,z), E3(z,x)",     // triangle
+	"Q(x,y,z) :- E(x,y), F(y,z), G(z,x)",  // cyclic with free vars
+	"Q(a) :- R(a,b), S(b,c), T(c)",        // chain
+	"Q(u) :- A(u,v), B(v,w), C(u,w,v)",    // mixed
+	"Q(x) :- E(x,y), F(x,z), G(y,z)",      // y,z incomparable overlap
+	"Q(v) :- R(v,w), S(w), T(w,u), U(u)",  // deep chain
+	"Q(x,y) :- R(x,u), S(u,y), T(y)",      // free vars split by quantified
+	"Q() :- R(a,b), S(b,c), T(c,d), U(d)", // long Boolean chain
+}
+
 // TestRoutingQHierarchical: q-hierarchical queries must be served by the
 // core engine (the constant-delay path).
 func TestRoutingQHierarchical(t *testing.T) {
-	for _, text := range []string{
-		"Q(y) :- E(x,y), T(y)",
-		"Q(x) :- R(x)",
-		"Q(x,y) :- E(x,y)",
-		"Q() :- E(x,y), T(y)",
-		"Q(x) :- R(x), S(x), E(x,y)",
-	} {
+	for _, text := range qHierarchicalQueries {
 		h, err := NewWorkspace(WorkspaceOptions{}).Register("q", text)
 		if err != nil {
 			t.Fatalf("Register(%q): %v", text, err)
@@ -68,20 +91,7 @@ func TestRoutingQHierarchical(t *testing.T) {
 
 // TestRoutingFallback: non-q-hierarchical queries must fall back to IVM.
 func TestRoutingFallback(t *testing.T) {
-	for _, text := range []string{
-		"Q(x) :- E(x,y), T(y)",                // ϕE-T: violates condition (ii)
-		"Q(x,y) :- S(x), E(x,y), T(y)",        // ϕS-E-T
-		"Q() :- S(x), E(x,y), T(y)",           // ϕ1: non-hierarchical Boolean
-		"Q(x,z) :- E(x,y), F(y,z)",            // path join, no common variable
-		"Q() :- E(x,y), E2(y,z), E3(z,x)",     // triangle
-		"Q(x,y,z) :- E(x,y), F(y,z), G(z,x)",  // cyclic with free vars
-		"Q(a) :- R(a,b), S(b,c), T(c)",        // chain
-		"Q(u) :- A(u,v), B(v,w), C(u,w,v)",    // mixed
-		"Q(x) :- E(x,y), F(x,z), G(y,z)",      // y,z incomparable overlap
-		"Q(v) :- R(v,w), S(w), T(w,u), U(u)",  // deep chain
-		"Q(x,y) :- R(x,u), S(u,y), T(y)",      // free vars split by quantified
-		"Q() :- R(a,b), S(b,c), T(c,d), U(d)", // long Boolean chain
-	} {
+	for _, text := range nonQHierarchicalQueries {
 		h, err := NewWorkspace(WorkspaceOptions{}).Register("q", text)
 		if err != nil {
 			t.Fatalf("Register(%q): %v", text, err)
@@ -97,7 +107,7 @@ func TestRoutingFallback(t *testing.T) {
 
 func TestForceStrategy(t *testing.T) {
 	q := cq.MustParse("Q(y) :- E(x,y), T(y)")
-	for _, st := range []Strategy{StrategyCore, StrategyIVM, StrategyRecompute} {
+	for _, st := range []Strategy{StrategyCore, StrategyIVM} {
 		_, h := solo(t, q, Options{Force: st})
 		if h.Strategy() != st {
 			t.Errorf("forced %v, got %v", st, h.Strategy())
@@ -127,7 +137,7 @@ func TestStrategiesAgree(t *testing.T) {
 	for _, q := range queries {
 		stream := workload.RandomStream(rng, q.Schema(), 8, 120, 0.35)
 		db := dyndb.New()
-		wss, hs := soloPerStrategy(t, q, StrategyAuto, StrategyIVM, StrategyRecompute)
+		wss, hs := soloPerStrategy(t, q, StrategyAuto, StrategyIVM)
 		for ui, u := range stream {
 			if _, err := db.Apply(u); err != nil {
 				t.Fatalf("%s: db apply: %v", q, err)
@@ -233,15 +243,104 @@ func TestLoad(t *testing.T) {
 	}
 }
 
+// TestParseStrategy: the three CLI names round-trip through String, and
+// anything else — "recompute" included — is rejected with an error that
+// names the accepted values.
 func TestParseStrategy(t *testing.T) {
-	for _, st := range []Strategy{StrategyAuto, StrategyCore, StrategyIVM, StrategyRecompute} {
-		got, err := ParseStrategy(st.String())
-		if err != nil || got != st {
-			t.Errorf("ParseStrategy(%q) = %v, %v", st.String(), got, err)
-		}
+	for _, tc := range []struct {
+		name string
+		want Strategy
+		ok   bool
+	}{
+		{"auto", StrategyAuto, true},
+		{"core", StrategyCore, true},
+		{"ivm", StrategyIVM, true},
+		{"recompute", StrategyAuto, false},
+		{"nope", StrategyAuto, false},
+		{"", StrategyAuto, false},
+		{"CORE", StrategyAuto, false},
+		{" ivm", StrategyAuto, false},
+	} {
+		t.Run(fmt.Sprintf("name=%q", tc.name), func(t *testing.T) {
+			got, err := ParseStrategy(tc.name)
+			if !tc.ok {
+				if err == nil || !strings.Contains(err.Error(), "auto, core or ivm") {
+					t.Fatalf("ParseStrategy(%q): error %v, want one naming auto, core or ivm", tc.name, err)
+				}
+				return
+			}
+			if err != nil || got != tc.want {
+				t.Fatalf("ParseStrategy(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+			}
+			if got.String() != tc.name {
+				t.Fatalf("%v.String() = %q, want %q", got, got.String(), tc.name)
+			}
+		})
 	}
-	if _, err := ParseStrategy("nope"); err == nil {
-		t.Error("ParseStrategy(nope): want error")
+}
+
+// TestAdmissibleStrategiesMatchOracle registers every routing-table query
+// three ways — auto, forced core and forced ivm — and replays one random
+// stream in batches. Auto must report the backend it resolved to, never
+// "auto"; forcing core must fail with core.ErrNotQHierarchical exactly on
+// the non-q-hierarchical queries; and every backend that registered must
+// match the static evaluator at every batch boundary. This carries the
+// cyclic and chain queries of the fallback table through the oracle,
+// which the random q-hierarchical streams elsewhere never reach.
+func TestAdmissibleStrategiesMatchOracle(t *testing.T) {
+	texts := append(append([]string(nil), qHierarchicalQueries...), nonQHierarchicalQueries...)
+	for i, text := range texts {
+		qh := i < len(qHierarchicalQueries)
+		t.Run(text, func(t *testing.T) {
+			q := cq.MustParse(text)
+			auto, autoH := solo(t, q, Options{})
+			wantRoute := StrategyIVM
+			if qh {
+				wantRoute = StrategyCore
+			}
+			if got := autoH.Strategy(); got != wantRoute || got.String() == "auto" {
+				t.Fatalf("auto resolved to %v, want %v", got, wantRoute)
+			}
+			wss, hs := []*Workspace{auto}, []*Handle{autoH}
+			_, err := NewWorkspace(WorkspaceOptions{}).RegisterQuery("q", q, Options{Force: StrategyCore})
+			switch {
+			case qh && err != nil:
+				t.Fatalf("forcing core: %v", err)
+			case !qh && !errors.Is(err, core.ErrNotQHierarchical):
+				t.Fatalf("forcing core: error %v, want core.ErrNotQHierarchical", err)
+			}
+			if qh {
+				ws, h := solo(t, q, Options{Force: StrategyCore})
+				wss, hs = append(wss, ws), append(hs, h)
+			}
+			ws, h := solo(t, q, Options{Force: StrategyIVM})
+			wss, hs = append(wss, ws), append(hs, h)
+
+			rng := rand.New(rand.NewSource(int64(31 + i)))
+			stream := workload.RandomStream(rng, q.Schema(), 5, 160, 0.35)
+			db := dyndb.New()
+			const size = 20
+			for from := 0; from < len(stream); from += size {
+				chunk := stream[from:min(from+size, len(stream))]
+				for _, u := range chunk {
+					if _, err := db.Apply(u); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want := eval.Evaluate(q, db)
+				for j, ws := range wss {
+					if _, err := ws.ApplyBatch(chunk); err != nil {
+						t.Fatalf("[%v] ApplyBatch: %v", hs[j].Strategy(), err)
+					}
+					if got := hs[j].Count(); got != uint64(want.Len()) {
+						t.Fatalf("[%v] after %d updates: count %d, oracle %d", hs[j].Strategy(), from+len(chunk), got, want.Len())
+					}
+					if !sameTuples(hs[j].Tuples(), want.Tuples()) {
+						t.Fatalf("[%v] after %d updates: tuples disagree with eval", hs[j].Strategy(), from+len(chunk))
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -261,7 +360,7 @@ func TestApplyBatchAgreesAcrossStrategies(t *testing.T) {
 	for _, q := range queries {
 		stream := workload.RandomStream(rng, q.Schema(), 6, 120, 0.4)
 		db := dyndb.New()
-		wss, hs := soloPerStrategy(t, q, StrategyAuto, StrategyIVM, StrategyRecompute)
+		wss, hs := soloPerStrategy(t, q, StrategyAuto, StrategyIVM)
 		size := 13
 		for from := 0; from < len(stream); from += size {
 			to := from + size
@@ -303,7 +402,7 @@ func TestLoadBulkAgreesAcrossStrategies(t *testing.T) {
 		q := cq.MustParse(qs)
 		db := workload.RandomDatabase(rng, q.Schema(), 8, 50)
 		want := eval.Evaluate(q, db)
-		for _, st := range []Strategy{StrategyAuto, StrategyIVM, StrategyRecompute} {
+		for _, st := range []Strategy{StrategyAuto, StrategyIVM} {
 			ws, h := solo(t, q, Options{Force: st})
 			if err := ws.Load(db); err != nil {
 				t.Fatalf("%s [%v]: Load: %v", q, h.Strategy(), err)
@@ -321,7 +420,7 @@ func TestLoadBulkAgreesAcrossStrategies(t *testing.T) {
 // TestApplyBatchCancellation: a fully cancelled batch is a no-op on every
 // backend.
 func TestApplyBatchCancellation(t *testing.T) {
-	for _, st := range []Strategy{StrategyCore, StrategyIVM, StrategyRecompute} {
+	for _, st := range []Strategy{StrategyCore, StrategyIVM} {
 		ws, _ := solo(t, cq.MustParse("Q(y) :- E(x,y), T(y)"), Options{Force: st})
 		n, err := ws.ApplyBatch([]Update{
 			dyndb.Insert("E", 1, 2),
@@ -359,6 +458,50 @@ func TestApplyBatched(t *testing.T) {
 	}
 }
 
+// TestApplyBatchedNetShrinksWithBatchSize: with nested chunk boundaries
+// (1, 8, 64, one batch), a larger chunk can only cancel more insert/delete
+// pairs, so the net command count never grows with the batch size; at
+// size 1 it is the number of updates that changed the database, and the
+// final result is the same at every size.
+func TestApplyBatchedNetShrinksWithBatchSize(t *testing.T) {
+	q := cq.MustParse("Q(y) :- E(x,y), T(y)")
+	stream := workload.RandomStream(rand.New(rand.NewSource(37)), q.Schema(), 6, 256, 0.4)
+	db := dyndb.New()
+	changed := 0
+	for _, u := range stream {
+		ok, err := db.Apply(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			changed++
+		}
+	}
+	want := eval.Evaluate(q, db)
+	for _, st := range []Strategy{StrategyCore, StrategyIVM} {
+		t.Run(st.String(), func(t *testing.T) {
+			prev := -1
+			for _, size := range []int{1, 8, 64, 0} {
+				ws, h := solo(t, q, Options{Force: st})
+				net, err := ws.ApplyBatched(stream, size)
+				if err != nil {
+					t.Fatalf("size %d: %v", size, err)
+				}
+				if size == 1 && net != changed {
+					t.Fatalf("size 1: net %d, want %d changing updates", net, changed)
+				}
+				if prev >= 0 && net > prev {
+					t.Fatalf("size %d: net %d exceeds the smaller size's %d", size, net, prev)
+				}
+				prev = net
+				if got := h.Count(); got != uint64(want.Len()) || !sameTuples(h.Tuples(), want.Tuples()) {
+					t.Fatalf("size %d: count %d, result disagrees with eval (oracle count %d)", size, got, want.Len())
+				}
+			}
+		})
+	}
+}
+
 // TestLoadRejectsMismatchedArity: Load of a database whose relations
 // clash with the query schema must error on every backend, not panic at
 // the next read.
@@ -367,12 +510,11 @@ func TestLoadRejectsMismatchedArity(t *testing.T) {
 	if _, err := db.Insert("E", 1); err != nil { // unary E, query wants binary
 		t.Fatal(err)
 	}
-	for _, st := range []Strategy{StrategyCore, StrategyIVM, StrategyRecompute} {
+	for _, st := range []Strategy{StrategyCore, StrategyIVM} {
 		// Q(x) :- E(x,y) is q-hierarchical, so forcing core is fine too.
 		ws, h := solo(t, cq.MustParse("Q(x) :- E(x,y)"), Options{Force: st})
 		if err := ws.Load(db); err == nil {
 			t.Errorf("[%v]: mismatched-arity Load accepted", h.Strategy())
-			h.Count() // must not be reached; would panic on recompute
 		}
 	}
 }

@@ -92,7 +92,7 @@ func TestWorkspaceParallelismIntrospection(t *testing.T) {
 	if p.QueryShards["hard"] != 0 { // ivm: sharding does not apply
 		t.Fatalf("hard shards = %d, want 0", p.QueryShards["hard"])
 	}
-	if p.QueryShards["scan"] != 0 { // recompute
+	if p.QueryShards["scan"] != 0 { // ivm (forced)
 		t.Fatalf("scan shards = %d, want 0", p.QueryShards["scan"])
 	}
 }

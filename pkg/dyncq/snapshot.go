@@ -40,10 +40,9 @@ import (
 // and lost. The backends produce that delta themselves, as part of the
 // commit (queryBackend.finish): core enumerates only the tuples a step
 // changed (internal/core/delta.go), IVM reads it off the head tuples its
-// delta joins touched, recompute — the baseline and the oracle for the
-// other two — evaluates before and after. The workspace keeps no copy of
-// any result and walks none per commit; only a Load, which resets every
-// structure, is bridged by a one-shot before/after diff (resultImage).
+// delta joins touched. The workspace keeps no copy of any result and
+// walks none per commit; only a Load, which resets every structure, is
+// bridged by a one-shot before/after diff (resultImage).
 // The same delta, parked on the handle between the backend's finish and
 // afterCommit, feeds the hook and the cache advance; a cached snapshot
 // asks for it even when no hook does (Handle.emits).
@@ -329,18 +328,16 @@ type deltaCapture struct {
 
 // emits reports whether the handle's backend should produce the next
 // commit's result delta: when a capture wants it delivered, or a cached
-// snapshot wants it to advance by — except on recompute, which maintains
-// no result to read a delta off (for a capture it evaluates twice and
-// diffs; a snapshot it rebuilds by its one evaluation instead). A handle
-// with neither makes the backend do no extra work. A Boolean query's
-// delta is its answer bit, which needs no emission. Decided once per
-// commit, with the write lock held (begin): a snapshot cannot appear in
-// the cache while a commit is open, only be evicted from it.
+// snapshot wants it to advance by. A handle with neither makes the
+// backend do no extra work. A Boolean query's delta is its answer bit,
+// which needs no emission. Decided once per commit, with the write lock
+// held (begin): a snapshot cannot appear in the cache while a commit is
+// open, only be evicted from it.
 func (h *Handle) emits() bool {
 	if h.query.Arity() == 0 {
 		return false
 	}
-	return h.capture != nil || (h.strategy != StrategyRecompute && h.snap.Load() != nil)
+	return h.capture != nil || h.snap.Load() != nil
 }
 
 // begin opens a commit of n net commands on the handle's backend and
@@ -357,14 +354,13 @@ func (h *Handle) begin(n int) (phased bool) {
 // after every committed version change (Apply, ApplyBatch, Load — any
 // write path), hook receives exactly one DeltaEvent describing how the
 // query's result changed. Starting a capture costs O(1) — nothing is
-// enumerated or copied (a recompute-backed Boolean query evaluates its
-// answer once). While it is active each commit pays for producing the
-// delta: O(|Δ|) on core, the head tuples the delta joins touched on IVM,
-// two full evaluations on recompute; a Load pays one result walk before
-// and one after on every strategy. On core and IVM a cached snapshot
-// (Handle.Snapshot) arms the same emission for as long as readers keep it
-// demanded, so a capture on a polled query adds only the hook's own work,
-// and one delta serves both. The hook runs inside the commit, with
+// enumerated or copied. While it is active each commit pays for
+// producing the delta: O(|Δ|) on core, the head tuples the delta joins
+// touched on IVM; a Load pays one result walk before and one after on
+// every strategy. A cached snapshot (Handle.Snapshot) arms the same
+// emission for as long as readers keep it demanded, so a capture on a
+// polled query adds only the hook's own work, and one delta serves both.
+// The hook runs inside the commit, with
 // the workspace write lock held: it MUST NOT block and MUST NOT call any
 // workspace, handle, or session method (the serving layer's broker
 // satisfies this by handing pre-encoded frames to per-connection
@@ -463,8 +459,8 @@ func (h *Handle) afterCommit() {
 
 // resultImage copies the backend's current result into a set: the
 // "before" half of a one-shot diff across a state change no backend
-// tracks incrementally (a Load; every captured commit of the recompute
-// strategy). Linear in the result, and dropped with the diff.
+// tracks incrementally (a Load). Linear in the result, and dropped with
+// the diff.
 func resultImage(back queryBackend, arity int) *tuplekey.Table[bool] {
 	before := tuplekey.NewTable[bool](arity)
 	back.Enumerate(func(t []Value) bool {

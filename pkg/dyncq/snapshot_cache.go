@@ -27,9 +27,7 @@ import (
 // QuerySnapshot.Blocks): shared leaves take their bytes along from version
 // to version, so rendering a new version costs the rebuilt leaves, and the
 // bytes go when the leaf does. Only a commit that comes without a
-// delta re-materialises: a Load on a handle nobody captures, and every
-// commit of the recompute strategy, which has no maintained result to
-// read a delta off and rebuilds by its one evaluation.
+// delta re-materialises: a Load on a handle nobody captures.
 //
 // The fast path is linearizable without any lock: the pointer only
 // moves while writers are excluded (write lock held, or the read lock
@@ -146,8 +144,8 @@ func snapshotWords(s *QuerySnapshot) int64 {
 // one was cached. Snapshots already pinned by readers stay valid and
 // immutable; only the cache forgets them, so the next pin materialises
 // afresh and commits stop advancing it. A memory knob for rarely-read
-// queries with huge results — and the bench harness's way of measuring
-// the copy-on-pin baseline the cache replaces. It takes no lock, so it
+// queries with huge results — and the tests' way of forcing the
+// copy-on-pin path the cache replaces. It takes no lock, so it
 // may land in the middle of a commit; the commit then simply finds no
 // cache to advance.
 func (h *Handle) EvictSnapshot() bool {
@@ -417,13 +415,8 @@ func (h *Handle) fillSnapshot(s *QuerySnapshot) {
 		s.n = int(h.back.Count())
 		return
 	}
-	// Count is O(1) for the maintained strategies, so the buffer is one
-	// exactly-sized allocation; recompute's Count is itself a full
-	// evaluation, so it keeps the growing append instead of paying twice.
-	var buf []Value
-	if h.strategy != StrategyRecompute {
-		buf = make([]Value, 0, int(h.back.Count())*s.arity)
-	}
+	// Count is O(1), so the buffer is one exactly-sized allocation.
+	buf := make([]Value, 0, int(h.back.Count())*s.arity)
 	h.back.Enumerate(func(t []Value) bool {
 		buf = append(buf, t...)
 		return true

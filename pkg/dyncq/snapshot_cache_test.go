@@ -109,7 +109,6 @@ func TestSnapshotAdvanceMatchesFreshPin(t *testing.T) {
 		{"core/shards=1", StrategyCore, 1},
 		{"core/shards=4", StrategyCore, 4},
 		{"ivm", StrategyIVM, 0},
-		{"recompute", StrategyRecompute, 0},
 	}
 	for _, cfg := range configs {
 		for _, capture := range []bool{true, false} {
@@ -235,10 +234,8 @@ func TestSnapshotAdvanceMatchesFreshPin(t *testing.T) {
 				}
 
 				// Delta in hand → patch, none → rebuild, and that is the
-				// whole rule: core and ivm emit for the cache's sake, so
-				// they only ever rebuild across an uncaptured Load;
-				// recompute is never asked to emit for a snapshot, so
-				// without a capture every one of its advances rebuilds.
+				// whole rule: every backend emits for the cache's sake, so
+				// it only ever rebuilds across an uncaptured Load.
 				st := adv.SnapshotCacheStats()
 				if st.Hits == 0 {
 					t.Fatal("advancing cache never served a hit")
@@ -247,12 +244,7 @@ func TestSnapshotAdvanceMatchesFreshPin(t *testing.T) {
 				if !capture {
 					wantRebuilt = 1 // the one Load
 				}
-				switch {
-				case cfg.force == StrategyRecompute && !capture:
-					if st.Patched != 0 || st.Rebuilt == 0 {
-						t.Fatalf("uncaptured recompute cache must rebuild every advance: %+v", st)
-					}
-				case st.Patched == 0 || st.Rebuilt != wantRebuilt:
+				if st.Patched == 0 || st.Rebuilt != wantRebuilt {
 					t.Fatalf("%s cache: want every commit patched and %d rebuilds (one per uncaptured Load): %+v", name, wantRebuilt, st)
 				}
 			})

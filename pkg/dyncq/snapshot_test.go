@@ -54,7 +54,7 @@ func (r *replayOracle) matches(t *testing.T, tuples [][]Value, where string) {
 // reconstructs the query result exactly, across single updates,
 // batches, and every backend strategy.
 func TestCaptureDeltasReplay(t *testing.T) {
-	for _, force := range []Strategy{StrategyAuto, StrategyIVM, StrategyRecompute} {
+	for _, force := range []Strategy{StrategyAuto, StrategyIVM} {
 		t.Run(force.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(417))
 			ws := NewWorkspace(WorkspaceOptions{})

@@ -31,7 +31,7 @@ import (
 // store once (dyndb.NetDelta), apply it to the store once — the store
 // mutation count is independent of how many queries are registered —
 // and fan the same delta out to every query's maintenance structure
-// (core / ivm / recompute, routed per query by classification). IVM
+// (core / ivm, routed per query by classification). IVM
 // backends need the store in a specific state relative to each
 // relation's mutation (deletion deltas evaluate on the pre-state,
 // insertion deltas on the post-state), so the fan-out interleaves
@@ -154,10 +154,8 @@ func NewWorkspace(opt WorkspaceOptions) *Workspace {
 // latest committed state; use Workspace.View for multi-call snapshot
 // consistency. A Handle stays valid until its query is unregistered;
 // after that, reads on a retained handle are undefined beyond being
-// safe: core and IVM handles answer from their structure's last
-// maintained state, while a recompute handle (which stores nothing)
-// keeps re-evaluating the live shared store. Drop handles when
-// unregistering.
+// safe: they answer from the structure's last maintained state. Drop
+// handles when unregistering.
 type Handle struct {
 	ws       *Workspace
 	name     string
@@ -172,8 +170,8 @@ type Handle struct {
 	// maintainNS accumulates the time the batch pipeline spent
 	// maintaining this query (delta hooks + finish), and batches
 	// the number of nonempty batches it participated in — the per-query
-	// split of the shared pipeline's cost, reported by the bench
-	// harness. The single-update fast path is deliberately untimed.
+	// split of the shared pipeline's cost (MaintenanceNS). The
+	// single-update fast path is deliberately untimed.
 	maintainNS int64
 	batches    int64
 
@@ -256,9 +254,8 @@ func (h *Handle) Answer() bool {
 // state — the constant-time test of the paper's main theorem, next to
 // update, count and enumerate. On core it costs one index lookup per free
 // variable and enumerates nothing; on IVM one lookup in the materialised
-// result; on recompute, which stores nothing, a full evaluation. A tuple
-// whose length is not the query's arity is not in the result; for a
-// Boolean query Contains of the empty tuple is Answer.
+// result. A tuple whose length is not the query's arity is not in the
+// result; for a Boolean query Contains of the empty tuple is Answer.
 func (h *Handle) Contains(tuple []Value) bool {
 	if len(tuple) != h.query.Arity() {
 		return false
@@ -309,13 +306,11 @@ func (h *Handle) ActiveDomainSize() int { return h.ws.ActiveDomainSize() }
 // MaintenanceNS returns the cumulative time the batch pipeline spent
 // maintaining this query, and the number of nonempty batches it
 // participated in. The per-batch delta of the first value is the
-// per-query update latency the bench harness reports. The timer is
-// wall-clock: with Workers > 1 the per-handle fan-out runs handles
-// concurrently, so each handle's time includes scheduler contention
-// from the others and the sum over handles can exceed the batch's
-// duration — compare per-handle timings across runs only at the same
-// worker count (the bench harness measures its per-query percentiles
-// on a sequential workspace for exactly this reason).
+// per-query update latency. The timer is wall-clock: with Workers > 1
+// the per-handle fan-out runs handles concurrently, so each handle's
+// time includes scheduler contention from the others and the sum over
+// handles can exceed the batch's duration — compare per-handle timings
+// across runs only at the same worker count.
 func (h *Handle) MaintenanceNS() (ns int64, batches int64) {
 	h.ws.mu.RLock()
 	defer h.ws.mu.RUnlock()
@@ -405,8 +400,6 @@ func (w *Workspace) RegisterQuery(name string, q *cq.Query, opt Options) (*Handl
 			return nil, fmt.Errorf("dyncq: %w", err)
 		}
 		h.back = &ivmBackend{m: m}
-	case StrategyRecompute:
-		h.back = newRecompute(q, w.store)
 	default:
 		return nil, fmt.Errorf("dyncq: invalid strategy %v", strategy)
 	}
@@ -497,7 +490,7 @@ type Parallelism struct {
 	StoreShards int
 	// QueryShards maps each registered query to its engine's shard
 	// count: > 1 means its delta application runs shard-parallel; 0
-	// means sharding does not apply to its backend (ivm, recompute).
+	// means sharding does not apply to its backend (ivm).
 	QueryShards map[string]int
 	// IndexRebuilds is the shared index set's epoch-fallback counter
 	// (eval.IndexSet.Rebuilds): nonzero means the store moved without
@@ -804,10 +797,10 @@ func (w *Workspace) applyBatchLocked(updates []Update) (int, error) {
 	// Fan-out phase: every backend sees the full delta with the store
 	// current (core runs its per-atom procedures here, parallel when the
 	// workspace has workers; IVM closes its batch, rebuilding if the
-	// crossover chose to). Every handle's batch close-out — core,
-	// recompute AND ivm — fans out across one worker pool: per-handle
-	// state is private, and the one shared structure (the index set) is
-	// safe for concurrent evaluators over a quiescent store. Each
+	// crossover chose to). Every handle's batch close-out — core AND ivm
+	// — fans out across one worker pool: per-handle state is private, and
+	// the one shared structure (the index set) is safe for concurrent
+	// evaluators over a quiescent store. Each
 	// handle's work is self-contained, so the result is byte-identical
 	// at any worker count.
 	w.finishFanOut(survivors, perNS)
@@ -920,10 +913,9 @@ func (w *Workspace) runHookedStorePhase(survivors []Update, perNS []int64) {
 }
 
 // allHandles returns the indices of every registered handle — the
-// fan-out pools run all of them concurrently: core and recompute
-// backends touch only private structures, and IVM backends share only
-// the index set, which is safe for concurrent evaluators while the
-// store is quiescent.
+// fan-out pools run all of them concurrently: core backends touch only
+// private structures, and IVM backends share only the index set, which is
+// safe for concurrent evaluators while the store is quiescent.
 func (w *Workspace) allHandles() []int {
 	out := make([]int, len(w.order))
 	for i := range out {
@@ -972,11 +964,11 @@ func runPool(items []int, workers int, fn func(i int)) {
 	}
 }
 
-// finishFanOut runs every backend's finish — core, recompute and ivm
-// alike — over up to w.workers goroutines; there is no sequential IVM
-// tail. The worker budget is divided across the concurrently running
-// handles (each core backend's ApplyDelta spawns its own shard workers),
-// so a batch never oversubscribes Workers² goroutines. Per-handle
+// finishFanOut runs every backend's finish — core and ivm alike — over
+// up to w.workers goroutines; there is no sequential IVM tail. The worker
+// budget is divided across the concurrently running handles (each core
+// backend's ApplyDelta spawns its own shard workers), so a batch never
+// oversubscribes Workers² goroutines. Per-handle
 // timings land in perNS, the result deltas with their captures.
 func (w *Workspace) finishFanOut(survivors []Update, perNS []int64) {
 	all := w.allHandles()
@@ -1002,10 +994,10 @@ func (w *Workspace) finishFanOut(survivors []Update, perNS []int64) {
 // Load performs the preprocessing phase for an initial database across
 // the whole workspace through each backend's bulk path (core builds its
 // counters and fit lists in one linear pass, ivm rebuilds its
-// materialised result with a single full evaluation, recompute stores
-// nothing), with reset-then-load semantics on every backend: after Load
-// the shared store holds exactly db and every registered query
-// represents exactly its result over db, discarding all prior state. A
+// materialised result with a single full evaluation), with
+// reset-then-load semantics on every backend: after Load the shared
+// store holds exactly db and every registered query represents exactly
+// its result over db, discarding all prior state. A
 // failed Load (an arity clash between db and any registered query)
 // leaves the workspace representing the EMPTY database. Either way the
 // version advances once, and all queries observe it. To add a
@@ -1093,10 +1085,10 @@ func (w *Workspace) loadLocked(db *dyndb.Database) error {
 
 // rebuildFanOut brings every backend up to date with the store's
 // current contents, all of them concurrently on up to w.workers
-// goroutines: core and recompute preprocessing only reads the shared
-// store, and IVM backends evaluate through the shared index set, whose
-// lazy builds and epoch sync are internally locked. The first error in
-// handle order wins and fails the whole load atomically.
+// goroutines: core preprocessing only reads the shared store, and IVM
+// backends evaluate through the shared index set, whose lazy builds and
+// epoch sync are internally locked. The first error in handle order wins
+// and fails the whole load atomically.
 func (w *Workspace) rebuildFanOut(fail func(error) error) error {
 	errs := make([]error, len(w.order))
 	runPool(w.allHandles(), w.workers, func(i int) {

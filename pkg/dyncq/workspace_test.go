@@ -14,7 +14,7 @@ import (
 
 // multiSuite is the standard mixed-strategy registration set used by the
 // workspace tests: K = 4 queries over one shared schema {E/2, S/1, T/1},
-// covering all three maintenance strategies.
+// covering both maintenance strategies, each on a q-hierarchical query.
 func multiSuite() []struct {
 	name string
 	text string
@@ -25,10 +25,10 @@ func multiSuite() []struct {
 		text string
 		opt  Options
 	}{
-		{"star", "Q(y) :- E(x,y), T(y)", Options{}},                           // core (auto)
-		{"hard", "Q(x,y) :- S(x), E(x,y), T(y)", Options{}},                   // ivm (auto: not q-hierarchical)
-		{"scan", "Q(x,y) :- E(x,y), T(y)", Options{Force: StrategyRecompute}}, // recompute (forced)
-		{"pair", "Q(x) :- S(x), T(x)", Options{}},                             // core (auto)
+		{"star", "Q(y) :- E(x,y), T(y)", Options{}},                     // core (auto)
+		{"hard", "Q(x,y) :- S(x), E(x,y), T(y)", Options{}},             // ivm (auto: not q-hierarchical)
+		{"scan", "Q(x,y) :- E(x,y), T(y)", Options{Force: StrategyIVM}}, // ivm (forced)
+		{"pair", "Q(x) :- S(x), T(x)", Options{}},                       // core (auto)
 	}
 }
 
@@ -36,9 +36,9 @@ func multiSchema() map[string]int { return map[string]int{"E": 2, "S": 1, "T": 1
 
 // exactTuples compares result sequences: core backends have a
 // deterministic enumeration order, so shared and solo must agree byte
-// for byte in sequence; ivm and recompute enumerate in unspecified
-// (map) order, so their sequences are canonicalised by sorting first —
-// byte-identical content either way.
+// for byte in sequence; ivm enumerates in unspecified (map) order, so
+// its sequences are canonicalised by sorting first — byte-identical
+// content either way.
 func exactTuples(t *testing.T, strategy Strategy, label string, got, want [][]Value) {
 	t.Helper()
 	if strategy != StrategyCore {
@@ -55,7 +55,7 @@ func exactTuples(t *testing.T, strategy Strategy, label string, got, want [][]Va
 
 // TestWorkspaceMatchesSoloWorkspaces is the headline contract of the
 // front door: a workspace with K ≥ 3 registered queries (mixed
-// core/ivm/recompute) replaying one update stream produces, for every
+// core/ivm) replaying one update stream produces, for every
 // query, results identical to K one-query workspaces replaying the same
 // stream — while the shared store is applied once per batch, so its
 // mutation count is that of ONE one-query workspace, independent of K.
