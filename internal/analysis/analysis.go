@@ -1,17 +1,15 @@
 // Package analysis registers the dyncq-lint analyzer suite: the custom
 // go/analysis passes enforcing the engine invariants that runtime
-// tests can only probe — lock discipline, store/index epoch lockstep,
-// seed determinism, the intern/decode boundary, and the hot-path
-// allocation budget. cmd/dyncq-lint ships them as a vet tool; the
-// fixtures under each analyzer's testdata directory are the executable
-// specification of what each pass flags and what it deliberately
-// leaves alone.
+// tests can only probe — lock discipline, seed determinism, the
+// intern/decode boundary, and the hot-path allocation budget.
+// cmd/dyncq-lint ships them as a vet tool; the fixtures under each
+// analyzer's testdata directory are the executable specification of
+// what each pass flags and what it deliberately leaves alone.
 package analysis
 
 import (
 	"dyncq/internal/analysis/decodeboundary"
 	"dyncq/internal/analysis/determinism"
-	"dyncq/internal/analysis/epochstep"
 	"dyncq/internal/analysis/hotalloc"
 	"dyncq/internal/analysis/lockorder"
 
@@ -22,7 +20,6 @@ import (
 func Analyzers() []*goanalysis.Analyzer {
 	return []*goanalysis.Analyzer{
 		lockorder.Analyzer,
-		epochstep.Analyzer,
 		determinism.Analyzer,
 		decodeboundary.Analyzer,
 		hotalloc.Analyzer,

@@ -1,8 +1,9 @@
 // Package lockorder implements the dyncq-lint pass guarding the
 // engine's lock discipline. The workspace layer holds two ordered
-// locks — pkg/dyncq.Workspace.mu, then internal/eval.IndexSet.mu — and
-// neither is re-entrant; the PR 6 Workspace.Dict deadlock was exactly
-// an exported-API call made while the workspace mutex was held.
+// locks — pkg/dyncq.Workspace.mu, then the store's index lock
+// internal/dyndb.Database.idxMu — and neither is re-entrant; the
+// Workspace.Dict deadlock was exactly an exported-API call made while
+// the workspace mutex was held.
 //
 // The pass is an intra-function, syntactic analysis: it walks each
 // function body in source order tracking which sync.Mutex/RWMutex
@@ -38,7 +39,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name:     "lockorder",
-	Doc:      "enforce the Workspace→IndexSet lock order and flag blocking or re-entrant calls made under an engine lock",
+	Doc:      "enforce the Workspace→store-index lock order and flag blocking or re-entrant calls made under an engine lock",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }
@@ -48,8 +49,8 @@ var Analyzer = &analysis.Analyzer{
 // of strictly lower rank are held; unranked pairs have no declared
 // order and nesting them is flagged.
 var lockRank = map[string]int{
-	"dyncq/pkg/dyncq.Workspace.mu":    0,
-	"dyncq/internal/eval.IndexSet.mu": 1,
+	"dyncq/pkg/dyncq.Workspace.mu":        0,
+	"dyncq/internal/dyndb.Database.idxMu": 1,
 	// The subscription broker publishes with the workspace write lock
 	// held (commit → delta capture → publish), so its mutex ranks
 	// strictly above both engine locks and nothing blocking may run
@@ -163,7 +164,7 @@ func handleCall(pass *analysis.Pass, allows *directive.Index, fd *ast.FuncDecl, 
 						"re-acquiring %s already held since this function locked it: the engine locks are not re-entrant", lk.expr)
 				case h.rank >= 0 && lk.rank >= 0 && lk.rank <= h.rank:
 					allows.Report(pass, call.Pos(),
-						"acquiring %s while holding %s violates the declared lock order (Workspace.mu before IndexSet.mu)", lk.expr, h.expr)
+						"acquiring %s while holding %s violates the declared lock order (Workspace.mu before Database.idxMu)", lk.expr, h.expr)
 				case h.rank < 0 || lk.rank < 0:
 					allows.Report(pass, call.Pos(),
 						"acquiring %s while holding %s: this lock pair has no declared acquisition order", lk.expr, h.expr)

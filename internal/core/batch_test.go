@@ -52,7 +52,7 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 				t.Fatalf("trial %d query %s batch %d: sequential count %d, batch count %d",
 					trial, q, size, seq.Count(), bat.Count())
 			}
-			if err := bat.checkInvariants(); err != nil {
+			if err := bat.CheckInvariants(); err != nil {
 				t.Fatalf("trial %d query %s: %v", trial, q, err)
 			}
 		}
@@ -172,7 +172,7 @@ func TestApplyBatchForeignArityAtomicRejection(t *testing.T) {
 	if err == nil || n != 0 {
 		t.Fatalf("intra-batch arity clash: n=%d err=%v, want 0 and an error", n, err)
 	}
-	if err := e.checkInvariants(); err != nil {
+	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -197,7 +197,7 @@ func TestBulkLoadMatchesReplayAndOracle(t *testing.T) {
 		if err := bulk.Load(db); err != nil {
 			t.Fatalf("trial %d query %s: bulk load: %v", trial, q, err)
 		}
-		if err := bulk.checkInvariants(); err != nil {
+		if err := bulk.CheckInvariants(); err != nil {
 			t.Fatalf("trial %d query %s: bulk load invariants: %v", trial, q, err)
 		}
 		replay, err := newHarness(q, 1)
@@ -273,7 +273,7 @@ func TestBulkLoadThenUpdates(t *testing.T) {
 			t.Fatalf("after %s: count %d, oracle %d", u, got, want)
 		}
 	}
-	if err := e.checkInvariants(); err != nil {
+	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	// Drain everything inserted so far; the structure must reach pristine
@@ -325,7 +325,7 @@ func TestLoadResetsNonEmptyEngine(t *testing.T) {
 	if e.db.Cardinality() != 2 {
 		t.Errorf("|D| = %d after Load, want 2", e.db.Cardinality())
 	}
-	if err := e.checkInvariants(); err != nil {
+	if err := e.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
 	// The structure must stay fully functional after the reset.

@@ -118,7 +118,7 @@ func TestNativeDeltaMatchesSetDifference(t *testing.T) {
 						t.Fatalf("drained engine still holds %d tuples", len(before))
 					}
 					commit("refill", refill, false)
-					if err := h.checkInvariants(); err != nil {
+					if err := h.CheckInvariants(); err != nil {
 						t.Fatal(err)
 					}
 					if want := eval.Evaluate(q, h.db).Tuples(); !sameTuples(sortedCopy(before), want) {

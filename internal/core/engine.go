@@ -782,13 +782,13 @@ func (e *Engine) Contains(tuple []Value) bool {
 	return true
 }
 
-// checkInvariants verifies the data-structure invariants (a)–(d) of
+// CheckInvariants verifies the data-structure invariants (a)–(d) of
 // Section 6.4 by local recomputation — weights match Lemmas 6.3/6.4, list
 // sums match member weights, membership matches fitness — and the arena
 // bookkeeping a record needs to be found again: own constant, parent ref,
 // mutual list links, and every record either indexed or on the free chain.
 // It costs time linear in the structure.
-func (e *Engine) checkInvariants() error {
+func (e *Engine) CheckInvariants() error {
 	for ci, c := range e.comps {
 		for si := range c.shards {
 			sh := &c.shards[si]

@@ -243,7 +243,7 @@ func TestDuplicateInsertAndAbsentDelete(t *testing.T) {
 	if e.Count() != 0 {
 		t.Errorf("count = %d after delete, want 0", e.Count())
 	}
-	if err := e.checkInvariants(); err != nil {
+	if err := e.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
 }
@@ -372,13 +372,13 @@ func TestRandomAgainstOracle(t *testing.T) {
 			}
 			if si%40 == 39 {
 				compareEnumeration(t, e, q, db, trial, si)
-				if err := e.checkInvariants(); err != nil {
+				if err := e.CheckInvariants(); err != nil {
 					t.Fatalf("trial %d step %d query %s: %v", trial, si, q, err)
 				}
 			}
 		}
 		compareEnumeration(t, e, q, db, trial, len(stream))
-		if err := e.checkInvariants(); err != nil {
+		if err := e.CheckInvariants(); err != nil {
 			t.Fatalf("trial %d query %s: %v", trial, q, err)
 		}
 	}
@@ -422,7 +422,7 @@ func TestDeepPathQuery(t *testing.T) {
 			t.Fatalf("after %s: count %d, oracle %d", u, got, want)
 		}
 	}
-	if err := e.checkInvariants(); err != nil {
+	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -98,7 +98,7 @@ func weightOf(e *harness, varName string, pathVals ...Value) (uint64, bool) {
 // seven unfit items the caption lists as omitted.
 func TestFigure3a(t *testing.T) {
 	e := ex61Engine(t)
-	if err := e.checkInvariants(); err != nil {
+	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Count(); got != 23 {
@@ -187,7 +187,7 @@ func TestFigure3b(t *testing.T) {
 	if err != nil || !changed {
 		t.Fatalf("insert E(b,p): %v %v", changed, err)
 	}
-	if err := e.checkInvariants(); err != nil {
+	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Count(); got != 38 {
@@ -213,7 +213,7 @@ func TestFigure3b(t *testing.T) {
 	if _, err := e.Delete("E", cB, cP); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.checkInvariants(); err != nil {
+	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Count(); got != 23 {

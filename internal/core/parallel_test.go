@@ -80,7 +80,7 @@ func TestShardedEngineAgrees(t *testing.T) {
 			if !sameTupleSet(plain.Tuples(), sharded.Tuples()) {
 				t.Fatalf("%s after %d updates: tuple sets disagree", q, ui+1)
 			}
-			if err := sharded.checkInvariants(); err != nil {
+			if err := sharded.CheckInvariants(); err != nil {
 				t.Fatalf("%s sharded invariants: %v", q, err)
 			}
 		}
@@ -136,7 +136,7 @@ func TestParallelBatchMatchesSequential(t *testing.T) {
 					t.Fatalf("%s workers=%d: counts diverge (%d vs %d)", q, workers, seq.Count(), par.Count())
 				}
 			}
-			if err := par.checkInvariants(); err != nil {
+			if err := par.CheckInvariants(); err != nil {
 				t.Fatalf("%s workers=%d: %v", q, workers, err)
 			}
 			if !sameEnumerationOrder(seq, par) {
@@ -232,7 +232,7 @@ func TestParallelBatchErrors(t *testing.T) {
 	if e.db.Cardinality() != 1 {
 		t.Errorf("|D| = %d after rejected batch, want 1 (only the X tuple)", e.db.Cardinality())
 	}
-	if err := e.checkInvariants(); err != nil {
+	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

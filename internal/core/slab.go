@@ -153,6 +153,27 @@ func (a *arena) recycle(r ref, it record) {
 	a.free = r
 }
 
+// MaskFreeChainHeads corrupts the engine on purpose: it masks the chunk
+// bits off every free-chain head past its arena's first chunk, so the
+// head names a record of chunk 0 instead, and returns how many heads it
+// moved. It lets tests of the layers above, which cannot reach the
+// arenas, check that their invariant audits do (CheckInvariants reports
+// the moved head). Never call it on an engine still in use.
+func (e *Engine) MaskFreeChainHeads() int {
+	moved := 0
+	for _, c := range e.comps {
+		for si := range c.shards {
+			for ai := range c.shards[si].arenas {
+				if a := &c.shards[si].arenas[ai]; a.free > arenaMask {
+					a.free &= arenaMask
+					moved++
+				}
+			}
+		}
+	}
+	return moved
+}
+
 // link appends item r of arena a to the tail of the fit list whose
 // head|tail word is *list: a word of the parent's record, or the shard's
 // start word for a root item.

@@ -72,7 +72,7 @@ func TestArenaRecyclesUnderChurn(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := e.checkInvariants(); err != nil {
+			if err := e.CheckInvariants(); err != nil {
 				t.Fatalf("shards=%d round %d, full: %v", shards, round, err)
 			}
 			rng.Shuffle(len(updates), func(i, j int) { updates[i], updates[j] = updates[j], updates[i] })
@@ -81,7 +81,7 @@ func TestArenaRecyclesUnderChurn(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := e.checkInvariants(); err != nil {
+			if err := e.CheckInvariants(); err != nil {
 				t.Fatalf("shards=%d round %d, drained: %v", shards, round, err)
 			}
 			records, _ := arenaTotals(e.Engine)
@@ -131,7 +131,7 @@ func TestClearAndRebuildDropChunks(t *testing.T) {
 	if records, chunks := arenaTotals(e.Engine); records != 3 || chunks != 3 {
 		t.Errorf("after Rebuild over a 3-item store: %d records, %d chunks, want 3 and 3", records, chunks)
 	}
-	if err := e.checkInvariants(); err != nil {
+	if err := e.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
 	if e.Count() != 1 {
@@ -141,7 +141,7 @@ func TestClearAndRebuildDropChunks(t *testing.T) {
 
 // TestCheckInvariantsSeesArenaCorruption breaks, one at a time, what the
 // item struct used to make true by construction, and expects
-// checkInvariants to notice each.
+// CheckInvariants to notice each.
 func TestCheckInvariantsSeesArenaCorruption(t *testing.T) {
 	e := mustEngine(t, deepQuery)
 	for _, x := range []Value{1, 2, 3} {
@@ -154,7 +154,7 @@ func TestCheckInvariantsSeesArenaCorruption(t *testing.T) {
 	}
 	e.Insert("S", 4)
 	e.Delete("S", 4) // one record on the root arena's free chain
-	if err := e.checkInvariants(); err != nil {
+	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	sh := &e.comps[0].shards[0]
@@ -172,17 +172,17 @@ func TestCheckInvariantsSeesArenaCorruption(t *testing.T) {
 		word, to := corrupt()
 		was := *word
 		*word = to
-		if err := e.checkInvariants(); err == nil {
+		if err := e.CheckInvariants(); err == nil {
 			t.Errorf("%s: corruption not detected", name)
 		}
 		*word = was
 	}
 	root.n++
-	if err := e.checkInvariants(); err == nil {
+	if err := e.CheckInvariants(); err == nil {
 		t.Error("leaked record: corruption not detected")
 	}
 	root.n--
-	if err := e.checkInvariants(); err != nil {
+	if err := e.CheckInvariants(); err != nil {
 		t.Fatalf("restored structure: %v", err)
 	}
 }

@@ -4,11 +4,18 @@
 // commands. It tracks the quantities the paper's bounds are stated in:
 // the cardinality |D| (number of stored tuples), the active domain size
 // n = |adom(D)|, and the size ||D|| = |σ| + |adom(D)| + Σ_R ar(R)·|R^D|.
+//
+// A database also owns the hash indexes evaluators join through (Index):
+// built on first use and maintained by every mutator, so an index always
+// mirrors the tuples it was built on — no caller can mutate the store
+// without the indexes seeing it.
 package dyndb
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
+	"sync"
 
 	"dyncq/internal/tuplekey"
 )
@@ -153,13 +160,16 @@ type Database struct {
 	// database) over the store's lifetime — the quantity the workspace
 	// layer's "shared store applied once per batch" claim is measured in.
 	muts uint64
-	// epoch counts state transitions: every successful mutation and every
-	// Clear advances it. Structures maintained alongside the store (the
-	// eval.IndexSet) record the epoch they are synchronised to and fall
-	// back to a rebuild when the store moved without notifying them.
-	epoch uint64
 	// coal is NetDelta's coalescing scratch, reused across batches.
 	coal coalescer
+	// idx holds the built indexes (see Index). idxMu guards the map and
+	// the indexes in it: concurrent evaluators hold the read lock on the
+	// lookup fast path, lazy builds and index maintenance the write lock.
+	// Published *Index values are mutated only under the write lock, so an
+	// index that Index returned stays consistent for every concurrent
+	// reader until the next mutation.
+	idxMu sync.RWMutex
+	idx   map[indexKey]*Index
 }
 
 // New returns an empty unsharded database with no declared relations.
@@ -174,7 +184,7 @@ func NewSharded(shards int) *Database {
 	if shards < 1 {
 		shards = 1
 	}
-	return &Database{shards: shards, rels: make(map[string]*Relation), adom: newAdom(shards)}
+	return &Database{shards: shards, rels: make(map[string]*Relation), adom: newAdom(shards), idx: make(map[indexKey]*Index)}
 }
 
 func newAdom(shards int) []map[Value]int {
@@ -187,11 +197,6 @@ func newAdom(shards int) []map[Value]int {
 
 // Shards returns the number of hash shards of the store (1 for New).
 func (d *Database) Shards() int { return d.shards }
-
-// Epoch returns the number of state transitions (successful mutations
-// and Clears) the store has undergone. Companion structures use it to
-// detect having missed updates (see eval.IndexSet).
-func (d *Database) Epoch() uint64 { return d.epoch }
 
 // updateHash is the hash both Partition and the relation shard maps
 // bucket a command by: the tuple hash folded with the relation name, so
@@ -234,7 +239,7 @@ func (d *Database) EnsureRelation(name string, arity int) error {
 	for i := range shards {
 		shards[i] = tuplekey.NewTable[struct{}](arity)
 	}
-	d.rels[name] = &Relation{name: name, arity: arity, shards: shards} //dyncq:allow epochstep declaring an empty relation adds no tuple or adom content, so indexes stay consistent without an epoch step
+	d.rels[name] = &Relation{name: name, arity: arity, shards: shards}
 	return nil
 }
 
@@ -252,12 +257,37 @@ func (d *Database) Relations() []string {
 }
 
 // Insert adds the tuple to the relation, declaring the relation with the
-// tuple's arity if it is new. It reports whether the database changed
-// (false if the tuple was already present). An error is returned on arity
-// mismatch.
+// tuple's arity if it is new, and to the relation's built indexes. It
+// reports whether the database changed (false if the tuple was already
+// present). An error is returned on arity mismatch.
 //
 //dyncq:hot
 func (d *Database) Insert(rel string, tuple ...Value) (bool, error) {
+	changed, err := d.insert(rel, tuple)
+	if changed {
+		d.indexOne(OpInsert, rel, tuple)
+	}
+	return changed, err
+}
+
+// Delete removes the tuple from the relation and its built indexes,
+// reporting whether the database changed. Deleting from an undeclared
+// relation is a no-op.
+//
+//dyncq:hot
+func (d *Database) Delete(rel string, tuple ...Value) (bool, error) {
+	changed, err := d.delete(rel, tuple)
+	if changed {
+		d.indexOne(OpDelete, rel, tuple)
+	}
+	return changed, err
+}
+
+// insert is Insert on the tuple storage alone; the caller maintains the
+// indexes.
+//
+//dyncq:hot
+func (d *Database) insert(rel string, tuple []Value) (bool, error) {
 	if err := d.EnsureRelation(rel, len(tuple)); err != nil {
 		return false, err
 	}
@@ -272,7 +302,6 @@ func (d *Database) Insert(rel string, tuple ...Value) (bool, error) {
 	}
 	d.card++
 	d.muts++
-	d.epoch++
 	for _, v := range tuple {
 		a := d.adom[d.adomShard(v)]
 		a[v]++
@@ -283,11 +312,11 @@ func (d *Database) Insert(rel string, tuple ...Value) (bool, error) {
 	return true, nil
 }
 
-// Delete removes the tuple from the relation, reporting whether the
-// database changed. Deleting from an undeclared relation is a no-op.
+// delete is Delete on the tuple storage alone; the caller maintains the
+// indexes.
 //
 //dyncq:hot
-func (d *Database) Delete(rel string, tuple ...Value) (bool, error) {
+func (d *Database) delete(rel string, tuple []Value) (bool, error) {
 	r := d.rels[rel]
 	if r == nil {
 		return false, nil
@@ -300,7 +329,6 @@ func (d *Database) Delete(rel string, tuple ...Value) (bool, error) {
 	}
 	d.card--
 	d.muts++
-	d.epoch++
 	for _, v := range tuple {
 		a := d.adom[d.adomShard(v)]
 		a[v]--
@@ -320,19 +348,19 @@ func (d *Database) Delete(rel string, tuple ...Value) (bool, error) {
 // registered queries" guarantee.
 func (d *Database) Mutations() uint64 { return d.muts }
 
-// Clear drops every relation (declarations included), returning the
-// database to the empty state in place. Unlike assigning a fresh New(),
-// Clear keeps the *Database pointer valid for every structure holding a
-// reference to it — the shared-store contract of the workspace layer.
-// The mutation counter and the shard count are preserved; the epoch
-// advances (the content changed without per-tuple notifications).
+// Clear drops every relation (declarations included) and every index,
+// returning the database to the empty state in place. Unlike assigning a
+// fresh New(), Clear keeps the *Database pointer valid for every
+// structure holding a reference to it — the shared-store contract of the
+// workspace layer. The mutation counter and the shard count are
+// preserved.
 func (d *Database) Clear() {
 	d.rels = make(map[string]*Relation)
 	d.adom = newAdom(d.shards)
 	d.adomSize = 0
 	d.card = 0
-	d.epoch++
 	d.coal = coalescer{}
+	d.DropIndexes()
 }
 
 // CopyFrom inserts every tuple of src into d, declaring src's relations
@@ -575,4 +603,210 @@ func (d *Database) Updates() []Update {
 		}
 	}
 	return out
+}
+
+// indexKey names one index: a relation and the positions it is keyed by.
+type indexKey struct {
+	rel  string
+	mask uint32
+}
+
+// Index is a hash index over one relation: it maps the projection of the
+// relation's tuples onto the mask's positions to the set of matching
+// tuples. Both levels are tuplekey.Tables keyed by the int64 tuples
+// themselves: the outer one by the projection, each bucket by the whole
+// tuple, stored once, inline — membership, O(1) removal and iteration all
+// come from that one table. The probe path (Bucket) performs no encoding
+// and no allocation. The IVM baseline's residual joins probe these instead
+// of rescanning relations.
+type Index struct {
+	mask    uint32
+	buckets *tuplekey.Table[*tuplekey.Table[struct{}]] // projected tuple → its tuples
+	scratch []Value                                    // projection scratch, mutators only
+}
+
+func newIndex(mask uint32) *Index {
+	return &Index{mask: mask, buckets: tuplekey.NewTable[*tuplekey.Table[struct{}]](bits.OnesCount32(mask))}
+}
+
+// Index returns the index on rel keyed by the positions set in mask,
+// building it by a relation scan on first use; from then on every mutator
+// maintains it until Clear or DropIndexes. Safe for concurrent use by any
+// number of evaluators while the store is quiescent (no mutator running):
+// the common case, an index already built, takes only the read lock.
+func (d *Database) Index(rel string, mask uint32) *Index {
+	k := indexKey{rel, mask}
+	d.idxMu.RLock()
+	ix, ok := d.idx[k]
+	d.idxMu.RUnlock()
+	if ok {
+		return ix
+	}
+	d.idxMu.Lock()
+	defer d.idxMu.Unlock()
+	if ix, ok := d.idx[k]; ok {
+		return ix
+	}
+	ix = newIndex(mask)
+	if r := d.rels[rel]; r != nil {
+		r.Each(func(t []Value) bool {
+			ix.add(t)
+			return true
+		})
+	}
+	d.idx[k] = ix
+	return ix
+}
+
+// DropIndexes releases every built index; the next Index call rebuilds
+// its index from the relation. The owner calls it when nothing evaluates
+// against the store any more, so mutators stop maintaining indexes nobody
+// reads.
+func (d *Database) DropIndexes() {
+	d.idxMu.Lock()
+	clear(d.idx)
+	d.idxMu.Unlock()
+}
+
+// indexOne maintains the built indexes on rel under one command the
+// store just applied.
+//
+//dyncq:hot
+func (d *Database) indexOne(op Op, rel string, tuple []Value) {
+	d.idxMu.Lock()
+	d.indexLocked(op, rel, tuple)
+	d.idxMu.Unlock()
+}
+
+// indexDelta maintains the built indexes under a net delta the store just
+// applied, under one lock for the whole delta.
+//
+//dyncq:hot
+func (d *Database) indexDelta(delta []Update) {
+	d.idxMu.Lock()
+	defer d.idxMu.Unlock()
+	if len(d.idx) == 0 {
+		return
+	}
+	for _, u := range delta {
+		d.indexLocked(u.Op, u.Rel, u.Tuple)
+	}
+}
+
+// indexLocked files one applied command into every built index on its
+// relation. Caller holds the index write lock.
+//
+//dyncq:hot
+func (d *Database) indexLocked(op Op, rel string, tuple []Value) {
+	for k, ix := range d.idx { //dyncq:allow determinism per-index maintenance is independent, any visit order yields the same indexes
+		if k.rel != rel {
+			continue
+		}
+		if op == OpInsert {
+			ix.add(tuple)
+		} else {
+			ix.remove(tuple)
+		}
+	}
+}
+
+// proj writes the masked positions of t into the index's scratch slice
+// and returns it. Mutators only (add/remove run under the index write
+// lock); the concurrent read path (Bucket) never touches scratch.
+//
+//dyncq:hot
+func (ix *Index) proj(t []Value) []Value {
+	p := ix.scratch[:0]
+	for j := range t {
+		if ix.mask&(1<<uint(j)) != 0 {
+			p = append(p, t[j])
+		}
+	}
+	ix.scratch = p
+	return p
+}
+
+//dyncq:hot
+func (ix *Index) add(t []Value) {
+	b, existed := ix.buckets.Ref(ix.proj(t))
+	if !existed {
+		*b = tuplekey.NewTable[struct{}](len(t)) //dyncq:allow hotalloc first tuple of a projection only
+	}
+	(*b).Ref(t)
+}
+
+//dyncq:hot
+func (ix *Index) remove(t []Value) {
+	p := ix.proj(t)
+	if b, ok := ix.buckets.Get(p); ok && b.Delete(t) && b.Len() == 0 {
+		ix.buckets.Delete(p)
+	}
+}
+
+// Bucket returns the set of tuples whose masked positions equal boundVals
+// (in mask position order), nil if there are none. The table is owned by
+// the index and valid until the store's next mutation; callers only read
+// it (Keys yields slices aliasing it). No allocation and no key encoding
+// happen on this path.
+//
+//dyncq:hot
+func (ix *Index) Bucket(boundVals []Value) *tuplekey.Table[struct{}] {
+	b, _ := ix.buckets.Get(boundVals)
+	return b
+}
+
+// CheckIndexes verifies that every built index mirrors its relation:
+// every indexed tuple is stored and filed under its own projection, every
+// stored tuple is indexed, and no empty bucket is kept. Intended for
+// tests and invariant audits; cost is linear in the relations and
+// indexes.
+func (d *Database) CheckIndexes() error {
+	d.idxMu.RLock()
+	defer d.idxMu.RUnlock()
+	for k, ix := range d.idx { //dyncq:allow determinism diagnostic only; which violation is reported first may vary, presence does not
+		r := d.rels[k.rel]
+		count := 0
+		var err error
+		ix.buckets.Range(func(p []Value, b *tuplekey.Table[struct{}]) bool {
+			if b.Len() == 0 {
+				err = fmt.Errorf("index (%s,%b) keeps an empty bucket for %v", k.rel, k.mask, p)
+				return false
+			}
+			return b.Keys(func(t []Value) bool {
+				count++
+				if r == nil || !r.Has(t) {
+					err = fmt.Errorf("index (%s,%b) holds stale tuple %v", k.rel, k.mask, t)
+				} else if !projectsTo(t, ix.mask, p) {
+					err = fmt.Errorf("index (%s,%b) files %v under %v", k.rel, k.mask, t, p)
+				}
+				return err == nil
+			})
+		})
+		if err != nil {
+			return err
+		}
+		want := 0
+		if r != nil {
+			want = r.Len()
+		}
+		if count != want {
+			return fmt.Errorf("index (%s,%b) has %d tuples, relation has %d", k.rel, k.mask, count, want)
+		}
+	}
+	return nil
+}
+
+// projectsTo reports whether t's masked positions spell p.
+func projectsTo(t []Value, mask uint32, p []Value) bool {
+	i := 0
+	for j, v := range t {
+		if mask&(1<<uint(j)) == 0 {
+			continue
+		}
+		if i == len(p) || p[i] != v {
+			return false
+		}
+		i++
+	}
+	return i == len(p)
 }

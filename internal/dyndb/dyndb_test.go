@@ -1,9 +1,16 @@
 package dyndb
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
+
+	"dyncq/internal/tuplekey"
 )
 
 func TestInsertDeleteSetSemantics(t *testing.T) {
@@ -491,5 +498,306 @@ func TestCopyFrom(t *testing.T) {
 	}
 	if err := bad.CopyFrom(src); err == nil {
 		t.Fatal("CopyFrom over a conflicting declaration accepted")
+	}
+}
+
+func TestIndexBuckets(t *testing.T) {
+	db := New()
+	for _, tu := range [][]Value{{1, 2}, {1, 3}, {2, 9}, {3, 9}} {
+		if _, err := db.Insert("E", tu...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, second := db.Index("E", 0b01), db.Index("E", 0b10)
+	if got := first.Bucket([]Value{1}).Len(); got != 2 {
+		t.Fatalf("bucket(1,·) has %d tuples, want 2", got)
+	}
+	if got := second.Bucket([]Value{9}).Len(); got != 2 {
+		t.Fatalf("bucket(·,9) has %d tuples, want 2", got)
+	}
+	if db.Index("E", 0b01) != first {
+		t.Fatal("a second Index call rebuilt the index")
+	}
+	if _, err := db.Insert("E", 1, 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Delete("E", 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if b := first.Bucket([]Value{1}); b.Len() != 2 || !b.Has([]Value{1, 4}) || b.Has([]Value{1, 2}) {
+		t.Fatal("bucket(1,·) not maintained by Insert/Delete")
+	}
+	if first.Bucket([]Value{7}) != nil {
+		t.Fatal("a projection with no tuples has a bucket")
+	}
+	if err := db.CheckIndexes(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckIndexesSeesCorruption: each way an index can disagree with its
+// relation is reported.
+func TestCheckIndexesSeesCorruption(t *testing.T) {
+	build := func() (*Database, *Index) {
+		db := New()
+		for _, tu := range [][]Value{{1, 2}, {1, 3}, {2, 9}} {
+			if _, err := db.Insert("E", tu...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db, db.Index("E", 0b01)
+	}
+	for name, corrupt := range map[string]func(ix *Index){
+		"stale tuple":   func(ix *Index) { ix.add([]Value{5, 5}) },
+		"missing tuple": func(ix *Index) { ix.remove([]Value{1, 3}) },
+		"misfiled":      func(ix *Index) { b, _ := ix.buckets.Get([]Value{1}); b.Ref([]Value{2, 9}) },
+		"empty bucket":  func(ix *Index) { b, _ := ix.buckets.Ref([]Value{4}); *b = tuplekey.NewTable[struct{}](2) },
+	} {
+		db, ix := build()
+		corrupt(ix)
+		if err := db.CheckIndexes(); err == nil {
+			t.Errorf("%s: not reported", name)
+		}
+	}
+}
+
+// TestIndexOnUndeclaredRelation: an index asked for before its relation
+// exists starts empty, declares nothing, and is filled by the mutator that
+// declares the relation — Insert, and the parallel ApplyNetDelta path.
+func TestIndexOnUndeclaredRelation(t *testing.T) {
+	db := NewSharded(4)
+	byX := db.Index("E", 0b01)
+	if byX.Bucket([]Value{1}) != nil || db.Relation("E") != nil {
+		t.Fatal("an index on an undeclared relation is not empty, or declared it")
+	}
+	if _, err := db.Insert("E", 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if b := byX.Bucket([]Value{1}); b == nil || !b.Has([]Value{1, 2}) {
+		t.Fatal("the Insert that declared E left its index empty")
+	}
+	byZ := db.Index("R", 0b100)
+	var batch []Update
+	for i := Value(0); i < 2*minParallelDelta; i++ {
+		batch = append(batch, Insert("R", i, i, i%3))
+	}
+	delta, err := db.NetDelta(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.ApplyNetDelta(delta, 4)
+	if b := byZ.Bucket([]Value{0}); b == nil || b.Len() != 22 {
+		t.Fatal("the ApplyNetDelta that declared R did not file 22 tuples under z=0")
+	}
+	checkIndexesFresh(t, db, "after declaring mutators")
+}
+
+// TestClearDropsIndexes: Clear forgets every index along with the
+// declarations, so a relation redeclared at another arity gets indexes of
+// its new shape rather than buckets keyed for the old one.
+func TestClearDropsIndexes(t *testing.T) {
+	db := New()
+	if _, err := db.Insert("E", 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	old := db.Index("E", 0b01)
+	db.Clear()
+	if len(db.idx) != 0 {
+		t.Fatalf("%d indexes survive Clear", len(db.idx))
+	}
+	if _, err := db.Insert("E", 1, 2, 3); err != nil {
+		t.Fatal(err)
+	}
+	if db.Index("E", 0b01) == old {
+		t.Fatal("Index after Clear returned the index built before it")
+	}
+	if b := db.Index("E", 0b011).Bucket([]Value{1, 2}); b == nil || b.Len() != 1 || !b.Has([]Value{1, 2, 3}) {
+		t.Fatal("index on the redeclared E does not hold exactly (1,2,3) under (1,2)")
+	}
+	checkIndexesFresh(t, db, "after Clear and redeclaration")
+}
+
+// TestDropIndexes: the mutators stop maintaining released indexes, and
+// the next Index call builds a new one from the relation.
+func TestDropIndexes(t *testing.T) {
+	db := New()
+	if _, err := db.Insert("E", 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	old := db.Index("E", 0b01)
+	db.DropIndexes()
+	if _, err := db.Insert("E", 1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if old.Bucket([]Value{1}).Has([]Value{1, 3}) {
+		t.Fatal("a dropped index is still maintained")
+	}
+	ix := db.Index("E", 0b01)
+	if ix == old {
+		t.Fatal("Index after DropIndexes returned the dropped index")
+	}
+	if b := ix.Bucket([]Value{1}); b == nil || b.Len() != 2 {
+		t.Fatal("rebuilt index does not hold both E tuples under x=1")
+	}
+	checkIndexesFresh(t, db, "after DropIndexes")
+}
+
+// TestApplyNetDeltaMaintainsIndexes: a delta of inserts and deletes
+// against built indexes on every mask of E leaves them equal to a fresh
+// build, on the sequential path and on the parallel one.
+func TestApplyNetDeltaMaintainsIndexes(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			db := NewSharded(4)
+			var initial []Update
+			for i := Value(0); i < 50; i++ {
+				initial = append(initial, Insert("E", i%10, i))
+			}
+			if err := db.ApplyAll(initial); err != nil {
+				t.Fatal(err)
+			}
+			for _, mask := range []uint32{0b01, 0b10, 0b11} {
+				db.Index("E", mask)
+			}
+			var batch []Update
+			for i := Value(0); i < 40; i++ {
+				if i%2 == 0 {
+					batch = append(batch, Insert("E", i%10, 100+i))
+				} else {
+					batch = append(batch, Delete("E", i%10, i))
+				}
+			}
+			delta, err := db.NetDelta(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(delta) < minParallelDelta {
+				t.Fatalf("delta of %d updates is too small for the parallel path", len(delta))
+			}
+			db.ApplyNetDelta(delta, workers)
+			byX := db.Index("E", 0b01)
+			if b := byX.Bucket([]Value{0}); b == nil || b.Len() != 9 {
+				t.Fatal("bucket x=0 does not hold its 5 loaded and 4 inserted tuples")
+			}
+			if b := byX.Bucket([]Value{1}); b == nil || b.Len() != 1 || !b.Has([]Value{1, 41}) {
+				t.Fatal("bucket x=1 does not hold exactly the (1,41) the delta left")
+			}
+			checkIndexesFresh(t, db, "after ApplyNetDelta")
+		})
+	}
+}
+
+// dumpIndex flattens an index into sorted (projection, tuple) pairs for
+// order-insensitive comparison.
+func dumpIndex(ix *Index) []string {
+	var out []string
+	ix.buckets.Range(func(p []Value, b *tuplekey.Table[struct{}]) bool {
+		return b.Keys(func(t []Value) bool {
+			out = append(out, fmt.Sprint(p, t))
+			return true
+		})
+	})
+	sort.Strings(out)
+	return out
+}
+
+// checkIndexesFresh requires every built index of db to pass CheckIndexes
+// and to equal the index a relation scan over a copy of db builds.
+func checkIndexesFresh(t *testing.T, db *Database, ctx string) {
+	t.Helper()
+	if err := db.CheckIndexes(); err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+	fresh := db.Clone()
+	for k, ix := range db.idx {
+		if !reflect.DeepEqual(dumpIndex(ix), dumpIndex(fresh.Index(k.rel, k.mask))) {
+			t.Fatalf("%s: index (%s,%b) diverges from a fresh build", ctx, k.rel, k.mask)
+		}
+	}
+}
+
+// TestIndexesMatchFreshBuild is the property test of store-maintained
+// indexes: a random sequence of every exported mutator — Insert, Delete,
+// Apply, ApplyAll, CopyFrom, Clear, and ApplyNetDelta with deltas large
+// enough for the parallel path — interleaved with index builds that
+// goroutines race on random masks, leaves every built index equal to a
+// fresh build after every step. Under -race the concurrent builds are the
+// safety check for evaluators sharing one store.
+func TestIndexesMatchFreshBuild(t *testing.T) {
+	masks := []indexKey{{"E", 0b01}, {"E", 0b10}, {"E", 0b11}, {"T", 0b1}}
+	const readers = 8
+	for _, shards := range []int{1, 8} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(41 + 10*shards + workers)))
+				db := NewSharded(shards)
+				for step := 0; step < 200; step++ {
+					var what string
+					switch r := rng.Intn(16); {
+					case r == 0:
+						what = "Clear"
+						db.Clear()
+					case r == 1:
+						what = "CopyFrom"
+						src := New()
+						if err := src.ApplyAll(randomStream(rng, 40)); err != nil {
+							t.Fatal(err)
+						}
+						if err := db.CopyFrom(src); err != nil {
+							t.Fatal(err)
+						}
+					case r < 4:
+						what = "ApplyAll"
+						if err := db.ApplyAll(randomStream(rng, 8)); err != nil {
+							t.Fatal(err)
+						}
+					case r < 6:
+						what = "Apply"
+						if _, err := db.Apply(randomStream(rng, 1)[0]); err != nil {
+							t.Fatal(err)
+						}
+					case r < 8:
+						what = "Insert/Delete"
+						v1, v2 := int64(rng.Intn(20)), int64(rng.Intn(20))
+						if _, err := db.Insert("E", v1, v2); err != nil {
+							t.Fatal(err)
+						}
+						if _, err := db.Delete("E", v2, v1); err != nil {
+							t.Fatal(err)
+						}
+					case r < 11:
+						what = "ApplyNetDelta"
+						var delta []Update
+						for len(delta) < minParallelDelta {
+							var err error
+							if delta, err = db.NetDelta(randomStream(rng, 160)); err != nil {
+								t.Fatal(err)
+							}
+						}
+						db.ApplyNetDelta(delta, workers)
+					default:
+						what = "concurrent Index"
+						var wg sync.WaitGroup
+						for r := 0; r < readers; r++ {
+							wg.Add(1)
+							lrng := rand.New(rand.NewSource(rng.Int63()))
+							go func() {
+								defer wg.Done()
+								for i := 0; i < 4; i++ {
+									k := masks[lrng.Intn(len(masks))]
+									probe := make([]Value, bits.OnesCount32(k.mask))
+									for j := range probe {
+										probe[j] = int64(lrng.Intn(20))
+									}
+									db.Index(k.rel, k.mask).Bucket(probe)
+								}
+							}()
+						}
+						wg.Wait()
+					}
+					checkIndexesFresh(t, db, fmt.Sprintf("step %d (%s)", step, what))
+				}
+			})
+		}
 	}
 }

@@ -36,32 +36,48 @@ type relOp struct {
 	insert bool
 }
 
-// ApplyNetDelta applies a net delta to the database, returning the
-// number of commands applied (always len(survivors)). The survivors
-// MUST come from NetDelta against the database's current state (or be
-// equivalent: coalesced, arity-consistent, and each changing the store);
-// ApplyNetDelta panics on a violated contract, exactly like the
-// workspace layer's "validated delta failed to apply" guard.
+// ApplyNetDelta applies a net delta to the database and its built
+// indexes, returning the number of commands applied (always
+// len(survivors)). The survivors MUST come from NetDelta against the
+// database's current state (or be equivalent: coalesced,
+// arity-consistent, and each changing the store); ApplyNetDelta panics on
+// a violated contract, exactly like the workspace layer's "validated
+// delta failed to apply" guard.
 //
 // With workers > 1 on a sharded database (NewSharded) the commands are
 // grouped by the Partition/updateHash shard and applied by up to workers
 // goroutines, with the adom counting pre-bucketed per value shard; the
 // resulting state is identical to the sequential path at any worker
 // count. With workers <= 1, one shard, or a small delta it applies
-// sequentially (bit-identical to ApplyAll over the survivors).
+// sequentially (bit-identical to ApplyAll over the survivors). Either
+// way the indexes are then maintained under one lock for the whole delta.
 //
 //dyncq:hot
 func (d *Database) ApplyNetDelta(survivors []Update, workers int) int {
 	if workers <= 1 || d.shards == 1 || len(survivors) < minParallelDelta {
 		for _, u := range survivors {
-			changed, err := d.Apply(u)
+			var changed bool
+			var err error
+			if u.Op == OpInsert {
+				changed, err = d.insert(u.Rel, u.Tuple)
+			} else {
+				changed, err = d.delete(u.Rel, u.Tuple)
+			}
 			if err != nil || !changed {
 				panic(fmt.Sprintf("dyndb: net delta violates its contract at %s: changed=%v err=%v", u, changed, err))
 			}
 		}
-		return len(survivors)
+	} else {
+		d.applyParallel(survivors, workers)
 	}
+	d.indexDelta(survivors)
+	return len(survivors)
+}
 
+// applyParallel is ApplyNetDelta's store phase on worker goroutines.
+//
+//dyncq:hot
+func (d *Database) applyParallel(survivors []Update, workers int) {
 	// Sequential prologue: declare fresh relations (map writes on d.rels
 	// must not race with the workers reading it), resolve each command's
 	// relation, bucket the tuple ops per store shard and the adom
@@ -160,6 +176,4 @@ func (d *Database) ApplyNetDelta(survivors []Update, workers int) int {
 	}
 	d.card += cardDelta
 	d.muts += uint64(len(survivors))
-	d.epoch += uint64(len(survivors))
-	return len(survivors)
 }

@@ -81,7 +81,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 
 // TestApplyNetDeltaParallelMatchesSequential: the parallel net-delta
 // application reaches exactly the sequential state, including the
-// mutation counter and epoch, at every worker count.
+// mutation counter, at every worker count.
 func TestApplyNetDeltaParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
@@ -112,9 +112,6 @@ func TestApplyNetDeltaParallelMatchesSequential(t *testing.T) {
 			equalContent(t, par, seq)
 			if par.Mutations() != seq.Mutations() {
 				t.Fatalf("mutations %d vs %d", par.Mutations(), seq.Mutations())
-			}
-			if par.Epoch() != seq.Epoch() {
-				t.Fatalf("epoch %d vs %d", par.Epoch(), seq.Epoch())
 			}
 		}
 	}
@@ -155,37 +152,6 @@ func TestApplyNetDeltaContractViolation(t *testing.T) {
 		}
 	}()
 	db.ApplyNetDelta([]Update{Insert("E", 1, 2)}, 1)
-}
-
-// TestEpoch: mutations, Clear, and no-ops move the epoch exactly as
-// documented.
-func TestEpoch(t *testing.T) {
-	db := New()
-	if db.Epoch() != 0 {
-		t.Fatalf("fresh epoch %d", db.Epoch())
-	}
-	mustApply := func(u Update) {
-		t.Helper()
-		if _, err := db.Apply(u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustApply(Insert("E", 1, 2))
-	mustApply(Insert("E", 1, 2)) // no-op: epoch unchanged
-	if db.Epoch() != 1 {
-		t.Fatalf("epoch %d after insert + no-op, want 1", db.Epoch())
-	}
-	mustApply(Delete("E", 1, 2))
-	if db.Epoch() != 2 {
-		t.Fatalf("epoch %d after delete, want 2", db.Epoch())
-	}
-	db.Clear()
-	if db.Epoch() != 3 {
-		t.Fatalf("epoch %d after Clear, want 3", db.Epoch())
-	}
-	if db.Shards() != 1 {
-		t.Fatalf("Clear changed shard count to %d", db.Shards())
-	}
 }
 
 // TestClearKeepsShards: Clear preserves the shard layout so the parallel

@@ -1,6 +1,7 @@
 // Package eval is a static (non-incremental) conjunctive query evaluator:
-// a backtracking join with lazily built hash indexes. It plays two roles
-// in this repository:
+// a backtracking join that probes the store's own hash indexes
+// (dyndb.Database.Index, built on first use). It plays two roles in this
+// repository:
 //
 //   - the correctness oracle that the dynamic engine (internal/core) and
 //     the IVM baseline (internal/ivm) are tested against, and
@@ -13,10 +14,7 @@
 package eval
 
 import (
-	"fmt"
-	"math/bits"
 	"slices"
-	"sync"
 
 	"dyncq/internal/cq"
 	"dyncq/internal/dyndb"
@@ -70,10 +68,11 @@ func (r *Result) Tuples() [][]Value {
 func (r *Result) Each(fn func(tuple []Value) bool) { r.set.Keys(fn) }
 
 // Evaluate computes ϕ(D): the set of distinct head projections of all
-// valuations satisfying the body.
+// valuations satisfying the body. The indexes the join builds stay on db,
+// maintained by its mutators (see dyndb.Database.Index).
 func Evaluate(q *cq.Query, db *dyndb.Database) *Result {
 	res := &Result{set: tuplekey.NewTable[struct{}](len(q.Head))}
-	NewEvaluator(q).Run(db, nil, nil, nil, func(head []Value) bool {
+	NewEvaluator(q).Run(db, nil, nil, func(head []Value) bool {
 		res.set.Ref(head)
 		return true
 	})
@@ -89,7 +88,7 @@ func Count(q *cq.Query, db *dyndb.Database) int {
 // satisfying valuation.
 func Answer(q *cq.Query, db *dyndb.Database) bool {
 	found := false
-	NewEvaluator(q).Run(db, nil, nil, nil, func([]Value) bool {
+	NewEvaluator(q).Run(db, nil, nil, func([]Value) bool {
 		found = true
 		return false
 	})
@@ -98,20 +97,18 @@ func Answer(q *cq.Query, db *dyndb.Database) bool {
 
 // CountValuations returns, for every head tuple, the number of valuations
 // (homomorphisms ϕ → D over all variables) projecting to it, honouring
-// pinned atoms, as a fresh table keyed by head tuple. If idx is non-nil
-// its indexes are used and extended; otherwise a transient index set over
-// db is built.
-func CountValuations(q *cq.Query, db *dyndb.Database, pinned Pinned, idx *IndexSet) *tuplekey.Table[int64] {
-	return CountValuationsRestricted(q, db, pinned, nil, idx)
+// pinned atoms, as a fresh table keyed by head tuple.
+func CountValuations(q *cq.Query, db *dyndb.Database, pinned Pinned) *tuplekey.Table[int64] {
+	return CountValuationsRestricted(q, db, pinned, nil)
 }
 
 // CountValuationsRestricted is CountValuations with additional restricted
 // atoms: atoms in restricted range only over their listed tuple sets (see
 // Restricted). Pinning and restricting the same atom is a programming
 // error; the pin wins.
-func CountValuationsRestricted(q *cq.Query, db *dyndb.Database, pinned Pinned, restricted Restricted, idx *IndexSet) *tuplekey.Table[int64] {
+func CountValuationsRestricted(q *cq.Query, db *dyndb.Database, pinned Pinned, restricted Restricted) *tuplekey.Table[int64] {
 	out := tuplekey.NewTable[int64](len(q.Head))
-	NewEvaluator(q).CountInto(out, db, pinned, restricted, idx)
+	NewEvaluator(q).CountInto(out, db, pinned, restricted)
 	return out
 }
 
@@ -126,7 +123,7 @@ type Evaluator struct {
 	headIdx []int // variable index per head position
 
 	// State of the running call.
-	idx     *IndexSet
+	db      *dyndb.Database
 	emit    func(head []Value) bool
 	stopped bool
 	order   []int // atom joined at each depth
@@ -214,23 +211,20 @@ func NewEvaluator(q *cq.Query) *Evaluator {
 // CountInto adds to out, for every head tuple, the number of valuations
 // projecting to it (see CountValuationsRestricted). out must be keyed at
 // the head's arity.
-func (ev *Evaluator) CountInto(out *tuplekey.Table[int64], db *dyndb.Database, pinned Pinned, restricted Restricted, idx *IndexSet) {
+func (ev *Evaluator) CountInto(out *tuplekey.Table[int64], db *dyndb.Database, pinned Pinned, restricted Restricted) {
 	ev.counts = out
-	ev.Run(db, pinned, restricted, idx, ev.countEmit)
+	ev.Run(db, pinned, restricted, ev.countEmit)
 	ev.counts = nil
 }
 
 // Run enumerates all satisfying valuations of the query over db, with
 // pinned and restricted atom overrides, calling emit with the head
 // projection of each until emit returns false. The head slice passed to
-// emit is reused between calls. A nil idx means a transient index set.
-func (ev *Evaluator) Run(db *dyndb.Database, pinned Pinned, restricted Restricted, idx *IndexSet, emit func(head []Value) bool) {
-	if idx == nil {
-		idx = NewIndexSet(db)
-	} else if idx.db != db {
-		panic("eval: IndexSet belongs to a different database")
-	}
-	ev.idx, ev.emit, ev.stopped = idx, emit, false
+// emit is reused between calls. Joins probe db's indexes, building the
+// ones they need on first use; any number of evaluators may run over one
+// db at once while nothing mutates it.
+func (ev *Evaluator) Run(db *dyndb.Database, pinned Pinned, restricted Restricted, emit func(head []Value) bool) {
+	ev.db, ev.emit, ev.stopped = db, emit, false
 	for i := range ev.atoms {
 		a := &ev.atoms[i]
 		a.stored = db.Relation(a.rel)
@@ -243,7 +237,7 @@ func (ev *Evaluator) Run(db *dyndb.Database, pinned Pinned, restricted Restricte
 	ev.plan()
 	clear(ev.bound)
 	ev.step(0)
-	ev.idx, ev.emit = nil, nil
+	ev.db, ev.emit = nil, nil
 }
 
 // plan fixes the running call's join order, greedily: pinned atoms first,
@@ -345,7 +339,7 @@ func (ev *Evaluator) step(d int) {
 	case mask == 0:
 		rel.Each(f.visit)
 	default:
-		if b := ev.idx.Get(a.rel, mask).bucket(probe); b != nil {
+		if b := ev.db.Index(a.rel, mask).Bucket(probe); b != nil {
 			b.Keys(f.visit)
 		}
 	}
@@ -377,330 +371,4 @@ func (ev *Evaluator) try(d int, t []Value) {
 	for _, vi := range newlyBound {
 		ev.bound[vi] = false
 	}
-}
-
-// IndexSet is a collection of hash indexes over a database's relations,
-// keyed by (relation, bound-position mask). Indexes are built lazily on
-// first use and maintained incrementally under updates, which is how the
-// IVM baseline keeps its residual joins fast without rescanning.
-//
-// The set records the store epoch (dyndb.Database.Epoch) it is
-// synchronised to: every ApplyUpdate/ApplyDelta call advances the
-// recorded epoch in lockstep with the store's own counter, so as long
-// as the owner notifies the set of every mutation, built indexes stay
-// warm indefinitely — across IVM batches and (via Reload) across Loads
-// of overlapping databases. If the store moved without notification
-// (direct writes, a Clear the owner chose not to diff), the next Get
-// detects the epoch mismatch and falls back to dropping every index;
-// they are then rebuilt lazily by relation scans, exactly as on first
-// use. Incremental maintenance is an optimisation with a rebuild safety
-// net, never a correctness risk. Rebuilds() counts how often that
-// fallback fired with built indexes to drop, so silent store movement is
-// observable in production instead of showing up only as latency.
-//
-// Concurrency contract: Get and the other read entry points (Epoch,
-// Synced, Built, Rebuilds, IndexedRelations, SanityCheck) are safe to
-// call from any number of goroutines concurrently with each other,
-// PROVIDED the underlying store is quiescent — evaluators sharing the
-// set may race on lazy builds and the epoch-sync fallback, which the
-// internal lock serialises. The maintenance entry points (ApplyUpdate,
-// ApplyDelta, Reload) require exclusive access relative to the store
-// mutation they mirror: the owner must not run them concurrently with
-// evaluation, which is exactly the phase discipline of the workspace
-// layer (hooks and fan-out never overlap the store phase).
-type IndexSet struct {
-	db *dyndb.Database
-
-	// mu guards idx, epoch and rebuilds. Concurrent evaluators hold the
-	// read lock on the Get fast path; lazy builds, the epoch-sync
-	// fallback and the maintenance entry points hold the write lock.
-	// Published *Index values are mutated only under the write lock, so a
-	// pointer returned by Get stays internally consistent for every
-	// concurrent reader until the next maintenance call.
-	mu       sync.RWMutex
-	idx      map[indexKey]*Index
-	epoch    uint64 // store epoch the indexes reflect
-	rebuilds uint64 // epoch-mismatch fallbacks that dropped built indexes
-}
-
-type indexKey struct {
-	rel  string
-	mask uint32
-}
-
-// Index maps the projection of tuples onto the mask's positions to the
-// set of matching tuples. Both levels are tuplekey.Tables keyed by the
-// int64 tuples themselves: the outer one by the projection, each bucket by
-// the whole tuple, stored once, inline — membership, O(1) removal and
-// iteration all come from that one table. The probe path (bucket) performs
-// no encoding and no allocation.
-type Index struct {
-	mask    uint32
-	buckets *tuplekey.Table[*tuplekey.Table[struct{}]] // projected tuple → its tuples
-	scratch []Value                                    // projection scratch, mutators only
-}
-
-func newIndex(mask uint32) *Index {
-	return &Index{mask: mask, buckets: tuplekey.NewTable[*tuplekey.Table[struct{}]](bits.OnesCount32(mask))}
-}
-
-// NewIndexSet returns an empty index set over db, synchronised to its
-// current epoch.
-func NewIndexSet(db *dyndb.Database) *IndexSet {
-	return &IndexSet{db: db, idx: make(map[indexKey]*Index), epoch: db.Epoch()}
-}
-
-// Epoch returns the store epoch the indexes reflect.
-func (s *IndexSet) Epoch() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.epoch
-}
-
-// Synced reports whether the set is up to date with its store: false
-// means the next Get will take the rebuild fallback.
-func (s *IndexSet) Synced() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.epoch == s.db.Epoch()
-}
-
-// Built returns the number of built indexes. Owners use it to skip
-// computing an incremental reconciliation no index would benefit from.
-func (s *IndexSet) Built() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.idx)
-}
-
-// Rebuilds returns how many times the epoch-sync fallback dropped built
-// indexes because the store moved without notification. In steady state
-// (an owner that reports every mutation) it stays zero; a nonzero value
-// means some store movement bypassed the maintenance entry points and
-// indexes were silently rebuilt by relation scans.
-func (s *IndexSet) Rebuilds() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.rebuilds
-}
-
-// IndexedRelations returns the set of relations with at least one built
-// index. A reconciliation diff (Reload) only needs to cover these:
-// commands on any other relation are dropped by the maintenance loop
-// anyway.
-func (s *IndexSet) IndexedRelations() map[string]bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string]bool, len(s.idx))
-	for k := range s.idx { //dyncq:allow determinism builds an order-free set, iteration order cannot leak
-		out[k.rel] = true
-	}
-	return out
-}
-
-// syncLocked is the rebuild fallback: if the store moved without
-// notifying the set, every index is dropped (to be rebuilt lazily) and
-// the epoch resynchronised. Caller holds the write lock.
-func (s *IndexSet) syncLocked() {
-	cur := s.db.Epoch()
-	if s.epoch == cur {
-		return
-	}
-	if len(s.idx) > 0 {
-		s.idx = make(map[indexKey]*Index)
-		s.rebuilds++
-	}
-	s.epoch = cur
-}
-
-// Get returns the index for (rel, mask), building it by a relation scan if
-// it does not exist yet. A store that moved without notification first
-// invalidates every index (see IndexSet). Safe for concurrent use by any
-// number of evaluators while the store is quiescent: the common case (set
-// synced, index built) takes only the read lock.
-func (s *IndexSet) Get(rel string, mask uint32) *Index {
-	k := indexKey{rel, mask}
-	storeEpoch := s.db.Epoch()
-	s.mu.RLock()
-	if s.epoch == storeEpoch {
-		if ix, ok := s.idx[k]; ok {
-			s.mu.RUnlock()
-			return ix
-		}
-	}
-	s.mu.RUnlock()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.syncLocked()
-	if ix, ok := s.idx[k]; ok {
-		return ix
-	}
-	ix := newIndex(mask)
-	if r := s.db.Relation(rel); r != nil {
-		r.Each(func(t []Value) bool {
-			ix.add(t)
-			return true
-		})
-	}
-	s.idx[k] = ix
-	return ix
-}
-
-// ApplyUpdate maintains all existing indexes on u.Rel for one command
-// that changed the database. Call it after the store applied the
-// command, exactly once per store-changing command, so the set's epoch
-// advances in lockstep with the store's.
-func (s *IndexSet) ApplyUpdate(u dyndb.Update) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.epoch++
-	s.applyOne(u)
-}
-
-//dyncq:hot
-func (s *IndexSet) applyOne(u dyndb.Update) {
-	for k, ix := range s.idx { //dyncq:allow determinism per-index maintenance is independent, any visit order yields the same indexes
-		if k.rel != u.Rel {
-			continue
-		}
-		if u.Op == dyndb.OpInsert {
-			ix.add(u.Tuple)
-		} else {
-			ix.remove(u.Tuple)
-		}
-	}
-}
-
-// ApplyDelta maintains all existing indexes under a net delta the store
-// already applied (each command having changed the database — e.g. the
-// survivors handed to dyndb.ApplyNetDelta). The epoch advances by the
-// delta length, staying in lockstep with the store.
-func (s *IndexSet) ApplyDelta(survivors []dyndb.Update) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.epoch += uint64(len(survivors))
-	if len(s.idx) == 0 {
-		return
-	}
-	for _, u := range survivors {
-		s.applyOne(u)
-	}
-}
-
-// Reload reconciles the set with a store whose contents were wholesale
-// replaced (Clear + CopyFrom): diff must be a net delta transforming the
-// pre-replacement contents into the current ones. Existing indexes are
-// patched tuple by tuple — the incremental alternative to the rebuild
-// fallback a bare Clear would trigger — and the epoch resynchronises to
-// the store's current value. With no built indexes it only resyncs.
-func (s *IndexSet) Reload(diff []dyndb.Update) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.idx) > 0 {
-		for _, u := range diff {
-			s.applyOne(u)
-		}
-	}
-	s.epoch = s.db.Epoch()
-}
-
-// proj writes the masked positions of t into the index's scratch slice
-// and returns it. Mutators only (add/remove run under the owning set's
-// write lock); the concurrent read path (bucket) never touches scratch.
-//
-//dyncq:hot
-func (ix *Index) proj(t []Value) []Value {
-	p := ix.scratch[:0]
-	for j := range t {
-		if ix.mask&(1<<uint(j)) != 0 {
-			p = append(p, t[j])
-		}
-	}
-	ix.scratch = p
-	return p
-}
-
-//dyncq:hot
-func (ix *Index) add(t []Value) {
-	b, existed := ix.buckets.Ref(ix.proj(t))
-	if !existed {
-		*b = tuplekey.NewTable[struct{}](len(t)) //dyncq:allow hotalloc first tuple of a projection only
-	}
-	(*b).Ref(t)
-}
-
-//dyncq:hot
-func (ix *Index) remove(t []Value) {
-	p := ix.proj(t)
-	if b, ok := ix.buckets.Get(p); ok && b.Delete(t) && b.Len() == 0 {
-		ix.buckets.Delete(p)
-	}
-}
-
-// bucket returns the set of tuples whose masked positions equal boundVals
-// (in mask position order), nil if there are none. The table is owned by
-// the index and valid until its next mutation; callers only read it (Keys
-// yields slices aliasing it). No allocation and no key encoding happen on
-// this path.
-//
-//dyncq:hot
-func (ix *Index) bucket(boundVals []Value) *tuplekey.Table[struct{}] {
-	b, _ := ix.buckets.Get(boundVals)
-	return b
-}
-
-// SanityCheck verifies that the index set is consistent with its database
-// (every indexed tuple present and filed under its own projection, every
-// relation tuple indexed, no empty bucket kept). Intended for tests; cost
-// is linear in the database and indexes.
-func (s *IndexSet) SanityCheck() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for k, ix := range s.idx { //dyncq:allow determinism test-only diagnostic; which violation is reported first may vary, presence does not
-		count := 0
-		var err error
-		ix.buckets.Range(func(p []Value, b *tuplekey.Table[struct{}]) bool {
-			if b.Len() == 0 {
-				err = fmt.Errorf("index (%s,%b) keeps an empty bucket for %v", k.rel, k.mask, p)
-				return false
-			}
-			return b.Keys(func(t []Value) bool {
-				count++
-				if !s.db.Has(k.rel, t...) {
-					err = fmt.Errorf("index (%s,%b) holds stale tuple %v", k.rel, k.mask, t)
-				} else if !projectsTo(t, ix.mask, p) {
-					err = fmt.Errorf("index (%s,%b) files %v under %v", k.rel, k.mask, t, p)
-				}
-				return err == nil
-			})
-		})
-		if err != nil {
-			return err
-		}
-		r := s.db.Relation(k.rel)
-		want := 0
-		if r != nil {
-			want = r.Len()
-		}
-		if count != want {
-			return fmt.Errorf("index (%s,%b) has %d tuples, relation has %d", k.rel, k.mask, count, want)
-		}
-	}
-	return nil
-}
-
-// projectsTo reports whether t's masked positions spell p.
-func projectsTo(t []Value, mask uint32, p []Value) bool {
-	i := 0
-	for j, v := range t {
-		if mask&(1<<uint(j)) == 0 {
-			continue
-		}
-		if i == len(p) || p[i] != v {
-			return false
-		}
-		i++
-	}
-	return i == len(p)
 }

@@ -130,7 +130,7 @@ func TestCountValuationsVsDistinct(t *testing.T) {
 		dyndb.Insert("E", 1, 10), dyndb.Insert("E", 1, 11),
 		dyndb.Insert("T", 10), dyndb.Insert("T", 11),
 	)
-	counts := countMap(CountValuations(q, db, nil, nil))
+	counts := countMap(CountValuations(q, db, nil))
 	if len(counts) != 1 {
 		t.Fatalf("distinct heads = %d, want 1", len(counts))
 	}
@@ -146,14 +146,14 @@ func TestCountValuationsPinned(t *testing.T) {
 		dyndb.Insert("E", 1, 10), dyndb.Insert("E", 1, 11), dyndb.Insert("E", 2, 10),
 		dyndb.Insert("T", 10), dyndb.Insert("T", 11),
 	)
-	counts := countMap(CountValuations(q, db, Pinned{0: []Value{1, 10}}, nil))
+	counts := countMap(CountValuations(q, db, Pinned{0: []Value{1, 10}}))
 	if len(counts) != 1 || counts[key(1)] != 1 {
 		t.Errorf("pinned counts = %v", counts)
 	}
 	// Pin to a tuple violating a repeated-variable pattern.
 	q2 := cq.MustParse("Q(x) :- R(x,x)")
 	db2 := mkdb(t, dyndb.Insert("R", 3, 3))
-	counts = countMap(CountValuations(q2, db2, Pinned{0: []Value{1, 2}}, nil))
+	counts = countMap(CountValuations(q2, db2, Pinned{0: []Value{1, 2}}))
 	if len(counts) != 0 {
 		t.Errorf("inconsistent pin matched: %v", counts)
 	}
@@ -164,42 +164,9 @@ func TestPinnedTupleNeedNotBeInRelation(t *testing.T) {
 	// deleted, which may already be gone from the relation.
 	q := cq.MustParse("Q(x) :- E(x,y), T(y)")
 	db := mkdb(t, dyndb.Insert("T", 10))
-	counts := countMap(CountValuations(q, db, Pinned{0: []Value{5, 10}}, nil))
+	counts := countMap(CountValuations(q, db, Pinned{0: []Value{5, 10}}))
 	if len(counts) != 1 || counts[key(5)] != 1 {
 		t.Errorf("counts = %v", counts)
-	}
-}
-
-func TestIndexSetMaintenance(t *testing.T) {
-	db := dyndb.New()
-	db.Insert("E", 1, 2)
-	db.Insert("E", 1, 3)
-	idx := NewIndexSet(db)
-	ix := idx.Get("E", 0b01) // index on first position
-	if got := ix.bucket([]Value{1}).Len(); got != 2 {
-		t.Fatalf("bucket(1) has %d tuples, want 2", got)
-	}
-	db.Insert("E", 1, 4)
-	idx.ApplyUpdate(dyndb.Insert("E", 1, 4))
-	db.Delete("E", 1, 2)
-	idx.ApplyUpdate(dyndb.Delete("E", 1, 2))
-	if got := ix.bucket([]Value{1}).Len(); got != 2 {
-		t.Fatalf("bucket(1) after updates has %d tuples, want 2", got)
-	}
-	if err := idx.SanityCheck(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestIndexSetSecondPosition(t *testing.T) {
-	db := dyndb.New()
-	db.Insert("E", 1, 9)
-	db.Insert("E", 2, 9)
-	db.Insert("E", 3, 8)
-	idx := NewIndexSet(db)
-	ix := idx.Get("E", 0b10)
-	if got := ix.bucket([]Value{9}).Len(); got != 2 {
-		t.Errorf("bucket(·,9) = %d, want 2", got)
 	}
 }
 
@@ -243,6 +210,71 @@ func TestAgainstBruteForce(t *testing.T) {
 					t.Fatalf("trial %d, %s: missing %v", trial, q, tup)
 				}
 			}
+		}
+	}
+}
+
+// TestEvaluateAcrossStoreMutations: the evaluator probes the indexes the
+// store maintains, so one database evaluated, mutated through single
+// commands, net deltas on the parallel path and Clear, and evaluated again
+// agrees with brute force after every step.
+func TestEvaluateAcrossStoreMutations(t *testing.T) {
+	queries := []*cq.Query{
+		cq.MustParse("Q(x,y) :- S(x), E(x,y), T(y)"),
+		cq.MustParse("Q(x,z) :- E(x,y), E(y,z)"),
+		cq.MustParse("Q(y) :- E(x,y), T(y)"),
+	}
+	rng := rand.New(rand.NewSource(9))
+	random := func() dyndb.Update {
+		v1, v2 := rng.Int63n(8), rng.Int63n(8)
+		switch rng.Intn(8) {
+		case 0:
+			return dyndb.Insert("S", v1)
+		case 1:
+			return dyndb.Delete("S", v1)
+		case 2:
+			return dyndb.Insert("T", v1)
+		case 3:
+			return dyndb.Delete("T", v1)
+		case 4, 5:
+			return dyndb.Delete("E", v1, v2)
+		default:
+			return dyndb.Insert("E", v1, v2)
+		}
+	}
+	db := dyndb.NewSharded(4)
+	for step := 0; step < 80; step++ {
+		switch r := rng.Intn(12); {
+		case r == 0:
+			db.Clear()
+		case r < 5:
+			batch := make([]dyndb.Update, 96)
+			for i := range batch {
+				batch[i] = random()
+			}
+			delta, err := db.NetDelta(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.ApplyNetDelta(delta, 2)
+		default:
+			if _, err := db.Apply(random()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, q := range queries {
+			got, want := Evaluate(q, db), bruteForce(q, db)
+			if got.Len() != len(want) {
+				t.Fatalf("step %d, %s: |got| = %d, |want| = %d", step, q, got.Len(), len(want))
+			}
+			for _, tup := range want {
+				if !got.Has(tup) {
+					t.Fatalf("step %d, %s: missing %v", step, q, tup)
+				}
+			}
+		}
+		if err := db.CheckIndexes(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 	}
 }
@@ -294,10 +326,10 @@ func TestCountValuationsRestricted(t *testing.T) {
 	// Each valuation matches the restricted atom to exactly one tuple, so
 	// restricting to a set must equal the sum of pinning to each element.
 	set := [][]Value{{1, 10}, {2, 10}, {3, 12}}
-	got := countMap(CountValuationsRestricted(q, db, nil, Restricted{0: set}, nil))
+	got := countMap(CountValuationsRestricted(q, db, nil, Restricted{0: set}))
 	want := map[string]int64{}
 	for _, tup := range set {
-		for k, c := range countMap(CountValuations(q, db, Pinned{0: tup}, nil)) {
+		for k, c := range countMap(CountValuations(q, db, Pinned{0: tup})) {
 			want[k] += c
 		}
 	}
@@ -311,8 +343,8 @@ func TestCountValuationsRestricted(t *testing.T) {
 	}
 	// Restricting to the full relation is the unrestricted count.
 	full := db.Relation("E").Tuples()
-	gotFull := countMap(CountValuationsRestricted(q, db, nil, Restricted{0: full}, nil))
-	wantFull := countMap(CountValuations(q, db, nil, nil))
+	gotFull := countMap(CountValuationsRestricted(q, db, nil, Restricted{0: full}))
+	wantFull := countMap(CountValuations(q, db, nil))
 	if len(gotFull) != len(wantFull) {
 		t.Fatalf("full restriction gave %d head tuples, unrestricted %d", len(gotFull), len(wantFull))
 	}
@@ -326,7 +358,7 @@ func TestCountValuationsRestricted(t *testing.T) {
 func TestRestrictedSkipsWrongArity(t *testing.T) {
 	q := cq.MustParse("Q(x) :- E(x,y)")
 	db := mkdb(t, dyndb.Insert("E", 1, 2))
-	got := countMap(CountValuationsRestricted(q, db, nil, Restricted{0: {{1}, {1, 2}, {1, 2, 3}}}, nil))
+	got := countMap(CountValuationsRestricted(q, db, nil, Restricted{0: {{1}, {1, 2}, {1, 2, 3}}}))
 	if len(got) != 1 || got[key(1)] != 1 {
 		t.Errorf("restricted with mixed arities = %v, want exactly E(1,2)", got)
 	}
@@ -340,7 +372,7 @@ func TestRestrictedSelfJoin(t *testing.T) {
 		dyndb.Insert("E", 1, 2), dyndb.Insert("E", 2, 3), dyndb.Insert("E", 3, 4),
 	)
 	delta := [][]Value{{1, 2}, {2, 3}}
-	got := countMap(CountValuationsRestricted(q, db, nil, Restricted{0: delta, 1: delta}, nil))
+	got := countMap(CountValuationsRestricted(q, db, nil, Restricted{0: delta, 1: delta}))
 	if len(got) != 1 || got[key(1, 3)] != 1 {
 		t.Errorf("double restriction = %v, want exactly (1,3)", got)
 	}

@@ -14,7 +14,7 @@ import (
 // multiplicities) against full evaluation of the query over db.
 func checkAgainstOracle(t *testing.T, m *harness, q *cq.Query, db *dyndb.Database, ctx string) {
 	t.Helper()
-	want := eval.CountValuations(q, db, nil, nil)
+	want := eval.CountValuations(q, db, nil)
 	if want.Len() != m.result.Len() {
 		t.Fatalf("%s: result has %d tuples, oracle %d", ctx, m.result.Len(), want.Len())
 	}
@@ -24,7 +24,7 @@ func checkAgainstOracle(t *testing.T, m *harness, q *cq.Query, db *dyndb.Databas
 		}
 		return true
 	})
-	if err := m.idx.SanityCheck(); err != nil {
+	if err := m.db.CheckIndexes(); err != nil {
 		t.Fatalf("%s: %v", ctx, err)
 	}
 }

@@ -5,11 +5,10 @@ import (
 
 	"dyncq/internal/cq"
 	"dyncq/internal/dyndb"
-	"dyncq/internal/eval"
 )
 
-// harness is the test-side owner of a maintainer's store and index set:
-// it mutates both exactly once per command and drives the maintainer
+// harness is the test-side owner of a maintainer's store: it mutates it
+// exactly once per command and drives the maintainer
 // through the workspace's hook schedule, under the names the tests use.
 // With emit set it asks for each commit's result delta and keeps the last
 // one in added/removed.
@@ -20,8 +19,7 @@ type harness struct {
 }
 
 func newHarness(q *cq.Query) (*harness, error) {
-	db := dyndb.New()
-	m, err := New(q, db, eval.NewIndexSet(db))
+	m, err := New(q, dyndb.New())
 	return &harness{Maintainer: m}, err
 }
 
@@ -49,7 +47,7 @@ func (h *harness) ApplyBatch(updates []dyndb.Update) (int, error) {
 	h.BeginBatch(len(survivors), h.emit)
 	defer func() { h.added, h.removed = h.FinishBatch() }()
 	// Per relation, in first-appearance order: pre-state hook, the store
-	// and index mutation, post-state hook.
+	// mutation, post-state hook.
 	for rest := survivors; len(rest) > 0; {
 		rel, todo := rest[0].Rel, rest
 		var cmds []dyndb.Update
@@ -67,7 +65,6 @@ func (h *harness) ApplyBatch(updates []dyndb.Update) (int, error) {
 		}
 		h.PreDelete(rel, dels)
 		h.db.ApplyNetDelta(cmds, 1)
-		h.idx.ApplyDelta(cmds)
 		h.PostInsert(rel, ins)
 	}
 	return len(survivors), nil
@@ -78,5 +75,5 @@ func (h *harness) Load(db *dyndb.Database) error {
 	if err := h.db.CopyFrom(db); err != nil {
 		return err
 	}
-	return h.Rebuild(eval.NewIndexSet(h.db))
+	return h.Rebuild()
 }

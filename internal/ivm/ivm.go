@@ -21,9 +21,10 @@
 // but only for q-hierarchical queries. Theorems 3.3–3.5 say that the gap
 // is fundamental, not an artefact of this particular baseline.
 //
-// A Maintainer reads the store and index set of its owner
-// (pkg/dyncq.Workspace) and never writes them; the owner brackets each
-// store mutation with the maintainer's delta hooks (see Maintainer).
+// A Maintainer reads the store of its owner (pkg/dyncq.Workspace) and
+// never writes it; its residual joins probe the store's own indexes
+// (store.Index), which the store maintains. The owner brackets each store
+// mutation with the maintainer's delta hooks (see Maintainer).
 package ivm
 
 import (
@@ -42,10 +43,10 @@ type Value = dyndb.Value
 
 // Maintainer keeps |ϕ(D)| and the materialised ϕ(D) up to date under
 // updates, for any conjunctive query. It is a pure maintenance structure:
-// the store and its eval.IndexSet belong to the owner
-// (pkg/dyncq.Workspace), which mutates both exactly once per command no
+// the store, with the indexes it maintains, belongs to the owner
+// (pkg/dyncq.Workspace), which mutates it exactly once per command no
 // matter how many IVM-backed queries are live; the maintainer only reads
-// them. Delta processing needs the store in a specific state relative to
+// it. Delta processing needs the store in a specific state relative to
 // each relation's mutation — deletion deltas are evaluated on the
 // pre-state, insertion deltas on the post-state — so the owner drives the
 // maintainer through per-relation hooks interleaved with the store
@@ -54,7 +55,7 @@ type Value = dyndb.Value
 //	BeginBatch(survivors, emit)      // crossover decision
 //	for each relation of the net delta:
 //	    PreDelete(rel, dels)         // store still pre-state here
-//	    <owner deletes dels, inserts ins, updates the index>
+//	    <owner deletes dels, inserts ins>
 //	    PostInsert(rel, ins)         // store post-state here
 //	FinishBatch()                    // rebuild if the crossover chose it
 //
@@ -66,7 +67,6 @@ type Value = dyndb.Value
 type Maintainer struct {
 	query *cq.Query
 	db    *dyndb.Database
-	idx   *eval.IndexSet
 	// result maps head tuples to their valuation multiplicity.
 	result *tuplekey.Table[int64]
 	// occ maps relation names to the indices of atoms over them.
@@ -95,11 +95,10 @@ type Maintainer struct {
 	touched  *tuplekey.Table[bool]
 }
 
-// New returns a maintainer for q reading the given store through idx
-// (which must be over store). Any valid CQ is accepted. The maintainer
-// starts with an empty materialised result: if store is already
-// non-empty, call Rebuild to evaluate over it.
-func New(q *cq.Query, store *dyndb.Database, idx *eval.IndexSet) (*Maintainer, error) {
+// New returns a maintainer for q reading the given store. Any valid CQ is
+// accepted. The maintainer starts with an empty materialised result: if
+// store is already non-empty, call Rebuild to evaluate over it.
+func New(q *cq.Query, store *dyndb.Database) (*Maintainer, error) {
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("ivm.New: %w", err)
 	}
@@ -107,7 +106,6 @@ func New(q *cq.Query, store *dyndb.Database, idx *eval.IndexSet) (*Maintainer, e
 	m := &Maintainer{
 		query:      q,
 		db:         store,
-		idx:        idx,
 		result:     tuplekey.NewTable[int64](arity),
 		occ:        make(map[string][]int),
 		schema:     q.Schema(),
@@ -153,7 +151,7 @@ func (m *Maintainer) PreDelete(rel string, tuples [][]Value) { m.propagate(rel, 
 
 // PostInsert propagates the insertion delta of one relation, evaluated
 // on the post-state: the owner must call it AFTER inserting the tuples
-// into the store (and its index).
+// into the store.
 func (m *Maintainer) PostInsert(rel string, tuples [][]Value) { m.propagate(rel, tuples, +1) }
 
 // propagate adds sign × (the number of valuations using at least one of
@@ -189,7 +187,7 @@ func (m *Maintainer) propagate(rel string, tuples [][]Value, sign int64) {
 		if bits.OnesCount(uint(mask))%2 == 0 {
 			m.coef = -sign
 		}
-		m.ev.Run(m.db, m.pinned, m.restricted, m.idx, m.emit)
+		m.ev.Run(m.db, m.pinned, m.restricted, m.emit)
 	}
 }
 
@@ -241,18 +239,16 @@ func (m *Maintainer) FinishBatch() (added, removed [][]Value) {
 // evaluate computes the multiplicities of ϕ(D) by one full evaluation.
 func (m *Maintainer) evaluate() *tuplekey.Table[int64] {
 	out := tuplekey.NewTable[int64](len(m.query.Head))
-	m.ev.CountInto(out, m.db, nil, nil, m.idx)
+	m.ev.CountInto(out, m.db, nil, nil)
 	return out
 }
 
-// Rebuild rebinds the maintainer to idx (the owner recreates the index
-// set when it replaces the store's contents) and recomputes the
-// materialised result with one full evaluation over the store — the
-// preprocessing phase, linear+join-cost instead of |D| residual-join
-// updates. A schema clash (a store relation whose arity contradicts the
-// query) fails with the result cleared.
-func (m *Maintainer) Rebuild(idx *eval.IndexSet) error {
-	m.Clear(idx)
+// Rebuild recomputes the materialised result with one full evaluation
+// over the store — the preprocessing phase, linear+join-cost instead of
+// |D| residual-join updates. A schema clash (a store relation whose arity
+// contradicts the query) fails with the result cleared.
+func (m *Maintainer) Rebuild() error {
+	m.Clear()
 	for _, rel := range m.db.Relations() {
 		if want, ok := m.schema[rel]; ok && want != m.db.Relation(rel).Arity() {
 			return fmt.Errorf("ivm: %s has arity %d in query, %d in the store", rel, want, m.db.Relation(rel).Arity())
@@ -262,10 +258,9 @@ func (m *Maintainer) Rebuild(idx *eval.IndexSet) error {
 	return nil
 }
 
-// Clear discards the materialised result and rebinds to idx, leaving the
-// maintainer representing the empty database.
-func (m *Maintainer) Clear(idx *eval.IndexSet) {
-	m.idx = idx
+// Clear discards the materialised result, leaving the maintainer
+// representing the empty database.
+func (m *Maintainer) Clear() {
 	m.result = tuplekey.NewTable[int64](len(m.query.Head))
 	m.rebuildPending = false
 	m.emitting = false

@@ -135,15 +135,15 @@ func lifecycleScenarios() []Scenario {
 					"empty batch": {},
 					"no-op batch": {dyncq.Delete("E", -1, -1), dyncq.Delete("T", -9)},
 				} {
-					versionBefore, epochBefore := ws.Version(), ws.StoreEpoch()
+					versionBefore, mutsBefore := ws.Version(), ws.StoreMutations()
 					if _, err := ws.ApplyBatch(noop); err != nil {
 						return fmt.Errorf("%s: %v", name, err)
 					}
 					if ws.Version() != versionBefore {
 						return fmt.Errorf("%s advanced the version", name)
 					}
-					if ws.StoreEpoch() != epochBefore {
-						return fmt.Errorf("%s advanced the store epoch", name)
+					if ws.StoreMutations() != mutsBefore {
+						return fmt.Errorf("%s mutated the store", name)
 					}
 				}
 				return o.check(ws, "final")
@@ -499,9 +499,6 @@ func fanoutScenarios() []Scenario {
 					return fmt.Errorf("store mutations depend on K: %d with one query, %d with 64", a, b)
 				}
 				for name, ws := range map[string]*dyncq.Workspace{"k=1": narrow, "k=64": wide} {
-					if rb := ws.Parallelism().IndexRebuilds; rb != 0 {
-						return fmt.Errorf("%s: %d unexpected shared-index rebuilds", name, rb)
-					}
 					if err := ws.CheckInvariants(); err != nil {
 						return fmt.Errorf("%s: %v", name, err)
 					}

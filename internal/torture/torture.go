@@ -1,11 +1,11 @@
 // Package torture is the deterministic torture/soak harness: a category
 // matrix of seeded adversarial scenarios — parse, eval, error,
 // lifecycle, concurrency, fan-out — that exercises every layer of the
-// engine (sharded store, shared index pool, arena-allocated core
-// structures, interning, parallel workspace fan-out) simultaneously and
-// checks each step against a naive reference oracle plus the engine's
-// own invariants (Workspace.CheckInvariants: store bookkeeping, index
-// epoch lockstep, index sanity).
+// engine (sharded store, the store's shared indexes, arena-allocated
+// core structures, interning, parallel workspace fan-out) simultaneously
+// and checks each step against a naive reference oracle plus the
+// engine's own invariants (Workspace.CheckInvariants: store bookkeeping,
+// index content, core weights, lists and arenas).
 //
 // Design, in the style of the GCC torture suites and the Mangle engine
 // torture spec: every scenario is a pure function of its seed — no

@@ -5,8 +5,8 @@ import "fmt"
 // This file is the workspace's self-checking surface, built for the
 // torture harness (internal/torture) but useful to any operator: one
 // call that verifies the cross-layer invariants the engine's correctness
-// rests on — store bookkeeping, shared-index epoch lockstep, and index
-// content consistency. The checks are read-only and run under the read
+// rests on — store bookkeeping, index content, and the core engines'
+// data structures. The checks are read-only and run under the read
 // lock, so they can interleave with live readers (but, like every read,
 // they serialise behind writers).
 
@@ -15,16 +15,16 @@ import "fmt"
 //
 //   - the shared store's cardinality equals the sum of its relations'
 //     sizes (shard bookkeeping);
-//   - the shared index set (when an IVM query is registered) is in epoch
-//     lockstep with the store — every mutation was reported, so no
-//     silent drop-and-rebuild is pending;
-//   - every built index passes eval.IndexSet.SanityCheck: bucket
-//     position maps exact, no stale tuples, per-relation counts equal
-//     the store's.
+//   - every index built on the store mirrors its relation
+//     (dyndb.Database.CheckIndexes): bucket position maps exact, no stale
+//     tuples, per-relation counts equal the store's;
+//   - every core-routed query's engine passes core.Engine.CheckInvariants:
+//     weights, fit lists and sums of Section 6.4, and the item arenas'
+//     records, links and free chains.
 //
-// A healthy workspace — one whose every mutation went through the update
-// pipeline — passes at any point between commits. The call is
-// read-locked and safe for concurrent use.
+// A healthy workspace passes at any point between commits. The call is
+// read-locked and safe for concurrent use; it costs time linear in the
+// store and the engines.
 func (w *Workspace) CheckInvariants() error {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
@@ -35,23 +35,15 @@ func (w *Workspace) CheckInvariants() error {
 	if total != w.store.Cardinality() {
 		return fmt.Errorf("dyncq: store cardinality %d, but relations hold %d tuples", w.store.Cardinality(), total)
 	}
-	if w.idx != nil {
-		if !w.idx.Synced() {
-			return fmt.Errorf("dyncq: shared index set at epoch %d, store at epoch %d — a mutation bypassed the pipeline",
-				w.idx.Epoch(), w.store.Epoch())
-		}
-		if err := w.idx.SanityCheck(); err != nil {
-			return fmt.Errorf("dyncq: shared index set: %w", err)
+	if err := w.store.CheckIndexes(); err != nil {
+		return fmt.Errorf("dyncq: store indexes: %w", err)
+	}
+	for _, h := range w.order {
+		if b, ok := h.back.(*coreBackend); ok {
+			if err := b.e.CheckInvariants(); err != nil {
+				return fmt.Errorf("dyncq: query %q: %w", h.name, err)
+			}
 		}
 	}
 	return nil
-}
-
-// StoreEpoch returns the shared store's epoch counter (advanced by every
-// mutation and Clear) — the number the shared index set's lockstep is
-// checked against.
-func (w *Workspace) StoreEpoch() uint64 {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	return w.store.Epoch()
 }

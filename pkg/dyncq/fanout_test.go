@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"dyncq/internal/cq"
-	"dyncq/internal/eval"
 	"dyncq/internal/workload"
 )
 
@@ -47,12 +46,6 @@ func TestWorkspaceFanOutByteIdentical(t *testing.T) {
 		}
 		if p.Workers != workers {
 			t.Fatalf("Parallelism().Workers = %d, want %d", p.Workers, workers)
-		}
-		// Steady state: every store move went through the maintenance
-		// entry points, so the shared pool must never have fallen back to
-		// dropping its built indexes.
-		if p.IndexRebuilds != 0 {
-			t.Fatalf("workers=%d: %d index rebuilds in steady state, want 0", workers, p.IndexRebuilds)
 		}
 		if got, want := par.Version(), seq.Version(); got != want {
 			t.Fatalf("workers=%d: version %d, sequential %d", workers, got, want)
@@ -97,77 +90,13 @@ func TestWorkspaceParallelismIntrospection(t *testing.T) {
 	}
 }
 
-// TestWorkspaceLoadKeepsWarmIndexes: a Load of an overlapping database
-// keeps the shared index set (same object, synced, built indexes
-// patched in place) instead of rebuilding it from scratch, and the IVM
-// results stay correct.
-func TestWorkspaceLoadKeepsWarmIndexes(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	ws := NewWorkspace(WorkspaceOptions{})
-	h, err := ws.RegisterQuery("hard", cq.MustParse("Q(x,y) :- S(x), E(x,y), T(y)"), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Strategy() != StrategyIVM {
-		t.Fatalf("strategy %v, want ivm", h.Strategy())
-	}
-	db1 := workload.RandomDatabase(rng, multiSchema(), 10, 120)
-	if err := ws.Load(db1); err != nil {
-		t.Fatal(err)
-	}
-	// Drive the delta-join path so indexes get built.
-	if _, err := ws.ApplyBatch(workload.RandomStream(rng, multiSchema(), 10, 8, 0.5)); err != nil {
-		t.Fatal(err)
-	}
-	idxBefore := ws.idx
-	if idxBefore == nil || idxBefore.Built() == 0 {
-		t.Skip("no index built by the delta path; nothing to test")
-	}
-	// Overlapping database: db1 plus a fresh tuple.
-	db2 := db1.Clone()
-	if _, err := db2.Insert("E", 999, 998); err != nil {
-		t.Fatal(err)
-	}
-	if err := ws.Load(db2); err != nil {
-		t.Fatal(err)
-	}
-	if ws.idx != idxBefore {
-		t.Fatal("Load replaced the index set despite an overlapping database")
-	}
-	if !ws.idx.Synced() {
-		t.Fatal("index set out of sync after warm Load")
-	}
-	if got := ws.Parallelism().IndexRebuilds; got != 0 {
-		t.Fatalf("%d index rebuilds across Load/ApplyBatch steady state, want 0", got)
-	}
-	q := h.Query()
-	if got, want := h.Count(), uint64(eval.Count(q, db2)); got != want {
-		t.Fatalf("count %d after warm Load, oracle %d", got, want)
-	}
-	// More updates through the warm indexes stay correct too.
-	extra := workload.RandomStream(rng, multiSchema(), 10, 6, 0.5)
-	if _, err := ws.ApplyBatch(extra); err != nil {
-		t.Fatal(err)
-	}
-	check := db2.Clone()
-	for _, u := range extra {
-		if _, err := check.Apply(u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got, want := h.Count(), uint64(eval.Count(q, check)); got != want {
-		t.Fatalf("count %d after post-Load batch, oracle %d", got, want)
-	}
-}
-
 // TestWorkspaceSharedIndexPoolStress is the -race stress test of the
 // goroutine-safe shared index pool: K = 5 IVM handles over one schema
-// all lease indexes from the workspace's one eval.IndexSet while the
+// all probe the shared store's indexes, building them lazily, while the
 // parallel fan-out runs their delta-joins concurrently (plus concurrent
 // View readers for extra pressure). The results must match a sequential
-// replay, and in steady state the pool must stay synced with zero
-// fallback rebuilds and a clean structural sanity check. Run with -race
-// (the CI race job does, at GOMAXPROCS 1 and 4).
+// replay, and every built index must still mirror its relation. Run with
+// -race (the CI race job does, at GOMAXPROCS 1 and 4).
 func TestWorkspaceSharedIndexPoolStress(t *testing.T) {
 	queries := []struct{ name, text string }{
 		{"hard", "Q(x,y) :- S(x), E(x,y), T(y)"}, // ivm by classification
@@ -243,17 +172,8 @@ func TestWorkspaceSharedIndexPoolStress(t *testing.T) {
 		}
 		exactTuples(t, hp.Strategy(), "query "+q.name, hp.Tuples(), hs.Tuples())
 	}
-	if ws.idx == nil {
-		t.Fatal("no shared index pool despite K IVM handles")
-	}
-	if !ws.idx.Synced() {
-		t.Fatal("shared pool out of sync after the stream")
-	}
-	if err := ws.idx.SanityCheck(); err != nil {
-		t.Fatalf("shared pool sanity check: %v", err)
-	}
-	if got := ws.Parallelism().IndexRebuilds; got != 0 {
-		t.Fatalf("%d fallback rebuilds under parallel fan-out, want 0", got)
+	if err := ws.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -53,7 +53,6 @@ import (
 type QuerySnapshot struct {
 	name    string
 	version uint64
-	epoch   uint64
 	card    int
 	adom    int
 	arity   int
@@ -72,9 +71,6 @@ func (s *QuerySnapshot) Name() string { return s.name }
 
 // Version returns the workspace version the snapshot pinned.
 func (s *QuerySnapshot) Version() uint64 { return s.version }
-
-// StoreEpoch returns the shared store's epoch at the pinned version.
-func (s *QuerySnapshot) StoreEpoch() uint64 { return s.epoch }
 
 // Cardinality returns |D| of the shared store at the pinned version.
 func (s *QuerySnapshot) Cardinality() int { return s.card }
@@ -199,7 +195,6 @@ func (h *Handle) newSnapshot() *QuerySnapshot {
 	return &QuerySnapshot{
 		name:    h.name,
 		version: w.version.Load(),
-		epoch:   w.store.Epoch(),
 		card:    w.store.Cardinality(),
 		adom:    w.store.ActiveDomainSize(),
 		arity:   h.query.Arity(),
@@ -234,7 +229,6 @@ func (h *Handle) Snapshot() *QuerySnapshot {
 // safe for concurrent use.
 type WorkspaceSnapshot struct {
 	version uint64
-	epoch   uint64
 	card    int
 	adom    int
 	order   []string
@@ -243,9 +237,6 @@ type WorkspaceSnapshot struct {
 
 // Version returns the pinned workspace version.
 func (s *WorkspaceSnapshot) Version() uint64 { return s.version }
-
-// StoreEpoch returns the shared store's epoch at the pinned version.
-func (s *WorkspaceSnapshot) StoreEpoch() uint64 { return s.epoch }
 
 // Cardinality returns |D| of the shared store at the pinned version.
 func (s *WorkspaceSnapshot) Cardinality() int { return s.card }
@@ -268,7 +259,6 @@ func (w *Workspace) Snapshot(names ...string) *WorkspaceSnapshot {
 	defer w.mu.RUnlock()
 	s := &WorkspaceSnapshot{
 		version: w.version.Load(),
-		epoch:   w.store.Epoch(),
 		card:    w.store.Cardinality(),
 		adom:    w.store.ActiveDomainSize(),
 		queries: make(map[string]*QuerySnapshot),
@@ -309,8 +299,6 @@ type DeltaEvent struct {
 	Query string
 	// Version is the committed workspace version the event describes.
 	Version uint64
-	// Epoch is the shared store's epoch at that version.
-	Epoch uint64
 	// Added and Removed hold the gained and lost result tuples. The
 	// slices (and their tuples) are owned by the hook once delivered.
 	Added   [][]Value
@@ -438,8 +426,7 @@ func (h *Handle) afterCommit() {
 	c := h.capture
 	var ev *DeltaEvent // nil: the backend was not asked for this commit's delta
 	if h.emitting || c != nil {
-		ev = &DeltaEvent{Query: h.name, Version: h.ws.version.Load(), Epoch: h.ws.store.Epoch(),
-			Added: h.added, Removed: h.removed}
+		ev = &DeltaEvent{Query: h.name, Version: h.ws.version.Load(), Added: h.added, Removed: h.removed}
 	}
 	h.emitting, h.added, h.removed = false, nil, nil
 	if c != nil && c.boolean {

@@ -10,7 +10,6 @@ import (
 	"dyncq/internal/cq"
 	"dyncq/internal/dict"
 	"dyncq/internal/dyndb"
-	"dyncq/internal/eval"
 	"dyncq/internal/ivm"
 	"dyncq/internal/qtree"
 	"dyncq/internal/tuplekey"
@@ -76,10 +75,9 @@ type queryBackend interface {
 
 	// rebuild brings the structure up to date with the shared store's
 	// current contents (Load, late registration); clear leaves it
-	// representing the empty database. Both rebind to idx, the shared
-	// index set (nil when no IVM query is registered).
-	rebuild(idx *eval.IndexSet) error
-	clear(idx *eval.IndexSet)
+	// representing the empty database.
+	rebuild() error
+	clear()
 }
 
 // WorkspaceOptions configures NewWorkspace.
@@ -107,7 +105,6 @@ type WorkspaceOptions struct {
 type Workspace struct {
 	mu       sync.RWMutex
 	store    *dyndb.Database
-	idx      *eval.IndexSet // shared by IVM backends; nil while none is registered
 	dictOnce sync.Once
 	d        *dict.Dict     // lazily created by Dict/InsertS/DeleteS; guarded by dictOnce, not mu
 	schema   map[string]int // union schema over all registered queries
@@ -392,10 +389,7 @@ func (w *Workspace) RegisterQuery(name string, q *cq.Query, opt Options) (*Handl
 		h.back = &coreBackend{e: e, store: w.store}
 		h.shards = e.Shards()
 	case StrategyIVM:
-		if w.idx == nil {
-			w.idx = eval.NewIndexSet(w.store)
-		}
-		m, err := ivm.New(q, w.store, w.idx)
+		m, err := ivm.New(q, w.store)
 		if err != nil {
 			return nil, fmt.Errorf("dyncq: %w", err)
 		}
@@ -405,7 +399,7 @@ func (w *Workspace) RegisterQuery(name string, q *cq.Query, opt Options) (*Handl
 	}
 	h.strategy = strategy
 	// Catch up with the store's current contents before going live.
-	if err := h.back.rebuild(w.idx); err != nil {
+	if err := h.back.rebuild(); err != nil {
 		return nil, fmt.Errorf("dyncq: %w", err)
 	}
 	for rel, ar := range q.Schema() {
@@ -455,7 +449,7 @@ func (w *Workspace) Unregister(name string) bool {
 		}
 	}
 	if !ivmLeft {
-		w.idx = nil // stop maintaining indexes nobody evaluates against
+		w.store.DropIndexes() // stop maintaining indexes nobody evaluates against
 	}
 	return true
 }
@@ -492,17 +486,10 @@ type Parallelism struct {
 	// count: > 1 means its delta application runs shard-parallel; 0
 	// means sharding does not apply to its backend (ivm).
 	QueryShards map[string]int
-	// IndexRebuilds is the shared index set's epoch-fallback counter
-	// (eval.IndexSet.Rebuilds): nonzero means the store moved without
-	// notifying the set and built indexes were silently dropped and
-	// rebuilt by relation scans. In a healthy workspace — where every
-	// mutation goes through the update pipeline — it stays zero. Zero
-	// also when no IVM query is registered (there is no index set).
-	IndexRebuilds uint64
 }
 
 // Parallelism returns the workspace's effective worker and shard
-// counts, plus the shared index set's rebuild counter.
+// counts.
 func (w *Workspace) Parallelism() Parallelism {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
@@ -510,9 +497,6 @@ func (w *Workspace) Parallelism() Parallelism {
 		Workers:     w.workers,
 		StoreShards: w.store.Shards(),
 		QueryShards: make(map[string]int, len(w.order)),
-	}
-	if w.idx != nil {
-		p.IndexRebuilds = w.idx.Rebuilds()
 	}
 	for _, h := range w.order {
 		p.QueryShards[h.name] = h.shards
@@ -690,11 +674,8 @@ func (w *Workspace) applyLocked(u Update) (bool, error) {
 			h.back.preDelete(u.Rel, w.oneTuple[:])
 		}
 	}
-	if _, err := w.store.Apply(u); err != nil { //dyncq:allow epochstep single-update fast path; idx.ApplyUpdate follows below in lockstep
+	if _, err := w.store.Apply(u); err != nil {
 		panic("dyncq: validated update failed to apply: " + err.Error())
-	}
-	if w.idx != nil {
-		w.idx.ApplyUpdate(u)
 	}
 	if phased && insert {
 		for _, h := range w.order {
@@ -776,8 +757,8 @@ func (w *Workspace) applyBatchLocked(updates []Update) (int, error) {
 	//     shard-disjoint parallel path (dyndb.ApplyNetDelta) — the store
 	//     phase is no longer serialised behind a single map.
 	//
-	// Either way the store (and the shared index) is written exactly once
-	// per net command, independent of the number of queries.
+	// Either way the store (and the indexes it maintains) is written
+	// exactly once per net command, independent of the number of queries.
 	phased := false
 	for _, h := range w.order {
 		if h.begin(len(survivors)) {
@@ -789,9 +770,6 @@ func (w *Workspace) applyBatchLocked(updates []Update) (int, error) {
 		w.runHookedStorePhase(survivors, perNS)
 	} else {
 		w.store.ApplyNetDelta(survivors, w.workers)
-		if w.idx != nil {
-			w.idx.ApplyDelta(survivors)
-		}
 	}
 
 	// Fan-out phase: every backend sees the full delta with the store
@@ -799,8 +777,8 @@ func (w *Workspace) applyBatchLocked(updates []Update) (int, error) {
 	// workspace has workers; IVM closes its batch, rebuilding if the
 	// crossover chose to). Every handle's batch close-out — core AND ivm
 	// — fans out across one worker pool: per-handle state is private, and
-	// the one shared structure (the index set) is safe for concurrent
-	// evaluators over a quiescent store. Each
+	// the one shared structure (the store's indexes) is safe for
+	// concurrent evaluators over a quiescent store. Each
 	// handle's work is self-contained, so the result is byte-identical
 	// at any worker count.
 	w.finishFanOut(survivors, perNS)
@@ -847,7 +825,7 @@ func (w *Workspace) ApplyBatched(updates []Update, batchSize int) (int, error) {
 // Two axes of the schedule are parallel while its ordering contract is
 // preserved: the hook phases fan each relation's pre/post hooks out
 // across the handles on a worker pool (per-handle IVM state is private
-// and the shared index set is safe for concurrent evaluators over a
+// and the store's indexes are safe for concurrent evaluators over a
 // quiescent store), and each relation's store mutation goes through the
 // shard-disjoint parallel path (dyndb.ApplyNetDelta) instead of
 // per-tuple sequential writes — a delta-join batch no longer forces the
@@ -898,11 +876,8 @@ func (w *Workspace) runHookedStorePhase(survivors []Update, perNS []int64) {
 		// One relation's slice of a validated net delta is itself a net
 		// delta against the current state (relations are disjoint, earlier
 		// phases touched other relations), so the shard-parallel store
-		// path applies — and the index set's epoch advances in lockstep.
+		// path applies.
 		w.store.ApplyNetDelta(d.cmds, w.workers)
-		if w.idx != nil {
-			w.idx.ApplyDelta(d.cmds)
-		}
 		if len(d.ins) > 0 {
 			// Post-state hooks: this relation's delta is fully applied.
 			runPool(all, w.workers, func(i int) {
@@ -914,8 +889,8 @@ func (w *Workspace) runHookedStorePhase(survivors []Update, perNS []int64) {
 
 // allHandles returns the indices of every registered handle — the
 // fan-out pools run all of them concurrently: core backends touch only
-// private structures, and IVM backends share only the index set, which is
-// safe for concurrent evaluators while the store is quiescent.
+// private structures, and IVM backends share only the store's indexes,
+// which are safe for concurrent evaluators while the store is quiescent.
 func (w *Workspace) allHandles() []int {
 	out := make([]int, len(w.order))
 	for i := range out {
@@ -1033,9 +1008,8 @@ func (w *Workspace) loadLocked(db *dyndb.Database) error {
 	}
 	fail := func(err error) error {
 		w.store.Clear()
-		w.resetIdxLocked()
 		for _, h := range w.order {
-			h.back.clear(w.idx)
+			h.back.clear()
 		}
 		// The version advanced and the state changed (to empty):
 		// subscribers get their per-version event either way.
@@ -1048,33 +1022,9 @@ func (w *Workspace) loadLocked(db *dyndb.Database) error {
 				rel, want, w.owner[rel], db.Relation(rel).Arity()))
 		}
 	}
-	// Incremental index preservation: when the shared index set has
-	// built indexes, compute the old→new net delta BEFORE the store is
-	// replaced and patch the indexes with it afterwards (eval.Reload) —
-	// a Load of an overlapping database then keeps its warm indexes
-	// instead of paying full relation-scan rebuilds on the next
-	// evaluation. When the diff is unusable (a foreign relation changed
-	// arity across Loads) or no index is built, fall back to a fresh
-	// set, which rebuilds lazily.
-	var diff []Update
-	warm := w.idx != nil && w.idx.Built() > 0
-	if warm {
-		// Only relations with built indexes matter to the reconciliation
-		// (Reload drops commands on any other relation), and the diff is
-		// capped at half the combined cardinality: beyond that the
-		// databases are mostly disjoint and patching indexes command by
-		// command costs more than dropping them and letting the next
-		// evaluation rebuild with one relation scan.
-		diff, warm = storeDiff(w.store, db, (w.store.Cardinality()+db.Cardinality())/2, w.idx.IndexedRelations())
-	}
 	w.store.Clear()
 	if err := w.store.CopyFrom(db); err != nil {
 		return fail(err) // unreachable: the store was just cleared
-	}
-	if warm {
-		w.idx.Reload(diff)
-	} else {
-		w.resetIdxLocked()
 	}
 	if err := w.rebuildFanOut(fail); err != nil {
 		return err // fail() already delivered the capture events
@@ -1086,13 +1036,13 @@ func (w *Workspace) loadLocked(db *dyndb.Database) error {
 // rebuildFanOut brings every backend up to date with the store's
 // current contents, all of them concurrently on up to w.workers
 // goroutines: core preprocessing only reads the shared store, and IVM
-// backends evaluate through the shared index set, whose lazy builds and
-// epoch sync are internally locked. The first error in handle order wins
-// and fails the whole load atomically.
+// backends evaluate through the store's indexes, whose lazy builds are
+// internally locked. The first error in handle order wins and fails the
+// whole load atomically.
 func (w *Workspace) rebuildFanOut(fail func(error) error) error {
 	errs := make([]error, len(w.order))
 	runPool(w.allHandles(), w.workers, func(i int) {
-		errs[i] = w.order[i].back.rebuild(w.idx)
+		errs[i] = w.order[i].back.rebuild()
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -1100,62 +1050,6 @@ func (w *Workspace) rebuildFanOut(fail func(error) error) error {
 		}
 	}
 	return nil
-}
-
-// storeDiff returns the net delta transforming old's contents into
-// db's, restricted to the given relations (the ones with built indexes
-// — nothing else benefits from reconciliation): per-relation deletions
-// of tuples absent from db, then insertions of tuples absent from old.
-// The second return is false when the diff is unusable — a covered
-// relation exists in both databases with different arities (its tuples
-// cannot be expressed as one delta stream), or the diff exceeds maxDiff
-// commands (the databases barely overlap, so patching indexes per
-// command beats a rebuild by nothing).
-func storeDiff(old, db *dyndb.Database, maxDiff int, rels map[string]bool) ([]Update, bool) {
-	var diff []Update
-	for _, rel := range old.Relations() {
-		if !rels[rel] {
-			continue
-		}
-		ro, rn := old.Relation(rel), db.Relation(rel)
-		if rn != nil && rn.Arity() != ro.Arity() {
-			return nil, false
-		}
-		ro.Each(func(t []Value) bool {
-			if rn == nil || !rn.Has(t) {
-				diff = append(diff, dyndb.Delete(rel, append([]Value(nil), t...)...)) // t aliases the relation
-			}
-			return len(diff) <= maxDiff
-		})
-		if len(diff) > maxDiff {
-			return nil, false
-		}
-	}
-	for _, rel := range db.Relations() {
-		if !rels[rel] {
-			continue
-		}
-		ro, rn := old.Relation(rel), db.Relation(rel)
-		rn.Each(func(t []Value) bool {
-			if ro == nil || !ro.Has(t) {
-				diff = append(diff, dyndb.Insert(rel, append([]Value(nil), t...)...))
-			}
-			return len(diff) <= maxDiff
-		})
-		if len(diff) > maxDiff {
-			return nil, false
-		}
-	}
-	return diff, true
-}
-
-// resetIdxLocked replaces the shared index set with a fresh one over
-// the store's (new) contents, if any IVM query needs one. Indexes are
-// rebuilt lazily on the next evaluation.
-func (w *Workspace) resetIdxLocked() {
-	if w.idx != nil {
-		w.idx = eval.NewIndexSet(w.store)
-	}
 }
 
 // View runs f against an MVCC snapshot of the whole workspace: every
@@ -1240,8 +1134,8 @@ func (b *coreBackend) postInsert(string, [][]Value)       {}
 func (b *coreBackend) finish(survivors []Update, workers int) (added, removed [][]Value) {
 	return b.e.ApplyDelta(survivors, workers, b.emit)
 }
-func (b *coreBackend) rebuild(*eval.IndexSet) error { return b.e.Rebuild(b.store) }
-func (b *coreBackend) clear(*eval.IndexSet)         { b.e.Clear() }
+func (b *coreBackend) rebuild() error { return b.e.Rebuild(b.store) }
+func (b *coreBackend) clear()         { b.e.Clear() }
 
 // ivmBackend adapts an IVM maintainer: deltas are propagated through the
 // per-relation pre/post hooks, and the maintainer reports the commit's
@@ -1260,5 +1154,5 @@ func (b *ivmBackend) postInsert(rel string, tuples [][]Value) { b.m.PostInsert(r
 func (b *ivmBackend) finish([]Update, int) (added, removed [][]Value) {
 	return b.m.FinishBatch()
 }
-func (b *ivmBackend) rebuild(idx *eval.IndexSet) error { return b.m.Rebuild(idx) }
-func (b *ivmBackend) clear(idx *eval.IndexSet)         { b.m.Clear(idx) }
+func (b *ivmBackend) rebuild() error { return b.m.Rebuild() }
+func (b *ivmBackend) clear()         { b.m.Clear() }

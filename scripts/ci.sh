@@ -1,0 +1,129 @@
+#!/usr/bin/env bash
+# The one entry point for every CI lane. The workflows under
+# .github/workflows and the local equivalents in TESTING.md call it, so a
+# lane runs the same commands, with the same gates, on a laptop as in CI.
+#
+#   scripts/ci.sh --quick                      gofmt, vet, dyncq-lint, build, shuffled tests
+#   scripts/ci.sh --deep [gomaxprocs...]       race matrix, fixed-seed torture soak, and on
+#                                              the GOMAXPROCS=4 leg the server e2e run, the
+#                                              two benchmark gates and the Go benchmarks
+#   scripts/ci.sh --nightly [seed [duration]]  long randomised torture soak under -race
+#
+# --deep runs one leg per listed GOMAXPROCS value, 1 and 4 by default.
+# --nightly's seed 0 (the default) means "derive one": the workflow run id
+# in CI, the clock elsewhere; the duration defaults to 15m. Torture soaks
+# write one repro command per failed scenario run to
+# /tmp/torture-failures.txt, which the workflows upload on failure.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+failures=/tmp/torture-failures.txt
+
+quick() {
+	local bad
+	# Source dirs only: vendor/ carries upstream formatting verbatim.
+	for flags in -l "-s -l"; do
+		# shellcheck disable=SC2086 # the flags split on purpose
+		bad=$(gofmt $flags benchmark cmd internal pkg tools)
+		if [ -n "$bad" ]; then
+			echo "gofmt $flags lists:" >&2
+			echo "$bad" >&2
+			exit 1
+		fi
+	done
+	go vet ./...
+	# The project analyzer suite (internal/analysis) through the vet
+	# driver; in GitHub Actions its findings become ::error annotations.
+	if [ "${GITHUB_ACTIONS:-}" = true ]; then
+		go run ./cmd/dyncq-lint -github ./...
+	else
+		go run ./cmd/dyncq-lint ./...
+	fi
+	go build ./...
+	# -shuffle=on flushes out inter-test state; the seed prints on failure.
+	go test -shuffle=on ./...
+}
+
+# commit_p50 prints one workload's commit_p50_us from a short benchmark
+# run; the run's own oracle checks fail the pipeline through its exit
+# status.
+commit_p50() {
+	go run ./benchmark -workload "$1" -seconds 4 -trace 0 | tee /dev/stderr |
+		awk -v w="$1" '$1 == w && $2 == "commit_p50_us" { print $3 }'
+}
+
+# result_size_gate: subscribe-small and subscribe-large commit the same
+# batches into the same store and differ only in the subscribed result's
+# size (≈300 vs ≈30k tuples), so a commit whose cost grows with |Q(D)|
+# shows as a ratio. Both runs are made here, seconds apart: the ratio
+# needs no cross-machine baseline.
+result_size_gate() {
+	local small large
+	small=$(commit_p50 subscribe-small)
+	large=$(commit_p50 subscribe-large)
+	echo "commit_p50_us: subscribe-small $small us, subscribe-large $large us"
+	awk -v s="$small" -v l="$large" 'BEGIN { exit !(s > 0 && l > 0 && l <= 3 * s) }'
+}
+
+# snapshot_advance_gate: the traced read-mix run pins the core `feed`
+# query after every commit; with the delta armed by the cached snapshot
+# and copy-on-write leaves every advance is a patch. Two exact counts,
+# no timing and no tolerance.
+snapshot_advance_gate() {
+	go run ./benchmark -workload read-mix -seconds 4 -trace 1 | tee /dev/stderr |
+		awk '$1 == "read-mix" && $2 == "snapshot.rebuilt" { rebuilt = $3 }
+		     $1 == "read-mix" && $2 == "snapshot.patched" { patched = $3 }
+		     END { print "snapshot.rebuilt", rebuilt, "snapshot.patched", patched
+		           exit !(rebuilt == "0" && patched > 0) }'
+}
+
+deep_leg() {
+	local n=$1
+	echo "== deep lane, GOMAXPROCS=$n"
+	GOMAXPROCS=$n go test -race ./...
+	# A deterministic slice of the nightly soak at a pinned base seed.
+	GOMAXPROCS=$n go test ./internal/torture -race -run 'TestTortureSoak' \
+		-torture.seed=1 -torture.duration=60s -torture.failure-file="$failures" -v
+	# With one CPU concurrent clients are an interleaving illusion, and
+	# the gates want real parallelism.
+	[ "$n" = 4 ] || return 0
+	GOMAXPROCS=$n go test -race ./internal/server -run 'TestE2E' -server.e2eclients=6 -count=1 -v
+	result_size_gate
+	snapshot_advance_gate
+	# The Go benchmarks the gates and CHANGES.md cite: they must compile,
+	# pass their own b.Fatal checks and print. No timing threshold.
+	go test ./pkg/dyncq ./internal/ivm ./internal/core ./internal/server -run '^$' \
+		-bench 'DeltaJoin|CapturedCommit|SnapshotAdvance|SnapshotLaggingReader|CoreUpdate|EnumerateFrame' \
+		-benchtime 50x -benchmem
+}
+
+deep() {
+	local legs=("$@") n
+	[ ${#legs[@]} -gt 0 ] || legs=(1 4)
+	for n in "${legs[@]}"; do
+		deep_leg "$n"
+	done
+}
+
+nightly() {
+	local seed=${1:-0} duration=${2:-15m}
+	if [ "$seed" = 0 ]; then
+		seed=${GITHUB_RUN_ID:-$(date +%s)}
+	fi
+	echo "soak: seed=$seed duration=$duration"
+	go test ./internal/torture -race -run 'TestTortureSoak' \
+		-torture.seed="$seed" -torture.duration="$duration" \
+		-torture.failure-file="$failures" -timeout 55m -v
+}
+
+lane=${1:-}
+shift || true
+case "$lane" in
+--quick) quick ;;
+--deep) deep "$@" ;;
+--nightly) nightly "$@" ;;
+*)
+	echo "usage: scripts/ci.sh --quick | --deep [gomaxprocs...] | --nightly [seed [duration]]" >&2
+	exit 2
+	;;
+esac
