@@ -203,11 +203,11 @@ func cmdRun(args []string) error {
 				shardInfo = append(shardInfo, fmt.Sprintf("%s=%d", h.Name(), s))
 			}
 		}
-		detail := "no sharded query backends; store phase and handle fan-out only"
+		detail := "no sharded query backends; handle fan-out only"
 		if len(shardInfo) > 0 {
 			detail = "query shards " + strings.Join(shardInfo, ",")
 		}
-		fmt.Printf("workers:  %d (store shards %d, %s)\n", p.Workers, p.StoreShards, detail)
+		fmt.Printf("workers:  %d (%s)\n", p.Workers, detail)
 	}
 	var d *dict.Dict
 	if *stringsMode {

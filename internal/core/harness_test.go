@@ -25,7 +25,7 @@ func newHarness(q *cq.Query, shards int) (*harness, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &harness{Engine: e, db: dyndb.NewSharded(e.Shards())}, nil
+	return &harness{Engine: e, db: dyndb.New()}, nil
 }
 
 func (h *harness) checkArity(updates ...dyndb.Update) error {
@@ -70,7 +70,7 @@ func (h *harness) ApplyBatchWorkers(updates []dyndb.Update, workers int) (int, e
 	if err != nil {
 		return 0, err
 	}
-	h.db.ApplyNetDelta(survivors, workers)
+	h.db.ApplyNetDelta(survivors, 0)
 	h.added, h.removed = h.ApplyDelta(survivors, workers, h.emit)
 	return len(survivors), nil
 }

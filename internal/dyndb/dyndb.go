@@ -4,6 +4,9 @@
 // commands. It tracks the quantities the paper's bounds are stated in:
 // the cardinality |D| (number of stored tuples), the active domain size
 // n = |adom(D)|, and the size ||D|| = |σ| + |adom(D)| + Σ_R ar(R)·|R^D|.
+// Every relation is one hash table of inline tuples and the active domain
+// one occurrence-count map, so a command costs the store one hash probe
+// plus one count per tuple position.
 //
 // A database also owns the hash indexes evaluators join through (Index):
 // built on first use and maintained by every mutator, so an index always
@@ -63,55 +66,28 @@ func Delete(rel string, tuple ...Value) Update {
 	return Update{Op: OpDelete, Rel: rel, Tuple: tuple}
 }
 
-// Relation is a finite set of tuples of a fixed arity. Its tuple storage
-// is split into the owning database's fixed number of hash shards (one
-// for the default New database): a tuple lives in the shard selected by
-// updateHash, the same hash Partition buckets commands by, so a net
-// batch partitioned by that hash touches pairwise disjoint shard tables —
-// the property ApplyNetDelta's parallel workers rely on. A shard keeps
-// its tuples inline in one flat array at stride arity (tuplekey.Table):
-// a stored tuple is 8·arity bytes, not a heap object.
+// Relation is a finite set of tuples of a fixed arity, kept inline in
+// one flat array at stride arity (tuplekey.Table): a stored tuple is
+// 8·arity bytes, not a heap object.
 type Relation struct {
-	name   string
 	arity  int
-	shards []*tuplekey.Table[struct{}]
+	tuples *tuplekey.Table[struct{}]
 }
 
 // Arity returns the relation's arity.
 func (r *Relation) Arity() int { return r.arity }
 
 // Len returns |R^D|.
-func (r *Relation) Len() int {
-	n := 0
-	for _, m := range r.shards {
-		n += m.Len()
-	}
-	return n
-}
-
-// shard returns the shard table storing the tuple.
-func (r *Relation) shard(tuple []Value) *tuplekey.Table[struct{}] {
-	if len(r.shards) == 1 {
-		return r.shards[0]
-	}
-	return r.shards[updateHash(r.name, tuple)%uint64(len(r.shards))]
-}
+func (r *Relation) Len() int { return r.tuples.Len() }
 
 // Has reports whether the tuple is present.
-func (r *Relation) Has(tuple []Value) bool { return r.shard(tuple).Has(tuple) }
+func (r *Relation) Has(tuple []Value) bool { return r.tuples.Has(tuple) }
 
 // Each calls fn for every tuple until fn returns false. The tuple slice
 // passed to fn aliases the relation's storage: it must not be mutated, and
 // it is dead after the relation's next mutation — copy it to retain it.
-// The relation must not be modified during iteration. Shards are visited
-// in index order (with one shard this is exactly the pre-shard iteration).
-func (r *Relation) Each(fn func(tuple []Value) bool) {
-	for _, m := range r.shards {
-		if !m.Keys(fn) {
-			return
-		}
-	}
-}
+// The relation must not be modified during iteration.
+func (r *Relation) Each(fn func(tuple []Value) bool) { r.tuples.Keys(fn) }
 
 // Tuples returns a copy of all tuples, sorted lexicographically
 // (deterministic for tests and display). The result is the caller's: it
@@ -141,21 +117,15 @@ func lessTuple(a, b []Value) bool {
 	return len(a) < len(b)
 }
 
-// Database is a σ-db: a set of named relations. The zero value is not
-// ready; use New or NewSharded.
+// Database is a σ-db: a set of named relations, one tuple table each,
+// plus the active-domain occurrence counts. The zero value is not ready;
+// use New.
 type Database struct {
-	// shards is the fixed number of hash shards every relation's tuple
-	// map and the adom occurrence counts are split into. 1 (New's
-	// default) is bit-identical to the pre-shard single-map layout; more
-	// shards let ApplyNetDelta apply a net batch on parallel workers.
-	shards int
-	rels   map[string]*Relation
+	rels map[string]*Relation
 	// adom counts occurrences of every constant across all stored tuples
-	// so that deletions maintain the active domain exactly, split by
-	// value hash into the same number of shards as the relations.
-	adom     []map[Value]int
-	adomSize int
-	card     int // |D|: total number of tuples
+	// so that deletions maintain the active domain exactly.
+	adom map[Value]int
+	card int // |D|: total number of tuples
 	// muts counts successful mutations (inserts + deletes that changed the
 	// database) over the store's lifetime — the quantity the workspace
 	// layer's "shared store applied once per batch" claim is measured in.
@@ -172,55 +142,9 @@ type Database struct {
 	idx   map[indexKey]*Index
 }
 
-// New returns an empty unsharded database with no declared relations.
-func New() *Database { return NewSharded(1) }
-
-// NewSharded returns an empty database whose relation tuple maps and
-// adom counts are split into the given number of hash shards (values
-// < 1 mean 1). One shard is the default layout; more shards change no
-// observable content — only the internal partitioning that lets
-// ApplyNetDelta run a net batch on parallel workers.
-func NewSharded(shards int) *Database {
-	if shards < 1 {
-		shards = 1
-	}
-	return &Database{shards: shards, rels: make(map[string]*Relation), adom: newAdom(shards), idx: make(map[indexKey]*Index)}
-}
-
-func newAdom(shards int) []map[Value]int {
-	adom := make([]map[Value]int, shards)
-	for i := range adom {
-		adom[i] = make(map[Value]int)
-	}
-	return adom
-}
-
-// Shards returns the number of hash shards of the store (1 for New).
-func (d *Database) Shards() int { return d.shards }
-
-// updateHash is the hash both Partition and the relation shard maps
-// bucket a command by: the tuple hash folded with the relation name, so
-// commands on the same (relation, tuple) pair always land together.
-func updateHash(rel string, tuple []Value) uint64 {
-	h := tuplekey.Hash(tuple)
-	for i := 0; i < len(rel); i++ {
-		h = h*0x100000001b3 ^ uint64(rel[i])
-	}
-	return h
-}
-
-// adomShard returns the index of the adom shard counting v.
-func (d *Database) adomShard(v Value) int {
-	if d.shards == 1 {
-		return 0
-	}
-	z := uint64(v) + 0x9e3779b97f4a7c15
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return int(z % uint64(d.shards))
+// New returns an empty database with no declared relations.
+func New() *Database {
+	return &Database{rels: make(map[string]*Relation), adom: make(map[Value]int), idx: make(map[indexKey]*Index)}
 }
 
 // EnsureRelation declares a relation with the given arity (idempotent).
@@ -235,11 +159,7 @@ func (d *Database) EnsureRelation(name string, arity int) error {
 		}
 		return nil
 	}
-	shards := make([]*tuplekey.Table[struct{}], d.shards)
-	for i := range shards {
-		shards[i] = tuplekey.NewTable[struct{}](arity)
-	}
-	d.rels[name] = &Relation{name: name, arity: arity, shards: shards}
+	d.rels[name] = &Relation{arity: arity, tuples: tuplekey.NewTable[struct{}](arity)}
 	return nil
 }
 
@@ -296,18 +216,14 @@ func (d *Database) insert(rel string, tuple []Value) (bool, error) {
 		return false, fmt.Errorf("insert %s: tuple arity %d, relation arity %d", rel, len(tuple), r.arity) //dyncq:allow hotalloc cold error path, never taken by validated batches
 	}
 	// One probe decides presence and, if absent, copies the tuple into the
-	// shard's flat storage (callers may reuse their slice).
-	if _, present := r.shard(tuple).Ref(tuple); present {
+	// relation's flat storage (callers may reuse their slice).
+	if _, present := r.tuples.Ref(tuple); present {
 		return false, nil
 	}
 	d.card++
 	d.muts++
 	for _, v := range tuple {
-		a := d.adom[d.adomShard(v)]
-		a[v]++
-		if a[v] == 1 {
-			d.adomSize++
-		}
+		d.adom[v]++
 	}
 	return true, nil
 }
@@ -324,17 +240,14 @@ func (d *Database) delete(rel string, tuple []Value) (bool, error) {
 	if r.arity != len(tuple) {
 		return false, fmt.Errorf("delete %s: tuple arity %d, relation arity %d", rel, len(tuple), r.arity) //dyncq:allow hotalloc cold error path, never taken by validated batches
 	}
-	if !r.shard(tuple).Delete(tuple) {
+	if !r.tuples.Delete(tuple) {
 		return false, nil
 	}
 	d.card--
 	d.muts++
 	for _, v := range tuple {
-		a := d.adom[d.adomShard(v)]
-		a[v]--
-		if a[v] == 0 {
-			d.adomSize--
-			delete(a, v)
+		if d.adom[v]--; d.adom[v] == 0 {
+			delete(d.adom, v)
 		}
 	}
 	return true, nil
@@ -352,12 +265,10 @@ func (d *Database) Mutations() uint64 { return d.muts }
 // returning the database to the empty state in place. Unlike assigning a
 // fresh New(), Clear keeps the *Database pointer valid for every
 // structure holding a reference to it — the shared-store contract of the
-// workspace layer. The mutation counter and the shard count are
-// preserved.
+// workspace layer. The mutation counter is preserved.
 func (d *Database) Clear() {
 	d.rels = make(map[string]*Relation)
-	d.adom = newAdom(d.shards)
-	d.adomSize = 0
+	d.adom = make(map[Value]int)
 	d.card = 0
 	d.coal = coalescer{}
 	d.DropIndexes()
@@ -507,27 +418,6 @@ func (c *coalescer) run(updates []Update) []Update {
 	return out
 }
 
-// Partition splits a batch into shards sub-batches by hash of the
-// (relation, tuple) pair, preserving the relative order of commands
-// inside every shard. All commands on the same tuple land in the same
-// shard, so under set semantics the shards commute: applying them in any
-// order (or concurrently, each as its own batch) reaches the same final
-// database as the original batch — the companion of Coalesce for callers
-// that fan a net batch out over parallel appliers. Empty shards are
-// returned as nil slices; shards < 2 returns the whole batch as one
-// shard. The input is not modified.
-func Partition(updates []Update, shards int) [][]Update {
-	if shards < 2 {
-		return [][]Update{append([]Update(nil), updates...)}
-	}
-	out := make([][]Update, shards)
-	for _, u := range updates {
-		s := updateHash(u.Rel, u.Tuple) % uint64(shards)
-		out[s] = append(out[s], u)
-	}
-	return out
-}
-
 // ApplyAll executes a sequence of update commands, stopping at the first
 // error.
 func (d *Database) ApplyAll(updates []Update) error {
@@ -537,6 +427,34 @@ func (d *Database) ApplyAll(updates []Update) error {
 		}
 	}
 	return nil
+}
+
+// ApplyNetDelta applies a net delta to the database and its built
+// indexes, returning the number of commands applied (always
+// len(survivors)). The survivors MUST come from NetDelta against the
+// database's current state (or be equivalent: coalesced,
+// arity-consistent, and each changing the store); ApplyNetDelta panics on
+// a violated contract, exactly like the workspace layer's "validated
+// delta failed to apply" guard. The store is written command by command,
+// bit-identical to ApplyAll over the survivors; the indexes are then
+// maintained under one lock for the whole delta. workers is ignored.
+//
+//dyncq:hot
+func (d *Database) ApplyNetDelta(survivors []Update, workers int) int {
+	for _, u := range survivors {
+		var changed bool
+		var err error
+		if u.Op == OpInsert {
+			changed, err = d.insert(u.Rel, u.Tuple)
+		} else {
+			changed, err = d.delete(u.Rel, u.Tuple)
+		}
+		if err != nil || !changed {
+			panic(fmt.Sprintf("dyndb: net delta violates its contract at %s: changed=%v err=%v", u, changed, err))
+		}
+	}
+	d.indexDelta(survivors)
+	return len(survivors)
 }
 
 // Has reports whether the tuple is present in the named relation.
@@ -549,18 +467,16 @@ func (d *Database) Has(rel string, tuple ...Value) bool {
 func (d *Database) Cardinality() int { return d.card }
 
 // ActiveDomainSize returns n = |adom(D)|.
-func (d *Database) ActiveDomainSize() int { return d.adomSize }
+func (d *Database) ActiveDomainSize() int { return len(d.adom) }
 
 // InActiveDomain reports whether v occurs in some stored tuple.
-func (d *Database) InActiveDomain(v Value) bool { return d.adom[d.adomShard(v)][v] > 0 }
+func (d *Database) InActiveDomain(v Value) bool { return d.adom[v] > 0 }
 
 // ActiveDomain returns the active domain in sorted order.
 func (d *Database) ActiveDomain() []Value {
-	out := make([]Value, 0, d.adomSize)
-	for _, a := range d.adom {
-		for v := range a { //dyncq:allow determinism values are sorted before returning, iteration order cannot leak
-			out = append(out, v)
-		}
+	out := make([]Value, 0, len(d.adom))
+	for v := range d.adom { //dyncq:allow determinism values are sorted before returning, iteration order cannot leak
+		out = append(out, v)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -569,16 +485,17 @@ func (d *Database) ActiveDomain() []Value {
 // Size returns ||D|| = |σ| + |adom(D)| + Σ_R ar(R)·|R^D| as defined in
 // Section 2.
 func (d *Database) Size() int {
-	s := len(d.rels) + d.adomSize
+	s := len(d.rels) + len(d.adom)
 	for _, r := range d.rels { //dyncq:allow determinism commutative sum, iteration order cannot affect the total
 		s += r.arity * r.Len()
 	}
 	return s
 }
 
-// Clone returns a deep copy of the database (same shard count).
+// Clone returns a deep copy of the database's tuples (indexes are not
+// copied; the clone builds its own on first use).
 func (d *Database) Clone() *Database {
-	c := NewSharded(d.shards)
+	c := New()
 	for name, r := range d.rels { //dyncq:allow determinism set-semantics copy: the clone's content is identical under any insertion order
 		if err := c.EnsureRelation(name, r.arity); err != nil {
 			panic(err) // fresh database: cannot conflict

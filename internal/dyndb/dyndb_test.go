@@ -150,6 +150,28 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestCloneMatchesSource: a clone holds the source's tuples, declarations
+// (empty relations included) and counters, and none of its indexes.
+func TestCloneMatchesSource(t *testing.T) {
+	src := New()
+	if err := src.ApplyAll(randomStream(rand.New(rand.NewSource(5)), 500)); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.EnsureRelation("EMPTY", 3); err != nil {
+		t.Fatal(err)
+	}
+	src.Index("E", 0b01)
+	c := src.Clone()
+	equalContent(t, c, src)
+	checkCounters(t, c)
+	if r := c.Relation("EMPTY"); r == nil || r.Arity() != 3 || r.Len() != 0 {
+		t.Fatal("the clone dropped the empty relation's declaration")
+	}
+	if len(c.idx) != 0 {
+		t.Fatalf("the clone carries %d indexes", len(c.idx))
+	}
+}
+
 func TestRelationAccessors(t *testing.T) {
 	d := New()
 	d.Insert("E", 3, 4)
@@ -170,6 +192,24 @@ func TestRelationAccessors(t *testing.T) {
 	if got := d.Relations(); len(got) != 1 || got[0] != "E" {
 		t.Errorf("Relations = %v", got)
 	}
+}
+
+// TestRelationEachStopsEarly: Each stops at the first false from fn and
+// visits nothing on an empty relation.
+func TestRelationEachStopsEarly(t *testing.T) {
+	d := New()
+	for i := Value(0); i < 10; i++ {
+		d.Insert("E", i, i+1)
+	}
+	visits := 0
+	d.Relation("E").Each(func([]Value) bool { visits++; return visits < 3 })
+	if visits != 3 {
+		t.Fatalf("Each visited %d tuples after fn returned false at the third, want 3", visits)
+	}
+	if err := d.EnsureRelation("Z", 1); err != nil {
+		t.Fatal(err)
+	}
+	d.Relation("Z").Each(func([]Value) bool { t.Fatal("Each visited a tuple of an empty relation"); return false })
 }
 
 // TestTuplesSurviveMutation: Tuples hands out copies. The relation keeps
@@ -317,70 +357,6 @@ func TestCoalescedApply(t *testing.T) {
 	}
 }
 
-// TestPartition: shards preserve per-shard order, keep all commands on a
-// tuple together, and commute — applying the shards in any order matches
-// applying the original batch directly.
-func TestPartition(t *testing.T) {
-	batch := Coalesce([]Update{
-		Insert("E", 1, 2), Insert("E", 3, 4), Insert("T", 2),
-		Delete("E", 1, 2), Insert("T", 4), Insert("E", 5, 6),
-		Insert("F", 1), Delete("T", 4),
-	})
-	shards := Partition(batch, 4)
-	if len(shards) != 4 {
-		t.Fatalf("got %d shards, want 4", len(shards))
-	}
-	total := 0
-	for _, s := range shards {
-		total += len(s)
-	}
-	if total != len(batch) {
-		t.Fatalf("partition holds %d commands, batch has %d", total, len(batch))
-	}
-	// Same-tuple commands land in the same shard (batch pre-coalesced here,
-	// so check with a raw batch instead).
-	raw := []Update{Insert("E", 1, 2), Insert("T", 7), Delete("E", 1, 2)}
-	for _, s := range Partition(raw, 8) {
-		seenE := -1
-		for i, u := range s {
-			if u.Rel == "E" {
-				if seenE >= 0 && u.Op != OpDelete {
-					t.Error("E commands out of order within a shard")
-				}
-				seenE = i
-			}
-		}
-	}
-	// Commutativity: shards applied in reverse shard order reach the same
-	// database as the batch applied directly.
-	direct := New()
-	if err := direct.ApplyAll(batch); err != nil {
-		t.Fatal(err)
-	}
-	viaShards := New()
-	for i := len(shards) - 1; i >= 0; i-- {
-		if err := viaShards.ApplyAll(shards[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if direct.Cardinality() != viaShards.Cardinality() {
-		t.Fatalf("|D| diverges: direct %d, via shards %d", direct.Cardinality(), viaShards.Cardinality())
-	}
-	for _, name := range direct.Relations() {
-		direct.Relation(name).Each(func(tu []Value) bool {
-			if !viaShards.Has(name, tu...) {
-				t.Errorf("%s%v missing after sharded apply", name, tu)
-			}
-			return true
-		})
-	}
-	// shards < 2: one shard, input copied.
-	one := Partition(raw, 1)
-	if len(one) != 1 || len(one[0]) != len(raw) {
-		t.Fatalf("Partition(_, 1) = %d shards of %d commands", len(one), len(one[0]))
-	}
-}
-
 func TestNetDelta(t *testing.T) {
 	db := New()
 	for _, u := range []Update{Insert("E", 1, 2), Insert("T", 2)} {
@@ -469,6 +445,39 @@ func TestMutationsAndClear(t *testing.T) {
 	if _, err := db.Insert("E", 1); err != nil {
 		t.Fatalf("unary E after Clear: %v", err)
 	}
+}
+
+// TestClearThenReload: a cleared store reloads to exactly the state of a
+// fresh one, through both ApplyAll and ApplyNetDelta, so the pointer the
+// workspace shares stays usable across Load cycles.
+func TestClearThenReload(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	db := New()
+	if err := db.ApplyAll(randomStream(rng, 300)); err != nil {
+		t.Fatal(err)
+	}
+	db.Index("E", 0b10)
+	load, batch := randomStream(rng, 300), randomStream(rng, 300)
+	fresh := New()
+	if err := fresh.ApplyAll(load); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.ApplyAll(batch); err != nil {
+		t.Fatal(err)
+	}
+	db.Clear()
+	if err := db.ApplyAll(load); err != nil {
+		t.Fatal(err)
+	}
+	db.Index("E", 0b01)
+	delta, err := db.NetDelta(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.ApplyNetDelta(delta, 0)
+	equalContent(t, db, fresh)
+	checkCounters(t, db)
+	checkIndexesFresh(t, db, "after Clear and reload")
 }
 
 func TestCopyFrom(t *testing.T) {
@@ -563,9 +572,9 @@ func TestCheckIndexesSeesCorruption(t *testing.T) {
 
 // TestIndexOnUndeclaredRelation: an index asked for before its relation
 // exists starts empty, declares nothing, and is filled by the mutator that
-// declares the relation — Insert, and the parallel ApplyNetDelta path.
+// declares the relation — Insert, and ApplyNetDelta.
 func TestIndexOnUndeclaredRelation(t *testing.T) {
-	db := NewSharded(4)
+	db := New()
 	byX := db.Index("E", 0b01)
 	if byX.Bucket([]Value{1}) != nil || db.Relation("E") != nil {
 		t.Fatal("an index on an undeclared relation is not empty, or declared it")
@@ -578,14 +587,14 @@ func TestIndexOnUndeclaredRelation(t *testing.T) {
 	}
 	byZ := db.Index("R", 0b100)
 	var batch []Update
-	for i := Value(0); i < 2*minParallelDelta; i++ {
+	for i := Value(0); i < 64; i++ {
 		batch = append(batch, Insert("R", i, i, i%3))
 	}
 	delta, err := db.NetDelta(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.ApplyNetDelta(delta, 4)
+	db.ApplyNetDelta(delta, 0)
 	if b := byZ.Bucket([]Value{0}); b == nil || b.Len() != 22 {
 		t.Fatal("the ApplyNetDelta that declared R did not file 22 tuples under z=0")
 	}
@@ -644,47 +653,40 @@ func TestDropIndexes(t *testing.T) {
 
 // TestApplyNetDeltaMaintainsIndexes: a delta of inserts and deletes
 // against built indexes on every mask of E leaves them equal to a fresh
-// build, on the sequential path and on the parallel one.
+// build.
 func TestApplyNetDeltaMaintainsIndexes(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			db := NewSharded(4)
-			var initial []Update
-			for i := Value(0); i < 50; i++ {
-				initial = append(initial, Insert("E", i%10, i))
-			}
-			if err := db.ApplyAll(initial); err != nil {
-				t.Fatal(err)
-			}
-			for _, mask := range []uint32{0b01, 0b10, 0b11} {
-				db.Index("E", mask)
-			}
-			var batch []Update
-			for i := Value(0); i < 40; i++ {
-				if i%2 == 0 {
-					batch = append(batch, Insert("E", i%10, 100+i))
-				} else {
-					batch = append(batch, Delete("E", i%10, i))
-				}
-			}
-			delta, err := db.NetDelta(batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(delta) < minParallelDelta {
-				t.Fatalf("delta of %d updates is too small for the parallel path", len(delta))
-			}
-			db.ApplyNetDelta(delta, workers)
-			byX := db.Index("E", 0b01)
-			if b := byX.Bucket([]Value{0}); b == nil || b.Len() != 9 {
-				t.Fatal("bucket x=0 does not hold its 5 loaded and 4 inserted tuples")
-			}
-			if b := byX.Bucket([]Value{1}); b == nil || b.Len() != 1 || !b.Has([]Value{1, 41}) {
-				t.Fatal("bucket x=1 does not hold exactly the (1,41) the delta left")
-			}
-			checkIndexesFresh(t, db, "after ApplyNetDelta")
-		})
+	db := New()
+	var initial []Update
+	for i := Value(0); i < 50; i++ {
+		initial = append(initial, Insert("E", i%10, i))
 	}
+	if err := db.ApplyAll(initial); err != nil {
+		t.Fatal(err)
+	}
+	for _, mask := range []uint32{0b01, 0b10, 0b11} {
+		db.Index("E", mask)
+	}
+	var batch []Update
+	for i := Value(0); i < 40; i++ {
+		if i%2 == 0 {
+			batch = append(batch, Insert("E", i%10, 100+i))
+		} else {
+			batch = append(batch, Delete("E", i%10, i))
+		}
+	}
+	delta, err := db.NetDelta(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.ApplyNetDelta(delta, 0)
+	byX := db.Index("E", 0b01)
+	if b := byX.Bucket([]Value{0}); b == nil || b.Len() != 9 {
+		t.Fatal("bucket x=0 does not hold its 5 loaded and 4 inserted tuples")
+	}
+	if b := byX.Bucket([]Value{1}); b == nil || b.Len() != 1 || !b.Has([]Value{1, 41}) {
+		t.Fatal("bucket x=1 does not hold exactly the (1,41) the delta left")
+	}
+	checkIndexesFresh(t, db, "after ApplyNetDelta")
 }
 
 // dumpIndex flattens an index into sorted (projection, tuple) pairs for
@@ -718,86 +720,77 @@ func checkIndexesFresh(t *testing.T, db *Database, ctx string) {
 
 // TestIndexesMatchFreshBuild is the property test of store-maintained
 // indexes: a random sequence of every exported mutator — Insert, Delete,
-// Apply, ApplyAll, CopyFrom, Clear, and ApplyNetDelta with deltas large
-// enough for the parallel path — interleaved with index builds that
-// goroutines race on random masks, leaves every built index equal to a
-// fresh build after every step. Under -race the concurrent builds are the
-// safety check for evaluators sharing one store.
+// Apply, ApplyAll, CopyFrom, Clear, and ApplyNetDelta with multi-command
+// deltas — interleaved with index builds that goroutines race on random
+// masks, leaves every built index equal to a fresh build after every
+// step. Under -race the concurrent builds are the safety check for
+// evaluators sharing one store.
 func TestIndexesMatchFreshBuild(t *testing.T) {
 	masks := []indexKey{{"E", 0b01}, {"E", 0b10}, {"E", 0b11}, {"T", 0b1}}
 	const readers = 8
-	for _, shards := range []int{1, 8} {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(41 + 10*shards + workers)))
-				db := NewSharded(shards)
-				for step := 0; step < 200; step++ {
-					var what string
-					switch r := rng.Intn(16); {
-					case r == 0:
-						what = "Clear"
-						db.Clear()
-					case r == 1:
-						what = "CopyFrom"
-						src := New()
-						if err := src.ApplyAll(randomStream(rng, 40)); err != nil {
-							t.Fatal(err)
+	rng := rand.New(rand.NewSource(41))
+	db := New()
+	for step := 0; step < 400; step++ {
+		var what string
+		switch r := rng.Intn(16); {
+		case r == 0:
+			what = "Clear"
+			db.Clear()
+		case r == 1:
+			what = "CopyFrom"
+			src := New()
+			if err := src.ApplyAll(randomStream(rng, 40)); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.CopyFrom(src); err != nil {
+				t.Fatal(err)
+			}
+		case r < 4:
+			what = "ApplyAll"
+			if err := db.ApplyAll(randomStream(rng, 8)); err != nil {
+				t.Fatal(err)
+			}
+		case r < 6:
+			what = "Apply"
+			if _, err := db.Apply(randomStream(rng, 1)[0]); err != nil {
+				t.Fatal(err)
+			}
+		case r < 8:
+			what = "Insert/Delete"
+			v1, v2 := int64(rng.Intn(20)), int64(rng.Intn(20))
+			if _, err := db.Insert("E", v1, v2); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Delete("E", v2, v1); err != nil {
+				t.Fatal(err)
+			}
+		case r < 11:
+			what = "ApplyNetDelta"
+			delta, err := db.NetDelta(randomStream(rng, 160))
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.ApplyNetDelta(delta, 0)
+		default:
+			what = "concurrent Index"
+			var wg sync.WaitGroup
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				lrng := rand.New(rand.NewSource(rng.Int63()))
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 4; i++ {
+						k := masks[lrng.Intn(len(masks))]
+						probe := make([]Value, bits.OnesCount32(k.mask))
+						for j := range probe {
+							probe[j] = int64(lrng.Intn(20))
 						}
-						if err := db.CopyFrom(src); err != nil {
-							t.Fatal(err)
-						}
-					case r < 4:
-						what = "ApplyAll"
-						if err := db.ApplyAll(randomStream(rng, 8)); err != nil {
-							t.Fatal(err)
-						}
-					case r < 6:
-						what = "Apply"
-						if _, err := db.Apply(randomStream(rng, 1)[0]); err != nil {
-							t.Fatal(err)
-						}
-					case r < 8:
-						what = "Insert/Delete"
-						v1, v2 := int64(rng.Intn(20)), int64(rng.Intn(20))
-						if _, err := db.Insert("E", v1, v2); err != nil {
-							t.Fatal(err)
-						}
-						if _, err := db.Delete("E", v2, v1); err != nil {
-							t.Fatal(err)
-						}
-					case r < 11:
-						what = "ApplyNetDelta"
-						var delta []Update
-						for len(delta) < minParallelDelta {
-							var err error
-							if delta, err = db.NetDelta(randomStream(rng, 160)); err != nil {
-								t.Fatal(err)
-							}
-						}
-						db.ApplyNetDelta(delta, workers)
-					default:
-						what = "concurrent Index"
-						var wg sync.WaitGroup
-						for r := 0; r < readers; r++ {
-							wg.Add(1)
-							lrng := rand.New(rand.NewSource(rng.Int63()))
-							go func() {
-								defer wg.Done()
-								for i := 0; i < 4; i++ {
-									k := masks[lrng.Intn(len(masks))]
-									probe := make([]Value, bits.OnesCount32(k.mask))
-									for j := range probe {
-										probe[j] = int64(lrng.Intn(20))
-									}
-									db.Index(k.rel, k.mask).Bucket(probe)
-								}
-							}()
-						}
-						wg.Wait()
+						db.Index(k.rel, k.mask).Bucket(probe)
 					}
-					checkIndexesFresh(t, db, fmt.Sprintf("step %d (%s)", step, what))
-				}
-			})
+				}()
+			}
+			wg.Wait()
 		}
+		checkIndexesFresh(t, db, fmt.Sprintf("step %d (%s)", step, what))
 	}
 }

@@ -216,7 +216,7 @@ func TestAgainstBruteForce(t *testing.T) {
 
 // TestEvaluateAcrossStoreMutations: the evaluator probes the indexes the
 // store maintains, so one database evaluated, mutated through single
-// commands, net deltas on the parallel path and Clear, and evaluated again
+// commands, net deltas and Clear, and evaluated again
 // agrees with brute force after every step.
 func TestEvaluateAcrossStoreMutations(t *testing.T) {
 	queries := []*cq.Query{
@@ -242,7 +242,7 @@ func TestEvaluateAcrossStoreMutations(t *testing.T) {
 			return dyndb.Insert("E", v1, v2)
 		}
 	}
-	db := dyndb.NewSharded(4)
+	db := dyndb.New()
 	for step := 0; step < 80; step++ {
 		switch r := rng.Intn(12); {
 		case r == 0:
@@ -256,7 +256,7 @@ func TestEvaluateAcrossStoreMutations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			db.ApplyNetDelta(delta, 2)
+			db.ApplyNetDelta(delta, 0)
 		default:
 			if _, err := db.Apply(random()); err != nil {
 				t.Fatal(err)

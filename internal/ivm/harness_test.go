@@ -64,7 +64,7 @@ func (h *harness) ApplyBatch(updates []dyndb.Update) (int, error) {
 			}
 		}
 		h.PreDelete(rel, dels)
-		h.db.ApplyNetDelta(cmds, 1)
+		h.db.ApplyNetDelta(cmds, 0)
 		h.PostInsert(rel, ins)
 	}
 	return len(survivors), nil

@@ -192,24 +192,25 @@ func concurrencyScenarios() []Scenario {
 								return
 							default:
 							}
-							ws.View(func(v *dyncq.WorkspaceView) {
-								// Within one view: Count, Answer, and the
-								// enumerated set must describe one state.
-								for _, nq := range queryPool {
-									count := v.Count(nq.name)
-									if v.Answer(nq.name) != (count > 0) {
-										errs <- fmt.Errorf("view: query %s answer disagrees with count %d", nq.name, count)
-										return
-									}
-									if got := uint64(len(v.Tuples(nq.name))); got != count {
-										errs <- fmt.Errorf("view: query %s enumerated %d tuples, count says %d", nq.name, got, count)
-										return
-									}
+							// Within one snapshot: Count, Answer, and the
+							// enumerated set must describe one state.
+							snap := ws.Snapshot()
+							for _, nq := range queryPool {
+								q := snap.Query(nq.name)
+								count := q.Count()
+								if q.Answer() != (count > 0) {
+									errs <- fmt.Errorf("snapshot: query %s answer disagrees with count %d", nq.name, count)
+									return
 								}
-								if before, after := v.Version(), v.Version(); before != after {
-									errs <- fmt.Errorf("view: version moved %d -> %d inside one view", before, after)
+								if got := uint64(len(q.Tuples())); got != count {
+									errs <- fmt.Errorf("snapshot: query %s enumerated %d tuples, count says %d", nq.name, got, count)
+									return
 								}
-							})
+								if q.Version() != snap.Version() {
+									errs <- fmt.Errorf("snapshot: query %s pinned at version %d, snapshot at %d", nq.name, q.Version(), snap.Version())
+									return
+								}
+							}
 						}
 					}()
 				}
@@ -417,12 +418,11 @@ func registerWide(ws *dyncq.Workspace, pool []namedQuery, shards int) error {
 // workerIdentical builds the pool over db (nil: empty) at 1, 2 and 4
 // workers, replays the stream in batches of batch, and demands identical
 // results and clean invariants; it returns the workers=1 workspace. Same
-// store shards and same core engine shards everywhere: only the worker
-// count varies, so any divergence is a scheduling bug, not a layout
-// difference.
+// core engine shards everywhere: only the worker count varies, so any
+// divergence is a scheduling bug, not a layout difference.
 func workerIdentical(pool []namedQuery, db *dyndb.Database, stream []dyndb.Update, batch int) (*dyncq.Workspace, error) {
 	build := func(workers int) (*dyncq.Workspace, error) {
-		ws := dyncq.NewWorkspace(dyncq.WorkspaceOptions{Workers: workers, StoreShards: 8})
+		ws := dyncq.NewWorkspace(dyncq.WorkspaceOptions{Workers: workers})
 		if err := registerWide(ws, pool, 4); err != nil {
 			return nil, err
 		}
@@ -568,19 +568,19 @@ func fanoutScenarios() []Scenario {
 								return
 							default:
 							}
-							ws.View(func(v *dyncq.WorkspaceView) {
-								version := v.Version()
-								card := v.Cardinality()
-								for _, name := range names {
-									if got := uint64(len(v.Tuples(name))); got != v.Count(name) {
-										errs <- fmt.Errorf("view at version %d: query %s tuples/count torn", version, name)
-										return
-									}
+							snap := ws.Snapshot()
+							version, card := snap.Version(), snap.Cardinality()
+							for _, name := range names {
+								q := snap.Query(name)
+								if got := uint64(len(q.Tuples())); got != q.Count() {
+									errs <- fmt.Errorf("snapshot at version %d: query %s tuples/count torn", version, name)
+									return
 								}
-								if v.Version() != version || v.Cardinality() != card {
-									errs <- fmt.Errorf("view state moved: version %d -> %d", version, v.Version())
+								if q.Version() != version || q.Cardinality() != card {
+									errs <- fmt.Errorf("snapshot at version %d, |D| %d: query %s pinned at version %d, |D| %d", version, card, name, q.Version(), q.Cardinality())
+									return
 								}
-							})
+							}
 						}
 					}()
 				}

@@ -1,7 +1,7 @@
 // Package torture is the deterministic torture/soak harness: a category
 // matrix of seeded adversarial scenarios — parse, eval, error,
 // lifecycle, concurrency, fan-out — that exercises every layer of the
-// engine (sharded store, the store's shared indexes, arena-allocated
+// engine (the shared store and its indexes, arena-allocated
 // core structures, interning, parallel workspace fan-out) simultaneously
 // and checks each step against a naive reference oracle plus the
 // engine's own invariants (Workspace.CheckInvariants: store bookkeeping,

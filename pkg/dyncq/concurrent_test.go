@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"dyncq/internal/cq"
-	"dyncq/internal/dyndb"
 	"dyncq/internal/eval"
 	"dyncq/internal/workload"
 )
@@ -145,16 +144,16 @@ func TestConcurrentSnapshotReaders(t *testing.T) {
 	}
 }
 
-// TestConcurrentShardedWriters: multiple writer goroutines apply
-// disjoint shard partitions of one net batch (dyndb.Partition keeps all
-// commands on a tuple in one shard, so the partitions commute) while
-// readers continuously check internal consistency; the final state must
-// match the static oracle. Run with -race.
-func TestConcurrentShardedWriters(t *testing.T) {
+// TestConcurrentWriters: multiple writer goroutines apply disjoint
+// slices of one net batch (a net batch holds one command per tuple, so
+// any split of it commutes) while readers continuously check internal
+// consistency; the final state must match the static oracle. Run with
+// -race.
+func TestConcurrentWriters(t *testing.T) {
 	q := cq.MustParse("Q(y) :- E(x,y), T(y)")
 	rng := rand.New(rand.NewSource(61))
 	init := workload.RandomDatabase(rng, q.Schema(), 40, 150)
-	// A net batch: coalesce a random stream so the partitions commute.
+	// A net batch: coalesce a random stream so the slices commute.
 	net := Coalesce(workload.RandomStream(rng, q.Schema(), 40, 2000, 0.3))
 	const writers = 4
 
@@ -162,7 +161,10 @@ func TestConcurrentShardedWriters(t *testing.T) {
 	if err := cs.Load(init); err != nil {
 		t.Fatal(err)
 	}
-	parts := dyndb.Partition(net, writers)
+	var parts [][]Update
+	for w := 0; w < writers; w++ {
+		parts = append(parts, net[w*len(net)/writers:(w+1)*len(net)/writers])
+	}
 	var writerWG, readerWG sync.WaitGroup
 	var done atomic.Bool
 	for r := 0; r < 2; r++ {

@@ -1,27 +1,28 @@
 package dyncq
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"dyncq/internal/cq"
+	"dyncq/internal/dyndb"
 	"dyncq/internal/workload"
 )
 
 // TestWorkspaceFanOutByteIdentical is the acceptance check of the
-// sharded storage core: a K=4 mixed-strategy workspace replaying one
-// stream in batches produces byte-identical counts, answers, and
-// enumeration order at every worker count (the engines pinned to one
-// shard count so their enumeration order is comparable), while the
-// store phase runs over a sharded store rather than one map.
+// parallel fan-out: a K=4 mixed-strategy workspace replaying one stream
+// in batches produces byte-identical counts, answers, and enumeration
+// order at every worker count (the engines pinned to one shard count so
+// their enumeration order is comparable).
 func TestWorkspaceFanOutByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	stream := workload.RandomStream(rng, multiSchema(), 16, 1500, 0.35)
 	init := workload.RandomDatabase(rand.New(rand.NewSource(212)), multiSchema(), 16, 80)
 	run := func(workers int) *Workspace {
-		ws := NewWorkspace(WorkspaceOptions{Workers: workers, StoreShards: 8})
+		ws := NewWorkspace(WorkspaceOptions{Workers: workers})
 		for _, c := range multiSuite() {
 			opt := c.opt
 			opt.Shards = 8 // identical shard count ⇒ identical enumeration order
@@ -40,11 +41,7 @@ func TestWorkspaceFanOutByteIdentical(t *testing.T) {
 	seq := run(1)
 	for _, workers := range []int{2, 4} {
 		par := run(workers)
-		p := par.Parallelism()
-		if p.StoreShards != 8 {
-			t.Fatalf("workers=%d: store shards %d, want 8 (store phase not sharded)", workers, p.StoreShards)
-		}
-		if p.Workers != workers {
+		if p := par.Parallelism(); p.Workers != workers {
 			t.Fatalf("Parallelism().Workers = %d, want %d", p.Workers, workers)
 		}
 		if got, want := par.Version(), seq.Version(); got != want {
@@ -76,9 +73,6 @@ func TestWorkspaceParallelismIntrospection(t *testing.T) {
 	if p.Workers != 2 {
 		t.Fatalf("Workers = %d, want 2", p.Workers)
 	}
-	if p.StoreShards != 8 { // derived 4×Workers
-		t.Fatalf("StoreShards = %d, want 8", p.StoreShards)
-	}
 	if p.QueryShards["star"] != 8 { // core engine, derived 4×Workers
 		t.Fatalf("star shards = %d, want 8", p.QueryShards["star"])
 	}
@@ -94,7 +88,7 @@ func TestWorkspaceParallelismIntrospection(t *testing.T) {
 // goroutine-safe shared index pool: K = 5 IVM handles over one schema
 // all probe the shared store's indexes, building them lazily, while the
 // parallel fan-out runs their delta-joins concurrently (plus concurrent
-// View readers for extra pressure). The results must match a sequential
+// Snapshot readers for extra pressure). The results must match a sequential
 // replay, and every built index must still mirror its relation. Run with
 // -race (the CI race job does, at GOMAXPROCS 1 and 4).
 func TestWorkspaceSharedIndexPoolStress(t *testing.T) {
@@ -142,17 +136,16 @@ func TestWorkspaceSharedIndexPoolStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !done.Load() {
-				ws.View(func(v *WorkspaceView) {
-					version := v.Version()
-					for _, q := range queries {
-						if a, b := v.Count(q.name), v.Count(q.name); a != b {
-							t.Errorf("query %s: count moved inside a snapshot: %d -> %d", q.name, a, b)
-						}
+				snap := ws.Snapshot()
+				for _, q := range queries {
+					s := snap.Query(q.name)
+					if got := uint64(len(s.Tuples())); got != s.Count() {
+						t.Errorf("query %s: %d tuples but count %d inside one snapshot", q.name, got, s.Count())
 					}
-					if v.Version() != version {
-						t.Errorf("version moved inside a snapshot: %d -> %d", version, v.Version())
+					if s.Version() != snap.Version() {
+						t.Errorf("query %s pinned at version %d, snapshot at %d", q.name, s.Version(), snap.Version())
 					}
-				})
+				}
 			}
 		}()
 	}
@@ -177,14 +170,13 @@ func TestWorkspaceSharedIndexPoolStress(t *testing.T) {
 	}
 }
 
-// TestWorkspaceViewPinnedDuringFanOut is the -race stress test of the
-// sharded storage core: while one writer drives parallel batches
-// (sharded store application + per-handle fan-out + per-engine shard
-// workers), concurrent View readers must always observe one pinned
-// version whose per-query counts match the precomputed state after
-// exactly that many committed batches. Run with -race (the CI race job
-// does).
-func TestWorkspaceViewPinnedDuringFanOut(t *testing.T) {
+// TestWorkspaceSnapshotPinnedDuringFanOut is the -race stress test of
+// the parallel fan-out: while one writer drives parallel batches
+// (per-handle fan-out + per-engine shard workers), concurrent Snapshot
+// readers must always observe one pinned version whose per-query counts
+// match the precomputed state after exactly that many committed batches.
+// Run with -race (the CI race job does).
+func TestWorkspaceSnapshotPinnedDuringFanOut(t *testing.T) {
 	rng := rand.New(rand.NewSource(223))
 	stream := workload.RandomStream(rng, multiSchema(), 24, 1600, 0.35)
 	const batch = 64
@@ -235,22 +227,18 @@ func TestWorkspaceViewPinnedDuringFanOut(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !done.Load() {
-				ws.View(func(v *WorkspaceView) {
-					version := v.Version()
-					if version >= uint64(len(wantAt)) {
-						t.Errorf("snapshot at version %d, but only %d commits exist", version, len(wantAt)-1)
-						return
+				snap := ws.Snapshot()
+				version := snap.Version()
+				if version >= uint64(len(wantAt)) {
+					t.Errorf("snapshot at version %d, but only %d commits exist", version, len(wantAt)-1)
+					return
+				}
+				want := wantAt[version]
+				for _, c := range multiSuite() {
+					if got := snap.Query(c.name).Count(); got != want[c.name] {
+						t.Errorf("version %d query %s: count %d, want %d (torn read)", version, c.name, got, want[c.name])
 					}
-					want := wantAt[version]
-					for _, c := range multiSuite() {
-						if got := v.Count(c.name); got != want[c.name] {
-							t.Errorf("version %d query %s: count %d, want %d (torn read)", version, c.name, got, want[c.name])
-						}
-					}
-					if v.Version() != version {
-						t.Errorf("version moved inside a snapshot: %d -> %d", version, v.Version())
-					}
-				})
+				}
 			}
 		}()
 	}
@@ -268,6 +256,62 @@ func TestWorkspaceViewPinnedDuringFanOut(t *testing.T) {
 	for _, c := range multiSuite() {
 		if got := ws.Handle(c.name).Count(); got != final[c.name] {
 			t.Fatalf("final count of %s = %d, want %d", c.name, got, final[c.name])
+		}
+	}
+}
+
+// BenchmarkCommitWorkers measures what Workers buys a commit: Workers ∈
+// {0, 2} × batch ∈ {64, 512, 4096} on a 100k-tuple store, for the core
+// query set (star, feed, deep: the engine-parallel axis — each engine
+// gets 4×Workers shards — plus the per-handle fan-out) and for the ivm
+// query hard (one handle: Workers has nothing to fan out). Batches toggle
+// tuples drawn from the store's own distribution and then undo them, so
+// the store stays at its loaded size; ns/update is wall-clock per net
+// update.
+func BenchmarkCommitWorkers(b *testing.B) {
+	const n = 100_000
+	sets := []struct {
+		name    string
+		shape   memoryShape
+		queries map[string]string
+		draw    func(rng *rand.Rand) Update
+	}{
+		{"core", memoryShapes[0], map[string]string{
+			"star": "Q(y) :- E(x,y), T(y)",
+			"feed": "Q(x,y) :- E(x,y), T(y)",
+			"deep": "Q(x,y,z) :- R(x,y,z), E(x,y), S(x)",
+		}, coreDraw(n)},
+		{"ivm", memoryShapes[1], map[string]string{
+			"hard": "Q(x,y) :- S(x), E(x,y), T(y)",
+		}, ivmDraw(n)},
+	}
+	for _, set := range sets {
+		db := dyndb.New()
+		set.shape.fill(db, n)
+		for _, batch := range []int{64, 512, 4096} {
+			cycle := toggleCycle(b, db.Clone(), batch, max(2, 16384/batch), set.draw)
+			for _, workers := range []int{0, 2} {
+				b.Run(fmt.Sprintf("%s/batch=%d/workers=%d", set.name, batch, workers), func(b *testing.B) {
+					ws := loadQueries(b, set.queries, db, WorkspaceOptions{Workers: workers})
+					benchCommits(b, ws, cycle, batch)
+				})
+			}
+		}
+	}
+}
+
+// ivmDraw draws an insert from the ingest-ivm shape's distribution at a
+// store of about n tuples: E 60 %, S 20 %, T 20 % over its n/51 keys.
+func ivmDraw(n int) func(rng *rand.Rand) Update {
+	keys := int64(n / 51)
+	return func(rng *rand.Rand) Update {
+		switch p := rng.Intn(100); {
+		case p < 60:
+			return dyndb.Insert("E", rng.Int63n(keys), rng.Int63n(keys))
+		case p < 80:
+			return dyndb.Insert("S", rng.Int63n(keys))
+		default:
+			return dyndb.Insert("T", rng.Int63n(keys))
 		}
 	}
 }

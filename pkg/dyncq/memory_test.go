@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/metrics"
-	"slices"
 	"testing"
 
 	"dyncq/internal/dyndb"
@@ -148,8 +147,14 @@ func bytesPerTuple(t *testing.T, shape memoryShape, n int) float64 {
 // loadShape registers the shape's queries on a new workspace, loads db and
 // warms every lazily built structure.
 func loadShape(t testing.TB, shape memoryShape, db *dyndb.Database) *Workspace {
-	ws := NewWorkspace(WorkspaceOptions{})
-	for name, text := range shape.queries {
+	return loadQueries(t, shape.queries, db, WorkspaceOptions{})
+}
+
+// loadQueries registers the queries on a new workspace built with opt,
+// loads db and warms every lazily built structure.
+func loadQueries(t testing.TB, queries map[string]string, db *dyndb.Database, opt WorkspaceOptions) *Workspace {
+	ws := NewWorkspace(opt)
+	for name, text := range queries {
 		if _, err := ws.Register(name, text); err != nil {
 			t.Fatal(err)
 		}
@@ -199,48 +204,71 @@ func BenchmarkCoreUpdate(b *testing.B) {
 			db := dyndb.New()
 			shape.fill(db, n)
 			ws := loadShape(b, shape, db)
-			rng := rand.New(rand.NewSource(2))
-			xs, ys := int64(n/3), int64(n/6)
-			cycle := make([][]Update, 2*forward)
-			for i := 0; i < forward; i++ {
-				fwd, inv := make([]Update, 0, batch), make([]Update, batch)
-				for len(fwd) < batch {
-					var u Update
-					switch p := rng.Intn(100); {
-					case p < 40:
-						u = dyndb.Insert("E", rng.Int63n(xs), rng.Int63n(ys))
-					case p < 70:
-						u = dyndb.Insert("R", rng.Int63n(xs), rng.Int63n(ys), rng.Int63n(1000))
-					case p < 85:
-						u = dyndb.Insert("T", rng.Int63n(ys))
-					default:
-						u = dyndb.Insert("S", rng.Int63n(xs))
-					}
-					// db mirrors the workspace's store: toggle the tuple there. A
-					// tuple drawn twice in one batch would net out, so it is skipped.
-					if db.Has(u.Rel, u.Tuple...) {
-						u.Op = dyndb.OpDelete
-					}
-					if slices.ContainsFunc(fwd, func(v Update) bool { return v.Rel == u.Rel && slices.Equal(v.Tuple, u.Tuple) }) {
-						continue
-					}
-					fwd = append(fwd, u)
-				}
-				for j, u := range fwd {
-					if _, err := db.Apply(u); err != nil {
-						b.Fatal(err)
-					}
-					inv[batch-1-j] = Update{Op: dyndb.OpInsert + dyndb.OpDelete - u.Op, Rel: u.Rel, Tuple: u.Tuple}
-				}
-				cycle[i], cycle[2*forward-1-i] = fwd, inv
-			}
+			cycle := toggleCycle(b, db, batch, forward, coreDraw(n))
 			b.ReportAllocs()
-			for i := 0; b.Loop(); i++ {
-				if got, err := ws.ApplyBatch(cycle[i%len(cycle)]); err != nil || got != batch {
-					b.Fatalf("batch netted %d of %d (err %v)", got, batch, err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/update")
+			benchCommits(b, ws, cycle, batch)
 		})
 	}
+}
+
+// coreDraw draws an insert from the ingest-core shape's distribution at
+// a store of about n tuples: E 40 %, R 30 %, T 15 %, S 15 %.
+func coreDraw(n int) func(rng *rand.Rand) Update {
+	xs, ys := int64(n/3), int64(n/6)
+	return func(rng *rand.Rand) Update {
+		switch p := rng.Intn(100); {
+		case p < 40:
+			return dyndb.Insert("E", rng.Int63n(xs), rng.Int63n(ys))
+		case p < 70:
+			return dyndb.Insert("R", rng.Int63n(xs), rng.Int63n(ys), rng.Int63n(1000))
+		case p < 85:
+			return dyndb.Insert("T", rng.Int63n(ys))
+		default:
+			return dyndb.Insert("S", rng.Int63n(xs))
+		}
+	}
+}
+
+// toggleCycle builds a cycle of 2·forward batches of batch distinct
+// commands: forward batches toggling tuples drawn by draw, then their
+// inverses backwards, so replaying the cycle returns the store to its
+// loaded size. mirror tracks the workspace's store (it ends the cycle's
+// forward half ahead of it); a tuple drawn twice in one batch would net
+// out, so it is skipped.
+func toggleCycle(b *testing.B, mirror *dyndb.Database, batch, forward int, draw func(rng *rand.Rand) Update) [][]Update {
+	rng := rand.New(rand.NewSource(2))
+	cycle := make([][]Update, 2*forward)
+	for i := 0; i < forward; i++ {
+		fwd, inv := make([]Update, 0, batch), make([]Update, batch)
+		seen := dyndb.New()
+		for len(fwd) < batch {
+			u := draw(rng)
+			if mirror.Has(u.Rel, u.Tuple...) {
+				u.Op = dyndb.OpDelete
+			}
+			if fresh, _ := seen.Insert(u.Rel, u.Tuple...); !fresh {
+				continue
+			}
+			fwd = append(fwd, u)
+		}
+		for j, u := range fwd {
+			if _, err := mirror.Apply(u); err != nil {
+				b.Fatal(err)
+			}
+			inv[batch-1-j] = Update{Op: dyndb.OpInsert + dyndb.OpDelete - u.Op, Rel: u.Rel, Tuple: u.Tuple}
+		}
+		cycle[i], cycle[2*forward-1-i] = fwd, inv
+	}
+	return cycle
+}
+
+// benchCommits replays the cycle on ws for b.N commits, failing when a
+// commit nets fewer updates than its batch, and reports ns/update.
+func benchCommits(b *testing.B, ws *Workspace, cycle [][]Update, batch int) {
+	for i := 0; b.Loop(); i++ {
+		if got, err := ws.ApplyBatch(cycle[i%len(cycle)]); err != nil || got != batch {
+			b.Fatalf("batch netted %d of %d (err %v)", got, batch, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/update")
 }

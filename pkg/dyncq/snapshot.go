@@ -252,8 +252,10 @@ func (s *WorkspaceSnapshot) Queries() []string { return append([]string(nil), s.
 func (s *WorkspaceSnapshot) Query(name string) *QuerySnapshot { return s.queries[name] }
 
 // Snapshot pins the named queries (all registered queries when none are
-// given) at the latest committed version. It panics on a name with no
-// registered query, exactly as WorkspaceView reads do.
+// given) at the latest committed version, under a brief read lock that
+// is released before Snapshot returns: reads on the snapshot never block
+// a writer, and writers may run while a caller holds one. It panics on a
+// name with no registered query.
 func (w *Workspace) Snapshot(names ...string) *WorkspaceSnapshot {
 	w.mu.RLock()
 	defer w.mu.RUnlock()

@@ -35,12 +35,12 @@ import (
 // relation's mutation (deletion deltas evaluate on the pre-state,
 // insertion deltas on the post-state), so the fan-out interleaves
 // per-relation hooks with the store mutation; core backends receive the
-// whole delta after the store is current, in delta order, reusing the
-// sharded parallel path when the workspace was built with workers.
+// whole delta after the store is current, in delta order, applying it
+// shard-parallel when the workspace was built with workers.
 //
 // Concurrency: a Workspace is safe for concurrent use — writers
 // serialise behind a write lock and commit atomically, readers (every
-// Handle method and View) share a read lock and always observe the state
+// Handle method and Snapshot) share a read lock and always observe the state
 // after some whole prefix of the committed batch sequence, never a torn
 // mid-batch state. Version() counts committed state changes across ALL
 // queries: after any commit, every registered query observes the same
@@ -63,8 +63,8 @@ type queryBackend interface {
 	// and postInsert then bracket each relation's store mutation (IVM's
 	// deletion deltas evaluate on the pre-state, its insertion deltas on
 	// the post-state). When no registered backend asks, the workspace
-	// applies the whole net delta to the store shard-parallel and skips
-	// both hooks. finish closes the commit with the full delta once the
+	// applies the whole net delta to the store in one call and skips both
+	// hooks. finish closes the commit with the full delta once the
 	// store is current and returns what it did to the query's result —
 	// disjoint, each side in lexicographic order, owned by the caller —
 	// or nil, nil if begin did not ask.
@@ -83,20 +83,15 @@ type queryBackend interface {
 // WorkspaceOptions configures NewWorkspace.
 type WorkspaceOptions struct {
 	// Workers is the number of goroutines each batch's maintenance work
-	// is spread over (<= 1 keeps every path sequential). It controls
-	// three independent axes of one batch: the shard-parallel store
-	// phase (when no IVM backend needs the relation-phased schedule),
-	// the per-handle fan-out of independent queries' maintenance, and
-	// the shard-disjoint delta application inside each core engine. Core
-	// engines registered without an explicit Options.Shards are built
-	// with 4×Workers shards, so the dynamic bucket claim keeps all workers
+	// is spread over (<= 1 keeps every path sequential). It controls two
+	// independent axes of one batch: the per-handle fan-out of
+	// independent queries' maintenance, and the shard-disjoint delta
+	// application inside each core engine. The shared store is always
+	// written sequentially, one table per relation. Core engines
+	// registered without an explicit Options.Shards are built with
+	// 4×Workers shards, so the dynamic bucket claim keeps all workers
 	// busy even when root values hash unevenly.
 	Workers int
-	// StoreShards is the number of hash shards the shared store's
-	// relation maps and adom counts are split into. 0 derives it from
-	// Workers (4×Workers when Workers > 1, else 1 — the paper's exact
-	// single-map layout). The shard count changes no observable content.
-	StoreShards int
 }
 
 // Workspace is the shared front door: one dynamic database, one update
@@ -130,15 +125,8 @@ type Workspace struct {
 // Updates applied before any registration only populate the shared
 // store; queries registered later are brought up to date against it.
 func NewWorkspace(opt WorkspaceOptions) *Workspace {
-	shards := opt.StoreShards
-	if shards == 0 && opt.Workers > 1 {
-		shards = 4 * opt.Workers
-	}
-	if shards < 1 {
-		shards = 1
-	}
 	return &Workspace{
-		store:   dyndb.NewSharded(shards),
+		store:   dyndb.New(),
 		schema:  make(map[string]int),
 		owner:   make(map[string]string),
 		handles: make(map[string]*Handle),
@@ -148,7 +136,7 @@ func NewWorkspace(opt WorkspaceOptions) *Workspace {
 
 // Handle is the read surface of one registered live query. All read
 // methods are safe for concurrent use and observe the workspace's
-// latest committed state; use Workspace.View for multi-call snapshot
+// latest committed state; use Workspace.Snapshot for multi-call snapshot
 // consistency. A Handle stays valid until its query is unregistered;
 // after that, reads on a retained handle are undefined beyond being
 // safe: they answer from the structure's last maintained state. Drop
@@ -468,9 +456,6 @@ func (w *Workspace) Handles() []*Handle {
 	return append([]*Handle(nil), w.order...)
 }
 
-// Workers returns the configured worker count.
-func (w *Workspace) Workers() int { return w.workers }
-
 // Parallelism is the effective parallel configuration of a workspace —
 // what actually engages per batch, not what was requested. CLI and
 // bench reporting read it instead of re-deriving the shard heuristics.
@@ -478,10 +463,6 @@ type Parallelism struct {
 	// Workers is the per-batch worker count (<= 1: every path
 	// sequential).
 	Workers int
-	// StoreShards is the shared store's hash shard count; > 1 means the
-	// store phase applies shard-parallel when no IVM delta-join batch
-	// forces the relation-phased schedule.
-	StoreShards int
 	// QueryShards maps each registered query to its engine's shard
 	// count: > 1 means its delta application runs shard-parallel; 0
 	// means sharding does not apply to its backend (ivm).
@@ -495,7 +476,6 @@ func (w *Workspace) Parallelism() Parallelism {
 	defer w.mu.RUnlock()
 	p := Parallelism{
 		Workers:     w.workers,
-		StoreShards: w.store.Shards(),
 		QueryShards: make(map[string]int, len(w.order)),
 	}
 	for _, h := range w.order {
@@ -746,19 +726,13 @@ func (w *Workspace) applyBatchLocked(updates []Update) (int, error) {
 		return 0, nil
 	}
 
-	// Store phase. Two schedules, chosen per batch:
-	//
-	//   - If any backend needs the relation-phased schedule (an IVM query
-	//     whose crossover chose delta joins: deletion deltas evaluate on
-	//     the pre-state, insertion deltas on the post-state), each
-	//     relation's mutation is bracketed by the pre/post hooks,
-	//     sequentially.
-	//   - Otherwise the whole net delta goes to the store through the
-	//     shard-disjoint parallel path (dyndb.ApplyNetDelta) — the store
-	//     phase is no longer serialised behind a single map.
-	//
-	// Either way the store (and the indexes it maintains) is written
-	// exactly once per net command, independent of the number of queries.
+	// Store phase. If any backend needs the relation-phased schedule (an
+	// IVM query whose crossover chose delta joins: deletion deltas
+	// evaluate on the pre-state, insertion deltas on the post-state), each
+	// relation's mutation is bracketed by the pre/post hooks; otherwise
+	// the whole net delta goes to the store in one ApplyNetDelta. Either
+	// way the store (and the indexes it maintains) is written exactly once
+	// per net command, independent of the number of queries.
 	phased := false
 	for _, h := range w.order {
 		if h.begin(len(survivors)) {
@@ -769,7 +743,7 @@ func (w *Workspace) applyBatchLocked(updates []Update) (int, error) {
 	if phased {
 		w.runHookedStorePhase(survivors, perNS)
 	} else {
-		w.store.ApplyNetDelta(survivors, w.workers)
+		w.store.ApplyNetDelta(survivors, 0)
 	}
 
 	// Fan-out phase: every backend sees the full delta with the store
@@ -822,16 +796,12 @@ func (w *Workspace) ApplyBatched(updates []Update, batchSize int) (int, error) {
 // multiplicities are identical to a single-update replay of the same
 // stream.
 //
-// Two axes of the schedule are parallel while its ordering contract is
-// preserved: the hook phases fan each relation's pre/post hooks out
-// across the handles on a worker pool (per-handle IVM state is private
-// and the store's indexes are safe for concurrent evaluators over a
-// quiescent store), and each relation's store mutation goes through the
-// shard-disjoint parallel path (dyndb.ApplyNetDelta) instead of
-// per-tuple sequential writes — a delta-join batch no longer forces the
-// whole store phase sequential. Only IVM backends do work in the hooks,
-// so only they pay the per-hook clock reads; the other strategies'
-// hooks are no-ops and contribute zero to their timers by construction.
+// The hook phases fan each relation's pre/post hooks out across the
+// handles on a worker pool (per-handle IVM state is private and the
+// store's indexes are safe for concurrent evaluators over a quiescent
+// store). Only IVM backends do work in the hooks, so only they pay the
+// per-hook clock reads; the other strategies' hooks are no-ops and
+// contribute zero to their timers by construction.
 func (w *Workspace) runHookedStorePhase(survivors []Update, perNS []int64) {
 	type relDelta struct {
 		dels, ins [][]Value
@@ -875,9 +845,8 @@ func (w *Workspace) runHookedStorePhase(survivors []Update, perNS []int64) {
 		}
 		// One relation's slice of a validated net delta is itself a net
 		// delta against the current state (relations are disjoint, earlier
-		// phases touched other relations), so the shard-parallel store
-		// path applies.
-		w.store.ApplyNetDelta(d.cmds, w.workers)
+		// phases touched other relations).
+		w.store.ApplyNetDelta(d.cmds, 0)
 		if len(d.ins) > 0 {
 			// Post-state hooks: this relation's delta is fully applied.
 			runPool(all, w.workers, func(i int) {
@@ -1051,65 +1020,6 @@ func (w *Workspace) rebuildFanOut(fail func(error) error) error {
 	}
 	return nil
 }
-
-// View runs f against an MVCC snapshot of the whole workspace: every
-// read f performs — across ALL registered queries — sees the same
-// committed state, pinned at one version. The snapshot is materialised
-// copy-on-pin under a brief read lock and the lock is RELEASED before f
-// runs, so f may take arbitrarily long, call any workspace or handle
-// method (including writers — they commit versions the view simply does
-// not observe), and never blocks ApplyBatch. The WorkspaceView and its
-// yielded tuples stay valid (and immutable) even past f's return,
-// though idiomatic callers still treat them as scoped to the callback.
-func (w *Workspace) View(f func(v *WorkspaceView)) {
-	f(&WorkspaceView{snap: w.Snapshot()})
-}
-
-// WorkspaceView is the read surface View hands its callback: a pinned
-// WorkspaceSnapshot addressed by registration name. All reads observe
-// the one pinned state, lock-free.
-type WorkspaceView struct {
-	snap *WorkspaceSnapshot
-}
-
-// Snapshot returns the underlying pinned snapshot.
-func (v *WorkspaceView) Snapshot() *WorkspaceSnapshot { return v.snap }
-
-// Version returns the pinned version.
-func (v *WorkspaceView) Version() uint64 { return v.snap.version }
-
-// Cardinality returns |D| of the shared store at the pinned state.
-func (v *WorkspaceView) Cardinality() int { return v.snap.card }
-
-// ActiveDomainSize returns n = |adom(D)| at the pinned state.
-func (v *WorkspaceView) ActiveDomainSize() int { return v.snap.adom }
-
-func (v *WorkspaceView) query(name string) *QuerySnapshot {
-	s := v.snap.queries[name]
-	if s == nil {
-		panic(fmt.Sprintf("dyncq: no query %q pinned in this view", name))
-	}
-	return s
-}
-
-// Count returns |ϕ(D)| of the named query at the pinned state.
-func (v *WorkspaceView) Count(name string) uint64 { return v.query(name).Count() }
-
-// Answer reports whether the named query's result is nonempty.
-func (v *WorkspaceView) Answer(name string) bool { return v.query(name).Answer() }
-
-// Enumerate streams the named query's result at the pinned state, in
-// lexicographic order (QuerySnapshot.Enumerate). The yielded slice is a
-// window into the snapshot's immutable storage (the uniform contract —
-// copy to retain — stays safe, merely conservative).
-func (v *WorkspaceView) Enumerate(name string, yield func(tuple []Value) bool) {
-	v.query(name).Enumerate(yield)
-}
-
-// Tuples returns the named query's full result, in lexicographic order,
-// as row windows into the snapshot's immutable storage
-// (QuerySnapshot.Tuples): read-only.
-func (v *WorkspaceView) Tuples(name string) [][]Value { return v.query(name).Tuples() }
 
 // ---- strategy adapters ----
 

@@ -164,6 +164,37 @@ func TestWorkspaceStoreMutationsIndependentOfK(t *testing.T) {
 	}
 }
 
+// TestWorkspaceStoreIndependentOfWorkers: Workers parallelises the
+// engines, never the store — the same stream through a sequential and a
+// four-worker workspace mutates the shared store the same number of times
+// and leaves it with the same tuples.
+func TestWorkspaceStoreIndependentOfWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(107))
+	stream := workload.RandomStream(rng, multiSchema(), 12, 800, 0.35)
+	run := func(workers int) *Workspace {
+		ws := NewWorkspace(WorkspaceOptions{Workers: workers})
+		for _, c := range multiSuite() {
+			if _, err := ws.RegisterQuery(c.name, cq.MustParse(c.text), c.opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := ws.ApplyBatched(stream, 64); err != nil {
+			t.Fatal(err)
+		}
+		return ws
+	}
+	seq, par := run(0), run(4)
+	if seq.StoreMutations() == 0 {
+		t.Fatal("stream produced no mutations; test is vacuous")
+	}
+	if seq.StoreMutations() != par.StoreMutations() {
+		t.Fatalf("store mutations depend on Workers: %d sequential, %d with four workers", seq.StoreMutations(), par.StoreMutations())
+	}
+	if !reflect.DeepEqual(seq.store.Updates(), par.store.Updates()) || seq.store.Size() != par.store.Size() {
+		t.Fatal("the four-worker workspace's store diverges from the sequential one")
+	}
+}
+
 // TestWorkspaceCrossQueryConsistency: after any ApplyBatch and after a
 // failed Load, every registered query observes the same version and the
 // same (possibly empty) shared state.
@@ -376,9 +407,9 @@ func TestWorkspaceRegisterRejects(t *testing.T) {
 	}
 }
 
-// TestWorkspaceView: a snapshot pins one version and one state across
-// every registered query.
-func TestWorkspaceView(t *testing.T) {
+// TestWorkspaceSnapshot: a workspace snapshot pins one version and one
+// state across every registered query.
+func TestWorkspaceSnapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	ws := NewWorkspace(WorkspaceOptions{})
 	for _, c := range multiSuite() {
@@ -389,22 +420,25 @@ func TestWorkspaceView(t *testing.T) {
 	if _, err := ws.ApplyBatch(workload.RandomStream(rng, multiSchema(), 8, 150, 0.3)); err != nil {
 		t.Fatal(err)
 	}
-	ws.View(func(v *WorkspaceView) {
-		if v.Version() != ws.version.Load() {
-			t.Fatalf("view version %d, workspace %d", v.Version(), ws.version.Load())
+	snap := ws.Snapshot()
+	if snap.Version() != ws.version.Load() {
+		t.Fatalf("snapshot version %d, workspace %d", snap.Version(), ws.version.Load())
+	}
+	for _, c := range multiSuite() {
+		q := snap.Query(c.name)
+		if q.Version() != snap.Version() {
+			t.Fatalf("query %s pinned at version %d, snapshot at %d", c.name, q.Version(), snap.Version())
 		}
-		for _, c := range multiSuite() {
-			if v.Count(c.name) != uint64(len(v.Tuples(c.name))) {
-				t.Fatalf("query %s: view count %d but %d tuples", c.name, v.Count(c.name), len(v.Tuples(c.name)))
-			}
-			if v.Answer(c.name) != (v.Count(c.name) > 0) {
-				t.Fatalf("query %s: view answer inconsistent with count", c.name)
-			}
+		if q.Count() != uint64(len(q.Tuples())) {
+			t.Fatalf("query %s: snapshot count %d but %d tuples", c.name, q.Count(), len(q.Tuples()))
 		}
-		if v.Cardinality() != ws.store.Cardinality() {
-			t.Fatalf("view |D| %d, store %d", v.Cardinality(), ws.store.Cardinality())
+		if q.Answer() != (q.Count() > 0) {
+			t.Fatalf("query %s: snapshot answer inconsistent with count", c.name)
 		}
-	})
+	}
+	if snap.Cardinality() != ws.store.Cardinality() {
+		t.Fatalf("snapshot |D| %d, store %d", snap.Cardinality(), ws.store.Cardinality())
+	}
 }
 
 // TestWorkspaceParallelMatchesSequential: a workspace with parallel
@@ -490,8 +524,8 @@ func TestWorkspaceDict(t *testing.T) {
 }
 
 // TestWorkspaceDictInsideCallback: Dict never takes the workspace lock,
-// so decoding inside Enumerate/View callbacks (which hold the read
-// lock) must not deadlock — the natural way to print string tuples.
+// so decoding inside Enumerate callbacks (which hold the read lock) must
+// not deadlock — the natural way to print string tuples.
 func TestWorkspaceDictInsideCallback(t *testing.T) {
 	ws := NewWorkspace(WorkspaceOptions{})
 	h, err := ws.Register("q", "Q(y) :- E(x,y), T(y)")
@@ -512,22 +546,22 @@ func TestWorkspaceDictInsideCallback(t *testing.T) {
 	if got != "bob" {
 		t.Fatalf("decoded %q inside Enumerate, want %q", got, "bob")
 	}
-	ws.View(func(v *WorkspaceView) {
-		if n := ws.Dict().Len(); n != 2 {
-			t.Fatalf("dict has %d symbols inside View, want 2", n)
-		}
-	})
 
 	// First use inside a callback must lazily create the dict without
 	// touching the workspace lock either.
 	ws2 := NewWorkspace(WorkspaceOptions{})
-	if _, err := ws2.Register("q", "Q(y) :- E(x,y), T(y)"); err != nil {
+	h2, err := ws2.Register("q", "Q(y) :- E(x,y), T(y)")
+	if err != nil {
 		t.Fatal(err)
 	}
-	ws2.View(func(v *WorkspaceView) {
+	if _, err := ws2.ApplyBatch([]Update{Insert("E", 1, 2), Insert("T", 2)}); err != nil {
+		t.Fatal(err)
+	}
+	h2.Enumerate(func([]Value) bool {
 		if d := ws2.Dict(); d == nil {
-			t.Fatal("Dict() = nil inside View")
+			t.Fatal("Dict() = nil inside Enumerate")
 		}
+		return true
 	})
 }
 
