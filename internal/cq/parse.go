@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Parse reads a conjunctive query in Datalog-style syntax:
@@ -93,8 +94,12 @@ func (p *parser) rest() string {
 }
 
 func (p *parser) skipSpace() {
-	for p.pos < len(p.src) && unicode.IsSpace(rune(p.src[p.pos])) {
-		p.pos++
+	for p.pos < len(p.src) {
+		r, n := utf8.DecodeRuneInString(p.src[p.pos:])
+		if !unicode.IsSpace(r) {
+			return
+		}
+		p.pos += n
 	}
 }
 
@@ -114,22 +119,33 @@ func (p *parser) expect(tok string) error {
 	return nil
 }
 
-func isIdentStart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c))
+// IsIdentStart and IsIdentPart are the identifier rule of the query
+// syntax, over the runes of UTF-8 text: a letter or underscore, then
+// letters, digits, underscores or primes. The update-stream parser
+// (internal/stream) checks relation names by the same two functions, so
+// a relation a query names is one an update line can name; a byte that
+// is not valid UTF-8 decodes to utf8.RuneError, which is neither.
+func IsIdentStart(r rune) bool {
+	return r == '_' || unicode.IsLetter(r)
 }
 
-func isIdentPart(c byte) bool {
-	return c == '_' || c == '\'' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
+// IsIdentPart: see IsIdentStart.
+func IsIdentPart(r rune) bool {
+	return r == '_' || r == '\'' || unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
 func (p *parser) ident() (string, error) {
 	p.skipSpace()
 	start := p.pos
-	if p.pos >= len(p.src) || !isIdentStart(p.src[p.pos]) {
-		return "", fmt.Errorf("expected identifier at offset %d, found %q", p.pos, p.rest())
+	for p.pos < len(p.src) {
+		r, n := utf8.DecodeRuneInString(p.src[p.pos:])
+		if p.pos == start && !IsIdentStart(r) || p.pos > start && !IsIdentPart(r) {
+			break
+		}
+		p.pos += n
 	}
-	for p.pos < len(p.src) && isIdentPart(p.src[p.pos]) {
-		p.pos++
+	if p.pos == start {
+		return "", fmt.Errorf("expected identifier at offset %d, found %q", p.pos, p.rest())
 	}
 	return p.src[start:p.pos], nil
 }

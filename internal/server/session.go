@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"dyncq/internal/stream"
 	"dyncq/pkg/dyncq"
 )
 
@@ -36,9 +38,12 @@ type session struct {
 	// to the connection. Used once, for the connection's farewell line.
 	flushed chan struct{}
 
-	// Batch state (reader goroutine only).
+	// Batch state (reader goroutine only). The pending updates' tuples
+	// live in arena, which is reset when a batch begins: Commit keeps
+	// nothing of a batch once it returns, so one array serves every batch.
 	inBatch  bool
 	pending  []dyncq.Update
+	arena    stream.Arena
 	batchErr error
 }
 
@@ -74,8 +79,10 @@ func (s *session) run() {
 	// maximum, so the initial buffer must not exceed MaxLine.
 	sc.Buffer(make([]byte, 0, min(64*1024, s.srv.opt.MaxLine)), s.srv.opt.MaxLine)
 	for sc.Scan() {
-		line := strings.TrimRight(sc.Text(), "\r")
-		if line == "" {
+		// The line stays in the scanner's buffer: update lines are parsed
+		// there, and only the other verbs copy it into a string.
+		line := bytes.TrimRight(sc.Bytes(), "\r")
+		if len(line) == 0 {
 			continue
 		}
 		if !s.dispatch(line) {
@@ -191,11 +198,35 @@ func (s *session) close() {
 	})
 }
 
-// dispatch handles one request line. Returns false to end the session.
-func (s *session) dispatch(line string) bool {
+// dispatch handles one request line, which is only valid until it
+// returns. Returns false to end the session.
+func (s *session) dispatch(line []byte) bool {
 	if s.inBatch {
 		return s.dispatchBatch(line)
 	}
+	if cmd, rest, _ := bytes.Cut(line, []byte{' '}); string(cmd) == "apply" {
+		// Parsed into the arena like a batch line, and committed as a
+		// batch of one.
+		s.pending = s.pending[:0]
+		s.arena.Reset()
+		if err := s.parseUpdate(bytes.TrimSpace(rest)); err != nil {
+			return s.err(err)
+		}
+		// The reply names the version this commit produced, taken inside
+		// the commit: another session may have committed since.
+		n, version, err := s.srv.ws.Commit(s.pending)
+		s.pending = s.pending[:0]
+		if err != nil {
+			return s.err(err)
+		}
+		return s.send(frame{head: encodeReply("applied", "", uint64(n), version)})
+	}
+	return s.dispatchVerb(string(line))
+}
+
+// dispatchVerb handles a request line that is neither an update nor a
+// batch line.
+func (s *session) dispatchVerb(line string) bool {
 	cmd, rest, _ := strings.Cut(line, " ")
 	switch cmd {
 	case "register":
@@ -217,21 +248,10 @@ func (s *session) dispatch(line string) bool {
 			return s.errf("unknown query %q", name)
 		}
 		return s.ok("unregistered %s", name)
-	case "apply":
-		u, err := dyncq.ParseUpdate(strings.TrimSpace(rest))
-		if err != nil {
-			return s.err(err)
-		}
-		// The reply names the version this commit produced, taken inside
-		// the commit: another session may have committed since.
-		n, version, err := s.srv.ws.Commit([]dyncq.Update{u})
-		if err != nil {
-			return s.err(err)
-		}
-		return s.send(frame{head: encodeReply("applied", "", uint64(n), version)})
 	case "begin":
 		s.inBatch = true
 		s.pending = s.pending[:0]
+		s.arena.Reset()
 		s.batchErr = nil
 		return s.send(frame{head: okBeginLine})
 	case "commit", "abort":
@@ -315,8 +335,8 @@ func (s *session) dispatch(line string) bool {
 // ±R(t) update lines accumulate without per-line responses (that is
 // the batch streaming efficiency); the first malformed line poisons
 // the batch, reported at commit.
-func (s *session) dispatchBatch(line string) bool {
-	switch line {
+func (s *session) dispatchBatch(line []byte) bool {
+	switch string(line) {
 	case "commit":
 		s.inBatch = false
 		if s.batchErr != nil {
@@ -338,16 +358,20 @@ func (s *session) dispatchBatch(line string) bool {
 		s.farewell("bye")
 		return false
 	}
-	if s.batchErr != nil {
-		return true // already poisoned; keep consuming until commit/abort
+	if s.batchErr == nil { // once poisoned, keep consuming until commit/abort
+		s.batchErr = s.parseUpdate(line)
 	}
-	u, err := dyncq.ParseUpdate(line)
-	if err != nil {
-		s.batchErr = err
-		return true
-	}
-	s.pending = append(s.pending, u)
 	return true
+}
+
+// parseUpdate parses an update line into the arena and appends it to the
+// pending batch.
+func (s *session) parseUpdate(line []byte) error {
+	u, err := s.arena.Parse(line)
+	if err == nil {
+		s.pending = append(s.pending, u)
+	}
+	return err
 }
 
 // handleArg resolves the single query-name argument of count/answer/

@@ -1,0 +1,247 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"math/rand"
+	"net"
+	"slices"
+	"strconv"
+	"testing"
+
+	"dyncq/internal/cq"
+	"dyncq/internal/dyndb"
+	"dyncq/internal/eval"
+	"dyncq/internal/workload"
+	"dyncq/pkg/dyncq"
+)
+
+// TestSessionBatchAllocationFree: a warmed session commits a pre-encoded
+// batch of update lines and its inverse over net.Pipe, and the whole
+// round trip — scan, parse, commit on a core-routed query, reply —
+// allocates as often at 512 lines as at 64, a handful of times per
+// commit: the lines are parsed where the scanner holds them, into the
+// session's arena, with interned relation names.
+func TestSessionBatchAllocationFree(t *testing.T) {
+	allocsAt := func(lines int) float64 {
+		// No write deadline: net.Pipe arms a timer per deadline, once per
+		// burst, and a commit's replies leave in one burst or two.
+		srv := newTestServer(t, Options{WriteTimeout: -1})
+		ws := srv.Workspace()
+		if h, err := ws.Register("star", "Q(y) :- E(x,y), T(y)"); err != nil || h.Strategy() != dyncq.StrategyCore {
+			t.Fatalf("register: %v, %v", h, err)
+		}
+		db := dyndb.New()
+		for i := 0; i < 4000; i++ {
+			db.Insert("E", dyncq.Value(i%1000), dyncq.Value(i%50))
+			db.Insert("T", dyncq.Value(i%50))
+		}
+		if err := ws.Load(db); err != nil {
+			t.Fatal(err)
+		}
+		// Fresh tuples over keys the store holds; the inverse restores it.
+		var ins, del []byte
+		for _, b := range []*[]byte{&ins, &del} {
+			*b = append(*b, "begin\n"...)
+		}
+		for j := 0; j < lines; j++ {
+			line := fmt.Sprintf("E(%d,%d)\n", j%1000, 1000+j)
+			if j%2 == 1 {
+				line = fmt.Sprintf("T(%d)\n", 1000+j)
+			}
+			ins = append(append(ins, '+'), line...)
+			del = append(append(del, '-'), line...)
+		}
+		for _, b := range []*[]byte{&ins, &del} {
+			*b = append(*b, "commit\n"...)
+		}
+		committed := []byte("ok committed " + strconv.Itoa(lines) + " ")
+
+		cs, ss := net.Pipe()
+		go srv.ServeConn(ss)
+		t.Cleanup(func() { cs.Close() })
+		br := bufio.NewReader(cs)
+		commit := func(batch []byte) {
+			if _, err := cs.Write(batch); err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range [][]byte{okBeginLine, committed} {
+				line, err := br.ReadSlice('\n')
+				if err != nil || !bytes.HasPrefix(line, want) {
+					t.Fatalf("reply %q (%v), want %q…", line, err, want)
+				}
+			}
+		}
+		cycle := func() { commit(ins); commit(del) }
+		cycle() // warm the arena, the pending slice, the name table and the store
+		cycle()
+		return testing.AllocsPerRun(100, cycle) / 2
+	}
+	small, large := allocsAt(64), allocsAt(512)
+	t.Logf("allocs per session commit: %v at 64 lines, %v at 512", small, large)
+	if small != large {
+		t.Fatalf("a session commit allocates %v times at 64 lines but %v at 512: something allocates per line", small, large)
+	}
+	if small > 12 {
+		t.Fatalf("a session commit of 64 lines allocates %v times, want a handful", small)
+	}
+}
+
+// TestCommitKeepsNoBatchTuple: Workspace.Commit keeps nothing of the
+// batch it was handed once it returns — the contract the session's arena
+// stands on. Batches go in two ways, alternately: through the library,
+// their tuples windows of one reused array that is overwritten with junk
+// right after every Commit, and through a wire session, whose arena the
+// next batch overwrites. A core and an ivm query each feed a capture hook
+// that keeps the event tuples it is handed without copying them, a cached
+// snapshot pinned after every commit, and a server subscriber's mirror.
+// At every version the workspace's invariants hold and the live results,
+// the hooks' mirrors, the pins — the current and the previous one — and
+// the subscriber's mirrors all equal an oracle evaluated on a database
+// fed copies of the batches.
+func TestCommitKeepsNoBatchTuple(t *testing.T) {
+	srv := newTestServer(t, Options{})
+	ws := srv.Workspace()
+	texts := map[string]string{"core": "Q(y) :- E(x,y), T(y)", "ivm": "Q(x) :- E(x,y), T(y)"}
+	names := []string{"core", "ivm"}
+	hooked := map[string]map[string][]dyncq.Value{}
+	for _, name := range names {
+		for _, reg := range []string{name, name + "-sub"} {
+			h, err := ws.Register(reg, texts[name])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := h.Strategy().String(); got != name {
+				t.Fatalf("%s routed to %s", reg, got)
+			}
+		}
+		mirror := map[string][]dyncq.Value{}
+		hooked[name] = mirror
+		if err := ws.CaptureDeltas(name, func(ev dyncq.DeltaEvent) {
+			for _, tuple := range ev.Removed {
+				delete(mirror, fmt.Sprint(tuple))
+			}
+			for _, tuple := range ev.Added {
+				mirror[fmt.Sprint(tuple)] = tuple // kept as handed over: no copy
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writer, sub := pipeClient(t, srv), pipeClient(t, srv)
+	subbed := map[string]map[string]bool{}
+	for _, name := range names {
+		if _, err := sub.Subscribe(name + "-sub"); err != nil {
+			t.Fatal(err)
+		}
+		base, err := sub.Enumerate(name + "-sub")
+		if err != nil || base.Version != 0 {
+			t.Fatalf("enumerate: %+v, %v", base, err)
+		}
+		subbed[name+"-sub"] = map[string]bool{}
+	}
+
+	db := dyndb.New()
+	want := func(name string) []string {
+		var keys []string
+		for _, tuple := range eval.Evaluate(cq.MustParse(texts[name]), db).Tuples() {
+			keys = append(keys, fmt.Sprint([]dyncq.Value(tuple)))
+		}
+		slices.Sort(keys)
+		return keys
+	}
+	keysOf := func(tuples [][]dyncq.Value) []string {
+		keys := make([]string, 0, len(tuples))
+		for _, tuple := range tuples {
+			keys = append(keys, fmt.Sprint(tuple))
+		}
+		slices.Sort(keys)
+		return keys
+	}
+	pins := map[string]*dyncq.QuerySnapshot{}
+	pinned := map[string][]string{}
+
+	rng := rand.New(rand.NewSource(5))
+	stream := workload.RandomStream(rng, map[string]int{"E": 2, "T": 1}, 10, 1200, 0.35)
+	arena := make([]dyncq.Value, 0, 64)
+	var batch []dyncq.Update
+	var last uint64
+	for b, at := 0, 0; at < len(stream); b++ {
+		n := min(1+rng.Intn(40), len(stream)-at)
+		var version uint64
+		var err error
+		if b%2 == 0 {
+			arena, batch = arena[:0], batch[:0]
+			for _, u := range stream[at : at+n] {
+				from := len(arena)
+				arena = append(arena, u.Tuple...)
+				batch = append(batch, dyncq.Update{Op: u.Op, Rel: u.Rel, Tuple: arena[from:len(arena):len(arena)]})
+			}
+			_, version, err = ws.Commit(batch)
+			for i := range arena {
+				arena[i] = -1 - dyncq.Value(i)
+			}
+		} else {
+			_, version, err = writer.ApplyBatch(stream[at : at+n])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range stream[at : at+n] {
+			db.Apply(u)
+		}
+		at += n
+
+		if err := ws.CheckInvariants(); err != nil {
+			t.Fatalf("version %d: %v", version, err)
+		}
+		// The subscriber: one delta frame per query per version, none for
+		// a batch that changed nothing.
+		for caught := 0; version != last && caught < len(names); {
+			d := <-sub.Deltas()
+			if d.Resync {
+				t.Fatalf("unexpected resync: %+v", d)
+			}
+			for _, tuple := range d.Removed {
+				delete(subbed[d.Query], fmt.Sprint(tuple))
+			}
+			for _, tuple := range d.Added {
+				subbed[d.Query][fmt.Sprint(tuple)] = true
+			}
+			if d.Version == version {
+				caught++
+			}
+		}
+		last = version
+		for _, name := range names {
+			h := ws.Handle(name)
+			oracle := want(name)
+			var mirror []string
+			for key, tuple := range hooked[name] {
+				if fmt.Sprint(tuple) != key {
+					t.Fatalf("version %d, %s: the capture hook was handed %s, which now reads %v", version, name, key, tuple)
+				}
+				mirror = append(mirror, key)
+			}
+			slices.Sort(mirror)
+			var subMirror []string
+			for key := range subbed[name+"-sub"] {
+				subMirror = append(subMirror, key)
+			}
+			slices.Sort(subMirror)
+			if prev := pins[name]; prev != nil && !slices.Equal(keysOf(prev.Tuples()), pinned[name]) {
+				t.Fatalf("version %d, %s: the pin of version %d changed", version, name, prev.Version())
+			}
+			pin := h.Snapshot()
+			pins[name], pinned[name] = pin, keysOf(pin.Tuples())
+			for what, got := range map[string][]string{
+				"live result": keysOf(h.Tuples()), "hook mirror": mirror, "pin": pinned[name], "subscriber mirror": subMirror,
+			} {
+				if !slices.Equal(got, oracle) {
+					t.Fatalf("version %d, %s: %s %v, oracle %v", version, name, what, got, oracle)
+				}
+			}
+		}
+	}
+}

@@ -133,6 +133,41 @@ func TestParseTupleLineRejectsWhatTheReferenceRejects(t *testing.T) {
 	}
 }
 
+// FuzzParseTupleLine holds the in-place tuple-line parser to the reference
+// parser on arbitrary lines: it never panics, accepts nothing the
+// reference rejects, reads what the reference reads where both accept, and
+// appends behind the caller's values without touching them — a rejected
+// line leaves the slice as it was. Seeded with the hand-picked lines of
+// TestParseTupleLineRejectsWhatTheReferenceRejects; explore with go test
+// -fuzz=FuzzParseTupleLine ./internal/server.
+func FuzzParseTupleLine(f *testing.F) {
+	for _, seed := range []string{"+q(1,2)", "-feed(-9223372036854775808)", "+q()", "+q(007)", "+q(-0)",
+		"", "+", "+q(", "q(1)", "+(1)", "+q(1,)", "+q(,1)", "+q(--1)", "+q(+1)", "+q( 1)", "+q(0x1)",
+		"+q(9223372036854775808)", "+q(-9223372036854775809)", "+q(1)(2)", "+q((1))", "+q(1))", "+q(1) "} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		dirty := []dyncq.Value{42, -42, 7, 7, 7} // spare capacity holding stale values
+		sign, name, vals, err := parseTupleLine(line, dirty[:2])
+		if len(vals) < 2 || vals[0] != 42 || vals[1] != -42 {
+			t.Fatalf("%q: the values ahead of the tuple now read %v", line, vals)
+		}
+		if err != nil {
+			if len(vals) != 2 {
+				t.Fatalf("%q: rejected (%v), but returned values %v", line, err, vals[2:])
+			}
+			return
+		}
+		refSign, refName, refTuple, refErr := parseTupleLineReference(line)
+		if refErr != nil {
+			t.Fatalf("%q: accepted as %c %q %v, the reference parser rejects it: %v", line, sign, name, vals[2:], refErr)
+		}
+		if sign != refSign || name != refName || !slices.Equal(vals[2:], refTuple) {
+			t.Fatalf("%q: parsed to %c %q %v, the reference parser to %c %q %v", line, sign, name, vals[2:], refSign, refName, refTuple)
+		}
+	})
+}
+
 // TestReplyLines: the hot reply encoders render what the fmt-built lines
 // they replaced did.
 func TestReplyLines(t *testing.T) {

@@ -2,18 +2,19 @@ package dyncq
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
-	"unicode"
 
 	"dyncq/internal/dict"
 	"dyncq/internal/dyndb"
+	"dyncq/internal/stream"
 )
 
-// This file implements the textual update-stream format the CLI reads.
-// One command per line:
+// This file is the library's side of the textual update-stream format the
+// CLI reads. One command per line:
 //
 //	+E(1,2)     insert E(1,2)
 //	-E(1,2)     delete E(1,2)
@@ -26,10 +27,18 @@ import (
 // with an error naming the offence (doubled sign, trailing garbage,
 // non-integer entry, …) rather than whatever the nearest scanner rule
 // happened to produce.
+//
+// The grammar has one implementation, internal/stream.Parse, which reads
+// a line where it lies — a string, or the bytes a bufio.Scanner lent —
+// and appends the tuple to a slice the caller supplies. ParseUpdate and
+// ParseUpdateDict hand it a tuple of exactly the line's arity, and
+// StreamReader parses from the scanner's buffer without copying the line
+// out; the serving front door parses a batch's lines into one arena its
+// session owns (stream.Arena).
 
 // ParseUpdate parses one update command line.
 func ParseUpdate(line string) (Update, error) {
-	return parseUpdateWith(line, nil)
+	return parseUpdate(line, nil)
 }
 
 // ParseUpdateDict parses one update command line whose tuple entries are
@@ -41,86 +50,17 @@ func ParseUpdateDict(line string, d *dict.Dict) (Update, error) {
 	if d == nil {
 		return Update{}, fmt.Errorf("malformed update %q: nil dictionary for string mode", line)
 	}
-	return parseUpdateWith(line, d)
+	return parseUpdate(line, d)
 }
 
-// parseUpdateWith parses one command, decoding tuple entries as int64
-// constants (d == nil) or as dictionary-encoded strings (d != nil).
-func parseUpdateWith(line string, d *dict.Dict) (Update, error) {
-	s := strings.TrimSpace(line)
-	if s == "" {
-		return Update{}, fmt.Errorf("malformed update %q: empty command (want [+|-]R(v1,…,vr))", line)
-	}
-	op := dyndb.OpInsert
-	switch s[0] {
-	case '+':
-		s = strings.TrimSpace(s[1:])
-	case '-':
-		op = dyndb.OpDelete
-		s = strings.TrimSpace(s[1:])
-	}
-	// A second sign after the first is a doubled sign ("+-E(1,2)"), not a
-	// weird relation name: reject it explicitly.
-	if s != "" && (s[0] == '+' || s[0] == '-') {
-		return Update{}, fmt.Errorf("malformed update %q: doubled sign", line)
-	}
-	open := strings.IndexByte(s, '(')
-	if open <= 0 {
-		return Update{}, fmt.Errorf("malformed update %q (want [+|-]R(v1,…,vr))", line)
-	}
-	closing := strings.IndexByte(s, ')')
-	switch {
-	case closing < 0:
-		return Update{}, fmt.Errorf("malformed update %q: missing ')'", line)
-	case closing != len(s)-1:
-		return Update{}, fmt.Errorf("malformed update %q: garbage after ')': %q", line, s[closing+1:])
-	}
-	rel := strings.TrimSpace(s[:open])
-	if !validRelName(rel) {
-		return Update{}, fmt.Errorf("malformed update %q: invalid relation name %q", line, rel)
-	}
-	body := s[open+1 : closing]
-	var tuple []Value
-	for i, f := range strings.Split(body, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			if i == 0 && !strings.Contains(body, ",") {
-				return Update{}, fmt.Errorf("malformed update %q: empty tuple", line)
-			}
-			return Update{}, fmt.Errorf("malformed update %q: empty tuple entry %d", line, i+1)
-		}
-		if d != nil {
-			tuple = append(tuple, d.Encode(f))
-			continue
-		}
-		v, err := strconv.ParseInt(f, 10, 64)
-		if err != nil {
-			return Update{}, fmt.Errorf("malformed update %q: tuple entry %d (%q) is not an int64", line, i+1, f)
-		}
-		tuple = append(tuple, v)
+// parseUpdate parses one command into a tuple of exactly its arity: a
+// well-formed line holds one comma fewer than it has entries.
+func parseUpdate(line string, d *dict.Dict) (Update, error) {
+	op, rel, tuple, err := stream.Parse(line, d, make([]Value, 0, strings.Count(line, ",")+1))
+	if err != nil {
+		return Update{}, err
 	}
 	return Update{Op: op, Rel: rel, Tuple: tuple}, nil
-}
-
-// validRelName mirrors the identifier rules of the query syntax (cq.Parse):
-// a letter or underscore followed by letters, digits, underscores or primes.
-func validRelName(rel string) bool {
-	if rel == "" {
-		return false
-	}
-	for i, r := range rel {
-		letter := r == '_' || unicode.IsLetter(r)
-		if i == 0 {
-			if !letter {
-				return false
-			}
-			continue
-		}
-		if !letter && r != '\'' && !unicode.IsDigit(r) {
-			return false
-		}
-	}
-	return true
 }
 
 // StreamReader reads an update stream command by command, tracking line
@@ -128,9 +68,10 @@ func validRelName(rel string) bool {
 // ApplyStream — can name the offending line. Blank lines and #-comments
 // are skipped.
 type StreamReader struct {
-	sc   *bufio.Scanner
-	line int
-	dict *dict.Dict
+	sc    *bufio.Scanner
+	line  int
+	dict  *dict.Dict
+	names stream.Names
 }
 
 // NewStreamReader returns a reader over r. Lines up to 16MiB are
@@ -152,15 +93,17 @@ func (r *StreamReader) UseDict(d *dict.Dict) { r.dict = d }
 func (r *StreamReader) Next() (Update, int, error) {
 	for r.sc.Scan() {
 		r.line++
-		line := strings.TrimSpace(r.sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		// The line is parsed in the scanner's buffer; the update keeps
+		// its own exact-size tuple and an interned relation name.
+		line := bytes.TrimSpace(r.sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		u, err := parseUpdateWith(line, r.dict)
+		op, rel, tuple, err := stream.Parse(line, r.dict, make([]Value, 0, bytes.Count(line, []byte{','})+1))
 		if err != nil {
 			return Update{}, r.line, fmt.Errorf("line %d: %w", r.line, err)
 		}
-		return u, r.line, nil
+		return Update{Op: op, Rel: r.names.Intern(rel), Tuple: tuple}, r.line, nil
 	}
 	if err := r.sc.Err(); err != nil {
 		// I/O and scanner errors (e.g. a line over the 16MiB cap) strike

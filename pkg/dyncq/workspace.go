@@ -677,6 +677,12 @@ func (w *Workspace) applyLocked(u Update) (bool, error) {
 // changes nothing leaves the version where it was and returns it. One
 // update takes the single-update fast path.
 //
+// Commit reads the batch's tuples only until it returns: the store, the
+// engines, delta events and snapshots keep copies of what they keep, so
+// the caller may overwrite or reuse the tuples' backing arrays as soon as
+// Commit returns — a server session parses every batch into one reused
+// value array on that guarantee. The same holds for ApplyBatch and Apply.
+//
 //dyncq:hot
 func (w *Workspace) Commit(updates []Update) (applied int, version uint64, err error) {
 	w.mu.Lock()
@@ -698,7 +704,8 @@ func (w *Workspace) Commit(updates []Update) (applied int, version uint64, err e
 // the net delta that actually changes the store, applied to the store
 // ONCE, and fanned out to every query's maintenance structure. Readers
 // observe either the state before the whole batch or after it. Returns
-// the number of net commands that changed the database.
+// the number of net commands that changed the database. Nothing retains
+// the batch's tuples once it returns (see Commit).
 func (w *Workspace) ApplyBatch(updates []Update) (int, error) {
 	applied, _, err := w.Commit(updates)
 	return applied, err
