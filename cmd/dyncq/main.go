@@ -125,7 +125,7 @@ func cmdRun(args []string) error {
 	updFile := fs.String("updates", "", "update stream to apply")
 	strategyName := fs.String("strategy", "auto", "maintenance strategy for every query: auto, core or ivm")
 	batch := fs.Int("batch", 0, "apply streams in batches of this many updates (0 = one batch per stream)")
-	parallel := fs.Int("parallel", 1, "shard workers per batch (>1: core backends apply shard deltas in parallel)")
+	parallel := fs.Int("parallel", 1, "queries maintained concurrently per batch (>1: the registered queries' maintenance fans out over this many goroutines)")
 	stringsMode := fs.Bool("strings", false, "parse stream tuple entries as string constants through the workspace dictionary instead of int64 literals")
 	doCount := fs.Bool("count", false, "print |Q(D)| per query after the stream")
 	doAnswer := fs.Bool("answer", false, "print whether Q(D) is nonempty, per query")
@@ -194,20 +194,7 @@ func cmdRun(args []string) error {
 		fmt.Printf("query %-8s %s  [%s]\n", h.Name()+":", h.Query(), h.Strategy())
 	}
 	if *parallel > 1 {
-		// Report the EFFECTIVE configuration from the workspace's own
-		// introspection instead of re-deriving the shard heuristics.
-		p := ws.Parallelism()
-		var shardInfo []string
-		for _, h := range ws.Handles() {
-			if s := p.QueryShards[h.Name()]; s > 1 {
-				shardInfo = append(shardInfo, fmt.Sprintf("%s=%d", h.Name(), s))
-			}
-		}
-		detail := "no sharded query backends; handle fan-out only"
-		if len(shardInfo) > 0 {
-			detail = "query shards " + strings.Join(shardInfo, ",")
-		}
-		fmt.Printf("workers:  %d (%s)\n", p.Workers, detail)
+		fmt.Printf("workers:  %d (handle fan-out)\n", *parallel)
 	}
 	var d *dict.Dict
 	if *stringsMode {

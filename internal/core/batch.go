@@ -25,33 +25,31 @@ func (e *Engine) countAtom(ar atomRef, tuple []Value) {
 	for j := 0; j < d; j++ {
 		vals[j] = tuple[a.extract[j]]
 	}
-	sh := &c.shards[e.shardOf(vals[0])]
 	var parent ref
 	for j := 0; j < d; j++ {
 		nodeIdx := a.pathNodes[j]
 		nd := &c.nodes[nodeIdx]
-		slot, existed := sh.index[nodeIdx].Ref(vals[:j+1])
+		slot, existed := c.index[nodeIdx].Ref(vals[:j+1])
 		if !existed {
-			*slot = sh.arenas[nodeIdx].alloc(nd, vals[j], parent)
+			*slot = c.arenas[nodeIdx].alloc(nd, vals[j], parent)
 		}
 		parent = *slot
-		sh.arenas[nodeIdx].rec(parent)[nd.offCounts+a.slotAtDepth[j]]++
+		c.arenas[nodeIdx].rec(parent)[nd.offCounts+a.slotAtDepth[j]]++
 	}
 }
 
 // buildWeights runs the deferred bottom-up pass of Rebuild for one
-// shard of one component. Nodes are stored in document order (pre-order),
-// so reverse index order visits every child before its parent and each
-// item's child sums are complete when its own weight is computed (parents
-// and children always share a shard). Fit items are prepended to their
-// list as an unordered chain through their next halves, the list word's
-// tail half left 0; sortLists turns the chains into properly ordered
-// doubly linked lists afterwards.
-func (e *Engine) buildWeights(c *comp, sh *compShard) {
+// component. Nodes are stored in document order (pre-order), so reverse
+// index order visits every child before its parent and each item's child
+// sums are complete when its own weight is computed. Fit items are
+// prepended to their list as an unordered chain through their next
+// halves, the list word's tail half left 0; sortLists turns the chains
+// into properly ordered doubly linked lists afterwards.
+func buildWeights(c *comp) {
 	for ni := len(c.nodes) - 1; ni >= 0; ni-- {
 		nd := &c.nodes[ni]
-		ar := &sh.arenas[ni]
-		sh.index[ni].Range(func(_ []Value, r ref) bool {
+		ar := &c.arenas[ni]
+		c.index[ni].Range(func(_ []Value, r ref) bool {
 			it := ar.rec(r)
 			w, f := nd.weights(it)
 			it[recWeight] = w
@@ -61,12 +59,12 @@ func (e *Engine) buildWeights(c *comp, sh *compShard) {
 			if w == 0 {
 				return true
 			}
-			list := &sh.start
+			list := &c.start
 			if ni == 0 {
-				sh.cStart += w
-				sh.cfStart += f
+				c.cStart += w
+				c.cfStart += f
 			} else {
-				p := sh.arenas[nd.parent].rec(it.parent())
+				p := c.arenas[nd.parent].rec(it.parent())
 				p[nd.upSum] += w
 				if nd.free {
 					p[nd.upFSum] += f
@@ -92,15 +90,12 @@ type listEntry struct {
 // share their key prefix, so per-list order by own constant is exactly
 // the lexicographic order a sorted single-tuple replay produces — but
 // sorting per list costs Σ k·log k over the (typically small) list sizes
-// instead of one comparison-heavy sort over all items of a node. (With
-// more than one shard the root list is sorted per shard, so enumeration
-// is lexicographic within each shard; the fully canonical global order is
-// a property of the unsharded engine.)
-func sortLists(c *comp, sh *compShard, scratch []listEntry) []listEntry {
+// instead of one comparison-heavy sort over all items of a node.
+func sortLists(c *comp, scratch []listEntry) []listEntry {
 	// fix orders the chain of node ni's items hanging off *list and
 	// rewrites both halves of the word.
 	fix := func(list *uint64, ni int32) {
-		ar, own := &sh.arenas[ni], c.nodes[ni].offOwn
+		ar, own := &c.arenas[ni], c.nodes[ni].offOwn
 		buf := scratch[:0]
 		for r := lo(*list); r != 0; {
 			it := ar.rec(r)
@@ -130,14 +125,14 @@ func sortLists(c *comp, sh *compShard, scratch []listEntry) []listEntry {
 		}
 		*list = pack(buf[0].r, buf[len(buf)-1].r)
 	}
-	fix(&sh.start, 0)
+	fix(&c.start, 0)
 	for ni := range c.nodes {
 		nd := &c.nodes[ni]
 		if len(nd.children) == 0 {
 			continue
 		}
-		sh.index[ni].Range(func(_ []Value, r ref) bool {
-			lists := sh.arenas[ni].rec(r)[nd.offLists:]
+		c.index[ni].Range(func(_ []Value, r ref) bool {
+			lists := c.arenas[ni].rec(r)[nd.offLists:]
 			for sl, ch := range nd.children {
 				fix(&lists[sl], ch)
 			}

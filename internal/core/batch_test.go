@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dyncq/internal/cq"
@@ -24,11 +25,11 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		q := workload.RandomQHierarchical(rng, workload.DefaultQHOptions())
-		seq, err := newHarness(q, 1)
+		seq, err := newHarness(q)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		bat, err := newHarness(q, 1)
+		bat, err := newHarness(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +191,7 @@ func TestBulkLoadMatchesReplayAndOracle(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		q := workload.RandomQHierarchical(rng, workload.DefaultQHOptions())
 		db := workload.RandomDatabase(rng, q.Schema(), 5, 25)
-		bulk, err := newHarness(q, 1)
+		bulk, err := newHarness(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +201,7 @@ func TestBulkLoadMatchesReplayAndOracle(t *testing.T) {
 		if err := bulk.CheckInvariants(); err != nil {
 			t.Fatalf("trial %d query %s: bulk load invariants: %v", trial, q, err)
 		}
-		replay, err := newHarness(q, 1)
+		replay, err := newHarness(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +219,7 @@ func TestBulkLoadMatchesReplayAndOracle(t *testing.T) {
 		compareEnumeration(t, bulk, q, db, trial, -1)
 
 		// Determinism: a second bulk load enumerates the same sequence.
-		again, err := newHarness(q, 1)
+		again, err := newHarness(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,6 +247,54 @@ func TestBulkLoadMatchesReplayAndOracle(t *testing.T) {
 	}
 }
 
+// TestLoadEnumeratesInCanonicalOrder: after a bulk Load every fit list
+// is sorted by its items' own constants, so Algorithm 1 lists the result
+// in the canonical order of Table 1 — lexicographic in the free nodes'
+// document order, component by component — whatever the database.
+func TestLoadEnumeratesInCanonicalOrder(t *testing.T) {
+	for qi, text := range deltaShapes {
+		t.Run(text, func(t *testing.T) {
+			q := cq.MustParse(text)
+			e, err := newHarness(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(61 + qi)))
+			if err := e.Load(workload.RandomDatabase(rng, q.Schema(), 6, 80)); err != nil {
+				t.Fatal(err)
+			}
+			// canon[k] is the head position of the k-th free node in
+			// (component, document) order.
+			var canon []int
+			for ci, c := range e.comps {
+				for ord := range c.freeNodes {
+					for i, loc := range e.heads {
+						if loc.comp == ci && int(loc.freeOrd) == ord {
+							canon = append(canon, i)
+						}
+					}
+				}
+			}
+			key := func(tup []Value) []Value {
+				k := make([]Value, len(canon))
+				for j, i := range canon {
+					k[j] = tup[i]
+				}
+				return k
+			}
+			got := e.Tuples()
+			if want := eval.Count(q, e.db); len(got) != want {
+				t.Fatalf("%d tuples, oracle %d", len(got), want)
+			}
+			for i := 1; i < len(got); i++ {
+				if slices.Compare(key(got[i-1]), key(got[i])) >= 0 {
+					t.Fatalf("tuple %d %v does not follow %v in canonical order", i, got[i], got[i-1])
+				}
+			}
+		})
+	}
+}
+
 // TestBulkLoadThenUpdates checks that the structure built by bulk Load
 // behaves identically to a replay-built one under subsequent updates,
 // including draining back to empty.
@@ -253,7 +302,7 @@ func TestBulkLoadThenUpdates(t *testing.T) {
 	q := cq.MustParse("Q(x,y,z,yp,zp) :- R(x,y,z), R(x,y,zp), E(x,y), E(x,yp), S(x,y,z)")
 	rng := rand.New(rand.NewSource(17))
 	db := workload.RandomDatabase(rng, q.Schema(), 5, 30)
-	e, err := newHarness(q, 1)
+	e, err := newHarness(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,11 +341,9 @@ func TestBulkLoadThenUpdates(t *testing.T) {
 		t.Errorf("count=%d answer=%v after draining", e.Count(), e.Answer())
 	}
 	for _, c := range e.comps {
-		for si := range c.shards {
-			for ni, m := range c.shards[si].index {
-				if m.Len() != 0 {
-					t.Errorf("node %s still has %d items after draining", c.nodes[ni].name, m.Len())
-				}
+		for ni, m := range c.index {
+			if m.Len() != 0 {
+				t.Errorf("node %s still has %d items after draining", c.nodes[ni].name, m.Len())
 			}
 		}
 	}

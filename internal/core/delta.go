@@ -29,9 +29,8 @@ import "slices"
 // one step removes can be re-added by a later one, so steps accumulate
 // signed rows and netDelta cancels them per batch.
 
-// deltaAcc is the signed accumulator one writer — the sequential path or
-// one parallel worker — nets its steps into, plus the iterators its
-// pinned walks run on.
+// deltaAcc is the signed accumulator ApplyDelta nets its steps into, plus
+// the iterators its pinned walks run on.
 type deltaAcc struct {
 	iters []*compIter // one per free component, as Iterator.iters
 	flat  []Value     // emitted tuples, row-major at the head arity
@@ -61,19 +60,16 @@ func allFit(items []record) bool {
 }
 
 // emitStep appends, with the given sign, every result tuple whose states
-// in component c at the atom's free path nodes are items[:a.free] (items
-// of c's shard si): the pinned walk of c times the full result of every
-// other component. For a Boolean c (a.free == 0) that is the whole product
-// of the rest — the caller saw c's gate flip. The other components' gates are checked here;
+// in component c at the atom's free path nodes are items[:a.free]: the
+// pinned walk of c times the full result of every other component. For a
+// Boolean c (a.free == 0) that is the whole product of the rest — the
+// caller saw c's gate flip. The other components' gates are checked here;
 // c's own is implied by the pinned items being fit.
 //
 //dyncq:hot
-func (e *Engine) emitStep(acc *deltaAcc, c *comp, a *catom, si int, items []record, sign int8) {
+func (e *Engine) emitStep(acc *deltaAcc, c *comp, a *catom, items []record, sign int8) {
 	for _, o := range e.comps {
-		if o == c {
-			continue
-		}
-		if cStart, _ := o.totals(); cStart == 0 {
+		if o != c && o.cStart == 0 {
 			return
 		}
 	}
@@ -83,9 +79,9 @@ func (e *Engine) emitStep(acc *deltaAcc, c *comp, a *catom, si int, items []reco
 		}
 		it := acc.iters[e.freeIdx[ci]]
 		if o == c {
-			it.pin(si, a.pathNodes[:a.free], items)
+			it.pin(a.pathNodes[:a.free], items)
 		} else {
-			it.pin(0, nil, nil)
+			it.pin(nil, nil)
 		}
 		it.reset()
 	}

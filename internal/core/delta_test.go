@@ -60,72 +60,69 @@ func sameTuples(a, b [][]Value) bool {
 // — single updates, batches, a drain to empty and a refill — the delta
 // ApplyDelta emits equals the set difference of Tuples() before and
 // after, in the DeltaEvent order, and Contains agrees with the result on
-// members and near misses. Shards and workers vary because each worker
-// nets into its own accumulator.
+// members and near misses. Every shape runs four seeded streams.
 func TestNativeDeltaMatchesSetDifference(t *testing.T) {
 	for qi, text := range deltaShapes {
 		q, err := cq.Parse(text)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{1, 4} {
-			for _, workers := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/shards=%d/workers=%d", text, shards, workers), func(t *testing.T) {
-					rng := rand.New(rand.NewSource(int64(1000*qi + 10*shards + workers)))
-					h, err := newHarness(q, shards)
+		for seed := 1; seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", text, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(1000*qi + seed)))
+				h, err := newHarness(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.emit = true
+				before := h.Tuples()
+				commit := func(where string, batch []dyndb.Update, single bool) {
+					t.Helper()
+					h.added, h.removed = nil, nil
+					if single {
+						_, err = h.Apply(batch[0])
+					} else {
+						_, err = h.ApplyBatch(batch)
+					}
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("%s: %v", where, err)
 					}
-					h.emit = true
-					before := h.Tuples()
-					commit := func(where string, batch []dyndb.Update, single bool) {
-						t.Helper()
-						h.added, h.removed = nil, nil
-						if single {
-							_, err = h.Apply(batch[0])
-						} else {
-							_, err = h.ApplyBatchWorkers(batch, workers)
-						}
-						if err != nil {
-							t.Fatalf("%s: %v", where, err)
-						}
-						after := h.Tuples()
-						if want := setDiff(after, before); !sameTuples(h.added, want) {
-							t.Fatalf("%s: added %v, set difference %v", where, h.added, want)
-						}
-						if want := setDiff(before, after); !sameTuples(h.removed, want) {
-							t.Fatalf("%s: removed %v, set difference %v", where, h.removed, want)
-						}
-						checkContains(t, where, h, rng)
-						before = after
+					after := h.Tuples()
+					if want := setDiff(after, before); !sameTuples(h.added, want) {
+						t.Fatalf("%s: added %v, set difference %v", where, h.added, want)
 					}
-					stream := workload.RandomStream(rng, q.Schema(), 5, 260, 0.45)
-					for i, u := range stream[:120] {
-						commit(fmt.Sprintf("update %d (%s)", i, u), []dyndb.Update{u}, true)
+					if want := setDiff(before, after); !sameTuples(h.removed, want) {
+						t.Fatalf("%s: removed %v, set difference %v", where, h.removed, want)
 					}
-					for from := 120; from < len(stream); from += 20 {
-						commit(fmt.Sprintf("batch at %d", from), stream[from:from+20], false)
-					}
-					// Drain to empty in one batch, refill in another: every
-					// list empties and every recycled item comes back.
-					var drain []dyndb.Update
-					for _, u := range h.db.Updates() {
-						drain = append(drain, dyndb.Delete(u.Rel, u.Tuple...))
-					}
-					refill := h.db.Updates()
-					commit("drain", drain, false)
-					if len(before) != 0 {
-						t.Fatalf("drained engine still holds %d tuples", len(before))
-					}
-					commit("refill", refill, false)
-					if err := h.CheckInvariants(); err != nil {
-						t.Fatal(err)
-					}
-					if want := eval.Evaluate(q, h.db).Tuples(); !sameTuples(sortedCopy(before), want) {
-						t.Fatalf("after refill: result %v, oracle %v", sortedCopy(before), want)
-					}
-				})
-			}
+					checkContains(t, where, h, rng)
+					before = after
+				}
+				stream := workload.RandomStream(rng, q.Schema(), 5, 260, 0.45)
+				for i, u := range stream[:120] {
+					commit(fmt.Sprintf("update %d (%s)", i, u), []dyndb.Update{u}, true)
+				}
+				for from := 120; from < len(stream); from += 20 {
+					commit(fmt.Sprintf("batch at %d", from), stream[from:from+20], false)
+				}
+				// Drain to empty in one batch, refill in another: every
+				// list empties and every recycled item comes back.
+				var drain []dyndb.Update
+				for _, u := range h.db.Updates() {
+					drain = append(drain, dyndb.Delete(u.Rel, u.Tuple...))
+				}
+				refill := h.db.Updates()
+				commit("drain", drain, false)
+				if len(before) != 0 {
+					t.Fatalf("drained engine still holds %d tuples", len(before))
+				}
+				commit("refill", refill, false)
+				if err := h.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				if want := eval.Evaluate(q, h.db).Tuples(); !sameTuples(sortedCopy(before), want) {
+					t.Fatalf("after refill: result %v, oracle %v", sortedCopy(before), want)
+				}
+			})
 		}
 	}
 }

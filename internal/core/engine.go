@@ -101,8 +101,7 @@ type catom struct {
 }
 
 // comp is the per-connected-component structure: compiled tree and atoms
-// plus the dynamic state, split into shards by the root value (see
-// compShard).
+// plus the dynamic state.
 type comp struct {
 	nodes     []cnode
 	atoms     []catom
@@ -114,46 +113,26 @@ type comp struct {
 	// keeps parents before children).
 	freeNodes []int32
 
-	// shards partitions the dynamic state by hash of the root value: an
-	// item [v, α, a] lives in the shard of α's first (root) constant, and
-	// all its descendants share that constant, so every parent/child
-	// ref and every fit list stays inside one shard. With a single
-	// shard (the default) this is exactly the paper's layout; with more,
-	// updates whose root values hash to different shards touch disjoint
-	// state and can be applied by parallel workers (ApplyDelta).
-	shards []compShard
-}
-
-// compShard is one shard of a component's dynamic state: the per-node
-// item indexes (the "arrays A_v", restricted to root values hashing
-// here) and the arenas their items live in (slab.go), this shard's slice
-// of the start list, and its contribution to C_start/C̃_start (summed
-// across shards by Count/Answer).
-type compShard struct {
+	// The dynamic state: the per-node item indexes (the "arrays A_v") and
+	// the arenas their items live in (slab.go), the start list, and
+	// C_start/C̃_start.
 	index   []*tuplekey.Table[ref] // per node: the "array A_v", keyed at stride depth+1
 	arenas  []arena                // per node: the items the index refers to
 	start   uint64                 // the start list: head | tail<<32, refs into arenas[0]
-	cStart  uint64                 // Σ C^i over fit root items of this shard
+	cStart  uint64                 // Σ C^i over fit root items
 	cfStart uint64                 // Σ C̃^i over fit root items (root free only)
 }
 
-// reset makes the shard empty: an empty index and an empty arena per node,
-// no start list. Whatever it held — chunks, slot arrays — is dropped.
-func (sh *compShard) reset(nodes []cnode) {
-	*sh = compShard{index: make([]*tuplekey.Table[ref], len(nodes)), arenas: make([]arena, len(nodes))}
-	for i := range nodes {
-		sh.index[i] = tuplekey.NewTable[ref](int(nodes[i].depth) + 1)
-		sh.arenas[i].stride = int(nodes[i].stride)
+// reset empties the dynamic state: an empty index and an empty arena per
+// node, no start list. Whatever it held — chunks, slot arrays — is
+// dropped.
+func (c *comp) reset() {
+	c.index, c.arenas = make([]*tuplekey.Table[ref], len(c.nodes)), make([]arena, len(c.nodes))
+	c.start, c.cStart, c.cfStart = 0, 0, 0
+	for i := range c.nodes {
+		c.index[i] = tuplekey.NewTable[ref](int(c.nodes[i].depth) + 1)
+		c.arenas[i].stride = int(c.nodes[i].stride)
 	}
-}
-
-// totals sums C_start and C̃_start across the component's shards.
-func (c *comp) totals() (cStart, cfStart uint64) {
-	for si := range c.shards {
-		cStart += c.shards[si].cStart
-		cfStart += c.shards[si].cfStart
-	}
-	return cStart, cfStart
 }
 
 type atomRef struct {
@@ -190,48 +169,25 @@ type Engine struct {
 	// head positions.
 	probes []probe
 
-	// shardCount is the number of compShards per component (a power of
-	// two); shardMask is shardCount-1, zero for the unsharded default.
-	shardCount int
-	shardMask  uint64
-	// maxDepth is the longest atom root path, the scratch buffer size.
-	maxDepth int
-
-	// scratch serves the sequential update path (no per-update allocation).
+	// scratch serves the update path (no per-update allocation).
 	scratch pathScratch
-	// acc is the sequential path's delta accumulator, built by the first
-	// ApplyDelta that emits and reused afterwards.
+	// acc is the delta accumulator, built by the first ApplyDelta that
+	// emits and reused afterwards.
 	acc *deltaAcc
 }
 
-// New compiles the query into an engine representing the empty database,
-// its per-component dynamic state split into the given number of shards
-// (rounded up to a power of two) by root-value hash. One shard is the
-// paper's exact layout, with the canonical enumeration order. More shards
-// let ApplyDelta run shard-disjoint update procedures on worker
-// goroutines; the price is that the enumeration order interleaves per
-// shard instead of following the single canonical list (still
-// deterministic for a fixed shard count). New fails with an error wrapping
-// ErrNotQHierarchical if the query is not q-hierarchical, with a
-// validation error for malformed queries, and for shards < 1. Compilation
-// is poly(ϕ): it never touches data.
-func New(q *cq.Query, shards int) (*Engine, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("core.New: shards %d < 1", shards)
-	}
-	pow := 1
-	for pow < shards {
-		pow *= 2
-	}
+// New compiles the query into an engine representing the empty database.
+// New fails with an error wrapping ErrNotQHierarchical if the query is not
+// q-hierarchical, and with a validation error for malformed queries.
+// Compilation is poly(ϕ): it never touches data.
+func New(q *cq.Query) (*Engine, error) {
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("core.New: %w", err)
 	}
 	e := &Engine{
-		query:      q,
-		rels:       make(map[string][]atomRef),
-		schema:     q.Schema(),
-		shardCount: pow,
-		shardMask:  uint64(pow - 1),
+		query:  q,
+		rels:   make(map[string][]atomRef),
+		schema: q.Schema(),
 	}
 	subs := q.Components()
 	maxDepth := 0
@@ -240,7 +196,7 @@ func New(q *cq.Query, shards int) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core.New: %w", err)
 		}
-		c, err := compileComp(sub, tree, e.shardCount)
+		c, err := compileComp(sub, tree)
 		if err != nil {
 			return nil, fmt.Errorf("core.New: %w", err)
 		}
@@ -271,28 +227,8 @@ func New(q *cq.Query, shards int) (*Engine, error) {
 			e.freeIdx[ci] = -1
 		}
 	}
-	e.maxDepth = maxDepth
 	e.scratch = newPathScratch(maxDepth)
 	return e, nil
-}
-
-// Shards returns the number of shards per component.
-func (e *Engine) Shards() int { return e.shardCount }
-
-// shardOf maps a component-root value to its shard index. The value is
-// diffused with a splitmix64-style finaliser so consecutive constants
-// (the common case in generated workloads) spread across shards.
-//
-//dyncq:hot
-func (e *Engine) shardOf(v Value) uint64 {
-	if e.shardMask == 0 {
-		return 0
-	}
-	z := uint64(v) + 0x9e3779b97f4a7c15
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	return z & e.shardMask
 }
 
 func (e *Engine) locate(v string) (headLoc, bool) {
@@ -307,13 +243,12 @@ func (e *Engine) locate(v string) (headLoc, bool) {
 }
 
 // compileComp builds the static structures for one connected component.
-func compileComp(sub *cq.Query, tree *qtree.Tree, shards int) (*comp, error) {
+func compileComp(sub *cq.Query, tree *qtree.Tree) (*comp, error) {
 	n := len(tree.Nodes)
 	c := &comp{
 		nodes:     make([]cnode, n),
 		freeCount: tree.FreeCount,
 		hasFree:   tree.FreeCount > 0,
-		shards:    make([]compShard, shards),
 	}
 	for i, tn := range tree.Nodes {
 		nd := &c.nodes[i]
@@ -394,9 +329,7 @@ func compileComp(sub *cq.Query, tree *qtree.Tree, shards int) (*comp, error) {
 			u.upList, u.upSum, u.upFSum = nd.offLists+int32(sl), nd.offSums+int32(sl), nd.offFSums+int32(sl)
 		}
 	}
-	for si := range c.shards {
-		c.shards[si].reset(c.nodes)
-	}
+	c.reset()
 	return c, nil
 }
 
@@ -407,24 +340,19 @@ func (e *Engine) Query() *cq.Query { return e.query }
 // for a net delta the owner applied to its store: survivors must be
 // coalesced, schema-validated commands each of which changed the
 // database (a single update is a delta of one; commands on relations the
-// query does not mention only invalidate outstanding iterators). With
-// workers > 1 on a sharded engine the per-atom operations run on worker
-// goroutines (runDeltaParallel); otherwise they run sequentially in delta
-// order, which on an unsharded engine reproduces the canonical
-// enumeration order of a single-update replay. Either way the resulting
-// structure — counters, lists, enumeration order — is the same for a
-// fixed shard count. The version advances at most once per delta, so
-// outstanding iterators are invalidated iff the structure may have moved.
+// query does not mention only invalidate outstanding iterators). The
+// per-atom operations run in delta order, which reproduces the canonical
+// enumeration order of a single-update replay. The version advances at
+// most once per delta, so outstanding iterators are invalidated iff the
+// structure may have moved.
 //
 // With emit set, ApplyDelta also returns what the delta did to ϕ(D): the
 // tuples the result gained and lost, disjoint, each side in lexicographic
 // order, freshly allocated. Their cost is proportional to their number
 // (delta.go); without emit the call does no extra work and returns nil.
-// A step's delta reads the sibling components' lists, so an emitting
-// delta on an engine with several components stays sequential.
 //
 //dyncq:hot
-func (e *Engine) ApplyDelta(survivors []dyndb.Update, workers int, emit bool) (added, removed [][]Value) {
+func (e *Engine) ApplyDelta(survivors []dyndb.Update, emit bool) (added, removed [][]Value) {
 	if len(survivors) == 0 {
 		return nil, nil
 	}
@@ -436,15 +364,11 @@ func (e *Engine) ApplyDelta(survivors []dyndb.Update, workers int, emit bool) (a
 		}
 		acc = e.acc
 	}
-	if workers > 1 && e.shardCount > 1 && len(e.comps) > 0 && (!emit || len(e.comps) == 1 && e.comps[0].hasFree) {
-		e.runDeltaParallel(survivors, workers, acc)
-	} else {
-		for _, u := range survivors {
-			insert := u.Op == dyndb.OpInsert
-			for _, ar := range e.rels[u.Rel] {
-				c := e.comps[ar.comp]
-				e.updateAtomScratch(c, &c.atoms[ar.atom], u.Tuple, insert, e.scratch, acc)
-			}
+	for _, u := range survivors {
+		insert := u.Op == dyndb.OpInsert
+		for _, ar := range e.rels[u.Rel] {
+			c := e.comps[ar.comp]
+			e.updateAtom(c, &c.atoms[ar.atom], u.Tuple, insert, acc)
 		}
 	}
 	if !emit {
@@ -489,10 +413,8 @@ func (e *Engine) Rebuild(store *dyndb.Database) error {
 	}
 	var scratch []listEntry
 	for _, c := range e.comps {
-		for si := range c.shards {
-			e.buildWeights(c, &c.shards[si])
-			scratch = sortLists(c, &c.shards[si], scratch)
-		}
+		buildWeights(c)
+		scratch = sortLists(c, scratch)
 	}
 	return nil
 }
@@ -503,13 +425,11 @@ func (e *Engine) Rebuild(store *dyndb.Database) error {
 func (e *Engine) Clear() {
 	e.version++
 	for _, c := range e.comps {
-		for si := range c.shards {
-			c.shards[si].reset(c.nodes)
-		}
+		c.reset()
 	}
 }
 
-// pathScratch is one writer's buffers for an atom's root path: per depth
+// pathScratch is the writer's buffers for an atom's root path: per depth
 // the path value, the item's ref (what links name) and its resolved
 // record (what is read and written).
 type pathScratch struct {
@@ -522,51 +442,44 @@ func newPathScratch(depth int) pathScratch {
 	return pathScratch{make([]Value, depth), make([]ref, depth), make([]record, depth)}
 }
 
-// updateAtomScratch is the per-atom part of the Section 6.4 update
-// procedure: if the tuple matches the atom's repeated-variable pattern,
-// walk the atom's root path top-down adjusting C^i_ψ (creating items on
-// insert), then bottom-up recompute C^i and C̃^i by Lemmas 6.3/6.4, fix
-// fit-list membership, propagate the sums, and drop items whose counters
-// all reached zero.
-// Every touched table, arena and list belongs to the shard of the root
-// value vals[0], so calls whose root values hash to different shards are
-// mutually independent — the property runDeltaParallel exploits. The
-// caller supplies the scratch buffers (parallel workers have their own)
-// and, when the step's result delta is wanted, the accumulator it is
-// emitted into (nil otherwise; the rule is in delta.go).
+// updateAtom is the per-atom part of the Section 6.4 update procedure: if
+// the tuple matches the atom's repeated-variable pattern, walk the atom's
+// root path top-down adjusting C^i_ψ (creating items on insert), then
+// bottom-up recompute C^i and C̃^i by Lemmas 6.3/6.4, fix fit-list
+// membership, propagate the sums, and drop items whose counters all
+// reached zero. When the step's result delta is wanted the caller passes
+// the accumulator it is emitted into (nil otherwise; the rule is in
+// delta.go).
 //
 //dyncq:hot
-func (e *Engine) updateAtomScratch(c *comp, a *catom, tuple []Value, insert bool, scratch pathScratch, acc *deltaAcc) {
+func (e *Engine) updateAtom(c *comp, a *catom, tuple []Value, insert bool, acc *deltaAcc) {
 	for _, eq := range a.eqChecks {
 		if tuple[eq[0]] != tuple[eq[1]] {
 			return // tuple does not match the atom's variable pattern
 		}
 	}
 	d := len(a.pathNodes)
-	vals, items, recs := scratch.vals[:d], scratch.items[:d], scratch.recs[:d]
+	vals, items, recs := e.scratch.vals[:d], e.scratch.items[:d], e.scratch.recs[:d]
 	for j := 0; j < d; j++ {
 		vals[j] = tuple[a.extract[j]]
 	}
-	si := int(e.shardOf(vals[0]))
-	sh := &c.shards[si]
 	// last is the depth of the deepest free path item, the one whose
 	// fitness flip changes the result; a Boolean component has none and
 	// changes the result through its gate C_start > 0 instead.
 	last := int(a.free) - 1
 	grew, gateWas := false, false
 	if acc != nil && last < 0 {
-		cStart, _ := c.totals()
-		gateWas = cStart > 0
+		gateWas = c.cStart > 0
 	}
 
 	// Top-down: fetch or create the items on the path, adjust C^i_ψ.
 	for j := 0; j < d; j++ {
 		nodeIdx := a.pathNodes[j]
-		nd, ar := &c.nodes[nodeIdx], &sh.arenas[nodeIdx]
+		nd, ar := &c.nodes[nodeIdx], &c.arenas[nodeIdx]
 		count := nd.offCounts + a.slotAtDepth[j]
 		if insert {
 			// One probe finds the item or claims its slot.
-			slot, existed := sh.index[nodeIdx].Ref(vals[:j+1])
+			slot, existed := c.index[nodeIdx].Ref(vals[:j+1])
 			if !existed {
 				var parent ref
 				if j > 0 {
@@ -577,7 +490,7 @@ func (e *Engine) updateAtomScratch(c *comp, a *catom, tuple []Value, insert bool
 			items[j], recs[j] = *slot, ar.rec(*slot)
 			recs[j][count]++
 		} else {
-			r, ok := sh.index[nodeIdx].Get(vals[:j+1])
+			r, ok := c.index[nodeIdx].Get(vals[:j+1])
 			if !ok {
 				panic(fmt.Sprintf("core: missing item for %s at node %s during delete (corrupted structure)",
 					a.rel, nd.name))
@@ -590,7 +503,7 @@ func (e *Engine) updateAtomScratch(c *comp, a *catom, tuple []Value, insert bool
 	// Bottom-up: recompute weights, maintain lists and sums.
 	for j := d - 1; j >= 0; j-- {
 		nodeIdx := a.pathNodes[j]
-		nd, ar := &c.nodes[nodeIdx], &sh.arenas[nodeIdx]
+		nd, ar := &c.nodes[nodeIdx], &c.arenas[nodeIdx]
 		it := recs[j]
 		oldW := it[recWeight]
 		w, f := nd.weights(it)
@@ -600,10 +513,10 @@ func (e *Engine) updateAtomScratch(c *comp, a *catom, tuple []Value, insert bool
 			oldF, it[recFWeight] = it[recFWeight], f
 		}
 
-		list := &sh.start
+		list := &c.start
 		if j == 0 {
-			sh.cStart += w - oldW
-			sh.cfStart += f - oldF
+			c.cStart += w - oldW
+			c.cfStart += f - oldF
 		} else {
 			p := recs[j-1]
 			p[nd.upSum] += w - oldW
@@ -621,14 +534,14 @@ func (e *Engine) updateAtomScratch(c *comp, a *catom, tuple []Value, insert bool
 			}
 		} else if w == 0 && it.inList() {
 			if acc != nil && j == last && allFit(recs[:j]) {
-				e.emitStep(acc, c, a, si, recs, -1)
+				e.emitStep(acc, c, a, recs, -1)
 			}
 			ar.unlink(list, it)
 		}
 
 		// Invariant (a): drop the item once no atom supports it.
 		if !insert && allZero(it[nd.offCounts:nd.offSums]) {
-			sh.index[nodeIdx].Delete(vals[:j+1])
+			c.index[nodeIdx].Delete(vals[:j+1])
 			ar.recycle(items[j], it)
 		}
 	}
@@ -637,16 +550,15 @@ func (e *Engine) updateAtomScratch(c *comp, a *catom, tuple []Value, insert bool
 		return
 	}
 	if last < 0 {
-		cStart, _ := c.totals()
-		if gate := cStart > 0; gate != gateWas {
+		if gate := c.cStart > 0; gate != gateWas {
 			sign := int8(-1)
 			if gate {
 				sign = 1
 			}
-			e.emitStep(acc, c, a, si, recs, sign)
+			e.emitStep(acc, c, a, recs, sign)
 		}
 	} else if grew && allFit(recs[:a.free]) {
-		e.emitStep(acc, c, a, si, recs, 1)
+		e.emitStep(acc, c, a, recs, 1)
 	}
 }
 
@@ -701,10 +613,9 @@ func allZero(counts []uint64) bool {
 func (e *Engine) Count() uint64 {
 	total := uint64(1)
 	for _, c := range e.comps {
-		cStart, cfStart := c.totals()
 		if c.hasFree {
-			total *= cfStart
-		} else if cStart == 0 {
+			total *= c.cfStart
+		} else if c.cStart == 0 {
 			return 0
 		}
 		if total == 0 {
@@ -714,11 +625,10 @@ func (e *Engine) Count() uint64 {
 	return total
 }
 
-// Answer reports whether ϕ(D) is nonempty, in constant time (the shard
-// count is a configuration constant, not data).
+// Answer reports whether ϕ(D) is nonempty, in constant time.
 func (e *Engine) Answer() bool {
 	for _, c := range e.comps {
-		if cStart, _ := c.totals(); cStart == 0 {
+		if c.cStart == 0 {
 			return false
 		}
 	}
@@ -763,7 +673,7 @@ func (e *Engine) Contains(tuple []Value) bool {
 		return false
 	}
 	for _, c := range e.comps {
-		if cStart, _ := c.totals(); !c.hasFree && cStart == 0 {
+		if !c.hasFree && c.cStart == 0 {
 			return false
 		}
 	}
@@ -773,9 +683,9 @@ func (e *Engine) Contains(tuple []Value) bool {
 		for _, s := range p.src {
 			key = append(key, tuple[s])
 		}
-		sh := &e.comps[p.comp].shards[e.shardOf(key[0])]
-		r, ok := sh.index[p.node].Get(key)
-		if !ok || !sh.arenas[p.node].rec(r).inList() {
+		c := e.comps[p.comp]
+		r, ok := c.index[p.node].Get(key)
+		if !ok || !c.arenas[p.node].rec(r).inList() {
 			return false
 		}
 	}
@@ -790,45 +700,38 @@ func (e *Engine) Contains(tuple []Value) bool {
 // It costs time linear in the structure.
 func (e *Engine) CheckInvariants() error {
 	for ci, c := range e.comps {
-		for si := range c.shards {
-			sh := &c.shards[si]
-			for ni := range c.nodes {
-				if err := e.checkNode(c, si, ni); err != nil {
-					return fmt.Errorf("comp %d shard %d node %s %w", ci, si, c.nodes[ni].name, err)
-				}
+		for ni := range c.nodes {
+			if err := checkNode(c, ni); err != nil {
+				return fmt.Errorf("comp %d node %s %w", ci, c.nodes[ni].name, err)
 			}
-			sum, fsum, err := checkList(&c.nodes[0], &sh.arenas[0], sh.start, 0)
-			if err != nil {
-				return fmt.Errorf("comp %d shard %d start list: %w", ci, si, err)
-			}
-			if sum != sh.cStart {
-				return fmt.Errorf("comp %d shard %d: cStart %d, actual %d", ci, si, sh.cStart, sum)
-			}
-			if c.hasFree && fsum != sh.cfStart {
-				return fmt.Errorf("comp %d shard %d: cfStart %d, actual %d", ci, si, sh.cfStart, fsum)
-			}
+		}
+		sum, fsum, err := checkList(&c.nodes[0], &c.arenas[0], c.start, 0)
+		if err != nil {
+			return fmt.Errorf("comp %d start list: %w", ci, err)
+		}
+		if sum != c.cStart {
+			return fmt.Errorf("comp %d: cStart %d, actual %d", ci, c.cStart, sum)
+		}
+		if c.hasFree && fsum != c.cfStart {
+			return fmt.Errorf("comp %d: cfStart %d, actual %d", ci, c.cfStart, fsum)
 		}
 	}
 	return nil
 }
 
-// checkNode checks every item of one node in one shard, and that the
-// node's arena holds nothing else.
-func (e *Engine) checkNode(c *comp, si, ni int) (err error) {
-	sh, nd := &c.shards[si], &c.nodes[ni]
-	ar := &sh.arenas[ni]
+// checkNode checks every item of one node, and that the node's arena
+// holds nothing else.
+func checkNode(c *comp, ni int) (err error) {
+	nd, ar := &c.nodes[ni], &c.arenas[ni]
 	live := make([]bool, uint64(ar.n)+1) // by ref: named by the index
-	sh.index[ni].Range(func(key []Value, r ref) bool {
+	c.index[ni].Range(func(key []Value, r ref) bool {
 		if r == 0 || r > ref(ar.n) || live[r] {
 			err = fmt.Errorf("item %v: ref %d is nil, never handed out or indexed twice", key, r)
 			return false
 		}
 		live[r] = true
 		it := ar.rec(r)
-		// Shard assignment: every item hashes here by root value.
-		if got := e.shardOf(key[0]); got != uint64(si) {
-			err = fmt.Errorf("item %v: hashes to shard %d", key, got)
-		} else if own := Value(it[nd.offOwn]); own != key[nd.depth] {
+		if own := Value(it[nd.offOwn]); own != key[nd.depth] {
 			err = fmt.Errorf("item %v: record holds own constant %d", key, own)
 		} else if w, f := nd.weights(it); w != it[recWeight] || nd.free && f != it[recFWeight] {
 			err = fmt.Errorf("item %v: weights %v, recomputed %d, %d", key, it[recWeight:nd.offOwn], w, f)
@@ -837,7 +740,7 @@ func (e *Engine) checkNode(c *comp, si, ni int) (err error) {
 		} else if allZero(it[nd.offCounts:nd.offSums]) {
 			err = fmt.Errorf("item %v: present with all-zero counts", key)
 		} else if nd.parent >= 0 {
-			if p, _ := sh.index[nd.parent].Get(key[:nd.depth]); p == 0 || p != it.parent() {
+			if p, _ := c.index[nd.parent].Get(key[:nd.depth]); p == 0 || p != it.parent() {
 				err = fmt.Errorf("item %v: parent ref %d, the index has %d", key, it.parent(), p)
 			}
 		}
@@ -845,7 +748,7 @@ func (e *Engine) checkNode(c *comp, si, ni int) (err error) {
 		for sl := 0; sl < len(nd.children) && err == nil; sl++ {
 			u := &c.nodes[nd.children[sl]]
 			var sum, fsum uint64
-			if sum, fsum, err = checkList(u, &sh.arenas[nd.children[sl]], it[u.upList], r); err != nil {
+			if sum, fsum, err = checkList(u, &c.arenas[nd.children[sl]], it[u.upList], r); err != nil {
 				err = fmt.Errorf("item %v %s-list: %w", key, u.name, err)
 			} else if sum != it[u.upSum] || nd.free && u.free && fsum != it[u.upFSum] {
 				err = fmt.Errorf("item %v child %s: sums %d, %d do not match the record", key, u.name, sum, fsum)
@@ -863,7 +766,7 @@ func (e *Engine) checkNode(c *comp, si, ni int) (err error) {
 			return fmt.Errorf("free chain: ref %d is indexed, never handed out or on a cycle", r)
 		}
 	}
-	if n := sh.index[ni].Len(); n+free != int(ar.n) {
+	if n := c.index[ni].Len(); n+free != int(ar.n) {
 		return fmt.Errorf("arena: %d live + %d free records of %d handed out", n, free, ar.n)
 	}
 	return nil

@@ -14,7 +14,7 @@ import (
 
 func mustEngine(t *testing.T, query string) *harness {
 	t.Helper()
-	e, err := newHarness(cq.MustParse(query), 1)
+	e, err := newHarness(cq.MustParse(query))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestRejectsNonQHierarchical(t *testing.T) {
 		"Q(x) :- E(x,y), T(y)",         // ϕE-T
 		"Q(x,y) :- E(x,x), E(x,y), E(y,y)",
 	} {
-		_, err := newHarness(cq.MustParse(q), 1)
+		_, err := newHarness(cq.MustParse(q))
 		if err == nil {
 			t.Errorf("New(%s) succeeded, want ErrNotQHierarchical", q)
 			continue
@@ -41,7 +41,7 @@ func TestRejectsNonQHierarchical(t *testing.T) {
 
 func TestRejectsInvalidQuery(t *testing.T) {
 	bad := &cq.Query{Name: "Q", Head: []string{"x"}, Atoms: nil}
-	if _, err := newHarness(bad, 1); err == nil {
+	if _, err := newHarness(bad); err == nil {
 		t.Error("New accepted an atom-less query")
 	}
 }
@@ -311,14 +311,14 @@ func TestLoadEqualsIncremental(t *testing.T) {
 	q := cq.MustParse("Q(x,y,z,yp,zp) :- R(x,y,z), R(x,y,zp), E(x,y), E(x,yp), S(x,y,z)")
 	rng := rand.New(rand.NewSource(21))
 	db := workload.RandomDatabase(rng, q.Schema(), 6, 30)
-	bulk, err := newHarness(q, 1)
+	bulk, err := newHarness(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := bulk.Load(db); err != nil {
 		t.Fatal(err)
 	}
-	inc, err := newHarness(q, 1)
+	inc, err := newHarness(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestRandomAgainstOracle(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		q := workload.RandomQHierarchical(rng, workload.DefaultQHOptions())
-		e, err := newHarness(q, 1)
+		e, err := newHarness(q)
 		if err != nil {
 			t.Fatalf("trial %d: New(%s): %v", trial, q, err)
 		}
@@ -445,19 +445,16 @@ func TestDrainToEmpty(t *testing.T) {
 		t.Errorf("count=%d answer=%v after draining", e.Count(), e.Answer())
 	}
 	for _, c := range e.comps {
-		for si := range c.shards {
-			sh := &c.shards[si]
-			for ni, m := range sh.index {
-				if m.Len() != 0 {
-					t.Errorf("node %s still has %d items after draining", c.nodes[ni].name, m.Len())
-				}
+		for ni, m := range c.index {
+			if m.Len() != 0 {
+				t.Errorf("node %s still has %d items after draining", c.nodes[ni].name, m.Len())
 			}
-			if sh.start != 0 {
-				t.Error("start list not empty after draining")
-			}
-			if sh.cStart != 0 || sh.cfStart != 0 {
-				t.Errorf("cStart=%d cfStart=%d after draining", sh.cStart, sh.cfStart)
-			}
+		}
+		if c.start != 0 {
+			t.Error("start list not empty after draining")
+		}
+		if c.cStart != 0 || c.cfStart != 0 {
+			t.Errorf("cStart=%d cfStart=%d after draining", c.cStart, c.cfStart)
 		}
 	}
 }

@@ -14,10 +14,8 @@ import "fmt"
 // the database, as Theorem 3.2(a) requires.
 
 // compIter enumerates the result tuples of one component. The root state
-// walks the shards' start lists in shard order (one list, the canonical
-// order, on an unsharded engine); all deeper states follow child lists,
-// which never cross shards — so every state's ref belongs to the shard the
-// root state stands in, and the states are kept resolved.
+// walks the start list; all deeper states follow child lists. The states
+// are kept resolved.
 //
 // A compIter can also run Algorithm 1 with some states pinned (pin): the
 // pinned states keep the items they were given, every other free node
@@ -30,7 +28,6 @@ type compIter struct {
 	c      *comp
 	cur    []record // per free node (document order)
 	pinned []bool   // per free node: state fixed by pin
-	shard  int      // shard the states live in
 	done   bool
 }
 
@@ -38,16 +35,13 @@ func newCompIter(c *comp) *compIter {
 	return &compIter{c: c, cur: make([]record, len(c.freeNodes)), pinned: make([]bool, len(c.freeNodes))}
 }
 
-// pin fixes the states of the given free nodes (a root path prefix of
-// shard si: node j holds items[j]) and releases every other state;
-// pin(0, nil, nil) releases all of them. A non-empty pinned set contains
-// the root, so the shard given here is the one fill resolves refs in. The
-// caller positions the iterator with reset.
+// pin fixes the states of the given free nodes (a root path prefix: node
+// j holds items[j]) and releases every other state; pin(nil, nil)
+// releases all of them. The caller positions the iterator with reset.
 //
 //dyncq:hot
-func (ci *compIter) pin(si int, nodes []int32, items []record) {
+func (ci *compIter) pin(nodes []int32, items []record) {
 	clear(ci.pinned)
-	ci.shard = si
 	for j, n := range nodes {
 		ord := ci.c.nodes[n].freeOrd
 		ci.pinned[ord] = true
@@ -55,11 +49,11 @@ func (ci *compIter) pin(si int, nodes []int32, items []record) {
 	}
 }
 
-// set puts state mu on item r of the iterator's shard.
+// set puts state mu on item r.
 //
 //dyncq:hot
 func (ci *compIter) set(mu int, r ref) {
-	ci.cur[mu] = ci.c.shards[ci.shard].arenas[ci.c.freeNodes[mu]].rec(r)
+	ci.cur[mu] = ci.c.arenas[ci.c.freeNodes[mu]].rec(r)
 }
 
 // reset positions the iterator on the first result tuple (Algorithm 1,
@@ -70,29 +64,16 @@ func (ci *compIter) set(mu int, r ref) {
 //dyncq:hot
 func (ci *compIter) reset() bool {
 	ci.done = false
-	if ci.pinned[0] {
-		ci.fill(1)
-		return true
-	}
-	return ci.rootFrom(0)
-}
-
-// rootFrom puts the root state on the first item of the first nonempty
-// start list from shard si on and fills the rest; with none left the
-// enumeration is done.
-//
-//dyncq:hot
-func (ci *compIter) rootFrom(si int) bool {
-	for ; si < len(ci.c.shards); si++ {
-		if head := lo(ci.c.shards[si].start); head != 0 {
-			ci.shard = si
-			ci.set(0, head)
-			ci.fill(1)
-			return true
+	if !ci.pinned[0] {
+		head := lo(ci.c.start)
+		if head == 0 {
+			ci.done = true
+			return false
 		}
+		ci.set(0, head)
 	}
-	ci.done = true
-	return false
+	ci.fill(1)
+	return true
 }
 
 // fill sets the unpinned states from (inclusive) onward to the first
@@ -131,13 +112,8 @@ func (ci *compIter) next() bool {
 			return true
 		}
 	}
-	if ci.pinned[0] {
-		ci.done = true
-		return false
-	}
-	// The root's start list is exhausted: on to the next shard with a
-	// nonempty one.
-	return ci.rootFrom(ci.shard + 1)
+	ci.done = true
+	return false
 }
 
 // Iterator enumerates ϕ(D) without repetition. It is created by
@@ -190,7 +166,7 @@ func (it *Iterator) Next() (tuple []Value, ok bool) {
 		it.state = iterActive
 		// Boolean components gate the whole product.
 		for _, c := range it.e.comps {
-			if cStart, _ := c.totals(); cStart == 0 {
+			if c.cStart == 0 {
 				it.state = iterDone
 				return nil, false
 			}

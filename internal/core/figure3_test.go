@@ -65,7 +65,7 @@ func ex61DB(t *testing.T) *dyndb.Database {
 
 func ex61Engine(t *testing.T) *harness {
 	t.Helper()
-	e, err := newHarness(qEx61, 1)
+	e, err := newHarness(qEx61)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +83,11 @@ func weightOf(e *harness, varName string, pathVals ...Value) (uint64, bool) {
 	c := e.comps[0]
 	for ni := range c.nodes {
 		if c.nodes[ni].name == varName {
-			sh := &c.shards[e.shardOf(pathVals[0])]
-			r, ok := sh.index[ni].Get(pathVals)
+			r, ok := c.index[ni].Get(pathVals)
 			if !ok {
 				return 0, false
 			}
-			return sh.arenas[ni].rec(r)[recWeight], true
+			return c.arenas[ni].rec(r)[recWeight], true
 		}
 	}
 	return 0, false

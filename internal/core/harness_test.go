@@ -20,8 +20,8 @@ type harness struct {
 	added, removed [][]Value
 }
 
-func newHarness(q *cq.Query, shards int) (*harness, error) {
-	e, err := New(q, shards)
+func newHarness(q *cq.Query) (*harness, error) {
+	e, err := New(q)
 	if err != nil {
 		return nil, err
 	}
@@ -43,7 +43,7 @@ func (h *harness) Apply(u dyndb.Update) (bool, error) {
 	}
 	changed, err := h.db.Apply(u)
 	if changed {
-		h.added, h.removed = h.ApplyDelta([]dyndb.Update{u}, 1, h.emit)
+		h.added, h.removed = h.ApplyDelta([]dyndb.Update{u}, h.emit)
 	}
 	return changed, err
 }
@@ -56,13 +56,9 @@ func (h *harness) Delete(rel string, tuple ...Value) (bool, error) {
 	return h.Apply(dyndb.Delete(rel, tuple...))
 }
 
+// ApplyBatch validates atomically, applies the net delta to the store
+// once, and hands it to the engine.
 func (h *harness) ApplyBatch(updates []dyndb.Update) (int, error) {
-	return h.ApplyBatchWorkers(updates, 1)
-}
-
-// ApplyBatchWorkers validates atomically, applies the net delta to the
-// store once, and hands it to the engine with the given worker count.
-func (h *harness) ApplyBatchWorkers(updates []dyndb.Update, workers int) (int, error) {
 	if err := h.checkArity(updates...); err != nil {
 		return 0, err
 	}
@@ -71,7 +67,7 @@ func (h *harness) ApplyBatchWorkers(updates []dyndb.Update, workers int) (int, e
 		return 0, err
 	}
 	h.db.ApplyNetDelta(survivors, 0)
-	h.added, h.removed = h.ApplyDelta(survivors, workers, h.emit)
+	h.added, h.removed = h.ApplyDelta(survivors, h.emit)
 	return len(survivors), nil
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // This file holds the engine's dynamic state: one arena of fixed-stride,
-// pointer-free records per (component, shard, q-tree node). An item
+// pointer-free records per (component, q-tree node). An item
 // [v, α, a] is one record of v's arena, addressed by a ref — the record's
 // number, with 0 for nil. The paper's RAM has O(log n)-bit words and its
 // pointers are array indices (§2); so are these. Every shape (how many
@@ -27,9 +27,9 @@ import (
 //	offLists…     per child u: head (low 32) | tail (high 32) of L^i_u,
 //	              refs into u's arena
 //
-// A ref means something only together with its (shard, node): the A_v
-// table that yields it, the parent word or list word it was read from, or
-// the compIter state it sits in all fix both.
+// A ref means something only together with its node: the A_v table that
+// yields it, the parent word or list word it was read from, or the
+// compIter state it sits in all fix it.
 //
 // An arena grows by chunks of 1<<arenaShift records and never moves a
 // record, so a record slice stays valid until Clear. An item leaves the
@@ -40,13 +40,9 @@ import (
 // Rebuild, drops every chunk at once. Since neither the records nor the
 // Table[ref] indexes hold a Go pointer, the garbage collector never scans
 // them: what it marks per cycle is the chunk directory, not the data.
-//
-// Concurrency: an arena belongs to one compShard and inherits its
-// discipline — the parallel batch path claims whole (component, shard)
-// buckets per worker, so no two goroutines touch one arena concurrently.
 
 // ref addresses a record of one arena; 0 is nil. An arena therefore holds
-// at most 2³²−1 live items — per node, per shard.
+// at most 2³²−1 live items per node.
 type ref uint32
 
 // record is one item's words, aliasing its arena.
@@ -92,7 +88,7 @@ func (nd *cnode) layout() {
 	nd.stride = nd.offLists + int32(len(nd.children))
 }
 
-// arena stores the records of one node in one shard.
+// arena stores the records of one node.
 type arena struct {
 	chunks [][]uint64 // 1<<arenaShift records each; slot 0 of chunk 0 is nil's
 	stride int
@@ -114,7 +110,7 @@ func (a *arena) rec(r ref) record {
 //dyncq:hot
 func (a *arena) fresh(nd *cnode) ref {
 	if a.n == math.MaxUint32 {
-		panic(fmt.Sprintf("core: node %s holds 2^32-1 items in one shard, the most a ref can address", nd.name))
+		panic(fmt.Sprintf("core: node %s holds 2^32-1 items, the most a ref can address", nd.name))
 	}
 	a.n++
 	if int(a.n>>arenaShift) == len(a.chunks) {
@@ -162,12 +158,10 @@ func (a *arena) recycle(r ref, it record) {
 func (e *Engine) MaskFreeChainHeads() int {
 	moved := 0
 	for _, c := range e.comps {
-		for si := range c.shards {
-			for ai := range c.shards[si].arenas {
-				if a := &c.shards[si].arenas[ai]; a.free > arenaMask {
-					a.free &= arenaMask
-					moved++
-				}
+		for ai := range c.arenas {
+			if a := &c.arenas[ai]; a.free > arenaMask {
+				a.free &= arenaMask
+				moved++
 			}
 		}
 	}
@@ -175,8 +169,8 @@ func (e *Engine) MaskFreeChainHeads() int {
 }
 
 // link appends item r of arena a to the tail of the fit list whose
-// head|tail word is *list: a word of the parent's record, or the shard's
-// start word for a root item.
+// head|tail word is *list: a word of the parent's record, or the
+// component's start word for a root item.
 //
 //dyncq:hot
 func (a *arena) link(list *uint64, r ref, it record) {

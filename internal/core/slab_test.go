@@ -17,11 +17,9 @@ const deepQuery = "Q(x,y,z) :- R(x,y,z), E(x,y), S(x)"
 // out and the chunks held.
 func arenaTotals(e *Engine) (records, chunks int) {
 	for _, c := range e.comps {
-		for si := range c.shards {
-			for ni := range c.shards[si].arenas {
-				records += int(c.shards[si].arenas[ni].n)
-				chunks += len(c.shards[si].arenas[ni].chunks)
-			}
+		for ni := range c.arenas {
+			records += int(c.arenas[ni].n)
+			chunks += len(c.arenas[ni].chunks)
 		}
 	}
 	return records, chunks
@@ -58,42 +56,40 @@ func TestRefWidthGuard(t *testing.T) {
 // deleting in a different order each round: every round after the first
 // is served from the free chains, so the arenas hand out no new record.
 func TestArenaRecyclesUnderChurn(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		e, err := newHarness(cq.MustParse(deepQuery), shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(23))
-		updates := workload.RandomDatabase(rng, e.Query().Schema(), 12, 600).Updates()
-		var first int
-		for round := 1; round <= 10; round++ {
-			for _, u := range updates {
-				if _, err := e.Apply(u); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := e.CheckInvariants(); err != nil {
-				t.Fatalf("shards=%d round %d, full: %v", shards, round, err)
-			}
-			rng.Shuffle(len(updates), func(i, j int) { updates[i], updates[j] = updates[j], updates[i] })
-			for _, u := range updates {
-				if _, err := e.Delete(u.Rel, u.Tuple...); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := e.CheckInvariants(); err != nil {
-				t.Fatalf("shards=%d round %d, drained: %v", shards, round, err)
-			}
-			records, _ := arenaTotals(e.Engine)
-			if round == 1 {
-				first = records
-			} else if records != first {
-				t.Fatalf("shards=%d: %d records handed out after round %d, %d after round 1", shards, records, round, first)
+	e, err := newHarness(cq.MustParse(deepQuery))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(23))
+	updates := workload.RandomDatabase(rng, e.Query().Schema(), 12, 600).Updates()
+	var first int
+	for round := 1; round <= 10; round++ {
+		for _, u := range updates {
+			if _, err := e.Apply(u); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if first == 0 {
-			t.Fatal("the workload created no item")
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatalf("round %d, full: %v", round, err)
 		}
+		rng.Shuffle(len(updates), func(i, j int) { updates[i], updates[j] = updates[j], updates[i] })
+		for _, u := range updates {
+			if _, err := e.Delete(u.Rel, u.Tuple...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatalf("round %d, drained: %v", round, err)
+		}
+		records, _ := arenaTotals(e.Engine)
+		if round == 1 {
+			first = records
+		} else if records != first {
+			t.Fatalf("%d records handed out after round %d, %d after round 1", records, round, first)
+		}
+	}
+	if first == 0 {
+		t.Fatal("the workload created no item")
 	}
 }
 
@@ -157,15 +153,15 @@ func TestCheckInvariantsSeesArenaCorruption(t *testing.T) {
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	sh := &e.comps[0].shards[0]
-	nodes := e.comps[0].nodes
-	root, leaf := &sh.arenas[0], &sh.arenas[2]
-	second := root.rec(lo(sh.start)).next()
+	c := e.comps[0]
+	nodes := c.nodes
+	root, leaf := &c.arenas[0], &c.arenas[2]
+	second := root.rec(lo(c.start)).next()
 	for name, corrupt := range map[string]func() (word *uint64, to uint64){
 		"own constant":     func() (*uint64, uint64) { return &leaf.rec(1)[nodes[2].offOwn], 999 },
 		"parent ref":       func() (*uint64, uint64) { it := leaf.rec(1); return &it[recUp], it[recUp] + 1 },
 		"prev not mutual":  func() (*uint64, uint64) { it := root.rec(second); return &it[recLinks], pack(0, it.next()) },
-		"list tail":        func() (*uint64, uint64) { return &sh.start, pack(lo(sh.start), second) },
+		"list tail":        func() (*uint64, uint64) { return &c.start, pack(lo(c.start), second) },
 		"inList bit":       func() (*uint64, uint64) { it := root.rec(second); return &it[recUp], it[recUp] &^ inListBit },
 		"free chain: live": func() (*uint64, uint64) { it := root.rec(root.free); return &it[recLinks], pack(0, second) },
 	} {

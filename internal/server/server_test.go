@@ -582,7 +582,7 @@ func TestCountReplyIsConsistent(t *testing.T) {
 // TestEnumerateFrameIsStrategyIndependent: a snapshot lists its rows in
 // lexicographic order whatever maintains the query, so for one query and
 // one stream the pinned rows and the bytes of the `enumerate` frame are
-// the same on core at any shard and worker count and on ivm, version for
+// the same on core at any worker count and on ivm, version for
 // version — and, at every version, the bytes the whole-snapshot
 // reference encoder renders. The frame is put together from
 // blocks encoded once per leaf: asking twice at a version encodes nothing
@@ -592,19 +592,19 @@ func TestEnumerateFrameIsStrategyIndependent(t *testing.T) {
 	q := cq.MustParse("Q(x,y) :- E(x,y), T(y)")
 	stream := workload.RandomStream(rand.New(rand.NewSource(41)), q.Schema(), 9, 600, 0.35)
 	type config struct {
-		force           dyncq.Strategy
-		shards, workers int
+		force   dyncq.Strategy
+		workers int
 	}
 	configs := []config{
-		{dyncq.StrategyCore, 1, 1}, {dyncq.StrategyCore, 4, 1}, {dyncq.StrategyCore, 1, 4}, {dyncq.StrategyCore, 4, 4},
-		{dyncq.StrategyIVM, 0, 1},
+		{dyncq.StrategyCore, 1}, {dyncq.StrategyCore, 4},
+		{dyncq.StrategyIVM, 1},
 	}
 	var reference [][]byte // the first configuration's frame after every batch
 	for _, cfg := range configs {
-		name := fmt.Sprintf("%s/shards=%d/workers=%d", cfg.force, cfg.shards, cfg.workers)
+		name := fmt.Sprintf("%s/workers=%d", cfg.force, cfg.workers)
 		srv := newTestServer(t, Options{Workers: cfg.workers})
 		ws := srv.Workspace()
-		h, err := ws.RegisterQuery("q", q, dyncq.Options{Force: cfg.force, Shards: cfg.shards})
+		h, err := ws.RegisterQuery("q", q, dyncq.Options{Force: cfg.force})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -54,11 +54,11 @@
 // rebuilds only the leaves its delta touches, so an `enumerate` at a new
 // version encodes O(|delta|) leaves, not the result, and every client
 // asking — at that version or at any other that shares the leaf — is sent
-// the same bytes. The tuples are in lexicographic order too,
-// whatever strategy maintains the query — the frame is a function of the
-// result set, byte-identical across strategies, shard counts and worker
-// counts — so a client keeping a mirror applies each later delta frame
-// to the snapshot by one sorted merge. A subscriber that cannot keep up
+// the same bytes. The tuples are in lexicographic order too, whatever
+// strategy maintains the query — the frame is a function of the result
+// set, byte-identical across strategies and worker counts — so a client
+// keeping a mirror applies each later delta frame to the snapshot by one
+// sorted merge. A subscriber that cannot keep up
 // (bounded per-connection outbox) has frames dropped; on recovery it
 // receives a single
 //

@@ -130,21 +130,13 @@ func nativeDelta(seed int64, workers int) error {
 	if err != nil {
 		return err
 	}
-	// The pool covers core and ivm at the workspace's default shard count;
-	// star and every extra shape also run at 1 and 4 shards.
-	sharded := append([]namedQuery{queryPool[0]}, deltaShapes...)
-	for _, nq := range sharded {
-		for _, shards := range []int{1, 4} {
-			name := fmt.Sprintf("%s%d", nq.name, shards)
-			q := mustParse(nq.text)
-			if _, err := ws.RegisterQuery(name, q, dyncq.Options{Force: nq.force, Shards: shards}); err != nil {
-				return fmt.Errorf("register %s: %w", name, err)
-			}
-			o.register(name, q)
-			if nq.force != dyncq.StrategyAuto {
-				break // shards only mean something to core
-			}
+	// The pool covers core and ivm; the extra shapes ride along.
+	for _, nq := range deltaShapes {
+		q := mustParse(nq.text)
+		if _, err := ws.RegisterQuery(nq.name, q, dyncq.Options{Force: nq.force}); err != nil {
+			return fmt.Errorf("register %s: %w", nq.name, err)
 		}
+		o.register(nq.name, q)
 	}
 	var watches []*deltaWatch
 	for _, h := range ws.Handles() {

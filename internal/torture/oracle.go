@@ -11,7 +11,7 @@ import (
 )
 
 // oracle is the naive reference implementation every eval-class scenario
-// checks the engine against: a plain, unsharded, unindexed database plus
+// checks the engine against: a plain, unindexed database plus
 // brute-force eval.Evaluate answers. It shares no code with the
 // maintenance structures under test (core item trees, IVM delta joins,
 // the shared index pool), so agreement means the clever paths compute

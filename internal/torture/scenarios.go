@@ -249,17 +249,11 @@ func evalScenarios() []Scenario {
 			Category: "eval", Name: "undo-identity",
 			Brief: "a batch followed by its exact inverse restores every backend's result set, count and invariants",
 			Run: func(seed int64) error {
-				// The pool covers core (unsharded) and ivm; add the star
-				// query on a 4-shard core engine.
+				// The pool covers core and ivm.
 				ws, o, err := buildWorkspace(dyncq.WorkspaceOptions{}, 0)
 				if err != nil {
 					return err
 				}
-				star := mustParse(queryPool[0].text)
-				if _, err := ws.RegisterQuery("star4", star, dyncq.Options{Shards: 4}); err != nil {
-					return fmt.Errorf("register star4: %w", err)
-				}
-				o.register("star4", star)
 				cfg := workload.TortureConfig{Seed: seed, Domain: 25, Updates: 1200, PDelete: 0.4, ZipfS: 1.3, ZipfV: 1}
 				stream := cfg.Stream(tortureSchema)
 				const chunk = 100
@@ -312,8 +306,8 @@ func evalScenarios() []Scenario {
 			Category: "eval", Name: "native-delta",
 			Brief: "every backend's own per-commit result delta equals the oracle's per-version diff, and Contains the oracle's membership",
 			Run: func(seed int64) error {
-				// Core at 1 and 4 shards and ivm, at 1 and 4 workers,
-				// through ApplyBatch, Apply, Load and a failed Load.
+				// Core and ivm, at 1 and 4 workers, through ApplyBatch,
+				// Apply, Load and a failed Load.
 				for _, workers := range []int{1, 4} {
 					if err := nativeDelta(seed, workers); err != nil {
 						return err

@@ -206,28 +206,20 @@ func snapshotScenarios() []Scenario {
 	}
 }
 
-// cowAdvance is snapshot/cow-advance. The pool queries — core at one
-// shard and again at four, ivm — are pinned at random versions
-// while 200 and more commits, random evictions and one mid-stream Load
-// go by, over a domain wide enough that results spread over several
-// leaves. Every pin is deep-copied the moment it is taken and handed to
-// reader goroutines that keep re-walking the pins they hold while the
-// commits behind them rebuild some of the very leaves' neighbours and
-// share the rest: a patch that wrote into a shared leaf would show as a
-// changed row here and as a data race under -race. At the end every
-// held pin must equal its copy row for row, and every query's current
-// pin the oracle.
+// cowAdvance is snapshot/cow-advance. The pool queries — core and ivm —
+// are pinned at random versions while 200 and more commits, random
+// evictions and one mid-stream Load go by, over a domain wide enough that
+// results spread over several leaves. Every pin is deep-copied the moment
+// it is taken and handed to reader goroutines that keep re-walking the
+// pins they hold while the commits behind them rebuild some of the very
+// leaves' neighbours and share the rest: a patch that wrote into a shared
+// leaf would show as a changed row here and as a data race under -race.
+// At the end every held pin must equal its copy row for row, and every
+// query's current pin the oracle.
 func cowAdvance(seed int64) error {
 	ws, o, err := buildWorkspace(dyncq.WorkspaceOptions{}, 0)
 	if err != nil {
 		return err
-	}
-	for _, nq := range queryPool[:2] { // the two core routes again, sharded
-		q := mustParse(nq.text)
-		if _, err := ws.RegisterQuery(nq.name+"4", q, dyncq.Options{Shards: 4}); err != nil {
-			return fmt.Errorf("register %s4: %w", nq.name, err)
-		}
-		o.register(nq.name+"4", q)
 	}
 	handles := ws.Handles()
 	for _, h := range handles {

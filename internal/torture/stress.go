@@ -395,8 +395,7 @@ func concurrencyScenarios() []Scenario {
 // ---- fanout ----
 
 // wideQueryPool returns k named queries cycling through the standard
-// pool — the K>=64 fan-out population. Core queries pin Shards so the
-// canonical enumeration order is identical whatever the worker count.
+// pool — the K>=64 fan-out population.
 func wideQueryPool(k int) []namedQuery {
 	out := make([]namedQuery, k)
 	for i := range out {
@@ -406,9 +405,9 @@ func wideQueryPool(k int) []namedQuery {
 	return out
 }
 
-func registerWide(ws *dyncq.Workspace, pool []namedQuery, shards int) error {
+func registerWide(ws *dyncq.Workspace, pool []namedQuery) error {
 	for _, nq := range pool {
-		if _, err := ws.RegisterQuery(nq.name, mustParse(nq.text), dyncq.Options{Force: nq.force, Shards: shards}); err != nil {
+		if _, err := ws.RegisterQuery(nq.name, mustParse(nq.text), dyncq.Options{Force: nq.force}); err != nil {
 			return fmt.Errorf("register %s: %w", nq.name, err)
 		}
 	}
@@ -417,13 +416,13 @@ func registerWide(ws *dyncq.Workspace, pool []namedQuery, shards int) error {
 
 // workerIdentical builds the pool over db (nil: empty) at 1, 2 and 4
 // workers, replays the stream in batches of batch, and demands identical
-// results and clean invariants; it returns the workers=1 workspace. Same
-// core engine shards everywhere: only the worker count varies, so any
-// divergence is a scheduling bug, not a layout difference.
+// results and clean invariants; it returns the workers=1 workspace. Only
+// the number of handles maintaining concurrently varies, so any
+// divergence is a scheduling bug.
 func workerIdentical(pool []namedQuery, db *dyndb.Database, stream []dyndb.Update, batch int) (*dyncq.Workspace, error) {
 	build := func(workers int) (*dyncq.Workspace, error) {
 		ws := dyncq.NewWorkspace(dyncq.WorkspaceOptions{Workers: workers})
-		if err := registerWide(ws, pool, 4); err != nil {
+		if err := registerWide(ws, pool); err != nil {
 			return nil, err
 		}
 		if db != nil {
@@ -446,7 +445,7 @@ func workerIdentical(pool []namedQuery, db *dyndb.Database, stream []dyndb.Updat
 		for _, nq := range pool {
 			a, b := solo.Handle(nq.name).Tuples(), par.Handle(nq.name).Tuples()
 			if solo.Handle(nq.name).Strategy() == dyncq.StrategyCore {
-				// Core order is canonical for a fixed shard count: demand
+				// Core order is canonical at any worker count: demand
 				// byte-identical enumeration, not just set equality.
 				if err := sameTupleSeq(a, b); err != nil {
 					return nil, fmt.Errorf("workers=%d: query %s order diverged: %w", workers, nq.name, err)
@@ -481,7 +480,7 @@ func fanoutScenarios() []Scenario {
 				stream := cfg.Stream(tortureSchema)
 				run := func(k int) (*dyncq.Workspace, error) {
 					ws := dyncq.NewWorkspace(dyncq.WorkspaceOptions{})
-					if err := registerWide(ws, wideQueryPool(k), 0); err != nil {
+					if err := registerWide(ws, wideQueryPool(k)); err != nil {
 						return nil, err
 					}
 					_, err := ws.ApplyBatched(stream, 125)
@@ -514,14 +513,13 @@ func fanoutScenarios() []Scenario {
 				// arena chunk; this one loads enough to span several. The
 				// database draws uniformly from 1..400 across E, S and T; S
 				// and T saturate at 400 tuples each, so ≈ 23,200 of the
-				// 24,000 tuples are E. The star query's leaf node x holds one
-				// record per E tuple, in the shard its y hashes to: 400 y
-				// values over 4 shards put ≈ 5,700 records into each leaf
-				// arena, and refs 1..n fill ⌊n/1024⌋+1 chunks — at least
-				// 4 from n = 3,072 on.
+				// 24,000 tuples are E. The leaf arenas of the two core
+				// queries — x under star, y under src — hold one record per
+				// E tuple, ≈ 23,200 each, and refs 1..n fill ⌊n/1024⌋+1
+				// chunks: ≈ 23, at least 4 from n = 3,072 on.
 				db := workload.TortureConfig{Seed: seed, Domain: 400}.Database(tortureSchema, 24000)
-				if n := db.Relation("E").Len(); n < 4*4*1024 {
-					return fmt.Errorf("loaded %d E tuples, want at least %d for 4 chunks in each of 4 shards", n, 4*4*1024)
+				if n := db.Relation("E").Len(); n < 3*1024 {
+					return fmt.Errorf("loaded %d E tuples, want at least %d for 4 chunks in each leaf arena", n, 3*1024)
 				}
 				// The Zipf stream's deletions free records well past the
 				// first chunk, and its insertions take them back off the
@@ -549,7 +547,7 @@ func fanoutScenarios() []Scenario {
 			Run: func(seed int64) error {
 				const k = 64
 				ws := dyncq.NewWorkspace(dyncq.WorkspaceOptions{Workers: 4})
-				if err := registerWide(ws, wideQueryPool(k), 0); err != nil {
+				if err := registerWide(ws, wideQueryPool(k)); err != nil {
 					return err
 				}
 				cfg := workload.TortureConfig{Seed: seed, Domain: 30, Updates: 2000, PDelete: 0.4, ZipfS: 1.4, ZipfV: 1}
@@ -612,7 +610,7 @@ func fanoutScenarios() []Scenario {
 }
 
 // sameTupleSeq demands exact, order-sensitive equality — the contract
-// core enumeration gives for a fixed shard count.
+// core enumeration gives at any worker count.
 func sameTupleSeq(got, want [][]dyncq.Value) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%d tuples, want %d", len(got), len(want))

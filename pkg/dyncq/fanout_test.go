@@ -15,8 +15,7 @@ import (
 // TestWorkspaceFanOutByteIdentical is the acceptance check of the
 // parallel fan-out: a K=4 mixed-strategy workspace replaying one stream
 // in batches produces byte-identical counts, answers, and enumeration
-// order at every worker count (the engines pinned to one shard count so
-// their enumeration order is comparable).
+// order at every worker count, in the default configuration.
 func TestWorkspaceFanOutByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	stream := workload.RandomStream(rng, multiSchema(), 16, 1500, 0.35)
@@ -24,9 +23,7 @@ func TestWorkspaceFanOutByteIdentical(t *testing.T) {
 	run := func(workers int) *Workspace {
 		ws := NewWorkspace(WorkspaceOptions{Workers: workers})
 		for _, c := range multiSuite() {
-			opt := c.opt
-			opt.Shards = 8 // identical shard count ⇒ identical enumeration order
-			if _, err := ws.RegisterQuery(c.name, cq.MustParse(c.text), opt); err != nil {
+			if _, err := ws.RegisterQuery(c.name, cq.MustParse(c.text), c.opt); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -41,9 +38,6 @@ func TestWorkspaceFanOutByteIdentical(t *testing.T) {
 	seq := run(1)
 	for _, workers := range []int{2, 4} {
 		par := run(workers)
-		if p := par.Parallelism(); p.Workers != workers {
-			t.Fatalf("Parallelism().Workers = %d, want %d", p.Workers, workers)
-		}
 		if got, want := par.Version(), seq.Version(); got != want {
 			t.Fatalf("workers=%d: version %d, sequential %d", workers, got, want)
 		}
@@ -60,27 +54,33 @@ func TestWorkspaceFanOutByteIdentical(t *testing.T) {
 	}
 }
 
-// TestWorkspaceParallelismIntrospection: the effective worker/shard
-// counts come from the structures, not from re-derived heuristics.
-func TestWorkspaceParallelismIntrospection(t *testing.T) {
-	ws := NewWorkspace(WorkspaceOptions{Workers: 2})
-	for _, c := range multiSuite() {
-		if _, err := ws.RegisterQuery(c.name, cq.MustParse(c.text), c.opt); err != nil {
+// TestOneHandleOrderIndependentOfWorkers: with one registered core query
+// there is nothing to fan out, and Workers changes nothing — the engine
+// applies each batch alone, in delta order, so the enumeration order is
+// the sequential workspace's at every worker count.
+func TestOneHandleOrderIndependentOfWorkers(t *testing.T) {
+	q := cq.MustParse("Q(x,y) :- E(x,y), T(y)")
+	rng := rand.New(rand.NewSource(229))
+	init := workload.RandomDatabase(rng, q.Schema(), 24, 120)
+	stream := workload.RandomStream(rng, q.Schema(), 24, 2000, 0.35)
+	run := func(workers int) [][]Value {
+		ws, h := soloWorkers(t, workers, q, Options{})
+		if err := ws.Load(init); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := ws.ApplyBatched(stream, 64); err != nil {
+			t.Fatal(err)
+		}
+		return h.Tuples()
 	}
-	p := ws.Parallelism()
-	if p.Workers != 2 {
-		t.Fatalf("Workers = %d, want 2", p.Workers)
+	want := run(0)
+	if len(want) < 2 {
+		t.Fatalf("the stream leaves %d result tuples, too few to order", len(want))
 	}
-	if p.QueryShards["star"] != 8 { // core engine, derived 4×Workers
-		t.Fatalf("star shards = %d, want 8", p.QueryShards["star"])
-	}
-	if p.QueryShards["hard"] != 0 { // ivm: sharding does not apply
-		t.Fatalf("hard shards = %d, want 0", p.QueryShards["hard"])
-	}
-	if p.QueryShards["scan"] != 0 { // ivm (forced)
-		t.Fatalf("scan shards = %d, want 0", p.QueryShards["scan"])
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			exactTuples(t, StrategyCore, "feed", run(workers), want)
+		})
 	}
 }
 
@@ -172,7 +172,7 @@ func TestWorkspaceSharedIndexPoolStress(t *testing.T) {
 
 // TestWorkspaceSnapshotPinnedDuringFanOut is the -race stress test of
 // the parallel fan-out: while one writer drives parallel batches
-// (per-handle fan-out + per-engine shard workers), concurrent Snapshot
+// (per-handle fan-out), concurrent Snapshot
 // readers must always observe one pinned version whose per-query counts
 // match the precomputed state after exactly that many committed batches.
 // Run with -race (the CI race job does).
@@ -262,12 +262,11 @@ func TestWorkspaceSnapshotPinnedDuringFanOut(t *testing.T) {
 
 // BenchmarkCommitWorkers measures what Workers buys a commit: Workers ∈
 // {0, 2} × batch ∈ {64, 512, 4096} on a 100k-tuple store, for the core
-// query set (star, feed, deep: the engine-parallel axis — each engine
-// gets 4×Workers shards — plus the per-handle fan-out) and for the ivm
-// query hard (one handle: Workers has nothing to fan out). Batches toggle
-// tuples drawn from the store's own distribution and then undo them, so
-// the store stays at its loaded size; ns/update is wall-clock per net
-// update.
+// query set (star, feed, deep: three handles for the fan-out to spread),
+// for the core query feed alone and for the ivm query hard (one handle
+// each: Workers has nothing to fan out). Batches toggle tuples drawn
+// from the store's own distribution and then undo them, so the store
+// stays at its loaded size; ns/update is wall-clock per net update.
 func BenchmarkCommitWorkers(b *testing.B) {
 	const n = 100_000
 	sets := []struct {
@@ -280,6 +279,9 @@ func BenchmarkCommitWorkers(b *testing.B) {
 			"star": "Q(y) :- E(x,y), T(y)",
 			"feed": "Q(x,y) :- E(x,y), T(y)",
 			"deep": "Q(x,y,z) :- R(x,y,z), E(x,y), S(x)",
+		}, coreDraw(n)},
+		{"feed", memoryShapes[0], map[string]string{
+			"feed": "Q(x,y) :- E(x,y), T(y)",
 		}, coreDraw(n)},
 		{"ivm", memoryShapes[1], map[string]string{
 			"hard": "Q(x,y) :- S(x), E(x,y), T(y)",

@@ -30,7 +30,7 @@ import (
 //
 // One order contract: a snapshot lists its rows in lexicographic order
 // on every strategy, so it is a function of the result SET — identical
-// across strategies, shard counts and worker counts — and the deltas of
+// across strategies and worker counts — and the deltas of
 // the commits after it merge into it in one sorted pass, here and on a
 // subscriber's side of the wire alike. Only the live Handle.Enumerate
 // walks the engine's own constant-delay order.
@@ -114,7 +114,7 @@ func (s *QuerySnapshot) Tuple(i int) []Value {
 }
 
 // Enumerate streams the pinned result in lexicographic tuple order —
-// the same on every strategy, shard count and worker count, and the
+// the same on every strategy and worker count, and the
 // order DeltaEvent lists its tuples in. Unlike Handle.Enumerate it
 // holds no lock: yield may take arbitrarily long, apply updates, or call
 // any workspace method — concurrent writers proceed regardless. The

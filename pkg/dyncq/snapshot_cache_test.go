@@ -91,8 +91,8 @@ func diffSortedRows(prev, now [][]Value) (added, removed [][]Value) {
 
 // TestSnapshotAdvanceMatchesFreshPin: a cache advanced commit-by-commit
 // is identical at EVERY version of a seeded stream to a fresh
-// copy-on-pin snapshot at that version — for every strategy (core
-// unsharded and sharded), with and without a delta capture, across
+// copy-on-pin snapshot at that version — for every strategy, at one and
+// at four workers on core, with and without a delta capture, across
 // single updates, batches, a fill to the full domain, a drain to nothing
 // and a mid-stream Load. Beside the real cache, which cuts leaves at
 // snapLeafRows, the test drives patchLeaves itself at a capacity of 4
@@ -101,14 +101,14 @@ func diffSortedRows(prev, now [][]Value) (added, removed [][]Value) {
 // leaf invariants are checked at every step on both.
 func TestSnapshotAdvanceMatchesFreshPin(t *testing.T) {
 	type config struct {
-		name   string
-		force  Strategy
-		shards int
+		name    string
+		force   Strategy
+		workers int
 	}
 	configs := []config{
-		{"core/shards=1", StrategyCore, 1},
-		{"core/shards=4", StrategyCore, 4},
-		{"ivm", StrategyIVM, 0},
+		{"core/workers=1", StrategyCore, 1},
+		{"core/workers=4", StrategyCore, 4},
+		{"ivm", StrategyIVM, 1},
 	}
 	for _, cfg := range configs {
 		for _, capture := range []bool{true, false} {
@@ -119,14 +119,14 @@ func TestSnapshotAdvanceMatchesFreshPin(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				const domain, smallLeaf = 12, 4
 				rng := rand.New(rand.NewSource(1031))
-				ws := NewWorkspace(WorkspaceOptions{})
+				ws := NewWorkspace(WorkspaceOptions{Workers: cfg.workers})
 				q := cq.MustParse("Q(x,y) :- E(x,y), T(y)")
 				// Two registrations of the same query over the shared
 				// store: "adv" keeps its cache alive across every commit
 				// (pinned each version, so the advance path maintains
 				// it); "fresh" is evicted before each pin, forcing the
 				// copy-on-pin materialisation the cache replaces.
-				opt := Options{Force: cfg.force, Shards: cfg.shards}
+				opt := Options{Force: cfg.force}
 				adv, err := ws.RegisterQuery("adv", q, opt)
 				if err != nil {
 					t.Fatal(err)

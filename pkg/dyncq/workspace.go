@@ -35,8 +35,8 @@ import (
 // relation's mutation (deletion deltas evaluate on the pre-state,
 // insertion deltas on the post-state), so the fan-out interleaves
 // per-relation hooks with the store mutation; core backends receive the
-// whole delta after the store is current, in delta order, applying it
-// shard-parallel when the workspace was built with workers.
+// whole delta after the store is current, in delta order. With workers,
+// the handles maintain concurrently, each on its own goroutine.
 //
 // Concurrency: a Workspace is safe for concurrent use — writers
 // serialise behind a write lock and commit atomically, readers (every
@@ -71,7 +71,7 @@ type queryBackend interface {
 	begin(n int, emit bool) (phased bool)
 	preDelete(rel string, tuples [][]Value)
 	postInsert(rel string, tuples [][]Value)
-	finish(survivors []Update, workers int) (added, removed [][]Value)
+	finish(survivors []Update) (added, removed [][]Value)
 
 	// rebuild brings the structure up to date with the shared store's
 	// current contents (Load, late registration); clear leaves it
@@ -82,15 +82,13 @@ type queryBackend interface {
 
 // WorkspaceOptions configures NewWorkspace.
 type WorkspaceOptions struct {
-	// Workers is the number of goroutines each batch's maintenance work
-	// is spread over (<= 1 keeps every path sequential). It controls two
-	// independent axes of one batch: the per-handle fan-out of
-	// independent queries' maintenance, and the shard-disjoint delta
-	// application inside each core engine. The shared store is always
-	// written sequentially, one table per relation. Core engines
-	// registered without an explicit Options.Shards are built with
-	// 4×Workers shards, so the dynamic bucket claim keeps all workers
-	// busy even when root values hash unevenly.
+	// Workers is how many registered queries maintain concurrently: each
+	// batch's per-handle maintenance (and a Load's rebuilds) fan out over
+	// up to Workers goroutines, one handle at a time per goroutine (<= 1
+	// keeps every path sequential). Each handle's engine runs its delta
+	// alone, in delta order, so results and enumeration order are the
+	// same at any value. The shared store is always written
+	// sequentially, one table per relation.
 	Workers int
 }
 
@@ -148,9 +146,6 @@ type Handle struct {
 	class    qtree.Classification
 	strategy Strategy
 	back     queryBackend
-	// shards is the core engine's shard count, 0 for the other strategies
-	// (the introspection behind Parallelism).
-	shards int
 
 	// maintainNS accumulates the time the batch pipeline spent
 	// maintaining this query (delta hooks + finish), and batches
@@ -363,19 +358,11 @@ func (w *Workspace) RegisterQuery(name string, q *cq.Query, opt Options) (*Handl
 	}
 	switch strategy {
 	case StrategyCore:
-		shards := opt.Shards
-		if shards == 0 && w.workers > 1 {
-			shards = 4 * w.workers
-		}
-		if shards < 1 {
-			shards = 1
-		}
-		e, err := core.New(q, shards)
+		e, err := core.New(q)
 		if err != nil {
 			return nil, fmt.Errorf("dyncq: %w", err)
 		}
 		h.back = &coreBackend{e: e, store: w.store}
-		h.shards = e.Shards()
 	case StrategyIVM:
 		m, err := ivm.New(q, w.store)
 		if err != nil {
@@ -454,34 +441,6 @@ func (w *Workspace) Handles() []*Handle {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	return append([]*Handle(nil), w.order...)
-}
-
-// Parallelism is the effective parallel configuration of a workspace —
-// what actually engages per batch, not what was requested. CLI and
-// bench reporting read it instead of re-deriving the shard heuristics.
-type Parallelism struct {
-	// Workers is the per-batch worker count (<= 1: every path
-	// sequential).
-	Workers int
-	// QueryShards maps each registered query to its engine's shard
-	// count: > 1 means its delta application runs shard-parallel; 0
-	// means sharding does not apply to its backend (ivm).
-	QueryShards map[string]int
-}
-
-// Parallelism returns the workspace's effective worker and shard
-// counts.
-func (w *Workspace) Parallelism() Parallelism {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	p := Parallelism{
-		Workers:     w.workers,
-		QueryShards: make(map[string]int, len(w.order)),
-	}
-	for _, h := range w.order {
-		p.QueryShards[h.name] = h.shards
-	}
-	return p
 }
 
 // Schema returns the union relation→arity schema over all registered
@@ -663,7 +622,7 @@ func (w *Workspace) applyLocked(u Update) (bool, error) {
 		}
 	}
 	for _, h := range w.order {
-		h.added, h.removed = h.back.finish(w.one[:], 1)
+		h.added, h.removed = h.back.finish(w.one[:])
 	}
 	w.version.Add(1)
 	w.afterCommitLocked()
@@ -754,9 +713,8 @@ func (w *Workspace) applyBatchLocked(updates []Update) (int, error) {
 	}
 
 	// Fan-out phase: every backend sees the full delta with the store
-	// current (core runs its per-atom procedures here, parallel when the
-	// workspace has workers; IVM closes its batch, rebuilding if the
-	// crossover chose to). Every handle's batch close-out — core AND ivm
+	// current (core runs its per-atom procedures here; IVM closes its
+	// batch, rebuilding if the crossover chose to). Every handle's batch close-out — core AND ivm
 	// — fans out across one worker pool: per-handle state is private, and
 	// the one shared structure (the store's indexes) is safe for
 	// concurrent evaluators over a quiescent store. Each
@@ -916,28 +874,13 @@ func runPool(items []int, workers int, fn func(i int)) {
 }
 
 // finishFanOut runs every backend's finish — core and ivm alike — over
-// up to w.workers goroutines; there is no sequential IVM tail. The worker
-// budget is divided across the concurrently running handles (each core
-// backend's ApplyDelta spawns its own shard workers), so a batch never
-// oversubscribes Workers² goroutines. Per-handle
+// up to w.workers goroutines; there is no sequential IVM tail. Per-handle
 // timings land in perNS, the result deltas with their captures.
 func (w *Workspace) finishFanOut(survivors []Update, perNS []int64) {
-	all := w.allHandles()
-	concurrency := w.workers
-	if concurrency > len(all) {
-		concurrency = len(all)
-	}
-	inner := w.workers
-	if concurrency > 1 {
-		inner = w.workers / concurrency
-		if inner < 1 {
-			inner = 1
-		}
-	}
-	runPool(all, w.workers, func(i int) {
+	runPool(w.allHandles(), w.workers, func(i int) {
 		h := w.order[i]
 		t0 := time.Now()
-		h.added, h.removed = h.back.finish(survivors, inner)
+		h.added, h.removed = h.back.finish(survivors)
 		perNS[i] += time.Since(t0).Nanoseconds()
 	})
 }
@@ -1031,9 +974,8 @@ func (w *Workspace) rebuildFanOut(fail func(error) error) error {
 // ---- strategy adapters ----
 
 // coreBackend adapts a core engine: the per-atom update procedures are
-// order-independent of the store mutation, so everything runs in finish
-// (parallel over shards when workers allow), which is also where the
-// engine emits the commit's result delta. The engine holds no store;
+// order-independent of the store mutation, so everything runs in finish,
+// which is also where the engine emits the commit's result delta. The engine holds no store;
 // rebuild hands it the shared one to scan.
 type coreBackend struct {
 	e     *core.Engine
@@ -1048,8 +990,8 @@ func (b *coreBackend) Contains(tuple []Value) bool        { return b.e.Contains(
 func (b *coreBackend) begin(_ int, emit bool) bool        { b.emit = emit; return false }
 func (b *coreBackend) preDelete(string, [][]Value)        {}
 func (b *coreBackend) postInsert(string, [][]Value)       {}
-func (b *coreBackend) finish(survivors []Update, workers int) (added, removed [][]Value) {
-	return b.e.ApplyDelta(survivors, workers, b.emit)
+func (b *coreBackend) finish(survivors []Update) (added, removed [][]Value) {
+	return b.e.ApplyDelta(survivors, b.emit)
 }
 func (b *coreBackend) rebuild() error { return b.e.Rebuild(b.store) }
 func (b *coreBackend) clear()         { b.e.Clear() }
@@ -1068,7 +1010,7 @@ func (b *ivmBackend) Contains(tuple []Value) bool             { return b.m.Has(t
 func (b *ivmBackend) begin(n int, emit bool) bool             { return b.m.BeginBatch(n, emit) }
 func (b *ivmBackend) preDelete(rel string, tuples [][]Value)  { b.m.PreDelete(rel, tuples) }
 func (b *ivmBackend) postInsert(rel string, tuples [][]Value) { b.m.PostInsert(rel, tuples) }
-func (b *ivmBackend) finish([]Update, int) (added, removed [][]Value) {
+func (b *ivmBackend) finish([]Update) (added, removed [][]Value) {
 	return b.m.FinishBatch()
 }
 func (b *ivmBackend) rebuild() error { return b.m.Rebuild() }

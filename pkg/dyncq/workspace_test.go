@@ -442,17 +442,15 @@ func TestWorkspaceSnapshot(t *testing.T) {
 }
 
 // TestWorkspaceParallelMatchesSequential: a workspace with parallel
-// workers reaches exactly the state (including enumeration order, at a
-// fixed shard count) of a sequential workspace over the same stream.
+// workers reaches exactly the state (including enumeration order) of a
+// sequential workspace over the same stream.
 func TestWorkspaceParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(127))
 	stream := workload.RandomStream(rng, multiSchema(), 20, 800, 0.35)
 	run := func(workers int) *Workspace {
 		ws := NewWorkspace(WorkspaceOptions{Workers: workers})
 		for _, c := range multiSuite() {
-			opt := c.opt
-			opt.Shards = 8 // identical shard count ⇒ identical enumeration order
-			if _, err := ws.RegisterQuery(c.name, cq.MustParse(c.text), opt); err != nil {
+			if _, err := ws.RegisterQuery(c.name, cq.MustParse(c.text), c.opt); err != nil {
 				t.Fatal(err)
 			}
 		}
