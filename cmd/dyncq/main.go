@@ -217,8 +217,7 @@ func cmdRun(args []string) error {
 			return err
 		}
 	}
-	fmt.Printf("database: %d tuples, active domain %d, %d store mutations\n",
-		ws.Cardinality(), ws.ActiveDomainSize(), ws.StoreMutations())
+	fmt.Printf("database: %d tuples, %d store mutations\n", ws.Cardinality(), ws.StoreMutations())
 	if *doStats {
 		st := ws.Dict().Stats()
 		fmt.Printf("dict:     %d symbols, %d encode hits / %d misses (hit rate %.1f%%)\n",

@@ -607,9 +607,9 @@ func allZero(counts []uint64) bool {
 // components). For a Boolean query the count is 1 (the empty tuple) or 0.
 //
 // Counts are exact as long as |ϕ(D)| and every intermediate C value fit
-// in uint64; with n = |adom(D)| they are bounded by n^k for a k-ary
-// query, so e.g. any query with n·…·n ≤ 2^64 is safe. This mirrors the
-// paper's O(log n)-word RAM arithmetic assumption.
+// in uint64; with n the number of distinct values in D they are bounded
+// by n^k for a k-ary query, so e.g. any query with n·…·n ≤ 2^64 is safe.
+// This mirrors the paper's O(log n)-word RAM arithmetic assumption.
 func (e *Engine) Count() uint64 {
 	total := uint64(1)
 	for _, c := range e.comps {

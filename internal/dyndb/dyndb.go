@@ -1,12 +1,11 @@
 // Package dyndb implements the fully dynamic relational databases of
 // Section 2 of the paper: finite relations over the domain dom = int64
 // under set semantics, modified by single-tuple insert and delete
-// commands. It tracks the quantities the paper's bounds are stated in:
-// the cardinality |D| (number of stored tuples), the active domain size
-// n = |adom(D)|, and the size ||D|| = |σ| + |adom(D)| + Σ_R ar(R)·|R^D|.
-// Every relation is one hash table of inline tuples and the active domain
-// one occurrence-count map, so a command costs the store one hash probe
-// plus one count per tuple position.
+// commands. Every relation is one hash table of inline tuples, so a
+// command costs the store one hash probe; the store counts its tuples
+// (|D|) and the mutations it has applied, and nothing else. The paper's
+// q-hierarchical bounds are stated in the query alone, so the store does
+// not track which values occur in it.
 //
 // A database also owns the hash indexes evaluators join through (Index):
 // built on first use and maintained by every mutator, so an index always
@@ -118,13 +117,10 @@ func lessTuple(a, b []Value) bool {
 }
 
 // Database is a σ-db: a set of named relations, one tuple table each,
-// plus the active-domain occurrence counts. The zero value is not ready;
-// use New.
+// plus the hash indexes built on them. The zero value is not ready; use
+// New.
 type Database struct {
 	rels map[string]*Relation
-	// adom counts occurrences of every constant across all stored tuples
-	// so that deletions maintain the active domain exactly.
-	adom map[Value]int
 	card int // |D|: total number of tuples
 	// muts counts successful mutations (inserts + deletes that changed the
 	// database) over the store's lifetime — the quantity the workspace
@@ -144,7 +140,7 @@ type Database struct {
 
 // New returns an empty database with no declared relations.
 func New() *Database {
-	return &Database{rels: make(map[string]*Relation), adom: make(map[Value]int), idx: make(map[indexKey]*Index)}
+	return &Database{rels: make(map[string]*Relation), idx: make(map[indexKey]*Index)}
 }
 
 // EnsureRelation declares a relation with the given arity (idempotent).
@@ -222,9 +218,6 @@ func (d *Database) insert(rel string, tuple []Value) (bool, error) {
 	}
 	d.card++
 	d.muts++
-	for _, v := range tuple {
-		d.adom[v]++
-	}
 	return true, nil
 }
 
@@ -245,11 +238,6 @@ func (d *Database) delete(rel string, tuple []Value) (bool, error) {
 	}
 	d.card--
 	d.muts++
-	for _, v := range tuple {
-		if d.adom[v]--; d.adom[v] == 0 {
-			delete(d.adom, v)
-		}
-	}
 	return true, nil
 }
 
@@ -268,7 +256,6 @@ func (d *Database) Mutations() uint64 { return d.muts }
 // workspace layer. The mutation counter is preserved.
 func (d *Database) Clear() {
 	d.rels = make(map[string]*Relation)
-	d.adom = make(map[Value]int)
 	d.card = 0
 	d.coal = coalescer{}
 	d.DropIndexes()
@@ -465,32 +452,6 @@ func (d *Database) Has(rel string, tuple ...Value) bool {
 
 // Cardinality returns |D|, the number of stored tuples.
 func (d *Database) Cardinality() int { return d.card }
-
-// ActiveDomainSize returns n = |adom(D)|.
-func (d *Database) ActiveDomainSize() int { return len(d.adom) }
-
-// InActiveDomain reports whether v occurs in some stored tuple.
-func (d *Database) InActiveDomain(v Value) bool { return d.adom[v] > 0 }
-
-// ActiveDomain returns the active domain in sorted order.
-func (d *Database) ActiveDomain() []Value {
-	out := make([]Value, 0, len(d.adom))
-	for v := range d.adom { //dyncq:allow determinism values are sorted before returning, iteration order cannot leak
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Size returns ||D|| = |σ| + |adom(D)| + Σ_R ar(R)·|R^D| as defined in
-// Section 2.
-func (d *Database) Size() int {
-	s := len(d.rels) + len(d.adom)
-	for _, r := range d.rels { //dyncq:allow determinism commutative sum, iteration order cannot affect the total
-		s += r.arity * r.Len()
-	}
-	return s
-}
 
 // Clone returns a deep copy of the database's tuples (indexes are not
 // copied; the clone builds its own on first use).

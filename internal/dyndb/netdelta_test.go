@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -34,67 +33,34 @@ func equalContent(t *testing.T, a, b *Database) {
 	if a.Cardinality() != b.Cardinality() {
 		t.Fatalf("|D| %d vs %d", a.Cardinality(), b.Cardinality())
 	}
-	if a.ActiveDomainSize() != b.ActiveDomainSize() {
-		t.Fatalf("adom size %d vs %d", a.ActiveDomainSize(), b.ActiveDomainSize())
-	}
-	if a.Size() != b.Size() {
-		t.Fatalf("||D|| %d vs %d", a.Size(), b.Size())
-	}
-	if !reflect.DeepEqual(a.ActiveDomain(), b.ActiveDomain()) {
-		t.Fatalf("active domains diverge: %v vs %v", a.ActiveDomain(), b.ActiveDomain())
-	}
 	if !reflect.DeepEqual(a.Relations(), b.Relations()) {
 		t.Fatalf("relations diverge: %v vs %v", a.Relations(), b.Relations())
 	}
-	for _, rel := range a.Relations() {
-		if !reflect.DeepEqual(a.Relation(rel).Tuples(), b.Relation(rel).Tuples()) {
-			t.Fatalf("relation %s content diverges", rel)
-		}
+	if !reflect.DeepEqual(a.Updates(), b.Updates()) {
+		t.Fatal("stored tuples diverge")
 	}
 }
 
-// checkCounters recomputes |D|, adom(D) and ||D|| from the stored tuples
-// and requires the database's maintained counters to agree.
+// checkCounters recounts |D| from the stored tuples and requires the
+// database's maintained cardinality to agree.
 func checkCounters(t *testing.T, d *Database) {
 	t.Helper()
-	seen := make(map[Value]bool)
-	card, size := 0, len(d.Relations())
+	card := 0
 	for _, rel := range d.Relations() {
-		for _, tu := range d.Relation(rel).Tuples() {
-			card++
-			size += len(tu)
-			for _, v := range tu {
-				seen[v] = true
-			}
-		}
+		card += len(d.Relation(rel).Tuples())
 	}
-	adom := make([]Value, 0, len(seen))
-	for v := range seen {
-		adom = append(adom, v)
-	}
-	sort.Slice(adom, func(i, j int) bool { return adom[i] < adom[j] })
-	size += len(adom)
 	if d.Cardinality() != card {
 		t.Fatalf("|D| = %d, the tuples count %d", d.Cardinality(), card)
-	}
-	if got := d.ActiveDomain(); !reflect.DeepEqual(got, adom) {
-		t.Fatalf("active domain %v, the tuples hold %v", got, adom)
-	}
-	if d.ActiveDomainSize() != len(adom) {
-		t.Fatalf("|adom(D)| = %d, the tuples hold %d values", d.ActiveDomainSize(), len(adom))
-	}
-	if d.Size() != size {
-		t.Fatalf("||D|| = %d, the tuples give %d", d.Size(), size)
 	}
 }
 
 // TestApplyNetDeltaMatchesApplyAll: applying a batch's net delta reaches
-// exactly the tuples, active domain and ||D|| that ApplyAll of the raw
-// batch reaches, with counters that agree with a recount of the stored
-// tuples, and the mutation counter of ApplyAll over the coalesced batch
-// (the raw batch also counts the mutations coalescing cancels). Every
-// batch ends by deleting each tuple that holds one value, so a value
-// leaves the active domain in every trial.
+// exactly the tuples that ApplyAll of the raw batch reaches, with a
+// cardinality that agrees with a recount of the stored tuples, and the
+// mutation counter of ApplyAll over the coalesced batch (the raw batch
+// also counts the mutations coalescing cancels). Every batch ends by
+// deleting each tuple that could hold one value, most of them absent, so
+// NetDelta drops a run of no-op deletes in every trial.
 func TestApplyNetDeltaMatchesApplyAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
@@ -126,9 +92,6 @@ func TestApplyNetDeltaMatchesApplyAll(t *testing.T) {
 		}
 		equalContent(t, net, raw)
 		checkCounters(t, net)
-		if net.InActiveDomain(gone) {
-			t.Fatalf("%d is in the active domain after every tuple holding it was deleted", gone)
-		}
 		if net.Mutations() != coalesced.Mutations() {
 			t.Fatalf("mutations %d vs %d", net.Mutations(), coalesced.Mutations())
 		}
@@ -136,7 +99,7 @@ func TestApplyNetDeltaMatchesApplyAll(t *testing.T) {
 }
 
 // TestApplyNetDeltaIgnoresWorkers: the worker count callers still pass
-// changes nothing — every count reaches the tuples, counters, mutation
+// changes nothing — every count reaches the tuples, cardinality, mutation
 // count and built indexes of workers=0.
 func TestApplyNetDeltaIgnoresWorkers(t *testing.T) {
 	masks := []indexKey{{"E", 0b01}, {"E", 0b10}, {"T", 0b1}}
@@ -199,40 +162,9 @@ func TestApplyNetDeltaEmpty(t *testing.T) {
 	checkIndexesFresh(t, db, "after empty deltas")
 }
 
-// TestApplyNetDeltaRepeatedValue: the active domain counts occurrences,
-// so a value repeated inside one tuple stays while another tuple holds
-// it and leaves with the last one.
-func TestApplyNetDeltaRepeatedValue(t *testing.T) {
-	db := New()
-	if err := db.ApplyAll([]Update{Insert("E", 5, 5), Insert("E", 5, 6), Insert("T", 7)}); err != nil {
-		t.Fatal(err)
-	}
-	step := func(batch ...Update) {
-		t.Helper()
-		delta, err := db.NetDelta(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db.ApplyNetDelta(delta, 0)
-		checkCounters(t, db)
-	}
-	step(Delete("E", 5, 5))
-	if !db.InActiveDomain(5) || !db.InActiveDomain(6) {
-		t.Fatal("5 or 6 left the active domain while E(5,6) holds them")
-	}
-	step(Delete("E", 5, 6), Insert("E", 8, 8))
-	if got := db.ActiveDomain(); !reflect.DeepEqual(got, []Value{7, 8}) {
-		t.Fatalf("active domain %v, want [7 8]", got)
-	}
-	step(Delete("E", 8, 8))
-	if db.InActiveDomain(8) || db.ActiveDomainSize() != 1 {
-		t.Fatalf("active domain %v after the last tuple holding 8 left, want [7]", db.ActiveDomain())
-	}
-}
-
 // TestApplyNetDeltaEmptiesRelation: a delta deleting every tuple of a
-// relation keeps the relation declared, drops the values only it held
-// from the active domain, and leaves no bucket in its indexes.
+// relation keeps the relation declared, counts only the tuples left in
+// other relations, and leaves no bucket in its indexes.
 func TestApplyNetDeltaEmptiesRelation(t *testing.T) {
 	db := New()
 	var load, drain []Update
@@ -255,11 +187,8 @@ func TestApplyNetDeltaEmptiesRelation(t *testing.T) {
 	if r := db.Relation("E"); r == nil || r.Arity() != 2 || r.Len() != 0 {
 		t.Fatal("E is not declared and empty after its last tuple left")
 	}
-	if got := db.ActiveDomain(); !reflect.DeepEqual(got, []Value{1}) {
-		t.Fatalf("active domain %v, want [1] (held by T)", got)
-	}
-	if db.Cardinality() != 1 || db.Size() != 2+1+1 {
-		t.Fatalf("|D| = %d, ||D|| = %d; want 1 and 4", db.Cardinality(), db.Size())
+	if db.Cardinality() != 1 {
+		t.Fatalf("|D| = %d, want 1 (T(1))", db.Cardinality())
 	}
 	for x := Value(0); x < 5; x++ {
 		if byX.Bucket([]Value{x}) != nil {

@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dyncq/internal/cq"
@@ -279,11 +280,12 @@ func TestEvaluateAcrossStoreMutations(t *testing.T) {
 	}
 }
 
-// bruteForce evaluates by enumerating all assignments over the active
-// domain — exponential, only for tiny test databases.
+// bruteForce evaluates by enumerating all assignments over every value
+// that occurs in a stored tuple — exponential, only for tiny test
+// databases.
 func bruteForce(q *cq.Query, db *dyndb.Database) map[string][]Value {
 	vars := q.Vars()
-	adom := db.ActiveDomain()
+	dom := storedValues(db)
 	out := map[string][]Value{}
 	assign := map[string]Value{}
 	var rec func(i int)
@@ -305,15 +307,29 @@ func bruteForce(q *cq.Query, db *dyndb.Database) map[string][]Value {
 			out[fmt.Sprint(head)] = head
 			return
 		}
-		for _, v := range adom {
+		for _, v := range dom {
 			assign[vars[i]] = v
 			rec(i + 1)
 		}
 	}
-	if len(adom) > 0 {
+	if len(dom) > 0 {
 		rec(0)
 	}
 	return out
+}
+
+// storedValues returns the distinct values of db's stored tuples, sorted:
+// the candidate domain of bruteForce's assignments.
+func storedValues(db *dyndb.Database) []Value {
+	var out []Value
+	for _, rel := range db.Relations() {
+		db.Relation(rel).Each(func(t []Value) bool {
+			out = append(out, t...)
+			return true
+		})
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 func TestCountValuationsRestricted(t *testing.T) {

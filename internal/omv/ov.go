@@ -22,7 +22,8 @@ import (
 // at most d updates plus one count call.
 //
 // (For queries with self-joins, Theorem 3.5 composes this with the
-// Lemma 5.8 partition-counting gadget; see internal/countdist.)
+// Lemma 5.8 partition-counting gadget, which this package does not
+// implement: NewCountReduction rejects them.)
 type CountReduction struct {
 	q   *cq.Query
 	wit ConditionIIWitness

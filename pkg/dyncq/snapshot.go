@@ -54,7 +54,6 @@ type QuerySnapshot struct {
 	name    string
 	version uint64
 	card    int
-	adom    int
 	arity   int
 	n       int
 	// leaves holds the n rows in lexicographic order, cut into immutable
@@ -74,9 +73,6 @@ func (s *QuerySnapshot) Version() uint64 { return s.version }
 
 // Cardinality returns |D| of the shared store at the pinned version.
 func (s *QuerySnapshot) Cardinality() int { return s.card }
-
-// ActiveDomainSize returns n = |adom(D)| at the pinned version.
-func (s *QuerySnapshot) ActiveDomainSize() int { return s.adom }
 
 // Arity returns the width of the result tuples (0 for boolean queries).
 func (s *QuerySnapshot) Arity() int { return s.arity }
@@ -196,7 +192,6 @@ func (h *Handle) newSnapshot() *QuerySnapshot {
 		name:    h.name,
 		version: w.version.Load(),
 		card:    w.store.Cardinality(),
-		adom:    w.store.ActiveDomainSize(),
 		arity:   h.query.Arity(),
 	}
 }
@@ -230,7 +225,6 @@ func (h *Handle) Snapshot() *QuerySnapshot {
 type WorkspaceSnapshot struct {
 	version uint64
 	card    int
-	adom    int
 	order   []string
 	queries map[string]*QuerySnapshot
 }
@@ -240,9 +234,6 @@ func (s *WorkspaceSnapshot) Version() uint64 { return s.version }
 
 // Cardinality returns |D| of the shared store at the pinned version.
 func (s *WorkspaceSnapshot) Cardinality() int { return s.card }
-
-// ActiveDomainSize returns n = |adom(D)| at the pinned version.
-func (s *WorkspaceSnapshot) ActiveDomainSize() int { return s.adom }
 
 // Queries returns the pinned query names in registration order.
 func (s *WorkspaceSnapshot) Queries() []string { return append([]string(nil), s.order...) }
@@ -262,7 +253,6 @@ func (w *Workspace) Snapshot(names ...string) *WorkspaceSnapshot {
 	s := &WorkspaceSnapshot{
 		version: w.version.Load(),
 		card:    w.store.Cardinality(),
-		adom:    w.store.ActiveDomainSize(),
 		queries: make(map[string]*QuerySnapshot),
 	}
 	if len(names) == 0 {

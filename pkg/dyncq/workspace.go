@@ -280,9 +280,6 @@ func (h *Handle) Version() uint64 { return h.ws.Version() }
 // Cardinality returns |D| of the shared store.
 func (h *Handle) Cardinality() int { return h.ws.Cardinality() }
 
-// ActiveDomainSize returns n = |adom(D)| of the shared store.
-func (h *Handle) ActiveDomainSize() int { return h.ws.ActiveDomainSize() }
-
 // MaintenanceNS returns the cumulative time the batch pipeline spent
 // maintaining this query, and the number of nonempty batches it
 // participated in. The per-batch delta of the first value is the
@@ -469,13 +466,6 @@ func (w *Workspace) Cardinality() int {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	return w.store.Cardinality()
-}
-
-// ActiveDomainSize returns n = |adom(D)| of the shared store.
-func (w *Workspace) ActiveDomainSize() int {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	return w.store.ActiveDomainSize()
 }
 
 // StoreMutations returns the shared store's lifetime mutation count

@@ -6,7 +6,8 @@
 #   scripts/ci.sh --quick                      gofmt, vet, dyncq-lint, build, shuffled tests
 #   scripts/ci.sh --deep [gomaxprocs...]       race matrix, fixed-seed torture soak, and on
 #                                              the GOMAXPROCS=4 leg the server e2e run, the
-#                                              two parser fuzz targets, the two benchmark
+#                                              two parser fuzz targets and the table fuzz
+#                                              target, the two benchmark
 #                                              gates and the Go benchmarks
 #   scripts/ci.sh --nightly [seed [duration]]  long randomised torture soak under -race
 #
@@ -89,10 +90,12 @@ deep_leg() {
 	# the gates want real parallelism.
 	[ "$n" = 4 ] || return 0
 	GOMAXPROCS=$n go test -race ./internal/server -run 'TestE2E' -server.e2eclients=6 -count=1 -v
-	# The two parsers against the reference parsers their tests keep, for
-	# a fixed budget each; a crasher lands in testdata/fuzz to be committed.
+	# The two parsers against the reference parsers their tests keep, and
+	# the store's tuple table against a map model, for a fixed budget each;
+	# a crasher lands in testdata/fuzz to be committed.
 	GOMAXPROCS=$n go test ./pkg/dyncq -run '^$' -fuzz '^FuzzParseUpdate$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/server -run '^$' -fuzz '^FuzzParseTupleLine$' -fuzztime 20s
+	GOMAXPROCS=$n go test ./internal/tuplekey -run '^$' -fuzz '^FuzzTable$' -fuzztime 20s
 	result_size_gate
 	snapshot_advance_gate
 	# The Go benchmarks the gates and CHANGES.md cite: they must compile,
