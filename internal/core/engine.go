@@ -45,8 +45,9 @@
 //
 // The package is the structure and nothing else: an Engine holds no
 // database. Its owner (pkg/dyncq.Workspace) applies each update to the
-// store once and hands the engine the same net delta (ApplyDelta); the
-// preprocessing phase scans a store the owner passes in (Rebuild).
+// store once and hands the engine the same net delta (ApplyDelta), whose
+// commands carry the store's relation ids; the preprocessing phase scans
+// a store the owner passes in (Rebuild) and fixes the engine's id table.
 package core
 
 import (
@@ -152,14 +153,24 @@ type headLoc struct {
 // It is a pure maintenance structure: it holds no database and never
 // writes one. Its owner (pkg/dyncq.Workspace) applies every update to
 // the store exactly once and feeds the same net delta to ApplyDelta;
-// Rebuild scans a store the owner hands it. An Engine is not safe for
-// concurrent use — the workspace serialises writers around it; the read
-// methods (Count, Answer, Contains, Enumerate) may share it among
-// themselves.
+// Rebuild scans a store the owner hands it.
+//
+// A delta reaches the atoms through the engine's id table: byID maps the
+// store's relation id (dyndb.IDOf) to the atoms over that relation, so a
+// command costs one slice index, not a name lookup. Rebuild fills the
+// table from the store it is given; store ids never change, so the table
+// holds for every later delta and rebuild against that store, and the
+// engine must only ever be fed deltas of the store it was last rebuilt
+// against.
+//
+// An Engine is not safe for concurrent use — the workspace serialises
+// writers around it; the read methods (Count, Answer, Contains,
+// Enumerate) may share it among themselves.
 type Engine struct {
 	query   *cq.Query
 	comps   []*comp
 	rels    map[string][]atomRef // relation → atoms over it
+	byID    [][]atomRef          // store relation id → atoms over it (Rebuild)
 	schema  map[string]int
 	heads   []headLoc
 	freeIdx []int // component → index among free components, -1 if Boolean
@@ -339,10 +350,12 @@ func (e *Engine) Query() *cq.Query { return e.query }
 // ApplyDelta runs the Section 6.4 update procedures, poly(ϕ) time each,
 // for a net delta the owner applied to its store: survivors must be
 // coalesced, schema-validated commands each of which changed the
-// database (a single update is a delta of one; commands on relations the
-// query does not mention only invalidate outstanding iterators). The
-// per-atom operations run in delta order, which reproduces the canonical
-// enumeration order of a single-update replay. The version advances at
+// database, as NetDelta returns them, carrying the relation ids of the
+// store the engine was rebuilt against (a single update is a delta of
+// one; commands on relations the query does not mention only invalidate
+// outstanding iterators). The per-atom operations run in delta order,
+// which reproduces the canonical enumeration order of a single-update
+// replay. The version advances at
 // most once per delta, so outstanding iterators are invalidated iff the
 // structure may have moved.
 //
@@ -365,8 +378,12 @@ func (e *Engine) ApplyDelta(survivors []dyndb.Update, emit bool) (added, removed
 		acc = e.acc
 	}
 	for _, u := range survivors {
+		id := dyndb.IDOf(u)
+		if id >= len(e.byID) {
+			continue // a relation the query does not mention, declared after the last Rebuild
+		}
 		insert := u.Op == dyndb.OpInsert
-		for _, ar := range e.rels[u.Rel] {
+		for _, ar := range e.byID[id] {
 			c := e.comps[ar.comp]
 			e.updateAtom(c, &c.atoms[ar.atom], u.Tuple, insert, acc)
 		}
@@ -392,8 +409,22 @@ func (e *Engine) ApplyDelta(survivors []dyndb.Update, emit bool) (added, removed
 // schema clash (a store relation whose arity contradicts the query)
 // fails with the structure cleared — the engine then represents the
 // empty result. Either way the version advances.
+//
+// Rebuild also fixes the id table (see Engine): it asks the store for
+// the id of every relation the query mentions (dyndb.RelationID), which
+// assigns the ids the store does not have yet. Once an engine has been
+// rebuilt against a store, later rebuilds against it only read the
+// store, so the owner may run them concurrently.
 func (e *Engine) Rebuild(store *dyndb.Database) error {
 	e.Clear()
+	clear(e.byID)
+	for rel, atoms := range e.rels { //dyncq:allow determinism each relation fills its own id slot, any visit order builds the same table
+		id := dyndb.RelationID(store, rel)
+		for id >= len(e.byID) {
+			e.byID = append(e.byID, nil)
+		}
+		e.byID[id] = atoms
+	}
 	for _, rel := range store.Relations() {
 		r := store.Relation(rel)
 		if want, ok := e.schema[rel]; ok && want != r.Arity() {

@@ -25,7 +25,8 @@ func newHarness(q *cq.Query) (*harness, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &harness{Engine: e, db: dyndb.New()}, nil
+	h := &harness{Engine: e, db: dyndb.New()}
+	return h, h.Rebuild(h.db) // fixes the engine's relation ids in h.db
 }
 
 func (h *harness) checkArity(updates ...dyndb.Update) error {
@@ -41,11 +42,13 @@ func (h *harness) Apply(u dyndb.Update) (bool, error) {
 	if err := h.checkArity(u); err != nil {
 		return false, err
 	}
-	changed, err := h.db.Apply(u)
-	if changed {
-		h.added, h.removed = h.ApplyDelta([]dyndb.Update{u}, h.emit)
+	net, err := h.db.NetDelta([]dyndb.Update{u})
+	if err != nil || len(net) == 0 {
+		return false, err
 	}
-	return changed, err
+	h.db.ApplyNetDelta(net, 0)
+	h.added, h.removed = h.ApplyDelta(net, h.emit)
+	return true, nil
 }
 
 func (h *harness) Insert(rel string, tuple ...Value) (bool, error) {

@@ -7,6 +7,17 @@
 // q-hierarchical bounds are stated in the query alone, so the store does
 // not track which values occur in it.
 //
+// Every relation name the store meets gets a dense relation id, fixed the
+// first time the name is declared (by EnsureRelation or a declaring
+// insert) or registered (RelationID, Require, Index) and kept for the
+// store's lifetime: Clear drops declarations, never ids, and a delete
+// naming an unknown relation creates none. The commit path resolves a
+// command's name once — NetDelta's coalescing pass looks it up and
+// records the id on the command (IDOf reads it) — and from then on
+// coalesces, validates, stores, indexes and dispatches by indexing slices
+// with that id, as the paper's fixed schema σ reaches R's structures in
+// O(1) (Section 2, footnote 2).
+//
 // A database also owns the hash indexes evaluators join through (Index):
 // built on first use and maintained by every mutator, so an index always
 // mirrors the tuples it was built on — no caller can mutate the store
@@ -46,10 +57,19 @@ func (o Op) String() string {
 
 // Update is a single update command.
 type Update struct {
-	Op    Op
+	Op Op
+	// rid is the relation id NetDelta resolved for Rel, plus one: 0 on a
+	// command that did not come out of NetDelta. While a NetDelta call
+	// runs, a name without an id carries a negative provisional key.
+	rid   int32
 	Rel   string
 	Tuple []Value
 }
+
+// IDOf returns the relation id NetDelta recorded on u, or -1 if u did
+// not come out of NetDelta. It is a function, not a method, so the
+// command type re-exported by pkg/dyncq gains no exported surface.
+func IDOf(u Update) int { return int(u.rid) - 1 }
 
 func (u Update) String() string {
 	return fmt.Sprintf("%s %s%v", u.Op, u.Rel, u.Tuple)
@@ -117,56 +137,112 @@ func lessTuple(a, b []Value) bool {
 }
 
 // Database is a σ-db: a set of named relations, one tuple table each,
-// plus the hash indexes built on them. The zero value is not ready; use
-// New.
+// plus the hash indexes built on them. Relations are addressed by dense
+// ids (the package doc): rels holds one slot per id ever assigned — the
+// name, the relation while it is declared, the arity a registration
+// requires — and ids maps a name to its slot. The zero value is not
+// ready; use New.
 type Database struct {
-	rels map[string]*Relation
-	card int // |D|: total number of tuples
+	ids  map[string]int32 // relation name → id; an id is never reassigned or dropped
+	rels []relSlot        // by relation id
+	card int              // |D|: total number of tuples
 	// muts counts successful mutations (inserts + deletes that changed the
 	// database) over the store's lifetime — the quantity the workspace
 	// layer's "shared store applied once per batch" claim is measured in.
 	muts uint64
-	// coal is NetDelta's coalescing scratch, reused across batches.
+	// coal is NetDelta's coalescing and validation scratch, reused across
+	// batches.
 	coal coalescer
-	// idx holds the built indexes (see Index). idxMu guards the map and
-	// the indexes in it: concurrent evaluators hold the read lock on the
-	// lookup fast path, lazy builds and index maintenance the write lock.
-	// Published *Index values are mutated only under the write lock, so an
-	// index that Index returned stays consistent for every concurrent
-	// reader until the next mutation.
+	// idx holds the built indexes (see Index), per relation id. idxMu
+	// guards it and the indexes in it: concurrent evaluators hold the read
+	// lock on the lookup fast path, lazy builds and index maintenance the
+	// write lock. Published *Index values are mutated only under the write
+	// lock, so an index that Index returned stays consistent for every
+	// concurrent reader until the next mutation.
 	idxMu sync.RWMutex
-	idx   map[indexKey]*Index
+	idx   [][]*Index
+}
+
+// relSlot is what the store keeps under one relation id.
+type relSlot struct {
+	name string
+	r    *Relation // nil while undeclared
+	want int       // the arity Require fixed for every command, 0 if none
 }
 
 // New returns an empty database with no declared relations.
 func New() *Database {
-	return &Database{rels: make(map[string]*Relation), idx: make(map[indexKey]*Index)}
+	return &Database{ids: make(map[string]int32)}
 }
 
+// id returns name's relation id, assigning the next one if it has none.
+func (d *Database) id(name string) int32 {
+	if id, ok := d.ids[name]; ok {
+		return id
+	}
+	id := int32(len(d.rels))
+	d.ids[name] = id
+	d.rels = append(d.rels, relSlot{name: name})
+	return id
+}
+
+// RelationID returns name's relation id in d, assigning the next free one
+// if the name has none yet — a registration: it declares nothing. An
+// owner that dispatches commands by IDOf builds its id table from it. A
+// call for a name that already has its id only reads d.
+func RelationID(d *Database, name string) int { return int(d.id(name)) }
+
+// Require registers rel (RelationID) and makes arity the arity of every
+// command on it: NetDelta rejects a command whose tuple has another
+// length, declared relation or not, and a declaration at another arity
+// fails. arity 0 lifts the requirement. A shared-store owner mirrors its
+// queries' union schema here, so one validation pass by id covers it;
+// requirements, like ids, survive Clear.
+func Require(d *Database, rel string, arity int) { d.rels[d.id(rel)].want = arity }
+
 // EnsureRelation declares a relation with the given arity (idempotent).
-// It returns an error if the relation exists with a different arity.
+// It returns an error if the relation exists with a different arity, or
+// is required (Require) at a different one.
 func (d *Database) EnsureRelation(name string, arity int) error {
+	return d.declare(d.id(name), arity)
+}
+
+// declare is EnsureRelation by id.
+func (d *Database) declare(id int32, arity int) error {
+	s := &d.rels[id]
 	if arity < 1 {
-		return fmt.Errorf("relation %s: arity %d < 1", name, arity)
+		return fmt.Errorf("relation %s: arity %d < 1", s.name, arity)
 	}
-	if r, ok := d.rels[name]; ok {
-		if r.arity != arity {
-			return fmt.Errorf("relation %s has arity %d, requested %d", name, r.arity, arity)
-		}
-		return nil
+	want := arity
+	if s.r != nil {
+		want = s.r.arity
+	} else if s.want != 0 {
+		want = s.want
 	}
-	d.rels[name] = &Relation{arity: arity, tuples: tuplekey.NewTable[struct{}](arity)}
+	if want != arity {
+		return fmt.Errorf("relation %s has arity %d, requested %d", s.name, want, arity)
+	}
+	if s.r == nil {
+		s.r = &Relation{arity: arity, tuples: tuplekey.NewTable[struct{}](arity)}
+	}
 	return nil
 }
 
 // Relation returns the named relation, or nil if undeclared.
-func (d *Database) Relation(name string) *Relation { return d.rels[name] }
+func (d *Database) Relation(name string) *Relation {
+	if id, ok := d.ids[name]; ok {
+		return d.rels[id].r
+	}
+	return nil
+}
 
 // Relations returns the declared relation names in sorted order.
 func (d *Database) Relations() []string {
 	out := make([]string, 0, len(d.rels))
-	for n := range d.rels { //dyncq:allow determinism names are sorted before returning, iteration order cannot leak
-		out = append(out, n)
+	for _, s := range d.rels {
+		if s.r != nil {
+			out = append(out, s.name)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -179,9 +255,10 @@ func (d *Database) Relations() []string {
 //
 //dyncq:hot
 func (d *Database) Insert(rel string, tuple ...Value) (bool, error) {
-	changed, err := d.insert(rel, tuple)
+	id := d.id(rel)
+	changed, err := d.insert(id, tuple)
 	if changed {
-		d.indexOne(OpInsert, rel, tuple)
+		d.indexOne(OpInsert, id, tuple)
 	}
 	return changed, err
 }
@@ -192,25 +269,29 @@ func (d *Database) Insert(rel string, tuple ...Value) (bool, error) {
 //
 //dyncq:hot
 func (d *Database) Delete(rel string, tuple ...Value) (bool, error) {
-	changed, err := d.delete(rel, tuple)
+	id, ok := d.ids[rel]
+	if !ok {
+		return false, nil
+	}
+	changed, err := d.delete(id, tuple)
 	if changed {
-		d.indexOne(OpDelete, rel, tuple)
+		d.indexOne(OpDelete, id, tuple)
 	}
 	return changed, err
 }
 
-// insert is Insert on the tuple storage alone; the caller maintains the
-// indexes.
+// insert is Insert on relation id's tuple storage alone; the caller
+// maintains the indexes.
 //
 //dyncq:hot
-func (d *Database) insert(rel string, tuple []Value) (bool, error) {
-	if err := d.EnsureRelation(rel, len(tuple)); err != nil {
-		return false, err
+func (d *Database) insert(id int32, tuple []Value) (bool, error) {
+	s := &d.rels[id]
+	if s.r == nil || s.r.arity != len(tuple) {
+		if err := d.declare(id, len(tuple)); err != nil {
+			return false, err
+		}
 	}
-	r := d.rels[rel]
-	if r.arity != len(tuple) {
-		return false, fmt.Errorf("insert %s: tuple arity %d, relation arity %d", rel, len(tuple), r.arity) //dyncq:allow hotalloc cold error path, never taken by validated batches
-	}
+	r := s.r
 	// One probe decides presence and, if absent, copies the tuple into the
 	// relation's flat storage (callers may reuse their slice).
 	if _, present := r.tuples.Ref(tuple); present {
@@ -221,17 +302,18 @@ func (d *Database) insert(rel string, tuple []Value) (bool, error) {
 	return true, nil
 }
 
-// delete is Delete on the tuple storage alone; the caller maintains the
-// indexes.
+// delete is Delete on relation id's tuple storage alone; the caller
+// maintains the indexes.
 //
 //dyncq:hot
-func (d *Database) delete(rel string, tuple []Value) (bool, error) {
-	r := d.rels[rel]
+func (d *Database) delete(id int32, tuple []Value) (bool, error) {
+	s := &d.rels[id]
+	r := s.r
 	if r == nil {
 		return false, nil
 	}
 	if r.arity != len(tuple) {
-		return false, fmt.Errorf("delete %s: tuple arity %d, relation arity %d", rel, len(tuple), r.arity) //dyncq:allow hotalloc cold error path, never taken by validated batches
+		return false, fmt.Errorf("delete %s: tuple arity %d, relation arity %d", s.name, len(tuple), r.arity) //dyncq:allow hotalloc cold error path, never taken by validated batches
 	}
 	if !r.tuples.Delete(tuple) {
 		return false, nil
@@ -253,9 +335,12 @@ func (d *Database) Mutations() uint64 { return d.muts }
 // returning the database to the empty state in place. Unlike assigning a
 // fresh New(), Clear keeps the *Database pointer valid for every
 // structure holding a reference to it — the shared-store contract of the
-// workspace layer. The mutation counter is preserved.
+// workspace layer. Relation ids, requirements (Require) and the mutation
+// counter are preserved: an owner's id tables stay valid across Clear.
 func (d *Database) Clear() {
-	d.rels = make(map[string]*Relation)
+	for i := range d.rels {
+		d.rels[i].r = nil
+	}
 	d.card = 0
 	d.coal = coalescer{}
 	d.DropIndexes()
@@ -295,40 +380,86 @@ func (d *Database) CopyFrom(src *Database) error {
 // are independent, so a command's effect against the pre-state equals
 // its effect at its turn in any serial application of the delta.
 //
-// Arities are validated against d's declared relations and against the
-// other commands of the batch (a batch that first declares a new
-// relation must use it consistently), so a returned delta applies to d
-// without errors. d's content is not modified, but the coalescing scratch
-// it owns is: NetDelta belongs to the writer, like the mutators.
+// The coalescing pass resolves each command's relation name to its id,
+// the one name lookup a command costs the store, and records it on the
+// returned commands (IDOf); everything after dispatches by that id. An
+// insert on a relation the store has never met is given an id once the
+// batch has validated (its insert declares the relation); a delete on
+// one is a no-op and gets none.
+//
+// Arities are validated against d's declared relations, against the
+// arities required by Require, and against the other commands of the
+// batch (a batch that first declares a new relation must use it
+// consistently), so a returned delta applies to d without errors. Every
+// coalesced command is validated, no-ops included. d's content is not
+// modified, but the scratch it owns is: NetDelta belongs to the writer,
+// like the mutators, and the returned slice is valid until the next
+// NetDelta call, which reuses it.
 //
 //dyncq:hot
 func (d *Database) NetDelta(updates []Update) ([]Update, error) {
-	net := d.coal.run(updates)
-	var fresh map[string]int // relations the batch itself would declare
+	c := &d.coal
+	net := c.run(updates, d.ids, int32(len(d.rels)))
 	out := net[:0]
+	fresh := c.fresh[:0] // relations the batch itself would declare
+	pending := false     // a survivor names a relation that has no id yet
 	for _, u := range net {
-		if r := d.rels[u.Rel]; r != nil {
-			if r.arity != len(u.Tuple) {
-				return nil, fmt.Errorf("%s %s: tuple arity %d, relation arity %d", u.Op, u.Rel, len(u.Tuple), r.arity) //dyncq:allow hotalloc cold error path, never taken by validated batches
+		if u.rid > 0 {
+			s := &d.rels[u.rid-1]
+			if r := s.r; r != nil {
+				if r.arity != len(u.Tuple) {
+					return nil, fmt.Errorf("%s %s: tuple arity %d, relation arity %d", u.Op, u.Rel, len(u.Tuple), r.arity) //dyncq:allow hotalloc cold error path, never taken by validated batches
+				}
+				if (u.Op == OpInsert) != r.Has(u.Tuple) {
+					out = append(out, u)
+				}
+				continue
 			}
-			if (u.Op == OpInsert) != r.Has(u.Tuple) {
-				out = append(out, u)
+			if s.want != 0 {
+				if s.want != len(u.Tuple) {
+					return nil, fmt.Errorf("%s %s: tuple arity %d, required arity %d", u.Op, u.Rel, len(u.Tuple), s.want) //dyncq:allow hotalloc cold error path, never taken by validated batches
+				}
+				if u.Op == OpInsert {
+					out = append(out, u)
+				}
+				continue
 			}
-			continue
 		}
-		if want, ok := fresh[u.Rel]; ok && want != len(u.Tuple) {
+		want := -1
+		for _, f := range fresh {
+			if f.rid == u.rid {
+				want = f.arity
+				break
+			}
+		}
+		if want >= 0 && want != len(u.Tuple) {
 			return nil, fmt.Errorf("%s %s: tuple arity %d, relation arity %d earlier in the batch", u.Op, u.Rel, len(u.Tuple), want) //dyncq:allow hotalloc cold error path, never taken by validated batches
 		}
 		if u.Op == OpDelete {
 			continue // deleting from an undeclared relation is a no-op
 		}
-		if fresh == nil {
-			fresh = make(map[string]int, 4) //dyncq:allow hotalloc only a batch that declares a relation gets here, once per relation's lifetime
+		if want < 0 {
+			fresh = append(fresh, freshRel{u.rid, len(u.Tuple)}) //dyncq:allow hotalloc only a batch that declares a relation gets here, kept across batches
 		}
-		fresh[u.Rel] = len(u.Tuple)
+		pending = pending || u.rid < 0
 		out = append(out, u)
 	}
+	c.fresh = fresh[:0]
+	if pending {
+		for i := range out {
+			if out[i].rid < 0 {
+				out[i].rid = d.id(out[i].Rel) + 1
+			}
+		}
+	}
 	return out, nil
+}
+
+// freshRel is a relation a batch declares, at the arity of its first
+// insert, keyed by its commands' rid.
+type freshRel struct {
+	rid   int32
+	arity int
 }
 
 // Apply executes an update command, reporting whether the database
@@ -351,45 +482,60 @@ func (d *Database) Apply(u Update) (bool, error) {
 // Database.NetDelta, which keeps them between batches.
 func Coalesce(updates []Update) []Update {
 	var c coalescer
-	return c.run(updates)
-}
-
-// coalescer is the scratch behind Coalesce: per (relation, arity) a slot
-// table from a tuple to the index of its command in the output. The
-// tables are keyed by the tuples themselves — no per-command encoding —
-// and by arity as well as name, because coalescing runs before arity
-// validation and a fixed-stride table holds one key length. They are
-// emptied, not dropped, after every run, so a steady stream of batches
-// coalesces without allocating tables or growing them by rehash.
-type coalescer struct {
-	slots map[slotKey]*tuplekey.Table[int]
-	used  []*tuplekey.Table[int] // tables the running call has filled
-}
-
-type slotKey struct {
-	rel   string
-	arity int
-}
-
-//dyncq:hot
-func (c *coalescer) run(updates []Update) []Update {
-	out := make([]Update, 0, len(updates))
-	if len(updates) <= 1 {
-		return append(out, updates...)
+	out := c.run(updates, nil, 0)
+	for i := range out {
+		out[i].rid = 0
 	}
-	if c.slots == nil {
-		c.slots = make(map[slotKey]*tuplekey.Table[int], 4) //dyncq:allow hotalloc first batch only
+	return out
+}
+
+// coalescer is the scratch behind NetDelta and Coalesce: per relation and
+// arity a slot table from a tuple to the index of its command in the
+// output. A relation is keyed by its id, or — for a name the store has
+// no id for — by a provisional key after the ids, fixed for the running
+// call. The tables are keyed by the tuples themselves — no per-command
+// encoding — and by arity as well as relation, because coalescing runs
+// before arity validation and a fixed-stride table holds one key length
+// (a relation re-declared at another arity after Clear keeps its id).
+// Tables and the output slice (up to keepOut commands) are emptied, not
+// dropped, after every run, so a steady stream of batches coalesces
+// without allocating.
+type coalescer struct {
+	tabs    [][]arityTable         // by key: a relation's tables, one per arity met
+	used    []*tuplekey.Table[int] // tables the running call has filled
+	out     []Update               // the last run's result if it was small, reused by the next
+	pending map[string]int32       // names without an id → provisional key, running call only
+	fresh   []freshRel             // NetDelta's scratch
+}
+
+type arityTable struct {
+	arity int
+	t     *tuplekey.Table[int]
+}
+
+// run coalesces updates, recording on each output command its relation's
+// id + 1 from ids, or −(k+1) for the k-th name of the call that ids
+// lacks; nids is the number of ids, the first provisional key.
+//
+//dyncq:hot
+func (c *coalescer) run(updates []Update, ids map[string]int32, nids int32) []Update {
+	out := c.out[:0]
+	if cap(out) < len(updates) {
+		out = make([]Update, 0, len(updates)) //dyncq:allow hotalloc grows to the largest commit-sized batch once, reused after (keepOut)
 	}
 	for _, u := range updates {
-		k := slotKey{u.Rel, len(u.Tuple)}
-		t := c.slots[k]
-		if t == nil {
-			t = tuplekey.NewTable[int](k.arity) //dyncq:allow hotalloc first batch touching the relation only
-			c.slots[k] = t
+		key, known := ids[u.Rel]
+		if known {
+			u.rid = key + 1
+		} else {
+			k := c.provisional(u.Rel)
+			key, u.rid = nids+k, -k-1
 		}
-		if t.Len() == 0 {
-			c.used = append(c.used, t) //dyncq:allow hotalloc bounded by the number of relations, kept across batches
+		if len(updates) == 1 {
+			out = append(out, u)
+			break
 		}
+		t := c.table(key, len(u.Tuple))
 		at, seen := t.Ref(u.Tuple)
 		if seen {
 			out[*at] = u
@@ -402,7 +548,60 @@ func (c *coalescer) run(updates []Update) []Update {
 		t.Reset()
 	}
 	c.used = c.used[:0]
+	if len(c.pending) > 0 {
+		clear(c.pending)
+	}
+	c.out = nil
+	if cap(out) <= keepOut {
+		c.out = out
+	}
 	return out
+}
+
+// keepOut bounds, in commands, the output slice a coalescer keeps for its
+// next run: commit-sized batches reuse one slice, while a bulk load's
+// batches allocate theirs per call and leave no large slice — nor
+// references to their tuples — alive between commits, which measurably
+// raised a loaded server's peak RSS.
+const keepOut = 1024
+
+// provisional returns the running call's key offset for a name that has
+// no id: the same one for every command naming it.
+func (c *coalescer) provisional(name string) int32 {
+	if c.pending == nil {
+		c.pending = make(map[string]int32, 4)
+	}
+	k, ok := c.pending[name]
+	if !ok {
+		k = int32(len(c.pending))
+		c.pending[name] = k
+	}
+	return k
+}
+
+// table returns the slot table of relation key at arity, marking it used
+// by the running call.
+//
+//dyncq:hot
+func (c *coalescer) table(key int32, arity int) *tuplekey.Table[int] {
+	for int(key) >= len(c.tabs) {
+		c.tabs = append(c.tabs, nil) //dyncq:allow hotalloc grows with the relation count, kept across batches
+	}
+	var t *tuplekey.Table[int]
+	for _, at := range c.tabs[key] {
+		if at.arity == arity {
+			t = at.t
+			break
+		}
+	}
+	if t == nil {
+		t = tuplekey.NewTable[int](arity)                       //dyncq:allow hotalloc first batch touching the relation at this arity only
+		c.tabs[key] = append(c.tabs[key], arityTable{arity, t}) //dyncq:allow hotalloc first batch touching the relation at this arity only
+	}
+	if t.Len() == 0 {
+		c.used = append(c.used, t) //dyncq:allow hotalloc bounded by the number of relations, kept across batches
+	}
+	return t
 }
 
 // ApplyAll executes a sequence of update commands, stopping at the first
@@ -420,21 +619,27 @@ func (d *Database) ApplyAll(updates []Update) error {
 // indexes, returning the number of commands applied (always
 // len(survivors)). The survivors MUST come from NetDelta against the
 // database's current state (or be equivalent: coalesced,
-// arity-consistent, and each changing the store); ApplyNetDelta panics on
-// a violated contract, exactly like the workspace layer's "validated
-// delta failed to apply" guard. The store is written command by command,
-// bit-identical to ApplyAll over the survivors; the indexes are then
-// maintained under one lock for the whole delta. workers is ignored.
+// arity-consistent, each changing the store, and carrying the relation
+// ids NetDelta recorded); ApplyNetDelta panics on a violated contract,
+// exactly like the workspace layer's "validated delta failed to apply"
+// guard. Each command reaches its relation by its id, no name lookup.
+// The store is written command by command, bit-identical to ApplyAll
+// over the survivors; the indexes are then maintained under one lock for
+// the whole delta. workers is ignored.
 //
 //dyncq:hot
 func (d *Database) ApplyNetDelta(survivors []Update, workers int) int {
 	for _, u := range survivors {
+		id := u.rid - 1
+		if id < 0 || int(id) >= len(d.rels) || d.rels[id].name != u.Rel {
+			panic(fmt.Sprintf("dyndb: net delta violates its contract at %s: relation id %d is not its own", u, id))
+		}
 		var changed bool
 		var err error
 		if u.Op == OpInsert {
-			changed, err = d.insert(u.Rel, u.Tuple)
+			changed, err = d.insert(id, u.Tuple)
 		} else {
-			changed, err = d.delete(u.Rel, u.Tuple)
+			changed, err = d.delete(id, u.Tuple)
 		}
 		if err != nil || !changed {
 			panic(fmt.Sprintf("dyndb: net delta violates its contract at %s: changed=%v err=%v", u, changed, err))
@@ -446,7 +651,7 @@ func (d *Database) ApplyNetDelta(survivors []Update, workers int) int {
 
 // Has reports whether the tuple is present in the named relation.
 func (d *Database) Has(rel string, tuple ...Value) bool {
-	r := d.rels[rel]
+	r := d.Relation(rel)
 	return r != nil && r.Has(tuple)
 }
 
@@ -454,15 +659,19 @@ func (d *Database) Has(rel string, tuple ...Value) bool {
 func (d *Database) Cardinality() int { return d.card }
 
 // Clone returns a deep copy of the database's tuples (indexes are not
-// copied; the clone builds its own on first use).
+// copied; the clone builds its own on first use, and assigns its own
+// relation ids).
 func (d *Database) Clone() *Database {
 	c := New()
-	for name, r := range d.rels { //dyncq:allow determinism set-semantics copy: the clone's content is identical under any insertion order
-		if err := c.EnsureRelation(name, r.arity); err != nil {
+	for _, s := range d.rels {
+		if s.r == nil {
+			continue
+		}
+		if err := c.EnsureRelation(s.name, s.r.arity); err != nil {
 			panic(err) // fresh database: cannot conflict
 		}
-		r.Each(func(t []Value) bool {
-			if _, err := c.Insert(name, t...); err != nil {
+		s.r.Each(func(t []Value) bool {
+			if _, err := c.Insert(s.name, t...); err != nil {
 				panic(err)
 			}
 			return true
@@ -476,17 +685,11 @@ func (d *Database) Clone() *Database {
 func (d *Database) Updates() []Update {
 	var out []Update
 	for _, name := range d.Relations() {
-		for _, t := range d.rels[name].Tuples() {
+		for _, t := range d.Relation(name).Tuples() {
 			out = append(out, Insert(name, t...))
 		}
 	}
 	return out
-}
-
-// indexKey names one index: a relation and the positions it is keyed by.
-type indexKey struct {
-	rel  string
-	mask uint32
 }
 
 // Index is a hash index over one relation: it maps the projection of the
@@ -511,29 +714,49 @@ func newIndex(mask uint32) *Index {
 // building it by a relation scan on first use; from then on every mutator
 // maintains it until Clear or DropIndexes. Safe for concurrent use by any
 // number of evaluators while the store is quiescent (no mutator running):
-// the common case, an index already built, takes only the read lock.
+// the common case, an index already built, takes only the read lock. An
+// index asked for on a name without a relation id registers the name
+// (RelationID), so the mutator that later declares it maintains the index.
 func (d *Database) Index(rel string, mask uint32) *Index {
-	k := indexKey{rel, mask}
 	d.idxMu.RLock()
-	ix, ok := d.idx[k]
+	ix := d.builtIndex(rel, mask)
 	d.idxMu.RUnlock()
-	if ok {
+	if ix != nil {
 		return ix
 	}
 	d.idxMu.Lock()
 	defer d.idxMu.Unlock()
-	if ix, ok := d.idx[k]; ok {
+	if ix := d.builtIndex(rel, mask); ix != nil {
 		return ix
 	}
+	id := d.id(rel)
 	ix = newIndex(mask)
-	if r := d.rels[rel]; r != nil {
+	if r := d.rels[id].r; r != nil {
 		r.Each(func(t []Value) bool {
 			ix.add(t)
 			return true
 		})
 	}
-	d.idx[k] = ix
+	for int(id) >= len(d.idx) {
+		d.idx = append(d.idx, nil)
+	}
+	d.idx[id] = append(d.idx[id], ix)
 	return ix
+}
+
+// builtIndex returns the built index on rel at mask, nil if there is
+// none. Caller holds idxMu.
+func (d *Database) builtIndex(rel string, mask uint32) *Index {
+	id, ok := d.ids[rel]
+	if !ok || int(id) >= len(d.idx) {
+		return nil
+	}
+	for _, ix := range d.idx[id] {
+		if ix.mask == mask {
+			return ix
+		}
+	}
+	return nil
 }
 
 // DropIndexes releases every built index; the next Index call rebuilds
@@ -543,16 +766,17 @@ func (d *Database) Index(rel string, mask uint32) *Index {
 func (d *Database) DropIndexes() {
 	d.idxMu.Lock()
 	clear(d.idx)
+	d.idx = d.idx[:0]
 	d.idxMu.Unlock()
 }
 
-// indexOne maintains the built indexes on rel under one command the
-// store just applied.
+// indexOne maintains the built indexes on relation id under one command
+// the store just applied.
 //
 //dyncq:hot
-func (d *Database) indexOne(op Op, rel string, tuple []Value) {
+func (d *Database) indexOne(op Op, id int32, tuple []Value) {
 	d.idxMu.Lock()
-	d.indexLocked(op, rel, tuple)
+	d.indexLocked(op, id, tuple)
 	d.idxMu.Unlock()
 }
 
@@ -567,19 +791,19 @@ func (d *Database) indexDelta(delta []Update) {
 		return
 	}
 	for _, u := range delta {
-		d.indexLocked(u.Op, u.Rel, u.Tuple)
+		d.indexLocked(u.Op, u.rid-1, u.Tuple)
 	}
 }
 
-// indexLocked files one applied command into every built index on its
-// relation. Caller holds the index write lock.
+// indexLocked files one applied command into every built index on
+// relation id. Caller holds the index write lock.
 //
 //dyncq:hot
-func (d *Database) indexLocked(op Op, rel string, tuple []Value) {
-	for k, ix := range d.idx { //dyncq:allow determinism per-index maintenance is independent, any visit order yields the same indexes
-		if k.rel != rel {
-			continue
-		}
+func (d *Database) indexLocked(op Op, id int32, tuple []Value) {
+	if int(id) >= len(d.idx) {
+		return
+	}
+	for _, ix := range d.idx[id] {
 		if op == OpInsert {
 			ix.add(tuple)
 		} else {
@@ -641,35 +865,46 @@ func (ix *Index) Bucket(boundVals []Value) *tuplekey.Table[struct{}] {
 func (d *Database) CheckIndexes() error {
 	d.idxMu.RLock()
 	defer d.idxMu.RUnlock()
-	for k, ix := range d.idx { //dyncq:allow determinism diagnostic only; which violation is reported first may vary, presence does not
-		r := d.rels[k.rel]
-		count := 0
-		var err error
-		ix.buckets.Range(func(p []Value, b *tuplekey.Table[struct{}]) bool {
-			if b.Len() == 0 {
-				err = fmt.Errorf("index (%s,%b) keeps an empty bucket for %v", k.rel, k.mask, p)
-				return false
+	for id, built := range d.idx {
+		name, r := d.rels[id].name, d.rels[id].r
+		for _, ix := range built {
+			if err := ix.check(name, r); err != nil {
+				return err
 			}
-			return b.Keys(func(t []Value) bool {
-				count++
-				if r == nil || !r.Has(t) {
-					err = fmt.Errorf("index (%s,%b) holds stale tuple %v", k.rel, k.mask, t)
-				} else if !projectsTo(t, ix.mask, p) {
-					err = fmt.Errorf("index (%s,%b) files %v under %v", k.rel, k.mask, t, p)
-				}
-				return err == nil
-			})
+		}
+	}
+	return nil
+}
+
+// check verifies one index on the relation r named name (nil if
+// undeclared).
+func (ix *Index) check(name string, r *Relation) error {
+	count := 0
+	var err error
+	ix.buckets.Range(func(p []Value, b *tuplekey.Table[struct{}]) bool {
+		if b.Len() == 0 {
+			err = fmt.Errorf("index (%s,%b) keeps an empty bucket for %v", name, ix.mask, p)
+			return false
+		}
+		return b.Keys(func(t []Value) bool {
+			count++
+			if r == nil || !r.Has(t) {
+				err = fmt.Errorf("index (%s,%b) holds stale tuple %v", name, ix.mask, t)
+			} else if !projectsTo(t, ix.mask, p) {
+				err = fmt.Errorf("index (%s,%b) files %v under %v", name, ix.mask, t, p)
+			}
+			return err == nil
 		})
-		if err != nil {
-			return err
-		}
-		want := 0
-		if r != nil {
-			want = r.Len()
-		}
-		if count != want {
-			return fmt.Errorf("index (%s,%b) has %d tuples, relation has %d", k.rel, k.mask, count, want)
-		}
+	})
+	if err != nil {
+		return err
+	}
+	want := 0
+	if r != nil {
+		want = r.Len()
+	}
+	if count != want {
+		return fmt.Errorf("index (%s,%b) has %d tuples, relation has %d", name, ix.mask, count, want)
 	}
 	return nil
 }

@@ -661,11 +661,21 @@ func checkIndexesFresh(t *testing.T, db *Database, ctx string) {
 		t.Fatalf("%s: %v", ctx, err)
 	}
 	fresh := db.Clone()
-	for k, ix := range db.idx {
-		if !reflect.DeepEqual(dumpIndex(ix), dumpIndex(fresh.Index(k.rel, k.mask))) {
-			t.Fatalf("%s: index (%s,%b) diverges from a fresh build", ctx, k.rel, k.mask)
+	for id, built := range db.idx {
+		for _, ix := range built {
+			rel := db.rels[id].name
+			if !reflect.DeepEqual(dumpIndex(ix), dumpIndex(fresh.Index(rel, ix.mask))) {
+				t.Fatalf("%s: index (%s,%b) diverges from a fresh build", ctx, rel, ix.mask)
+			}
 		}
 	}
+}
+
+// indexKey names one index for the tests: a relation and the positions
+// it is keyed by.
+type indexKey struct {
+	rel  string
+	mask uint32
 }
 
 // TestIndexesMatchFreshBuild is the property test of store-maintained

@@ -27,7 +27,10 @@ import (
 // The pipeline, per batch: coalesce once, validate once (against the
 // union schema of all registered queries and the store, so a bad batch
 // is rejected atomically), compute the net delta against the shared
-// store once (dyndb.NetDelta), apply it to the store once — the store
+// store once (dyndb.NetDelta, which resolves each command's relation
+// name to the store's relation id once; the union schema is mirrored
+// into the store with dyndb.Require, so that same pass checks it), apply
+// it to the store once — the store
 // mutation count is independent of how many queries are registered —
 // and fan the same delta out to every query's maintenance structure
 // (core / ivm, routed per query by classification). IVM
@@ -106,11 +109,13 @@ type Workspace struct {
 	order    []*Handle // registration order
 	workers  int
 
-	// one and oneTuple are the single-update path's net delta of one, so
-	// Apply drives the same backend sequence as a batch without
-	// allocating. Guarded by the write lock; backends do not retain them.
+	// one and oneTuple are the single-update path's batch of one, so
+	// Apply drives the same store and backend sequence as a batch without
+	// allocating; perNS is the batch pipeline's per-handle timing scratch.
+	// Guarded by the write lock; backends do not retain them.
 	one      [1]Update
 	oneTuple [1][]Value
+	perNS    []int64
 
 	// version counts committed state changes. It is atomic so the
 	// cached-snapshot fast path (Handle.CachedSnapshot) can validate a
@@ -378,6 +383,7 @@ func (w *Workspace) RegisterQuery(name string, q *cq.Query, opt Options) (*Handl
 		if _, ok := w.schema[rel]; !ok {
 			w.schema[rel] = ar
 			w.owner[rel] = name
+			dyndb.Require(w.store, rel, ar)
 		}
 	}
 	w.handles[name] = h
@@ -419,6 +425,9 @@ func (w *Workspace) Unregister(name string) bool {
 		if o.strategy == StrategyIVM {
 			ivmLeft = true
 		}
+	}
+	for rel := range h.query.Schema() {
+		dyndb.Require(w.store, rel, w.schema[rel]) // 0 lifts what only h required
 	}
 	if !ivmLeft {
 		w.store.DropIndexes() // stop maintaining indexes nobody evaluates against
@@ -565,7 +574,8 @@ func (w *Workspace) ApplyAll(updates []Update) error {
 
 // checkArity validates one command against the union schema (errors
 // name the owning query) and, for relations outside every query, the
-// shared store's declaration.
+// shared store's declaration. The commit path leaves the check to
+// NetDelta and words a rejection with it afterwards (rejected).
 func (w *Workspace) checkArity(rel string, arity int) error {
 	if want, ok := w.schema[rel]; ok {
 		if want != arity {
@@ -579,19 +589,34 @@ func (w *Workspace) checkArity(rel string, arity int) error {
 	return nil
 }
 
-// applyLocked is the single-update fast path: one arity check, one
-// store mutation, and the backends' commit sequence over a net delta of
-// one — no coalescing, no batch bookkeeping, no allocation. The caller
-// holds w.mu.Lock.
-func (w *Workspace) applyLocked(u Update) (bool, error) {
-	if err := w.checkArity(u.Rel, len(u.Tuple)); err != nil {
-		return false, err
+// rejected words the error of a batch NetDelta refused: the first
+// command that breaks the union schema or a stored relation's arity, in
+// batch order and as checkArity names it, else NetDelta's own error (an
+// arity clash among the batch's commands on a new relation). Cold path.
+func (w *Workspace) rejected(updates []Update, err error) error {
+	for _, u := range updates {
+		if aerr := w.checkArity(u.Rel, len(u.Tuple)); aerr != nil {
+			return aerr
+		}
 	}
-	insert := u.Op == dyndb.OpInsert
-	if insert == w.store.Has(u.Rel, u.Tuple...) {
+	return fmt.Errorf("dyncq: %w", err)
+}
+
+// applyLocked is the single-update fast path: the store's net delta of
+// one (validation and relation id included), one store mutation, and
+// the backends' commit sequence over that delta — no batch bookkeeping,
+// no allocation. The caller holds w.mu.Lock.
+func (w *Workspace) applyLocked(u Update) (bool, error) {
+	w.one[0] = u
+	net, err := w.store.NetDelta(w.one[:])
+	if err != nil {
+		return false, w.rejected(w.one[:], err)
+	}
+	if len(net) == 0 {
 		return false, nil
 	}
-	w.one[0], w.oneTuple[0] = u, u.Tuple
+	insert := u.Op == dyndb.OpInsert
+	w.oneTuple[0] = u.Tuple
 	phased := false
 	for _, h := range w.order {
 		if h.begin(1) {
@@ -603,16 +628,14 @@ func (w *Workspace) applyLocked(u Update) (bool, error) {
 			h.back.preDelete(u.Rel, w.oneTuple[:])
 		}
 	}
-	if _, err := w.store.Apply(u); err != nil {
-		panic("dyncq: validated update failed to apply: " + err.Error())
-	}
+	w.store.ApplyNetDelta(net, 0)
 	if phased && insert {
 		for _, h := range w.order {
 			h.back.postInsert(u.Rel, w.oneTuple[:])
 		}
 	}
 	for _, h := range w.order {
-		h.added, h.removed = h.back.finish(w.one[:])
+		h.added, h.removed = h.back.finish(net)
 	}
 	w.version.Add(1)
 	w.afterCommitLocked()
@@ -665,18 +688,14 @@ func (w *Workspace) ApplyBatch(updates []Update) (int, error) {
 //
 //dyncq:hot
 func (w *Workspace) applyBatchLocked(updates []Update) (int, error) {
-	// Union-schema validation first: errors name the owning query.
-	// Store-level arity validation (relations outside every query, and
-	// intra-batch consistency of newly declared relations) happens
-	// inside NetDelta. Either failure rejects the batch atomically.
-	for _, u := range updates {
-		if err := w.checkArity(u.Rel, len(u.Tuple)); err != nil {
-			return 0, err
-		}
-	}
+	// One validation pass, inside NetDelta, over every coalesced command
+	// by relation id: the union schema (mirrored into the store by
+	// Require), stored relations' arities, and intra-batch consistency of
+	// newly declared relations. A failure rejects the batch atomically;
+	// rejected then names the owning query as the name-keyed check would.
 	survivors, err := w.store.NetDelta(updates)
 	if err != nil {
-		return 0, fmt.Errorf("dyncq: %w", err) //dyncq:allow hotalloc cold error path, never taken by validated batches
+		return 0, w.rejected(updates, err)
 	}
 	if len(survivors) == 0 {
 		return 0, nil
@@ -695,7 +714,11 @@ func (w *Workspace) applyBatchLocked(updates []Update) (int, error) {
 			phased = true
 		}
 	}
-	perNS := make([]int64, len(w.order))
+	if cap(w.perNS) < len(w.order) {
+		w.perNS = make([]int64, len(w.order)) //dyncq:allow hotalloc grows with the number of registered queries, reused after
+	}
+	perNS := w.perNS[:len(w.order)]
+	clear(perNS)
 	if phased {
 		w.runHookedStorePhase(survivors, perNS)
 	} else {
@@ -759,18 +782,24 @@ func (w *Workspace) ApplyBatched(updates []Update, batchSize int) (int, error) {
 // contribute zero to their timers by construction.
 func (w *Workspace) runHookedStorePhase(survivors []Update, perNS []int64) {
 	type relDelta struct {
+		id        int
+		rel       string
 		dels, ins [][]Value
 		cmds      []Update // the relation's slice of the net delta
 	}
-	deltas := make(map[string]*relDelta)
-	var relOrder []string
+	var deltas []relDelta // per relation, by first appearance
 	for _, u := range survivors {
-		d := deltas[u.Rel]
-		if d == nil {
-			d = &relDelta{}
-			deltas[u.Rel] = d
-			relOrder = append(relOrder, u.Rel)
+		id, at := dyndb.IDOf(u), len(deltas)
+		for i := range deltas {
+			if deltas[i].id == id {
+				at = i
+				break
+			}
 		}
+		if at == len(deltas) {
+			deltas = append(deltas, relDelta{id: id, rel: u.Rel})
+		}
+		d := &deltas[at]
 		if u.Op == dyndb.OpInsert {
 			d.ins = append(d.ins, u.Tuple)
 		} else {
@@ -789,8 +818,8 @@ func (w *Workspace) runHookedStorePhase(survivors []Update, perNS []int64) {
 		fn(h.back)
 		perNS[i] += time.Since(t0).Nanoseconds()
 	}
-	for _, rel := range relOrder {
-		d := deltas[rel]
+	for i := range deltas {
+		d, rel := &deltas[i], deltas[i].rel
 		if len(d.dels) > 0 {
 			// Pre-state hooks: the store has not applied this relation's
 			// delta yet.

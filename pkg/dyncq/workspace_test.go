@@ -581,3 +581,77 @@ func TestWorkspaceEmptyThenRegister(t *testing.T) {
 		t.Fatalf("count = %d after late registration, want 1", got)
 	}
 }
+
+// TestRelationIDsSurviveLoadAndUnregister walks the store's relation ids
+// through what keeps or changes a relation's arity while its id stays:
+// X, outside every query, declared at arity 2, then loaded at arity 3;
+// Y, mentioned only by a query that is unregistered before Y is ever
+// inserted, then registered again at arity 3. Every commit is a batch of
+// two, so it goes through the coalescer's tables, and after every commit
+// the workspace passes CheckInvariants and every query equals the oracle.
+func TestRelationIDsSurviveLoadAndUnregister(t *testing.T) {
+	for _, st := range []Strategy{StrategyCore, StrategyIVM} {
+		t.Run(st.String(), func(t *testing.T) {
+			ws := NewWorkspace(WorkspaceOptions{})
+			register := func(name, text string) {
+				t.Helper()
+				if _, err := ws.RegisterQuery(name, cq.MustParse(text), Options{Force: st}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			register("star", "Q(y) :- E(x,y), T(y)")
+			register("y2", "Q(x) :- Y(x,y)")
+			oracle := dyndb.New()
+			check := func(where string) {
+				t.Helper()
+				if err := ws.CheckInvariants(); err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				for _, h := range ws.Handles() {
+					if want := eval.Evaluate(h.Query(), oracle).Tuples(); !sameTuples(h.Tuples(), want) {
+						t.Fatalf("%s: query %q holds %v, oracle %v", where, h.Name(), h.Tuples(), want)
+					}
+				}
+			}
+			commit := func(wantErr string, batch ...Update) {
+				t.Helper()
+				_, err := ws.ApplyBatch(batch)
+				switch {
+				case wantErr == "" && err != nil:
+					t.Fatalf("%v: %v", batch, err)
+				case wantErr != "" && (err == nil || err.Error() != wantErr):
+					t.Fatalf("%v: error %v, want %q", batch, err, wantErr)
+				case err == nil:
+					if err := oracle.ApplyAll(batch); err != nil {
+						t.Fatal(err)
+					}
+				}
+				check(fmt.Sprint(batch))
+			}
+
+			commit("", Insert("X", 1, 2), Insert("X", 3, 4), Insert("E", 1, 2), Insert("T", 2))
+			db := dyndb.New()
+			for _, u := range []Update{Insert("X", 0, 0, 0), Insert("E", 5, 6), Insert("T", 6)} {
+				if _, err := db.Apply(u); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := ws.Load(db); err != nil {
+				t.Fatal(err)
+			}
+			oracle = db.Clone()
+			check("Load")
+			commit("", Insert("X", 1, 2, 3), Insert("X", 2, 3, 4))
+			commit("dyncq: X has arity 3 in the shared store, got tuple of length 2", Delete("X", 1, 2), Delete("X", 2, 3))
+
+			if !ws.Unregister("y2") {
+				t.Fatal("y2 was not registered")
+			}
+			register("y3", "Q(x) :- Y(x,y,z)")
+			commit(`dyncq: Y has arity 3 in query "y3", got tuple of length 2`, Delete("Y", 1, 2), Delete("Y", 3, 4))
+			commit("", Insert("Y", 1, 2, 3), Insert("Y", 4, 5, 6))
+			commit("", Delete("Y", 1, 2, 3), Insert("E", 7, 6))
+			commit(`dyncq: Y has arity 3 in query "y3", got tuple of length 2`, Insert("Y", 1, 2), Insert("E", 8, 6))
+		})
+	}
+}
