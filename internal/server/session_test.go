@@ -20,9 +20,10 @@ import (
 // TestSessionBatchAllocationFree: a warmed session commits a pre-encoded
 // batch of update lines and its inverse over net.Pipe, and the whole
 // round trip — scan, parse, commit on a core-routed query, reply —
-// allocates as often at 512 lines as at 64, a handful of times per
-// commit: the lines are parsed where the scanner holds them, into the
-// session's arena, with interned relation names.
+// allocates as often at 512 lines as at 64, at most 3 times per commit,
+// all in the reply: the lines are parsed where the scanner holds them,
+// into the session's arena, with interned relation names, and the commit
+// itself allocates nothing.
 func TestSessionBatchAllocationFree(t *testing.T) {
 	allocsAt := func(lines int) float64 {
 		// No write deadline: net.Pipe arms a timer per deadline, once per
@@ -83,8 +84,47 @@ func TestSessionBatchAllocationFree(t *testing.T) {
 	if small != large {
 		t.Fatalf("a session commit allocates %v times at 64 lines but %v at 512: something allocates per line", small, large)
 	}
-	if small > 5 {
-		t.Fatalf("a session commit of 64 lines allocates %v times, want at most 5", small)
+	if small > 3 {
+		t.Fatalf("a session commit of 64 lines allocates %v times, want at most 3", small)
+	}
+}
+
+// TestMaintenanceCountsEveryCommit: every commit that changes the store
+// is timed into the handle's MaintenanceNS and counted exactly once — a
+// library Apply, a single-update Commit and a wire apply alike, each a
+// commit of one through the one commit pipeline — and a commit that
+// changes nothing is not counted.
+func TestMaintenanceCountsEveryCommit(t *testing.T) {
+	srv := newTestServer(t, Options{})
+	ws := srv.Workspace()
+	h, err := ws.Register("q", "Q(y) :- E(x,y), T(y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := pipeClient(t, srv)
+	want := int64(0)
+	for _, commit := range []struct {
+		name    string
+		changes bool
+		run     func() error
+	}{
+		{"Apply", true, func() error { _, err := ws.Apply(dyncq.Insert("E", 1, 2)); return err }},
+		{"single-update Commit", true, func() error {
+			_, _, err := ws.Commit([]dyncq.Update{dyncq.Insert("T", 2)})
+			return err
+		}},
+		{"wire apply", true, func() error { _, _, err := c.Apply(dyncq.Insert("E", 3, 2)); return err }},
+		{"Apply that changes nothing", false, func() error { _, err := ws.Apply(dyncq.Insert("E", 1, 2)); return err }},
+	} {
+		if err := commit.run(); err != nil {
+			t.Fatalf("%s: %v", commit.name, err)
+		}
+		if commit.changes {
+			want++
+		}
+		if _, batches := h.MaintenanceNS(); batches != want {
+			t.Fatalf("after %s: MaintenanceNS counts %d commits, want %d", commit.name, batches, want)
+		}
 	}
 }
 

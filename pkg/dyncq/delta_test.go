@@ -120,43 +120,107 @@ func sortedTuples(h *Handle) [][]Value {
 	return rows
 }
 
-// TestApplyAllocationFree: the single-update path drives the backends'
-// commit sequence over a workspace-owned net delta of one and the store
-// keeps its tuples inline in the relation's table, so an insert/delete
-// pair allocates nothing at all.
+// TestApplyAllocationFree: Apply is a commit of one through the one
+// commit pipeline, and the store keeps its tuples inline in the
+// relation's table, so on a core-routed workspace an insert/delete pair
+// allocates nothing at all. Beside an ivm-routed query, whose single
+// update runs the relation-phased store schedule and a delta join, the
+// pair allocates no more than the single-update fork the pipeline
+// replaced (3).
 func TestApplyAllocationFree(t *testing.T) {
-	ws := NewWorkspace(WorkspaceOptions{})
-	for name, text := range map[string]string{"feed": "Q(x,y) :- E(x,y), T(y)", "star": "Q(y) :- E(x,y), T(y)"} {
-		if _, err := ws.Register(name, text); err != nil {
-			t.Fatal(err)
+	for _, set := range applySets {
+		t.Run(set.name, func(t *testing.T) {
+			ws, pair := applyPair(t, set.queries, 0)
+			pair() // warm the arena free chains, the map slots and the grouping
+			allocs := testing.AllocsPerRun(1000, pair)
+			t.Logf("allocs per Apply insert/delete pair: %v", allocs)
+			if allocs > set.maxAllocs {
+				t.Fatalf("an Apply insert/delete pair allocates %v times, want at most %v", allocs, set.maxAllocs)
+			}
+			if err := ws.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// applySets are the query sets TestApplyAllocationFree and BenchmarkApply
+// run a single-update pair on: core-routed queries only, and the
+// paper's hard query ϕS-E-T (ivm-routed, relation-phased) beside a core
+// query.
+var applySets = []struct {
+	name      string
+	queries   map[string]string
+	maxAllocs float64
+}{
+	{"core", map[string]string{"feed": "Q(x,y) :- E(x,y), T(y)", "star": "Q(y) :- E(x,y), T(y)"}, 0},
+	{"ivm", map[string]string{"hard": "Q(x,y) :- S(x), E(x,y), T(y)", "star": "Q(y) :- E(x,y), T(y)"}, 3},
+}
+
+// applyPair registers the queries on a workspace with the given workers,
+// fills the store through batches, and returns the workspace and a
+// closure that applies E(5000,7) and deletes it again: a pair that
+// changes the store, and on ϕS-E-T adds and removes one result tuple.
+func applyPair(tb testing.TB, queries map[string]string, workers int) (*Workspace, func()) {
+	ws := NewWorkspace(WorkspaceOptions{Workers: workers})
+	for name, text := range queries {
+		h, err := ws.Register(name, text)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		want := StrategyCore
+		if name == "hard" {
+			want = StrategyIVM
+		}
+		if h.Strategy() != want {
+			tb.Fatalf("%s routed to %v, want %v", name, h.Strategy(), want)
 		}
 	}
 	for i := 0; i < 2000; i++ {
-		if _, err := ws.ApplyBatch([]Update{dyndb.Insert("E", Value(i), Value(i%50)), dyndb.Insert("T", Value(i%50))}); err != nil {
-			t.Fatal(err)
+		if _, err := ws.ApplyBatch([]Update{dyndb.Insert("E", Value(i), Value(i%50)), dyndb.Insert("T", Value(i%50)), dyndb.Insert("S", Value(i%100))}); err != nil {
+			tb.Fatal(err)
 		}
+	}
+	if _, err := ws.Insert("S", 5000); err != nil {
+		tb.Fatal(err)
 	}
 	ins, del := dyndb.Insert("E", 5000, 7), dyndb.Delete("E", 5000, 7)
-	pair := func() {
+	return ws, func() {
 		if changed, err := ws.Apply(ins); err != nil || !changed {
-			t.Fatalf("insert: changed=%v err=%v", changed, err)
+			tb.Fatalf("insert: changed=%v err=%v", changed, err)
 		}
 		if changed, err := ws.Apply(del); err != nil || !changed {
-			t.Fatalf("delete: changed=%v err=%v", changed, err)
+			tb.Fatalf("delete: changed=%v err=%v", changed, err)
 		}
 	}
-	pair() // warm the arena free chains and the map slots
-	if allocs := testing.AllocsPerRun(1000, pair); allocs != 0 {
-		t.Fatalf("an Apply insert/delete pair allocates %v times, want 0", allocs)
+}
+
+// BenchmarkApply records what one single-update Apply costs now that it
+// runs the batch pipeline: a warmed insert/delete pair per op, on the
+// core set and the ivm set of TestApplyAllocationFree, at Workers 0 and
+// 2 (with two handles, 2 fans even a one-update commit out).
+func BenchmarkApply(b *testing.B) {
+	for _, set := range applySets {
+		for _, workers := range []int{0, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", set.name, workers), func(b *testing.B) {
+				_, pair := applyPair(b, set.queries, workers)
+				pair()
+				b.ReportAllocs()
+				for b.Loop() {
+					pair()
+				}
+			})
+		}
 	}
 }
 
 // TestCommitAllocationFree: a warmed core-routed Commit with no subscriber
-// allocates a small constant — the batch's own bookkeeping slices — that
-// does not grow with the batch: nothing on the path allocates per update.
+// allocates nothing, at 64 updates as at 512: the pipeline's bookkeeping
+// lives in workspace-owned scratch and its pool bodies are bound once.
 // (Before the store kept tuples inline and the coalescer kept its slot
 // tables, a commit paid one tuple copy per insert and up to one table,
-// grown by rehash, per relation.)
+// grown by rehash, per relation; before the pool took a handle count and
+// bound bodies, it paid an index slice and a closure.)
 func TestCommitAllocationFree(t *testing.T) {
 	allocsAt := func(batch int) float64 {
 		ws := NewWorkspace(WorkspaceOptions{})
@@ -205,8 +269,8 @@ func TestCommitAllocationFree(t *testing.T) {
 	if small != large {
 		t.Fatalf("a core-routed commit allocates %v times at 64 updates but %v at 512: something allocates per update", small, large)
 	}
-	if small > 8 {
-		t.Fatalf("a core-routed commit of 64 updates allocates %v times, want a handful", small)
+	if small != 0 {
+		t.Fatalf("a core-routed commit of 64 updates allocates %v times, want 0", small)
 	}
 }
 
@@ -255,7 +319,7 @@ func TestContains(t *testing.T) {
 }
 
 // TestCommitReturnsItsVersion: Commit reports the version it produced —
-// one update through the fast path, a batch through the pipeline — and a
+// for one update as for a batch, both through the one pipeline — and a
 // commit that changes nothing reports the version it left in place.
 func TestCommitReturnsItsVersion(t *testing.T) {
 	ws := NewWorkspace(WorkspaceOptions{})

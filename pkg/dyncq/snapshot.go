@@ -314,10 +314,7 @@ type deltaCapture struct {
 // held (begin): a snapshot cannot appear in the cache while a commit is
 // open, only be evicted from it.
 func (h *Handle) emits() bool {
-	if h.query.Arity() == 0 {
-		return false
-	}
-	return h.capture != nil || h.snap.Load() != nil
+	return h.query.Arity() > 0 && h.readSide()
 }
 
 // begin opens a commit of n net commands on the handle's backend and
@@ -388,25 +385,38 @@ func (w *Workspace) StopDeltaCapture(name string) bool {
 // every handle that needs any: delivering the captured delta
 // (CaptureDeltas) and the cached-snapshot advance (snapshot_cache.go), on
 // the workspace worker pool (per-handle captures and caches are private;
-// backend reads over the now-quiescent store are safe concurrently).
-// Called at the end of every committed state change, with exclusive
-// access, after w.version moved. Handles with neither a capture nor a
-// cached snapshot cost nothing here — the paper's per-update bound is
-// untouched for write-only workloads.
+// backend reads over the now-quiescent store are safe concurrently),
+// with no more workers than handles that need it. Called at the end of
+// every committed state change, with exclusive access, after w.version
+// moved. Handles with neither a capture nor a cached snapshot cost
+// nothing here — the paper's per-update bound is untouched for
+// write-only workloads.
+//
+//dyncq:hot
 func (w *Workspace) afterCommitLocked() {
-	var active []int
-	for i, h := range w.order {
-		if h.capture != nil || h.snap.Load() != nil {
-			active = append(active, i)
+	active := 0
+	for _, h := range w.order {
+		if h.readSide() {
+			active++
 		}
 	}
-	if len(active) == 0 {
-		return
+	if active > 0 {
+		runPool(len(w.order), min(w.workers, active), nil, w.afterCommitFn)
 	}
-	runPool(active, w.workers, func(i int) {
-		w.order[i].afterCommit()
-	})
 }
+
+// afterCommitAt runs handle i's post-commit read side, if it has any.
+//
+//dyncq:hot
+func (w *Workspace) afterCommitAt(i int) {
+	if h := w.order[i]; h.readSide() {
+		h.afterCommit()
+	}
+}
+
+// readSide reports whether the handle has a capture or a cached
+// snapshot, the two consumers of a commit's result delta.
+func (h *Handle) readSide() bool { return h.capture != nil || h.snap.Load() != nil }
 
 // afterCommit runs one handle's post-commit read-side maintenance: take
 // the delta the backend parked (it serves this version and no other),

@@ -65,8 +65,8 @@ func parseUpdate(line string, d *dict.Dict) (Update, error) {
 
 // StreamReader reads an update stream command by command, tracking line
 // numbers so errors — both parse errors here and apply-time errors in
-// ApplyStream — can name the offending line. Blank lines and #-comments
-// are skipped.
+// ApplyStreamReader — can name the offending line. Blank lines and
+// #-comments are skipped.
 type StreamReader struct {
 	sc    *bufio.Scanner
 	line  int
@@ -114,44 +114,18 @@ func (r *StreamReader) Next() (Update, int, error) {
 	return Update{}, r.line, io.EOF
 }
 
-// ParseStream reads a whole update stream, one command per line.
-func ParseStream(r io.Reader) ([]Update, error) {
-	var out []Update
-	sr := NewStreamReader(r)
-	for {
-		u, _, err := sr.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, u)
-	}
-}
-
-// ApplyStream reads the update stream from r and applies it to the
+// ApplyStreamReader reads the update stream from sr and applies it to the
 // workspace in batches of batchSize commands (batchSize <= 0 applies one
-// batch at the end). Every command's arity is checked against the
-// workspace's union schema at apply time, so a mismatch is reported with
-// the offending line number — something the backends' own arity errors
-// cannot do once the text positions are gone. Returns the number of net
-// commands that changed the database, stopping at the first error.
-func ApplyStream(ws *Workspace, r io.Reader, batchSize int) (int, error) {
-	return ApplyStreamFunc(ws, r, batchSize, nil)
-}
-
-// ApplyStreamFunc is ApplyStream with an observer: observe (if non-nil)
-// is called for every parsed command with its line number, before the
-// command is batched — the hook the CLI uses to count commands and warn
-// about relations outside the query on the same single parse pass.
-func ApplyStreamFunc(ws *Workspace, r io.Reader, batchSize int, observe func(u Update, line int)) (int, error) {
-	return ApplyStreamReader(ws, NewStreamReader(r), batchSize, observe)
-}
-
-// ApplyStreamReader is ApplyStreamFunc over an already-constructed
-// StreamReader — the entry point for callers that configured the reader
-// first (UseDict for the CLI's -strings mode).
+// batch at the end) — the one stream entry point; configure the reader
+// first (UseDict for the CLI's -strings mode). Every command's arity is
+// checked against the workspace's union schema at apply time, so a
+// mismatch is reported with the offending line number — something the
+// backends' own arity errors cannot do once the text positions are gone.
+// observe (if non-nil) is called for every parsed command with its line
+// number, before the command is batched — the hook the CLI uses to count
+// commands and warn about relations outside the query on the same single
+// parse pass. Returns the number of net commands that changed the
+// database, stopping at the first error.
 func ApplyStreamReader(ws *Workspace, sr *StreamReader, batchSize int, observe func(u Update, line int)) (int, error) {
 	schema := ws.Schema()
 	applied := 0

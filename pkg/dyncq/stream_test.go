@@ -74,22 +74,22 @@ func TestParseUpdateRejectsExplicitly(t *testing.T) {
 	}
 }
 
-// TestApplyStream: streams apply in batches through the workspace, and
+// TestApplyStreamReader: streams apply in batches through the workspace, and
 // an arity mismatch against the registered query is reported with the
 // offending line number at apply time.
-func TestApplyStream(t *testing.T) {
+func TestApplyStreamReader(t *testing.T) {
 	s := NewWorkspace(WorkspaceOptions{})
 	h, err := s.Register("q", "Q(y) :- E(x,y), T(y)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := ApplyStream(s, strings.NewReader(`
+	n, err := ApplyStreamReader(s, NewStreamReader(strings.NewReader(`
 # initial data
 +E(1,2)
 +E(3,2)
 +T(2)
 -E(3,2)
-`), 2)
+`)), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +100,12 @@ func TestApplyStream(t *testing.T) {
 		t.Errorf("count = %d, want 1", got)
 	}
 	// Arity mismatch against the query: line-attributed error.
-	_, err = ApplyStream(s, strings.NewReader("+E(1,2)\n+T(2,9)\n"), 0)
+	_, err = ApplyStreamReader(s, NewStreamReader(strings.NewReader("+E(1,2)\n+T(2,9)\n")), 0, nil)
 	if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "arity") {
 		t.Fatalf("want line-2 arity error, got %v", err)
 	}
 	// Parse errors also carry the line.
-	_, err = ApplyStream(s, strings.NewReader("+E(1,2)\n\n+-E(3,4)\n"), 0)
+	_, err = ApplyStreamReader(s, NewStreamReader(strings.NewReader("+E(1,2)\n\n+-E(3,4)\n")), 0, nil)
 	if err == nil || !strings.Contains(err.Error(), "line 3") {
 		t.Fatalf("want line-3 parse error, got %v", err)
 	}
@@ -137,7 +137,7 @@ func TestStreamRoundTrip(t *testing.T) {
 		b.WriteString(FormatUpdate(u))
 		b.WriteByte('\n')
 	}
-	got, err := ParseStream(strings.NewReader(b.String()))
+	got, err := readStream(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +146,24 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseStreamReportsLine(t *testing.T) {
-	_, err := ParseStream(strings.NewReader("+E(1,2)\nbogus line\n"))
+// readStream reads a whole update stream through a StreamReader.
+func readStream(r io.Reader) ([]Update, error) {
+	var out []Update
+	sr := NewStreamReader(r)
+	for {
+		u, _, err := sr.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, u)
+	}
+}
+
+func TestStreamReaderReportsLine(t *testing.T) {
+	_, err := readStream(strings.NewReader("+E(1,2)\nbogus line\n"))
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("want line-2 error, got %v", err)
 	}

@@ -24,22 +24,25 @@ import (
 // database with per-query maintenance structures fed by a common delta
 // stream.
 //
-// The pipeline, per batch: coalesce once, validate once (against the
-// union schema of all registered queries and the store, so a bad batch
-// is rejected atomically), compute the net delta against the shared
-// store once (dyndb.NetDelta, which resolves each command's relation
-// name to the store's relation id once; the union schema is mirrored
-// into the store with dyndb.Require, so that same pass checks it), apply
-// it to the store once — the store
-// mutation count is independent of how many queries are registered —
-// and fan the same delta out to every query's maintenance structure
-// (core / ivm, routed per query by classification). IVM
-// backends need the store in a specific state relative to each
-// relation's mutation (deletion deltas evaluate on the pre-state,
-// insertion deltas on the post-state), so the fan-out interleaves
-// per-relation hooks with the store mutation; core backends receive the
-// whole delta after the store is current, in delta order. With workers,
-// the handles maintain concurrently, each on its own goroutine.
+// Every write — Apply, Insert, Delete, InsertS, DeleteS, ApplyBatch,
+// ApplyBatched, Commit, and the serving layer's apply verb and batches —
+// runs one pipeline, commitLocked; a single update is a batch of one, as
+// in the paper's single-tuple update model. Per commit: coalesce once,
+// validate once (against the union schema of all registered queries and
+// the store, so a bad batch is rejected atomically), compute the net
+// delta against the shared store once (dyndb.NetDelta, which resolves
+// each command's relation name to the store's relation id once; the
+// union schema is mirrored into the store with dyndb.Require, so that
+// same pass checks it), apply it to the store once — the store mutation
+// count is independent of how many queries are registered — and fan the
+// same delta out to every query's maintenance structure (core / ivm,
+// routed per query by classification). IVM backends need the store in a
+// specific state relative to each relation's mutation (deletion deltas
+// evaluate on the pre-state, insertion deltas on the post-state), so the
+// fan-out interleaves per-relation hooks with the store mutation; core
+// backends receive the whole delta after the store is current, in delta
+// order. With workers, the handles maintain concurrently, each on its own
+// goroutine. A warmed commit allocates nothing on the pipeline's side.
 //
 // Concurrency: a Workspace is safe for concurrent use — writers
 // serialise behind a write lock and commit atomically, readers (every
@@ -59,8 +62,9 @@ type queryBackend interface {
 	Enumerate(yield func(tuple []Value) bool)
 	Contains(tuple []Value) bool
 
-	// The write side is one sequence per commit; a single update is a net
-	// delta of one. begin opens a nonempty net delta of n commands, says
+	// The write side is one sequence per commit, driven only by the
+	// workspace's commit pipeline; a single update is a net delta of one.
+	// begin opens a nonempty net delta of n commands, says
 	// whether the commit's result delta is wanted, and reports whether the
 	// backend needs the relation-phased store schedule for it: preDelete
 	// and postInsert then bracket each relation's store mutation (IVM's
@@ -109,13 +113,20 @@ type Workspace struct {
 	order    []*Handle // registration order
 	workers  int
 
-	// one and oneTuple are the single-update path's batch of one, so
-	// Apply drives the same store and backend sequence as a batch without
-	// allocating; perNS is the batch pipeline's per-handle timing scratch.
-	// Guarded by the write lock; backends do not retain them.
-	one      [1]Update
-	oneTuple [1][]Value
-	perNS    []int64
+	// The open commit, read by the pool bodies below: its net delta, the
+	// per-handle timings, the per-relation grouping of the relation-phased
+	// store schedule and the relation whose hooks run. The grouping's
+	// slices are reused across commits (up to keepGrouped commands) and
+	// cleared after each, so they hold no batch tuple between commits. Guarded by the write lock;
+	// backends do not retain them.
+	survivors []Update
+	perNS     []int64
+	rels      []relDelta
+	hookRel   *relDelta
+
+	// The pool bodies, bound once by NewWorkspace so that a commit builds
+	// no closure.
+	finishFn, preDeleteFn, postInsertFn, afterCommitFn func(i int)
 
 	// version counts committed state changes. It is atomic so the
 	// cached-snapshot fast path (Handle.CachedSnapshot) can validate a
@@ -128,13 +139,15 @@ type Workspace struct {
 // Updates applied before any registration only populate the shared
 // store; queries registered later are brought up to date against it.
 func NewWorkspace(opt WorkspaceOptions) *Workspace {
-	return &Workspace{
+	w := &Workspace{
 		store:   dyndb.New(),
 		schema:  make(map[string]int),
 		owner:   make(map[string]string),
 		handles: make(map[string]*Handle),
 		workers: opt.Workers,
 	}
+	w.finishFn, w.preDeleteFn, w.postInsertFn, w.afterCommitFn = w.finishAt, w.preDeleteAt, w.postInsertAt, w.afterCommitAt
+	return w
 }
 
 // Handle is the read surface of one registered live query. All read
@@ -152,11 +165,11 @@ type Handle struct {
 	strategy Strategy
 	back     queryBackend
 
-	// maintainNS accumulates the time the batch pipeline spent
-	// maintaining this query (delta hooks + finish), and batches
-	// the number of nonempty batches it participated in — the per-query
-	// split of the shared pipeline's cost (MaintenanceNS). The
-	// single-update fast path is deliberately untimed.
+	// maintainNS accumulates the time the commit pipeline spent
+	// maintaining this query (delta hooks + finish), and batches the
+	// number of commits that changed the store — every one, a single
+	// update included — the per-query split of the shared pipeline's cost
+	// (MaintenanceNS).
 	maintainNS int64
 	batches    int64
 
@@ -285,9 +298,10 @@ func (h *Handle) Version() uint64 { return h.ws.Version() }
 // Cardinality returns |D| of the shared store.
 func (h *Handle) Cardinality() int { return h.ws.Cardinality() }
 
-// MaintenanceNS returns the cumulative time the batch pipeline spent
-// maintaining this query, and the number of nonempty batches it
-// participated in. The per-batch delta of the first value is the
+// MaintenanceNS returns the cumulative time the commit pipeline spent
+// maintaining this query, and the number of commits that changed the
+// store — every Apply, Commit and ApplyBatch that netted an update,
+// whatever its size. The per-commit delta of the first value is the
 // per-query update latency. The timer is wall-clock: with Workers > 1
 // the per-handle fan-out runs handles concurrently, so each handle's
 // time includes scheduler contention from the others and the sum over
@@ -514,7 +528,7 @@ func (w *Workspace) InsertS(rel string, names ...string) (bool, error) {
 	for i, n := range names {
 		tuple[i] = d.Encode(n)
 	}
-	return w.applyLocked(dyndb.Insert(rel, tuple...))
+	return w.commitOne(dyndb.Insert(rel, tuple...))
 }
 
 // DeleteS deletes a tuple of external string constants. A name the
@@ -536,7 +550,7 @@ func (w *Workspace) DeleteS(rel string, names ...string) (bool, error) {
 		}
 		tuple[i] = c
 	}
-	return w.applyLocked(dyndb.Delete(rel, tuple...))
+	return w.commitOne(dyndb.Delete(rel, tuple...))
 }
 
 // Insert applies "insert R(a1,…,ar)" to the shared store and every
@@ -552,24 +566,21 @@ func (w *Workspace) Delete(rel string, tuple ...Value) (bool, error) {
 }
 
 // Apply executes one update command atomically across the shared store
-// and every registered query.
+// and every registered query: a commit of one, through the same pipeline
+// as every batch.
 func (w *Workspace) Apply(u Update) (bool, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.applyLocked(u)
+	return w.commitOne(u)
 }
 
-// ApplyAll executes a sequence of updates one at a time, stopping at
-// the first error. For bulk work prefer ApplyBatch.
-func (w *Workspace) ApplyAll(updates []Update) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, u := range updates {
-		if _, err := w.applyLocked(u); err != nil {
-			return err
-		}
-	}
-	return nil
+// commitOne commits a batch of one and reports whether it changed the
+// database. The caller holds w.mu.Lock.
+//
+//dyncq:hot
+func (w *Workspace) commitOne(u Update) (bool, error) {
+	applied, err := w.commitLocked([]Update{u})
+	return applied > 0, err
 }
 
 // checkArity validates one command against the union schema (errors
@@ -602,52 +613,13 @@ func (w *Workspace) rejected(updates []Update, err error) error {
 	return fmt.Errorf("dyncq: %w", err)
 }
 
-// applyLocked is the single-update fast path: the store's net delta of
-// one (validation and relation id included), one store mutation, and
-// the backends' commit sequence over that delta — no batch bookkeeping,
-// no allocation. The caller holds w.mu.Lock.
-func (w *Workspace) applyLocked(u Update) (bool, error) {
-	w.one[0] = u
-	net, err := w.store.NetDelta(w.one[:])
-	if err != nil {
-		return false, w.rejected(w.one[:], err)
-	}
-	if len(net) == 0 {
-		return false, nil
-	}
-	insert := u.Op == dyndb.OpInsert
-	w.oneTuple[0] = u.Tuple
-	phased := false
-	for _, h := range w.order {
-		if h.begin(1) {
-			phased = true
-		}
-	}
-	if phased && !insert {
-		for _, h := range w.order {
-			h.back.preDelete(u.Rel, w.oneTuple[:])
-		}
-	}
-	w.store.ApplyNetDelta(net, 0)
-	if phased && insert {
-		for _, h := range w.order {
-			h.back.postInsert(u.Rel, w.oneTuple[:])
-		}
-	}
-	for _, h := range w.order {
-		h.added, h.removed = h.back.finish(net)
-	}
-	w.version.Add(1)
-	w.afterCommitLocked()
-	return true, nil
-}
-
 // Commit executes the updates as one atomic commit, exactly as ApplyBatch
 // does, and also returns the workspace version the commit produced, read
 // before the write lock is released — with several writers, Version()
 // asked afterwards may already name somebody else's commit. A commit that
-// changes nothing leaves the version where it was and returns it. One
-// update takes the single-update fast path.
+// changes nothing leaves the version where it was and returns it. Every
+// other write method runs the same pipeline; a single update is a batch
+// of one.
 //
 // Commit reads the batch's tuples only until it returns: the store, the
 // engines, delta events and snapshots keep copies of what they keep, so
@@ -659,14 +631,7 @@ func (w *Workspace) applyLocked(u Update) (bool, error) {
 func (w *Workspace) Commit(updates []Update) (applied int, version uint64, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if len(updates) == 1 {
-		changed, err := w.applyLocked(updates[0])
-		if changed {
-			applied = 1
-		}
-		return applied, w.version.Load(), err
-	}
-	applied, err = w.applyBatchLocked(updates)
+	applied, err = w.commitLocked(updates)
 	return applied, w.version.Load(), err
 }
 
@@ -683,11 +648,13 @@ func (w *Workspace) ApplyBatch(updates []Update) (int, error) {
 	return applied, err
 }
 
-// applyBatchLocked is the batch pipeline behind Commit. The caller holds
-// w.mu.Lock.
+// commitLocked is the commit pipeline: every write method reaches it,
+// and it is the only place that coalesces, writes the store, fans the
+// delta out and runs the post-commit read side. It allocates nothing once
+// warm. The caller holds w.mu.Lock.
 //
 //dyncq:hot
-func (w *Workspace) applyBatchLocked(updates []Update) (int, error) {
+func (w *Workspace) commitLocked(updates []Update) (int, error) {
 	// One validation pass, inside NetDelta, over every coalesced command
 	// by relation id: the union schema (mirrored into the store by
 	// Require), stored relations' arities, and intra-batch consistency of
@@ -717,30 +684,41 @@ func (w *Workspace) applyBatchLocked(updates []Update) (int, error) {
 	if cap(w.perNS) < len(w.order) {
 		w.perNS = make([]int64, len(w.order)) //dyncq:allow hotalloc grows with the number of registered queries, reused after
 	}
-	perNS := w.perNS[:len(w.order)]
-	clear(perNS)
+	w.perNS = w.perNS[:len(w.order)]
+	clear(w.perNS)
+	w.survivors = survivors
 	if phased {
-		w.runHookedStorePhase(survivors, perNS)
+		w.runHookedStorePhase()
 	} else {
 		w.store.ApplyNetDelta(survivors, 0)
 	}
 
 	// Fan-out phase: every backend sees the full delta with the store
 	// current (core runs its per-atom procedures here; IVM closes its
-	// batch, rebuilding if the crossover chose to). Every handle's batch close-out — core AND ivm
-	// — fans out across one worker pool: per-handle state is private, and
-	// the one shared structure (the store's indexes) is safe for
-	// concurrent evaluators over a quiescent store. Each
-	// handle's work is self-contained, so the result is byte-identical
-	// at any worker count.
-	w.finishFanOut(survivors, perNS)
+	// batch, rebuilding if the crossover chose to). Every handle's close-out
+	// — core AND ivm — fans out across one worker pool: per-handle state is
+	// private, and the one shared structure (the store's indexes) is safe
+	// for concurrent evaluators over a quiescent store. Each handle's work
+	// is self-contained, so the result is byte-identical at any worker
+	// count.
+	runPool(len(w.order), w.workers, w.perNS, w.finishFn)
+	w.survivors = nil
 	for i, h := range w.order {
-		h.maintainNS += perNS[i]
+		h.maintainNS += w.perNS[i]
 		h.batches++
 	}
 	w.version.Add(1)
 	w.afterCommitLocked()
 	return len(survivors), nil
+}
+
+// finishAt closes the open commit on handle i, parking its result delta
+// for afterCommit.
+//
+//dyncq:hot
+func (w *Workspace) finishAt(i int) {
+	h := w.order[i]
+	h.added, h.removed = h.back.finish(w.survivors)
 }
 
 // ApplyBatched splits the updates into chunks of batchSize and commits
@@ -767,65 +745,64 @@ func (w *Workspace) ApplyBatched(updates []Update, batchSize int) (int, error) {
 	return applied, nil
 }
 
-// runHookedStorePhase is the relation-phased store schedule: the delta
-// grouped per relation in first-appearance order, each relation's
-// deletions and insertions bracketed by the pre/post hooks — the exact
-// schedule ivm.Maintainer documents, so every IVM backend's maintained
-// multiplicities are identical to a single-update replay of the same
-// stream.
+// relDelta is one relation's slice of a commit's net delta, for the
+// relation-phased store schedule.
+type relDelta struct {
+	id        int
+	rel       string
+	dels, ins [][]Value
+	cmds      []Update
+}
+
+// runHookedStorePhase is the relation-phased store schedule: the open
+// commit's net delta grouped per relation in first-appearance order, each
+// relation's deletions and insertions bracketed by the pre/post hooks —
+// the exact schedule ivm.Maintainer documents, so every IVM backend's
+// maintained multiplicities are identical to a single-update replay of
+// the same stream.
 //
 // The hook phases fan each relation's pre/post hooks out across the
-// handles on a worker pool (per-handle IVM state is private and the
+// handles on the worker pool (per-handle IVM state is private and the
 // store's indexes are safe for concurrent evaluators over a quiescent
-// store). Only IVM backends do work in the hooks, so only they pay the
-// per-hook clock reads; the other strategies' hooks are no-ops and
-// contribute zero to their timers by construction.
-func (w *Workspace) runHookedStorePhase(survivors []Update, perNS []int64) {
-	type relDelta struct {
-		id        int
-		rel       string
-		dels, ins [][]Value
-		cmds      []Update // the relation's slice of the net delta
-	}
-	var deltas []relDelta // per relation, by first appearance
-	for _, u := range survivors {
-		id, at := dyndb.IDOf(u), len(deltas)
-		for i := range deltas {
-			if deltas[i].id == id {
+// store), timed into the open commit's per-handle timings. Only IVM
+// backends do work in the hooks; the others' hooks are no-ops.
+//
+//dyncq:hot
+func (w *Workspace) runHookedStorePhase() {
+	rels := w.rels[:0]
+	for _, u := range w.survivors {
+		id, at := dyndb.IDOf(u), len(rels)
+		for i := range rels {
+			if rels[i].id == id {
 				at = i
 				break
 			}
 		}
-		if at == len(deltas) {
-			deltas = append(deltas, relDelta{id: id, rel: u.Rel})
+		if at == len(rels) {
+			if at < cap(rels) {
+				rels = rels[:at+1] // a slot an earlier commit used
+			} else {
+				rels = append(rels, relDelta{}) //dyncq:allow hotalloc grows with the number of relations, reused after
+			}
+			d := &rels[at]
+			d.id, d.rel, d.dels, d.ins, d.cmds = id, u.Rel, d.dels[:0], d.ins[:0], d.cmds[:0]
 		}
-		d := &deltas[at]
+		d := &rels[at]
 		if u.Op == dyndb.OpInsert {
-			d.ins = append(d.ins, u.Tuple)
+			d.ins = append(d.ins, u.Tuple) //dyncq:allow hotalloc grows to the largest commit's share, reused after
 		} else {
-			d.dels = append(d.dels, u.Tuple)
+			d.dels = append(d.dels, u.Tuple) //dyncq:allow hotalloc grows to the largest commit's share, reused after
 		}
-		d.cmds = append(d.cmds, u)
+		d.cmds = append(d.cmds, u) //dyncq:allow hotalloc grows to the largest commit's share, reused after
 	}
-	all := w.allHandles()
-	hook := func(i int, fn func(back queryBackend)) {
-		h := w.order[i]
-		if h.strategy != StrategyIVM {
-			fn(h.back)
-			return
-		}
-		t0 := time.Now()
-		fn(h.back)
-		perNS[i] += time.Since(t0).Nanoseconds()
-	}
-	for i := range deltas {
-		d, rel := &deltas[i], deltas[i].rel
+	w.rels = rels
+	for i := range rels {
+		d := &rels[i]
+		w.hookRel = d
 		if len(d.dels) > 0 {
 			// Pre-state hooks: the store has not applied this relation's
 			// delta yet.
-			runPool(all, w.workers, func(i int) {
-				hook(i, func(back queryBackend) { back.preDelete(rel, d.dels) })
-			})
+			runPool(len(w.order), w.workers, w.perNS, w.preDeleteFn)
 		}
 		// One relation's slice of a validated net delta is itself a net
 		// delta against the current state (relations are disjoint, earlier
@@ -833,38 +810,52 @@ func (w *Workspace) runHookedStorePhase(survivors []Update, perNS []int64) {
 		w.store.ApplyNetDelta(d.cmds, 0)
 		if len(d.ins) > 0 {
 			// Post-state hooks: this relation's delta is fully applied.
-			runPool(all, w.workers, func(i int) {
-				hook(i, func(back queryBackend) { back.postInsert(rel, d.ins) })
-			})
+			runPool(len(w.order), w.workers, w.perNS, w.postInsertFn)
+		}
+	}
+	w.hookRel = nil
+	for i := range rels {
+		d := &rels[i]
+		clear(d.dels)
+		clear(d.ins)
+		clear(d.cmds)
+		if cap(d.cmds) > keepGrouped {
+			d.dels, d.ins, d.cmds = nil, nil, nil
 		}
 	}
 }
 
-// allHandles returns the indices of every registered handle — the
-// fan-out pools run all of them concurrently: core backends touch only
-// private structures, and IVM backends share only the store's indexes,
-// which are safe for concurrent evaluators while the store is quiescent.
-func (w *Workspace) allHandles() []int {
-	out := make([]int, len(w.order))
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
+// keepGrouped bounds, in commands, the per-relation grouping slices a
+// commit leaves for the next one: commit-sized batches reuse them, while a
+// bulk batch's are dropped rather than kept alive between commits.
+const keepGrouped = 1024
 
-// runPool runs fn(i) for every i in items on up to workers goroutines
-// claimed off a shared counter (sequentially when workers <= 1 or there
-// is at most one item). A panic inside fn is re-raised on the caller's
-// stack after the pool drains, matching the sequential path's failure
-// semantics (if several workers panic, the lowest worker index wins).
-func runPool(items []int, workers int, fn func(i int)) {
-	if workers > len(items) {
-		workers = len(items)
+// preDeleteAt and postInsertAt run handle i's hook for the relation whose
+// hooks run (hookRel).
+//
+//dyncq:hot
+func (w *Workspace) preDeleteAt(i int) { w.order[i].back.preDelete(w.hookRel.rel, w.hookRel.dels) }
+
+//dyncq:hot
+func (w *Workspace) postInsertAt(i int) { w.order[i].back.postInsert(w.hookRel.rel, w.hookRel.ins) }
+
+// runPool runs fn(i) for every i in [0, n) on up to workers goroutines
+// claimed off a shared counter (sequentially when workers <= 1 or n <=
+// 1). With ns non-nil each item is timed into ns[i] by chained clock
+// reads: one read per worker before its first item and one after every
+// item. A panic inside fn is re-raised on the caller's stack after the
+// pool drains, matching the sequential path's failure semantics (if
+// several workers panic, the lowest worker index wins). Only the
+// concurrent path allocates.
+//
+//dyncq:hot
+func runPool(n, workers int, ns []int64, fn func(i int)) {
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		for _, i := range items {
-			fn(i)
-		}
+		var next atomic.Int64 // its own: the goroutines' counter escapes to the heap
+		drain(&next, n, ns, fn)
 		return
 	}
 	var next atomic.Int64
@@ -875,13 +866,7 @@ func runPool(items []int, workers int, fn func(i int)) {
 		go func(k int) {
 			defer wg.Done()
 			defer func() { panics[k] = recover() }()
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= len(items) {
-					return
-				}
-				fn(items[j])
-			}
+			drain(&next, n, ns, fn)
 		}(k)
 	}
 	wg.Wait()
@@ -892,17 +877,34 @@ func runPool(items []int, workers int, fn func(i int)) {
 	}
 }
 
-// finishFanOut runs every backend's finish — core and ivm alike — over
-// up to w.workers goroutines; there is no sequential IVM tail. Per-handle
-// timings land in perNS, the result deltas with their captures.
-func (w *Workspace) finishFanOut(survivors []Update, perNS []int64) {
-	runPool(w.allHandles(), w.workers, func(i int) {
-		h := w.order[i]
-		t0 := time.Now()
-		h.added, h.removed = h.back.finish(survivors)
-		perNS[i] += time.Since(t0).Nanoseconds()
-	})
+// drain runs fn on the items it claims off next until none is left,
+// charging each to ns (when non-nil) the clock time since the previous
+// read.
+//
+//dyncq:hot
+func drain(next *atomic.Int64, n int, ns []int64, fn func(i int)) {
+	var t time.Duration
+	if ns != nil {
+		t = time.Since(clockBase)
+	}
+	for {
+		i := int(next.Add(1)) - 1
+		if i >= n {
+			return
+		}
+		fn(i)
+		if ns != nil {
+			now := time.Since(clockBase)
+			ns[i] += int64(now - t)
+			t = now
+		}
+	}
 }
+
+// clockBase carries a monotonic clock reading, so time.Since(clockBase)
+// reads the monotonic clock alone: about half the cost of time.Now, which
+// reads the wall clock too.
+var clockBase = time.Now()
 
 // Load performs the preprocessing phase for an initial database across
 // the whole workspace through each backend's bulk path (core builds its
@@ -979,7 +981,7 @@ func (w *Workspace) loadLocked(db *dyndb.Database) error {
 // whole load atomically.
 func (w *Workspace) rebuildFanOut(fail func(error) error) error {
 	errs := make([]error, len(w.order))
-	runPool(w.allHandles(), w.workers, func(i int) {
+	runPool(len(w.order), w.workers, nil, func(i int) {
 		errs[i] = w.order[i].back.rebuild()
 	})
 	for _, err := range errs {

@@ -103,7 +103,7 @@ deep_leg() {
 	# The Go benchmarks the gates and CHANGES.md cite: they must compile,
 	# pass their own b.Fatal checks and print. No timing threshold.
 	go test ./pkg/dyncq ./internal/ivm ./internal/core ./internal/server -run '^$' \
-		-bench 'DeltaJoin|CapturedCommit|SnapshotAdvance|SnapshotLaggingReader|CoreUpdate|CommitWorkers|EnumerateFrame' \
+		-bench 'Apply$|DeltaJoin|CapturedCommit|SnapshotAdvance|SnapshotLaggingReader|CoreUpdate|CommitWorkers|EnumerateFrame' \
 		-benchtime 50x -benchmem
 }
 
