@@ -6,7 +6,7 @@
 //   - the correctness oracle that the dynamic engine (internal/core) and
 //     the IVM baseline (internal/ivm) are tested against, and
 //   - the residual-query evaluator inside the IVM baseline's delta rules,
-//     via pinned atoms.
+//     via restricted atoms.
 //
 // Evaluation is exponential in the query size in the worst case (CQ
 // evaluation is NP-hard in combined complexity); queries are fixed and
@@ -24,20 +24,14 @@ import (
 // Value is a database constant.
 type Value = dyndb.Value
 
-// Pinned maps an atom index (into q.Atoms) to a fixed tuple: during
-// evaluation that atom matches only the given tuple instead of its
-// relation. This is the hook the IVM delta rules use to force occurrences
-// of an updated relation onto the updated tuple.
-type Pinned map[int][]Value
-
 // Restricted maps an atom index (into q.Atoms) to an explicit tuple set:
 // during evaluation that atom matches only the listed tuples instead of
-// its full relation. This is the batch analogue of Pinned — the IVM
-// batched delta rules restrict occurrences of an updated relation to the
-// batch's delta tuples, so the residual join against the base relations
-// runs once per batch instead of once per tuple. Callers guarantee the
-// listed tuples belong to the database state being evaluated; tuples of
-// the wrong arity are skipped, matching Pinned.
+// its full relation. This is the hook the IVM delta rules use: they
+// restrict occurrences of an updated relation to the commit's delta
+// tuples (a single update is a set of one), so the residual join against
+// the base relations runs once per commit instead of once per tuple. The
+// listed tuples need not be in the relation — a deletion delta lists
+// tuples about to leave it — and tuples of the wrong arity are skipped.
 type Restricted map[int][][]Value
 
 // Result is a set of distinct head tuples.
@@ -72,7 +66,7 @@ func (r *Result) Each(fn func(tuple []Value) bool) { r.set.Keys(fn) }
 // maintained by its mutators (see dyndb.Database.Index).
 func Evaluate(q *cq.Query, db *dyndb.Database) *Result {
 	res := &Result{set: tuplekey.NewTable[struct{}](len(q.Head))}
-	NewEvaluator(q).Run(db, nil, nil, func(head []Value) bool {
+	NewEvaluator(q).Run(db, nil, func(head []Value) bool {
 		res.set.Ref(head)
 		return true
 	})
@@ -88,7 +82,7 @@ func Count(q *cq.Query, db *dyndb.Database) int {
 // satisfying valuation.
 func Answer(q *cq.Query, db *dyndb.Database) bool {
 	found := false
-	NewEvaluator(q).Run(db, nil, nil, func([]Value) bool {
+	NewEvaluator(q).Run(db, nil, func([]Value) bool {
 		found = true
 		return false
 	})
@@ -96,19 +90,12 @@ func Answer(q *cq.Query, db *dyndb.Database) bool {
 }
 
 // CountValuations returns, for every head tuple, the number of valuations
-// (homomorphisms ϕ → D over all variables) projecting to it, honouring
-// pinned atoms, as a fresh table keyed by head tuple.
-func CountValuations(q *cq.Query, db *dyndb.Database, pinned Pinned) *tuplekey.Table[int64] {
-	return CountValuationsRestricted(q, db, pinned, nil)
-}
-
-// CountValuationsRestricted is CountValuations with additional restricted
-// atoms: atoms in restricted range only over their listed tuple sets (see
-// Restricted). Pinning and restricting the same atom is a programming
-// error; the pin wins.
-func CountValuationsRestricted(q *cq.Query, db *dyndb.Database, pinned Pinned, restricted Restricted) *tuplekey.Table[int64] {
+// (homomorphisms ϕ → D over all variables) projecting to it, with the
+// atoms in restricted ranging only over their listed tuple sets (see
+// Restricted), as a fresh table keyed by head tuple.
+func CountValuations(q *cq.Query, db *dyndb.Database, restricted Restricted) *tuplekey.Table[int64] {
 	out := tuplekey.NewTable[int64](len(q.Head))
-	NewEvaluator(q).CountInto(out, db, pinned, restricted)
+	NewEvaluator(q).CountInto(out, db, restricted)
 	return out
 }
 
@@ -150,13 +137,11 @@ type frame struct {
 
 // catom is an atom compiled for evaluation: argument variables resolved
 // to indices, with the running call's relation (nil if undeclared) and
-// pinned tuple or restriction set.
+// restriction set.
 type catom struct {
 	rel         string
 	args        []int // variable indices per position
 	stored      *dyndb.Relation
-	pinTo       []Value
-	pinSet      bool
 	restrict    [][]Value
 	restrictSet bool
 }
@@ -209,30 +194,26 @@ func NewEvaluator(q *cq.Query) *Evaluator {
 }
 
 // CountInto adds to out, for every head tuple, the number of valuations
-// projecting to it (see CountValuationsRestricted). out must be keyed at
-// the head's arity.
-func (ev *Evaluator) CountInto(out *tuplekey.Table[int64], db *dyndb.Database, pinned Pinned, restricted Restricted) {
+// projecting to it (see CountValuations). out must be keyed at the head's
+// arity.
+func (ev *Evaluator) CountInto(out *tuplekey.Table[int64], db *dyndb.Database, restricted Restricted) {
 	ev.counts = out
-	ev.Run(db, pinned, restricted, ev.countEmit)
+	ev.Run(db, restricted, ev.countEmit)
 	ev.counts = nil
 }
 
 // Run enumerates all satisfying valuations of the query over db, with
-// pinned and restricted atom overrides, calling emit with the head
-// projection of each until emit returns false. The head slice passed to
+// restricted atom overrides, calling emit with the head projection of
+// each until emit returns false. The head slice passed to
 // emit is reused between calls. Joins probe db's indexes, building the
 // ones they need on first use; any number of evaluators may run over one
 // db at once while nothing mutates it.
-func (ev *Evaluator) Run(db *dyndb.Database, pinned Pinned, restricted Restricted, emit func(head []Value) bool) {
+func (ev *Evaluator) Run(db *dyndb.Database, restricted Restricted, emit func(head []Value) bool) {
 	ev.db, ev.emit, ev.stopped = db, emit, false
 	for i := range ev.atoms {
 		a := &ev.atoms[i]
 		a.stored = db.Relation(a.rel)
-		a.pinTo, a.pinSet = pinned[i]
-		a.restrict, a.restrictSet = nil, false
-		if !a.pinSet {
-			a.restrict, a.restrictSet = restricted[i]
-		}
+		a.restrict, a.restrictSet = restricted[i]
 	}
 	ev.plan()
 	clear(ev.bound)
@@ -240,10 +221,10 @@ func (ev *Evaluator) Run(db *dyndb.Database, pinned Pinned, restricted Restricte
 	ev.db, ev.emit = nil, nil
 }
 
-// plan fixes the running call's join order, greedily: pinned atoms first,
-// then restricted ones, then repeatedly the atom with the most
-// already-bound variables, tie-broken by smaller relation. ev.bound
-// doubles as the set of variables bound so far.
+// plan fixes the running call's join order, greedily: restricted atoms
+// first, then repeatedly the atom with the most already-bound variables,
+// tie-broken by smaller relation. ev.bound doubles as the set of
+// variables bound so far.
 func (ev *Evaluator) plan() {
 	clear(ev.planUsed)
 	clear(ev.bound)
@@ -257,13 +238,10 @@ func (ev *Evaluator) plan() {
 			a := &ev.atoms[i]
 			score, size := 0, 0
 			switch {
-			case a.pinSet:
-				score = 1 << 20 // pinned: essentially free, schedule first
 			case a.restrictSet:
 				score = 1 << 19 // restricted: a small delta set, schedule early
 				size = len(a.restrict)
-			}
-			if !a.restrictSet && a.stored != nil {
+			case a.stored != nil:
 				size = a.stored.Len()
 			}
 			for _, vi := range a.args {
@@ -302,12 +280,6 @@ func (ev *Evaluator) step(d int) {
 	}
 	f := &ev.frames[d]
 	a := f.a
-	if a.pinSet {
-		if len(a.pinTo) == len(a.args) {
-			ev.try(d, a.pinTo)
-		}
-		return
-	}
 	if a.restrictSet {
 		for _, t := range a.restrict {
 			if len(t) == len(a.args) {

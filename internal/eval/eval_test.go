@@ -141,31 +141,31 @@ func TestCountValuationsVsDistinct(t *testing.T) {
 }
 
 func TestCountValuationsPinned(t *testing.T) {
-	// Pin the E atom to (1,10): only valuations through that tuple count.
+	// Restrict the E atom to {(1,10)}: only valuations through that tuple count.
 	q := cq.MustParse("Q(x) :- E(x,y), T(y)")
 	db := mkdb(t,
 		dyndb.Insert("E", 1, 10), dyndb.Insert("E", 1, 11), dyndb.Insert("E", 2, 10),
 		dyndb.Insert("T", 10), dyndb.Insert("T", 11),
 	)
-	counts := countMap(CountValuations(q, db, Pinned{0: []Value{1, 10}}))
+	counts := countMap(CountValuations(q, db, Restricted{0: {{1, 10}}}))
 	if len(counts) != 1 || counts[key(1)] != 1 {
 		t.Errorf("pinned counts = %v", counts)
 	}
-	// Pin to a tuple violating a repeated-variable pattern.
+	// Restrict to a tuple violating a repeated-variable pattern.
 	q2 := cq.MustParse("Q(x) :- R(x,x)")
 	db2 := mkdb(t, dyndb.Insert("R", 3, 3))
-	counts = countMap(CountValuations(q2, db2, Pinned{0: []Value{1, 2}}))
+	counts = countMap(CountValuations(q2, db2, Restricted{0: {{1, 2}}}))
 	if len(counts) != 0 {
 		t.Errorf("inconsistent pin matched: %v", counts)
 	}
 }
 
 func TestPinnedTupleNeedNotBeInRelation(t *testing.T) {
-	// IVM computes deletion deltas by pinning atoms to the tuple being
+	// IVM computes deletion deltas by restricting atoms to the tuples being
 	// deleted, which may already be gone from the relation.
 	q := cq.MustParse("Q(x) :- E(x,y), T(y)")
 	db := mkdb(t, dyndb.Insert("T", 10))
-	counts := countMap(CountValuations(q, db, Pinned{0: []Value{5, 10}}))
+	counts := countMap(CountValuations(q, db, Restricted{0: {{5, 10}}}))
 	if len(counts) != 1 || counts[key(5)] != 1 {
 		t.Errorf("counts = %v", counts)
 	}
@@ -340,26 +340,27 @@ func TestCountValuationsRestricted(t *testing.T) {
 		dyndb.Insert("T", 10), dyndb.Insert("T", 11), dyndb.Insert("T", 12),
 	)
 	// Each valuation matches the restricted atom to exactly one tuple, so
-	// restricting to a set must equal the sum of pinning to each element.
+	// restricting to a set must equal the sum of restricting to each element
+	// alone.
 	set := [][]Value{{1, 10}, {2, 10}, {3, 12}}
-	got := countMap(CountValuationsRestricted(q, db, nil, Restricted{0: set}))
+	got := countMap(CountValuations(q, db, Restricted{0: set}))
 	want := map[string]int64{}
 	for _, tup := range set {
-		for k, c := range countMap(CountValuations(q, db, Pinned{0: tup})) {
+		for k, c := range countMap(CountValuations(q, db, Restricted{0: {tup}})) {
 			want[k] += c
 		}
 	}
 	if len(got) != len(want) {
-		t.Fatalf("restricted gave %d head tuples, pinned sum %d", len(got), len(want))
+		t.Fatalf("restricted gave %d head tuples, per-tuple sum %d", len(got), len(want))
 	}
 	for k, c := range want {
 		if got[k] != c {
-			t.Errorf("head %v: restricted %d, pinned sum %d", k, got[k], c)
+			t.Errorf("head %v: restricted %d, per-tuple sum %d", k, got[k], c)
 		}
 	}
 	// Restricting to the full relation is the unrestricted count.
 	full := db.Relation("E").Tuples()
-	gotFull := countMap(CountValuationsRestricted(q, db, nil, Restricted{0: full}))
+	gotFull := countMap(CountValuations(q, db, Restricted{0: full}))
 	wantFull := countMap(CountValuations(q, db, nil))
 	if len(gotFull) != len(wantFull) {
 		t.Fatalf("full restriction gave %d head tuples, unrestricted %d", len(gotFull), len(wantFull))
@@ -374,7 +375,7 @@ func TestCountValuationsRestricted(t *testing.T) {
 func TestRestrictedSkipsWrongArity(t *testing.T) {
 	q := cq.MustParse("Q(x) :- E(x,y)")
 	db := mkdb(t, dyndb.Insert("E", 1, 2))
-	got := countMap(CountValuationsRestricted(q, db, nil, Restricted{0: {{1}, {1, 2}, {1, 2, 3}}}))
+	got := countMap(CountValuations(q, db, Restricted{0: {{1}, {1, 2}, {1, 2, 3}}}))
 	if len(got) != 1 || got[key(1)] != 1 {
 		t.Errorf("restricted with mixed arities = %v, want exactly E(1,2)", got)
 	}
@@ -388,7 +389,7 @@ func TestRestrictedSelfJoin(t *testing.T) {
 		dyndb.Insert("E", 1, 2), dyndb.Insert("E", 2, 3), dyndb.Insert("E", 3, 4),
 	)
 	delta := [][]Value{{1, 2}, {2, 3}}
-	got := countMap(CountValuationsRestricted(q, db, nil, Restricted{0: delta, 1: delta}))
+	got := countMap(CountValuations(q, db, Restricted{0: delta, 1: delta}))
 	if len(got) != 1 || got[key(1, 3)] != 1 {
 		t.Errorf("double restriction = %v, want exactly (1,3)", got)
 	}

@@ -62,7 +62,7 @@ func TestEmittedDeltaZeroTransit(t *testing.T) {
 		dyndb.Insert("E", 5, 5), dyndb.Insert("E", 6, 6), dyndb.Insert("E", 7, 7),
 		dyndb.Insert("E", 8, 8), dyndb.Insert("E", 9, 9),
 	}
-	for _, k := range []int{1, 2} { // 1: the pinned single-tuple path; 2: the restricted set path
+	for _, k := range []int{1, 2} { // 1: a restriction set of one tuple; 2: of two
 		h, err := newHarness(q)
 		if err != nil {
 			t.Fatal(err)
@@ -149,8 +149,8 @@ func TestEmittedDeltaZeroTransitInsideTerm(t *testing.T) {
 }
 
 // TestEmittedDeltaMatchesSetDifference: on seeded streams over the hard
-// queries, at batch sizes that take the pinned path, the restricted-set
-// path and the rebuild crossover, every commit's emitted delta equals the
+// queries, at batch sizes of one tuple, of several and past the rebuild
+// crossover, every commit's emitted delta equals the
 // before/after set difference.
 func TestEmittedDeltaMatchesSetDifference(t *testing.T) {
 	for _, qs := range []string{

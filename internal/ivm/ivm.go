@@ -11,9 +11,10 @@
 //	Δ = Σ_{∅≠S⊆occ(R)} (−1)^{|S|+1} · N_S,
 //
 // where occ(R) is the set of atoms over R and N_S counts valuations with
-// the atoms in S pinned to the updated tuple, evaluated over the post-state
-// (insert) or pre-state (delete) — the inclusion–exclusion form of the
-// standard delta query, correct under set semantics and self-joins.
+// the atoms in S restricted to the updated tuples, evaluated over the
+// post-state (insert) or pre-state (delete) — the inclusion–exclusion
+// form of the standard delta query, correct under set semantics and
+// self-joins.
 //
 // The point of this baseline in the reproduction: its update cost is a
 // residual join, i.e. Θ(n) or worse for the paper's hard queries
@@ -74,13 +75,12 @@ type Maintainer struct {
 	schema map[string]int
 	// ev runs the delta joins; emit adds each valuation's head tuple to
 	// result with the running join's coefficient coef, straight away.
-	// pinned and restricted are the join's atom overrides. All of it is
-	// scratch reused from join to join, so a delta join allocates nothing
-	// per valuation and nothing per call.
+	// restricted holds the join's atom overrides. All of it is scratch
+	// reused from join to join, so a delta join allocates nothing per
+	// valuation and nothing per call.
 	ev         *eval.Evaluator
 	coef       int64
 	emit       func(head []Value) bool
-	pinned     eval.Pinned
 	restricted eval.Restricted
 	// rebuildPending is set by BeginBatch when the batch is large enough
 	// that one full re-evaluation beats per-relation delta joins; the
@@ -110,7 +110,6 @@ func New(q *cq.Query, store *dyndb.Database) (*Maintainer, error) {
 		occ:        make(map[string][]int),
 		schema:     q.Schema(),
 		ev:         eval.NewEvaluator(q),
-		pinned:     eval.Pinned{},
 		restricted: eval.Restricted{},
 		touched:    tuplekey.NewTable[bool](arity),
 	}
@@ -163,23 +162,16 @@ func (m *Maintainer) PostInsert(rel string, tuples [][]Value) { m.propagate(rel,
 // zero, or below it, inside a term as well as between terms; add keeps
 // the presence the batch found, not the crossings. All tuples share
 // the delta's direction (all inserted, evaluated post-state, or all
-// deleted, evaluated pre-state). A single tuple is pinned rather than
-// made a restriction set of one: substituting the constants beats
-// scanning the set.
+// deleted, evaluated pre-state); a single update is a set of one.
 func (m *Maintainer) propagate(rel string, tuples [][]Value, sign int64) {
 	occs := m.occ[rel]
 	if m.rebuildPending || len(tuples) == 0 {
 		return
 	}
 	for mask := 1; mask < 1<<uint(len(occs)); mask++ {
-		clear(m.pinned)
 		clear(m.restricted)
 		for b, atom := range occs {
-			switch {
-			case mask&(1<<uint(b)) == 0:
-			case len(tuples) == 1:
-				m.pinned[atom] = tuples[0]
-			default:
+			if mask&(1<<uint(b)) != 0 {
 				m.restricted[atom] = tuples
 			}
 		}
@@ -187,7 +179,7 @@ func (m *Maintainer) propagate(rel string, tuples [][]Value, sign int64) {
 		if bits.OnesCount(uint(mask))%2 == 0 {
 			m.coef = -sign
 		}
-		m.ev.Run(m.db, m.pinned, m.restricted, m.emit)
+		m.ev.Run(m.db, m.restricted, m.emit)
 	}
 }
 
@@ -239,7 +231,7 @@ func (m *Maintainer) FinishBatch() (added, removed [][]Value) {
 // evaluate computes the multiplicities of ϕ(D) by one full evaluation.
 func (m *Maintainer) evaluate() *tuplekey.Table[int64] {
 	out := tuplekey.NewTable[int64](len(m.query.Head))
-	m.ev.CountInto(out, m.db, nil, nil)
+	m.ev.CountInto(out, m.db, nil)
 	return out
 }
 

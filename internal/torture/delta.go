@@ -20,13 +20,20 @@ import (
 // branching self-join (the second occurrence's pinned states skip a
 // sibling subtree), a repeated-variable self-join, and the branching
 // self-join again on IVM, where inclusion–exclusion takes multiplicities
-// through transient zeros.
+// through transient zeros. Three Boolean queries close the list, whose
+// delta is the empty tuple coming or going: a join on core (its gate
+// flips) and on IVM (its touched set holds the one empty head tuple), and
+// a product of two Boolean components on core, where a flip counts only
+// while the other gate is open.
 var deltaShapes = []namedQuery{
 	{"gated", "Q(x) :- S(x), T(y)", dyncq.StrategyAuto},
 	{"product", "Q(x,y) :- S(x), T(y)", dyncq.StrategyAuto},
 	{"fork", "Q(x,y,z) :- E(x,y), E(x,z)", dyncq.StrategyAuto},
 	{"loop", "Q(x,y) :- E(x,y), E(x,x)", dyncq.StrategyAuto},
 	{"fork-ivm", "Q(x,y,z) :- E(x,y), E(x,z)", dyncq.StrategyIVM},
+	{"bool", "Q() :- E(x,y), T(y)", dyncq.StrategyAuto},
+	{"bool-ivm", "Q() :- E(x,y), T(y)", dyncq.StrategyIVM},
+	{"bool-product", "Q() :- S(x), T(y)", dyncq.StrategyAuto},
 }
 
 // deltaWatch follows one captured query: the events its hook received

@@ -40,12 +40,14 @@ import (
 // and lost. The backends produce that delta themselves, as part of the
 // commit (queryBackend.finish): core enumerates only the tuples a step
 // changed (internal/core/delta.go), IVM reads it off the head tuples its
-// delta joins touched. The workspace keeps no copy of any result and
-// walks none per commit; only a Load, which resets every structure, is
-// bridged by a one-shot before/after diff (resultImage).
-// The same delta, parked on the handle between the backend's finish and
-// afterCommit, feeds the hook and the cache advance; a cached snapshot
-// asks for it even when no hook does (Handle.emits).
+// delta joins touched. A Boolean query is the arity-0 case of the same
+// rule: its delta is the empty tuple coming or going. The workspace keeps
+// no copy of any result and walks none per commit; only a Load, which
+// resets every structure, is bridged by a one-shot before/after diff
+// (resultImage). Each handle's delta goes from its backend straight to
+// its read side, in the same per-handle pool item (Handle.publish): the
+// cache advance first, then the hook. A cached snapshot asks for the
+// delta even when no hook does (Handle.emits).
 
 // QuerySnapshot is one query's result pinned at one committed version.
 // It is immutable and safe for concurrent use by any number of
@@ -184,14 +186,13 @@ func (s *QuerySnapshot) Blocks(encode func(name string, arity int, rows []Value)
 }
 
 // newSnapshot returns an empty snapshot of the handle's query stamped
-// with the workspace's current version and store statistics. Callers
+// with the given version and the store's current statistics. Callers
 // hold at least the workspace read lock (or exclusive access).
-func (h *Handle) newSnapshot() *QuerySnapshot {
-	w := h.ws
+func (h *Handle) newSnapshot(version uint64) *QuerySnapshot {
 	return &QuerySnapshot{
 		name:    h.name,
-		version: w.version.Load(),
-		card:    w.store.Cardinality(),
+		version: version,
+		card:    h.ws.store.Cardinality(),
 		arity:   h.query.Arity(),
 	}
 }
@@ -285,7 +286,9 @@ func (w *Workspace) Snapshot(names ...string) *WorkspaceSnapshot {
 // regardless of worker count or backend enumeration order. Both may be
 // empty: every committed version emits exactly one event per captured
 // query (subscribers track the committed version in lockstep and an
-// unchanged result is itself information).
+// unchanged result is itself information). A Boolean query's event
+// carries the empty tuple: in Added when the answer turned true, in
+// Removed when it turned false.
 type DeltaEvent struct {
 	// Query is the registration name.
 	Query string
@@ -297,34 +300,29 @@ type DeltaEvent struct {
 	Removed [][]Value
 }
 
-// deltaCapture is a handle's active delta export: the hook, and the
-// previous answer bit of a Boolean query (whose whole delta is that bit
-// flipping, read in O(1) after the commit).
-type deltaCapture struct {
-	hook    func(DeltaEvent)
-	boolean bool
-	prev    bool
-}
+// emits reports whether the handle has a read side for a commit's result
+// delta: a capture that wants it delivered, or a cached snapshot that
+// wants to advance by it. A handle with neither makes the backend do no
+// extra work. A commit asks when it opens the backend's commit, to arm
+// the emission, and again when the backend has finished, to publish;
+// both with the write lock held, and a snapshot cannot appear in the
+// cache while a commit is open, only be evicted from it — so a handle
+// that publishes always had its delta emitted.
+func (h *Handle) emits() bool { return h.capture != nil || h.snap.Load() != nil }
 
-// emits reports whether the handle's backend should produce the next
-// commit's result delta: when a capture wants it delivered, or a cached
-// snapshot wants it to advance by. A handle with neither makes the
-// backend do no extra work. A Boolean query's delta is its answer bit,
-// which needs no emission. Decided once per commit, with the write lock
-// held (begin): a snapshot cannot appear in the cache while a commit is
-// open, only be evicted from it.
-func (h *Handle) emits() bool {
-	return h.query.Arity() > 0 && h.readSide()
-}
-
-// begin opens a commit of n net commands on the handle's backend and
-// settles whether the backend is to emit the commit's result delta; it
-// reports whether the backend needs the relation-phased store schedule.
-// A delta an earlier commit parked and nobody consumed (the snapshot that
-// asked for it was evicted before afterCommit) is dropped here.
-func (h *Handle) begin(n int) (phased bool) {
-	h.emitting, h.added, h.removed = h.emits(), nil, nil
-	return h.back.begin(n, h.emitting)
+// publish hands one handle's result delta to its read side: it advances
+// the cached snapshot by the delta, then delivers the event to the
+// capture hook. It runs in the commit's per-handle pool item right after
+// the backend's finish (Workspace.finishAt), or after a Load's image
+// diff, before the version moves — so ev carries the version the commit
+// makes. delta is false only for a Load on a handle nobody captures,
+// whose cached snapshot is then re-materialised. The advance only reads
+// the event's tuples, before the hook owns them.
+func (h *Handle) publish(ev DeltaEvent, delta bool) {
+	h.advanceSnapshot(ev, delta)
+	if h.capture != nil {
+		h.capture(ev)
+	}
 }
 
 // CaptureDeltas starts per-commit delta capture for the named query:
@@ -333,16 +331,19 @@ func (h *Handle) begin(n int) (phased bool) {
 // query's result changed. Starting a capture costs O(1) — nothing is
 // enumerated or copied. While it is active each commit pays for
 // producing the delta: O(|Δ|) on core, the head tuples the delta joins
-// touched on IVM; a Load pays one result walk before and one after on
-// every strategy. A cached snapshot (Handle.Snapshot) arms the same
-// emission for as long as readers keep it demanded, so a capture on a
-// polled query adds only the hook's own work, and one delta serves both.
-// The hook runs inside the commit, with
-// the workspace write lock held: it MUST NOT block and MUST NOT call any
-// workspace, handle, or session method (the serving layer's broker
-// satisfies this by handing pre-encoded frames to per-connection
+// touched on IVM — for a Boolean query too, whose delta is the empty
+// tuple; a Load pays one result walk before and one after on every
+// strategy. A cached snapshot (Handle.Snapshot) arms the same emission
+// for as long as readers keep it demanded, so a capture on a polled query
+// adds only the hook's own work, and one delta serves both. The hook runs
+// inside the commit, in the handle's own maintenance pool item right after
+// its backend finished and the cached snapshot advanced, with the
+// workspace write lock held and before the version moves (the event
+// carries the version being committed): it MUST NOT block and MUST NOT
+// call any workspace, handle, or session method (the serving layer's
+// broker satisfies this by handing pre-encoded frames to per-connection
 // buffers with a non-blocking send). Hooks of different queries may run
-// concurrently (the capture fan-out uses the workspace worker pool);
+// concurrently (the per-handle fan-out uses the workspace worker pool);
 // one query's hook is never invoked concurrently with itself and
 // observes strictly increasing versions. Only one capture per query may
 // be active; Unregister drops it.
@@ -359,11 +360,7 @@ func (w *Workspace) CaptureDeltas(name string, hook func(DeltaEvent)) error {
 	if hook == nil {
 		return fmt.Errorf("dyncq: nil delta hook for query %q", name)
 	}
-	c := &deltaCapture{hook: hook, boolean: h.query.Arity() == 0}
-	if c.boolean {
-		c.prev = h.back.Answer()
-	}
-	h.capture = c
+	h.capture = hook
 	return nil
 }
 
@@ -379,71 +376,6 @@ func (w *Workspace) StopDeltaCapture(name string) bool {
 	}
 	h.capture = nil
 	return true
-}
-
-// afterCommitLocked fans the post-commit read-side maintenance out over
-// every handle that needs any: delivering the captured delta
-// (CaptureDeltas) and the cached-snapshot advance (snapshot_cache.go), on
-// the workspace worker pool (per-handle captures and caches are private;
-// backend reads over the now-quiescent store are safe concurrently),
-// with no more workers than handles that need it. Called at the end of
-// every committed state change, with exclusive access, after w.version
-// moved. Handles with neither a capture nor a cached snapshot cost
-// nothing here — the paper's per-update bound is untouched for
-// write-only workloads.
-//
-//dyncq:hot
-func (w *Workspace) afterCommitLocked() {
-	active := 0
-	for _, h := range w.order {
-		if h.readSide() {
-			active++
-		}
-	}
-	if active > 0 {
-		runPool(len(w.order), min(w.workers, active), nil, w.afterCommitFn)
-	}
-}
-
-// afterCommitAt runs handle i's post-commit read side, if it has any.
-//
-//dyncq:hot
-func (w *Workspace) afterCommitAt(i int) {
-	if h := w.order[i]; h.readSide() {
-		h.afterCommit()
-	}
-}
-
-// readSide reports whether the handle has a capture or a cached
-// snapshot, the two consumers of a commit's result delta.
-func (h *Handle) readSide() bool { return h.capture != nil || h.snap.Load() != nil }
-
-// afterCommit runs one handle's post-commit read-side maintenance: take
-// the delta the backend parked (it serves this version and no other),
-// advance the cached snapshot by it, deliver it. The snapshot advance
-// reads the DeltaEvent BEFORE the hook is delivered — the event's slices
-// are owned by the hook once delivered, and the advance only copies
-// values out, never retains them.
-func (h *Handle) afterCommit() {
-	c := h.capture
-	var ev *DeltaEvent // nil: the backend was not asked for this commit's delta
-	if h.emitting || c != nil {
-		ev = &DeltaEvent{Query: h.name, Version: h.ws.version.Load(), Added: h.added, Removed: h.removed}
-	}
-	h.emitting, h.added, h.removed = false, nil, nil
-	if c != nil && c.boolean {
-		now := h.back.Answer()
-		if now && !c.prev {
-			ev.Added = [][]Value{nil}
-		} else if !now && c.prev {
-			ev.Removed = [][]Value{nil}
-		}
-		c.prev = now
-	}
-	h.advanceSnapshot(ev)
-	if c != nil {
-		c.hook(*ev)
-	}
 }
 
 // resultImage copies the backend's current result into a set: the

@@ -34,7 +34,11 @@ import (
 // on the slow-path pin), and the pin loads the pointer BEFORE the
 // atomic version — so a version match proves the snapshot was built at
 // the current committed state. Version values are unique and monotonic,
-// so a stale pointer can never match.
+// so a stale pointer can never match. A commit stores the advanced
+// snapshot, stamped with the version it is making, before that version
+// moves (once every handle has finished): until then pins keep hitting
+// the previous version's snapshot, and in the short gap between the
+// store and the move they miss and wait on the read lock.
 //
 // Demand decays by work, not by commit count — the ski-rental rule: keep
 // paying for cheap advances only until they have cost what one cold pin
@@ -123,7 +127,7 @@ func (h *Handle) pinLocked() *QuerySnapshot {
 		h.snapHits.Add(1)
 		return s
 	}
-	s := h.newSnapshot()
+	s := h.newSnapshot(h.ws.version.Load())
 	h.fillSnapshot(s)
 	h.snap.Store(s)
 	h.demand.Store(snapshotWords(s))
@@ -158,15 +162,14 @@ func (h *Handle) EvictSnapshot() bool {
 }
 
 // advanceSnapshot is the commit-side half of the cache: bring the
-// cached snapshot to the just-committed version and charge demand the
-// words that wrote, or drop it when the budget is spent. ev is the
-// version's DeltaEvent when the backend emitted the commit's delta (nil
-// otherwise); its tuples are only read, never retained. Runs with
-// exclusive workspace access, after w.version moved, on the after-commit
-// worker pool.
+// cached snapshot to the version ev names and charge demand the words
+// that wrote, or drop it when the budget is spent. delta says whether ev
+// holds the commit's result delta; its tuples are only read, never
+// retained. Runs with exclusive workspace access, before w.version moves,
+// in the handle's pool item (Handle.publish).
 //
 //dyncq:hot
-func (h *Handle) advanceSnapshot(ev *DeltaEvent) {
+func (h *Handle) advanceSnapshot(ev DeltaEvent, delta bool) {
 	prev := h.snap.Load()
 	if prev == nil {
 		return
@@ -176,21 +179,19 @@ func (h *Handle) advanceSnapshot(ev *DeltaEvent) {
 		h.snapInvalidated.Add(1)
 		return
 	}
-	s := h.newSnapshot()
+	s := h.newSnapshot(ev.Version)
 	written := 0 // values written besides the header and index words
-	switch {
-	case s.arity == 0:
-		// Boolean header refresh: O(1), no rows at all.
-		s.n = int(h.back.Count())
-		h.snapPatched.Add(1)
-	case ev != nil:
+	if delta {
 		// Delta in hand: rebuild the leaves its tuples fall into, share
-		// the rest — no backend enumeration, no sort.
-		s.leaves, written = patchLeaves(prev.leaves, s.arity, snapLeafRows, ev.Added, ev.Removed)
+		// the rest — no backend enumeration, no sort. A Boolean query has
+		// no leaves, and its delta is the empty tuple coming or going.
+		if s.arity > 0 {
+			s.leaves, written = patchLeaves(prev.leaves, s.arity, snapLeafRows, ev.Added, ev.Removed)
+		}
 		s.n = prev.n + len(ev.Added) - len(ev.Removed)
 		written += s.arity * (len(ev.Added) + len(ev.Removed))
 		h.snapPatched.Add(1)
-	default:
+	} else {
 		// A rebuild is charged the whole budget: it wrote what a cold pin
 		// writes.
 		h.fillSnapshot(s)

@@ -481,11 +481,10 @@ func pinMismatch(s *QuerySnapshot, want map[uint64][][]Value) string {
 
 // TestSnapshotEvictionDuringCommit: EvictSnapshot takes no lock, so a
 // cached snapshot can vanish between a commit's begin (which asked the
-// backend for the delta on its behalf) and its afterCommit (which then
-// finds nothing to advance and leaves the delta parked). The parked
-// delta belongs to that one version: whatever is pinned afterwards must
-// be the result at its own version, never a later snapshot patched by a
-// stale delta. An evictor races a committer, a pinner and a lock-free
+// backend for the delta on its behalf) and the handle's publish (which
+// then finds nothing to advance, and drops the delta). That delta belongs
+// to that one version: whatever is pinned afterwards must be the result
+// at its own version, never a later snapshot patched by a stale delta. An evictor races a committer, a pinner and a lock-free
 // prober whose CachedSnapshot hits re-arm the demand budget while commits
 // charge it and evictions zero it; every pin is compared with the result
 // the same stream produced, version for version, on a quiet workspace.

@@ -168,37 +168,90 @@ func TestCaptureDeltasEveryVersion(t *testing.T) {
 	}
 }
 
-// TestCaptureDeltasBoolean: arity-0 queries export their answer-bit
-// flips as an empty-tuple delta.
+// TestCaptureDeltasBoolean: an arity-0 query takes the native delta on
+// every strategy. Its event carries the empty tuple, in Added when the
+// answer turns true and in Removed when it turns false, through single
+// updates, batches and a Load in each direction; a commit that turns the
+// answer off and on again emits an empty event. A Boolean snapshot pinned
+// at every version advances by that delta: its Count and Answer match the
+// live handle, and every advance is a patch.
 func TestCaptureDeltasBoolean(t *testing.T) {
-	ws := NewWorkspace(WorkspaceOptions{})
-	if _, err := ws.Register("b", "Q() :- E(x,y), T(y)"); err != nil {
-		t.Fatal(err)
+	filler := []Update{dyndb.Insert("E", 1, 2)}
+	for i := 0; i < 12; i++ { // keeps IVM's crossover on the delta-join side after the first batch
+		filler = append(filler, dyndb.Insert("E", Value(10+i), Value(100+i)))
 	}
-	var events []DeltaEvent
-	if err := ws.CaptureDeltas("b", func(ev DeltaEvent) { events = append(events, ev) }); err != nil {
-		t.Fatal(err)
-	}
-	mustApply := func(u Update) {
-		t.Helper()
-		if _, err := ws.Apply(u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustApply(dyndb.Insert("E", 1, 2))
-	mustApply(dyndb.Insert("T", 2)) // answer flips to true
-	mustApply(dyndb.Delete("T", 2)) // flips back
-	if len(events) != 3 {
-		t.Fatalf("got %d events, want 3", len(events))
-	}
-	if len(events[0].Added)+len(events[0].Removed) != 0 {
-		t.Fatalf("event 0 should be empty, got %+v", events[0])
-	}
-	if len(events[1].Added) != 1 || len(events[1].Removed) != 0 {
-		t.Fatalf("event 1 should add the empty tuple, got %+v", events[1])
-	}
-	if len(events[2].Added) != 0 || len(events[2].Removed) != 1 {
-		t.Fatalf("event 2 should remove the empty tuple, got %+v", events[2])
+	for _, force := range []Strategy{StrategyCore, StrategyIVM} {
+		t.Run(force.String(), func(t *testing.T) {
+			ws := NewWorkspace(WorkspaceOptions{})
+			h, err := ws.RegisterQuery("b", cq.MustParse("Q() :- E(x,y), T(y)"), Options{Force: force})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var events []DeltaEvent
+			if err := ws.CaptureDeltas("b", func(ev DeltaEvent) { events = append(events, ev) }); err != nil {
+				t.Fatal(err)
+			}
+			pin := h.Snapshot()
+			steps := 0
+			// step runs one write and checks its one event, the pin taken
+			// before it and a fresh pin after it.
+			step := func(where string, write func() error, added, removed int) {
+				t.Helper()
+				n, before := len(events), pin.Answer()
+				if err := write(); err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				steps++
+				if len(events) != n+1 {
+					t.Fatalf("%s: %d events, want 1", where, len(events)-n)
+				}
+				ev := events[n]
+				if ev.Version != ws.Version() || len(ev.Added) != added || len(ev.Removed) != removed {
+					t.Fatalf("%s: event %+v at workspace version %d, want +%d −%d", where, ev, ws.Version(), added, removed)
+				}
+				for _, tup := range append(ev.Added, ev.Removed...) {
+					if len(tup) != 0 {
+						t.Fatalf("%s: event tuple %v, want the empty tuple", where, tup)
+					}
+				}
+				if pin.Answer() != before {
+					t.Fatalf("%s: the snapshot pinned at version %d changed its answer", where, pin.Version())
+				}
+				pin = h.Snapshot()
+				if pin.Version() != ws.Version() || pin.Answer() != h.Answer() || pin.Count() != h.Count() || pin.Len() != int(h.Count()) {
+					t.Fatalf("%s: snapshot at version %d answers %v (count %d), the handle at version %d %v (count %d)",
+						where, pin.Version(), pin.Answer(), pin.Count(), ws.Version(), h.Answer(), h.Count())
+				}
+			}
+			batch := func(us ...Update) func() error {
+				return func() error { _, err := ws.ApplyBatch(us); return err }
+			}
+			apply := func(u Update) func() error {
+				return func() error { _, err := ws.Apply(u); return err }
+			}
+			load := func(us ...Update) func() error {
+				db := NewDatabase()
+				for _, u := range us {
+					if _, err := db.Apply(u); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return func() error { return ws.Load(db) }
+			}
+			step("filler", batch(filler...), 0, 0)
+			step("a batch turning the answer on", batch(dyndb.Insert("T", 2), dyndb.Insert("E", 3, 4)), 1, 0)
+			step("an update turning it off", apply(dyndb.Delete("T", 2)), 0, 1)
+			step("an update with no flip", apply(dyndb.Insert("E", 5, 6)), 0, 0)
+			step("an update turning it on", apply(dyndb.Insert("T", 2)), 1, 0)
+			// T(2) goes first: the answer is off until T(4) meets E(3,4).
+			step("a commit turning it off and on again", batch(dyndb.Delete("T", 2), dyndb.Insert("T", 4)), 0, 0)
+			step("a Load turning it off", load(filler...), 0, 1)
+			step("a Load turning it on", load(append(filler, dyndb.Insert("T", 2))...), 1, 0)
+			step("a Load keeping it on", load(dyndb.Insert("E", 7, 8), dyndb.Insert("T", 8)), 0, 0)
+			if st := h.SnapshotCacheStats(); st.Patched != uint64(steps) || st.Rebuilt != 0 || st.Misses != 1 {
+				t.Fatalf("want every one of %d commits to patch the pinned snapshot and one miss: %+v", steps, st)
+			}
+		})
 	}
 }
 

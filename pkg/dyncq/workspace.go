@@ -126,7 +126,7 @@ type Workspace struct {
 
 	// The pool bodies, bound once by NewWorkspace so that a commit builds
 	// no closure.
-	finishFn, preDeleteFn, postInsertFn, afterCommitFn func(i int)
+	finishFn, preDeleteFn, postInsertFn func(i int)
 
 	// version counts committed state changes. It is atomic so the
 	// cached-snapshot fast path (Handle.CachedSnapshot) can validate a
@@ -146,7 +146,7 @@ func NewWorkspace(opt WorkspaceOptions) *Workspace {
 		handles: make(map[string]*Handle),
 		workers: opt.Workers,
 	}
-	w.finishFn, w.preDeleteFn, w.postInsertFn, w.afterCommitFn = w.finishAt, w.preDeleteAt, w.postInsertAt, w.afterCommitAt
+	w.finishFn, w.preDeleteFn, w.postInsertFn = w.finishAt, w.preDeleteAt, w.postInsertAt
 	return w
 }
 
@@ -166,24 +166,16 @@ type Handle struct {
 	back     queryBackend
 
 	// maintainNS accumulates the time the commit pipeline spent
-	// maintaining this query (delta hooks + finish), and batches the
-	// number of commits that changed the store — every one, a single
-	// update included — the per-query split of the shared pipeline's cost
-	// (MaintenanceNS).
+	// maintaining this query (delta hooks, finish, and the read side the
+	// result delta feeds, publish), and batches the number of commits
+	// that changed the store — every one, a single update included — the
+	// per-query split of the shared pipeline's cost (MaintenanceNS).
 	maintainNS int64
 	batches    int64
 
-	// capture is the active delta export (CaptureDeltas), nil while no
-	// subscriber wants this query's per-commit deltas.
-	capture *deltaCapture
-
-	// The open commit's result delta, between the backend's finish and
-	// afterCommit, which hands it to the capture hook and the snapshot
-	// advance and clears it. emitting says whether the backend was asked
-	// for one at all (begin decides, or Load): an empty delta and no delta
-	// both come as nil slices. Guarded by the write lock.
-	emitting       bool
-	added, removed [][]Value
+	// capture is the active delta export (CaptureDeltas): the hook, nil
+	// while no subscriber wants this query's per-commit deltas.
+	capture func(DeltaEvent)
 
 	// snap is the version-keyed cached snapshot (snapshot_cache.go): the
 	// latest materialised QuerySnapshot, shared by every pinner at its
@@ -301,12 +293,15 @@ func (h *Handle) Cardinality() int { return h.ws.Cardinality() }
 // MaintenanceNS returns the cumulative time the commit pipeline spent
 // maintaining this query, and the number of commits that changed the
 // store — every Apply, Commit and ApplyBatch that netted an update,
-// whatever its size. The per-commit delta of the first value is the
-// per-query update latency. The timer is wall-clock: with Workers > 1
-// the per-handle fan-out runs handles concurrently, so each handle's
-// time includes scheduler contention from the others and the sum over
-// handles can exceed the batch's duration — compare per-handle timings
-// across runs only at the same worker count.
+// whatever its size. The time includes the query's read side, which runs
+// in the same timed step: advancing a cached snapshot and calling a
+// CaptureDeltas hook; a query with neither pays nothing there. The
+// per-commit delta of the first value is the per-query update latency.
+// The timer is wall-clock: with Workers > 1 the per-handle fan-out runs
+// handles concurrently, so each handle's time includes scheduler
+// contention from the others and the sum over handles can exceed the
+// batch's duration — compare per-handle timings across runs only at the
+// same worker count.
 func (h *Handle) MaintenanceNS() (ns int64, batches int64) {
 	h.ws.mu.RLock()
 	defer h.ws.mu.RUnlock()
@@ -650,8 +645,8 @@ func (w *Workspace) ApplyBatch(updates []Update) (int, error) {
 
 // commitLocked is the commit pipeline: every write method reaches it,
 // and it is the only place that coalesces, writes the store, fans the
-// delta out and runs the post-commit read side. It allocates nothing once
-// warm. The caller holds w.mu.Lock.
+// delta out and publishes each query's result delta to its read side. It
+// allocates nothing once warm. The caller holds w.mu.Lock.
 //
 //dyncq:hot
 func (w *Workspace) commitLocked(updates []Update) (int, error) {
@@ -677,7 +672,7 @@ func (w *Workspace) commitLocked(updates []Update) (int, error) {
 	// per net command, independent of the number of queries.
 	phased := false
 	for _, h := range w.order {
-		if h.begin(len(survivors)) {
+		if h.back.begin(len(survivors), h.emits()) {
 			phased = true
 		}
 	}
@@ -695,12 +690,13 @@ func (w *Workspace) commitLocked(updates []Update) (int, error) {
 
 	// Fan-out phase: every backend sees the full delta with the store
 	// current (core runs its per-atom procedures here; IVM closes its
-	// batch, rebuilding if the crossover chose to). Every handle's close-out
+	// batch, rebuilding if the crossover chose to), and its result delta
+	// goes straight on to the handle's read side. Every handle's close-out
 	// — core AND ivm — fans out across one worker pool: per-handle state is
 	// private, and the one shared structure (the store's indexes) is safe
 	// for concurrent evaluators over a quiescent store. Each handle's work
 	// is self-contained, so the result is byte-identical at any worker
-	// count.
+	// count. The version moves once, after every handle has finished.
 	runPool(len(w.order), w.workers, w.perNS, w.finishFn)
 	w.survivors = nil
 	for i, h := range w.order {
@@ -708,17 +704,20 @@ func (w *Workspace) commitLocked(updates []Update) (int, error) {
 		h.batches++
 	}
 	w.version.Add(1)
-	w.afterCommitLocked()
 	return len(survivors), nil
 }
 
-// finishAt closes the open commit on handle i, parking its result delta
-// for afterCommit.
+// finishAt closes the open commit on handle i and publishes its result
+// delta, stamped with the version the commit makes, to the handle's read
+// side, if it has one.
 //
 //dyncq:hot
 func (w *Workspace) finishAt(i int) {
 	h := w.order[i]
-	h.added, h.removed = h.back.finish(w.survivors)
+	added, removed := h.back.finish(w.survivors)
+	if h.emits() {
+		h.publish(DeltaEvent{Query: h.name, Version: w.version.Load() + 1, Added: added, Removed: removed}, true)
+	}
 }
 
 // ApplyBatched splits the updates into chunks of batchSize and commits
@@ -925,7 +924,6 @@ func (w *Workspace) Load(db *Database) error {
 }
 
 func (w *Workspace) loadLocked(db *dyndb.Database) error {
-	w.version.Add(1)
 	// No backend tracks a reset incrementally: a captured query's delta
 	// across the load is a one-shot diff of its result before and after,
 	// linear like the load itself and gone once the event is built. A
@@ -933,25 +931,33 @@ func (w *Workspace) loadLocked(db *dyndb.Database) error {
 	// re-materialised after the load, linear just the same.
 	before := make([]*tuplekey.Table[bool], len(w.order))
 	for i, h := range w.order {
-		h.emitting, h.added, h.removed = h.capture != nil && h.query.Arity() > 0, nil, nil
-		if h.emitting {
+		if h.capture != nil {
 			before[i] = resultImage(h.back, h.query.Arity())
 		}
 	}
+	// Like a commit, the load publishes each handle's delta, stamped with
+	// the version it makes, and then moves the version once.
+	version := w.version.Load() + 1
 	commit := func() {
-		for i, img := range before {
-			if img != nil {
-				w.order[i].added, w.order[i].removed = diffImage(img, w.order[i].back)
+		runPool(len(w.order), w.workers, nil, func(i int) {
+			h := w.order[i]
+			if !h.emits() {
+				return
 			}
-		}
-		w.afterCommitLocked()
+			ev := DeltaEvent{Query: h.name, Version: version}
+			if before[i] != nil {
+				ev.Added, ev.Removed = diffImage(before[i], h.back)
+			}
+			h.publish(ev, before[i] != nil)
+		})
+		w.version.Store(version)
 	}
 	fail := func(err error) error {
 		w.store.Clear()
 		for _, h := range w.order {
 			h.back.clear()
 		}
-		// The version advanced and the state changed (to empty):
+		// The state changed (to empty), so the version advances:
 		// subscribers get their per-version event either way.
 		commit()
 		return err

@@ -4,7 +4,9 @@
 # lane runs the same commands, with the same gates, on a laptop as in CI.
 #
 #   scripts/ci.sh --quick                      gofmt, vet, dyncq-lint, build, shuffled tests
-#   scripts/ci.sh --deep [gomaxprocs...]       race matrix, fixed-seed torture soak, and on
+#   scripts/ci.sh --deep [gomaxprocs...]       race matrix, ten race passes over the tests of
+#                                              the snapshot cache and delta capture, a
+#                                              fixed-seed torture soak, and on
 #                                              the GOMAXPROCS=4 leg the server e2e run, the
 #                                              two parser fuzz targets, the table fuzz
 #                                              target and the net-delta fuzz target, the
@@ -83,6 +85,11 @@ deep_leg() {
 	local n=$1
 	echo "== deep lane, GOMAXPROCS=$n"
 	GOMAXPROCS=$n go test -race ./...
+	# A commit stores each handle's advanced snapshot and calls its hook
+	# before the version moves; lock-free pinners and evictors race that
+	# order, and one race pass is thin cover for it.
+	GOMAXPROCS=$n go test -race -count=10 ./pkg/dyncq \
+		-run 'TestSnapshotPinRace|TestSnapshotEvictionDuringCommit|TestCaptureDeltas|TestWorkspaceSnapshotPinnedDuringFanOut|TestSnapshotAdvanceMatchesFreshPin'
 	# A deterministic slice of the nightly soak at a pinned base seed.
 	GOMAXPROCS=$n go test ./internal/torture -race -run 'TestTortureSoak' \
 		-torture.seed=1 -torture.duration=60s -torture.failure-file="$failures" -v
