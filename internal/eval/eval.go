@@ -1,7 +1,13 @@
 // Package eval is a static (non-incremental) conjunctive query evaluator:
 // a backtracking join that probes the store's own hash indexes
-// (dyndb.Database.Index, built on first use). It plays two roles in this
-// repository:
+// (dyndb.Database.Index, built on first use). The join is planned once per
+// run: the order of the atoms and, per depth, how its atom is reached — a
+// restriction set, a full-tuple membership filter, an index bucket or a
+// relation scan — with the index resolved and the positions a tuple binds
+// and must agree on fixed, so the per-tuple work is binding, comparing and
+// probing only. A join with an atom that can match nothing (an undeclared
+// or empty relation, an empty restriction set) is not run at all. It plays
+// two roles in this repository:
 //
 //   - the correctness oracle that the dynamic engine (internal/core) and
 //     the IVM baseline (internal/ivm) are tested against, and
@@ -101,39 +107,73 @@ func CountValuations(q *cq.Query, db *dyndb.Database, restricted Restricted) *tu
 
 // Evaluator is a query compiled for repeated evaluation: variables are
 // resolved to indices once, and everything the backtracking join needs
-// while it runs — the assignment, and per join depth the list of variables
-// a tuple bound, the probe tuple and the visitor the scans call — is
-// allocated up front, so enumerating a valuation allocates nothing. One
-// evaluator serves one goroutine at a time.
+// while it runs — the assignment, and per join depth the plan and its
+// scratch — is allocated up front, so enumerating a valuation allocates
+// nothing. Each Run plans once: plan fixes the join order and, per depth,
+// how the atom there is reached (its access kind), the store index a
+// bucket walk probes, the variables that form the probe, the positions a
+// tuple binds and the positions it must agree on. The join itself (step,
+// try) only follows that plan. One evaluator serves one goroutine at a
+// time.
 type Evaluator struct {
 	atoms   []catom
 	headIdx []int // variable index per head position
 
 	// State of the running call.
-	db      *dyndb.Database
 	emit    func(head []Value) bool
 	stopped bool
-	order   []int // atom joined at each depth
 	assign  []Value
-	bound   []bool
 	head    []Value
 	frames  []frame // per join depth
+	// filters is the first depth of the plan's trailing run of full-tuple
+	// filters (len(frames) if it ends otherwise): step answers them in
+	// one loop before emit.
+	filters int
 
-	planUsed []bool // per atom, planning scratch
+	// Planning scratch: per atom whether it is placed, per variable
+	// whether an earlier depth binds it.
+	planUsed []bool
+	bound    []bool
 
 	counts    *tuplekey.Table[int64] // CountInto's target while it runs
 	countEmit func(head []Value) bool
 }
 
-// frame is the scratch of one join depth.
+// access is how a join depth reaches its atom's tuples, fixed by plan.
+type access uint8
+
+const (
+	accessRestricted access = iota // walk the atom's restriction set
+	accessFilter                   // every position bound: one membership probe
+	accessBucket                   // some positions bound: walk one index bucket
+	accessScan                     // no position bound: walk the relation
+)
+
+// frame is the plan and scratch of one join depth.
 type frame struct {
-	a          *catom
-	newlyBound []int   // variables the tuple under trial bound
-	probe      []Value // bound values of a's positions, in position order
-	// visit tries one tuple at this depth and reports whether the scan
-	// should go on; built once, so a scan creates no closure.
+	kind  access
+	arity int
+	rel   *dyndb.Relation // filter, bucket, scan
+	ix    *dyndb.Index    // bucket
+	set   [][]Value       // restricted
+	// probeVars are the already-bound variables at the positions a filter
+	// or bucket probes, in position order; probe holds their values.
+	probeVars []int
+	probe     []Value
+	// binds are the positions whose variable this depth binds (the
+	// variable's first position in the atom); checks the positions a
+	// tuple must agree on with the assignment once binds are applied: a
+	// repeat of a variable the same atom binds, or, on a restricted
+	// depth only, an earlier depth's variable (a filter's or bucket's
+	// probe has matched those already, and a scan has none).
+	binds, checks []slot
+	// visit tries one tuple at this depth and reports whether the walk
+	// should go on; built once, so a walk creates no closure.
 	visit func(t []Value) bool
 }
+
+// slot pairs an atom position with the variable at it.
+type slot struct{ pos, v int }
 
 // catom is an atom compiled for evaluation: argument variables resolved
 // to indices, with the running call's relation (nil if undeclared) and
@@ -156,12 +196,11 @@ func NewEvaluator(q *cq.Query) *Evaluator {
 	ev := &Evaluator{
 		atoms:    make([]catom, len(q.Atoms)),
 		headIdx:  make([]int, len(q.Head)),
-		order:    make([]int, 0, len(q.Atoms)),
 		assign:   make([]Value, len(vars)),
-		bound:    make([]bool, len(vars)),
 		head:     make([]Value, len(q.Head)),
 		frames:   make([]frame, len(q.Atoms)),
 		planUsed: make([]bool, len(q.Atoms)),
+		bound:    make([]bool, len(vars)),
 	}
 	maxArity := 0
 	for i, a := range q.Atoms {
@@ -177,8 +216,10 @@ func NewEvaluator(q *cq.Query) *Evaluator {
 	}
 	for d := range ev.frames {
 		ev.frames[d] = frame{
-			newlyBound: make([]int, 0, maxArity),
-			probe:      make([]Value, 0, maxArity),
+			probeVars: make([]int, 0, maxArity),
+			probe:     make([]Value, 0, maxArity),
+			binds:     make([]slot, 0, maxArity),
+			checks:    make([]slot, 0, maxArity),
 			visit: func(t []Value) bool {
 				ev.try(d, t)
 				return !ev.stopped
@@ -186,16 +227,15 @@ func NewEvaluator(q *cq.Query) *Evaluator {
 		}
 	}
 	ev.countEmit = func(head []Value) bool {
-		n, _ := ev.counts.Ref(head)
-		*n++
+		tuplekey.AddCount(ev.counts, head, 1)
 		return true
 	}
 	return ev
 }
 
 // CountInto adds to out, for every head tuple, the number of valuations
-// projecting to it (see CountValuations). out must be keyed at the head's
-// arity.
+// projecting to it (see CountValuations); a count that reaches zero
+// leaves out. out must be keyed at the head's arity.
 func (ev *Evaluator) CountInto(out *tuplekey.Table[int64], db *dyndb.Database, restricted Restricted) {
 	ev.counts = out
 	ev.Run(db, restricted, ev.countEmit)
@@ -205,31 +245,43 @@ func (ev *Evaluator) CountInto(out *tuplekey.Table[int64], db *dyndb.Database, r
 // Run enumerates all satisfying valuations of the query over db, with
 // restricted atom overrides, calling emit with the head projection of
 // each until emit returns false. The head slice passed to
-// emit is reused between calls. Joins probe db's indexes, building the
-// ones they need on first use; any number of evaluators may run over one
-// db at once while nothing mutates it.
+// emit is reused between calls. The plan requests the db indexes the join
+// will probe, building the ones missing — unless the join is empty; any
+// number of evaluators may run over one db at once while nothing mutates
+// it.
 func (ev *Evaluator) Run(db *dyndb.Database, restricted Restricted, emit func(head []Value) bool) {
-	ev.db, ev.emit, ev.stopped = db, emit, false
+	ev.emit, ev.stopped = emit, false
 	for i := range ev.atoms {
 		a := &ev.atoms[i]
 		a.stored = db.Relation(a.rel)
 		a.restrict, a.restrictSet = restricted[i]
 	}
-	ev.plan()
-	clear(ev.bound)
-	ev.step(0)
-	ev.db, ev.emit = nil, nil
+	if ev.plan(db) {
+		ev.step(0)
+	}
+	ev.emit = nil
 }
 
-// plan fixes the running call's join order, greedily: restricted atoms
-// first, then repeatedly the atom with the most already-bound variables,
-// tie-broken by smaller relation. ev.bound doubles as the set of
-// variables bound so far.
-func (ev *Evaluator) plan() {
+// plan fixes the running call's join, greedily: restricted atoms first,
+// then repeatedly the atom with the most already-bound variables,
+// tie-broken by smaller relation. Each depth's frame records what its
+// atom's access needs for the whole call — the kind, the relation, the
+// index (requested here, once per call, not per tuple), the probe
+// variables and the bind and check positions — so the join never asks
+// which variables are bound. If some atom can match nothing — its relation
+// undeclared or empty, or its restriction set empty — the join is empty:
+// plan reports false before requesting any index, so a join that finds
+// nothing does not make the store build and then maintain one.
+func (ev *Evaluator) plan(db *dyndb.Database) bool {
+	for i := range ev.atoms {
+		a := &ev.atoms[i]
+		if a.restrictSet && len(a.restrict) == 0 || !a.restrictSet && (a.stored == nil || a.stored.Len() == 0) {
+			return false
+		}
+	}
 	clear(ev.planUsed)
 	clear(ev.bound)
-	ev.order = ev.order[:0]
-	for range ev.atoms {
+	for d := range ev.frames {
 		best, bestScore, bestSize := -1, -1, 0
 		for i := range ev.atoms {
 			if ev.planUsed[i] {
@@ -237,11 +289,10 @@ func (ev *Evaluator) plan() {
 			}
 			a := &ev.atoms[i]
 			score, size := 0, 0
-			switch {
-			case a.restrictSet:
+			if a.restrictSet {
 				score = 1 << 19 // restricted: a small delta set, schedule early
 				size = len(a.restrict)
-			case a.stored != nil:
+			} else {
 				size = a.stored.Len()
 			}
 			for _, vi := range a.args {
@@ -254,22 +305,67 @@ func (ev *Evaluator) plan() {
 			}
 		}
 		ev.planUsed[best] = true
-		ev.frames[len(ev.order)].a = &ev.atoms[best]
-		ev.order = append(ev.order, best)
-		for _, vi := range ev.atoms[best].args {
-			ev.bound[vi] = true
+		ev.frames[d].resolve(&ev.atoms[best], ev.bound, db)
+	}
+	ev.filters = len(ev.frames)
+	for ev.filters > 0 && ev.frames[ev.filters-1].kind == accessFilter {
+		ev.filters--
+	}
+	return true
+}
+
+// resolve plans frame f for atom a given the variables bound before it,
+// and marks a's variables bound.
+func (f *frame) resolve(a *catom, bound []bool, db *dyndb.Database) {
+	f.arity, f.rel, f.ix, f.set = len(a.args), a.stored, nil, a.restrict
+	f.probeVars, f.binds, f.checks = f.probeVars[:0], f.binds[:0], f.checks[:0]
+	var mask uint32
+	for j, vi := range a.args {
+		if bound[vi] {
+			mask |= 1 << uint(j)
+			f.probeVars = append(f.probeVars, vi)
+		}
+	}
+	f.probe = f.probe[:len(f.probeVars)]
+	switch {
+	case a.restrictSet:
+		f.kind = accessRestricted
+	case len(f.probeVars) == len(a.args):
+		f.kind = accessFilter
+	case mask == 0:
+		f.kind = accessScan
+	default:
+		f.kind = accessBucket
+		f.ix = db.Index(a.rel, mask)
+	}
+	for j, vi := range a.args {
+		switch {
+		case !bound[vi]:
+			f.binds = append(f.binds, slot{j, vi})
+			bound[vi] = true
+		case mask&(1<<uint(j)) == 0 || f.kind == accessRestricted:
+			// bound by an earlier position of this atom, or by an earlier
+			// depth on a restricted atom, which has no probe
+			f.checks = append(f.checks, slot{j, vi})
 		}
 	}
 }
 
-// step extends the partial valuation by the atom at depth d.
+// step extends the partial valuation by the atom at depth d, following
+// the plan: from the trailing filters on, it probes each of them in one
+// loop and emits.
 //
 //dyncq:hot
 func (ev *Evaluator) step(d int) {
 	if ev.stopped {
 		return
 	}
-	if d == len(ev.order) {
+	if d >= ev.filters {
+		for i := d; i < len(ev.frames); i++ {
+			if f := &ev.frames[i]; !f.rel.Has(f.fill(ev.assign)) {
+				return
+			}
+		}
 		for i, vi := range ev.headIdx {
 			ev.head[i] = ev.assign[vi]
 		}
@@ -279,68 +375,56 @@ func (ev *Evaluator) step(d int) {
 		return
 	}
 	f := &ev.frames[d]
-	a := f.a
-	if a.restrictSet {
-		for _, t := range a.restrict {
-			if len(t) == len(a.args) {
+	switch f.kind {
+	case accessRestricted:
+		for _, t := range f.set {
+			if len(t) == f.arity {
 				ev.try(d, t)
 			}
 			if ev.stopped {
 				return
 			}
 		}
-		return
-	}
-	rel := a.stored
-	if rel == nil {
-		return // undeclared relation: no matches
-	}
-	var mask uint32
-	probe := f.probe[:0]
-	for j, vi := range a.args {
-		if ev.bound[vi] {
-			mask |= 1 << uint(j)
-			probe = append(probe, ev.assign[vi])
-		}
-	}
-	switch {
-	case len(probe) == len(a.args): // every position bound: probe is the tuple
-		if rel.Has(probe) {
+	case accessFilter:
+		if f.rel.Has(f.fill(ev.assign)) {
 			ev.step(d + 1)
 		}
-	case mask == 0:
-		rel.Each(f.visit)
-	default:
-		if b := ev.db.Index(a.rel, mask).Bucket(probe); b != nil {
+	case accessBucket:
+		if b := f.ix.Bucket(f.fill(ev.assign)); b != nil {
 			b.Keys(f.visit)
 		}
+	case accessScan:
+		f.rel.Each(f.visit)
 	}
 }
 
-// try binds the unbound variables of the atom at depth d to the tuple,
-// recurses if the bound ones agree with it, then unbinds.
+// fill writes the probe variables' values into the frame's probe: a
+// filter's whole tuple, a bucket's key.
+//
+//dyncq:hot
+func (f *frame) fill(assign []Value) []Value {
+	for k, vi := range f.probeVars {
+		f.probe[k] = assign[vi]
+	}
+	return f.probe
+}
+
+// try applies the tuple to the atom at depth d: it binds the plan's bind
+// positions, then recurses if the tuple agrees on the check positions.
+// Binding first is what lets a check compare against a variable the same
+// tuple binds (R(x,y,y)); nothing is unbound after, because a variable's
+// binding depth is fixed by the plan and deeper depths only read it.
 //
 //dyncq:hot
 func (ev *Evaluator) try(d int, t []Value) {
 	f := &ev.frames[d]
-	newlyBound := f.newlyBound[:0]
-	ok := true
-	for j, vi := range f.a.args {
-		if ev.bound[vi] {
-			if ev.assign[vi] != t[j] {
-				ok = false
-				break
-			}
-		} else {
-			ev.assign[vi] = t[j]
-			ev.bound[vi] = true
-			newlyBound = append(newlyBound, vi)
+	for _, s := range f.binds {
+		ev.assign[s.v] = t[s.pos]
+	}
+	for _, s := range f.checks {
+		if ev.assign[s.v] != t[s.pos] {
+			return
 		}
 	}
-	if ok {
-		ev.step(d + 1)
-	}
-	for _, vi := range newlyBound {
-		ev.bound[vi] = false
-	}
+	ev.step(d + 1)
 }

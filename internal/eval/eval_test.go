@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -171,9 +172,15 @@ func TestPinnedTupleNeedNotBeInRelation(t *testing.T) {
 	}
 }
 
-// TestAgainstBruteForce cross-checks the planner/index machinery against a
-// direct nested-loop evaluation on random databases and a mix of query
-// shapes, including self-joins and quantifiers.
+// TestAgainstBruteForce cross-checks the planned join against a direct
+// nested-loop evaluation on random databases and a mix of query shapes,
+// including self-joins and quantifiers: Evaluate and CountValuations
+// unrestricted, and CountValuations with random restriction sets on one
+// or two atoms. The shapes are chosen so that the plans cover every
+// access kind with a variable repeated inside the atom at that depth —
+// R(x,y,y) reached after x is bound, and the like — and the empty join an
+// undeclared relation makes, and the test fails if one of them never
+// came up that way.
 func TestAgainstBruteForce(t *testing.T) {
 	queries := []*cq.Query{
 		cq.MustParse("Q(x,y) :- S(x), E(x,y), T(y)"),
@@ -183,7 +190,13 @@ func TestAgainstBruteForce(t *testing.T) {
 		cq.MustParse("Q(x,z) :- E(x,y), E(y,z)"),
 		cq.MustParse("Q(x,y,z) :- R(x,y,z), E(x,y)"),
 		cq.MustParse("Q(y) :- E(x,y), T(y)"),
+		cq.MustParse("Q(v0,v1) :- R(v1,v0,v0)"),
+		cq.MustParse("Q(x,y) :- S(x), R(x,y,y)"),   // bucket on x, y repeated outside the mask
+		cq.MustParse("Q(x,y) :- E(x,y), R(x,y,y)"), // filter probing (x,y,y), or a scan of R
+		cq.MustParse("Q(x,y) :- S(x), E(y,y)"),     // Cartesian: a scan with a repeat
+		cq.MustParse("Q(x,y) :- E(x,y), U(x,y,y)"), // U is never declared
 	}
+	cov := map[string]bool{}
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 60; trial++ {
 		db := dyndb.New()
@@ -200,19 +213,106 @@ func TestAgainstBruteForce(t *testing.T) {
 				db.Insert("R", rng.Int63n(nv), rng.Int63n(nv), rng.Int63n(nv))
 			}
 		}
-		for _, q := range queries {
-			got := Evaluate(q, db)
-			want := bruteForce(q, db)
-			if got.Len() != len(want) {
-				t.Fatalf("trial %d, %s: |got| = %d, |want| = %d", trial, q, got.Len(), len(want))
+		for qi, q := range queries {
+			ctx := fmt.Sprintf("trial %d", trial)
+			planCoverage(cov, checkAgainstBrute(t, ctx, q, db, nil), db)
+			restricted := randomRestriction(rng, q, nv+1)
+			planCoverage(cov, checkAgainstBrute(t, fmt.Sprintf("%s, query %d restricted to %v", ctx, qi, restricted), q, db, restricted), db)
+		}
+	}
+	for _, kind := range []string{"restricted", "filter", "bucket", "scan", "undeclared"} {
+		if !cov[kind] {
+			t.Errorf("no plan had a %s atom that repeats a variable", kind)
+		}
+	}
+}
+
+// randomRestriction restricts one or two of q's atoms to up to four
+// distinct random tuples each over values below nv, now and then one of
+// the wrong arity.
+func randomRestriction(rng *rand.Rand, q *cq.Query, nv int64) Restricted {
+	out := Restricted{}
+	for range 1 + rng.Intn(2) {
+		i := rng.Intn(len(q.Atoms))
+		seen := map[string]bool{}
+		var set [][]Value
+		for range rng.Intn(5) {
+			arity := len(q.Atoms[i].Args)
+			if rng.Intn(8) == 0 {
+				arity++
 			}
-			for _, tup := range want {
-				if !got.Has(tup) {
-					t.Fatalf("trial %d, %s: missing %v", trial, q, tup)
-				}
+			tup := make([]Value, arity)
+			for j := range tup {
+				tup[j] = rng.Int63n(nv)
+			}
+			if k := key(tup...); !seen[k] {
+				seen[k] = true
+				set = append(set, tup)
+			}
+		}
+		out[i] = set
+	}
+	return out
+}
+
+// planCoverage records in cov the access kinds of the depths of ev's last
+// plan whose atom repeats a variable, or "undeclared" if the plan found
+// the join empty for an undeclared relation that repeats one. Every
+// position of an atom lands in exactly one of a frame's probe variables,
+// binds or checks — except that a restricted depth also checks the
+// variables it probes — so a variable counted twice there is a repeat.
+func planCoverage(cov map[string]bool, ev *Evaluator, db *dyndb.Database) {
+	if !ev.plan(db) {
+		for _, a := range ev.atoms {
+			if !a.restrictSet && a.stored == nil && len(slices.Compact(slices.Sorted(slices.Values(a.args)))) < len(a.args) {
+				cov["undeclared"] = true
+			}
+		}
+		return
+	}
+	names := [...]string{accessRestricted: "restricted", accessFilter: "filter", accessBucket: "bucket", accessScan: "scan"}
+	for _, f := range ev.frames {
+		vars := map[int]int{}
+		if f.kind != accessRestricted {
+			for _, v := range f.probeVars {
+				vars[v]++
+			}
+		}
+		for _, s := range append(slices.Clone(f.binds), f.checks...) {
+			vars[s.v]++
+		}
+		for _, n := range vars {
+			if n > 1 {
+				cov[names[f.kind]] = true
 			}
 		}
 	}
+}
+
+// checkAgainstBrute compares CountValuations — and, unrestricted, Evaluate
+// — with bruteForce on q over db, and returns the evaluator that counted,
+// its last run's relations and restrictions still in place.
+func checkAgainstBrute(t *testing.T, ctx string, q *cq.Query, db *dyndb.Database, restricted Restricted) *Evaluator {
+	t.Helper()
+	want := bruteForce(q, db, restricted)
+	ev := NewEvaluator(q)
+	counts := tuplekey.NewTable[int64](len(q.Head))
+	ev.CountInto(counts, db, restricted)
+	if got := countMap(counts); !maps.Equal(got, want) {
+		t.Fatalf("%s, %s: valuation counts %v, brute force %v", ctx, q, got, want)
+	}
+	if restricted == nil {
+		got := Evaluate(q, db)
+		if got.Len() != len(want) {
+			t.Fatalf("%s, %s: |Evaluate| = %d, brute force %d", ctx, q, got.Len(), len(want))
+		}
+		for _, tup := range got.Tuples() {
+			if want[key(tup...)] == 0 {
+				t.Fatalf("%s, %s: Evaluate has %v, brute force not", ctx, q, tup)
+			}
+		}
+	}
+	return ev
 }
 
 // TestEvaluateAcrossStoreMutations: the evaluator probes the indexes the
@@ -264,15 +364,7 @@ func TestEvaluateAcrossStoreMutations(t *testing.T) {
 			}
 		}
 		for _, q := range queries {
-			got, want := Evaluate(q, db), bruteForce(q, db)
-			if got.Len() != len(want) {
-				t.Fatalf("step %d, %s: |got| = %d, |want| = %d", step, q, got.Len(), len(want))
-			}
-			for _, tup := range want {
-				if !got.Has(tup) {
-					t.Fatalf("step %d, %s: missing %v", step, q, tup)
-				}
-			}
+			checkAgainstBrute(t, fmt.Sprintf("step %d", step), q, db, nil)
 		}
 		if err := db.CheckIndexes(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
@@ -280,23 +372,39 @@ func TestEvaluateAcrossStoreMutations(t *testing.T) {
 	}
 }
 
-// bruteForce evaluates by enumerating all assignments over every value
-// that occurs in a stored tuple — exponential, only for tiny test
+// bruteForce counts, per head tuple (filed under key), the valuations
+// satisfying the body by enumerating all assignments over every value that
+// occurs in a stored or restricting tuple; a restricted atom must match a
+// tuple of its set, the others the store. Exponential, only for tiny test
 // databases.
-func bruteForce(q *cq.Query, db *dyndb.Database) map[string][]Value {
+func bruteForce(q *cq.Query, db *dyndb.Database, restricted Restricted) map[string]int64 {
 	vars := q.Vars()
 	dom := storedValues(db)
-	out := map[string][]Value{}
+	for _, set := range restricted {
+		for _, tup := range set {
+			dom = append(dom, tup...)
+		}
+	}
+	slices.Sort(dom)
+	dom = slices.Compact(dom)
+	out := map[string]int64{}
 	assign := map[string]Value{}
+	holds := func(i int, tup []Value) bool {
+		set, ok := restricted[i]
+		if !ok {
+			return db.Has(q.Atoms[i].Rel, tup...)
+		}
+		return slices.ContainsFunc(set, func(s []Value) bool { return slices.Equal(s, tup) })
+	}
 	var rec func(i int)
 	rec = func(i int) {
 		if i == len(vars) {
-			for _, a := range q.Atoms {
+			for ai, a := range q.Atoms {
 				t := make([]Value, len(a.Args))
 				for j, v := range a.Args {
 					t[j] = assign[v]
 				}
-				if !db.Has(a.Rel, t...) {
+				if !holds(ai, t) {
 					return
 				}
 			}
@@ -304,7 +412,7 @@ func bruteForce(q *cq.Query, db *dyndb.Database) map[string][]Value {
 			for j, h := range q.Head {
 				head[j] = assign[h]
 			}
-			out[fmt.Sprint(head)] = head
+			out[key(head...)]++
 			return
 		}
 		for _, v := range dom {

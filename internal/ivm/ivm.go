@@ -19,8 +19,11 @@
 // The point of this baseline in the reproduction: its update cost is a
 // residual join, i.e. Θ(n) or worse for the paper's hard queries
 // (ϕS-E-T, ϕE-T, ϕ1), whereas the engine in internal/core achieves O(1) —
-// but only for q-hierarchical queries. Theorems 3.3–3.5 say that the gap
-// is fundamental, not an artefact of this particular baseline.
+// but only for q-hierarchical queries. Where Theorems 3.3–3.5 apply —
+// enumeration of self-join-free queries, answering and counting of
+// queries whose (Boolean version's, own) homomorphic core is not
+// q-hierarchical — the gap is fundamental, not an artefact of this
+// particular baseline.
 //
 // A Maintainer reads the store of its owner (pkg/dyncq.Workspace) and
 // never writes it; its residual joins probe the store's own indexes
@@ -259,19 +262,17 @@ func (m *Maintainer) Clear() {
 	m.touched.Reset()
 }
 
-// add moves one head tuple's multiplicity by d, dropping it at zero, and
-// records its first-touch presence while the batch emits.
+// add moves one head tuple's multiplicity by d, dropping it at zero —
+// one probe of the result either way — and records its first-touch
+// presence while the batch emits.
 //
 //dyncq:hot
 func (m *Maintainer) add(head []Value, d int64) {
-	n, present := m.result.Ref(head)
+	present := tuplekey.AddCount(m.result, head, d)
 	if m.emitting {
 		if was, seen := m.touched.Ref(head); !seen {
 			*was = present
 		}
-	}
-	if *n += d; *n == 0 {
-		m.result.Delete(head)
 	}
 }
 

@@ -139,6 +139,15 @@ func (t *Table[V]) Get(key []int64) (V, bool) {
 //
 //dyncq:hot
 func (t *Table[V]) Ref(key []int64) (val *V, existed bool) {
+	i, existed := t.ref(key)
+	return &t.vals[i], existed
+}
+
+// ref is Ref returning the slot: the one get-or-insert probe, growing
+// first if an insert could cross the load limit.
+//
+//dyncq:hot
+func (t *Table[V]) ref(key []int64) (slot int, existed bool) {
 	if len(key) != t.arity {
 		panic("tuplekey: key length differs from the table's arity")
 	}
@@ -153,7 +162,7 @@ func (t *Table[V]) Ref(key []int64) (val *V, existed bool) {
 		switch c := t.ctrl[i]; {
 		case c == want:
 			if t.keyIs(i, key) {
-				return &t.vals[i], true
+				return int(i), true
 			}
 		case c == slotTombstone:
 			if at < 0 {
@@ -168,9 +177,24 @@ func (t *Table[V]) Ref(key []int64) (val *V, existed bool) {
 			t.ctrl[at] = want
 			copy(t.keys[at*t.arity:], key)
 			t.n++
-			return &t.vals[at], false
+			return at, false
 		}
 	}
+}
+
+// AddCount adds d to the count under key, inserting key at d if it is
+// absent, and frees the slot if the count reaches zero; it reports
+// whether key was present before. It is one probe where Ref followed by
+// Delete takes two, and it leaves the table exactly as they would: the
+// same slots, tombstones and Len, so Range order is unchanged.
+//
+//dyncq:hot
+func AddCount(t *Table[int64], key []int64, d int64) (wasPresent bool) {
+	i, wasPresent := t.ref(key)
+	if t.vals[i] += d; t.vals[i] == 0 {
+		t.free(i)
+	}
+	return wasPresent
 }
 
 // Put stores val under a copy of key, replacing any existing entry.
@@ -187,6 +211,14 @@ func (t *Table[V]) Delete(key []int64) bool {
 	if i < 0 {
 		return false
 	}
+	t.free(i)
+	return true
+}
+
+// free empties the live slot i.
+//
+//dyncq:hot
+func (t *Table[V]) free(i int) {
 	var zero V
 	t.vals[i] = zero
 	t.n--
@@ -198,7 +230,6 @@ func (t *Table[V]) Delete(key []int64) bool {
 		t.ctrl[i] = slotTombstone
 		t.tombs++
 	}
-	return true
 }
 
 // Range calls fn for every entry until fn returns false, in slot order

@@ -215,21 +215,96 @@ func TestTableRange(t *testing.T) {
 	}
 }
 
+// TestAddCountZeroCrossing: AddCount leaves the table exactly as Ref
+// followed by Delete at zero would — the same slots, tombstones and Len —
+// both where a freed slot must stay a tombstone (a later key's probe run
+// passes it) and where it can go back to empty, and a freed tombstone is
+// the slot the next insert on that probe path reuses.
+func TestAddCountZeroCrossing(t *testing.T) {
+	// Three keys with one home slot in an 8-slot table: they sit in
+	// consecutive slots home, home+1, home+2.
+	var ks [][]int64
+	home := Hash([]int64{0}) & 7
+	for k := int64(0); len(ks) < 3; k++ {
+		if Hash([]int64{k})&7 == home {
+			ks = append(ks, []int64{k})
+		}
+	}
+	a, b := NewTable[int64](1), NewTable[int64](1) // a: AddCount, b: Ref+Delete
+	refDelete := func(key []int64, d int64) bool {
+		n, existed := b.Ref(key)
+		if *n += d; *n == 0 {
+			b.Delete(key)
+		}
+		return existed
+	}
+	same := func(what string) {
+		t.Helper()
+		if a.Len() != b.Len() || a.tombs != b.tombs || fmt.Sprint(a.ctrl) != fmt.Sprint(b.ctrl) ||
+			fmt.Sprint(a.keys) != fmt.Sprint(b.keys) || fmt.Sprint(a.vals) != fmt.Sprint(b.vals) {
+			t.Fatalf("%s: AddCount table (len %d, tombs %d, ctrl %v) differs from Ref+Delete (len %d, tombs %d, ctrl %v)",
+				what, a.Len(), a.tombs, a.ctrl, b.Len(), b.tombs, b.ctrl)
+		}
+	}
+	step := func(what string, key []int64, d int64, wantPresent bool) {
+		t.Helper()
+		if got := AddCount(a, key, d); got != wantPresent {
+			t.Fatalf("%s: AddCount reported present = %v, want %v", what, got, wantPresent)
+		}
+		if got := refDelete(key, d); got != wantPresent {
+			t.Fatalf("%s: Ref reported existed = %v, want %v", what, got, wantPresent)
+		}
+		same(what)
+	}
+	for _, k := range ks {
+		step("insert", k, 1, false)
+	}
+	step("count up", ks[0], 2, true)
+	step("count down", ks[0], -1, true)
+	if a.Len() != 3 || a.tombs != 0 {
+		t.Fatalf("after inserts: Len %d, tombs %d, want 3, 0", a.Len(), a.tombs)
+	}
+	// ks[0]'s successor holds ks[1]: its slot must become a tombstone.
+	step("zero with a full successor", ks[0], -2, true)
+	if a.Len() != 2 || a.tombs != 1 || a.ctrl[home] != slotTombstone || a.Has(ks[0]) {
+		t.Fatalf("after the first zero: Len %d, tombs %d, ctrl[home] %d, want 2, 1, tombstone", a.Len(), a.tombs, a.ctrl[home])
+	}
+	// ks[2]'s successor is empty: its slot goes straight back to empty.
+	last := (home + 2) & 7
+	step("zero with an empty successor", ks[2], -1, true)
+	if a.Len() != 1 || a.tombs != 1 || a.ctrl[last] != slotEmpty {
+		t.Fatalf("after the second zero: Len %d, tombs %d, ctrl[last] %d, want 1, 1, empty", a.Len(), a.tombs, a.ctrl[last])
+	}
+	// A fresh key on the same probe path lands in the freed tombstone.
+	step("insert over the tombstone", ks[2], 5, false)
+	if a.Len() != 2 || a.tombs != 0 || a.keys[home] != ks[2][0] || a.vals[home] != 5 {
+		t.Fatalf("reinsert: Len %d, tombs %d, slot %d holds %d → %d, want 2, 0, %v → 5",
+			a.Len(), a.tombs, home, a.keys[home], a.vals[home], ks[2])
+	}
+	// An absent key at d = 0 is inserted and freed at once.
+	step("absent at zero", []int64{-7}, 0, false)
+	if a.Len() != 2 || a.Has([]int64{-7}) {
+		t.Fatalf("absent at zero: Len %d, Has %v, want 2, false", a.Len(), a.Has([]int64{-7}))
+	}
+}
+
 // runProgram drives a Table and a Go map through the operation sequence
 // encoded in prog (three bytes per operation: kind, then a 16-bit key seed)
 // and fails on the first disagreement, re-checking the whole content after
-// every rehash. It returns how many rehashes of either kind the table went
-// through.
+// every rehash. The kind byte's low seven bits modulo 5 pick the
+// operation; for AddCount, bit 7 set means "cancel the stored count" (a
+// zero crossing on a present key) and bits 4–5 otherwise give d in −1..2.
+// It returns how many rehashes of either kind the table went through.
 func runProgram(t testing.TB, arity int, prog []byte) (grown, sameSize int) {
-	tb := NewTable[int](arity)
-	model := map[string]int{}
+	tb := NewTable[int64](arity)
+	model := map[string]int64{}
 	key := make([]int64, arity)
 	check := func(step int) {
 		if tb.Len() != len(model) {
 			t.Fatalf("arity %d step %d: Len = %d, model %d", arity, step, tb.Len(), len(model))
 		}
 		seen := 0
-		tb.Range(func(k []int64, v int) bool {
+		tb.Range(func(k []int64, v int64) bool {
 			seen++
 			if mv, ok := model[fmt.Sprint(k)]; !ok || mv != v {
 				t.Fatalf("arity %d step %d: Range yields %v → %d, model %d,%v", arity, step, k, v, mv, ok)
@@ -250,18 +325,19 @@ func runProgram(t testing.TB, arity int, prog []byte) (grown, sameSize int) {
 		}
 		ks := fmt.Sprint(key)
 		slots, tombs := len(tb.ctrl), tb.tombs
-		switch prog[step] % 4 {
+		kind, v := prog[step], int64(step)
+		switch kind & 0x7f % 5 {
 		case 0: // put
-			tb.Put(key, step)
-			model[ks] = step
+			tb.Put(key, v)
+			model[ks] = v
 		case 1: // get-or-insert
 			p, existed := tb.Ref(key)
 			mv, mok := model[ks]
 			if existed != mok || *p != mv {
 				t.Fatalf("arity %d step %d: Ref(%v) = %d,%v, model %d,%v", arity, step, key, *p, existed, mv, mok)
 			}
-			*p = step
-			model[ks] = step
+			*p = v
+			model[ks] = v
 		case 2: // delete
 			_, want := model[ks]
 			if got := tb.Delete(key); got != want {
@@ -269,9 +345,26 @@ func runProgram(t testing.TB, arity int, prog []byte) (grown, sameSize int) {
 			}
 			delete(model, ks)
 		case 3: // get
-			v, ok := tb.Get(key)
-			if mv, mok := model[ks]; ok != mok || v != mv {
-				t.Fatalf("arity %d step %d: Get(%v) = %d,%v, model %d,%v", arity, step, key, v, ok, mv, mok)
+			got, ok := tb.Get(key)
+			if mv, mok := model[ks]; ok != mok || got != mv {
+				t.Fatalf("arity %d step %d: Get(%v) = %d,%v, model %d,%v", arity, step, key, got, ok, mv, mok)
+			}
+		case 4: // add to a count, dropping it at zero
+			mv, mok := model[ks]
+			d := int64(kind>>4&3) - 1
+			if kind&0x80 != 0 {
+				d = -mv
+			}
+			if got := AddCount(tb, key, d); got != mok {
+				t.Fatalf("arity %d step %d: AddCount(%v, %d) = %v, model %v", arity, step, key, d, got, mok)
+			}
+			if mv += d; mv == 0 {
+				delete(model, ks)
+			} else {
+				model[ks] = mv
+			}
+			if got, ok := tb.Get(key); ok != (mv != 0) || got != mv {
+				t.Fatalf("arity %d step %d: after AddCount(%v, %d) Get = %d,%v, model %d", arity, step, key, d, got, ok, mv)
 			}
 		}
 		switch {
@@ -288,7 +381,7 @@ func runProgram(t testing.TB, arity int, prog []byte) (grown, sameSize int) {
 }
 
 // randomProgram alternates two phases. Random operations over a 512-key
-// domain take the table through its doublings. A sliding window (insert a
+// domain, AddCount among them, take the table through its doublings. A sliding window (insert a
 // fresh key, delete the one inserted 100 operations earlier) keeps few
 // keys live while every insert lands somewhere new, so tombstones pile up
 // until a rehash at the same size clears them.
@@ -298,7 +391,7 @@ func randomProgram(rng *rand.Rand, ops int) []byte {
 	fresh := 512
 	for len(prog) < 3*ops {
 		for i := 0; i < 2000; i++ {
-			op(byte(rng.Intn(4)), rng.Intn(512))
+			op(byte(rng.Intn(5)|rng.Intn(4)<<4|rng.Intn(2)<<7), rng.Intn(512))
 		}
 		for i := 0; i < 512; i++ { // empty the random phase's keys
 			op(2, i)
@@ -333,13 +426,17 @@ func TestTableAgainstModel(t *testing.T) {
 }
 
 // FuzzTable runs arbitrary programs against the model; the seeds are
-// prefixes of the model test's own programs.
+// prefixes of the model test's own programs and two short hand-written
+// ones.
 func FuzzTable(f *testing.F) {
 	for arity := 0; arity <= 4; arity++ {
 		rng := rand.New(rand.NewSource(int64(42 + arity)))
 		f.Add(uint8(arity), randomProgram(rng, 3000))
 	}
 	f.Add(uint8(2), []byte{0, 0, 1, 0, 0, 2, 2, 0, 1, 1, 0, 1, 3, 0, 2})
+	// AddCount: insert at 2, cancel to zero, insert at 0 (freed at once),
+	// insert at 1 and count down to zero.
+	f.Add(uint8(1), []byte{0x34, 0, 1, 0x34, 0, 2, 0x84, 0, 1, 0x14, 0, 3, 0x24, 0, 1, 0x04, 0, 1})
 	f.Fuzz(func(t *testing.T, arity uint8, prog []byte) {
 		runProgram(t, int(arity%5), prog)
 	})

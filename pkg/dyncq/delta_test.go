@@ -217,6 +217,8 @@ func BenchmarkApply(b *testing.B) {
 // TestCommitAllocationFree: a warmed core-routed Commit with no subscriber
 // allocates nothing, at 64 updates as at 512: the pipeline's bookkeeping
 // lives in workspace-owned scratch and its pool bodies are bound once.
+// Nor does an ivm-routed one, whose delta joins allocate nothing per
+// valuation and nothing per join (ivmCommitAllocs).
 // (Before the store kept tuples inline and the coalescer kept its slot
 // tables, a commit paid one tuple copy per insert and up to one table,
 // grown by rehash, per relation; before the pool took a handle count and
@@ -272,6 +274,60 @@ func TestCommitAllocationFree(t *testing.T) {
 	if small != 0 {
 		t.Fatalf("a core-routed commit of 64 updates allocates %v times, want 0", small)
 	}
+	small, large = ivmCommitAllocs(t, 64), ivmCommitAllocs(t, 512)
+	t.Logf("ivm allocs per commit: %v at 64 updates, %v at 512", small, large)
+	if small != 0 || large != 0 {
+		t.Fatalf("an ivm-routed commit allocates %v times at 64 updates, %v at 512, want 0: the delta joins allocate", small, large)
+	}
+}
+
+// ivmCommitAllocs returns the allocations of a warmed commit of batch
+// updates on the hard query ϕS-E-T, ivm-routed, below the rebuild
+// crossover, so every update is a delta join. Half the batch inserts S
+// tuples for keys E holds (four valuations each), half E tuples between
+// keys both E indexes already hold — so no index bucket is created or
+// emptied, which would allocate a bucket table — and the inverse batch
+// restores the store.
+func ivmCommitAllocs(t *testing.T, batch int) float64 {
+	ws := NewWorkspace(WorkspaceOptions{})
+	h, err := ws.Register("hard", "Q(x,y) :- S(x), E(x,y), T(y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Strategy() != StrategyIVM {
+		t.Fatalf("hard routed to %v, want ivm", h.Strategy())
+	}
+	db := dyndb.New()
+	for x := Value(0); x < 1000; x++ {
+		for k := Value(0); k < 4; k++ {
+			db.Insert("E", x, (x*7+k)%50)
+		}
+		if x%2 == 0 {
+			db.Insert("S", x)
+		}
+	}
+	for y := Value(0); y < 50; y += 2 {
+		db.Insert("T", y)
+	}
+	if err := ws.Load(db); err != nil {
+		t.Fatal(err)
+	}
+	var ins, del []Update
+	for j := Value(0); len(ins) < batch; j++ {
+		x := 2*j + 1
+		for _, u := range []Update{dyndb.Insert("S", x), dyndb.Insert("E", x, (x*7+4)%50)} {
+			ins, del = append(ins, u), append(del, Update{Op: dyndb.OpDelete, Rel: u.Rel, Tuple: u.Tuple})
+		}
+	}
+	cycle := func() {
+		for _, b := range [][]Update{ins, del} {
+			if n, _, err := ws.Commit(b); err != nil || n != batch {
+				t.Fatalf("commit netted %d of %d (err %v)", n, batch, err)
+			}
+		}
+	}
+	cycle() // warm the index buckets, the result table and the coalescer
+	return testing.AllocsPerRun(200, cycle) / 2
 }
 
 // TestContains: the constant-time test agrees with the enumerated result
@@ -405,12 +461,18 @@ func BenchmarkCapturedCommit(b *testing.B) {
 	}
 }
 
-// BenchmarkDeltaJoin commits 8-update batches of S and T changes on the
-// paper's hard query ϕS-E-T, ivm-routed, over the ingest-ivm shape: every
-// key has 50 E tuples, so each update is a delta join of 50 valuations
-// (half of them reaching the result). With -benchmem the allocation
-// column is the point: it counts the commit's bookkeeping, not the 400
-// valuations.
+// BenchmarkDeltaJoin commits 8-update batches on the paper's hard query
+// ϕS-E-T, ivm-routed, over the ingest-ivm shape: every key has 50 E
+// tuples. Two cases, the two kinds of update in ingest-ivm's stream:
+//
+//   - ST: S and T changes. Each update is a delta join of 50 valuations
+//     (a restricted S or T, then an E index bucket, then a full-tuple
+//     filter), half of them reaching the result.
+//   - E: E changes. Each commit is one delta join over the 8 restricted
+//     E tuples, each followed by two full-tuple filters (S, then T).
+//
+// With -benchmem the allocation column is the point: it counts the
+// commit's bookkeeping, not the valuations.
 func BenchmarkDeltaJoin(b *testing.B) {
 	const keys, degree = 1200, 50
 	ws := NewWorkspace(WorkspaceOptions{})
@@ -436,23 +498,43 @@ func BenchmarkDeltaJoin(b *testing.B) {
 	if err := ws.Load(db); err != nil {
 		b.Fatal(err)
 	}
-	// Four absent S keys and four absent T keys, then their deletion, and
-	// again: the store stays at its loaded size.
-	var ins, del []Update
+	// Each case inserts its 8 absent tuples, then deletes them, and again:
+	// the store stays at its loaded size.
+	var stIns, stDel, eIns, eDel []Update
 	for j := Value(0); j < 4; j++ {
 		k := 2*(j*97) + 1
-		ins = append(ins, dyndb.Insert("S", k), dyndb.Insert("T", k))
-		del = append(del, dyndb.Delete("S", k), dyndb.Delete("T", k))
+		stIns = append(stIns, dyndb.Insert("S", k), dyndb.Insert("T", k))
+		stDel = append(stDel, dyndb.Delete("S", k), dyndb.Delete("T", k))
 	}
-	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
-		batch := ins
-		if i%2 == 1 {
-			batch = del
-		}
-		if n, err := ws.ApplyBatch(batch); err != nil || n != 8 {
-			b.Fatalf("batch netted %d of 8 (err %v)", n, err)
-		}
+	for j := Value(0); j < 8; j++ {
+		// x's E tuples are (x, (31x + 977i) mod keys) for i < degree, so
+		// i = degree gives an absent one; x and y of both parities.
+		x := j * 149 % keys
+		y := (x*31 + degree*977) % keys
+		eIns, eDel = append(eIns, dyndb.Insert("E", x, y)), append(eDel, dyndb.Delete("E", x, y))
+	}
+	for _, c := range []struct {
+		name     string
+		ins, del []Update
+	}{{"ST", stIns, stDel}, {"E", eIns, eDel}} {
+		b.Run(c.name, func(b *testing.B) {
+			commit := func(batch []Update) {
+				if n, err := ws.ApplyBatch(batch); err != nil || n != 8 {
+					b.Fatalf("batch netted %d of 8 (err %v)", n, err)
+				}
+			}
+			// Untimed: the first S and T joins build the store's E indexes.
+			commit(c.ins)
+			commit(c.del)
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				if i%2 == 0 {
+					commit(c.ins)
+				} else {
+					commit(c.del)
+				}
+			}
+		})
 	}
 }
 

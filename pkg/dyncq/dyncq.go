@@ -9,8 +9,14 @@
 //     constant-delay enumeration (Theorem 3.2);
 //   - everything else falls back to internal/ivm.Maintainer, the
 //     counting-based incremental view maintenance baseline whose update
-//     cost is a residual join — by Theorems 3.3–3.5 no strategy can do
-//     fundamentally better on these queries (conditional on OMv/OV).
+//     cost is a residual join. Theorems 3.3–3.5 (conditional on OMv/OV)
+//     say no strategy does fundamentally better on part of these queries
+//     only: for enumeration, the self-join-free ones (3.3); for answering
+//     emptiness, those whose Boolean version's core is not q-hierarchical
+//     (3.4); for counting, those whose own core is not q-hierarchical
+//     (3.5). A query whose core is q-hierarchical, such as
+//     Q(x) :- E(x,y), E(z,y), is outside them, but routing does not look
+//     at the core.
 //
 // internal/eval, the static evaluator, is the correctness oracle both
 // strategies are tested against.
