@@ -1,7 +1,7 @@
 // Command dyncq-lint runs the project's custom go/analysis suite (see
-// internal/analysis): lockorder, determinism, decodeboundary, and
-// hotalloc — the compile-time guards for the engine's concurrency,
-// determinism, interning, and hot-path allocation invariants.
+// internal/analysis): lockorder, determinism and hotalloc — the
+// compile-time guards for the engine's concurrency, determinism and
+// hot-path allocation invariants.
 //
 // It speaks the `go vet -vettool` protocol, so both forms work:
 //

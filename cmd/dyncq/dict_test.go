@@ -1,4 +1,4 @@
-package dict
+package main
 
 import (
 	"fmt"
@@ -6,26 +6,36 @@ import (
 	"testing/quick"
 )
 
+// decode is TryDecode for codes the test knows were assigned.
+func decode(t *testing.T, d *dict, code int64) string {
+	t.Helper()
+	name, ok := d.TryDecode(code)
+	if !ok {
+		t.Fatalf("TryDecode(%d): never assigned", code)
+	}
+	return name
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	d := New()
+	d := newDict()
 	names := []string{"alice", "bob", "carol", "", "alice", "bob", "日本語", "x y z"}
 	codes := make([]int64, len(names))
 	for i, n := range names {
 		codes[i] = d.Encode(n)
 	}
 	for i, n := range names {
-		if got := d.Decode(codes[i]); got != n {
-			t.Errorf("Decode(Encode(%q)) = %q", n, got)
+		if got := decode(t, d, codes[i]); got != n {
+			t.Errorf("TryDecode(Encode(%q)) = %q", n, got)
 		}
 	}
 	// 6 distinct names: alice bob carol "" 日本語 "x y z"
-	if d.Len() != 6 {
-		t.Errorf("Len() = %d, want 6", d.Len())
+	if n := d.Stats().Size; n != 6 {
+		t.Errorf("Stats().Size = %d, want 6", n)
 	}
 }
 
 func TestEncodeStable(t *testing.T) {
-	d := New()
+	d := newDict()
 	a1 := d.Encode("a")
 	b := d.Encode("b")
 	a2 := d.Encode("a")
@@ -38,7 +48,7 @@ func TestEncodeStable(t *testing.T) {
 }
 
 func TestCodesStartAtOne(t *testing.T) {
-	d := New()
+	d := newDict()
 	if c := d.Encode("first"); c != 1 {
 		t.Errorf("first code = %d, want 1", c)
 	}
@@ -47,53 +57,11 @@ func TestCodesStartAtOne(t *testing.T) {
 	}
 }
 
-func TestLookup(t *testing.T) {
-	d := New()
-	if _, ok := d.Lookup("missing"); ok {
-		t.Error("Lookup on empty dict reported ok")
-	}
-	want := d.Encode("present")
-	got, ok := d.Lookup("present")
-	if !ok || got != want {
-		t.Errorf("Lookup(present) = %d,%v want %d,true", got, ok, want)
-	}
-	if _, ok := d.Lookup("missing"); ok {
-		t.Error("Lookup(missing) reported ok")
-	}
-}
-
-func TestEncodeAllDecodeAll(t *testing.T) {
-	d := New()
-	codes := d.EncodeAll("x", "y", "x")
-	if len(codes) != 3 || codes[0] != codes[2] || codes[0] == codes[1] {
-		t.Errorf("EncodeAll gave %v", codes)
-	}
-	names := d.DecodeAll(codes)
-	if names[0] != "x" || names[1] != "y" || names[2] != "x" {
-		t.Errorf("DecodeAll gave %v", names)
-	}
-}
-
-func TestDecodeBadCodePanics(t *testing.T) {
-	for _, code := range []int64{0, -1, 7} {
-		t.Run(fmt.Sprint(code), func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Decode(%d) did not panic", code)
-				}
-			}()
-			d := New()
-			d.Encode("only")
-			d.Decode(code)
-		})
-	}
-}
-
 func TestQuickRoundTrip(t *testing.T) {
-	d := New()
+	d := newDict()
 	f := func(names []string) bool {
 		for _, n := range names {
-			if d.Decode(d.Encode(n)) != n {
+			if got, ok := d.TryDecode(d.Encode(n)); !ok || got != n {
 				return false
 			}
 		}
@@ -105,7 +73,7 @@ func TestQuickRoundTrip(t *testing.T) {
 }
 
 func TestQuickInjective(t *testing.T) {
-	d := New()
+	d := newDict()
 	seen := make(map[int64]string)
 	f := func(name string) bool {
 		c := d.Encode(name)
@@ -121,7 +89,7 @@ func TestQuickInjective(t *testing.T) {
 }
 
 func TestTryDecode(t *testing.T) {
-	d := New()
+	d := newDict()
 	c := d.Encode("known")
 	if got, ok := d.TryDecode(c); !ok || got != "known" {
 		t.Errorf("TryDecode(%d) = %q,%v want known,true", c, got, ok)
@@ -136,7 +104,7 @@ func TestTryDecode(t *testing.T) {
 func TestStableUnderReinsertion(t *testing.T) {
 	// Codes must survive arbitrary interleavings of old and new names:
 	// re-encoding any prefix never shifts an assigned code.
-	d := New()
+	d := newDict()
 	names := make([]string, 200)
 	codes := make([]int64, 200)
 	for i := range names {
@@ -149,12 +117,25 @@ func TestStableUnderReinsertion(t *testing.T) {
 			}
 		}
 	}
-	if d.Len() != 200 {
-		t.Errorf("Len = %d, want 200", d.Len())
+	if n := d.Stats().Size; n != 200 {
+		t.Errorf("Stats().Size = %d, want 200", n)
 	}
 	for i, c := range codes {
-		if got := d.Decode(c); got != names[i] {
-			t.Errorf("Decode(%d) = %q, want %q", c, got, names[i])
+		if got := decode(t, d, c); got != names[i] {
+			t.Errorf("TryDecode(%d) = %q, want %q", c, got, names[i])
 		}
+	}
+}
+
+func TestStatsHitRate(t *testing.T) {
+	d := newDict()
+	if st := d.Stats(); st != (dictStats{}) || st.HitRate() != 0 {
+		t.Fatalf("empty dictionary: %+v, hit rate %v", st, st.HitRate())
+	}
+	for _, n := range []string{"a", "b", "a", "a"} {
+		d.Encode(n)
+	}
+	if st := d.Stats(); st != (dictStats{Size: 2, Hits: 2, Misses: 2}) || st.HitRate() != 0.5 {
+		t.Fatalf("after a b a a: %+v, hit rate %v", st, st.HitRate())
 	}
 }

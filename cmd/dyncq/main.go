@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"dyncq/internal/cq"
-	"dyncq/internal/dict"
 	"dyncq/internal/qtree"
 	"dyncq/pkg/dyncq"
 )
@@ -126,7 +125,7 @@ func cmdRun(args []string) error {
 	strategyName := fs.String("strategy", "auto", "maintenance strategy for every query: auto, core or ivm")
 	batch := fs.Int("batch", 0, "apply streams in batches of this many updates (0 = one batch per stream)")
 	parallel := fs.Int("parallel", 1, "queries maintained concurrently per batch (>1: the registered queries' maintenance fans out over this many goroutines)")
-	stringsMode := fs.Bool("strings", false, "parse stream tuple entries as string constants through the workspace dictionary instead of int64 literals")
+	stringsMode := fs.Bool("strings", false, "parse stream tuple entries as string constants through a dictionary instead of int64 literals")
 	doCount := fs.Bool("count", false, "print |Q(D)| per query after the stream")
 	doAnswer := fs.Bool("answer", false, "print whether Q(D) is nonempty, per query")
 	doEnum := fs.Bool("enumerate", false, "print the result tuples, per query")
@@ -196,9 +195,12 @@ func cmdRun(args []string) error {
 	if *parallel > 1 {
 		fmt.Printf("workers:  %d (handle fan-out)\n", *parallel)
 	}
-	var d *dict.Dict
+	// The dictionary stays empty without -strings: -stats then reads
+	// zero and -enumerate prints every value as an int64.
+	d := newDict()
+	var encode func(string) dyncq.Value
 	if *stringsMode {
-		d = ws.Dict()
+		encode = d.Encode
 	}
 	batchSize := *batch
 	if batchSize <= 0 && *parallel > 1 {
@@ -208,18 +210,18 @@ func cmdRun(args []string) error {
 	}
 	schema := ws.Schema()
 	if *dataFile != "" {
-		if err := loadDatabaseFile(ws, schema, *dataFile, d); err != nil {
+		if err := loadDatabaseFile(ws, schema, *dataFile, encode); err != nil {
 			return err
 		}
 	}
 	if *updFile != "" {
-		if err := applyStreamFile(ws, schema, *updFile, batchSize, d); err != nil {
+		if err := applyStreamFile(ws, schema, *updFile, batchSize, encode); err != nil {
 			return err
 		}
 	}
 	fmt.Printf("database: %d tuples, %d store mutations\n", ws.Cardinality(), ws.StoreMutations())
 	if *doStats {
-		st := ws.Dict().Stats()
+		st := d.Stats()
 		fmt.Printf("dict:     %d symbols, %d encode hits / %d misses (hit rate %.1f%%)\n",
 			st.Size, st.Hits, st.Misses, 100*st.HitRate())
 	}
@@ -271,16 +273,16 @@ func warnUnknown(path string, unknown map[string]bool) {
 // pass + one weight pass on core backends) instead of replaying
 // per-tuple updates. The single parse pass checks arities against the
 // union query schema with line numbers and collects typo warnings. A
-// non-nil dict switches the parser to string mode.
-func loadDatabaseFile(ws *dyncq.Workspace, schema map[string]int, path string, d *dict.Dict) error {
+// non-nil encode switches the parser to string mode.
+func loadDatabaseFile(ws *dyncq.Workspace, schema map[string]int, path string, encode func(string) dyncq.Value) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 	sr := dyncq.NewStreamReader(f)
-	if d != nil {
-		sr.UseDict(d)
+	if encode != nil {
+		sr.UseStrings(encode)
 	}
 	db := dyncq.NewDatabase()
 	unknown := map[string]bool{}
@@ -318,16 +320,16 @@ func loadDatabaseFile(ws *dyncq.Workspace, schema map[string]int, path string, d
 // registered query), arity mismatches against the union schema are
 // reported with the offending line number, and relations outside every
 // query earn a typo warning — spotted on the same pass, not a separate
-// parse. A non-nil dict switches the parser to string mode.
-func applyStreamFile(ws *dyncq.Workspace, schema map[string]int, path string, batchSize int, d *dict.Dict) error {
+// parse. A non-nil encode switches the parser to string mode.
+func applyStreamFile(ws *dyncq.Workspace, schema map[string]int, path string, batchSize int, encode func(string) dyncq.Value) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 	sr := dyncq.NewStreamReader(f)
-	if d != nil {
-		sr.UseDict(d)
+	if encode != nil {
+		sr.UseStrings(encode)
 	}
 	unknown := map[string]bool{}
 	total := 0
@@ -352,21 +354,19 @@ func applyStreamFile(ws *dyncq.Workspace, schema map[string]int, path string, ba
 
 // formatTuple renders one result tuple. This is the decode boundary of
 // the interning pipeline: enumeration streams raw interned codes
-// ([]dyncq.Value) all the way here, and only at this point — in string
-// mode — are codes turned back into symbols, via the read-only
-// TryDecode. One builder per tuple, no intermediate string slices.
-func formatTuple(t []dyncq.Value, d *dict.Dict) string {
+// ([]dyncq.Value) all the way here, and only at this point are codes the
+// dictionary assigned turned back into symbols. One builder per tuple,
+// no intermediate string slices.
+func formatTuple(t []dyncq.Value, d *dict) string {
 	var b strings.Builder
 	b.WriteByte('(')
 	for i, v := range t {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		if d != nil {
-			if name, ok := d.TryDecode(v); ok {
-				b.WriteString(name)
-				continue
-			}
+		if name, ok := d.TryDecode(v); ok {
+			b.WriteString(name)
+			continue
 		}
 		b.WriteString(strconv.FormatInt(int64(v), 10))
 	}

@@ -1,14 +1,13 @@
 // Package analysis registers the dyncq-lint analyzer suite: the custom
 // go/analysis passes enforcing the engine invariants that runtime
-// tests can only probe — lock discipline, seed determinism, the
-// intern/decode boundary, and the hot-path allocation budget.
+// tests can only probe — lock discipline, seed determinism, and the
+// hot-path allocation budget.
 // cmd/dyncq-lint ships them as a vet tool; the fixtures under each
 // analyzer's testdata directory are the executable specification of
 // what each pass flags and what it deliberately leaves alone.
 package analysis
 
 import (
-	"dyncq/internal/analysis/decodeboundary"
 	"dyncq/internal/analysis/determinism"
 	"dyncq/internal/analysis/hotalloc"
 	"dyncq/internal/analysis/lockorder"
@@ -21,7 +20,6 @@ func Analyzers() []*goanalysis.Analyzer {
 	return []*goanalysis.Analyzer{
 		lockorder.Analyzer,
 		determinism.Analyzer,
-		decodeboundary.Analyzer,
 		hotalloc.Analyzer,
 	}
 }

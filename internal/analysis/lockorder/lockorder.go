@@ -1,9 +1,9 @@
 // Package lockorder implements the dyncq-lint pass guarding the
 // engine's lock discipline. The workspace layer holds two ordered
 // locks — pkg/dyncq.Workspace.mu, then the store's index lock
-// internal/dyndb.Database.idxMu — and neither is re-entrant; the
-// Workspace.Dict deadlock was exactly an exported-API call made while
-// the workspace mutex was held.
+// internal/dyndb.Database.idxMu — and neither is re-entrant, so an
+// exported workspace method called while the workspace mutex is held
+// deadlocks on its own lock.
 //
 // The pass is an intra-function, syntactic analysis: it walks each
 // function body in source order tracking which sync.Mutex/RWMutex
@@ -15,7 +15,7 @@
 //   - operations that can block indefinitely: channel sends/receives,
 //     select without default, WaitGroup.Wait, Cond.Wait, time.Sleep;
 //   - calls to exported methods of the lock holder itself (public API
-//     re-entry, the Dict deadlock shape);
+//     re-entry: the exported method takes the lock again);
 //   - calls through function values (callbacks can re-enter anything).
 //
 // Function literals are not attributed to their enclosing function:

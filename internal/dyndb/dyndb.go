@@ -463,7 +463,9 @@ type freshRel struct {
 }
 
 // Apply executes an update command, reporting whether the database
-// changed.
+// changed. Apply and ApplyAll are the command-at-a-time reference
+// semantics: a batch's NetDelta, applied with ApplyNetDelta, leaves the
+// database as applying its commands one by one here would.
 func (d *Database) Apply(u Update) (bool, error) {
 	if u.Op == OpInsert {
 		return d.Insert(u.Rel, u.Tuple...)
@@ -471,35 +473,16 @@ func (d *Database) Apply(u Update) (bool, error) {
 	return d.Delete(u.Rel, u.Tuple...)
 }
 
-// Coalesce reduces a batch of update commands to its net effect: for every
-// (relation, tuple) pair only the last command in the batch survives,
-// since under set semantics the final presence of a tuple is decided by
-// the last command touching it and commands on distinct tuples commute.
-// Surviving commands keep the order in which their tuple first appeared
-// in the batch, so coalescing is deterministic. The input is not modified.
-//
-// Coalesce builds its slot tables afresh; the commit path goes through
-// Database.NetDelta, which keeps them between batches.
-func Coalesce(updates []Update) []Update {
-	var c coalescer
-	out := c.run(updates, nil, 0)
-	for i := range out {
-		out[i].rid = 0
-	}
-	return out
-}
-
-// coalescer is the scratch behind NetDelta and Coalesce: per relation and
-// arity a slot table from a tuple to the index of its command in the
-// output. A relation is keyed by its id, or — for a name the store has
-// no id for — by a provisional key after the ids, fixed for the running
-// call. The tables are keyed by the tuples themselves — no per-command
-// encoding — and by arity as well as relation, because coalescing runs
-// before arity validation and a fixed-stride table holds one key length
-// (a relation re-declared at another arity after Clear keeps its id).
-// Tables and the output slice (up to keepOut commands) are emptied, not
-// dropped, after every run, so a steady stream of batches coalesces
-// without allocating.
+// coalescer is the scratch behind NetDelta: per relation and arity a
+// slot table from a tuple to the index of its command in the output. A
+// relation is keyed by its id, or — for a name the store has no id for —
+// by a provisional key after the ids, fixed for the running call. The
+// tables are keyed by the tuples themselves — no per-command encoding —
+// and by arity as well as relation, because coalescing runs before arity
+// validation and a fixed-stride table holds one key length (a relation
+// re-declared at another arity after Clear keeps its id). Tables and the
+// output slice (up to keepOut commands) are emptied, not dropped, after
+// every run, so a steady stream of batches coalesces without allocating.
 type coalescer struct {
 	tabs    [][]arityTable         // by key: a relation's tables, one per arity met
 	used    []*tuplekey.Table[int] // tables the running call has filled
@@ -604,8 +587,9 @@ func (c *coalescer) table(key int32, arity int) *tuplekey.Table[int] {
 	return t
 }
 
-// ApplyAll executes a sequence of update commands, stopping at the first
-// error.
+// ApplyAll executes a sequence of update commands one at a time through
+// Apply, stopping at the first error: the command-at-a-time reference
+// semantics the batch path (NetDelta, ApplyNetDelta) is held to.
 func (d *Database) ApplyAll(updates []Update) error {
 	for _, u := range updates {
 		if _, err := d.Apply(u); err != nil {

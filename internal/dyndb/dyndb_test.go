@@ -246,64 +246,76 @@ func TestUpdateString(t *testing.T) {
 	}
 }
 
-func TestCoalesce(t *testing.T) {
-	in := []Update{
+// TestNetDeltaLastCommandWins: per (relation, tuple) only the batch's
+// last command survives, in the slot where the tuple first appeared, and
+// the survivors reach the state the command-at-a-time ApplyAll of the
+// whole batch reaches.
+func TestNetDeltaLastCommandWins(t *testing.T) {
+	batch := []Update{
 		Insert("E", 1, 2),
 		Insert("T", 5),
-		Delete("E", 1, 2), // cancels nothing at db level but supersedes the insert
+		Delete("E", 1, 2), // supersedes the insert
 		Insert("E", 3, 4),
-		Insert("E", 1, 2), // last op on E(1,2) wins again
+		Insert("E", 1, 2), // last command on E(1,2) wins again
 		Delete("T", 5),
 	}
-	got := Coalesce(in)
+	db, ref := New(), New()
+	for _, d := range []*Database{db, ref} {
+		if _, err := d.Insert("T", 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net, err := db.NetDelta(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []Update{
-		Insert("E", 1, 2), // slot of first appearance, final op = insert
+		Insert("E", 1, 2), // slot of first appearance, final command = insert
 		Delete("T", 5),
 		Insert("E", 3, 4),
 	}
-	if len(got) != len(want) {
-		t.Fatalf("Coalesce gave %d updates, want %d: %v", len(got), len(want), got)
+	if len(net) != len(want) {
+		t.Fatalf("NetDelta gave %d updates, want %d: %v", len(net), len(want), net)
 	}
 	for i := range want {
-		if got[i].String() != want[i].String() {
-			t.Errorf("coalesced[%d] = %v, want %v", i, got[i], want[i])
+		if net[i].String() != want[i].String() {
+			t.Errorf("net[%d] = %v, want %v", i, net[i], want[i])
 		}
 	}
 	// The input must be untouched.
-	if in[0].String() != "insert E[1 2]" {
-		t.Errorf("input mutated: %v", in[0])
+	if batch[0].String() != "insert E[1 2]" || batch[2].String() != "delete E[1 2]" {
+		t.Errorf("input mutated: %v", batch)
 	}
+	db.ApplyNetDelta(net, 0)
+	if err := ref.ApplyAll(batch); err != nil {
+		t.Fatal(err)
+	}
+	if db.Cardinality() != 2 || !db.Has("E", 1, 2) || !db.Has("E", 3, 4) || db.Has("T", 5) {
+		t.Errorf("unexpected state: |D|=%d", db.Cardinality())
+	}
+	equalContent(t, db, ref)
 }
 
-func TestCoalesceDistinguishesRelations(t *testing.T) {
-	// Same tuple in different relations must not merge; relation names that
-	// could collide under naive concatenation must stay distinct.
-	got := Coalesce([]Update{
+// TestNetDeltaDistinguishesRelations: the same tuple in different
+// relations never merges.
+func TestNetDeltaDistinguishesRelations(t *testing.T) {
+	db := New()
+	if _, err := db.Insert("E", 1); err != nil {
+		t.Fatal(err)
+	}
+	net, err := db.NetDelta([]Update{
 		Insert("E", 1),
 		Insert("F", 1),
 		Delete("E", 1),
 	})
-	if len(got) != 2 {
-		t.Fatalf("Coalesce merged across relations: %v", got)
-	}
-	if got[0].Op != OpDelete || got[0].Rel != "E" || got[1].Op != OpInsert || got[1].Rel != "F" {
-		t.Errorf("coalesced = %v", got)
-	}
-}
-
-func TestCoalescedApply(t *testing.T) {
-	d := New()
-	if err := d.ApplyAll(Coalesce([]Update{
-		Insert("E", 1, 2),
-		Insert("E", 1, 2), // duplicate coalesces away
-		Insert("T", 7),
-		Delete("T", 7), // cancels the insert
-		Insert("E", 3, 4),
-	})); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Cardinality() != 2 || !d.Has("E", 1, 2) || !d.Has("E", 3, 4) || d.Has("T", 7) {
-		t.Errorf("unexpected state: |D|=%d", d.Cardinality())
+	if len(net) != 2 {
+		t.Fatalf("NetDelta merged across relations: %v", net)
+	}
+	if net[0].Op != OpDelete || net[0].Rel != "E" || net[1].Op != OpInsert || net[1].Rel != "F" {
+		t.Errorf("net = %v", net)
 	}
 }
 

@@ -60,9 +60,6 @@ func TestRelationIDsSurviveClear(t *testing.T) {
 	if err != nil || len(net) != 2 || IDOf(net[0]) != ids || IDOf(net[1]) != ids {
 		t.Fatalf("a batch declaring W: net %v, err %v, want two commands with the new id %d", net, err, ids)
 	}
-	if Coalesce(net)[0].rid != 0 {
-		t.Fatal("Coalesce returned a command carrying an id")
-	}
 
 	for _, bad := range [][]Update{{Insert("R", 1, 2, 3)}, {Delete("R", 1)}} {
 		if _, err := db.NetDelta(bad); err == nil || !strings.Contains(err.Error(), "required arity 2") {

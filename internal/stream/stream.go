@@ -6,13 +6,15 @@
 //	-E(1,2)     delete E(1,2)
 //	E(1,2)      insert (the sign is optional)
 //
-// Tuple entries are int64 constants, or arbitrary string constants
-// encoded through a dictionary. The parser is strict: exactly one optional
-// sign, a valid relation identifier (cq.IsIdentStart / cq.IsIdentPart,
-// the query syntax's own rule), one parenthesised tuple, and nothing after
-// the closing parenthesis; surrounding white space is ignored. Malformed
+// Tuple entries are int64 constants, or — in the string mode of the
+// CLI's -strings flag — string constants turned into values by an encoder
+// the caller hands in. The parser is strict: exactly one optional sign, a
+// valid relation identifier (cq.IsIdentStart / cq.IsIdentPart, the query
+// syntax's own rule), one parenthesised tuple, and nothing after the
+// closing parenthesis; surrounding white space is ignored. Malformed
 // input is rejected with an error naming the offence (doubled sign,
-// trailing garbage, non-integer entry, …).
+// trailing garbage, non-integer entry, a parenthesis inside a string
+// entry, …).
 //
 // There is one parser, Parse, generic over the line's representation: a
 // string where the caller holds one, and the bytes a bufio.Scanner lent
@@ -28,21 +30,24 @@ import (
 	"unicode/utf8"
 
 	"dyncq/internal/cq"
-	"dyncq/internal/dict"
 	"dyncq/internal/dyndb"
 )
 
 // text is what a line may be held in.
 type text interface{ ~string | ~[]byte }
 
-// Parse parses one update line, decoding tuple entries as int64 constants
-// (d == nil) or as dictionary-encoded strings (d != nil). The tuple is
-// appended to vals and returned as the tail of out, out[len(vals):]; rel
-// is a subslice of line. A rejected line leaves vals as it was (err !=
-// nil, out == vals); the values before len(vals) are never written.
+// Parse parses one update line, reading tuple entries as int64 constants
+// (encode == nil) or as string constants — anything without a comma or
+// parenthesis, surrounding white space trimmed — that encode turns into
+// values (encode != nil; "42" is then a string, not the integer 42). The
+// tuple is appended to vals and returned as the tail of out,
+// out[len(vals):]; rel is a subslice of line. A rejected line leaves vals
+// as it was (err != nil, out == vals); the values before len(vals) are
+// never written (encode may already have seen the entries before the
+// offending one).
 //
 //dyncq:hot
-func Parse[T text](line T, d *dict.Dict, vals []dyndb.Value) (op dyndb.Op, rel T, out []dyndb.Value, err error) {
+func Parse[T text](line T, encode func(string) dyndb.Value, vals []dyndb.Value) (op dyndb.Op, rel T, out []dyndb.Value, err error) {
 	s := trimSpace(line)
 	if len(s) == 0 {
 		return op, rel, vals, reject(line, emptyCommand, s, 0)
@@ -89,8 +94,11 @@ func Parse[T text](line T, d *dict.Dict, vals []dyndb.Value) (op dyndb.Op, rel T
 			return op, rel, vals, reject(line, emptyTuple, f, 0)
 		case len(f) == 0:
 			return op, rel, vals, reject(line, emptyEntry, f, i)
-		case d != nil:
-			out = append(out, d.Encode(string(f))) //dyncq:allow hotalloc string mode encodes the entry's text; out is the caller's arena
+		case encode != nil:
+			if indexByte(f, '(') >= 0 {
+				return op, rel, vals, reject(line, parenInEntry, f, i)
+			}
+			out = append(out, encode(string(f))) //dyncq:allow hotalloc string mode encodes the entry's text; out is the caller's arena
 		default:
 			v, ok := parseInt(f)
 			if !ok {
@@ -117,6 +125,7 @@ const (
 	badRelation
 	emptyTuple
 	emptyEntry
+	parenInEntry
 	notInt64
 )
 
@@ -143,6 +152,8 @@ func reject[T text](line T, why failure, part T, entry int) error {
 		return fmt.Errorf("malformed update %q: empty tuple", l)
 	case emptyEntry:
 		return fmt.Errorf("malformed update %q: empty tuple entry %d", l, entry)
+	case parenInEntry:
+		return fmt.Errorf("malformed update %q: tuple entry %d (%q) contains '('", l, entry, p)
 	default:
 		return fmt.Errorf("malformed update %q: tuple entry %d (%q) is not an int64", l, entry, p)
 	}

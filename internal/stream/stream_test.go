@@ -79,3 +79,37 @@ func TestArena(t *testing.T) {
 		t.Fatalf("a line parsed into a reset arena allocates %v times", allocs)
 	}
 }
+
+// TestParseStrings: with an encoder, entries are string constants — "42"
+// included — and an entry holding '(' is rejected by name, from a string
+// and from bytes alike, as int mode rejects it for not being an int64.
+func TestParseStrings(t *testing.T) {
+	var seen []string
+	encode := func(s string) dyndb.Value {
+		seen = append(seen, s)
+		return dyndb.Value(len(seen))
+	}
+	op, rel, tuple, err := Parse(" -E( alice ,42) ", encode, nil)
+	if err != nil || op != dyndb.OpDelete || rel != "E" || !slices.Equal(tuple, []dyndb.Value{1, 2}) || !slices.Equal(seen, []string{"alice", "42"}) {
+		t.Fatalf("string mode: %v %q %v %v, encoded %q", op, rel, tuple, err, seen)
+	}
+	for _, c := range []struct {
+		line   string
+		encode func(string) dyndb.Value
+		want   string
+	}{
+		{"+E(a(b,c)", encode, `malformed update "+E(a(b,c)": tuple entry 1 ("a(b") contains '('`},
+		{"+E(a, (b)", encode, `malformed update "+E(a, (b)": tuple entry 2 ("(b") contains '('`},
+		{"+E(1(2,3)", nil, `malformed update "+E(1(2,3)": tuple entry 1 ("1(2") is not an int64`},
+	} {
+		vals := []dyndb.Value{7}
+		_, _, out, err := Parse(c.line, c.encode, vals)
+		_, _, bout, berr := Parse([]byte(c.line), c.encode, vals)
+		if err == nil || err.Error() != c.want || berr == nil || berr.Error() != c.want {
+			t.Errorf("%q: errors %v / %v, want %s", c.line, err, berr, c.want)
+		}
+		if !slices.Equal(out, vals) || !slices.Equal(bout, vals) {
+			t.Errorf("%q: a rejected line returned %v / %v, want vals %v", c.line, out, bout, vals)
+		}
+	}
+}

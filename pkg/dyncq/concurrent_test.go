@@ -144,8 +144,11 @@ func TestConcurrentWriters(t *testing.T) {
 	q := cq.MustParse("Q(y) :- E(x,y), T(y)")
 	rng := rand.New(rand.NewSource(61))
 	init := workload.RandomDatabase(rng, q.Schema(), 40, 150)
-	// A net batch: coalesce a random stream so the slices commute.
-	net := Coalesce(workload.RandomStream(rng, q.Schema(), 40, 2000, 0.3))
+	// A net batch: net a random stream against init so the slices commute.
+	net, err := init.Clone().NetDelta(workload.RandomStream(rng, q.Schema(), 40, 2000, 0.3))
+	if err != nil {
+		t.Fatal(err)
+	}
 	const writers = 4
 
 	cs, h := soloWorkers(t, writers, q, Options{})

@@ -66,11 +66,6 @@ func Insert(rel string, tuple ...Value) Update { return dyndb.Insert(rel, tuple.
 // Delete returns a deletion command for the given tuple.
 func Delete(rel string, tuple ...Value) Update { return dyndb.Delete(rel, tuple...) }
 
-// Coalesce reduces a batch to its net effect: the last command per
-// (relation, tuple) pair wins. ApplyBatch does this internally; it is
-// exported for callers that want to inspect or persist net batches.
-func Coalesce(updates []Update) []Update { return dyndb.Coalesce(updates) }
-
 // Strategy identifies the maintenance backend serving a query.
 type Strategy int
 

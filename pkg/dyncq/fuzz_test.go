@@ -2,6 +2,7 @@ package dyncq
 
 import (
 	"fmt"
+	"io"
 	"slices"
 	"strconv"
 	"strings"
@@ -9,17 +10,17 @@ import (
 	"unicode"
 	"unicode/utf8"
 
-	"dyncq/internal/dict"
 	"dyncq/internal/dyndb"
 	"dyncq/internal/stream"
 )
 
 // parseUpdateReference is the stream-line parser as it stood before the
 // grammar moved to internal/stream and learned to parse in place — trim,
-// split, strconv — kept verbatim as the yardstick FuzzParseUpdate holds
-// the one parser to: the same lines accepted, the same updates, the same
-// error texts.
-func parseUpdateReference(line string, d *dict.Dict) (Update, error) {
+// split, strconv — kept as the yardstick FuzzParseUpdate holds the one
+// parser to: the same lines accepted, the same updates, the same error
+// texts. A non-nil encode is string mode, which since then also rejects
+// an entry holding '(' — "+E(a(b,c)" is not the constant "a(b".
+func parseUpdateReference(line string, encode func(string) Value) (Update, error) {
 	s := strings.TrimSpace(line)
 	if s == "" {
 		return Update{}, fmt.Errorf("malformed update %q: empty command (want [+|-]R(v1,…,vr))", line)
@@ -62,8 +63,11 @@ func parseUpdateReference(line string, d *dict.Dict) (Update, error) {
 			}
 			return Update{}, fmt.Errorf("malformed update %q: empty tuple entry %d", line, i+1)
 		}
-		if d != nil {
-			tuple = append(tuple, d.Encode(f))
+		if encode != nil {
+			if strings.Contains(f, "(") {
+				return Update{}, fmt.Errorf("malformed update %q: tuple entry %d (%q) contains '('", line, i+1, f)
+			}
+			tuple = append(tuple, encode(f))
 			continue
 		}
 		v, err := strconv.ParseInt(f, 10, 64)
@@ -97,6 +101,20 @@ func validRelNameReference(rel string) bool {
 	return true
 }
 
+// testEncoder returns a string-mode encoder of its own: the next code for
+// each new constant, from 1.
+func testEncoder() func(string) Value {
+	codes := make(map[string]Value)
+	return func(name string) Value {
+		c, ok := codes[name]
+		if !ok {
+			c = Value(len(codes) + 1)
+			codes[name] = c
+		}
+		return c
+	}
+}
+
 // sameParse fails unless (got, gotErr) is what the reference made of line:
 // both reject with the same text, or both accept the same update.
 func sameParse(t *testing.T, via, line string, got Update, gotErr error, want Update, wantErr error) {
@@ -116,11 +134,13 @@ func sameParse(t *testing.T, via, line string, got Update, gotErr error, want Up
 // panics; every accepted command has a valid relation name, a non-empty
 // tuple, and round-trips exactly through FormatUpdate → ParseUpdate;
 // commands with a doubled sign or text after the closing parenthesis are
-// never accepted; and every entry — ParseUpdate, ParseUpdateDict, and the
-// byte entry stream.Arena.Parse driving a dirty, reused arena — does what
-// the reference parser does, error text included, while the arena leaves
-// the tuples it handed out before untouched. Run the baked-in corpus with
-// go test; explore with go test -fuzz=FuzzParseUpdate ./pkg/dyncq.
+// never accepted; and every entry — ParseUpdate, string mode (a
+// test-local encoder handed to stream.Parse and, through UseStrings, to a
+// StreamReader), and the byte entry
+// stream.Arena.Parse driving a dirty, reused arena — does what the
+// reference parser does, error text included, while the arena leaves the
+// tuples it handed out before untouched. Run the baked-in corpus with go
+// test; explore with go test -fuzz=FuzzParseUpdate ./pkg/dyncq.
 func FuzzParseUpdate(f *testing.F) {
 	for _, seed := range []string{
 		// accepted forms
@@ -133,6 +153,8 @@ func FuzzParseUpdate(f *testing.F) {
 		"E(1 2)", "E(0x1)", "E(1,2,)", "+", "-", "E((1))", "E(١)",
 		"#E(1)", "\x00E(1)", "E(18446744073709551615)", "+E\xc0(1)",
 		"E)(1)", "E(9223372036854775808)", "E(-9223372036854775809)", "E(+)", "E(1_0)",
+		// string mode: accepted there, or rejected only there
+		"+E(alice, bob)", "-E(alice,42)", "E(x y)", "+E(a(b,c)", "E(a,(b)",
 	} {
 		f.Add(seed)
 	}
@@ -141,9 +163,32 @@ func FuzzParseUpdate(f *testing.F) {
 		want, wantErr := parseUpdateReference(line, nil)
 		sameParse(t, "ParseUpdate", line, u, err, want, wantErr)
 
-		du, derr := ParseUpdateDict(line, dict.New())
-		dwant, dwantErr := parseUpdateReference(line, dict.New())
-		sameParse(t, "ParseUpdateDict", line, du, derr, dwant, dwantErr)
+		// String mode, on the grammar itself for every input…
+		op, rel, tuple, perr := stream.Parse(line, testEncoder(), nil)
+		pwant, pwantErr := parseUpdateReference(line, testEncoder())
+		sameParse(t, "stream.Parse with an encoder", line, Update{Op: op, Rel: rel, Tuple: tuple}, perr, pwant, pwantErr)
+
+		// …and through the reader that carries it. The reader
+		// splits at newlines, so only a single line is compared; it skips
+		// a blank or #-comment line, and parses (and quotes) the others
+		// with surrounding white space trimmed.
+		if !strings.Contains(line, "\n") {
+			sr := NewStreamReader(strings.NewReader(line))
+			sr.UseStrings(testEncoder())
+			su, _, serr := sr.Next()
+			switch s := strings.TrimSpace(line); {
+			case s == "" || s[0] == '#':
+				if serr != io.EOF {
+					t.Fatalf("StreamReader(%q): %v, %v; want the line skipped", line, su, serr)
+				}
+			default:
+				swant, swantErr := parseUpdateReference(s, testEncoder())
+				if swantErr != nil {
+					swantErr = fmt.Errorf("line 1: %w", swantErr)
+				}
+				sameParse(t, "StreamReader.UseStrings", line, su, serr, swant, swantErr)
+			}
+		}
 
 		// The byte entry, into an arena whose spare capacity holds the
 		// values of a longer line and which already handed out a tuple.

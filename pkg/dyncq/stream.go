@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"dyncq/internal/dict"
 	"dyncq/internal/dyndb"
 	"dyncq/internal/stream"
 )
@@ -21,42 +20,27 @@ import (
 //	E(1,2)      insert (the sign is optional for database files)
 //	# comment   (blank lines and #-comments are skipped)
 //
-// Tuple entries are int64 constants. The parser is strict: exactly one
-// optional sign, a valid relation identifier, one parenthesised tuple,
-// and nothing after the closing parenthesis. Malformed input is rejected
-// with an error naming the offence (doubled sign, trailing garbage,
-// non-integer entry, …) rather than whatever the nearest scanner rule
-// happened to produce.
+// Tuple entries are int64 constants, or string constants a StreamReader
+// encodes through the function UseStrings hands it (the CLI's -strings
+// mode, whose dictionary lives in cmd/dyncq). The parser is strict:
+// exactly one optional sign, a valid relation identifier, one
+// parenthesised tuple, and nothing after the closing parenthesis.
+// Malformed input is rejected with an error naming the offence (doubled
+// sign, trailing garbage, non-integer entry, …) rather than whatever the
+// nearest scanner rule happened to produce.
 //
 // The grammar has one implementation, internal/stream.Parse, which reads
 // a line where it lies — a string, or the bytes a bufio.Scanner lent —
 // and appends the tuple to a slice the caller supplies. ParseUpdate and
-// ParseUpdateDict hand it a tuple of exactly the line's arity, and
-// StreamReader parses from the scanner's buffer without copying the line
-// out; the serving front door parses a batch's lines into one arena its
-// session owns (stream.Arena).
+// StreamReader hand it a tuple of exactly the line's arity (a well-formed
+// line holds one comma fewer than it has entries), and StreamReader
+// parses from the scanner's buffer without copying the line out; the
+// serving front door parses a batch's lines into one arena its session
+// owns (stream.Arena).
 
 // ParseUpdate parses one update command line.
 func ParseUpdate(line string) (Update, error) {
-	return parseUpdate(line, nil)
-}
-
-// ParseUpdateDict parses one update command line whose tuple entries are
-// arbitrary string constants (anything without a comma or parenthesis,
-// surrounding whitespace trimmed), encoding them through d — the
-// -strings mode of the CLI stream parser. Note "42" in dict mode is a
-// string constant, not the integer 42.
-func ParseUpdateDict(line string, d *dict.Dict) (Update, error) {
-	if d == nil {
-		return Update{}, fmt.Errorf("malformed update %q: nil dictionary for string mode", line)
-	}
-	return parseUpdate(line, d)
-}
-
-// parseUpdate parses one command into a tuple of exactly its arity: a
-// well-formed line holds one comma fewer than it has entries.
-func parseUpdate(line string, d *dict.Dict) (Update, error) {
-	op, rel, tuple, err := stream.Parse(line, d, make([]Value, 0, strings.Count(line, ",")+1))
+	op, rel, tuple, err := stream.Parse(line, nil, make([]Value, 0, strings.Count(line, ",")+1))
 	if err != nil {
 		return Update{}, err
 	}
@@ -68,10 +52,10 @@ func parseUpdate(line string, d *dict.Dict) (Update, error) {
 // ApplyStreamReader — can name the offending line. Blank lines and
 // #-comments are skipped.
 type StreamReader struct {
-	sc    *bufio.Scanner
-	line  int
-	dict  *dict.Dict
-	names stream.Names
+	sc     *bufio.Scanner
+	line   int
+	encode func(string) Value
+	names  stream.Names
 }
 
 // NewStreamReader returns a reader over r. Lines up to 16MiB are
@@ -82,10 +66,13 @@ func NewStreamReader(r io.Reader) *StreamReader {
 	return &StreamReader{sc: sc}
 }
 
-// UseDict switches the reader to string mode: tuple entries are parsed
-// as arbitrary string constants and encoded through d (ParseUpdateDict)
-// instead of int64 literals. Call it before the first Next.
-func (r *StreamReader) UseDict(d *dict.Dict) { r.dict = d }
+// UseStrings switches the reader to string mode: tuple entries are
+// parsed as string constants — anything without a comma or parenthesis,
+// surrounding white space trimmed, so "42" is a string here — and turned
+// into values by encode instead of read as int64 literals. encode is
+// called once per entry, on the reader's goroutine. Call it before the
+// first Next.
+func (r *StreamReader) UseStrings(encode func(string) Value) { r.encode = encode }
 
 // Next returns the next update and its 1-based line number. At the end
 // of the stream it returns io.EOF; parse and read errors carry the line
@@ -99,7 +86,7 @@ func (r *StreamReader) Next() (Update, int, error) {
 		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		op, rel, tuple, err := stream.Parse(line, r.dict, make([]Value, 0, bytes.Count(line, []byte{','})+1))
+		op, rel, tuple, err := stream.Parse(line, r.encode, make([]Value, 0, bytes.Count(line, []byte{','})+1))
 		if err != nil {
 			return Update{}, r.line, fmt.Errorf("line %d: %w", r.line, err)
 		}
@@ -117,7 +104,7 @@ func (r *StreamReader) Next() (Update, int, error) {
 // ApplyStreamReader reads the update stream from sr and applies it to the
 // workspace in batches of batchSize commands (batchSize <= 0 applies one
 // batch at the end) — the one stream entry point; configure the reader
-// first (UseDict for the CLI's -strings mode). Every command's arity is
+// first (UseStrings for the CLI's -strings mode). Every command's arity is
 // checked against the workspace's union schema at apply time, so a
 // mismatch is reported with the offending line number — something the
 // backends' own arity errors cannot do once the text positions are gone.

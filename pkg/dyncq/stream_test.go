@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"dyncq/internal/dict"
 	"dyncq/internal/dyndb"
 	"dyncq/internal/workload"
 )
@@ -169,47 +168,71 @@ func TestStreamReaderReportsLine(t *testing.T) {
 	}
 }
 
-// TestParseUpdateDict: string mode encodes tuple entries through the
-// dictionary, and the StreamReader plumbs it end to end.
-func TestParseUpdateDict(t *testing.T) {
-	d := dict.New()
-	u, err := ParseUpdateDict("+E(alice, bob)", d)
+// TestStreamReaderStrings: in string mode (UseStrings) tuple entries are
+// constants the reader's encoder turns into values — "42" included — and
+// malformed input is rejected as in int mode, plus an entry holding '(';
+// the StreamReader plumbs the mode end to end.
+func TestStreamReaderStrings(t *testing.T) {
+	var names []string // names[code-1], the test's decoder
+	codes := make(map[string]Value)
+	encode := func(name string) Value {
+		c, ok := codes[name]
+		if !ok {
+			names = append(names, name)
+			c = Value(len(names))
+			codes[name] = c
+		}
+		return c
+	}
+	parse := func(line string) (Update, error) {
+		sr := NewStreamReader(strings.NewReader(line))
+		sr.UseStrings(encode)
+		u, _, err := sr.Next()
+		return u, err
+	}
+	u, err := parse("+E(alice, bob)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if u.Rel != "E" || len(u.Tuple) != 2 {
 		t.Fatalf("parsed %v", u)
 	}
-	if d.Decode(u.Tuple[0]) != "alice" || d.Decode(u.Tuple[1]) != "bob" {
-		t.Fatalf("decoded %q, %q", d.Decode(u.Tuple[0]), d.Decode(u.Tuple[1]))
+	if names[u.Tuple[0]-1] != "alice" || names[u.Tuple[1]-1] != "bob" {
+		t.Fatalf("decoded %q, %q", names[u.Tuple[0]-1], names[u.Tuple[1]-1])
 	}
 	// The same name maps to the same code; integers are strings here.
-	u2, err := ParseUpdateDict("-E(alice, 42)", d)
+	u2, err := parse("-E(alice, 42)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if u2.Op != OpDelete || u2.Tuple[0] != u.Tuple[0] {
 		t.Fatalf("re-encoded alice differently: %v vs %v", u2, u)
 	}
-	if d.Decode(u2.Tuple[1]) != "42" {
-		t.Fatalf("string mode decoded %q, want \"42\"", d.Decode(u2.Tuple[1]))
+	if names[u2.Tuple[1]-1] != "42" {
+		t.Fatalf("string mode decoded %q, want \"42\"", names[u2.Tuple[1]-1])
 	}
-	// Malformed input is rejected exactly as in int mode.
-	if _, err := ParseUpdateDict("+-E(a)", d); err == nil {
-		t.Fatal("doubled sign accepted in string mode")
-	}
-	if _, err := ParseUpdateDict("E(a) junk", d); err == nil {
-		t.Fatal("trailing garbage accepted in string mode")
+	// Malformed input is rejected exactly as in int mode, and an entry
+	// holding '(' is rejected by name: "+E(a(b,c)" is not the constant
+	// "a(b" followed by "c".
+	for line, want := range map[string]string{
+		"+-E(a)":    "doubled sign",
+		"E(a) junk": "garbage after ')'",
+		"+E(a(b,c)": `line 1: malformed update "+E(a(b,c)": tuple entry 1 ("a(b") contains '('`,
+		"E(a, (b)":  `tuple entry 2 ("(b") contains '('`,
+	} {
+		if u, err := parse(line); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q in string mode: %v, %v; want an error containing %q", line, u, err, want)
+		}
 	}
 
-	// End to end: a dict-mode stream through a workspace.
+	// End to end: a string-mode stream through a workspace.
 	ws := NewWorkspace(WorkspaceOptions{})
 	h, err := ws.Register("q", "Q(y) :- E(x,y), T(y)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sr := NewStreamReader(strings.NewReader("+E(alice,bob)\n+T(bob)\n-E(alice,bob)\n+E(carol,bob)\n"))
-	sr.UseDict(ws.Dict())
+	sr.UseStrings(encode)
 	applied, err := ApplyStreamReader(ws, sr, 2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +241,7 @@ func TestParseUpdateDict(t *testing.T) {
 		t.Fatal("stream applied nothing")
 	}
 	tuples := h.Tuples()
-	if len(tuples) != 1 || ws.Dict().Decode(tuples[0][0]) != "bob" {
+	if len(tuples) != 1 || names[tuples[0][0]-1] != "bob" {
 		t.Fatalf("result %v, want [bob]", tuples)
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"dyncq/internal/core"
 	"dyncq/internal/cq"
-	"dyncq/internal/dict"
 	"dyncq/internal/dyndb"
 	"dyncq/internal/ivm"
 	"dyncq/internal/qtree"
@@ -24,10 +23,10 @@ import (
 // database with per-query maintenance structures fed by a common delta
 // stream.
 //
-// Every write — Apply, Insert, Delete, InsertS, DeleteS, ApplyBatch,
-// ApplyBatched, Commit, and the serving layer's apply verb and batches —
-// runs one pipeline, commitLocked; a single update is a batch of one, as
-// in the paper's single-tuple update model. Per commit: coalesce once,
+// Every write — Apply, Insert, Delete, ApplyBatch, ApplyBatched, Commit,
+// and the serving layer's apply verb and batches — runs one pipeline,
+// commitLocked; a single update is a batch of one, as in the paper's
+// single-tuple update model. Per commit: coalesce once,
 // validate once (against the union schema of all registered queries and
 // the store, so a bad batch is rejected atomically), compute the net
 // delta against the shared store once (dyndb.NetDelta, which resolves
@@ -103,15 +102,13 @@ type WorkspaceOptions struct {
 // pipeline, many registered live queries. Build one with NewWorkspace;
 // the zero value is not ready. Safe for concurrent use.
 type Workspace struct {
-	mu       sync.RWMutex
-	store    *dyndb.Database
-	dictOnce sync.Once
-	d        *dict.Dict     // lazily created by Dict/InsertS/DeleteS; guarded by dictOnce, not mu
-	schema   map[string]int // union schema over all registered queries
-	owner    map[string]string
-	handles  map[string]*Handle
-	order    []*Handle // registration order
-	workers  int
+	mu      sync.RWMutex
+	store   *dyndb.Database
+	schema  map[string]int // union schema over all registered queries
+	owner   map[string]string
+	handles map[string]*Handle
+	order   []*Handle // registration order
+	workers int
 
 	// The open commit, read by the pool bodies below: its net delta, the
 	// per-handle timings, the per-relation grouping of the relation-phased
@@ -496,58 +493,6 @@ func (w *Workspace) StoreMutations() uint64 {
 	return w.store.Mutations()
 }
 
-// Dict returns the workspace's dictionary, creating it on first use.
-// The dictionary backs the string-accepting helpers (InsertS/DeleteS)
-// and the CLI's -strings stream mode. Dict itself never takes the
-// workspace lock, so it is callable from inside Enumerate/View
-// callbacks (e.g. to Decode tuple values while enumerating). The
-// returned dictionary is NOT independently goroutine-safe: do not call
-// Encode on it concurrently with workspace writers — use the helpers,
-// which encode under the workspace lock.
-func (w *Workspace) Dict() *dict.Dict {
-	w.dictOnce.Do(func() { w.d = dict.New() })
-	return w.d
-}
-
-// InsertS inserts a tuple of external string constants, encoding them
-// through the workspace dictionary (Workspace.Dict). The arity check
-// runs before any encoding, so a rejected insert assigns no codes.
-func (w *Workspace) InsertS(rel string, names ...string) (bool, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.checkArity(rel, len(names)); err != nil {
-		return false, err
-	}
-	d := w.Dict() //dyncq:allow lockorder Dict is lock-free by construction (sync.Once, no w.mu), the PR 6 deadlock fix
-	tuple := make([]Value, len(names))
-	for i, n := range names {
-		tuple[i] = d.Encode(n)
-	}
-	return w.commitOne(dyndb.Insert(rel, tuple...))
-}
-
-// DeleteS deletes a tuple of external string constants. A name the
-// dictionary has never seen cannot occur in any stored tuple, so such a
-// deletion is a no-op (and assigns no code) — but an arity mismatch
-// still errors, exactly as on every other write path.
-func (w *Workspace) DeleteS(rel string, names ...string) (bool, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.checkArity(rel, len(names)); err != nil {
-		return false, err
-	}
-	d := w.Dict() //dyncq:allow lockorder Dict is lock-free by construction (sync.Once, no w.mu), the PR 6 deadlock fix
-	tuple := make([]Value, len(names))
-	for i, n := range names {
-		c, ok := d.Lookup(n)
-		if !ok {
-			return false, nil
-		}
-		tuple[i] = c
-	}
-	return w.commitOne(dyndb.Delete(rel, tuple...))
-}
-
 // Insert applies "insert R(a1,…,ar)" to the shared store and every
 // registered query, reporting whether the database changed.
 func (w *Workspace) Insert(rel string, tuple ...Value) (bool, error) {
@@ -563,17 +508,11 @@ func (w *Workspace) Delete(rel string, tuple ...Value) (bool, error) {
 // Apply executes one update command atomically across the shared store
 // and every registered query: a commit of one, through the same pipeline
 // as every batch.
+//
+//dyncq:hot
 func (w *Workspace) Apply(u Update) (bool, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.commitOne(u)
-}
-
-// commitOne commits a batch of one and reports whether it changed the
-// database. The caller holds w.mu.Lock.
-//
-//dyncq:hot
-func (w *Workspace) commitOne(u Update) (bool, error) {
 	applied, err := w.commitLocked([]Update{u})
 	return applied > 0, err
 }

@@ -330,7 +330,7 @@ func TestWorkspaceLateRegister(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := db.Clone()
-	if err := oracle.ApplyAll(dyndb.Coalesce(stream)); err != nil {
+	if err := oracle.ApplyAll(stream); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range multiSuite() {
@@ -352,7 +352,7 @@ func TestWorkspaceLateRegister(t *testing.T) {
 	if _, err := ws.ApplyBatched(more, 16); err != nil {
 		t.Fatal(err)
 	}
-	if err := oracle.ApplyAll(dyndb.Coalesce(more)); err != nil {
+	if err := oracle.ApplyAll(more); err != nil {
 		t.Fatal(err)
 	}
 	for _, h := range ws.Handles() {
@@ -465,102 +465,6 @@ func TestWorkspaceParallelMatchesSequential(t *testing.T) {
 		got, want := hp.Tuples(), hs.Tuples()
 		exactTuples(t, hs.Strategy(), "query "+c.name, got, want)
 	}
-}
-
-// TestWorkspaceDict: the string front door — InsertS/DeleteS encode
-// through the workspace dictionary; deleting a never-seen constant is a
-// no-op that allocates no code.
-func TestWorkspaceDict(t *testing.T) {
-	ws := NewWorkspace(WorkspaceOptions{})
-	h, err := ws.Register("q", "Q(y) :- E(x,y), T(y)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustChange := func(changed bool, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !changed {
-			t.Fatal("expected a change")
-		}
-	}
-	mustChange(ws.InsertS("E", "alice", "bob"))
-	mustChange(ws.InsertS("T", "bob"))
-	if got := h.Count(); got != 1 {
-		t.Fatalf("count = %d, want 1", got)
-	}
-	d := ws.Dict()
-	tuples := h.Tuples()
-	if len(tuples) != 1 || d.Decode(tuples[0][0]) != "bob" {
-		t.Fatalf("tuples = %v, want [bob] under the dictionary", tuples)
-	}
-	before := d.Len()
-	if changed, err := ws.DeleteS("E", "alice", "nobody"); err != nil || changed {
-		t.Fatalf("DeleteS of unseen constant: changed=%v err=%v, want no-op", changed, err)
-	}
-	if d.Len() != before {
-		t.Fatalf("DeleteS of unseen constant allocated a code (%d -> %d)", before, d.Len())
-	}
-	// Arity mismatches error even when a name is unseen: the unseen-name
-	// no-op must not mask a caller bug the other write paths surface.
-	if _, err := ws.DeleteS("E", "nobody"); err == nil {
-		t.Fatal("DeleteS with wrong arity accepted")
-	}
-	// And a rejected InsertS assigns no codes either.
-	before = d.Len()
-	if _, err := ws.InsertS("E", "p", "q", "r"); err == nil {
-		t.Fatal("InsertS with wrong arity accepted")
-	}
-	if d.Len() != before {
-		t.Fatalf("rejected InsertS allocated codes (%d -> %d)", before, d.Len())
-	}
-	mustChange(ws.DeleteS("T", "bob"))
-	if h.Answer() {
-		t.Fatal("answer = true after DeleteS, want false")
-	}
-}
-
-// TestWorkspaceDictInsideCallback: Dict never takes the workspace lock,
-// so decoding inside Enumerate callbacks (which hold the read lock) must
-// not deadlock — the natural way to print string tuples.
-func TestWorkspaceDictInsideCallback(t *testing.T) {
-	ws := NewWorkspace(WorkspaceOptions{})
-	h, err := ws.Register("q", "Q(y) :- E(x,y), T(y)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ws.InsertS("E", "alice", "bob"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ws.InsertS("T", "bob"); err != nil {
-		t.Fatal(err)
-	}
-	var got string
-	h.Enumerate(func(tuple []Value) bool {
-		got = ws.Dict().Decode(tuple[0])
-		return true
-	})
-	if got != "bob" {
-		t.Fatalf("decoded %q inside Enumerate, want %q", got, "bob")
-	}
-
-	// First use inside a callback must lazily create the dict without
-	// touching the workspace lock either.
-	ws2 := NewWorkspace(WorkspaceOptions{})
-	h2, err := ws2.Register("q", "Q(y) :- E(x,y), T(y)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ws2.ApplyBatch([]Update{Insert("E", 1, 2), Insert("T", 2)}); err != nil {
-		t.Fatal(err)
-	}
-	h2.Enumerate(func([]Value) bool {
-		if d := ws2.Dict(); d == nil {
-			t.Fatal("Dict() = nil inside Enumerate")
-		}
-		return true
-	})
 }
 
 // TestWorkspaceEmptyThenRegister: updates before the first registration
