@@ -46,8 +46,10 @@
 // The package is the structure and nothing else: an Engine holds no
 // database. Its owner (pkg/dyncq.Workspace) applies each update to the
 // store once and hands the engine the same net delta (ApplyDelta), whose
-// commands carry the store's relation ids; the preprocessing phase scans
-// a store the owner passes in (Rebuild) and fixes the engine's id table.
+// commands carry the store's relation ids. The preprocessing phase
+// (Rebuild) is the same update procedure run once per tuple of a store
+// the owner passes in — the one way the structure is ever built — and
+// fixes the engine's id table.
 package core
 
 import (
@@ -171,7 +173,6 @@ type Engine struct {
 	comps   []*comp
 	rels    map[string][]atomRef // relation → atoms over it
 	byID    [][]atomRef          // store relation id → atoms over it (Rebuild)
-	schema  map[string]int
 	heads   []headLoc
 	freeIdx []int // component → index among free components, -1 if Boolean
 	version uint64
@@ -196,9 +197,8 @@ func New(q *cq.Query) (*Engine, error) {
 		return nil, fmt.Errorf("core.New: %w", err)
 	}
 	e := &Engine{
-		query:  q,
-		rels:   make(map[string][]atomRef),
-		schema: q.Schema(),
+		query: q,
+		rels:  make(map[string][]atomRef),
 	}
 	subs := q.Components()
 	maxDepth := 0
@@ -395,27 +395,23 @@ func (e *Engine) ApplyDelta(survivors []dyndb.Update, emit bool) (added, removed
 }
 
 // Rebuild discards the structure and runs the preprocessing phase of
-// Section 6.4 over the store's current contents in two passes instead of
-// |D| single-tuple update procedures: a counting pass walks each matching
-// atom's root path top-down, creating items and incrementing their C^i_ψ
-// (countAtom), then one bottom-up pass per component computes every
-// item's C^i and C̃^i once and links the fit items in lexicographic key
-// order (buildWeights, sortLists) — which on the paper's Example 6.1
+// Section 6.4 over the store's current contents the way the paper does:
+// one insert update procedure (updateAtom) per stored tuple and matching
+// atom, so the build is linear in |D| by the per-update bound alone.
+// sortLists then puts every fit list in ascending order of its items' own
+// constants — the order a sorted single-tuple replay produces, whatever
+// order the store yields its tuples in — which on the paper's Example 6.1
 // database reproduces the Figure 3 layout and the Table 1 enumeration
-// order, same as a sorted single-tuple replay. Both are linear in |D|;
-// the bulk path pays the bottom-up propagation once per item instead of
-// once per tuple. The owner calls it after replacing the store's
-// contents and when a query registers against a populated store. A
-// schema clash (a store relation whose arity contradicts the query)
-// fails with the structure cleared — the engine then represents the
-// empty result. Either way the version advances.
+// order. The owner calls it after replacing the store's contents and when
+// a query registers against a populated store, having checked the store's
+// arities against the query; it cannot fail. The version advances.
 //
 // Rebuild also fixes the id table (see Engine): it asks the store for
 // the id of every relation the query mentions (dyndb.RelationID), which
 // assigns the ids the store does not have yet. Once an engine has been
 // rebuilt against a store, later rebuilds against it only read the
 // store, so the owner may run them concurrently.
-func (e *Engine) Rebuild(store *dyndb.Database) error {
+func (e *Engine) Rebuild(store *dyndb.Database) {
 	e.Clear()
 	clear(e.byID)
 	for rel, atoms := range e.rels { //dyncq:allow determinism each relation fills its own id slot, any visit order builds the same table
@@ -426,28 +422,22 @@ func (e *Engine) Rebuild(store *dyndb.Database) error {
 		e.byID[id] = atoms
 	}
 	for _, rel := range store.Relations() {
-		r := store.Relation(rel)
-		if want, ok := e.schema[rel]; ok && want != r.Arity() {
-			e.Clear()
-			return fmt.Errorf("core: %s has arity %d in query, %d in the store", rel, want, r.Arity())
-		}
 		atoms := e.rels[rel]
 		if len(atoms) == 0 {
 			continue
 		}
-		r.Each(func(t []Value) bool {
+		store.Relation(rel).Each(func(t []Value) bool {
 			for _, ar := range atoms {
-				e.countAtom(ar, t)
+				c := e.comps[ar.comp]
+				e.updateAtom(c, &c.atoms[ar.atom], t, true, nil)
 			}
 			return true
 		})
 	}
 	var scratch []listEntry
 	for _, c := range e.comps {
-		buildWeights(c)
 		scratch = sortLists(c, scratch)
 	}
-	return nil
 }
 
 // Clear discards the structure (items, lists, counters), leaving the

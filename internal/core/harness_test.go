@@ -16,6 +16,7 @@ import (
 type harness struct {
 	*Engine
 	db             *dyndb.Database
+	schema         map[string]int
 	emit           bool
 	added, removed [][]Value
 }
@@ -25,8 +26,9 @@ func newHarness(q *cq.Query) (*harness, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &harness{Engine: e, db: dyndb.New()}
-	return h, h.Rebuild(h.db) // fixes the engine's relation ids in h.db
+	h := &harness{Engine: e, db: dyndb.New(), schema: q.Schema()}
+	h.Rebuild(h.db) // fixes the engine's relation ids in h.db
+	return h, nil
 }
 
 func (h *harness) checkArity(updates ...dyndb.Update) error {
@@ -79,5 +81,6 @@ func (h *harness) Load(db *dyndb.Database) error {
 	if err := h.db.CopyFrom(db); err != nil {
 		return err
 	}
-	return h.Rebuild(h.db)
+	h.Rebuild(h.db)
+	return nil
 }

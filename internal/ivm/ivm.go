@@ -74,8 +74,7 @@ type Maintainer struct {
 	// result maps head tuples to their valuation multiplicity.
 	result *tuplekey.Table[int64]
 	// occ maps relation names to the indices of atoms over them.
-	occ    map[string][]int
-	schema map[string]int
+	occ map[string][]int
 	// ev runs the delta joins; emit adds each valuation's head tuple to
 	// result with the running join's coefficient coef, straight away.
 	// restricted holds the join's atom overrides. All of it is scratch
@@ -111,7 +110,6 @@ func New(q *cq.Query, store *dyndb.Database) (*Maintainer, error) {
 		db:         store,
 		result:     tuplekey.NewTable[int64](arity),
 		occ:        make(map[string][]int),
-		schema:     q.Schema(),
 		ev:         eval.NewEvaluator(q),
 		restricted: eval.Restricted{},
 		touched:    tuplekey.NewTable[bool](arity),
@@ -240,23 +238,10 @@ func (m *Maintainer) evaluate() *tuplekey.Table[int64] {
 
 // Rebuild recomputes the materialised result with one full evaluation
 // over the store — the preprocessing phase, linear+join-cost instead of
-// |D| residual-join updates. A schema clash (a store relation whose arity
-// contradicts the query) fails with the result cleared.
-func (m *Maintainer) Rebuild() error {
-	m.Clear()
-	for _, rel := range m.db.Relations() {
-		if want, ok := m.schema[rel]; ok && want != m.db.Relation(rel).Arity() {
-			return fmt.Errorf("ivm: %s has arity %d in query, %d in the store", rel, want, m.db.Relation(rel).Arity())
-		}
-	}
+// |D| residual-join updates. The owner has checked the store's arities
+// against the query, so it cannot fail.
+func (m *Maintainer) Rebuild() {
 	m.result = m.evaluate()
-	return nil
-}
-
-// Clear discards the materialised result, leaving the maintainer
-// representing the empty database.
-func (m *Maintainer) Clear() {
-	m.result = tuplekey.NewTable[int64](len(m.query.Head))
 	m.rebuildPending = false
 	m.emitting = false
 	m.touched.Reset()

@@ -194,8 +194,9 @@ func nativeDelta(seed int64, workers int) error {
 			return err
 		}
 	}
-	// A Load replaces everything; a failed Load leaves the empty database.
-	// Both advance the version once and owe every capture one event.
+	// A Load replaces everything, advances the version once and owes
+	// every capture one event; a failed Load changes nothing, so it moves
+	// neither the version nor the oracle and owes no event.
 	db := workload.TortureConfig{Seed: seed + 1, Domain: domain, ZipfS: 1.3, ZipfV: 1}.Database(tortureSchema, 60)
 	if err := commit(fmt.Sprintf("workers %d load", workers), func() error { return ws.Load(db) }, func() { o.load(db) }); err != nil {
 		return err
@@ -206,16 +207,20 @@ func nativeDelta(seed int64, workers int) error {
 	}
 	err = commit(fmt.Sprintf("workers %d failed load", workers),
 		func() error {
+			v := ws.Version()
 			if ws.Load(bad) == nil {
 				return fmt.Errorf("Load of an arity-clashing database succeeded")
 			}
+			if ws.Version() != v {
+				return fmt.Errorf("failed Load moved the version from %d to %d", v, ws.Version())
+			}
 			return nil
 		},
-		o.clear)
+		func() {})
 	if err != nil {
 		return err
 	}
-	// The pipeline is live again, refilling from empty.
+	// The pipeline is still live.
 	refill := workload.TortureConfig{Seed: seed + 2, Domain: domain, Updates: 90, PDelete: 0.2}.Stream(tortureSchema)
 	for from := 0; from < len(refill); from += 30 {
 		to := min(from+30, len(refill))

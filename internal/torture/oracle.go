@@ -44,10 +44,6 @@ func (o *oracle) load(db *dyndb.Database) {
 	o.db = db.Clone()
 }
 
-// clear mirrors a failed Load: the workspace contract leaves the empty
-// database behind.
-func (o *oracle) clear() { o.db = dyndb.New() }
-
 // check compares every registered query's result in the workspace
 // against the oracle's brute-force evaluation — count, answer bit, and
 // the full result set — and then runs the workspace's own invariant

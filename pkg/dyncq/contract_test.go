@@ -1,7 +1,9 @@
 package dyncq
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dyncq/internal/cq"
@@ -16,7 +18,8 @@ import (
 //     retention requires a copy, which Tuples performs), and an abusive
 //     caller that mutates the yielded slice cannot corrupt the query;
 //   - Load is reset-then-load on every backend: after Load the workspace
-//     represents exactly the loaded database.
+//     represents exactly the loaded database, and a Load that fails
+//     validation changes nothing.
 
 // TestEnumerateContract drives every backend through the same data and
 // checks the aliasing rules: copied yields must equal Tuples() and the
@@ -140,11 +143,12 @@ func TestLoadReplacesState(t *testing.T) {
 	}
 }
 
-// TestLoadFailureLeavesEmpty: a Load that fails (arity clash against the
-// query schema) leaves the workspace representing the EMPTY database on
-// every backend — prior state is discarded either way — and the
+// TestLoadFailureKeepsPriorState: a Load that fails (arity clash against
+// the query schema) is rejected atomically on every backend — the store,
+// the result and the version are exactly what the last good Load left,
+// checked against an oracle that never saw the failed one — and the
 // workspace stays fully usable.
-func TestLoadFailureLeavesEmpty(t *testing.T) {
+func TestLoadFailureKeepsPriorState(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	q := cq.MustParse("Q(y) :- E(x,y), T(y)")
 	good := workload.RandomDatabase(rng, q.Schema(), 8, 20)
@@ -157,22 +161,96 @@ func TestLoadFailureLeavesEmpty(t *testing.T) {
 		if err := ws.Load(good); err != nil {
 			t.Fatal(err)
 		}
+		oracle := good.Clone()
+		v := ws.Version()
 		if err := ws.Load(bad); err == nil {
 			t.Fatalf("[%v]: mismatched-arity Load accepted", st)
 		}
-		if h.Count() != 0 || h.Answer() || ws.Cardinality() != 0 {
-			t.Fatalf("[%v]: count=%d answer=%v |D|=%d after failed Load, want empty",
-				st, h.Count(), h.Answer(), ws.Cardinality())
+		if ws.Version() != v || ws.Cardinality() != oracle.Cardinality() {
+			t.Fatalf("[%v]: version %d |D|=%d after failed Load, want %d and %d",
+				st, ws.Version(), ws.Cardinality(), v, oracle.Cardinality())
+		}
+		if want := eval.Evaluate(q, oracle).Tuples(); !sameTuples(h.Tuples(), want) || h.Count() != uint64(len(want)) {
+			t.Fatalf("[%v]: count=%d tuples=%v after failed Load, oracle %v", st, h.Count(), h.Tuples(), want)
 		}
 		// Still alive: fresh updates behave normally.
-		if _, err := ws.Insert("E", 1, 2); err != nil {
-			t.Fatal(err)
+		for _, u := range []Update{Insert("E", 100, 200), Insert("T", 200)} {
+			if _, err := ws.Apply(u); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := oracle.Apply(u); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if _, err := ws.Insert("T", 2); err != nil {
-			t.Fatal(err)
+		if want := eval.Count(q, oracle); h.Count() != uint64(want) {
+			t.Fatalf("[%v]: count %d after recovery inserts, oracle %d", st, h.Count(), want)
 		}
-		if h.Count() != 1 {
-			t.Fatalf("[%v]: count %d after recovery inserts, want 1", st, h.Count())
+	}
+}
+
+// TestLoadFailureChangesNothing: a failed Load is rejected like a batch
+// on every backend and at every worker count, read side included —
+// count, result (in enumeration order), |D|, version and store mutations
+// are unchanged, the capture hook gets no event, the cached snapshot is
+// the same pointer — and the next commit's event carries the next
+// version.
+func TestLoadFailureChangesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	q := cq.MustParse("Q(y) :- E(x,y), T(y)")
+	good := workload.RandomDatabase(rng, q.Schema(), 8, 40)
+	bad := dyndb.New()
+	if _, err := bad.Insert("T", 1, 2); err != nil { // binary T, the queries want unary
+		t.Fatal(err)
+	}
+	for _, st := range []Strategy{StrategyCore, StrategyIVM} {
+		for _, workers := range []int{0, 2} {
+			at := fmt.Sprintf("[%v, workers %d]", st, workers)
+			ws := NewWorkspace(WorkspaceOptions{Workers: workers})
+			h, err := ws.RegisterQuery("q", q, Options{Force: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A second handle, so that Workers 2 fans the load out.
+			if _, err := ws.RegisterQuery("pairs", cq.MustParse("Q(x,y) :- E(x,y), T(y)"), Options{Force: st}); err != nil {
+				t.Fatal(err)
+			}
+			if err := ws.Load(good); err != nil {
+				t.Fatal(err)
+			}
+			var events []DeltaEvent
+			if err := ws.CaptureDeltas("q", func(ev DeltaEvent) { events = append(events, ev) }); err != nil {
+				t.Fatal(err)
+			}
+			pin := h.Snapshot()
+			if h.CachedSnapshot() != pin {
+				t.Fatalf("%s: the pin is not cached", at)
+			}
+			count, tuples := h.Count(), h.Tuples()
+			card, version, muts := ws.Cardinality(), ws.Version(), ws.StoreMutations()
+
+			if err := ws.Load(bad); err == nil {
+				t.Fatalf("%s: mismatched-arity Load accepted", at)
+			}
+			if h.Count() != count || !reflect.DeepEqual(h.Tuples(), tuples) {
+				t.Fatalf("%s: count %d tuples %v after failed Load, were %d %v", at, h.Count(), h.Tuples(), count, tuples)
+			}
+			if ws.Cardinality() != card || ws.Version() != version || ws.StoreMutations() != muts {
+				t.Fatalf("%s: |D| %d version %d mutations %d after failed Load, were %d %d %d",
+					at, ws.Cardinality(), ws.Version(), ws.StoreMutations(), card, version, muts)
+			}
+			if len(events) != 0 {
+				t.Fatalf("%s: failed Load delivered %d events", at, len(events))
+			}
+			if h.CachedSnapshot() != pin {
+				t.Fatalf("%s: failed Load replaced the cached snapshot", at)
+			}
+
+			if _, err := ws.ApplyBatch([]Update{Insert("E", 100, 200), Insert("T", 200)}); err != nil {
+				t.Fatal(err)
+			}
+			if len(events) != 1 || events[0].Version != version+1 || !reflect.DeepEqual(events[0].Added, [][]Value{{200}}) || len(events[0].Removed) != 0 {
+				t.Fatalf("%s: events after the next commit %+v, want one at version %d adding (200)", at, events, version+1)
+			}
 		}
 	}
 }

@@ -43,6 +43,11 @@ import (
 // order. With workers, the handles maintain concurrently, each on its own
 // goroutine. A warmed commit allocates nothing on the pipeline's side.
 //
+// Load, the one write outside that pipeline, validates first too: a
+// database that clashes with the union schema is rejected with nothing
+// changed, and an accepted one replaces the store and rebuilds every
+// backend from it, which cannot fail (the arities are checked).
+//
 // Concurrency: a Workspace is safe for concurrent use — writers
 // serialise behind a write lock and commit atomically, readers (every
 // Handle method and Snapshot) share a read lock and always observe the state
@@ -80,10 +85,10 @@ type queryBackend interface {
 	finish(survivors []Update) (added, removed [][]Value)
 
 	// rebuild brings the structure up to date with the shared store's
-	// current contents (Load, late registration); clear leaves it
-	// representing the empty database.
-	rebuild() error
-	clear()
+	// current contents (Load, late registration). The workspace has
+	// checked the store's arities against the query first, so a rebuild
+	// cannot fail.
+	rebuild()
 }
 
 // WorkspaceOptions configures NewWorkspace.
@@ -382,9 +387,7 @@ func (w *Workspace) RegisterQuery(name string, q *cq.Query, opt Options) (*Handl
 	}
 	h.strategy = strategy
 	// Catch up with the store's current contents before going live.
-	if err := h.back.rebuild(); err != nil {
-		return nil, fmt.Errorf("dyncq: %w", err)
-	}
+	h.back.rebuild()
 	for rel, ar := range q.Schema() {
 		if _, ok := w.schema[rel]; !ok {
 			w.schema[rel] = ar
@@ -467,9 +470,10 @@ func (w *Workspace) Schema() map[string]int {
 	return out
 }
 
-// Version returns the number of committed state changes (every Load
-// counts as one — even a failed Load discards the prior state). All
-// registered queries observe the same version at any committed state.
+// Version returns the number of committed state changes (every
+// successful Load counts as one; a failed Load, like a rejected batch,
+// changes nothing). All registered queries observe the same version at
+// any committed state.
 func (w *Workspace) Version() uint64 {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
@@ -845,17 +849,18 @@ func drain(next *atomic.Int64, n int, ns []int64, fn func(i int)) {
 var clockBase = time.Now()
 
 // Load performs the preprocessing phase for an initial database across
-// the whole workspace through each backend's bulk path (core builds its
-// counters and fit lists in one linear pass, ivm rebuilds its
-// materialised result with a single full evaluation), with
-// reset-then-load semantics on every backend: after Load the shared
-// store holds exactly db and every registered query represents exactly
-// its result over db, discarding all prior state. A
-// failed Load (an arity clash between db and any registered query)
-// leaves the workspace representing the EMPTY database. Either way the
-// version advances once, and all queries observe it. To add a
-// database's tuples on top of the current state, feed db.Updates()
-// through ApplyBatch instead.
+// the whole workspace through each backend's bulk path (core replays its
+// update procedure once per stored tuple, ivm rebuilds its materialised
+// result with a single full evaluation), with reset-then-load semantics
+// on every backend: after Load the shared store holds exactly db and
+// every registered query represents exactly its result over db,
+// discarding all prior state; the version advances once, and all queries
+// observe it. Load validates db against the union schema before it
+// touches anything, so a failed Load (an arity clash between db and any
+// registered query) is rejected atomically, like a batch: the store,
+// every result, the version, cached snapshots and capture streams stay
+// exactly as they were. To add a database's tuples on top of the current
+// state, feed db.Updates() through ApplyBatch instead.
 func (w *Workspace) Load(db *Database) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -863,6 +868,12 @@ func (w *Workspace) Load(db *Database) error {
 }
 
 func (w *Workspace) loadLocked(db *dyndb.Database) error {
+	for _, rel := range db.Relations() {
+		if want, ok := w.schema[rel]; ok && want != db.Relation(rel).Arity() {
+			return fmt.Errorf("dyncq: %s has arity %d in query %q, %d in the loaded database",
+				rel, want, w.owner[rel], db.Relation(rel).Arity())
+		}
+	}
 	// No backend tracks a reset incrementally: a captured query's delta
 	// across the load is a one-shot diff of its result before and after,
 	// linear like the load itself and gone once the event is built. A
@@ -874,66 +885,32 @@ func (w *Workspace) loadLocked(db *dyndb.Database) error {
 			before[i] = resultImage(h.back, h.query.Arity())
 		}
 	}
-	// Like a commit, the load publishes each handle's delta, stamped with
-	// the version it makes, and then moves the version once.
-	version := w.version.Load() + 1
-	commit := func() {
-		runPool(len(w.order), w.workers, nil, func(i int) {
-			h := w.order[i]
-			if !h.emits() {
-				return
-			}
-			ev := DeltaEvent{Query: h.name, Version: version}
-			if before[i] != nil {
-				ev.Added, ev.Removed = diffImage(before[i], h.back)
-			}
-			h.publish(ev, before[i] != nil)
-		})
-		w.version.Store(version)
-	}
-	fail := func(err error) error {
-		w.store.Clear()
-		for _, h := range w.order {
-			h.back.clear()
-		}
-		// The state changed (to empty), so the version advances:
-		// subscribers get their per-version event either way.
-		commit()
-		return err
-	}
-	for _, rel := range db.Relations() {
-		if want, ok := w.schema[rel]; ok && want != db.Relation(rel).Arity() {
-			return fail(fmt.Errorf("dyncq: %s has arity %d in query %q, %d in the loaded database",
-				rel, want, w.owner[rel], db.Relation(rel).Arity()))
-		}
-	}
 	w.store.Clear()
 	if err := w.store.CopyFrom(db); err != nil {
-		return fail(err) // unreachable: the store was just cleared
+		// db passed the union schema the store requires, and the store
+		// was just cleared: only a bug gets here.
+		panic(fmt.Sprintf("dyncq: validated database failed to load: %v", err))
 	}
-	if err := w.rebuildFanOut(fail); err != nil {
-		return err // fail() already delivered the capture events
-	}
-	commit()
-	return nil
-}
-
-// rebuildFanOut brings every backend up to date with the store's
-// current contents, all of them concurrently on up to w.workers
-// goroutines: core preprocessing only reads the shared store, and IVM
-// backends evaluate through the store's indexes, whose lazy builds are
-// internally locked. The first error in handle order wins and fails the
-// whole load atomically.
-func (w *Workspace) rebuildFanOut(fail func(error) error) error {
-	errs := make([]error, len(w.order))
+	// Every backend rebuilds concurrently on up to w.workers goroutines:
+	// core preprocessing only reads the shared store, and IVM backends
+	// evaluate through the store's indexes, whose lazy builds are
+	// internally locked. Like a commit, the load then publishes each
+	// handle's delta, stamped with the version it makes, and moves the
+	// version once.
+	version := w.version.Load() + 1
 	runPool(len(w.order), w.workers, nil, func(i int) {
-		errs[i] = w.order[i].back.rebuild()
-	})
-	for _, err := range errs {
-		if err != nil {
-			return fail(err)
+		h := w.order[i]
+		h.back.rebuild()
+		if !h.emits() {
+			return
 		}
-	}
+		ev := DeltaEvent{Query: h.name, Version: version}
+		if before[i] != nil {
+			ev.Added, ev.Removed = diffImage(before[i], h.back)
+		}
+		h.publish(ev, before[i] != nil)
+	})
+	w.version.Store(version)
 	return nil
 }
 
@@ -959,8 +936,7 @@ func (b *coreBackend) postInsert(string, [][]Value)       {}
 func (b *coreBackend) finish(survivors []Update) (added, removed [][]Value) {
 	return b.e.ApplyDelta(survivors, b.emit)
 }
-func (b *coreBackend) rebuild() error { return b.e.Rebuild(b.store) }
-func (b *coreBackend) clear()         { b.e.Clear() }
+func (b *coreBackend) rebuild() { b.e.Rebuild(b.store) }
 
 // ivmBackend adapts an IVM maintainer: deltas are propagated through the
 // per-relation pre/post hooks, and the maintainer reports the commit's
@@ -979,5 +955,4 @@ func (b *ivmBackend) postInsert(rel string, tuples [][]Value) { b.m.PostInsert(r
 func (b *ivmBackend) finish([]Update) (added, removed [][]Value) {
 	return b.m.FinishBatch()
 }
-func (b *ivmBackend) rebuild() error { return b.m.Rebuild() }
-func (b *ivmBackend) clear()         { b.m.Clear() }
+func (b *ivmBackend) rebuild() { b.m.Rebuild() }

@@ -5,7 +5,8 @@
 #
 #   scripts/ci.sh --quick                      gofmt, vet, dyncq-lint, build, shuffled tests
 #   scripts/ci.sh --deep [gomaxprocs...]       race matrix, ten race passes over the tests of
-#                                              the snapshot cache and delta capture, a
+#                                              the snapshot cache, delta capture and a
+#                                              failed Load's read side, a
 #                                              fixed-seed torture soak, and on
 #                                              the GOMAXPROCS=4 leg the server e2e run, the
 #                                              two parser fuzz targets, the table fuzz
@@ -88,9 +89,10 @@ deep_leg() {
 	GOMAXPROCS=$n go test -race ./...
 	# A commit stores each handle's advanced snapshot and calls its hook
 	# before the version moves; lock-free pinners and evictors race that
-	# order, and one race pass is thin cover for it.
+	# order, and one race pass is thin cover for it. A failed Load must
+	# leave that read side untouched at every worker count.
 	GOMAXPROCS=$n go test -race -count=10 ./pkg/dyncq \
-		-run 'TestSnapshotPinRace|TestSnapshotEvictionDuringCommit|TestCaptureDeltas|TestWorkspaceSnapshotPinnedDuringFanOut|TestSnapshotAdvanceMatchesFreshPin'
+		-run 'TestSnapshotPinRace|TestSnapshotEvictionDuringCommit|TestCaptureDeltas|TestWorkspaceSnapshotPinnedDuringFanOut|TestSnapshotAdvanceMatchesFreshPin|TestLoadFailureChangesNothing'
 	# A deterministic slice of the nightly soak at a pinned base seed.
 	GOMAXPROCS=$n go test ./internal/torture -race -run 'TestTortureSoak' \
 		-torture.seed=1 -torture.duration=60s -torture.failure-file="$failures" -v
@@ -113,7 +115,7 @@ deep_leg() {
 	# The Go benchmarks the gates and CHANGES.md cite: they must compile,
 	# pass their own b.Fatal checks and print. No timing threshold.
 	go test ./pkg/dyncq ./internal/ivm ./internal/core ./internal/server -run '^$' \
-		-bench 'Apply$|DeltaJoin|CapturedCommit|SnapshotAdvance|SnapshotLaggingReader|CoreUpdate|CommitWorkers|EnumerateFrame' \
+		-bench 'Apply$|DeltaJoin|CapturedCommit|SnapshotAdvance|SnapshotLaggingReader|CoreUpdate|CommitWorkers|EnumerateFrame|Rebuild' \
 		-benchtime 50x -benchmem
 }
 
