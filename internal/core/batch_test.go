@@ -395,7 +395,8 @@ func BenchmarkRebuild(b *testing.B) {
 		{"deep", "Q(x,y,z) :- R(x,y,z), E(x,y), S(x)"},
 	}
 	for _, n := range []int{1 << 16, 1 << 18} {
-		db := ingestCoreStore(n)
+		db := dyndb.New()
+		workload.FillIngestCore(db, n)
 		for _, q := range queries {
 			b.Run(fmt.Sprintf("%s/tuples=%d", q.name, n), func(b *testing.B) {
 				e, err := New(cq.MustParse(q.text))
@@ -409,24 +410,4 @@ func BenchmarkRebuild(b *testing.B) {
 			})
 		}
 	}
-}
-
-// ingestCoreStore fills a store of n tuples in the ingest-core shape: E
-// 43 %, R 33 %, S 15 %, T 8 %, with x drawn from a third of n values and
-// y from a sixth.
-func ingestCoreStore(n int) *dyndb.Database {
-	db := dyndb.New()
-	rng := rand.New(rand.NewSource(1))
-	xs, ys := int64(n/3), int64(n/6)
-	fill := func(rel string, share int, draw func() []Value) {
-		db.Insert(rel, draw()...)
-		for r := db.Relation(rel); r.Len() < n*share/100; {
-			db.Insert(rel, draw()...)
-		}
-	}
-	fill("E", 43, func() []Value { return []Value{rng.Int63n(xs), rng.Int63n(ys)} })
-	fill("R", 33, func() []Value { return []Value{rng.Int63n(xs), rng.Int63n(ys), rng.Int63n(1000)} })
-	fill("S", 15, func() []Value { return []Value{rng.Int63n(xs)} })
-	fill("T", 8, func() []Value { return []Value{rng.Int63n(ys)} })
-	return db
 }

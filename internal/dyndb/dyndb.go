@@ -480,10 +480,9 @@ func (d *Database) Apply(u Update) (bool, error) {
 // tables are keyed by the tuples themselves — no per-command encoding —
 // and by arity as well as relation, because coalescing runs before arity
 // validation and a fixed-stride table holds one key length (a relation
-// re-declared at another arity after Clear keeps its id). After a run of
-// up to keepOut commands the tables and the output slice are emptied, not
-// dropped, so a steady stream of batches coalesces without allocating; a
-// larger run drops them all.
+// re-declared at another arity after Clear keeps its id). Tables and the
+// output slice (up to keepOut commands) are emptied, not dropped, after
+// every run, so a steady stream of batches coalesces without allocating.
 type coalescer struct {
 	tabs    [][]arityTable         // by key: a relation's tables, one per arity met
 	used    []*tuplekey.Table[int] // tables the running call has filled
@@ -528,27 +527,25 @@ func (c *coalescer) run(updates []Update, ids map[string]int32, nids int32) []Up
 		*at = len(out)
 		out = append(out, u)
 	}
-	if len(c.pending) > 0 {
-		clear(c.pending)
-	}
-	if len(updates) > keepOut {
-		c.tabs, c.used, c.out = nil, nil, nil
-		return out
-	}
 	for _, t := range c.used {
 		t.Reset()
 	}
 	c.used = c.used[:0]
-	c.out = out
+	if len(c.pending) > 0 {
+		clear(c.pending)
+	}
+	c.out = nil
+	if cap(out) <= keepOut {
+		c.out = out
+	}
 	return out
 }
 
-// keepOut bounds, in commands, the run whose scratch a coalescer keeps
-// for its next run: commit-sized batches reuse one output slice and one
-// table per relation, while a bulk load's batches allocate theirs per
-// call and leave no large slice or table — nor references to their
-// tuples — alive between commits, which measurably raised a loaded
-// server's peak RSS.
+// keepOut bounds, in commands, the output slice a coalescer keeps for its
+// next run: commit-sized batches reuse one slice, while a bulk load's
+// batches allocate theirs per call and leave no large slice — nor
+// references to their tuples — alive between commits, which measurably
+// raised a loaded server's peak RSS.
 const keepOut = 1024
 
 // provisional returns the running call's key offset for a name that has

@@ -247,51 +247,3 @@ func TestApplyNetDeltaContractViolation(t *testing.T) {
 	}()
 	db.ApplyNetDelta([]Update{Insert("E", 1, 2)}, 0)
 }
-
-// TestNetDeltaDropsBulkScratch: a NetDelta above keepOut commands leaves
-// no coalescing table, used entry or output slice behind, while a steady
-// stream of commit-sized batches keeps reusing one table per relation
-// and one output slice, allocating nothing — before the bulk batch and
-// again once the scratch has regrown after it.
-func TestNetDeltaDropsBulkScratch(t *testing.T) {
-	db := New()
-	if err := db.EnsureRelation("E", 2); err != nil {
-		t.Fatal(err)
-	}
-	id := RelationID(db, "E")
-	batch := func(n int) []Update {
-		out := make([]Update, n)
-		for i := range out {
-			out[i] = Insert("E", Value(i), 1)
-		}
-		return out
-	}
-	small, bulk := batch(64), batch(keepOut+1)
-	steady := func(when string) {
-		t.Helper()
-		if _, err := db.NetDelta(small); err != nil {
-			t.Fatal(err)
-		}
-		tab := db.coal.tabs[id][0].t
-		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := db.NetDelta(small); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s: a 64-command NetDelta allocates %.1f times, want 0", when, allocs)
-		}
-		if len(db.coal.tabs[id]) != 1 || db.coal.tabs[id][0].t != tab || tab.Len() != 0 {
-			t.Errorf("%s: 64-command batches do not reuse one emptied table", when)
-		}
-	}
-	steady("before the bulk batch")
-	if _, err := db.NetDelta(bulk); err != nil {
-		t.Fatal(err)
-	}
-	if c := &db.coal; c.tabs != nil || c.used != nil || c.out != nil {
-		t.Fatalf("a %d-command NetDelta left %d tables, %d used entries and an output slice of capacity %d behind",
-			len(bulk), len(c.tabs), len(c.used), cap(c.out))
-	}
-	steady("after the bulk batch")
-}

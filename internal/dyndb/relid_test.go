@@ -190,10 +190,9 @@ func (m modelDB) sameContent(db *Database) error {
 
 // runNetDeltaProgram decodes prog into batches and Clears and checks
 // every batch against the model. A batch is a length byte (0xff: Clear
-// instead; 0xfe: a bulk batch of keepOut+1 commands, whose coalescing
-// scratch is dropped) and per command two bytes: the low bit of the
-// first is the op, its next two bits the relation, the two above them
-// the arity (1..3); the second byte's 2-bit fields are the values.
+// instead) and per command two bytes: the low bit of the first is the
+// op, its next two bits the relation, the two above them the arity
+// (1..3); the second byte's 2-bit fields are the values.
 func runNetDeltaProgram(t *testing.T, prog []byte) {
 	db, m := New(), modelDB{}
 	Require(db, fuzzRels[len(fuzzRels)-1], fuzzRequired)
@@ -212,11 +211,7 @@ func runNetDeltaProgram(t *testing.T, prog []byte) {
 			buildIndexes()
 			continue
 		}
-		if n == 0xfe {
-			n = keepOut + 1
-		} else {
-			n %= 24
-		}
+		n %= 24
 		var batch []Update
 		for ; n > 0 && len(prog) >= 2; n-- {
 			op, vals := prog[0], prog[1]
@@ -260,8 +255,7 @@ func runNetDeltaProgram(t *testing.T, prog []byte) {
 }
 
 // FuzzNetDelta runs arbitrary programs against the model; the seeds
-// cover arity clashes, undeclared and required relations, Clear, and a
-// bulk batch followed by small ones (the scratch dropped and regrown).
+// cover arity clashes, undeclared and required relations and Clear.
 func FuzzNetDelta(f *testing.F) {
 	rng := rand.New(rand.NewSource(33))
 	for i := 0; i < 4; i++ {
@@ -273,19 +267,5 @@ func FuzzNetDelta(f *testing.F) {
 		f.Add(prog)
 	}
 	f.Add([]byte{3, 0b00010, 1, 0b00011, 1, 0b01010, 5, 0xff, 2, 0b00001, 1, 0b00000, 1})
-	// A bulk batch, then small ones, each relation at one arity (A 1, B 2,
-	// C 3, D its required 2) so that every batch applies.
-	ops := []byte{0b00000, 0b01010, 0b10100, 0b01110}
-	bulk := []byte{0xfe}
-	for i := 0; i <= keepOut; i++ {
-		bulk = append(bulk, ops[rng.Intn(4)]|byte(rng.Intn(4)/3), byte(rng.Intn(0x40)))
-	}
-	for i := 0; i < 20; i++ {
-		bulk = append(bulk, 4)
-		for j := 0; j < 4; j++ {
-			bulk = append(bulk, ops[j]|byte(rng.Intn(2)), byte(rng.Intn(0x40)))
-		}
-	}
-	f.Add(bulk)
 	f.Fuzz(runNetDeltaProgram)
 }

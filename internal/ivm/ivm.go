@@ -241,6 +241,7 @@ func (m *Maintainer) evaluate() *tuplekey.Table[int64] {
 // |D| residual-join updates. The owner has checked the store's arities
 // against the query, so it cannot fail.
 func (m *Maintainer) Rebuild() {
+	m.result = nil // unreachable before evaluate, so the peak holds one result table, not two
 	m.result = m.evaluate()
 	m.rebuildPending = false
 	m.emitting = false

@@ -208,3 +208,22 @@ func RandomDatabase(rng *rand.Rand, schema map[string]int, domainSize, tuplesPer
 	}
 	return db
 }
+
+// FillIngestCore fills db with about n tuples in the proportions of the
+// benchmark's ingest-core workload: E(x,y) 43 %, R(x,y,z) 33 %, S(x) 15 %,
+// T(y) 8 %, with x drawn from a third of n values, y from a sixth and z
+// from a thousand. The fill is deterministic in n.
+func FillIngestCore(db *dyndb.Database, n int) {
+	rng := rand.New(rand.NewSource(1))
+	xs, ys := int64(n/3), int64(n/6)
+	fill := func(rel string, share int, draw func() []Value) {
+		db.Insert(rel, draw()...)
+		for r := db.Relation(rel); r.Len() < n*share/100; {
+			db.Insert(rel, draw()...)
+		}
+	}
+	fill("E", 43, func() []Value { return []Value{rng.Int63n(xs), rng.Int63n(ys)} })
+	fill("R", 33, func() []Value { return []Value{rng.Int63n(xs), rng.Int63n(ys), rng.Int63n(1000)} })
+	fill("S", 15, func() []Value { return []Value{rng.Int63n(xs)} })
+	fill("T", 8, func() []Value { return []Value{rng.Int63n(ys)} })
+}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dyncq/internal/dyndb"
+	"dyncq/internal/workload"
 )
 
 // memoryShape is one of the benchmark's two ingest query sets with a
@@ -22,25 +23,11 @@ type memoryShape struct {
 
 var memoryShapes = []memoryShape{
 	{
-		// ingest-core: E 43 %, R 33 %, S 15 %, T 8 % of the store, x drawn
-		// from a third of n values, y from a sixth.
+		// ingest-core: E 43 %, R 33 %, S 15 %, T 8 % of the store.
 		name:    "ingest-core",
 		queries: map[string]string{"star": "Q(y) :- E(x,y), T(y)", "deep": "Q(x,y,z) :- R(x,y,z), E(x,y), S(x)"},
 		ceiling: 350,
-		fill: func(db *dyndb.Database, n int) {
-			rng := rand.New(rand.NewSource(1))
-			xs, ys := int64(n/3), int64(n/6)
-			fill := func(rel string, share int, draw func() []Value) {
-				db.Insert(rel, draw()...)
-				for r := db.Relation(rel); r.Len() < n*share/100; {
-					db.Insert(rel, draw()...)
-				}
-			}
-			fill("E", 43, func() []Value { return []Value{rng.Int63n(xs), rng.Int63n(ys)} })
-			fill("R", 33, func() []Value { return []Value{rng.Int63n(xs), rng.Int63n(ys), rng.Int63n(1000)} })
-			fill("S", 15, func() []Value { return []Value{rng.Int63n(xs)} })
-			fill("T", 8, func() []Value { return []Value{rng.Int63n(ys)} })
-		},
+		fill:    workload.FillIngestCore,
 	},
 	{
 		// ingest-ivm: n/51 keys of degree 50 in E; S and T hold half the
