@@ -124,7 +124,6 @@ func cmdRun(args []string) error {
 	updFile := fs.String("updates", "", "update stream to apply")
 	strategyName := fs.String("strategy", "auto", "maintenance strategy for every query: auto, core or ivm")
 	batch := fs.Int("batch", 0, "apply streams in batches of this many updates (0 = one batch per stream)")
-	parallel := fs.Int("parallel", 1, "queries maintained concurrently per batch (>1: the registered queries' maintenance fans out over this many goroutines)")
 	stringsMode := fs.Bool("strings", false, "parse stream tuple entries as string constants through a dictionary instead of int64 literals")
 	doCount := fs.Bool("count", false, "print |Q(D)| per query after the stream")
 	doAnswer := fs.Bool("answer", false, "print whether Q(D) is nonempty, per query")
@@ -184,16 +183,13 @@ func cmdRun(args []string) error {
 		return err
 	}
 
-	ws := dyncq.NewWorkspace(dyncq.WorkspaceOptions{Workers: *parallel})
+	ws := dyncq.NewWorkspace(dyncq.WorkspaceOptions{})
 	for _, nq := range named {
 		h, err := ws.RegisterQuery(nq.name, nq.q, dyncq.Options{Force: strategy})
 		if err != nil {
 			return err
 		}
 		fmt.Printf("query %-8s %s  [%s]\n", h.Name()+":", h.Query(), h.Strategy())
-	}
-	if *parallel > 1 {
-		fmt.Printf("workers:  %d (handle fan-out)\n", *parallel)
 	}
 	// The dictionary stays empty without -strings: -stats then reads
 	// zero and -enumerate prints every value as an int64.
@@ -202,12 +198,6 @@ func cmdRun(args []string) error {
 	if *stringsMode {
 		encode = d.Encode
 	}
-	batchSize := *batch
-	if batchSize <= 0 && *parallel > 1 {
-		// Parallel workers need batches to fan out over; default to a
-		// reasonable chunk instead of silently staying sequential.
-		batchSize = 512
-	}
 	schema := ws.Schema()
 	if *dataFile != "" {
 		if err := loadDatabaseFile(ws, schema, *dataFile, encode); err != nil {
@@ -215,7 +205,7 @@ func cmdRun(args []string) error {
 		}
 	}
 	if *updFile != "" {
-		if err := applyStreamFile(ws, schema, *updFile, batchSize, encode); err != nil {
+		if err := applyStreamFile(ws, schema, *updFile, *batch, encode); err != nil {
 			return err
 		}
 	}

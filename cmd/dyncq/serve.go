@@ -25,7 +25,6 @@ import (
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("dyncq serve", flag.ExitOnError)
 	addr := fs.String("addr", ":7421", "TCP listen address")
-	workers := fs.Int("workers", 0, "workspace worker count (0 = sequential)")
 	var queries queryFlags
 	fs.Var(&queries, "query", "pre-registered query, repeatable; 'name=Q(x) :- …' or bare query text (auto-named q1, q2, …). Clients can register more at runtime.")
 	outbox := fs.Int("outbox", 0, "per-connection outgoing frame queue bound (0 = default 256); a subscriber that falls further behind is resynced, never waited on")
@@ -34,7 +33,6 @@ func cmdServe(args []string) error {
 		return err
 	}
 	srv := server.New(server.Options{
-		Workers:      *workers,
 		OutboxFrames: *outbox,
 		WriteTimeout: *writeTimeout,
 	})
@@ -67,7 +65,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("dyncq serve: listening on %s (workers %d)\n", l.Addr(), *workers)
+	fmt.Printf("dyncq serve: listening on %s\n", l.Addr())
 
 	// SIGINT/SIGTERM drain live sessions (bounded by DrainTimeout)
 	// instead of dropping them mid-frame.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -141,7 +142,8 @@ func (c *Client) demux() {
 }
 
 // readDelta consumes a delta frame's payload lines, rebuilding both
-// the decoded tuples and the exact raw bytes.
+// the decoded tuples and the exact raw bytes, sizing nothing from the
+// peer's counts before their lines are read.
 // Header: delta <name> <version> <nAdded> <nRemoved>
 func (c *Client) readDelta(sc *bufio.Scanner, header string) (Delta, error) {
 	f := strings.Fields(header)
@@ -151,8 +153,17 @@ func (c *Client) readDelta(sc *bufio.Scanner, header string) (Delta, error) {
 	version, err1 := strconv.ParseUint(f[2], 10, 64)
 	nAdded, err2 := strconv.Atoi(f[3])
 	nRemoved, err3 := strconv.Atoi(f[4])
-	if err1 != nil || err2 != nil || err3 != nil || nAdded < 0 || nRemoved < 0 {
+	if err1 != nil || err2 != nil || err3 != nil || nAdded < 0 || nRemoved < 0 || nAdded > math.MaxInt-nRemoved {
 		return Delta{}, fmt.Errorf("malformed delta header %q", header)
+	}
+	var lines []string
+	values := 0
+	for len(lines) < nAdded+nRemoved {
+		if !sc.Scan() {
+			return Delta{}, fmt.Errorf("delta frame for %q truncated after %d lines", f[1], len(lines))
+		}
+		lines = append(lines, sc.Text())
+		values += tupleArity(lines[len(lines)-1])
 	}
 	d := Delta{
 		Query:   f[1],
@@ -161,17 +172,9 @@ func (c *Client) readDelta(sc *bufio.Scanner, header string) (Delta, error) {
 		Removed: make([][]dyncq.Value, 0, nRemoved),
 		Raw:     append([]byte(header), '\n'),
 	}
-	var vals []dyncq.Value // one backing array for the frame's tuples
-	for i := 0; i < nAdded+nRemoved; i++ {
-		if !sc.Scan() {
-			return Delta{}, fmt.Errorf("delta frame for %q truncated after %d lines", d.Query, i)
-		}
-		line := sc.Text()
-		d.Raw = append(d.Raw, line...)
-		d.Raw = append(d.Raw, '\n')
-		if i == 0 {
-			vals = make([]dyncq.Value, 0, (nAdded+nRemoved)*tupleArity(line))
-		}
+	vals := make([]dyncq.Value, 0, values) // one backing array for the frame's tuples
+	for _, line := range lines {
+		d.Raw = append(append(d.Raw, line...), '\n')
 		sign, _, next, err := parseTupleLine(line, vals)
 		if err != nil {
 			return Delta{}, err

@@ -14,9 +14,6 @@ import (
 // Options configures a Server. The zero value is usable; zero fields
 // take the defaults below.
 type Options struct {
-	// Workers is the Workspace worker count (see
-	// dyncq.WorkspaceOptions.Workers). 0 keeps every path sequential.
-	Workers int
 	// OutboxFrames bounds each connection's outgoing frame queue.
 	// When a subscriber's outbox is full, delta frames are dropped and
 	// the subscriber is resynced later — commits never wait on a slow
@@ -81,7 +78,7 @@ type Server struct {
 // New builds a Server around a fresh Workspace.
 func New(opt Options) *Server {
 	return &Server{
-		ws:        dyncq.NewWorkspace(dyncq.WorkspaceOptions{Workers: opt.Workers}),
+		ws:        dyncq.NewWorkspace(dyncq.WorkspaceOptions{}),
 		opt:       opt.withDefaults(),
 		broker:    newBroker(),
 		sessions:  make(map[*session]struct{}),

@@ -582,29 +582,20 @@ func TestCountReplyIsConsistent(t *testing.T) {
 // TestEnumerateFrameIsStrategyIndependent: a snapshot lists its rows in
 // lexicographic order whatever maintains the query, so for one query and
 // one stream the pinned rows and the bytes of the `enumerate` frame are
-// the same on core at any worker count and on ivm, version for
-// version — and, at every version, the bytes the whole-snapshot
-// reference encoder renders. The frame is put together from
+// the same on core and on ivm, version for version — and, at every
+// version, the bytes the whole-snapshot reference encoder renders. The frame is put together from
 // blocks encoded once per leaf: asking twice at a version encodes nothing
 // and sends the same blocks, and after a commit exactly the blocks the
 // previous frame did not carry are encoded.
 func TestEnumerateFrameIsStrategyIndependent(t *testing.T) {
 	q := cq.MustParse("Q(x,y) :- E(x,y), T(y)")
 	stream := workload.RandomStream(rand.New(rand.NewSource(41)), q.Schema(), 9, 600, 0.35)
-	type config struct {
-		force   dyncq.Strategy
-		workers int
-	}
-	configs := []config{
-		{dyncq.StrategyCore, 1}, {dyncq.StrategyCore, 4},
-		{dyncq.StrategyIVM, 1},
-	}
-	var reference [][]byte // the first configuration's frame after every batch
-	for _, cfg := range configs {
-		name := fmt.Sprintf("%s/workers=%d", cfg.force, cfg.workers)
-		srv := newTestServer(t, Options{Workers: cfg.workers})
+	var reference [][]byte // the first strategy's frame after every batch
+	for _, force := range []dyncq.Strategy{dyncq.StrategyCore, dyncq.StrategyIVM} {
+		name := force.String()
+		srv := newTestServer(t, Options{})
 		ws := srv.Workspace()
-		h, err := ws.RegisterQuery("q", q, dyncq.Options{Force: cfg.force})
+		h, err := ws.RegisterQuery("q", q, dyncq.Options{Force: force})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -130,15 +130,12 @@ func sameTupleList(got, want [][]dyncq.Value) error {
 	return nil
 }
 
-// nativeDelta runs the scenario at one worker count.
-func nativeDelta(seed int64, workers int) error {
+// nativeDelta runs the scenario on one workspace with the pool's queries
+// registered.
+func nativeDelta(seed int64, pool []namedQuery) error {
 	const domain = 7
-	ws, o, err := buildWorkspace(dyncq.WorkspaceOptions{Workers: workers}, 0)
-	if err != nil {
-		return err
-	}
-	// The pool covers core and ivm; the extra shapes ride along.
-	for _, nq := range deltaShapes {
+	ws, o := dyncq.NewWorkspace(dyncq.WorkspaceOptions{}), newOracle()
+	for _, nq := range pool {
 		q := mustParse(nq.text)
 		if _, err := ws.RegisterQuery(nq.name, q, dyncq.Options{Force: nq.force}); err != nil {
 			return fmt.Errorf("register %s: %w", nq.name, err)
@@ -181,12 +178,12 @@ func nativeDelta(seed int64, workers int) error {
 	split := len(stream) * 2 / 3
 	for from := 0; from < split; from += 24 {
 		to := min(from+24, split)
-		if err := batch(fmt.Sprintf("workers %d batch %d..%d", workers, from, to), stream[from:to]); err != nil {
+		if err := batch(fmt.Sprintf("batch %d..%d", from, to), stream[from:to]); err != nil {
 			return err
 		}
 	}
 	for i, u := range stream[split:] {
-		where := fmt.Sprintf("workers %d update %d (%s)", workers, split+i, u)
+		where := fmt.Sprintf("update %d (%s)", split+i, u)
 		err := commit(where,
 			func() error { _, err := ws.Apply(u); return err },
 			func() { o.apply([]dyndb.Update{u}) })
@@ -198,14 +195,15 @@ func nativeDelta(seed int64, workers int) error {
 	// every capture one event; a failed Load changes nothing, so it moves
 	// neither the version nor the oracle and owes no event.
 	db := workload.TortureConfig{Seed: seed + 1, Domain: domain, ZipfS: 1.3, ZipfV: 1}.Database(tortureSchema, 60)
-	if err := commit(fmt.Sprintf("workers %d load", workers), func() error { return ws.Load(db) }, func() { o.load(db) }); err != nil {
+	if err := commit("load", func() error { return ws.Load(db) }, func() { o.load(db) }); err != nil {
 		return err
 	}
+	// Every query reads E or T: the database clashes with every pool.
 	bad := dyndb.New()
-	if _, err := bad.Insert("E", 1, 2, 3); err != nil {
+	if err := bad.ApplyAll([]dyndb.Update{dyndb.Insert("E", 1, 2, 3), dyndb.Insert("T", 1, 2)}); err != nil {
 		return err
 	}
-	err = commit(fmt.Sprintf("workers %d failed load", workers),
+	err := commit("failed load",
 		func() error {
 			v := ws.Version()
 			if ws.Load(bad) == nil {
@@ -224,7 +222,7 @@ func nativeDelta(seed int64, workers int) error {
 	refill := workload.TortureConfig{Seed: seed + 2, Domain: domain, Updates: 90, PDelete: 0.2}.Stream(tortureSchema)
 	for from := 0; from < len(refill); from += 30 {
 		to := min(from+30, len(refill))
-		if err := batch(fmt.Sprintf("workers %d refill %d..%d", workers, from, to), refill[from:to]); err != nil {
+		if err := batch(fmt.Sprintf("refill %d..%d", from, to), refill[from:to]); err != nil {
 			return err
 		}
 	}

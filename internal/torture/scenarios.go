@@ -38,8 +38,8 @@ var queryPool = []namedQuery{
 
 // buildWorkspace registers the first k pool queries (all of them when
 // k <= 0) in a fresh workspace and mirrors them into the oracle.
-func buildWorkspace(opt dyncq.WorkspaceOptions, k int) (*dyncq.Workspace, *oracle, error) {
-	ws := dyncq.NewWorkspace(opt)
+func buildWorkspace(k int) (*dyncq.Workspace, *oracle, error) {
+	ws := dyncq.NewWorkspace(dyncq.WorkspaceOptions{})
 	o := newOracle()
 	pool := queryPool
 	if k > 0 && k < len(pool) {
@@ -161,7 +161,7 @@ func evalScenarios() []Scenario {
 			Category: "eval", Name: "star-oracle",
 			Brief: "core-routed star query equals the oracle after every batch",
 			Run: func(seed int64) error {
-				ws, o, err := buildWorkspace(dyncq.WorkspaceOptions{}, 2)
+				ws, o, err := buildWorkspace(2)
 				if err != nil {
 					return err
 				}
@@ -173,7 +173,7 @@ func evalScenarios() []Scenario {
 			Category: "eval", Name: "mixed-strategies-oracle",
 			Brief: "core and IVM backends agree with the oracle on one shared stream",
 			Run: func(seed int64) error {
-				ws, o, err := buildWorkspace(dyncq.WorkspaceOptions{}, 0)
+				ws, o, err := buildWorkspace(0)
 				if err != nil {
 					return err
 				}
@@ -185,7 +185,7 @@ func evalScenarios() []Scenario {
 			Category: "eval", Name: "zipf-flap-oracle",
 			Brief: "hot-tuple insert/delete flapping, applied one update at a time",
 			Run: func(seed int64) error {
-				ws, o, err := buildWorkspace(dyncq.WorkspaceOptions{}, 0)
+				ws, o, err := buildWorkspace(0)
 				if err != nil {
 					return err
 				}
@@ -210,11 +210,11 @@ func evalScenarios() []Scenario {
 			Category: "eval", Name: "batch-vs-single",
 			Brief: "batched and per-update application converge to identical state",
 			Run: func(seed int64) error {
-				single, o1, err := buildWorkspace(dyncq.WorkspaceOptions{}, 0)
+				single, o1, err := buildWorkspace(0)
 				if err != nil {
 					return err
 				}
-				batched, o2, err := buildWorkspace(dyncq.WorkspaceOptions{}, 0)
+				batched, o2, err := buildWorkspace(0)
 				if err != nil {
 					return err
 				}
@@ -250,7 +250,7 @@ func evalScenarios() []Scenario {
 			Brief: "a batch followed by its exact inverse restores every backend's result set, count and invariants",
 			Run: func(seed int64) error {
 				// The pool covers core and ivm.
-				ws, o, err := buildWorkspace(dyncq.WorkspaceOptions{}, 0)
+				ws, o, err := buildWorkspace(0)
 				if err != nil {
 					return err
 				}
@@ -306,11 +306,14 @@ func evalScenarios() []Scenario {
 			Category: "eval", Name: "native-delta",
 			Brief: "every backend's own per-commit result delta equals the oracle's per-version diff, and Contains the oracle's membership",
 			Run: func(seed int64) error {
-				// Core and ivm, at 1 and 4 workers, through ApplyBatch,
-				// Apply, Load and a failed Load.
-				for _, workers := range []int{1, 4} {
-					if err := nativeDelta(seed, workers); err != nil {
-						return err
+				// All queries on one workspace, then each alone.
+				pool := append(append([]namedQuery(nil), queryPool...), deltaShapes...)
+				if err := nativeDelta(seed, pool); err != nil {
+					return err
+				}
+				for i := range pool {
+					if err := nativeDelta(seed, pool[i:i+1]); err != nil {
+						return fmt.Errorf("%s alone: %w", pool[i].name, err)
 					}
 				}
 				return nil
@@ -342,7 +345,7 @@ func errorScenarios() []Scenario {
 			Category: "error", Name: "invalid-batch-atomic",
 			Brief: "a bad command anywhere in a batch rejects it with zero state change",
 			Run: func(seed int64) error {
-				ws, o, err := buildWorkspace(dyncq.WorkspaceOptions{}, 0)
+				ws, o, err := buildWorkspace(0)
 				if err != nil {
 					return err
 				}
@@ -387,7 +390,7 @@ func errorScenarios() []Scenario {
 			Category: "error", Name: "failed-load-atomic",
 			Brief: "a failed Load changes nothing and leaves a live pipeline behind",
 			Run: func(seed int64) error {
-				ws, o, err := buildWorkspace(dyncq.WorkspaceOptions{}, 0)
+				ws, o, err := buildWorkspace(0)
 				if err != nil {
 					return err
 				}

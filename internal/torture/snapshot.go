@@ -47,7 +47,7 @@ func snapshotScenarios() []Scenario {
 			Category: "snapshot", Name: "pinned-across-commits",
 			Brief: "pinned snapshots stay byte-identical to pin-time state and oracle while the cache advances",
 			Run: func(seed int64) error {
-				ws, o, err := buildWorkspace(dyncq.WorkspaceOptions{}, 0)
+				ws, o, err := buildWorkspace(0)
 				if err != nil {
 					return err
 				}
@@ -126,7 +126,7 @@ func snapshotScenarios() []Scenario {
 			Category: "snapshot", Name: "register-churn",
 			Brief: "unregister/re-register and eviction churn never serve a stale snapshot",
 			Run: func(seed int64) error {
-				ws, o, err := buildWorkspace(dyncq.WorkspaceOptions{}, 0)
+				ws, o, err := buildWorkspace(0)
 				if err != nil {
 					return err
 				}
@@ -217,7 +217,7 @@ func snapshotScenarios() []Scenario {
 // At the end every held pin must equal its copy row for row, and every
 // query's current pin the oracle.
 func cowAdvance(seed int64) error {
-	ws, o, err := buildWorkspace(dyncq.WorkspaceOptions{}, 0)
+	ws, o, err := buildWorkspace(0)
 	if err != nil {
 		return err
 	}

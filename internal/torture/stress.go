@@ -12,8 +12,7 @@ import (
 // This file holds the stateful half of the matrix: lifecycle (the
 // workspace survives register/unregister churn and Load cycles),
 // concurrency (readers race writers under -race), and fanout (results
-// are independent of the worker count and store writes are independent
-// of the number of registered queries).
+// and store writes are independent of the other registered queries).
 
 // ---- lifecycle ----
 
@@ -59,7 +58,7 @@ func lifecycleScenarios() []Scenario {
 			Category: "lifecycle", Name: "load-cycles",
 			Brief: "repeated Load cycles reset every query to exactly the loaded database",
 			Run: func(seed int64) error {
-				ws, o, err := buildWorkspace(dyncq.WorkspaceOptions{}, 0)
+				ws, o, err := buildWorkspace(0)
 				if err != nil {
 					return err
 				}
@@ -88,7 +87,7 @@ func lifecycleScenarios() []Scenario {
 			Category: "lifecycle", Name: "version-lockstep",
 			Brief: "versions advance exactly once per effective commit; no-op batches do not advance",
 			Run: func(seed int64) error {
-				ws, o, err := buildWorkspace(dyncq.WorkspaceOptions{}, 0)
+				ws, o, err := buildWorkspace(0)
 				if err != nil {
 					return err
 				}
@@ -173,7 +172,7 @@ func concurrencyScenarios() []Scenario {
 			Category: "concurrency", Name: "view-readers",
 			Brief: "View snapshots stay internally consistent while batches commit",
 			Run: func(seed int64) error {
-				ws, _, err := buildWorkspace(dyncq.WorkspaceOptions{Workers: 4}, 0)
+				ws, _, err := buildWorkspace(0)
 				if err != nil {
 					return err
 				}
@@ -242,7 +241,7 @@ func concurrencyScenarios() []Scenario {
 			Category: "concurrency", Name: "churn-under-load",
 			Brief: "register/unregister races batch application without corrupting either",
 			Run: func(seed int64) error {
-				ws, _, err := buildWorkspace(dyncq.WorkspaceOptions{Workers: 2}, 2)
+				ws, _, err := buildWorkspace(2)
 				if err != nil {
 					return err
 				}
@@ -322,7 +321,7 @@ func concurrencyScenarios() []Scenario {
 			Category: "concurrency", Name: "handle-readers",
 			Brief: "latest-state handle reads race parallel fan-out without tearing",
 			Run: func(seed int64) error {
-				ws, _, err := buildWorkspace(dyncq.WorkspaceOptions{Workers: 4}, 0)
+				ws, _, err := buildWorkspace(0)
 				if err != nil {
 					return err
 				}
@@ -414,14 +413,14 @@ func registerWide(ws *dyncq.Workspace, pool []namedQuery) error {
 	return nil
 }
 
-// workerIdentical builds the pool over db (nil: empty) at 1, 2 and 4
-// workers, replays the stream in batches of batch, and demands identical
-// results and clean invariants; it returns the workers=1 workspace. Only
-// the number of handles maintaining concurrently varies, so any
-// divergence is a scheduling bug.
-func workerIdentical(pool []namedQuery, db *dyndb.Database, stream []dyndb.Update, batch int) (*dyncq.Workspace, error) {
-	build := func(workers int) (*dyncq.Workspace, error) {
-		ws := dyncq.NewWorkspace(dyncq.WorkspaceOptions{Workers: workers})
+// aloneIdentical builds the pool on one workspace and each query on a
+// workspace of its own over db (nil: empty), replays the stream in
+// batches of batch, and demands identical results and clean invariants;
+// it returns the shared workspace. A one-handle workspace never fans out,
+// so a divergence is interference between handles, the fan-out's included.
+func aloneIdentical(pool []namedQuery, db *dyndb.Database, stream []dyndb.Update, batch int) (*dyncq.Workspace, error) {
+	build := func(pool []namedQuery) (*dyncq.Workspace, error) {
+		ws := dyncq.NewWorkspace(dyncq.WorkspaceOptions{})
 		if err := registerWide(ws, pool); err != nil {
 			return nil, err
 		}
@@ -433,42 +432,40 @@ func workerIdentical(pool []namedQuery, db *dyndb.Database, stream []dyndb.Updat
 		_, err := ws.ApplyBatched(stream, batch)
 		return ws, err
 	}
-	solo, err := build(1)
+	shared, err := build(pool)
 	if err != nil {
-		return nil, fmt.Errorf("workers=1: %v", err)
+		return nil, fmt.Errorf("shared: %v", err)
 	}
-	for _, workers := range []int{2, 4} {
-		par, err := build(workers)
+	for _, nq := range pool {
+		alone, err := build([]namedQuery{nq})
 		if err != nil {
-			return nil, fmt.Errorf("workers=%d: %v", workers, err)
+			return nil, fmt.Errorf("query %s alone: %v", nq.name, err)
 		}
-		for _, nq := range pool {
-			a, b := solo.Handle(nq.name).Tuples(), par.Handle(nq.name).Tuples()
-			if solo.Handle(nq.name).Strategy() == dyncq.StrategyCore {
-				// Core order is canonical at any worker count: demand
-				// byte-identical enumeration, not just set equality.
-				if err := sameTupleSeq(a, b); err != nil {
-					return nil, fmt.Errorf("workers=%d: query %s order diverged: %w", workers, nq.name, err)
-				}
-			} else if err := sameTupleSet(a, b); err != nil {
-				return nil, fmt.Errorf("workers=%d: query %s: %w", workers, nq.name, err)
+		a, b := alone.Handle(nq.name).Tuples(), shared.Handle(nq.name).Tuples()
+		if alone.Handle(nq.name).Strategy() == dyncq.StrategyCore {
+			// Core order is canonical whoever else is registered: demand
+			// byte-identical enumeration, not just set equality.
+			if err := sameTupleSeq(b, a); err != nil {
+				return nil, fmt.Errorf("query %s: shared order diverged from alone: %w", nq.name, err)
 			}
+		} else if err := sameTupleSet(b, a); err != nil {
+			return nil, fmt.Errorf("query %s: shared vs alone: %w", nq.name, err)
 		}
-		if err := par.CheckInvariants(); err != nil {
-			return nil, fmt.Errorf("workers=%d: %v", workers, err)
+		if err := alone.CheckInvariants(); err != nil {
+			return nil, fmt.Errorf("query %s alone: %v", nq.name, err)
 		}
 	}
-	return solo, solo.CheckInvariants()
+	return shared, shared.CheckInvariants()
 }
 
 func fanoutScenarios() []Scenario {
 	return []Scenario{
 		{
 			Category: "fanout", Name: "k64-worker-identical",
-			Brief: "64 live queries: results are byte-identical across worker counts",
+			Brief: "64 live queries: results are byte-identical to each query maintained alone",
 			Run: func(seed int64) error {
 				cfg := workload.TortureConfig{Seed: seed, Domain: 40, Updates: 1200, PDelete: 0.35, ZipfS: 1.3, ZipfV: 1}
-				_, err := workerIdentical(wideQueryPool(64), nil, cfg.Stream(tortureSchema), 150)
+				_, err := aloneIdentical(wideQueryPool(64), nil, cfg.Stream(tortureSchema), 150)
 				return err
 			},
 		},
@@ -507,7 +504,7 @@ func fanoutScenarios() []Scenario {
 		},
 		{
 			Category: "fanout", Name: "arena-chunks-worker-identical",
-			Brief: "core arenas of several chunks under delete-heavy churn: results are byte-identical across worker counts and equal the oracle",
+			Brief: "core arenas of several chunks under delete-heavy churn: results are byte-identical to each query maintained alone and equal the oracle",
 			Run: func(seed int64) error {
 				// Every other fan-out check stays inside one 1,024-record
 				// arena chunk; this one loads enough to span several. The
@@ -526,30 +523,32 @@ func fanoutScenarios() []Scenario {
 				// free chains.
 				cfg := workload.TortureConfig{Seed: seed, Domain: 400, Updates: 3000, PDelete: 0.4, ZipfS: 1.3, ZipfV: 1}
 				stream := cfg.Stream(tortureSchema)
-				solo, err := workerIdentical(queryPool, db, stream, 150)
+				shared, err := aloneIdentical(queryPool, db, stream, 150)
 				if err != nil {
 					return err
 				}
-				// Worker identity cannot see a corruption every worker
-				// count shares; the oracle can.
+				// Identity with the alone workspaces cannot see a
+				// corruption both layouts share; the oracle can.
 				o := newOracle()
 				for _, nq := range queryPool {
 					o.register(nq.name, mustParse(nq.text))
 				}
 				o.load(db)
 				o.apply(stream)
-				return o.check(solo, "end of stream")
+				return o.check(shared, "end of stream")
 			},
 		},
 		{
 			Category: "fanout", Name: "view-during-parallel-fanout",
-			Brief: "views pinned during parallel fan-out stay on one committed version",
+			Brief: "views pinned during a fanned-out Load and the batches after it stay on one committed version",
 			Run: func(seed int64) error {
 				const k = 64
-				ws := dyncq.NewWorkspace(dyncq.WorkspaceOptions{Workers: 4})
+				ws := dyncq.NewWorkspace(dyncq.WorkspaceOptions{})
 				if err := registerWide(ws, wideQueryPool(k)); err != nil {
 					return err
 				}
+				// The Load fans out on 2+ CPUs; the batches net too little.
+				db := workload.TortureConfig{Seed: seed, Domain: 400}.Database(tortureSchema, 4000)
 				cfg := workload.TortureConfig{Seed: seed, Domain: 30, Updates: 2000, PDelete: 0.4, ZipfS: 1.4, ZipfV: 1}
 				stream := cfg.Stream(tortureSchema)
 				stop := make(chan struct{})
@@ -582,7 +581,7 @@ func fanoutScenarios() []Scenario {
 						}
 					}()
 				}
-				var applyErr error
+				applyErr := ws.Load(db)
 				for from := 0; from < len(stream) && applyErr == nil; from += 80 {
 					to := from + 80
 					if to > len(stream) {
@@ -610,7 +609,7 @@ func fanoutScenarios() []Scenario {
 }
 
 // sameTupleSeq demands exact, order-sensitive equality — the contract
-// core enumeration gives at any worker count.
+// core enumeration gives at any fan-out width.
 func sameTupleSeq(got, want [][]dyncq.Value) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%d tuples, want %d", len(got), len(want))

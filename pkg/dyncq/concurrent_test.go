@@ -11,53 +11,6 @@ import (
 	"dyncq/internal/workload"
 )
 
-// TestConcurrentRouting: the worker count does not change how a query is
-// routed.
-func TestConcurrentRouting(t *testing.T) {
-	qh := cq.MustParse("Q(y) :- E(x,y), T(y)")
-	hard := cq.MustParse("Q(x,y) :- S(x), E(x,y), T(y)")
-	cases := []struct {
-		q        *cq.Query
-		workers  int
-		strategy Strategy
-	}{
-		{qh, 4, StrategyCore},
-		{qh, 1, StrategyCore},
-		{hard, 4, StrategyIVM},
-	}
-	for _, c := range cases {
-		_, h := soloWorkers(t, c.workers, c.q, Options{})
-		if h.Strategy() != c.strategy {
-			t.Errorf("%s workers=%d: strategy %v, want %v", c.q, c.workers, h.Strategy(), c.strategy)
-		}
-	}
-}
-
-// TestConcurrentMatchesSequential: a workspace with parallel workers
-// reaches exactly the state a sequential one reaches on the same stream,
-// for every backend.
-func TestConcurrentMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for _, st := range []Strategy{StrategyAuto, StrategyIVM} {
-		q := cq.MustParse("Q(y) :- E(x,y), T(y)")
-		stream := workload.RandomStream(rng, q.Schema(), 12, 300, 0.4)
-		plain, plainH := solo(t, q, Options{Force: st})
-		conc, concH := soloWorkers(t, 4, q, Options{Force: st})
-		if _, err := plain.ApplyBatched(stream, 25); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conc.ApplyBatched(stream, 25); err != nil {
-			t.Fatal(err)
-		}
-		if plainH.Count() != concH.Count() {
-			t.Fatalf("[%v] counts diverge: %d vs %d", st, plainH.Count(), concH.Count())
-		}
-		if !sameTuples(plainH.Tuples(), concH.Tuples()) {
-			t.Fatalf("[%v] tuple sets diverge", st)
-		}
-	}
-}
-
 // TestConcurrentSnapshotReaders is the prefix-consistency stress test:
 // one writer commits a known sequence of batches while reader goroutines
 // continuously pin snapshots; every snapshot must equal the state
@@ -94,7 +47,7 @@ func TestConcurrentSnapshotReaders(t *testing.T) {
 		}
 	}
 
-	cs, h := soloWorkers(t, 4, q, Options{})
+	cs, h := solo(t, q, Options{})
 	var done atomic.Bool
 	var wg sync.WaitGroup
 	const readers = 4
@@ -151,7 +104,7 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 	const writers = 4
 
-	cs, h := soloWorkers(t, writers, q, Options{})
+	cs, h := solo(t, q, Options{})
 	if err := cs.Load(init); err != nil {
 		t.Fatal(err)
 	}

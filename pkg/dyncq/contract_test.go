@@ -189,7 +189,7 @@ func TestLoadFailureKeepsPriorState(t *testing.T) {
 }
 
 // TestLoadFailureChangesNothing: a failed Load is rejected like a batch
-// on every backend and at every worker count, read side included —
+// on every backend and at fan-out widths 1 and 2, read side included —
 // count, result (in enumeration order), |D|, version and store mutations
 // are unchanged, the capture hook gets no event, the cached snapshot is
 // the same pointer — and the next commit's event carries the next
@@ -203,14 +203,14 @@ func TestLoadFailureChangesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, st := range []Strategy{StrategyCore, StrategyIVM} {
-		for _, workers := range []int{0, 2} {
-			at := fmt.Sprintf("[%v, workers %d]", st, workers)
-			ws := NewWorkspace(WorkspaceOptions{Workers: workers})
+		for _, width := range []int{1, 2} {
+			at := fmt.Sprintf("[%v, width %d]", st, width)
+			ws := fannedOut(width)
 			h, err := ws.RegisterQuery("q", q, Options{Force: st})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// A second handle, so that Workers 2 fans the load out.
+			// A second handle, so that width 2 fans the load out.
 			if _, err := ws.RegisterQuery("pairs", cq.MustParse("Q(x,y) :- E(x,y), T(y)"), Options{Force: st}); err != nil {
 				t.Fatal(err)
 			}

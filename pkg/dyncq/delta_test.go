@@ -123,14 +123,15 @@ func sortedTuples(h *Handle) [][]Value {
 // TestApplyAllocationFree: Apply is a commit of one through the one
 // commit pipeline, and the store keeps its tuples inline in the
 // relation's table, so on a core-routed workspace an insert/delete pair
-// allocates nothing at all. Beside an ivm-routed query, whose single
+// allocates nothing at all — at width 2 too, since a commit of one stays
+// below fanOutMin and runs inline. Beside an ivm-routed query, whose single
 // update runs the relation-phased store schedule and a delta join, the
 // pair allocates no more than the single-update fork the pipeline
 // replaced (3).
 func TestApplyAllocationFree(t *testing.T) {
 	for _, set := range applySets {
 		t.Run(set.name, func(t *testing.T) {
-			ws, pair := applyPair(t, set.queries, 0)
+			ws, pair := applyPair(t, set.queries, 2)
 			pair() // warm the arena free chains, the map slots and the grouping
 			allocs := testing.AllocsPerRun(1000, pair)
 			t.Logf("allocs per Apply insert/delete pair: %v", allocs)
@@ -157,12 +158,14 @@ var applySets = []struct {
 	{"ivm", map[string]string{"hard": "Q(x,y) :- S(x), E(x,y), T(y)", "star": "Q(y) :- E(x,y), T(y)"}, 3},
 }
 
-// applyPair registers the queries on a workspace with the given workers,
-// fills the store through batches, and returns the workspace and a
-// closure that applies E(5000,7) and deletes it again: a pair that
-// changes the store, and on ϕS-E-T adds and removes one result tuple.
-func applyPair(tb testing.TB, queries map[string]string, workers int) (*Workspace, func()) {
-	ws := NewWorkspace(WorkspaceOptions{Workers: workers})
+// applyPair registers the queries on a workspace whose fan-out is capped
+// at width (GOMAXPROCS in production), fills the store through batches,
+// and returns the workspace and a closure that applies E(5000,7) and
+// deletes it again: a pair that changes the store, and on ϕS-E-T adds and
+// removes one result tuple.
+func applyPair(tb testing.TB, queries map[string]string, width int) (*Workspace, func()) {
+	ws := NewWorkspace(WorkspaceOptions{})
+	ws.maxWidth = width
 	for name, text := range queries {
 		h, err := ws.Register(name, text)
 		if err != nil {
@@ -197,13 +200,14 @@ func applyPair(tb testing.TB, queries map[string]string, workers int) (*Workspac
 
 // BenchmarkApply records what one single-update Apply costs now that it
 // runs the batch pipeline: a warmed insert/delete pair per op, on the
-// core set and the ivm set of TestApplyAllocationFree, at Workers 0 and
-// 2 (with two handles, 2 fans even a one-update commit out).
+// core set and the ivm set of TestApplyAllocationFree, at widths 1 and
+// 2: two handles could fan out at width 2, but a commit of one is below
+// fanOutMin, so both run inline and should read alike.
 func BenchmarkApply(b *testing.B) {
 	for _, set := range applySets {
-		for _, workers := range []int{0, 2} {
-			b.Run(fmt.Sprintf("%s/workers=%d", set.name, workers), func(b *testing.B) {
-				_, pair := applyPair(b, set.queries, workers)
+		for _, width := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/width=%d", set.name, width), func(b *testing.B) {
+				_, pair := applyPair(b, set.queries, width)
 				pair()
 				b.ReportAllocs()
 				for b.Loop() {
@@ -215,17 +219,22 @@ func BenchmarkApply(b *testing.B) {
 }
 
 // TestCommitAllocationFree: a warmed core-routed Commit with no subscriber
-// allocates nothing, at 64 updates as at 512: the pipeline's bookkeeping
-// lives in workspace-owned scratch and its pool bodies are bound once.
-// Nor does an ivm-routed one, whose delta joins allocate nothing per
-// valuation and nothing per join (ivmCommitAllocs).
+// that runs inline allocates nothing — at width 1 at 64 updates as at
+// 512, and at width 2 below fanOutMin: the pipeline's bookkeeping lives in
+// workspace-owned scratch and its pool bodies are bound once. Fanned out
+// (width 2 from fanOutMin on) it allocates one closure more per goroutine
+// it starts per pool pass: width − 1 on these two core handles (one
+// pass), at 512 updates as at 4,096. Nor does an ivm-routed commit
+// allocate, whose delta joins allocate nothing per valuation and nothing
+// per join (ivmCommitAllocs).
 // (Before the store kept tuples inline and the coalescer kept its slot
 // tables, a commit paid one tuple copy per insert and up to one table,
 // grown by rehash, per relation; before the pool took a handle count and
 // bound bodies, it paid an index slice and a closure.)
 func TestCommitAllocationFree(t *testing.T) {
-	allocsAt := func(batch int) float64 {
+	allocsAt := func(batch, width int) float64 {
 		ws := NewWorkspace(WorkspaceOptions{})
+		ws.maxWidth = width
 		for name, text := range map[string]string{"star": "Q(y) :- E(x,y), T(y)", "deep": "Q(x,y,z) :- R(x,y,z), E(x,y), S(x)"} {
 			h, err := ws.Register(name, text)
 			if err != nil {
@@ -266,13 +275,27 @@ func TestCommitAllocationFree(t *testing.T) {
 		cycle() // warm the arena free chains, the table slots and the coalescer
 		return testing.AllocsPerRun(200, cycle) / 2
 	}
-	small, large := allocsAt(64), allocsAt(512)
-	t.Logf("allocs per commit: %v at 64 updates, %v at 512", small, large)
+	small, large := allocsAt(64, 1), allocsAt(512, 1)
+	t.Logf("allocs per commit at width 1: %v at 64 updates, %v at 512", small, large)
 	if small != large {
 		t.Fatalf("a core-routed commit allocates %v times at 64 updates but %v at 512: something allocates per update", small, large)
 	}
 	if small != 0 {
 		t.Fatalf("a core-routed commit of 64 updates allocates %v times, want 0", small)
+	}
+	if below := allocsAt(fanOutMin-1, 2); below != 0 {
+		t.Fatalf("a core-routed commit of %d updates at width 2 allocates %v times, want 0: below fanOutMin it runs inline", fanOutMin-1, below)
+	}
+	// What fanning out adds, over the same commit inline: a bulk commit
+	// above the coalescer's keepOut reallocates its output slice at any
+	// width.
+	const width = 2
+	for _, batch := range []int{512, 4096} {
+		inline, fanned := allocsAt(batch, 1), allocsAt(batch, width)
+		t.Logf("allocs per commit of %d updates: %v inline, %v fanned out at width %d", batch, inline, fanned, width)
+		if fanned-inline != width-1 {
+			t.Fatalf("fanning a commit of %d updates out at width %d adds %v allocations, want width−1 = %d", batch, width, fanned-inline, width-1)
+		}
 	}
 	small, large = ivmCommitAllocs(t, 64), ivmCommitAllocs(t, 512)
 	t.Logf("ivm allocs per commit: %v at 64 updates, %v at 512", small, large)

@@ -16,12 +16,11 @@ import (
 	"dyncq/internal/workload"
 )
 
-// soloWorkers registers q as the only query ("q") of a fresh workspace
-// with the given worker count: writes go through the workspace, reads
-// through the handle.
-func soloWorkers(t testing.TB, workers int, q *cq.Query, opt Options) (*Workspace, *Handle) {
+// solo registers q as the only query ("q") of a fresh workspace: writes
+// go through the workspace, reads through the handle.
+func solo(t testing.TB, q *cq.Query, opt Options) (*Workspace, *Handle) {
 	t.Helper()
-	ws := NewWorkspace(WorkspaceOptions{Workers: workers})
+	ws := NewWorkspace(WorkspaceOptions{})
 	h, err := ws.RegisterQuery("q", q, opt)
 	if err != nil {
 		t.Fatalf("register %s (force %v): %v", q, opt.Force, err)
@@ -29,10 +28,15 @@ func soloWorkers(t testing.TB, workers int, q *cq.Query, opt Options) (*Workspac
 	return ws, h
 }
 
-// solo is soloWorkers on a sequential workspace.
-func solo(t testing.TB, q *cq.Query, opt Options) (*Workspace, *Handle) {
-	t.Helper()
-	return soloWorkers(t, 0, q, opt)
+// fannedOut returns a fresh workspace on which every write, of any size,
+// fans out over width goroutines once two or more queries are
+// registered (width 1: none does). It overrides both inputs of the
+// fan-out rule, so small test streams take the concurrent path, on a
+// GOMAXPROCS=1 run as well.
+func fannedOut(width int) *Workspace {
+	ws := NewWorkspace(WorkspaceOptions{})
+	ws.maxWidth, ws.minFanOut = width, 1
+	return ws
 }
 
 // soloPerStrategy builds one solo workspace per strategy for q.

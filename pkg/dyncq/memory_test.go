@@ -134,13 +134,13 @@ func bytesPerTuple(t *testing.T, shape memoryShape, n int) float64 {
 // loadShape registers the shape's queries on a new workspace, loads db and
 // warms every lazily built structure.
 func loadShape(t testing.TB, shape memoryShape, db *dyndb.Database) *Workspace {
-	return loadQueries(t, shape.queries, db, WorkspaceOptions{})
+	return loadQueries(t, shape.queries, db)
 }
 
-// loadQueries registers the queries on a new workspace built with opt,
-// loads db and warms every lazily built structure.
-func loadQueries(t testing.TB, queries map[string]string, db *dyndb.Database, opt WorkspaceOptions) *Workspace {
-	ws := NewWorkspace(opt)
+// loadQueries registers the queries on a new workspace, loads db and
+// warms every lazily built structure.
+func loadQueries(t testing.TB, queries map[string]string, db *dyndb.Database) *Workspace {
+	ws := NewWorkspace(WorkspaceOptions{})
 	for name, text := range queries {
 		if _, err := ws.Register(name, text); err != nil {
 			t.Fatal(err)

@@ -30,7 +30,7 @@ import (
 //
 // One order contract: a snapshot lists its rows in lexicographic order
 // on every strategy, so it is a function of the result SET — identical
-// across strategies and worker counts — and the deltas of
+// across strategies and fan-out widths — and the deltas of
 // the commits after it merge into it in one sorted pass, here and on a
 // subscriber's side of the wire alike. Only the live Handle.Enumerate
 // walks the engine's own constant-delay order.
@@ -112,7 +112,7 @@ func (s *QuerySnapshot) Tuple(i int) []Value {
 }
 
 // Enumerate streams the pinned result in lexicographic tuple order —
-// the same on every strategy and worker count, and the
+// the same on every strategy and fan-out width, and the
 // order DeltaEvent lists its tuples in. Unlike Handle.Enumerate it
 // holds no lock: yield may take arbitrarily long, apply updates, or call
 // any workspace method — concurrent writers proceed regardless. The
@@ -283,7 +283,7 @@ func (w *Workspace) Snapshot(names ...string) *WorkspaceSnapshot {
 // tuples the result gained and lost relative to the previous version.
 // Added and Removed are disjoint, each sorted in lexicographic tuple
 // order — so the event's rendering is deterministic, byte for byte,
-// regardless of worker count or backend enumeration order. Both may be
+// regardless of fan-out width or backend enumeration order. Both may be
 // empty: every committed version emits exactly one event per captured
 // query (subscribers track the committed version in lockstep and an
 // unchanged result is itself information). A Boolean query's event
@@ -342,9 +342,9 @@ func (h *Handle) publish(ev DeltaEvent, delta bool) {
 // carries the version being committed): it MUST NOT block and MUST NOT
 // call any workspace, handle, or session method (the serving layer's
 // broker satisfies this by handing pre-encoded frames to per-connection
-// buffers with a non-blocking send). Hooks of different queries may run
-// concurrently (the per-handle fan-out uses the workspace worker pool);
-// one query's hook is never invoked concurrently with itself and
+// buffers with a non-blocking send). Hooks of different queries run
+// concurrently when a commit fans out (large enough, with two or more
+// queries and CPUs: see fanOutMin); one query's hook is never invoked concurrently with itself and
 // observes strictly increasing versions. Only one capture per query may
 // be active; Unregister drops it.
 func (w *Workspace) CaptureDeltas(name string, hook func(DeltaEvent)) error {

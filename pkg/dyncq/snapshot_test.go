@@ -353,7 +353,7 @@ func TestWorkspaceSnapshotIsPinned(t *testing.T) {
 func TestSnapshotReadersUnderWriterLoad(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	q := cq.MustParse("Q(y) :- E(x,y), T(y)")
-	cs, h := soloWorkers(t, 2, q, Options{})
+	cs, h := solo(t, q, Options{})
 	stream := workload.RandomStream(rng, q.Schema(), 25, 2000, 0.35)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -2,6 +2,7 @@ package dyncq
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,8 +41,9 @@ import (
 // evaluate on the pre-state, insertion deltas on the post-state), so the
 // fan-out interleaves per-relation hooks with the store mutation; core
 // backends receive the whole delta after the store is current, in delta
-// order. With workers, the handles maintain concurrently, each on its own
-// goroutine. A warmed commit allocates nothing on the pipeline's side.
+// order. A commit of fanOutMin or more, with several handles and CPUs,
+// maintains the handles concurrently (runPool). A warmed commit below
+// fanOutMin allocates nothing on the pipeline's side.
 //
 // Load, the one write outside that pipeline, validates first too: a
 // database that clashes with the union schema is rejected with nothing
@@ -91,17 +93,10 @@ type queryBackend interface {
 	rebuild()
 }
 
-// WorkspaceOptions configures NewWorkspace.
-type WorkspaceOptions struct {
-	// Workers is how many registered queries maintain concurrently: each
-	// batch's per-handle maintenance (and a Load's rebuilds) fan out over
-	// up to Workers goroutines, one handle at a time per goroutine (<= 1
-	// keeps every path sequential). Each handle's engine runs its delta
-	// alone, in delta order, so results and enumeration order are the
-	// same at any value. The shared store is always written
-	// sequentially, one table per relation.
-	Workers int
-}
+// WorkspaceOptions configures NewWorkspace. It has no fields: each commit
+// picks how many goroutines maintain the queries from the handle count,
+// its size and GOMAXPROCS (see fanOutMin).
+type WorkspaceOptions struct{}
 
 // Workspace is the shared front door: one dynamic database, one update
 // pipeline, many registered live queries. Build one with NewWorkspace;
@@ -113,7 +108,11 @@ type Workspace struct {
 	owner   map[string]string
 	handles map[string]*Handle
 	order   []*Handle // registration order
-	workers int
+
+	maxWidth, minFanOut int            // the fan-out rule's inputs: GOMAXPROCS at NewWorkspace, fanOutMin
+	next                atomic.Int64   // runPool's per-pass state, under the write lock
+	wg                  sync.WaitGroup // runPool's goroutines
+	panics              []any          // what each of them recovered
 
 	// The open commit, read by the pool bodies below: its net delta, the
 	// per-handle timings, the per-relation grouping of the relation-phased
@@ -140,13 +139,15 @@ type Workspace struct {
 // NewWorkspace returns an empty workspace with no registered queries.
 // Updates applied before any registration only populate the shared
 // store; queries registered later are brought up to date against it.
+// GOMAXPROCS, read here, caps a commit's fan-out.
 func NewWorkspace(opt WorkspaceOptions) *Workspace {
 	w := &Workspace{
-		store:   dyndb.New(),
-		schema:  make(map[string]int),
-		owner:   make(map[string]string),
-		handles: make(map[string]*Handle),
-		workers: opt.Workers,
+		store:     dyndb.New(),
+		schema:    make(map[string]int),
+		owner:     make(map[string]string),
+		handles:   make(map[string]*Handle),
+		maxWidth:  runtime.GOMAXPROCS(0),
+		minFanOut: fanOutMin,
 	}
 	w.finishFn, w.preDeleteFn, w.postInsertFn = w.finishAt, w.preDeleteAt, w.postInsertAt
 	return w
@@ -299,11 +300,11 @@ func (h *Handle) Cardinality() int { return h.ws.Cardinality() }
 // in the same timed step: advancing a cached snapshot and calling a
 // CaptureDeltas hook; a query with neither pays nothing there. The
 // per-commit delta of the first value is the per-query update latency.
-// The timer is wall-clock: with Workers > 1 the per-handle fan-out runs
+// The timer is wall-clock: a commit that fans out (fanOutMin) runs
 // handles concurrently, so each handle's time includes scheduler
 // contention from the others and the sum over handles can exceed the
-// batch's duration — compare per-handle timings across runs only at the
-// same worker count.
+// commit's duration — compare per-handle timings across runs only at the
+// same GOMAXPROCS and commit sizes.
 func (h *Handle) MaintenanceNS() (ns int64, batches int64) {
 	h.ws.mu.RLock()
 	defer h.ws.mu.RUnlock()
@@ -635,12 +636,11 @@ func (w *Workspace) commitLocked(updates []Update) (int, error) {
 	// current (core runs its per-atom procedures here; IVM closes its
 	// batch, rebuilding if the crossover chose to), and its result delta
 	// goes straight on to the handle's read side. Every handle's close-out
-	// — core AND ivm — fans out across one worker pool: per-handle state is
-	// private, and the one shared structure (the store's indexes) is safe
-	// for concurrent evaluators over a quiescent store. Each handle's work
-	// is self-contained, so the result is byte-identical at any worker
-	// count. The version moves once, after every handle has finished.
-	runPool(len(w.order), w.workers, w.perNS, w.finishFn)
+	// — core AND ivm — runs on one pool: per-handle state is private, and the one shared structure (the store's indexes)
+	// is safe for concurrent evaluators over a quiescent store. Each
+	// handle's work is self-contained, so the result is byte-identical at
+	// any width. The version moves once, after every handle has finished.
+	w.runPool(len(survivors), w.perNS, w.finishFn)
 	w.survivors = nil
 	for i, h := range w.order {
 		h.maintainNS += w.perNS[i]
@@ -703,11 +703,11 @@ type relDelta struct {
 // maintained multiplicities are identical to a single-update replay of
 // the same stream.
 //
-// The hook phases fan each relation's pre/post hooks out across the
-// handles on the worker pool (per-handle IVM state is private and the
-// store's indexes are safe for concurrent evaluators over a quiescent
-// store), timed into the open commit's per-handle timings. Only IVM
-// backends do work in the hooks; the others' hooks are no-ops.
+// The hook phases run each relation's pre/post hooks across the handles
+// on the commit's pool (per-handle IVM state is private and the store's
+// indexes are safe for concurrent evaluators over a quiescent store),
+// timed into the open commit's per-handle timings. Only IVM backends do
+// work in the hooks; the others' hooks are no-ops.
 //
 //dyncq:hot
 func (w *Workspace) runHookedStorePhase() {
@@ -744,7 +744,7 @@ func (w *Workspace) runHookedStorePhase() {
 		if len(d.dels) > 0 {
 			// Pre-state hooks: the store has not applied this relation's
 			// delta yet.
-			runPool(len(w.order), w.workers, w.perNS, w.preDeleteFn)
+			w.runPool(len(w.survivors), w.perNS, w.preDeleteFn)
 		}
 		// One relation's slice of a validated net delta is itself a net
 		// delta against the current state (relations are disjoint, earlier
@@ -752,7 +752,7 @@ func (w *Workspace) runHookedStorePhase() {
 		w.store.ApplyNetDelta(d.cmds, 0)
 		if len(d.ins) > 0 {
 			// Post-state hooks: this relation's delta is fully applied.
-			runPool(len(w.order), w.workers, w.perNS, w.postInsertFn)
+			w.runPool(len(w.survivors), w.perNS, w.postInsertFn)
 		}
 	}
 	w.hookRel = nil
@@ -781,42 +781,53 @@ func (w *Workspace) preDeleteAt(i int) { w.order[i].back.preDelete(w.hookRel.rel
 //dyncq:hot
 func (w *Workspace) postInsertAt(i int) { w.order[i].back.postInsert(w.hookRel.rel, w.hookRel.ins) }
 
-// runPool runs fn(i) for every i in [0, n) on up to workers goroutines
-// claimed off a shared counter (sequentially when workers <= 1 or n <=
-// 1). With ns non-nil each item is timed into ns[i] by chained clock
-// reads: one read per worker before its first item and one after every
-// item. A panic inside fn is re-raised on the caller's stack after the
-// pool drains, matching the sequential path's failure semantics (if
-// several workers panic, the lowest worker index wins). Only the
-// concurrent path allocates.
+// fanOutMin is the smallest write, in net commands (a Load's: stored
+// tuples), that fans out: below it, starting and joining goroutines costs
+// more than the concurrency saves. BenchmarkCommitFanOut's three core
+// queries on a 2-vCPU box, median of five, ns/update fanned out at width 2
+// against width 1: +20 % at 32 updates, +13 % at 64, −9 % at 256, −26 % at
+// 512, −35 % at 4,096.
+const fanOutMin = 256
+
+// runPool runs fn(i) for every handle index i, for a write of size net
+// commands, on as many goroutines as the fan-out rule gives it — its
+// width: 1 below minFanOut or with fewer than two handles, else one per
+// handle up to maxWidth. They are the caller and width−1 it starts,
+// claiming items off a shared counter; with ns non-nil, chained clock
+// reads time each item into ns[i]. A panic in fn is re-raised on the
+// caller once the pool has drained (the lowest goroutine index wins).
+// Width 1 allocates nothing; wider, one closure per started goroutine.
+// The caller holds the write lock.
 //
 //dyncq:hot
-func runPool(n, workers int, ns []int64, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		var next atomic.Int64 // its own: the goroutines' counter escapes to the heap
-		drain(&next, n, ns, fn)
+func (w *Workspace) runPool(size int, ns []int64, fn func(i int)) {
+	w.next.Store(0)
+	width := min(w.maxWidth, len(w.order))
+	if width < 2 || size < w.minFanOut {
+		drain(&w.next, len(w.order), ns, fn)
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	panics := make([]any, workers)
-	wg.Add(workers)
-	for k := 0; k < workers; k++ {
-		go func(k int) {
-			defer wg.Done()
-			defer func() { panics[k] = recover() }()
-			drain(&next, n, ns, fn)
-		}(k)
+	if len(w.panics) < width {
+		w.panics = make([]any, width) //dyncq:allow hotalloc grows to the widest pool, reused after
 	}
-	wg.Wait()
-	for _, p := range panics {
+	w.wg.Add(width - 1)
+	for k := 1; k < width; k++ {
+		go func() { defer w.wg.Done(); w.share(k, ns, fn) }()
+	}
+	w.share(0, ns, fn)
+	w.wg.Wait()
+	for _, p := range w.panics[:width] {
 		if p != nil {
+			clear(w.panics)
 			panic(p)
 		}
 	}
+}
+
+// share is goroutine k's part of a runPool pass.
+func (w *Workspace) share(k int, ns []int64, fn func(i int)) {
+	defer func() { w.panics[k] = recover() }()
+	drain(&w.next, len(w.order), ns, fn)
 }
 
 // drain runs fn on the items it claims off next until none is left,
@@ -891,14 +902,14 @@ func (w *Workspace) loadLocked(db *dyndb.Database) error {
 		// was just cleared: only a bug gets here.
 		panic(fmt.Sprintf("dyncq: validated database failed to load: %v", err))
 	}
-	// Every backend rebuilds concurrently on up to w.workers goroutines:
-	// core preprocessing only reads the shared store, and IVM backends
-	// evaluate through the store's indexes, whose lazy builds are
+	// The backends rebuild on a pool as wide as a commit of |db| updates
+	// gets: core preprocessing only reads the shared store, and IVM
+	// backends evaluate through the store's indexes, whose lazy builds are
 	// internally locked. Like a commit, the load then publishes each
 	// handle's delta, stamped with the version it makes, and moves the
 	// version once.
 	version := w.version.Load() + 1
-	runPool(len(w.order), w.workers, nil, func(i int) {
+	w.runPool(db.Cardinality(), nil, func(i int) {
 		h := w.order[i]
 		h.back.rebuild()
 		if !h.emits() {

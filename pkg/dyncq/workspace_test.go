@@ -164,15 +164,15 @@ func TestWorkspaceStoreMutationsIndependentOfK(t *testing.T) {
 	}
 }
 
-// TestWorkspaceStoreIndependentOfWorkers: Workers parallelises the
-// engines, never the store — the same stream through a sequential and a
-// four-worker workspace mutates the shared store the same number of times
-// and leaves it with the same tuples.
-func TestWorkspaceStoreIndependentOfWorkers(t *testing.T) {
+// TestWorkspaceStoreIndependentOfFanOut: a fanned-out commit
+// parallelises the engines, never the store — the same stream through an
+// unfanned and a width-4 workspace mutates the shared store the same
+// number of times and leaves it with the same tuples.
+func TestWorkspaceStoreIndependentOfFanOut(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	stream := workload.RandomStream(rng, multiSchema(), 12, 800, 0.35)
-	run := func(workers int) *Workspace {
-		ws := NewWorkspace(WorkspaceOptions{Workers: workers})
+	run := func(width int) *Workspace {
+		ws := fannedOut(width)
 		for _, c := range multiSuite() {
 			if _, err := ws.RegisterQuery(c.name, cq.MustParse(c.text), c.opt); err != nil {
 				t.Fatal(err)
@@ -183,15 +183,15 @@ func TestWorkspaceStoreIndependentOfWorkers(t *testing.T) {
 		}
 		return ws
 	}
-	seq, par := run(0), run(4)
+	seq, par := run(1), run(4)
 	if seq.StoreMutations() == 0 {
 		t.Fatal("stream produced no mutations; test is vacuous")
 	}
 	if seq.StoreMutations() != par.StoreMutations() {
-		t.Fatalf("store mutations depend on Workers: %d sequential, %d with four workers", seq.StoreMutations(), par.StoreMutations())
+		t.Fatalf("store mutations depend on the fan-out: %d at width 1, %d at width 4", seq.StoreMutations(), par.StoreMutations())
 	}
 	if !reflect.DeepEqual(seq.store.Updates(), par.store.Updates()) {
-		t.Fatal("the four-worker workspace's store diverges from the sequential one")
+		t.Fatal("the width-4 workspace's store diverges from the width-1 one")
 	}
 }
 
@@ -447,14 +447,14 @@ func TestWorkspaceSnapshot(t *testing.T) {
 	}
 }
 
-// TestWorkspaceParallelMatchesSequential: a workspace with parallel
-// workers reaches exactly the state (including enumeration order) of a
-// sequential workspace over the same stream.
+// TestWorkspaceParallelMatchesSequential: a workspace whose commits fan
+// out reaches exactly the state (including enumeration order) of one
+// whose commits do not, over the same stream.
 func TestWorkspaceParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(127))
 	stream := workload.RandomStream(rng, multiSchema(), 20, 800, 0.35)
-	run := func(workers int) *Workspace {
-		ws := NewWorkspace(WorkspaceOptions{Workers: workers})
+	run := func(width int) *Workspace {
+		ws := fannedOut(width)
 		for _, c := range multiSuite() {
 			if _, err := ws.RegisterQuery(c.name, cq.MustParse(c.text), c.opt); err != nil {
 				t.Fatal(err)

@@ -90,7 +90,7 @@ deep_leg() {
 	# A commit stores each handle's advanced snapshot and calls its hook
 	# before the version moves; lock-free pinners and evictors race that
 	# order, and one race pass is thin cover for it. A failed Load must
-	# leave that read side untouched at every worker count.
+	# leave that read side untouched, inline and fanned out.
 	GOMAXPROCS=$n go test -race -count=10 ./pkg/dyncq \
 		-run 'TestSnapshotPinRace|TestSnapshotEvictionDuringCommit|TestCaptureDeltas|TestWorkspaceSnapshotPinnedDuringFanOut|TestSnapshotAdvanceMatchesFreshPin|TestLoadFailureChangesNothing'
 	# A deterministic slice of the nightly soak at a pinned base seed.
@@ -115,7 +115,7 @@ deep_leg() {
 	# The Go benchmarks the gates and CHANGES.md cite: they must compile,
 	# pass their own b.Fatal checks and print. No timing threshold.
 	go test ./pkg/dyncq ./internal/ivm ./internal/core ./internal/server -run '^$' \
-		-bench 'Apply$|DeltaJoin|CapturedCommit|SnapshotAdvance|SnapshotLaggingReader|CoreUpdate|CommitWorkers|EnumerateFrame|Rebuild' \
+		-bench 'Apply$|DeltaJoin|CapturedCommit|SnapshotAdvance|SnapshotLaggingReader|CoreUpdate|CommitFanOut|EnumerateFrame|Rebuild' \
 		-benchtime 50x -benchmem
 }
 
