@@ -70,109 +70,3 @@ func BooleanVersion(q *Query) *Query {
 	b.Head = nil
 	return b
 }
-
-// Endomorphisms calls fn for every endomorphism of q that fixes the head
-// pointwise, until fn returns false. The mapping passed to fn is reused
-// across calls; copy it if needed.
-func Endomorphisms(q *Query, fn func(h map[string]string) bool) {
-	byRel := make(map[string][]Atom)
-	for _, a := range q.Atoms {
-		byRel[a.Rel] = append(byRel[a.Rel], a)
-	}
-	h := make(map[string]string)
-	for _, x := range q.Head {
-		h[x] = x
-	}
-	var todo []string
-	for _, v := range q.Vars() {
-		if _, ok := h[v]; !ok {
-			todo = append(todo, v)
-		}
-	}
-	vars := q.Vars()
-	stop := false
-	var rec func(i int)
-	rec = func(i int) {
-		if stop {
-			return
-		}
-		if i == len(todo) {
-			if !fn(h) {
-				stop = true
-			}
-			return
-		}
-		v := todo[i]
-		for _, w := range vars {
-			h[v] = w
-			if consistentFor(q, byRel, h, v) {
-				rec(i + 1)
-				if stop {
-					return
-				}
-			}
-		}
-		delete(h, v)
-	}
-	// Head-fixing must itself be consistent for atoms over head vars only.
-	ok := true
-	for _, x := range q.Head {
-		if !consistentFor(q, byRel, h, x) {
-			ok = false
-			break
-		}
-	}
-	if ok {
-		rec(0)
-	}
-}
-
-// HeadPermutations returns the set Π of Lemma 5.8: all permutations π of
-// the head positions such that xi ↦ x_{π(i)} extends to an endomorphism of
-// q. Each permutation is returned as a slice p with p[i] = π(i) (0-based).
-// The identity is always included (for a valid query).
-func HeadPermutations(q *Query) [][]int {
-	k := len(q.Head)
-	pos := make(map[string]int, k)
-	for i, x := range q.Head {
-		pos[x] = i
-	}
-	var perms [][]int
-	seen := make(map[string]bool)
-	var rec func(p []int, used []bool)
-	rec = func(p []int, used []bool) {
-		if len(p) == k {
-			key := ""
-			for _, i := range p {
-				key += string(rune('a' + i))
-			}
-			if seen[key] {
-				return
-			}
-			// Check xi ↦ x_{p[i]} extends to an endomorphism.
-			seed := make(map[string]string, k)
-			for i, x := range q.Head {
-				seed[x] = q.Head[p[i]]
-			}
-			// Build the "unconstrained-head" version so that the seed, not the
-			// identity head constraint, pins the head variables.
-			free := q.Clone()
-			free.Head = nil
-			if HomomorphismWithSeed(free, free, seed) != nil {
-				seen[key] = true
-				perms = append(perms, append([]int(nil), p...))
-			}
-			return
-		}
-		for i := 0; i < k; i++ {
-			if used[i] {
-				continue
-			}
-			used[i] = true
-			rec(append(p, i), used)
-			used[i] = false
-		}
-	}
-	rec([]int{}, make([]bool, k))
-	return perms
-}

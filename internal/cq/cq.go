@@ -9,15 +9,15 @@
 // remaining variables are existentially quantified.
 //
 // The package provides the textual Datalog-style syntax used throughout
-// this repository (see Parse), structural accessors (free variables,
-// connected components, atoms-of-a-variable sets), homomorphisms between
-// queries, and homomorphic cores (Chandra–Merlin), which the paper's
-// Theorems 3.4 and 3.5 classify by.
+// this repository (see Parse), structural accessors (variables, connected
+// components, atoms-of-a-variable sets), the hierarchical properties of
+// Definition 3.1 and its variants, homomorphisms between queries, and
+// homomorphic cores (Chandra–Merlin), which the paper's Theorems 3.4 and
+// 3.5 classify by.
 package cq
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -120,11 +120,6 @@ func (q *Query) Vars() []string {
 	return out
 }
 
-// FreeVars returns the free variables (a copy of Head).
-func (q *Query) FreeVars() []string {
-	return append([]string(nil), q.Head...)
-}
-
 // IsFree reports whether v is a free variable of q.
 func (q *Query) IsFree(v string) bool {
 	for _, h := range q.Head {
@@ -167,33 +162,6 @@ func (q *Query) Schema() map[string]int {
 		s[a.Rel] = len(a.Args)
 	}
 	return s
-}
-
-// Relations returns the distinct relation symbols in sorted order.
-func (q *Query) Relations() []string {
-	s := q.Schema()
-	out := make([]string, 0, len(s))
-	for r := range s {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Size returns ||ϕ|| as defined in the paper: the length of the query
-// viewed as a word over σ ∪ var ∪ {∃, ∧, (, )}. Head variables are counted
-// once, each atom contributes 1 (symbol) + arity (variables) + 2
-// (parentheses), quantifiers contribute 1 + 1 each, conjunctions d-1.
-func (q *Query) Size() int {
-	n := len(q.Head)
-	n += 2 * len(q.QuantifiedVars())
-	for _, a := range q.Atoms {
-		n += 1 + len(a.Args) + 2
-	}
-	if len(q.Atoms) > 0 {
-		n += len(q.Atoms) - 1
-	}
-	return n
 }
 
 // AtomsOf returns, for every variable, the set of indices of atoms that
@@ -429,38 +397,4 @@ func (q *Query) hierarchicalOver(vars []string) bool {
 		}
 	}
 	return true
-}
-
-// Canonical returns a copy of q with variables renamed to v0, v1, … in
-// order of first occurrence and atoms sorted; two queries that are equal
-// up to consistent variable renaming and atom order have identical
-// Canonical forms. Used by tests to compare cores structurally.
-func (q *Query) Canonical() *Query {
-	ren := make(map[string]string)
-	next := 0
-	name := func(v string) string {
-		if n, ok := ren[v]; ok {
-			return n
-		}
-		n := fmt.Sprintf("v%d", next)
-		next++
-		ren[v] = n
-		return n
-	}
-	c := &Query{Name: q.displayName()}
-	for _, h := range q.Head {
-		c.Head = append(c.Head, name(h))
-	}
-	// Rename body vars in first-occurrence order for determinism.
-	for _, a := range q.Atoms {
-		na := Atom{Rel: a.Rel, Args: make([]string, len(a.Args))}
-		for i, v := range a.Args {
-			na.Args[i] = name(v)
-		}
-		c.Atoms = append(c.Atoms, na)
-	}
-	sort.Slice(c.Atoms, func(i, j int) bool {
-		return c.Atoms[i].String() < c.Atoms[j].String()
-	})
-	return c
 }

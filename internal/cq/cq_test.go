@@ -140,9 +140,6 @@ func TestSchema(t *testing.T) {
 			t.Errorf("Schema[%s] = %d, want %d", r, s[r], a)
 		}
 	}
-	if got := strings.Join(qEx61.Relations(), ","); got != "E,R,S" {
-		t.Errorf("Relations = %q", got)
-	}
 }
 
 // TestHierarchicalVariants checks the Section 3 discussion: ϕS-E-T is
@@ -350,60 +347,11 @@ func TestIsomorphic(t *testing.T) {
 	}
 }
 
-func TestEndomorphisms(t *testing.T) {
-	count := 0
-	Endomorphisms(qLoops, func(map[string]string) bool { count++; return true })
-	// x↦x,y↦y; x↦x,y↦x; x↦y,y↦y.
-	if count != 3 {
-		t.Errorf("qLoops has %d endomorphisms, want 3", count)
-	}
-	count = 0
-	Endomorphisms(qPhi1, func(map[string]string) bool { count++; return true })
-	// Head fixes both variables.
-	if count != 1 {
-		t.Errorf("qPhi1 has %d head-fixing endomorphisms, want 1", count)
-	}
-}
-
-func TestHeadPermutations(t *testing.T) {
-	sym := MustParse("Q(x,y) :- E(x,y), E(y,x)")
-	perms := HeadPermutations(sym)
-	if len(perms) != 2 {
-		t.Errorf("symmetric query has %d head permutations, want 2: %v", len(perms), perms)
-	}
-	asym := MustParse("Q(x,y) :- E(x,y)")
-	perms = HeadPermutations(asym)
-	if len(perms) != 1 {
-		t.Errorf("asymmetric query has %d head permutations, want 1: %v", len(perms), perms)
-	}
-	// ϕ1 is rigid: only the identity.
-	perms = HeadPermutations(qPhi1)
-	if len(perms) != 1 {
-		t.Errorf("ϕ1 has %d head permutations, want 1: %v", len(perms), perms)
-	}
-}
-
-func TestCanonical(t *testing.T) {
-	a := MustParse("Q(x) :- E(x,y), F(y)")
-	b := MustParse("Q(u) :- E(u,w), F(w)")
-	if a.Canonical().String() != b.Canonical().String() {
-		t.Errorf("canonical forms differ: %s vs %s", a.Canonical(), b.Canonical())
-	}
-}
-
 func TestDedupAtoms(t *testing.T) {
 	q := MustParse("Q(x) :- E(x,y), E(x,y), E(y,x)")
 	d := q.DedupAtoms()
 	if len(d.Atoms) != 2 {
 		t.Errorf("DedupAtoms left %d atoms, want 2", len(d.Atoms))
-	}
-}
-
-func TestSize(t *testing.T) {
-	// Size must be positive and grow with the query; exact value is an
-	// encoding convention.
-	if qSET.Size() <= 0 || qEx61.Size() <= qET.Size() {
-		t.Errorf("Size misbehaves: qSET=%d qET=%d qEx61=%d", qSET.Size(), qET.Size(), qEx61.Size())
 	}
 }
 

@@ -5,8 +5,8 @@ import "sort"
 // A homomorphism h from ϕ(x1,…,xk) to ϕ'(y1,…,yk) (Section 3 of the
 // paper) is a variable mapping with h(xi) = yi for all i such that the
 // h-image of every atom of ϕ is an atom of ϕ'. This file implements the
-// backtracking search for homomorphisms, endomorphisms, isomorphisms, and
-// homomorphic cores. Query sizes are tiny compared to databases (data
+// backtracking search for homomorphisms and isomorphisms; Core (core.go)
+// retracts a query with it. Query sizes are tiny compared to databases (data
 // complexity), so exponential-in-||ϕ|| search is the intended trade-off —
 // the same stance the paper takes for its poly(ϕ) factors.
 
@@ -22,26 +22,6 @@ func Homomorphism(q, target *Query) map[string]string {
 	for i, x := range q.Head {
 		if prev, ok := h[x]; ok && prev != target.Head[i] {
 			return nil // repeated head var would need two images
-		}
-		h[x] = target.Head[i]
-	}
-	return searchHom(q, target, h)
-}
-
-// HomomorphismWithSeed returns a homomorphism from q to target extending
-// the given partial mapping seed (in addition to the head constraint), or
-// nil if none exists. seed is not modified.
-func HomomorphismWithSeed(q, target *Query, seed map[string]string) map[string]string {
-	if len(q.Head) != len(target.Head) {
-		return nil
-	}
-	h := make(map[string]string, len(seed)+len(q.Head))
-	for k, v := range seed {
-		h[k] = v
-	}
-	for i, x := range q.Head {
-		if prev, ok := h[x]; ok && prev != target.Head[i] {
-			return nil
 		}
 		h[x] = target.Head[i]
 	}

@@ -250,7 +250,6 @@ func (e *encoder) vectorDiffY(ai int, prev, next Vector) []dyndb.Update {
 // correctness: for the core ϕ of the query, uᵀMv = 1 iff ϕ holds on
 // D(ϕ,M,u,v).
 type AnswerReduction struct {
-	core *cq.Query
 	wit  ConditionIWitness
 	enc  *encoder
 	ev   DynamicEvaluator
@@ -273,20 +272,13 @@ func NewAnswerReduction(q *cq.Query, n int, factory EvaluatorFactory) (*AnswerRe
 		return nil, fmt.Errorf("omv: building evaluator: %w", err)
 	}
 	return &AnswerReduction{
-		core: core,
-		wit:  wit,
-		enc:  newEncoder(core, wit.X, wit.Y, n, n),
-		ev:   ev,
-		u:    NewVector(n),
-		v:    NewVector(n),
+		wit: wit,
+		enc: newEncoder(core, wit.X, wit.Y, n, n),
+		ev:  ev,
+		u:   NewVector(n),
+		v:   NewVector(n),
 	}, nil
 }
-
-// Core returns the core query the reduction actually evaluates.
-func (r *AnswerReduction) Core() *cq.Query { return r.core }
-
-// Witness returns the condition-(i) violation used by the encoding.
-func (r *AnswerReduction) Witness() ConditionIWitness { return r.wit }
 
 // SetMatrix loads M into the ψxy relation and materialises all static
 // atoms (the preprocessing phase: at most n² + O(n) updates).

@@ -49,9 +49,6 @@ type Tree struct {
 	VarNode   map[string]int // variable → node index
 }
 
-// Root returns the root node index (always 0).
-func (t *Tree) Root() int { return 0 }
-
 // Path returns the node indices on the path from the root to node v,
 // inclusive — the paper's path[v].
 func (t *Tree) Path(v int) []int {

@@ -58,7 +58,8 @@ type Client struct {
 
 type respFrame struct {
 	line  string
-	block []string // tuple lines of a snapshot frame
+	block string // a snapshot frame's tuple lines, each ending in '\n'
+	lines int    // the number of lines in block
 }
 
 // Dial connects to a dyncq server at addr ("host:port").
@@ -123,15 +124,19 @@ func (c *Client) demux() {
 			}
 			c.deltas <- d
 		case strings.HasPrefix(line, "snapshot "):
-			block := []string{}
+			var block strings.Builder // one string for the frame, not one per line
+			lines := 0
 			for sc.Scan() {
-				l := sc.Text()
-				if l == "." {
+				l := sc.Bytes()
+				if string(l) == "." {
 					break
 				}
-				block = append(block, l)
+				block.Grow(len(l) + 1) // doubles when full; Write alone grows a large buffer by 1.25×
+				block.Write(l)
+				block.WriteByte('\n')
+				lines++
 			}
-			c.resp <- respFrame{line: line, block: block}
+			c.resp <- respFrame{line: line, block: block.String(), lines: lines}
 		default:
 			c.resp <- respFrame{line: line}
 		}
@@ -367,24 +372,35 @@ func (c *Client) Enumerate(name string) (*Snapshot, error) {
 	n, err1 := strconv.Atoi(fields[2])
 	version, err2 := strconv.ParseUint(fields[3], 10, 64)
 	arity, err3 := strconv.Atoi(fields[4])
-	if err1 != nil || err2 != nil || err3 != nil {
+	if err1 != nil || err2 != nil || err3 != nil || arity < 0 {
 		return nil, fmt.Errorf("malformed snapshot header %q", f.line)
 	}
-	if n != len(f.block) {
-		return nil, fmt.Errorf("snapshot header promises %d tuples, frame has %d", n, len(f.block))
+	if n != f.lines {
+		return nil, fmt.Errorf("snapshot header promises %d tuples, frame has %d", n, f.lines)
 	}
-	snap := &Snapshot{Query: fields[1], Version: version, Arity: arity, Tuples: make([][]dyncq.Value, 0, n)}
-	var vals []dyncq.Value // one backing array for the frame's tuples
-	if n > 0 {
-		vals = make([]dyncq.Value, 0, n*tupleArity(f.block[0]))
+	// Every value takes at least one byte of its line, so a header whose
+	// n × arity exceeds the frame's line bytes cannot be true; checking it
+	// first bounds the backing array by the frame the peer actually sent.
+	size := len(f.block) - f.lines // newlines excluded
+	if n > 0 && arity > size/n {
+		return nil, fmt.Errorf("snapshot header %q promises more values than its %d bytes of tuples hold", f.line, size)
 	}
-	for _, line := range f.block {
+	vals := make([]dyncq.Value, 0, n*arity) // one backing array for the frame's tuples
+	for rest := f.block; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
 		_, _, next, err := parseTupleLine(line, vals)
 		if err != nil {
 			return nil, err
 		}
-		snap.Tuples = append(snap.Tuples, next[len(vals):len(next):len(next)])
+		if got := len(next) - len(vals); got != arity {
+			return nil, fmt.Errorf("snapshot tuple line %q has %d values, header says %d", line, got, arity)
+		}
 		vals = next
+	}
+	snap := &Snapshot{Query: fields[1], Version: version, Arity: arity, Tuples: make([][]dyncq.Value, n)}
+	for i := range snap.Tuples {
+		snap.Tuples[i] = vals[i*arity : (i+1)*arity : (i+1)*arity]
 	}
 	return snap, nil
 }

@@ -244,7 +244,7 @@ func TestE2ESnapshotReaderDoesNotBlockWriter(t *testing.T) {
 	if v != preVersion {
 		t.Fatalf("snapshot pinned at version %d, want pre-batch version %d", v, preVersion)
 	}
-	if n != len(f.block) {
-		t.Fatalf("snapshot header promises %d tuples, frame carries %d", n, len(f.block))
+	if n != f.lines {
+		t.Fatalf("snapshot header promises %d tuples, frame carries %d", n, f.lines)
 	}
 }

@@ -124,15 +124,6 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// ListenAndServe listens on addr ("host:port") and serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
 // ServeConn runs the wire protocol on one already-established
 // connection (any net.Conn — TCP, Unix socket, or net.Pipe in tests).
 // Blocking until the client quits, the connection drops, or the server

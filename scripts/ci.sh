@@ -10,9 +10,10 @@
 #                                              fixed-seed torture soak, and on
 #                                              the GOMAXPROCS=4 leg the server e2e run, the
 #                                              two parser fuzz targets, the table fuzz
-#                                              target, the net-delta fuzz target and the
-#                                              evaluator fuzz target, the two benchmark
-#                                              gates and the Go benchmarks
+#                                              target, the net-delta fuzz target, the
+#                                              evaluator fuzz target and the core fuzz
+#                                              target, the two benchmark gates and the
+#                                              Go benchmarks
 #   scripts/ci.sh --nightly [seed [duration]]  long randomised torture soak under -race
 #
 # --deep runs one leg per listed GOMAXPROCS value, 1 and 4 by default.
@@ -102,14 +103,16 @@ deep_leg() {
 	GOMAXPROCS=$n go test -race ./internal/server -run 'TestE2E' -server.e2eclients=6 -count=1 -v
 	# The two parsers against the reference parsers their tests keep, the
 	# store's tuple table and its NetDelta/ApplyNetDelta against map
-	# models, and the evaluator — the oracle and ivm's delta-join kernel —
-	# against brute force, for a fixed budget each; a crasher lands in
-	# testdata/fuzz to be committed.
+	# models, the evaluator — the oracle and ivm's delta-join kernel —
+	# against brute force, and cq.Core, which routing classifies by,
+	# against a brute-force homomorphism search, for a fixed budget each;
+	# a crasher lands in testdata/fuzz to be committed.
 	GOMAXPROCS=$n go test ./pkg/dyncq -run '^$' -fuzz '^FuzzParseUpdate$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/server -run '^$' -fuzz '^FuzzParseTupleLine$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/tuplekey -run '^$' -fuzz '^FuzzTable$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/dyndb -run '^$' -fuzz '^FuzzNetDelta$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/eval -run '^$' -fuzz '^FuzzEvaluate$' -fuzztime 20s
+	GOMAXPROCS=$n go test ./internal/cq -run '^$' -fuzz '^FuzzCore$' -fuzztime 20s
 	result_size_gate
 	snapshot_advance_gate
 	# The Go benchmarks the gates and CHANGES.md cite: they must compile,
