@@ -122,6 +122,10 @@ func TestReductionsRejectBadInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The witnesses both reductions found draw x from the head.
+	if er.xPos < 0 || er.q.Head[er.xPos] != er.wit.X || !slices.Contains(cr.q.Head, cr.wit.X) {
+		t.Fatalf("witness x %s at head position %d, %s for counting, in head %v", er.wit.X, er.xPos, cr.wit.X, et.Head)
+	}
 	wantErr("SetVectors with one vector", cr.SetVectors([]Vector{NewVector(3)}), "1 vectors, reduction built for 2")
 	wantErr("SetVectors with a short vector", cr.SetVectors([]Vector{NewVector(3), NewVector(2)}), "vector 1 has dimension 2, want 3")
 

@@ -2,6 +2,7 @@ package omv
 
 import (
 	"fmt"
+	"slices"
 
 	"dyncq/internal/cq"
 	"dyncq/internal/dyndb"
@@ -74,7 +75,9 @@ type ConditionIIWitness struct {
 	PsiXY, PsiY int
 }
 
-// FindConditionIIWitness searches q for a condition-(ii) violation.
+// FindConditionIIWitness searches q for a condition-(ii) violation. A
+// witness it returns always has X in q.Head and Y among q's quantified
+// variables: it draws x from the head and y from the rest.
 func FindConditionIIWitness(q *cq.Query) (ConditionIIWitness, bool) {
 	ao := q.AtomsOf()
 	for _, x := range q.Head {
@@ -367,15 +370,6 @@ func NewEnumerateReduction(q *cq.Query, n int, factory EvaluatorFactory) (*Enume
 	if !ok {
 		return nil, fmt.Errorf("omv: %s has no condition-(ii) violation; use AnswerReduction for condition-(i) cases", q)
 	}
-	xPos := -1
-	for i, h := range q.Head {
-		if h == wit.X {
-			xPos = i
-		}
-	}
-	if xPos < 0 {
-		return nil, fmt.Errorf("omv: witness variable %s is not free", wit.X)
-	}
 	ev, err := factory(q)
 	if err != nil {
 		return nil, err
@@ -386,7 +380,7 @@ func NewEnumerateReduction(q *cq.Query, n int, factory EvaluatorFactory) (*Enume
 		enc:  newEncoder(q, wit.X, wit.Y, n, n),
 		ev:   ev,
 		v:    NewVector(n),
-		xPos: xPos,
+		xPos: slices.Index(q.Head, wit.X),
 	}, nil
 }
 

@@ -2,6 +2,7 @@ package omv
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dyncq/internal/cq"
@@ -70,20 +71,33 @@ func TestFindConditionIWitness(t *testing.T) {
 }
 
 // TestFindConditionIIWitness: ϕE-T-style queries must yield a
-// condition-(ii) violation; q-hierarchical queries must not yield either
-// kind.
+// condition-(ii) violation whose x is free and whose y is quantified — the
+// guarantee NewEnumerateReduction reads x's head position by — with atoms
+// that witness it; q-hierarchical queries must not yield either kind.
 func TestFindConditionIIWitness(t *testing.T) {
 	q := cq.MustParse("Q(x) :- E(x,y), T(y)")
-	wit, ok := FindConditionIIWitness(q)
-	if !ok {
-		t.Fatalf("%s: no condition-(ii) witness", q)
+	if wit, ok := FindConditionIIWitness(q); !ok || wit.X != "x" || wit.Y != "y" {
+		t.Fatalf("%s: witness %+v (found %v), want (x,y)", q, wit, ok)
 	}
-	if wit.X != "x" || wit.Y != "y" {
-		t.Fatalf("witness (%s,%s), want (x,y)", wit.X, wit.Y)
-	}
-	ao := q.AtomsOf()
-	if !ao[wit.X][wit.PsiXY] || !ao[wit.Y][wit.PsiXY] || ao[wit.X][wit.PsiY] || !ao[wit.Y][wit.PsiY] {
-		t.Fatalf("witness atoms wrong: %+v", wit)
+	for _, text := range []string{
+		"Q(x) :- E(x,y), T(y)",
+		"Q(z,x) :- R(z), E(x,y), T(y)",
+		"Q(x,z) :- E(x,y), T(y), S(z,w)",
+		"Q(x) :- E(x,y), F(y,w), T(w)",
+		"Q(x,x2) :- E(x,y), T(y), E(x2,y2), T(y2)",
+	} {
+		qq := cq.MustParse(text)
+		wit, ok := FindConditionIIWitness(qq)
+		if !ok {
+			t.Fatalf("%s: no condition-(ii) witness", text)
+		}
+		if !slices.Contains(qq.Head, wit.X) || !slices.Contains(qq.QuantifiedVars(), wit.Y) {
+			t.Fatalf("%s: witness (%s,%s) does not draw x from the head and y from the quantified variables", text, wit.X, wit.Y)
+		}
+		ao := qq.AtomsOf()
+		if !ao[wit.X][wit.PsiXY] || !ao[wit.Y][wit.PsiXY] || ao[wit.X][wit.PsiY] || !ao[wit.Y][wit.PsiY] {
+			t.Fatalf("%s: witness atoms wrong: %+v", text, wit)
+		}
 	}
 	for _, text := range []string{
 		"Q(y) :- E(x,y), T(y)", // q-hierarchical

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -81,54 +84,122 @@ func feedFixture(tb testing.TB, result int) (srv *Server, h *dyncq.Handle, batch
 	return srv, h, batches
 }
 
-// pollAfterCommit applies one of the fixture's batches and enumerates,
-// returning the frame and how many of its blocks had to be encoded.
-func pollAfterCommit(tb testing.TB, srv *Server, h *dyncq.Handle, batch []dyncq.Update) (f frame, encoded uint64) {
+// poll enumerates the query's current version, returning the frame, how
+// many of its blocks had to be filled and how many tuple lines that
+// formatted.
+func poll(srv *Server, h *dyncq.Handle) (f frame, filled, formatted uint64) {
+	blocks, rows := srv.FrameCacheStats().Misses, srv.rowsFormatted.Load()
+	f = srv.enumerateFrame(h.Snapshot())
+	return f, srv.FrameCacheStats().Misses - blocks, srv.rowsFormatted.Load() - rows
+}
+
+// commit applies a batch that must net every one of its updates.
+func commit(tb testing.TB, srv *Server, batch []dyncq.Update) {
 	tb.Helper()
 	if n, err := srv.Workspace().ApplyBatch(batch); err != nil || n != len(batch) {
 		tb.Fatalf("batch netted %d of %d (err %v)", n, len(batch), err)
 	}
-	before := srv.FrameCacheStats().Misses
-	f = srv.enumerateFrame(h.Snapshot())
-	return f, srv.FrameCacheStats().Misses - before
+}
+
+// pollAfterCommit applies one of the fixture's batches and enumerates.
+func pollAfterCommit(tb testing.TB, srv *Server, h *dyncq.Handle, batch []dyncq.Update) (f frame, filled, formatted uint64) {
+	tb.Helper()
+	commit(tb, srv, batch)
+	return poll(srv, h)
 }
 
 // feedSizes are the result sizes the flat-in-|Q(D)| checks run at.
 var feedSizes = []int{3000, 30000, 100000}
 
+// toggle returns the batch that inserts the edges into E and the one that
+// deletes them again.
+func toggle(edges [][2]dyncq.Value) (ins, del []dyncq.Update) {
+	for _, e := range edges {
+		ins, del = append(ins, dyndb.Insert("E", e[0], e[1])), append(del, dyndb.Delete("E", e[0], e[1]))
+	}
+	return ins, del
+}
+
+// splitToggle is toggle for 200 result rows of a feedFixture that share
+// one x and so land in one leaf, which they split.
+func splitToggle() (ins, del []dyncq.Update) {
+	var edges [][2]dyncq.Value
+	for y := dyncq.Value(0); y < 200; y++ {
+		edges = append(edges, [2]dyncq.Value{3001, y})
+	}
+	return toggle(edges)
+}
+
 // TestEnumerateEncodesOnlyRebuiltLeaves is the count form of the claim
-// that an `enumerate` costs O(|Δ|) per polled version: after a commit of
-// eight tuples a poll encodes at most 2·8+1 leaf blocks (a delta tuple
-// rebuilds its leaf and may fold in or split off a neighbour) whether the
-// result holds 3k, 30k or 100k rows — where the 3k-row result alone has
-// more leaves than that, so a server that encodes past the leaf slot
-// fails at every size. Every frame equals the reference encoder's bytes,
-// and a block that is kept holds no slack.
+// that an `enumerate` costs O(|Δ|) per polled version: a poll formats at
+// most the tuple lines of the tuples added since the previous encoded poll
+// — a rebuilt leaf's surviving rows are spliced from the blocks of the
+// leaves it came from — whether the result holds 3k, 30k or 100k rows.
+// A commit of d tuples has at most 2d+1 leaf blocks filled. After each
+// 8-tuple commit at most 8 rows are formatted, after the commit taking
+// them out again none; a poll after four commits that were pinned but not
+// enumerated formats at most the 4·8 tuples they added; a commit of 200
+// tuples into one leaf splits it, and the poll after formats at most
+// those 200. Every frame
+// equals the reference encoder's bytes, and a block that is kept holds no
+// slack. With the splice bypassed every rebuilt leaf is formatted whole,
+// ≈ 125 rows and more per leaf, and the test fails at every size.
 func TestEnumerateEncodesOnlyRebuiltLeaves(t *testing.T) {
 	for _, result := range feedSizes {
 		t.Run(fmt.Sprintf("result=%dk", result/1000), func(t *testing.T) {
 			srv, h, batches := feedFixture(t, result)
-			cold := srv.enumerateFrame(h.Snapshot())
-			if st := srv.FrameCacheStats(); st.Misses != uint64(len(cold.blocks)) || st.Hits != 0 || len(cold.blocks) <= 2*8+1 {
-				t.Fatalf("the first enumerate of %d blocks read %+v, want every block encoded and more than 17 of them", len(cold.blocks), st)
+			cold, filled, formatted := poll(srv, h)
+			if st := srv.FrameCacheStats(); filled != uint64(len(cold.blocks)) || st.Hits != 0 || len(cold.blocks) <= 2*8+1 || formatted != uint64(result) {
+				t.Fatalf("the first enumerate of %d blocks read %+v and formatted %d rows, want every block and row encoded and more than 17 blocks", len(cold.blocks), st, formatted)
 			}
-			most := uint64(0)
-			for i := 0; i < 12; i++ {
-				f, encoded := pollAfterCommit(t, srv, h, batches[i%2])
-				if encoded == 0 || encoded > 2*8+1 {
-					t.Fatalf("poll %d after an 8-tuple commit encoded %d of %d blocks, want between 1 and 17", i, encoded, len(f.blocks))
+			// changed is the tuples the commits since the last poll added
+			// or took out, added those they added.
+			check := func(where string, f frame, filled, formatted, changed, added uint64) {
+				t.Helper()
+				if filled > 2*changed+1 || formatted > added {
+					t.Fatalf("%s: filled %d of %d blocks and formatted %d rows, for %d tuples changed and %d added since the last poll", where, filled, len(f.blocks), formatted, changed, added)
 				}
-				most = max(most, encoded)
 				if got, want := frameBytes(f), encodeSnapshot(h.Snapshot()); !bytes.Equal(got, want) {
-					t.Fatalf("poll %d: the frame of %d bytes differs from the reference encoder's %d", i, len(got), len(want))
+					t.Fatalf("%s: the frame of %d bytes differs from the reference encoder's %d", where, len(got), len(want))
 				}
 				for k, b := range f.blocks {
 					if 4*cap(b) > 5*len(b) {
-						t.Fatalf("poll %d: block %d holds %d bytes in a buffer of %d", i, k, len(b), cap(b))
+						t.Fatalf("%s: block %d holds %d bytes in a buffer of %d", where, k, len(b), cap(b))
 					}
 				}
 			}
-			t.Logf("%d rows in %d leaves: at most %d blocks encoded per poll", result, len(cold.blocks), most)
+			most := uint64(0)
+			for i := 0; i < 12; i++ {
+				f, filled, formatted := pollAfterCommit(t, srv, h, batches[i%2])
+				check(fmt.Sprintf("poll %d", i), f, filled, formatted, 8, uint64(8*(1-i%2)))
+				most = max(most, formatted)
+			}
+			// Four commits of eight new tuples each, every version pinned and
+			// none enumerated; then one commit taking them all out.
+			ys := dyncq.Value(result * 20000 / 100000)
+			var spread [][2]dyncq.Value
+			for j := 0; j < 32; j++ {
+				spread = append(spread, [2]dyncq.Value{dyncq.Value(2*(j*100000/32+j) + 3), dyncq.Value(j*37) % ys})
+			}
+			ins, del := toggle(spread)
+			for c := 0; c < 4; c++ {
+				commit(t, srv, ins[8*c:8*c+8])
+				h.Snapshot()
+			}
+			f, filled, formatted := poll(srv, h)
+			check("after four unread commits", f, filled, formatted, 32, 32)
+			f, filled, formatted = pollAfterCommit(t, srv, h, del)
+			check("after the commit taking them out", f, filled, formatted, 32, 0)
+			ins, del = splitToggle()
+			before := len(f.blocks)
+			f, filled, formatted = pollAfterCommit(t, srv, h, ins)
+			if len(f.blocks) <= before {
+				t.Fatalf("200 rows into one leaf left %d leaves, %d before: no split", len(f.blocks), before)
+			}
+			check("after a split", f, filled, formatted, 200, 200)
+			f, filled, formatted = pollAfterCommit(t, srv, h, del)
+			check("after the split rows left", f, filled, formatted, 200, 0)
+			t.Logf("%d rows in %d leaves: at most %d rows formatted per poll after an 8-tuple commit", result, len(cold.blocks), most)
 		})
 	}
 }
@@ -164,6 +235,59 @@ func TestEnumerateBlocksRaceWriter(t *testing.T) {
 			t.Errorf("batch %d netted %d of 8 (err %v)", i, n, err)
 			break
 		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestEnumerateSpliceRaceWriter: pollers race a writer over leaves whose
+// plans share their sources. The writer alternates commits that add 200
+// rows under one x — splitting their leaf, so that two or three pieces
+// splice out of one old block — and eight scattered rows, with commits
+// taking them all out again, and pins each version without enumerating
+// it, so that the plans of later versions take in those of earlier ones. Each poller enumerates the
+// newest version and, every third poll, a version it held back, so that
+// fills of a leaf and of the leaves spliced from it race in both orders.
+// Every frame must be the reference encoder's rendering of its snapshot.
+// Run with -race -count=10.
+func TestEnumerateSpliceRaceWriter(t *testing.T) {
+	srv, h, batches := feedFixture(t, 3000)
+	ins, del := splitToggle()
+	ins, del = append(ins, batches[0]...), append(del, batches[1]...)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for p := 0; p < 4; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			held := h.Snapshot()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap := h.Snapshot()
+				if i%3 == 2 {
+					snap, held = held, snap
+				}
+				if got, want := frameBytes(srv.enumerateFrame(snap)), encodeSnapshot(snap); !bytes.Equal(got, want) {
+					t.Errorf("poll %d at version %d: the frame of %d bytes differs from the reference encoder's %d", i, snap.Version(), len(got), len(want))
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		batch := ins
+		if i%2 == 1 {
+			batch = del
+		}
+		if n, err := srv.Workspace().ApplyBatch(batch); err != nil || n != len(batch) {
+			t.Errorf("batch %d netted %d of %d (err %v)", i, n, len(batch), err)
+			break
+		}
+		h.Snapshot()
 	}
 	close(stop)
 	wg.Wait()
@@ -300,25 +424,192 @@ func TestWriterDrainsOutboxIntoOneWrite(t *testing.T) {
 	}
 }
 
+// spliceOps builds FuzzLeafSplice inputs: commit(n, seed, shape) is a
+// commit of n tuples (1..256), poll an enumerate, pin a pin without one,
+// evict a dropped cache.
+type spliceOps []byte
+
+func (o spliceOps) commit(n int, seed, shape byte) spliceOps {
+	return append(o, 0, byte(n-1), seed, shape)
+}
+func (o spliceOps) poll() spliceOps  { return append(o, 3) }
+func (o spliceOps) pin() spliceOps   { return append(o, 5) }
+func (o spliceOps) evict() spliceOps { return append(o, 7) }
+
+// Commit shapes: the low two bits pick deletes, a mix or inserts, the
+// next two where x falls, 0xF0 deletes every edge.
+const (
+	shapeDelete, shapeMix, shapeInsert = 0, 1, 2
+	xWide, xCluster, xNarrow, xExtreme = 0 << 2, 1 << 2, 2 << 2, 3 << 2
+	shapeClear                         = 0xF0
+)
+
+// FuzzLeafSplice drives the feed query's snapshot leaves through commits
+// of up to 2×256 tuples — so leaves split and fold — that insert, delete,
+// or clear every edge and refill, over values of every sign and size with
+// math.MinInt64 and math.MaxInt64 among them, interleaved with polls,
+// pins that skip a poll, and evictions. At every poll the `enumerate`
+// frame must be the reference encoder's bytes, and the rows formatted must
+// be at most the result tuples added since the last poll, or the whole
+// result when a cold pin came since. Seeds run in tier-1; explore with go
+// test -fuzz=FuzzLeafSplice ./internal/server.
+func FuzzLeafSplice(f *testing.F) {
+	f.Add([]byte(spliceOps{}.commit(256, 1, shapeInsert|xCluster).poll().commit(256, 2, shapeInsert|xCluster).poll().
+		commit(100, 3, shapeMix|xWide).pin().commit(100, 4, shapeMix|xNarrow).pin().commit(51, 5, shapeDelete|xWide).poll().
+		commit(1, 0, shapeClear).poll().commit(201, 6, shapeInsert|xExtreme).poll().commit(150, 7, shapeInsert|xNarrow).poll()))
+	f.Add([]byte(spliceOps{}.commit(41, 8, shapeInsert|xExtreme).poll().commit(21, 9, shapeMix|xExtreme).poll().
+		evict().poll().commit(6, 10, shapeInsert|xNarrow).pin().commit(6, 11, shapeDelete).poll().commit(1, 0, shapeClear).pin().poll()))
+	decay := spliceOps{}.commit(200, 12, shapeInsert|xNarrow).poll()
+	for k := byte(0); k < 12; k++ {
+		decay = decay.commit(256, 13+k, shapeMix|xWide)
+	}
+	f.Add([]byte(decay.poll().commit(256, 40, shapeInsert|xCluster).pin().commit(256, 41, shapeDelete).pin().poll()))
+	f.Add([]byte{})
+	ts := []dyncq.Value{math.MinInt64, math.MinInt64 + 1, -1000, -1, 0, 1, 7, 1000, math.MaxInt64 - 1, math.MaxInt64}
+	extremes := []dyncq.Value{math.MinInt64, math.MinInt64 + 1, -2, -1, 0, 1, 2, math.MaxInt64 - 1, math.MaxInt64}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		srv := New(Options{})
+		defer srv.Close()
+		ws := srv.Workspace()
+		h, err := ws.Register("feed", "Q(x,y) :- E(x,y), T(y)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var load []dyncq.Update
+		for _, y := range ts {
+			load = append(load, dyndb.Insert("T", y))
+		}
+		commit(t, srv, load)
+		var added atomic.Int64 // result tuples added since the last poll
+		if err := ws.CaptureDeltas("feed", func(ev dyncq.DeltaEvent) { added.Add(int64(len(ev.Added))) }); err != nil {
+			t.Fatal(err)
+		}
+		var edges [][2]dyncq.Value // the store's E, and where each edge sits in it
+		at := map[[2]dyncq.Value]int{}
+		misses := h.SnapshotCacheStats().Misses
+		for len(data) > 0 {
+			op := data[0]
+			data = data[1:]
+			switch op % 8 {
+			case 0, 1, 2:
+				var arg [3]byte
+				data = data[copy(arg[:], data):]
+				n, rng, shape := int(arg[0])+1, rand.New(rand.NewSource(int64(arg[1])<<8|int64(arg[2]))), arg[2]
+				var batch []dyncq.Update
+				if shape == shapeClear {
+					for len(edges) > 0 {
+						k := min(len(edges), 256)
+						for _, e := range edges[len(edges)-k:] {
+							batch = append(batch, dyndb.Delete("E", e[0], e[1]))
+							delete(at, e)
+						}
+						edges = edges[:len(edges)-k]
+						commit(t, srv, batch)
+						batch = batch[:0]
+					}
+					continue
+				}
+				inBatch := map[[2]dyncq.Value]bool{}
+				for j := 0; j < n; j++ {
+					if mode := shape & 3; (mode == shapeDelete || mode == shapeMix && rng.Intn(2) == 0) && len(edges) > 0 {
+						e := edges[rng.Intn(len(edges))]
+						if !inBatch[e] {
+							inBatch[e] = true
+							batch = append(batch, dyndb.Delete("E", e[0], e[1]))
+						}
+						continue
+					}
+					var e [2]dyncq.Value
+					switch shape & 0xc {
+					case xWide:
+						e[0] = dyncq.Value(rng.Uint64())
+					case xCluster:
+						e[0] = []dyncq.Value{math.MinInt64, -500, 0, 500, math.MaxInt64 - 64}[arg[1]%5] + dyncq.Value(rng.Intn(64))
+					case xNarrow:
+						e[0] = dyncq.Value(rng.Intn(601) - 300)
+					default:
+						e[0] = extremes[rng.Intn(len(extremes))]
+					}
+					if e[1] = ts[rng.Intn(len(ts))]; rng.Intn(10) == 0 {
+						e[1] = dyncq.Value(rng.Intn(5)) + 2 // outside T: the result does not move
+					}
+					if _, stored := at[e]; !stored && !inBatch[e] {
+						inBatch[e] = true
+						batch = append(batch, dyndb.Insert("E", e[0], e[1]))
+					}
+				}
+				commit(t, srv, batch)
+				for _, u := range batch {
+					e := [2]dyncq.Value{u.Tuple[0], u.Tuple[1]}
+					if i, stored := at[e]; stored {
+						last := edges[len(edges)-1]
+						edges[i], at[last] = last, i
+						edges = edges[:len(edges)-1]
+						delete(at, e)
+					} else {
+						at[e] = len(edges)
+						edges = append(edges, e)
+					}
+				}
+			case 3, 4:
+				misses = splicePoll(t, srv, h, misses, added.Swap(0))
+			case 5, 6:
+				h.Snapshot()
+			case 7:
+				h.EvictSnapshot()
+			}
+		}
+		splicePoll(t, srv, h, misses, added.Swap(0))
+	})
+}
+
+// splicePoll is one FuzzLeafSplice poll: the frame must be the reference
+// encoder's, and the rows formatted at most added, or the whole result if
+// a pin since the last poll (misses, the count then) was cold. It returns
+// the miss count now.
+func splicePoll(t *testing.T, srv *Server, h *dyncq.Handle, misses uint64, added int64) uint64 {
+	t.Helper()
+	snap := h.Snapshot()
+	now := h.SnapshotCacheStats().Misses
+	bound := uint64(added)
+	if now != misses {
+		bound = uint64(snap.Len())
+	}
+	before := srv.rowsFormatted.Load()
+	got := frameBytes(srv.enumerateFrame(snap))
+	if formatted := srv.rowsFormatted.Load() - before; formatted > bound {
+		t.Fatalf("version %d (%d rows): the poll formatted %d rows, want at most %d (added %d, cold pin %v)", snap.Version(), snap.Len(), formatted, bound, added, now != misses)
+	}
+	if want := encodeSnapshot(snap); !bytes.Equal(got, want) {
+		t.Fatalf("version %d: the frame of %d bytes differs from the reference encoder's %d", snap.Version(), len(got), len(want))
+	}
+	return now
+}
+
 // BenchmarkEnumerateFrame times what a poller one commit behind costs the
 // server: an 8-tuple commit, the pin, and the `enumerate` frame put
 // together from the leaves' blocks — at a 3k-, a 30k- and a 100k-row
 // result. The frame is O(|result|) bytes on the wire whatever the server
-// does; what must not grow with the result is the encoding, so each
-// iteration checks the blocks it encoded against the 2·8+1 bound, and
-// B/op shows the block vector (a slice header per leaf) as the only term
-// that does.
+// does; what must not grow with the result is the formatting, so each
+// iteration checks that it formatted at most the 8 rows the commit added
+// (half the commits add them, half take them out), rows-formatted/op
+// reports the mean, and B/op shows the block vector (a slice header per
+// leaf) as the only term that grows with the result.
 func BenchmarkEnumerateFrame(b *testing.B) {
 	for _, result := range feedSizes {
 		b.Run(fmt.Sprintf("result=%dk", result/1000), func(b *testing.B) {
 			srv, h, batches := feedFixture(b, result)
 			srv.enumerateFrame(h.Snapshot())
 			b.ReportAllocs()
+			total := uint64(0)
 			for i := 0; b.Loop(); i++ {
-				if f, encoded := pollAfterCommit(b, srv, h, batches[i%2]); encoded == 0 || encoded > 2*8+1 {
-					b.Fatalf("poll %d after an 8-tuple commit encoded %d of %d blocks, want between 1 and 17", i, encoded, len(f.blocks))
+				_, _, formatted := pollAfterCommit(b, srv, h, batches[i%2])
+				if formatted > 8 {
+					b.Fatalf("poll %d after an 8-tuple commit formatted %d rows, want at most 8", i, formatted)
 				}
+				total += formatted
 			}
+			b.ReportMetric(float64(total)/float64(b.N), "rows-formatted/op")
 		})
 	}
 }

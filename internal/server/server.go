@@ -59,8 +59,8 @@ type Server struct {
 	broker *broker
 
 	// Encode-once counters of the `enumerate` frames' leaf blocks
-	// (FrameCacheStats).
-	blocksReused, blocksEncoded atomic.Uint64
+	// (FrameCacheStats), and the tuple lines formatted to fill them.
+	blocksReused, blocksEncoded, rowsFormatted atomic.Uint64
 
 	// subMu serializes all subscription topology changes: broker
 	// add/remove, capture start/stop, and each session's subs map. It
@@ -186,9 +186,11 @@ func (s *Server) DroppedFrames(name string) uint64 {
 
 // enumerateFrame returns the `enumerate` frame of a pinned snapshot: a
 // header line of its own, the leaves' encoded blocks, the terminator. A
-// leaf is encoded once and its block kept on the leaf itself
-// (dyncq.QuerySnapshot.Blocks), so the frame of a new version encodes only
-// the leaves the commits since the last enumerate rebuilt, and the blocks
+// leaf's block is filled once and kept on the leaf itself
+// (dyncq.QuerySnapshot.Blocks), and a leaf a commit rebuilt has its block
+// spliced from the blocks of the leaves it came from: so the frame of a
+// new version formats only the tuples the commits since the last
+// enumerate added — O(|Δ|) rows, not the rebuilt leaves — and the blocks
 // fan out by reference, byte-identical, to every client — the same
 // discipline broker.publish applies to delta frames. A block is collected
 // with the leaf it renders, and any eviction or unregister/re-register
@@ -197,10 +199,19 @@ func (s *Server) DroppedFrames(name string) uint64 {
 //
 //dyncq:hot
 func (s *Server) enumerateFrame(snap *dyncq.QuerySnapshot) frame {
-	blocks, encoded := snap.Blocks(encodeLeaf)
+	blocks, encoded := snap.Blocks(s.formatRows)
 	s.blocksEncoded.Add(uint64(encoded))
 	s.blocksReused.Add(uint64(len(blocks) - encoded))
 	return frame{head: encodeSnapshotHeader(snap), blocks: blocks, tail: frameEndBlock}
+}
+
+// formatRows is encodeLeaf, counted: the encoder enumerateFrame hands to
+// Blocks, which calls it only for the rows no block holds yet.
+//
+//dyncq:hot
+func (s *Server) formatRows(name string, arity int, rows []dyncq.Value) []byte {
+	s.rowsFormatted.Add(uint64(len(rows) / arity))
+	return encodeLeaf(name, arity, rows)
 }
 
 // FrameCacheStats is the server's encode-once counters, in leaf blocks of

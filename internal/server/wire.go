@@ -51,16 +51,17 @@
 // copy-on-write leaves, each leaf's tuple lines are encoded once and kept
 // with the leaf, and a frame is the header line, the leaves' blocks and
 // the terminator, sent by reference in one vectored write. A commit
-// rebuilds only the leaves its delta touches, so an `enumerate` at a new
-// version encodes O(|delta|) leaves, not the result, and every client
-// asking — at that version or at any other that shares the leaf — is sent
-// the same bytes. The tuples are in lexicographic order too, whatever
-// strategy maintains the query — the frame is a function of the result
-// set, byte-identical across strategies and fan-out widths — so a client
-// keeping a mirror applies each later delta frame to the snapshot by one
-// sorted merge. A subscriber that cannot keep up
-// (bounded per-connection outbox) has frames dropped; on recovery it
-// receives a single
+// rebuilds only the leaves its delta touches, and a rebuilt leaf's block
+// is spliced from the blocks of the leaves it was merged from, so an
+// `enumerate` at a new version formats O(|delta|) rows — the tuples added
+// since the last one — not the result, and every client asking — at that
+// version or at any other that shares the leaf — is sent the same bytes.
+// The tuples are in lexicographic order too, whatever strategy maintains
+// the query — the frame is a function of the result set, byte-identical
+// across strategies and fan-out widths — so a client keeping a mirror
+// applies each later delta frame to the snapshot by one sorted merge. A
+// subscriber that cannot keep up (bounded per-connection outbox) has
+// frames dropped; on recovery it receives a single
 //
 //	resync <name> <version> <dropped>
 //
@@ -215,11 +216,13 @@ func encodeSnapshotHeader(s *dyncq.QuerySnapshot) []byte {
 	return buf
 }
 
-// encodeLeaf renders one snapshot leaf — row-major rows of a query's
-// result — as the tuple lines of an `enumerate` frame, in a block of
-// exactly their size. Runs without any workspace lock held, at most once
-// per leaf (modulo benign racing misses: dyncq.QuerySnapshot.Blocks), so
-// every client whose frame covers the leaf receives the same bytes.
+// encodeLeaf renders row-major rows of a query's result — a snapshot
+// leaf's, or the rows of a rebuilt leaf that no earlier block holds — as
+// the tuple lines of an `enumerate` frame, one '\n'-terminated line per
+// row as dyncq.QuerySnapshot.Blocks asks, in a block of exactly their
+// size. Runs without any workspace lock held, at most once per row of a
+// leaf (modulo benign racing misses), so every client whose frame covers
+// the leaf receives the same bytes.
 //
 //dyncq:hot
 func encodeLeaf(name string, arity int, rows []dyncq.Value) []byte {

@@ -25,8 +25,9 @@ import (
 // rebuilding the leaves the commit's result delta touches and sharing the
 // rest, and drop an undemanded one, so a write-only stream pays nothing —
 // updates stay the hot path. What a reader renders from a leaf stays with
-// the leaf (QuerySnapshot.Blocks), so a reader one commit behind pays for
-// the rebuilt leaves only, like the commit did.
+// the leaf (QuerySnapshot.Blocks), and a rebuilt leaf's rendering is
+// spliced from the renderings of the leaves it was merged from, so a
+// reader one commit behind formats the rows that commit added only.
 //
 // One order contract: a snapshot lists its rows in lexicographic order
 // on every strategy, so it is a function of the result SET — identical
@@ -153,34 +154,35 @@ func (s *QuerySnapshot) Tuples() [][]Value {
 }
 
 // Blocks returns the encoded form of every leaf, in row order, and the
-// number of leaves this call had to encode. A leaf carries its encoding in
-// a slot filled at most once (snapLeaf.block): the first call to reach a
-// leaf runs encode over its row-major rows and keeps the result, every
-// later call — on this snapshot or on the snapshot of any other version
-// that shares the leaf — gets those same bytes. So after a commit only the
-// leaves that commit rebuilt are encoded again, and an encoding lives
-// exactly as long as some pinned or cached version can still see its rows:
-// there is nothing to purge. Callers racing on an empty slot may each
-// encode; a leaf encodes to the same bytes every time and the first to
-// finish wins. The returned slice is the caller's, the blocks in it are
-// shared: do not modify them. A Boolean query has no leaves. The serving
-// layer builds its `enumerate` frames from the blocks.
+// number of leaves this call had to fill. encode renders row-major rows of
+// the query's result as one '\n'-terminated line per row, the same bytes
+// for a row whatever rows come with it, as internal/server.encodeLeaf
+// does. A leaf carries its encoding in a slot filled at most once: the
+// first call to reach a leaf fills it and every later call — on this
+// snapshot or on the snapshot of any other version that shares the leaf
+// — gets those same bytes. A leaf a commit rebuilt is not rendered anew:
+// its block is spliced from the blocks of the leaves it was merged from,
+// a copy per run of surviving rows, and only the rows no encoded leaf
+// holds — the tuples added since — go through encode (snapLeaf.fill); a
+// leaf materialised by a cold pin is encoded whole. So a call after a
+// commit formats O(|Δ|) rows, and an encoding lives exactly as long as
+// some pinned or cached version can still see its rows, or a rebuilt
+// leaf's plan its bytes: there is nothing to purge. Callers racing on an
+// empty slot may each fill it; a leaf encodes to the same bytes every time
+// and the first to finish wins. The returned slice is the caller's, the
+// blocks in it are shared: do not modify them. A Boolean query has no
+// leaves. The serving layer builds its `enumerate` frames from the blocks.
 //
 //dyncq:hot
 func (s *QuerySnapshot) Blocks(encode func(name string, arity int, rows []Value) []byte) (blocks [][]byte, encoded int) {
 	blocks = make([][]byte, 0, len(s.leaves))
 	for _, l := range s.leaves {
-		b := l.block.Load()
-		if b == nil {
-			fresh := encode(s.name, s.arity, l.rows)
+		e := l.enc.Load()
+		if e == nil || e.block == nil {
+			e = l.fill(e, s.name, s.arity, encode)
 			encoded++
-			if l.block.CompareAndSwap(nil, &fresh) {
-				b = &fresh
-			} else {
-				b = l.block.Load()
-			}
 		}
-		blocks = append(blocks, *b)
+		blocks = append(blocks, e.block)
 	}
 	return blocks, encoded
 }

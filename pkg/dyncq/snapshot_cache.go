@@ -1,6 +1,7 @@
 package dyncq
 
 import (
+	"bytes"
 	"slices"
 	"sync/atomic"
 )
@@ -23,11 +24,16 @@ import (
 // previous version: O(|Δ|·leaf) rows copied plus the n/leaf index
 // entries, no backend enumeration, no sort. A reader holding an old pin
 // keeps exactly the leaves it can see. A leaf also carries its encoded
-// form once a reader has asked for it (snapLeaf.block, filled through
+// form once a reader has asked for it (snapLeaf.enc, filled through
 // QuerySnapshot.Blocks): shared leaves take their bytes along from version
-// to version, so rendering a new version costs the rebuilt leaves, and the
-// bytes go when the leaf does. Only a commit that comes without a
-// delta re-materialises: a Load on a handle nobody captures.
+// to version, and the bytes go when the leaf does. A rebuilt leaf carries
+// until then the plan of its merge — which rows came from which old leaf,
+// which were added — so that its bytes are spliced from the old leaves'
+// and rendering a new version formats only the rows added since the last
+// rendered one. A plan names only leaves whose bytes are filled, so it
+// keeps alive at most the leaves of the last rendered version, and it is
+// dropped when the leaf's own bytes are filled. Only a commit that comes
+// without a delta re-materialises: a Load on a handle nobody captures.
 //
 // The fast path is linearizable without any lock: the pointer only
 // moves while writers are excluded (write lock held, or the read lock
@@ -45,9 +51,10 @@ import (
 // would. Every pin re-arms a budget of the words a re-materialisation of
 // the pinned snapshot writes (snapshotWords: a header word, one index word
 // per leaf, n·arity values); every advance is charged the words it wrote
-// (a header word, the next version's index level, the rows of the leaves
-// it rebuilt, and the arity·|Δ| values of the delta it read); a commit
-// that finds the budget spent drops the cache instead of advancing it.
+// (a header word, the next version's index level, the rows and plans of
+// the leaves it rebuilt, and the arity·|Δ| values of the delta it read);
+// a commit that finds the budget spent drops the cache instead of
+// advancing it.
 // After the last pin the unread advances therefore write at most one
 // re-materialisation plus one advance, and since every advance is charged
 // at least its index words while a leaf holds at most 2×snapLeafRows
@@ -207,12 +214,200 @@ func (h *Handle) advanceSnapshot(ev DeltaEvent, delta bool) {
 // snapLeaf is an immutable row-major run of whole result rows in
 // lexicographic order. Snapshots hold their leaves by pointer, so that
 // the index level an advance copies is one word per leaf — and so that
-// what a reader derives from a leaf's rows stays with the leaf: block is
+// what a reader derives from a leaf's rows stays with the leaf: enc is
 // the rows' encoded form, filled at most once (QuerySnapshot.Blocks) and
-// carried to every later version that shares the leaf.
+// carried to every later version that shares the leaf, and until then,
+// for a leaf an advance rebuilt, the plan that splices that form out of
+// the blocks of the leaves it was merged from.
 type snapLeaf struct {
-	rows  []Value
-	block atomic.Pointer[[]byte]
+	rows []Value
+	enc  atomic.Pointer[leafEncoding]
+}
+
+// leafEncoding is what a leaf holds of its encoded form. A filled one has
+// block, one '\n'-terminated line per row, and ends, where ends[i] is the
+// offset just past row i's line — so a range of rows is a range of
+// bytes. An unfilled one has the plan of a rebuilt leaf. A leaf moves from
+// planned (or from nothing, nil) to filled once, by one compare-and-swap
+// that drops the plan, and with it the leaves the plan kept alive.
+type leafEncoding struct {
+	plan  []spliceOp
+	block []byte
+	ends  []int32
+}
+
+// spliceOp is one step of a rebuilt leaf's plan, which tiles its rows in
+// order: the next rows rows of the leaf are rows [from, from+rows) of src,
+// whose block is filled — or, with src nil, rows no filled block holds
+// (the delta's added tuples, and rows of leaves never encoded), which the
+// encoder formats.
+type spliceOp struct {
+	src        *snapLeaf
+	from, rows int32
+}
+
+// spliceOpWords is what a plan step holds, in words: a plan is charged to
+// the demand budget at this many words a step.
+const spliceOpWords = 2
+
+// appendSplice appends to plan the step "the next n rows are rows
+// [from, from+n) of src", resolved so that the plan names only leaves with
+// a filled block: a source with a block is named, a source with a plan
+// but no block contributes the slice of its own plan that covers those
+// rows (so a plan never reaches back more than one step, whatever the
+// number of unread advances), and a source with neither gives rows to
+// format.
+//
+//dyncq:hot
+func appendSplice(plan []spliceOp, src *snapLeaf, from, n int) []spliceOp {
+	switch e := src.enc.Load(); {
+	case e != nil && e.block != nil:
+		return appendStep(plan, spliceOp{src: src, from: int32(from), rows: int32(n)})
+	case e != nil:
+		return appendPlanSlice(plan, e.plan, from, n)
+	}
+	return appendStep(plan, spliceOp{rows: int32(n)})
+}
+
+// appendPlanSlice appends the steps of plan that cover the rows
+// [from, from+n) of the leaf it tiles, cut at both ends.
+//
+//dyncq:hot
+func appendPlanSlice(dst, plan []spliceOp, from, n int) []spliceOp {
+	out := dst[:]
+	at := 0 // the leaf's first row the step at hand covers
+	for _, op := range plan {
+		if lo, hi := max(from, at), min(from+n, at+int(op.rows)); lo < hi {
+			cut := spliceOp{src: op.src, rows: int32(hi - lo)}
+			if op.src != nil {
+				cut.from = op.from + int32(lo-at)
+			}
+			out = appendStep(out, cut)
+		}
+		if at += int(op.rows); at >= from+n {
+			break
+		}
+	}
+	return out
+}
+
+// appendStep appends op to plan, extending the last step instead when op
+// continues it: rows to format after rows to format, or the next rows of
+// the same source.
+//
+//dyncq:hot
+func appendStep(plan []spliceOp, op spliceOp) []spliceOp {
+	if k := len(plan) - 1; k >= 0 && plan[k].src == op.src && (op.src == nil || plan[k].from+plan[k].rows == op.from) {
+		plan[k].rows += op.rows
+		return plan
+	}
+	out := plan[:]
+	return append(out, op)
+}
+
+// setPlan gives a leaf being built its plan, a copy of the exact size,
+// and returns the words it holds. A plan that formats every row is no
+// plan: the leaf is encoded whole.
+func (l *snapLeaf) setPlan(plan []spliceOp) int {
+	if len(plan) == 1 && plan[0].src == nil {
+		return 0
+	}
+	l.enc.Store(&leafEncoding{plan: slices.Clone(plan)})
+	return spliceOpWords * len(plan)
+}
+
+// planWords returns the words of the plan a leaf holds, 0 once filled.
+func (l *snapLeaf) planWords() int {
+	if e := l.enc.Load(); e != nil {
+		return spliceOpWords * len(e.plan)
+	}
+	return 0
+}
+
+// fill encodes the leaf and keeps the result, unless a racing call kept
+// one first; it returns the one kept. was is the unfilled state the caller
+// found. A leaf without a plan is encoded whole; a planned one is spliced:
+// one copy per step that names a source, out of that source's block, and
+// one encoder call per run of rows to format — so what is formatted is
+// what no earlier block holds. The block is allocated at its exact size.
+//
+//dyncq:hot
+func (l *snapLeaf) fill(was *leafEncoding, name string, arity int, encode func(name string, arity int, rows []Value) []byte) *leafEncoding {
+	f := &leafEncoding{ends: make([]int32, len(l.rows)/arity)}
+	if was == nil {
+		f.block = encode(name, arity, l.rows)
+		lineEnds(f.ends, f.block, 0)
+	} else {
+		// Format first, so the size is known before the block is made.
+		var first [4][]byte
+		formatted := first[:0]
+		size, at := 0, 0
+		for _, op := range was.plan {
+			if op.src == nil {
+				b := encode(name, arity, l.rows[at*arity:(at+int(op.rows))*arity])
+				formatted = append(formatted, b)
+				size += len(b)
+			} else {
+				src := op.src.enc.Load()
+				size += int(lineStart(src.ends, op.from+op.rows) - lineStart(src.ends, op.from))
+			}
+			at += int(op.rows)
+		}
+		block := make([]byte, 0, size)
+		at = 0
+		for _, op := range was.plan {
+			ends := f.ends[at : at+int(op.rows)]
+			if op.src == nil {
+				lineEnds(ends, formatted[0], int32(len(block)))
+				block = append(block, formatted[0]...)
+				formatted = formatted[1:]
+			} else {
+				src := op.src.enc.Load()
+				lo, hi := lineStart(src.ends, op.from), lineStart(src.ends, op.from+op.rows)
+				shift := int32(len(block)) - lo
+				for i, end := range src.ends[op.from : op.from+op.rows] {
+					ends[i] = end + shift
+				}
+				block = append(block, src.block[lo:hi]...)
+			}
+			at += int(op.rows)
+		}
+		f.block = block
+	}
+	if l.enc.CompareAndSwap(was, f) {
+		return f
+	}
+	return l.enc.Load()
+}
+
+// lineStart returns the offset at which row i's line starts in a block
+// whose line ends are ends: where row i-1's ends, 0 for the first.
+//
+//dyncq:hot
+func lineStart(ends []int32, i int32) int32 {
+	if i == 0 {
+		return 0
+	}
+	return ends[i-1]
+}
+
+// lineEnds records in ends the offsets, shifted by base, just past each
+// line of an encoder's output, which must hold exactly len(ends) lines.
+//
+//dyncq:hot
+func lineEnds(ends []int32, b []byte, base int32) {
+	off := 0
+	for i := range ends {
+		n := bytes.IndexByte(b[off:], '\n')
+		if n < 0 {
+			panic("dyncq: a Blocks encoder rendered fewer lines than rows")
+		}
+		off += n + 1
+		ends[i] = base + int32(off)
+	}
+	if off != len(b) {
+		panic("dyncq: a Blocks encoder rendered more than one line per row")
+	}
 }
 
 // patchLeaves merges one committed delta into a snapshot's leaves and
@@ -227,9 +422,12 @@ type snapLeaf struct {
 // is the last), cut into even pieces when it outgrows 2×capacity rows,
 // dropped when nothing is left. So every leaf of a result of more than
 // one leaf holds between capacity/2 and 2×capacity rows, and a delta of d
-// tuples rebuilds at most 2d leaves. words is what the rebuilt leaves —
-// those of next not shared with prev — hold, in values: the advance's
-// charge for them.
+// tuples rebuilds at most 2d leaves. Each rebuilt leaf records, as its
+// plan, which rows it took from which leaf and which it gained, so that
+// its encoded form is spliced from theirs (snapLeaf.fill); a run cut into
+// pieces cuts its plan alike. words is what the rebuilt leaves — those of
+// next not shared with prev — hold, in words: their values and their
+// plans, the advance's charge for them.
 //
 //dyncq:hot
 func patchLeaves(prev []*snapLeaf, arity, capacity int, added, removed [][]Value) (next []*snapLeaf, words int) {
@@ -237,6 +435,11 @@ func patchLeaves(prev []*snapLeaf, arity, capacity int, added, removed [][]Value
 	li := 0              // the first leaf of prev not yet shared or merged
 	a, r := 0, 0         // the first delta tuples not yet merged
 	lastRebuilt := false // whether next ends in a leaf of this call's
+	// The plan of the run at hand and of the piece at hand, reused from
+	// run to run: a step per added tuple and one per range of rows between
+	// two delta tuples, more when a source lends its plan's steps.
+	plan := make([]spliceOp, 0, 16)
+	var piece []spliceOp
 	for a < len(added) || r < len(removed) {
 		// The smallest pending delta tuple names the next touched leaf;
 		// the leaves ahead of it go over as they are.
@@ -273,24 +476,38 @@ func patchLeaves(prev []*snapLeaf, arity, capacity int, added, removed [][]Value
 			continue
 		}
 		var left []Value
+		plan = plan[:0]
 		if 2*m < capacity && len(next) > 0 {
 			// Too small to stand alone and no right neighbour left: take
 			// back the leaf before it (if a run before rebuilt that one,
-			// its rows count once, in this run).
-			left, next = next[len(next)-1].rows, next[:len(next)-1]
+			// its rows count once, in this run, and its plan goes into
+			// this run's).
+			l := next[len(next)-1]
+			left, next = l.rows, next[:len(next)-1]
 			m += len(left) / arity
+			plan = appendSplice(plan, l, 0, len(left)/arity)
 			if lastRebuilt {
-				words -= len(left)
+				words -= len(left) + l.planWords()
 			}
 		}
 		run := make([]Value, 0, m*arity)
 		run = append(run, left...)
-		run = mergeLeaves(run, prev[from:li], arity, added[a0:a], removed[r0:r])
+		run, plan = mergeLeaves(run, plan, prev[from:li], arity, added[a0:a], removed[r0:r])
 		words += len(run)
 		if m <= 2*capacity {
-			next = append(next, &snapLeaf{rows: run})
+			l := &snapLeaf{rows: run}
+			words += l.setPlan(plan)
+			next = append(next, l)
 		} else {
+			k := len(next)
 			next = appendLeaves(next, m, arity, capacity, func(i int) []Value { return run[i*arity : (i+1)*arity] })
+			at := 0
+			for _, l := range next[k:] {
+				n := len(l.rows) / arity
+				piece = appendPlanSlice(piece[:0], plan, at, n)
+				words += l.setPlan(piece)
+				at += n
+			}
 		}
 		lastRebuilt = true
 	}
@@ -331,12 +548,13 @@ func leafOf(leaves []*snapLeaf, arity int, t []Value) int {
 
 // mergeLeaves appends to run the rows of consecutive leaves with the
 // removed rows left out and the added ones spliced in at their sort
-// position. Each delta tuple's place is found by binary search and the
-// rows between two places are copied in one piece.
+// position, and to plan the steps that say so. Each delta tuple's place is
+// found by binary search and the rows between two places are copied in
+// one piece, one plan step.
 //
 //dyncq:hot
-func mergeLeaves(run []Value, leaves []*snapLeaf, arity int, added, removed [][]Value) []Value {
-	out := run[:]
+func mergeLeaves(run []Value, plan []spliceOp, leaves []*snapLeaf, arity int, added, removed [][]Value) ([]Value, []spliceOp) {
+	out, steps := run[:], plan[:]
 	for k, l := range leaves {
 		rows := l.rows
 		var bound []Value // delta tuples from here on belong to a later leaf
@@ -350,22 +568,30 @@ func mergeLeaves(run []Value, leaves []*snapLeaf, arity int, added, removed [][]
 				break
 			}
 			at := off + rowLowerBound(rows[off:], arity, t)
-			out = append(out, rows[off:at]...)
+			if at > off {
+				out = append(out, rows[off:at]...)
+				steps = appendSplice(steps, l, off/arity, (at-off)/arity)
+			}
 			off = at
 			if remove {
 				off += arity
 				removed = removed[1:]
 			} else {
 				out = append(out, t...)
+				steps = appendStep(steps, spliceOp{rows: 1})
 				added = added[1:]
 			}
 		}
-		out = append(out, rows[off:]...)
+		if off < len(rows) {
+			out = append(out, rows[off:]...)
+			steps = appendSplice(steps, l, off/arity, (len(rows)-off)/arity)
+		}
 	}
 	for _, t := range added { // no leaves at all: the result was empty
 		out = append(out, t...)
+		steps = appendStep(steps, spliceOp{rows: 1})
 	}
-	return out
+	return out, steps
 }
 
 // rowLowerBound returns the offset in the sorted row-major buffer rows of

@@ -1,6 +1,7 @@
 package dyncq
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"weak"
 
 	"dyncq/internal/cq"
 	"dyncq/internal/dyndb"
@@ -256,7 +258,12 @@ func TestSnapshotAdvanceMatchesFreshPin(t *testing.T) {
 // capacities against a brute-force reference (apply the delta to the row
 // set, re-sort), leaf invariants checked after every patch, and the words
 // it reports — the advance's charge for the leaves it rebuilt — equal to
-// the values held by the leaves not pointer-shared with the previous ones.
+// the values and plan steps held by the leaves not pointer-shared with the
+// previous ones. Between patches a third of the leaves are filled, at
+// random, so that the plans the next patch builds name filled sources,
+// take in the plans of unfilled ones and are cut by folds and splits;
+// every plan must hold the rows it promises, and every splice must give
+// the leaf's whole encoding while formatting only the rows its plan says.
 func TestPatchLeaves(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for iter := 0; iter < 60; iter++ {
@@ -305,6 +312,14 @@ func TestPatchLeaves(t *testing.T) {
 			leaves = next
 			checkLeaves(t, leaves, arity, capacity, len(want), where)
 			rowsIdentical(t, (&QuerySnapshot{arity: arity, n: len(want), leaves: leaves}).Tuples(), want, where)
+			// A reader encodes some leaves before the next patch, so that
+			// plans name filled blocks, inline other plans and get cut.
+			checkPlans(t, leaves, arity, where)
+			for _, l := range leaves {
+				if rng.Intn(3) == 0 {
+					fillChecked(t, l, arity, where)
+				}
+			}
 		}
 	}
 }
@@ -333,9 +348,9 @@ func TestLexOrder(t *testing.T) {
 	}
 }
 
-// rebuiltWords returns the values held by the leaves of next that are not
-// pointer-shared with prev: what an advance from prev to next wrote into
-// leaves.
+// rebuiltWords returns the words held by the leaves of next that are not
+// pointer-shared with prev — their values and their plans: what an
+// advance from prev to next wrote into leaves.
 func rebuiltWords(prev, next []*snapLeaf) int {
 	shared := make(map[*snapLeaf]bool, len(prev))
 	for _, l := range prev {
@@ -344,10 +359,93 @@ func rebuiltWords(prev, next []*snapLeaf) int {
 	words := 0
 	for _, l := range next {
 		if !shared[l] {
-			words += len(l.rows)
+			words += len(l.rows) + l.planWords()
 		}
 	}
 	return words
+}
+
+// lineEncoder renders rows the way Blocks asks, one '\n'-terminated line
+// per row: the test form of internal/server.encodeLeaf.
+func lineEncoder(name string, arity int, rows []Value) []byte {
+	var b []byte
+	for off := 0; off < len(rows); off += arity {
+		b = fmt.Appendf(b, "%s/%d%v\n", name, arity, rows[off:off+arity])
+	}
+	return b
+}
+
+// checkPlans asserts what a plan promises of every unfilled leaf that has
+// one: its steps tile the leaf's rows, none is empty or continues the one
+// before, and every step naming a source names a leaf whose block is
+// filled and whose rows there are the leaf's. It returns the sources the
+// plans name.
+func checkPlans(t *testing.T, leaves []*snapLeaf, arity int, where string) map[*snapLeaf]bool {
+	t.Helper()
+	sources := map[*snapLeaf]bool{}
+	for k, l := range leaves {
+		e := l.enc.Load()
+		if e == nil || e.block != nil {
+			continue
+		}
+		at := 0
+		for i, op := range e.plan {
+			if op.rows <= 0 || i > 0 && op.src == e.plan[i-1].src && (op.src == nil || e.plan[i-1].from+e.plan[i-1].rows == op.from) {
+				t.Fatalf("%s: leaf %d: step %d of %v is empty or continues the one before", where, k, i, e.plan)
+			}
+			if op.src != nil {
+				src := op.src.enc.Load()
+				if src == nil || src.block == nil {
+					t.Fatalf("%s: leaf %d: step %d names a leaf with no block", where, k, i)
+				}
+				lo, hi := int(op.from)*arity, int(op.from+op.rows)*arity
+				if hi > len(op.src.rows) || at+int(op.rows) > len(l.rows)/arity ||
+					!slices.Equal(op.src.rows[lo:hi], l.rows[at*arity:(at+int(op.rows))*arity]) {
+					t.Fatalf("%s: leaf %d: step %d (rows %d..%d of its source) does not hold the leaf's rows from %d", where, k, i, op.from, op.from+op.rows, at)
+				}
+				sources[op.src] = true
+			}
+			at += int(op.rows)
+		}
+		if at != len(l.rows)/arity {
+			t.Fatalf("%s: leaf %d: the plan covers %d of %d rows", where, k, at, len(l.rows)/arity)
+		}
+	}
+	return sources
+}
+
+// fillChecked fills an unfilled leaf's block and checks it against the
+// leaf encoded whole, line ends included, and that the encoder was asked
+// for exactly the rows the plan formats (all of them without a plan).
+func fillChecked(t *testing.T, l *snapLeaf, arity int, where string) {
+	t.Helper()
+	e := l.enc.Load()
+	if e != nil && e.block != nil {
+		return
+	}
+	want := len(l.rows) / arity
+	if e != nil {
+		want = 0
+		for _, op := range e.plan {
+			if op.src == nil {
+				want += int(op.rows)
+			}
+		}
+	}
+	formatted := 0
+	f := l.fill(e, "q", arity, func(name string, arity int, rows []Value) []byte {
+		formatted += len(rows) / arity
+		return lineEncoder(name, arity, rows)
+	})
+	whole := lineEncoder("q", arity, l.rows)
+	ends := make([]int32, len(l.rows)/arity)
+	lineEnds(ends, whole, 0)
+	if !bytes.Equal(f.block, whole) || !slices.Equal(f.ends, ends) || f.plan != nil || l.enc.Load() != f {
+		t.Fatalf("%s: the filled block %q (ends %v) is not the leaf's whole encoding %q (ends %v)", where, f.block, f.ends, whole, ends)
+	}
+	if formatted != want {
+		t.Fatalf("%s: filling formatted %d rows, the plan has %d to format", where, formatted, want)
+	}
 }
 
 func fmtRow(r []Value) string {
@@ -387,9 +485,7 @@ func TestSnapshotAdvanceSharesLeaves(t *testing.T) {
 	if len(prev.leaves) < 64 {
 		t.Fatalf("result of %d rows sits in %d leaves, want at least 64", prev.Len(), len(prev.leaves))
 	}
-	encode := func(name string, arity int, rows []Value) []byte {
-		return fmt.Appendf(nil, "%s/%d%v", name, arity, rows)
-	}
+	encode := lineEncoder
 	if blocks, encoded := prev.Blocks(encode); encoded != len(prev.leaves) || len(blocks) != encoded {
 		t.Fatalf("the first Blocks encoded %d of %d leaves into %d blocks", encoded, len(prev.leaves), len(blocks))
 	}
@@ -433,7 +529,7 @@ func TestSnapshotAdvanceSharesLeaves(t *testing.T) {
 			t.Fatalf("round %d: the second Blocks encoded %d leaves and returned %d blocks for %d", round, encoded, len(again), len(next.leaves))
 		}
 		for k, l := range next.leaves {
-			if want := encode("feed", 2, l.rows); string(blocks[k]) != string(want) || &again[k][0] != &blocks[k][0] || &blocks[k][0] != &(*l.block.Load())[0] {
+			if want := encode("feed", 2, l.rows); string(blocks[k]) != string(want) || &again[k][0] != &blocks[k][0] || &blocks[k][0] != &l.enc.Load().block[0] {
 				t.Fatalf("round %d: block %d is not leaf %d's one encoding", round, k, k)
 			}
 		}
@@ -923,4 +1019,95 @@ func TestSnapshotTuplesSharesLeaves(t *testing.T) {
 			t.Fatalf("row %d %v does not sort after %v", i, row, rows[i-1])
 		}
 	}
+}
+
+// TestSnapshotPlansRetainOnlyTheLastEncodedVersion: the leaves a rebuilt
+// leaf's plan keeps alive are those of the last version a reader encoded,
+// however many advances came since. One version of a 3k-, 30k- and
+// 100k-row result is encoded, then 1,000 commits of four toggled tuples
+// each are pinned and never encoded. The plans of the last version then
+// name no leaf but the encoded version's, and so no more leaves than it
+// had; filling the last version's blocks drops the plans, which frees
+// every encoded leaf the last version does not share; and EvictSnapshot
+// frees the rest.
+func TestSnapshotPlansRetainOnlyTheLastEncodedVersion(t *testing.T) {
+	for _, result := range []int{3000, 30000, 100000} {
+		t.Run(fmt.Sprintf("result=%dk", result/1000), func(t *testing.T) {
+			ws, h := loadFeed(t, result, result)
+			ins, del := feedToggles(result, result, 64)
+			encoded := h.Snapshot()
+			encoded.Blocks(lineEncoder)
+			inEncoded := make(map[*snapLeaf]bool, len(encoded.leaves))
+			var alive []weak.Pointer[snapLeaf]
+			for _, l := range encoded.leaves {
+				inEncoded[l] = true
+				alive = append(alive, weak.Make(l))
+			}
+			leaves := len(encoded.leaves)
+			encoded = nil
+			rng := rand.New(rand.NewSource(int64(result)))
+			in := make([]bool, len(ins))
+			for c := 0; c < 1000; c++ {
+				var batch []Update
+				for _, j := range rng.Perm(len(ins))[:4] {
+					if in[j] = !in[j]; in[j] {
+						batch = append(batch, ins[j])
+					} else {
+						batch = append(batch, del[j])
+					}
+				}
+				if n, err := ws.ApplyBatch(batch); err != nil || n != len(batch) {
+					t.Fatalf("commit %d netted %d of %d (err %v)", c, n, len(batch), err)
+				}
+				h.Snapshot()
+			}
+			last := h.Snapshot()
+			sources := checkPlans(t, last.leaves, last.arity, "after 1,000 unread commits")
+			for l := range sources {
+				if !inEncoded[l] {
+					t.Fatal("a plan names a leaf of a version no reader encoded")
+				}
+			}
+			named := len(sources)
+			if named == 0 || named > leaves {
+				t.Fatalf("the plans name %d leaves, the encoded version had %d", named, leaves)
+			}
+			if st := h.SnapshotCacheStats(); st.Misses != 1 || st.Patched != 1000 {
+				t.Fatalf("want one cold pin and 1,000 patched advances: %+v", st)
+			}
+			shared := 0
+			blocks, _ := last.Blocks(lineEncoder)
+			for k, l := range last.leaves {
+				if string(blocks[k]) != string(lineEncoder("feed", 2, l.rows)) {
+					t.Fatalf("leaf %d: the spliced block is not the leaf's encoding", k)
+				}
+				if inEncoded[l] {
+					shared++
+				}
+			}
+			inEncoded, sources = nil, nil
+			runtime.GC()
+			if freed := countFreed(alive); freed != leaves-shared {
+				t.Fatalf("with the blocks filled %d of the encoded version's %d leaves are freed, want the %d the last version does not share", freed, leaves, leaves-shared)
+			}
+			h.EvictSnapshot()
+			last, blocks = nil, nil
+			runtime.GC()
+			if freed := countFreed(alive); freed != leaves {
+				t.Fatalf("after EvictSnapshot %d of the encoded version's %d leaves are freed", freed, leaves)
+			}
+			t.Logf("%d rows: the plans named %d of the encoded version's %d leaves; %d shared after 1,000 commits", result, named, leaves, shared)
+		})
+	}
+}
+
+// countFreed returns how many of the weakly held leaves are gone.
+func countFreed(leaves []weak.Pointer[snapLeaf]) int {
+	freed := 0
+	for _, w := range leaves {
+		if w.Value() == nil {
+			freed++
+		}
+	}
+	return freed
 }

@@ -6,13 +6,15 @@
 #   scripts/ci.sh --quick                      gofmt, vet, dyncq-lint, build, shuffled tests
 #   scripts/ci.sh --deep [gomaxprocs...]       race matrix, ten race passes over the tests of
 #                                              the snapshot cache, delta capture and a
-#                                              failed Load's read side, a
+#                                              failed Load's read side, ten over the
+#                                              enumerate-frame race tests, a
 #                                              fixed-seed torture soak, and on
 #                                              the GOMAXPROCS=4 leg the server e2e run, the
 #                                              two parser fuzz targets, the table fuzz
 #                                              target, the net-delta fuzz target, the
-#                                              evaluator fuzz target and the core fuzz
-#                                              target, the two benchmark gates and the
+#                                              evaluator fuzz target, the core fuzz
+#                                              target and the leaf-splice fuzz target,
+#                                              the two benchmark gates and the
 #                                              Go benchmarks
 #   scripts/ci.sh --nightly [seed [duration]]  long randomised torture soak under -race
 #
@@ -94,6 +96,11 @@ deep_leg() {
 	# leave that read side untouched, inline and fanned out.
 	GOMAXPROCS=$n go test -race -count=10 ./pkg/dyncq \
 		-run 'TestSnapshotPinRace|TestSnapshotEvictionDuringCommit|TestCaptureDeltas|TestWorkspaceSnapshotPinnedDuringFanOut|TestSnapshotAdvanceMatchesFreshPin|TestLoadFailureChangesNothing'
+	# Pollers fill leaf blocks, and splice rebuilt leaves out of the
+	# blocks their plans name, while a writer commits; the tests' own docs
+	# ask for ten race passes.
+	GOMAXPROCS=$n go test -race -count=10 ./internal/server \
+		-run 'TestEnumerateBlocksRaceWriter|TestEnumerateSpliceRaceWriter'
 	# A deterministic slice of the nightly soak at a pinned base seed.
 	GOMAXPROCS=$n go test ./internal/torture -race -run 'TestTortureSoak' \
 		-torture.seed=1 -torture.duration=60s -torture.failure-file="$failures" -v
@@ -105,14 +112,17 @@ deep_leg() {
 	# store's tuple table and its NetDelta/ApplyNetDelta against map
 	# models, the evaluator — the oracle and ivm's delta-join kernel —
 	# against brute force, and cq.Core, which routing classifies by,
-	# against a brute-force homomorphism search, for a fixed budget each;
-	# a crasher lands in testdata/fuzz to be committed.
+	# against a brute-force homomorphism search, and the enumerate frames
+	# spliced from rebuilt leaves' plans against the reference encoder and
+	# a count of the tuples added, for a fixed budget each; a crasher lands
+	# in testdata/fuzz to be committed.
 	GOMAXPROCS=$n go test ./pkg/dyncq -run '^$' -fuzz '^FuzzParseUpdate$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/server -run '^$' -fuzz '^FuzzParseTupleLine$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/tuplekey -run '^$' -fuzz '^FuzzTable$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/dyndb -run '^$' -fuzz '^FuzzNetDelta$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/eval -run '^$' -fuzz '^FuzzEvaluate$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/cq -run '^$' -fuzz '^FuzzCore$' -fuzztime 20s
+	GOMAXPROCS=$n go test ./internal/server -run '^$' -fuzz '^FuzzLeafSplice$' -fuzztime 20s
 	result_size_gate
 	snapshot_advance_gate
 	# The Go benchmarks the gates and CHANGES.md cite: they must compile,
