@@ -306,8 +306,8 @@ func loadDatabaseFile(ws *dyncq.Workspace, schema map[string]int, path string, e
 
 // applyStreamFile streams one update file into the workspace in a
 // single parse pass via dyncq.ApplyStreamReader: commands are batched
-// through ApplyBatch (one shared-store application fanned out to every
-// registered query), arity mismatches against the union schema are
+// through Workspace.Commit (one shared-store application fanned out to
+// every registered query), arity mismatches against the union schema are
 // reported with the offending line number, and relations outside every
 // query earn a typo warning — spotted on the same pass, not a separate
 // parse. A non-nil encode switches the parser to string mode.

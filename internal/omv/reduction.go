@@ -11,9 +11,9 @@ import (
 // DynamicEvaluator is the interface the reductions drive: any dynamic
 // query-evaluation algorithm with update, Boolean answer, count and
 // enumeration routines. A pkg/dyncq.Workspace with one registered query
-// is one (Apply on the workspace, reads on the query's handle), backed
-// by internal/core for q-hierarchical queries or by internal/ivm for
-// arbitrary CQs, with Θ(n) updates.
+// is one (a one-update Commit on the workspace, reads on the query's
+// handle), backed by internal/core for q-hierarchical queries or by
+// internal/ivm for arbitrary CQs, with Θ(n) updates.
 type DynamicEvaluator interface {
 	Apply(dyndb.Update) (bool, error)
 	Answer() bool

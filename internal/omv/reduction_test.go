@@ -17,7 +17,10 @@ type wsEvaluator struct {
 	ws *dyncq.Workspace
 }
 
-func (e wsEvaluator) Apply(u dyndb.Update) (bool, error) { return e.ws.Apply(u) }
+func (e wsEvaluator) Apply(u dyndb.Update) (bool, error) {
+	n, _, err := e.ws.Commit([]dyndb.Update{u})
+	return n > 0, err
+}
 
 // ivmFactory serves q with the IVM strategy (any CQ is accepted).
 func ivmFactory(q *cq.Query) (DynamicEvaluator, error) {

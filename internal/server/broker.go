@@ -7,7 +7,7 @@ import (
 )
 
 // broker fans committed delta frames out to subscribers. It sits at
-// the end of the engine's hot commit path: Workspace.ApplyBatch →
+// the end of the engine's hot commit path: Workspace.Commit →
 // delta capture hook → broker.publish, with the workspace write lock
 // held the whole way — so everything under broker.mu must be
 // non-blocking. Sends use the session's bounded outbox with a

@@ -96,7 +96,7 @@ func poll(srv *Server, h *dyncq.Handle) (f frame, filled, formatted uint64) {
 // commit applies a batch that must net every one of its updates.
 func commit(tb testing.TB, srv *Server, batch []dyncq.Update) {
 	tb.Helper()
-	if n, err := srv.Workspace().ApplyBatch(batch); err != nil || n != len(batch) {
+	if n, _, err := srv.Workspace().Commit(batch); err != nil || n != len(batch) {
 		tb.Fatalf("batch netted %d of %d (err %v)", n, len(batch), err)
 	}
 }
@@ -231,7 +231,7 @@ func TestEnumerateBlocksRaceWriter(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 400; i++ {
-		if n, err := srv.Workspace().ApplyBatch(batches[i%2]); err != nil || n != 8 {
+		if n, _, err := srv.Workspace().Commit(batches[i%2]); err != nil || n != 8 {
 			t.Errorf("batch %d netted %d of 8 (err %v)", i, n, err)
 			break
 		}
@@ -283,7 +283,7 @@ func TestEnumerateSpliceRaceWriter(t *testing.T) {
 		if i%2 == 1 {
 			batch = del
 		}
-		if n, err := srv.Workspace().ApplyBatch(batch); err != nil || n != len(batch) {
+		if n, _, err := srv.Workspace().Commit(batch); err != nil || n != len(batch) {
 			t.Errorf("batch %d netted %d of %d (err %v)", i, n, len(batch), err)
 			break
 		}

@@ -216,9 +216,14 @@ func (s *Server) formatRows(name string, arity int, rows []dyncq.Value) []byte {
 
 // FrameCacheStats is the server's encode-once counters, in leaf blocks of
 // the `enumerate` frames served: Hits were sent as some earlier enumerate
-// — at this version or one before it — had encoded them; Misses were
-// encoded for the frame at hand (the leaves rebuilt since, or all of them
-// on the first enumerate after a cold pin).
+// — at this version or one before it — had filled them; Misses were
+// filled for the frame at hand (the leaves rebuilt since, or all of them
+// on the first enumerate after a cold pin). A miss is a block filled, not
+// a block formatted: a rebuilt leaf's block is spliced from the blocks of
+// the leaves it came from (dyncq.QuerySnapshot.Blocks), formatting only
+// the rows no block held, so Hits/(Hits+Misses) does not measure
+// formatting work. The rows formatted are counted apart, in the unexported
+// rowsFormatted.
 type FrameCacheStats struct {
 	Hits   uint64
 	Misses uint64

@@ -250,7 +250,7 @@ func TestSubscribeStreamsDeltas(t *testing.T) {
 }
 
 // TestSlowSubscriberDoesNotStallCommits is the graceful-degradation
-// satellite: a subscriber that stops reading must not block ApplyBatch.
+// satellite: a subscriber that stops reading must not block a commit.
 // The bounded outbox fills, frames are dropped, and once the subscriber
 // drains it receives a resync line and can rebuild exact state with one
 // re-enumerate.
@@ -551,8 +551,8 @@ func TestCountReplyIsConsistent(t *testing.T) {
 				return
 			default:
 			}
-			if changed, err := ws.Apply(dyndb.Insert("E", x, 1)); err != nil || !changed {
-				written <- fmt.Errorf("insert %d: changed=%v err=%v", x, changed, err)
+			if n, _, err := ws.Commit([]dyncq.Update{dyndb.Insert("E", x, 1)}); err != nil || n != 1 {
+				written <- fmt.Errorf("insert %d: applied=%d err=%v", x, n, err)
 				return
 			}
 			runtime.Gosched() // on one processor the poller's goroutines need the turn
@@ -602,7 +602,7 @@ func TestEnumerateFrameIsStrategyIndependent(t *testing.T) {
 		var frames [][]byte
 		var prev frame // the frame enumerated one batch ago; holding it keeps its blocks' addresses taken
 		for from := 0; from < len(stream); from += 15 {
-			if _, err := ws.ApplyBatch(stream[from:min(from+15, len(stream))]); err != nil {
+			if _, _, err := ws.Commit(stream[from:min(from+15, len(stream))]); err != nil {
 				t.Fatal(err)
 			}
 			before := srv.FrameCacheStats()

@@ -292,7 +292,7 @@ func (s *session) dispatchVerb(line string) bool {
 		// client and every version that shares a leaf, so only what the
 		// commits since the last enumerate rebuilt is encoded here. No
 		// lock is held while encoding or writing, so a slow client
-		// draining a huge result never blocks ApplyBatch.
+		// draining a huge result never blocks a commit.
 		return s.send(s.srv.enumerateFrame(h.Snapshot()))
 	case "subscribe":
 		name := strings.TrimSpace(rest)

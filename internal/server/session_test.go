@@ -91,9 +91,9 @@ func TestSessionBatchAllocationFree(t *testing.T) {
 
 // TestMaintenanceCountsEveryCommit: every commit that changes the store
 // is timed into the handle's MaintenanceNS and counted exactly once — a
-// library Apply, a single-update Commit and a wire apply alike, each a
-// commit of one through the one commit pipeline — and a commit that
-// changes nothing is not counted.
+// single-update library Commit and a wire apply alike, each a commit of
+// one through the one commit pipeline — and a commit that changes nothing
+// is not counted.
 func TestMaintenanceCountsEveryCommit(t *testing.T) {
 	srv := newTestServer(t, Options{})
 	ws := srv.Workspace()
@@ -108,13 +108,10 @@ func TestMaintenanceCountsEveryCommit(t *testing.T) {
 		changes bool
 		run     func() error
 	}{
-		{"Apply", true, func() error { _, err := ws.Apply(dyncq.Insert("E", 1, 2)); return err }},
-		{"single-update Commit", true, func() error {
-			_, _, err := ws.Commit([]dyncq.Update{dyncq.Insert("T", 2)})
-			return err
-		}},
+		{"single-update Commit of E", true, func() error { _, _, err := ws.Commit([]dyncq.Update{dyncq.Insert("E", 1, 2)}); return err }},
+		{"single-update Commit of T", true, func() error { _, _, err := ws.Commit([]dyncq.Update{dyncq.Insert("T", 2)}); return err }},
 		{"wire apply", true, func() error { _, _, err := c.Apply(dyncq.Insert("E", 3, 2)); return err }},
-		{"Apply that changes nothing", false, func() error { _, err := ws.Apply(dyncq.Insert("E", 1, 2)); return err }},
+		{"single-update Commit that changes nothing", false, func() error { _, _, err := ws.Commit([]dyncq.Update{dyncq.Insert("E", 1, 2)}); return err }},
 	} {
 		if err := commit.run(); err != nil {
 			t.Fatalf("%s: %v", commit.name, err)

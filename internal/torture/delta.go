@@ -169,7 +169,7 @@ func nativeDelta(seed int64, pool []namedQuery) error {
 	}
 	batch := func(where string, chunk []dyndb.Update) error {
 		return commit(where,
-			func() error { _, err := ws.ApplyBatch(chunk); return err },
+			func() error { _, _, err := ws.Commit(chunk); return err },
 			func() { o.apply(chunk) })
 	}
 
@@ -185,7 +185,7 @@ func nativeDelta(seed int64, pool []namedQuery) error {
 	for i, u := range stream[split:] {
 		where := fmt.Sprintf("update %d (%s)", split+i, u)
 		err := commit(where,
-			func() error { _, err := ws.Apply(u); return err },
+			func() error { _, _, err := ws.Commit([]dyndb.Update{u}); return err },
 			func() { o.apply([]dyndb.Update{u}) })
 		if err != nil {
 			return err

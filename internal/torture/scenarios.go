@@ -148,7 +148,7 @@ func parseScenarios() []Scenario {
 // applyChecked routes one chunk through the workspace and the oracle and
 // runs the full comparison.
 func applyChecked(ws *dyncq.Workspace, o *oracle, chunk []dyndb.Update, where string) error {
-	if _, err := ws.ApplyBatch(chunk); err != nil {
+	if _, _, err := ws.Commit(chunk); err != nil {
 		return fmt.Errorf("%s: %v", where, err)
 	}
 	o.apply(chunk)
@@ -193,7 +193,7 @@ func evalScenarios() []Scenario {
 				// in and out, stressing delete paths and the arenas' free chains.
 				cfg := workload.TortureConfig{Seed: seed, Domain: 6, Updates: 600, PDelete: 0.5, ZipfS: 2, ZipfV: 1}
 				for i, u := range cfg.Stream(tortureSchema) {
-					if _, err := ws.Apply(u); err != nil {
+					if _, _, err := ws.Commit([]dyndb.Update{u}); err != nil {
 						return fmt.Errorf("update %d (%s): %v", i, u, err)
 					}
 					o.apply([]dyndb.Update{u})
@@ -221,12 +221,12 @@ func evalScenarios() []Scenario {
 				cfg := workload.TortureConfig{Seed: seed, Domain: 25, Updates: 1000, PDelete: 0.4}
 				stream := cfg.Stream(tortureSchema)
 				for i, u := range stream {
-					if _, err := single.Apply(u); err != nil {
+					if _, _, err := single.Commit([]dyndb.Update{u}); err != nil {
 						return fmt.Errorf("single update %d: %v", i, err)
 					}
 				}
 				o1.apply(stream)
-				if _, err := batched.ApplyBatched(stream, 128); err != nil {
+				if err := commitChunks(batched, stream, 128); err != nil {
 					return fmt.Errorf("batched: %v", err)
 				}
 				o2.apply(stream)
@@ -337,6 +337,18 @@ func replayChecked(ws *dyncq.Workspace, o *oracle, stream []dyndb.Update, chunk 
 	return nil
 }
 
+// commitChunks commits the stream in chunks of size updates, each chunk
+// its own commit (readers may observe the state between chunks), stopping
+// at the first error.
+func commitChunks(ws *dyncq.Workspace, stream []dyndb.Update, size int) error {
+	for from := 0; from < len(stream); from += size {
+		if _, _, err := ws.Commit(stream[from:min(from+size, len(stream))]); err != nil {
+			return fmt.Errorf("batch %d: %v", from, err)
+		}
+	}
+	return nil
+}
+
 // ---- error ----
 
 func errorScenarios() []Scenario {
@@ -369,7 +381,7 @@ func errorScenarios() []Scenario {
 					at := rng.Intn(len(bad) + 1)
 					bad = append(bad[:at], append([]dyndb.Update{poison[rng.Intn(len(poison))]}, bad[at:]...)...)
 					versionBefore := ws.Version()
-					if _, err := ws.ApplyBatch(bad); err == nil {
+					if _, _, err := ws.Commit(bad); err == nil {
 						return fmt.Errorf("batch %d: poisoned batch was accepted", from)
 					}
 					if ws.Version() != versionBefore {

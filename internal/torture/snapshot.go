@@ -69,7 +69,7 @@ func snapshotScenarios() []Scenario {
 					if hi > len(stream) {
 						hi = len(stream)
 					}
-					if _, err := ws.ApplyBatch(stream[lo:hi]); err != nil {
+					if _, _, err := ws.Commit(stream[lo:hi]); err != nil {
 						return fmt.Errorf("batch %d: %v", b, err)
 					}
 					o.apply(stream[lo:hi])
@@ -149,7 +149,7 @@ func snapshotScenarios() []Scenario {
 					if hi > len(stream) {
 						hi = len(stream)
 					}
-					if _, err := ws.ApplyBatch(stream[lo:hi]); err != nil {
+					if _, _, err := ws.Commit(stream[lo:hi]); err != nil {
 						return fmt.Errorf("batch %d: %v", b, err)
 					}
 					o.apply(stream[lo:hi])
@@ -251,7 +251,7 @@ func cowAdvance(seed int64) error {
 		return db
 	}
 	bulk := edgeHeavy(1000, 150).Updates()
-	if _, err := ws.ApplyBatch(bulk); err != nil {
+	if _, _, err := ws.Commit(bulk); err != nil {
 		return err
 	}
 	o.apply(bulk)
@@ -308,7 +308,7 @@ func cowAdvance(seed int64) error {
 			// The stream was generated against an empty store: beside
 			// these contents some of its commands are no-ops, which is fine.
 		}
-		if _, err := ws.ApplyBatch(chunk); err != nil {
+		if _, _, err := ws.Commit(chunk); err != nil {
 			return finish(fmt.Errorf("%s: %v", where, err))
 		}
 		o.apply(chunk)

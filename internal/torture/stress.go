@@ -100,7 +100,7 @@ func lifecycleScenarios() []Scenario {
 					}
 					chunk := stream[from:to]
 					versionBefore := ws.Version()
-					applied, err := ws.ApplyBatch(chunk)
+					applied, _, err := ws.Commit(chunk)
 					if err != nil {
 						return fmt.Errorf("batch %d: %v", from, err)
 					}
@@ -135,7 +135,7 @@ func lifecycleScenarios() []Scenario {
 					"no-op batch": {dyncq.Delete("E", -1, -1), dyncq.Delete("T", -9)},
 				} {
 					versionBefore, mutsBefore := ws.Version(), ws.StoreMutations()
-					if _, err := ws.ApplyBatch(noop); err != nil {
+					if _, _, err := ws.Commit(noop); err != nil {
 						return fmt.Errorf("%s: %v", name, err)
 					}
 					if ws.Version() != versionBefore {
@@ -213,16 +213,7 @@ func concurrencyScenarios() []Scenario {
 						}
 					}()
 				}
-				var applyErr error
-				for from := 0; from < len(stream) && applyErr == nil; from += 100 {
-					to := from + 100
-					if to > len(stream) {
-						to = len(stream)
-					}
-					if _, err := ws.ApplyBatch(stream[from:to]); err != nil {
-						applyErr = fmt.Errorf("batch %d: %v", from, err)
-					}
-				}
+				applyErr := commitChunks(ws, stream, 100)
 				close(stop)
 				wg.Wait()
 				close(errs)
@@ -288,16 +279,7 @@ func concurrencyScenarios() []Scenario {
 						}
 					}
 				}()
-				var applyErr error
-				for from := 0; from < len(stream) && applyErr == nil; from += 50 {
-					to := from + 50
-					if to > len(stream) {
-						to = len(stream)
-					}
-					if _, err := ws.ApplyBatch(stream[from:to]); err != nil {
-						applyErr = fmt.Errorf("batch %d: %v", from, err)
-					}
-				}
+				applyErr := commitChunks(ws, stream, 50)
 				wg.Wait()
 				close(errs)
 				if applyErr != nil {
@@ -359,16 +341,7 @@ func concurrencyScenarios() []Scenario {
 						}
 					}(nq.name)
 				}
-				var applyErr error
-				for from := 0; from < len(stream) && applyErr == nil; from += 64 {
-					to := from + 64
-					if to > len(stream) {
-						to = len(stream)
-					}
-					if _, err := ws.ApplyBatch(stream[from:to]); err != nil {
-						applyErr = fmt.Errorf("batch %d: %v", from, err)
-					}
-				}
+				applyErr := commitChunks(ws, stream, 64)
 				close(stop)
 				wg.Wait()
 				close(errs)
@@ -429,8 +402,7 @@ func aloneIdentical(pool []namedQuery, db *dyndb.Database, stream []dyndb.Update
 				return nil, err
 			}
 		}
-		_, err := ws.ApplyBatched(stream, batch)
-		return ws, err
+		return ws, commitChunks(ws, stream, batch)
 	}
 	shared, err := build(pool)
 	if err != nil {
@@ -480,8 +452,7 @@ func fanoutScenarios() []Scenario {
 					if err := registerWide(ws, wideQueryPool(k)); err != nil {
 						return nil, err
 					}
-					_, err := ws.ApplyBatched(stream, 125)
-					return ws, err
+					return ws, commitChunks(ws, stream, 125)
 				}
 				narrow, err := run(1)
 				if err != nil {
@@ -582,14 +553,8 @@ func fanoutScenarios() []Scenario {
 					}()
 				}
 				applyErr := ws.Load(db)
-				for from := 0; from < len(stream) && applyErr == nil; from += 80 {
-					to := from + 80
-					if to > len(stream) {
-						to = len(stream)
-					}
-					if _, err := ws.ApplyBatch(stream[from:to]); err != nil {
-						applyErr = fmt.Errorf("batch %d: %v", from, err)
-					}
+				if applyErr == nil {
+					applyErr = commitChunks(ws, stream, 80)
 				}
 				close(stop)
 				wg.Wait()

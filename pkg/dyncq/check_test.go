@@ -23,7 +23,7 @@ func TestCheckInvariantsHealthyWorkspace(t *testing.T) {
 		Delete("E", 1, 2), Insert("E", 1, 2),
 	}
 	for _, u := range updates {
-		if _, err := ws.Apply(u); err != nil {
+		if _, _, err := ws.Commit([]Update{u}); err != nil {
 			t.Fatal(err)
 		}
 		if err := ws.CheckInvariants(); err != nil {
@@ -32,7 +32,7 @@ func TestCheckInvariantsHealthyWorkspace(t *testing.T) {
 	}
 	// Force index builds by reading the IVM query, then re-check.
 	ws.Handle("hard").Count()
-	if _, err := ws.ApplyBatch([]Update{Insert("E", 5, 6), Insert("T", 6), Delete("S", 1)}); err != nil {
+	if _, _, err := ws.Commit([]Update{Insert("E", 5, 6), Insert("T", 6), Delete("S", 1)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ws.CheckInvariants(); err != nil {
@@ -49,7 +49,7 @@ func TestDirectStoreMutationKeepsIndexes(t *testing.T) {
 	if _, err := ws.Register("hard", "Q(x,y) :- S(x), E(x,y), T(y)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ws.ApplyBatch([]Update{Insert("S", 1), Insert("E", 1, 2), Insert("T", 2)}); err != nil {
+	if _, _, err := ws.Commit([]Update{Insert("S", 1), Insert("E", 1, 2), Insert("T", 2)}); err != nil {
 		t.Fatal(err)
 	}
 	byX := ws.store.Index("E", 0b01)
@@ -82,19 +82,19 @@ func TestUnregisterLastIVMQueryDropsIndexes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := ws.ApplyBatch([]Update{Insert("S", 1), Insert("E", 1, 2), Insert("T", 2)}); err != nil {
+	if _, _, err := ws.Commit([]Update{Insert("S", 1), Insert("E", 1, 2), Insert("T", 2)}); err != nil {
 		t.Fatal(err)
 	}
 	byX := ws.store.Index("E", 0b01)
 	ws.Unregister("proj")
-	if _, err := ws.Apply(Insert("E", 1, 3)); err != nil {
+	if _, _, err := ws.Commit([]Update{Insert("E", 1, 3)}); err != nil {
 		t.Fatal(err)
 	}
 	if !byX.Bucket([]Value{1}).Has([]Value{1, 3}) {
 		t.Fatal("index not maintained while an IVM query remains")
 	}
 	ws.Unregister("hard")
-	if _, err := ws.Apply(Insert("E", 1, 4)); err != nil {
+	if _, _, err := ws.Commit([]Update{Insert("E", 1, 4)}); err != nil {
 		t.Fatal(err)
 	}
 	if byX.Bucket([]Value{1}).Has([]Value{1, 4}) {
@@ -104,7 +104,7 @@ func TestUnregisterLastIVMQueryDropsIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ws.Apply(Insert("T", 3)); err != nil {
+	if _, _, err := ws.Commit([]Update{Insert("T", 3)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.Count(); got != 2 {
@@ -134,10 +134,10 @@ func TestCheckInvariantsSeesCoreArenaCorruption(t *testing.T) {
 	for x := Value(1); x <= 1100; x++ {
 		load = append(load, Insert("E", x, 1))
 	}
-	if _, err := ws.ApplyBatch(append(load, Insert("T", 1))); err != nil {
+	if _, _, err := ws.Commit(append(load, Insert("T", 1))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ws.Delete("E", 1100, 1); err != nil {
+	if _, _, err := ws.Commit([]Update{Delete("E", 1100, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ws.CheckInvariants(); err != nil {

@@ -38,7 +38,7 @@ func TestConcurrentSnapshotReaders(t *testing.T) {
 			to = len(stream)
 		}
 		chunks = append(chunks, stream[from:to])
-		n, err := oracle.ApplyBatch(stream[from:to])
+		n, _, err := oracle.Commit(stream[from:to])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func TestConcurrentSnapshotReaders(t *testing.T) {
 		}()
 	}
 	for _, ch := range chunks {
-		if _, err := cs.ApplyBatch(ch); err != nil {
+		if _, _, err := cs.Commit(ch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,7 +130,7 @@ func TestConcurrentWriters(t *testing.T) {
 		writerWG.Add(1)
 		go func(part []Update) {
 			defer writerWG.Done()
-			if _, err := cs.ApplyBatched(part, 100); err != nil {
+			if _, err := commitChunks(cs, part, 100); err != nil {
 				t.Error(err)
 			}
 		}(part)

@@ -106,10 +106,10 @@ func TestLoadReplacesState(t *testing.T) {
 		if err := ws.Load(first); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ws.Insert("E", 900, 901); err != nil {
+		if _, _, err := ws.Commit([]Update{Insert("E", 900, 901)}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ws.Insert("T", 901); err != nil {
+		if _, _, err := ws.Commit([]Update{Insert("T", 901)}); err != nil {
 			t.Fatal(err)
 		}
 		// Reload: everything above must vanish.
@@ -130,7 +130,7 @@ func TestLoadReplacesState(t *testing.T) {
 		oracle := second.Clone()
 		stream := workload.RandomStream(rng, q.Schema(), 8, 60, 0.4)
 		for _, u := range stream {
-			if _, err := ws.Apply(u); err != nil {
+			if _, _, err := ws.Commit([]Update{u}); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := oracle.Apply(u); err != nil {
@@ -175,7 +175,7 @@ func TestLoadFailureKeepsPriorState(t *testing.T) {
 		}
 		// Still alive: fresh updates behave normally.
 		for _, u := range []Update{Insert("E", 100, 200), Insert("T", 200)} {
-			if _, err := ws.Apply(u); err != nil {
+			if _, _, err := ws.Commit([]Update{u}); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := oracle.Apply(u); err != nil {
@@ -245,7 +245,7 @@ func TestLoadFailureChangesNothing(t *testing.T) {
 				t.Fatalf("%s: failed Load replaced the cached snapshot", at)
 			}
 
-			if _, err := ws.ApplyBatch([]Update{Insert("E", 100, 200), Insert("T", 200)}); err != nil {
+			if _, _, err := ws.Commit([]Update{Insert("E", 100, 200), Insert("T", 200)}); err != nil {
 				t.Fatal(err)
 			}
 			if len(events) != 1 || events[0].Version != version+1 || !reflect.DeepEqual(events[0].Added, [][]Value{{200}}) || len(events[0].Removed) != 0 {
@@ -263,10 +263,10 @@ func TestLoadForgetsDrainedForeignRelations(t *testing.T) {
 	q := cq.MustParse("Q(y) :- E(x,y), T(y)")
 	for _, st := range []Strategy{StrategyCore, StrategyIVM} {
 		ws, h := solo(t, q, Options{Force: st})
-		if _, err := ws.Insert("X", 1); err != nil { // X is not in the query
+		if _, _, err := ws.Commit([]Update{Insert("X", 1)}); err != nil { // X is not in the query
 			t.Fatal(err)
 		}
-		if _, err := ws.Delete("X", 1); err != nil {
+		if _, _, err := ws.Commit([]Update{Delete("X", 1)}); err != nil {
 			t.Fatal(err)
 		}
 		db := dyndb.New()

@@ -24,7 +24,7 @@ func (c countingBackend) Enumerate(yield func([]Value) bool) {
 
 // TestCaptureWalksNoResult: the diff is gone, not moved. Starting a
 // capture on a core or ivm handle enumerates nothing, and neither does
-// producing the DeltaEvent of an Apply or ApplyBatch commit — the
+// producing the DeltaEvent of a one-update or a batch Commit — the
 // backends emit it. Only a Load, which resets every structure, walks the
 // result (once before, once after), and the replayed events still
 // reconstruct it.
@@ -38,7 +38,7 @@ func TestCaptureWalksNoResult(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := ws.ApplyBatch(workload.RandomStream(rng, q.Schema(), 15, 200, 0.2)); err != nil {
+			if _, _, err := ws.Commit(workload.RandomStream(rng, q.Schema(), 15, 200, 0.2)); err != nil {
 				t.Fatal(err)
 			}
 			walks := 0
@@ -53,12 +53,12 @@ func TestCaptureWalksNoResult(t *testing.T) {
 			}
 			stream := workload.RandomStream(rng, q.Schema(), 15, 300, 0.4)
 			for _, u := range stream[:100] {
-				if _, err := ws.Apply(u); err != nil {
+				if _, _, err := ws.Commit([]Update{u}); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for i := 100; i < len(stream); i += 25 {
-				if _, err := ws.ApplyBatch(stream[i:min(i+25, len(stream))]); err != nil {
+				if _, _, err := ws.Commit(stream[i:min(i+25, len(stream))]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -85,13 +85,13 @@ func TestCaptureWalksNoResult(t *testing.T) {
 			walks = 0
 			stream = workload.RandomStream(rng, q.Schema(), 15, 200, 0.4)
 			for _, u := range stream[:100] {
-				if _, err := ws.Apply(u); err != nil {
+				if _, _, err := ws.Commit([]Update{u}); err != nil {
 					t.Fatal(err)
 				}
 				h.Snapshot()
 			}
 			for i := 100; i < len(stream); i += 25 {
-				if _, err := ws.ApplyBatch(stream[i:min(i+25, len(stream))]); err != nil {
+				if _, _, err := ws.Commit(stream[i:min(i+25, len(stream))]); err != nil {
 					t.Fatal(err)
 				}
 				h.Snapshot()
@@ -120,10 +120,11 @@ func sortedTuples(h *Handle) [][]Value {
 	return rows
 }
 
-// TestApplyAllocationFree: Apply is a commit of one through the one
-// commit pipeline, and the store keeps its tuples inline in the
-// relation's table, so on a core-routed workspace an insert/delete pair
-// allocates nothing at all — at width 2 too, since a commit of one stays
+// TestApplyAllocationFree: a single-update Commit is a commit of one
+// through the one commit pipeline, and the store keeps its tuples inline
+// in the relation's table, so on a core-routed workspace an insert/delete
+// pair, each a Commit of a one-update slice literal, allocates nothing at
+// all — at width 2 too, since a commit of one stays
 // below fanOutMin and runs inline. Beside an ivm-routed query, whose single
 // update runs the relation-phased store schedule and a delta join, the
 // pair allocates no more than the single-update fork the pipeline
@@ -134,9 +135,9 @@ func TestApplyAllocationFree(t *testing.T) {
 			ws, pair := applyPair(t, set.queries, 2)
 			pair() // warm the arena free chains, the map slots and the grouping
 			allocs := testing.AllocsPerRun(1000, pair)
-			t.Logf("allocs per Apply insert/delete pair: %v", allocs)
+			t.Logf("allocs per single-update Commit insert/delete pair: %v", allocs)
 			if allocs > set.maxAllocs {
-				t.Fatalf("an Apply insert/delete pair allocates %v times, want at most %v", allocs, set.maxAllocs)
+				t.Fatalf("a single-update Commit insert/delete pair allocates %v times, want at most %v", allocs, set.maxAllocs)
 			}
 			if err := ws.CheckInvariants(); err != nil {
 				t.Fatal(err)
@@ -160,9 +161,9 @@ var applySets = []struct {
 
 // applyPair registers the queries on a workspace whose fan-out is capped
 // at width (GOMAXPROCS in production), fills the store through batches,
-// and returns the workspace and a closure that applies E(5000,7) and
-// deletes it again: a pair that changes the store, and on ϕS-E-T adds and
-// removes one result tuple.
+// and returns the workspace and a closure that commits E(5000,7) and
+// deletes it again, one update per Commit: a pair that changes the store,
+// and on ϕS-E-T adds and removes one result tuple.
 func applyPair(tb testing.TB, queries map[string]string, width int) (*Workspace, func()) {
 	ws := NewWorkspace(WorkspaceOptions{})
 	ws.maxWidth = width
@@ -180,26 +181,26 @@ func applyPair(tb testing.TB, queries map[string]string, width int) (*Workspace,
 		}
 	}
 	for i := 0; i < 2000; i++ {
-		if _, err := ws.ApplyBatch([]Update{dyndb.Insert("E", Value(i), Value(i%50)), dyndb.Insert("T", Value(i%50)), dyndb.Insert("S", Value(i%100))}); err != nil {
+		if _, _, err := ws.Commit([]Update{dyndb.Insert("E", Value(i), Value(i%50)), dyndb.Insert("T", Value(i%50)), dyndb.Insert("S", Value(i%100))}); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	if _, err := ws.Insert("S", 5000); err != nil {
+	if _, _, err := ws.Commit([]Update{Insert("S", 5000)}); err != nil {
 		tb.Fatal(err)
 	}
 	ins, del := dyndb.Insert("E", 5000, 7), dyndb.Delete("E", 5000, 7)
 	return ws, func() {
-		if changed, err := ws.Apply(ins); err != nil || !changed {
-			tb.Fatalf("insert: changed=%v err=%v", changed, err)
+		if n, _, err := ws.Commit([]Update{ins}); err != nil || n != 1 {
+			tb.Fatalf("insert: applied=%d err=%v", n, err)
 		}
-		if changed, err := ws.Apply(del); err != nil || !changed {
-			tb.Fatalf("delete: changed=%v err=%v", changed, err)
+		if n, _, err := ws.Commit([]Update{del}); err != nil || n != 1 {
+			tb.Fatalf("delete: applied=%d err=%v", n, err)
 		}
 	}
 }
 
-// BenchmarkApply records what one single-update Apply costs now that it
-// runs the batch pipeline: a warmed insert/delete pair per op, on the
+// BenchmarkApply records what a single-update Commit costs through the
+// batch pipeline: a warmed insert/delete pair per op, on the
 // core set and the ivm set of TestApplyAllocationFree, at widths 1 and
 // 2: two handles could fan out at width 2, but a commit of one is below
 // fanOutMin, so both run inline and should read alike.
@@ -362,7 +363,7 @@ func TestContains(t *testing.T) {
 	_, handles := soloPerStrategy(t, q, StrategyCore, StrategyIVM)
 	stream := workload.RandomStream(rng, q.Schema(), 8, 150, 0.3)
 	for _, h := range handles {
-		if _, err := h.ws.ApplyBatch(stream); err != nil {
+		if _, _, err := h.ws.Commit(stream); err != nil {
 			t.Fatal(err)
 		}
 		in := make(map[string]bool)
@@ -388,7 +389,7 @@ func TestContains(t *testing.T) {
 		if h.Contains(nil) {
 			t.Fatalf("%s: empty database contains the empty tuple", h.Strategy())
 		}
-		if _, err := h.ws.ApplyBatch([]Update{dyndb.Insert("E", 1, 2), dyndb.Insert("T", 2)}); err != nil {
+		if _, _, err := h.ws.Commit([]Update{dyndb.Insert("E", 1, 2), dyndb.Insert("T", 2)}); err != nil {
 			t.Fatal(err)
 		}
 		if !h.Contains(nil) || h.Contains([]Value{1}) {
@@ -475,7 +476,7 @@ func BenchmarkCapturedCommit(b *testing.B) {
 				if i%2 == 1 {
 					batch = del
 				}
-				if n, err := ws.ApplyBatch(batch); err != nil || n != 8 {
+				if n, _, err := ws.Commit(batch); err != nil || n != 8 {
 					b.Fatalf("batch netted %d of 8 (err %v)", n, err)
 				}
 			}
@@ -542,7 +543,7 @@ func BenchmarkDeltaJoin(b *testing.B) {
 	}{{"ST", stIns, stDel}, {"E", eIns, eDel}} {
 		b.Run(c.name, func(b *testing.B) {
 			commit := func(batch []Update) {
-				if n, err := ws.ApplyBatch(batch); err != nil || n != 8 {
+				if n, _, err := ws.Commit(batch); err != nil || n != 8 {
 					b.Fatalf("batch netted %d of 8 (err %v)", n, err)
 				}
 			}
@@ -584,7 +585,7 @@ func BenchmarkSnapshotAdvance(b *testing.B) {
 				if i%2 == 1 {
 					batch = del
 				}
-				if n, err := ws.ApplyBatch(batch); err != nil || n != 8 {
+				if n, _, err := ws.Commit(batch); err != nil || n != 8 {
 					b.Fatalf("batch netted %d of 8 (err %v)", n, err)
 				}
 				if got := h.Snapshot().Len(); got != result+8*((i+1)%2) {

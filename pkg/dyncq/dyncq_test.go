@@ -147,7 +147,7 @@ func TestStrategiesAgree(t *testing.T) {
 				t.Fatalf("%s: db apply: %v", q, err)
 			}
 			for i, ws := range wss {
-				if _, err := ws.Apply(u); err != nil {
+				if _, _, err := ws.Commit([]Update{u}); err != nil {
 					t.Fatalf("%s [%v]: apply %s: %v", q, hs[i].Strategy(), u, err)
 				}
 			}
@@ -168,6 +168,21 @@ func TestStrategiesAgree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// commitChunks commits the stream in chunks of size updates, each chunk
+// its own commit, returning the net commands applied and stopping at the
+// first error.
+func commitChunks(ws *Workspace, stream []Update, size int) (int, error) {
+	applied := 0
+	for from := 0; from < len(stream); from += size {
+		n, _, err := ws.Commit(stream[from:min(from+size, len(stream))])
+		applied += n
+		if err != nil {
+			return applied, err
+		}
+	}
+	return applied, nil
 }
 
 func sameTuples(a, b [][]int64) bool {
@@ -196,17 +211,18 @@ func sortTuples(ts [][]int64) {
 
 func TestSoloBasics(t *testing.T) {
 	ws, h := solo(t, cq.MustParse("Q(y) :- E(x,y), T(y)"), Options{})
-	mustApply := func(changed bool, err error) {
+	mustChange := func(u Update) {
 		t.Helper()
+		n, _, err := ws.Commit([]Update{u})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !changed {
+		if n != 1 {
 			t.Fatal("expected a change")
 		}
 	}
-	mustApply(ws.Insert("E", 1, 2))
-	mustApply(ws.Insert("T", 2))
+	mustChange(Insert("E", 1, 2))
+	mustChange(Insert("T", 2))
 	if got := h.Count(); got != 1 {
 		t.Fatalf("count = %d, want 1", got)
 	}
@@ -216,7 +232,7 @@ func TestSoloBasics(t *testing.T) {
 	if got := h.Tuples(); len(got) != 1 || got[0][0] != 2 {
 		t.Fatalf("tuples = %v, want [[2]]", got)
 	}
-	mustApply(ws.Delete("T", 2))
+	mustChange(Delete("T", 2))
 	if h.Answer() {
 		t.Fatal("answer = true after delete, want false")
 	}
@@ -224,7 +240,7 @@ func TestSoloBasics(t *testing.T) {
 		t.Fatalf("cardinality = %d, want 1", got)
 	}
 	// Arity mismatch must surface as an error on every backend.
-	if _, err := ws.Insert("E", 1); err == nil {
+	if _, _, err := ws.Commit([]Update{Insert("E", 1)}); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
 }
@@ -333,8 +349,8 @@ func TestAdmissibleStrategiesMatchOracle(t *testing.T) {
 				}
 				want := eval.Evaluate(q, db)
 				for j, ws := range wss {
-					if _, err := ws.ApplyBatch(chunk); err != nil {
-						t.Fatalf("[%v] ApplyBatch: %v", hs[j].Strategy(), err)
+					if _, _, err := ws.Commit(chunk); err != nil {
+						t.Fatalf("[%v] Commit: %v", hs[j].Strategy(), err)
 					}
 					if got := hs[j].Count(); got != uint64(want.Len()) {
 						t.Fatalf("[%v] after %d updates: count %d, oracle %d", hs[j].Strategy(), from+len(chunk), got, want.Len())
@@ -378,8 +394,8 @@ func TestApplyBatchAgreesAcrossStrategies(t *testing.T) {
 				}
 			}
 			for i, ws := range wss {
-				if _, err := ws.ApplyBatch(chunk); err != nil {
-					t.Fatalf("%s [%v]: ApplyBatch: %v", q, hs[i].Strategy(), err)
+				if _, _, err := ws.Commit(chunk); err != nil {
+					t.Fatalf("%s [%v]: Commit: %v", q, hs[i].Strategy(), err)
 				}
 			}
 			want := eval.Evaluate(q, db)
@@ -426,7 +442,7 @@ func TestLoadBulkAgreesAcrossStrategies(t *testing.T) {
 func TestApplyBatchCancellation(t *testing.T) {
 	for _, st := range []Strategy{StrategyCore, StrategyIVM} {
 		ws, _ := solo(t, cq.MustParse("Q(y) :- E(x,y), T(y)"), Options{Force: st})
-		n, err := ws.ApplyBatch([]Update{
+		n, _, err := ws.Commit([]Update{
 			dyndb.Insert("E", 1, 2),
 			dyndb.Delete("E", 1, 2),
 		})
@@ -439,18 +455,18 @@ func TestApplyBatchCancellation(t *testing.T) {
 	}
 }
 
-// TestApplyBatched: chunked application matches a single batch, and
-// batchSize <= 0 means one batch.
-func TestApplyBatched(t *testing.T) {
+// TestChunkedCommits: committing a stream in chunks matches one commit of
+// the whole stream.
+func TestChunkedCommits(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	q := cq.MustParse("Q(y) :- E(x,y), T(y)")
 	stream := workload.RandomStream(rng, q.Schema(), 6, 100, 0.4)
 	whole, wholeH := solo(t, q, Options{})
-	if _, err := whole.ApplyBatched(stream, 0); err != nil {
+	if _, _, err := whole.Commit(stream); err != nil {
 		t.Fatal(err)
 	}
 	chunked, chunkedH := solo(t, q, Options{})
-	if _, err := chunked.ApplyBatched(stream, 7); err != nil {
+	if _, err := commitChunks(chunked, stream, 7); err != nil {
 		t.Fatal(err)
 	}
 	if wholeH.Count() != chunkedH.Count() || whole.Cardinality() != chunked.Cardinality() {
@@ -462,12 +478,12 @@ func TestApplyBatched(t *testing.T) {
 	}
 }
 
-// TestApplyBatchedNetShrinksWithBatchSize: with nested chunk boundaries
+// TestCommitNetShrinksWithBatchSize: with nested chunk boundaries
 // (1, 8, 64, one batch), a larger chunk can only cancel more insert/delete
 // pairs, so the net command count never grows with the batch size; at
 // size 1 it is the number of updates that changed the database, and the
 // final result is the same at every size.
-func TestApplyBatchedNetShrinksWithBatchSize(t *testing.T) {
+func TestCommitNetShrinksWithBatchSize(t *testing.T) {
 	q := cq.MustParse("Q(y) :- E(x,y), T(y)")
 	stream := workload.RandomStream(rand.New(rand.NewSource(37)), q.Schema(), 6, 256, 0.4)
 	db := dyndb.New()
@@ -485,9 +501,9 @@ func TestApplyBatchedNetShrinksWithBatchSize(t *testing.T) {
 	for _, st := range []Strategy{StrategyCore, StrategyIVM} {
 		t.Run(st.String(), func(t *testing.T) {
 			prev := -1
-			for _, size := range []int{1, 8, 64, 0} {
+			for _, size := range []int{1, 8, 64, len(stream)} {
 				ws, h := solo(t, q, Options{Force: st})
-				net, err := ws.ApplyBatched(stream, size)
+				net, err := commitChunks(ws, stream, size)
 				if err != nil {
 					t.Fatalf("size %d: %v", size, err)
 				}

@@ -32,7 +32,7 @@ func TestWorkspaceFanOutByteIdentical(t *testing.T) {
 		if err := ws.Load(init); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ws.ApplyBatched(stream, 96); err != nil {
+		if _, err := commitChunks(ws, stream, 96); err != nil {
 			t.Fatal(err)
 		}
 		return ws
@@ -80,7 +80,7 @@ func TestOneHandleOrderIndependentOfFanOut(t *testing.T) {
 		if err := ws.Load(init); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ws.ApplyBatched(stream, 64); err != nil {
+		if _, err := commitChunks(ws, stream, 64); err != nil {
 			t.Fatal(err)
 		}
 		return h.Tuples()
@@ -191,7 +191,7 @@ func TestWorkspaceSharedIndexPoolStress(t *testing.T) {
 	seq := run(1)
 	for from := 0; from < len(stream); from += batch {
 		to := min(from+batch, len(stream))
-		if _, err := seq.ApplyBatch(stream[from:to]); err != nil {
+		if _, _, err := seq.Commit(stream[from:to]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +219,7 @@ func TestWorkspaceSharedIndexPoolStress(t *testing.T) {
 	}
 	for from := 0; from < len(stream); from += batch {
 		to := min(from+batch, len(stream))
-		if _, err := ws.ApplyBatch(stream[from:to]); err != nil {
+		if _, _, err := ws.Commit(stream[from:to]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -273,7 +273,7 @@ func TestWorkspaceSnapshotPinnedDuringFanOut(t *testing.T) {
 			to = len(stream)
 		}
 		chunks = append(chunks, stream[from:to])
-		n, err := oracle.ApplyBatch(stream[from:to])
+		n, _, err := oracle.Commit(stream[from:to])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func TestWorkspaceSnapshotPinnedDuringFanOut(t *testing.T) {
 		}()
 	}
 	for _, ch := range chunks {
-		if _, err := ws.ApplyBatch(ch); err != nil {
+		if _, _, err := ws.Commit(ch); err != nil {
 			t.Fatal(err)
 		}
 	}

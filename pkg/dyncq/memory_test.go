@@ -157,7 +157,7 @@ func loadQueries(t testing.TB, queries map[string]string, db *dyndb.Database) *W
 			tup[i] = -1 // in no generated tuple
 		}
 		for _, u := range []Update{dyndb.Insert(rel, tup...), dyndb.Delete(rel, tup...)} {
-			if _, err := ws.Apply(u); err != nil {
+			if _, _, err := ws.Commit([]Update{u}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -253,7 +253,7 @@ func toggleCycle(b *testing.B, mirror *dyndb.Database, batch, forward int, draw 
 // commit nets fewer updates than its batch, and reports ns/update.
 func benchCommits(b *testing.B, ws *Workspace, cycle [][]Update, batch int) {
 	for i := 0; b.Loop(); i++ {
-		if got, err := ws.ApplyBatch(cycle[i%len(cycle)]); err != nil || got != batch {
+		if got, _, err := ws.Commit(cycle[i%len(cycle)]); err != nil || got != batch {
 			b.Fatalf("batch netted %d of %d (err %v)", got, batch, err)
 		}
 	}

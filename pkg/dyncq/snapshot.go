@@ -19,7 +19,7 @@ import (
 // at the same version is one atomic pointer load returning the SAME
 // QuerySnapshot — N concurrent readers share one copy, and re-pinning
 // an unchanged version enumerates nothing and allocates nothing. A
-// reader iterating a snapshot NEVER blocks ApplyBatch — the paper's
+// reader iterating a snapshot NEVER blocks Commit — the paper's
 // update procedure keeps running while an arbitrarily slow enumeration
 // walks a consistent past state. Commits advance a demanded cache by
 // rebuilding the leaves the commit's result delta touches and sharing the
@@ -328,8 +328,8 @@ func (h *Handle) publish(ev DeltaEvent, delta bool) {
 }
 
 // CaptureDeltas starts per-commit delta capture for the named query:
-// after every committed version change (Apply, ApplyBatch, Load — any
-// write path), hook receives exactly one DeltaEvent describing how the
+// after every committed version change (Commit or Load — either write
+// path), hook receives exactly one DeltaEvent describing how the
 // query's result changed. Starting a capture costs O(1) — nothing is
 // enumerated or copied. While it is active each commit pays for
 // producing the delta: O(|Δ|) on core, the head tuples the delta joins

@@ -175,7 +175,7 @@ func TestSnapshotAdvanceMatchesFreshPin(t *testing.T) {
 				}
 				apply := func(where string, updates ...Update) {
 					t.Helper()
-					if _, err := ws.ApplyBatch(updates); err != nil {
+					if _, _, err := ws.Commit(updates); err != nil {
 						t.Fatal(err)
 					}
 					check(where)
@@ -501,7 +501,7 @@ func TestSnapshotAdvanceSharesLeaves(t *testing.T) {
 				batch[j] = dyndb.Delete("E", Value((round*97+j)%(ys*perY)), Value((round*97+j)%ys))
 			}
 		}
-		if n, err := ws.ApplyBatch(batch); err != nil || n != d {
+		if n, _, err := ws.Commit(batch); err != nil || n != d {
 			t.Fatalf("round %d: batch netted %d of %d (err %v)", round, n, d, err)
 		}
 		next := h.Snapshot()
@@ -554,7 +554,7 @@ func resultsByVersion(t *testing.T, q *cq.Query, force Strategy, stream []Update
 	}
 	want := map[uint64][][]Value{0: nil}
 	for _, u := range stream {
-		if _, err := ws.Apply(u); err != nil {
+		if _, _, err := ws.Commit([]Update{u}); err != nil {
 			t.Fatal(err)
 		}
 		want[ws.Version()] = h.Snapshot().Tuples()
@@ -636,7 +636,7 @@ func TestSnapshotEvictionDuringCommit(t *testing.T) {
 				for pins.Load() < int64(i/2) && !t.Failed() {
 					runtime.Gosched()
 				}
-				if _, err := ws.Apply(u); err != nil {
+				if _, _, err := ws.Commit([]Update{u}); err != nil {
 					t.Error(err)
 					break
 				}
@@ -660,7 +660,7 @@ func TestSnapshotRePinZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	if _, err := ws.ApplyBatch(workload.RandomStream(rng, map[string]int{"E": 2}, 40, 500, 0.1)); err != nil {
+	if _, _, err := ws.Commit(workload.RandomStream(rng, map[string]int{"E": 2}, 40, 500, 0.1)); err != nil {
 		t.Fatal(err)
 	}
 	s0 := h.Snapshot()
@@ -733,7 +733,7 @@ func feedCommit(tb testing.TB, ws *Workspace, ins, del []Update, c int) {
 	if c%2 == 1 {
 		u = del[c/2%len(del)]
 	}
-	if ok, err := ws.Apply(u); err != nil || !ok {
+	if n, _, err := ws.Commit([]Update{u}); err != nil || n != 1 {
 		tb.Fatalf("commit %d: %v did not apply (err %v)", c, u, err)
 	}
 }
@@ -879,7 +879,7 @@ func TestSnapshotUnregisterInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ws.Apply(dyndb.Insert("S", 1)); err != nil {
+	if _, _, err := ws.Commit([]Update{dyndb.Insert("S", 1)}); err != nil {
 		t.Fatal(err)
 	}
 	h.Snapshot()
@@ -964,7 +964,7 @@ func TestSnapshotPinRace(t *testing.T) {
 		}(p)
 	}
 	for _, u := range stream {
-		if _, err := ws.Apply(u); err != nil {
+		if _, _, err := ws.Commit([]Update{u}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -982,7 +982,7 @@ func TestSnapshotTuplesSharesLeaves(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3*snapLeafRows; i++ {
-		if _, err := ws.Apply(dyndb.Insert("E", Value(i*7%1000), Value(i+1))); err != nil {
+		if _, _, err := ws.Commit([]Update{dyndb.Insert("E", Value(i*7%1000), Value(i+1))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -1056,7 +1056,7 @@ func TestSnapshotPlansRetainOnlyTheLastEncodedVersion(t *testing.T) {
 						batch = append(batch, del[j])
 					}
 				}
-				if n, err := ws.ApplyBatch(batch); err != nil || n != len(batch) {
+				if n, _, err := ws.Commit(batch); err != nil || n != len(batch) {
 					t.Fatalf("commit %d netted %d of %d (err %v)", c, n, len(batch), err)
 				}
 				h.Snapshot()

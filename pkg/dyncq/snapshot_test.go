@@ -65,7 +65,7 @@ func TestCaptureDeltasReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Pre-capture state: the capture baseline must absorb it.
-			if _, err := ws.ApplyBatch(workload.RandomStream(rng, q.Schema(), 20, 120, 0.3)); err != nil {
+			if _, _, err := ws.Commit(workload.RandomStream(rng, q.Schema(), 20, 120, 0.3)); err != nil {
 				t.Fatal(err)
 			}
 			replica := newReplayOracle()
@@ -85,12 +85,12 @@ func TestCaptureDeltasReplay(t *testing.T) {
 				if end > len(stream) {
 					end = len(stream)
 				}
-				if _, err := ws.ApplyBatch(stream[i:end]); err != nil {
+				if _, _, err := ws.Commit(stream[i:end]); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for _, u := range stream[:40] {
-				if _, err := ws.Apply(u); err != nil {
+				if _, _, err := ws.Commit([]Update{u}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -129,7 +129,7 @@ func TestCaptureDeltasReplay(t *testing.T) {
 				t.Fatal("StopDeltaCapture found no active capture")
 			}
 			events = events[:0]
-			if _, err := ws.ApplyBatch(stream[:50]); err != nil {
+			if _, _, err := ws.Commit(stream[:50]); err != nil {
 				t.Fatal(err)
 			}
 			if len(events) != 0 {
@@ -154,7 +154,7 @@ func TestCaptureDeltasEveryVersion(t *testing.T) {
 	// E-tuples without matching T never change the result, but each
 	// commit still advances the version.
 	for i := 0; i < 5; i++ {
-		if _, err := ws.Insert("E", Value(i), Value(i+100)); err != nil {
+		if _, _, err := ws.Commit([]Update{Insert("E", Value(i), Value(i+100))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -224,10 +224,10 @@ func TestCaptureDeltasBoolean(t *testing.T) {
 				}
 			}
 			batch := func(us ...Update) func() error {
-				return func() error { _, err := ws.ApplyBatch(us); return err }
+				return func() error { _, _, err := ws.Commit(us); return err }
 			}
 			apply := func(u Update) func() error {
-				return func() error { _, err := ws.Apply(u); return err }
+				return func() error { _, _, err := ws.Commit([]Update{u}); return err }
 			}
 			load := func(us ...Update) func() error {
 				db := NewDatabase()
@@ -257,7 +257,7 @@ func TestCaptureDeltasBoolean(t *testing.T) {
 
 // TestSnapshotDoesNotBlockWriter is acceptance criterion (b) at the
 // library layer: an enumeration held open on a pinned snapshot — the
-// reader asleep mid-iteration — must not block a concurrent ApplyBatch.
+// reader asleep mid-iteration — must not block a concurrent Commit.
 // The write is time-bounded; with the old read-locked View semantics it
 // would wait for the whole sleep.
 func TestSnapshotDoesNotBlockWriter(t *testing.T) {
@@ -268,7 +268,7 @@ func TestSnapshotDoesNotBlockWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ws.ApplyBatch(workload.RandomStream(rng, q.Schema(), 40, 400, 0.1)); err != nil {
+	if _, _, err := ws.Commit(workload.RandomStream(rng, q.Schema(), 40, 400, 0.1)); err != nil {
 		t.Fatal(err)
 	}
 	snap := h.Snapshot()
@@ -296,11 +296,11 @@ func TestSnapshotDoesNotBlockWriter(t *testing.T) {
 
 	<-readerHolding
 	start := time.Now()
-	if _, err := ws.ApplyBatch(workload.RandomStream(rng, q.Schema(), 40, 200, 0.5)); err != nil {
+	if _, _, err := ws.Commit(workload.RandomStream(rng, q.Schema(), 40, 200, 0.5)); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 300*time.Millisecond {
-		t.Fatalf("ApplyBatch took %v while a snapshot reader slept: snapshot readers must not block writers", elapsed)
+		t.Fatalf("Commit took %v while a snapshot reader slept: snapshot readers must not block writers", elapsed)
 	}
 	preVersion := snap.Version()
 	if ws.Version() <= preVersion {
@@ -323,7 +323,7 @@ func TestWorkspaceSnapshotIsPinned(t *testing.T) {
 	if _, err := ws.RegisterQuery("q", q, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ws.ApplyBatch(workload.RandomStream(rng, q.Schema(), 30, 200, 0.2)); err != nil {
+	if _, _, err := ws.Commit(workload.RandomStream(rng, q.Schema(), 30, 200, 0.2)); err != nil {
 		t.Fatal(err)
 	}
 	snap := ws.Snapshot()
@@ -332,7 +332,7 @@ func TestWorkspaceSnapshotIsPinned(t *testing.T) {
 	// A write while the snapshot is held: legal under MVCC. The fresh x
 	// guarantees the live result moves.
 	batch := append(workload.RandomStream(rng, q.Schema(), 30, 100, 0.9), Insert("E", 1000, 1))
-	if _, err := ws.ApplyBatch(batch); err != nil {
+	if _, _, err := ws.Commit(batch); err != nil {
 		t.Fatal(err)
 	}
 	if ws.Version() != version+1 {
@@ -380,7 +380,7 @@ func TestSnapshotReadersUnderWriterLoad(t *testing.T) {
 		if end > len(stream) {
 			end = len(stream)
 		}
-		if _, err := cs.ApplyBatch(stream[i:end]); err != nil {
+		if _, _, err := cs.Commit(stream[i:end]); err != nil {
 			t.Error(err)
 			break
 		}

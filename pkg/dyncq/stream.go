@@ -121,7 +121,7 @@ func ApplyStreamReader(ws *Workspace, sr *StreamReader, batchSize int, observe f
 		if len(pending) == 0 {
 			return nil
 		}
-		n, err := ws.ApplyBatch(pending)
+		n, _, err := ws.Commit(pending)
 		applied += n
 		pending = pending[:0]
 		return err

@@ -24,10 +24,10 @@ import (
 // database with per-query maintenance structures fed by a common delta
 // stream.
 //
-// Every write — Apply, Insert, Delete, ApplyBatch, ApplyBatched, Commit,
-// and the serving layer's apply verb and batches — runs one pipeline,
-// commitLocked; a single update is a batch of one, as in the paper's
-// single-tuple update model. Per commit: coalesce once,
+// Every write — Commit, and through it the serving layer's apply verb and
+// batches and ApplyStreamReader — runs one pipeline, commitLocked; a
+// single update is a batch of one, as in the paper's single-tuple update
+// model. Per commit: coalesce once,
 // validate once (against the union schema of all registered queries and
 // the store, so a bad batch is rejected atomically), compute the net
 // delta against the shared store once (dyndb.NetDelta, which resolves
@@ -295,11 +295,11 @@ func (h *Handle) Cardinality() int { return h.ws.Cardinality() }
 
 // MaintenanceNS returns the cumulative time the commit pipeline spent
 // maintaining this query, and the number of commits that changed the
-// store — every Apply, Commit and ApplyBatch that netted an update,
-// whatever its size. The time includes the query's read side, which runs
-// in the same timed step: advancing a cached snapshot and calling a
-// CaptureDeltas hook; a query with neither pays nothing there. The
-// per-commit delta of the first value is the per-query update latency.
+// store — every Commit that netted an update, whatever its size. The
+// time includes the query's read side, which runs in the same timed step:
+// advancing a cached snapshot and calling a CaptureDeltas hook; a query
+// with neither pays nothing there. The per-commit delta of the first
+// value is the per-query update latency.
 // The timer is wall-clock: a commit that fans out (fanOutMin) runs
 // handles concurrently, so each handle's time includes scheduler
 // contention from the others and the sum over handles can exceed the
@@ -498,30 +498,6 @@ func (w *Workspace) StoreMutations() uint64 {
 	return w.store.Mutations()
 }
 
-// Insert applies "insert R(a1,…,ar)" to the shared store and every
-// registered query, reporting whether the database changed.
-func (w *Workspace) Insert(rel string, tuple ...Value) (bool, error) {
-	return w.Apply(dyndb.Insert(rel, tuple...))
-}
-
-// Delete applies "delete R(a1,…,ar)", reporting whether the database
-// changed.
-func (w *Workspace) Delete(rel string, tuple ...Value) (bool, error) {
-	return w.Apply(dyndb.Delete(rel, tuple...))
-}
-
-// Apply executes one update command atomically across the shared store
-// and every registered query: a commit of one, through the same pipeline
-// as every batch.
-//
-//dyncq:hot
-func (w *Workspace) Apply(u Update) (bool, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	applied, err := w.commitLocked([]Update{u})
-	return applied > 0, err
-}
-
 // checkArity validates one command against the union schema (errors
 // name the owning query) and, for relations outside every query, the
 // shared store's declaration. The commit path leaves the check to
@@ -552,19 +528,25 @@ func (w *Workspace) rejected(updates []Update, err error) error {
 	return fmt.Errorf("dyncq: %w", err)
 }
 
-// Commit executes the updates as one atomic commit, exactly as ApplyBatch
-// does, and also returns the workspace version the commit produced, read
-// before the write lock is released — with several writers, Version()
-// asked afterwards may already name somebody else's commit. A commit that
-// changes nothing leaves the version where it was and returns it. Every
-// other write method runs the same pipeline; a single update is a batch
-// of one.
+// Commit is the workspace's one write door. It executes the updates as
+// one atomic commit across the shared store and every registered query:
+// the batch is coalesced, validated as a whole (a bad command rejects the
+// batch with nothing applied), reduced to the net delta that actually
+// changes the store, applied to the store ONCE, and fanned out to every
+// query's maintenance structure. Readers observe either the state before
+// the whole batch or after it. A single update is a batch of one.
+//
+// Commit returns the number of net commands that changed the database and
+// the workspace version the commit produced, read before the write lock is
+// released — with several writers, Version() asked afterwards may already
+// name somebody else's commit. A commit that changes nothing leaves the
+// version where it was and returns it.
 //
 // Commit reads the batch's tuples only until it returns: the store, the
 // engines, delta events and snapshots keep copies of what they keep, so
 // the caller may overwrite or reuse the tuples' backing arrays as soon as
 // Commit returns — a server session parses every batch into one reused
-// value array on that guarantee. The same holds for ApplyBatch and Apply.
+// value array on that guarantee.
 //
 //dyncq:hot
 func (w *Workspace) Commit(updates []Update) (applied int, version uint64, err error) {
@@ -574,23 +556,20 @@ func (w *Workspace) Commit(updates []Update) (applied int, version uint64, err e
 	return applied, w.version.Load(), err
 }
 
-// ApplyBatch executes a batch atomically across the shared store and
-// every registered query: the batch is coalesced, validated as a whole
-// (a bad command rejects the batch with nothing applied), reduced to
-// the net delta that actually changes the store, applied to the store
-// ONCE, and fanned out to every query's maintenance structure. Readers
-// observe either the state before the whole batch or after it. Returns
-// the number of net commands that changed the database. Nothing retains
-// the batch's tuples once it returns (see Commit).
+// ApplyBatch is Commit without the version.
+//
+// Deprecated: use Commit. ApplyBatch stays only because the benchmark's
+// ladder (benchmark/ladder.go) calls it; it goes once that caller moves to
+// Commit (ROADMAP item 1(d)).
 func (w *Workspace) ApplyBatch(updates []Update) (int, error) {
 	applied, _, err := w.Commit(updates)
 	return applied, err
 }
 
-// commitLocked is the commit pipeline: every write method reaches it,
-// and it is the only place that coalesces, writes the store, fans the
-// delta out and publishes each query's result delta to its read side. It
-// allocates nothing once warm. The caller holds w.mu.Lock.
+// commitLocked is the commit pipeline: Commit runs it, and it is the
+// only place that coalesces, writes the store, fans the delta out and
+// publishes each query's result delta to its read side. It allocates
+// nothing once warm. The caller holds w.mu.Lock.
 //
 //dyncq:hot
 func (w *Workspace) commitLocked(updates []Update) (int, error) {
@@ -661,30 +640,6 @@ func (w *Workspace) finishAt(i int) {
 	if h.emits() {
 		h.publish(DeltaEvent{Query: h.name, Version: w.version.Load() + 1, Added: added, Removed: removed}, true)
 	}
-}
-
-// ApplyBatched splits the updates into chunks of batchSize and commits
-// each chunk atomically (readers may observe the state between chunks —
-// each chunk is one version), returning the total number of net commands
-// that changed the database and stopping at the first error. batchSize
-// <= 0 applies one batch.
-func (w *Workspace) ApplyBatched(updates []Update, batchSize int) (int, error) {
-	if batchSize <= 0 {
-		return w.ApplyBatch(updates)
-	}
-	applied := 0
-	for from := 0; from < len(updates); from += batchSize {
-		to := from + batchSize
-		if to > len(updates) {
-			to = len(updates)
-		}
-		n, err := w.ApplyBatch(updates[from:to])
-		applied += n
-		if err != nil {
-			return applied, err
-		}
-	}
-	return applied, nil
 }
 
 // relDelta is one relation's slice of a commit's net delta, for the
@@ -871,7 +826,7 @@ var clockBase = time.Now()
 // registered query) is rejected atomically, like a batch: the store,
 // every result, the version, cached snapshots and capture streams stay
 // exactly as they were. To add a database's tuples on top of the current
-// state, feed db.Updates() through ApplyBatch instead.
+// state, feed db.Updates() through Commit instead.
 func (w *Workspace) Load(db *Database) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

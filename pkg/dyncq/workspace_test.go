@@ -99,12 +99,12 @@ func TestWorkspaceMatchesSoloWorkspaces(t *testing.T) {
 		if to > len(stream) {
 			to = len(stream)
 		}
-		n, err := ws.ApplyBatch(stream[from:to])
+		n, _, err := ws.Commit(stream[from:to])
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, s := range solos {
-			sn, err := s.ApplyBatch(stream[from:to])
+			sn, _, err := s.Commit(stream[from:to])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +150,7 @@ func TestWorkspaceStoreMutationsIndependentOfK(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := ws.ApplyBatched(stream, 50); err != nil {
+		if _, err := commitChunks(ws, stream, 50); err != nil {
 			t.Fatal(err)
 		}
 		return ws.StoreMutations()
@@ -178,7 +178,7 @@ func TestWorkspaceStoreIndependentOfFanOut(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := ws.ApplyBatched(stream, 64); err != nil {
+		if _, err := commitChunks(ws, stream, 64); err != nil {
 			t.Fatal(err)
 		}
 		return ws
@@ -195,7 +195,7 @@ func TestWorkspaceStoreIndependentOfFanOut(t *testing.T) {
 	}
 }
 
-// TestWorkspaceCrossQueryConsistency: after any ApplyBatch and after a
+// TestWorkspaceCrossQueryConsistency: after any Commit and after a
 // failed Load, every registered query observes the same version and the
 // same shared state — for the failed Load, exactly the state before it.
 func TestWorkspaceCrossQueryConsistency(t *testing.T) {
@@ -207,7 +207,7 @@ func TestWorkspaceCrossQueryConsistency(t *testing.T) {
 		}
 	}
 	stream := workload.RandomStream(rng, multiSchema(), 8, 200, 0.4)
-	if _, err := ws.ApplyBatched(stream, 25); err != nil {
+	if _, err := commitChunks(ws, stream, 25); err != nil {
 		t.Fatal(err)
 	}
 	oracle := dyndb.New()
@@ -250,7 +250,7 @@ func TestWorkspaceCrossQueryConsistency(t *testing.T) {
 	}
 	// Still alive.
 	for _, u := range []Update{Insert("E", 100, 200), Insert("T", 200), Insert("S", 100)} {
-		if _, err := ws.Apply(u); err != nil {
+		if _, _, err := ws.Commit([]Update{u}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := oracle.Apply(u); err != nil {
@@ -332,7 +332,7 @@ func TestWorkspaceLateRegister(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := workload.RandomStream(rng, multiSchema(), 8, 100, 0.4)
-	if _, err := ws.ApplyBatch(stream); err != nil {
+	if _, _, err := ws.Commit(stream); err != nil {
 		t.Fatal(err)
 	}
 	oracle := db.Clone()
@@ -355,7 +355,7 @@ func TestWorkspaceLateRegister(t *testing.T) {
 	}
 	// And they stay live under further updates.
 	more := workload.RandomStream(rng, multiSchema(), 8, 80, 0.4)
-	if _, err := ws.ApplyBatched(more, 16); err != nil {
+	if _, err := commitChunks(ws, more, 16); err != nil {
 		t.Fatal(err)
 	}
 	if err := oracle.ApplyAll(more); err != nil {
@@ -387,7 +387,7 @@ func TestWorkspaceRegisterRejects(t *testing.T) {
 		t.Fatal("conflicting arity across queries accepted")
 	}
 	// A store-declared relation outside every query also pins its arity.
-	if _, err := ws.Insert("X", 1, 2); err != nil {
+	if _, _, err := ws.Commit([]Update{Insert("X", 1, 2)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ws.Register("q3", "Q(x) :- X(x)"); err == nil {
@@ -423,7 +423,7 @@ func TestWorkspaceSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := ws.ApplyBatch(workload.RandomStream(rng, multiSchema(), 8, 150, 0.3)); err != nil {
+	if _, _, err := ws.Commit(workload.RandomStream(rng, multiSchema(), 8, 150, 0.3)); err != nil {
 		t.Fatal(err)
 	}
 	snap := ws.Snapshot()
@@ -460,7 +460,7 @@ func TestWorkspaceParallelMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := ws.ApplyBatched(stream, 64); err != nil {
+		if _, err := commitChunks(ws, stream, 64); err != nil {
 			t.Fatal(err)
 		}
 		return ws
@@ -477,7 +477,7 @@ func TestWorkspaceParallelMatchesSequential(t *testing.T) {
 // populate the store only; a later registration picks them up.
 func TestWorkspaceEmptyThenRegister(t *testing.T) {
 	ws := NewWorkspace(WorkspaceOptions{})
-	if _, err := ws.ApplyBatch([]Update{Insert("E", 1, 2), Insert("T", 2)}); err != nil {
+	if _, _, err := ws.Commit([]Update{Insert("E", 1, 2), Insert("T", 2)}); err != nil {
 		t.Fatal(err)
 	}
 	if ws.Cardinality() != 2 {
@@ -525,7 +525,7 @@ func TestRelationIDsSurviveLoadAndUnregister(t *testing.T) {
 			}
 			commit := func(wantErr string, batch ...Update) {
 				t.Helper()
-				_, err := ws.ApplyBatch(batch)
+				_, _, err := ws.Commit(batch)
 				switch {
 				case wantErr == "" && err != nil:
 					t.Fatalf("%v: %v", batch, err)

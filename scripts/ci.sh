@@ -13,8 +13,9 @@
 #                                              two parser fuzz targets, the table fuzz
 #                                              target, the net-delta fuzz target, the
 #                                              evaluator fuzz target, the core fuzz
-#                                              target and the leaf-splice fuzz target,
-#                                              the two benchmark gates and the
+#                                              target, the leaf-splice fuzz target and
+#                                              the wire-session fuzz target, the two
+#                                              benchmark gates and the
 #                                              Go benchmarks
 #   scripts/ci.sh --nightly [seed [duration]]  long randomised torture soak under -race
 #
@@ -112,10 +113,12 @@ deep_leg() {
 	# store's tuple table and its NetDelta/ApplyNetDelta against map
 	# models, the evaluator — the oracle and ivm's delta-join kernel —
 	# against brute force, and cq.Core, which routing classifies by,
-	# against a brute-force homomorphism search, and the enumerate frames
+	# against a brute-force homomorphism search, the enumerate frames
 	# spliced from rebuilt leaves' plans against the reference encoder and
-	# a count of the tuples added, for a fixed budget each; a crasher lands
-	# in testdata/fuzz to be committed.
+	# a count of the tuples added, and a session's dispatcher — every
+	# verb but subscribe, batches and junk — against one reply per request
+	# and a mirror database, for a fixed budget each; a crasher lands in
+	# testdata/fuzz to be committed.
 	GOMAXPROCS=$n go test ./pkg/dyncq -run '^$' -fuzz '^FuzzParseUpdate$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/server -run '^$' -fuzz '^FuzzParseTupleLine$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/tuplekey -run '^$' -fuzz '^FuzzTable$' -fuzztime 20s
@@ -123,6 +126,7 @@ deep_leg() {
 	GOMAXPROCS=$n go test ./internal/eval -run '^$' -fuzz '^FuzzEvaluate$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/cq -run '^$' -fuzz '^FuzzCore$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/server -run '^$' -fuzz '^FuzzLeafSplice$' -fuzztime 20s
+	GOMAXPROCS=$n go test ./internal/server -run '^$' -fuzz '^FuzzWireSession$' -fuzztime 20s
 	result_size_gate
 	snapshot_advance_gate
 	# The Go benchmarks the gates and CHANGES.md cite: they must compile,
