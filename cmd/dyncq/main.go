@@ -259,9 +259,9 @@ func warnUnknown(path string, unknown map[string]bool) {
 }
 
 // loadDatabaseFile reads an initial-database stream and feeds it to the
-// workspace through the bulk Load path (reset-then-load, one counting
-// pass + one weight pass on core backends) instead of replaying
-// per-tuple updates. The single parse pass checks arities against the
+// workspace through the bulk Load path (reset-then-load: each backend
+// rebuilds once from the loaded store) instead of committing per-tuple
+// updates. The single parse pass checks arities against the
 // union query schema with line numbers and collects typo warnings. A
 // non-nil encode switches the parser to string mode.
 func loadDatabaseFile(ws *dyncq.Workspace, schema map[string]int, path string, encode func(string) dyncq.Value) error {

@@ -390,7 +390,8 @@ func (d *Database) CopyFrom(src *Database) error {
 // Arities are validated against d's declared relations, against the
 // arities required by Require, and against the other commands of the
 // batch (a batch that first declares a new relation must use it
-// consistently), so a returned delta applies to d without errors. Every
+// consistently, and not with the empty tuple: a relation has arity 1 or
+// more), so a returned delta applies to d without errors. Every
 // coalesced command is validated, no-ops included. d's content is not
 // modified, but the scratch it owns is: NetDelta belongs to the writer,
 // like the mutators, and the returned slice is valid until the next
@@ -439,6 +440,9 @@ func (d *Database) NetDelta(updates []Update) ([]Update, error) {
 			continue // deleting from an undeclared relation is a no-op
 		}
 		if want < 0 {
+			if len(u.Tuple) == 0 { // its insert would declare a relation of arity 0
+				return nil, fmt.Errorf("insert %s: empty tuple, a relation has arity 1 or more", u.Rel) //dyncq:allow hotalloc cold error path, never taken by validated batches
+			}
 			fresh = append(fresh, freshRel{u.rid, len(u.Tuple)}) //dyncq:allow hotalloc only a batch that declares a relation gets here, kept across batches
 		}
 		pending = pending || u.rid < 0

@@ -135,6 +135,9 @@ func (m modelDB) netDelta(batch []Update) ([]Update, error) {
 			return nil, fmt.Errorf("%s: arity %d, %d earlier in the batch", u, n, want)
 		}
 		if u.Op == OpInsert {
+			if n == 0 {
+				return nil, fmt.Errorf("%s: empty tuple", u)
+			}
 			fresh[u.Rel] = n
 			out = append(out, u)
 		}
@@ -192,7 +195,8 @@ func (m modelDB) sameContent(db *Database) error {
 // every batch against the model. A batch is a length byte (0xff: Clear
 // instead) and per command two bytes: the low bit of the first is the
 // op, its next two bits the relation, the two above them the arity
-// (1..3); the second byte's 2-bit fields are the values.
+// (0..3, 0 the empty tuple no relation takes); the second byte's 2-bit
+// fields are the values.
 func runNetDeltaProgram(t *testing.T, prog []byte) {
 	db, m := New(), modelDB{}
 	Require(db, fuzzRels[len(fuzzRels)-1], fuzzRequired)
@@ -216,7 +220,7 @@ func runNetDeltaProgram(t *testing.T, prog []byte) {
 		for ; n > 0 && len(prog) >= 2; n-- {
 			op, vals := prog[0], prog[1]
 			prog = prog[2:]
-			tuple := make([]Value, 1+int(op>>3&3)%3)
+			tuple := make([]Value, int(op>>3&3))
 			for j := range tuple {
 				tuple[j] = Value(vals >> (2 * j) & 3)
 			}
@@ -255,7 +259,8 @@ func runNetDeltaProgram(t *testing.T, prog []byte) {
 }
 
 // FuzzNetDelta runs arbitrary programs against the model; the seeds
-// cover arity clashes, undeclared and required relations and Clear.
+// cover arity clashes, empty tuples, undeclared and required relations
+// and Clear.
 func FuzzNetDelta(f *testing.F) {
 	rng := rand.New(rand.NewSource(33))
 	for i := 0; i < 4; i++ {

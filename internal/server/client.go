@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 
+	"dyncq/internal/stream"
 	"dyncq/pkg/dyncq"
 )
 
@@ -168,7 +169,7 @@ func (c *Client) readDelta(sc *bufio.Scanner, header string) (Delta, error) {
 			return Delta{}, fmt.Errorf("delta frame for %q truncated after %d lines", f[1], len(lines))
 		}
 		lines = append(lines, sc.Text())
-		values += tupleArity(lines[len(lines)-1])
+		values += stream.TupleArity(lines[len(lines)-1])
 	}
 	d := Delta{
 		Query:   f[1],
@@ -180,7 +181,7 @@ func (c *Client) readDelta(sc *bufio.Scanner, header string) (Delta, error) {
 	vals := make([]dyncq.Value, 0, values) // one backing array for the frame's tuples
 	for _, line := range lines {
 		d.Raw = append(append(d.Raw, line...), '\n')
-		sign, _, next, err := parseTupleLine(line, vals)
+		sign, _, next, err := stream.ParseTupleLine(line, vals)
 		if err != nil {
 			return Delta{}, err
 		}
@@ -389,7 +390,7 @@ func (c *Client) Enumerate(name string) (*Snapshot, error) {
 	for rest := f.block; rest != ""; {
 		var line string
 		line, rest, _ = strings.Cut(rest, "\n")
-		_, _, next, err := parseTupleLine(line, vals)
+		_, _, next, err := stream.ParseTupleLine(line, vals)
 		if err != nil {
 			return nil, err
 		}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"dyncq/internal/dyndb"
+	"dyncq/internal/stream"
 	"dyncq/pkg/dyncq"
 )
 
@@ -34,7 +35,7 @@ func encodeSnapshot(s *dyncq.QuerySnapshot) []byte {
 	buf = strconv.AppendInt(buf, int64(s.Arity()), 10)
 	buf = append(buf, '\n')
 	s.Enumerate(func(t []dyncq.Value) bool {
-		buf = appendTupleLine(buf, '+', name, t)
+		buf = stream.AppendTupleLine(buf, '+', name, t)
 		return true
 	})
 	buf = append(buf, frameEnd...)

@@ -50,9 +50,12 @@ func (o Options) withDefaults() Options {
 
 // Server owns one Workspace and serves it to many concurrent client
 // connections. Writers (apply/commit) serialize on the workspace's own
-// write lock; readers are MVCC — count/answer/enumerate pin snapshots
-// and never block commits. Subscriptions push per-commit delta frames
-// through a bounded outbox per connection (see broker).
+// write lock. Readers take no lock while a snapshot of the current
+// version is cached: enumerate pins one (and writes its frame with no
+// lock held), and count/answer read its header. Otherwise a count/answer
+// reads under the workspace read lock, and enumerate's pin materialises
+// under it; a commit waits for either. Subscriptions push per-commit
+// delta frames through a bounded outbox per connection (see broker).
 type Server struct {
 	ws     *dyncq.Workspace
 	opt    Options
@@ -199,19 +202,11 @@ func (s *Server) DroppedFrames(name string) uint64 {
 //
 //dyncq:hot
 func (s *Server) enumerateFrame(snap *dyncq.QuerySnapshot) frame {
-	blocks, encoded := snap.Blocks(s.formatRows)
-	s.blocksEncoded.Add(uint64(encoded))
-	s.blocksReused.Add(uint64(len(blocks) - encoded))
+	blocks, filled, formatted := snap.Blocks()
+	s.blocksEncoded.Add(uint64(filled))
+	s.blocksReused.Add(uint64(len(blocks) - filled))
+	s.rowsFormatted.Add(uint64(formatted))
 	return frame{head: encodeSnapshotHeader(snap), blocks: blocks, tail: frameEndBlock}
-}
-
-// formatRows is encodeLeaf, counted: the encoder enumerateFrame hands to
-// Blocks, which calls it only for the rows no block holds yet.
-//
-//dyncq:hot
-func (s *Server) formatRows(name string, arity int, rows []dyncq.Value) []byte {
-	s.rowsFormatted.Add(uint64(len(rows) / arity))
-	return encodeLeaf(name, arity, rows)
 }
 
 // FrameCacheStats is the server's encode-once counters, in leaf blocks of

@@ -15,6 +15,7 @@ import (
 	"dyncq/internal/cq"
 	"dyncq/internal/dyndb"
 	"dyncq/internal/eval"
+	"dyncq/internal/stream"
 	"dyncq/internal/workload"
 	"dyncq/pkg/dyncq"
 )
@@ -49,6 +50,12 @@ func TestProtocolBasics(t *testing.T) {
 	}
 	if err := c.Register("q", "Q(y) :- E(x,y)"); err == nil {
 		t.Fatal("duplicate register succeeded")
+	}
+	// A name no tuple line could carry: every enumerate of it would fail.
+	for _, name := range []string{"a(b", "a\tb"} {
+		if err := c.Register(name, "Q(y) :- E(x,y), T(y)"); err == nil || !strings.Contains(err.Error(), "not an identifier") {
+			t.Fatalf("register %q: %v", name, err)
+		}
 	}
 	if names, err := c.Queries(); err != nil || len(names) != 1 || names[0] != "q" {
 		t.Fatalf("queries = %v, %v", names, err)
@@ -589,7 +596,7 @@ func TestCountReplyIsConsistent(t *testing.T) {
 // previous frame did not carry are encoded.
 func TestEnumerateFrameIsStrategyIndependent(t *testing.T) {
 	q := cq.MustParse("Q(x,y) :- E(x,y), T(y)")
-	stream := workload.RandomStream(rand.New(rand.NewSource(41)), q.Schema(), 9, 600, 0.35)
+	updates := workload.RandomStream(rand.New(rand.NewSource(41)), q.Schema(), 9, 600, 0.35)
 	var reference [][]byte // the first strategy's frame after every batch
 	for _, force := range []dyncq.Strategy{dyncq.StrategyCore, dyncq.StrategyIVM} {
 		name := force.String()
@@ -601,8 +608,8 @@ func TestEnumerateFrameIsStrategyIndependent(t *testing.T) {
 		}
 		var frames [][]byte
 		var prev frame // the frame enumerated one batch ago; holding it keeps its blocks' addresses taken
-		for from := 0; from < len(stream); from += 15 {
-			if _, _, err := ws.Commit(stream[from:min(from+15, len(stream))]); err != nil {
+		for from := 0; from < len(updates); from += 15 {
+			if _, _, err := ws.Commit(updates[from:min(from+15, len(updates))]); err != nil {
 				t.Fatal(err)
 			}
 			before := srv.FrameCacheStats()
@@ -642,7 +649,7 @@ func TestEnumerateFrameIsStrategyIndependent(t *testing.T) {
 				t.Fatalf("%s: frame carries %d tuple lines for %d pinned rows", name, len(lines), len(rows))
 			}
 			for i, line := range lines {
-				if _, _, tuple, err := parseTupleLine(line, nil); err != nil || fmt.Sprint(tuple) != fmt.Sprint(rows[i]) {
+				if _, _, tuple, err := stream.ParseTupleLine(line, nil); err != nil || fmt.Sprint(tuple) != fmt.Sprint(rows[i]) {
 					t.Fatalf("%s: frame line %d is %q (err %v), pinned row %v", name, i, line, err, rows[i])
 				}
 			}

@@ -256,31 +256,15 @@ func (s *session) dispatchVerb(line string) bool {
 		return s.send(frame{head: okBeginLine})
 	case "commit", "abort":
 		return s.errf("%s outside begin", cmd)
-	case "count":
-		h, bad := s.handleArg(rest, "count")
+	case "count", "answer":
+		h, bad := s.handleArg(rest, cmd)
 		if h == nil {
 			return bad
 		}
-		// Served from the cached snapshot header when one is current —
-		// no workspace lock at all on a warm query. The cold fallback
-		// reads the live backend and the version under ONE read lock: a
-		// count-only poller never creates a snapshot, so this is the path
-		// it always takes, and its reply must not pair a count with the
-		// version a concurrent commit produced right after it.
-		if snap := h.CachedSnapshot(); snap != nil {
-			return s.send(frame{head: encodeReply("count", h.Name(), snap.Count(), snap.Version())})
-		}
 		n, version := h.CountAt()
-		return s.send(frame{head: encodeReply("count", h.Name(), n, version)})
-	case "answer":
-		h, bad := s.handleArg(rest, "answer")
-		if h == nil {
-			return bad
+		if cmd == "count" {
+			return s.send(frame{head: encodeReply("count", h.Name(), n, version)})
 		}
-		if snap := h.CachedSnapshot(); snap != nil {
-			return s.send(frame{head: encodeAnswer(h.Name(), snap.Answer(), snap.Version())})
-		}
-		n, version := h.CountAt()
 		return s.send(frame{head: encodeAnswer(h.Name(), n > 0, version)})
 	case "enumerate":
 		h, bad := s.handleArg(rest, "enumerate")

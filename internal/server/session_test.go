@@ -144,7 +144,7 @@ func TestCommitKeepsNoBatchTuple(t *testing.T) {
 	names := []string{"core", "ivm"}
 	hooked := map[string]map[string][]dyncq.Value{}
 	for _, name := range names {
-		for _, reg := range []string{name, name + "-sub"} {
+		for _, reg := range []string{name, name + "_sub"} {
 			h, err := ws.Register(reg, texts[name])
 			if err != nil {
 				t.Fatal(err)
@@ -169,14 +169,14 @@ func TestCommitKeepsNoBatchTuple(t *testing.T) {
 	writer, sub := pipeClient(t, srv), pipeClient(t, srv)
 	subbed := map[string]map[string]bool{}
 	for _, name := range names {
-		if _, err := sub.Subscribe(name + "-sub"); err != nil {
+		if _, err := sub.Subscribe(name + "_sub"); err != nil {
 			t.Fatal(err)
 		}
-		base, err := sub.Enumerate(name + "-sub")
+		base, err := sub.Enumerate(name + "_sub")
 		if err != nil || base.Version != 0 {
 			t.Fatalf("enumerate: %+v, %v", base, err)
 		}
-		subbed[name+"-sub"] = map[string]bool{}
+		subbed[name+"_sub"] = map[string]bool{}
 	}
 
 	db := dyndb.New()
@@ -263,7 +263,7 @@ func TestCommitKeepsNoBatchTuple(t *testing.T) {
 			}
 			slices.Sort(mirror)
 			var subMirror []string
-			for key := range subbed[name+"-sub"] {
+			for key := range subbed[name+"_sub"] {
 				subMirror = append(subMirror, key)
 			}
 			slices.Sort(subMirror)

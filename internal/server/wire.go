@@ -3,7 +3,12 @@
 // line-oriented wire protocol over any net.Conn (TCP in production,
 // net.Pipe in deterministic tests), reusing the update-stream text
 // format for tuples: `+E(1,2)` inserts, `-E(1,2)` deletes, and result
-// tuples are rendered the same way with the query name as the relation.
+// tuples are rendered the same way with the query name as the relation —
+// which is why a query name must be an identifier. The format has one
+// home, internal/stream: its parser reads the update lines, its
+// AppendTupleLine writes every tuple line of a frame (a snapshot leaf
+// renders its own, QuerySnapshot.Blocks), and its ParseTupleLine reads
+// them back in the client.
 //
 // # Wire protocol
 //
@@ -73,10 +78,10 @@
 package server
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
+	"dyncq/internal/stream"
 	"dyncq/pkg/dyncq"
 )
 
@@ -89,54 +94,6 @@ var (
 	okBeginLine   = []byte("ok begin\n")
 )
 
-// decimalLen returns the number of bytes strconv.AppendInt renders v in.
-//
-//dyncq:hot
-func decimalLen(v dyncq.Value) int {
-	n, u := 1, uint64(v)
-	if v < 0 {
-		n, u = 2, -u // the magnitude of math.MinInt64 is its own bit pattern
-	}
-	for ; u >= 10; u /= 10 {
-		n++
-	}
-	return n
-}
-
-// tupleLineLen returns the number of bytes appendTupleLine renders tuple
-// in: the encoders size their buffers from the values, so a block that is
-// kept — a leaf's for as long as the leaf lives, a delta's while it sits
-// in outboxes — holds no slack.
-//
-//dyncq:hot
-func tupleLineLen(name string, tuple []dyncq.Value) int {
-	n := len(name) + 4 + max(len(tuple)-1, 0) // sign, parentheses, newline; commas
-	for _, v := range tuple {
-		n += decimalLen(v)
-	}
-	return n
-}
-
-// appendTupleLine appends `<sign><name>(v1,…,vk)\n` to buf and returns
-// the extended slice. The caller provides the backing array;
-// appendTupleLine only ever appends.
-//
-//dyncq:hot
-func appendTupleLine(buf []byte, sign byte, name string, tuple []dyncq.Value) []byte {
-	b := buf[:]
-	b = append(b, sign)
-	b = append(b, name...)
-	b = append(b, '(')
-	for i, v := range tuple {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(v), 10)
-	}
-	b = append(b, ')', '\n')
-	return b
-}
-
 // encodeDelta renders one DeltaEvent as a complete wire frame. It is
 // called once per event; the broker hands the same slice to every
 // subscriber, which is what makes cross-connection delta streams
@@ -146,10 +103,10 @@ func appendTupleLine(buf []byte, sign byte, name string, tuple []dyncq.Value) []
 func encodeDelta(ev dyncq.DeltaEvent) []byte {
 	size := len("delta ") + len(ev.Query) + 3*(1+20) + len(frameEnd) // three numbers of at most 20 digits
 	for _, t := range ev.Added {
-		size += tupleLineLen(ev.Query, t)
+		size += stream.TupleLineLen(ev.Query, t)
 	}
 	for _, t := range ev.Removed {
-		size += tupleLineLen(ev.Query, t)
+		size += stream.TupleLineLen(ev.Query, t)
 	}
 	buf := make([]byte, 0, size)
 	buf = append(buf, "delta "...)
@@ -162,10 +119,10 @@ func encodeDelta(ev dyncq.DeltaEvent) []byte {
 	buf = strconv.AppendInt(buf, int64(len(ev.Removed)), 10)
 	buf = append(buf, '\n')
 	for _, t := range ev.Added {
-		buf = appendTupleLine(buf, '+', ev.Query, t)
+		buf = stream.AppendTupleLine(buf, '+', ev.Query, t)
 	}
 	for _, t := range ev.Removed {
-		buf = appendTupleLine(buf, '-', ev.Query, t)
+		buf = stream.AppendTupleLine(buf, '-', ev.Query, t)
 	}
 	buf = append(buf, frameEnd...)
 	return buf
@@ -196,7 +153,7 @@ func encodeSnapshotHeader(s *dyncq.QuerySnapshot) []byte {
 	name := s.Name()
 	size := len("snapshot ") + len(name) + 3*(1+20) // three numbers of at most 20 digits
 	if s.Arity() == 0 {
-		size += s.Len() * tupleLineLen(name, nil)
+		size += s.Len() * stream.TupleLineLen(name, nil)
 	}
 	buf := make([]byte, 0, size)
 	buf = append(buf, "snapshot "...)
@@ -210,29 +167,8 @@ func encodeSnapshotHeader(s *dyncq.QuerySnapshot) []byte {
 	buf = append(buf, '\n')
 	if s.Arity() == 0 {
 		for i := 0; i < s.Len(); i++ {
-			buf = appendTupleLine(buf, '+', name, nil)
+			buf = stream.AppendTupleLine(buf, '+', name, nil)
 		}
-	}
-	return buf
-}
-
-// encodeLeaf renders row-major rows of a query's result — a snapshot
-// leaf's, or the rows of a rebuilt leaf that no earlier block holds — as
-// the tuple lines of an `enumerate` frame, one '\n'-terminated line per
-// row as dyncq.QuerySnapshot.Blocks asks, in a block of exactly their
-// size. Runs without any workspace lock held, at most once per row of a
-// leaf (modulo benign racing misses), so every client whose frame covers
-// the leaf receives the same bytes.
-//
-//dyncq:hot
-func encodeLeaf(name string, arity int, rows []dyncq.Value) []byte {
-	size := 0
-	for off := 0; off < len(rows); off += arity {
-		size += tupleLineLen(name, rows[off:off+arity])
-	}
-	buf := make([]byte, 0, size)
-	for off := 0; off < len(rows); off += arity {
-		buf = appendTupleLine(buf, '+', name, rows[off:off+arity])
 	}
 	return buf
 }
@@ -271,59 +207,6 @@ func encodeAnswer(name string, yes bool, version uint64) []byte {
 	buf = strconv.AppendUint(buf, version, 10)
 	buf = append(buf, '\n')
 	return buf
-}
-
-// parseTupleLine decodes one `<sign><name>(v1,…,vk)` line as emitted by
-// appendTupleLine (client side), appending the values to vals and
-// returning it extended: the tuple is the appended tail, so a caller
-// decoding a frame keeps one backing array for all its tuples. The
-// integers are parsed where they stand — nothing is split or copied.
-func parseTupleLine(line string, vals []dyncq.Value) (sign byte, name string, out []dyncq.Value, err error) {
-	if len(line) < 4 || (line[0] != '+' && line[0] != '-') {
-		return 0, "", vals, fmt.Errorf("malformed tuple line %q", line)
-	}
-	open := strings.IndexByte(line, '(')
-	if open < 1 || line[len(line)-1] != ')' {
-		return 0, "", vals, fmt.Errorf("malformed tuple line %q", line)
-	}
-	out = vals
-	for at, end := open+1, len(line)-1; at < end; at++ { // at: the first byte of a value
-		neg := line[at] == '-'
-		if neg {
-			at++
-		}
-		// The magnitude, with room for the one more that math.MinInt64 has.
-		var u uint64
-		first := at
-		for ; at < end && line[at] != ','; at++ {
-			d := line[at] - '0'
-			if d > 9 || u > (1<<63)/10 {
-				return 0, "", vals, fmt.Errorf("malformed value in tuple line %q", line)
-			}
-			u = u*10 + uint64(d)
-		}
-		limit := uint64(1<<63 - 1)
-		if neg {
-			limit++
-		}
-		if at == first || u > limit || at == end-1 { // no digits; out of range; a comma with nothing after it
-			return 0, "", vals, fmt.Errorf("malformed value in tuple line %q", line)
-		}
-		if neg {
-			u = -u
-		}
-		out = append(out, dyncq.Value(u))
-	}
-	return line[0], line[1:open], out, nil
-}
-
-// tupleArity returns the number of values in a well-formed tuple line, to
-// size a frame's backing array by before its lines are parsed.
-func tupleArity(line string) int {
-	if strings.HasSuffix(line, "()") {
-		return 0
-	}
-	return strings.Count(line, ",") + 1
 }
 
 // sanitizeErr collapses an error message onto one line so it cannot

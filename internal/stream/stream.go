@@ -1,10 +1,14 @@
-// Package stream parses the update-stream line format, the one text form
-// of a single-tuple update that the CLI's stream files and the serving
-// front door's `apply` and batch lines share:
+// Package stream reads and writes the update-stream line format, the one
+// text form of a single-tuple update that the CLI's stream files and the
+// serving front door's `apply` and batch lines share:
 //
 //	+E(1,2)     insert E(1,2)
 //	-E(1,2)     delete E(1,2)
 //	E(1,2)      insert (the sign is optional)
+//
+// The front door's frames list a query's result tuples in the same form,
+// with the query name as the relation (`+q(1,2)`); the writer of the form
+// and the frame reader are in tupleline.go.
 //
 // Tuple entries are int64 constants, or — in the string mode of the
 // CLI's -strings flag — string constants turned into values by an encoder
@@ -76,7 +80,7 @@ func Parse[T text](line T, encode func(string) dyndb.Value, vals []dyndb.Value) 
 		return op, rel, vals, reject(line, trailingGarbage, s[closing+1:], 0)
 	}
 	rel = trimSpace(s[:open])
-	if !validIdent(rel) {
+	if !ValidIdent(rel) {
 		return op, rel, vals, reject(line, badRelation, rel, 0)
 	}
 	// The entries between the parentheses, comma-separated; the body holds
@@ -216,8 +220,10 @@ func lastRune[T text](s T) (rune, int) {
 	return utf8.DecodeLastRune(buf[:copy(buf[:], s[max(len(s)-utf8.UTFMax, 0):])])
 }
 
-// validIdent reports whether s is an identifier of the query syntax.
-func validIdent[T text](s T) bool {
+// ValidIdent reports whether s is an identifier of the query syntax: the
+// rule a relation name in an update line follows, and a query name, so
+// that the query's tuple lines parse.
+func ValidIdent[T text](s T) bool {
 	for i := 0; i < len(s); {
 		r, n := rune(s[i]), 1
 		if r >= utf8.RuneSelf {

@@ -30,10 +30,10 @@ var deltaShapes = []namedQuery{
 	{"product", "Q(x,y) :- S(x), T(y)", dyncq.StrategyAuto},
 	{"fork", "Q(x,y,z) :- E(x,y), E(x,z)", dyncq.StrategyAuto},
 	{"loop", "Q(x,y) :- E(x,y), E(x,x)", dyncq.StrategyAuto},
-	{"fork-ivm", "Q(x,y,z) :- E(x,y), E(x,z)", dyncq.StrategyIVM},
+	{"fork_ivm", "Q(x,y,z) :- E(x,y), E(x,z)", dyncq.StrategyIVM},
 	{"bool", "Q() :- E(x,y), T(y)", dyncq.StrategyAuto},
-	{"bool-ivm", "Q() :- E(x,y), T(y)", dyncq.StrategyIVM},
-	{"bool-product", "Q() :- S(x), T(y)", dyncq.StrategyAuto},
+	{"bool_ivm", "Q() :- E(x,y), T(y)", dyncq.StrategyIVM},
+	{"bool_product", "Q() :- S(x), T(y)", dyncq.StrategyAuto},
 }
 
 // deltaWatch follows one captured query: the events its hook received

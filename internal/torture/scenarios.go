@@ -33,7 +33,7 @@ var queryPool = []namedQuery{
 	{"star", "Q(y) :- E(x,y), T(y)", dyncq.StrategyAuto},         // core
 	{"src", "Q(x) :- E(x,y)", dyncq.StrategyAuto},                // core
 	{"hard", "Q(x,y) :- S(x), E(x,y), T(y)", dyncq.StrategyAuto}, // ivm
-	{"star-ivm", "Q(y) :- E(x,y), T(y)", dyncq.StrategyIVM},
+	{"star_ivm", "Q(y) :- E(x,y), T(y)", dyncq.StrategyIVM},
 }
 
 // buildWorkspace registers the first k pool queries (all of them when

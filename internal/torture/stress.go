@@ -247,7 +247,7 @@ func concurrencyScenarios() []Scenario {
 					// registered so the writer always fans out to >= 2 queries).
 					for round := 0; round < 30; round++ {
 						for _, nq := range queryPool[2:] {
-							name := fmt.Sprintf("%s-churn", nq.name)
+							name := fmt.Sprintf("%s_churn", nq.name)
 							if _, err := ws.RegisterQuery(name, mustParse(nq.text), dyncq.Options{Force: nq.force}); err != nil {
 								errs <- fmt.Errorf("churn round %d: register %s: %v", round, name, err)
 								return
@@ -271,7 +271,7 @@ func concurrencyScenarios() []Scenario {
 							}
 						}
 						for _, nq := range queryPool[2:] {
-							name := fmt.Sprintf("%s-churn", nq.name)
+							name := fmt.Sprintf("%s_churn", nq.name)
 							if !ws.Unregister(name) {
 								errs <- fmt.Errorf("churn round %d: %s vanished", round, name)
 								return
@@ -372,7 +372,7 @@ func wideQueryPool(k int) []namedQuery {
 	out := make([]namedQuery, k)
 	for i := range out {
 		base := queryPool[i%len(queryPool)]
-		out[i] = namedQuery{name: fmt.Sprintf("q%03d-%s", i, base.name), text: base.text, force: base.force}
+		out[i] = namedQuery{name: fmt.Sprintf("q%03d_%s", i, base.name), text: base.text, force: base.force}
 	}
 	return out
 }
@@ -529,7 +529,7 @@ func fanoutScenarios() []Scenario {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						names := []string{"q000-star", "q002-hard", "q003-star-ivm"}
+						names := []string{"q000_star", "q002_hard", "q003_star_ivm"}
 						for {
 							select {
 							case <-stop:

@@ -222,7 +222,7 @@ func TestLoadFailureChangesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			pin := h.Snapshot()
-			if h.CachedSnapshot() != pin {
+			if h.cachedSnapshot() != pin {
 				t.Fatalf("%s: the pin is not cached", at)
 			}
 			count, tuples := h.Count(), h.Tuples()
@@ -241,7 +241,7 @@ func TestLoadFailureChangesNothing(t *testing.T) {
 			if len(events) != 0 {
 				t.Fatalf("%s: failed Load delivered %d events", at, len(events))
 			}
-			if h.CachedSnapshot() != pin {
+			if h.cachedSnapshot() != pin {
 				t.Fatalf("%s: failed Load replaced the cached snapshot", at)
 			}
 

@@ -153,38 +153,40 @@ func (s *QuerySnapshot) Tuples() [][]Value {
 	return out
 }
 
-// Blocks returns the encoded form of every leaf, in row order, and the
-// number of leaves this call had to fill. encode renders row-major rows of
-// the query's result as one '\n'-terminated line per row, the same bytes
-// for a row whatever rows come with it, as internal/server.encodeLeaf
-// does. A leaf carries its encoding in a slot filled at most once: the
-// first call to reach a leaf fills it and every later call — on this
-// snapshot or on the snapshot of any other version that shares the leaf
-// — gets those same bytes. A leaf a commit rebuilt is not rendered anew:
-// its block is spliced from the blocks of the leaves it was merged from,
-// a copy per run of surviving rows, and only the rows no encoded leaf
-// holds — the tuples added since — go through encode (snapLeaf.fill); a
-// leaf materialised by a cold pin is encoded whole. So a call after a
+// Blocks returns the encoded form of every leaf, in row order: its rows'
+// tuple lines, `+name(v1,…,vk)\n` with the query's name as the relation,
+// the lines of the serving layer's `enumerate` frames. filled is the number
+// of leaves this call had to encode, formatted the number of rows it
+// formatted to do so. A leaf carries its encoding in a slot filled at most
+// once: the first call to reach a leaf fills it and every later call — on
+// this snapshot or on the snapshot of any other version that shares the
+// leaf — gets those same bytes. A leaf a commit rebuilt is not formatted
+// anew: its block is spliced from the blocks of the leaves it was merged
+// from, a copy per run of surviving rows, and only the rows no encoded
+// leaf holds — the tuples added since — are formatted (snapLeaf.fill); a
+// leaf materialised by a cold pin is formatted whole. So a call after a
 // commit formats O(|Δ|) rows, and an encoding lives exactly as long as
 // some pinned or cached version can still see its rows, or a rebuilt
 // leaf's plan its bytes: there is nothing to purge. Callers racing on an
 // empty slot may each fill it; a leaf encodes to the same bytes every time
 // and the first to finish wins. The returned slice is the caller's, the
 // blocks in it are shared: do not modify them. A Boolean query has no
-// leaves. The serving layer builds its `enumerate` frames from the blocks.
+// leaves.
 //
 //dyncq:hot
-func (s *QuerySnapshot) Blocks(encode func(name string, arity int, rows []Value) []byte) (blocks [][]byte, encoded int) {
+func (s *QuerySnapshot) Blocks() (blocks [][]byte, filled, formatted int) {
 	blocks = make([][]byte, 0, len(s.leaves))
 	for _, l := range s.leaves {
 		e := l.enc.Load()
 		if e == nil || e.block == nil {
-			e = l.fill(e, s.name, s.arity, encode)
-			encoded++
+			var rows int
+			e, rows = l.fill(e, s.name, s.arity)
+			filled++
+			formatted += rows
 		}
 		blocks = append(blocks, e.block)
 	}
-	return blocks, encoded
+	return blocks, filled, formatted
 }
 
 // newSnapshot returns an empty snapshot of the handle's query stamped
@@ -213,7 +215,7 @@ func (h *Handle) newSnapshot(version uint64) *QuerySnapshot {
 // for its whole run and therefore stalls writers, a pinned snapshot
 // never does.
 func (h *Handle) Snapshot() *QuerySnapshot {
-	if s := h.CachedSnapshot(); s != nil {
+	if s := h.cachedSnapshot(); s != nil {
 		return s
 	}
 	h.ws.mu.RLock()

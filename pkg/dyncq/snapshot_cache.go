@@ -1,9 +1,10 @@
 package dyncq
 
 import (
-	"bytes"
 	"slices"
 	"sync/atomic"
+
+	"dyncq/internal/stream"
 )
 
 // This file implements the version-keyed shared snapshot cache behind
@@ -101,17 +102,15 @@ func (h *Handle) SnapshotCacheStats() SnapshotCacheStats {
 	}
 }
 
-// CachedSnapshot returns the shared snapshot pinned at the workspace's
+// cachedSnapshot returns the shared snapshot pinned at the workspace's
 // current committed version, or nil when no current snapshot is cached
 // (no pin since the last commit or invalidation). It takes no lock and
-// performs no allocation: one pointer load, one version load. Callers
-// wanting a snapshot unconditionally use Snapshot, which falls back to
-// materialising; CachedSnapshot is the probe for callers with a cheaper
-// cold path of their own (the server answers count/answer from the
-// cached header and only takes the read lock when cold).
+// performs no allocation: one pointer load, one version load. A hit counts
+// as a pin and re-arms demand; it is the fast path of Snapshot and
+// CountAt.
 //
 //dyncq:hot
-func (h *Handle) CachedSnapshot() *QuerySnapshot {
+func (h *Handle) cachedSnapshot() *QuerySnapshot {
 	s := h.snap.Load()
 	if s == nil || s.version != h.ws.version.Load() {
 		return nil
@@ -225,9 +224,10 @@ type snapLeaf struct {
 }
 
 // leafEncoding is what a leaf holds of its encoded form. A filled one has
-// block, one '\n'-terminated line per row, and ends, where ends[i] is the
-// offset just past row i's line — so a range of rows is a range of
-// bytes. An unfilled one has the plan of a rebuilt leaf. A leaf moves from
+// block, the rows' tuple lines (`+name(v1,…,vk)\n`, as internal/stream's
+// AppendTupleLine writes them), and ends, where ends[i] is the offset just
+// past row i's line — so a range of rows is a range of bytes. An unfilled
+// one has the plan of a rebuilt leaf. A leaf moves from
 // planned (or from nothing, nil) to filled once, by one compare-and-swap
 // that drops the plan, and with it the leaves the plan kept alive.
 type leafEncoding struct {
@@ -239,8 +239,8 @@ type leafEncoding struct {
 // spliceOp is one step of a rebuilt leaf's plan, which tiles its rows in
 // order: the next rows rows of the leaf are rows [from, from+rows) of src,
 // whose block is filled — or, with src nil, rows no filled block holds
-// (the delta's added tuples, and rows of leaves never encoded), which the
-// encoder formats.
+// (the delta's added tuples, and rows of leaves never encoded), which
+// fill formats.
 type spliceOp struct {
 	src        *snapLeaf
 	from, rows int32
@@ -325,59 +325,60 @@ func (l *snapLeaf) planWords() int {
 }
 
 // fill encodes the leaf and keeps the result, unless a racing call kept
-// one first; it returns the one kept. was is the unfilled state the caller
-// found. A leaf without a plan is encoded whole; a planned one is spliced:
-// one copy per step that names a source, out of that source's block, and
-// one encoder call per run of rows to format — so what is formatted is
-// what no earlier block holds. The block is allocated at its exact size.
+// one first; it returns the one kept and the number of rows it formatted.
+// was is the unfilled state the caller found. A leaf without a plan is
+// formatted whole; a planned one is spliced: one copy per step that names
+// a source, out of that source's block, and the rows of the other steps —
+// what no earlier block holds — formatted in place, each line's end
+// recorded as it is written. The block is allocated at its exact size.
 //
 //dyncq:hot
-func (l *snapLeaf) fill(was *leafEncoding, name string, arity int, encode func(name string, arity int, rows []Value) []byte) *leafEncoding {
+func (l *snapLeaf) fill(was *leafEncoding, name string, arity int) (*leafEncoding, int) {
+	whole := [1]spliceOp{{rows: int32(len(l.rows) / arity)}}
+	plan := whole[:]
+	if was != nil {
+		plan = was.plan
+	}
+	size, formatted, at := 0, 0, 0
+	for _, op := range plan {
+		if op.src == nil {
+			for off := at * arity; off < (at+int(op.rows))*arity; off += arity {
+				size += stream.TupleLineLen(name, l.rows[off:off+arity])
+			}
+			formatted += int(op.rows)
+		} else {
+			src := op.src.enc.Load()
+			size += int(lineStart(src.ends, op.from+op.rows) - lineStart(src.ends, op.from))
+		}
+		at += int(op.rows)
+	}
 	f := &leafEncoding{ends: make([]int32, len(l.rows)/arity)}
-	if was == nil {
-		f.block = encode(name, arity, l.rows)
-		lineEnds(f.ends, f.block, 0)
-	} else {
-		// Format first, so the size is known before the block is made.
-		var first [4][]byte
-		formatted := first[:0]
-		size, at := 0, 0
-		for _, op := range was.plan {
-			if op.src == nil {
-				b := encode(name, arity, l.rows[at*arity:(at+int(op.rows))*arity])
-				formatted = append(formatted, b)
-				size += len(b)
-			} else {
-				src := op.src.enc.Load()
-				size += int(lineStart(src.ends, op.from+op.rows) - lineStart(src.ends, op.from))
+	block := make([]byte, 0, size)
+	at = 0
+	for _, op := range plan {
+		ends := f.ends[at : at+int(op.rows)]
+		if op.src == nil {
+			for i := range ends {
+				off := (at + i) * arity
+				block = stream.AppendTupleLine(block, '+', name, l.rows[off:off+arity])
+				ends[i] = int32(len(block))
 			}
-			at += int(op.rows)
-		}
-		block := make([]byte, 0, size)
-		at = 0
-		for _, op := range was.plan {
-			ends := f.ends[at : at+int(op.rows)]
-			if op.src == nil {
-				lineEnds(ends, formatted[0], int32(len(block)))
-				block = append(block, formatted[0]...)
-				formatted = formatted[1:]
-			} else {
-				src := op.src.enc.Load()
-				lo, hi := lineStart(src.ends, op.from), lineStart(src.ends, op.from+op.rows)
-				shift := int32(len(block)) - lo
-				for i, end := range src.ends[op.from : op.from+op.rows] {
-					ends[i] = end + shift
-				}
-				block = append(block, src.block[lo:hi]...)
+		} else {
+			src := op.src.enc.Load()
+			lo, hi := lineStart(src.ends, op.from), lineStart(src.ends, op.from+op.rows)
+			shift := int32(len(block)) - lo
+			for i, end := range src.ends[op.from : op.from+op.rows] {
+				ends[i] = end + shift
 			}
-			at += int(op.rows)
+			block = append(block, src.block[lo:hi]...)
 		}
-		f.block = block
+		at += int(op.rows)
 	}
+	f.block = block
 	if l.enc.CompareAndSwap(was, f) {
-		return f
+		return f, formatted
 	}
-	return l.enc.Load()
+	return l.enc.Load(), formatted
 }
 
 // lineStart returns the offset at which row i's line starts in a block
@@ -389,25 +390,6 @@ func lineStart(ends []int32, i int32) int32 {
 		return 0
 	}
 	return ends[i-1]
-}
-
-// lineEnds records in ends the offsets, shifted by base, just past each
-// line of an encoder's output, which must hold exactly len(ends) lines.
-//
-//dyncq:hot
-func lineEnds(ends []int32, b []byte, base int32) {
-	off := 0
-	for i := range ends {
-		n := bytes.IndexByte(b[off:], '\n')
-		if n < 0 {
-			panic("dyncq: a Blocks encoder rendered fewer lines than rows")
-		}
-		off += n + 1
-		ends[i] = base + int32(off)
-	}
-	if off != len(b) {
-		panic("dyncq: a Blocks encoder rendered more than one line per row")
-	}
 }
 
 // patchLeaves merges one committed delta into a snapshot's leaves and

@@ -9,10 +9,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"weak"
 
 	"dyncq/internal/cq"
 	"dyncq/internal/dyndb"
+	"dyncq/internal/stream"
 	"dyncq/internal/workload"
 )
 
@@ -152,7 +154,7 @@ func TestSnapshotAdvanceMatchesFreshPin(t *testing.T) {
 					fresh.EvictSnapshot()
 					want := fresh.Snapshot()
 					got := adv.Snapshot()
-					if got2 := adv.CachedSnapshot(); got2 != got {
+					if got2 := adv.cachedSnapshot(); got2 != got {
 						t.Fatalf("%s: cache not stable across pins", where)
 					}
 					if got.Name() != "adv" || want.Name() != "fresh" {
@@ -365,14 +367,15 @@ func rebuiltWords(prev, next []*snapLeaf) int {
 	return words
 }
 
-// lineEncoder renders rows the way Blocks asks, one '\n'-terminated line
-// per row: the test form of internal/server.encodeLeaf.
-func lineEncoder(name string, arity int, rows []Value) []byte {
-	var b []byte
+// leafLines renders rows as a filled leaf holds them, one tuple line per
+// row, and the offset just past each line: the whole-leaf reference every
+// spliced block must equal.
+func leafLines(name string, arity int, rows []Value) (block []byte, ends []int32) {
 	for off := 0; off < len(rows); off += arity {
-		b = fmt.Appendf(b, "%s/%d%v\n", name, arity, rows[off:off+arity])
+		block = stream.AppendTupleLine(block, '+', name, rows[off:off+arity])
+		ends = append(ends, int32(len(block)))
 	}
-	return b
+	return block, ends
 }
 
 // checkPlans asserts what a plan promises of every unfilled leaf that has
@@ -415,8 +418,8 @@ func checkPlans(t *testing.T, leaves []*snapLeaf, arity int, where string) map[*
 }
 
 // fillChecked fills an unfilled leaf's block and checks it against the
-// leaf encoded whole, line ends included, and that the encoder was asked
-// for exactly the rows the plan formats (all of them without a plan).
+// leaf encoded whole, line ends included, and that it formatted exactly
+// the rows the plan formats (all of them without a plan).
 func fillChecked(t *testing.T, l *snapLeaf, arity int, where string) {
 	t.Helper()
 	e := l.enc.Load()
@@ -432,14 +435,8 @@ func fillChecked(t *testing.T, l *snapLeaf, arity int, where string) {
 			}
 		}
 	}
-	formatted := 0
-	f := l.fill(e, "q", arity, func(name string, arity int, rows []Value) []byte {
-		formatted += len(rows) / arity
-		return lineEncoder(name, arity, rows)
-	})
-	whole := lineEncoder("q", arity, l.rows)
-	ends := make([]int32, len(l.rows)/arity)
-	lineEnds(ends, whole, 0)
+	f, formatted := l.fill(e, "q", arity)
+	whole, ends := leafLines("q", arity, l.rows)
 	if !bytes.Equal(f.block, whole) || !slices.Equal(f.ends, ends) || f.plan != nil || l.enc.Load() != f {
 		t.Fatalf("%s: the filled block %q (ends %v) is not the leaf's whole encoding %q (ends %v)", where, f.block, f.ends, whole, ends)
 	}
@@ -485,9 +482,8 @@ func TestSnapshotAdvanceSharesLeaves(t *testing.T) {
 	if len(prev.leaves) < 64 {
 		t.Fatalf("result of %d rows sits in %d leaves, want at least 64", prev.Len(), len(prev.leaves))
 	}
-	encode := lineEncoder
-	if blocks, encoded := prev.Blocks(encode); encoded != len(prev.leaves) || len(blocks) != encoded {
-		t.Fatalf("the first Blocks encoded %d of %d leaves into %d blocks", encoded, len(prev.leaves), len(blocks))
+	if blocks, filled, formatted := prev.Blocks(); filled != len(prev.leaves) || len(blocks) != filled || formatted != prev.n {
+		t.Fatalf("the first Blocks filled %d of %d leaves into %d blocks, formatting %d of %d rows", filled, len(prev.leaves), len(blocks), formatted, prev.n)
 	}
 	rng := rand.New(rand.NewSource(3))
 	for round := 0; round < 40; round++ {
@@ -519,17 +515,20 @@ func TestSnapshotAdvanceSharesLeaves(t *testing.T) {
 			t.Fatalf("round %d: a delta of %d tuples replaced %d of %d leaves, want between 1 and %d", round, d, rebuilt, len(prev.leaves), 2*d)
 		}
 		checkLeaves(t, next.leaves, next.arity, snapLeafRows, next.n, fmt.Sprintf("round %d", round))
-		blocks, encoded := next.Blocks(encode)
-		if encoded != len(next.leaves)-(len(prev.leaves)-rebuilt) {
-			t.Fatalf("round %d: Blocks encoded %d leaves, but %d of %d are new since the snapshot before", round, encoded,
+		blocks, filled, formatted := next.Blocks()
+		if filled != len(next.leaves)-(len(prev.leaves)-rebuilt) {
+			t.Fatalf("round %d: Blocks filled %d leaves, but %d of %d are new since the snapshot before", round, filled,
 				len(next.leaves)-(len(prev.leaves)-rebuilt), len(next.leaves))
 		}
-		again, encoded := next.Blocks(encode)
-		if encoded != 0 || len(again) != len(next.leaves) {
-			t.Fatalf("round %d: the second Blocks encoded %d leaves and returned %d blocks for %d", round, encoded, len(again), len(next.leaves))
+		if added := max(next.n-prev.n, 0); formatted != added { // a round inserts or deletes, never both
+			t.Fatalf("round %d: Blocks formatted %d rows, the commit added %d", round, formatted, added)
+		}
+		again, filled, formatted := next.Blocks()
+		if filled != 0 || formatted != 0 || len(again) != len(next.leaves) {
+			t.Fatalf("round %d: the second Blocks filled %d leaves, formatted %d rows and returned %d blocks for %d", round, filled, formatted, len(again), len(next.leaves))
 		}
 		for k, l := range next.leaves {
-			if want := encode("feed", 2, l.rows); string(blocks[k]) != string(want) || &again[k][0] != &blocks[k][0] || &blocks[k][0] != &l.enc.Load().block[0] {
+			if want, _ := leafLines("feed", 2, l.rows); string(blocks[k]) != string(want) || &again[k][0] != &blocks[k][0] || &blocks[k][0] != &l.enc.Load().block[0] {
 				t.Fatalf("round %d: block %d is not leaf %d's one encoding", round, k, k)
 			}
 		}
@@ -581,7 +580,7 @@ func pinMismatch(s *QuerySnapshot, want map[uint64][][]Value) string {
 // then finds nothing to advance, and drops the delta). That delta belongs
 // to that one version: whatever is pinned afterwards must be the result
 // at its own version, never a later snapshot patched by a stale delta. An evictor races a committer, a pinner and a lock-free
-// prober whose CachedSnapshot hits re-arm the demand budget while commits
+// prober whose cachedSnapshot hits re-arm the demand budget while commits
 // charge it and evictions zero it; every pin is compared with the result
 // the same stream produced, version for version, on a quiet workspace.
 func TestSnapshotEvictionDuringCommit(t *testing.T) {
@@ -622,7 +621,7 @@ func TestSnapshotEvictionDuringCommit(t *testing.T) {
 			go func() { // lock-free prober: each hit re-arms the budget
 				defer wg.Done()
 				for ; !stop.Load(); runtime.Gosched() {
-					if s := h.CachedSnapshot(); s != nil {
+					if s := h.cachedSnapshot(); s != nil {
 						if bad := pinMismatch(s, want); bad != "" {
 							t.Error(bad)
 							return
@@ -802,6 +801,47 @@ func TestSnapshotDemandDecaysByWork(t *testing.T) {
 	}
 }
 
+// TestCountAtServesTheCachedSnapshot: with a snapshot of the current
+// version cached, CountAt answers from it without a lock — it returns
+// while a writer holds the workspace lock — and re-arms the demand budget
+// as a pin does, so a count-only poller keeps a cache that an enumerating
+// one created advancing. Cold, it reads the live count and creates no
+// snapshot.
+func TestCountAtServesTheCachedSnapshot(t *testing.T) {
+	ws, h := loadFeed(t, 1000, 1000)
+	ins, del := feedToggles(1000, 1000, 8)
+	if n, v := h.CountAt(); n != 1000 || v != ws.Version() || h.snap.Load() != nil || h.SnapshotCacheStats().Hits != 0 {
+		t.Fatalf("cold CountAt: %d at version %d (workspace %d), cache %p, %+v", n, v, ws.Version(), h.snap.Load(), h.SnapshotCacheStats())
+	}
+	h.Snapshot()
+	for c := 0; c < 4; c++ {
+		feedCommit(t, ws, ins, del, c)
+		h.demand.Store(0) // spent: only a re-arm keeps the next commit advancing
+		ws.mu.Lock()
+		done := make(chan [2]uint64)
+		go func() {
+			n, v := h.CountAt()
+			done <- [2]uint64{n, v}
+		}()
+		select {
+		case got := <-done:
+			ws.mu.Unlock()
+			if want := [2]uint64{h.Count(), ws.Version()}; got != want {
+				t.Fatalf("commit %d: CountAt %v, want %v", c, got, want)
+			}
+		case <-time.After(10 * time.Second):
+			ws.mu.Unlock()
+			t.Fatalf("commit %d: CountAt waited for the workspace lock with a current snapshot cached", c)
+		}
+		if s := h.snap.Load(); s == nil || h.demand.Load() != snapshotWords(s) {
+			t.Fatalf("commit %d: CountAt did not re-arm the cached snapshot's budget", c)
+		}
+	}
+	if st := h.SnapshotCacheStats(); st.Hits != 4 || st.Misses != 1 || st.Patched != 4 || st.Invalidated != 0 {
+		t.Fatalf("want one cold pin, four patched advances each kept by a count: %+v", st)
+	}
+}
+
 // TestSnapshotLaggingReaderNeverMisses: a reader that pins every k = 16
 // commits of a 3k-row result lags by less than its budget — sixteen
 // one-tuple advances write 16 × (1 + 24 + 2·126 + 2) ≈ 4.5k words, a cold
@@ -939,7 +979,7 @@ func TestSnapshotPinRace(t *testing.T) {
 				var s *QuerySnapshot
 				if p%2 == 0 {
 					s = h.Snapshot()
-				} else if s = h.CachedSnapshot(); s == nil {
+				} else if s = h.cachedSnapshot(); s == nil {
 					continue
 				}
 				held := 0
@@ -1036,7 +1076,7 @@ func TestSnapshotPlansRetainOnlyTheLastEncodedVersion(t *testing.T) {
 			ws, h := loadFeed(t, result, result)
 			ins, del := feedToggles(result, result, 64)
 			encoded := h.Snapshot()
-			encoded.Blocks(lineEncoder)
+			encoded.Blocks()
 			inEncoded := make(map[*snapLeaf]bool, len(encoded.leaves))
 			var alive []weak.Pointer[snapLeaf]
 			for _, l := range encoded.leaves {
@@ -1076,9 +1116,9 @@ func TestSnapshotPlansRetainOnlyTheLastEncodedVersion(t *testing.T) {
 				t.Fatalf("want one cold pin and 1,000 patched advances: %+v", st)
 			}
 			shared := 0
-			blocks, _ := last.Blocks(lineEncoder)
+			blocks, _, _ := last.Blocks()
 			for k, l := range last.leaves {
-				if string(blocks[k]) != string(lineEncoder("feed", 2, l.rows)) {
+				if want, _ := leafLines("feed", 2, l.rows); string(blocks[k]) != string(want) {
 					t.Fatalf("leaf %d: the spliced block is not the leaf's encoding", k)
 				}
 				if inEncoded[l] {

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"dyncq/internal/dyndb"
@@ -151,22 +150,13 @@ func ApplyStreamReader(ws *Workspace, sr *StreamReader, batchSize int, observe f
 }
 
 // FormatUpdate renders an update in the stream syntax, the inverse of
-// ParseUpdate.
+// ParseUpdate: the line internal/stream's AppendTupleLine writes, without
+// its newline.
 func FormatUpdate(u Update) string {
-	var b strings.Builder
+	sign := byte('+')
 	if u.Op == dyndb.OpDelete {
-		b.WriteByte('-')
-	} else {
-		b.WriteByte('+')
+		sign = '-'
 	}
-	b.WriteString(u.Rel)
-	b.WriteByte('(')
-	for i, v := range u.Tuple {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.FormatInt(v, 10))
-	}
-	b.WriteByte(')')
-	return b.String()
+	line := stream.AppendTupleLine(make([]byte, 0, stream.TupleLineLen(u.Rel, u.Tuple)), sign, u.Rel, u.Tuple)
+	return string(line[:len(line)-1])
 }

@@ -12,6 +12,7 @@ import (
 	"dyncq/internal/dyndb"
 	"dyncq/internal/ivm"
 	"dyncq/internal/qtree"
+	"dyncq/internal/stream"
 	"dyncq/internal/tuplekey"
 )
 
@@ -130,7 +131,7 @@ type Workspace struct {
 	finishFn, preDeleteFn, postInsertFn func(i int)
 
 	// version counts committed state changes. It is atomic so the
-	// cached-snapshot fast path (Handle.CachedSnapshot) can validate a
+	// cached-snapshot fast path (Handle.cachedSnapshot) can validate a
 	// pinned version without the read lock; it only ever advances with
 	// exclusive access to the workspace.
 	version atomic.Uint64
@@ -227,10 +228,16 @@ func (h *Handle) Count() uint64 {
 }
 
 // CountAt returns |ϕ(D)| together with the committed version it holds
-// at, both read under one read lock: Count followed by Version lets a
-// commit land between the two, and a reply built from them pairs one
-// version's count with the next one's number.
+// at. While a snapshot of the current version is cached (Snapshot) it
+// takes no lock: the count is that snapshot's, and the call keeps the
+// cache demanded as a pin does. Otherwise it reads the count and the
+// version under one read lock and caches nothing. Count followed by
+// Version lets a commit land between the two, and a reply built from them
+// pairs one version's count with the next one's number.
 func (h *Handle) CountAt() (count, version uint64) {
+	if s := h.cachedSnapshot(); s != nil {
+		return s.Count(), s.version
+	}
 	h.ws.mu.RLock()
 	defer h.ws.mu.RUnlock()
 	return h.back.Count(), h.ws.version.Load()
@@ -333,7 +340,9 @@ func (w *Workspace) Register(name, text string) (*Handle, error) {
 
 // RegisterQuery registers a query under a unique name with explicit
 // options, routing by classification: core for q-hierarchical queries,
-// IVM otherwise, unless opt.Force pins a strategy. The new query's schema
+// IVM otherwise, unless opt.Force pins a strategy. The name is an
+// identifier of the query syntax, like a relation name: it is the relation
+// of the query's tuple lines on the wire (`+name(1,2)`). The new query's schema
 // must be consistent with every already-registered query and with the
 // relations already declared in the shared store. Registration against a
 // populated store runs the strategy's preprocessing phase over the
@@ -343,8 +352,8 @@ func (w *Workspace) Register(name, text string) (*Handle, error) {
 func (w *Workspace) RegisterQuery(name string, q *cq.Query, opt Options) (*Handle, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if name == "" {
-		return nil, fmt.Errorf("dyncq: empty query name")
+	if !stream.ValidIdent(name) {
+		return nil, fmt.Errorf("dyncq: query name %q is not an identifier", name)
 	}
 	if _, ok := w.handles[name]; ok {
 		return nil, fmt.Errorf("dyncq: query %q is already registered", name)

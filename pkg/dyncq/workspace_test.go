@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dyncq/internal/cq"
@@ -379,8 +380,17 @@ func TestWorkspaceRegisterRejects(t *testing.T) {
 	if _, err := ws.Register("q1", "Q(x) :- S(x)"); err == nil {
 		t.Fatal("duplicate name accepted")
 	}
-	if _, err := ws.Register("", "Q(x) :- S(x)"); err == nil {
-		t.Fatal("empty name accepted")
+	// A query name is an identifier of the query syntax, or a tuple line
+	// naming the query would not parse.
+	for _, name := range []string{"", "a(b", "a\tb", "a b", "a,b", "1q", "q)", "+q", "E\xc0"} {
+		if _, err := ws.Register(name, "Q(x) :- S(x)"); err == nil {
+			t.Fatalf("query name %q accepted", name)
+		}
+	}
+	for _, name := range []string{"q_2", "Eé", "q'"} {
+		if _, err := ws.Register(name, "Q(x) :- S(x)"); err != nil || !ws.Unregister(name) {
+			t.Fatalf("query name %q: %v", name, err)
+		}
 	}
 	// E is binary in q1: a unary E must be rejected.
 	if _, err := ws.Register("q2", "Q(x) :- E(x)"); err == nil {
@@ -410,6 +420,39 @@ func TestWorkspaceRegisterRejects(t *testing.T) {
 	}
 	if _, err := ws.Register("q1", "Q(x) :- E(x)"); err != nil {
 		t.Fatalf("unary E after unregistering its binary owner: %v", err)
+	}
+}
+
+// TestCommitRejectsEmptyTupleWholly: an insert of the empty tuple into a
+// relation the workspace has never seen would declare a relation of arity
+// 0, which no relation has. The whole batch is rejected — the insert
+// ahead of it in the batch included — leaving version, store and count as
+// they were, and the next commit is exact.
+func TestCommitRejectsEmptyTupleWholly(t *testing.T) {
+	ws := NewWorkspace(WorkspaceOptions{})
+	h, err := ws.Register("q", "Q(x) :- E(x,y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ws.Commit([]Update{Insert("E", 5, 6)}); err != nil {
+		t.Fatal(err)
+	}
+	version, card, mutations := ws.Version(), ws.Cardinality(), ws.StoreMutations()
+	n, v, err := ws.Commit([]Update{Insert("E", 1, 2), Insert("F")})
+	if err == nil || !strings.Contains(err.Error(), "empty tuple") || n != 0 || v != version {
+		t.Fatalf("a batch inserting F(): applied %d at version %d, err %v; want an empty-tuple error at version %d", n, v, err, version)
+	}
+	if ws.Version() != version || ws.Cardinality() != card || ws.StoreMutations() != mutations || h.Count() != 1 || ws.store.Has("E", 1, 2) {
+		t.Fatalf("the rejected batch changed the workspace: version %d, |D| %d, mutations %d, count %d", ws.Version(), ws.Cardinality(), ws.StoreMutations(), h.Count())
+	}
+	if n, v, err := ws.Commit([]Update{Insert("E", 1, 2), Insert("E", 3, 4)}); err != nil || n != 2 || v != version+1 {
+		t.Fatalf("the next commit: applied %d at version %d, err %v", n, v, err)
+	}
+	if ws.Cardinality() != 3 || h.Count() != 3 {
+		t.Fatalf("after the next commit |D| %d and count %d, want 3 and 3", ws.Cardinality(), h.Count())
+	}
+	if err := ws.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

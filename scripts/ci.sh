@@ -10,7 +10,9 @@
 #                                              enumerate-frame race tests, a
 #                                              fixed-seed torture soak, and on
 #                                              the GOMAXPROCS=4 leg the server e2e run, the
-#                                              two parser fuzz targets, the table fuzz
+#                                              two line-format fuzz targets (the update
+#                                              parser and internal/stream's frame
+#                                              decoder), the table fuzz
 #                                              target, the net-delta fuzz target, the
 #                                              evaluator fuzz target, the core fuzz
 #                                              target, the leaf-splice fuzz target and
@@ -120,7 +122,7 @@ deep_leg() {
 	# and a mirror database, for a fixed budget each; a crasher lands in
 	# testdata/fuzz to be committed.
 	GOMAXPROCS=$n go test ./pkg/dyncq -run '^$' -fuzz '^FuzzParseUpdate$' -fuzztime 20s
-	GOMAXPROCS=$n go test ./internal/server -run '^$' -fuzz '^FuzzParseTupleLine$' -fuzztime 20s
+	GOMAXPROCS=$n go test ./internal/stream -run '^$' -fuzz '^FuzzParseTupleLine$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/tuplekey -run '^$' -fuzz '^FuzzTable$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/dyndb -run '^$' -fuzz '^FuzzNetDelta$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/eval -run '^$' -fuzz '^FuzzEvaluate$' -fuzztime 20s
@@ -131,8 +133,8 @@ deep_leg() {
 	snapshot_advance_gate
 	# The Go benchmarks the gates and CHANGES.md cite: they must compile,
 	# pass their own b.Fatal checks and print. No timing threshold.
-	go test ./pkg/dyncq ./internal/ivm ./internal/core ./internal/server -run '^$' \
-		-bench 'Apply$|DeltaJoin|CapturedCommit|SnapshotAdvance|SnapshotLaggingReader|CoreUpdate|CommitFanOut|EnumerateFrame|Rebuild' \
+	go test ./pkg/dyncq ./internal/ivm ./internal/core ./internal/server ./internal/stream -run '^$' \
+		-bench 'Apply$|DeltaJoin|CapturedCommit|SnapshotAdvance|SnapshotLaggingReader|CoreUpdate|CommitFanOut|EnumerateFrame|Rebuild|ParseLine' \
 		-benchtime 50x -benchmem
 }
 
