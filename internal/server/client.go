@@ -147,9 +147,10 @@ func (c *Client) demux() {
 	}
 }
 
-// readDelta consumes a delta frame's payload lines, rebuilding both
-// the decoded tuples and the exact raw bytes, sizing nothing from the
-// peer's counts before their lines are read.
+// readDelta consumes a delta frame's payload lines — nAdded '+' lines,
+// then nRemoved '-' lines, of one arity — rebuilding both the decoded
+// tuples and the exact raw bytes, sizing nothing from the peer's counts:
+// each line is parsed where the scanner holds it into one value array.
 // Header: delta <name> <version> <nAdded> <nRemoved>
 func (c *Client) readDelta(sc *bufio.Scanner, header string) (Delta, error) {
 	f := strings.Fields(header)
@@ -162,41 +163,58 @@ func (c *Client) readDelta(sc *bufio.Scanner, header string) (Delta, error) {
 	if err1 != nil || err2 != nil || err3 != nil || nAdded < 0 || nRemoved < 0 || nAdded > math.MaxInt-nRemoved {
 		return Delta{}, fmt.Errorf("malformed delta header %q", header)
 	}
-	var lines []string
-	values := 0
-	for len(lines) < nAdded+nRemoved {
-		if !sc.Scan() {
-			return Delta{}, fmt.Errorf("delta frame for %q truncated after %d lines", f[1], len(lines))
+	d := Delta{Query: f[1], Version: version, Raw: append([]byte(header), '\n')}
+	vals, arity := []dyncq.Value{}, 0 // a boolean query's tuples are empty, not nil
+	for i := 0; i < nAdded+nRemoved; i++ {
+		if !sc.Scan() || string(sc.Bytes()) == "." {
+			return Delta{}, fmt.Errorf("delta frame for %q truncated after %d lines", d.Query, i)
 		}
-		lines = append(lines, sc.Text())
-		values += stream.TupleArity(lines[len(lines)-1])
-	}
-	d := Delta{
-		Query:   f[1],
-		Version: version,
-		Added:   make([][]dyncq.Value, 0, nAdded),
-		Removed: make([][]dyncq.Value, 0, nRemoved),
-		Raw:     append([]byte(header), '\n'),
-	}
-	vals := make([]dyncq.Value, 0, values) // one backing array for the frame's tuples
-	for _, line := range lines {
+		line := sc.Bytes()
 		d.Raw = append(append(d.Raw, line...), '\n')
-		sign, _, next, err := stream.ParseTupleLine(line, vals)
-		if err != nil {
+		added, next, err := decodeTuple(line, d.Query, vals)
+		switch n := len(next) - len(vals); {
+		case err != nil:
 			return Delta{}, err
+		case added != (i < nAdded):
+			return Delta{}, fmt.Errorf("delta frame for %q: line %d is %q, header says %d added then %d removed", d.Query, i+1, line, nAdded, nRemoved)
+		case i > 0 && n != arity:
+			return Delta{}, fmt.Errorf("delta frame for %q: tuple line %q has %d values, the first had %d", d.Query, line, n, arity)
 		}
-		if tuple := next[len(vals):len(next):len(next)]; sign == '+' {
-			d.Added = append(d.Added, tuple)
-		} else {
-			d.Removed = append(d.Removed, tuple)
-		}
-		vals = next
+		arity, vals = len(next)-len(vals), next
 	}
-	if !sc.Scan() || sc.Text() != "." {
+	if !sc.Scan() || string(sc.Bytes()) != "." {
 		return Delta{}, fmt.Errorf("delta frame for %q missing terminator", d.Query)
 	}
 	d.Raw = append(d.Raw, frameEnd...)
+	d.Added, d.Removed = cutTuples(vals[:nAdded*arity], arity, nAdded), cutTuples(vals[nAdded*arity:], arity, nRemoved)
 	return d, nil
+}
+
+// cutTuples slices n tuples of arity values each out of vals.
+func cutTuples(vals []dyncq.Value, arity, n int) [][]dyncq.Value {
+	tuples := make([][]dyncq.Value, n)
+	for i := range tuples {
+		tuples[i] = vals[i*arity : (i+1)*arity : (i+1)*arity]
+	}
+	return tuples
+}
+
+// decodeTuple appends the values of a frame's tuple line, which must carry
+// a sign and name query, to vals through stream.Parse. The update grammar
+// has no empty tuple, so a boolean query's row, `±query()`, is matched here.
+func decodeTuple[T string | []byte](line T, query string, vals []dyncq.Value) (added bool, out []dyncq.Value, err error) {
+	signed := len(line) > 0 && (line[0] == '+' || line[0] == '-')
+	if n := len(line); signed && n == len(query)+3 && string(line[1:n-2]) == query && string(line[n-2:]) == "()" {
+		return line[0] == '+', vals, nil
+	}
+	op, rel, out, err := stream.Parse(line, nil, vals)
+	switch {
+	case err != nil:
+		return false, vals, fmt.Errorf("frame for %q: malformed tuple line: %w", query, err)
+	case !signed || string(rel) != query:
+		return false, vals, fmt.Errorf("frame for %q: tuple line %q is not a signed line of the query", query, line)
+	}
+	return op == dyncq.OpInsert, out, nil
 }
 
 func parseResync(line string) (Delta, error) {
@@ -219,10 +237,9 @@ func parseResync(line string) (Delta, error) {
 func (c *Client) roundTrip(req string) (respFrame, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, err := c.bw.WriteString(req + "\n"); err != nil {
-		return respFrame{}, err
-	}
-	if err := c.bw.Flush(); err != nil {
+	c.bw.WriteString(req)
+	c.bw.WriteByte('\n')
+	if err := c.bw.Flush(); err != nil { // a bufio.Writer keeps its first error, and Flush returns it
 		return respFrame{}, err
 	}
 	f, ok := <-c.resp //dyncq:allow lockorder client request pipeline: c.mu serialises round-trips and the response wait IS the critical section; demux never takes c.mu, and a dead connection closes c.resp
@@ -267,7 +284,8 @@ func (c *Client) Unregister(name string) error {
 // Apply applies one update; reports whether it changed the database
 // and the resulting version.
 func (c *Client) Apply(u dyncq.Update) (bool, uint64, error) {
-	fields, err := c.okFields("apply "+dyncq.FormatUpdate(u), "applied", 2)
+	req := stream.AppendTupleLine([]byte("apply "), u.Op, u.Rel, u.Tuple)
+	fields, err := c.okFields(string(req[:len(req)-1]), "applied", 2)
 	if err != nil {
 		return false, 0, err
 	}
@@ -282,20 +300,14 @@ func (c *Client) Apply(u dyncq.Update) (bool, uint64, error) {
 // atomically server-side. Returns the net change count and version.
 func (c *Client) ApplyBatch(updates []dyncq.Update) (int, uint64, error) {
 	c.mu.Lock()
-	if _, err := c.bw.WriteString("begin\n"); err != nil {
-		c.mu.Unlock()
-		return 0, 0, err
-	}
+	c.bw.WriteString("begin\n") // a bufio.Writer keeps its first error, and Flush returns it
 	for _, u := range updates {
-		if _, err := c.bw.WriteString(dyncq.FormatUpdate(u) + "\n"); err != nil {
-			c.mu.Unlock()
-			return 0, 0, err
+		if c.bw.Available() < stream.TupleLineLen(u.Rel, u.Tuple) {
+			c.bw.Flush() // so that the line is appended in place, not to a fresh array
 		}
+		c.bw.Write(stream.AppendTupleLine(c.bw.AvailableBuffer(), u.Op, u.Rel, u.Tuple))
 	}
-	if _, err := c.bw.WriteString("commit\n"); err != nil {
-		c.mu.Unlock()
-		return 0, 0, err
-	}
+	c.bw.WriteString("commit\n")
 	if err := c.bw.Flush(); err != nil {
 		c.mu.Unlock()
 		return 0, 0, err
@@ -387,10 +399,9 @@ func (c *Client) Enumerate(name string) (*Snapshot, error) {
 		return nil, fmt.Errorf("snapshot header %q promises more values than its %d bytes of tuples hold", f.line, size)
 	}
 	vals := make([]dyncq.Value, 0, n*arity) // one backing array for the frame's tuples
-	for rest := f.block; rest != ""; {
-		var line string
-		line, rest, _ = strings.Cut(rest, "\n")
-		_, _, next, err := stream.ParseTupleLine(line, vals)
+	for line := range strings.Lines(f.block) {
+		line = strings.TrimSuffix(line, "\n")
+		_, next, err := decodeTuple(line, fields[1], vals)
 		if err != nil {
 			return nil, err
 		}
@@ -399,11 +410,7 @@ func (c *Client) Enumerate(name string) (*Snapshot, error) {
 		}
 		vals = next
 	}
-	snap := &Snapshot{Query: fields[1], Version: version, Arity: arity, Tuples: make([][]dyncq.Value, n)}
-	for i := range snap.Tuples {
-		snap.Tuples[i] = vals[i*arity : (i+1)*arity : (i+1)*arity]
-	}
-	return snap, nil
+	return &Snapshot{Query: fields[1], Version: version, Arity: arity, Tuples: cutTuples(vals, arity, n)}, nil
 }
 
 // Subscribe starts the delta stream for name. The returned version is

@@ -31,9 +31,19 @@ func TestClientDeltaFrames(t *testing.T) {
 				Added: [][]dyncq.Value{{1, 2}}, Removed: [][]dyncq.Value{{3, 4}},
 				Raw: []byte("delta q 3 1 1\n+q(1,2)\n-q(3,4)\n.\n")}},
 		},
-		{name: "huge added count", frames: "delta q 1 4611686018427387904 0\n+q(1)\n.\n", wantErr: "truncated after 2 lines"},
-		{name: "huge removed count", frames: "delta q 1 0 4611686018427387904\n-q(1)\n.\n", wantErr: "truncated after 2 lines"},
+		{name: "huge added count", frames: "delta q 1 4611686018427387904 0\n+q(1)\n.\n", wantErr: "truncated after 1 lines"},
+		{name: "huge removed count", frames: "delta q 1 0 4611686018427387904\n-q(1)\n.\n", wantErr: "truncated after 1 lines"},
 		{name: "counts overflow", frames: "delta q 1 9223372036854775807 1\n+q(1)\n.\n", wantErr: "malformed delta header"},
+		{
+			name:   "boolean",
+			frames: "delta q 4 0 1\n-q()\n.\n",
+			want: []Delta{{Query: "q", Version: 4, Added: [][]dyncq.Value{}, Removed: [][]dyncq.Value{{}},
+				Raw: []byte("delta q 4 0 1\n-q()\n.\n")}},
+		},
+		{name: "another query's line", frames: "delta q 3 1 0\n+p(1,2)\n.\n", wantErr: `"+p(1,2)" is not a signed line of the query`},
+		{name: "sign counts differ", frames: "delta q 3 1 1\n+q(1,2)\n+q(3,4)\n.\n", wantErr: `line 2 is "+q(3,4)", header says 1 added then 1 removed`},
+		{name: "arity differs", frames: "delta q 3 2 0\n+q(1,2)\n+q(3)\n.\n", wantErr: "has 1 values, the first had 2"},
+		{name: "no sign", frames: "delta q 3 1 0\nq(1,2)\n.\n", wantErr: `"q(1,2)" is not a signed line of the query`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -62,6 +72,47 @@ func TestClientDeltaFrames(t *testing.T) {
 	}
 }
 
+// TestClientApplyBatchAllocationFree: a warmed client commits a batch of
+// updates and its inverse over net.Pipe to an in-process server, and the
+// whole round trip allocates as often at 512 updates as at 64 — the
+// client writes each update line into its write buffer through
+// stream.AppendTupleLine, and the server parses it where it lies.
+func TestClientApplyBatchAllocationFree(t *testing.T) {
+	allocsAt := func(n int) float64 {
+		srv := newTestServer(t, Options{WriteTimeout: -1}) // no deadline timers, as in TestSessionBatchAllocationFree
+		if _, err := srv.Workspace().Register("star", "Q(y) :- E(x,y), T(y)"); err != nil {
+			t.Fatal(err)
+		}
+		cs, ss := net.Pipe()
+		go srv.ServeConn(ss)
+		cl := NewClient(cs)
+		t.Cleanup(func() { cl.Close() })
+		ins, del := make([]dyncq.Update, n), make([]dyncq.Update, n)
+		for j := range ins {
+			ins[j] = dyncq.Insert("E", dyncq.Value(j%1000), dyncq.Value(1000+j))
+			if j%2 == 1 {
+				ins[j] = dyncq.Insert("T", dyncq.Value(1000+j))
+			}
+			del[j] = dyncq.Update{Op: dyncq.OpDelete, Rel: ins[j].Rel, Tuple: ins[j].Tuple}
+		}
+		cycle := func() {
+			for _, batch := range [][]dyncq.Update{ins, del} {
+				if changed, _, err := cl.ApplyBatch(batch); err != nil || changed != n {
+					t.Fatalf("ApplyBatch: %d changed (%v), want %d", changed, err, n)
+				}
+			}
+		}
+		cycle() // warm the buffers, the session's arena and the store
+		cycle()
+		return testing.AllocsPerRun(100, cycle) / 2
+	}
+	small, large := allocsAt(64), allocsAt(512)
+	t.Logf("allocs per client batch commit: %v at 64 updates, %v at 512", small, large)
+	if small != large {
+		t.Fatalf("a client batch commit allocates %v times at 64 updates but %v at 512: something allocates per update", small, large)
+	}
+}
+
 // TestClientEnumerateFrames answers an enumerate request with snapshot
 // frames from a fake server. A well-formed frame decodes to its tuples.
 // A header whose n × arity exceeds the frame's bytes, a negative arity,
@@ -84,6 +135,8 @@ func TestClientEnumerateFrames(t *testing.T) {
 		{name: "huge arity", frame: "snapshot q 3 7 1000000000\n+q(1)\n+q(2)\n+q(3)\n.\n", wantErr: "promises more values"},
 		{name: "negative arity", frame: "snapshot q 1 7 -1\n+q(1)\n.\n", wantErr: "malformed snapshot header"},
 		{name: "arity mismatch", frame: "snapshot q 2 7 2\n+q(1,2)\n+q(3)\n.\n", wantErr: "has 1 values, header says 2"},
+		{name: "another query's line", frame: "snapshot q 2 7 2\n+q(1,2)\n+p(3,4)\n.\n", wantErr: `"+p(3,4)" is not a signed line of the query`},
+		{name: "no sign", frame: "snapshot q 1 7 2\nq(1,2)\n.\n", wantErr: `"q(1,2)" is not a signed line of the query`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -35,7 +35,7 @@ func encodeSnapshot(s *dyncq.QuerySnapshot) []byte {
 	buf = strconv.AppendInt(buf, int64(s.Arity()), 10)
 	buf = append(buf, '\n')
 	s.Enumerate(func(t []dyncq.Value) bool {
-		buf = stream.AppendTupleLine(buf, '+', name, t)
+		buf = stream.AppendTupleLine(buf, dyncq.OpInsert, name, t)
 		return true
 	})
 	buf = append(buf, frameEnd...)

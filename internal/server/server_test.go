@@ -649,7 +649,7 @@ func TestEnumerateFrameIsStrategyIndependent(t *testing.T) {
 				t.Fatalf("%s: frame carries %d tuple lines for %d pinned rows", name, len(lines), len(rows))
 			}
 			for i, line := range lines {
-				if _, _, tuple, err := stream.ParseTupleLine(line, nil); err != nil || fmt.Sprint(tuple) != fmt.Sprint(rows[i]) {
+				if _, _, tuple, err := stream.Parse(line, nil, nil); err != nil || fmt.Sprint(tuple) != fmt.Sprint(rows[i]) {
 					t.Fatalf("%s: frame line %d is %q (err %v), pinned row %v", name, i, line, err, rows[i])
 				}
 			}

@@ -106,7 +106,7 @@ func (s *session) writer() {
 	// net.Buffers consumes what it writes — it slides over and clears the
 	// slice it is given — so the burst is flattened into a slice of the
 	// writer's own, never written from a frame's block vector.
-	var burst [][]byte
+	var burst, bufs net.Buffers // bufs escapes into WriteTo: declared once, not per burst
 	for {
 		select {
 		case <-s.done:
@@ -128,7 +128,7 @@ func (s *session) writer() {
 				if s.srv.opt.WriteTimeout > 0 {
 					s.conn.SetWriteDeadline(time.Now().Add(s.srv.opt.WriteTimeout))
 				}
-				bufs := net.Buffers(burst)
+				bufs = burst
 				if _, err := bufs.WriteTo(s.conn); err != nil {
 					s.close()
 					return

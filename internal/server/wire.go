@@ -5,10 +5,10 @@
 // format for tuples: `+E(1,2)` inserts, `-E(1,2)` deletes, and result
 // tuples are rendered the same way with the query name as the relation —
 // which is why a query name must be an identifier. The format has one
-// home, internal/stream: its parser reads the update lines, its
-// AppendTupleLine writes every tuple line of a frame (a snapshot leaf
-// renders its own, QuerySnapshot.Blocks), and its ParseTupleLine reads
-// them back in the client.
+// home, internal/stream: its AppendTupleLine writes every tuple line (a
+// snapshot leaf renders its own, QuerySnapshot.Blocks; the client its
+// updates), and its Parse reads every one back — the session's update
+// lines and the client's frame lines alike.
 //
 // # Wire protocol
 //
@@ -119,10 +119,10 @@ func encodeDelta(ev dyncq.DeltaEvent) []byte {
 	buf = strconv.AppendInt(buf, int64(len(ev.Removed)), 10)
 	buf = append(buf, '\n')
 	for _, t := range ev.Added {
-		buf = stream.AppendTupleLine(buf, '+', ev.Query, t)
+		buf = stream.AppendTupleLine(buf, dyncq.OpInsert, ev.Query, t)
 	}
 	for _, t := range ev.Removed {
-		buf = stream.AppendTupleLine(buf, '-', ev.Query, t)
+		buf = stream.AppendTupleLine(buf, dyncq.OpDelete, ev.Query, t)
 	}
 	buf = append(buf, frameEnd...)
 	return buf
@@ -167,7 +167,7 @@ func encodeSnapshotHeader(s *dyncq.QuerySnapshot) []byte {
 	buf = append(buf, '\n')
 	if s.Arity() == 0 {
 		for i := 0; i < s.Len(); i++ {
-			buf = stream.AppendTupleLine(buf, '+', name, nil)
+			buf = stream.AppendTupleLine(buf, dyncq.OpInsert, name, nil)
 		}
 	}
 	return buf

@@ -50,10 +50,10 @@ func TestEncodeDeltaSizesItsBuffer(t *testing.T) {
 		frame := encodeDelta(ev)
 		want := fmt.Sprintf("delta feed %d %d %d\n", ev.Version, len(ev.Added), len(ev.Removed))
 		for _, tuple := range ev.Added {
-			want = string(stream.AppendTupleLine([]byte(want), '+', "feed", tuple))
+			want = string(stream.AppendTupleLine([]byte(want), dyncq.OpInsert, "feed", tuple))
 		}
 		for _, tuple := range ev.Removed {
-			want = string(stream.AppendTupleLine([]byte(want), '-', "feed", tuple))
+			want = string(stream.AppendTupleLine([]byte(want), dyncq.OpDelete, "feed", tuple))
 		}
 		if want += frameEnd; string(frame) != want {
 			t.Fatalf("frame %q, want %q", frame, want)

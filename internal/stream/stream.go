@@ -7,8 +7,8 @@
 //	E(1,2)      insert (the sign is optional)
 //
 // The front door's frames list a query's result tuples in the same form,
-// with the query name as the relation (`+q(1,2)`); the writer of the form
-// and the frame reader are in tupleline.go.
+// with the query name as the relation (`+q(1,2)`). Its one writer is
+// AppendTupleLine (tupleline.go); its one reader, for every line, Parse.
 //
 // Tuple entries are int64 constants, or — in the string mode of the
 // CLI's -strings flag — string constants turned into values by an encoder
@@ -20,12 +20,12 @@
 // trailing garbage, non-integer entry, a parenthesis inside a string
 // entry, …).
 //
-// There is one parser, Parse, generic over the line's representation: a
-// string where the caller holds one, and the bytes a bufio.Scanner lent
-// where the line has not been copied out of the read buffer. It reads the
-// line where it lies, parses the integers in place and appends the tuple
-// to a slice the caller supplies, so a session that parses a batch into
-// one reused Arena allocates nothing per line once the arena has grown.
+// Parse is generic over the line's representation: a string where the
+// caller holds one, and the bytes a bufio.Scanner lent where the line has
+// not been copied out of the read buffer. It reads the line where it
+// lies, parses the integers in place and appends the tuple to a slice the
+// caller supplies, so a session that parses a batch into one reused Arena
+// allocates nothing per line once the arena has grown.
 package stream
 
 import (
@@ -48,10 +48,69 @@ type text interface{ ~string | ~[]byte }
 // out[len(vals):]; rel is a subslice of line. A rejected line leaves vals
 // as it was (err != nil, out == vals); the values before len(vals) are
 // never written (encode may already have seen the entries before the
-// offending one).
+// offending one). In int64 mode the layout AppendTupleLine writes takes a
+// one-pass branch (parseCanonical); any other line, and every rejection,
+// is parseGeneral's.
 //
 //dyncq:hot
 func Parse[T text](line T, encode func(string) dyndb.Value, vals []dyndb.Value) (op dyndb.Op, rel T, out []dyndb.Value, err error) {
+	if encode == nil {
+		if op, rel, out, ok := parseCanonical(line, vals); ok {
+			return op, rel, out, nil
+		}
+	}
+	return parseGeneral(line, encode, vals)
+}
+
+// parseCanonical reads, in one pass, a line in the layout AppendTupleLine
+// writes: an explicit sign, an ASCII identifier, '(', int64s with an
+// optional '-' separated by commas, and a final ')'. On any other byte it
+// gives up (ok false); what it accepts, parseGeneral reads alike.
+//
+//dyncq:hot
+func parseCanonical[T text](line T, vals []dyndb.Value) (op dyndb.Op, rel T, out []dyndb.Value, ok bool) {
+	if len(line) < 5 || line[0] != '+' && line[0] != '-' || line[1] >= utf8.RuneSelf || !identASCII[0][line[1]] {
+		return op, rel, vals, false // a line holds a sign, a name, '(', a digit and ')'
+	}
+	at := 2
+	for at < len(line) && line[at] < utf8.RuneSelf && identASCII[1][line[at]] {
+		at++
+	}
+	if at == len(line) || line[at] != '(' {
+		return op, rel, vals, false
+	}
+	if line[0] == '-' {
+		op = dyndb.OpDelete
+	}
+	rel, out = line[1:at], vals
+	for at++; ; at++ { // at: the first byte of a value
+		v, end, ok := scanInt(line, at, false)
+		if !ok || end == len(line) {
+			return op, rel, vals, false
+		}
+		out = append(out, v) //dyncq:allow hotalloc out is the caller's arena: it grows to the largest batch once, then is reused
+		switch at = end; {
+		case line[at] == ')' && at == len(line)-1:
+			return op, rel, out, true
+		case line[at] != ',':
+			return op, rel, vals, false
+		}
+	}
+}
+
+// identASCII holds cq.IsIdentStart (row 0) and cq.IsIdentPart (row 1) per ASCII byte.
+var identASCII = func() (t [2][utf8.RuneSelf]bool) {
+	for b := range t[0] {
+		t[0][b], t[1][b] = cq.IsIdentStart(rune(b)), cq.IsIdentPart(rune(b))
+	}
+	return t
+}()
+
+// parseGeneral is Parse on any line — white space, an optional sign, any
+// identifier, string mode — and alone rejects lines.
+//
+//dyncq:hot
+func parseGeneral[T text](line T, encode func(string) dyndb.Value, vals []dyndb.Value) (op dyndb.Op, rel T, out []dyndb.Value, err error) {
 	s := trimSpace(line)
 	if len(s) == 0 {
 		return op, rel, vals, reject(line, emptyCommand, s, 0)
@@ -104,8 +163,8 @@ func Parse[T text](line T, encode func(string) dyndb.Value, vals []dyndb.Value) 
 			}
 			out = append(out, encode(string(f))) //dyncq:allow hotalloc string mode encodes the entry's text; out is the caller's arena
 		default:
-			v, ok := parseInt(f)
-			if !ok {
+			v, end, ok := scanInt(f, 0, true)
+			if !ok || end != len(f) {
 				return op, rel, vals, reject(line, notInt64, f, i)
 			}
 			out = append(out, v) //dyncq:allow hotalloc out is the caller's arena: it grows to the largest batch once, then is reused
@@ -237,36 +296,34 @@ func ValidIdent[T text](s T) bool {
 	return len(s) > 0
 }
 
-// parseInt is strconv.ParseInt(f, 10, 64) for a non-empty f, parsed where
-// it lies: an optional sign, then decimal digits, in range.
-func parseInt[T text](f T) (dyndb.Value, bool) {
-	at, neg := 0, f[0] == '-'
-	if neg || f[0] == '+' {
-		at = 1
-	}
-	if at == len(f) {
-		return 0, false
+// scanInt reads the int64 at s[at:] — an optional '-' (or '+', if plus),
+// then decimal digits up to the first other byte — and the index past it:
+// strconv.ParseInt(f, 10, 64) is scanInt(f, 0, true) ending at len(f).
+func scanInt[T text](s T, at int, plus bool) (v dyndb.Value, end int, ok bool) {
+	neg := at < len(s) && s[at] == '-'
+	if neg || plus && at < len(s) && s[at] == '+' {
+		at++
 	}
 	// The magnitude, with room for the one more that math.MinInt64 has.
 	var u uint64
-	for ; at < len(f); at++ {
-		d := f[at] - '0'
-		if d > 9 || u > (1<<63)/10 {
-			return 0, false
+	first := at
+	for ; at < len(s) && s[at]-'0' <= 9; at++ {
+		if u > (1<<63)/10 {
+			return 0, at, false
 		}
-		u = u*10 + uint64(d)
+		u = u*10 + uint64(s[at]-'0')
 	}
 	limit := uint64(1<<63 - 1)
 	if neg {
 		limit++
 	}
-	if u > limit {
-		return 0, false
+	if at == first || u > limit {
+		return 0, at, false
 	}
 	if neg {
 		u = -u
 	}
-	return dyndb.Value(u), true
+	return dyndb.Value(u), at, true
 }
 
 // Arena parses the update lines of one batch into a value array it keeps:

@@ -153,6 +153,10 @@ func FuzzParseUpdate(f *testing.F) {
 		"E(1 2)", "E(0x1)", "E(1,2,)", "+", "-", "E((1))", "E(١)",
 		"#E(1)", "\x00E(1)", "E(18446744073709551615)", "+E\xc0(1)",
 		"E)(1)", "E(9223372036854775808)", "E(-9223372036854775809)", "E(+)", "E(1_0)",
+		// the layout AppendTupleLine writes, which Parse reads in one pass,
+		// and lines a byte away from it
+		"-q(-9223372036854775808)", "+q(007)", "+q(-0)", "+a_b'c(1,-2,3)", "-feed(81236,-9223372036854775808)",
+		"+q(9223372036854775808)", "+q(1,+2)", "+q(1,)", "+q(1) ", "+1q(1)", "+q.x(1)", "+q(-)",
 		// string mode: accepted there, or rejected only there
 		"+E(alice, bob)", "-E(alice,42)", "E(x y)", "+E(a(b,c)", "E(a,(b)",
 	} {

@@ -360,7 +360,7 @@ func (l *snapLeaf) fill(was *leafEncoding, name string, arity int) (*leafEncodin
 		if op.src == nil {
 			for i := range ends {
 				off := (at + i) * arity
-				block = stream.AppendTupleLine(block, '+', name, l.rows[off:off+arity])
+				block = stream.AppendTupleLine(block, OpInsert, name, l.rows[off:off+arity])
 				ends[i] = int32(len(block))
 			}
 		} else {

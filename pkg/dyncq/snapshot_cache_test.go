@@ -372,7 +372,7 @@ func rebuiltWords(prev, next []*snapLeaf) int {
 // spliced block must equal.
 func leafLines(name string, arity int, rows []Value) (block []byte, ends []int32) {
 	for off := 0; off < len(rows); off += arity {
-		block = stream.AppendTupleLine(block, '+', name, rows[off:off+arity])
+		block = stream.AppendTupleLine(block, OpInsert, name, rows[off:off+arity])
 		ends = append(ends, int32(len(block)))
 	}
 	return block, ends

@@ -7,7 +7,6 @@ import (
 	"io"
 	"strings"
 
-	"dyncq/internal/dyndb"
 	"dyncq/internal/stream"
 )
 
@@ -153,10 +152,6 @@ func ApplyStreamReader(ws *Workspace, sr *StreamReader, batchSize int, observe f
 // ParseUpdate: the line internal/stream's AppendTupleLine writes, without
 // its newline.
 func FormatUpdate(u Update) string {
-	sign := byte('+')
-	if u.Op == dyndb.OpDelete {
-		sign = '-'
-	}
-	line := stream.AppendTupleLine(make([]byte, 0, stream.TupleLineLen(u.Rel, u.Tuple)), sign, u.Rel, u.Tuple)
+	line := stream.AppendTupleLine(make([]byte, 0, stream.TupleLineLen(u.Rel, u.Tuple)), u.Op, u.Rel, u.Tuple)
 	return string(line[:len(line)-1])
 }

@@ -11,8 +11,9 @@
 #                                              fixed-seed torture soak, and on
 #                                              the GOMAXPROCS=4 leg the server e2e run, the
 #                                              two line-format fuzz targets (the update
-#                                              parser and internal/stream's frame
-#                                              decoder), the table fuzz
+#                                              parser against its reference, and its
+#                                              one-pass branch against its general
+#                                              path), the table fuzz
 #                                              target, the net-delta fuzz target, the
 #                                              evaluator fuzz target, the core fuzz
 #                                              target, the leaf-splice fuzz target and
@@ -111,18 +112,19 @@ deep_leg() {
 	# the gates want real parallelism.
 	[ "$n" = 4 ] || return 0
 	GOMAXPROCS=$n go test -race ./internal/server -run 'TestE2E' -server.e2eclients=6 -count=1 -v
-	# The two parsers against the reference parsers their tests keep, the
-	# store's tuple table and its NetDelta/ApplyNetDelta against map
-	# models, the evaluator — the oracle and ivm's delta-join kernel —
-	# against brute force, and cq.Core, which routing classifies by,
-	# against a brute-force homomorphism search, the enumerate frames
+	# The line parser against the reference parser its test keeps and its
+	# one-pass branch against its general path, the store's tuple table
+	# and its NetDelta/ApplyNetDelta against map models, the evaluator —
+	# the oracle and ivm's delta-join kernel — against brute force, and
+	# cq.Core, which routing classifies by, against a brute-force
+	# homomorphism search, the enumerate frames
 	# spliced from rebuilt leaves' plans against the reference encoder and
 	# a count of the tuples added, and a session's dispatcher — every
 	# verb but subscribe, batches and junk — against one reply per request
 	# and a mirror database, for a fixed budget each; a crasher lands in
 	# testdata/fuzz to be committed.
 	GOMAXPROCS=$n go test ./pkg/dyncq -run '^$' -fuzz '^FuzzParseUpdate$' -fuzztime 20s
-	GOMAXPROCS=$n go test ./internal/stream -run '^$' -fuzz '^FuzzParseTupleLine$' -fuzztime 20s
+	GOMAXPROCS=$n go test ./internal/stream -run '^$' -fuzz '^FuzzParseLine$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/tuplekey -run '^$' -fuzz '^FuzzTable$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/dyndb -run '^$' -fuzz '^FuzzNetDelta$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/eval -run '^$' -fuzz '^FuzzEvaluate$' -fuzztime 20s
