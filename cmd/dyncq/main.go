@@ -2,8 +2,7 @@
 // loads a conjunctive query, classifies it, routes it to the best
 // maintenance strategy (pkg/dyncq), applies update streams, and answers
 // count/enumerate requests. It also serves queries over TCP (serve,
-// client) and runs the seeded torture matrix (torture); the benchmark
-// is the separate program in benchmark/.
+// client); the benchmark is the separate program in benchmark/.
 package main
 
 import (
@@ -31,8 +30,6 @@ func main() {
 		err = cmdRun(os.Args[2:])
 	case "classify":
 		err = cmdClassify(os.Args[2:])
-	case "torture":
-		err = cmdTorture(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
 	case "client":
@@ -57,7 +54,6 @@ Subcommands:
   run       load a database, apply an update stream to one shared
             workspace serving one or more live queries, count/enumerate
   classify  print the classification and routing decision for a query
-  torture   run the seeded torture/soak matrix (internal/torture)
   serve     long-lived TCP query server: MVCC snapshot readers, live
             delta subscriptions (protocol: internal/server/wire.go)
   client    interactive line client for a running serve instance
@@ -97,6 +93,44 @@ func (q *queryFlags) Set(v string) error {
 	return nil
 }
 
+// namedQuery is one parsed -query argument and the name it registers
+// under.
+type namedQuery struct {
+	name string
+	q    *cq.Query
+}
+
+// parse parses every -query argument and names the bare ones q1, q2, …
+// skipping the names given explicitly, so '-query "Q(x) :- E(x,y)"
+// -query "q1=…"' names them q2 and q1 instead of colliding. run and
+// serve both name their queries here.
+func (q queryFlags) parse() ([]namedQuery, error) {
+	named := make([]namedQuery, 0, len(q))
+	taken := make(map[string]bool, len(q))
+	for _, arg := range q {
+		name, text := splitNamedQuery(arg)
+		parsed, err := cq.Parse(text)
+		if err != nil {
+			if name == "" {
+				return nil, fmt.Errorf("-query %q: %w", arg, err)
+			}
+			return nil, fmt.Errorf("query %s: %w", name, err)
+		}
+		named = append(named, namedQuery{name, parsed})
+		taken[name] = name != ""
+	}
+	next := 1
+	for i := range named {
+		for ; named[i].name == ""; next++ {
+			if auto := fmt.Sprintf("q%d", next); !taken[auto] {
+				named[i].name = auto
+				taken[auto] = true
+			}
+		}
+	}
+	return named, nil
+}
+
 // splitNamedQuery parses one -query argument: an optional "name=" prefix
 // (identifier before a '=' that precedes the query head's parenthesis)
 // followed by the query text. An empty returned name means "auto-name
@@ -133,21 +167,9 @@ func cmdRun(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	type namedQuery struct {
-		name string // "" = auto-name
-		q    *cq.Query
-	}
-	var named []namedQuery
-	for _, arg := range queries {
-		name, text := splitNamedQuery(arg)
-		q, err := cq.Parse(text)
-		if err != nil {
-			if name == "" {
-				return fmt.Errorf("-query %q: %w", arg, err)
-			}
-			return fmt.Errorf("query %s: %w", name, err)
-		}
-		named = append(named, namedQuery{name, q})
+	named, err := queries.parse()
+	if err != nil {
+		return err
 	}
 	if *qText != "" || *qFile != "" {
 		q, err := loadQuery(*qText, *qFile)
@@ -158,25 +180,6 @@ func cmdRun(args []string) error {
 	}
 	if len(named) == 0 {
 		return fmt.Errorf("at least one query is required (-q, -qf, or repeatable -query)")
-	}
-	// Auto-name the bare queries q1, q2, … skipping names the user chose
-	// explicitly, so 'dyncq run -query "q2=…" -query "…"' cannot collide.
-	taken := make(map[string]bool, len(named))
-	for _, nq := range named {
-		taken[nq.name] = nq.name != ""
-	}
-	next := 1
-	for i := range named {
-		if named[i].name != "" {
-			continue
-		}
-		for ; ; next++ {
-			if auto := fmt.Sprintf("q%d", next); !taken[auto] {
-				named[i].name = auto
-				taken[auto] = true
-				break
-			}
-		}
 	}
 	strategy, err := dyncq.ParseStrategy(*strategyName)
 	if err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"io"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -85,5 +86,34 @@ func TestStringsRejectParenInEntry(t *testing.T) {
 	want := `dyncq: testdata/paren_strings.txt: line 2: malformed update "+E(a(b,c)": tuple entry 1 ("a(b") contains '('` + "\n"
 	if !strings.HasSuffix(out, want) {
 		t.Fatalf("output:\n%s\nwant it to end with:\n%s", out, want)
+	}
+}
+
+// TestQueryNaming: run and serve name their -query arguments through
+// queryFlags.parse, which names the bare queries q1, q2, … around the
+// names given explicitly, whatever their order.
+func TestQueryNaming(t *testing.T) {
+	cases := []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"Q(x) :- E(x,y)", "q1=Q(x) :- T(x)"}, []string{"q2", "q1"}},
+		{[]string{"q2=Q(x) :- E(x,y)", "Q(x) :- T(x)", "Q(x) :- S(x)"}, []string{"q2", "q1", "q3"}},
+	}
+	for _, c := range cases {
+		named, err := queryFlags(c.args).parse()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, nq := range named {
+			got = append(got, nq.name)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%q named %v, want %v", c.args, got, c.want)
+		}
+	}
+	if _, err := queryFlags([]string{"a=Q(x) :- "}).parse(); err == nil || !strings.HasPrefix(err.Error(), "query a: ") {
+		t.Errorf("malformed named query: error %v, want one naming query a", err)
 	}
 }

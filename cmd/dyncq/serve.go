@@ -12,7 +12,6 @@ import (
 	"syscall"
 	"time"
 
-	"dyncq/internal/cq"
 	"dyncq/internal/server"
 	"dyncq/pkg/dyncq"
 )
@@ -32,29 +31,17 @@ func cmdServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	named, err := queries.parse()
+	if err != nil {
+		return err
+	}
 	srv := server.New(server.Options{
 		OutboxFrames: *outbox,
 		WriteTimeout: *writeTimeout,
 	})
 	ws := srv.Workspace()
-	taken := map[string]bool{}
-	next := 1
-	for _, arg := range queries {
-		name, text := splitNamedQuery(arg)
-		q, err := cq.Parse(text)
-		if err != nil {
-			return fmt.Errorf("-query %q: %w", arg, err)
-		}
-		if name == "" {
-			for ; ; next++ {
-				if auto := fmt.Sprintf("q%d", next); !taken[auto] {
-					name = auto
-					break
-				}
-			}
-		}
-		taken[name] = true
-		h, err := ws.RegisterQuery(name, q, dyncq.Options{})
+	for _, nq := range named {
+		h, err := ws.RegisterQuery(nq.name, nq.q, dyncq.Options{})
 		if err != nil {
 			return err
 		}

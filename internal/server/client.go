@@ -388,6 +388,9 @@ func (c *Client) Enumerate(name string) (*Snapshot, error) {
 	if err1 != nil || err2 != nil || err3 != nil || arity < 0 {
 		return nil, fmt.Errorf("malformed snapshot header %q", f.line)
 	}
+	if fields[1] != name {
+		return nil, fmt.Errorf("snapshot header %q answers another query than %q", f.line, name)
+	}
 	if n != f.lines {
 		return nil, fmt.Errorf("snapshot header promises %d tuples, frame has %d", n, f.lines)
 	}
@@ -401,16 +404,19 @@ func (c *Client) Enumerate(name string) (*Snapshot, error) {
 	vals := make([]dyncq.Value, 0, n*arity) // one backing array for the frame's tuples
 	for line := range strings.Lines(f.block) {
 		line = strings.TrimSuffix(line, "\n")
-		_, next, err := decodeTuple(line, fields[1], vals)
+		added, next, err := decodeTuple(line, name, vals)
 		if err != nil {
 			return nil, err
+		}
+		if !added {
+			return nil, fmt.Errorf("snapshot tuple line %q is a - line; a snapshot lists only + lines", line)
 		}
 		if got := len(next) - len(vals); got != arity {
 			return nil, fmt.Errorf("snapshot tuple line %q has %d values, header says %d", line, got, arity)
 		}
 		vals = next
 	}
-	return &Snapshot{Query: fields[1], Version: version, Arity: arity, Tuples: cutTuples(vals, arity, n)}, nil
+	return &Snapshot{Query: name, Version: version, Arity: arity, Tuples: cutTuples(vals, arity, n)}, nil
 }
 
 // Subscribe starts the delta stream for name. The returned version is

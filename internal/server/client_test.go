@@ -137,6 +137,8 @@ func TestClientEnumerateFrames(t *testing.T) {
 		{name: "arity mismatch", frame: "snapshot q 2 7 2\n+q(1,2)\n+q(3)\n.\n", wantErr: "has 1 values, header says 2"},
 		{name: "another query's line", frame: "snapshot q 2 7 2\n+q(1,2)\n+p(3,4)\n.\n", wantErr: `"+p(3,4)" is not a signed line of the query`},
 		{name: "no sign", frame: "snapshot q 1 7 2\nq(1,2)\n.\n", wantErr: `"q(1,2)" is not a signed line of the query`},
+		{name: "removed line", frame: "snapshot q 2 7 1\n+q(1)\n-q(2)\n.\n", wantErr: `"-q(2)" is a - line`},
+		{name: "another query's header", frame: "snapshot other 1 5 1\n+other(1)\n.\n", wantErr: "answers another query"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

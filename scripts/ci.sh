@@ -3,7 +3,8 @@
 # .github/workflows and the local equivalents in TESTING.md call it, so a
 # lane runs the same commands, with the same gates, on a laptop as in CI.
 #
-#   scripts/ci.sh --quick                      gofmt, vet, dyncq-lint, build, shuffled tests
+#   scripts/ci.sh --quick                      gofmt, vet, dyncq-lint, build, a check that the
+#                                              dyncq binary links no test harness, shuffled tests
 #   scripts/ci.sh --deep [gomaxprocs...]       race matrix, ten race passes over the tests of
 #                                              the snapshot cache, delta capture and a
 #                                              failed Load's read side, ten over the
@@ -53,6 +54,15 @@ quick() {
 		go run ./cmd/dyncq-lint ./...
 	fi
 	go build ./...
+	# The torture harness and the workload generators are test code: the
+	# dyncq binary, which `dyncq serve` and the benchmark run, links
+	# neither.
+	bad=$(go list -deps ./cmd/dyncq | grep -Fx -e dyncq/internal/torture -e dyncq/internal/workload || true)
+	if [ -n "$bad" ]; then
+		echo "cmd/dyncq links test-only packages:" >&2
+		echo "$bad" >&2
+		exit 1
+	fi
 	# -shuffle=on flushes out inter-test state; the seed prints on failure.
 	go test -shuffle=on ./...
 }
