@@ -8,9 +8,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -148,6 +146,21 @@ func splitNamedQuery(arg string) (name, text string) {
 	return "", strings.TrimSpace(arg)
 }
 
+// parseStrategy converts a -strategy name ("auto", "core", "ivm") to a
+// dyncq.Strategy.
+func parseStrategy(name string) (dyncq.Strategy, error) {
+	switch name {
+	case "auto":
+		return dyncq.StrategyAuto, nil
+	case "core":
+		return dyncq.StrategyCore, nil
+	case "ivm":
+		return dyncq.StrategyIVM, nil
+	default:
+		return dyncq.StrategyAuto, fmt.Errorf("unknown strategy %q (want auto, core or ivm)", name)
+	}
+}
+
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("dyncq run", flag.ExitOnError)
 	qText := fs.String("q", "", "query text, e.g. 'Q(x) :- E(x,y), T(y)'")
@@ -181,7 +194,7 @@ func cmdRun(args []string) error {
 	if len(named) == 0 {
 		return fmt.Errorf("at least one query is required (-q, -qf, or repeatable -query)")
 	}
-	strategy, err := dyncq.ParseStrategy(*strategyName)
+	strategy, err := parseStrategy(*strategyName)
 	if err != nil {
 		return err
 	}
@@ -201,14 +214,14 @@ func cmdRun(args []string) error {
 	if *stringsMode {
 		encode = d.Encode
 	}
-	schema := ws.Schema()
+	r := newUpdateReader(ws.Schema(), encode)
 	if *dataFile != "" {
-		if err := loadDatabaseFile(ws, schema, *dataFile, encode); err != nil {
+		if err := loadDatabaseFile(ws, r, *dataFile); err != nil {
 			return err
 		}
 	}
 	if *updFile != "" {
-		if err := applyStreamFile(ws, schema, *updFile, *batch, encode); err != nil {
+		if err := applyStreamFile(ws, r, *updFile, *batch); err != nil {
 			return err
 		}
 	}
@@ -245,104 +258,6 @@ func enumPrefix(numQueries int, name string) string {
 		return ""
 	}
 	return name + ": "
-}
-
-// warnUnknown prints the typo warning for relations outside the query.
-func warnUnknown(path string, unknown map[string]bool) {
-	if len(unknown) == 0 {
-		return
-	}
-	names := make([]string, 0, len(unknown))
-	for r := range unknown {
-		names = append(names, r)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(os.Stderr, "warning: %s: relations not in the query (likely a typo): %s\n",
-		path, strings.Join(names, ", "))
-}
-
-// loadDatabaseFile reads an initial-database stream and feeds it to the
-// workspace through the bulk Load path (reset-then-load: each backend
-// rebuilds once from the loaded store) instead of committing per-tuple
-// updates. The single parse pass checks arities against the
-// union query schema with line numbers and collects typo warnings. A
-// non-nil encode switches the parser to string mode.
-func loadDatabaseFile(ws *dyncq.Workspace, schema map[string]int, path string, encode func(string) dyncq.Value) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sr := dyncq.NewStreamReader(f)
-	if encode != nil {
-		sr.UseStrings(encode)
-	}
-	db := dyncq.NewDatabase()
-	unknown := map[string]bool{}
-	total := 0
-	for {
-		u, line, err := sr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		if want, ok := schema[u.Rel]; !ok {
-			unknown[u.Rel] = true
-		} else if want != len(u.Tuple) {
-			return fmt.Errorf("%s: line %d: %s has arity %d in the query, got tuple of length %d",
-				path, line, u.Rel, want, len(u.Tuple))
-		}
-		if _, err := db.Apply(u); err != nil {
-			return fmt.Errorf("%s: line %d: %w", path, line, err)
-		}
-		total++
-	}
-	warnUnknown(path, unknown)
-	if err := ws.Load(db); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	fmt.Printf("loaded:   %d commands from %s (bulk load: %d tuples)\n", total, path, db.Cardinality())
-	return nil
-}
-
-// applyStreamFile streams one update file into the workspace in a
-// single parse pass via dyncq.ApplyStreamReader: commands are batched
-// through Workspace.Commit (one shared-store application fanned out to
-// every registered query), arity mismatches against the union schema are
-// reported with the offending line number, and relations outside every
-// query earn a typo warning — spotted on the same pass, not a separate
-// parse. A non-nil encode switches the parser to string mode.
-func applyStreamFile(ws *dyncq.Workspace, schema map[string]int, path string, batchSize int, encode func(string) dyncq.Value) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sr := dyncq.NewStreamReader(f)
-	if encode != nil {
-		sr.UseStrings(encode)
-	}
-	unknown := map[string]bool{}
-	total := 0
-	applied, err := dyncq.ApplyStreamReader(ws, sr, batchSize, func(u dyncq.Update, _ int) {
-		if _, ok := schema[u.Rel]; !ok {
-			unknown[u.Rel] = true
-		}
-		total++
-	})
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	warnUnknown(path, unknown)
-	if batchSize > 0 {
-		fmt.Printf("applied:  %d updates from %s in batches of %d (%d net changes)\n",
-			total, path, batchSize, applied)
-	} else {
-		fmt.Printf("applied:  %d updates from %s (%d net changes)\n", total, path, applied)
-	}
-	return nil
 }
 
 // formatTuple renders one result tuple. This is the decode boundary of

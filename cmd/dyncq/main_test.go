@@ -1,11 +1,14 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
+
+	"dyncq/pkg/dyncq"
 )
 
 // runCaptured runs one subcommand in process with stdout and stderr
@@ -115,5 +118,41 @@ func TestQueryNaming(t *testing.T) {
 	}
 	if _, err := queryFlags([]string{"a=Q(x) :- "}).parse(); err == nil || !strings.HasPrefix(err.Error(), "query a: ") {
 		t.Errorf("malformed named query: error %v, want one naming query a", err)
+	}
+}
+
+// TestParseStrategy: the three -strategy names round-trip through
+// dyncq.Strategy's String, and anything else — "recompute" included — is
+// rejected with an error that names the accepted values.
+func TestParseStrategy(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want dyncq.Strategy
+		ok   bool
+	}{
+		{"auto", dyncq.StrategyAuto, true},
+		{"core", dyncq.StrategyCore, true},
+		{"ivm", dyncq.StrategyIVM, true},
+		{"recompute", dyncq.StrategyAuto, false},
+		{"nope", dyncq.StrategyAuto, false},
+		{"", dyncq.StrategyAuto, false},
+		{"CORE", dyncq.StrategyAuto, false},
+		{" ivm", dyncq.StrategyAuto, false},
+	} {
+		t.Run(fmt.Sprintf("name=%q", tc.name), func(t *testing.T) {
+			got, err := parseStrategy(tc.name)
+			if !tc.ok {
+				if err == nil || !strings.Contains(err.Error(), "auto, core or ivm") {
+					t.Fatalf("parseStrategy(%q): error %v, want one naming auto, core or ivm", tc.name, err)
+				}
+				return
+			}
+			if err != nil || got != tc.want {
+				t.Fatalf("parseStrategy(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+			}
+			if got.String() != tc.name {
+				t.Fatalf("%v.String() = %q, want %q", got, got.String(), tc.name)
+			}
+		})
 	}
 }

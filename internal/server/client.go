@@ -252,9 +252,10 @@ func (c *Client) roundTrip(req string) (respFrame, error) {
 	return f, nil
 }
 
-// okFields validates an `ok <verb> …` response and returns the fields
-// after the verb.
-func (c *Client) okFields(req, verb string, want int) ([]string, error) {
+// okFields validates an `ok <verb> [<name>] …` response and returns at
+// least want fields after the verb and, for a request about a query (name
+// not empty), after that query's name.
+func (c *Client) okFields(req, verb, name string, want int) ([]string, error) {
 	f, err := c.roundTrip(req)
 	if err != nil {
 		return nil, err
@@ -263,21 +264,31 @@ func (c *Client) okFields(req, verb string, want int) ([]string, error) {
 		return nil, errors.New(strings.TrimPrefix(f.line, "err "))
 	}
 	fields := strings.Fields(f.line)
-	if len(fields) < 2+want || fields[0] != "ok" || fields[1] != verb {
+	if len(fields) < 2 || fields[0] != "ok" || fields[1] != verb {
 		return nil, fmt.Errorf("unexpected response %q to %q", f.line, req)
 	}
-	return fields[2:], nil
+	fields = fields[2:]
+	if name != "" {
+		if len(fields) == 0 || fields[0] != name {
+			return nil, fmt.Errorf("response %q to %q answers another query than %q", f.line, req, name)
+		}
+		fields = fields[1:]
+	}
+	if len(fields) < want {
+		return nil, fmt.Errorf("unexpected response %q to %q", f.line, req)
+	}
+	return fields, nil
 }
 
 // Register registers a query on the server.
 func (c *Client) Register(name, query string) error {
-	_, err := c.okFields("register "+name+" "+query, "registered", 2)
+	_, err := c.okFields("register "+name+" "+query, "registered", name, 2)
 	return err
 }
 
 // Unregister removes a query.
 func (c *Client) Unregister(name string) error {
-	_, err := c.okFields("unregister "+name, "unregistered", 1)
+	_, err := c.okFields("unregister "+name, "unregistered", name, 0)
 	return err
 }
 
@@ -285,7 +296,7 @@ func (c *Client) Unregister(name string) error {
 // and the resulting version.
 func (c *Client) Apply(u dyncq.Update) (bool, uint64, error) {
 	req := stream.AppendTupleLine([]byte("apply "), u.Op, u.Rel, u.Tuple)
-	fields, err := c.okFields(string(req[:len(req)-1]), "applied", 2)
+	fields, err := c.okFields(string(req[:len(req)-1]), "applied", "", 2)
 	if err != nil {
 		return false, 0, err
 	}
@@ -343,12 +354,12 @@ func (c *Client) ApplyBatch(updates []dyncq.Update) (int, uint64, error) {
 
 // Count returns |ϕ(D)| for name and the observed version.
 func (c *Client) Count(name string) (uint64, uint64, error) {
-	fields, err := c.okFields("count "+name, "count", 3)
+	fields, err := c.okFields("count "+name, "count", name, 2)
 	if err != nil {
 		return 0, 0, err
 	}
-	n, err1 := strconv.ParseUint(fields[1], 10, 64)
-	version, err2 := strconv.ParseUint(fields[2], 10, 64)
+	n, err1 := strconv.ParseUint(fields[0], 10, 64)
+	version, err2 := strconv.ParseUint(fields[1], 10, 64)
 	if err1 != nil || err2 != nil {
 		return 0, 0, fmt.Errorf("unexpected count response %v", fields)
 	}
@@ -357,15 +368,15 @@ func (c *Client) Count(name string) (uint64, uint64, error) {
 
 // Answer reports whether ϕ(D) is nonempty for name.
 func (c *Client) Answer(name string) (bool, uint64, error) {
-	fields, err := c.okFields("answer "+name, "answer", 3)
+	fields, err := c.okFields("answer "+name, "answer", name, 2)
 	if err != nil {
 		return false, 0, err
 	}
-	version, err := strconv.ParseUint(fields[2], 10, 64)
-	if err != nil {
+	version, err := strconv.ParseUint(fields[1], 10, 64)
+	if err != nil || fields[0] != "true" && fields[0] != "false" {
 		return false, 0, fmt.Errorf("unexpected answer response %v", fields)
 	}
-	return fields[1] == "true", version, nil
+	return fields[0] == "true", version, nil
 }
 
 // Enumerate fetches the full result of name from a server-side pinned
@@ -423,40 +434,35 @@ func (c *Client) Enumerate(name string) (*Snapshot, error) {
 // a lower bound from before capture started: sync by calling Enumerate
 // next and skipping deltas at or below that snapshot's version.
 func (c *Client) Subscribe(name string) (uint64, error) {
-	fields, err := c.okFields("subscribe "+name, "subscribed", 2)
+	fields, err := c.okFields("subscribe "+name, "subscribed", name, 1)
 	if err != nil {
 		return 0, err
 	}
-	return strconv.ParseUint(fields[1], 10, 64)
+	return strconv.ParseUint(fields[0], 10, 64)
 }
 
 // Unsubscribe stops the delta stream for name. Frames already in
 // flight may still arrive on Deltas.
 func (c *Client) Unsubscribe(name string) error {
-	_, err := c.okFields("unsubscribe "+name, "unsubscribed", 1)
+	_, err := c.okFields("unsubscribe "+name, "unsubscribed", name, 0)
 	return err
 }
 
 // Queries lists the registered query names.
 func (c *Client) Queries() ([]string, error) {
-	f, err := c.roundTrip("queries")
-	if err != nil {
+	fields, err := c.okFields("queries", "queries", "", 0)
+	if err != nil || len(fields) == 0 {
 		return nil, err
 	}
-	if strings.HasPrefix(f.line, "err ") {
-		return nil, errors.New(strings.TrimPrefix(f.line, "err "))
+	if len(fields) > 1 {
+		return nil, fmt.Errorf("unexpected queries response %v", fields)
 	}
-	rest := strings.TrimPrefix(f.line, "ok queries")
-	rest = strings.TrimSpace(rest)
-	if rest == "" {
-		return nil, nil
-	}
-	return strings.Split(rest, ","), nil
+	return strings.Split(fields[0], ","), nil
 }
 
 // Version returns the server's committed version counter.
 func (c *Client) Version() (uint64, error) {
-	fields, err := c.okFields("version", "version", 1)
+	fields, err := c.okFields("version", "version", "", 1)
 	if err != nil {
 		return 0, err
 	}
@@ -465,7 +471,7 @@ func (c *Client) Version() (uint64, error) {
 
 // Ping round-trips a no-op.
 func (c *Client) Ping() error {
-	_, err := c.okFields("ping", "pong", 0)
+	_, err := c.okFields("ping", "pong", "", 0)
 	return err
 }
 

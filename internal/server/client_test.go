@@ -180,3 +180,51 @@ func TestClientEnumerateFrames(t *testing.T) {
 		})
 	}
 }
+
+// TestClientReplies answers each request with a reply line from a fake
+// server. A reply naming another query than the one asked about, an
+// answer other than true or false, and a queries request answered by
+// another verb are errors, not results for the query asked about.
+func TestClientReplies(t *testing.T) {
+	cases := []struct {
+		name, reply, wantErr string
+		call                 func(*Client) (any, error)
+	}{
+		{"count of another query", "ok count other 5 9", "answers another query",
+			func(c *Client) (any, error) { n, _, err := c.Count("q"); return n, err }},
+		{"answer of another query", "ok answer other true 9", "answers another query",
+			func(c *Client) (any, error) { ok, _, err := c.Answer("q"); return ok, err }},
+		{"answer neither true nor false", "ok answer q maybe 9", "unexpected answer response",
+			func(c *Client) (any, error) { ok, _, err := c.Answer("q"); return ok, err }},
+		{"another query subscribed", "ok subscribed other 3", "answers another query",
+			func(c *Client) (any, error) { return c.Subscribe("q") }},
+		{"another query unsubscribed", "ok unsubscribed other", "answers another query",
+			func(c *Client) (any, error) { return nil, c.Unsubscribe("q") }},
+		{"another query registered", "ok registered other core 1", "answers another query",
+			func(c *Client) (any, error) { return nil, c.Register("q", "Q(x) :- E(x,y)") }},
+		{"another query unregistered", "ok unregistered other", "answers another query",
+			func(c *Client) (any, error) { return nil, c.Unregister("q") }},
+		{"queries answered by another verb", "ok version 3", "unexpected response",
+			func(c *Client) (any, error) { return c.Queries() }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cs, ss := net.Pipe()
+			go func() { // answer a ping, so the client's reader is running, then the request
+				r := bufio.NewReader(ss)
+				r.ReadString('\n')
+				ss.Write([]byte("ok pong\n"))
+				r.ReadString('\n')
+				ss.Write([]byte(c.reply + "\n"))
+			}()
+			cl := NewClient(cs)
+			defer cl.Close()
+			if err := cl.Ping(); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := c.call(cl); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("reply %q: got %v, error %v; want an error containing %q", c.reply, got, err, c.wantErr)
+			}
+		})
+	}
+}

@@ -28,7 +28,7 @@ type Options struct {
 	// Default 5s.
 	DrainTimeout time.Duration
 	// MaxLine bounds one request line in bytes. Default 16 MiB
-	// (matching the update-stream reader).
+	// (matching the line cap of the CLI's update files).
 	MaxLine int
 }
 

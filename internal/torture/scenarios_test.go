@@ -2,7 +2,6 @@ package torture
 
 import (
 	"fmt"
-	"strings"
 
 	"dyncq/internal/cq"
 	"dyncq/internal/dyndb"
@@ -93,49 +92,6 @@ func parseScenarios() []Scenario {
 					if a, b := qtree.Classify(q).QHierarchical, qtree.Classify(back).QHierarchical; a != b {
 						return fmt.Errorf("query %d: classification changed across reparse (%v vs %v)", i, a, b)
 					}
-				}
-				return nil
-			},
-		},
-		{
-			Category: "parse", Name: "stream-reader",
-			Brief: "StreamReader reproduces a formatted stream with exact line numbers",
-			Run: func(seed int64) error {
-				cfg := workload.TortureConfig{Seed: seed, Domain: 60, Updates: 500, PDelete: 0.3}
-				stream := cfg.Stream(tortureSchema)
-				var b strings.Builder
-				rng := rngFor(seed, "stream-noise")
-				wantLines := make([]int, len(stream))
-				line := 0
-				for i, u := range stream {
-					for rng.Intn(3) == 0 { // interleave comments and blanks
-						if rng.Intn(2) == 0 {
-							b.WriteString("# comment noise\n")
-						} else {
-							b.WriteString("\n")
-						}
-						line++
-					}
-					b.WriteString(dyncq.FormatUpdate(u))
-					b.WriteString("\n")
-					line++
-					wantLines[i] = line
-				}
-				sr := dyncq.NewStreamReader(strings.NewReader(b.String()))
-				for i, u := range stream {
-					got, gotLine, err := sr.Next()
-					if err != nil {
-						return fmt.Errorf("update %d: %v", i, err)
-					}
-					if got.Op != u.Op || got.Rel != u.Rel || !equalTuple(got.Tuple, u.Tuple) {
-						return fmt.Errorf("update %d: read %s, want %s", i, got, u)
-					}
-					if gotLine != wantLines[i] {
-						return fmt.Errorf("update %d: reported line %d, want %d", i, gotLine, wantLines[i])
-					}
-				}
-				if _, _, err := sr.Next(); err == nil {
-					return fmt.Errorf("reader yielded an update past the end of the stream")
 				}
 				return nil
 			},
@@ -437,7 +393,7 @@ func errorScenarios() []Scenario {
 		},
 		{
 			Category: "error", Name: "malformed-stream",
-			Brief: "malformed stream lines are rejected with line numbers; valid lines still apply",
+			Brief: "malformed update lines are rejected",
 			Run: func(seed int64) error {
 				bad := []string{
 					"+E(1,2) trailing",
@@ -455,23 +411,6 @@ func errorScenarios() []Scenario {
 					if u, err := dyncq.ParseUpdate(line); err == nil {
 						return fmt.Errorf("malformed line %q parsed as %s", line, u)
 					}
-				}
-				// A stream mixing good and bad lines: the reader must report
-				// the bad line's number and keep going afterwards.
-				text := "+E(1,2)\n# fine\n++T(1)\n+T(2)\n"
-				sr := dyncq.NewStreamReader(strings.NewReader(text))
-				if _, line, err := sr.Next(); err != nil || line != 1 {
-					return fmt.Errorf("line 1: got line=%d err=%v", line, err)
-				}
-				_, badLine, err := sr.Next()
-				if err == nil {
-					return fmt.Errorf("malformed line 3 was accepted")
-				}
-				if badLine != 3 || !strings.Contains(err.Error(), "line 3") {
-					return fmt.Errorf("error for line 3 does not name the line (line=%d): %v", badLine, err)
-				}
-				if u, line, err := sr.Next(); err != nil || line != 4 || u.Rel != "T" {
-					return fmt.Errorf("line 4 after error: got %v line=%d err=%v", u, line, err)
 				}
 				return nil
 			},

@@ -97,21 +97,6 @@ func (s Strategy) String() string {
 	}
 }
 
-// ParseStrategy converts a CLI name ("auto", "core", "ivm") to a
-// Strategy.
-func ParseStrategy(name string) (Strategy, error) {
-	switch name {
-	case "auto":
-		return StrategyAuto, nil
-	case "core":
-		return StrategyCore, nil
-	case "ivm":
-		return StrategyIVM, nil
-	default:
-		return StrategyAuto, fmt.Errorf("unknown strategy %q (want auto, core or ivm)", name)
-	}
-}
-
 // Options configures per-query construction (Workspace.RegisterQuery).
 type Options struct {
 	// Force pins the backend instead of routing by classification.

@@ -2,11 +2,9 @@ package dyncq
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
 	"dyncq/internal/core"
@@ -260,42 +258,6 @@ func TestLoad(t *testing.T) {
 	}
 	if got := h.Count(); got != 2 {
 		t.Fatalf("count = %d, want 2", got)
-	}
-}
-
-// TestParseStrategy: the three CLI names round-trip through String, and
-// anything else — "recompute" included — is rejected with an error that
-// names the accepted values.
-func TestParseStrategy(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		want Strategy
-		ok   bool
-	}{
-		{"auto", StrategyAuto, true},
-		{"core", StrategyCore, true},
-		{"ivm", StrategyIVM, true},
-		{"recompute", StrategyAuto, false},
-		{"nope", StrategyAuto, false},
-		{"", StrategyAuto, false},
-		{"CORE", StrategyAuto, false},
-		{" ivm", StrategyAuto, false},
-	} {
-		t.Run(fmt.Sprintf("name=%q", tc.name), func(t *testing.T) {
-			got, err := ParseStrategy(tc.name)
-			if !tc.ok {
-				if err == nil || !strings.Contains(err.Error(), "auto, core or ivm") {
-					t.Fatalf("ParseStrategy(%q): error %v, want one naming auto, core or ivm", tc.name, err)
-				}
-				return
-			}
-			if err != nil || got != tc.want {
-				t.Fatalf("ParseStrategy(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
-			}
-			if got.String() != tc.name {
-				t.Fatalf("%v.String() = %q, want %q", got, got.String(), tc.name)
-			}
-		})
 	}
 }
 

@@ -2,7 +2,6 @@ package dyncq
 
 import (
 	"fmt"
-	"io"
 	"slices"
 	"strconv"
 	"strings"
@@ -135,8 +134,7 @@ func sameParse(t *testing.T, via, line string, got Update, gotErr error, want Up
 // tuple, and round-trips exactly through FormatUpdate → ParseUpdate;
 // commands with a doubled sign or text after the closing parenthesis are
 // never accepted; and every entry — ParseUpdate, string mode (a
-// test-local encoder handed to stream.Parse and, through UseStrings, to a
-// StreamReader), and the byte entry
+// test-local encoder handed to stream.Parse), and the byte entry
 // stream.Arena.Parse driving a dirty, reused arena — does what the
 // reference parser does, error text included, while the arena leaves the
 // tuples it handed out before untouched. Run the baked-in corpus with go
@@ -167,32 +165,10 @@ func FuzzParseUpdate(f *testing.F) {
 		want, wantErr := parseUpdateReference(line, nil)
 		sameParse(t, "ParseUpdate", line, u, err, want, wantErr)
 
-		// String mode, on the grammar itself for every input…
+		// String mode, on the grammar itself.
 		op, rel, tuple, perr := stream.Parse(line, testEncoder(), nil)
 		pwant, pwantErr := parseUpdateReference(line, testEncoder())
 		sameParse(t, "stream.Parse with an encoder", line, Update{Op: op, Rel: rel, Tuple: tuple}, perr, pwant, pwantErr)
-
-		// …and through the reader that carries it. The reader
-		// splits at newlines, so only a single line is compared; it skips
-		// a blank or #-comment line, and parses (and quotes) the others
-		// with surrounding white space trimmed.
-		if !strings.Contains(line, "\n") {
-			sr := NewStreamReader(strings.NewReader(line))
-			sr.UseStrings(testEncoder())
-			su, _, serr := sr.Next()
-			switch s := strings.TrimSpace(line); {
-			case s == "" || s[0] == '#':
-				if serr != io.EOF {
-					t.Fatalf("StreamReader(%q): %v, %v; want the line skipped", line, su, serr)
-				}
-			default:
-				swant, swantErr := parseUpdateReference(s, testEncoder())
-				if swantErr != nil {
-					swantErr = fmt.Errorf("line 1: %w", swantErr)
-				}
-				sameParse(t, "StreamReader.UseStrings", line, su, serr, swant, swantErr)
-			}
-		}
 
 		// The byte entry, into an arena whose spare capacity holds the
 		// values of a longer line and which already handed out a tuple.

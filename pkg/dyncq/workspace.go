@@ -26,7 +26,7 @@ import (
 // stream.
 //
 // Every write — Commit, and through it the serving layer's apply verb and
-// batches and ApplyStreamReader — runs one pipeline, commitLocked; a
+// batches and the CLI's update files — runs one pipeline, commitLocked; a
 // single update is a batch of one, as in the paper's single-tuple update
 // model. Per commit: coalesce once,
 // validate once (against the union schema of all registered queries and
@@ -569,7 +569,8 @@ func (w *Workspace) Commit(updates []Update) (applied int, version uint64, err e
 //
 // Deprecated: use Commit. ApplyBatch stays only because the benchmark's
 // ladder (benchmark/ladder.go) calls it; it goes once that caller moves to
-// Commit (ROADMAP item 1(d)).
+// Commit (ROADMAP item "The store's write path: no dead argument, one
+// probe").
 func (w *Workspace) ApplyBatch(updates []Update) (int, error) {
 	applied, _, err := w.Commit(updates)
 	return applied, err

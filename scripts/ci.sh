@@ -11,10 +11,11 @@
 #                                              enumerate-frame race tests, a
 #                                              fixed-seed torture soak, and on
 #                                              the GOMAXPROCS=4 leg the server e2e run, the
-#                                              two line-format fuzz targets (the update
-#                                              parser against its reference, and its
+#                                              three line-format fuzz targets (the update
+#                                              parser against its reference, its
 #                                              one-pass branch against its general
-#                                              path), the table fuzz
+#                                              path, and the CLI's update-file reader
+#                                              against the parser), the table fuzz
 #                                              target, the net-delta fuzz target, the
 #                                              evaluator fuzz target, the core fuzz
 #                                              target, the leaf-splice fuzz target and
@@ -123,7 +124,8 @@ deep_leg() {
 	[ "$n" = 4 ] || return 0
 	GOMAXPROCS=$n go test -race ./internal/server -run 'TestE2E' -server.e2eclients=6 -count=1 -v
 	# The line parser against the reference parser its test keeps and its
-	# one-pass branch against its general path, the store's tuple table
+	# one-pass branch against its general path, the CLI's update-file
+	# reader against the parser on one line, the store's tuple table
 	# and its NetDelta/ApplyNetDelta against map models, the evaluator —
 	# the oracle and ivm's delta-join kernel — against brute force, and
 	# cq.Core, which routing classifies by, against a brute-force
@@ -134,6 +136,7 @@ deep_leg() {
 	# and a mirror database, for a fixed budget each; a crasher lands in
 	# testdata/fuzz to be committed.
 	GOMAXPROCS=$n go test ./pkg/dyncq -run '^$' -fuzz '^FuzzParseUpdate$' -fuzztime 20s
+	GOMAXPROCS=$n go test ./cmd/dyncq -run '^$' -fuzz '^FuzzReadUpdates$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/stream -run '^$' -fuzz '^FuzzParseLine$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/tuplekey -run '^$' -fuzz '^FuzzTable$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/dyndb -run '^$' -fuzz '^FuzzNetDelta$' -fuzztime 20s
