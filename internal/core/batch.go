@@ -56,13 +56,15 @@ func sortLists(c *comp, scratch []listEntry) []listEntry {
 		if len(nd.children) == 0 {
 			continue
 		}
-		c.index[ni].Range(func(_ []Value, r ref) bool {
-			lists := c.arenas[ni].rec(r)[nd.offLists:]
-			for sl, ch := range nd.children {
-				fix(&lists[sl], ch)
+		idx := &c.index[ni]
+		for i := range idx.ctrl {
+			if r := idx.at(i); r != 0 {
+				lists := c.arenas[ni].rec(r)[nd.offLists:]
+				for sl, ch := range nd.children {
+					fix(&lists[sl], ch)
+				}
 			}
-			return true
-		})
+		}
 	}
 	return scratch
 }

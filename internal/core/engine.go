@@ -12,10 +12,11 @@
 // The structure follows Section 6.2 faithfully. For every q-tree node v
 // and every assignment α to path[v) with constant a for v there may be an
 // item [v, α, a]: a fixed-stride, pointer-free record in the node's arena
-// (slab.go has the layout), found through a per-node hash table keyed by
-// the path values (the "arrays A_v" of the paper, realised as tuplekey
-// tables per the paper's footnote 2) and named, wherever the paper holds a
-// pointer, by its 32-bit ref. Each item carries
+// (slab.go has the layout), found through a per-node hash table on the
+// path values (the "arrays A_v" of the paper, realised per its footnote 2
+// as an itemIndex, index.go, whose slots hold only a ref and hash bits:
+// the record's own constant and parent ref are its key) and named,
+// wherever the paper holds a pointer, by its 32-bit ref. Each item carries
 //
 //   - C^i_ψ for every ψ ∈ atoms(v): the number of expansions of the
 //     item's assignment to vars(ψ) satisfied by the database — an item is
@@ -34,7 +35,7 @@
 // enumeration as a product (nested loops) over the components.
 //
 // Besides update, count and enumeration the engine answers the theorem's
-// constant-time test (Contains: one index lookup per free node, no
+// constant-time test (Contains: one index probe per free node, no
 // enumeration) and, on request, reports what a batch changed (ApplyDelta
 // with emit set). The emission rule, in two sentences: a step on an atom
 // whose root path holds the free items i₀…i_{f−1} changes the result iff
@@ -58,7 +59,6 @@ import (
 	"dyncq/internal/cq"
 	"dyncq/internal/dyndb"
 	"dyncq/internal/qtree"
-	"dyncq/internal/tuplekey"
 )
 
 // ErrNotQHierarchical is returned by New for queries outside the class the
@@ -119,21 +119,20 @@ type comp struct {
 	// The dynamic state: the per-node item indexes (the "arrays A_v") and
 	// the arenas their items live in (slab.go), the start list, and
 	// C_start/C̃_start.
-	index   []*tuplekey.Table[ref] // per node: the "array A_v", keyed at stride depth+1
-	arenas  []arena                // per node: the items the index refers to
-	start   uint64                 // the start list: head | tail<<32, refs into arenas[0]
-	cStart  uint64                 // Σ C^i over fit root items
-	cfStart uint64                 // Σ C̃^i over fit root items (root free only)
+	index   []itemIndex // per node: the "array A_v"
+	arenas  []arena     // per node: the items the index refers to
+	start   uint64      // the start list: head | tail<<32, refs into arenas[0]
+	cStart  uint64      // Σ C^i over fit root items
+	cfStart uint64      // Σ C̃^i over fit root items (root free only)
 }
 
 // reset empties the dynamic state: an empty index and an empty arena per
 // node, no start list. Whatever it held — chunks, slot arrays — is
 // dropped.
 func (c *comp) reset() {
-	c.index, c.arenas = make([]*tuplekey.Table[ref], len(c.nodes)), make([]arena, len(c.nodes))
+	c.index, c.arenas = make([]itemIndex, len(c.nodes)), make([]arena, len(c.nodes))
 	c.start, c.cStart, c.cfStart = 0, 0, 0
 	for i := range c.nodes {
-		c.index[i] = tuplekey.NewTable[ref](int(c.nodes[i].depth) + 1)
 		c.arenas[i].stride = int(c.nodes[i].stride)
 	}
 }
@@ -177,8 +176,8 @@ type Engine struct {
 	freeIdx []int // component → index among free components, -1 if Boolean
 	version uint64
 
-	// probes drive Contains: one index lookup per free node, keyed by
-	// head positions.
+	// probes drive Contains: one index probe per free node, parents
+	// first.
 	probes []probe
 
 	// scratch serves the update path (no per-update allocation).
@@ -451,16 +450,16 @@ func (e *Engine) Clear() {
 }
 
 // pathScratch is the writer's buffers for an atom's root path: per depth
-// the path value, the item's ref (what links name) and its resolved
-// record (what is read and written).
+// the item's ref (what links name), its resolved record (what is read and
+// written) and its index slot (what a delete frees).
 type pathScratch struct {
-	vals  []Value
 	items []ref
 	recs  []record
+	slots []uint32
 }
 
 func newPathScratch(depth int) pathScratch {
-	return pathScratch{make([]Value, depth), make([]ref, depth), make([]record, depth)}
+	return pathScratch{make([]ref, depth), make([]record, depth), make([]uint32, depth)}
 }
 
 // updateAtom is the per-atom part of the Section 6.4 update procedure: if
@@ -480,10 +479,7 @@ func (e *Engine) updateAtom(c *comp, a *catom, tuple []Value, insert bool, acc *
 		}
 	}
 	d := len(a.pathNodes)
-	vals, items, recs := e.scratch.vals[:d], e.scratch.items[:d], e.scratch.recs[:d]
-	for j := 0; j < d; j++ {
-		vals[j] = tuple[a.extract[j]]
-	}
+	items, recs, slots := e.scratch.items[:d], e.scratch.recs[:d], e.scratch.slots[:d]
 	// last is the depth of the deepest free path item, the one whose
 	// fitness flip changes the result; a Boolean component has none and
 	// changes the result through its gate C_start > 0 instead.
@@ -493,30 +489,33 @@ func (e *Engine) updateAtom(c *comp, a *catom, tuple []Value, insert bool, acc *
 		gateWas = c.cStart > 0
 	}
 
-	// Top-down: fetch or create the items on the path, adjust C^i_ψ.
+	// Top-down: fetch or create the items on the path, adjust C^i_ψ. Each
+	// depth's path hash extends the one above by the depth's value, so
+	// it comes from the tuple alone; one probe finds the item or the slot
+	// an insert claims.
+	h, parent := pathSeed, ref(0)
 	for j := 0; j < d; j++ {
 		nodeIdx := a.pathNodes[j]
-		nd, ar := &c.nodes[nodeIdx], &c.arenas[nodeIdx]
-		count := nd.offCounts + a.slotAtDepth[j]
+		nd, ar, idx := &c.nodes[nodeIdx], &c.arenas[nodeIdx], &c.index[nodeIdx]
+		own := tuple[a.extract[j]]
+		h = extend(h, own)
 		if insert {
-			// One probe finds the item or claims its slot.
-			slot, existed := c.index[nodeIdx].Ref(vals[:j+1])
-			if !existed {
-				var parent ref
-				if j > 0 {
-					parent = items[j-1]
-				}
-				*slot = ar.alloc(nd, vals[j], parent)
-			}
-			items[j], recs[j] = *slot, ar.rec(*slot)
-			recs[j][count]++
-		} else {
-			r, ok := c.index[nodeIdx].Get(vals[:j+1])
-			if !ok {
+			idx.reserve()
+		}
+		slot, r := idx.probe(h, ar, nd.offOwn, own, parent)
+		if r == 0 {
+			if !insert {
 				panic(fmt.Sprintf("core: missing item for %s at node %s during delete (corrupted structure)",
 					a.rel, nd.name))
 			}
-			items[j], recs[j] = r, ar.rec(r)
+			r = ar.alloc(nd, own, parent)
+			idx.put(slot, h, r)
+		}
+		items[j], recs[j], slots[j], parent = r, ar.rec(r), slot, r
+		count := nd.offCounts + a.slotAtDepth[j]
+		if insert {
+			recs[j][count]++
+		} else {
 			recs[j][count]--
 		}
 	}
@@ -562,7 +561,7 @@ func (e *Engine) updateAtom(c *comp, a *catom, tuple []Value, insert bool, acc *
 
 		// Invariant (a): drop the item once no atom supports it.
 		if !insert && allZero(it[nd.offCounts:nd.offSums]) {
-			c.index[nodeIdx].Delete(vals[:j+1])
+			c.index[nodeIdx].free(slots[j])
 			ar.recycle(items[j], it)
 		}
 	}
@@ -656,13 +655,15 @@ func (e *Engine) Answer() bool {
 	return true
 }
 
-// probe locates one free node's item for Contains: src[j] is the head
-// position holding the value of the node's j-th path variable (every
-// ancestor of a free node is free, so each has one).
+// probe locates one free node's item for Contains: pos is the head
+// position holding the node's own value, up the index in Engine.probes of
+// its parent's probe (-1 for a root; every ancestor of a free node is
+// free, so each has a probe, and it comes first).
 type probe struct {
 	comp int
 	node int32
-	src  []int32
+	pos  int32
+	up   int
 }
 
 // compileProbes derives the Contains plan from the head (its variables
@@ -673,10 +674,12 @@ func (e *Engine) compileProbes() {
 		pos[h] = int32(i)
 	}
 	for ci, c := range e.comps {
+		base := len(e.probes)
 		for _, ni := range c.freeNodes {
-			p := probe{comp: ci, node: ni, src: make([]int32, c.nodes[ni].depth+1)}
-			for at := ni; at >= 0; at = c.nodes[at].parent {
-				p.src[c.nodes[at].depth] = pos[c.nodes[at].name]
+			nd := &c.nodes[ni]
+			p := probe{comp: ci, node: ni, pos: pos[nd.name], up: -1}
+			if nd.parent >= 0 {
+				p.up = base + int(c.nodes[nd.parent].freeOrd)
 			}
 			e.probes = append(e.probes, p)
 		}
@@ -687,8 +690,10 @@ func (e *Engine) compileProbes() {
 // of Theorem 3.2, without enumerating anything: the tuple names one item
 // per free node (its path values, read off the head positions), and it is
 // a result tuple iff every one of them is fit and every Boolean
-// component's gate is open. One index lookup per free node, O(k·depth)
-// in all. A tuple of the wrong arity is not in the result.
+// component's gate is open. The free nodes are probed parents first, each
+// probe extending its parent's path hash and naming its parent's ref: one
+// index probe per free node, O(k) in all. A tuple of the wrong arity is
+// not in the result.
 func (e *Engine) Contains(tuple []Value) bool {
 	if len(tuple) != len(e.heads) {
 		return false
@@ -698,31 +703,46 @@ func (e *Engine) Contains(tuple []Value) bool {
 			return false
 		}
 	}
-	var buf [8]Value // readers share the engine, so no engine scratch here
+	type found struct {
+		h uint64
+		r ref
+	}
+	var buf [8]found // readers share the engine, so no engine scratch here
+	path := buf[:0]
 	for _, p := range e.probes {
-		key := buf[:0]
-		for _, s := range p.src {
-			key = append(key, tuple[s])
-		}
 		c := e.comps[p.comp]
-		r, ok := c.index[p.node].Get(key)
-		if !ok || !c.arenas[p.node].rec(r).inList() {
+		nd, ar := &c.nodes[p.node], &c.arenas[p.node]
+		up := found{h: pathSeed}
+		if p.up >= 0 {
+			up = path[p.up]
+		}
+		own := tuple[p.pos]
+		h := extend(up.h, own)
+		_, r := c.index[p.node].probe(h, ar, nd.offOwn, own, up.r)
+		if r == 0 || !ar.rec(r).inList() {
 			return false
 		}
+		path = append(path, found{h, r})
 	}
 	return true
 }
 
 // CheckInvariants verifies the data-structure invariants (a)–(d) of
 // Section 6.4 by local recomputation — weights match Lemmas 6.3/6.4, list
-// sums match member weights, membership matches fitness — and the arena
-// bookkeeping a record needs to be found again: own constant, parent ref,
-// mutual list links, and every record either indexed or on the free chain.
-// It costs time linear in the structure.
+// sums match member weights, membership matches fitness — and the
+// bookkeeping a record needs to be found again: every indexed item's path,
+// re-derived from its own constant and its parent chain, hashes to the
+// bits its slot keeps and probes to that very slot; list links are
+// mutual; and every record is either indexed or on the free chain. It
+// costs time linear in the structure times its depth.
 func (e *Engine) CheckInvariants() error {
 	for ci, c := range e.comps {
+		live, err := liveItems(c)
+		if err != nil {
+			return fmt.Errorf("comp %d %w", ci, err)
+		}
 		for ni := range c.nodes {
-			if err := checkNode(c, ni); err != nil {
+			if err := checkNode(c, int32(ni), live); err != nil {
 				return fmt.Errorf("comp %d node %s %w", ci, c.nodes[ni].name, err)
 			}
 		}
@@ -740,55 +760,111 @@ func (e *Engine) CheckInvariants() error {
 	return nil
 }
 
+// liveItems returns, per node and by ref, which records the node's index
+// names, checking that each slot names a record handed out, no other slot
+// names the same one, and the index's counts match its slots.
+func liveItems(c *comp) ([][]bool, error) {
+	live := make([][]bool, len(c.nodes))
+	for ni := range c.nodes {
+		idx, n := &c.index[ni], c.arenas[ni].n
+		live[ni] = make([]bool, uint64(n)+1)
+		full, tombs := 0, 0
+		for i, ctrl := range idx.ctrl {
+			if ctrl == slotTombstone {
+				tombs++
+			}
+			if ctrl < slotFull {
+				continue
+			}
+			r := idx.at(i)
+			if full++; r == 0 || r > ref(n) || live[ni][r] {
+				return nil, fmt.Errorf("node %s slot %d: ref %d is nil, never handed out or indexed twice", c.nodes[ni].name, i, r)
+			}
+			live[ni][r] = true
+		}
+		if full != idx.n || tombs != idx.tombs {
+			return nil, fmt.Errorf("node %s: %d full slots and %d tombstones, the index counts %d and %d",
+				c.nodes[ni].name, full, tombs, idx.n, idx.tombs)
+		}
+	}
+	return live, nil
+}
+
+// pathOf re-derives the path α·a of item r of node ni into path (one
+// value per depth) from the records alone: each one's own constant, and
+// its parent ref, which must name an indexed item of the parent node (nil
+// for a root item).
+func pathOf(c *comp, ni int32, r ref, live [][]bool, path []Value) error {
+	for {
+		nd := &c.nodes[ni]
+		it := c.arenas[ni].rec(r)
+		path[nd.depth] = Value(it[nd.offOwn])
+		p := it.parent()
+		if nd.parent < 0 {
+			if p != 0 {
+				return fmt.Errorf("root item %d names parent ref %d", r, p)
+			}
+			return nil
+		}
+		if int(p) >= len(live[nd.parent]) || !live[nd.parent][p] {
+			return fmt.Errorf("item %d of node %s: parent ref %d names no indexed item", r, nd.name, p)
+		}
+		ni, r = nd.parent, p
+	}
+}
+
 // checkNode checks every item of one node, and that the node's arena
 // holds nothing else.
-func checkNode(c *comp, ni int) (err error) {
-	nd, ar := &c.nodes[ni], &c.arenas[ni]
-	live := make([]bool, uint64(ar.n)+1) // by ref: named by the index
-	c.index[ni].Range(func(key []Value, r ref) bool {
-		if r == 0 || r > ref(ar.n) || live[r] {
-			err = fmt.Errorf("item %v: ref %d is nil, never handed out or indexed twice", key, r)
-			return false
+func checkNode(c *comp, ni int32, live [][]bool) error {
+	nd, ar, idx := &c.nodes[ni], &c.arenas[ni], &c.index[ni]
+	key := make([]Value, nd.depth+1)
+	for i := range idx.ctrl {
+		r := idx.at(i)
+		if r == 0 {
+			continue
 		}
-		live[r] = true
+		if err := pathOf(c, ni, r, live, key); err != nil {
+			return err
+		}
+		h := pathSeed
+		for _, v := range key {
+			h = extend(h, v)
+		}
 		it := ar.rec(r)
-		if own := Value(it[nd.offOwn]); own != key[nd.depth] {
-			err = fmt.Errorf("item %v: record holds own constant %d", key, own)
-		} else if w, f := nd.weights(it); w != it[recWeight] || nd.free && f != it[recFWeight] {
-			err = fmt.Errorf("item %v: weights %v, recomputed %d, %d", key, it[recWeight:nd.offOwn], w, f)
+		if bits := idx.words[i] >> 32; bits != h&hashBits {
+			return fmt.Errorf("item %v: slot %d holds hash bits %#x, the path hashes to %#x", key, i, bits, h&hashBits)
+		}
+		if slot, found := idx.probe(h, ar, nd.offOwn, key[nd.depth], it.parent()); found != r || slot != uint32(i) {
+			return fmt.Errorf("item %v: a probe finds ref %d in slot %d, not ref %d in slot %d", key, found, slot, r, i)
+		}
+		if w, f := nd.weights(it); w != it[recWeight] || nd.free && f != it[recFWeight] {
+			return fmt.Errorf("item %v: weights %v, recomputed %d, %d", key, it[recWeight:nd.offOwn], w, f)
 		} else if (w > 0) != it.inList() {
-			err = fmt.Errorf("item %v: fit=%v inList=%v", key, w > 0, it.inList())
+			return fmt.Errorf("item %v: fit=%v inList=%v", key, w > 0, it.inList())
 		} else if allZero(it[nd.offCounts:nd.offSums]) {
-			err = fmt.Errorf("item %v: present with all-zero counts", key)
-		} else if nd.parent >= 0 {
-			if p, _ := c.index[nd.parent].Get(key[:nd.depth]); p == 0 || p != it.parent() {
-				err = fmt.Errorf("item %v: parent ref %d, the index has %d", key, it.parent(), p)
-			}
+			return fmt.Errorf("item %v: present with all-zero counts", key)
 		}
 		// Child lists: members, links and sums.
-		for sl := 0; sl < len(nd.children) && err == nil; sl++ {
-			u := &c.nodes[nd.children[sl]]
-			var sum, fsum uint64
-			if sum, fsum, err = checkList(u, &c.arenas[nd.children[sl]], it[u.upList], r); err != nil {
-				err = fmt.Errorf("item %v %s-list: %w", key, u.name, err)
-			} else if sum != it[u.upSum] || nd.free && u.free && fsum != it[u.upFSum] {
-				err = fmt.Errorf("item %v child %s: sums %d, %d do not match the record", key, u.name, sum, fsum)
+		for _, ch := range nd.children {
+			u := &c.nodes[ch]
+			sum, fsum, err := checkList(u, &c.arenas[ch], it[u.upList], r)
+			if err != nil {
+				return fmt.Errorf("item %v %s-list: %w", key, u.name, err)
+			}
+			if sum != it[u.upSum] || nd.free && u.free && fsum != it[u.upFSum] {
+				return fmt.Errorf("item %v child %s: sums %d, %d do not match the record", key, u.name, sum, fsum)
 			}
 		}
-		return err == nil
-	})
-	if err != nil {
-		return err
 	}
 	// Every record handed out is either indexed or on the free chain.
 	free := 0
 	for r := ar.free; r != 0; r = ar.rec(r).next() {
-		if free++; r > ref(ar.n) || live[r] || free > int(ar.n) {
+		if free++; r > ref(ar.n) || live[ni][r] || free > int(ar.n) {
 			return fmt.Errorf("free chain: ref %d is indexed, never handed out or on a cycle", r)
 		}
 	}
-	if n := c.index[ni].Len(); n+free != int(ar.n) {
-		return fmt.Errorf("arena: %d live + %d free records of %d handed out", n, free, ar.n)
+	if idx.n+free != int(ar.n) {
+		return fmt.Errorf("arena: %d live + %d free records of %d handed out", idx.n, free, ar.n)
 	}
 	return nil
 }

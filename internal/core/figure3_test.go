@@ -83,8 +83,8 @@ func weightOf(e *harness, varName string, pathVals ...Value) (uint64, bool) {
 	c := e.comps[0]
 	for ni := range c.nodes {
 		if c.nodes[ni].name == varName {
-			r, ok := c.index[ni].Get(pathVals)
-			if !ok {
+			r := c.lookup(int32(ni), pathVals)
+			if r == 0 {
 				return 0, false
 			}
 			return c.arenas[ni].rec(r)[recWeight], true

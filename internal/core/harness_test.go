@@ -84,3 +84,24 @@ func (h *harness) Load(db *dyndb.Database) error {
 	h.Rebuild(h.db)
 	return nil
 }
+
+// lookup finds the item of node ni whose path is path (one value per
+// depth, root first) by probing its ancestors top-down, as updateAtom
+// does; 0 if there is none.
+func (c *comp) lookup(ni int32, path []Value) ref {
+	var nodes []int32
+	for at := ni; at >= 0; at = c.nodes[at].parent {
+		nodes = append([]int32{at}, nodes...)
+	}
+	if len(path) != len(nodes) {
+		return 0
+	}
+	h, r := pathSeed, ref(0)
+	for j, at := range nodes {
+		h = extend(h, path[j])
+		if _, r = c.index[at].probe(h, &c.arenas[at], c.nodes[at].offOwn, path[j], r); r == 0 {
+			return 0
+		}
+	}
+	return r
+}

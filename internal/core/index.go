@@ -1,0 +1,168 @@
+package core
+
+// This file holds itemIndex, the engine's "array A_v" (Section 6.2): per
+// node v, the map from a path α·a to the item [v, α, a]. Footnote 2 of the
+// paper allows a hash table; this one is open addressing with linear
+// probing over a control-byte array, like tuplekey.Table, but it keeps no
+// key. The record already names its path — it holds its own constant a,
+// and its parent ref fixes α — so a slot is the control byte plus one
+// word:
+//
+//	ctrl[i]   slotEmpty, slotTombstone, or slotFull | the top 7 bits of
+//	          the path hash
+//	words[i]  the item's ref (low 32) | the low 32 bits of the path hash
+//	          (high 32)
+//
+// The path hash of α·a is extend(hash(α), a), so the writer hashes every
+// depth of an atom's path from the tuple alone and no depth's probe waits
+// for the one above. A probe compares the tag, then the hash bits, and
+// only then the record the update procedure reads anyway: its own
+// constant and its parent ref. Growth rehashes from the hash bits in the
+// words, never from the records: a path's home slot is the low bits of
+// its hash.
+
+const (
+	slotEmpty     uint8 = 0
+	slotTombstone uint8 = 1
+	slotFull      uint8 = 0x80
+
+	minSlots = 8
+	hashBits = 1<<32 - 1 // the path-hash bits a word keeps
+)
+
+// pathSeed is the hash of the empty path; extend folds one more path
+// value in, with tuplekey.Hash's splitmix64-style mixing.
+const pathSeed uint64 = 0x9e3779b97f4a7c15
+
+//dyncq:hot
+func extend(h uint64, x Value) uint64 {
+	z := uint64(x) + 0x9e3779b97f4a7c15
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	z ^= z >> 31
+	h ^= z
+	h *= 0xc2b2ae3d27d4eb4f
+	return h ^ h>>29
+}
+
+// tag is the control byte of a full slot holding a path of hash h.
+func tag(h uint64) uint8 { return slotFull | uint8(h>>57) }
+
+// itemIndex is one node's A_v: a hash table from paths to item refs whose
+// keys are the records themselves.
+type itemIndex struct {
+	ctrl  []uint8
+	words []uint64 // ref | hash bits<<32, for the full slots
+	n     int      // live items
+	tombs int
+}
+
+// probe looks up the item with path hash h, own constant own and parent
+// ref parent among the records of ar (own constant at word offOwn). If it
+// is present, probe returns its slot and ref; otherwise ref 0 and the slot
+// an insert claims: the first tombstone on the probe run, else the empty
+// slot that ends it. An insert calls reserve first.
+//
+//dyncq:hot
+func (x *itemIndex) probe(h uint64, ar *arena, offOwn int32, own Value, parent ref) (slot uint32, r ref) {
+	if len(x.ctrl) == 0 {
+		return 0, 0
+	}
+	mask := uint32(len(x.ctrl) - 1)
+	want, bits := tag(h), h<<32
+	claim, claimed := uint32(0), false
+	for i := uint32(h) & mask; ; i = (i + 1) & mask {
+		switch c := x.ctrl[i]; {
+		case c == want:
+			if w := x.words[i]; w&^hashBits == bits {
+				if it := ar.rec(lo(w)); Value(it[offOwn]) == own && it.parent() == parent {
+					return i, lo(w)
+				}
+			}
+		case c == slotTombstone:
+			if !claimed {
+				claim, claimed = i, true
+			}
+		case c == slotEmpty:
+			if !claimed {
+				claim = i
+			}
+			return claim, 0
+		}
+	}
+}
+
+// reserve makes room for one insert, growing (or purging tombstones at the
+// same size) when it could cross the 3/4 load limit. It moves slots, so it
+// comes before the probe whose slot the insert claims.
+//
+//dyncq:hot
+func (x *itemIndex) reserve() {
+	if (x.n+x.tombs+1)*4 > len(x.ctrl)*3 {
+		x.grow()
+	}
+}
+
+// put fills the slot a probe returned for a missing path of hash h.
+//
+//dyncq:hot
+func (x *itemIndex) put(slot uint32, h uint64, r ref) {
+	if x.ctrl[slot] == slotTombstone {
+		x.tombs--
+	}
+	x.ctrl[slot] = tag(h)
+	x.words[slot] = uint64(r) | h<<32
+	x.n++
+}
+
+// free empties the live slot a probe returned. A slot whose successor is
+// empty ends its probe run, so it goes straight back to empty instead of
+// leaving a tombstone.
+//
+//dyncq:hot
+func (x *itemIndex) free(slot uint32) {
+	x.n--
+	if x.ctrl[(slot+1)&uint32(len(x.ctrl)-1)] == slotEmpty {
+		x.ctrl[slot] = slotEmpty
+	} else {
+		x.ctrl[slot] = slotTombstone
+		x.tombs++
+	}
+}
+
+// grow rehashes into a table twice the size, or the same size when
+// tombstones, not live items, fill it. The words' hash bits say where
+// each item goes; no record is read.
+func (x *itemIndex) grow() {
+	size := minSlots
+	if len(x.ctrl) > 0 {
+		size = len(x.ctrl)
+		if x.n*2 >= size {
+			size *= 2
+		}
+	}
+	oldCtrl, oldWords := x.ctrl, x.words
+	x.ctrl, x.words, x.tombs = make([]uint8, size), make([]uint64, size), 0
+	mask := uint32(size - 1)
+	for i, c := range oldCtrl {
+		if c < slotFull {
+			continue
+		}
+		w := oldWords[i]
+		j := uint32(w>>32) & mask
+		for x.ctrl[j] != slotEmpty {
+			j = (j + 1) & mask
+		}
+		x.ctrl[j], x.words[j] = c, w // the tag is a function of the hash, not of the size
+	}
+}
+
+// at returns the item in slot i, 0 if the slot is not full.
+func (x *itemIndex) at(i int) ref {
+	if x.ctrl[i] < slotFull {
+		return 0
+	}
+	return lo(x.words[i])
+}

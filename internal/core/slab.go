@@ -19,8 +19,9 @@ import (
 //	              inList (bit 32)
 //	recWeight     C^i
 //	recFWeight    C̃^i — free nodes only
-//	offOwn        the item's own constant a; α is the A_v table's inline
-//	              key and is not stored a second time
+//	offOwn        the item's own constant a; with the parent ref it is
+//	              the item's key in the A_v index, which stores no copy
+//	              of the path (index.go)
 //	offCounts…    C^i_ψ per tracked atom (numTracked words)
 //	offSums…      C^i_u per child u (len(children) words)
 //	offFSums…     C̃^i_u per free child — free nodes only
@@ -38,8 +39,8 @@ import (
 // through the next half of recLinks) for the next item of the same node;
 // steady churn reuses records instead of growing. Clear, and with it
 // Rebuild, drops every chunk at once. Since neither the records nor the
-// Table[ref] indexes hold a Go pointer, the garbage collector never scans
-// them: what it marks per cycle is the chunk directory, not the data.
+// item indexes hold a Go pointer, the garbage collector never scans them:
+// what it marks per cycle is the chunk directory, not the data.
 
 // ref addresses a record of one arena; 0 is nil. An arena therefore holds
 // at most 2³²−1 live items per node.

@@ -252,10 +252,19 @@ func (c *Client) roundTrip(req string) (respFrame, error) {
 	return f, nil
 }
 
-// okFields validates an `ok <verb> [<name>] …` response and returns at
-// least want fields after the verb and, for a request about a query (name
-// not empty), after that query's name.
+// okFields validates an `ok <verb> [<name>] …` response of a fixed arity
+// and returns its fields after the verb and, for a request about a query
+// (name not empty), after that query's name: exactly want of them.
 func (c *Client) okFields(req, verb, name string, want int) ([]string, error) {
+	fields, err := c.okReply(req, verb, name)
+	if err == nil && len(fields) != want {
+		return nil, fmt.Errorf("unexpected response to %q: %d fields after the verb, want %d", req, len(fields), want)
+	}
+	return fields, err
+}
+
+// okReply is okFields without the arity check.
+func (c *Client) okReply(req, verb, name string) ([]string, error) {
 	f, err := c.roundTrip(req)
 	if err != nil {
 		return nil, err
@@ -273,9 +282,6 @@ func (c *Client) okFields(req, verb, name string, want int) ([]string, error) {
 			return nil, fmt.Errorf("response %q to %q answers another query than %q", f.line, req, name)
 		}
 		fields = fields[1:]
-	}
-	if len(fields) < want {
-		return nil, fmt.Errorf("unexpected response %q to %q", f.line, req)
 	}
 	return fields, nil
 }
@@ -301,8 +307,8 @@ func (c *Client) Apply(u dyncq.Update) (bool, uint64, error) {
 		return false, 0, err
 	}
 	version, err := strconv.ParseUint(fields[1], 10, 64)
-	if err != nil {
-		return false, 0, err
+	if err != nil || fields[0] != "0" && fields[0] != "1" {
+		return false, 0, fmt.Errorf("unexpected applied response %v", fields)
 	}
 	return fields[0] == "1", version, nil
 }
@@ -450,7 +456,7 @@ func (c *Client) Unsubscribe(name string) error {
 
 // Queries lists the registered query names.
 func (c *Client) Queries() ([]string, error) {
-	fields, err := c.okFields("queries", "queries", "", 0)
+	fields, err := c.okReply("queries", "queries", "")
 	if err != nil || len(fields) == 0 {
 		return nil, err
 	}

@@ -183,8 +183,10 @@ func TestClientEnumerateFrames(t *testing.T) {
 
 // TestClientReplies answers each request with a reply line from a fake
 // server. A reply naming another query than the one asked about, an
-// answer other than true or false, and a queries request answered by
-// another verb are errors, not results for the query asked about.
+// answer other than true or false, an applied reply whose changed field
+// is other than 0 or 1, a fixed-arity reply with fields past its last,
+// and a queries request answered by another verb or with two lists are
+// errors, not results for the request.
 func TestClientReplies(t *testing.T) {
 	cases := []struct {
 		name, reply, wantErr string
@@ -206,6 +208,28 @@ func TestClientReplies(t *testing.T) {
 			func(c *Client) (any, error) { return nil, c.Unregister("q") }},
 		{"queries answered by another verb", "ok version 3", "unexpected response",
 			func(c *Client) (any, error) { return c.Queries() }},
+		{"queries with two lists", "ok queries a b", "unexpected queries response",
+			func(c *Client) (any, error) { return c.Queries() }},
+		{"applied neither 0 nor 1", "ok applied maybe 3", "unexpected applied response",
+			func(c *Client) (any, error) { ok, _, err := c.Apply(dyncq.Insert("E", 1, 2)); return ok, err }},
+		{"applied with a trailing field", "ok applied 1 3 4", "unexpected response",
+			func(c *Client) (any, error) { ok, _, err := c.Apply(dyncq.Insert("E", 1, 2)); return ok, err }},
+		{"count with a trailing field", "ok count q 5 9 x", "unexpected response",
+			func(c *Client) (any, error) { n, _, err := c.Count("q"); return n, err }},
+		{"answer with a trailing field", "ok answer q true 9 9", "unexpected response",
+			func(c *Client) (any, error) { ok, _, err := c.Answer("q"); return ok, err }},
+		{"subscribed with a trailing field", "ok subscribed q 3 4", "unexpected response",
+			func(c *Client) (any, error) { return c.Subscribe("q") }},
+		{"unsubscribed with a trailing field", "ok unsubscribed q 3", "unexpected response",
+			func(c *Client) (any, error) { return nil, c.Unsubscribe("q") }},
+		{"registered with a trailing field", "ok registered q core 1 x", "unexpected response",
+			func(c *Client) (any, error) { return nil, c.Register("q", "Q(x) :- E(x,y)") }},
+		{"unregistered with a trailing field", "ok unregistered q x", "unexpected response",
+			func(c *Client) (any, error) { return nil, c.Unregister("q") }},
+		{"version with a trailing field", "ok version 3 4", "unexpected response",
+			func(c *Client) (any, error) { return c.Version() }},
+		{"pong with a trailing field", "ok pong x", "unexpected response",
+			func(c *Client) (any, error) { return nil, c.Ping() }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

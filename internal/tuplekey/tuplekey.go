@@ -7,9 +7,10 @@
 // have to resort to ... suitably designed hash functions". Table is exactly
 // that replacement: a linear-probing open-addressing table keyed by int64
 // tuples of one fixed arity with expected O(1) lookup, insert and delete.
-// It is the structure behind every A_v array of the dynamic engine, the
-// relation storage of the dynamic database, the batch coalescer, the eval
-// indexes and every materialised result set.
+// It is the relation storage of the dynamic database, the batch
+// coalescer, the eval indexes and every materialised result set. The
+// dynamic engine's A_v arrays use the same probing scheme without the key
+// array: their records are their own keys (internal/core, index.go).
 package tuplekey
 
 // Hash returns a 64-bit hash of the tuple. Each element is diffused with a

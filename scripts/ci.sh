@@ -16,7 +16,8 @@
 #                                              one-pass branch against its general
 #                                              path, and the CLI's update-file reader
 #                                              against the parser), the table fuzz
-#                                              target, the net-delta fuzz target, the
+#                                              target, the item-index fuzz target,
+#                                              the net-delta fuzz target, the
 #                                              evaluator fuzz target, the core fuzz
 #                                              target, the leaf-splice fuzz target and
 #                                              the wire-session fuzz target, the two
@@ -125,8 +126,10 @@ deep_leg() {
 	GOMAXPROCS=$n go test -race ./internal/server -run 'TestE2E' -server.e2eclients=6 -count=1 -v
 	# The line parser against the reference parser its test keeps and its
 	# one-pass branch against its general path, the CLI's update-file
-	# reader against the parser on one line, the store's tuple table
-	# and its NetDelta/ApplyNetDelta against map models, the evaluator —
+	# reader against the parser on one line, the store's tuple table,
+	# the core engine's keyless A_v indexes (paths inserted and deleted
+	# through the engine, checked with CheckInvariants) and the store's
+	# NetDelta/ApplyNetDelta against map models, the evaluator —
 	# the oracle and ivm's delta-join kernel — against brute force, and
 	# cq.Core, which routing classifies by, against a brute-force
 	# homomorphism search, the enumerate frames
@@ -139,6 +142,7 @@ deep_leg() {
 	GOMAXPROCS=$n go test ./cmd/dyncq -run '^$' -fuzz '^FuzzReadUpdates$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/stream -run '^$' -fuzz '^FuzzParseLine$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/tuplekey -run '^$' -fuzz '^FuzzTable$' -fuzztime 20s
+	GOMAXPROCS=$n go test ./internal/core -run '^$' -fuzz '^FuzzItemIndex$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/dyndb -run '^$' -fuzz '^FuzzNetDelta$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/eval -run '^$' -fuzz '^FuzzEvaluate$' -fuzztime 20s
 	GOMAXPROCS=$n go test ./internal/cq -run '^$' -fuzz '^FuzzCore$' -fuzztime 20s
