@@ -352,7 +352,7 @@ func TestConcurrentEnumerateOneVersion(t *testing.T) {
 // gatedConn is a connection whose first Write waits for the gate; it
 // records what was written and how many write deadlines were set.
 type gatedConn struct {
-	net.Conn // nil: the writer uses nothing but what is below
+	net.Conn // nil: a drain uses nothing but what is below
 	entered  chan struct{}
 	gate     chan struct{}
 
@@ -386,11 +386,11 @@ func (c *gatedConn) SetWriteDeadline(time.Time) error {
 
 func (c *gatedConn) Close() error { return nil }
 
-// TestWriterDrainsOutboxIntoOneWrite: while the writer is held up in a
-// write, frames queue; once it returns, everything queued — single lines
-// and a block-vectored frame alike — leaves as one burst under one
-// deadline, in order, and the farewell sentinel is honoured only after
-// all of it is on the wire.
+// TestWriterDrainsOutboxIntoOneWrite: while the writer goroutine is held
+// up in the write of a broker frame, replies queue; the reader's farewell
+// drain waits for that write and then takes everything queued — single
+// lines and a block-vectored frame alike — and writes it as one burst
+// under one deadline, in order, its own last line included.
 func TestWriterDrainsOutboxIntoOneWrite(t *testing.T) {
 	srv := newTestServer(t, Options{})
 	conn := &gatedConn{entered: make(chan struct{}), gate: make(chan struct{})}
@@ -398,19 +398,22 @@ func TestWriterDrainsOutboxIntoOneWrite(t *testing.T) {
 	go sess.writer()
 	defer sess.close()
 
-	sess.send(frame{head: []byte("first\n")})
+	sess.trySend(frame{head: []byte("first\n")})
 	<-conn.entered // the writer is inside the first burst's write
 	shared := [][]byte{[]byte("+q(1)\n"), []byte("+q(2)\n")}
 	sess.send(frame{head: okBeginLine})
 	sess.send(frame{head: []byte("snapshot q 2 1 1\n"), blocks: shared, tail: frameEndBlock})
 	sess.send(frame{head: []byte("ok committed 1 2\n")})
-	sess.send(frame{head: []byte("bye\n")})
-	sess.send(frame{})
+	farewell := make(chan struct{})
+	go func() {
+		sess.farewell("bye")
+		close(farewell)
+	}()
 	close(conn.gate)
 	select {
-	case <-sess.flushed:
+	case <-farewell:
 	case <-time.After(5 * time.Second):
-		t.Fatal("the writer never reached the farewell sentinel")
+		t.Fatal("the farewell never left")
 	}
 	conn.mu.Lock()
 	defer conn.mu.Unlock()

@@ -65,6 +65,10 @@ type Server struct {
 	// (FrameCacheStats), and the tuple lines formatted to fill them.
 	blocksReused, blocksEncoded, rowsFormatted atomic.Uint64
 
+	// backlog is set by a trySend that leaves an outbox more than half
+	// full, and cleared by the reader that yields for it (session.flush).
+	backlog atomic.Bool
+
 	// subMu serializes all subscription topology changes: broker
 	// add/remove, capture start/stop, and each session's subs map. It
 	// is always acquired with no other lock held; the workspace and
@@ -97,7 +101,9 @@ func (s *Server) Workspace() *dyncq.Workspace { return s.ws }
 var ErrClosed = errors.New("server closed")
 
 // Serve accepts connections on l until l is closed or the server shuts
-// down. Blocking; one goroutine per accepted connection.
+// down. Blocking; one goroutine per accepted connection. An Accept error
+// that is Temporary is retried after a backoff, 5 ms doubling to 1 s;
+// any other ends Serve.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
@@ -112,6 +118,7 @@ func (s *Server) Serve(l net.Listener) error {
 		delete(s.listeners, l)
 		s.mu.Unlock()
 	}()
+	var backoff time.Duration
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -121,8 +128,18 @@ func (s *Server) Serve(l net.Listener) error {
 			if closed {
 				return ErrClosed
 			}
+			// A temporary failure — EMFILE when the process is out of file
+			// descriptors — passes once sessions end: retry it after a
+			// capped backoff rather than drop every live session.
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Temporary() {
+				backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+				time.Sleep(backoff)
+				continue
+			}
 			return err
 		}
+		backoff = 0
 		go s.ServeConn(conn)
 	}
 }

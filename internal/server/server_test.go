@@ -3,12 +3,16 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -378,6 +382,78 @@ func TestSlowSubscriberDoesNotStallCommits(t *testing.T) {
 	}
 	if v == finalV && uint64(n) != finalN {
 		t.Fatalf("re-enumerate at version %d has %d tuples, server count %d", v, n, finalN)
+	}
+}
+
+// flakyListener fails its first Accepts with errs, then hands out conns,
+// then blocks until it is closed.
+type flakyListener struct {
+	errs   []error // read by Serve's goroutine only
+	conns  chan net.Conn
+	closed chan struct{}
+	once   sync.Once
+}
+
+func newFlakyListener(errs ...error) *flakyListener {
+	return &flakyListener{errs: errs, conns: make(chan net.Conn, 1), closed: make(chan struct{})}
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if len(l.errs) > 0 {
+		err := l.errs[0]
+		l.errs = l.errs[1:]
+		return nil, err
+	}
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.closed:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *flakyListener) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *flakyListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// TestServeRetriesTemporaryAcceptErrors: an Accept that fails with EMFILE
+// — the process is out of file descriptors — does not end Serve, which
+// would drop every live session: Serve backs off, accepts the next
+// connection and answers it. An error that is not temporary still ends
+// Serve, and Close ends it with ErrClosed.
+func TestServeRetriesTemporaryAcceptErrors(t *testing.T) {
+	srv := newTestServer(t, Options{})
+	emfile := &net.OpError{Op: "accept", Net: "tcp", Err: os.NewSyscallError("accept", syscall.EMFILE)}
+	l := newFlakyListener(emfile, emfile)
+	cs, ss := net.Pipe()
+	l.conns <- ss
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(l) }()
+	c := NewClient(cs)
+	defer c.Close()
+	pinged := make(chan error, 1)
+	go func() { pinged <- c.Ping() }()
+	select {
+	case err := <-pinged:
+		if err != nil {
+			t.Fatalf("ping after two EMFILE accepts: %v", err)
+		}
+	case err := <-served:
+		t.Fatalf("Serve returned %v after a temporary accept error", err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("no pong within 5s")
+	}
+
+	boom := errors.New("listener broken")
+	if err := srv.Serve(newFlakyListener(boom)); err != boom {
+		t.Fatalf("Serve on a permanent accept error returned %v, want %v", err, boom)
+	}
+	srv.Close()
+	if err := <-served; err != ErrClosed {
+		t.Fatalf("Serve after Close returned %v, want ErrClosed", err)
 	}
 }
 

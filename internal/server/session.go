@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -15,17 +16,24 @@ import (
 )
 
 // session is one client connection: a reader goroutine parsing and
-// dispatching commands, and a writer goroutine draining the bounded
-// outbox. Command responses go through send (blocking — natural
-// backpressure on the client's own requests); broker deltas go through
-// trySend (non-blocking — a slow subscriber never stalls a commit).
-// The outbox holds whole frames, so responses and asynchronous deltas
-// interleave only at frame boundaries.
+// dispatching commands, and a writer goroutine for the frames other
+// goroutines queue. Every frame goes through the one bounded outbox and
+// leaves it in a drain — everything queued, in order, in one vectored
+// write — under the write mutex, so frames interleave only at frame
+// boundaries and leave in the order they were queued, whichever
+// goroutine drains. Command responses go through send (blocking —
+// natural backpressure on the client's own requests) and leave when the
+// reader drains, just before it reads more input (Read); broker deltas go
+// through trySend (non-blocking — a slow subscriber never stalls a
+// commit) and wake the writer goroutine.
 type session struct {
 	srv  *Server
 	conn net.Conn
 	out  chan frame
 	done chan struct{}
+	// wake asks the writer goroutine for a drain; one pending wake-up
+	// covers every frame queued before the drain it causes.
+	wake chan struct{}
 
 	closeOnce sync.Once
 
@@ -33,10 +41,12 @@ type session struct {
 	// Server.subMu (all subscription topology shares that one lock).
 	subs map[string]*subscriber
 
-	// flushed is closed by the writer when it encounters the zero
-	// sentinel frame: every frame enqueued before it has been written
-	// to the connection. Used once, for the connection's farewell line.
-	flushed chan struct{}
+	// wmu serializes drains: a frame taken from the outbox is on the wire,
+	// or the session is closed, before the next drain takes one. burst and
+	// bufs belong to whoever holds it.
+	wmu   sync.Mutex
+	burst net.Buffers
+	bufs  net.Buffers // escapes into WriteTo: kept here, not declared per drain
 
 	// Batch state (reader goroutine only). The pending updates' tuples
 	// live in arena, which is reset when a batch begins: Commit keeps
@@ -51,7 +61,7 @@ type session struct {
 // a delta or a resync frame is all head. An `enumerate` frame is its
 // header line, the blocks of the snapshot's leaves — shared with every
 // other session and version that covers those leaves, so only ever read —
-// and the terminator. The zero frame is the farewell sentinel.
+// and the terminator.
 type frame struct {
 	head   []byte
 	blocks [][]byte
@@ -60,12 +70,12 @@ type frame struct {
 
 func newSession(srv *Server, conn net.Conn) *session {
 	return &session{
-		srv:     srv,
-		conn:    conn,
-		out:     make(chan frame, srv.opt.OutboxFrames),
-		done:    make(chan struct{}),
-		flushed: make(chan struct{}),
-		subs:    make(map[string]*subscriber),
+		srv:  srv,
+		conn: conn,
+		out:  make(chan frame, srv.opt.OutboxFrames),
+		done: make(chan struct{}),
+		wake: make(chan struct{}, 1),
+		subs: make(map[string]*subscriber),
 	}
 }
 
@@ -74,7 +84,7 @@ func newSession(srv *Server, conn net.Conn) *session {
 func (s *session) run() {
 	defer s.close()
 	go s.writer()
-	sc := bufio.NewScanner(s.conn)
+	sc := bufio.NewScanner(s)
 	// The scanner's limit is the larger of the initial capacity and the
 	// maximum, so the initial buffer must not exceed MaxLine.
 	sc.Buffer(make([]byte, 0, min(64*1024, s.srv.opt.MaxLine)), s.srv.opt.MaxLine)
@@ -88,6 +98,9 @@ func (s *session) run() {
 		if !s.dispatch(line) {
 			return
 		}
+		if s.srv.backlog.Load() && !s.inBatch && !s.flush() {
+			return
+		}
 	}
 	if errors.Is(sc.Err(), bufio.ErrTooLong) {
 		// The scanner cannot resynchronise past an over-long line: answer
@@ -96,70 +109,128 @@ func (s *session) run() {
 	}
 }
 
-// writer drains the outbox onto the connection: everything already
-// queued leaves in one vectored write under one deadline, so a reply and
-// the frames queued behind it (`ok begin` and `ok committed`, a delta
-// beside a reply) cost one syscall, and an `enumerate` frame's blocks go
-// out by reference. A write error or timeout tears the session down;
-// in-flight frames are discarded.
+// Read is the scanner's source: the connection, read once the scanner
+// has dispatched every line it holds, so the replies queued so far leave
+// first, in the reader's own drain — a closed-loop client's reply costs no
+// goroutine switch, and `ok begin` and `ok committed` share one write.
+// Mid-batch the writer goroutine drains instead: the client may
+// read `ok begin` only after it has written the rest of the batch, which
+// on an unbuffered transport would block this drain and the client's
+// write on each other.
+func (s *session) Read(p []byte) (int, error) {
+	if !s.inBatch {
+		if !s.flush() {
+			return 0, net.ErrClosed
+		}
+	} else if len(s.out) > 0 {
+		s.wakeWriter()
+	}
+	return s.conn.Read(p)
+}
+
+// flush is the reader's drain. A reader that never runs out of input —
+// the next request is always in before the reply leaves, or a client
+// pipelines its batches — keeps its processor, so the writer goroutines
+// its commits woke wait, on one processor, until the scheduler preempts
+// it. Once some trySend has left an outbox more than half full
+// (Server.backlog) the reader drains after the request at hand and
+// yields: a subscriber's frames still leave several to a write, but its
+// outbox does not overflow into drops and a resync.
+func (s *session) flush() bool {
+	ok := s.drain()
+	if s.srv.backlog.Load() && s.srv.backlog.Swap(false) {
+		runtime.Gosched()
+	}
+	return ok
+}
+
+// writer drains the outbox for the frames other goroutines queue — the
+// broker's deltas and resyncs — and mid-batch for `ok begin` (see Read).
 func (s *session) writer() {
-	// net.Buffers consumes what it writes — it slides over and clears the
-	// slice it is given — so the burst is flattened into a slice of the
-	// writer's own, never written from a frame's block vector.
-	var burst, bufs net.Buffers // bufs escapes into WriteTo: declared once, not per burst
 	for {
 		select {
 		case <-s.done:
 			return
-		case f := <-s.out:
-			for f.head != nil {
-				burst = append(append(burst, f.head), f.blocks...)
-				if f.tail != nil {
-					burst = append(burst, f.tail)
-				}
-				select {
-				case f = <-s.out:
-					continue
-				default:
-				}
-				break
-			}
-			if len(burst) > 0 {
-				if s.srv.opt.WriteTimeout > 0 {
-					s.conn.SetWriteDeadline(time.Now().Add(s.srv.opt.WriteTimeout))
-				}
-				bufs = burst
-				if _, err := bufs.WriteTo(s.conn); err != nil {
-					s.close()
-					return
-				}
-				burst = burst[:0]
-			}
-			if f.head == nil {
-				// Quit sentinel: everything queued before it is on the wire;
-				// what follows is a later burst.
-				close(s.flushed)
+		case <-s.wake:
+			if !s.drain() {
+				return
 			}
 		}
 	}
 }
 
-// send enqueues a command response, blocking until the outbox has
-// room. Returns false when the session is closed.
-func (s *session) send(f frame) bool {
+// wakeWriter asks the writer goroutine for a drain, without blocking.
+func (s *session) wakeWriter() {
 	select {
-	case s.out <- f:
-		return true
-	case <-s.done:
-		return false
+	case s.wake <- struct{}{}:
+	default:
 	}
 }
 
-// trySend enqueues a broker frame without blocking: the commit path
-// calls this with the workspace write lock held, so a full outbox
-// drops the frame (the broker records the lag) rather than stalling
-// every other client's updates. A closed session reports success —
-// the frame is moot and the subscription is about to be reaped.
+// drain writes everything queued in the outbox to the connection in one
+// vectored write under one deadline, so a reply and the frames queued
+// behind it (`ok begin` and `ok committed`, deltas beside a reply) cost
+// one syscall, and an `enumerate` frame's blocks go out by reference. A
+// write error or timeout tears the session down; in-flight frames are
+// discarded, and drain returns false.
+func (s *session) drain() bool {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	// net.Buffers consumes what it writes — it slides over and clears the
+	// slice it is given — so the burst is flattened into a slice of the
+	// session's own, never written from a frame's block vector.
+take:
+	for {
+		select {
+		case f := <-s.out:
+			s.burst = append(append(s.burst, f.head), f.blocks...)
+			if f.tail != nil {
+				s.burst = append(s.burst, f.tail)
+			}
+		default:
+			break take
+		}
+	}
+	if len(s.burst) == 0 {
+		return true
+	}
+	if s.srv.opt.WriteTimeout > 0 {
+		s.conn.SetWriteDeadline(time.Now().Add(s.srv.opt.WriteTimeout))
+	}
+	s.bufs = s.burst
+	_, err := s.bufs.WriteTo(s.conn)
+	s.burst = s.burst[:0]
+	if err != nil {
+		s.close()
+		return false
+	}
+	return true
+}
+
+// send enqueues a command response (reader goroutine only), draining
+// the outbox itself when it is full. Returns false when the session is
+// closed.
+func (s *session) send(f frame) bool {
+	for {
+		select {
+		case s.out <- f:
+			return true
+		case <-s.done:
+			return false
+		default:
+		}
+		if !s.flush() {
+			return false
+		}
+	}
+}
+
+// trySend enqueues a broker frame without blocking and wakes the writer
+// goroutine: the commit path calls this with the workspace write lock
+// held, so a full outbox drops the frame (the broker records the lag)
+// rather than stalling every other client's updates. A closed session
+// reports success — the frame is moot and the subscription is about to
+// be reaped.
 //
 //dyncq:hot
 func (s *session) trySend(f frame) bool {
@@ -167,10 +238,14 @@ func (s *session) trySend(f frame) bool {
 	case <-s.done:
 		return true
 	case s.out <- f:
-		return true
 	default:
 		return false
 	}
+	s.wakeWriter()
+	if len(s.out) > cap(s.out)/2 {
+		s.srv.backlog.Store(true)
+	}
+	return true
 }
 
 func (s *session) sendLine(line string) bool { return s.send(frame{head: []byte(line + "\n")}) }
@@ -373,16 +448,10 @@ func (s *session) handleArg(rest, cmd string) (*dyncq.Handle, bool) {
 	return h, true
 }
 
-// farewell sends the connection's last line and waits (bounded) until
-// the writer has put it on the wire, so the deferred close doesn't race
-// the client's read of it.
+// farewell writes the connection's last line, with everything queued
+// before it, before the deferred close.
 func (s *session) farewell(line string) {
-	if !s.sendLine(line) || !s.send(frame{}) {
-		return
-	}
-	select {
-	case <-s.flushed:
-	case <-s.done:
-	case <-time.After(500 * time.Millisecond):
+	if s.sendLine(line) {
+		s.drain()
 	}
 }

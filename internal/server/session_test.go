@@ -4,11 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"slices"
 	"strconv"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dyncq/internal/cq"
 	"dyncq/internal/dyndb"
@@ -279,6 +283,169 @@ func TestCommitKeepsNoBatchTuple(t *testing.T) {
 					t.Fatalf("version %d, %s: %s %v, oracle %v", version, name, what, got, oracle)
 				}
 			}
+		}
+	}
+}
+
+// TestSessionDeltaBeforeOwnReply: a session subscribed to the query it
+// commits to receives, for each of 1,000 commits over TCP, `ok begin`,
+// the version's delta frame, then `ok committed` naming that version:
+// the frames of one connection leave in the order they were queued,
+// whichever goroutine writes them.
+func TestSessionDeltaBeforeOwnReply(t *testing.T) {
+	_, addr := startTCPServer(t, Options{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(time.Minute))
+	br := bufio.NewReader(conn)
+	expect := func(want string) {
+		t.Helper()
+		line, err := br.ReadString('\n')
+		if err != nil || line != want {
+			t.Fatalf("read %q (%v), want %q", line, err, want)
+		}
+	}
+	fmt.Fprintf(conn, "register q Q(x,y) :- E(x,y)\nsubscribe q\n")
+	expect("ok registered q core 0\n")
+	expect("ok subscribed q 0\n")
+	for v := 1; v <= 1000; v++ {
+		if _, err := fmt.Fprintf(conn, "begin\n+E(%d,%d)\ncommit\n", v, -v); err != nil {
+			t.Fatal(err)
+		}
+		expect("ok begin\n")
+		expect(fmt.Sprintf("delta q %d 1 0\n", v))
+		expect(fmt.Sprintf("+q(%d,%d)\n", v, -v))
+		expect(".\n")
+		expect(fmt.Sprintf("ok committed 1 %d\n", v))
+	}
+}
+
+// TestSessionInteractiveBatch: a client that reads `ok begin` before it
+// writes an update line — a person typing a batch into `dyncq client` —
+// gets it over net.Pipe, which buffers nothing: mid-batch, the reply
+// leaves while the session waits for the next line, not at the commit.
+func TestSessionInteractiveBatch(t *testing.T) {
+	srv := newTestServer(t, Options{})
+	if _, err := srv.Workspace().Register("q", "Q(x,y) :- E(x,y)"); err != nil {
+		t.Fatal(err)
+	}
+	cs, ss := net.Pipe()
+	defer cs.Close()
+	go srv.ServeConn(ss)
+	cs.SetDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(cs)
+	for round, want := range []string{"ok committed 3 1\n", "ok committed 3 2\n"} {
+		for _, req := range []string{"begin", "+E(1,1)", "+E(2,2)", "+E(3,3)", "commit"} {
+			if round == 1 && req != "begin" && req != "commit" {
+				req = "-" + req[1:]
+			}
+			if _, err := io.WriteString(cs, req+"\n"); err != nil {
+				t.Fatalf("round %d, writing %q: %v", round, req, err)
+			}
+			var reply string
+			switch req {
+			case "begin":
+				reply = "ok begin\n"
+			case "commit":
+				reply = want
+			default:
+				continue
+			}
+			if line, err := br.ReadString('\n'); err != nil || line != reply {
+				t.Fatalf("round %d: %q answered %q (%v), want %q", round, req, line, err, reply)
+			}
+		}
+	}
+}
+
+// TestSessionSubscriberKeepsUp: a writer pipelines 10 × OutboxFrames
+// commits over TCP — `begin … commit` batches, or single `apply`s — so
+// the session reading them never runs out of input, while a subscriber
+// reads. The server runs on one processor, as the benchmark's does, and
+// every commit wakes the subscriber's writer goroutine, which there runs
+// only when the committing reader yields it the processor: the
+// subscriber must see every version in turn and no resync. With one
+// reply per commit (`apply`) the writer's own outbox fills no sooner
+// than the subscriber's, so the reader must yield between requests, not
+// only when its outbox is full. (On more processors a writer goroutine
+// that loses the race to a pipelining committer is the slow-consumer
+// case, dropped and resynced by design.)
+func TestSessionSubscriberKeepsUp(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, form := range []string{"begin-commit", "apply"} {
+		t.Run(form, func(t *testing.T) { subscriberKeepsUp(t, form) })
+	}
+}
+
+func subscriberKeepsUp(t *testing.T, form string) {
+	const outbox = 32 // every frame fits in the sockets' buffers: only scheduling can drop one
+	const commits = 10 * outbox
+	srv, addr := startTCPServer(t, Options{OutboxFrames: outbox})
+	if _, err := srv.Workspace().Register("q", "Q(x,y) :- E(x,y)"); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if _, err := sub.Subscribe("q"); err != nil {
+		t.Fatal(err)
+	}
+	var seen atomic.Uint64 // the last version the subscriber saw in turn
+	failed := make(chan error, 1)
+	go func() {
+		for d := range sub.Deltas() {
+			switch {
+			case d.Resync:
+				failed <- fmt.Errorf("resync at version %d: %d frames dropped", d.Version, d.Dropped)
+				return
+			case d.Version != seen.Load()+1:
+				failed <- fmt.Errorf("delta of version %d after %d", d.Version, seen.Load())
+				return
+			}
+			seen.Store(d.Version)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(time.Minute))
+	var requests []byte
+	for i := 1; i <= commits; i++ {
+		if form == "apply" {
+			requests = fmt.Appendf(requests, "apply +E(%d,0)\n", i)
+		} else {
+			requests = fmt.Appendf(requests, "begin\n+E(%d,0)\ncommit\n", i)
+		}
+	}
+	go conn.Write(requests)
+	br := bufio.NewReader(conn)
+	for v := 1; v <= commits; v++ {
+		replies := []string{"ok begin\n", fmt.Sprintf("ok committed 1 %d\n", v)}
+		if form == "apply" {
+			replies = []string{fmt.Sprintf("ok applied 1 %d\n", v)}
+		}
+		for _, want := range replies {
+			if line, err := br.ReadString('\n'); err != nil || line != want {
+				t.Fatalf("commit %d: read %q (%v), want %q", v, line, err, want)
+			}
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); seen.Load() < commits; time.Sleep(time.Millisecond) {
+		select {
+		case err := <-failed:
+			t.Fatal(err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the subscriber saw versions 1 to %d of %d: frames were dropped, and no commit came after room returned to send the resync", seen.Load(), commits)
 		}
 	}
 }

@@ -40,6 +40,18 @@
 // whatever other sessions have committed by the time the reply is
 // written.
 //
+// Every frame a connection is sent — a reply, a delta, a resync or a
+// snapshot — goes through one bounded outbox and leaves in the order it
+// was queued: a session subscribed to the query it commits to reads a
+// version's delta frame before the `ok committed` naming that version.
+// A session's replies leave once it has read all the input it has: it
+// dispatches every whole line it holds, then writes what they queued in
+// one vectored write before it reads again (within a batch `ok begin`
+// leaves without waiting for the commit). So a client on an unbuffered
+// transport such as net.Pipe must read while it writes, as Client's
+// demux goroutine does; one that writes a burst of requests and only
+// then reads blocks against the session's reply write.
+//
 // A subscription asynchronously pushes one delta frame per committed
 // version (even when that query's result did not change — subscribers
 // track versions in lockstep):

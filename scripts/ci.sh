@@ -8,7 +8,8 @@
 #   scripts/ci.sh --deep [gomaxprocs...]       race matrix, ten race passes over the tests of
 #                                              the snapshot cache, delta capture and a
 #                                              failed Load's read side, ten over the
-#                                              enumerate-frame race tests, a
+#                                              enumerate-frame race tests and the
+#                                              session write-path tests, a
 #                                              fixed-seed torture soak, and on
 #                                              the GOMAXPROCS=4 leg the server e2e run, the
 #                                              three line-format fuzz targets (the update
@@ -114,9 +115,12 @@ deep_leg() {
 		-run 'TestSnapshotPinRace|TestSnapshotEvictionDuringCommit|TestCaptureDeltas|TestWorkspaceSnapshotPinnedDuringFanOut|TestSnapshotAdvanceMatchesFreshPin|TestLoadFailureChangesNothing'
 	# Pollers fill leaf blocks, and splice rebuilt leaves out of the
 	# blocks their plans name, while a writer commits; the tests' own docs
-	# ask for ten race passes.
+	# ask for ten race passes. A session's reader and its writer goroutine
+	# drain one outbox: the wire order of a subscribed committer, `ok
+	# begin` mid-batch over net.Pipe, and a subscriber kept up beside a
+	# pipelining writer hang on which of them drains when.
 	GOMAXPROCS=$n go test -race -count=10 ./internal/server \
-		-run 'TestEnumerateBlocksRaceWriter|TestEnumerateSpliceRaceWriter'
+		-run 'TestEnumerateBlocksRaceWriter|TestEnumerateSpliceRaceWriter|TestSessionDeltaBeforeOwnReply|TestSessionInteractiveBatch|TestSessionSubscriberKeepsUp'
 	# A deterministic slice of the nightly soak at a pinned base seed.
 	GOMAXPROCS=$n go test ./internal/torture -race -run 'TestTortureSoak' \
 		-torture.seed=1 -torture.duration=60s -torture.failure-file="$failures" -v
