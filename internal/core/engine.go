@@ -762,17 +762,15 @@ func (e *Engine) CheckInvariants() error {
 
 // liveItems returns, per node and by ref, which records the node's index
 // names, checking that each slot names a record handed out, no other slot
-// names the same one, and the index's counts match its slots.
+// names the same one, no empty slot lies between an item's home slot and
+// its slot, and the index's count matches its slots.
 func liveItems(c *comp) ([][]bool, error) {
 	live := make([][]bool, len(c.nodes))
 	for ni := range c.nodes {
 		idx, n := &c.index[ni], c.arenas[ni].n
 		live[ni] = make([]bool, uint64(n)+1)
-		full, tombs := 0, 0
+		full := 0
 		for i, ctrl := range idx.ctrl {
-			if ctrl == slotTombstone {
-				tombs++
-			}
 			if ctrl < slotFull {
 				continue
 			}
@@ -781,10 +779,12 @@ func liveItems(c *comp) ([][]bool, error) {
 				return nil, fmt.Errorf("node %s slot %d: ref %d is nil, never handed out or indexed twice", c.nodes[ni].name, i, r)
 			}
 			live[ni][r] = true
+			if gap := idx.gap(i); gap >= 0 {
+				return nil, fmt.Errorf("node %s slot %d: empty slot %d lies between the item's home and its slot", c.nodes[ni].name, i, gap)
+			}
 		}
-		if full != idx.n || tombs != idx.tombs {
-			return nil, fmt.Errorf("node %s: %d full slots and %d tombstones, the index counts %d and %d",
-				c.nodes[ni].name, full, tombs, idx.n, idx.tombs)
+		if full != idx.n {
+			return nil, fmt.Errorf("node %s: %d full slots, the index counts %d", c.nodes[ni].name, full, idx.n)
 		}
 	}
 	return live, nil

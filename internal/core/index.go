@@ -8,8 +8,7 @@ package core
 // and its parent ref fixes α — so a slot is the control byte plus one
 // word:
 //
-//	ctrl[i]   slotEmpty, slotTombstone, or slotFull | the top 7 bits of
-//	          the path hash
+//	ctrl[i]   slotEmpty, or slotFull | the top 7 bits of the path hash
 //	words[i]  the item's ref (low 32) | the low 32 bits of the path hash
 //	          (high 32)
 //
@@ -17,14 +16,16 @@ package core
 // depth of an atom's path from the tuple alone and no depth's probe waits
 // for the one above. A probe compares the tag, then the hash bits, and
 // only then the record the update procedure reads anyway: its own
-// constant and its parent ref. Growth rehashes from the hash bits in the
-// words, never from the records: a path's home slot is the low bits of
-// its hash.
+// constant and its parent ref. A path's home slot is the low bits of its
+// hash, so growth and deletion place items from the hash bits in the
+// words, never from the records. A delete shifts the rest of its probe
+// run back (Knuth's Algorithm R) rather than leaving a tombstone: no empty
+// slot lies between an item's home and its slot, and a node under steady
+// churn keeps its table.
 
 const (
-	slotEmpty     uint8 = 0
-	slotTombstone uint8 = 1
-	slotFull      uint8 = 0x80
+	slotEmpty uint8 = 0
+	slotFull  uint8 = 0x80
 
 	minSlots = 8
 	hashBits = 1<<32 - 1 // the path-hash bits a word keeps
@@ -56,14 +57,13 @@ type itemIndex struct {
 	ctrl  []uint8
 	words []uint64 // ref | hash bits<<32, for the full slots
 	n     int      // live items
-	tombs int
 }
 
 // probe looks up the item with path hash h, own constant own and parent
 // ref parent among the records of ar (own constant at word offOwn). If it
 // is present, probe returns its slot and ref; otherwise ref 0 and the slot
-// an insert claims: the first tombstone on the probe run, else the empty
-// slot that ends it. An insert calls reserve first.
+// an insert claims: the empty slot that ends the probe run. An insert
+// calls reserve first.
 //
 //dyncq:hot
 func (x *itemIndex) probe(h uint64, ar *arena, offOwn int32, own Value, parent ref) (slot uint32, r ref) {
@@ -72,7 +72,6 @@ func (x *itemIndex) probe(h uint64, ar *arena, offOwn int32, own Value, parent r
 	}
 	mask := uint32(len(x.ctrl) - 1)
 	want, bits := tag(h), h<<32
-	claim, claimed := uint32(0), false
 	for i := uint32(h) & mask; ; i = (i + 1) & mask {
 		switch c := x.ctrl[i]; {
 		case c == want:
@@ -81,26 +80,19 @@ func (x *itemIndex) probe(h uint64, ar *arena, offOwn int32, own Value, parent r
 					return i, lo(w)
 				}
 			}
-		case c == slotTombstone:
-			if !claimed {
-				claim, claimed = i, true
-			}
 		case c == slotEmpty:
-			if !claimed {
-				claim = i
-			}
-			return claim, 0
+			return i, 0
 		}
 	}
 }
 
-// reserve makes room for one insert, growing (or purging tombstones at the
-// same size) when it could cross the 3/4 load limit. It moves slots, so it
-// comes before the probe whose slot the insert claims.
+// reserve makes room for one insert, doubling the table when it could
+// cross the 3/4 load limit. It moves slots, so it comes before the probe
+// whose slot the insert claims.
 //
 //dyncq:hot
 func (x *itemIndex) reserve() {
-	if (x.n+x.tombs+1)*4 > len(x.ctrl)*3 {
+	if (x.n+1)*4 > len(x.ctrl)*3 {
 		x.grow()
 	}
 }
@@ -109,42 +101,39 @@ func (x *itemIndex) reserve() {
 //
 //dyncq:hot
 func (x *itemIndex) put(slot uint32, h uint64, r ref) {
-	if x.ctrl[slot] == slotTombstone {
-		x.tombs--
-	}
 	x.ctrl[slot] = tag(h)
 	x.words[slot] = uint64(r) | h<<32
 	x.n++
 }
 
-// free empties the live slot a probe returned. A slot whose successor is
-// empty ends its probe run, so it goes straight back to empty instead of
-// leaving a tombstone.
+// free empties the live slot a probe returned by backward shift: it walks
+// the run after the hole up to the first empty slot and moves back each
+// item whose home slot is not cyclically in (hole, j], so the hole moves
+// to j; an item whose home is in that range stays and the walk goes on.
+// The last hole becomes empty. Homes come from the words' hash bits; no
+// record is read. Other slots of this table move, so a caller frees at
+// most one slot it recorded before the free.
 //
 //dyncq:hot
 func (x *itemIndex) free(slot uint32) {
 	x.n--
-	if x.ctrl[(slot+1)&uint32(len(x.ctrl)-1)] == slotEmpty {
-		x.ctrl[slot] = slotEmpty
-	} else {
-		x.ctrl[slot] = slotTombstone
-		x.tombs++
-	}
-}
-
-// grow rehashes into a table twice the size, or the same size when
-// tombstones, not live items, fill it. The words' hash bits say where
-// each item goes; no record is read.
-func (x *itemIndex) grow() {
-	size := minSlots
-	if len(x.ctrl) > 0 {
-		size = len(x.ctrl)
-		if x.n*2 >= size {
-			size *= 2
+	mask := uint32(len(x.ctrl) - 1)
+	for j := (slot + 1) & mask; x.ctrl[j] != slotEmpty; j = (j + 1) & mask {
+		if w := x.words[j]; (j-uint32(w>>32))&mask >= (j-slot)&mask {
+			x.ctrl[slot], x.words[slot] = x.ctrl[j], w
+			slot = j
 		}
 	}
+	x.ctrl[slot] = slotEmpty
+}
+
+// grow rehashes into a table twice the size (minSlots for the first
+// insert). The words' hash bits say where each item goes; no record is
+// read.
+func (x *itemIndex) grow() {
+	size := max(2*len(x.ctrl), minSlots)
 	oldCtrl, oldWords := x.ctrl, x.words
-	x.ctrl, x.words, x.tombs = make([]uint8, size), make([]uint64, size), 0
+	x.ctrl, x.words = make([]uint8, size), make([]uint64, size)
 	mask := uint32(size - 1)
 	for i, c := range oldCtrl {
 		if c < slotFull {
@@ -157,6 +146,19 @@ func (x *itemIndex) grow() {
 		}
 		x.ctrl[j], x.words[j] = c, w // the tag is a function of the hash, not of the size
 	}
+}
+
+// gap returns the first empty slot between the home slot of the item in
+// full slot i and slot i, or -1 if its probe run is unbroken, as backward
+// shift keeps it. CheckInvariants and the tests call it.
+func (x *itemIndex) gap(i int) int {
+	mask := len(x.ctrl) - 1
+	for j := int(x.words[i]>>32) & mask; j != i; j = (j + 1) & mask {
+		if x.ctrl[j] == slotEmpty {
+			return j
+		}
+	}
+	return -1
 }
 
 // at returns the item in slot i, 0 if the slot is not full.

@@ -60,26 +60,30 @@ func (g *indexRig) remove(h uint64, own Value, parent ref) {
 	g.ar.recycle(r, g.ar.rec(r))
 }
 
-// counts checks the index's live and tombstone counts against its slots
-// and the wanted values.
-func (g *indexRig) counts(n, tombs int) {
+// counts checks the index's live count against its slots and the wanted
+// value, and the run invariant: no empty slot lies between an item's home
+// slot and its slot.
+func (g *indexRig) counts(n int) {
 	g.t.Helper()
-	full, tb := 0, 0
-	for _, c := range g.x.ctrl {
-		if c >= slotFull {
-			full++
-		} else if c == slotTombstone {
-			tb++
+	full := 0
+	for i, c := range g.x.ctrl {
+		if c < slotFull {
+			continue
+		}
+		full++
+		if gap := g.x.gap(i); gap >= 0 {
+			g.t.Fatalf("empty slot %d lies between the home of the item in slot %d and its slot", gap, i)
 		}
 	}
-	if full != g.x.n || tb != g.x.tombs || full != n || tb != tombs {
-		g.t.Fatalf("%d full slots and %d tombstones (counted %d and %d), want %d and %d", full, tb, g.x.n, g.x.tombs, n, tombs)
+	if full != g.x.n || full != n {
+		g.t.Fatalf("%d full slots (counted %d), want %d", full, g.x.n, n)
 	}
 }
 
-// TestItemIndexGrowth: the table doubles when live items fill it and
-// rehashes at the same size, purging every tombstone, when tombstones do;
-// every item is found after each.
+// TestItemIndexGrowth: the table doubles when live items fill it, and a
+// delete shifts the rest of its run back, so live items, not deletes,
+// decide the size: churn at a steady size never rehashes. Every item is
+// found after each step.
 func TestItemIndexGrowth(t *testing.T) {
 	g := newIndexRig(t)
 	const h = 3 // one home slot for all: one probe run
@@ -96,31 +100,42 @@ func TestItemIndexGrowth(t *testing.T) {
 	for own := Value(7); own < 12; own++ {
 		g.insert(h, own, 0)
 	}
-	g.counts(12, 0)
-	// Slots 3..14 hold the run; dropping its first 8 leaves tombstones,
-	// since each one's successor is full.
+	g.counts(12)
+	// Slots 3..14 hold the run; dropping its first 8 shifts the other 4
+	// back to slots 3..6, one step per delete.
 	for own := Value(0); own < 8; own++ {
 		g.remove(h, own, 0)
+		g.counts(11 - int(own))
 	}
-	g.counts(4, 8)
 	for own := Value(8); own < 12; own++ {
-		g.find(h, own, 0) // past the tombstones
+		if slot := g.find(h, own, 0); slot != uint32(h+own-8) {
+			t.Errorf("item %d in slot %d after the shifts, want %d", own, slot, h+own-8)
+		}
 	}
-	g.insert(h, 100, 0) // 4 live + 8 tombstones + 1 would pass 3/4: same-size rehash
-	if len(g.x.ctrl) != 2*minSlots {
-		t.Fatalf("%d slots after the purge, want %d", len(g.x.ctrl), 2*minSlots)
+	// A sliding window of fresh items on the same run, oldest out first: 4
+	// to 5 live, every insert new. The table keeps its arrays.
+	ctrl := &g.x.ctrl[0]
+	live := []Value{8, 9, 10, 11}
+	for own := Value(100); own < 200; own++ {
+		g.insert(h, own, 0)
+		g.remove(h, live[0], 0)
+		live = append(live[1:], own)
+		g.counts(4)
 	}
-	g.counts(5, 0)
-	for _, own := range []Value{8, 9, 10, 11, 100} {
-		if slot := g.find(h, own, 0); slot < h || slot > h+4 {
-			t.Errorf("item %d in slot %d after the purge, want the run 3..7", own, slot)
+	if len(g.x.ctrl) != 2*minSlots || &g.x.ctrl[0] != ctrl {
+		t.Fatalf("%d slots after the churn, want the same %d-slot arrays", len(g.x.ctrl), 2*minSlots)
+	}
+	for own := Value(196); own < 200; own++ {
+		if slot := g.find(h, own, 0); slot < h || slot > h+3 {
+			t.Errorf("item %d in slot %d after the churn, want the run 3..6", own, slot)
 		}
 	}
 }
 
 // TestItemIndexWrapsAround: a run that starts in the last slot continues
-// at slot 0, for inserts, lookups through a tombstone, and the insert
-// that reuses it.
+// at slot 0, for inserts, lookups, and the backward shift of a delete,
+// which moves items back across the end of the slots and keeps scanning
+// past an item whose home is slot 0.
 func TestItemIndexWrapsAround(t *testing.T) {
 	g := newIndexRig(t)
 	const h = minSlots - 1 // home: the last slot
@@ -132,23 +147,42 @@ func TestItemIndexWrapsAround(t *testing.T) {
 	if len(g.x.ctrl) != minSlots {
 		t.Fatalf("%d slots, want %d", len(g.x.ctrl), minSlots)
 	}
-	g.remove(h, 0, 0) // slot 7: its successor, slot 0, is full
-	g.counts(2, 1)
-	if g.find(h, 1, 0) != 0 || g.find(h, 2, 0) != 1 {
-		t.Fatal("the run moved")
+	g.remove(h, 0, 0) // slot 7: items 1 and 2 shift back across the end
+	g.counts(2)
+	if g.find(h, 1, 0) != h || g.find(h, 2, 0) != 0 || g.x.ctrl[1] != slotEmpty {
+		t.Fatal("the run did not shift back to slots 7, 0")
 	}
-	g.remove(h, 2, 0) // slot 1: its successor is empty
-	g.counts(1, 1)
-	if slot := g.insert(h, 3, 0); slot != h {
-		t.Errorf("insert took slot %d, want the tombstone in slot %d", slot, h)
+	g.remove(h, 2, 0) // slot 0: its successor is empty
+	g.counts(1)
+	if slot := g.insert(h, 3, 0); slot != 0 {
+		t.Errorf("insert took slot %d, want the empty slot 0 that ends the run", slot)
 	}
-	g.counts(2, 0)
+	g.counts(2)
 	g.find(h, 1, 0)
+	// A run of mixed homes: item 10 (home 7) in slot 7, item 11 (home 0)
+	// in slot 0, item 12 (home 7) in slot 1. Freeing slot 7 leaves item
+	// 11, whose home is in (7, 0], and moves item 12 past it, back across
+	// the end into slot 7.
+	m := newIndexRig(t)
+	for _, it := range []struct {
+		h        uint64
+		own      Value
+		wantSlot uint32
+	}{{h, 10, h}, {0, 11, 0}, {h, 12, 1}} {
+		if got := m.insert(it.h, it.own, 0); got != it.wantSlot {
+			t.Fatalf("item %d in slot %d, want %d", it.own, got, it.wantSlot)
+		}
+	}
+	m.remove(h, 10, 0)
+	m.counts(2)
+	if m.find(0, 11, 0) != 0 || m.find(h, 12, 0) != h || m.x.ctrl[1] != slotEmpty {
+		t.Errorf("after the free of slot 7: item 11 in slot %d, item 12 in slot %d, want 0 and 7", m.find(0, 11, 0), m.find(h, 12, 0))
+	}
 }
 
 // TestItemIndexFreeBeforeEmpty: freeing a slot whose successor is empty
-// leaves the slot empty, not a tombstone; freeing one whose successor is
-// full leaves a tombstone.
+// leaves the slot empty and moves nothing; freeing one whose successor is
+// full moves that item back and empties the end of the run.
 func TestItemIndexFreeBeforeEmpty(t *testing.T) {
 	g := newIndexRig(t)
 	const h = 2
@@ -156,14 +190,14 @@ func TestItemIndexFreeBeforeEmpty(t *testing.T) {
 		g.insert(h, own, 0) // slots 2, 3, 4
 	}
 	g.remove(h, 2, 0) // slot 4, successor 5 empty
-	g.counts(2, 0)
-	if g.x.ctrl[4] != slotEmpty {
-		t.Errorf("slot 4 holds %#x after a free before an empty slot, want empty", g.x.ctrl[4])
+	g.counts(2)
+	if g.x.ctrl[4] != slotEmpty || g.find(h, 0, 0) != 2 || g.find(h, 1, 0) != 3 {
+		t.Errorf("slot 4 holds %#x after a free before an empty slot, want empty and the run unmoved", g.x.ctrl[4])
 	}
 	g.remove(h, 0, 0) // slot 2, successor 3 full
-	g.counts(1, 1)
-	if g.x.ctrl[2] != slotTombstone {
-		t.Errorf("slot 2 holds %#x after a free before a full slot, want a tombstone", g.x.ctrl[2])
+	g.counts(1)
+	if g.find(h, 1, 0) != 2 || g.x.ctrl[3] != slotEmpty {
+		t.Errorf("after a free before a full slot: item 1 in slot %d, slot 3 holds %#x, want slot 2 and empty", g.find(h, 1, 0), g.x.ctrl[3])
 	}
 }
 
@@ -246,7 +280,19 @@ func TestCheckInvariantsSeesIndexCorruption(t *testing.T) {
 		"slot names another item":  func() { mid.words[ys] = mid.words[ys]&^hashBits | uint64(y110) },
 		"tag":                      func() { mid.ctrl[ys] ^= 1 },
 		"live count":               func() { mid.n++ },
-		"tombstone count":          func() { mid.tombs++ },
+		"gap in a probe run": func() {
+			// An empty slot e+1 after an empty slot e: any walk from
+			// another home to e+1 passes e.
+			home := int(mid.words[ys]>>32) & (len(mid.ctrl) - 1)
+			for e := range mid.ctrl {
+				if f := (e + 1) & (len(mid.ctrl) - 1); mid.ctrl[e] == slotEmpty && mid.ctrl[f] == slotEmpty && f != home {
+					mid.ctrl[f], mid.words[f] = mid.ctrl[ys], mid.words[ys]
+					mid.ctrl[ys] = slotEmpty
+					return
+				}
+			}
+			t.Fatal("no two adjacent empty slots to move y=(5,6) to")
+		},
 		"indexed twice": func() {
 			mid.ctrl[empty], mid.words[empty] = mid.ctrl[ys], mid.words[ys]
 			mid.n++

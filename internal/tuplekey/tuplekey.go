@@ -10,7 +10,10 @@
 // It is the relation storage of the dynamic database, the batch
 // coalescer, the eval indexes and every materialised result set. The
 // dynamic engine's A_v arrays use the same probing scheme without the key
-// array: their records are their own keys (internal/core, index.go).
+// array: their records are their own keys (internal/core, index.go). In
+// both, a delete shifts the rest of its probe run back (Knuth's Algorithm
+// R) instead of leaving a tombstone, so only live entries fill a table: one
+// under steady insert/delete churn keeps its size and never rehashes.
 package tuplekey
 
 // Hash returns a 64-bit hash of the tuple. Each element is diffused with a
@@ -46,13 +49,13 @@ func Equal(a, b []int64) bool {
 	return true
 }
 
-// Control bytes: a full slot carries slotFull plus the top seven bits of
-// its key's hash (the slot index uses the low bits), so a probe rejects
-// almost every slot holding a different key without reading the key array.
+// Control bytes: a slot is empty, or full and carrying slotFull plus the
+// top seven bits of its key's hash (the slot index uses the low bits), so
+// a probe rejects almost every slot holding a different key without
+// reading the key array.
 const (
-	slotEmpty     uint8 = 0
-	slotTombstone uint8 = 1
-	slotFull      uint8 = 0x80
+	slotEmpty uint8 = 0
+	slotFull  uint8 = 0x80
 )
 
 // Table is a hash table from int64 tuples of one fixed arity to values of
@@ -61,20 +64,22 @@ const (
 // tuple costs 8·arity bytes and no heap object, and when V holds no
 // pointers the whole table is invisible to the garbage collector's mark
 // phase. Arity 0 is legal (the one possible key is the empty tuple — a
-// Boolean query's head).
+// Boolean query's head). Every key sits in the probe run that starts at
+// its home slot, the low bits of its hash: no empty slot lies between the
+// two, and a Delete keeps it so by moving later entries of the run back.
 //
 // Put and Ref copy the key into the table; the caller keeps ownership of
 // the slice it passed. The key slices handed out by Range alias the table:
 // they are valid until the table's next mutation and must be copied to be
-// retained. Get and Delete of a key whose length is not the table's arity
-// miss; Put and Ref of one panic.
+// retained, and a pointer from Ref is valid until then too — a Delete of
+// another key may move the entry. Get and Delete of a key whose length is
+// not the table's arity miss; Put and Ref of one panic.
 type Table[V any] struct {
 	arity int
 	ctrl  []uint8
 	keys  []int64 // len(ctrl) × arity
 	vals  []V
 	n     int // live entries
-	tombs int // tombstones
 }
 
 // NewTable returns an empty table for keys of the given arity.
@@ -145,40 +150,31 @@ func (t *Table[V]) Ref(key []int64) (val *V, existed bool) {
 }
 
 // ref is Ref returning the slot: the one get-or-insert probe, growing
-// first if an insert could cross the load limit.
+// first if an insert could cross the load limit. An absent key takes the
+// empty slot that ends its probe run.
 //
 //dyncq:hot
 func (t *Table[V]) ref(key []int64) (slot int, existed bool) {
 	if len(key) != t.arity {
 		panic("tuplekey: key length differs from the table's arity")
 	}
-	if (t.n+t.tombs+1)*4 > len(t.ctrl)*3 {
+	if (t.n+1)*4 > len(t.ctrl)*3 {
 		t.grow()
 	}
 	h := Hash(key)
 	want := slotFull | uint8(h>>57)
 	mask := uint64(len(t.ctrl) - 1)
-	at := -1 // first tombstone on the probe path: reused if key is absent
 	for i := h & mask; ; i = (i + 1) & mask {
 		switch c := t.ctrl[i]; {
 		case c == want:
 			if t.keyIs(i, key) {
 				return int(i), true
 			}
-		case c == slotTombstone:
-			if at < 0 {
-				at = int(i)
-			}
 		case c == slotEmpty:
-			if at < 0 {
-				at = int(i)
-			} else {
-				t.tombs--
-			}
-			t.ctrl[at] = want
-			copy(t.keys[at*t.arity:], key)
+			t.ctrl[i] = want
+			copy(t.keys[int(i)*t.arity:], key)
 			t.n++
-			return at, false
+			return int(i), false
 		}
 	}
 }
@@ -187,7 +183,8 @@ func (t *Table[V]) ref(key []int64) (slot int, existed bool) {
 // absent, and frees the slot if the count reaches zero; it reports
 // whether key was present before. It is one probe where Ref followed by
 // Delete takes two, and it leaves the table exactly as they would: the
-// same slots, tombstones and Len, so Range order is unchanged.
+// same slots, after the same backward shift, and Len, so Range order is
+// unchanged.
 //
 //dyncq:hot
 func AddCount(t *Table[int64], key []int64, d int64) (wasPresent bool) {
@@ -216,21 +213,30 @@ func (t *Table[V]) Delete(key []int64) bool {
 	return true
 }
 
-// free empties the live slot i.
+// free empties the live slot i by backward shift (Knuth's Algorithm R):
+// it walks the run after i up to the first empty slot and moves each entry
+// whose home slot is not cyclically in (i, j] back into the hole, which
+// then moves to j; an entry whose home is in (i, j] stays, and the walk
+// goes on past it. The last hole becomes empty, so every key stays
+// reachable from its home without a tombstone. A home slot is recomputed
+// from the stored key.
 //
 //dyncq:hot
 func (t *Table[V]) free(i int) {
+	t.n--
+	a, mask := t.arity, len(t.ctrl)-1
+	for j := (i + 1) & mask; t.ctrl[j] != slotEmpty; j = (j + 1) & mask {
+		key := t.keys[j*a : (j+1)*a]
+		if home := int(Hash(key)) & mask; (j-home)&mask >= (j-i)&mask {
+			t.ctrl[i] = t.ctrl[j]
+			copy(t.keys[i*a:], key)
+			t.vals[i] = t.vals[j]
+			i = j
+		}
+	}
+	t.ctrl[i] = slotEmpty
 	var zero V
 	t.vals[i] = zero
-	t.n--
-	// A slot whose successor is empty ends its probe run, so it can go
-	// straight back to empty instead of leaving a tombstone.
-	if t.ctrl[(i+1)&(len(t.ctrl)-1)] == slotEmpty {
-		t.ctrl[i] = slotEmpty
-	} else {
-		t.ctrl[i] = slotTombstone
-		t.tombs++
-	}
 }
 
 // Range calls fn for every entry until fn returns false, in slot order
@@ -271,7 +277,7 @@ func (t *Table[V]) Reset() {
 		clear(t.ctrl)
 		clear(t.vals)
 	}
-	t.n, t.tombs = 0, 0
+	t.n = 0
 }
 
 const (
@@ -281,23 +287,16 @@ const (
 	resetKeep = 1024
 )
 
+// grow rehashes into a table twice the size (minCap slots for the first
+// insert). Only live entries fill a table, so a table at its load limit is
+// one that holds that many keys.
 func (t *Table[V]) grow() {
-	newCap := minCap
-	if len(t.ctrl) > 0 {
-		// Grow only if live entries dominate; otherwise rehash at the same
-		// size to clear tombstones.
-		if t.n*2 >= len(t.ctrl) {
-			newCap = len(t.ctrl) * 2
-		} else {
-			newCap = len(t.ctrl)
-		}
-	}
+	newCap := max(2*len(t.ctrl), minCap)
 	oldCtrl, oldKeys, oldVals := t.ctrl, t.keys, t.vals
 	a := t.arity
 	t.ctrl = make([]uint8, newCap)
 	t.keys = make([]int64, newCap*a)
 	t.vals = make([]V, newCap)
-	t.tombs = 0
 	mask := uint64(newCap - 1)
 	for i, c := range oldCtrl {
 		if c < slotFull {

@@ -216,20 +216,25 @@ func TestTableRange(t *testing.T) {
 }
 
 // TestAddCountZeroCrossing: AddCount leaves the table exactly as Ref
-// followed by Delete at zero would — the same slots, tombstones and Len —
-// both where a freed slot must stay a tombstone (a later key's probe run
-// passes it) and where it can go back to empty, and a freed tombstone is
-// the slot the next insert on that probe path reuses.
+// followed by Delete at zero would — the same slots, keys, values and Len
+// — where the freed slot's run shifts back past an entry that must stay
+// (its home is the next slot) and where the freed slot ends its run, and
+// a fresh key on a shortened run takes the empty slot that ends it.
 func TestAddCountZeroCrossing(t *testing.T) {
-	// Three keys with one home slot in an 8-slot table: they sit in
-	// consecutive slots home, home+1, home+2.
-	var ks [][]int64
+	// In an 8-slot table: a and c share home slot h, b's home is h+1, so
+	// inserted in that order they sit in slots h, h+1, h+2.
 	home := Hash([]int64{0}) & 7
-	for k := int64(0); len(ks) < 3; k++ {
-		if Hash([]int64{k})&7 == home {
-			ks = append(ks, []int64{k})
+	keyAt := func(want uint64, skip int64) []int64 {
+		for k := skip + 1; ; k++ {
+			if Hash([]int64{k})&7 == want {
+				return []int64{k}
+			}
 		}
 	}
+	ka := []int64{0}
+	kb := keyAt((home+1)&7, 0)
+	kc := keyAt(home, 0)
+	kd := keyAt(home, kc[0])
 	a, b := NewTable[int64](1), NewTable[int64](1) // a: AddCount, b: Ref+Delete
 	refDelete := func(key []int64, d int64) bool {
 		n, existed := b.Ref(key)
@@ -240,10 +245,13 @@ func TestAddCountZeroCrossing(t *testing.T) {
 	}
 	same := func(what string) {
 		t.Helper()
-		if a.Len() != b.Len() || a.tombs != b.tombs || fmt.Sprint(a.ctrl) != fmt.Sprint(b.ctrl) ||
+		if a.Len() != b.Len() || fmt.Sprint(a.ctrl) != fmt.Sprint(b.ctrl) ||
 			fmt.Sprint(a.keys) != fmt.Sprint(b.keys) || fmt.Sprint(a.vals) != fmt.Sprint(b.vals) {
-			t.Fatalf("%s: AddCount table (len %d, tombs %d, ctrl %v) differs from Ref+Delete (len %d, tombs %d, ctrl %v)",
-				what, a.Len(), a.tombs, a.ctrl, b.Len(), b.tombs, b.ctrl)
+			t.Fatalf("%s: AddCount table (len %d, ctrl %v, keys %v) differs from Ref+Delete (len %d, ctrl %v, keys %v)",
+				what, a.Len(), a.ctrl, a.keys, b.Len(), b.ctrl, b.keys)
+		}
+		if i, gap := runGap(a); gap >= 0 {
+			t.Fatalf("%s: empty slot %d lies between slot %d and its key's home", what, gap, i)
 		}
 	}
 	step := func(what string, key []int64, d int64, wantPresent bool) {
@@ -256,30 +264,35 @@ func TestAddCountZeroCrossing(t *testing.T) {
 		}
 		same(what)
 	}
-	for _, k := range ks {
+	at := func(what string, want ...[]int64) {
+		t.Helper()
+		for j, k := range want {
+			i := int(home+uint64(j)) & 7
+			if k == nil && a.ctrl[i] != slotEmpty || k != nil && (a.ctrl[i] < slotFull || a.keys[i] != k[0]) {
+				t.Fatalf("%s: slot %d holds ctrl %#x key %d, want %v", what, i, a.ctrl[i], a.keys[i], k)
+			}
+		}
+	}
+	for _, k := range [][]int64{ka, kb, kc} {
 		step("insert", k, 1, false)
 	}
-	step("count up", ks[0], 2, true)
-	step("count down", ks[0], -1, true)
-	if a.Len() != 3 || a.tombs != 0 {
-		t.Fatalf("after inserts: Len %d, tombs %d, want 3, 0", a.Len(), a.tombs)
+	at("after inserts", ka, kb, kc, nil)
+	step("count up", ka, 2, true)
+	step("count down", ka, -1, true)
+	// Freeing h: b's home is h+1, so it stays; c moves back into h.
+	step("zero before a run", ka, -2, true)
+	at("after the first zero", kc, kb, nil)
+	if a.Len() != 2 || a.Has(ka) {
+		t.Fatalf("after the first zero: Len %d, Has %v, want 2, false", a.Len(), a.Has(ka))
 	}
-	// ks[0]'s successor holds ks[1]: its slot must become a tombstone.
-	step("zero with a full successor", ks[0], -2, true)
-	if a.Len() != 2 || a.tombs != 1 || a.ctrl[home] != slotTombstone || a.Has(ks[0]) {
-		t.Fatalf("after the first zero: Len %d, tombs %d, ctrl[home] %d, want 2, 1, tombstone", a.Len(), a.tombs, a.ctrl[home])
-	}
-	// ks[2]'s successor is empty: its slot goes straight back to empty.
-	last := (home + 2) & 7
-	step("zero with an empty successor", ks[2], -1, true)
-	if a.Len() != 1 || a.tombs != 1 || a.ctrl[last] != slotEmpty {
-		t.Fatalf("after the second zero: Len %d, tombs %d, ctrl[last] %d, want 1, 1, empty", a.Len(), a.tombs, a.ctrl[last])
-	}
-	// A fresh key on the same probe path lands in the freed tombstone.
-	step("insert over the tombstone", ks[2], 5, false)
-	if a.Len() != 2 || a.tombs != 0 || a.keys[home] != ks[2][0] || a.vals[home] != 5 {
-		t.Fatalf("reinsert: Len %d, tombs %d, slot %d holds %d → %d, want 2, 0, %v → 5",
-			a.Len(), a.tombs, home, a.keys[home], a.vals[home], ks[2])
+	// b's successor is empty: its slot just goes back to empty.
+	step("zero at a run's end", kb, -1, true)
+	at("after the second zero", kc, nil)
+	// A fresh key of home h lands in the empty slot that ends its run.
+	step("insert after the shift", kd, 5, false)
+	at("reinsert", kc, kd, nil)
+	if a.Len() != 2 || a.vals[(home+1)&7] != 5 {
+		t.Fatalf("reinsert: Len %d, value %d, want 2, 5", a.Len(), a.vals[(home+1)&7])
 	}
 	// An absent key at d = 0 is inserted and freed at once.
 	step("absent at zero", []int64{-7}, 0, false)
@@ -288,14 +301,35 @@ func TestAddCountZeroCrossing(t *testing.T) {
 	}
 }
 
+// runGap checks the run invariant that backward-shift deletion keeps: no
+// empty slot lies between a key's home slot and its slot. It returns the
+// first full slot whose run is broken and the empty slot that breaks it,
+// or -1, -1.
+func runGap[V any](tb *Table[V]) (slot, gap int) {
+	mask := len(tb.ctrl) - 1
+	for i, c := range tb.ctrl {
+		if c < slotFull {
+			continue
+		}
+		for j := int(Hash(tb.keys[i*tb.arity:(i+1)*tb.arity])) & mask; j != i; j = (j + 1) & mask {
+			if tb.ctrl[j] == slotEmpty {
+				return i, j
+			}
+		}
+	}
+	return -1, -1
+}
+
 // runProgram drives a Table and a Go map through the operation sequence
 // encoded in prog (three bytes per operation: kind, then a 16-bit key seed)
-// and fails on the first disagreement, re-checking the whole content after
-// every rehash. The kind byte's low seven bits modulo 5 pick the
-// operation; for AddCount, bit 7 set means "cancel the stored count" (a
-// zero crossing on a present key) and bits 4–5 otherwise give d in −1..2.
-// It returns how many rehashes of either kind the table went through.
-func runProgram(t testing.TB, arity int, prog []byte) (grown, sameSize int) {
+// and fails on the first disagreement or broken probe run, re-checking the
+// whole content after every rehash and every backward shift. The kind
+// byte's low seven bits modulo 5 pick the operation; for AddCount, bit 7
+// set means "cancel the stored count" (a zero crossing on a present key)
+// and bits 4–5 otherwise give d in −1..2. It returns how many rehashes the
+// table went through, how many deletes moved an entry back, and how many
+// of those moved one across the end of the slot array.
+func runProgram(t testing.TB, arity int, prog []byte) (grown, shifted, wrapped int) {
 	tb := NewTable[int64](arity)
 	model := map[string]int64{}
 	key := make([]int64, arity)
@@ -324,7 +358,8 @@ func runProgram(t testing.TB, arity int, prog []byte) (grown, sameSize int) {
 			key[arity-1] = seed
 		}
 		ks := fmt.Sprint(key)
-		slots, tombs := len(tb.ctrl), tb.tombs
+		slots := len(tb.ctrl)
+		run := runAfter(tb, key)
 		kind, v := prog[step], int64(step)
 		switch kind & 0x7f % 5 {
 		case 0: // put
@@ -367,24 +402,59 @@ func runProgram(t testing.TB, arity int, prog []byte) (grown, sameSize int) {
 				t.Fatalf("arity %d step %d: after AddCount(%v, %d) Get = %d,%v, model %d", arity, step, key, d, got, ok, mv)
 			}
 		}
+		if i, gap := runGap(tb); gap >= 0 {
+			t.Fatalf("arity %d step %d: empty slot %d lies between slot %d and its key's home", arity, step, gap, i)
+		}
+		moved, across := false, false
+		for _, e := range run {
+			if i := tb.find(e.key); i != e.slot {
+				moved, across = true, across || i > e.slot
+			}
+		}
 		switch {
 		case len(tb.ctrl) > slots:
 			grown++
 			check(step)
-		case tb.tombs < tombs-1: // one insert reuses at most one tombstone itself
-			sameSize++
+		case moved:
+			shifted++
+			if across {
+				wrapped++
+			}
 			check(step)
 		}
 	}
 	check(len(prog))
-	return grown, sameSize
+	return grown, shifted, wrapped
+}
+
+// runEntry is a key and the slot it sat in before an operation.
+type runEntry struct {
+	key  []int64
+	slot int
+}
+
+// runAfter returns the entries after key's slot up to the end of its
+// probe run — the ones a delete of key may shift back — or nil if key is
+// absent.
+func runAfter(tb *Table[int64], key []int64) []runEntry {
+	i := tb.find(key)
+	if i < 0 {
+		return nil
+	}
+	var run []runEntry
+	mask := len(tb.ctrl) - 1
+	for j := (i + 1) & mask; tb.ctrl[j] != slotEmpty; j = (j + 1) & mask {
+		run = append(run, runEntry{append([]int64(nil), tb.keys[j*tb.arity:(j+1)*tb.arity]...), j})
+	}
+	return run
 }
 
 // randomProgram alternates two phases. Random operations over a 512-key
 // domain, AddCount among them, take the table through its doublings. A sliding window (insert a
 // fresh key, delete the one inserted 100 operations earlier) keeps few
-// keys live while every insert lands somewhere new, so tombstones pile up
-// until a rehash at the same size clears them.
+// keys live while every insert lands somewhere new, so deletes keep
+// shifting runs back, across the end of the slot array among them, and
+// the table must not grow.
 func randomProgram(rng *rand.Rand, ops int) []byte {
 	prog := make([]byte, 0, 3*ops)
 	op := func(kind byte, seed int) { prog = append(prog, kind, byte(seed>>8), byte(seed)) }
@@ -408,20 +478,22 @@ func randomProgram(rng *rand.Rand, ops int) []byte {
 
 // TestTableAgainstModel is the model-based test of the fixed-arity
 // contract: arities 0–4 against a Go map, through several growth rehashes
-// and at least one tombstone-clearing rehash at the same size.
+// and deletes whose backward shift moved an entry, also across the end of
+// the slot array.
 func TestTableAgainstModel(t *testing.T) {
 	for arity := 0; arity <= 4; arity++ {
 		rng := rand.New(rand.NewSource(int64(42 + arity)))
-		grown, sameSize := runProgram(t, arity, randomProgram(rng, 60000))
+		grown, shifted, wrapped := runProgram(t, arity, randomProgram(rng, 60000))
 		if arity == 0 {
 			continue // one possible key: the table never leaves its first 8 slots
 		}
 		if grown < 4 {
 			t.Errorf("arity %d: only %d growth rehashes, want several", arity, grown)
 		}
-		if sameSize < 1 {
-			t.Errorf("arity %d: no tombstone-clearing same-size rehash happened", arity)
+		if shifted < 1 || wrapped < 1 {
+			t.Errorf("arity %d: %d deletes shifted an entry back, %d across the end of the slots; want both", arity, shifted, wrapped)
 		}
+		t.Logf("arity %d: %d growth rehashes, %d shifting deletes, %d across the end", arity, grown, shifted, wrapped)
 	}
 }
 

@@ -3,6 +3,7 @@ package dyncq
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dyncq/internal/cq"
@@ -354,6 +355,115 @@ func ivmCommitAllocs(t *testing.T, batch int) float64 {
 	return testing.AllocsPerRun(200, cycle) / 2
 }
 
+// TestChurnAllocationFree: a store under steady churn — every commit
+// deletes the oldest tuples and inserts as many never seen before, so no
+// relation changes size — allocates nothing once warm, on the core set
+// and on the ivm-routed hard query alike. Unlike TestCommitAllocationFree,
+// whose inverse batches put the same tuples back, every insert lands in a
+// fresh slot of the store's tables, the core engine's A_v indexes, the
+// ivm result and the eval index buckets, so a delete that left a
+// tombstone would fill each table until it rehashed. The window is long
+// (churnCommits) and counts runtime mallocs over all of it, not a per-run
+// mean rounded down to an integer.
+func TestChurnAllocationFree(t *testing.T) {
+	batches := churnBatches()
+	for _, set := range []struct {
+		name    string
+		queries map[string]string
+	}{
+		{"core", map[string]string{"star": "Q(y) :- E(x,y), T(y)", "deep": "Q(x,y,z) :- R(x,y,z), E(x,y), S(x)"}},
+		{"ivm", map[string]string{"hard": "Q(x,y) :- S(x), E(x,y), T(y)"}},
+	} {
+		t.Run(set.name, func(t *testing.T) {
+			ws := NewWorkspace(WorkspaceOptions{})
+			for name, text := range set.queries {
+				h, err := ws.Register(name, text)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := map[bool]Strategy{true: StrategyIVM, false: StrategyCore}[name == "hard"]; h.Strategy() != want {
+					t.Fatalf("%s routed to %v, want %v", name, h.Strategy(), want)
+				}
+			}
+			db := dyndb.New()
+			for x := Value(0); x < churnXs; x++ {
+				db.Insert("S", x)
+			}
+			for y := Value(0); y < churnYs; y++ {
+				db.Insert("T", y)
+			}
+			for i := 0; i < churnWindow; i++ {
+				db.Insert("E", churnTuple(i)[:2]...)
+				db.Insert("R", churnTuple(i)...)
+			}
+			if err := ws.Load(db); err != nil {
+				t.Fatal(err)
+			}
+			commit := func(batch []Update) {
+				if n, _, err := ws.Commit(batch); err != nil || n != len(batch) {
+					t.Fatalf("commit netted %d of %d (err %v)", n, len(batch), err)
+				}
+			}
+			warm := churnWindow / churnPerRel // one full turnover of E and R
+			for _, b := range batches[:warm] {
+				commit(b)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, b := range batches[warm:] {
+				commit(b)
+			}
+			runtime.ReadMemStats(&after)
+			mallocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+			t.Logf("%d churn commits of %d updates: %d mallocs, %d bytes", len(batches)-warm, len(batches[0]), mallocs, bytes)
+			if mallocs != 0 {
+				t.Errorf("%d churn commits allocated %d times (%d bytes), want 0: a table re-allocates under churn", len(batches)-warm, mallocs, bytes)
+			}
+			if err := ws.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// The churn store: S over churnXs keys, T over churnYs, and a window of
+// churnWindow E and R tuples, each commit sliding it on by churnPerRel.
+const (
+	churnXs, churnYs = 1000, 200
+	churnWindow      = 8192
+	churnPerRel      = 16
+	churnCommits     = 5000
+)
+
+// churnTuple is the i-th R tuple, (x, y, i); its first two values are the
+// i-th E tuple. Its x and y are keys S and T hold, every (x, y) pair is
+// new for i below churnXs·churnYs, and any churnWindow consecutive tuples
+// give every x and every y several E tuples, so sliding the window never
+// empties an eval index bucket or creates one.
+func churnTuple(i int) []Value {
+	x := i % churnXs
+	return []Value{Value(x), Value((x + i/churnXs) % churnYs), Value(i)}
+}
+
+// churnBatches pre-builds the warm-up and measured commits: the k-th
+// deletes E and R tuples k·churnPerRel onwards, the oldest live, and
+// inserts as many past the window's end.
+func churnBatches() [][]Update {
+	n := churnWindow/churnPerRel + churnCommits
+	all := make([]Update, 0, 4*churnPerRel*n)
+	batches := make([][]Update, n)
+	for k := range batches {
+		start := len(all)
+		for j := 0; j < churnPerRel; j++ {
+			old, fresh := churnTuple(k*churnPerRel+j), churnTuple(churnWindow+k*churnPerRel+j)
+			all = append(all, dyndb.Delete("E", old[:2]...), dyndb.Delete("R", old...),
+				dyndb.Insert("E", fresh[:2]...), dyndb.Insert("R", fresh...))
+		}
+		batches[k] = all[start:len(all):len(all)]
+	}
+	return batches
+}
+
 // TestContains: the constant-time test agrees with the enumerated result
 // on every strategy — members, near misses, the wrong arity, and the
 // empty tuple of a Boolean query.
@@ -551,12 +661,19 @@ func BenchmarkDeltaJoin(b *testing.B) {
 			commit(c.ins)
 			commit(c.del)
 			b.ReportAllocs()
-			for i := 0; b.Loop(); i++ {
+			i := 0
+			for ; b.Loop(); i++ {
 				if i%2 == 0 {
 					commit(c.ins)
 				} else {
 					commit(c.del)
 				}
+			}
+			// Untimed (b.Loop stopped the timer): after an odd count the
+			// tuples are still in, and the store outlives this run — the
+			// next -count repeat starts from it.
+			if i%2 == 1 {
+				commit(c.del)
 			}
 		})
 	}

@@ -155,10 +155,14 @@ deep_leg() {
 	result_size_gate
 	snapshot_advance_gate
 	# The Go benchmarks the gates and CHANGES.md cite: they must compile,
-	# pass their own b.Fatal checks and print. No timing threshold.
+	# pass their own b.Fatal checks and print. No timing threshold. An odd
+	# iteration count and a second repeat catch a benchmark whose state
+	# outlives one run. go test exits 0 when a sub-benchmark fails on a
+	# repeat of -count, so the awk fails the lane on any --- FAIL line.
 	go test ./pkg/dyncq ./internal/ivm ./internal/core ./internal/server ./internal/stream -run '^$' \
 		-bench 'Apply$|DeltaJoin|CapturedCommit|SnapshotAdvance|SnapshotLaggingReader|CoreUpdate|CommitFanOut|EnumerateFrame|Rebuild|ParseLine' \
-		-benchtime 50x -benchmem
+		-benchtime 51x -count 2 -benchmem 2>&1 |
+		awk '{ print } /^--- FAIL/ { failed = 1 } END { exit failed }'
 }
 
 deep() {
