@@ -3,7 +3,7 @@
 //
 //	//dyncq:hot
 //	    marks a function as part of the engine's allocation-audited hot
-//	    path (the ApplyBatch → fan-out → item-arena path). The hotalloc
+//	    path (the Commit → fan-out → item-arena path). The hotalloc
 //	    analyzer checks only annotated functions.
 //
 //	//dyncq:allow <analyzer> <reason>

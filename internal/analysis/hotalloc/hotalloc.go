@@ -1,6 +1,6 @@
 // Package hotalloc implements the dyncq-lint pass guarding the
 // engine's ≈0.5 allocs/op core update budget. Functions on the
-// ApplyBatch → fan-out → item-arena path carry a //dyncq:hot annotation;
+// Commit → fan-out → item-arena path carry a //dyncq:hot annotation;
 // inside them the pass flags the allocation patterns that silently
 // destroy a constant-delay budget: fmt calls, string concatenation,
 // string↔[]byte conversions, maps and New* constructors built per call,

@@ -1,9 +1,8 @@
 // Package lockorder implements the dyncq-lint pass guarding the
-// engine's lock discipline. The workspace layer holds two ordered
-// locks — pkg/dyncq.Workspace.mu, then the store's index lock
-// internal/dyndb.Database.idxMu — and neither is re-entrant, so an
-// exported workspace method called while the workspace mutex is held
-// deadlocks on its own lock.
+// engine's lock discipline. The engine has one lock,
+// pkg/dyncq.Workspace.mu; the serving layer's broker lock ranks above
+// it. Neither is re-entrant, so an exported workspace method called
+// while the workspace mutex is held deadlocks on its own lock.
 //
 // The pass is an intra-function, syntactic analysis: it walks each
 // function body in source order tracking which sync.Mutex/RWMutex
@@ -19,7 +18,7 @@
 //   - calls through function values (callbacks can re-enter anything).
 //
 // Function literals are not attributed to their enclosing function:
-// they typically run on other goroutines (pool workers) or as
+// they typically run on other goroutines or as
 // callbacks after the lock is released, and the analysis has no way to
 // know. Deferred unlocks keep the lock held to the end of the body.
 package lockorder
@@ -39,7 +38,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name:     "lockorder",
-	Doc:      "enforce the Workspace→store-index lock order and flag blocking or re-entrant calls made under an engine lock",
+	Doc:      "enforce the Workspace→broker lock order and flag blocking or re-entrant calls made under an engine lock",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }
@@ -49,13 +48,12 @@ var Analyzer = &analysis.Analyzer{
 // of strictly lower rank are held; unranked pairs have no declared
 // order and nesting them is flagged.
 var lockRank = map[string]int{
-	"dyncq/pkg/dyncq.Workspace.mu":        0,
-	"dyncq/internal/dyndb.Database.idxMu": 1,
+	"dyncq/pkg/dyncq.Workspace.mu": 0,
 	// The subscription broker publishes with the workspace write lock
 	// held (commit → delta capture → publish), so its mutex ranks
-	// strictly above both engine locks and nothing blocking may run
-	// under it — sends to subscriber outboxes must stay select-default.
-	"dyncq/internal/server.broker.mu": 2,
+	// strictly above the engine lock and nothing blocking may run under
+	// it — sends to subscriber outboxes must stay select-default.
+	"dyncq/internal/server.broker.mu": 1,
 }
 
 // heldLock is one lock the current function has acquired and not yet
@@ -164,7 +162,7 @@ func handleCall(pass *analysis.Pass, allows *directive.Index, fd *ast.FuncDecl, 
 						"re-acquiring %s already held since this function locked it: the engine locks are not re-entrant", lk.expr)
 				case h.rank >= 0 && lk.rank >= 0 && lk.rank <= h.rank:
 					allows.Report(pass, call.Pos(),
-						"acquiring %s while holding %s violates the declared lock order (Workspace.mu before Database.idxMu)", lk.expr, h.expr)
+						"acquiring %s while holding %s violates the declared lock order (Workspace.mu before broker.mu)", lk.expr, h.expr)
 				case h.rank < 0 || lk.rank < 0:
 					allows.Report(pass, call.Pos(),
 						"acquiring %s while holding %s: this lock pair has no declared acquisition order", lk.expr, h.expr)

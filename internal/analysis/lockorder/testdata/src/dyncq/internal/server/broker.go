@@ -1,6 +1,6 @@
 // Fixture for the subscription-broker rank: package path and
 // type/field names match the real internal/server broker, so the rank
-// table entry (rank 2, above the engine locks) applies. The property
+// table entry (rank 1, above the engine lock) applies. The property
 // under test is the slow-consumer policy's foundation — publish runs
 // with the workspace write lock held, so a blocking send under
 // broker.mu would let one stuck subscriber stall every commit.
@@ -38,7 +38,7 @@ func (b *broker) publish(name string, frame []byte) {
 }
 
 // twoBrokers acquires a second broker.mu under the first: both are
-// rank 2, and equal rank under the declared order is an inversion the
+// rank 1, and equal rank under the declared order is an inversion the
 // same way it is for two Workspaces — there is exactly one broker per
 // server, so a second acquisition is a deadlock-shaped bug.
 func twoBrokers(a, b *broker) {

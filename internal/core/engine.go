@@ -59,6 +59,7 @@ import (
 	"dyncq/internal/cq"
 	"dyncq/internal/dyndb"
 	"dyncq/internal/qtree"
+	"dyncq/internal/tuplekey"
 )
 
 // ErrNotQHierarchical is returned by New for queries outside the class the
@@ -407,9 +408,7 @@ func (e *Engine) ApplyDelta(survivors []dyndb.Update, emit bool) (added, removed
 //
 // Rebuild also fixes the id table (see Engine): it asks the store for
 // the id of every relation the query mentions (dyndb.RelationID), which
-// assigns the ids the store does not have yet. Once an engine has been
-// rebuilt against a store, later rebuilds against it only read the
-// store, so the owner may run them concurrently.
+// assigns the ids the store does not have yet.
 func (e *Engine) Rebuild(store *dyndb.Database) {
 	e.Clear()
 	clear(e.byID)
@@ -498,7 +497,7 @@ func (e *Engine) updateAtom(c *comp, a *catom, tuple []Value, insert bool, acc *
 		nodeIdx := a.pathNodes[j]
 		nd, ar, idx := &c.nodes[nodeIdx], &c.arenas[nodeIdx], &c.index[nodeIdx]
 		own := tuple[a.extract[j]]
-		h = extend(h, own)
+		h = tuplekey.Extend(h, own)
 		if insert {
 			idx.reserve()
 		}
@@ -717,7 +716,7 @@ func (e *Engine) Contains(tuple []Value) bool {
 			up = path[p.up]
 		}
 		own := tuple[p.pos]
-		h := extend(up.h, own)
+		h := tuplekey.Extend(up.h, own)
 		_, r := c.index[p.node].probe(h, ar, nd.offOwn, own, up.r)
 		if r == 0 || !ar.rec(r).inList() {
 			return false
@@ -828,7 +827,7 @@ func checkNode(c *comp, ni int32, live [][]bool) error {
 		}
 		h := pathSeed
 		for _, v := range key {
-			h = extend(h, v)
+			h = tuplekey.Extend(h, v)
 		}
 		it := ar.rec(r)
 		if bits := idx.words[i] >> 32; bits != h&hashBits {

@@ -5,6 +5,7 @@ import (
 
 	"dyncq/internal/cq"
 	"dyncq/internal/dyndb"
+	"dyncq/internal/tuplekey"
 )
 
 // harness is the test-side owner of an engine's store: it applies every
@@ -98,7 +99,7 @@ func (c *comp) lookup(ni int32, path []Value) ref {
 	}
 	h, r := pathSeed, ref(0)
 	for j, at := range nodes {
-		h = extend(h, path[j])
+		h = tuplekey.Extend(h, path[j])
 		if _, r = c.index[at].probe(h, &c.arenas[at], c.nodes[at].offOwn, path[j], r); r == 0 {
 			return 0
 		}

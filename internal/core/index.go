@@ -12,11 +12,11 @@ package core
 //	words[i]  the item's ref (low 32) | the low 32 bits of the path hash
 //	          (high 32)
 //
-// The path hash of α·a is extend(hash(α), a), so the writer hashes every
-// depth of an atom's path from the tuple alone and no depth's probe waits
-// for the one above. A probe compares the tag, then the hash bits, and
-// only then the record the update procedure reads anyway: its own
-// constant and its parent ref. A path's home slot is the low bits of its
+// The path hash of α·a is tuplekey.Extend(hash(α), a), so the writer
+// hashes every depth of an atom's path from the tuple alone and no depth's
+// probe waits for the one above. A probe compares the tag, then the hash
+// bits, and only then the record the update procedure reads anyway: its
+// own constant and its parent ref. A path's home slot is the low bits of its
 // hash, so growth and deletion place items from the hash bits in the
 // words, never from the records. A delete shifts the rest of its probe
 // run back (Knuth's Algorithm R) rather than leaving a tombstone: no empty
@@ -31,22 +31,9 @@ const (
 	hashBits = 1<<32 - 1 // the path-hash bits a word keeps
 )
 
-// pathSeed is the hash of the empty path; extend folds one more path
-// value in, with tuplekey.Hash's splitmix64-style mixing.
+// pathSeed is the hash of the empty path; tuplekey.Extend folds one more
+// path value in.
 const pathSeed uint64 = 0x9e3779b97f4a7c15
-
-//dyncq:hot
-func extend(h uint64, x Value) uint64 {
-	z := uint64(x) + 0x9e3779b97f4a7c15
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	h ^= z
-	h *= 0xc2b2ae3d27d4eb4f
-	return h ^ h>>29
-}
 
 // tag is the control byte of a full slot holding a path of hash h.
 func tag(h uint64) uint8 { return slotFull | uint8(h>>57) }

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"sync"
 
 	"dyncq/internal/tuplekey"
 )
@@ -141,7 +140,8 @@ func lessTuple(a, b []Value) bool {
 // ids (the package doc): rels holds one slot per id ever assigned — the
 // name, the relation while it is declared, the arity a registration
 // requires — and ids maps a name to its slot. The zero value is not
-// ready; use New.
+// ready; use New. Reads may run concurrently with each other; a mutator,
+// and an Index call that builds, need exclusive access.
 type Database struct {
 	ids  map[string]int32 // relation name → id; an id is never reassigned or dropped
 	rels []relSlot        // by relation id
@@ -153,14 +153,8 @@ type Database struct {
 	// coal is NetDelta's coalescing and validation scratch, reused across
 	// batches.
 	coal coalescer
-	// idx holds the built indexes (see Index), per relation id. idxMu
-	// guards it and the indexes in it: concurrent evaluators hold the read
-	// lock on the lookup fast path, lazy builds and index maintenance the
-	// write lock. Published *Index values are mutated only under the write
-	// lock, so an index that Index returned stays consistent for every
-	// concurrent reader until the next mutation.
-	idxMu sync.RWMutex
-	idx   [][]*Index
+	// idx holds the built indexes (see Index), per relation id.
+	idx [][]*Index
 }
 
 // relSlot is what the store keeps under one relation id.
@@ -688,10 +682,18 @@ func (d *Database) Updates() []Update {
 // come from that one table. The probe path (Bucket) performs no encoding
 // and no allocation. The IVM baseline's residual joins probe these instead
 // of rescanning relations.
+//
+// A bucket whose last tuple goes is dropped, and its table, slots and all,
+// kept as a spare for the next new projection (up to len(spare) of them),
+// so keys that empty and refill under churn allocate nothing. A reused
+// table keeps its size: a bucket walk costs the table's slots, as it does
+// for a bucket that shrank.
 type Index struct {
 	mask    uint32
 	buckets *tuplekey.Table[*tuplekey.Table[struct{}]] // projected tuple → its tuples
-	scratch []Value                                    // projection scratch, mutators only
+	spare   [4]*tuplekey.Table[struct{}]               // emptied bucket tables, spare[:nspare]
+	nspare  int
+	scratch []Value // projection scratch, mutators only
 }
 
 func newIndex(mask uint32) *Index {
@@ -700,51 +702,28 @@ func newIndex(mask uint32) *Index {
 
 // Index returns the index on rel keyed by the positions set in mask,
 // building it by a relation scan on first use; from then on every mutator
-// maintains it until Clear or DropIndexes. Safe for concurrent use by any
-// number of evaluators while the store is quiescent (no mutator running):
-// the common case, an index already built, takes only the read lock. An
-// index asked for on a name without a relation id registers the name
-// (RelationID), so the mutator that later declares it maintains the index.
+// maintains it until Clear or DropIndexes. An index asked for on a name
+// without a relation id registers the name (RelationID), so the mutator
+// that later declares it maintains the index.
 func (d *Database) Index(rel string, mask uint32) *Index {
-	d.idxMu.RLock()
-	ix := d.builtIndex(rel, mask)
-	d.idxMu.RUnlock()
-	if ix != nil {
-		return ix
-	}
-	d.idxMu.Lock()
-	defer d.idxMu.Unlock()
-	if ix := d.builtIndex(rel, mask); ix != nil {
-		return ix
-	}
 	id := d.id(rel)
-	ix = newIndex(mask)
-	if r := d.rels[id].r; r != nil {
-		r.Each(func(t []Value) bool {
-			ix.add(t)
-			return true
-		})
-	}
 	for int(id) >= len(d.idx) {
 		d.idx = append(d.idx, nil)
-	}
-	d.idx[id] = append(d.idx[id], ix)
-	return ix
-}
-
-// builtIndex returns the built index on rel at mask, nil if there is
-// none. Caller holds idxMu.
-func (d *Database) builtIndex(rel string, mask uint32) *Index {
-	id, ok := d.ids[rel]
-	if !ok || int(id) >= len(d.idx) {
-		return nil
 	}
 	for _, ix := range d.idx[id] {
 		if ix.mask == mask {
 			return ix
 		}
 	}
-	return nil
+	ix := newIndex(mask)
+	if r := d.rels[id].r; r != nil {
+		r.Each(func(t []Value) bool {
+			ix.add(t)
+			return true
+		})
+	}
+	d.idx[id] = append(d.idx[id], ix)
+	return ix
 }
 
 // DropIndexes releases every built index; the next Index call rebuilds
@@ -752,42 +731,28 @@ func (d *Database) builtIndex(rel string, mask uint32) *Index {
 // against the store any more, so mutators stop maintaining indexes nobody
 // reads.
 func (d *Database) DropIndexes() {
-	d.idxMu.Lock()
 	clear(d.idx)
 	d.idx = d.idx[:0]
-	d.idxMu.Unlock()
-}
-
-// indexOne maintains the built indexes on relation id under one command
-// the store just applied.
-//
-//dyncq:hot
-func (d *Database) indexOne(op Op, id int32, tuple []Value) {
-	d.idxMu.Lock()
-	d.indexLocked(op, id, tuple)
-	d.idxMu.Unlock()
 }
 
 // indexDelta maintains the built indexes under a net delta the store just
-// applied, under one lock for the whole delta.
+// applied.
 //
 //dyncq:hot
 func (d *Database) indexDelta(delta []Update) {
-	d.idxMu.Lock()
-	defer d.idxMu.Unlock()
 	if len(d.idx) == 0 {
 		return
 	}
 	for _, u := range delta {
-		d.indexLocked(u.Op, u.rid-1, u.Tuple)
+		d.indexOne(u.Op, u.rid-1, u.Tuple)
 	}
 }
 
-// indexLocked files one applied command into every built index on
-// relation id. Caller holds the index write lock.
+// indexOne files one command the store just applied into every built
+// index on relation id.
 //
 //dyncq:hot
-func (d *Database) indexLocked(op Op, id int32, tuple []Value) {
+func (d *Database) indexOne(op Op, id int32, tuple []Value) {
 	if int(id) >= len(d.idx) {
 		return
 	}
@@ -801,8 +766,8 @@ func (d *Database) indexLocked(op Op, id int32, tuple []Value) {
 }
 
 // proj writes the masked positions of t into the index's scratch slice
-// and returns it. Mutators only (add/remove run under the index write
-// lock); the concurrent read path (Bucket) never touches scratch.
+// and returns it. Mutators only; the read path (Bucket) never touches
+// scratch.
 //
 //dyncq:hot
 func (ix *Index) proj(t []Value) []Value {
@@ -820,7 +785,12 @@ func (ix *Index) proj(t []Value) []Value {
 func (ix *Index) add(t []Value) {
 	b, existed := ix.buckets.Ref(ix.proj(t))
 	if !existed {
-		*b = tuplekey.NewTable[struct{}](len(t)) //dyncq:allow hotalloc first tuple of a projection only
+		if ix.nspare > 0 {
+			ix.nspare--
+			*b, ix.spare[ix.nspare] = ix.spare[ix.nspare], nil
+		} else {
+			*b = tuplekey.NewTable[struct{}](len(t)) //dyncq:allow hotalloc first tuple of a projection, with no spare table
+		}
 	}
 	(*b).Ref(t)
 }
@@ -830,6 +800,10 @@ func (ix *Index) remove(t []Value) {
 	p := ix.proj(t)
 	if b, ok := ix.buckets.Get(p); ok && b.Delete(t) && b.Len() == 0 {
 		ix.buckets.Delete(p)
+		if ix.nspare < len(ix.spare) {
+			ix.spare[ix.nspare] = b
+			ix.nspare++
+		}
 	}
 }
 
@@ -851,8 +825,6 @@ func (ix *Index) Bucket(boundVals []Value) *tuplekey.Table[struct{}] {
 // tests and invariant audits; cost is linear in the relations and
 // indexes.
 func (d *Database) CheckIndexes() error {
-	d.idxMu.RLock()
-	defer d.idxMu.RUnlock()
 	for id, built := range d.idx {
 		name, r := d.rels[id].name, d.rels[id].r
 		for _, ix := range built {

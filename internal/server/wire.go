@@ -75,7 +75,7 @@
 // version or at any other that shares the leaf — is sent the same bytes.
 // The tuples are in lexicographic order too, whatever strategy maintains
 // the query — the frame is a function of the result set, byte-identical
-// across strategies and fan-out widths — so a client keeping a mirror
+// across strategies — so a client keeping a mirror
 // applies each later delta frame to the snapshot by one sorted merge. A
 // subscriber that cannot keep up (bounded per-connection outbox) has
 // frames dropped; on recovery it receives a single

@@ -301,7 +301,7 @@ func concurrencyScenarios() []Scenario {
 		},
 		{
 			Category: "concurrency", Name: "handle-readers",
-			Brief: "latest-state handle reads race parallel fan-out without tearing",
+			Brief: "latest-state handle reads race the commits' fan-out without tearing",
 			Run: func(seed int64) error {
 				ws, _, err := buildWorkspace(0)
 				if err != nil {
@@ -389,8 +389,8 @@ func registerWide(ws *dyncq.Workspace, pool []namedQuery) error {
 // aloneIdentical builds the pool on one workspace and each query on a
 // workspace of its own over db (nil: empty), replays the stream in
 // batches of batch, and demands identical results and clean invariants;
-// it returns the shared workspace. A one-handle workspace never fans out,
-// so a divergence is interference between handles, the fan-out's included.
+// it returns the shared workspace. A one-handle workspace fans out to no
+// other query, so a divergence is interference between handles.
 func aloneIdentical(pool []namedQuery, db *dyndb.Database, stream []dyndb.Update, batch int) (*dyncq.Workspace, error) {
 	build := func(pool []namedQuery) (*dyncq.Workspace, error) {
 		ws := dyncq.NewWorkspace(dyncq.WorkspaceOptions{})
@@ -518,7 +518,7 @@ func fanoutScenarios() []Scenario {
 				if err := registerWide(ws, wideQueryPool(k)); err != nil {
 					return err
 				}
-				// The Load fans out on 2+ CPUs; the batches net too little.
+				// The Load fans out to all k queries, and so does every batch.
 				db := workload.TortureConfig{Seed: seed, Domain: 400}.Database(tortureSchema, 4000)
 				cfg := workload.TortureConfig{Seed: seed, Domain: 30, Updates: 2000, PDelete: 0.4, ZipfS: 1.4, ZipfV: 1}
 				stream := cfg.Stream(tortureSchema)
@@ -574,7 +574,7 @@ func fanoutScenarios() []Scenario {
 }
 
 // sameTupleSeq demands exact, order-sensitive equality — the contract
-// core enumeration gives at any fan-out width.
+// core enumeration gives whatever else is registered.
 func sameTupleSeq(got, want [][]dyncq.Value) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%d tuples, want %d", len(got), len(want))

@@ -16,24 +16,30 @@
 // under steady insert/delete churn keeps its size and never rehashes.
 package tuplekey
 
-// Hash returns a 64-bit hash of the tuple. Each element is diffused with a
-// splitmix64-style finaliser and folded into the running hash, so tuples
-// differing in any single position or in length hash differently with high
+// Hash returns a 64-bit hash of the tuple: Extend folded over its
+// elements from a seed that depends on its length, so tuples differing in
+// any single position or in length hash differently with high
 // probability. The function is deterministic across runs.
 func Hash(key []int64) uint64 {
 	h := uint64(0x9e3779b97f4a7c15) ^ (uint64(len(key)) * 0xff51afd7ed558ccd)
 	for _, x := range key {
-		z := uint64(x) + 0x9e3779b97f4a7c15
-		z ^= z >> 30
-		z *= 0xbf58476d1ce4e5b9
-		z ^= z >> 27
-		z *= 0x94d049bb133111eb
-		z ^= z >> 31
-		h ^= z
-		h *= 0xc2b2ae3d27d4eb4f
-		h ^= h >> 29
+		h = Extend(h, x)
 	}
 	return h
+}
+
+// Extend folds one more element into the running hash h: x is diffused
+// with a splitmix64-style finaliser, then mixed into h.
+func Extend(h uint64, x int64) uint64 {
+	z := uint64(x) + 0x9e3779b97f4a7c15
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	z ^= z >> 31
+	h ^= z
+	h *= 0xc2b2ae3d27d4eb4f
+	return h ^ h>>29
 }
 
 // Equal reports whether two tuples have the same length and elements.

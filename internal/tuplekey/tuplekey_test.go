@@ -35,6 +35,25 @@ func TestHashRespectsLength(t *testing.T) {
 	}
 }
 
+// TestHashValues pins Hash on a few tuples, so a change to its mixing (or
+// to Extend, which it folds) shows up here and not as a silent change of
+// every table's layout.
+func TestHashValues(t *testing.T) {
+	for _, c := range []struct {
+		key  []int64
+		want uint64
+	}{
+		{nil, 0x9e3779b97f4a7c15},
+		{[]int64{0}, 0x341584995d05107e},
+		{[]int64{1, 2, 3}, 0x12734cf5bc81c4a6},
+		{[]int64{-1, 1 << 62, 7}, 0x6f7afdea1ed9660d},
+	} {
+		if got := Hash(c.key); got != c.want {
+			t.Errorf("Hash(%v) = %#x, want %#x", c.key, got, c.want)
+		}
+	}
+}
+
 func TestTableBasic(t *testing.T) {
 	m := NewTable[int](2)
 	if _, ok := m.Get([]int64{1, 2}); ok {

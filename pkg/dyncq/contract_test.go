@@ -189,7 +189,7 @@ func TestLoadFailureKeepsPriorState(t *testing.T) {
 }
 
 // TestLoadFailureChangesNothing: a failed Load is rejected like a batch
-// on every backend and at fan-out widths 1 and 2, read side included —
+// on every backend, beside a second query, read side included —
 // count, result (in enumeration order), |D|, version and store mutations
 // are unchanged, the capture hook gets no event, the cached snapshot is
 // the same pointer — and the next commit's event carries the next
@@ -203,54 +203,52 @@ func TestLoadFailureChangesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, st := range []Strategy{StrategyCore, StrategyIVM} {
-		for _, width := range []int{1, 2} {
-			at := fmt.Sprintf("[%v, width %d]", st, width)
-			ws := fannedOut(width)
-			h, err := ws.RegisterQuery("q", q, Options{Force: st})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// A second handle, so that width 2 fans the load out.
-			if _, err := ws.RegisterQuery("pairs", cq.MustParse("Q(x,y) :- E(x,y), T(y)"), Options{Force: st}); err != nil {
-				t.Fatal(err)
-			}
-			if err := ws.Load(good); err != nil {
-				t.Fatal(err)
-			}
-			var events []DeltaEvent
-			if err := ws.CaptureDeltas("q", func(ev DeltaEvent) { events = append(events, ev) }); err != nil {
-				t.Fatal(err)
-			}
-			pin := h.Snapshot()
-			if h.cachedSnapshot() != pin {
-				t.Fatalf("%s: the pin is not cached", at)
-			}
-			count, tuples := h.Count(), h.Tuples()
-			card, version, muts := ws.Cardinality(), ws.Version(), ws.StoreMutations()
+		at := fmt.Sprintf("[%v]", st)
+		ws := NewWorkspace(WorkspaceOptions{})
+		h, err := ws.RegisterQuery("q", q, Options{Force: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A second handle, so that the load fans out to two.
+		if _, err := ws.RegisterQuery("pairs", cq.MustParse("Q(x,y) :- E(x,y), T(y)"), Options{Force: st}); err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.Load(good); err != nil {
+			t.Fatal(err)
+		}
+		var events []DeltaEvent
+		if err := ws.CaptureDeltas("q", func(ev DeltaEvent) { events = append(events, ev) }); err != nil {
+			t.Fatal(err)
+		}
+		pin := h.Snapshot()
+		if h.cachedSnapshot() != pin {
+			t.Fatalf("%s: the pin is not cached", at)
+		}
+		count, tuples := h.Count(), h.Tuples()
+		card, version, muts := ws.Cardinality(), ws.Version(), ws.StoreMutations()
 
-			if err := ws.Load(bad); err == nil {
-				t.Fatalf("%s: mismatched-arity Load accepted", at)
-			}
-			if h.Count() != count || !reflect.DeepEqual(h.Tuples(), tuples) {
-				t.Fatalf("%s: count %d tuples %v after failed Load, were %d %v", at, h.Count(), h.Tuples(), count, tuples)
-			}
-			if ws.Cardinality() != card || ws.Version() != version || ws.StoreMutations() != muts {
-				t.Fatalf("%s: |D| %d version %d mutations %d after failed Load, were %d %d %d",
-					at, ws.Cardinality(), ws.Version(), ws.StoreMutations(), card, version, muts)
-			}
-			if len(events) != 0 {
-				t.Fatalf("%s: failed Load delivered %d events", at, len(events))
-			}
-			if h.cachedSnapshot() != pin {
-				t.Fatalf("%s: failed Load replaced the cached snapshot", at)
-			}
+		if err := ws.Load(bad); err == nil {
+			t.Fatalf("%s: mismatched-arity Load accepted", at)
+		}
+		if h.Count() != count || !reflect.DeepEqual(h.Tuples(), tuples) {
+			t.Fatalf("%s: count %d tuples %v after failed Load, were %d %v", at, h.Count(), h.Tuples(), count, tuples)
+		}
+		if ws.Cardinality() != card || ws.Version() != version || ws.StoreMutations() != muts {
+			t.Fatalf("%s: |D| %d version %d mutations %d after failed Load, were %d %d %d",
+				at, ws.Cardinality(), ws.Version(), ws.StoreMutations(), card, version, muts)
+		}
+		if len(events) != 0 {
+			t.Fatalf("%s: failed Load delivered %d events", at, len(events))
+		}
+		if h.cachedSnapshot() != pin {
+			t.Fatalf("%s: failed Load replaced the cached snapshot", at)
+		}
 
-			if _, _, err := ws.Commit([]Update{Insert("E", 100, 200), Insert("T", 200)}); err != nil {
-				t.Fatal(err)
-			}
-			if len(events) != 1 || events[0].Version != version+1 || !reflect.DeepEqual(events[0].Added, [][]Value{{200}}) || len(events[0].Removed) != 0 {
-				t.Fatalf("%s: events after the next commit %+v, want one at version %d adding (200)", at, events, version+1)
-			}
+		if _, _, err := ws.Commit([]Update{Insert("E", 100, 200), Insert("T", 200)}); err != nil {
+			t.Fatal(err)
+		}
+		if len(events) != 1 || events[0].Version != version+1 || !reflect.DeepEqual(events[0].Added, [][]Value{{200}}) || len(events[0].Removed) != 0 {
+			t.Fatalf("%s: events after the next commit %+v, want one at version %d adding (200)", at, events, version+1)
 		}
 	}
 }

@@ -3,7 +3,7 @@ package dyncq
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
+	"strings"
 	"testing"
 
 	"dyncq/internal/cq"
@@ -125,20 +125,19 @@ func sortedTuples(h *Handle) [][]Value {
 // through the one commit pipeline, and the store keeps its tuples inline
 // in the relation's table, so on a core-routed workspace an insert/delete
 // pair, each a Commit of a one-update slice literal, allocates nothing at
-// all — at width 2 too, since a commit of one stays
-// below fanOutMin and runs inline. Beside an ivm-routed query, whose single
-// update runs the relation-phased store schedule and a delta join, the
-// pair allocates no more than the single-update fork the pipeline
-// replaced (3).
+// all. Nor does it beside an ivm-routed query, whose single update runs
+// the relation-phased store schedule and a delta join: the E index's
+// bucket for the key that empties and refills is reused (it cost 3
+// allocations before the index kept spare bucket tables).
 func TestApplyAllocationFree(t *testing.T) {
 	for _, set := range applySets {
 		t.Run(set.name, func(t *testing.T) {
-			ws, pair := applyPair(t, set.queries, 2)
+			ws, pair := applyPair(t, set.queries)
 			pair() // warm the arena free chains, the map slots and the grouping
 			allocs := testing.AllocsPerRun(1000, pair)
 			t.Logf("allocs per single-update Commit insert/delete pair: %v", allocs)
-			if allocs > set.maxAllocs {
-				t.Fatalf("a single-update Commit insert/delete pair allocates %v times, want at most %v", allocs, set.maxAllocs)
+			if allocs != 0 {
+				t.Fatalf("a single-update Commit insert/delete pair allocates %v times, want 0", allocs)
 			}
 			if err := ws.CheckInvariants(); err != nil {
 				t.Fatal(err)
@@ -152,22 +151,19 @@ func TestApplyAllocationFree(t *testing.T) {
 // paper's hard query ϕS-E-T (ivm-routed, relation-phased) beside a core
 // query.
 var applySets = []struct {
-	name      string
-	queries   map[string]string
-	maxAllocs float64
+	name    string
+	queries map[string]string
 }{
-	{"core", map[string]string{"feed": "Q(x,y) :- E(x,y), T(y)", "star": "Q(y) :- E(x,y), T(y)"}, 0},
-	{"ivm", map[string]string{"hard": "Q(x,y) :- S(x), E(x,y), T(y)", "star": "Q(y) :- E(x,y), T(y)"}, 3},
+	{"core", map[string]string{"feed": "Q(x,y) :- E(x,y), T(y)", "star": "Q(y) :- E(x,y), T(y)"}},
+	{"ivm", map[string]string{"hard": "Q(x,y) :- S(x), E(x,y), T(y)", "star": "Q(y) :- E(x,y), T(y)"}},
 }
 
-// applyPair registers the queries on a workspace whose fan-out is capped
-// at width (GOMAXPROCS in production), fills the store through batches,
-// and returns the workspace and a closure that commits E(5000,7) and
-// deletes it again, one update per Commit: a pair that changes the store,
-// and on ϕS-E-T adds and removes one result tuple.
-func applyPair(tb testing.TB, queries map[string]string, width int) (*Workspace, func()) {
+// applyPair registers the queries on a workspace, fills the store through
+// batches, and returns the workspace and a closure that commits E(5000,7)
+// and deletes it again, one update per Commit: a pair that changes the
+// store, and on ϕS-E-T adds and removes one result tuple.
+func applyPair(tb testing.TB, queries map[string]string) (*Workspace, func()) {
 	ws := NewWorkspace(WorkspaceOptions{})
-	ws.maxWidth = width
 	for name, text := range queries {
 		h, err := ws.Register(name, text)
 		if err != nil {
@@ -201,42 +197,32 @@ func applyPair(tb testing.TB, queries map[string]string, width int) (*Workspace,
 }
 
 // BenchmarkApply records what a single-update Commit costs through the
-// batch pipeline: a warmed insert/delete pair per op, on the
-// core set and the ivm set of TestApplyAllocationFree, at widths 1 and
-// 2: two handles could fan out at width 2, but a commit of one is below
-// fanOutMin, so both run inline and should read alike.
+// batch pipeline: a warmed insert/delete pair per op, on the core set and
+// the ivm set of TestApplyAllocationFree.
 func BenchmarkApply(b *testing.B) {
 	for _, set := range applySets {
-		for _, width := range []int{1, 2} {
-			b.Run(fmt.Sprintf("%s/width=%d", set.name, width), func(b *testing.B) {
-				_, pair := applyPair(b, set.queries, width)
+		b.Run(set.name, func(b *testing.B) {
+			_, pair := applyPair(b, set.queries)
+			pair()
+			b.ReportAllocs()
+			for b.Loop() {
 				pair()
-				b.ReportAllocs()
-				for b.Loop() {
-					pair()
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // TestCommitAllocationFree: a warmed core-routed Commit with no subscriber
-// that runs inline allocates nothing — at width 1 at 64 updates as at
-// 512, and at width 2 below fanOutMin: the pipeline's bookkeeping lives in
-// workspace-owned scratch and its pool bodies are bound once. Fanned out
-// (width 2 from fanOutMin on) it allocates one closure more per goroutine
-// it starts per pool pass: width − 1 on these two core handles (one
-// pass), at 512 updates as at 4,096. Nor does an ivm-routed commit
+// allocates nothing, at 64 updates as at 512: the pipeline's bookkeeping
+// lives in workspace-owned scratch. Nor does an ivm-routed commit
 // allocate, whose delta joins allocate nothing per valuation and nothing
 // per join (ivmCommitAllocs).
 // (Before the store kept tuples inline and the coalescer kept its slot
 // tables, a commit paid one tuple copy per insert and up to one table,
-// grown by rehash, per relation; before the pool took a handle count and
-// bound bodies, it paid an index slice and a closure.)
+// grown by rehash, per relation.)
 func TestCommitAllocationFree(t *testing.T) {
-	allocsAt := func(batch, width int) float64 {
+	allocsAt := func(batch int) float64 {
 		ws := NewWorkspace(WorkspaceOptions{})
-		ws.maxWidth = width
 		for name, text := range map[string]string{"star": "Q(y) :- E(x,y), T(y)", "deep": "Q(x,y,z) :- R(x,y,z), E(x,y), S(x)"} {
 			h, err := ws.Register(name, text)
 			if err != nil {
@@ -277,27 +263,10 @@ func TestCommitAllocationFree(t *testing.T) {
 		cycle() // warm the arena free chains, the table slots and the coalescer
 		return testing.AllocsPerRun(200, cycle) / 2
 	}
-	small, large := allocsAt(64, 1), allocsAt(512, 1)
-	t.Logf("allocs per commit at width 1: %v at 64 updates, %v at 512", small, large)
-	if small != large {
-		t.Fatalf("a core-routed commit allocates %v times at 64 updates but %v at 512: something allocates per update", small, large)
-	}
-	if small != 0 {
-		t.Fatalf("a core-routed commit of 64 updates allocates %v times, want 0", small)
-	}
-	if below := allocsAt(fanOutMin-1, 2); below != 0 {
-		t.Fatalf("a core-routed commit of %d updates at width 2 allocates %v times, want 0: below fanOutMin it runs inline", fanOutMin-1, below)
-	}
-	// What fanning out adds, over the same commit inline: a bulk commit
-	// above the coalescer's keepOut reallocates its output slice at any
-	// width.
-	const width = 2
-	for _, batch := range []int{512, 4096} {
-		inline, fanned := allocsAt(batch, 1), allocsAt(batch, width)
-		t.Logf("allocs per commit of %d updates: %v inline, %v fanned out at width %d", batch, inline, fanned, width)
-		if fanned-inline != width-1 {
-			t.Fatalf("fanning a commit of %d updates out at width %d adds %v allocations, want width−1 = %d", batch, width, fanned-inline, width-1)
-		}
+	small, large := allocsAt(64), allocsAt(512)
+	t.Logf("allocs per commit: %v at 64 updates, %v at 512", small, large)
+	if small != 0 || large != 0 {
+		t.Fatalf("a core-routed commit allocates %v times at 64 updates, %v at 512, want 0", small, large)
 	}
 	small, large = ivmCommitAllocs(t, 64), ivmCommitAllocs(t, 512)
 	t.Logf("ivm allocs per commit: %v at 64 updates, %v at 512", small, large)
@@ -362,67 +331,78 @@ func ivmCommitAllocs(t *testing.T, batch int) float64 {
 // whose inverse batches put the same tuples back, every insert lands in a
 // fresh slot of the store's tables, the core engine's A_v indexes, the
 // ivm result and the eval index buckets, so a delete that left a
-// tombstone would fill each table until it rehashed. The window is long
-// (churnCommits) and counts runtime mallocs over all of it, not a per-run
+// tombstone would fill each table until it rehashed. Two shapes: spread,
+// where every x and y keeps several E tuples at all times, and blocks,
+// where E's y values come in blocks of 1,000 consecutive tuples, so the
+// y-keyed index buckets empty as the window slides past a block and new
+// ones fill. The window is long (churnCommits) and counts every
+// allocation under Commit over all of it (commitAllocs), not a per-run
 // mean rounded down to an integer.
 func TestChurnAllocationFree(t *testing.T) {
-	batches := churnBatches()
-	for _, set := range []struct {
-		name    string
-		queries map[string]string
+	for _, shape := range []struct {
+		name  string
+		tuple func(i int) []Value
 	}{
-		{"core", map[string]string{"star": "Q(y) :- E(x,y), T(y)", "deep": "Q(x,y,z) :- R(x,y,z), E(x,y), S(x)"}},
-		{"ivm", map[string]string{"hard": "Q(x,y) :- S(x), E(x,y), T(y)"}},
+		{"", churnTuple},
+		{"-blocks", blockTuple},
 	} {
-		t.Run(set.name, func(t *testing.T) {
-			ws := NewWorkspace(WorkspaceOptions{})
-			for name, text := range set.queries {
-				h, err := ws.Register(name, text)
-				if err != nil {
+		batches := churnBatches(shape.tuple)
+		for _, set := range []struct {
+			name    string
+			queries map[string]string
+		}{
+			{"core", map[string]string{"star": "Q(y) :- E(x,y), T(y)", "deep": "Q(x,y,z) :- R(x,y,z), E(x,y), S(x)"}},
+			{"ivm", map[string]string{"hard": "Q(x,y) :- S(x), E(x,y), T(y)"}},
+		} {
+			t.Run(set.name+shape.name, func(t *testing.T) {
+				ws := NewWorkspace(WorkspaceOptions{})
+				for name, text := range set.queries {
+					h, err := ws.Register(name, text)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := map[bool]Strategy{true: StrategyIVM, false: StrategyCore}[name == "hard"]; h.Strategy() != want {
+						t.Fatalf("%s routed to %v, want %v", name, h.Strategy(), want)
+					}
+				}
+				db := dyndb.New()
+				for x := Value(0); x < churnXs; x++ {
+					db.Insert("S", x)
+				}
+				for y := Value(0); y < churnYs; y++ {
+					db.Insert("T", y)
+				}
+				for i := 0; i < churnWindow; i++ {
+					db.Insert("E", shape.tuple(i)[:2]...)
+					db.Insert("R", shape.tuple(i)...)
+				}
+				if err := ws.Load(db); err != nil {
 					t.Fatal(err)
 				}
-				if want := map[bool]Strategy{true: StrategyIVM, false: StrategyCore}[name == "hard"]; h.Strategy() != want {
-					t.Fatalf("%s routed to %v, want %v", name, h.Strategy(), want)
+				commit := func(batch []Update) {
+					if n, _, err := ws.Commit(batch); err != nil || n != len(batch) {
+						t.Fatalf("commit netted %d of %d (err %v)", n, len(batch), err)
+					}
 				}
-			}
-			db := dyndb.New()
-			for x := Value(0); x < churnXs; x++ {
-				db.Insert("S", x)
-			}
-			for y := Value(0); y < churnYs; y++ {
-				db.Insert("T", y)
-			}
-			for i := 0; i < churnWindow; i++ {
-				db.Insert("E", churnTuple(i)[:2]...)
-				db.Insert("R", churnTuple(i)...)
-			}
-			if err := ws.Load(db); err != nil {
-				t.Fatal(err)
-			}
-			commit := func(batch []Update) {
-				if n, _, err := ws.Commit(batch); err != nil || n != len(batch) {
-					t.Fatalf("commit netted %d of %d (err %v)", n, len(batch), err)
+				warm := churnWindow / churnPerRel // one full turnover of E and R
+				for _, b := range batches[:warm] {
+					commit(b)
 				}
-			}
-			warm := churnWindow / churnPerRel // one full turnover of E and R
-			for _, b := range batches[:warm] {
-				commit(b)
-			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for _, b := range batches[warm:] {
-				commit(b)
-			}
-			runtime.ReadMemStats(&after)
-			mallocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
-			t.Logf("%d churn commits of %d updates: %d mallocs, %d bytes", len(batches)-warm, len(batches[0]), mallocs, bytes)
-			if mallocs != 0 {
-				t.Errorf("%d churn commits allocated %d times (%d bytes), want 0: a table re-allocates under churn", len(batches)-warm, mallocs, bytes)
-			}
-			if err := ws.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		})
+				n, stacks := commitAllocs(func() {
+					for _, b := range batches[warm:] {
+						commit(b)
+					}
+				})
+				t.Logf("%d churn commits of %d updates: %d allocations under Commit", len(batches)-warm, len(batches[0]), n)
+				if n != 0 {
+					t.Errorf("%d churn commits allocated %d times, want 0: a table re-allocates under churn:\n%s",
+						len(batches)-warm, n, strings.Join(stacks, "\n"))
+				}
+				if err := ws.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
 
@@ -435,27 +415,35 @@ const (
 	churnCommits     = 5000
 )
 
-// churnTuple is the i-th R tuple, (x, y, i); its first two values are the
-// i-th E tuple. Its x and y are keys S and T hold, every (x, y) pair is
-// new for i below churnXs·churnYs, and any churnWindow consecutive tuples
-// give every x and every y several E tuples, so sliding the window never
-// empties an eval index bucket or creates one.
+// churnTuple is the i-th R tuple of the spread shape, (x, y, i); its
+// first two values are the i-th E tuple. Its x and y are keys S and T
+// hold, every (x, y) pair is new for i below churnXs·churnYs, and any
+// churnWindow consecutive tuples give every x and every y several E
+// tuples, so sliding the window never empties an eval index bucket or
+// creates one.
 func churnTuple(i int) []Value {
 	x := i % churnXs
 	return []Value{Value(x), Value((x + i/churnXs) % churnYs), Value(i)}
 }
 
-// churnBatches pre-builds the warm-up and measured commits: the k-th
-// deletes E and R tuples k·churnPerRel onwards, the oldest live, and
-// inserts as many past the window's end.
-func churnBatches() [][]Update {
+// blockTuple is the i-th R tuple of the blocks shape: as churnTuple, but
+// y = i/1000, so the window holds about nine y values and sliding it
+// empties one y's index buckets and fills a new y's every 1,000 tuples.
+func blockTuple(i int) []Value {
+	return []Value{Value(i % churnXs), Value(i / 1000 % churnYs), Value(i)}
+}
+
+// churnBatches pre-builds the warm-up and measured commits over the
+// shape's tuples: the k-th deletes E and R tuples k·churnPerRel onwards,
+// the oldest live, and inserts as many past the window's end.
+func churnBatches(tuple func(i int) []Value) [][]Update {
 	n := churnWindow/churnPerRel + churnCommits
 	all := make([]Update, 0, 4*churnPerRel*n)
 	batches := make([][]Update, n)
 	for k := range batches {
 		start := len(all)
 		for j := 0; j < churnPerRel; j++ {
-			old, fresh := churnTuple(k*churnPerRel+j), churnTuple(churnWindow+k*churnPerRel+j)
+			old, fresh := tuple(k*churnPerRel+j), tuple(churnWindow+k*churnPerRel+j)
 			all = append(all, dyndb.Delete("E", old[:2]...), dyndb.Delete("R", old...),
 				dyndb.Insert("E", fresh[:2]...), dyndb.Insert("R", fresh...))
 		}

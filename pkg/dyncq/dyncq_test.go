@@ -26,17 +26,6 @@ func solo(t testing.TB, q *cq.Query, opt Options) (*Workspace, *Handle) {
 	return ws, h
 }
 
-// fannedOut returns a fresh workspace on which every write, of any size,
-// fans out over width goroutines once two or more queries are
-// registered (width 1: none does). It overrides both inputs of the
-// fan-out rule, so small test streams take the concurrent path, on a
-// GOMAXPROCS=1 run as well.
-func fannedOut(width int) *Workspace {
-	ws := NewWorkspace(WorkspaceOptions{})
-	ws.maxWidth, ws.minFanOut = width, 1
-	return ws
-}
-
 // soloPerStrategy builds one solo workspace per strategy for q.
 func soloPerStrategy(t testing.TB, q *cq.Query, strategies ...Strategy) ([]*Workspace, []*Handle) {
 	t.Helper()

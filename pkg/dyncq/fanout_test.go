@@ -14,60 +14,17 @@ import (
 	"dyncq/internal/workload"
 )
 
-// TestWorkspaceFanOutByteIdentical is the acceptance check of the
-// fan-out: a K=4 mixed-strategy workspace replaying one stream in
-// batches, its Load and every commit fanned out, produces byte-identical
-// counts, answers, and enumeration order at every width.
-func TestWorkspaceFanOutByteIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(211))
-	stream := workload.RandomStream(rng, multiSchema(), 16, 1500, 0.35)
-	init := workload.RandomDatabase(rand.New(rand.NewSource(212)), multiSchema(), 16, 80)
-	run := func(width int) *Workspace {
-		ws := fannedOut(width)
-		for _, c := range multiSuite() {
-			if _, err := ws.RegisterQuery(c.name, cq.MustParse(c.text), c.opt); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := ws.Load(init); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := commitChunks(ws, stream, 96); err != nil {
-			t.Fatal(err)
-		}
-		return ws
-	}
-	seq := run(1)
-	for _, width := range []int{2, 4} {
-		par := run(width)
-		if got, want := par.Version(), seq.Version(); got != want {
-			t.Fatalf("width=%d: version %d, width 1 %d", width, got, want)
-		}
-		for _, c := range multiSuite() {
-			hs, hp := seq.Handle(c.name), par.Handle(c.name)
-			if hp.Count() != hs.Count() {
-				t.Fatalf("width=%d query %s: count %d vs %d", width, c.name, hp.Count(), hs.Count())
-			}
-			if hp.Answer() != hs.Answer() {
-				t.Fatalf("width=%d query %s: answer diverges", width, c.name)
-			}
-			exactTuples(t, hs.Strategy(), "query "+c.name, hp.Tuples(), hs.Tuples())
-		}
-	}
-}
-
-// TestOneHandleOrderIndependentOfFanOut: a core query maintained alone,
-// on a workspace that never fans out (one handle), enumerates in exactly
-// the order it does beside two more core queries on a workspace whose
-// every commit fans out: each handle's engine applies the same net delta,
-// alone, in delta order.
+// TestOneHandleOrderIndependentOfFanOut: a core query maintained alone
+// enumerates in exactly the order it does beside two more core queries
+// that the same commits fan out to: each handle's engine applies the same
+// net delta, alone, in delta order.
 func TestOneHandleOrderIndependentOfFanOut(t *testing.T) {
 	q := cq.MustParse("Q(x,y) :- E(x,y), T(y)")
 	rng := rand.New(rand.NewSource(229))
 	init := workload.RandomDatabase(rng, multiSchema(), 24, 120)
 	stream := workload.RandomStream(rng, multiSchema(), 24, 2000, 0.35)
 	run := func(others map[string]string) [][]Value {
-		ws := fannedOut(4)
+		ws := NewWorkspace(WorkspaceOptions{})
 		h, err := ws.RegisterQuery("feed", q, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -94,71 +51,126 @@ func TestOneHandleOrderIndependentOfFanOut(t *testing.T) {
 }
 
 // TestPoolPanicReachesCommitter: a panic in one handle's work — here its
-// capture hook — is re-raised on the goroutine that called Commit, inline
-// and fanned out; fanned out (the batch is fanOutMin long), only once the
-// pool has drained, so every other handle's hook has returned by then.
-// What the workspace holds afterwards is not specified.
+// capture hook — reaches the goroutine that called Commit, and the
+// workspace lock is released on the way out, so the next Commit does not
+// deadlock. What the workspace holds afterwards is not specified.
 func TestPoolPanicReachesCommitter(t *testing.T) {
-	batch := make([]Update, fanOutMin)
+	ws := NewWorkspace(WorkspaceOptions{})
+	armed := true
+	for _, name := range []string{"a", "b", "c"} {
+		if _, err := ws.Register(name, "Q(x,y) :- E(x,y)"); err != nil {
+			t.Fatal(err)
+		}
+		err := ws.CaptureDeltas(name, func(DeltaEvent) {
+			if name == "b" && armed {
+				panic("boom")
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit := func(u Update) (r any) {
+		defer func() { r = recover() }()
+		ws.Commit([]Update{u})
+		return nil
+	}
+	if r := commit(Insert("E", 1, 1)); r != "boom" {
+		t.Fatalf("Commit panicked with %v, want boom", r)
+	}
+	armed = false
+	done := make(chan any, 1)
+	go func() { done <- commit(Insert("E", 2, 2)) }()
+	select {
+	case r := <-done:
+		if r != nil {
+			t.Fatalf("the Commit after the panic panicked with %v", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the Commit after the panic did not return: the workspace lock is still held")
+	}
+}
+
+// TestCommitRunsOnCallerGoroutine: every handle's maintenance, capture
+// hook included, runs on the goroutine that called Load or Commit —
+// also where several CPUs, several queries and a large write could
+// spread it over goroutines. Each hook finds the test function on its own
+// call stack. The first hook of each write sleeps, so that work handed to
+// another goroutine would be claimed there meanwhile.
+func TestCommitRunsOnCallerGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	pc, _, _, _ := runtime.Caller(0)
+	self := runtime.FuncForPC(pc).Name()
+	onCaller := func() bool {
+		pcs := make([]uintptr, 128)
+		frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs)])
+		for {
+			f, more := frames.Next()
+			if f.Function == self {
+				return true
+			}
+			if !more {
+				return false
+			}
+		}
+	}
+	ws := NewWorkspace(WorkspaceOptions{})
+	names := []string{"star", "feed", "deep"}
+	texts := []string{"Q(y) :- E(x,y), T(y)", "Q(x,y) :- E(x,y), T(y)", "Q(x,y,z) :- R(x,y,z), E(x,y), S(x)"}
+	var calls, elsewhere int
+	var mu sync.Mutex // guards the counts, should a hook run on another goroutine
+	for i, name := range names {
+		h, err := ws.Register(name, texts[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Strategy() != StrategyCore {
+			t.Fatalf("%s routed to %v, want core", name, h.Strategy())
+		}
+		err = ws.CaptureDeltas(name, func(DeltaEvent) {
+			mu.Lock()
+			calls++
+			first := calls%len(names) == 1
+			if !onCaller() {
+				elsewhere++
+			}
+			mu.Unlock()
+			if first {
+				time.Sleep(time.Millisecond)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := dyndb.New()
+	for i := 0; i < 2048; i++ {
+		db.Insert("E", Value(i%500), Value(i%40))
+		db.Insert("T", Value(i%40))
+		db.Insert("S", Value(i%500))
+		db.Insert("R", Value(i%500), Value(i%40), Value(i))
+	}
+	if err := ws.Load(db); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]Update, 512)
 	for i := range batch {
-		batch[i] = Insert("E", Value(i), 1)
+		batch[i] = Insert("E", Value(1000+i), Value(i%40))
 	}
-	names := []string{"a", "b", "c", "d"}
-	// commit runs the batch on a fresh workspace capped at width and
-	// returns what Commit panicked with and how many of the other hooks
-	// had returned by then.
-	commit := func(width int) (r any, returned int32) {
-		ws := NewWorkspace(WorkspaceOptions{})
-		ws.maxWidth = width
-		var n atomic.Int32
-		for _, name := range names {
-			if _, err := ws.Register(name, "Q(x,y) :- E(x,y)"); err != nil {
-				t.Fatal(err)
-			}
-			err := ws.CaptureDeltas(name, func(DeltaEvent) {
-				if name == "b" {
-					// Fanned out, panic last: once the other hooks have
-					// returned (a second at most), and a moment later, so
-					// that a pool that did not wait for the panicking
-					// goroutine would return from Commit first.
-					for deadline := time.Now().Add(time.Second); width > 1 && n.Load() < int32(len(names)-1) && time.Now().Before(deadline); {
-						runtime.Gosched()
-					}
-					time.Sleep(time.Millisecond)
-					panic("boom")
-				}
-				n.Add(1)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		defer func() { r, returned = recover(), n.Load() }()
-		ws.Commit(batch)
-		return nil, n.Load()
+	if n, _, err := ws.Commit(batch); err != nil || n != len(batch) {
+		t.Fatalf("commit netted %d of %d (err %v)", n, len(batch), err)
 	}
-	for _, width := range []int{1, 2} {
-		// Which goroutine draws the panicking handle is the scheduler's
-		// choice; ten commits give each a chance.
-		for range 10 {
-			r, returned := commit(width)
-			if r != "boom" {
-				t.Fatalf("width %d: Commit panicked with %v, want boom", width, r)
-			}
-			if width > 1 && returned != int32(len(names)-1) {
-				t.Fatalf("width %d: the panic reached the caller after %d of the other %d hooks returned", width, returned, len(names)-1)
-			}
-		}
+	if want := 2 * len(names); calls != want || elsewhere != 0 {
+		t.Fatalf("%d hook calls, %d of them off the calling goroutine; want %d and 0", calls, elsewhere, want)
 	}
 }
 
 // TestWorkspaceSharedIndexPoolStress is the -race stress test of the
-// goroutine-safe shared index pool: K = 5 IVM handles over one schema
-// all probe the shared store's indexes, building them lazily, while the
-// fan-out runs their delta-joins concurrently (plus concurrent Snapshot
-// readers for extra pressure). The results must match an unfanned
-// replay, and every built index must still mirror its relation. Run with
-// -race (the CI race job does, at GOMAXPROCS 1 and 4).
+// shared store's indexes: K = 5 IVM handles over one schema all probe
+// them, building them lazily, inside commits that race concurrent
+// Snapshot readers. The results must match a replay without readers, and
+// every built index must still mirror its relation. Run with -race (the
+// CI race job does, at GOMAXPROCS 1 and 4).
 func TestWorkspaceSharedIndexPoolStress(t *testing.T) {
 	queries := []struct{ name, text string }{
 		{"hard", "Q(x,y) :- S(x), E(x,y), T(y)"}, // ivm by classification
@@ -171,8 +183,8 @@ func TestWorkspaceSharedIndexPoolStress(t *testing.T) {
 	stream := workload.RandomStream(rand.New(rand.NewSource(332)), multiSchema(), 20, 1200, 0.4)
 	const batch = 64
 
-	run := func(width int) *Workspace {
-		ws := fannedOut(width)
+	run := func() *Workspace {
+		ws := NewWorkspace(WorkspaceOptions{})
 		for _, q := range queries {
 			h, err := ws.RegisterQuery(q.name, cq.MustParse(q.text), Options{Force: StrategyIVM})
 			if err != nil {
@@ -188,7 +200,7 @@ func TestWorkspaceSharedIndexPoolStress(t *testing.T) {
 		return ws
 	}
 
-	seq := run(1)
+	seq := run()
 	for from := 0; from < len(stream); from += batch {
 		to := min(from+batch, len(stream))
 		if _, _, err := seq.Commit(stream[from:to]); err != nil {
@@ -196,7 +208,7 @@ func TestWorkspaceSharedIndexPoolStress(t *testing.T) {
 		}
 	}
 
-	ws := run(4)
+	ws := run()
 	var done atomic.Bool
 	var wg sync.WaitGroup
 	for r := 0; r < 3; r++ {
@@ -229,7 +241,7 @@ func TestWorkspaceSharedIndexPoolStress(t *testing.T) {
 	for _, q := range queries {
 		hs, hp := seq.Handle(q.name), ws.Handle(q.name)
 		if hp.Count() != hs.Count() {
-			t.Fatalf("query %s: count %d fanned out vs %d inline", q.name, hp.Count(), hs.Count())
+			t.Fatalf("query %s: count %d beside readers vs %d alone", q.name, hp.Count(), hs.Count())
 		}
 		exactTuples(t, hp.Strategy(), "query "+q.name, hp.Tuples(), hs.Tuples())
 	}
@@ -239,11 +251,10 @@ func TestWorkspaceSharedIndexPoolStress(t *testing.T) {
 }
 
 // TestWorkspaceSnapshotPinnedDuringFanOut is the -race stress test of
-// the fan-out: while one writer drives fanned-out batches, concurrent
-// Snapshot
-// readers must always observe one pinned version whose per-query counts
-// match the precomputed state after exactly that many committed batches.
-// Run with -race (the CI race job does).
+// the fan-out: while one writer drives batches to every query, concurrent
+// Snapshot readers must always observe one pinned version whose
+// per-query counts match the precomputed state after exactly that many
+// committed batches. Run with -race (the CI race job does).
 func TestWorkspaceSnapshotPinnedDuringFanOut(t *testing.T) {
 	rng := rand.New(rand.NewSource(223))
 	stream := workload.RandomStream(rng, multiSchema(), 24, 1600, 0.35)
@@ -282,7 +293,7 @@ func TestWorkspaceSnapshotPinnedDuringFanOut(t *testing.T) {
 		}
 	}
 
-	ws := fannedOut(4)
+	ws := NewWorkspace(WorkspaceOptions{})
 	for _, c := range multiSuite() {
 		if _, err := ws.RegisterQuery(c.name, cq.MustParse(c.text), c.opt); err != nil {
 			t.Fatal(err)
@@ -328,18 +339,13 @@ func TestWorkspaceSnapshotPinnedDuringFanOut(t *testing.T) {
 	}
 }
 
-// BenchmarkCommitFanOut measures the fan-out rule on a 100k-tuple store:
-// width ∈ {1, 2} (the cap NewWorkspace takes from GOMAXPROCS) × batch ∈
-// {1, 16, 32, 64, 256, 512, 4096}, for the core query set (star, feed, deep:
-// three handles for a commit to fan out over), for the core query feed
-// alone and for the ivm query hard (one handle each: a one-handle
-// workspace never fans out). Below fanOutMin width 2 runs inline, as
-// width 1 does; the core set's width=2-forced cells fan those batches out
-// anyway, which is where fanOutMin's crossover is read. Batches toggle
-// tuples drawn from the store's own distribution and then undo them, so
-// the store stays at its loaded size; ns/update is wall-clock per net
-// update.
-func BenchmarkCommitFanOut(b *testing.B) {
+// BenchmarkCommitBatch measures a commit on a 100k-tuple store across
+// batch ∈ {1, 16, 32, 64, 256, 512, 4096}, for the core query set (star,
+// feed, deep: three handles the commit fans out to), for the core query
+// feed alone and for the ivm query hard. Batches toggle tuples drawn from
+// the store's own distribution and then undo them, so the store stays at
+// its loaded size; ns/update is wall-clock per net update.
+func BenchmarkCommitBatch(b *testing.B) {
 	const n = 100_000
 	sets := []struct {
 		name    string
@@ -359,26 +365,14 @@ func BenchmarkCommitFanOut(b *testing.B) {
 			"hard": "Q(x,y) :- S(x), E(x,y), T(y)",
 		}, ivmDraw(n)},
 	}
-	type cell struct {
-		name             string
-		width, minFanOut int
-	}
 	for _, set := range sets {
 		db := dyndb.New()
 		set.shape.fill(db, n)
 		for _, batch := range []int{1, 16, 32, 64, 256, 512, 4096} {
 			cycle := toggleCycle(b, db.Clone(), batch, max(2, 16384/batch), set.draw)
-			cells := []cell{{"width=1", 1, fanOutMin}, {"width=2", 2, fanOutMin}}
-			if len(set.queries) > 1 && batch < fanOutMin {
-				cells = append(cells, cell{"width=2-forced", 2, 1})
-			}
-			for _, c := range cells {
-				b.Run(fmt.Sprintf("%s/batch=%d/%s", set.name, batch, c.name), func(b *testing.B) {
-					ws := loadQueries(b, set.queries, db)
-					ws.maxWidth, ws.minFanOut = c.width, c.minFanOut
-					benchCommits(b, ws, cycle, batch)
-				})
-			}
+			b.Run(fmt.Sprintf("%s/batch=%d", set.name, batch), func(b *testing.B) {
+				benchCommits(b, loadQueries(b, set.queries, db), cycle, batch)
+			})
 		}
 	}
 }

@@ -31,7 +31,7 @@ import (
 //
 // One order contract: a snapshot lists its rows in lexicographic order
 // on every strategy, so it is a function of the result SET — identical
-// across strategies and fan-out widths — and the deltas of
+// across strategies — and the deltas of
 // the commits after it merge into it in one sorted pass, here and on a
 // subscriber's side of the wire alike. Only the live Handle.Enumerate
 // walks the engine's own constant-delay order.
@@ -46,8 +46,8 @@ import (
 // no copy of any result and walks none per commit; only a Load, which
 // resets every structure, is bridged by a one-shot before/after diff
 // (resultImage). Each handle's delta goes from its backend straight to
-// its read side, in the same per-handle pool item (Handle.publish): the
-// cache advance first, then the hook. A cached snapshot asks for the
+// its read side, in the same per-handle step of the commit
+// (Handle.publish): the cache advance first, then the hook. A cached snapshot asks for the
 // delta even when no hook does (Handle.emits).
 
 // QuerySnapshot is one query's result pinned at one committed version.
@@ -113,7 +113,7 @@ func (s *QuerySnapshot) Tuple(i int) []Value {
 }
 
 // Enumerate streams the pinned result in lexicographic tuple order —
-// the same on every strategy and fan-out width, and the
+// the same on every strategy, and the
 // order DeltaEvent lists its tuples in. Unlike Handle.Enumerate it
 // holds no lock: yield may take arbitrarily long, apply updates, or call
 // any workspace method — concurrent writers proceed regardless. The
@@ -287,7 +287,7 @@ func (w *Workspace) Snapshot(names ...string) *WorkspaceSnapshot {
 // tuples the result gained and lost relative to the previous version.
 // Added and Removed are disjoint, each sorted in lexicographic tuple
 // order — so the event's rendering is deterministic, byte for byte,
-// regardless of fan-out width or backend enumeration order. Both may be
+// regardless of backend enumeration order. Both may be
 // empty: every committed version emits exactly one event per captured
 // query (subscribers track the committed version in lockstep and an
 // unchanged result is itself information). A Boolean query's event
@@ -316,8 +316,8 @@ func (h *Handle) emits() bool { return h.capture != nil || h.snap.Load() != nil 
 
 // publish hands one handle's result delta to its read side: it advances
 // the cached snapshot by the delta, then delivers the event to the
-// capture hook. It runs in the commit's per-handle pool item right after
-// the backend's finish (Workspace.finishAt), or after a Load's image
+// capture hook. It runs in the commit's per-handle step right after
+// the backend's finish (Workspace.commitLocked), or after a Load's image
 // diff, before the version moves — so ev carries the version the commit
 // makes. delta is false only for a Load on a handle nobody captures,
 // whose cached snapshot is then re-materialised. The advance only reads
@@ -340,16 +340,15 @@ func (h *Handle) publish(ev DeltaEvent, delta bool) {
 // strategy. A cached snapshot (Handle.Snapshot) arms the same emission
 // for as long as readers keep it demanded, so a capture on a polled query
 // adds only the hook's own work, and one delta serves both. The hook runs
-// inside the commit, in the handle's own maintenance pool item right after
+// inside the commit, in the handle's own maintenance step right after
 // its backend finished and the cached snapshot advanced, with the
 // workspace write lock held and before the version moves (the event
 // carries the version being committed): it MUST NOT block and MUST NOT
 // call any workspace, handle, or session method (the serving layer's
 // broker satisfies this by handing pre-encoded frames to per-connection
-// buffers with a non-blocking send). Hooks of different queries run
-// concurrently when a commit fans out (large enough, with two or more
-// queries and CPUs: see fanOutMin); one query's hook is never invoked concurrently with itself and
-// observes strictly increasing versions. Only one capture per query may
+// buffers with a non-blocking send). Every hook runs on the goroutine
+// that called Commit or Load, one query after another in registration
+// order, and observes strictly increasing versions. Only one capture per query may
 // be active; Unregister drops it.
 func (w *Workspace) CaptureDeltas(name string, hook func(DeltaEvent)) error {
 	w.mu.Lock()

@@ -172,7 +172,7 @@ func (h *Handle) EvictSnapshot() bool {
 // that wrote, or drop it when the budget is spent. delta says whether ev
 // holds the commit's result delta; its tuples are only read, never
 // retained. Runs with exclusive workspace access, before w.version moves,
-// in the handle's pool item (Handle.publish).
+// in the handle's step of the commit (Handle.publish).
 //
 //dyncq:hot
 func (h *Handle) advanceSnapshot(ev DeltaEvent, delta bool) {

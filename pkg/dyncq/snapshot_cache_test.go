@@ -95,8 +95,8 @@ func diffSortedRows(prev, now [][]Value) (added, removed [][]Value) {
 
 // TestSnapshotAdvanceMatchesFreshPin: a cache advanced commit-by-commit
 // is identical at EVERY version of a seeded stream to a fresh
-// copy-on-pin snapshot at that version — for every strategy, unfanned and
-// fanned out at width 4 on core, with and without a delta capture, across
+// copy-on-pin snapshot at that version — for every strategy, with and
+// without a delta capture, across
 // single updates, batches, a fill to the full domain, a drain to nothing
 // and a mid-stream Load. Beside the real cache, which cuts leaves at
 // snapLeafRows, the test drives patchLeaves itself at a capacity of 4
@@ -107,12 +107,10 @@ func TestSnapshotAdvanceMatchesFreshPin(t *testing.T) {
 	type config struct {
 		name  string
 		force Strategy
-		width int
 	}
 	configs := []config{
-		{"core/width=1", StrategyCore, 1},
-		{"core/width=4", StrategyCore, 4},
-		{"ivm", StrategyIVM, 1},
+		{"core", StrategyCore},
+		{"ivm", StrategyIVM},
 	}
 	for _, cfg := range configs {
 		for _, capture := range []bool{true, false} {
@@ -123,7 +121,7 @@ func TestSnapshotAdvanceMatchesFreshPin(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				const domain, smallLeaf = 12, 4
 				rng := rand.New(rand.NewSource(1031))
-				ws := fannedOut(cfg.width)
+				ws := NewWorkspace(WorkspaceOptions{})
 				q := cq.MustParse("Q(x,y) :- E(x,y), T(y)")
 				// Two registrations of the same query over the shared
 				// store: "adv" keeps its cache alive across every commit

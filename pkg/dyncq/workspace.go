@@ -2,7 +2,6 @@ package dyncq
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,9 +41,10 @@ import (
 // evaluate on the pre-state, insertion deltas on the post-state), so the
 // fan-out interleaves per-relation hooks with the store mutation; core
 // backends receive the whole delta after the store is current, in delta
-// order. A commit of fanOutMin or more, with several handles and CPUs,
-// maintains the handles concurrently (runPool). A warmed commit below
-// fanOutMin allocates nothing on the pipeline's side.
+// order. The handles are maintained one after another, in registration
+// order, on the goroutine that called Commit: the paper's bounds are for
+// one sequential machine, and a commit starts no goroutine. A warmed
+// commit allocates nothing on the pipeline's side.
 //
 // Load, the one write outside that pipeline, validates first too: a
 // database that clashes with the union schema is rejected with nothing
@@ -94,9 +94,7 @@ type queryBackend interface {
 	rebuild()
 }
 
-// WorkspaceOptions configures NewWorkspace. It has no fields: each commit
-// picks how many goroutines maintain the queries from the handle count,
-// its size and GOMAXPROCS (see fanOutMin).
+// WorkspaceOptions configures NewWorkspace. It has no fields.
 type WorkspaceOptions struct{}
 
 // Workspace is the shared front door: one dynamic database, one update
@@ -110,25 +108,11 @@ type Workspace struct {
 	handles map[string]*Handle
 	order   []*Handle // registration order
 
-	maxWidth, minFanOut int            // the fan-out rule's inputs: GOMAXPROCS at NewWorkspace, fanOutMin
-	next                atomic.Int64   // runPool's per-pass state, under the write lock
-	wg                  sync.WaitGroup // runPool's goroutines
-	panics              []any          // what each of them recovered
-
-	// The open commit, read by the pool bodies below: its net delta, the
-	// per-handle timings, the per-relation grouping of the relation-phased
-	// store schedule and the relation whose hooks run. The grouping's
-	// slices are reused across commits (up to keepGrouped commands) and
-	// cleared after each, so they hold no batch tuple between commits. Guarded by the write lock;
-	// backends do not retain them.
-	survivors []Update
-	perNS     []int64
-	rels      []relDelta
-	hookRel   *relDelta
-
-	// The pool bodies, bound once by NewWorkspace so that a commit builds
-	// no closure.
-	finishFn, preDeleteFn, postInsertFn func(i int)
+	// rels is the per-relation grouping of the relation-phased store
+	// schedule. Its slices are reused across commits (up to keepGrouped
+	// commands) and cleared after each, so they hold no batch tuple between
+	// commits. Guarded by the write lock; backends do not retain them.
+	rels []relDelta
 
 	// version counts committed state changes. It is atomic so the
 	// cached-snapshot fast path (Handle.cachedSnapshot) can validate a
@@ -140,18 +124,13 @@ type Workspace struct {
 // NewWorkspace returns an empty workspace with no registered queries.
 // Updates applied before any registration only populate the shared
 // store; queries registered later are brought up to date against it.
-// GOMAXPROCS, read here, caps a commit's fan-out.
 func NewWorkspace(opt WorkspaceOptions) *Workspace {
-	w := &Workspace{
-		store:     dyndb.New(),
-		schema:    make(map[string]int),
-		owner:     make(map[string]string),
-		handles:   make(map[string]*Handle),
-		maxWidth:  runtime.GOMAXPROCS(0),
-		minFanOut: fanOutMin,
+	return &Workspace{
+		store:   dyndb.New(),
+		schema:  make(map[string]int),
+		owner:   make(map[string]string),
+		handles: make(map[string]*Handle),
 	}
-	w.finishFn, w.preDeleteFn, w.postInsertFn = w.finishAt, w.preDeleteAt, w.postInsertAt
-	return w
 }
 
 // Handle is the read surface of one registered live query. All read
@@ -306,12 +285,8 @@ func (h *Handle) Cardinality() int { return h.ws.Cardinality() }
 // time includes the query's read side, which runs in the same timed step:
 // advancing a cached snapshot and calling a CaptureDeltas hook; a query
 // with neither pays nothing there. The per-commit delta of the first
-// value is the per-query update latency.
-// The timer is wall-clock: a commit that fans out (fanOutMin) runs
-// handles concurrently, so each handle's time includes scheduler
-// contention from the others and the sum over handles can exceed the
-// commit's duration — compare per-handle timings across runs only at the
-// same GOMAXPROCS and commit sizes.
+// value is the per-query update latency. The timer is wall-clock: a
+// handle's time includes whatever else took its processor meanwhile.
 func (h *Handle) MaintenanceNS() (ns int64, batches int64) {
 	h.ws.mu.RLock()
 	defer h.ws.mu.RUnlock()
@@ -609,47 +584,30 @@ func (w *Workspace) commitLocked(updates []Update) (int, error) {
 			phased = true
 		}
 	}
-	if cap(w.perNS) < len(w.order) {
-		w.perNS = make([]int64, len(w.order)) //dyncq:allow hotalloc grows with the number of registered queries, reused after
-	}
-	w.perNS = w.perNS[:len(w.order)]
-	clear(w.perNS)
-	w.survivors = survivors
 	if phased {
-		w.runHookedStorePhase()
+		w.runHookedStorePhase(survivors)
 	} else {
 		w.store.ApplyNetDelta(survivors, 0)
 	}
 
 	// Fan-out phase: every backend sees the full delta with the store
 	// current (core runs its per-atom procedures here; IVM closes its
-	// batch, rebuilding if the crossover chose to), and its result delta
-	// goes straight on to the handle's read side. Every handle's close-out
-	// — core AND ivm — runs on one pool: per-handle state is private, and the one shared structure (the store's indexes)
-	// is safe for concurrent evaluators over a quiescent store. Each
-	// handle's work is self-contained, so the result is byte-identical at
-	// any width. The version moves once, after every handle has finished.
-	w.runPool(len(survivors), w.perNS, w.finishFn)
-	w.survivors = nil
-	for i, h := range w.order {
-		h.maintainNS += w.perNS[i]
+	// batch, rebuilding if the crossover chose to), and its result delta,
+	// stamped with the version the commit makes, goes straight on to the
+	// handle's read side. The version moves once, after every handle has
+	// finished.
+	version := w.version.Load() + 1
+	t := time.Since(clockBase)
+	for _, h := range w.order {
+		added, removed := h.back.finish(survivors)
+		if h.emits() {
+			h.publish(DeltaEvent{Query: h.name, Version: version, Added: added, Removed: removed}, true)
+		}
+		t = lap(&h.maintainNS, t)
 		h.batches++
 	}
-	w.version.Add(1)
+	w.version.Store(version)
 	return len(survivors), nil
-}
-
-// finishAt closes the open commit on handle i and publishes its result
-// delta, stamped with the version the commit makes, to the handle's read
-// side, if it has one.
-//
-//dyncq:hot
-func (w *Workspace) finishAt(i int) {
-	h := w.order[i]
-	added, removed := h.back.finish(w.survivors)
-	if h.emits() {
-		h.publish(DeltaEvent{Query: h.name, Version: w.version.Load() + 1, Added: added, Removed: removed}, true)
-	}
 }
 
 // relDelta is one relation's slice of a commit's net delta, for the
@@ -661,23 +619,19 @@ type relDelta struct {
 	cmds      []Update
 }
 
-// runHookedStorePhase is the relation-phased store schedule: the open
+// runHookedStorePhase is the relation-phased store schedule: the
 // commit's net delta grouped per relation in first-appearance order, each
-// relation's deletions and insertions bracketed by the pre/post hooks —
-// the exact schedule ivm.Maintainer documents, so every IVM backend's
-// maintained multiplicities are identical to a single-update replay of
-// the same stream.
-//
-// The hook phases run each relation's pre/post hooks across the handles
-// on the commit's pool (per-handle IVM state is private and the store's
-// indexes are safe for concurrent evaluators over a quiescent store),
-// timed into the open commit's per-handle timings. Only IVM backends do
-// work in the hooks; the others' hooks are no-ops.
+// relation's deletions and insertions bracketed by the pre/post hooks of
+// every handle, timed into each handle's maintenance time — the exact
+// schedule ivm.Maintainer documents, so every IVM backend's maintained
+// multiplicities are identical to a single-update replay of the same
+// stream. Only IVM backends do work in the hooks; the others' hooks are
+// no-ops.
 //
 //dyncq:hot
-func (w *Workspace) runHookedStorePhase() {
+func (w *Workspace) runHookedStorePhase(survivors []Update) {
 	rels := w.rels[:0]
-	for _, u := range w.survivors {
+	for _, u := range survivors {
 		id, at := dyndb.IDOf(u), len(rels)
 		for i := range rels {
 			if rels[i].id == id {
@@ -705,11 +659,14 @@ func (w *Workspace) runHookedStorePhase() {
 	w.rels = rels
 	for i := range rels {
 		d := &rels[i]
-		w.hookRel = d
 		if len(d.dels) > 0 {
 			// Pre-state hooks: the store has not applied this relation's
 			// delta yet.
-			w.runPool(len(w.survivors), w.perNS, w.preDeleteFn)
+			t := time.Since(clockBase)
+			for _, h := range w.order {
+				h.back.preDelete(d.rel, d.dels)
+				t = lap(&h.maintainNS, t)
+			}
 		}
 		// One relation's slice of a validated net delta is itself a net
 		// delta against the current state (relations are disjoint, earlier
@@ -717,10 +674,13 @@ func (w *Workspace) runHookedStorePhase() {
 		w.store.ApplyNetDelta(d.cmds, 0)
 		if len(d.ins) > 0 {
 			// Post-state hooks: this relation's delta is fully applied.
-			w.runPool(len(w.survivors), w.perNS, w.postInsertFn)
+			t := time.Since(clockBase)
+			for _, h := range w.order {
+				h.back.postInsert(d.rel, d.ins)
+				t = lap(&h.maintainNS, t)
+			}
 		}
 	}
-	w.hookRel = nil
 	for i := range rels {
 		d := &rels[i]
 		clear(d.dels)
@@ -737,86 +697,14 @@ func (w *Workspace) runHookedStorePhase() {
 // bulk batch's are dropped rather than kept alive between commits.
 const keepGrouped = 1024
 
-// preDeleteAt and postInsertAt run handle i's hook for the relation whose
-// hooks run (hookRel).
+// lap reads the clock, charges the time since the previous reading t to
+// *ns, and returns the new reading.
 //
 //dyncq:hot
-func (w *Workspace) preDeleteAt(i int) { w.order[i].back.preDelete(w.hookRel.rel, w.hookRel.dels) }
-
-//dyncq:hot
-func (w *Workspace) postInsertAt(i int) { w.order[i].back.postInsert(w.hookRel.rel, w.hookRel.ins) }
-
-// fanOutMin is the smallest write, in net commands (a Load's: stored
-// tuples), that fans out: below it, starting and joining goroutines costs
-// more than the concurrency saves. BenchmarkCommitFanOut's three core
-// queries on a 2-vCPU box, median of five, ns/update fanned out at width 2
-// against width 1: +20 % at 32 updates, +13 % at 64, −9 % at 256, −26 % at
-// 512, −35 % at 4,096.
-const fanOutMin = 256
-
-// runPool runs fn(i) for every handle index i, for a write of size net
-// commands, on as many goroutines as the fan-out rule gives it — its
-// width: 1 below minFanOut or with fewer than two handles, else one per
-// handle up to maxWidth. They are the caller and width−1 it starts,
-// claiming items off a shared counter; with ns non-nil, chained clock
-// reads time each item into ns[i]. A panic in fn is re-raised on the
-// caller once the pool has drained (the lowest goroutine index wins).
-// Width 1 allocates nothing; wider, one closure per started goroutine.
-// The caller holds the write lock.
-//
-//dyncq:hot
-func (w *Workspace) runPool(size int, ns []int64, fn func(i int)) {
-	w.next.Store(0)
-	width := min(w.maxWidth, len(w.order))
-	if width < 2 || size < w.minFanOut {
-		drain(&w.next, len(w.order), ns, fn)
-		return
-	}
-	if len(w.panics) < width {
-		w.panics = make([]any, width) //dyncq:allow hotalloc grows to the widest pool, reused after
-	}
-	w.wg.Add(width - 1)
-	for k := 1; k < width; k++ {
-		go func() { defer w.wg.Done(); w.share(k, ns, fn) }()
-	}
-	w.share(0, ns, fn)
-	w.wg.Wait()
-	for _, p := range w.panics[:width] {
-		if p != nil {
-			clear(w.panics)
-			panic(p)
-		}
-	}
-}
-
-// share is goroutine k's part of a runPool pass.
-func (w *Workspace) share(k int, ns []int64, fn func(i int)) {
-	defer func() { w.panics[k] = recover() }()
-	drain(&w.next, len(w.order), ns, fn)
-}
-
-// drain runs fn on the items it claims off next until none is left,
-// charging each to ns (when non-nil) the clock time since the previous
-// read.
-//
-//dyncq:hot
-func drain(next *atomic.Int64, n int, ns []int64, fn func(i int)) {
-	var t time.Duration
-	if ns != nil {
-		t = time.Since(clockBase)
-	}
-	for {
-		i := int(next.Add(1)) - 1
-		if i >= n {
-			return
-		}
-		fn(i)
-		if ns != nil {
-			now := time.Since(clockBase)
-			ns[i] += int64(now - t)
-			t = now
-		}
-	}
+func lap(ns *int64, t time.Duration) time.Duration {
+	now := time.Since(clockBase)
+	*ns += int64(now - t)
+	return now
 }
 
 // clockBase carries a monotonic clock reading, so time.Since(clockBase)
@@ -867,25 +755,21 @@ func (w *Workspace) loadLocked(db *dyndb.Database) error {
 		// was just cleared: only a bug gets here.
 		panic(fmt.Sprintf("dyncq: validated database failed to load: %v", err))
 	}
-	// The backends rebuild on a pool as wide as a commit of |db| updates
-	// gets: core preprocessing only reads the shared store, and IVM
-	// backends evaluate through the store's indexes, whose lazy builds are
-	// internally locked. Like a commit, the load then publishes each
-	// handle's delta, stamped with the version it makes, and moves the
-	// version once.
+	// Like a commit, the load rebuilds the backends in registration order,
+	// publishes each handle's delta, stamped with the version it makes, and
+	// moves the version once.
 	version := w.version.Load() + 1
-	w.runPool(db.Cardinality(), nil, func(i int) {
-		h := w.order[i]
+	for i, h := range w.order {
 		h.back.rebuild()
 		if !h.emits() {
-			return
+			continue
 		}
 		ev := DeltaEvent{Query: h.name, Version: version}
 		if before[i] != nil {
 			ev.Added, ev.Removed = diffImage(before[i], h.back)
 		}
 		h.publish(ev, before[i] != nil)
-	})
+	}
 	w.version.Store(version)
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"dyncq/internal/cq"
@@ -165,16 +166,17 @@ func TestWorkspaceStoreMutationsIndependentOfK(t *testing.T) {
 	}
 }
 
-// TestWorkspaceStoreIndependentOfFanOut: a fanned-out commit
-// parallelises the engines, never the store — the same stream through an
-// unfanned and a width-4 workspace mutates the shared store the same
-// number of times and leaves it with the same tuples.
+// TestWorkspaceStoreIndependentOfFanOut: fanning a commit out to the
+// queries maintains the engines, never the store — the same stream
+// through a workspace with no query and through one with the mixed suite
+// mutates the shared store the same number of times and leaves it with
+// the same tuples.
 func TestWorkspaceStoreIndependentOfFanOut(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	stream := workload.RandomStream(rng, multiSchema(), 12, 800, 0.35)
-	run := func(width int) *Workspace {
-		ws := fannedOut(width)
-		for _, c := range multiSuite() {
+	run := func(k int) *Workspace {
+		ws := NewWorkspace(WorkspaceOptions{})
+		for _, c := range multiSuite()[:k] {
 			if _, err := ws.RegisterQuery(c.name, cq.MustParse(c.text), c.opt); err != nil {
 				t.Fatal(err)
 			}
@@ -184,15 +186,15 @@ func TestWorkspaceStoreIndependentOfFanOut(t *testing.T) {
 		}
 		return ws
 	}
-	seq, par := run(1), run(4)
-	if seq.StoreMutations() == 0 {
+	bare, full := run(0), run(len(multiSuite()))
+	if bare.StoreMutations() == 0 {
 		t.Fatal("stream produced no mutations; test is vacuous")
 	}
-	if seq.StoreMutations() != par.StoreMutations() {
-		t.Fatalf("store mutations depend on the fan-out: %d at width 1, %d at width 4", seq.StoreMutations(), par.StoreMutations())
+	if bare.StoreMutations() != full.StoreMutations() {
+		t.Fatalf("store mutations depend on the fan-out: %d with no query, %d with %d", bare.StoreMutations(), full.StoreMutations(), len(multiSuite()))
 	}
-	if !reflect.DeepEqual(seq.store.Updates(), par.store.Updates()) {
-		t.Fatal("the width-4 workspace's store diverges from the width-1 one")
+	if !reflect.DeepEqual(bare.store.Updates(), full.store.Updates()) {
+		t.Fatal("the store fanning out to the suite diverges from the store with no query")
 	}
 }
 
@@ -490,29 +492,60 @@ func TestWorkspaceSnapshot(t *testing.T) {
 	}
 }
 
-// TestWorkspaceParallelMatchesSequential: a workspace whose commits fan
-// out reaches exactly the state (including enumeration order) of one
-// whose commits do not, over the same stream.
+// TestWorkspaceParallelMatchesSequential: commits issued from several
+// goroutines at once reach exactly the state (enumeration order included)
+// of one goroutine replaying the same batches in the order of the
+// versions they got back. A batch that netted nothing changed nothing, so
+// the replay skips it.
 func TestWorkspaceParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(127))
 	stream := workload.RandomStream(rng, multiSchema(), 20, 800, 0.35)
-	run := func(width int) *Workspace {
-		ws := fannedOut(width)
+	register := func() *Workspace {
+		ws := NewWorkspace(WorkspaceOptions{})
 		for _, c := range multiSuite() {
 			if _, err := ws.RegisterQuery(c.name, cq.MustParse(c.text), c.opt); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := commitChunks(ws, stream, 64); err != nil {
-			t.Fatal(err)
-		}
 		return ws
 	}
-	seq, par := run(1), run(4)
+	const writers, batch = 4, 32
+	par := register()
+	var mu sync.Mutex
+	byVersion := make(map[uint64][]Update)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for from := w * batch; from < len(stream); from += writers * batch {
+				chunk := stream[from:min(from+batch, len(stream))]
+				n, v, err := par.Commit(chunk)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if n > 0 {
+					mu.Lock()
+					byVersion[v] = chunk
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := uint64(len(byVersion)), par.Version(); got != want {
+		t.Fatalf("%d commits changed the store, but the version is %d", got, want)
+	}
+	seq := register()
+	for v := uint64(1); v <= par.Version(); v++ {
+		if n, got, err := seq.Commit(byVersion[v]); err != nil || n == 0 || got != v {
+			t.Fatalf("replaying version %d: netted %d at version %d (err %v)", v, n, got, err)
+		}
+	}
 	for _, c := range multiSuite() {
 		hs, hp := seq.Handle(c.name), par.Handle(c.name)
-		got, want := hp.Tuples(), hs.Tuples()
-		exactTuples(t, hs.Strategy(), "query "+c.name, got, want)
+		exactTuples(t, hs.Strategy(), "query "+c.name, hp.Tuples(), hs.Tuples())
 	}
 }
 

@@ -110,7 +110,7 @@ deep_leg() {
 	# A commit stores each handle's advanced snapshot and calls its hook
 	# before the version moves; lock-free pinners and evictors race that
 	# order, and one race pass is thin cover for it. A failed Load must
-	# leave that read side untouched, inline and fanned out.
+	# leave that read side untouched.
 	GOMAXPROCS=$n go test -race -count=10 ./pkg/dyncq \
 		-run 'TestSnapshotPinRace|TestSnapshotEvictionDuringCommit|TestCaptureDeltas|TestWorkspaceSnapshotPinnedDuringFanOut|TestSnapshotAdvanceMatchesFreshPin|TestLoadFailureChangesNothing'
 	# Pollers fill leaf blocks, and splice rebuilt leaves out of the
@@ -160,7 +160,7 @@ deep_leg() {
 	# outlives one run. go test exits 0 when a sub-benchmark fails on a
 	# repeat of -count, so the awk fails the lane on any --- FAIL line.
 	go test ./pkg/dyncq ./internal/ivm ./internal/core ./internal/server ./internal/stream -run '^$' \
-		-bench 'Apply$|DeltaJoin|CapturedCommit|SnapshotAdvance|SnapshotLaggingReader|CoreUpdate|CommitFanOut|EnumerateFrame|Rebuild|ParseLine' \
+		-bench 'Apply$|DeltaJoin|CapturedCommit|SnapshotAdvance|SnapshotLaggingReader|CoreUpdate|CommitBatch|EnumerateFrame|Rebuild|ParseLine' \
 		-benchtime 51x -count 2 -benchmem 2>&1 |
 		awk '{ print } /^--- FAIL/ { failed = 1 } END { exit failed }'
 }
