@@ -57,7 +57,7 @@ func sortLists(c *comp, scratch []listEntry) []listEntry {
 			continue
 		}
 		idx := &c.index[ni]
-		for i := range idx.ctrl {
+		for i := range idx.Slots {
 			if r := idx.at(i); r != 0 {
 				lists := c.arenas[ni].rec(r)[nd.offLists:]
 				for sl, ch := range nd.children {

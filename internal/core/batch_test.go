@@ -342,8 +342,8 @@ func TestBulkLoadThenUpdates(t *testing.T) {
 	}
 	for _, c := range e.comps {
 		for ni, m := range c.index {
-			if m.n != 0 {
-				t.Errorf("node %s still has %d items after draining", c.nodes[ni].name, m.n)
+			if m.Len() != 0 {
+				t.Errorf("node %s still has %d items after draining", c.nodes[ni].name, m.Len())
 			}
 		}
 	}

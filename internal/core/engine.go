@@ -499,7 +499,7 @@ func (e *Engine) updateAtom(c *comp, a *catom, tuple []Value, insert bool, acc *
 		own := tuple[a.extract[j]]
 		h = tuplekey.Extend(h, own)
 		if insert {
-			idx.reserve()
+			idx.Reserve()
 		}
 		slot, r := idx.probe(h, ar, nd.offOwn, own, parent)
 		if r == 0 {
@@ -508,7 +508,7 @@ func (e *Engine) updateAtom(c *comp, a *catom, tuple []Value, insert bool, acc *
 					a.rel, nd.name))
 			}
 			r = ar.alloc(nd, own, parent)
-			idx.put(slot, h, r)
+			idx.Put(slot, h, uint32(r))
 		}
 		items[j], recs[j], slots[j], parent = r, ar.rec(r), slot, r
 		count := nd.offCounts + a.slotAtDepth[j]
@@ -560,7 +560,7 @@ func (e *Engine) updateAtom(c *comp, a *catom, tuple []Value, insert bool, acc *
 
 		// Invariant (a): drop the item once no atom supports it.
 		if !insert && allZero(it[nd.offCounts:nd.offSums]) {
-			c.index[nodeIdx].free(slots[j])
+			c.index[nodeIdx].Free(slots[j])
 			ar.recycle(items[j], it)
 		}
 	}
@@ -769,8 +769,8 @@ func liveItems(c *comp) ([][]bool, error) {
 		idx, n := &c.index[ni], c.arenas[ni].n
 		live[ni] = make([]bool, uint64(n)+1)
 		full := 0
-		for i, ctrl := range idx.ctrl {
-			if ctrl < slotFull {
+		for i, w := range idx.Slots {
+			if w == 0 {
 				continue
 			}
 			r := idx.at(i)
@@ -778,12 +778,12 @@ func liveItems(c *comp) ([][]bool, error) {
 				return nil, fmt.Errorf("node %s slot %d: ref %d is nil, never handed out or indexed twice", c.nodes[ni].name, i, r)
 			}
 			live[ni][r] = true
-			if gap := idx.gap(i); gap >= 0 {
+			if gap := idx.Gap(i); gap >= 0 {
 				return nil, fmt.Errorf("node %s slot %d: empty slot %d lies between the item's home and its slot", c.nodes[ni].name, i, gap)
 			}
 		}
-		if full != idx.n {
-			return nil, fmt.Errorf("node %s: %d full slots, the index counts %d", c.nodes[ni].name, full, idx.n)
+		if full != idx.Len() {
+			return nil, fmt.Errorf("node %s: %d full slots, the index counts %d", c.nodes[ni].name, full, idx.Len())
 		}
 	}
 	return live, nil
@@ -817,7 +817,7 @@ func pathOf(c *comp, ni int32, r ref, live [][]bool, path []Value) error {
 func checkNode(c *comp, ni int32, live [][]bool) error {
 	nd, ar, idx := &c.nodes[ni], &c.arenas[ni], &c.index[ni]
 	key := make([]Value, nd.depth+1)
-	for i := range idx.ctrl {
+	for i := range idx.Slots {
 		r := idx.at(i)
 		if r == 0 {
 			continue
@@ -830,7 +830,7 @@ func checkNode(c *comp, ni int32, live [][]bool) error {
 			h = tuplekey.Extend(h, v)
 		}
 		it := ar.rec(r)
-		if bits := idx.words[i] >> 32; bits != h&hashBits {
+		if bits := idx.Slots[i] >> 32; bits != h&hashBits {
 			return fmt.Errorf("item %v: slot %d holds hash bits %#x, the path hashes to %#x", key, i, bits, h&hashBits)
 		}
 		if slot, found := idx.probe(h, ar, nd.offOwn, key[nd.depth], it.parent()); found != r || slot != uint32(i) {
@@ -862,8 +862,8 @@ func checkNode(c *comp, ni int32, live [][]bool) error {
 			return fmt.Errorf("free chain: ref %d is indexed, never handed out or on a cycle", r)
 		}
 	}
-	if idx.n+free != int(ar.n) {
-		return fmt.Errorf("arena: %d live + %d free records of %d handed out", idx.n, free, ar.n)
+	if idx.Len()+free != int(ar.n) {
+		return fmt.Errorf("arena: %d live + %d free records of %d handed out", idx.Len(), free, ar.n)
 	}
 	return nil
 }

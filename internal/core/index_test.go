@@ -9,6 +9,9 @@ import (
 	"dyncq/internal/dyndb"
 )
 
+// minSlots is the size of a RefTable's first slot array.
+const minSlots = 8
+
 // indexRig is one node's index and arena driven directly, with path
 // hashes the test chooses, so it can force home slots and collisions.
 type indexRig struct {
@@ -29,12 +32,12 @@ func newIndexRig(t *testing.T) *indexRig {
 // slot; the item must be new.
 func (g *indexRig) insert(h uint64, own Value, parent ref) uint32 {
 	g.t.Helper()
-	g.x.reserve()
+	g.x.Reserve()
 	slot, r := g.x.probe(h, &g.ar, g.nd.offOwn, own, parent)
 	if r != 0 {
 		g.t.Fatalf("insert (%d, %d): already present as ref %d", own, parent, r)
 	}
-	g.x.put(slot, h, g.ar.alloc(&g.nd, own, parent))
+	g.x.Put(slot, h, uint32(g.ar.alloc(&g.nd, own, parent)))
 	return slot
 }
 
@@ -56,7 +59,7 @@ func (g *indexRig) remove(h uint64, own Value, parent ref) {
 	g.t.Helper()
 	slot := g.find(h, own, parent)
 	r := g.x.at(int(slot))
-	g.x.free(slot)
+	g.x.Free(slot)
 	g.ar.recycle(r, g.ar.rec(r))
 }
 
@@ -66,17 +69,17 @@ func (g *indexRig) remove(h uint64, own Value, parent ref) {
 func (g *indexRig) counts(n int) {
 	g.t.Helper()
 	full := 0
-	for i, c := range g.x.ctrl {
-		if c < slotFull {
+	for i, w := range g.x.Slots {
+		if w == 0 {
 			continue
 		}
 		full++
-		if gap := g.x.gap(i); gap >= 0 {
+		if gap := g.x.Gap(i); gap >= 0 {
 			g.t.Fatalf("empty slot %d lies between the home of the item in slot %d and its slot", gap, i)
 		}
 	}
-	if full != g.x.n || full != n {
-		g.t.Fatalf("%d full slots (counted %d), want %d", full, g.x.n, n)
+	if full != g.x.Len() || full != n {
+		g.t.Fatalf("%d full slots (counted %d), want %d", full, g.x.Len(), n)
 	}
 }
 
@@ -90,12 +93,12 @@ func TestItemIndexGrowth(t *testing.T) {
 	for own := Value(0); own < 6; own++ {
 		g.insert(h, own, 0)
 	}
-	if len(g.x.ctrl) != minSlots {
-		t.Fatalf("%d slots after 6 inserts, want %d", len(g.x.ctrl), minSlots)
+	if len(g.x.Slots) != minSlots {
+		t.Fatalf("%d slots after 6 inserts, want %d", len(g.x.Slots), minSlots)
 	}
 	g.insert(h, 6, 0) // 7 of 8 would pass 3/4: doubles
-	if len(g.x.ctrl) != 2*minSlots {
-		t.Fatalf("%d slots after 7 inserts, want %d", len(g.x.ctrl), 2*minSlots)
+	if len(g.x.Slots) != 2*minSlots {
+		t.Fatalf("%d slots after 7 inserts, want %d", len(g.x.Slots), 2*minSlots)
 	}
 	for own := Value(7); own < 12; own++ {
 		g.insert(h, own, 0)
@@ -113,8 +116,8 @@ func TestItemIndexGrowth(t *testing.T) {
 		}
 	}
 	// A sliding window of fresh items on the same run, oldest out first: 4
-	// to 5 live, every insert new. The table keeps its arrays.
-	ctrl := &g.x.ctrl[0]
+	// to 5 live, every insert new. The table keeps its array.
+	slots := &g.x.Slots[0]
 	live := []Value{8, 9, 10, 11}
 	for own := Value(100); own < 200; own++ {
 		g.insert(h, own, 0)
@@ -122,8 +125,8 @@ func TestItemIndexGrowth(t *testing.T) {
 		live = append(live[1:], own)
 		g.counts(4)
 	}
-	if len(g.x.ctrl) != 2*minSlots || &g.x.ctrl[0] != ctrl {
-		t.Fatalf("%d slots after the churn, want the same %d-slot arrays", len(g.x.ctrl), 2*minSlots)
+	if len(g.x.Slots) != 2*minSlots || &g.x.Slots[0] != slots {
+		t.Fatalf("%d slots after the churn, want the same %d-slot array", len(g.x.Slots), 2*minSlots)
 	}
 	for own := Value(196); own < 200; own++ {
 		if slot := g.find(h, own, 0); slot < h || slot > h+3 {
@@ -144,12 +147,12 @@ func TestItemIndexWrapsAround(t *testing.T) {
 			t.Fatalf("item %d in slot %d, want %d", own, got, want)
 		}
 	}
-	if len(g.x.ctrl) != minSlots {
-		t.Fatalf("%d slots, want %d", len(g.x.ctrl), minSlots)
+	if len(g.x.Slots) != minSlots {
+		t.Fatalf("%d slots, want %d", len(g.x.Slots), minSlots)
 	}
 	g.remove(h, 0, 0) // slot 7: items 1 and 2 shift back across the end
 	g.counts(2)
-	if g.find(h, 1, 0) != h || g.find(h, 2, 0) != 0 || g.x.ctrl[1] != slotEmpty {
+	if g.find(h, 1, 0) != h || g.find(h, 2, 0) != 0 || g.x.Slots[1] != 0 {
 		t.Fatal("the run did not shift back to slots 7, 0")
 	}
 	g.remove(h, 2, 0) // slot 0: its successor is empty
@@ -175,7 +178,7 @@ func TestItemIndexWrapsAround(t *testing.T) {
 	}
 	m.remove(h, 10, 0)
 	m.counts(2)
-	if m.find(0, 11, 0) != 0 || m.find(h, 12, 0) != h || m.x.ctrl[1] != slotEmpty {
+	if m.find(0, 11, 0) != 0 || m.find(h, 12, 0) != h || m.x.Slots[1] != 0 {
 		t.Errorf("after the free of slot 7: item 11 in slot %d, item 12 in slot %d, want 0 and 7", m.find(0, 11, 0), m.find(h, 12, 0))
 	}
 }
@@ -191,24 +194,24 @@ func TestItemIndexFreeBeforeEmpty(t *testing.T) {
 	}
 	g.remove(h, 2, 0) // slot 4, successor 5 empty
 	g.counts(2)
-	if g.x.ctrl[4] != slotEmpty || g.find(h, 0, 0) != 2 || g.find(h, 1, 0) != 3 {
-		t.Errorf("slot 4 holds %#x after a free before an empty slot, want empty and the run unmoved", g.x.ctrl[4])
+	if g.x.Slots[4] != 0 || g.find(h, 0, 0) != 2 || g.find(h, 1, 0) != 3 {
+		t.Errorf("slot 4 holds %#x after a free before an empty slot, want empty and the run unmoved", g.x.Slots[4])
 	}
 	g.remove(h, 0, 0) // slot 2, successor 3 full
 	g.counts(1)
-	if g.find(h, 1, 0) != 2 || g.x.ctrl[3] != slotEmpty {
-		t.Errorf("after a free before a full slot: item 1 in slot %d, slot 3 holds %#x, want slot 2 and empty", g.find(h, 1, 0), g.x.ctrl[3])
+	if g.find(h, 1, 0) != 2 || g.x.Slots[3] != 0 {
+		t.Errorf("after a free before a full slot: item 1 in slot %d, slot 3 holds %#x, want slot 2 and empty", g.find(h, 1, 0), g.x.Slots[3])
 	}
 }
 
-// TestItemIndexHashCollisions: items whose hashes agree in the tag and in
-// the low 32 bits — all the index keeps — are told apart by the record's
-// own constant and parent ref, whatever their other hash bits.
+// TestItemIndexHashCollisions: items whose hashes agree in the low 32
+// bits — all the index keeps — are told apart by the record's own
+// constant and parent ref, whatever their other hash bits.
 func TestItemIndexHashCollisions(t *testing.T) {
 	g := newIndexRig(t)
 	h1 := uint64(0x5a<<57 | 0x1234)
-	h2 := h1 | 1<<40 // same tag, same low bits
-	if tag(h1) != tag(h2) || uint32(h1) != uint32(h2) {
+	h2 := h1 | 1<<40 // same low bits
+	if uint32(h1) != uint32(h2) {
 		t.Fatal("the hashes must collide in everything the index keeps")
 	}
 	items := []struct {
@@ -262,7 +265,7 @@ func TestCheckInvariantsSeesIndexCorruption(t *testing.T) {
 		t.Fatal("the unfit item y=(5,6), x=1 or y=(1,10) is missing")
 	}
 	slotOf := func(x *itemIndex, r ref) int {
-		for i := range x.ctrl {
+		for i := range x.Slots {
 			if x.at(i) == r {
 				return i
 			}
@@ -276,30 +279,27 @@ func TestCheckInvariantsSeesIndexCorruption(t *testing.T) {
 		// y=(5,6) is unfit, so in no list: only the index audit sees these.
 		"wrong parent ref":         func() { *up = *up&^hashBits | uint64(x1) },
 		"parent on the free chain": func() { *up = *up&^hashBits | uint64(c.arenas[0].free) },
-		"hash bits":                func() { mid.words[ys] ^= 1 << 45 },
-		"slot names another item":  func() { mid.words[ys] = mid.words[ys]&^hashBits | uint64(y110) },
-		"tag":                      func() { mid.ctrl[ys] ^= 1 },
-		"live count":               func() { mid.n++ },
+		"hash bits":                func() { mid.Slots[ys] ^= 1 << 45 },
+		"slot names another item":  func() { mid.Slots[ys] = mid.Slots[ys]&^hashBits | uint64(y110) },
+		"live count":               func() { mid.Put(uint32(empty), 0, 1); mid.Slots[empty] = 0 },
 		"gap in a probe run": func() {
 			// An empty slot e+1 after an empty slot e: any walk from
 			// another home to e+1 passes e.
-			home := int(mid.words[ys]>>32) & (len(mid.ctrl) - 1)
-			for e := range mid.ctrl {
-				if f := (e + 1) & (len(mid.ctrl) - 1); mid.ctrl[e] == slotEmpty && mid.ctrl[f] == slotEmpty && f != home {
-					mid.ctrl[f], mid.words[f] = mid.ctrl[ys], mid.words[ys]
-					mid.ctrl[ys] = slotEmpty
+			home := int(mid.Slots[ys]>>32) & (len(mid.Slots) - 1)
+			for e := range mid.Slots {
+				if f := (e + 1) & (len(mid.Slots) - 1); mid.Slots[e] == 0 && mid.Slots[f] == 0 && f != home {
+					mid.Slots[f], mid.Slots[ys] = mid.Slots[ys], 0
 					return
 				}
 			}
 			t.Fatal("no two adjacent empty slots to move y=(5,6) to")
 		},
 		"indexed twice": func() {
-			mid.ctrl[empty], mid.words[empty] = mid.ctrl[ys], mid.words[ys]
-			mid.n++
+			mid.Put(uint32(empty), mid.Slots[ys]>>32, uint32(y56))
 		},
 	} {
 		saved, was := *mid, *up
-		saved.ctrl, saved.words = slices.Clone(mid.ctrl), slices.Clone(mid.words)
+		saved.Slots = slices.Clone(mid.Slots)
 		corrupt()
 		if err := e.CheckInvariants(); err == nil {
 			t.Errorf("%s: corruption not detected", name)
@@ -398,8 +398,8 @@ func checkIndexModel(t *testing.T, e *harness, model map[string]map[[3]Value]boo
 				ni = int32(i)
 			}
 		}
-		if c.index[ni].n != len(want) {
-			t.Fatalf("node %s indexes %d items, the model has %d paths", c.nodes[ni].name, c.index[ni].n, len(want))
+		if c.index[ni].Len() != len(want) {
+			t.Fatalf("node %s indexes %d items, the model has %d paths", c.nodes[ni].name, c.index[ni].Len(), len(want))
 		}
 		for p := range want {
 			if c.lookup(ni, p[:d+1]) == 0 {

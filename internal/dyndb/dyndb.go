@@ -1,11 +1,13 @@
 // Package dyndb implements the fully dynamic relational databases of
 // Section 2 of the paper: finite relations over the domain dom = int64
 // under set semantics, modified by single-tuple insert and delete
-// commands. Every relation is one hash table of inline tuples, so a
-// command costs the store one hash probe; the store counts its tuples
-// (|D|) and the mutations it has applied, and nothing else. The paper's
-// q-hierarchical bounds are stated in the query alone, so the store does
-// not track which values occur in it.
+// commands. Every relation stores each tuple once, as a record in a
+// pointer-free arena, and finds it through a one-word-per-slot hash table
+// keyed by the records (Relation), so a command costs the store one hash
+// probe; the store counts its tuples (|D|) and the mutations it has
+// applied, and nothing else. The paper's q-hierarchical bounds are stated
+// in the query alone, so the store does not track which values occur in
+// it.
 //
 // Every relation name the store meets gets a dense relation id, fixed the
 // first time the name is declared (by EnsureRelation or a declaring
@@ -18,15 +20,15 @@
 // with that id, as the paper's fixed schema σ reaches R's structures in
 // O(1) (Section 2, footnote 2).
 //
-// A database also owns the hash indexes evaluators join through (Index):
-// built on first use and maintained by every mutator, so an index always
-// mirrors the tuples it was built on — no caller can mutate the store
-// without the indexes seeing it.
+// A database also owns the indexes evaluators join through (Index): per
+// projection a list of the stored tuples' refs, built on first use and
+// maintained by every mutator, so an index always mirrors the tuples it
+// was built on — no caller can mutate the store without the indexes
+// seeing it — and holds no copy of a tuple.
 package dyndb
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"dyncq/internal/tuplekey"
@@ -84,62 +86,11 @@ func Delete(rel string, tuple ...Value) Update {
 	return Update{Op: OpDelete, Rel: rel, Tuple: tuple}
 }
 
-// Relation is a finite set of tuples of a fixed arity, kept inline in
-// one flat array at stride arity (tuplekey.Table): a stored tuple is
-// 8·arity bytes, not a heap object.
-type Relation struct {
-	arity  int
-	tuples *tuplekey.Table[struct{}]
-}
-
-// Arity returns the relation's arity.
-func (r *Relation) Arity() int { return r.arity }
-
-// Len returns |R^D|.
-func (r *Relation) Len() int { return r.tuples.Len() }
-
-// Has reports whether the tuple is present.
-func (r *Relation) Has(tuple []Value) bool { return r.tuples.Has(tuple) }
-
-// Each calls fn for every tuple until fn returns false. The tuple slice
-// passed to fn aliases the relation's storage: it must not be mutated, and
-// it is dead after the relation's next mutation — copy it to retain it.
-// The relation must not be modified during iteration.
-func (r *Relation) Each(fn func(tuple []Value) bool) { r.tuples.Keys(fn) }
-
-// Tuples returns a copy of all tuples, sorted lexicographically
-// (deterministic for tests and display). The result is the caller's: it
-// shares nothing with the relation and survives later mutations.
-func (r *Relation) Tuples() [][]Value {
-	n := r.Len()
-	flat := make([]Value, 0, n*r.arity)
-	out := make([][]Value, 0, n)
-	r.Each(func(t []Value) bool {
-		flat = append(flat, t...)
-		out = append(out, flat[len(flat)-r.arity:len(flat):len(flat)])
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return lessTuple(out[i], out[j]) })
-	return out
-}
-
-func lessTuple(a, b []Value) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
-
-// Database is a σ-db: a set of named relations, one tuple table each,
-// plus the hash indexes built on them. Relations are addressed by dense
-// ids (the package doc): rels holds one slot per id ever assigned — the
-// name, the relation while it is declared, the arity a registration
-// requires — and ids maps a name to its slot. The zero value is not
+// Database is a σ-db: a set of named relations, plus the indexes built
+// on them. Relations are addressed by dense ids (the package doc): rels
+// holds one slot per id ever assigned — the name, the relation while it
+// is declared, the arity a registration requires — and ids maps a name to
+// its slot. The zero value is not
 // ready; use New. Reads may run concurrently with each other; a mutator,
 // and an Index call that builds, need exclusive access.
 type Database struct {
@@ -217,7 +168,10 @@ func (d *Database) declare(id int32, arity int) error {
 		return fmt.Errorf("relation %s has arity %d, requested %d", s.name, want, arity)
 	}
 	if s.r == nil {
-		s.r = &Relation{arity: arity, tuples: tuplekey.NewTable[struct{}](arity)}
+		s.r = &Relation{arity: arity}
+		for _, ix := range d.indexes(id) {
+			ix.rel = s.r
+		}
 	}
 	return nil
 }
@@ -249,12 +203,7 @@ func (d *Database) Relations() []string {
 //
 //dyncq:hot
 func (d *Database) Insert(rel string, tuple ...Value) (bool, error) {
-	id := d.id(rel)
-	changed, err := d.insert(id, tuple)
-	if changed {
-		d.indexOne(OpInsert, id, tuple)
-	}
-	return changed, err
+	return d.insert(d.id(rel), tuple)
 }
 
 // Delete removes the tuple from the relation and its built indexes,
@@ -267,15 +216,10 @@ func (d *Database) Delete(rel string, tuple ...Value) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	changed, err := d.delete(id, tuple)
-	if changed {
-		d.indexOne(OpDelete, id, tuple)
-	}
-	return changed, err
+	return d.delete(id, tuple)
 }
 
-// insert is Insert on relation id's tuple storage alone; the caller
-// maintains the indexes.
+// insert is Insert by relation id.
 //
 //dyncq:hot
 func (d *Database) insert(id int32, tuple []Value) (bool, error) {
@@ -285,10 +229,9 @@ func (d *Database) insert(id int32, tuple []Value) (bool, error) {
 			return false, err
 		}
 	}
-	r := s.r
-	// One probe decides presence and, if absent, copies the tuple into the
-	// relation's flat storage (callers may reuse their slice).
-	if _, present := r.tuples.Ref(tuple); present {
+	// One probe decides presence and, if absent, copies the tuple into a
+	// record (callers may reuse their slice).
+	if !s.r.insert(tuple, d.indexes(id)) {
 		return false, nil
 	}
 	d.card++
@@ -296,8 +239,7 @@ func (d *Database) insert(id int32, tuple []Value) (bool, error) {
 	return true, nil
 }
 
-// delete is Delete on relation id's tuple storage alone; the caller
-// maintains the indexes.
+// delete is Delete by relation id.
 //
 //dyncq:hot
 func (d *Database) delete(id int32, tuple []Value) (bool, error) {
@@ -309,7 +251,7 @@ func (d *Database) delete(id int32, tuple []Value) (bool, error) {
 	if r.arity != len(tuple) {
 		return false, fmt.Errorf("delete %s: tuple arity %d, relation arity %d", s.name, len(tuple), r.arity) //dyncq:allow hotalloc cold error path, never taken by validated batches
 	}
-	if !r.tuples.Delete(tuple) {
+	if !r.delete(tuple, d.indexes(id)) {
 		return false, nil
 	}
 	d.card--
@@ -605,9 +547,8 @@ func (d *Database) ApplyAll(updates []Update) error {
 // ids NetDelta recorded); ApplyNetDelta panics on a violated contract,
 // exactly like the workspace layer's "validated delta failed to apply"
 // guard. Each command reaches its relation by its id, no name lookup.
-// The store is written command by command, bit-identical to ApplyAll
-// over the survivors; the indexes are then maintained under one lock for
-// the whole delta. workers is ignored.
+// The store and its indexes are written command by command, as ApplyAll
+// over the survivors writes them. workers is ignored.
 //
 //dyncq:hot
 func (d *Database) ApplyNetDelta(survivors []Update, workers int) int {
@@ -627,7 +568,6 @@ func (d *Database) ApplyNetDelta(survivors []Update, workers int) int {
 			panic(fmt.Sprintf("dyndb: net delta violates its contract at %s: changed=%v err=%v", u, changed, err))
 		}
 	}
-	d.indexDelta(survivors)
 	return len(survivors)
 }
 
@@ -672,214 +612,4 @@ func (d *Database) Updates() []Update {
 		}
 	}
 	return out
-}
-
-// Index is a hash index over one relation: it maps the projection of the
-// relation's tuples onto the mask's positions to the set of matching
-// tuples. Both levels are tuplekey.Tables keyed by the int64 tuples
-// themselves: the outer one by the projection, each bucket by the whole
-// tuple, stored once, inline — membership, O(1) removal and iteration all
-// come from that one table. The probe path (Bucket) performs no encoding
-// and no allocation. The IVM baseline's residual joins probe these instead
-// of rescanning relations.
-//
-// A bucket whose last tuple goes is dropped, and its table, slots and all,
-// kept as a spare for the next new projection (up to len(spare) of them),
-// so keys that empty and refill under churn allocate nothing. A reused
-// table keeps its size: a bucket walk costs the table's slots, as it does
-// for a bucket that shrank.
-type Index struct {
-	mask    uint32
-	buckets *tuplekey.Table[*tuplekey.Table[struct{}]] // projected tuple → its tuples
-	spare   [4]*tuplekey.Table[struct{}]               // emptied bucket tables, spare[:nspare]
-	nspare  int
-	scratch []Value // projection scratch, mutators only
-}
-
-func newIndex(mask uint32) *Index {
-	return &Index{mask: mask, buckets: tuplekey.NewTable[*tuplekey.Table[struct{}]](bits.OnesCount32(mask))}
-}
-
-// Index returns the index on rel keyed by the positions set in mask,
-// building it by a relation scan on first use; from then on every mutator
-// maintains it until Clear or DropIndexes. An index asked for on a name
-// without a relation id registers the name (RelationID), so the mutator
-// that later declares it maintains the index.
-func (d *Database) Index(rel string, mask uint32) *Index {
-	id := d.id(rel)
-	for int(id) >= len(d.idx) {
-		d.idx = append(d.idx, nil)
-	}
-	for _, ix := range d.idx[id] {
-		if ix.mask == mask {
-			return ix
-		}
-	}
-	ix := newIndex(mask)
-	if r := d.rels[id].r; r != nil {
-		r.Each(func(t []Value) bool {
-			ix.add(t)
-			return true
-		})
-	}
-	d.idx[id] = append(d.idx[id], ix)
-	return ix
-}
-
-// DropIndexes releases every built index; the next Index call rebuilds
-// its index from the relation. The owner calls it when nothing evaluates
-// against the store any more, so mutators stop maintaining indexes nobody
-// reads.
-func (d *Database) DropIndexes() {
-	clear(d.idx)
-	d.idx = d.idx[:0]
-}
-
-// indexDelta maintains the built indexes under a net delta the store just
-// applied.
-//
-//dyncq:hot
-func (d *Database) indexDelta(delta []Update) {
-	if len(d.idx) == 0 {
-		return
-	}
-	for _, u := range delta {
-		d.indexOne(u.Op, u.rid-1, u.Tuple)
-	}
-}
-
-// indexOne files one command the store just applied into every built
-// index on relation id.
-//
-//dyncq:hot
-func (d *Database) indexOne(op Op, id int32, tuple []Value) {
-	if int(id) >= len(d.idx) {
-		return
-	}
-	for _, ix := range d.idx[id] {
-		if op == OpInsert {
-			ix.add(tuple)
-		} else {
-			ix.remove(tuple)
-		}
-	}
-}
-
-// proj writes the masked positions of t into the index's scratch slice
-// and returns it. Mutators only; the read path (Bucket) never touches
-// scratch.
-//
-//dyncq:hot
-func (ix *Index) proj(t []Value) []Value {
-	p := ix.scratch[:0]
-	for j := range t {
-		if ix.mask&(1<<uint(j)) != 0 {
-			p = append(p, t[j])
-		}
-	}
-	ix.scratch = p
-	return p
-}
-
-//dyncq:hot
-func (ix *Index) add(t []Value) {
-	b, existed := ix.buckets.Ref(ix.proj(t))
-	if !existed {
-		if ix.nspare > 0 {
-			ix.nspare--
-			*b, ix.spare[ix.nspare] = ix.spare[ix.nspare], nil
-		} else {
-			*b = tuplekey.NewTable[struct{}](len(t)) //dyncq:allow hotalloc first tuple of a projection, with no spare table
-		}
-	}
-	(*b).Ref(t)
-}
-
-//dyncq:hot
-func (ix *Index) remove(t []Value) {
-	p := ix.proj(t)
-	if b, ok := ix.buckets.Get(p); ok && b.Delete(t) && b.Len() == 0 {
-		ix.buckets.Delete(p)
-		if ix.nspare < len(ix.spare) {
-			ix.spare[ix.nspare] = b
-			ix.nspare++
-		}
-	}
-}
-
-// Bucket returns the set of tuples whose masked positions equal boundVals
-// (in mask position order), nil if there are none. The table is owned by
-// the index and valid until the store's next mutation; callers only read
-// it (Keys yields slices aliasing it). No allocation and no key encoding
-// happen on this path.
-//
-//dyncq:hot
-func (ix *Index) Bucket(boundVals []Value) *tuplekey.Table[struct{}] {
-	b, _ := ix.buckets.Get(boundVals)
-	return b
-}
-
-// CheckIndexes verifies that every built index mirrors its relation:
-// every indexed tuple is stored and filed under its own projection, every
-// stored tuple is indexed, and no empty bucket is kept. Intended for
-// tests and invariant audits; cost is linear in the relations and
-// indexes.
-func (d *Database) CheckIndexes() error {
-	for id, built := range d.idx {
-		name, r := d.rels[id].name, d.rels[id].r
-		for _, ix := range built {
-			if err := ix.check(name, r); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// check verifies one index on the relation r named name (nil if
-// undeclared).
-func (ix *Index) check(name string, r *Relation) error {
-	count := 0
-	var err error
-	ix.buckets.Range(func(p []Value, b *tuplekey.Table[struct{}]) bool {
-		if b.Len() == 0 {
-			err = fmt.Errorf("index (%s,%b) keeps an empty bucket for %v", name, ix.mask, p)
-			return false
-		}
-		return b.Keys(func(t []Value) bool {
-			count++
-			if r == nil || !r.Has(t) {
-				err = fmt.Errorf("index (%s,%b) holds stale tuple %v", name, ix.mask, t)
-			} else if !projectsTo(t, ix.mask, p) {
-				err = fmt.Errorf("index (%s,%b) files %v under %v", name, ix.mask, t, p)
-			}
-			return err == nil
-		})
-	})
-	if err != nil {
-		return err
-	}
-	want := 0
-	if r != nil {
-		want = r.Len()
-	}
-	if count != want {
-		return fmt.Errorf("index (%s,%b) has %d tuples, relation has %d", name, ix.mask, count, want)
-	}
-	return nil
-}
-
-// projectsTo reports whether t's masked positions spell p.
-func projectsTo(t []Value, mask uint32, p []Value) bool {
-	i := 0
-	for j, v := range t {
-		if mask&(1<<uint(j)) == 0 {
-			continue
-		}
-		if i == len(p) || p[i] != v {
-			return false
-		}
-		i++
-	}
-	return i == len(p)
 }

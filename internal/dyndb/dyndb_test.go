@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -494,10 +495,10 @@ func TestIndexBuckets(t *testing.T) {
 	if _, err := db.Delete("E", 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if b := first.Bucket([]Value{1}); b.Len() != 2 || !b.Has([]Value{1, 4}) || b.Has([]Value{1, 2}) {
+	if b := first.Bucket([]Value{1}); b.Len() != 2 || !bucketHas(b, []Value{1, 4}) || bucketHas(b, []Value{1, 2}) {
 		t.Fatal("bucket(1,·) not maintained by Insert/Delete")
 	}
-	if first.Bucket([]Value{7}) != nil {
+	if first.Bucket([]Value{7}).Len() != 0 {
 		t.Fatal("a projection with no tuples has a bucket")
 	}
 	if err := db.CheckIndexes(); err != nil {
@@ -506,28 +507,104 @@ func TestIndexBuckets(t *testing.T) {
 }
 
 // TestCheckIndexesSeesCorruption: each way an index can disagree with its
-// relation is reported.
+// relation, and each way the relation's own storage can break, is
+// reported. E holds (1,2), (1,3) and (2,9), indexed on x: the list under
+// 1 has two tuples, the list under 2 one, each list one block.
 func TestCheckIndexesSeesCorruption(t *testing.T) {
-	build := func() (*Database, *Index) {
+	build := func() (*Database, *Relation, *Index) {
 		db := New()
 		for _, tu := range [][]Value{{1, 2}, {1, 3}, {2, 9}} {
 			if _, err := db.Insert("E", tu...); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return db, db.Index("E", 0b01)
+		ix := db.Index("E", 0b01)
+		if err := db.CheckIndexes(); err != nil {
+			t.Fatal(err)
+		}
+		return db, db.Relation("E"), ix
 	}
-	for name, corrupt := range map[string]func(ix *Index){
-		"stale tuple":   func(ix *Index) { ix.add([]Value{5, 5}) },
-		"missing tuple": func(ix *Index) { ix.remove([]Value{1, 3}) },
-		"misfiled":      func(ix *Index) { b, _ := ix.buckets.Get([]Value{1}); b.Ref([]Value{2, 9}) },
-		"empty bucket":  func(ix *Index) { b, _ := ix.buckets.Ref([]Value{4}); *b = tuplekey.NewTable[struct{}](2) },
+	ref := func(r *Relation, tuple ...Value) uint32 {
+		_, ref := r.find(tuple, tuplekey.Hash(tuple))
+		if ref == 0 {
+			t.Fatalf("%v is not stored", tuple)
+		}
+		return ref
+	}
+	for name, corrupt := range map[string]func(r *Relation, ix *Index){
+		"tuple missing from a list": func(r *Relation, ix *Index) { ix.remove(ref(r, 1, 3), []Value{1, 3}) },
+		"list count off by one":     func(r *Relation, ix *Index) { ix.lists.Ptr([]Value{1}).n++ },
+		"link to a freed record": func(r *Relation, ix *Index) {
+			slot, gone := r.find([]Value{1, 3}, tuplekey.Hash([]Value{1, 3}))
+			r.slots.Free(slot) // freed behind the index's back
+			r.tuple(gone)[0], r.free = Value(r.free), gone
+		},
+		"list cycle": func(r *Relation, ix *Index) {
+			head := ix.lists.Ptr([]Value{1}).head
+			ix.block(head)[0] = head
+		},
+		"block on the free chain": func(r *Relation, ix *Index) {
+			head := ix.lists.Ptr([]Value{2}).head
+			ix.block(head)[0], ix.free = ix.free, head
+		},
+		"slot names a freed record": func(r *Relation, ix *Index) {
+			live := ref(r, 2, 9)
+			r.tuple(live)[0], r.free = Value(r.free), live
+		},
+		"misfiled": func(r *Relation, ix *Index) {
+			ix.remove(ref(r, 1, 3), []Value{1, 3})
+			ix.add(ref(r, 1, 3), []Value{2, 3})
+		},
+		"empty list": func(r *Relation, ix *Index) { ix.lists.Ref([]Value{4}) },
+		"position":   func(r *Relation, ix *Index) { *ix.at(ref(r, 1, 2)) ^= 1 },
 	} {
-		db, ix := build()
-		corrupt(ix)
+		db, r, ix := build()
+		corrupt(r, ix)
 		if err := db.CheckIndexes(); err == nil {
 			t.Errorf("%s: not reported", name)
+		} else {
+			t.Logf("%s: %v", name, err)
 		}
+	}
+}
+
+// TestIndexListsSpanBlocks: a list longer than a block keeps every tuple
+// through deletes at its oldest end, its newest end and its middle, which
+// empty the head block and take refs out of full blocks behind it; once
+// the key is drained every block is on the free chain, and refilling it
+// takes them back without handing out a new one.
+func TestIndexListsSpanBlocks(t *testing.T) {
+	const n = 3*blockRefs + 4
+	db := New()
+	ix := db.Index("E", 0b01)
+	for y := Value(0); y < n; y++ {
+		if _, err := db.Insert("E", 1, y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b := ix.Bucket([]Value{1}); b.Len() != n {
+		t.Fatalf("bucket x=1 holds %d tuples, want %d", b.Len(), n)
+	}
+	blocks := ix.nblocks
+	for i, y := range []Value{0, n - 1, n / 2, 1, n - 2, blockRefs, blockRefs + 1} {
+		if changed, _ := db.Delete("E", 1, y); !changed {
+			t.Fatalf("(1,%d) was not stored", y)
+		}
+		checkIndexesFresh(t, db, fmt.Sprintf("delete %d: (1,%d)", i, y))
+	}
+	for y := Value(0); y < n; y++ {
+		db.Delete("E", 1, y)
+	}
+	checkIndexesFresh(t, db, "drained")
+	if ix.Bucket([]Value{1}).Len() != 0 || ix.lists.Len() != 0 {
+		t.Fatal("the drained key keeps a list")
+	}
+	for y := Value(0); y < n; y++ {
+		db.Insert("E", 1, y)
+	}
+	checkIndexesFresh(t, db, "refilled")
+	if ix.nblocks != blocks {
+		t.Fatalf("refilling handed out %d blocks, the first fill %d", ix.nblocks, blocks)
 	}
 }
 
@@ -537,13 +614,13 @@ func TestCheckIndexesSeesCorruption(t *testing.T) {
 func TestIndexOnUndeclaredRelation(t *testing.T) {
 	db := New()
 	byX := db.Index("E", 0b01)
-	if byX.Bucket([]Value{1}) != nil || db.Relation("E") != nil {
+	if byX.Bucket([]Value{1}).Len() != 0 || db.Relation("E") != nil {
 		t.Fatal("an index on an undeclared relation is not empty, or declared it")
 	}
 	if _, err := db.Insert("E", 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if b := byX.Bucket([]Value{1}); b == nil || !b.Has([]Value{1, 2}) {
+	if b := byX.Bucket([]Value{1}); !bucketHas(b, []Value{1, 2}) {
 		t.Fatal("the Insert that declared E left its index empty")
 	}
 	byZ := db.Index("R", 0b100)
@@ -556,7 +633,7 @@ func TestIndexOnUndeclaredRelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.ApplyNetDelta(delta, 0)
-	if b := byZ.Bucket([]Value{0}); b == nil || b.Len() != 22 {
+	if b := byZ.Bucket([]Value{0}); b.Len() != 22 {
 		t.Fatal("the ApplyNetDelta that declared R did not file 22 tuples under z=0")
 	}
 	checkIndexesFresh(t, db, "after declaring mutators")
@@ -581,7 +658,7 @@ func TestClearDropsIndexes(t *testing.T) {
 	if db.Index("E", 0b01) == old {
 		t.Fatal("Index after Clear returned the index built before it")
 	}
-	if b := db.Index("E", 0b011).Bucket([]Value{1, 2}); b == nil || b.Len() != 1 || !b.Has([]Value{1, 2, 3}) {
+	if b := db.Index("E", 0b011).Bucket([]Value{1, 2}); b.Len() != 1 || !bucketHas(b, []Value{1, 2, 3}) {
 		t.Fatal("index on the redeclared E does not hold exactly (1,2,3) under (1,2)")
 	}
 	checkIndexesFresh(t, db, "after Clear and redeclaration")
@@ -599,14 +676,14 @@ func TestDropIndexes(t *testing.T) {
 	if _, err := db.Insert("E", 1, 3); err != nil {
 		t.Fatal(err)
 	}
-	if old.Bucket([]Value{1}).Has([]Value{1, 3}) {
+	if bucketHas(old.Bucket([]Value{1}), []Value{1, 3}) {
 		t.Fatal("a dropped index is still maintained")
 	}
 	ix := db.Index("E", 0b01)
 	if ix == old {
 		t.Fatal("Index after DropIndexes returned the dropped index")
 	}
-	if b := ix.Bucket([]Value{1}); b == nil || b.Len() != 2 {
+	if b := ix.Bucket([]Value{1}); b.Len() != 2 {
 		t.Fatal("rebuilt index does not hold both E tuples under x=1")
 	}
 	checkIndexesFresh(t, db, "after DropIndexes")
@@ -641,10 +718,10 @@ func TestApplyNetDeltaMaintainsIndexes(t *testing.T) {
 	}
 	db.ApplyNetDelta(delta, 0)
 	byX := db.Index("E", 0b01)
-	if b := byX.Bucket([]Value{0}); b == nil || b.Len() != 9 {
+	if b := byX.Bucket([]Value{0}); b.Len() != 9 {
 		t.Fatal("bucket x=0 does not hold its 5 loaded and 4 inserted tuples")
 	}
-	if b := byX.Bucket([]Value{1}); b == nil || b.Len() != 1 || !b.Has([]Value{1, 41}) {
+	if b := byX.Bucket([]Value{1}); b.Len() != 1 || !bucketHas(b, []Value{1, 41}) {
 		t.Fatal("bucket x=1 does not hold exactly the (1,41) the delta left")
 	}
 	checkIndexesFresh(t, db, "after ApplyNetDelta")
@@ -654,14 +731,19 @@ func TestApplyNetDeltaMaintainsIndexes(t *testing.T) {
 // order-insensitive comparison.
 func dumpIndex(ix *Index) []string {
 	var out []string
-	ix.buckets.Range(func(p []Value, b *tuplekey.Table[struct{}]) bool {
-		return b.Keys(func(t []Value) bool {
+	ix.lists.Range(func(p []Value, _ list) bool {
+		return ix.Bucket(p).Each(func(t []Value) bool {
 			out = append(out, fmt.Sprint(p, t))
 			return true
 		})
 	})
 	sort.Strings(out)
 	return out
+}
+
+// bucketHas reports whether the bucket holds tuple.
+func bucketHas(b Bucket, tuple []Value) bool {
+	return !b.Each(func(t []Value) bool { return !slices.Equal(t, tuple) })
 }
 
 // checkIndexesFresh requires every built index of db to pass CheckIndexes

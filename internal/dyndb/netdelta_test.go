@@ -204,7 +204,7 @@ func TestApplyNetDeltaEmptiesRelation(t *testing.T) {
 		t.Fatalf("|D| = %d, want 1 (T(1))", db.Cardinality())
 	}
 	for x := Value(0); x < 5; x++ {
-		if byX.Bucket([]Value{x}) != nil {
+		if byX.Bucket([]Value{x}).Len() != 0 {
 			t.Fatalf("bucket x=%d survives the relation's last tuple", x)
 		}
 	}

@@ -259,8 +259,9 @@ func runNetDeltaProgram(t *testing.T, prog []byte) {
 }
 
 // FuzzNetDelta runs arbitrary programs against the model; the seeds
-// cover arity clashes, empty tuples, undeclared and required relations
-// and Clear.
+// cover arity clashes, empty tuples, undeclared and required relations,
+// Clear, relations emptied and refilled under built indexes, and deletes
+// at both ends of one key's list.
 func FuzzNetDelta(f *testing.F) {
 	rng := rand.New(rand.NewSource(33))
 	for i := 0; i < 4; i++ {
@@ -272,5 +273,31 @@ func FuzzNetDelta(f *testing.F) {
 		f.Add(prog)
 	}
 	f.Add([]byte{3, 0b00010, 1, 0b00011, 1, 0b01010, 5, 0xff, 2, 0b00001, 1, 0b00000, 1})
+	// D is required at arity 2 and indexed on y, A indexed on its one
+	// position: fill both, empty them with their indexes built, refill.
+	const insD, delD, insA, delA = 0b10110, 0b10111, 0b01000, 0b01001
+	var refill []byte
+	for _, op := range []byte{insD, delD, insD} {
+		refill = append(refill, 16)
+		for v := byte(0); v < 16; v++ {
+			refill = append(refill, op, v)
+		}
+	}
+	for _, op := range []byte{insA, delA, insA} {
+		refill = append(refill, 4)
+		for v := byte(0); v < 4; v++ {
+			refill = append(refill, op, v)
+		}
+	}
+	f.Add(refill)
+	// D(0,1) … D(3,1), one batch each, then delete the oldest and the
+	// newest of y=1's list, one from its middle, and the rest.
+	y1 := func(x byte) byte { return x | 1<<2 }
+	var ends []byte
+	for x := byte(0); x < 4; x++ {
+		ends = append(ends, 1, insD, y1(x))
+	}
+	ends = append(ends, 1, delD, y1(0), 1, delD, y1(3), 1, insD, y1(0), 1, delD, y1(2), 2, delD, y1(1), delD, y1(0))
+	f.Add(ends)
 	f.Fuzz(runNetDeltaProgram)
 }

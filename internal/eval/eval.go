@@ -1,11 +1,12 @@
 // Package eval is a static (non-incremental) conjunctive query evaluator:
-// a backtracking join that probes the store's own hash indexes
-// (dyndb.Database.Index, built on first use). The join is planned once per
-// run: the order of the atoms and, per depth, how its atom is reached — a
-// restriction set, a full-tuple membership filter, an index bucket or a
-// relation scan — with the index resolved and the positions a tuple binds
-// and must agree on fixed, so the per-tuple work is binding, comparing and
-// probing only. A join with an atom that can match nothing (an undeclared
+// a backtracking join that probes the store's own indexes
+// (dyndb.Database.Index, built on first use), whose bucket for a key is a
+// list of the matching stored tuples, walked in place. The join is planned
+// once per run: the order of the atoms and, per depth, how its atom is
+// reached — a restriction set, a full-tuple membership filter, an index
+// bucket or a relation scan — with the index resolved and the positions a
+// tuple binds and must agree on fixed, so the per-tuple work is binding,
+// comparing and probing only. A join with an atom that can match nothing (an undeclared
 // or empty relation, an empty restriction set) is not run at all. It plays
 // two roles in this repository:
 //
@@ -390,9 +391,7 @@ func (ev *Evaluator) step(d int) {
 			ev.step(d + 1)
 		}
 	case accessBucket:
-		if b := f.ix.Bucket(f.fill(ev.assign)); b != nil {
-			b.Keys(f.visit)
-		}
+		f.ix.Bucket(f.fill(ev.assign)).Each(f.visit)
 	case accessScan:
 		f.rel.Each(f.visit)
 	}

@@ -7,13 +7,15 @@
 // have to resort to ... suitably designed hash functions". Table is exactly
 // that replacement: a linear-probing open-addressing table keyed by int64
 // tuples of one fixed arity with expected O(1) lookup, insert and delete.
-// It is the relation storage of the dynamic database, the batch
-// coalescer, the eval indexes and every materialised result set. The
-// dynamic engine's A_v arrays use the same probing scheme without the key
-// array: their records are their own keys (internal/core, index.go). In
-// both, a delete shifts the rest of its probe run back (Knuth's Algorithm
-// R) instead of leaving a tombstone, so only live entries fill a table: one
-// under steady insert/delete churn keeps its size and never rehashes.
+// It is the batch coalescer, the key → list map of an eval index and every
+// materialised result set. Where the keys already sit in records of their
+// own — a stored tuple of the dynamic database (internal/dyndb), an item
+// of the dynamic engine's A_v arrays (internal/core, index.go) — the same
+// probing scheme runs over a RefTable instead: one word per slot, a ref
+// and hash bits, and no key array. In both, a delete shifts the rest of
+// its probe run back (Knuth's Algorithm R) instead of leaving a tombstone,
+// so only live entries fill a table: one under steady insert/delete churn
+// keeps its size and never rehashes.
 package tuplekey
 
 // Hash returns a 64-bit hash of the tuple: Extend folded over its
@@ -142,6 +144,17 @@ func (t *Table[V]) Get(key []int64) (V, bool) {
 	}
 	var zero V
 	return zero, false
+}
+
+// Ptr returns a pointer to the value stored under key, nil if key is
+// absent. The pointer is valid until the table's next mutation.
+//
+//dyncq:hot
+func (t *Table[V]) Ptr(key []int64) *V {
+	if i := t.find(key); i >= 0 {
+		return &t.vals[i]
+	}
+	return nil
 }
 
 // Ref returns a pointer to the value stored under key, first inserting

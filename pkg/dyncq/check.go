@@ -15,9 +15,11 @@ import "fmt"
 //
 //   - the shared store's cardinality equals the sum of its relations'
 //     sizes;
-//   - every index built on the store mirrors its relation
-//     (dyndb.Database.CheckIndexes): bucket position maps exact, no stale
-//     tuples, per-relation counts equal the store's;
+//   - every relation's records and membership slots agree, and every
+//     index built on the store mirrors its relation
+//     (dyndb.Database.CheckIndexes): each list holds only stored tuples
+//     under their own key, at the positions the index records, with its
+//     own count, and the lists hold every stored tuple;
 //   - every core-routed query's engine passes core.Engine.CheckInvariants:
 //     weights, fit lists and sums of Section 6.4, and the item arenas'
 //     records, links and free chains.

@@ -122,13 +122,14 @@ func sortedTuples(h *Handle) [][]Value {
 }
 
 // TestApplyAllocationFree: a single-update Commit is a commit of one
-// through the one commit pipeline, and the store keeps its tuples inline
-// in the relation's table, so on a core-routed workspace an insert/delete
-// pair, each a Commit of a one-update slice literal, allocates nothing at
-// all. Nor does it beside an ivm-routed query, whose single update runs
-// the relation-phased store schedule and a delta join: the E index's
-// bucket for the key that empties and refills is reused (it cost 3
-// allocations before the index kept spare bucket tables).
+// through the one commit pipeline, and the store keeps each tuple in a
+// record its relation recycles, so on a core-routed workspace an
+// insert/delete pair, each a Commit of a one-update slice literal,
+// allocates nothing at all. Nor does it beside an ivm-routed query, whose
+// single update runs the relation-phased store schedule and a delta join:
+// the E index's list for the key that empties and refills takes its block
+// back from the index's free chain (3 allocations when a bucket was a
+// table of its own).
 func TestApplyAllocationFree(t *testing.T) {
 	for _, set := range applySets {
 		t.Run(set.name, func(t *testing.T) {
@@ -331,22 +332,28 @@ func ivmCommitAllocs(t *testing.T, batch int) float64 {
 // whose inverse batches put the same tuples back, every insert lands in a
 // fresh slot of the store's tables, the core engine's A_v indexes, the
 // ivm result and the eval index buckets, so a delete that left a
-// tombstone would fill each table until it rehashed. Two shapes: spread,
-// where every x and y keeps several E tuples at all times, and blocks,
+// tombstone would fill each table until it rehashed. Three shapes:
+// spread, where every x and y keeps several E tuples at all times; blocks,
 // where E's y values come in blocks of 1,000 consecutive tuples, so the
-// y-keyed index buckets empty as the window slides past a block and new
-// ones fill. The window is long (churnCommits) and counts every
+// y-keyed index lists empty as the window slides past a block and new
+// ones fill; and refill, where E and R are emptied to zero tuples and
+// filled again, over and over, so every list and every item goes and
+// comes back. The window is long (churnCommits) and counts every
 // allocation under Commit over all of it (commitAllocs), not a per-run
 // mean rounded down to an integer.
 func TestChurnAllocationFree(t *testing.T) {
 	for _, shape := range []struct {
-		name  string
-		tuple func(i int) []Value
+		name    string
+		tuple   func(i int) []Value
+		batches func(tuple func(i int) []Value) [][]Update
+		warm    int  // commits before the count: one full turnover of E and R
+		empties bool // E and R hold no tuple after the first warm/2 commits
 	}{
-		{"", churnTuple},
-		{"-blocks", blockTuple},
+		{"", churnTuple, churnBatches, churnWindow / churnPerRel, false},
+		{"-blocks", blockTuple, churnBatches, churnWindow / churnPerRel, false},
+		{"-refill", churnTuple, refillBatches, 2 * churnWindow / churnPerRel, true},
 	} {
-		batches := churnBatches(shape.tuple)
+		batches := shape.batches(shape.tuple)
 		for _, set := range []struct {
 			name    string
 			queries map[string]string
@@ -384,9 +391,12 @@ func TestChurnAllocationFree(t *testing.T) {
 						t.Fatalf("commit netted %d of %d (err %v)", n, len(batch), err)
 					}
 				}
-				warm := churnWindow / churnPerRel // one full turnover of E and R
-				for _, b := range batches[:warm] {
+				warm := shape.warm
+				for i, b := range batches[:warm] {
 					commit(b)
+					if shape.empties && i == warm/2-1 && ws.store.Relation("E").Len()+ws.store.Relation("R").Len() != 0 {
+						t.Fatal("the refill shape's drain left tuples in E or R")
+					}
 				}
 				n, stacks := commitAllocs(func() {
 					for _, b := range batches[warm:] {
@@ -448,6 +458,27 @@ func churnBatches(tuple func(i int) []Value) [][]Update {
 				dyndb.Insert("E", fresh[:2]...), dyndb.Insert("R", fresh...))
 		}
 		batches[k] = all[start:len(all):len(all)]
+	}
+	return batches
+}
+
+// refillBatches pre-builds the warm-up and measured commits of the
+// refill shape: drain E and R of the window's tuples, churnPerRel of each
+// a commit, oldest first, then insert them back the same way, and again.
+func refillBatches(tuple func(i int) []Value) [][]Update {
+	steps := churnWindow / churnPerRel
+	batches := make([][]Update, 0, 2*steps+churnCommits)
+	for k := 0; len(batches) < cap(batches); k++ {
+		op, at := dyndb.OpDelete, k%(2*steps)
+		if at >= steps {
+			op, at = dyndb.OpInsert, at-steps
+		}
+		b := make([]Update, 0, 2*churnPerRel)
+		for j := 0; j < churnPerRel; j++ {
+			t := tuple(at*churnPerRel + j)
+			b = append(b, Update{Op: op, Rel: "E", Tuple: t[:2]}, Update{Op: op, Rel: "R", Tuple: t})
+		}
+		batches = append(batches, b)
 	}
 	return batches
 }

@@ -26,7 +26,7 @@ var memoryShapes = []memoryShape{
 		// ingest-core: E 43 %, R 33 %, S 15 %, T 8 % of the store.
 		name:    "ingest-core",
 		queries: map[string]string{"star": "Q(y) :- E(x,y), T(y)", "deep": "Q(x,y,z) :- R(x,y,z), E(x,y), S(x)"},
-		ceiling: 230,
+		ceiling: 225, // ≈ 205 at 64k tuples, plus 10 %
 		fill:    workload.FillIngestCore,
 	},
 	{
@@ -34,7 +34,7 @@ var memoryShapes = []memoryShape{
 		// keys each.
 		name:    "ingest-ivm",
 		queries: map[string]string{"hard": "Q(x,y) :- S(x), E(x,y), T(y)"},
-		ceiling: 160,
+		ceiling: 72, // ≈ 66 at 64k tuples, plus 10 %
 		fill: func(db *dyndb.Database, n int) {
 			keys := Value(n / 51)
 			for x := Value(0); x < keys; x++ {

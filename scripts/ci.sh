@@ -106,7 +106,7 @@ snapshot_advance_gate() {
 deep_leg() {
 	local n=$1
 	echo "== deep lane, GOMAXPROCS=$n"
-	GOMAXPROCS=$n go test -race ./...
+	GOMAXPROCS=$n go test -race -count=1 ./...
 	# A commit stores each handle's advanced snapshot and calls its hook
 	# before the version moves; lock-free pinners and evictors race that
 	# order, and one race pass is thin cover for it. A failed Load must
