@@ -134,7 +134,7 @@ func (c *comp) reset() {
 	c.index, c.arenas = make([]itemIndex, len(c.nodes)), make([]arena, len(c.nodes))
 	c.start, c.cStart, c.cfStart = 0, 0, 0
 	for i := range c.nodes {
-		c.arenas[i].stride = int(c.nodes[i].stride)
+		c.arenas[i] = arena{tuplekey.NewArena[uint64](int(c.nodes[i].stride))}
 	}
 }
 
@@ -561,7 +561,7 @@ func (e *Engine) updateAtom(c *comp, a *catom, tuple []Value, insert bool, acc *
 		// Invariant (a): drop the item once no atom supports it.
 		if !insert && allZero(it[nd.offCounts:nd.offSums]) {
 			c.index[nodeIdx].Free(slots[j])
-			ar.recycle(items[j], it)
+			ar.Free(uint32(items[j]))
 		}
 	}
 
@@ -762,11 +762,12 @@ func (e *Engine) CheckInvariants() error {
 // liveItems returns, per node and by ref, which records the node's index
 // names, checking that each slot names a record handed out, no other slot
 // names the same one, no empty slot lies between an item's home slot and
-// its slot, and the index's count matches its slots.
+// its slot, the index's count matches its slots, and every other record
+// handed out is on the arena's free chain (tuplekey.Arena.CheckFree).
 func liveItems(c *comp) ([][]bool, error) {
 	live := make([][]bool, len(c.nodes))
 	for ni := range c.nodes {
-		idx, n := &c.index[ni], c.arenas[ni].n
+		idx, n := &c.index[ni], c.arenas[ni].N()
 		live[ni] = make([]bool, uint64(n)+1)
 		full := 0
 		for i, w := range idx.Slots {
@@ -784,6 +785,9 @@ func liveItems(c *comp) ([][]bool, error) {
 		}
 		if full != idx.Len() {
 			return nil, fmt.Errorf("node %s: %d full slots, the index counts %d", c.nodes[ni].name, full, idx.Len())
+		}
+		if err := c.arenas[ni].CheckFree(live[ni], full); err != nil {
+			return nil, fmt.Errorf("node %s %w", c.nodes[ni].name, err)
 		}
 	}
 	return live, nil
@@ -812,8 +816,7 @@ func pathOf(c *comp, ni int32, r ref, live [][]bool, path []Value) error {
 	}
 }
 
-// checkNode checks every item of one node, and that the node's arena
-// holds nothing else.
+// checkNode checks every item of one node.
 func checkNode(c *comp, ni int32, live [][]bool) error {
 	nd, ar, idx := &c.nodes[ni], &c.arenas[ni], &c.index[ni]
 	key := make([]Value, nd.depth+1)
@@ -855,16 +858,6 @@ func checkNode(c *comp, ni int32, live [][]bool) error {
 			}
 		}
 	}
-	// Every record handed out is either indexed or on the free chain.
-	free := 0
-	for r := ar.free; r != 0; r = ar.rec(r).next() {
-		if free++; r > ref(ar.n) || live[ni][r] || free > int(ar.n) {
-			return fmt.Errorf("free chain: ref %d is indexed, never handed out or on a cycle", r)
-		}
-	}
-	if idx.Len()+free != int(ar.n) {
-		return fmt.Errorf("arena: %d live + %d free records of %d handed out", idx.Len(), free, ar.n)
-	}
 	return nil
 }
 
@@ -876,7 +869,7 @@ func checkList(nd *cnode, ar *arena, list uint64, owner ref) (sum, fsum uint64, 
 	var prev ref
 	steps := uint32(0)
 	for r := lo(list); r != 0; steps++ {
-		if r > ref(ar.n) || steps == ar.n {
+		if r > ref(ar.N()) || steps == ar.N() {
 			return 0, 0, fmt.Errorf("ref %d was never handed out or the list is a cycle", r)
 		}
 		it := ar.rec(r)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dyncq/internal/dyndb"
+	"dyncq/internal/tuplekey"
 )
 
 // minSlots is the size of a RefTable's first slot array.
@@ -24,7 +25,7 @@ type indexRig struct {
 func newIndexRig(t *testing.T) *indexRig {
 	g := &indexRig{t: t, nd: cnode{name: "v", numTracked: 1}}
 	g.nd.layout()
-	g.ar.stride = int(g.nd.stride)
+	g.ar = arena{tuplekey.NewArena[uint64](int(g.nd.stride))}
 	return g
 }
 
@@ -60,7 +61,7 @@ func (g *indexRig) remove(h uint64, own Value, parent ref) {
 	slot := g.find(h, own, parent)
 	r := g.x.at(int(slot))
 	g.x.Free(slot)
-	g.ar.recycle(r, g.ar.rec(r))
+	g.ar.Free(uint32(r))
 }
 
 // counts checks the index's live count against its slots and the wanted
@@ -278,7 +279,7 @@ func TestCheckInvariantsSeesIndexCorruption(t *testing.T) {
 	for name, corrupt := range map[string]func(){
 		// y=(5,6) is unfit, so in no list: only the index audit sees these.
 		"wrong parent ref":         func() { *up = *up&^hashBits | uint64(x1) },
-		"parent on the free chain": func() { *up = *up&^hashBits | uint64(c.arenas[0].free) },
+		"parent on the free chain": func() { *up = *up&^hashBits | uint64(c.arenas[0].FreeHead()) },
 		"hash bits":                func() { mid.Slots[ys] ^= 1 << 45 },
 		"slot names another item":  func() { mid.Slots[ys] = mid.Slots[ys]&^hashBits | uint64(y110) },
 		"live count":               func() { mid.Put(uint32(empty), 0, 1); mid.Slots[empty] = 0 },

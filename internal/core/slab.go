@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "dyncq/internal/tuplekey"
 
 // This file holds the engine's dynamic state: one arena of fixed-stride,
 // pointer-free records per (component, q-tree node). An item
@@ -32,15 +29,15 @@ import (
 // yields it, the parent word or list word it was read from, or the
 // compIter state it sits in all fix it.
 //
-// An arena grows by chunks of 1<<arenaShift records and never moves a
+// An arena is a tuplekey.Arena: it grows by chunks and never moves a
 // record, so a record slice stays valid until Clear. An item leaves the
 // structure only when every C^i_ψ is zero — it is then unfit, unlinked and
 // childless — and its record goes on the arena's free chain (threaded
-// through the next half of recLinks) for the next item of the same node;
-// steady churn reuses records instead of growing. Clear, and with it
-// Rebuild, drops every chunk at once. Since neither the records nor the
-// item indexes hold a Go pointer, the garbage collector never scans them:
-// what it marks per cycle is the chunk directory, not the data.
+// through word 0, recLinks) for the next item of the same node; steady
+// churn reuses records instead of growing. Clear, and with it Rebuild,
+// drops every chunk at once. Since neither the records nor the item
+// indexes hold a Go pointer, the garbage collector never scans them: what
+// it marks per cycle is the chunk directory, not the data.
 
 // ref addresses a record of one arena; 0 is nil. An arena therefore holds
 // at most 2³²−1 live items per node.
@@ -50,9 +47,6 @@ type ref uint32
 type record []uint64
 
 const (
-	arenaShift = 10 // records per chunk, as a power of two
-	arenaMask  = 1<<arenaShift - 1
-
 	recLinks   = 0
 	recUp      = 1
 	recWeight  = 2
@@ -89,36 +83,13 @@ func (nd *cnode) layout() {
 	nd.stride = nd.offLists + int32(len(nd.children))
 }
 
-// arena stores the records of one node.
-type arena struct {
-	chunks [][]uint64 // 1<<arenaShift records each; slot 0 of chunk 0 is nil's
-	stride int
-	n      uint32 // records handed out so far: refs 1..n exist
-	free   ref    // head of the chain of dropped records
-}
+// arena stores the records of one node, nd.stride words each.
+type arena struct{ tuplekey.Arena[uint64] }
 
 // rec resolves a ref.
 //
 //dyncq:hot
-func (a *arena) rec(r ref) record {
-	i := int(r&arenaMask) * a.stride
-	return a.chunks[r>>arenaShift][i : i+a.stride : i+a.stride]
-}
-
-// fresh hands out a ref no item has used, adding a chunk when the last
-// one is full. Running out of refs must not wrap onto nil.
-//
-//dyncq:hot
-func (a *arena) fresh(nd *cnode) ref {
-	if a.n == math.MaxUint32 {
-		panic(fmt.Sprintf("core: node %s holds 2^32-1 items, the most a ref can address", nd.name))
-	}
-	a.n++
-	if int(a.n>>arenaShift) == len(a.chunks) {
-		a.chunks = append(a.chunks, make([]uint64, a.stride<<arenaShift)) //dyncq:allow hotalloc one allocation per chunk of 1<<arenaShift items
-	}
-	return ref(a.n)
-}
+func (a *arena) rec(r ref) record { return a.Rec(uint32(r)) }
 
 // alloc returns an all-zero, unlinked item of node nd with the given own
 // constant and parent: a recycled record if the free chain has one, a
@@ -126,42 +97,26 @@ func (a *arena) fresh(nd *cnode) ref {
 //
 //dyncq:hot
 func (a *arena) alloc(nd *cnode, own Value, parent ref) ref {
-	r := a.free
-	var it record
-	if r != 0 {
-		it = a.rec(r)
-		a.free = it.next()
-		clear(it)
-	} else {
-		r = a.fresh(nd)
-		it = a.rec(r)
-	}
+	r := ref(a.Alloc())
+	it := a.rec(r)
+	clear(it)
 	it[recUp] = uint64(parent)
 	it[nd.offOwn] = uint64(own)
 	return r
 }
 
-// recycle puts a dropped item (all counts zero: unfit, unlinked,
-// childless by invariant (a)) on the free chain.
-//
-//dyncq:hot
-func (a *arena) recycle(r ref, it record) {
-	it[recLinks] = pack(0, a.free)
-	a.free = r
-}
-
-// MaskFreeChainHeads corrupts the engine on purpose: it masks the chunk
-// bits off every free-chain head past its arena's first chunk, so the
-// head names a record of chunk 0 instead, and returns how many heads it
-// moved. It lets tests of the layers above, which cannot reach the
-// arenas, check that their invariant audits do (CheckInvariants reports
-// the moved head). Never call it on an engine still in use.
+// MaskFreeChainHeads corrupts the engine on purpose: it moves every
+// free-chain head past its arena's first chunk to the record with the
+// chunk bits masked off — a live item of chunk 0 — and returns how many
+// heads it moved. It lets tests of the layers above, which cannot reach
+// the arenas, check that their invariant audits do (CheckInvariants
+// reports the moved head). Never call it on an engine still in use.
 func (e *Engine) MaskFreeChainHeads() int {
 	moved := 0
 	for _, c := range e.comps {
 		for ai := range c.arenas {
-			if a := &c.arenas[ai]; a.free > arenaMask {
-				a.free &= arenaMask
+			if a := &c.arenas[ai]; a.FreeHead() >= tuplekey.ArenaChunk {
+				a.Free(a.Alloc() % tuplekey.ArenaChunk)
 				moved++
 			}
 		}

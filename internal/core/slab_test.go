@@ -1,13 +1,12 @@
 package core
 
 import (
-	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"dyncq/internal/cq"
 	"dyncq/internal/dyndb"
+	"dyncq/internal/tuplekey"
 	"dyncq/internal/workload"
 )
 
@@ -18,38 +17,11 @@ const deepQuery = "Q(x,y,z) :- R(x,y,z), E(x,y), S(x)"
 func arenaTotals(e *Engine) (records, chunks int) {
 	for _, c := range e.comps {
 		for ni := range c.arenas {
-			records += int(c.arenas[ni].n)
-			chunks += len(c.arenas[ni].chunks)
+			records += int(c.arenas[ni].N())
+			chunks += c.arenas[ni].Chunks()
 		}
 	}
 	return records, chunks
-}
-
-// TestRefWidthGuard forges an arena that has handed out 2³²−2 records and
-// takes three more refs: the first is the last one there is, the other two
-// panic naming the node instead of wrapping onto ref 0 = nil. (It drives
-// fresh, alloc's only source of new refs, because the forged arena has no
-// chunks behind its counter.)
-func TestRefWidthGuard(t *testing.T) {
-	nd := &cnode{name: "x", numTracked: 1}
-	nd.layout()
-	a := arena{stride: int(nd.stride), n: math.MaxUint32 - 1}
-	if r := a.fresh(nd); r != math.MaxUint32 {
-		t.Fatalf("fresh = %d, want the last ref %d", r, uint32(math.MaxUint32))
-	}
-	for i := 0; i < 2; i++ {
-		func() {
-			defer func() {
-				if msg, _ := recover().(string); !strings.Contains(msg, "node x holds 2^32-1 items") {
-					t.Errorf("fresh on a full arena: recovered %q, want a panic naming the node and the limit", msg)
-				}
-			}()
-			t.Errorf("fresh on a full arena returned ref %d", a.fresh(nd))
-		}()
-	}
-	if a.n != math.MaxUint32 {
-		t.Errorf("counter = %d after the refused allocations, want it unmoved", a.n)
-	}
 }
 
 // TestArenaRecyclesUnderChurn fills and drains the structure ten times,
@@ -99,7 +71,7 @@ func TestArenaRecyclesUnderChurn(t *testing.T) {
 func TestClearAndRebuildDropChunks(t *testing.T) {
 	e := mustEngine(t, deepQuery)
 	big := dyndb.New()
-	for i := Value(0); i < 3<<arenaShift; i++ {
+	for i := Value(0); i < 3*tuplekey.ArenaChunk; i++ {
 		big.Insert("R", i, i, i)
 		big.Insert("E", i, i)
 		big.Insert("S", i)
@@ -163,7 +135,7 @@ func TestCheckInvariantsSeesArenaCorruption(t *testing.T) {
 		"prev not mutual":  func() (*uint64, uint64) { it := root.rec(second); return &it[recLinks], pack(0, it.next()) },
 		"list tail":        func() (*uint64, uint64) { return &c.start, pack(lo(c.start), second) },
 		"inList bit":       func() (*uint64, uint64) { it := root.rec(second); return &it[recUp], it[recUp] &^ inListBit },
-		"free chain: live": func() (*uint64, uint64) { it := root.rec(root.free); return &it[recLinks], pack(0, second) },
+		"free chain: live": func() (*uint64, uint64) { it := root.rec(ref(root.FreeHead())); return &it[recLinks], uint64(second) },
 	} {
 		word, to := corrupt()
 		was := *word
@@ -173,11 +145,11 @@ func TestCheckInvariantsSeesArenaCorruption(t *testing.T) {
 		}
 		*word = was
 	}
-	root.n++
+	leaked := root.Alloc() // off the free chain, in no index
 	if err := e.CheckInvariants(); err == nil {
 		t.Error("leaked record: corruption not detected")
 	}
-	root.n--
+	root.Free(leaked)
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatalf("restored structure: %v", err)
 	}

@@ -168,7 +168,7 @@ func (d *Database) declare(id int32, arity int) error {
 		return fmt.Errorf("relation %s has arity %d, requested %d", s.name, want, arity)
 	}
 	if s.r == nil {
-		s.r = &Relation{arity: arity}
+		s.r = newRelation(arity)
 		for _, ix := range d.indexes(id) {
 			ix.rel = s.r
 		}
@@ -336,7 +336,7 @@ func (d *Database) CopyFrom(src *Database) error {
 //dyncq:hot
 func (d *Database) NetDelta(updates []Update) ([]Update, error) {
 	c := &d.coal
-	net := c.run(updates, d.ids, int32(len(d.rels)))
+	net := c.run(updates, d.ids)
 	out := net[:0]
 	fresh := c.fresh[:0] // relations the batch itself would declare
 	pending := false     // a survivor names a relation that has no id yet
@@ -413,64 +413,57 @@ func (d *Database) Apply(u Update) (bool, error) {
 	return d.Delete(u.Rel, u.Tuple...)
 }
 
-// coalescer is the scratch behind NetDelta: per relation and arity a
-// slot table from a tuple to the index of its command in the output. A
-// relation is keyed by its id, or — for a name the store has no id for —
-// by a provisional key after the ids, fixed for the running call. The
-// tables are keyed by the tuples themselves — no per-command encoding —
-// and by arity as well as relation, because coalescing runs before arity
-// validation and a fixed-stride table holds one key length (a relation
-// re-declared at another arity after Clear keeps its id). Tables and the
-// output slice (up to keepOut commands) are emptied, not dropped, after
-// every run, so a steady stream of batches coalesces without allocating.
+// coalescer is the scratch behind NetDelta: one tuplekey.RefTable keyed
+// by its own output. A command's ref is its index in the output plus one
+// and its hash tuplekey.Extend(tuplekey.Hash(tuple), rid), so a match is
+// the same rid and an Equal tuple — no per-command encoding, and Equal
+// tells arities apart, as it must: coalescing runs before arity
+// validation, and a relation re-declared at another arity after Clear
+// keeps its id. The rid is the relation's id + 1, or, for a name the
+// store has no id for, a provisional −(k+1), fixed for the running call.
+// The table and the output slice (up to keepOut commands) are emptied,
+// not dropped, after every run, so a steady stream of batches coalesces
+// without allocating.
 type coalescer struct {
-	tabs    [][]arityTable         // by key: a relation's tables, one per arity met
-	used    []*tuplekey.Table[int] // tables the running call has filled
-	out     []Update               // the last run's result if it was small, reused by the next
-	pending map[string]int32       // names without an id → provisional key, running call only
-	fresh   []freshRel             // NetDelta's scratch
-}
-
-type arityTable struct {
-	arity int
-	t     *tuplekey.Table[int]
+	slots   tuplekey.RefTable
+	out     []Update         // the last run's result if it was small, reused by the next
+	pending map[string]int32 // names without an id → provisional k, running call only
+	fresh   []freshRel       // NetDelta's scratch
 }
 
 // run coalesces updates, recording on each output command its relation's
 // id + 1 from ids, or −(k+1) for the k-th name of the call that ids
-// lacks; nids is the number of ids, the first provisional key.
+// lacks.
 //
 //dyncq:hot
-func (c *coalescer) run(updates []Update, ids map[string]int32, nids int32) []Update {
+func (c *coalescer) run(updates []Update, ids map[string]int32) []Update {
 	out := c.out[:0]
 	if cap(out) < len(updates) {
 		out = make([]Update, 0, len(updates)) //dyncq:allow hotalloc grows to the largest commit-sized batch once, reused after (keepOut)
 	}
 	for _, u := range updates {
-		key, known := ids[u.Rel]
-		if known {
-			u.rid = key + 1
+		if id, known := ids[u.Rel]; known {
+			u.rid = id + 1
 		} else {
-			k := c.provisional(u.Rel)
-			key, u.rid = nids+k, -k-1
+			u.rid = -c.provisional(u.Rel) - 1
 		}
 		if len(updates) == 1 {
 			out = append(out, u)
 			break
 		}
-		t := c.table(key, len(u.Tuple))
-		at, seen := t.Ref(u.Tuple)
-		if seen {
-			out[*at] = u
+		c.slots.Reserve()
+		h := tuplekey.Extend(tuplekey.Hash(u.Tuple), int64(u.rid))
+		slot, at := c.find(out, u, h)
+		if at >= 0 {
+			out[at] = u
 			continue
 		}
-		*at = len(out)
+		c.slots.Put(slot, h, uint32(len(out)+1))
 		out = append(out, u)
 	}
-	for _, t := range c.used {
-		t.Reset()
+	if c.slots.Len() > 0 {
+		c.slots.Reset()
 	}
-	c.used = c.used[:0]
 	if len(c.pending) > 0 {
 		clear(c.pending)
 	}
@@ -481,6 +474,27 @@ func (c *coalescer) run(updates []Update, ids map[string]int32, nids int32) []Up
 	return out
 }
 
+// find looks up u's relation and tuple, of hash h, among the commands of
+// out. If one is there, find returns its slot and index; otherwise index
+// -1 and the slot an insert claims.
+//
+//dyncq:hot
+func (c *coalescer) find(out []Update, u Update, h uint64) (slot uint32, at int) {
+	s := c.slots.Slots
+	mask := uint32(len(s) - 1)
+	for i := uint32(h) & mask; ; i = (i + 1) & mask {
+		w := s[i]
+		if w == 0 {
+			return i, -1
+		}
+		if uint32(w>>32) == uint32(h) {
+			if o := &out[uint32(w)-1]; o.rid == u.rid && tuplekey.Equal(o.Tuple, u.Tuple) {
+				return i, int(uint32(w)) - 1
+			}
+		}
+	}
+}
+
 // keepOut bounds, in commands, the output slice a coalescer keeps for its
 // next run: commit-sized batches reuse one slice, while a bulk load's
 // batches allocate theirs per call and leave no large slice — nor
@@ -488,8 +502,8 @@ func (c *coalescer) run(updates []Update, ids map[string]int32, nids int32) []Up
 // raised a loaded server's peak RSS.
 const keepOut = 1024
 
-// provisional returns the running call's key offset for a name that has
-// no id: the same one for every command naming it.
+// provisional returns the running call's k for a name that has no id:
+// the same one for every command naming it.
 func (c *coalescer) provisional(name string) int32 {
 	if c.pending == nil {
 		c.pending = make(map[string]int32, 4)
@@ -500,31 +514,6 @@ func (c *coalescer) provisional(name string) int32 {
 		c.pending[name] = k
 	}
 	return k
-}
-
-// table returns the slot table of relation key at arity, marking it used
-// by the running call.
-//
-//dyncq:hot
-func (c *coalescer) table(key int32, arity int) *tuplekey.Table[int] {
-	for int(key) >= len(c.tabs) {
-		c.tabs = append(c.tabs, nil) //dyncq:allow hotalloc grows with the relation count, kept across batches
-	}
-	var t *tuplekey.Table[int]
-	for _, at := range c.tabs[key] {
-		if at.arity == arity {
-			t = at.t
-			break
-		}
-	}
-	if t == nil {
-		t = tuplekey.NewTable[int](arity)                       //dyncq:allow hotalloc first batch touching the relation at this arity only
-		c.tabs[key] = append(c.tabs[key], arityTable{arity, t}) //dyncq:allow hotalloc first batch touching the relation at this arity only
-	}
-	if t.Len() == 0 {
-		c.used = append(c.used, t) //dyncq:allow hotalloc bounded by the number of relations, kept across batches
-	}
-	return t
 }
 
 // ApplyAll executes a sequence of update commands one at a time through

@@ -10,24 +10,26 @@ import (
 )
 
 // Relation is a finite set of tuples of a fixed arity. Each stored tuple
-// is one record of arity words in a chunked, pointer-free arena, named by
-// a 32-bit ref (0 is nil) that does not change while the tuple is stored:
-// a chunk holds 1<<chunkShift records and is never moved, and a deleted
-// tuple's record goes on a free chain, threaded through its first word,
-// for the next insert. Membership is a tuplekey.RefTable, one word per
-// slot, whose keys are the records themselves; each built index lists
-// the same refs (Index). Neither the records nor the slots hold a Go
-// pointer, so the garbage collector scans only the chunk directory.
+// is one record of arity words in a tuplekey.Arena, named by a 32-bit ref
+// (0 is nil) that does not change while the tuple is stored; a deleted
+// tuple's record goes back to the arena for the next insert. Membership is
+// a tuplekey.RefTable, one word per slot, whose keys are the records
+// themselves; each built index lists the same refs (Index). Neither the
+// records nor the slots hold a Go pointer, so the garbage collector scans
+// only the chunk directory.
 type Relation struct {
-	arity  int
-	chunks [][]Value // records; ref 0 is nil's, never handed out
-	n      uint32    // refs handed out so far: 1..n
-	free   uint32    // head of the chain of freed records
-	slots  tuplekey.RefTable
+	arity int
+	recs  tuplekey.Arena[Value]
+	slots tuplekey.RefTable
+}
+
+// newRelation returns an empty relation of the given arity (1 or more).
+func newRelation(arity int) *Relation {
+	return &Relation{arity: arity, recs: tuplekey.NewArena[Value](arity)}
 }
 
 const (
-	chunkShift = 10 // records (and index links) per chunk, as a power of two
+	chunkShift = 10 // an index's position words per chunk, as a power of two
 	chunkMask  = 1<<chunkShift - 1
 )
 
@@ -80,10 +82,7 @@ func (r *Relation) Tuples() [][]Value {
 // tuple resolves a ref to its record.
 //
 //dyncq:hot
-func (r *Relation) tuple(ref uint32) []Value {
-	i := int(ref&chunkMask) * r.arity
-	return r.chunks[ref>>chunkShift][i : i+r.arity : i+r.arity]
-}
+func (r *Relation) tuple(ref uint32) []Value { return r.recs.Rec(ref) }
 
 // find looks up tuple, of hash h and the relation's arity. If it is
 // stored, find returns its slot and ref; otherwise ref 0 and the slot an
@@ -118,18 +117,7 @@ func (r *Relation) insert(tuple []Value, ixs []*Index) bool {
 	if ref != 0 {
 		return false
 	}
-	if ref = r.free; ref != 0 {
-		r.free = uint32(r.tuple(ref)[0])
-	} else {
-		if r.n == math.MaxUint32 {
-			panic("dyndb: a relation holds 2^32-1 tuples, the most a ref can address")
-		}
-		r.n++
-		ref = r.n
-		if int(ref>>chunkShift) == len(r.chunks) {
-			r.chunks = append(r.chunks, make([]Value, r.arity<<chunkShift)) //dyncq:allow hotalloc one allocation per chunk of 1<<chunkShift tuples
-		}
-	}
+	ref = r.recs.Alloc()
 	rec := r.tuple(ref)
 	copy(rec, tuple)
 	r.slots.Put(slot, h, ref)
@@ -153,26 +141,35 @@ func (r *Relation) delete(tuple []Value, ixs []*Index) bool {
 		ix.remove(ref, rec)
 	}
 	r.slots.Free(slot)
-	rec[0], r.free = Value(r.free), ref
+	r.recs.Free(ref)
 	return true
 }
 
 // check audits the relation's storage and returns, by ref, which records
 // hold a stored tuple: every slot names a record handed out, no other slot
-// names it, its hash bits are the tuple's, a probe finds it there, and no
-// empty slot lies between its home and its slot; every other record is on
-// the free chain.
+// names it, every other record is on the arena's free chain — audited
+// before any record is read — and per slot its hash bits are the
+// tuple's, a probe finds it there, and no empty slot lies between its
+// home and its slot.
 func (r *Relation) check() ([]bool, error) {
-	live := make([]bool, uint64(r.n)+1)
+	n := r.recs.N()
+	live := make([]bool, uint64(n)+1)
 	for i, w := range r.slots.Slots {
-		ref := uint32(w)
+		if ref := uint32(w); w != 0 {
+			if ref == 0 || ref > n || live[ref] {
+				return nil, fmt.Errorf("slot %d: ref %d is nil, never handed out or stored twice", i, ref)
+			}
+			live[ref] = true
+		}
+	}
+	if err := r.recs.CheckFree(live, r.Len()); err != nil {
+		return nil, err
+	}
+	for i, w := range r.slots.Slots {
 		if w == 0 {
 			continue
 		}
-		if ref == 0 || ref > r.n || live[ref] {
-			return nil, fmt.Errorf("slot %d: ref %d is nil, never handed out or stored twice", i, ref)
-		}
-		live[ref] = true
+		ref := uint32(w)
 		t := r.tuple(ref)
 		h := tuplekey.Hash(t)
 		if uint32(w>>32) != uint32(h) {
@@ -184,15 +181,6 @@ func (r *Relation) check() ([]bool, error) {
 		if gap := r.slots.Gap(i); gap >= 0 {
 			return nil, fmt.Errorf("slot %d: empty slot %d lies between the home of %v and its slot", i, gap, t)
 		}
-	}
-	free := 0
-	for ref := r.free; ref != 0; ref = uint32(r.tuple(ref)[0]) {
-		if free++; ref > r.n || live[ref] || free > int(r.n) {
-			return nil, fmt.Errorf("free chain: ref %d is stored, never handed out or on a cycle", ref)
-		}
-	}
-	if r.Len()+free != int(r.n) {
-		return nil, fmt.Errorf("%d stored + %d free records of %d handed out", r.Len(), free, r.n)
 	}
 	return live, nil
 }
@@ -206,7 +194,8 @@ func (r *Relation) check() ([]bool, error) {
 // keeps where in its list the ref sits (pos), so filing a tuple is a
 // store into the head block and removing one moves the head block's last
 // ref into its place, both O(1) with no growth; a block that empties goes
-// on the pool's free chain, and a list whose last tuple goes is dropped.
+// back to the pool, a tuplekey.Arena whose free chain runs through the
+// blocks' next words, and a list whose last tuple goes is dropped.
 // A walk reads blockRefs refs per dependent load, so the records it
 // visits are fetched side by side rather than one after another, as a
 // chain through the records would fetch them. The probe path (Bucket)
@@ -214,13 +203,11 @@ func (r *Relation) check() ([]bool, error) {
 // joins walk these instead of rescanning relations.
 type Index struct {
 	mask    uint32
-	rel     *Relation             // nil until the relation is declared
-	lists   *tuplekey.Table[list] // projected tuple → its list
-	blocks  [][]uint32            // the block pool, 1<<chunkShift blocks a chunk; block 0 is nil's
-	nblocks uint32                // blocks handed out so far: 1..nblocks
-	free    uint32                // head of the chain of freed blocks, threaded through their next word
-	pos     [][]uint32            // by ref, 1<<chunkShift a chunk: block<<blockBits | word
-	scratch []Value               // projection scratch, mutators only
+	rel     *Relation              // nil until the relation is declared
+	lists   *tuplekey.Table[list]  // projected tuple → its list
+	blocks  tuplekey.Arena[uint32] // the block pool; block 0 is nil's
+	pos     [][]uint32             // by ref, 1<<chunkShift a chunk: block<<blockBits | word
+	scratch []Value                // projection scratch, mutators only
 }
 
 // list is one projection's list: its head block and its length.
@@ -249,7 +236,8 @@ func (d *Database) Index(rel string, mask uint32) *Index {
 			return ix
 		}
 	}
-	ix := &Index{mask: mask, rel: d.rels[id].r, lists: tuplekey.NewTable[list](bits.OnesCount32(mask))}
+	ix := &Index{mask: mask, rel: d.rels[id].r, lists: tuplekey.NewTable[list](bits.OnesCount32(mask)),
+		blocks: tuplekey.NewArena[uint32](blockWords)}
 	if r := ix.rel; r != nil {
 		for _, w := range r.slots.Slots {
 			if w != 0 {
@@ -299,10 +287,7 @@ func (ix *Index) proj(t []Value) []Value {
 // block resolves a block number to its words.
 //
 //dyncq:hot
-func (ix *Index) block(b uint32) []uint32 {
-	i := int(b&chunkMask) * blockWords
-	return ix.blocks[b>>chunkShift][i : i+blockWords : i+blockWords]
-}
+func (ix *Index) block(b uint32) []uint32 { return ix.blocks.Rec(b) }
 
 // at returns ref's position word.
 //
@@ -320,18 +305,9 @@ func (ix *Index) add(ref uint32, t []Value) {
 	l, _ := ix.lists.Ref(ix.proj(t))
 	k := l.n % blockRefs
 	if k == 0 {
-		b := ix.free
-		if b != 0 {
-			ix.free = ix.block(b)[0]
-		} else {
-			if ix.nblocks == math.MaxUint32>>blockBits {
-				panic("dyndb: an index holds 2^28-1 blocks, the most a position word can address")
-			}
-			ix.nblocks++
-			b = ix.nblocks
-			if int(b>>chunkShift) == len(ix.blocks) {
-				ix.blocks = append(ix.blocks, make([]uint32, blockWords<<chunkShift)) //dyncq:allow hotalloc one allocation per chunk of 1<<chunkShift blocks
-			}
+		b := ix.blocks.Alloc()
+		if b > math.MaxUint32>>blockBits {
+			panic("dyndb: an index holds 2^28-1 blocks, the most a position word can address")
 		}
 		ix.block(b)[0] = l.head
 		l.head = b
@@ -342,8 +318,8 @@ func (ix *Index) add(ref uint32, t []Value) {
 }
 
 // remove takes the stored tuple t, of ref, out of its list: the head
-// block's last ref moves into its place, a head block left empty goes on
-// the free chain, and the list is dropped if t was its last tuple.
+// block's last ref moves into its place, a head block left empty goes back
+// to the pool, and the list is dropped if t was its last tuple.
 //
 //dyncq:hot
 func (ix *Index) remove(ref uint32, t []Value) {
@@ -357,7 +333,8 @@ func (ix *Index) remove(ref uint32, t []Value) {
 	*ix.at(last) = at
 	if k == 0 {
 		b := l.head
-		l.head, head[0], ix.free = head[0], ix.free, b
+		l.head = head[0]
+		ix.blocks.Free(b)
 	}
 	if l.n == 0 {
 		ix.lists.Delete(p)
@@ -463,22 +440,16 @@ func (ix *Index) check(r *Relation, live []bool) error {
 		}
 		return nil
 	}
-	used := make([]bool, uint64(ix.nblocks)+1)
-	freeBlocks := 0
-	for b := ix.free; b != 0; b = ix.block(b)[0] {
-		if freeBlocks++; b > ix.nblocks || used[b] || freeBlocks > int(ix.nblocks) {
-			return fmt.Errorf("free chain: block %d is never handed out or on a cycle", b)
-		}
-		used[b] = true
-	}
+	nblocks := ix.blocks.N()
+	used := make([]bool, uint64(nblocks)+1)
 	seen := make([]bool, len(live))
 	total, blocks := 0, 0
 	var err error
 	ix.lists.Range(func(p []Value, l list) bool {
 		count, fill := 0, 1+(l.n-1)%blockRefs
 		for b := l.head; b != 0 && err == nil; fill = blockRefs {
-			if b > ix.nblocks || used[b] {
-				err = fmt.Errorf("list %v reaches block %d, free, never handed out or met before", p, b)
+			if b > nblocks || used[b] {
+				err = fmt.Errorf("list %v reaches block %d, never handed out or met before", p, b)
 				break
 			}
 			used[b] = true
@@ -511,8 +482,8 @@ func (ix *Index) check(r *Relation, live []bool) error {
 	case err != nil:
 	case total != r.Len():
 		err = fmt.Errorf("lists hold %d tuples, the relation %d", total, r.Len())
-	case blocks+freeBlocks != int(ix.nblocks):
-		err = fmt.Errorf("%d blocks in lists + %d free of %d handed out", blocks, freeBlocks, ix.nblocks)
+	default:
+		err = ix.blocks.CheckFree(used, blocks)
 	}
 	return err
 }

@@ -9,8 +9,9 @@ package tuplekey
 // and 0 marks it empty. A key's home slot is the low bits of its hash, so
 // growth and deletion place entries from the kept bits alone and never
 // read a record. RefTable keeps no key array and no control bytes: the
-// relation storage of the dynamic database (internal/dyndb) and the
-// engine's A_v arrays (internal/core) both key it by their own records.
+// relation storage and the batch coalescer of the dynamic database
+// (internal/dyndb), the engine's A_v arrays (internal/core) and Table
+// all key it by records of their own.
 //
 // The probe loop, and the key match it ends with, stays at the caller,
 // which owns the records: start at uint32(h) & (len(Slots)-1), step by
@@ -72,8 +73,31 @@ func (t *RefTable) Free(slot uint32) {
 	s[slot] = 0
 }
 
+// Reset empties the table for reuse, keeping the slot array — unless it
+// is large and was filled to under an eighth, so the cost of a Reset
+// follows the sizes the table is used at, not the largest it ever saw
+// (one bulk batch must not tax every small commit after it). It reports
+// whether it kept the array.
+func (t *RefTable) Reset() (kept bool) {
+	kept = len(t.Slots) <= resetKeep || t.n*8 >= len(t.Slots)
+	if kept {
+		clear(t.Slots)
+	} else {
+		t.Slots = nil
+	}
+	t.n = 0
+	return kept
+}
+
+// resetKeep is the slot count up to which Reset always keeps the array:
+// clearing it costs less than growing it back.
+const resetKeep = 1024
+
 // grow rehashes into a table twice the size (minRefSlots for the first
-// insert), from the kept hash bits.
+// insert), from the kept hash bits. It stays out of line so that Reserve,
+// on every insert's path, inlines.
+//
+//go:noinline
 func (t *RefTable) grow() {
 	old := t.Slots
 	t.Slots = make([]uint64, max(2*len(old), minRefSlots))

@@ -1,21 +1,25 @@
-// Package tuplekey provides hashing and a fixed-arity open-addressing hash
-// table for tuples of int64 constants.
+// Package tuplekey provides hashing and the engine's two storage
+// primitives for tuples of int64 constants: hash tables and record arenas.
 //
 // The paper's RAM model (Section 2, footnote 2) assumes d-ary arrays A_v
 // indexed by tuples of domain elements with constant-time access, and notes
 // that "for an implementation on real-world computers one would probably
-// have to resort to ... suitably designed hash functions". Table is exactly
-// that replacement: a linear-probing open-addressing table keyed by int64
-// tuples of one fixed arity with expected O(1) lookup, insert and delete.
-// It is the batch coalescer, the key → list map of an eval index and every
-// materialised result set. Where the keys already sit in records of their
-// own — a stored tuple of the dynamic database (internal/dyndb), an item
-// of the dynamic engine's A_v arrays (internal/core, index.go) — the same
-// probing scheme runs over a RefTable instead: one word per slot, a ref
-// and hash bits, and no key array. In both, a delete shifts the rest of
-// its probe run back (Knuth's Algorithm R) instead of leaving a tombstone,
-// so only live entries fill a table: one under steady insert/delete churn
-// keeps its size and never rehashes.
+// have to resort to ... suitably designed hash functions". RefTable is
+// that replacement: a linear-probing slot array, one word per slot, a ref
+// and 32 hash bits, whose keys live in records of the caller's — a stored
+// tuple of the dynamic database (internal/dyndb), an item of the dynamic
+// engine's A_v arrays (internal/core, index.go), a command of the batch
+// coalescer. Table is a RefTable over dense entry arrays of its own, for
+// keys that live nowhere else: an eval index's key → list map and every
+// materialised result set. A delete shifts the rest of its probe run back
+// (Knuth's Algorithm R) instead of leaving a tombstone, and growth and
+// shifts place entries from the kept hash bits, never rehashing a key, so
+// only live entries fill a table: one under steady insert/delete churn
+// keeps its size.
+//
+// Arena is the records' side of the same model: fixed-stride,
+// pointer-free records in chunks that never move, addressed by 32-bit
+// refs (0 is nil), with freed records on a chain for the next allocation.
 package tuplekey
 
 // Hash returns a 64-bit hash of the tuple: Extend folded over its
@@ -57,37 +61,28 @@ func Equal(a, b []int64) bool {
 	return true
 }
 
-// Control bytes: a slot is empty, or full and carrying slotFull plus the
-// top seven bits of its key's hash (the slot index uses the low bits), so
-// a probe rejects almost every slot holding a different key without
-// reading the key array.
-const (
-	slotEmpty uint8 = 0
-	slotFull  uint8 = 0x80
-)
-
 // Table is a hash table from int64 tuples of one fixed arity to values of
-// type V, with open addressing and linear probing. Keys are stored inline:
-// slot i owns keys[i*arity : (i+1)*arity] of one flat array, so a stored
-// tuple costs 8·arity bytes and no heap object, and when V holds no
-// pointers the whole table is invisible to the garbage collector's mark
-// phase. Arity 0 is legal (the one possible key is the empty tuple — a
-// Boolean query's head). Every key sits in the probe run that starts at
-// its home slot, the low bits of its hash: no empty slot lies between the
-// two, and a Delete keeps it so by moving later entries of the run back.
+// type V. Its entries are dense: entry i's key is keys[i*arity :
+// (i+1)*arity] of one flat array and its value vals[i], so a stored tuple
+// costs 8·arity bytes, the value and one slot word, and no heap object;
+// when V holds no pointers the whole table is invisible to the garbage
+// collector's mark phase. The slots are a RefTable whose ref is the entry's
+// index plus one. Arity 0 is legal (the one possible key is the empty
+// tuple — a Boolean query's head). A Delete frees the entry's slot and
+// moves the last entry into the hole, re-pointing that entry's one slot.
 //
 // Put and Ref copy the key into the table; the caller keeps ownership of
-// the slice it passed. The key slices handed out by Range alias the table:
-// they are valid until the table's next mutation and must be copied to be
-// retained, and a pointer from Ref is valid until then too — a Delete of
-// another key may move the entry. Get and Delete of a key whose length is
-// not the table's arity miss; Put and Ref of one panic.
+// the slice it passed. The key slices handed out by Range and Keys alias
+// the table: they are valid until the table's next mutation and must be
+// copied to be retained, and a pointer from Ref or Ptr is valid until then
+// too — a Delete of another key may move the entry. Get and Delete of a
+// key whose length is not the table's arity miss; Put and Ref of one
+// panic.
 type Table[V any] struct {
 	arity int
-	ctrl  []uint8
-	keys  []int64 // len(ctrl) × arity
-	vals  []V
-	n     int // live entries
+	slots RefTable
+	keys  []int64 // entry i's key at keys[i*arity:]
+	vals  []V     // entry i's value
 }
 
 // NewTable returns an empty table for keys of the given arity.
@@ -98,49 +93,54 @@ func NewTable[V any](arity int) *Table[V] {
 	return &Table[V]{arity: arity}
 }
 
-// Len returns the number of live entries.
-func (t *Table[V]) Len() int { return t.n }
+// Len returns the number of entries.
+func (t *Table[V]) Len() int { return len(t.vals) }
 
-// find returns the slot holding key, or -1.
+// find looks up key, of hash h and the table's arity. If it is present,
+// find returns its slot and entry; otherwise entry -1 and the slot an
+// insert claims.
 //
 //dyncq:hot
-func (t *Table[V]) find(key []int64) int {
-	if t.n == 0 || len(key) != t.arity {
-		return -1
+func (t *Table[V]) find(key []int64, h uint64) (slot uint32, entry int) {
+	s := t.slots.Slots
+	if len(s) == 0 {
+		return 0, -1
 	}
-	h := Hash(key)
-	want := slotFull | uint8(h>>57)
-	mask := uint64(len(t.ctrl) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		switch c := t.ctrl[i]; {
-		case c == want:
-			if t.keyIs(i, key) {
-				return int(i)
+	mask := uint32(len(s) - 1)
+	for i := uint32(h) & mask; ; i = (i + 1) & mask {
+		w := s[i]
+		if w == 0 {
+			return i, -1
+		}
+		if uint32(w>>32) == uint32(h) {
+			if e := int(uint32(w)) - 1; Equal(t.keys[e*t.arity:(e+1)*t.arity], key) {
+				return i, e
 			}
-		case c == slotEmpty:
-			return -1
 		}
 	}
 }
 
-// keyIs reports whether slot i holds key (of the table's arity).
-func (t *Table[V]) keyIs(i uint64, key []int64) bool {
-	stored := t.keys[int(i)*t.arity:][:len(key)]
-	for j, x := range key {
-		if stored[j] != x {
-			return false
-		}
+// lookup is find for any key: a key of another length than the table's
+// arity, like any key of an empty table, is absent (entry -1).
+//
+//dyncq:hot
+func (t *Table[V]) lookup(key []int64) (slot uint32, entry int) {
+	if len(t.vals) == 0 || len(key) != t.arity {
+		return 0, -1
 	}
-	return true
+	return t.find(key, Hash(key))
 }
 
 // Has reports whether key is present.
-func (t *Table[V]) Has(key []int64) bool { return t.find(key) >= 0 }
+func (t *Table[V]) Has(key []int64) bool {
+	_, e := t.lookup(key)
+	return e >= 0
+}
 
 // Get returns the value stored under key.
 func (t *Table[V]) Get(key []int64) (V, bool) {
-	if i := t.find(key); i >= 0 {
-		return t.vals[i], true
+	if _, e := t.lookup(key); e >= 0 {
+		return t.vals[e], true
 	}
 	var zero V
 	return zero, false
@@ -151,8 +151,8 @@ func (t *Table[V]) Get(key []int64) (V, bool) {
 //
 //dyncq:hot
 func (t *Table[V]) Ptr(key []int64) *V {
-	if i := t.find(key); i >= 0 {
-		return &t.vals[i]
+	if _, e := t.lookup(key); e >= 0 {
+		return &t.vals[e]
 	}
 	return nil
 }
@@ -164,52 +164,44 @@ func (t *Table[V]) Ptr(key []int64) *V {
 //
 //dyncq:hot
 func (t *Table[V]) Ref(key []int64) (val *V, existed bool) {
-	i, existed := t.ref(key)
-	return &t.vals[i], existed
+	_, e, existed := t.ref(key)
+	return &t.vals[e], existed
 }
 
-// ref is Ref returning the slot: the one get-or-insert probe, growing
-// first if an insert could cross the load limit. An absent key takes the
-// empty slot that ends its probe run.
+// ref is Ref returning the slot and the entry: the one get-or-insert
+// probe, growing the slots first if an insert could cross the load limit.
+// An absent key becomes the last entry and takes the empty slot that ends
+// its probe run.
 //
 //dyncq:hot
-func (t *Table[V]) ref(key []int64) (slot int, existed bool) {
+func (t *Table[V]) ref(key []int64) (slot uint32, e int, existed bool) {
 	if len(key) != t.arity {
 		panic("tuplekey: key length differs from the table's arity")
 	}
-	if (t.n+1)*4 > len(t.ctrl)*3 {
-		t.grow()
-	}
+	t.slots.Reserve()
 	h := Hash(key)
-	want := slotFull | uint8(h>>57)
-	mask := uint64(len(t.ctrl) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		switch c := t.ctrl[i]; {
-		case c == want:
-			if t.keyIs(i, key) {
-				return int(i), true
-			}
-		case c == slotEmpty:
-			t.ctrl[i] = want
-			copy(t.keys[int(i)*t.arity:], key)
-			t.n++
-			return int(i), false
-		}
+	if slot, e = t.find(key, h); e >= 0 {
+		return slot, e, true
 	}
+	e = len(t.vals)
+	var zero V
+	t.keys = append(t.keys, key...) //dyncq:allow hotalloc the entry arrays double as the table grows, as its slots do
+	t.vals = append(t.vals, zero)   //dyncq:allow hotalloc the entry arrays double as the table grows, as its slots do
+	t.slots.Put(slot, h, uint32(e+1))
+	return slot, e, false
 }
 
 // AddCount adds d to the count under key, inserting key at d if it is
-// absent, and frees the slot if the count reaches zero; it reports
-// whether key was present before. It is one probe where Ref followed by
-// Delete takes two, and it leaves the table exactly as they would: the
-// same slots, after the same backward shift, and Len, so Range order is
-// unchanged.
+// absent, and deletes it if the count reaches zero; it reports whether
+// key was present before. It is one probe where Ref followed by Delete
+// takes two, and it leaves the table exactly as they would: the same
+// slots and entries, so Range order is unchanged.
 //
 //dyncq:hot
 func AddCount(t *Table[int64], key []int64, d int64) (wasPresent bool) {
-	i, wasPresent := t.ref(key)
-	if t.vals[i] += d; t.vals[i] == 0 {
-		t.free(i)
+	slot, e, wasPresent := t.ref(key)
+	if t.vals[e] += d; t.vals[e] == 0 {
+		t.free(slot, e)
 	}
 	return wasPresent
 }
@@ -224,49 +216,49 @@ func (t *Table[V]) Put(key []int64, val V) {
 //
 //dyncq:hot
 func (t *Table[V]) Delete(key []int64) bool {
-	i := t.find(key)
-	if i < 0 {
+	slot, e := t.lookup(key)
+	if e < 0 {
 		return false
 	}
-	t.free(i)
+	t.free(slot, e)
 	return true
 }
 
-// free empties the live slot i by backward shift (Knuth's Algorithm R):
-// it walks the run after i up to the first empty slot and moves each entry
-// whose home slot is not cyclically in (i, j] back into the hole, which
-// then moves to j; an entry whose home is in (i, j] stays, and the walk
-// goes on past it. The last hole becomes empty, so every key stays
-// reachable from its home without a tombstone. A home slot is recomputed
-// from the stored key.
+// free deletes entry e, whose slot is slot: the RefTable frees the slot,
+// and the last entry moves into e, so the entries stay dense. A probe from
+// the moved key's home finds its one slot by the word alone, ref and hash
+// bits, and re-points it at e; that key is the only one a delete hashes.
 //
 //dyncq:hot
-func (t *Table[V]) free(i int) {
-	t.n--
-	a, mask := t.arity, len(t.ctrl)-1
-	for j := (i + 1) & mask; t.ctrl[j] != slotEmpty; j = (j + 1) & mask {
-		key := t.keys[j*a : (j+1)*a]
-		if home := int(Hash(key)) & mask; (j-home)&mask >= (j-i)&mask {
-			t.ctrl[i] = t.ctrl[j]
-			copy(t.keys[i*a:], key)
-			t.vals[i] = t.vals[j]
-			i = j
+func (t *Table[V]) free(slot uint32, e int) {
+	t.slots.Free(slot)
+	a, last := t.arity, len(t.vals)-1
+	if e != last {
+		key := t.keys[last*a : (last+1)*a]
+		s, h := t.slots.Slots, Hash(key)
+		mask, want := uint32(len(s)-1), uint64(uint32(h))<<32|uint64(last+1)
+		i := uint32(h) & mask
+		for s[i] != want {
+			i = (i + 1) & mask
 		}
+		s[i] = want&^0xffffffff | uint64(e+1)
+		copy(t.keys[e*a:], key)
+		t.vals[e] = t.vals[last]
 	}
-	t.ctrl[i] = slotEmpty
 	var zero V
-	t.vals[i] = zero
+	t.vals[last] = zero
+	t.keys, t.vals = t.keys[:last*a], t.vals[:last]
 }
 
-// Range calls fn for every entry until fn returns false, in slot order
+// Range calls fn for every entry until fn returns false, in entry order
 // (unspecified, but a function of the insert/delete history alone). The
 // key slice aliases the table and is capped at its arity: copy it to keep
 // it past the table's next mutation. The table must not be modified
 // during Range.
 func (t *Table[V]) Range(fn func(key []int64, val V) bool) {
 	a := t.arity
-	for i, c := range t.ctrl {
-		if c >= slotFull && !fn(t.keys[i*a:(i+1)*a:(i+1)*a], t.vals[i]) {
+	for i, v := range t.vals {
+		if !fn(t.keys[i*a:(i+1)*a:(i+1)*a], v) {
 			return
 		}
 	}
@@ -277,57 +269,22 @@ func (t *Table[V]) Range(fn func(key []int64, val V) bool) {
 // rule applies.
 func (t *Table[V]) Keys(fn func(key []int64) bool) bool {
 	a := t.arity
-	for i, c := range t.ctrl {
-		if c >= slotFull && !fn(t.keys[i*a:(i+1)*a:(i+1)*a]) {
+	for i := range t.vals {
+		if !fn(t.keys[i*a : (i+1)*a : (i+1)*a]) {
 			return false
 		}
 	}
 	return true
 }
 
-// Reset empties the table for reuse as scratch, keeping the slot arrays —
-// unless they are large and were filled to under an eighth, so the cost of
-// a Reset follows the sizes the table is used at, not the largest it ever
-// saw (one bulk batch must not tax every small commit after it).
+// Reset empties the table for reuse as scratch, keeping its arrays by
+// RefTable.Reset's rule: a large table filled to under an eighth drops
+// them.
 func (t *Table[V]) Reset() {
-	if len(t.ctrl) > resetKeep && t.n*8 < len(t.ctrl) {
-		t.ctrl, t.keys, t.vals = nil, nil, nil
+	clear(t.vals)
+	if t.slots.Reset() {
+		t.keys, t.vals = t.keys[:0], t.vals[:0]
 	} else {
-		clear(t.ctrl)
-		clear(t.vals)
-	}
-	t.n = 0
-}
-
-const (
-	minCap = 8
-	// resetKeep is the slot count up to which Reset always keeps the
-	// arrays: clearing them costs less than growing them back.
-	resetKeep = 1024
-)
-
-// grow rehashes into a table twice the size (minCap slots for the first
-// insert). Only live entries fill a table, so a table at its load limit is
-// one that holds that many keys.
-func (t *Table[V]) grow() {
-	newCap := max(2*len(t.ctrl), minCap)
-	oldCtrl, oldKeys, oldVals := t.ctrl, t.keys, t.vals
-	a := t.arity
-	t.ctrl = make([]uint8, newCap)
-	t.keys = make([]int64, newCap*a)
-	t.vals = make([]V, newCap)
-	mask := uint64(newCap - 1)
-	for i, c := range oldCtrl {
-		if c < slotFull {
-			continue
-		}
-		key := oldKeys[i*a : (i+1)*a]
-		j := Hash(key) & mask
-		for t.ctrl[j] != slotEmpty {
-			j = (j + 1) & mask
-		}
-		t.ctrl[j] = c // the tag is a function of the hash, not of the capacity
-		copy(t.keys[int(j)*a:], key)
-		t.vals[j] = oldVals[i]
+		t.keys, t.vals = nil, nil
 	}
 }

@@ -235,10 +235,10 @@ func TestTableRange(t *testing.T) {
 }
 
 // TestAddCountZeroCrossing: AddCount leaves the table exactly as Ref
-// followed by Delete at zero would — the same slots, keys, values and Len
-// — where the freed slot's run shifts back past an entry that must stay
-// (its home is the next slot) and where the freed slot ends its run, and
-// a fresh key on a shortened run takes the empty slot that ends it.
+// followed by Delete at zero would — the same slots, entries, values and
+// Len — where the freed slot's run shifts back past an entry that must
+// stay (its home is the next slot) and where the freed slot ends its run,
+// and a fresh key on a shortened run takes the empty slot that ends it.
 func TestAddCountZeroCrossing(t *testing.T) {
 	// In an 8-slot table: a and c share home slot h, b's home is h+1, so
 	// inserted in that order they sit in slots h, h+1, h+2.
@@ -264,13 +264,13 @@ func TestAddCountZeroCrossing(t *testing.T) {
 	}
 	same := func(what string) {
 		t.Helper()
-		if a.Len() != b.Len() || fmt.Sprint(a.ctrl) != fmt.Sprint(b.ctrl) ||
+		if a.Len() != b.Len() || fmt.Sprint(a.slots.Slots) != fmt.Sprint(b.slots.Slots) ||
 			fmt.Sprint(a.keys) != fmt.Sprint(b.keys) || fmt.Sprint(a.vals) != fmt.Sprint(b.vals) {
-			t.Fatalf("%s: AddCount table (len %d, ctrl %v, keys %v) differs from Ref+Delete (len %d, ctrl %v, keys %v)",
-				what, a.Len(), a.ctrl, a.keys, b.Len(), b.ctrl, b.keys)
+			t.Fatalf("%s: AddCount table (len %d, slots %x, keys %v) differs from Ref+Delete (len %d, slots %x, keys %v)",
+				what, a.Len(), a.slots.Slots, a.keys, b.Len(), b.slots.Slots, b.keys)
 		}
-		if i, gap := runGap(a); gap >= 0 {
-			t.Fatalf("%s: empty slot %d lies between slot %d and its key's home", what, gap, i)
+		if err := checkDense(a); err != nil {
+			t.Fatalf("%s: %v", what, err)
 		}
 	}
 	step := func(what string, key []int64, d int64, wantPresent bool) {
@@ -283,35 +283,43 @@ func TestAddCountZeroCrossing(t *testing.T) {
 		}
 		same(what)
 	}
-	at := func(what string, want ...[]int64) {
+	// at checks the keys in slots h, h+1, … (nil: empty) and in the
+	// entries, in order.
+	at := func(what string, slots [][]int64, entries ...[]int64) {
 		t.Helper()
-		for j, k := range want {
+		for j, k := range slots {
 			i := int(home+uint64(j)) & 7
-			if k == nil && a.ctrl[i] != slotEmpty || k != nil && (a.ctrl[i] < slotFull || a.keys[i] != k[0]) {
-				t.Fatalf("%s: slot %d holds ctrl %#x key %d, want %v", what, i, a.ctrl[i], a.keys[i], k)
+			w := a.slots.Slots[i]
+			if k == nil && w != 0 || k != nil && (w == 0 || a.keys[uint32(w)-1] != k[0]) {
+				t.Fatalf("%s: slot %d holds word %#x, want key %v", what, i, w, k)
 			}
+		}
+		if fmt.Sprint(entries) != fmt.Sprint(chunk(a.keys, 1)) {
+			t.Fatalf("%s: entries hold keys %v, want %v", what, a.keys, entries)
 		}
 	}
 	for _, k := range [][]int64{ka, kb, kc} {
 		step("insert", k, 1, false)
 	}
-	at("after inserts", ka, kb, kc, nil)
+	at("after inserts", [][]int64{ka, kb, kc, nil}, ka, kb, kc)
 	step("count up", ka, 2, true)
 	step("count down", ka, -1, true)
-	// Freeing h: b's home is h+1, so it stays; c moves back into h.
+	// Freeing h: b's home is h+1, so it stays; c moves back into h. The
+	// last entry, c, moves into a's entry.
 	step("zero before a run", ka, -2, true)
-	at("after the first zero", kc, kb, nil)
+	at("after the first zero", [][]int64{kc, kb, nil}, kc, kb)
 	if a.Len() != 2 || a.Has(ka) {
 		t.Fatalf("after the first zero: Len %d, Has %v, want 2, false", a.Len(), a.Has(ka))
 	}
-	// b's successor is empty: its slot just goes back to empty.
+	// b's successor is empty: its slot just goes back to empty, and b is
+	// the last entry, so no entry moves.
 	step("zero at a run's end", kb, -1, true)
-	at("after the second zero", kc, nil)
+	at("after the second zero", [][]int64{kc, nil}, kc)
 	// A fresh key of home h lands in the empty slot that ends its run.
 	step("insert after the shift", kd, 5, false)
-	at("reinsert", kc, kd, nil)
-	if a.Len() != 2 || a.vals[(home+1)&7] != 5 {
-		t.Fatalf("reinsert: Len %d, value %d, want 2, 5", a.Len(), a.vals[(home+1)&7])
+	at("reinsert", [][]int64{kc, kd, nil}, kc, kd)
+	if a.Len() != 2 || a.vals[1] != 5 {
+		t.Fatalf("reinsert: Len %d, value %d, want 2, 5", a.Len(), a.vals[1])
 	}
 	// An absent key at d = 0 is inserted and freed at once.
 	step("absent at zero", []int64{-7}, 0, false)
@@ -320,35 +328,67 @@ func TestAddCountZeroCrossing(t *testing.T) {
 	}
 }
 
-// runGap checks the run invariant that backward-shift deletion keeps: no
-// empty slot lies between a key's home slot and its slot. It returns the
-// first full slot whose run is broken and the empty slot that breaks it,
-// or -1, -1.
-func runGap[V any](tb *Table[V]) (slot, gap int) {
-	mask := len(tb.ctrl) - 1
-	for i, c := range tb.ctrl {
-		if c < slotFull {
+// chunk splits a flat key array into keys of arity n.
+func chunk(keys []int64, n int) [][]int64 {
+	var out [][]int64
+	for i := 0; i+n <= len(keys); i += n {
+		out = append(out, keys[i:i+n])
+	}
+	return out
+}
+
+// checkDense checks the dense layout: Len, the entries and the full
+// slots agree in number, and exactly one slot names each entry — the slot
+// holds the entry's hash bits, is the one a probe for its key finds, and
+// has no empty slot between its home and itself.
+func checkDense[V any](tb *Table[V]) error {
+	n := tb.Len()
+	if len(tb.vals) != n || len(tb.keys) != n*tb.arity || tb.slots.Len() != n {
+		return fmt.Errorf("Len %d, %d values, %d key words at arity %d, %d slots counted",
+			n, len(tb.vals), len(tb.keys), tb.arity, tb.slots.Len())
+	}
+	named := make([]bool, n)
+	full := 0
+	for i, w := range tb.slots.Slots {
+		if w == 0 {
 			continue
 		}
-		for j := int(Hash(tb.keys[i*tb.arity:(i+1)*tb.arity])) & mask; j != i; j = (j + 1) & mask {
-			if tb.ctrl[j] == slotEmpty {
-				return i, j
-			}
+		full++
+		e := int(uint32(w)) - 1
+		if e < 0 || e >= n || named[e] {
+			return fmt.Errorf("slot %d names entry %d of %d, nil, past the end or named twice", i, e, n)
+		}
+		named[e] = true
+		key := tb.keys[e*tb.arity : (e+1)*tb.arity]
+		h := Hash(key)
+		if uint32(w>>32) != uint32(h) {
+			return fmt.Errorf("slot %d holds hash bits %#x, entry %d's key %v hashes to %#x", i, w>>32, e, key, uint32(h))
+		}
+		if slot, found := tb.find(key, h); found != e || slot != uint32(i) {
+			return fmt.Errorf("a probe for %v finds entry %d in slot %d, not entry %d in slot %d", key, found, slot, e, i)
+		}
+		if gap := tb.slots.Gap(i); gap >= 0 {
+			return fmt.Errorf("empty slot %d lies between slot %d and its key's home", gap, i)
 		}
 	}
-	return -1, -1
+	if full != n {
+		return fmt.Errorf("%d full slots for %d entries", full, n)
+	}
+	return nil
 }
 
 // runProgram drives a Table and a Go map through the operation sequence
 // encoded in prog (three bytes per operation: kind, then a 16-bit key seed)
-// and fails on the first disagreement or broken probe run, re-checking the
-// whole content after every rehash and every backward shift. The kind
-// byte's low seven bits modulo 5 pick the operation; for AddCount, bit 7
-// set means "cancel the stored count" (a zero crossing on a present key)
-// and bits 4–5 otherwise give d in −1..2. It returns how many rehashes the
-// table went through, how many deletes moved an entry back, and how many
-// of those moved one across the end of the slot array.
-func runProgram(t testing.TB, arity int, prog []byte) (grown, shifted, wrapped int) {
+// and fails on the first disagreement or broken dense layout (checkDense,
+// after every operation), re-checking the whole content after every
+// growth and every delete by position. The kind byte's low seven bits
+// modulo 6 pick the operation. For AddCount, bit 7 set means "cancel the
+// stored count" (a zero crossing on a present key) and bits 4–5 otherwise
+// give d in −1..2. For a delete by position, bits 4–5 pick the first, a
+// middle or the last entry. It returns how many times the slots grew, how
+// many deletes moved the last entry into their hole, and how many deletes
+// by position took the first, a middle and the last entry.
+func runProgram(t testing.TB, arity int, prog []byte) (grown, moved int, byPos [3]int) {
 	tb := NewTable[int64](arity)
 	model := map[string]int64{}
 	key := make([]int64, arity)
@@ -356,16 +396,17 @@ func runProgram(t testing.TB, arity int, prog []byte) (grown, shifted, wrapped i
 		if tb.Len() != len(model) {
 			t.Fatalf("arity %d step %d: Len = %d, model %d", arity, step, tb.Len(), len(model))
 		}
-		seen := 0
+		seen := map[string]bool{}
 		tb.Range(func(k []int64, v int64) bool {
-			seen++
-			if mv, ok := model[fmt.Sprint(k)]; !ok || mv != v {
-				t.Fatalf("arity %d step %d: Range yields %v → %d, model %d,%v", arity, step, k, v, mv, ok)
+			ks := fmt.Sprint(k)
+			if mv, ok := model[ks]; !ok || mv != v || seen[ks] {
+				t.Fatalf("arity %d step %d: Range yields %v → %d (seen before: %v), model %d,%v", arity, step, k, v, seen[ks], mv, ok)
 			}
+			seen[ks] = true
 			return true
 		})
-		if seen != len(model) {
-			t.Fatalf("arity %d step %d: Range visited %d entries, model has %d", arity, step, seen, len(model))
+		if len(seen) != len(model) {
+			t.Fatalf("arity %d step %d: Range visited %d entries, model has %d", arity, step, len(seen), len(model))
 		}
 	}
 	for step := 0; step+2 < len(prog); step += 3 {
@@ -376,11 +417,21 @@ func runProgram(t testing.TB, arity int, prog []byte) (grown, shifted, wrapped i
 		if arity > 0 {
 			key[arity-1] = seed
 		}
-		ks := fmt.Sprint(key)
-		slots := len(tb.ctrl)
-		run := runAfter(tb, key)
+		slots, n := len(tb.slots.Slots), tb.Len()
 		kind, v := prog[step], int64(step)
-		switch kind & 0x7f % 5 {
+		op := kind & 0x7f % 6
+		if op == 5 { // delete by position
+			if n == 0 {
+				continue
+			}
+			pos := min(int(kind>>4&3), 2)
+			e := [3]int{0, n / 2, n - 1}[pos]
+			byPos[pos]++
+			key = append(key[:0], tb.keys[e*arity:(e+1)*arity]...)
+			op = 2
+		}
+		ks := fmt.Sprint(key)
+		switch op {
 		case 0: // put
 			tb.Put(key, v)
 			model[ks] = v
@@ -394,8 +445,12 @@ func runProgram(t testing.TB, arity int, prog []byte) (grown, shifted, wrapped i
 			model[ks] = v
 		case 2: // delete
 			_, want := model[ks]
+			_, e := tb.lookup(key)
 			if got := tb.Delete(key); got != want {
 				t.Fatalf("arity %d step %d: Delete(%v) = %v, model %v", arity, step, key, got, want)
+			}
+			if want && e != n-1 {
+				moved++
 			}
 			delete(model, ks)
 		case 3: // get
@@ -421,66 +476,33 @@ func runProgram(t testing.TB, arity int, prog []byte) (grown, shifted, wrapped i
 				t.Fatalf("arity %d step %d: after AddCount(%v, %d) Get = %d,%v, model %d", arity, step, key, d, got, ok, mv)
 			}
 		}
-		if i, gap := runGap(tb); gap >= 0 {
-			t.Fatalf("arity %d step %d: empty slot %d lies between slot %d and its key's home", arity, step, gap, i)
+		if err := checkDense(tb); err != nil {
+			t.Fatalf("arity %d step %d: %v", arity, step, err)
 		}
-		moved, across := false, false
-		for _, e := range run {
-			if i := tb.find(e.key); i != e.slot {
-				moved, across = true, across || i > e.slot
-			}
-		}
-		switch {
-		case len(tb.ctrl) > slots:
+		if len(tb.slots.Slots) > slots {
 			grown++
 			check(step)
-		case moved:
-			shifted++
-			if across {
-				wrapped++
-			}
+		} else if kind&0x7f%6 == 5 {
 			check(step)
 		}
 	}
 	check(len(prog))
-	return grown, shifted, wrapped
-}
-
-// runEntry is a key and the slot it sat in before an operation.
-type runEntry struct {
-	key  []int64
-	slot int
-}
-
-// runAfter returns the entries after key's slot up to the end of its
-// probe run — the ones a delete of key may shift back — or nil if key is
-// absent.
-func runAfter(tb *Table[int64], key []int64) []runEntry {
-	i := tb.find(key)
-	if i < 0 {
-		return nil
-	}
-	var run []runEntry
-	mask := len(tb.ctrl) - 1
-	for j := (i + 1) & mask; tb.ctrl[j] != slotEmpty; j = (j + 1) & mask {
-		run = append(run, runEntry{append([]int64(nil), tb.keys[j*tb.arity:(j+1)*tb.arity]...), j})
-	}
-	return run
+	return grown, moved, byPos
 }
 
 // randomProgram alternates two phases. Random operations over a 512-key
-// domain, AddCount among them, take the table through its doublings. A sliding window (insert a
-// fresh key, delete the one inserted 100 operations earlier) keeps few
-// keys live while every insert lands somewhere new, so deletes keep
-// shifting runs back, across the end of the slot array among them, and
-// the table must not grow.
+// domain, AddCount and deletes by position among them, take the table
+// through its doublings. A sliding window (insert a fresh key, delete the
+// one inserted 100 operations earlier) keeps few keys live while every
+// insert lands somewhere new, so deletes keep shifting runs back, across
+// the end of the slot array among them, and the table must not grow.
 func randomProgram(rng *rand.Rand, ops int) []byte {
 	prog := make([]byte, 0, 3*ops)
 	op := func(kind byte, seed int) { prog = append(prog, kind, byte(seed>>8), byte(seed)) }
 	fresh := 512
 	for len(prog) < 3*ops {
 		for i := 0; i < 2000; i++ {
-			op(byte(rng.Intn(5)|rng.Intn(4)<<4|rng.Intn(2)<<7), rng.Intn(512))
+			op(byte(rng.Intn(6)|rng.Intn(4)<<4|rng.Intn(2)<<7), rng.Intn(512))
 		}
 		for i := 0; i < 512; i++ { // empty the random phase's keys
 			op(2, i)
@@ -496,28 +518,26 @@ func randomProgram(rng *rand.Rand, ops int) []byte {
 }
 
 // TestTableAgainstModel is the model-based test of the fixed-arity
-// contract: arities 0–4 against a Go map, through several growth rehashes
-// and deletes whose backward shift moved an entry, also across the end of
-// the slot array.
+// contract: arities 0–4 against a Go map, through several growths,
+// deletes that moved the last entry into their hole, and deletes of the
+// first, a middle and the last entry.
 func TestTableAgainstModel(t *testing.T) {
 	for arity := 0; arity <= 4; arity++ {
 		rng := rand.New(rand.NewSource(int64(42 + arity)))
-		grown, shifted, wrapped := runProgram(t, arity, randomProgram(rng, 60000))
+		grown, moved, byPos := runProgram(t, arity, randomProgram(rng, 60000))
 		if arity == 0 {
 			continue // one possible key: the table never leaves its first 8 slots
 		}
-		if grown < 4 {
-			t.Errorf("arity %d: only %d growth rehashes, want several", arity, grown)
+		if grown < 4 || moved < 1 || byPos[0] < 1 || byPos[1] < 1 || byPos[2] < 1 {
+			t.Errorf("arity %d: %d growths, %d deletes moved an entry, %v deletes of the first, a middle and the last entry; want several, one, one each",
+				arity, grown, moved, byPos)
 		}
-		if shifted < 1 || wrapped < 1 {
-			t.Errorf("arity %d: %d deletes shifted an entry back, %d across the end of the slots; want both", arity, shifted, wrapped)
-		}
-		t.Logf("arity %d: %d growth rehashes, %d shifting deletes, %d across the end", arity, grown, shifted, wrapped)
+		t.Logf("arity %d: %d growths, %d moving deletes, %v by position", arity, grown, moved, byPos)
 	}
 }
 
 // FuzzTable runs arbitrary programs against the model; the seeds are
-// prefixes of the model test's own programs and two short hand-written
+// prefixes of the model test's own programs and three short hand-written
 // ones.
 func FuzzTable(f *testing.F) {
 	for arity := 0; arity <= 4; arity++ {
@@ -528,6 +548,8 @@ func FuzzTable(f *testing.F) {
 	// AddCount: insert at 2, cancel to zero, insert at 0 (freed at once),
 	// insert at 1 and count down to zero.
 	f.Add(uint8(1), []byte{0x34, 0, 1, 0x34, 0, 2, 0x84, 0, 1, 0x14, 0, 3, 0x24, 0, 1, 0x04, 0, 1})
+	// Five inserts, then deletes of the first, a middle and the last entry.
+	f.Add(uint8(3), []byte{0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 4, 0, 0, 5, 5, 0, 0, 0x15, 0, 0, 0x25, 0, 0})
 	f.Fuzz(func(t *testing.T, arity uint8, prog []byte) {
 		runProgram(t, int(arity%5), prog)
 	})

@@ -156,5 +156,7 @@ func TestCheckInvariantsSeesCoreArenaCorruption(t *testing.T) {
 	}
 	if err := ws.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "free chain") {
 		t.Fatalf("CheckInvariants = %v, want the corrupted free chain reported", err)
+	} else {
+		t.Log(err)
 	}
 }

@@ -129,16 +129,22 @@ func sortedTuples(h *Handle) [][]Value {
 // single update runs the relation-phased store schedule and a delta join:
 // the E index's list for the key that empties and refills takes its block
 // back from the index's free chain (3 allocations when a bucket was a
-// table of its own).
+// table of its own). It counts every allocation under Commit over all the
+// pairs (commitAllocs), so one allocation in a thousand pairs fails it.
 func TestApplyAllocationFree(t *testing.T) {
 	for _, set := range applySets {
 		t.Run(set.name, func(t *testing.T) {
 			ws, pair := applyPair(t, set.queries)
 			pair() // warm the arena free chains, the map slots and the grouping
-			allocs := testing.AllocsPerRun(1000, pair)
-			t.Logf("allocs per single-update Commit insert/delete pair: %v", allocs)
-			if allocs != 0 {
-				t.Fatalf("a single-update Commit insert/delete pair allocates %v times, want 0", allocs)
+			const pairs = 1000
+			n, stacks := commitAllocs(func() {
+				for range pairs {
+					pair()
+				}
+			})
+			t.Logf("%d single-update Commit insert/delete pairs: %d allocations under Commit", pairs, n)
+			if n != 0 {
+				t.Fatalf("%d single-update Commit insert/delete pairs allocated %d times, want 0:\n%s", pairs, n, strings.Join(stacks, "\n"))
 			}
 			if err := ws.CheckInvariants(); err != nil {
 				t.Fatal(err)
@@ -217,12 +223,14 @@ func BenchmarkApply(b *testing.B) {
 // allocates nothing, at 64 updates as at 512: the pipeline's bookkeeping
 // lives in workspace-owned scratch. Nor does an ivm-routed commit
 // allocate, whose delta joins allocate nothing per valuation and nothing
-// per join (ivmCommitAllocs).
+// per join (ivmCommitAllocs). Both count every allocation under Commit
+// over 200 insert/delete cycles (commitAllocs), so one allocation in 400
+// commits fails the test.
 // (Before the store kept tuples inline and the coalescer kept its slot
 // tables, a commit paid one tuple copy per insert and up to one table,
 // grown by rehash, per relation.)
 func TestCommitAllocationFree(t *testing.T) {
-	allocsAt := func(batch int) float64 {
+	allocsAt := func(batch int) (int64, []string) {
 		ws := NewWorkspace(WorkspaceOptions{})
 		for name, text := range map[string]string{"star": "Q(y) :- E(x,y), T(y)", "deep": "Q(x,y,z) :- R(x,y,z), E(x,y), S(x)"} {
 			h, err := ws.Register(name, text)
@@ -262,28 +270,42 @@ func TestCommitAllocationFree(t *testing.T) {
 			}
 		}
 		cycle() // warm the arena free chains, the table slots and the coalescer
-		return testing.AllocsPerRun(200, cycle) / 2
+		return commitAllocs(func() {
+			for range allocCycles {
+				cycle()
+			}
+		})
 	}
-	small, large := allocsAt(64), allocsAt(512)
-	t.Logf("allocs per commit: %v at 64 updates, %v at 512", small, large)
-	if small != 0 || large != 0 {
-		t.Fatalf("a core-routed commit allocates %v times at 64 updates, %v at 512, want 0", small, large)
-	}
-	small, large = ivmCommitAllocs(t, 64), ivmCommitAllocs(t, 512)
-	t.Logf("ivm allocs per commit: %v at 64 updates, %v at 512", small, large)
-	if small != 0 || large != 0 {
-		t.Fatalf("an ivm-routed commit allocates %v times at 64 updates, %v at 512, want 0: the delta joins allocate", small, large)
+	for _, c := range []struct {
+		name string
+		run  func(batch int) (int64, []string)
+	}{
+		{"core-routed", allocsAt},
+		{"ivm-routed", func(batch int) (int64, []string) { return ivmCommitAllocs(t, batch) }},
+	} {
+		for _, batch := range []int{64, 512} {
+			n, stacks := c.run(batch)
+			t.Logf("%s: %d commits of %d updates: %d allocations under Commit", c.name, 2*allocCycles, batch, n)
+			if n != 0 {
+				t.Errorf("%d %s commits of %d updates allocated %d times, want 0:\n%s", 2*allocCycles, c.name, batch, n, strings.Join(stacks, "\n"))
+			}
+		}
 	}
 }
 
-// ivmCommitAllocs returns the allocations of a warmed commit of batch
-// updates on the hard query ϕS-E-T, ivm-routed, below the rebuild
-// crossover, so every update is a delta join. Half the batch inserts S
-// tuples for keys E holds (four valuations each), half E tuples between
-// keys both E indexes already hold — so no index bucket is created or
-// emptied, which would allocate a bucket table — and the inverse batch
-// restores the store.
-func ivmCommitAllocs(t *testing.T, batch int) float64 {
+// allocCycles is the number of insert/delete cycles, two commits each,
+// over which TestCommitAllocationFree counts allocations.
+const allocCycles = 200
+
+// ivmCommitAllocs counts, with the stacks that made them, the allocations
+// under Commit of allocCycles warmed insert/delete cycles of batch updates
+// on the hard query ϕS-E-T, ivm-routed, below the rebuild crossover, so
+// every update is a delta join. Half the batch inserts S tuples for keys
+// E holds (four valuations each), half E tuples between keys both E
+// indexes already hold, so the joins walk lists that exist (lists that
+// empty and refill are TestChurnAllocationFree's -blocks and -refill
+// shapes), and the inverse batch restores the store.
+func ivmCommitAllocs(t *testing.T, batch int) (int64, []string) {
 	ws := NewWorkspace(WorkspaceOptions{})
 	h, err := ws.Register("hard", "Q(x,y) :- S(x), E(x,y), T(y)")
 	if err != nil {
@@ -321,8 +343,12 @@ func ivmCommitAllocs(t *testing.T, batch int) float64 {
 			}
 		}
 	}
-	cycle() // warm the index buckets, the result table and the coalescer
-	return testing.AllocsPerRun(200, cycle) / 2
+	cycle() // warm the index lists, the result table and the coalescer
+	return commitAllocs(func() {
+		for range allocCycles {
+			cycle()
+		}
+	})
 }
 
 // TestChurnAllocationFree: a store under steady churn — every commit

@@ -130,8 +130,8 @@ deep_leg() {
 	GOMAXPROCS=$n go test -race ./internal/server -run 'TestE2E' -server.e2eclients=6 -count=1 -v
 	# The line parser against the reference parser its test keeps and its
 	# one-pass branch against its general path, the CLI's update-file
-	# reader against the parser on one line, the store's tuple table,
-	# the core engine's keyless A_v indexes (paths inserted and deleted
+	# reader against the parser on one line, tuplekey.Table (the result
+	# sets' and the index lists' dense table on a RefTable), the core engine's keyless A_v indexes (paths inserted and deleted
 	# through the engine, checked with CheckInvariants) and the store's
 	# NetDelta/ApplyNetDelta against map models, the evaluator —
 	# the oracle and ivm's delta-join kernel — against brute force, and
@@ -159,8 +159,8 @@ deep_leg() {
 	# iteration count and a second repeat catch a benchmark whose state
 	# outlives one run. go test exits 0 when a sub-benchmark fails on a
 	# repeat of -count, so the awk fails the lane on any --- FAIL line.
-	go test ./pkg/dyncq ./internal/ivm ./internal/core ./internal/server ./internal/stream -run '^$' \
-		-bench 'Apply$|DeltaJoin|CapturedCommit|SnapshotAdvance|SnapshotLaggingReader|CoreUpdate|CommitBatch|EnumerateFrame|Rebuild|ParseLine' \
+	go test ./pkg/dyncq ./internal/ivm ./internal/core ./internal/server ./internal/stream ./internal/tuplekey -run '^$' \
+		-bench 'Apply$|DeltaJoin|CapturedCommit|SnapshotAdvance|SnapshotLaggingReader|CoreUpdate|CommitBatch|EnumerateFrame|Rebuild|ParseLine|Table' \
 		-benchtime 51x -count 2 -benchmem 2>&1 |
 		awk '{ print } /^--- FAIL/ { failed = 1 } END { exit failed }'
 }
