@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"dyncq/internal/allocs"
 	"dyncq/pkg/dyncq"
 )
 
@@ -73,12 +74,19 @@ func TestClientDeltaFrames(t *testing.T) {
 }
 
 // TestClientApplyBatchAllocationFree: a warmed client commits a batch of
-// updates and its inverse over net.Pipe to an in-process server, and the
-// whole round trip allocates as often at 512 updates as at 64 — the
-// client writes each update line into its write buffer through
-// stream.AppendTupleLine, and the server parses it where it lies.
+// updates and its inverse over net.Pipe to an in-process server. The
+// server's part of the round trip allocates nothing at 64 and at 512
+// updates — the session parses each line where it lies and writes its
+// replies into its reply buffer — and the client's allocates as often per
+// commit at 512 updates as at 64 (2 at this writing): it writes each
+// update line into its write buffer through stream.AppendTupleLine. Each
+// side counts every allocation on its own goroutines over 100 cycles
+// (allocs.Count).
 func TestClientApplyBatchAllocationFree(t *testing.T) {
-	allocsAt := func(n int) float64 {
+	clientFrames := []string{"dyncq/internal/server.(*Client).ApplyBatch", "dyncq/internal/server.(*Client).demux"}
+	const cycles = 100
+	var clientAllocs [2]int64
+	for i, n := range []int{64, 512} {
 		srv := newTestServer(t, Options{WriteTimeout: -1}) // no deadline timers, as in TestSessionBatchAllocationFree
 		if _, err := srv.Workspace().Register("star", "Q(y) :- E(x,y), T(y)"); err != nil {
 			t.Fatal(err)
@@ -95,21 +103,27 @@ func TestClientApplyBatchAllocationFree(t *testing.T) {
 			}
 			del[j] = dyncq.Update{Op: dyncq.OpDelete, Rel: ins[j].Rel, Tuple: ins[j].Tuple}
 		}
-		cycle := func() {
-			for _, batch := range [][]dyncq.Update{ins, del} {
-				if changed, _, err := cl.ApplyBatch(batch); err != nil || changed != n {
-					t.Fatalf("ApplyBatch: %d changed (%v), want %d", changed, err, n)
+		run := func() {
+			for range cycles {
+				for _, batch := range [][]dyncq.Update{ins, del} {
+					if changed, _, err := cl.ApplyBatch(batch); err != nil || changed != n {
+						t.Fatalf("ApplyBatch: %d changed (%v), want %d", changed, err, n)
+					}
 				}
 			}
 		}
-		cycle() // warm the buffers, the session's arena and the store
-		cycle()
-		return testing.AllocsPerRun(100, cycle) / 2
+		run() // warm the buffers, the session's arena, the store and the runtime's caches
+		server, stacks := sessionAllocs(run)
+		clientAllocs[i], _ = allocs.Count(run, clientFrames...)
+		t.Logf("%d client batch commits of %d updates: %d allocations on the session's goroutines, %d on the client's", 2*cycles, n, server, clientAllocs[i])
+		if server != 0 {
+			t.Fatalf("%d client batch commits of %d updates allocated %d times on the server, want 0:\n%s", 2*cycles, n, server, strings.Join(stacks, "\n"))
+		}
 	}
-	small, large := allocsAt(64), allocsAt(512)
-	t.Logf("allocs per client batch commit: %v at 64 updates, %v at 512", small, large)
-	if small != large {
-		t.Fatalf("a client batch commit allocates %v times at 64 updates but %v at 512: something allocates per update", small, large)
+	// The client's own count is compared per commit, rounded down: its
+	// demux goroutine's count moves by one from window to window.
+	if small, large := clientAllocs[0]/(2*cycles), clientAllocs[1]/(2*cycles); small != large {
+		t.Fatalf("the client allocates %d times per batch commit of 64 updates but %d times per commit of 512: something allocates per update", small, large)
 	}
 }
 

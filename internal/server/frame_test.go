@@ -90,7 +90,7 @@ func feedFixture(tb testing.TB, result int) (srv *Server, h *dyncq.Handle, batch
 // formatted.
 func poll(srv *Server, h *dyncq.Handle) (f frame, filled, formatted uint64) {
 	blocks, rows := srv.FrameCacheStats().Misses, srv.rowsFormatted.Load()
-	f = srv.enumerateFrame(h.Snapshot())
+	f = srv.enumerateFrame(nil, h.Snapshot())
 	return f, srv.FrameCacheStats().Misses - blocks, srv.rowsFormatted.Load() - rows
 }
 
@@ -224,7 +224,7 @@ func TestEnumerateBlocksRaceWriter(t *testing.T) {
 				default:
 				}
 				snap := h.Snapshot()
-				if got, want := frameBytes(srv.enumerateFrame(snap)), encodeSnapshot(snap); !bytes.Equal(got, want) {
+				if got, want := frameBytes(srv.enumerateFrame(nil, snap)), encodeSnapshot(snap); !bytes.Equal(got, want) {
 					t.Errorf("poll %d at version %d: the frame of %d bytes differs from the reference encoder's %d", i, snap.Version(), len(got), len(want))
 					return
 				}
@@ -272,7 +272,7 @@ func TestEnumerateSpliceRaceWriter(t *testing.T) {
 				if i%3 == 2 {
 					snap, held = held, snap
 				}
-				if got, want := frameBytes(srv.enumerateFrame(snap)), encodeSnapshot(snap); !bytes.Equal(got, want) {
+				if got, want := frameBytes(srv.enumerateFrame(nil, snap)), encodeSnapshot(snap); !bytes.Equal(got, want) {
 					t.Errorf("poll %d at version %d: the frame of %d bytes differs from the reference encoder's %d", i, snap.Version(), len(got), len(want))
 					return
 				}
@@ -343,7 +343,7 @@ func TestConcurrentEnumerateOneVersion(t *testing.T) {
 	}
 	// Both sessions start on empty slots and may each encode a leaf; from
 	// then on every block is reused.
-	st, leaves := srv.FrameCacheStats(), uint64(len(srv.enumerateFrame(h.Snapshot()).blocks))
+	st, leaves := srv.FrameCacheStats(), uint64(len(srv.enumerateFrame(nil, h.Snapshot()).blocks))
 	if st.Hits+st.Misses != 2*rounds*leaves || st.Misses < leaves || st.Misses > 2*leaves {
 		t.Fatalf("%d enumerates of %d blocks at one version read %+v, want each block encoded once or twice", 2*rounds, leaves, st)
 	}
@@ -580,7 +580,7 @@ func splicePoll(t *testing.T, srv *Server, h *dyncq.Handle, misses uint64, added
 		bound = uint64(snap.Len())
 	}
 	before := srv.rowsFormatted.Load()
-	got := frameBytes(srv.enumerateFrame(snap))
+	got := frameBytes(srv.enumerateFrame(nil, snap))
 	if formatted := srv.rowsFormatted.Load() - before; formatted > bound {
 		t.Fatalf("version %d (%d rows): the poll formatted %d rows, want at most %d (added %d, cold pin %v)", snap.Version(), snap.Len(), formatted, bound, added, now != misses)
 	}
@@ -603,7 +603,7 @@ func BenchmarkEnumerateFrame(b *testing.B) {
 	for _, result := range feedSizes {
 		b.Run(fmt.Sprintf("result=%dk", result/1000), func(b *testing.B) {
 			srv, h, batches := feedFixture(b, result)
-			srv.enumerateFrame(h.Snapshot())
+			srv.enumerateFrame(nil, h.Snapshot())
 			b.ReportAllocs()
 			total := uint64(0)
 			for i := 0; b.Loop(); i++ {

@@ -205,8 +205,8 @@ func (s *Server) DroppedFrames(name string) uint64 {
 }
 
 // enumerateFrame returns the `enumerate` frame of a pinned snapshot: a
-// header line of its own, the leaves' encoded blocks, the terminator. A
-// leaf's block is filled once and kept on the leaf itself
+// header line of its own, appended to head, the leaves' encoded blocks,
+// the terminator. A leaf's block is filled once and kept on the leaf itself
 // (dyncq.QuerySnapshot.Blocks), and a leaf a commit rebuilt has its block
 // spliced from the blocks of the leaves it came from: so the frame of a
 // new version formats only the tuples the commits since the last
@@ -218,12 +218,12 @@ func (s *Server) DroppedFrames(name string) uint64 {
 // can never be served.
 //
 //dyncq:hot
-func (s *Server) enumerateFrame(snap *dyncq.QuerySnapshot) frame {
+func (s *Server) enumerateFrame(head []byte, snap *dyncq.QuerySnapshot) frame {
 	blocks, filled, formatted := snap.Blocks()
 	s.blocksEncoded.Add(uint64(filled))
 	s.blocksReused.Add(uint64(len(blocks) - filled))
 	s.rowsFormatted.Add(uint64(formatted))
-	return frame{head: encodeSnapshotHeader(snap), blocks: blocks, tail: frameEndBlock}
+	return frame{head: appendSnapshotHeader(head, snap), blocks: blocks, tail: frameEndBlock}
 }
 
 // FrameCacheStats is the server's encode-once counters, in leaf blocks of

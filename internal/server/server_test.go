@@ -689,9 +689,9 @@ func TestEnumerateFrameIsStrategyIndependent(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := srv.FrameCacheStats()
-			f := srv.enumerateFrame(h.Snapshot())
+			f := srv.enumerateFrame(nil, h.Snapshot())
 			first := srv.FrameCacheStats()
-			again := srv.enumerateFrame(h.Snapshot())
+			again := srv.enumerateFrame(nil, h.Snapshot())
 			second := srv.FrameCacheStats()
 			fresh := uint64(0) // blocks the previous frame did not carry
 			for _, b := range f.blocks {

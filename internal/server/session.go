@@ -26,6 +26,15 @@ import (
 // reader drains, just before it reads more input (Read); broker deltas go
 // through trySend (non-blocking — a slow subscriber never stalls a
 // commit) and wake the writer goroutine.
+//
+// The reader writes every reply into one buffer of its own, rbuf: a
+// reply frame's head is a window of it, so once the buffer has grown to
+// fit a burst of replies a request allocates nothing. The reader empties
+// it only when no queued or in-flight frame can still refer to it —
+// right after its own drain, or while it holds wmu and the outbox is
+// empty — and drains the outbox itself before a reply that would take
+// the buffer past replyFlushAt bytes, so the buffer stays bounded even
+// when the writer goroutine sends every reply.
 type session struct {
 	srv  *Server
 	conn net.Conn
@@ -55,7 +64,17 @@ type session struct {
 	pending  []dyncq.Update
 	arena    stream.Arena
 	batchErr error
+
+	// rbuf holds the replies queued since the reader last emptied it
+	// (reader goroutine only; see replyBuf).
+	rbuf []byte
 }
+
+// replyFlushAt is the reply buffer's length from which the reader drains
+// the outbox itself before it adds a reply. A buffer of short replies
+// never grows past twice that; one a long reply (an error quoting a long
+// line) grew past it is dropped once emptied.
+const replyFlushAt = 4 << 10
 
 // frame is one outbox element, written head, blocks, tail. A reply line,
 // a delta or a resync frame is all head. An `enumerate` frame is its
@@ -76,6 +95,10 @@ func newSession(srv *Server, conn net.Conn) *session {
 		done: make(chan struct{}),
 		wake: make(chan struct{}, 1),
 		subs: make(map[string]*subscriber),
+		// Room from the start for a burst of a full outbox of one-piece
+		// frames — replies and deltas — so a burst grows it only when it
+		// carries an `enumerate` frame's blocks.
+		burst: make(net.Buffers, 0, srv.opt.OutboxFrames),
 	}
 }
 
@@ -122,6 +145,7 @@ func (s *session) Read(p []byte) (int, error) {
 		if !s.flush() {
 			return 0, net.ErrClosed
 		}
+		s.recycle()
 	} else if len(s.out) > 0 {
 		s.wakeWriter()
 	}
@@ -167,28 +191,26 @@ func (s *session) wakeWriter() {
 	}
 }
 
-// drain writes everything queued in the outbox to the connection in one
-// vectored write under one deadline, so a reply and the frames queued
-// behind it (`ok begin` and `ok committed`, deltas beside a reply) cost
-// one syscall, and an `enumerate` frame's blocks go out by reference. A
-// write error or timeout tears the session down; in-flight frames are
-// discarded, and drain returns false.
+// drain writes everything queued in the outbox when it takes wmu to the
+// connection in one vectored write under one deadline, so a reply and
+// the frames queued behind it (`ok begin` and `ok committed`, deltas
+// beside a reply) cost one syscall, and an `enumerate` frame's blocks go
+// out by reference. A frame queued while it takes them leaves in the
+// next drain — the trySend that queued it woke the writer for one — so
+// a burst holds at most a full outbox of frames. A write error or
+// timeout tears the session down; in-flight frames are discarded, and
+// drain returns false.
 func (s *session) drain() bool {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	// net.Buffers consumes what it writes — it slides over and clears the
 	// slice it is given — so the burst is flattened into a slice of the
 	// session's own, never written from a frame's block vector.
-take:
-	for {
-		select {
-		case f := <-s.out:
-			s.burst = append(append(s.burst, f.head), f.blocks...)
-			if f.tail != nil {
-				s.burst = append(s.burst, f.tail)
-			}
-		default:
-			break take
+	for n := len(s.out); n > 0; n-- {
+		f := <-s.out //dyncq:allow lockorder only a drain takes from the outbox, under wmu, so the n frames counted are there to take
+		s.burst = append(append(s.burst, f.head), f.blocks...)
+		if f.tail != nil {
+			s.burst = append(s.burst, f.tail)
 		}
 	}
 	if len(s.burst) == 0 {
@@ -248,15 +270,55 @@ func (s *session) trySend(f frame) bool {
 	return true
 }
 
-func (s *session) sendLine(line string) bool { return s.send(frame{head: []byte(line + "\n")}) }
+// replyBuf returns the reply buffer for the reader to append one reply
+// to, emptied first when no frame queued or in flight can refer to it:
+// with wmu held no drain is writing, and an empty outbox holds none of
+// the reader's frames, so every one it queued has been written. Past
+// replyFlushAt bytes the reader drains the outbox itself first, as send
+// does when the outbox is full. Only the reader calls it, and within a
+// batch only for its farewell, which drains anyway: so this drain never
+// blocks on a client still writing a batch.
+func (s *session) replyBuf() []byte {
+	if len(s.rbuf) > 0 && len(s.out) == 0 && s.wmu.TryLock() {
+		if len(s.out) == 0 {
+			s.recycle()
+		}
+		s.wmu.Unlock()
+	}
+	if len(s.rbuf) >= replyFlushAt && s.flush() {
+		s.recycle()
+	}
+	return s.rbuf
+}
+
+// recycle empties the reply buffer, which no frame refers to any more,
+// or drops it if a long reply grew it past twice replyFlushAt.
+func (s *session) recycle() {
+	if cap(s.rbuf) > 2*replyFlushAt {
+		s.rbuf = nil
+		return
+	}
+	s.rbuf = s.rbuf[:0]
+}
+
+// reply returns the reply appended to the buffer replyBuf returned, and
+// keeps buf as the reply buffer. An append that outgrew the buffer moved
+// it into a larger array; frames queued before keep the old one.
+func (s *session) reply(buf []byte) []byte {
+	head := buf[len(s.rbuf):len(buf):len(buf)]
+	s.rbuf = buf
+	return head
+}
+
+// sendReply queues the reply appended to the buffer replyBuf returned.
+func (s *session) sendReply(buf []byte) bool { return s.send(frame{head: s.reply(buf)}) }
 
 func (s *session) ok(format string, args ...any) bool {
-	return s.sendLine("ok " + fmt.Sprintf(format, args...))
+	buf := append(s.replyBuf(), "ok "...)
+	return s.sendReply(append(fmt.Appendf(buf, format, args...), '\n'))
 }
 
-func (s *session) err(e error) bool {
-	return s.sendLine("err " + sanitizeErr(e))
-}
+func (s *session) err(e error) bool { return s.sendReply(appendErr(s.replyBuf(), e)) }
 
 func (s *session) errf(format string, args ...any) bool {
 	return s.err(fmt.Errorf(format, args...))
@@ -274,12 +336,16 @@ func (s *session) close() {
 }
 
 // dispatch handles one request line, which is only valid until it
-// returns. Returns false to end the session.
+// returns. The verb is matched on the line's bytes: the requests a
+// writer or poller repeats — `begin`, `apply`, `count`, `answer`,
+// `enumerate` — copy nothing of it. Returns false to end the session.
 func (s *session) dispatch(line []byte) bool {
 	if s.inBatch {
 		return s.dispatchBatch(line)
 	}
-	if cmd, rest, _ := bytes.Cut(line, []byte{' '}); string(cmd) == "apply" {
+	cmd, rest, _ := bytes.Cut(line, []byte{' '})
+	switch string(cmd) {
+	case "apply":
 		// Parsed into the arena like a batch line, and committed as a
 		// batch of one.
 		s.pending = s.pending[:0]
@@ -294,55 +360,25 @@ func (s *session) dispatch(line []byte) bool {
 		if err != nil {
 			return s.err(err)
 		}
-		return s.send(frame{head: encodeReply("applied", "", uint64(n), version)})
-	}
-	return s.dispatchVerb(string(line))
-}
-
-// dispatchVerb handles a request line that is neither an update nor a
-// batch line.
-func (s *session) dispatchVerb(line string) bool {
-	cmd, rest, _ := strings.Cut(line, " ")
-	switch cmd {
-	case "register":
-		name, query, okSplit := strings.Cut(rest, " ")
-		if !okSplit || name == "" || strings.TrimSpace(query) == "" {
-			return s.errf("usage: register <name> <query>")
-		}
-		h, err := s.srv.ws.Register(name, query)
-		if err != nil {
-			return s.err(err)
-		}
-		return s.ok("registered %s %s %d", name, h.Strategy(), s.srv.ws.Version())
-	case "unregister":
-		name := strings.TrimSpace(rest)
-		if name == "" {
-			return s.errf("usage: unregister <name>")
-		}
-		if !s.srv.unregister(name) {
-			return s.errf("unknown query %q", name)
-		}
-		return s.ok("unregistered %s", name)
+		return s.sendReply(appendReply(s.replyBuf(), "applied", "", uint64(n), version))
 	case "begin":
 		s.inBatch = true
 		s.pending = s.pending[:0]
 		s.arena.Reset()
 		s.batchErr = nil
 		return s.send(frame{head: okBeginLine})
-	case "commit", "abort":
-		return s.errf("%s outside begin", cmd)
 	case "count", "answer":
 		h, bad := s.handleArg(rest, cmd)
 		if h == nil {
 			return bad
 		}
 		n, version := h.CountAt()
-		if cmd == "count" {
-			return s.send(frame{head: encodeReply("count", h.Name(), n, version)})
+		if string(cmd) == "count" {
+			return s.sendReply(appendReply(s.replyBuf(), "count", h.Name(), n, version))
 		}
-		return s.send(frame{head: encodeAnswer(h.Name(), n > 0, version)})
+		return s.sendReply(appendAnswer(s.replyBuf(), h.Name(), n > 0, version))
 	case "enumerate":
-		h, bad := s.handleArg(rest, "enumerate")
+		h, bad := s.handleArg(rest, cmd)
 		if h == nil {
 			return bad
 		}
@@ -352,9 +388,32 @@ func (s *session) dispatchVerb(line string) bool {
 		// commits since the last enumerate rebuilt is encoded here. No
 		// lock is held while encoding or writing, so a slow client
 		// draining a huge result never blocks a commit.
-		return s.send(s.srv.enumerateFrame(h.Snapshot()))
+		f := s.srv.enumerateFrame(s.replyBuf(), h.Snapshot())
+		f.head = s.reply(f.head)
+		return s.send(f)
+	case "register":
+		name, query, okSplit := strings.Cut(string(rest), " ")
+		if !okSplit || name == "" || strings.TrimSpace(query) == "" {
+			return s.errf("usage: register <name> <query>")
+		}
+		h, err := s.srv.ws.Register(name, query)
+		if err != nil {
+			return s.err(err)
+		}
+		return s.ok("registered %s %s %d", name, h.Strategy(), s.srv.ws.Version())
+	case "unregister":
+		name := string(bytes.TrimSpace(rest))
+		if name == "" {
+			return s.errf("usage: unregister <name>")
+		}
+		if !s.srv.unregister(name) {
+			return s.errf("unknown query %q", name)
+		}
+		return s.ok("unregistered %s", name)
+	case "commit", "abort":
+		return s.errf("%s outside begin", cmd)
 	case "subscribe":
-		name := strings.TrimSpace(rest)
+		name := string(bytes.TrimSpace(rest))
 		if name == "" {
 			return s.errf("usage: subscribe <name>")
 		}
@@ -364,7 +423,7 @@ func (s *session) dispatchVerb(line string) bool {
 		}
 		return s.ok("subscribed %s %d", name, version)
 	case "unsubscribe":
-		name := strings.TrimSpace(rest)
+		name := string(bytes.TrimSpace(rest))
 		if name == "" {
 			return s.errf("usage: unsubscribe <name>")
 		}
@@ -407,7 +466,7 @@ func (s *session) dispatchBatch(line []byte) bool {
 		if err != nil {
 			return s.err(err)
 		}
-		return s.send(frame{head: encodeReply("committed", "", uint64(n), version)})
+		return s.sendReply(appendReply(s.replyBuf(), "committed", "", uint64(n), version))
 	case "abort":
 		s.inBatch = false
 		s.pending = s.pending[:0]
@@ -435,13 +494,14 @@ func (s *session) parseUpdate(line []byte) error {
 
 // handleArg resolves the single query-name argument of count/answer/
 // enumerate. On failure the session has already been answered; the
-// bool is the dispatch return value.
-func (s *session) handleArg(rest, cmd string) (*dyncq.Handle, bool) {
-	name := strings.TrimSpace(rest)
-	if name == "" {
+// bool is the dispatch return value. A name of up to 32 bytes is looked
+// up without a copy.
+func (s *session) handleArg(rest, cmd []byte) (*dyncq.Handle, bool) {
+	name := bytes.TrimSpace(rest)
+	if len(name) == 0 {
 		return nil, s.errf("usage: %s <name>", cmd)
 	}
-	h := s.srv.ws.Handle(name)
+	h := s.srv.ws.Handle(string(name))
 	if h == nil {
 		return nil, s.errf("unknown query %q", name)
 	}
@@ -451,7 +511,7 @@ func (s *session) handleArg(rest, cmd string) (*dyncq.Handle, bool) {
 // farewell writes the connection's last line, with everything queued
 // before it, before the deferred close.
 func (s *session) farewell(line string) {
-	if s.sendLine(line) {
+	if s.sendReply(append(append(s.replyBuf(), line...), '\n')) {
 		s.drain()
 	}
 }

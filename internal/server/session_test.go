@@ -10,10 +10,12 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"dyncq/internal/allocs"
 	"dyncq/internal/cq"
 	"dyncq/internal/dyndb"
 	"dyncq/internal/eval"
@@ -21,75 +23,340 @@ import (
 	"dyncq/pkg/dyncq"
 )
 
-// TestSessionBatchAllocationFree: a warmed session commits a pre-encoded
-// batch of update lines and its inverse over net.Pipe, and the whole
-// round trip — scan, parse, commit on a core-routed query, reply —
-// allocates as often at 512 lines as at 64, at most 3 times per commit,
-// all in the reply: the lines are parsed where the scanner holds them,
-// into the session's arena, with interned relation names, and the commit
-// itself allocates nothing.
-func TestSessionBatchAllocationFree(t *testing.T) {
-	allocsAt := func(lines int) float64 {
-		// No write deadline: net.Pipe arms a timer per deadline, once per
-		// burst, and a commit's replies leave in one burst or two.
-		srv := newTestServer(t, Options{WriteTimeout: -1})
-		ws := srv.Workspace()
-		if h, err := ws.Register("star", "Q(y) :- E(x,y), T(y)"); err != nil || h.Strategy() != dyncq.StrategyCore {
-			t.Fatalf("register: %v, %v", h, err)
-		}
-		db := dyndb.New()
-		for i := 0; i < 4000; i++ {
-			db.Insert("E", dyncq.Value(i%1000), dyncq.Value(i%50))
-			db.Insert("T", dyncq.Value(i%50))
-		}
-		if err := ws.Load(db); err != nil {
+// sessionFrames are the functions a session's two goroutines run
+// under: an allocation with neither on its stack is the client's, the
+// test's or the runtime's, not the session's.
+var sessionFrames = []string{"dyncq/internal/server.(*session).run", "dyncq/internal/server.(*session).writer"}
+
+// sessionAllocs runs fn and returns how many allocations made meanwhile
+// have a session's goroutine on their stack, with one description per
+// allocating stack (allocs.Count).
+func sessionAllocs(fn func()) (int64, []string) { return allocs.Count(fn, sessionFrames...) }
+
+// sessionTransports are the connections the session allocation gates
+// run over: net.Pipe without a write deadline, which net.Pipe would arm
+// with a fresh timer per burst, and loopback TCP with the default
+// WriteTimeout, the path `dyncq serve` runs.
+var sessionTransports = []string{"pipe", "tcp"}
+
+// sessionConn starts a server and opens one session on it over the
+// transport, "pipe" or "tcp".
+func sessionConn(t *testing.T, transport string) (*Server, net.Conn) {
+	t.Helper()
+	if transport == "tcp" {
+		srv, addr := startTCPServer(t, Options{})
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
 			t.Fatal(err)
 		}
-		// Fresh tuples over keys the store holds; the inverse restores it.
-		var ins, del []byte
-		for _, b := range []*[]byte{&ins, &del} {
-			*b = append(*b, "begin\n"...)
-		}
-		for j := 0; j < lines; j++ {
-			line := fmt.Sprintf("E(%d,%d)\n", j%1000, 1000+j)
-			if j%2 == 1 {
-				line = fmt.Sprintf("T(%d)\n", 1000+j)
-			}
-			ins = append(append(ins, '+'), line...)
-			del = append(append(del, '-'), line...)
-		}
-		for _, b := range []*[]byte{&ins, &del} {
-			*b = append(*b, "commit\n"...)
-		}
-		committed := []byte("ok committed " + strconv.Itoa(lines) + " ")
+		t.Cleanup(func() { conn.Close() })
+		return srv, conn
+	}
+	srv := newTestServer(t, Options{WriteTimeout: -1})
+	cs, ss := net.Pipe()
+	go srv.ServeConn(ss)
+	t.Cleanup(func() { cs.Close() })
+	return srv, cs
+}
 
-		cs, ss := net.Pipe()
-		go srv.ServeConn(ss)
-		t.Cleanup(func() { cs.Close() })
-		br := bufio.NewReader(cs)
-		commit := func(batch []byte) {
-			if _, err := cs.Write(batch); err != nil {
+// expectReplies reads one reply line per prefix and fails unless each
+// starts with its prefix.
+func expectReplies(t *testing.T, br *bufio.Reader, prefixes ...[]byte) {
+	t.Helper()
+	for _, want := range prefixes {
+		line, err := br.ReadSlice('\n')
+		if err != nil || !bytes.HasPrefix(line, want) {
+			t.Fatalf("reply %q (%v), want %q…", line, err, want)
+		}
+	}
+}
+
+// TestSessionBatchAllocationFree: a warmed session commits a pre-encoded
+// batch of update lines and its inverse, over net.Pipe and over loopback
+// TCP, and the session's whole part of the round trip — scan, parse,
+// commit on a core-routed query, reply, write — allocates nothing at 64
+// and at 512 lines: the lines are parsed where the scanner holds them,
+// into the session's arena, with interned relation names, the commit
+// allocates nothing, and `ok committed` is written into the session's
+// reply buffer (2 allocations per commit when each reply was a fresh
+// slice and `begin` was copied into a string). It counts every
+// allocation on the session's goroutines over 100 cycles (allocs.Count),
+// so one in 200 commits fails it and prints its stack.
+func TestSessionBatchAllocationFree(t *testing.T) {
+	for _, transport := range sessionTransports {
+		for _, lines := range []int{64, 512} {
+			t.Run(fmt.Sprintf("%s/lines=%d", transport, lines), func(t *testing.T) {
+				srv, conn := sessionConn(t, transport)
+				ws := srv.Workspace()
+				if h, err := ws.Register("star", "Q(y) :- E(x,y), T(y)"); err != nil || h.Strategy() != dyncq.StrategyCore {
+					t.Fatalf("register: %v, %v", h, err)
+				}
+				db := dyndb.New()
+				for i := 0; i < 4000; i++ {
+					db.Insert("E", dyncq.Value(i%1000), dyncq.Value(i%50))
+					db.Insert("T", dyncq.Value(i%50))
+				}
+				if err := ws.Load(db); err != nil {
+					t.Fatal(err)
+				}
+				// Fresh tuples over keys the store holds; the inverse restores it.
+				var ins, del []byte
+				for _, b := range []*[]byte{&ins, &del} {
+					*b = append(*b, "begin\n"...)
+				}
+				for j := 0; j < lines; j++ {
+					line := fmt.Sprintf("E(%d,%d)\n", j%1000, 1000+j)
+					if j%2 == 1 {
+						line = fmt.Sprintf("T(%d)\n", 1000+j)
+					}
+					ins = append(append(ins, '+'), line...)
+					del = append(append(del, '-'), line...)
+				}
+				for _, b := range []*[]byte{&ins, &del} {
+					*b = append(*b, "commit\n"...)
+				}
+				committed := []byte("ok committed " + strconv.Itoa(lines) + " ")
+				conn.SetDeadline(time.Now().Add(time.Minute))
+				br := bufio.NewReader(conn)
+				commit := func(batch []byte) {
+					if _, err := conn.Write(batch); err != nil {
+						t.Fatal(err)
+					}
+					expectReplies(t, br, okBeginLine, committed)
+				}
+				cycle := func() { commit(ins); commit(del) }
+				cycle() // warm the arena, the pending slice, the name table, the store and the reply buffer
+				cycle()
+				const cycles = 100
+				n, stacks := sessionAllocs(func() {
+					for range cycles {
+						cycle()
+					}
+				})
+				t.Logf("%d session commits of %d lines: %d allocations on the session's goroutines", 2*cycles, lines, n)
+				if n != 0 {
+					t.Fatalf("%d session commits of %d lines allocated %d times, want 0:\n%s", 2*cycles, lines, n, strings.Join(stacks, "\n"))
+				}
+			})
+		}
+	}
+}
+
+// TestSessionPollAllocationFree: a warmed poller's `count` and `answer`
+// requests, between commits and back to back, allocate nothing on the
+// session's goroutines over net.Pipe and over loopback TCP: the query
+// name is looked up without a copy and the replies are written into the
+// session's reply buffer.
+func TestSessionPollAllocationFree(t *testing.T) {
+	for _, transport := range sessionTransports {
+		t.Run(transport, func(t *testing.T) {
+			srv, conn := sessionConn(t, transport)
+			if _, err := srv.Workspace().Register("star", "Q(y) :- E(x,y), T(y)"); err != nil {
 				t.Fatal(err)
 			}
-			for _, want := range [][]byte{okBeginLine, committed} {
-				line, err := br.ReadSlice('\n')
-				if err != nil || !bytes.HasPrefix(line, want) {
-					t.Fatalf("reply %q (%v), want %q…", line, err, want)
+			conn.SetDeadline(time.Now().Add(time.Minute))
+			br := bufio.NewReader(conn)
+			requests := []byte("count star\nanswer star\n")
+			batches := [][]byte{[]byte("begin\n+E(1,2)\n+T(2)\ncommit\n"), []byte("begin\n-E(1,2)\n-T(2)\ncommit\n")}
+			counts := [][]byte{[]byte("ok count star 1 "), []byte("ok count star 0 ")}
+			answers := [][]byte{[]byte("ok answer star true "), []byte("ok answer star false ")}
+			poll := func(k int) {
+				if _, err := conn.Write(requests); err != nil {
+					t.Fatal(err)
+				}
+				expectReplies(t, br, counts[k], answers[k])
+			}
+			cycle := func() {
+				for k, batch := range batches {
+					if _, err := conn.Write(batch); err != nil {
+						t.Fatal(err)
+					}
+					expectReplies(t, br, okBeginLine, []byte("ok committed 2 "))
+					poll(k)
+					poll(k)
 				}
 			}
+			cycle()
+			cycle()
+			const cycles = 100
+			n, stacks := sessionAllocs(func() {
+				for range cycles {
+					cycle()
+				}
+			})
+			t.Logf("%d polls: %d allocations on the session's goroutines", 4*cycles, n)
+			if n != 0 {
+				t.Fatalf("%d polls and %d commits allocated %d times, want 0:\n%s", 4*cycles, 2*cycles, n, strings.Join(stacks, "\n"))
+			}
+		})
+	}
+}
+
+// TestSessionChurnAllocationFree: a wire session commits 64-update
+// batches of never-seen tuples at a fixed store size — each deletes the
+// 32 oldest E tuples of a sliding window and inserts 32 new ones — and,
+// after one full turnover of the window, 2,000 such commits allocate
+// nothing on the session's goroutines, on a core-routed and on the
+// ivm-routed hard query: the wire's part of the churn shape
+// TestChurnAllocationFree holds for the library.
+func TestSessionChurnAllocationFree(t *testing.T) {
+	const (
+		xs, ys  = 1000, 200
+		window  = 8192
+		perSide = 32
+		warm    = window / perSide
+		commits = 2000
+	)
+	// The i-th E tuple: every (x, y) pair is new for i below xs·ys, and any
+	// window consecutive tuples give every x and every y several tuples.
+	tuple := func(i int) string {
+		x := i % xs
+		return fmt.Sprintf("E(%d,%d)\n", x, (x+i/xs)%ys)
+	}
+	batches := make([][]byte, warm+commits)
+	for k := range batches {
+		b := []byte("begin\n")
+		for j := 0; j < perSide; j++ {
+			b = append(append(b, '-'), tuple(k*perSide+j)...)
+			b = append(append(b, '+'), tuple(window+k*perSide+j)...)
 		}
-		cycle := func() { commit(ins); commit(del) }
-		cycle() // warm the arena, the pending slice, the name table and the store
-		cycle()
-		return testing.AllocsPerRun(100, cycle) / 2
+		batches[k] = append(b, "commit\n"...)
 	}
-	small, large := allocsAt(64), allocsAt(512)
-	t.Logf("allocs per session commit: %v at 64 lines, %v at 512", small, large)
-	if small != large {
-		t.Fatalf("a session commit allocates %v times at 64 lines but %v at 512: something allocates per line", small, large)
+	for _, q := range []struct{ name, text string }{{"core", "Q(y) :- E(x,y), T(y)"}, {"ivm", "Q(x,y) :- S(x), E(x,y), T(y)"}} {
+		t.Run(q.name, func(t *testing.T) {
+			srv, conn := sessionConn(t, "pipe")
+			ws := srv.Workspace()
+			if h, err := ws.Register(q.name, q.text); err != nil || h.Strategy().String() != q.name {
+				t.Fatalf("register: %v, %v", h, err)
+			}
+			db := dyndb.New()
+			for x := 0; x < xs; x++ {
+				db.Insert("S", dyncq.Value(x))
+			}
+			for y := 0; y < ys; y++ {
+				db.Insert("T", dyncq.Value(y))
+			}
+			for i := 0; i < window; i++ {
+				x := i % xs
+				db.Insert("E", dyncq.Value(x), dyncq.Value((x+i/xs)%ys))
+			}
+			if err := ws.Load(db); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetDeadline(time.Now().Add(time.Minute))
+			br := bufio.NewReader(conn)
+			committed := []byte(fmt.Sprintf("ok committed %d ", 2*perSide))
+			commit := func(batch []byte) {
+				if _, err := conn.Write(batch); err != nil {
+					t.Fatal(err)
+				}
+				expectReplies(t, br, okBeginLine, committed)
+			}
+			for _, b := range batches[:warm] {
+				commit(b)
+			}
+			n, stacks := sessionAllocs(func() {
+				for _, b := range batches[warm:] {
+					commit(b)
+				}
+			})
+			t.Logf("%d wire churn commits of %d updates: %d allocations on the session's goroutines", commits, 2*perSide, n)
+			if n != 0 {
+				t.Errorf("%d wire churn commits allocated %d times, want 0:\n%s", commits, n, strings.Join(stacks, "\n"))
+			}
+			if got := ws.Cardinality(); got != xs+ys+window {
+				t.Errorf("|D| = %d after the churn, want %d + %d + %d", got, xs, ys, window)
+			}
+			if err := ws.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	if small > 3 {
-		t.Fatalf("a session commit of 64 lines allocates %v times, want at most 3", small)
+}
+
+// TestSessionReplyBufferPipelined: a client pipelines 12,000 batches over
+// net.Pipe, each followed by a `count` and every seventh by an `answer`,
+// while it reads the replies concurrently. It writes the stream in pieces
+// that each end inside a batch, so the session reads more input only
+// mid-batch: it never drains its outbox itself there, the writer
+// goroutine sends the replies, and the reader may reuse its reply buffer
+// only once it finds the outbox empty under the write mutex, or after
+// draining the outbox itself at replyFlushAt. Every reply must be byte
+// for byte the line the session wrote when each reply was a fresh slice;
+// the session must allocate nothing after the first 1,000 batches, so
+// its reply buffer stopped growing there; and the buffer must end within
+// 2 × replyFlushAt bytes.
+func TestSessionReplyBufferPipelined(t *testing.T) {
+	const batches, warm = 12000, 1000
+	srv := newTestServer(t, Options{WriteTimeout: -1})
+	if _, err := srv.Workspace().Register("q", "Q(x,y) :- E(x,y)"); err != nil {
+		t.Fatal(err)
+	}
+	// Batch k deletes batch k-1's tuples and inserts k%3+1 new ones, so
+	// the replies vary in length; pieces[k-1] ends just after batch k's
+	// first update line.
+	var pieces [][]byte
+	var want []string
+	var rest []byte
+	prev := 0
+	for k := 1; k <= batches; k++ {
+		ins := k%3 + 1
+		var lines []string
+		for j := 0; j < ins; j++ {
+			lines = append(lines, fmt.Sprintf("+E(%d,%d)\n", k, j))
+		}
+		for j := 0; j < prev; j++ {
+			lines = append(lines, fmt.Sprintf("-E(%d,%d)\n", k-1, j))
+		}
+		pieces = append(pieces, append(append(rest, "begin\n"...), lines[0]...))
+		rest = []byte(strings.Join(lines[1:], "") + "commit\ncount q\n")
+		want = append(want, "ok begin\n", fmt.Sprintf("ok committed %d %d\n", ins+prev, k), fmt.Sprintf("ok count q %d %d\n", ins, k))
+		if k%7 == 0 {
+			rest = append(rest, "answer q\n"...)
+			want = append(want, fmt.Sprintf("ok answer q true %d\n", k))
+		}
+		prev = ins
+	}
+	pieces = append(pieces, append(rest, "quit\n"...))
+	want = append(want, "bye\n")
+
+	cs, ss := net.Pipe()
+	defer cs.Close()
+	served := make(chan struct{})
+	go func() { srv.ServeConn(ss); close(served) }()
+	go func() {
+		for _, p := range pieces {
+			if _, err := cs.Write(p); err != nil {
+				return
+			}
+		}
+	}()
+	cs.SetReadDeadline(time.Now().Add(time.Minute))
+	br := bufio.NewReader(cs)
+	read := func(lines []string) {
+		for _, w := range lines {
+			if got, err := br.ReadString('\n'); err != nil || got != w {
+				t.Fatalf("reply %q (%v), want %q", got, err, w)
+			}
+		}
+	}
+	split := slices.Index(want, fmt.Sprintf("ok committed %d %d\n", warm%3+1+(warm-1)%3+1, warm))
+	read(want[:split])
+	var sess *session
+	srv.mu.Lock()
+	for live := range srv.sessions {
+		sess = live
+	}
+	srv.mu.Unlock()
+	n, stacks := sessionAllocs(func() { read(want[split:]) })
+	<-served // the reader goroutine, the buffer's one user, has returned
+	t.Logf("%d pipelined batches: %d allocations on the session's goroutines after the first %d; reply buffer capacity %d bytes",
+		batches, n, warm, cap(sess.rbuf))
+	if n != 0 {
+		t.Errorf("the session allocated %d times after the first %d batches, want 0:\n%s", n, warm, strings.Join(stacks, "\n"))
+	}
+	if cap(sess.rbuf) > 2*replyFlushAt {
+		t.Errorf("the reply buffer ended at %d bytes, want at most %d", cap(sess.rbuf), 2*replyFlushAt)
 	}
 }
 

@@ -91,7 +91,6 @@ package server
 
 import (
 	"strconv"
-	"strings"
 
 	"dyncq/internal/stream"
 	"dyncq/pkg/dyncq"
@@ -156,73 +155,79 @@ func encodeResync(name string, version, dropped uint64) []byte {
 	return buf
 }
 
-// encodeSnapshotHeader renders the part of an `enumerate` frame that
-// belongs to one version: the header line — and, for a Boolean query,
-// which has no leaves, the empty tuple's line when the answer is yes.
+// appendSnapshotHeader appends the part of an `enumerate` frame that
+// belongs to one version to dst: the header line — and, for a Boolean
+// query, which has no leaves, the empty tuple's line when the answer is
+// yes.
 //
 //dyncq:hot
-func encodeSnapshotHeader(s *dyncq.QuerySnapshot) []byte {
+func appendSnapshotHeader(dst []byte, s *dyncq.QuerySnapshot) []byte {
 	name := s.Name()
-	size := len("snapshot ") + len(name) + 3*(1+20) // three numbers of at most 20 digits
-	if s.Arity() == 0 {
-		size += s.Len() * stream.TupleLineLen(name, nil)
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, "snapshot "...)
-	buf = append(buf, name...)
-	buf = append(buf, ' ')
-	buf = strconv.AppendInt(buf, int64(s.Len()), 10)
-	buf = append(buf, ' ')
-	buf = strconv.AppendUint(buf, s.Version(), 10)
-	buf = append(buf, ' ')
-	buf = strconv.AppendInt(buf, int64(s.Arity()), 10)
-	buf = append(buf, '\n')
+	b := dst[:]
+	b = append(b, "snapshot "...)
+	b = append(b, name...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(s.Len()), 10)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, s.Version(), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(s.Arity()), 10)
+	b = append(b, '\n')
 	if s.Arity() == 0 {
 		for i := 0; i < s.Len(); i++ {
-			buf = stream.AppendTupleLine(buf, dyncq.OpInsert, name, nil)
+			b = stream.AppendTupleLine(b, dyncq.OpInsert, name, nil)
 		}
 	}
-	return buf
+	return b
 }
 
-// encodeReply renders `ok <verb> [<name> ]<n> <version>\n`: the replies
-// a closed-loop writer or poller waits on (committed, applied, count), in
-// one allocation.
+// appendReply appends `ok <verb> [<name> ]<n> <version>\n` to dst: the
+// replies a closed-loop writer or poller waits on (committed, applied,
+// count).
 //
 //dyncq:hot
-func encodeReply(verb, name string, n, version uint64) []byte {
-	buf := make([]byte, 0, len("ok ")+len(verb)+1+len(name)+1+2*(20+1))
-	buf = append(buf, "ok "...)
-	buf = append(buf, verb...)
-	buf = append(buf, ' ')
+func appendReply(dst []byte, verb, name string, n, version uint64) []byte {
+	b := dst[:]
+	b = append(b, "ok "...)
+	b = append(b, verb...)
+	b = append(b, ' ')
 	if name != "" {
-		buf = append(buf, name...)
-		buf = append(buf, ' ')
+		b = append(b, name...)
+		b = append(b, ' ')
 	}
-	buf = strconv.AppendUint(buf, n, 10)
-	buf = append(buf, ' ')
-	buf = strconv.AppendUint(buf, version, 10)
-	buf = append(buf, '\n')
-	return buf
+	b = strconv.AppendUint(b, n, 10)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, version, 10)
+	b = append(b, '\n')
+	return b
 }
 
-// encodeAnswer renders `ok answer <name> <true|false> <version>\n`.
+// appendAnswer appends `ok answer <name> <true|false> <version>\n` to dst.
 //
 //dyncq:hot
-func encodeAnswer(name string, yes bool, version uint64) []byte {
-	buf := make([]byte, 0, len("ok answer ")+len(name)+1+len("false ")+20+1)
-	buf = append(buf, "ok answer "...)
-	buf = append(buf, name...)
-	buf = append(buf, ' ')
-	buf = strconv.AppendBool(buf, yes)
-	buf = append(buf, ' ')
-	buf = strconv.AppendUint(buf, version, 10)
-	buf = append(buf, '\n')
-	return buf
+func appendAnswer(dst []byte, name string, yes bool, version uint64) []byte {
+	b := dst[:]
+	b = append(b, "ok answer "...)
+	b = append(b, name...)
+	b = append(b, ' ')
+	b = strconv.AppendBool(b, yes)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, version, 10)
+	b = append(b, '\n')
+	return b
 }
 
-// sanitizeErr collapses an error message onto one line so it cannot
-// break the line-oriented framing.
-func sanitizeErr(err error) string {
-	return strings.ReplaceAll(strings.ReplaceAll(err.Error(), "\r", " "), "\n", " ")
+// appendErr appends `err <message>\n` to dst, the message collapsed onto
+// one line — a CR or LF becomes a space — so it cannot break the
+// line-oriented framing.
+func appendErr(dst []byte, err error) []byte {
+	b := append(dst, "err "...)
+	msg := len(b)
+	b = append(b, err.Error()...)
+	for i := msg; i < len(b); i++ {
+		if b[i] == '\r' || b[i] == '\n' {
+			b[i] = ' '
+		}
+	}
+	return append(b, '\n')
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,22 +11,24 @@ import (
 	"dyncq/pkg/dyncq"
 )
 
-// TestReplyLines: the hot reply encoders render what the fmt-built lines
-// they replaced did.
+// TestReplyLines: the reply encoders append, after what dst holds, what
+// the fmt-built lines they replaced rendered.
 func TestReplyLines(t *testing.T) {
-	for _, n := range []uint64{0, 1, 8, math.MaxUint64} {
-		for _, v := range []uint64{0, 7, math.MaxUint64} {
-			if got, want := string(encodeReply("committed", "", n, v)), fmt.Sprintf("ok committed %d %d\n", n, v); got != want {
-				t.Fatalf("got %q, want %q", got, want)
-			}
-			if got, want := string(encodeReply("count", "feed", n, v)), fmt.Sprintf("ok count feed %d %d\n", n, v); got != want {
-				t.Fatalf("got %q, want %q", got, want)
-			}
-			if got, want := string(encodeAnswer("feed", n > 0, v)), fmt.Sprintf("ok answer feed %t %d\n", n > 0, v); got != want {
-				t.Fatalf("got %q, want %q", got, want)
-			}
+	check := func(got []byte, want string) {
+		t.Helper()
+		if string(got) != "prior|"+want {
+			t.Fatalf("got %q, want %q", got, "prior|"+want)
 		}
 	}
+	prior := func() []byte { return append(make([]byte, 0, 64), "prior|"...) }
+	for _, n := range []uint64{0, 1, 8, math.MaxUint64} {
+		for _, v := range []uint64{0, 7, math.MaxUint64} {
+			check(appendReply(prior(), "committed", "", n, v), fmt.Sprintf("ok committed %d %d\n", n, v))
+			check(appendReply(prior(), "count", "feed", n, v), fmt.Sprintf("ok count feed %d %d\n", n, v))
+			check(appendAnswer(prior(), "feed", n > 0, v), fmt.Sprintf("ok answer feed %t %d\n", n > 0, v))
+		}
+	}
+	check(appendErr(prior(), errors.New("two\r\nlines\n")), "err two  lines \n")
 }
 
 // TestEncodeDeltaSizesItsBuffer: a delta frame's buffer is sized from its

@@ -1,78 +1,27 @@
 package dyncq
 
 import (
-	"fmt"
-	"runtime"
 	"strings"
 	"testing"
+
+	"dyncq/internal/allocs"
 )
 
 // commitFrame is the function whose allocations commitAllocs counts.
 const commitFrame = "dyncq/pkg/dyncq.(*Workspace).Commit"
 
-// commitAllocs runs fn with every heap allocation sampled
-// (runtime.MemProfileRate = 1) and returns how many allocations made
-// meanwhile have (*Workspace).Commit on their call stack, with one
-// description per allocating stack. What other goroutines allocate — the
-// runtime's own, such as the scavenger's timers, included — is not
-// counted, so a gate on the result fails only on the commit path. A
-// profile record keeps the innermost 32 frames of its stack: an
-// allocation nested deeper than that below Commit would go uncounted.
+// commitAllocs runs fn and returns how many allocations made meanwhile
+// have (*Workspace).Commit on their call stack, with one description per
+// allocating stack (allocs.Count).
 func commitAllocs(fn func()) (n int64, stacks []string) {
-	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
-	runtime.MemProfileRate = 1
-	before := allocsByStack()
-	fn()
-	for stk, objs := range allocsByStack() {
-		d := objs - before[stk]
-		if d <= 0 {
-			continue
-		}
-		var lines []string
-		through := false
-		frames := runtime.CallersFrames(stk[:])
-		for {
-			f, more := frames.Next()
-			if f.Function != "" {
-				through = through || f.Function == commitFrame
-				lines = append(lines, fmt.Sprintf("\t%s\n\t\t%s:%d", f.Function, f.File, f.Line))
-			}
-			if !more {
-				break
-			}
-		}
-		if through {
-			n += d
-			stacks = append(stacks, fmt.Sprintf("%d allocations at\n%s", d, strings.Join(lines, "\n")))
-		}
-	}
-	return n, stacks
-}
-
-// allocsByStack returns the allocations of every memory-profile record,
-// by stack, after two forced collections: the profile publishes an
-// allocation only once a collection has completed after it.
-func allocsByStack() map[[32]uintptr]int64 {
-	runtime.GC()
-	runtime.GC()
-	n, _ := runtime.MemProfile(nil, true)
-	var recs []runtime.MemProfileRecord
-	for ok := false; !ok; {
-		recs = make([]runtime.MemProfileRecord, n+64)
-		n, ok = runtime.MemProfile(recs, true)
-	}
-	out := make(map[[32]uintptr]int64, n)
-	for _, r := range recs[:n] {
-		out[r.Stack0] += r.AllocObjects
-	}
-	return out
+	return allocs.Count(fn, commitFrame)
 }
 
 // allocSink keeps the test allocations below on the heap.
 var allocSink []*[4]int64
 
-// TestCommitAllocsCountsOnlyCommit: commitAllocs counts an allocation
-// made inside Commit — here by a capture hook, once per commit — and not
+// TestCommitAllocsCountsOnlyCommit: allocs.Count, through commitAllocs,
+// counts an allocation made inside Commit — here by a capture hook, once per commit — and not
 // one made meanwhile on another goroutine.
 func TestCommitAllocsCountsOnlyCommit(t *testing.T) {
 	ws := NewWorkspace(WorkspaceOptions{})

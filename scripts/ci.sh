@@ -9,7 +9,8 @@
 #                                              the snapshot cache, delta capture and a
 #                                              failed Load's read side, ten over the
 #                                              enumerate-frame race tests and the
-#                                              session write-path tests, a
+#                                              session write-path tests, ten passes
+#                                              over the allocation gates, a
 #                                              fixed-seed torture soak, and on
 #                                              the GOMAXPROCS=4 leg the server e2e run, the
 #                                              three line-format fuzz targets (the update
@@ -57,10 +58,10 @@ quick() {
 		go run ./cmd/dyncq-lint ./...
 	fi
 	go build ./...
-	# The torture harness and the workload generators are test code: the
-	# dyncq binary, which `dyncq serve` and the benchmark run, links
-	# neither.
-	bad=$(go list -deps ./cmd/dyncq | grep -Fx -e dyncq/internal/torture -e dyncq/internal/workload || true)
+	# The torture harness, the workload generators and the allocation
+	# counter are test code: the dyncq binary, which `dyncq serve` and the
+	# benchmark run, links none of them.
+	bad=$(go list -deps ./cmd/dyncq | grep -Fx -e dyncq/internal/torture -e dyncq/internal/workload -e dyncq/internal/allocs || true)
 	if [ -n "$bad" ]; then
 		echo "cmd/dyncq links test-only packages:" >&2
 		echo "$bad" >&2
@@ -118,9 +119,14 @@ deep_leg() {
 	# ask for ten race passes. A session's reader and its writer goroutine
 	# drain one outbox: the wire order of a subscribed committer, `ok
 	# begin` mid-batch over net.Pipe, and a subscriber kept up beside a
-	# pipelining writer hang on which of them drains when.
+	# pipelining writer hang on which of them drains when, and so does
+	# when the reader may reuse its reply buffer.
 	GOMAXPROCS=$n go test -race -count=10 ./internal/server \
-		-run 'TestEnumerateBlocksRaceWriter|TestEnumerateSpliceRaceWriter|TestSessionDeltaBeforeOwnReply|TestSessionInteractiveBatch|TestSessionSubscriberKeepsUp'
+		-run 'TestEnumerateBlocksRaceWriter|TestEnumerateSpliceRaceWriter|TestSessionDeltaBeforeOwnReply|TestSessionInteractiveBatch|TestSessionSubscriberKeepsUp|TestSessionReplyBufferPipelined'
+	# The allocation gates count every allocation on the code they name,
+	# with bound 0: ten passes show a gate that fails on anything but a
+	# defect.
+	GOMAXPROCS=$n go test -run 'AllocationFree|AllocsCounts' -count=10 ./pkg/dyncq ./internal/server
 	# A deterministic slice of the nightly soak at a pinned base seed.
 	GOMAXPROCS=$n go test ./internal/torture -race -run 'TestTortureSoak' \
 		-torture.seed=1 -torture.duration=60s -torture.failure-file="$failures" -v
