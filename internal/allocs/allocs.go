@@ -16,12 +16,17 @@ import (
 // "dyncq/pkg/dyncq.(*Workspace).Commit" — on their call stack, with one
 // description per allocating stack. What other goroutines allocate — the
 // runtime's own, such as the scavenger's timers, included — is not
-// counted, so a gate on the result fails only on the code it names; nor
-// is what the runtime allocates on the named code's stack to refill a
-// cache of its own (runtimeRefills). A profile record keeps the innermost
-// 32 frames of its stack: an allocation nested deeper than that below a
-// named frame would go uncounted.
+// counted, so a gate on the result fails only on the code it names. A
+// profile record keeps the innermost 32 frames of its stack: an
+// allocation nested deeper than that below a named frame would go
+// uncounted.
 func Count(fn func(), frames ...string) (n int64, stacks []string) {
+	return CountExcept(fn, nil, frames...)
+}
+
+// CountExcept is Count, leaving out every allocation whose innermost
+// frame — the function that allocated — is one of innermost.
+func CountExcept(fn func(), innermost []string, frames ...string) (n int64, stacks []string) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
 	before := byStack()
@@ -32,12 +37,12 @@ func Count(fn func(), frames ...string) (n int64, stacks []string) {
 			continue
 		}
 		var lines []string
-		through, refill := false, false
+		through, excepted := false, false
 		callers := runtime.CallersFrames(stk[:])
 		for {
 			f, more := callers.Next()
 			if f.Function != "" {
-				refill = refill || len(lines) == 0 && slices.Contains(runtimeRefills, f.Function)
+				excepted = excepted || len(lines) == 0 && slices.Contains(innermost, f.Function)
 				through = through || slices.Contains(frames, f.Function)
 				lines = append(lines, fmt.Sprintf("\t%s\n\t\t%s:%d", f.Function, f.File, f.Line))
 			}
@@ -45,22 +50,13 @@ func Count(fn func(), frames ...string) (n int64, stacks []string) {
 				break
 			}
 		}
-		if through && !refill {
+		if through && !excepted {
 			n += d
 			stacks = append(stacks, fmt.Sprintf("%d allocations at\n%s", d, strings.Join(lines, "\n")))
 		}
 	}
 	return n, stacks
 }
-
-// runtimeRefills are the runtime functions that allocate, when an
-// allocation's innermost frame is theirs, to refill a cache of their own
-// rather than for their caller: a processor's pool of channel waiters,
-// which every collection empties centrally (Count's own included), and a
-// type assertion's or type switch's cache of the types its site has
-// seen, which the runtime rebuilds about once per thousand misses until
-// it holds them.
-var runtimeRefills = []string{"runtime.acquireSudog", "runtime.typeAssert", "runtime.interfaceSwitch"}
 
 // byStack returns the allocations of every memory-profile record, by
 // stack, after two forced collections: the profile publishes an

@@ -78,10 +78,11 @@ func TestClientDeltaFrames(t *testing.T) {
 // server's part of the round trip allocates nothing at 64 and at 512
 // updates — the session parses each line where it lies and writes its
 // replies into its reply buffer — and the client's allocates as often per
-// commit at 512 updates as at 64 (2 at this writing): it writes each
-// update line into its write buffer through stream.AppendTupleLine. Each
-// side counts every allocation on its own goroutines over 100 cycles
-// (allocs.Count).
+// commit at 512 updates as at 64, compared after rounding down (2.5 per
+// commit at this writing, so 2): it writes each update line into its
+// write buffer through stream.AppendTupleLine. Each side counts every
+// allocation on its own goroutines over 100 cycles (the server through
+// sessionAllocs, the client through allocs.Count).
 func TestClientApplyBatchAllocationFree(t *testing.T) {
 	clientFrames := []string{"dyncq/internal/server.(*Client).ApplyBatch", "dyncq/internal/server.(*Client).demux"}
 	const cycles = 100

@@ -30,11 +30,10 @@ import (
 // The reader writes every reply into one buffer of its own, rbuf: a
 // reply frame's head is a window of it, so once the buffer has grown to
 // fit a burst of replies a request allocates nothing. The reader empties
-// it only when no queued or in-flight frame can still refer to it —
-// right after its own drain, or while it holds wmu and the outbox is
-// empty — and drains the outbox itself before a reply that would take
-// the buffer past replyFlushAt bytes, so the buffer stays bounded even
-// when the writer goroutine sends every reply.
+// it only right after its own drain, when no queued or in-flight frame
+// can still refer to it, and drains the outbox itself before a reply
+// that would take the buffer past replyFlushAt bytes, so the buffer
+// stays bounded even when the writer goroutine sends every reply.
 type session struct {
 	srv  *Server
 	conn net.Conn
@@ -271,20 +270,13 @@ func (s *session) trySend(f frame) bool {
 }
 
 // replyBuf returns the reply buffer for the reader to append one reply
-// to, emptied first when no frame queued or in flight can refer to it:
-// with wmu held no drain is writing, and an empty outbox holds none of
-// the reader's frames, so every one it queued has been written. Past
-// replyFlushAt bytes the reader drains the outbox itself first, as send
-// does when the outbox is full. Only the reader calls it, and within a
-// batch only for its farewell, which drains anyway: so this drain never
-// blocks on a client still writing a batch.
+// to. Past replyFlushAt bytes the reader drains the outbox itself first,
+// as send does when the outbox is full, and empties the buffer, which
+// no frame can refer to once its own drain has written every one it
+// queued. Only the reader calls it, and within a batch only for its
+// farewell, which drains anyway: so this drain never blocks on a client
+// still writing a batch.
 func (s *session) replyBuf() []byte {
-	if len(s.rbuf) > 0 && len(s.out) == 0 && s.wmu.TryLock() {
-		if len(s.out) == 0 {
-			s.recycle()
-		}
-		s.wmu.Unlock()
-	}
 	if len(s.rbuf) >= replyFlushAt && s.flush() {
 		s.recycle()
 	}
