@@ -67,3 +67,46 @@ func TestCountExceptSkipsInnermost(t *testing.T) {
 		t.Fatalf("CountExcept of %s = %d, want 50:\n%s", here, n, strings.Join(stacks, "\n"))
 	}
 }
+
+// spawned is the channel spawn waits on: a package variable, so that
+// starting allocateMany passes it nothing to allocate.
+var spawned = make(chan struct{})
+
+// spawn allocates in its own frame, then starts a goroutine that
+// allocates 100 times through allocateElsewhere, and waits for it.
+//
+//go:noinline
+func spawn() {
+	sink = new([4]int64)
+	go allocateMany()
+	<-spawned
+}
+
+//go:noinline
+func allocateMany() {
+	for range 100 {
+		allocateElsewhere()
+	}
+	spawned <- struct{}{}
+}
+
+// TestCountSkipsGoroutinesItStarts: an allocation on a goroutine that
+// the measured call starts is not counted through the frame that started
+// it — a new goroutine's stack begins at its own function — so Count
+// through spawn counts spawn's own allocation alone, and the started
+// goroutine's 100 are counted only through a frame on their own stack.
+func TestCountSkipsGoroutinesItStarts(t *testing.T) {
+	const starter, elsewhere = "dyncq/internal/allocs.spawn", "dyncq/internal/allocs.allocateElsewhere"
+	fn := func() {
+		for range 10 {
+			spawn()
+		}
+	}
+	fn() // the runtime keeps the finished goroutines for reuse
+	if n, stacks := Count(fn, starter); n != 10 {
+		t.Fatalf("Count through %s = %d, want its own 10:\n%s", starter, n, strings.Join(stacks, "\n"))
+	}
+	if n, stacks := Count(fn, elsewhere); n != 1000 {
+		t.Fatalf("Count through %s = %d, want the started goroutines' 1000:\n%s", elsewhere, n, strings.Join(stacks, "\n"))
+	}
+}

@@ -1,6 +1,10 @@
 package core
 
-import "slices"
+import (
+	"slices"
+
+	"dyncq/internal/tuplekey"
+)
 
 // This file implements the native result delta: while ApplyDelta is asked
 // to emit, every per-atom step reports exactly the result tuples it added
@@ -29,13 +33,22 @@ import "slices"
 // one step removes can be re-added by a later one, so steps accumulate
 // signed rows and netDelta cancels them per batch.
 
-// deltaAcc is the signed accumulator ApplyDelta nets its steps into, plus
-// the iterators its pinned walks run on.
+// deltaAcc is the signed accumulator ApplyDelta nets its steps into, the
+// iterators its pinned walks run on, and the scratch netDelta sorts in and
+// lends the batch's result delta from. All of it is reused from batch to
+// batch; a buffer a bulk batch grew past keepAcc rows is dropped once the
+// batch is netted.
 type deltaAcc struct {
 	iters []*compIter // one per free component, as Iterator.iters
 	flat  []Value     // emitted tuples, row-major at the head arity
 	sign  []int8      // per row: +1 added, −1 removed
+	order []int32     // netDelta's sort permutation of the rows
+	out   tuplekey.DeltaRows
 }
+
+// keepAcc bounds, in rows, the accumulator arrays a batch leaves for the
+// next one (the bound of the coalescer's output, dyndb's keepOut).
+const keepAcc = 1024
 
 func (e *Engine) newDeltaAcc() *deltaAcc {
 	acc := &deltaAcc{}
@@ -100,9 +113,9 @@ func (e *Engine) emitStep(acc *deltaAcc, c *comp, a *catom, items []record, sign
 // netDelta folds the accumulated steps into the batch's result delta and
 // empties the accumulator: rows are sorted lexicographically, each
 // distinct tuple's signs are summed — a removal and a re-addition of the
-// same tuple cancel — and the survivors are copied out of engine scratch
-// into the DeltaEvent contract of pkg/dyncq (disjoint, each side in
-// lexicographic order, owned by the caller).
+// same tuple cancel — and the survivors are lent out of acc.out in the
+// DeltaEvent contract of pkg/dyncq: disjoint, each side in lexicographic
+// order, valid until the engine's next ApplyDelta that emits.
 //
 //dyncq:hot
 func (e *Engine) netDelta(acc *deltaAcc) (added, removed [][]Value) {
@@ -112,31 +125,28 @@ func (e *Engine) netDelta(acc *deltaAcc) (added, removed [][]Value) {
 	}
 	flat, sign := acc.flat, acc.sign
 	row := func(i int32) []Value { return flat[int(i)*k : int(i+1)*k] }
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
+	order := acc.order[:0]
+	for i := range n {
+		order = append(order, int32(i)) //dyncq:allow hotalloc grows to the largest commit-sized batch once, reused after (keepAcc)
 	}
 	slices.SortFunc(order, func(x, y int32) int { return slices.Compare(row(x), row(y)) })
-	out := make([]Value, 0, n*k)
 	for lo := 0; lo < n; {
 		hi, sum := lo, 0
 		for ; hi < n && slices.Equal(row(order[hi]), row(order[lo])); hi++ {
 			sum += int(sign[order[hi]])
 		}
-		if sum != 0 {
-			out = append(out, row(order[lo])...)
-			t := out[len(out)-k : len(out) : len(out)]
-			switch sum {
-			case 1:
-				added = append(added, t) //dyncq:allow hotalloc the delta handed to the caller, O(|Δ|) by construction
-			case -1:
-				removed = append(removed, t) //dyncq:allow hotalloc the delta handed to the caller, O(|Δ|) by construction
-			default:
-				panic("core: a result tuple was added or removed twice in a row (corrupted structure)")
-			}
+		switch sum {
+		case 0:
+		case 1, -1:
+			acc.out.Add(sum < 0, row(order[lo]))
+		default:
+			panic("core: a result tuple was added or removed twice in a row (corrupted structure)")
 		}
 		lo = hi
 	}
-	acc.flat, acc.sign = flat[:0], sign[:0]
-	return added, removed
+	acc.flat, acc.sign, acc.order = flat[:0], sign[:0], order[:0]
+	if n > keepAcc {
+		acc.flat, acc.sign, acc.order = nil, nil, nil
+	}
+	return acc.out.Lend(k)
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
+	"dyncq/internal/allocs"
 	"dyncq/internal/cq"
 	"dyncq/internal/dyndb"
 	"dyncq/internal/eval"
@@ -151,5 +153,56 @@ func checkContains(t *testing.T, where string, h *harness, rng *rand.Rand) {
 	}
 	if h.Contains(make([]Value, len(h.heads)+1)) {
 		t.Fatalf("%s: Contains accepted a tuple of the wrong arity", where)
+	}
+}
+
+// TestEmittedDeltaAllocationFree: ApplyDelta lends the result delta it
+// emits from the engine's accumulator, so 2,000 emitting commits of 64
+// E updates on `Q(x,y) :- E(x,y), T(y)`, each adding or taking out 64
+// result tuples, allocate nothing under ApplyDelta (allocs.Count); the
+// first, which sizes the accumulator, is counted. A bulk commit's delta,
+// past keepAcc rows, is lent like any other, and the accumulator keeps
+// none of its arrays.
+func TestEmittedDeltaAllocationFree(t *testing.T) {
+	const frame = "dyncq/internal/core.(*Engine).ApplyDelta"
+	h, err := newHarness(cq.MustParse("Q(x,y) :- E(x,y), T(y)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.emit = true
+	for y := Value(0); y < 50; y++ {
+		h.Insert("T", y)
+	}
+	batch := func(n int, op dyndb.Op) []dyndb.Update {
+		var b []dyndb.Update
+		for j := Value(0); j < Value(n); j++ {
+			b = append(b, dyndb.Update{Op: op, Rel: "E", Tuple: []Value{j, j % 50}})
+		}
+		return b
+	}
+	ins, del := batch(64, dyndb.OpInsert), batch(64, dyndb.OpDelete)
+	commit := func(b []dyndb.Update) {
+		if n, err := h.ApplyBatch(b); err != nil || n != len(b) || len(h.added)+len(h.removed) != len(b) {
+			t.Fatalf("commit netted %d of %d (err %v), delta +%d -%d", n, len(b), err, len(h.added), len(h.removed))
+		}
+	}
+	if n, _ := allocs.Count(func() { commit(ins); commit(del) }, frame); n == 0 {
+		t.Fatal("the first emitting commits counted no allocation: the frame names nothing")
+	}
+	n, stacks := allocs.Count(func() {
+		for range 1000 {
+			commit(ins)
+			commit(del)
+		}
+	}, frame)
+	if n != 0 {
+		t.Fatalf("2,000 emitting commits of 64 updates allocated %d times under ApplyDelta, want 0:\n%s", n, strings.Join(stacks, "\n"))
+	}
+	commit(batch(4*keepAcc, dyndb.OpInsert))
+	if acc := h.acc; acc.flat != nil || acc.sign != nil || acc.order != nil {
+		t.Fatalf("after a %d-row delta the accumulator keeps arrays of %d, %d and %d", 4*keepAcc, cap(acc.flat), cap(acc.sign), cap(acc.order))
+	}
+	if !slices.IsSortedFunc(h.added, slices.Compare[[]Value]) || len(h.added) != 4*keepAcc {
+		t.Fatalf("the bulk delta lent %d added tuples, sorted %v", len(h.added), slices.IsSortedFunc(h.added, slices.Compare[[]Value]))
 	}
 }

@@ -361,8 +361,9 @@ func (e *Engine) Query() *cq.Query { return e.query }
 //
 // With emit set, ApplyDelta also returns what the delta did to ϕ(D): the
 // tuples the result gained and lost, disjoint, each side in lexicographic
-// order, freshly allocated. Their cost is proportional to their number
-// (delta.go); without emit the call does no extra work and returns nil.
+// order, lent from the engine's scratch until its next ApplyDelta that
+// emits. Their cost is proportional to their number (delta.go); without
+// emit the call does no extra work and returns nil.
 //
 //dyncq:hot
 func (e *Engine) ApplyDelta(survivors []dyndb.Update, emit bool) (added, removed [][]Value) {

@@ -95,6 +95,8 @@ type Maintainer struct {
 	// inclusion–exclusion takes a multiplicity through transient zeros.
 	emitting bool
 	touched  *tuplekey.Table[bool]
+	// out is the scratch FinishBatch lends the result delta from.
+	out tuplekey.DeltaRows
 }
 
 // New returns a maintainer for q reading the given store. Any valid CQ is
@@ -190,7 +192,10 @@ func (m *Maintainer) propagate(rel string, tuples [][]Value, sign int64) {
 // returns the tuples ϕ(D) gained and lost, disjoint, each side in
 // lexicographic order: the touched tuples whose presence changed, or — on
 // the rebuild path, which only a batch of a third of the store takes —
-// the difference of the old and new materialisations.
+// the difference of the old and new materialisations. They are lent from
+// the maintainer's scratch until the next FinishBatch that emits.
+//
+//dyncq:hot
 func (m *Maintainer) FinishBatch() (added, removed [][]Value) {
 	emitting := m.emitting
 	m.emitting = false
@@ -203,27 +208,28 @@ func (m *Maintainer) FinishBatch() (added, removed [][]Value) {
 		}
 		old.Keys(func(t []Value) bool {
 			if !m.result.Has(t) {
-				removed = append(removed, append([]Value(nil), t...))
+				m.out.Add(true, t)
 			}
 			return true
 		})
 		m.result.Keys(func(t []Value) bool {
 			if !old.Has(t) {
-				added = append(added, append([]Value(nil), t...))
+				m.out.Add(false, t)
 			}
 			return true
 		})
 	} else if emitting {
 		m.touched.Range(func(t []Value, was bool) bool {
-			if now := m.result.Has(t); now && !was {
-				added = append(added, append([]Value(nil), t...))
-			} else if was && !now {
-				removed = append(removed, append([]Value(nil), t...))
+			if now := m.result.Has(t); now != was {
+				m.out.Add(was, t)
 			}
 			return true
 		})
 		m.touched.Reset()
+	} else {
+		return nil, nil
 	}
+	added, removed = m.out.Lend(len(m.query.Head))
 	sortTuples(added)
 	sortTuples(removed)
 	return added, removed

@@ -2,8 +2,10 @@ package ivm
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
+	"dyncq/internal/allocs"
 	"dyncq/internal/cq"
 	"dyncq/internal/dyndb"
 	"dyncq/internal/eval"
@@ -249,15 +251,18 @@ func TestRandomQHierarchicalAgainstOracle(t *testing.T) {
 	}
 }
 
-// TestDeltaJoinAllocationsIndependentOfDegree: an S-insert on ϕS-E-T costs
-// a delta join over the key's E tuples — `degree` valuations, each landing
-// a head tuple in the result — and none of that allocates: the commit's
-// allocation count is the same at degree 5 and at degree 50. (One run is
-// an insert commit plus the delete commit that restores the state; both
-// run the same join. Nobody asks for the result delta: handing it over
-// costs a copy per delivered tuple, which is output, not join.)
-func TestDeltaJoinAllocationsIndependentOfDegree(t *testing.T) {
-	allocsAt := func(degree int) float64 {
+// TestDeltaJoinAllocationFree: an S-insert on ϕS-E-T costs a delta join
+// over the key's E tuples — `degree` valuations, each landing a head
+// tuple in the result — and none of that allocates: 100 insert commits
+// and the 100 delete commits that restore the state allocate nothing
+// under the maintainer's four batch hooks (allocs.Count), at degree 5 and
+// at degree 50, while the first pair, which builds the E index, is
+// counted. Nobody asks for the result delta. (The harness's own
+// per-relation grouping allocates, and is not counted.)
+func TestDeltaJoinAllocationFree(t *testing.T) {
+	frames := []string{"dyncq/internal/ivm.(*Maintainer).BeginBatch", "dyncq/internal/ivm.(*Maintainer).PreDelete",
+		"dyncq/internal/ivm.(*Maintainer).PostInsert", "dyncq/internal/ivm.(*Maintainer).FinishBatch"}
+	for _, degree := range []int{5, 50} {
 		const keys = 40
 		h, err := newHarness(cq.MustParse("Q(x,y) :- S(x), E(x,y), T(y)"))
 		if err != nil {
@@ -286,12 +291,17 @@ func TestDeltaJoinAllocationsIndependentOfDegree(t *testing.T) {
 				t.Fatalf("degree %d: S-delete left %d tuples (err %v), want %d", degree, h.Count(), err, base)
 			}
 		}
-		pair() // build the E index and size the scratch tables
-		return testing.AllocsPerRun(100, pair)
-	}
-	low, high := allocsAt(5), allocsAt(50)
-	t.Logf("allocs per insert+delete pair: %v at degree 5, %v at degree 50", low, high)
-	if low != high {
-		t.Fatalf("an S-insert/S-delete pair allocates %v times at degree 5 but %v at degree 50: the delta join allocates per valuation", low, high)
+		if n, _ := allocs.Count(pair, frames...); n == 0 {
+			t.Fatalf("degree %d: the first pair, which builds the E index, counted no allocation: the frames name nothing", degree)
+		}
+		n, stacks := allocs.Count(func() {
+			for range 100 {
+				pair()
+			}
+		}, frames...)
+		t.Logf("degree %d: %d allocations over 100 insert/delete pairs", degree, n)
+		if n != 0 {
+			t.Errorf("degree %d: 100 S-insert/S-delete pairs allocated %d times, want 0:\n%s", degree, n, strings.Join(stacks, "\n"))
+		}
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"dyncq/pkg/dyncq"
 )
@@ -20,8 +21,15 @@ import (
 // session's view of its own subscriptions) are serialized by
 // Server.subMu, which is always taken with no other lock held.
 type broker struct {
-	mu   sync.Mutex
-	subs map[string][]*subscriber
+	mu     sync.Mutex
+	topics map[string]*topic
+}
+
+// topic is one query's subscribers and the free list its frames'
+// buffers are recycled through. Its subs are guarded by broker.mu.
+type topic struct {
+	subs []*subscriber
+	free freeFrames
 }
 
 // subscriber is one (session, query) subscription. The lag state is
@@ -35,8 +43,91 @@ type subscriber struct {
 	dropped uint64
 }
 
+// frameBuf holds the bytes of one delta or resync frame, shared by every
+// outbox the broker queued the frame to. refs counts those outboxes, plus
+// publish itself while it queues; a drain releases its outbox's reference
+// once the write that carried the frame has returned, and the last
+// release puts the buffer on its topic's free list, so a steady stream of
+// commits encodes every frame into a recycled buffer. A frame still in a
+// closed session's outbox is never released: its buffer is left to the
+// collector.
+type frameBuf struct {
+	b    []byte
+	refs atomic.Int32
+	free *freeFrames
+	next *frameBuf // the buffer below this one on the free list
+}
+
+// freeFrames is a topic's free list of frame buffers: a stack linked
+// through frameBuf.next, its head one atomic word, so that a drain gives a
+// buffer back without a lock. publish, under broker.mu, is the one taker:
+// no buffer can be taken and put back between its reading the head and
+// its swapping it out, so a compare-and-swap on the head alone is sound.
+// The stack holds at most keepFree bytes: a subscriber's writer goroutine
+// may drain a burst of up to half an outbox at once — the committing
+// reader yields to it only then (session.flush) — and every frame of the
+// burst comes back in that drain.
+type freeFrames struct {
+	head  atomic.Pointer[frameBuf]
+	bytes atomic.Int64 // the capacity of the buffers on the stack
+}
+
+// keepFrame bounds, in bytes, a buffer the free list takes back, and
+// keepFree the bytes it holds: a frame of a bulk commit's delta is left to
+// the collector once written.
+const (
+	keepFrame = 16 << 10
+	keepFree  = 256 << 10
+)
+
+// get takes a buffer off the free list, or makes one when it is empty.
+// Only publish calls it, with broker.mu held.
+//
+//dyncq:hot
+func (f *freeFrames) get() *frameBuf {
+	for {
+		fb := f.head.Load()
+		if fb == nil {
+			return &frameBuf{free: f} //dyncq:allow hotalloc the free list is empty only until as many buffers as frames in flight exist
+		}
+		if f.head.CompareAndSwap(fb, fb.next) {
+			f.bytes.Add(-int64(cap(fb.b)))
+			fb.next = nil
+			return fb
+		}
+	}
+}
+
+// frame returns an outbox frame of the bytes just encoded into fb, holding
+// one reference: the caller's own, until it has queued it.
+func (fb *frameBuf) frame() frame {
+	fb.refs.Store(1)
+	return frame{head: fb.b, buf: fb}
+}
+
+// release drops one reference to fb. The last puts it back on its free
+// list, unless it grew past keepFrame or the list holds keepFree bytes.
+//
+//dyncq:hot
+func (fb *frameBuf) release() {
+	if fb.refs.Add(-1) != 0 || cap(fb.b) > keepFrame {
+		return
+	}
+	f, size := fb.free, int64(cap(fb.b))
+	if f.bytes.Add(size) > keepFree {
+		f.bytes.Add(-size)
+		return
+	}
+	for {
+		fb.next = f.head.Load()
+		if f.head.CompareAndSwap(fb.next, fb) {
+			return
+		}
+	}
+}
+
 func newBroker() *broker {
-	return &broker{subs: make(map[string][]*subscriber)}
+	return &broker{topics: make(map[string]*topic)}
 }
 
 // add registers sub for name and reports whether it is the first
@@ -45,9 +136,13 @@ func newBroker() *broker {
 func (b *broker) add(name string, sub *subscriber) (first bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	prev := b.subs[name]
-	b.subs[name] = append(prev, sub)
-	return len(prev) == 0
+	t := b.topics[name]
+	if t == nil {
+		t = &topic{}
+		b.topics[name] = t
+	}
+	t.subs = append(t.subs, sub)
+	return len(t.subs) == 1
 }
 
 // remove drops the subscription of sess for name and reports whether
@@ -56,16 +151,18 @@ func (b *broker) add(name string, sub *subscriber) (first bool) {
 func (b *broker) remove(name string, sess *session) (found, last bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	subs := b.subs[name]
-	for i, sub := range subs {
+	t := b.topics[name]
+	if t == nil {
+		return false, false
+	}
+	for i, sub := range t.subs {
 		if sub.sess == sess {
-			subs[i] = subs[len(subs)-1]
-			subs = subs[:len(subs)-1]
-			if len(subs) == 0 {
-				delete(b.subs, name)
+			t.subs[i] = t.subs[len(t.subs)-1]
+			t.subs = t.subs[:len(t.subs)-1]
+			if len(t.subs) == 0 {
+				delete(b.topics, name)
 				return true, true
 			}
-			b.subs[name] = subs
 			return true, false
 		}
 	}
@@ -78,9 +175,12 @@ func (b *broker) remove(name string, sess *session) (found, last bool) {
 func (b *broker) take(name string) []*subscriber {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	subs := b.subs[name]
-	delete(b.subs, name)
-	return subs
+	t := b.topics[name]
+	if t == nil {
+		return nil
+	}
+	delete(b.topics, name)
+	return t.subs
 }
 
 // dropped returns the total frames dropped across current lagged
@@ -89,40 +189,56 @@ func (b *broker) droppedFrames(name string) uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var n uint64
-	for _, sub := range b.subs[name] {
-		n += sub.dropped
+	if t := b.topics[name]; t != nil {
+		for _, sub := range t.subs {
+			n += sub.dropped
+		}
 	}
 	return n
 }
 
 // publish delivers one committed delta event to every subscriber of
 // its query. Runs inside the commit, with the workspace write lock
-// held: it must never block. The frame is encoded exactly once and the
-// identical byte slice goes to each subscriber's outbox, so delta
-// streams are byte-identical across connections. A subscriber whose
-// outbox is full is marked lagged and skipped; once its outbox drains
-// enough to accept a frame again it gets a resync line first (telling
-// it how many frames it lost and through which version) and resumes
-// with the NEXT delta — the current one is intentionally skipped so
-// the resync boundary is unambiguous.
+// held: it must never block. The frame is encoded exactly once, into a
+// buffer off the topic's free list — the event's tuples are lent only
+// for the length of the call, its frame is not — and the identical bytes
+// go to each subscriber's outbox, so delta streams are byte-identical
+// across connections. A subscriber whose outbox is full is marked lagged
+// and skipped; once its outbox drains enough to accept a frame again it
+// gets a resync line first (telling it how many frames it lost and
+// through which version) and resumes with the NEXT delta — the current
+// one is intentionally skipped so the resync boundary is unambiguous.
 //
 //dyncq:hot
 func (b *broker) publish(ev dyncq.DeltaEvent) {
-	delta := frame{head: encodeDelta(ev)}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, sub := range b.subs[ev.Query] {
+	t := b.topics[ev.Query]
+	if t == nil {
+		return
+	}
+	fb := t.free.get()
+	fb.b = encodeDelta(fb.b, ev)
+	delta := fb.frame()
+	for _, sub := range t.subs {
 		if sub.lagged {
 			sub.dropped++
-			if sub.sess.trySend(frame{head: encodeResync(ev.Query, ev.Version, sub.dropped)}) {
+			rb := t.free.get()
+			rb.b = encodeResync(rb.b, ev.Query, ev.Version, sub.dropped)
+			if sub.sess.trySend(rb.frame()) {
 				sub.lagged = false
 				sub.dropped = 0
+			} else {
+				rb.release()
 			}
 			continue
 		}
+		fb.refs.Add(1)
 		if !sub.sess.trySend(delta) {
+			fb.refs.Add(-1)
 			sub.lagged = true
 			sub.dropped = 1
 		}
 	}
+	fb.release()
 }

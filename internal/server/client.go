@@ -108,6 +108,10 @@ func (c *Client) demux() {
 	sc := bufio.NewScanner(c.conn)
 	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
 	for sc.Scan() {
+		if string(sc.Bytes()) == "ok begin" { // a batch's first reply: no string made for it
+			c.resp <- respFrame{line: "ok begin"}
+			continue
+		}
 		line := sc.Text()
 		switch {
 		case strings.HasPrefix(line, "delta "):
@@ -346,13 +350,14 @@ func (c *Client) ApplyBatch(updates []dyncq.Update) (int, uint64, error) {
 	if strings.HasPrefix(commitResp.line, "err ") {
 		return 0, 0, errors.New(strings.TrimPrefix(commitResp.line, "err "))
 	}
-	fields := strings.Fields(commitResp.line)
-	if len(fields) != 4 || fields[0] != "ok" || fields[1] != "committed" {
-		return 0, 0, fmt.Errorf("unexpected response %q to commit", commitResp.line)
-	}
-	n, err1 := strconv.Atoi(fields[2])
-	version, err2 := strconv.ParseUint(fields[3], 10, 64)
-	if err1 != nil || err2 != nil {
+	// `ok committed <n> <version>`, cut in place rather than split into a
+	// slice of fields: a commit's one allocation on the client is then the
+	// reply line itself.
+	rest, isCommitted := strings.CutPrefix(commitResp.line, "ok committed ")
+	count, ver, twoFields := strings.Cut(rest, " ")
+	n, err1 := strconv.Atoi(count)
+	version, err2 := strconv.ParseUint(ver, 10, 64)
+	if !isCommitted || !twoFields || err1 != nil || err2 != nil {
 		return 0, 0, fmt.Errorf("unexpected response %q to commit", commitResp.line)
 	}
 	return n, version, nil

@@ -55,6 +55,7 @@ type session struct {
 	wmu   sync.Mutex
 	burst net.Buffers
 	bufs  net.Buffers // escapes into WriteTo: kept here, not declared per drain
+	held  []*frameBuf // the burst's broker frames, released once it is written
 
 	// Batch state (reader goroutine only). The pending updates' tuples
 	// live in arena, which is reset when a batch begins: Commit keeps
@@ -76,14 +77,16 @@ type session struct {
 const replyFlushAt = 4 << 10
 
 // frame is one outbox element, written head, blocks, tail. A reply line,
-// a delta or a resync frame is all head. An `enumerate` frame is its
-// header line, the blocks of the snapshot's leaves — shared with every
-// other session and version that covers those leaves, so only ever read —
-// and the terminator.
+// a delta or a resync frame is all head; a delta or resync frame's head
+// is the bytes of buf, which the drain that writes it releases. An
+// `enumerate` frame is its header line, the blocks of the snapshot's
+// leaves — shared with every other session and version that covers those
+// leaves, so only ever read — and the terminator.
 type frame struct {
 	head   []byte
 	blocks [][]byte
 	tail   []byte
+	buf    *frameBuf
 }
 
 func newSession(srv *Server, conn net.Conn) *session {
@@ -98,6 +101,7 @@ func newSession(srv *Server, conn net.Conn) *session {
 		// frames — replies and deltas — so a burst grows it only when it
 		// carries an `enumerate` frame's blocks.
 		burst: make(net.Buffers, 0, srv.opt.OutboxFrames),
+		held:  make([]*frameBuf, 0, srv.opt.OutboxFrames),
 	}
 }
 
@@ -196,9 +200,10 @@ func (s *session) wakeWriter() {
 // beside a reply) cost one syscall, and an `enumerate` frame's blocks go
 // out by reference. A frame queued while it takes them leaves in the
 // next drain — the trySend that queued it woke the writer for one — so
-// a burst holds at most a full outbox of frames. A write error or
-// timeout tears the session down; in-flight frames are discarded, and
-// drain returns false.
+// a burst holds at most a full outbox of frames. Once the write has
+// returned, nothing reads the burst's bytes any more, and the broker
+// frames in it are released. A write error or timeout tears the session
+// down; in-flight frames are discarded, and drain returns false.
 func (s *session) drain() bool {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
@@ -211,6 +216,9 @@ func (s *session) drain() bool {
 		if f.tail != nil {
 			s.burst = append(s.burst, f.tail)
 		}
+		if f.buf != nil {
+			s.held = append(s.held, f.buf)
+		}
 	}
 	if len(s.burst) == 0 {
 		return true
@@ -220,7 +228,13 @@ func (s *session) drain() bool {
 	}
 	s.bufs = s.burst
 	_, err := s.bufs.WriteTo(s.conn)
+	clear(s.burst) // so that no written frame's bytes stay reachable from here
 	s.burst = s.burst[:0]
+	for i, fb := range s.held {
+		fb.release()
+		s.held[i] = nil
+	}
+	s.held = s.held[:0]
 	if err != nil {
 		s.close()
 		return false

@@ -56,20 +56,32 @@ var sessionTransports = []string{"pipe", "tcp"}
 // transport, "pipe" or "tcp".
 func sessionConn(t *testing.T, transport string) (*Server, net.Conn) {
 	t.Helper()
+	srv, dial := sessionServer(t, transport)
+	return srv, dial()
+}
+
+// sessionServer starts a server and returns it with a function that
+// opens a session on it over the transport, "pipe" or "tcp".
+func sessionServer(t *testing.T, transport string) (*Server, func() net.Conn) {
+	t.Helper()
 	if transport == "tcp" {
 		srv, addr := startTCPServer(t, Options{})
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
+		return srv, func() net.Conn {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { conn.Close() })
+			return conn
 		}
-		t.Cleanup(func() { conn.Close() })
-		return srv, conn
 	}
 	srv := newTestServer(t, Options{WriteTimeout: -1})
-	cs, ss := net.Pipe()
-	go srv.ServeConn(ss)
-	t.Cleanup(func() { cs.Close() })
-	return srv, cs
+	return srv, func() net.Conn {
+		cs, ss := net.Pipe()
+		go srv.ServeConn(ss)
+		t.Cleanup(func() { cs.Close() })
+		return cs
+	}
 }
 
 // expectReplies reads one reply line per prefix and fails unless each
@@ -416,16 +428,27 @@ func TestMaintenanceCountsEveryCommit(t *testing.T) {
 // next batch overwrites. A core and an ivm query each feed a capture hook
 // that keeps the event tuples it is handed without copying them, a cached
 // snapshot pinned after every commit, and a server subscriber's mirror.
-// At every version the workspace's invariants hold and the live results,
-// the hooks' mirrors, the pins — the current and the previous one — and
-// the subscriber's mirrors all equal an oracle evaluated on a database
-// fed copies of the batches.
+// The event's tuples are lent until the workspace's next write, so the
+// hook's uncopied tuples are read after the library batch is overwritten
+// and before the next commit: a tuple that aliased the batch reads as junk
+// there. At every version the workspace's invariants hold and the live
+// results, the hooks' mirrors, the pins — the current and the previous
+// one — and the subscriber's mirrors all equal an oracle evaluated on a
+// database fed copies of the batches.
 func TestCommitKeepsNoBatchTuple(t *testing.T) {
 	srv := newTestServer(t, Options{})
 	ws := srv.Workspace()
 	texts := map[string]string{"core": "Q(y) :- E(x,y), T(y)", "ivm": "Q(x) :- E(x,y), T(y)"}
 	names := []string{"core", "ivm"}
-	hooked := map[string]map[string][]dyncq.Value{}
+	// hooked holds per query the keys of the result the events build;
+	// lent holds the tuples the last event handed over, added and removed,
+	// uncopied, each with its key.
+	type handed struct {
+		key   string
+		tuple []dyncq.Value
+	}
+	hooked := map[string]map[string]bool{}
+	lent := map[string][]handed{}
 	for _, name := range names {
 		for _, reg := range []string{name, name + "_sub"} {
 			h, err := ws.Register(reg, texts[name])
@@ -436,15 +459,21 @@ func TestCommitKeepsNoBatchTuple(t *testing.T) {
 				t.Fatalf("%s routed to %s", reg, got)
 			}
 		}
-		mirror := map[string][]dyncq.Value{}
+		mirror := map[string]bool{}
 		hooked[name] = mirror
 		if err := ws.CaptureDeltas(name, func(ev dyncq.DeltaEvent) {
+			last := lent[name][:0]
 			for _, tuple := range ev.Removed {
-				delete(mirror, fmt.Sprint(tuple))
+				key := fmt.Sprint(tuple)
+				delete(mirror, key)
+				last = append(last, handed{key, tuple})
 			}
 			for _, tuple := range ev.Added {
-				mirror[fmt.Sprint(tuple)] = tuple // kept as handed over: no copy
+				key := fmt.Sprint(tuple)
+				mirror[key] = true
+				last = append(last, handed{key, tuple}) // kept as handed over: no copy
 			}
+			lent[name] = last
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -537,11 +566,13 @@ func TestCommitKeepsNoBatchTuple(t *testing.T) {
 		for _, name := range names {
 			h := ws.Handle(name)
 			oracle := want(name)
-			var mirror []string
-			for key, tuple := range hooked[name] {
-				if fmt.Sprint(tuple) != key {
-					t.Fatalf("version %d, %s: the capture hook was handed %s, which now reads %v", version, name, key, tuple)
+			for _, h := range lent[name] {
+				if fmt.Sprint(h.tuple) != h.key {
+					t.Fatalf("version %d, %s: the capture hook was handed %s, which now reads %v", version, name, h.key, h.tuple)
 				}
+			}
+			var mirror []string
+			for key := range hooked[name] {
 				mirror = append(mirror, key)
 			}
 			slices.Sort(mirror)

@@ -105,13 +105,18 @@ var (
 	okBeginLine   = []byte("ok begin\n")
 )
 
-// encodeDelta renders one DeltaEvent as a complete wire frame. It is
-// called once per event; the broker hands the same slice to every
-// subscriber, which is what makes cross-connection delta streams
-// byte-identical.
+// encodeDelta renders one DeltaEvent as a complete wire frame, into
+// dst's array if it has room for the frame, else into a fresh one of
+// exactly the frame's size — or of twice dst's capacity, if that is
+// more, so that a recycled buffer grows to fit the largest frame in a few
+// steps rather than once for every frame a little longer than the last.
+// It reads the event's tuples only for the length of the call, so the
+// frame outlives their loan. It is called once
+// per event; the broker hands the same bytes to every subscriber, which
+// is what makes cross-connection delta streams byte-identical.
 //
 //dyncq:hot
-func encodeDelta(ev dyncq.DeltaEvent) []byte {
+func encodeDelta(dst []byte, ev dyncq.DeltaEvent) []byte {
 	size := len("delta ") + len(ev.Query) + 3*(1+20) + len(frameEnd) // three numbers of at most 20 digits
 	for _, t := range ev.Added {
 		size += stream.TupleLineLen(ev.Query, t)
@@ -119,7 +124,10 @@ func encodeDelta(ev dyncq.DeltaEvent) []byte {
 	for _, t := range ev.Removed {
 		size += stream.TupleLineLen(ev.Query, t)
 	}
-	buf := make([]byte, 0, size)
+	buf := dst[:0]
+	if cap(buf) < size {
+		buf = make([]byte, 0, max(size, 2*cap(dst)))
+	}
 	buf = append(buf, "delta "...)
 	buf = append(buf, ev.Query...)
 	buf = append(buf, ' ')
@@ -139,12 +147,16 @@ func encodeDelta(ev dyncq.DeltaEvent) []byte {
 	return buf
 }
 
-// encodeResync renders the per-subscriber lag notice. Only built on
-// the degraded path (a subscriber recovering from overflow).
+// encodeResync renders the per-subscriber lag notice into dst's array,
+// or a fresh one when dst has no room. Only built on the degraded path (a
+// subscriber recovering from overflow).
 //
 //dyncq:hot
-func encodeResync(name string, version, dropped uint64) []byte {
-	buf := make([]byte, 0, len(name)+56)
+func encodeResync(dst []byte, name string, version, dropped uint64) []byte {
+	buf := dst[:0]
+	if size := len(name) + 56; cap(buf) < size {
+		buf = make([]byte, 0, size)
+	}
 	buf = append(buf, "resync "...)
 	buf = append(buf, name...)
 	buf = append(buf, ' ')

@@ -50,7 +50,7 @@ func TestEncodeDeltaSizesItsBuffer(t *testing.T) {
 		for j := r.Intn(40); j > 0; j-- {
 			ev.Removed = append(ev.Removed, randomTuple())
 		}
-		frame := encodeDelta(ev)
+		frame := encodeDelta(nil, ev)
 		want := fmt.Sprintf("delta feed %d %d %d\n", ev.Version, len(ev.Added), len(ev.Removed))
 		for _, tuple := range ev.Added {
 			want = string(stream.AppendTupleLine([]byte(want), dyncq.OpInsert, "feed", tuple))

@@ -3,9 +3,11 @@ package stream
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
+	"dyncq/internal/allocs"
 	"dyncq/internal/cq"
 	"dyncq/internal/dyndb"
 )
@@ -69,14 +71,36 @@ func TestArena(t *testing.T) {
 	if len(a.names.m) != namesCap {
 		t.Fatalf("the name table holds %d names, want its cap %d", len(a.names.m), namesCap)
 	}
-	line := []byte("-R5(0)")
-	if allocs := testing.AllocsPerRun(100, func() {
+	a.Reset()
+	if u, err := a.Parse([]byte("-R5(0)")); err != nil || unsafe.StringData(u.Rel) != unsafe.StringData(held[5].Rel) {
+		t.Fatalf("after Reset: %v, %v — want the interned name", u, err)
+	}
+}
+
+// TestArenaParseAllocationFree: a line parsed into a reset arena, with
+// a name the arena has interned, allocates nothing under Reset and Parse
+// (allocs.Count) over 1,000 lines, while the first line of a fresh
+// arena, which grows its array and interns its name, is counted.
+func TestArenaParseAllocationFree(t *testing.T) {
+	frames := []string{"dyncq/internal/stream.(*Arena).Reset", "dyncq/internal/stream.(*Arena).Parse"}
+	var a Arena
+	line := []byte("-R5(0,1)")
+	parse := func() {
 		a.Reset()
-		if u, err := a.Parse(line); err != nil || unsafe.StringData(u.Rel) != unsafe.StringData(held[5].Rel) {
-			t.Fatalf("after Reset: %v, %v — want the interned name", u, err)
+		if _, err := a.Parse(line); err != nil {
+			t.Fatal(err)
 		}
-	}); allocs != 0 {
-		t.Fatalf("a line parsed into a reset arena allocates %v times", allocs)
+	}
+	if n, _ := allocs.Count(parse, frames...); n == 0 {
+		t.Fatal("a fresh arena's first line counted no allocation: the frames name nothing")
+	}
+	n, stacks := allocs.Count(func() {
+		for range 1000 {
+			parse()
+		}
+	}, frames...)
+	if n != 0 {
+		t.Fatalf("1,000 lines parsed into a reset arena allocated %d times, want 0:\n%s", n, strings.Join(stacks, "\n"))
 	}
 }
 

@@ -3,7 +3,10 @@ package tuplekey
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"dyncq/internal/allocs"
 )
 
 func TestEqual(t *testing.T) {
@@ -194,14 +197,36 @@ func TestTableReset(t *testing.T) {
 			t.Fatalf("round %d: table not empty after Reset", round)
 		}
 	}
-	// A table reused at a steady small size keeps its arrays.
-	if allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 10; i++ {
-			m.Put([]int64{int64(i)}, i)
+}
+
+// TestTableFillResetAllocationFree: a table reused at a steady small size
+// keeps its arrays — 1,000 fills of 10 keys, each emptied by Reset,
+// allocate nothing under Put and Reset (allocs.Count) — while the first
+// fill of a fresh table, which grows them, is counted.
+func TestTableFillResetAllocationFree(t *testing.T) {
+	frames := []string{"dyncq/internal/tuplekey.(*Table[...]).Put", "dyncq/internal/tuplekey.(*Table[...]).Reset"}
+	keys := make([][]int64, 10)
+	for i := range keys {
+		keys[i] = []int64{int64(i)}
+	}
+	var m *Table[int]
+	fill := func() {
+		for i, k := range keys {
+			m.Put(k, i)
 		}
 		m.Reset()
-	}); allocs != 0 {
-		t.Errorf("steady-state fill+Reset allocates %v times, want 0", allocs)
+	}
+	m = NewTable[int](1)
+	if n, _ := allocs.Count(fill, frames...); n == 0 {
+		t.Fatal("a fresh table's first fill counted no allocation: the frames name nothing")
+	}
+	n, stacks := allocs.Count(func() {
+		for range 1000 {
+			fill()
+		}
+	}, frames...)
+	if n != 0 {
+		t.Fatalf("1,000 steady-state fills and Resets allocated %d times, want 0:\n%s", n, strings.Join(stacks, "\n"))
 	}
 }
 

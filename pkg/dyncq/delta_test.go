@@ -281,7 +281,7 @@ func TestCommitAllocationFree(t *testing.T) {
 		run  func(batch int) (int64, []string)
 	}{
 		{"core-routed", allocsAt},
-		{"ivm-routed", func(batch int) (int64, []string) { return ivmCommitAllocs(t, batch) }},
+		{"ivm-routed", func(batch int) (int64, []string) { return ivmCommitAllocs(t, batch, allocCycles, nil) }},
 	} {
 		for _, batch := range []int{64, 512} {
 			n, stacks := c.run(batch)
@@ -298,14 +298,15 @@ func TestCommitAllocationFree(t *testing.T) {
 const allocCycles = 200
 
 // ivmCommitAllocs counts, with the stacks that made them, the allocations
-// under Commit of allocCycles warmed insert/delete cycles of batch updates
+// under Commit of cycles warmed insert/delete cycles of batch updates
 // on the hard query ϕS-E-T, ivm-routed, below the rebuild crossover, so
 // every update is a delta join. Half the batch inserts S tuples for keys
 // E holds (four valuations each), half E tuples between keys both E
 // indexes already hold, so the joins walk lists that exist (lists that
 // empty and refill are TestChurnAllocationFree's -blocks and -refill
-// shapes), and the inverse batch restores the store.
-func ivmCommitAllocs(t *testing.T, batch int) (int64, []string) {
+// shapes), and the inverse batch restores the store. A non-nil hook
+// captures the query's deltas.
+func ivmCommitAllocs(t *testing.T, batch, cycles int, hook func(DeltaEvent)) (int64, []string) {
 	ws := NewWorkspace(WorkspaceOptions{})
 	h, err := ws.Register("hard", "Q(x,y) :- S(x), E(x,y), T(y)")
 	if err != nil {
@@ -314,6 +315,7 @@ func ivmCommitAllocs(t *testing.T, batch int) (int64, []string) {
 	if h.Strategy() != StrategyIVM {
 		t.Fatalf("hard routed to %v, want ivm", h.Strategy())
 	}
+
 	db := dyndb.New()
 	for x := Value(0); x < 1000; x++ {
 		for k := Value(0); k < 4; k++ {
@@ -328,6 +330,11 @@ func ivmCommitAllocs(t *testing.T, batch int) (int64, []string) {
 	}
 	if err := ws.Load(db); err != nil {
 		t.Fatal(err)
+	}
+	if hook != nil {
+		if err := ws.CaptureDeltas("hard", hook); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var ins, del []Update
 	for j := Value(0); len(ins) < batch; j++ {
@@ -345,10 +352,88 @@ func ivmCommitAllocs(t *testing.T, batch int) (int64, []string) {
 	}
 	cycle() // warm the index lists, the result table and the coalescer
 	return commitAllocs(func() {
-		for range allocCycles {
+		for range cycles {
 			cycle()
 		}
 	})
+}
+
+// TestCapturedCommitAllocationFree: a commit whose result delta goes to
+// a capture hook allocates nothing once warm, on core and on ivm — the
+// backends lend the delta from scratch of their own, reused every commit
+// (DeltaEvent), where each commit used to allocate its tuples and their
+// headers. Over 2,000 commits of 64 updates, every one changing the
+// result, it counts every allocation under Commit (commitAllocs) with a
+// hook that keeps nothing: core's `Q(x,y) :- E(x,y), T(y)` gains and
+// loses 64 tuples a commit, and ivm's hard query gains and loses the
+// tuples its S inserts and deletes reach.
+func TestCapturedCommitAllocationFree(t *testing.T) {
+	const batch, cycles = 64, 1000
+	var events, unchanged int
+	hook := func(ev DeltaEvent) {
+		events++
+		if len(ev.Added)+len(ev.Removed) == 0 {
+			unchanged++
+		}
+	}
+	coreAllocs := func() (int64, []string) {
+		ws := NewWorkspace(WorkspaceOptions{})
+		h, err := ws.Register("feed", "Q(x,y) :- E(x,y), T(y)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Strategy() != StrategyCore {
+			t.Fatalf("feed routed to %v, want core", h.Strategy())
+		}
+		db := dyndb.New()
+		for y := Value(0); y < 50; y++ {
+			db.Insert("T", y)
+		}
+		for x := Value(0); x < 1000; x++ {
+			db.Insert("E", x, x%50)
+		}
+		if err := ws.Load(db); err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.CaptureDeltas("feed", hook); err != nil {
+			t.Fatal(err)
+		}
+		var ins, del []Update
+		for j := Value(0); j < batch; j++ {
+			u := dyndb.Insert("E", 2000+j, j%50)
+			ins, del = append(ins, u), append(del, Update{Op: dyndb.OpDelete, Rel: u.Rel, Tuple: u.Tuple})
+		}
+		cycle := func() {
+			for _, b := range [][]Update{ins, del} {
+				if n, _, err := ws.Commit(b); err != nil || n != batch {
+					t.Fatalf("commit netted %d of %d (err %v)", n, batch, err)
+				}
+			}
+		}
+		cycle() // warm the delta scratch, the arenas and the coalescer
+		return commitAllocs(func() {
+			for range cycles {
+				cycle()
+			}
+		})
+	}
+	for _, c := range []struct {
+		name string
+		run  func() (int64, []string)
+	}{
+		{"core", coreAllocs},
+		{"ivm", func() (int64, []string) { return ivmCommitAllocs(t, batch, cycles, hook) }},
+	} {
+		events, unchanged = 0, 0
+		n, stacks := c.run()
+		t.Logf("%s: %d captured commits of %d updates: %d allocations under Commit", c.name, 2*cycles, batch, n)
+		if events != 2*cycles+2 || unchanged != 0 {
+			t.Fatalf("%s: %d events, %d of them empty, over %d commits that change the result", c.name, events, unchanged, 2*cycles+2)
+		}
+		if n != 0 {
+			t.Errorf("%d %s captured commits of %d updates allocated %d times, want 0:\n%s", 2*cycles, c.name, batch, n, strings.Join(stacks, "\n"))
+		}
+	}
 }
 
 // TestChurnAllocationFree: a store under steady churn — every commit

@@ -299,7 +299,10 @@ type DeltaEvent struct {
 	// Version is the committed workspace version the event describes.
 	Version uint64
 	// Added and Removed hold the gained and lost result tuples. The
-	// slices (and their tuples) are owned by the hook once delivered.
+	// slices and their tuples are lent: they belong to the workspace and
+	// stay valid until its next write (a Commit or a Load) begins — the
+	// "copy to retain" contract of Handle.Enumerate, at commit
+	// granularity. A hook that keeps them past that point copies them.
 	Added   [][]Value
 	Removed [][]Value
 }
@@ -321,7 +324,8 @@ func (h *Handle) emits() bool { return h.capture != nil || h.snap.Load() != nil 
 // diff, before the version moves — so ev carries the version the commit
 // makes. delta is false only for a Load on a handle nobody captures,
 // whose cached snapshot is then re-materialised. The advance only reads
-// the event's tuples, before the hook owns them.
+// the event's tuples, which the backend lends (DeltaEvent), and so does
+// the hook unless it copies them.
 func (h *Handle) publish(ev DeltaEvent, delta bool) {
 	h.advanceSnapshot(ev, delta)
 	if h.capture != nil {
@@ -348,7 +352,10 @@ func (h *Handle) publish(ev DeltaEvent, delta bool) {
 // broker satisfies this by handing pre-encoded frames to per-connection
 // buffers with a non-blocking send). Every hook runs on the goroutine
 // that called Commit or Load, one query after another in registration
-// order, and observes strictly increasing versions. Only one capture per query may
+// order, and observes strictly increasing versions. The event's tuples
+// are lent (DeltaEvent): valid until the workspace's next write begins,
+// so a hook that keeps them copies them, and a steady stream of commits
+// hands them over without allocating. Only one capture per query may
 // be active; Unregister drops it.
 func (w *Workspace) CaptureDeltas(name string, hook func(DeltaEvent)) error {
 	w.mu.Lock()

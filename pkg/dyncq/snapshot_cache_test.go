@@ -6,12 +6,14 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 	"weak"
 
+	"dyncq/internal/allocs"
 	"dyncq/internal/cq"
 	"dyncq/internal/dyndb"
 	"dyncq/internal/stream"
@@ -647,10 +649,13 @@ func TestSnapshotEvictionDuringCommit(t *testing.T) {
 	}
 }
 
-// TestSnapshotRePinZeroAlloc: re-pinning an unchanged version is one
-// pointer load — zero allocations, zero enumeration, same shared
-// snapshot, hit counter advancing.
-func TestSnapshotRePinZeroAlloc(t *testing.T) {
+// TestSnapshotRePinAllocationFree: re-pinning an unchanged version is
+// one pointer load — 1,000 re-pins allocate nothing under
+// (*Handle).Snapshot (allocs.Count), while the cold pin before them is
+// counted — with zero enumeration, the same shared snapshot, and the hit
+// counter advancing.
+func TestSnapshotRePinAllocationFree(t *testing.T) {
+	const frame = "dyncq/pkg/dyncq.(*Handle).Snapshot"
 	ws := NewWorkspace(WorkspaceOptions{})
 	h, err := ws.Register("q", "Q(x,y) :- E(x,y)")
 	if err != nil {
@@ -660,11 +665,18 @@ func TestSnapshotRePinZeroAlloc(t *testing.T) {
 	if _, _, err := ws.Commit(workload.RandomStream(rng, map[string]int{"E": 2}, 40, 500, 0.1)); err != nil {
 		t.Fatal(err)
 	}
-	s0 := h.Snapshot()
+	var s0 *QuerySnapshot
+	if n, _ := allocs.Count(func() { s0 = h.Snapshot() }, frame); n == 0 {
+		t.Fatal("the cold pin counted no allocation: the frame names nothing")
+	}
 	before := h.SnapshotCacheStats()
 	var s *QuerySnapshot
-	if n := testing.AllocsPerRun(200, func() { s = h.Snapshot() }); n != 0 {
-		t.Fatalf("re-pin allocates %.1f per op, want 0", n)
+	if n, stacks := allocs.Count(func() {
+		for range 1000 {
+			s = h.Snapshot()
+		}
+	}, frame); n != 0 {
+		t.Fatalf("1,000 re-pins allocated %d times, want 0:\n%s", n, strings.Join(stacks, "\n"))
 	}
 	if s != s0 {
 		t.Fatal("re-pin returned a different snapshot than the cached one")

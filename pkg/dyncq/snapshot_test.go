@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -51,9 +52,25 @@ func (r *replayOracle) matches(t *testing.T, tuples [][]Value, where string) {
 	}
 }
 
+// cloneEvent copies ev's tuples out of the workspace, which lends them
+// only until its next write: a hook that keeps events calls it.
+func cloneEvent(ev DeltaEvent) DeltaEvent {
+	clone := func(ts [][]Value) [][]Value {
+		var out [][]Value
+		for _, t := range ts {
+			out = append(out, slices.Clone(t))
+		}
+		return out
+	}
+	ev.Added, ev.Removed = clone(ev.Added), clone(ev.Removed)
+	return ev
+}
+
 // TestCaptureDeltasReplay: replaying the per-commit delta stream
 // reconstructs the query result exactly, across single updates,
-// batches, and every backend strategy.
+// batches, and every backend strategy. The hook keeps every event until
+// the stream ends, so it clones each (the event's tuples are lent until
+// the next write).
 func TestCaptureDeltasReplay(t *testing.T) {
 	for _, force := range []Strategy{StrategyAuto, StrategyIVM} {
 		t.Run(force.String(), func(t *testing.T) {
@@ -73,7 +90,7 @@ func TestCaptureDeltasReplay(t *testing.T) {
 				replica.tuples[fmt.Sprint(tup)] = true
 			}
 			var events []DeltaEvent
-			if err := ws.CaptureDeltas("q", func(ev DeltaEvent) { events = append(events, ev) }); err != nil {
+			if err := ws.CaptureDeltas("q", func(ev DeltaEvent) { events = append(events, cloneEvent(ev)) }); err != nil {
 				t.Fatal(err)
 			}
 			if err := ws.CaptureDeltas("q", func(DeltaEvent) {}); err == nil {

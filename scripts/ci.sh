@@ -119,14 +119,16 @@ deep_leg() {
 	# ask for ten race passes. A session's reader and its writer goroutine
 	# drain one outbox: the wire order of a subscribed committer, `ok
 	# begin` mid-batch over net.Pipe, and a subscriber kept up beside a
-	# pipelining writer hang on which of them drains when, and so does
-	# when the reader may reuse its reply buffer.
+	# pipelining writer hang on which of them drains when, and so do
+	# when the reader may reuse its reply buffer and when a delta frame's
+	# buffer may go back to its query's free list.
 	GOMAXPROCS=$n go test -race -count=10 ./internal/server \
-		-run 'TestEnumerateBlocksRaceWriter|TestEnumerateSpliceRaceWriter|TestSessionDeltaBeforeOwnReply|TestSessionInteractiveBatch|TestSessionSubscriberKeepsUp|TestSessionReplyBufferPipelined'
+		-run 'TestEnumerateBlocksRaceWriter|TestEnumerateSpliceRaceWriter|TestSessionDeltaBeforeOwnReply|TestSessionInteractiveBatch|TestSessionSubscriberKeepsUp|TestSessionReplyBufferPipelined|TestRecycledFramesByteExact'
 	# The allocation gates count every allocation on the code they name,
 	# with bound 0: ten passes show a gate that fails on anything but a
 	# defect.
-	GOMAXPROCS=$n go test -run 'AllocationFree|AllocsCounts' -count=10 ./pkg/dyncq ./internal/server
+	GOMAXPROCS=$n go test -run 'AllocationFree|AllocsCounts' -count=10 ./pkg/dyncq ./internal/server \
+		./internal/core ./internal/ivm ./internal/tuplekey ./internal/stream
 	# A deterministic slice of the nightly soak at a pinned base seed.
 	GOMAXPROCS=$n go test ./internal/torture -race -run 'TestTortureSoak' \
 		-torture.seed=1 -torture.duration=60s -torture.failure-file="$failures" -v
